@@ -212,7 +212,7 @@ fn bench_scan_formats(c: &mut Criterion) {
     // data: full cursor scans and aggregate pushdown (SUM needs the
     // value column; COUNT/MIN/MAX folds footer statistics without
     // touching block bytes on v3).
-    use littletable_core::block::BlockFormat;
+    use littletable_core::block::{BlockFormat, ColumnSlice};
     use littletable_core::table::{PushdownRequest, ScanUnit};
     use littletable_core::value::ColumnType;
 
@@ -284,13 +284,11 @@ fn bench_scan_formats(c: &mut Criterion) {
                     .pushdown_scan(&req, &mut |unit| {
                         match unit {
                             ScanUnit::Stats { .. } => unreachable!(),
-                            ScanUnit::Block { block, .. } => {
-                                let col = block.column(2).unwrap();
-                                for ri in 0..block.len() {
-                                    if let Value::I64(v) = col.value(ri) {
-                                        sum += v;
-                                    }
-                                }
+                            ScanUnit::Block { block, sel } => {
+                                let Some(ColumnSlice::I64(col)) = block.column(2) else {
+                                    unreachable!("bytes is an int64 column");
+                                };
+                                sel.for_each_in(0..sel.len(), |ri| sum += col[ri]);
                             }
                             ScanUnit::Rows(rows) => {
                                 for row in rows {
@@ -318,7 +316,7 @@ fn bench_scan_formats(c: &mut Criterion) {
                     .pushdown_scan(&req, &mut |unit| {
                         match unit {
                             ScanUnit::Stats { rows, .. } => n += rows,
-                            ScanUnit::Block { block, .. } => n += block.len() as u64,
+                            ScanUnit::Block { sel, .. } => n += sel.len() as u64,
                             ScanUnit::Rows(rows) => n += rows.len() as u64,
                         }
                         Ok(())

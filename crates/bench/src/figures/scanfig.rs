@@ -23,7 +23,7 @@
 
 use crate::env::{SimEnv, CPU_PER_COMMAND, CPU_PER_SCAN_ROW};
 use crate::report::FigureResult;
-use littletable_core::block::BlockFormat;
+use littletable_core::block::{BlockFormat, ColumnSlice};
 use littletable_core::schema::{ColumnDef, Schema};
 use littletable_core::table::{ColumnPredicate, PredOp, PushdownRequest, ScanUnit};
 use littletable_core::value::{ColumnType, Value};
@@ -122,20 +122,12 @@ fn pushdown_sum(table: &Table, req: &PushdownRequest) -> (u64, i128) {
         .pushdown_scan(req, &mut |unit| {
             match unit {
                 ScanUnit::Stats { .. } => unreachable!("stats forbidden for SUM"),
-                ScanUnit::Block { block, uncertain } => {
-                    let col = block.column(2).unwrap();
-                    for ri in 0..block.len() {
-                        let ok = uncertain.iter().all(|&pi| {
-                            let p = &req.predicates[pi];
-                            p.matches(&block.column(p.col).unwrap().value(ri))
-                        });
-                        if ok {
-                            rows += 1;
-                            if let Value::I64(v) = col.value(ri) {
-                                sum += v as i128;
-                            }
-                        }
-                    }
+                ScanUnit::Block { block, sel } => {
+                    let Some(ColumnSlice::I64(col)) = block.column(2) else {
+                        unreachable!("bytes is an int64 column");
+                    };
+                    rows += sel.len() as u64;
+                    sel.for_each_in(0..sel.len(), |ri| sum += col[ri] as i128);
                 }
                 ScanUnit::Rows(batch) => {
                     for row in batch {
@@ -160,10 +152,7 @@ fn pushdown_stats(table: &Table, req: &PushdownRequest) -> u64 {
         .pushdown_scan(req, &mut |unit| {
             match unit {
                 ScanUnit::Stats { rows: n, .. } => rows += n,
-                ScanUnit::Block { block, uncertain } => {
-                    assert!(uncertain.is_empty(), "no predicates in this request");
-                    rows += block.len() as u64;
-                }
+                ScanUnit::Block { sel, .. } => rows += sel.len() as u64,
                 ScanUnit::Rows(batch) => rows += batch.len() as u64,
             }
             Ok(())

@@ -30,10 +30,12 @@
 //! this module works with the uncompressed form.
 
 use crate::error::{Error, Result};
+use crate::keyenc::{self, KeyRange};
 use crate::row::Row;
 use crate::schema::Schema;
 use crate::util::{put_varint, Reader};
 use crate::value::{ColumnType, Value};
+use std::ops::{Bound, Range};
 use std::sync::OnceLock;
 
 /// Which block layout a tablet is written with. Selected by
@@ -461,11 +463,58 @@ impl Block {
     /// Index of the first row whose key is ≥ `target` (ascending-seek
     /// position). Returns `len()` when every key is smaller.
     pub fn seek_ge(&self, target: &[u8]) -> Result<usize> {
+        self.partition_point(|i| Ok(self.key(i)? < target))
+    }
+
+    /// Index of the first row whose key is > `target`.
+    pub fn seek_gt(&self, target: &[u8]) -> Result<usize> {
+        self.partition_point(|i| Ok(self.key(i)? <= target))
+    }
+
+    /// The interval of row indices whose keys lie inside `range`.
+    /// A columnar block encodes only the O(log n) probed rows' keys, into
+    /// one scratch buffer; its key arena is neither built nor read, so an
+    /// aggregate scan clips a block to the key bounds without paying for
+    /// key materialization.
+    pub fn rows_in_range(&self, range: &KeyRange) -> Result<Range<usize>> {
+        let mut scratch = Vec::new();
+        let mut first = |before: &dyn Fn(&[u8]) -> bool| {
+            self.partition_point(|i| Ok(before(self.probe_key(i, &mut scratch)?)))
+        };
+        let start = match &range.start {
+            Bound::Unbounded => 0,
+            Bound::Included(s) => first(&|k| k < s.as_slice())?,
+            Bound::Excluded(s) => first(&|k| k <= s.as_slice())?,
+        };
+        let end = match &range.end {
+            Bound::Unbounded => self.len(),
+            Bound::Included(e) => first(&|k| k <= e.as_slice())?,
+            Bound::Excluded(e) => first(&|k| k < e.as_slice())?,
+        };
+        Ok(start..end.max(start))
+    }
+
+    /// Row `i`'s key for one comparison: borrowed from a row block,
+    /// encoded into `scratch` for a columnar one.
+    fn probe_key<'a>(&'a self, i: usize, scratch: &'a mut Vec<u8>) -> Result<&'a [u8]> {
+        match self {
+            Block::Row(b) => b.key(i),
+            Block::Columnar(b) => {
+                scratch.clear();
+                b.encode_key(i, scratch);
+                Ok(scratch)
+            }
+        }
+    }
+
+    /// Index of the first row for which `before` is false; rows are
+    /// sorted so that it holds for a prefix of them.
+    fn partition_point(&self, mut before: impl FnMut(usize) -> Result<bool>) -> Result<usize> {
         let mut lo = 0usize;
         let mut hi = self.len();
         while lo < hi {
             let mid = (lo + hi) / 2;
-            if self.key(mid)? < target {
+            if before(mid)? {
                 lo = mid + 1;
             } else {
                 hi = mid;
@@ -474,19 +523,13 @@ impl Block {
         Ok(lo)
     }
 
-    /// Index of the first row whose key is > `target`.
-    pub fn seek_gt(&self, target: &[u8]) -> Result<usize> {
-        let mut lo = 0usize;
-        let mut hi = self.len();
-        while lo < hi {
-            let mid = (lo + hi) / 2;
-            if self.key(mid)? <= target {
-                lo = mid + 1;
-            } else {
-                hi = mid;
-            }
+    /// Whether a columnar block's key arena has been materialized.
+    #[cfg(test)]
+    pub(crate) fn key_arena_built(&self) -> bool {
+        match self {
+            Block::Row(_) => false,
+            Block::Columnar(b) => b.keys.get().is_some(),
         }
-        Ok(lo)
     }
 }
 
@@ -675,22 +718,33 @@ impl ColumnarBlock {
         })
     }
 
+    /// Appends row `row`'s encoded primary key, straight from the key
+    /// column slices.
+    fn encode_key(&self, row: usize, out: &mut Vec<u8>) {
+        for &ki in &self.key_indices {
+            match &self.columns[ki] {
+                ColumnSlice::I32(v) => keyenc::encode_int(out, v[row] as i64),
+                ColumnSlice::I64(v) | ColumnSlice::Timestamp(v) => keyenc::encode_int(out, v[row]),
+                ColumnSlice::Str(v) => keyenc::encode_bytes(out, v[row].as_bytes()),
+                ColumnSlice::Blob(v) => keyenc::encode_bytes(out, &v[row]),
+                ColumnSlice::F64(_) => unreachable!("key columns are never F64"),
+            }
+        }
+    }
+
     fn key(&self, i: usize) -> Result<&[u8]> {
         if i >= self.row_count {
             return Err(Error::corrupt("block row index out of range"));
         }
         let keys = self.keys.get_or_init(|| {
-            let mut out = Vec::with_capacity(self.row_count);
             let mut buf = Vec::new();
-            for row in 0..self.row_count {
-                buf.clear();
-                for &ki in &self.key_indices {
-                    crate::keyenc::encode_component(&mut buf, &self.columns[ki].value(row))
-                        .expect("key columns are never F64");
-                }
-                out.push(buf.clone());
-            }
-            out
+            (0..self.row_count)
+                .map(|row| {
+                    buf.clear();
+                    self.encode_key(row, &mut buf);
+                    buf.clone()
+                })
+                .collect()
         });
         Ok(&keys[i])
     }
@@ -914,6 +968,52 @@ mod tests {
         let i = blk.seek_ge(&key).unwrap();
         assert_eq!(blk.key(i).unwrap(), key.as_slice());
         assert_eq!(blk.seek_gt(&key).unwrap(), i + 1);
+    }
+
+    #[test]
+    fn rows_in_range_matches_key_filter_without_building_the_arena() {
+        let (col, s) = sample_columnar(60);
+        let row = sample_block(60);
+        let types = s.key_types();
+        let prefix = |dev: &str| keyenc::encode_prefix(&[Value::Str(dev.into())], &types).unwrap();
+        let full = |dev: &str, ts: i64| {
+            keyenc::encode_prefix(&[Value::Str(dev.into()), Value::Timestamp(ts)], &types).unwrap()
+        };
+        let ranges = [
+            KeyRange::all(),
+            KeyRange::for_prefix(prefix("dev-1")),
+            KeyRange::for_prefix(prefix("dev-9")),
+            KeyRange::from_bounds(Some((full("dev-0", 1007), true)), None),
+            KeyRange::from_bounds(
+                Some((full("dev-0", 1007), false)),
+                Some((prefix("dev-2"), false)),
+            ),
+            KeyRange::from_bounds(None, Some((full("dev-1", 1030), true))),
+            KeyRange::from_bounds(Some((prefix("dev-2"), true)), Some((prefix("dev-1"), true))),
+            KeyRange::for_prefix(b"key-003".to_vec()),
+            KeyRange::from_bounds(
+                Some((b"key-0010".to_vec(), false)),
+                Some((b"key-0020".to_vec(), true)),
+            ),
+        ];
+        for range in &ranges {
+            let got = col.rows_in_range(range).unwrap();
+            let expect: Vec<usize> = (0..col.len())
+                .filter(|&i| {
+                    let key = col.row(i, &s).unwrap().encode_key(&s).unwrap();
+                    range.contains(&key)
+                })
+                .collect();
+            assert_eq!(got.clone().collect::<Vec<_>>(), expect, "{range:?}");
+            let got = row.rows_in_range(range).unwrap();
+            let expect: Vec<usize> = (0..row.len())
+                .filter(|&i| range.contains(row.key(i).unwrap()))
+                .collect();
+            assert_eq!(got.collect::<Vec<_>>(), expect, "{range:?}");
+        }
+        assert!(!col.key_arena_built());
+        col.key(0).unwrap();
+        assert!(col.key_arena_built());
     }
 
     #[test]

@@ -35,11 +35,15 @@ pub fn encode_component(out: &mut Vec<u8>, v: &Value) -> Result<()> {
     Ok(())
 }
 
-fn encode_int(out: &mut Vec<u8>, v: i64) {
+/// Appends the encoding of an integer or timestamp key component.
+#[inline]
+pub fn encode_int(out: &mut Vec<u8>, v: i64) {
     out.extend_from_slice(&((v as u64) ^ (1u64 << 63)).to_be_bytes());
 }
 
-fn encode_bytes(out: &mut Vec<u8>, b: &[u8]) {
+/// Appends the encoding of a string or blob key component.
+#[inline]
+pub fn encode_bytes(out: &mut Vec<u8>, b: &[u8]) {
     for &byte in b {
         if byte == 0 {
             out.push(0);

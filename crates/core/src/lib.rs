@@ -53,6 +53,6 @@ pub use schema::{ColumnDef, Schema, SchemaRef, TS_COLUMN};
 pub use stats::DbStatsSnapshot;
 pub use table::{
     ColumnPredicate, InsertReport, MaintenanceReport, PredOp, PushdownRequest, QueryCursor,
-    ScanUnit, Table,
+    ScanUnit, Selection, Table,
 };
 pub use value::{ColumnType, Value};

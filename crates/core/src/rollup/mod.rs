@@ -44,6 +44,7 @@
 //! rollup below the watermark and scans only the un-rolled-up tail
 //! above it, merging the two (partial aggregates are additive).
 
+use crate::block::ColumnSlice;
 use crate::cursor::{DiskCursor, RowSource};
 use crate::error::{Error, Result};
 use crate::keyenc::KeyRange;
@@ -246,32 +247,34 @@ pub fn bucket_of(ts: Micros, period: Micros) -> Micros {
 pub fn distinct_bytes(v: &Value) -> Vec<u8> {
     let mut out = Vec::with_capacity(9);
     match v {
-        Value::I32(x) => {
-            out.push(0);
-            out.extend_from_slice(&(*x as i64).to_le_bytes());
-        }
-        Value::I64(x) => {
-            out.push(0);
-            out.extend_from_slice(&x.to_le_bytes());
-        }
-        Value::Timestamp(x) => {
-            out.push(0);
-            out.extend_from_slice(&x.to_le_bytes());
-        }
-        Value::F64(x) => {
-            out.push(1);
-            out.extend_from_slice(&x.to_bits().to_le_bytes());
-        }
-        Value::Str(s) => {
-            out.push(2);
-            out.extend_from_slice(s.as_bytes());
-        }
-        Value::Blob(b) => {
-            out.push(3);
-            out.extend_from_slice(b);
-        }
+        Value::I32(x) => put_distinct(&mut out, 0, &(*x as i64).to_le_bytes()),
+        Value::I64(x) | Value::Timestamp(x) => put_distinct(&mut out, 0, &x.to_le_bytes()),
+        Value::F64(x) => put_distinct(&mut out, 1, &x.to_bits().to_le_bytes()),
+        Value::Str(s) => put_distinct(&mut out, 2, s.as_bytes()),
+        Value::Blob(b) => put_distinct(&mut out, 3, b),
     }
     out
+}
+
+/// [`distinct_bytes`] of the value at `row` of a decoded column slice,
+/// written over `out` — for sketching a column without building a
+/// [`Value`] (or an allocation) per row.
+pub fn distinct_bytes_at(col: &ColumnSlice, row: usize, out: &mut Vec<u8>) {
+    match col {
+        ColumnSlice::I32(v) => put_distinct(out, 0, &(v[row] as i64).to_le_bytes()),
+        ColumnSlice::I64(v) | ColumnSlice::Timestamp(v) => {
+            put_distinct(out, 0, &v[row].to_le_bytes())
+        }
+        ColumnSlice::F64(v) => put_distinct(out, 1, &v[row].to_bits().to_le_bytes()),
+        ColumnSlice::Str(v) => put_distinct(out, 2, v[row].as_bytes()),
+        ColumnSlice::Blob(v) => put_distinct(out, 3, &v[row]),
+    }
+}
+
+fn put_distinct(out: &mut Vec<u8>, family: u8, payload: &[u8]) {
+    out.clear();
+    out.push(family);
+    out.extend_from_slice(payload);
 }
 
 /// One tablet's groups for one rollup: encoded (dims, bucket) key to
@@ -627,6 +630,20 @@ mod tests {
             distinct_bytes(&Value::Str("a".into())),
             distinct_bytes(&Value::Blob(b"a".to_vec()))
         );
+        // The slice form is the same function of the same value.
+        let slices = [
+            ColumnSlice::I32(vec![-7]),
+            ColumnSlice::I64(vec![i64::MIN]),
+            ColumnSlice::Timestamp(vec![9]),
+            ColumnSlice::F64(vec![f64::NAN]),
+            ColumnSlice::Str(vec!["a\0b".into()]),
+            ColumnSlice::Blob(vec![vec![0, 255]]),
+        ];
+        let mut out = vec![1, 2, 3];
+        for col in &slices {
+            distinct_bytes_at(col, 0, &mut out);
+            assert_eq!(out, distinct_bytes(&col.value(0)));
+        }
     }
 
     use crate::db::Db;

@@ -7,14 +7,20 @@
 //!
 //! * [`ScanUnit::Stats`] — the block's footer statistics (row count and
 //!   per-column zone maps). No block bytes are touched at all; enough
-//!   for `COUNT`/`MIN`/`MAX` when every predicate is decided by zones.
-//! * [`ScanUnit::Block`] — a decoded columnar block whose rows are all
-//!   proven inside the key and time bounds; the caller aggregates
-//!   straight over column slices, re-checking only the listed
-//!   `uncertain` predicates. No keys and no [`Row`]s are materialized.
-//! * [`ScanUnit::Rows`] — fully filtered, materialized rows, used for
-//!   boundary blocks, memtablets, and tablets that predate the columnar
-//!   format (or were written under an older schema version).
+//!   for `COUNT`/`MIN`/`MAX` when the block lies wholly inside the
+//!   bounding box and every predicate is decided by zones.
+//! * [`ScanUnit::Block`] — a decoded columnar block plus the
+//!   [`Selection`] of its rows that are inside the key bounds, inside
+//!   the time bounds, and pass every predicate. The engine evaluates all
+//!   three over the typed column slices (key bounds by a binary search
+//!   that encodes only the probed keys), so the caller filters nothing:
+//!   it folds the selected rows straight off [`Block::column`]. No keys
+//!   and no [`Row`]s are materialized, whether the block is wholly
+//!   inside the box or merely cut by it.
+//! * [`ScanUnit::Rows`] — fully filtered, materialized rows. Only
+//!   memtablets and tablets without usable column slices produce them:
+//!   row-format (footer v2) tablets, and columnar tablets written under
+//!   an older schema version, whose rows need translating.
 //!
 //! Correctness leans on two engine invariants: primary keys are unique
 //! across the whole table (insert-time uniqueness, §3.4.4), so no
@@ -24,7 +30,7 @@
 //! care — and the scan honors neither `descending` nor `limit`.
 
 use super::Table;
-use crate::block::Block;
+use crate::block::{Block, BlockFormat, ColumnSlice};
 use crate::cursor::{DiskCursor, RowSource};
 use crate::error::{Error, Result};
 use crate::keyenc::KeyRange;
@@ -33,7 +39,7 @@ use crate::row::Row;
 use crate::stats::TableStats;
 use crate::value::Value;
 use std::cmp::Ordering;
-use std::ops::Bound;
+use std::ops::{Bound, Range};
 use std::sync::Arc;
 
 /// Comparison operator of a pushed-down predicate.
@@ -58,13 +64,7 @@ pub enum PredOp {
 /// `partial_cmp` (`None` against NaN), strings and blobs bytewise.
 /// `None` means incomparable — such pairs satisfy no operator.
 pub fn cmp_values(a: &Value, b: &Value) -> Option<Ordering> {
-    let int = |v: &Value| match v {
-        Value::I32(x) => Some(*x as i64),
-        Value::I64(x) => Some(*x),
-        Value::Timestamp(x) => Some(*x),
-        _ => None,
-    };
-    if let (Some(x), Some(y)) = (int(a), int(b)) {
+    if let (Some(x), Some(y)) = (a.as_int(), b.as_int()) {
         return Some(x.cmp(&y));
     }
     match (a, b) {
@@ -161,6 +161,119 @@ impl ColumnPredicate {
             },
         }
     }
+
+    /// Drops from `sel` the rows whose value in `col` fails the
+    /// predicate: [`ColumnPredicate::matches`] over a typed slice, with
+    /// the operator and the type family resolved once per block.
+    fn filter(&self, col: &ColumnSlice, sel: &mut Selection) {
+        let op = self.op;
+        match (col, self.value.as_int(), &self.value) {
+            (ColumnSlice::I32(v), Some(x), _) => sel.retain_cmp(|i| v[i] as i64, op, x),
+            (ColumnSlice::I64(v) | ColumnSlice::Timestamp(v), Some(x), _) => {
+                sel.retain_cmp(|i| v[i], op, x)
+            }
+            (ColumnSlice::F64(v), _, Value::F64(x)) => sel.retain_cmp(|i| v[i], op, *x),
+            (ColumnSlice::Str(v), _, Value::Str(x)) => {
+                sel.retain_cmp(|i| v[i].as_str(), op, x.as_str())
+            }
+            (ColumnSlice::Blob(v), _, Value::Blob(x)) => {
+                sel.retain_cmp(|i| v[i].as_slice(), op, x.as_slice())
+            }
+            // Incomparable families satisfy no operator.
+            _ => *sel = Selection::Range(0..0),
+        }
+    }
+}
+
+/// The rows of one block that a scan selected, in ascending row order.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Selection {
+    /// Every row of the interval: a block inside the bounding box, or
+    /// one the bounds cut without leaving holes.
+    Range(Range<usize>),
+    /// Exactly these rows. Only built once a filter drops a row from
+    /// the middle of the interval.
+    Indices(Vec<u32>),
+}
+
+impl Selection {
+    /// Number of selected rows.
+    pub fn len(&self) -> usize {
+        match self {
+            Selection::Range(r) => r.len(),
+            Selection::Indices(idx) => idx.len(),
+        }
+    }
+
+    /// True when no row is selected.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Row index of the `pos`-th selected row. Panics when out of range.
+    pub fn row(&self, pos: usize) -> usize {
+        match self {
+            Selection::Range(r) => {
+                assert!(pos < r.len(), "selection position out of range");
+                r.start + pos
+            }
+            Selection::Indices(idx) => idx[pos] as usize,
+        }
+    }
+
+    /// Calls `f` with the row index of each selected row at positions
+    /// `span` — the inner loop of an aggregate kernel, with the
+    /// selection's shape resolved once per call instead of per row.
+    pub fn for_each_in(&self, span: Range<usize>, mut f: impl FnMut(usize)) {
+        match self {
+            Selection::Range(r) => {
+                assert!(span.end <= r.len(), "selection span out of range");
+                (r.start + span.start..r.start + span.end).for_each(f)
+            }
+            Selection::Indices(idx) => idx[span].iter().for_each(|&i| f(i as usize)),
+        }
+    }
+
+    /// The selected row indices, ascending.
+    pub fn iter(&self) -> impl Iterator<Item = usize> + '_ {
+        (0..self.len()).map(|pos| self.row(pos))
+    }
+
+    /// Keeps the rows for which `keep` holds. A range is first trimmed
+    /// at both ends, so a bound that cuts a sorted run leaves a range;
+    /// it becomes an index vector only if a row inside it fails.
+    fn retain(&mut self, keep: impl Fn(usize) -> bool) {
+        match self {
+            Selection::Range(r) => {
+                while r.start < r.end && !keep(r.start) {
+                    r.start += 1;
+                }
+                while r.start < r.end && !keep(r.end - 1) {
+                    r.end -= 1;
+                }
+                if let Some(hole) = r.clone().find(|&i| !keep(i)) {
+                    let mut idx: Vec<u32> = (r.start..hole).map(|i| i as u32).collect();
+                    idx.extend((hole + 1..r.end).filter(|&i| keep(i)).map(|i| i as u32));
+                    *self = Selection::Indices(idx);
+                }
+            }
+            Selection::Indices(idx) => idx.retain(|&i| keep(i as usize)),
+        }
+    }
+
+    /// Keeps the rows whose value `at(row)` satisfies `op value`.
+    /// Incomparable pairs (NaN on either side) satisfy no operator, so
+    /// `Ne` is "less or greater", not "not equal".
+    fn retain_cmp<T: PartialOrd + Copy>(&mut self, at: impl Fn(usize) -> T, op: PredOp, value: T) {
+        match op {
+            PredOp::Eq => self.retain(|i| at(i) == value),
+            PredOp::Ne => self.retain(|i| at(i) < value || at(i) > value),
+            PredOp::Lt => self.retain(|i| at(i) < value),
+            PredOp::Le => self.retain(|i| at(i) <= value),
+            PredOp::Gt => self.retain(|i| at(i) > value),
+            PredOp::Ge => self.retain(|i| at(i) >= value),
+        }
+    }
 }
 
 /// What [`Table::pushdown_scan`] should scan and how.
@@ -191,19 +304,19 @@ pub enum ScanUnit {
         /// Per-schema-column zone maps of the block.
         zones: Vec<Option<(Value, Value)>>,
     },
-    /// A decoded columnar block entirely inside the bounding box.
-    /// Rows at indices failing a predicate in `uncertain` (indices into
-    /// [`PushdownRequest::predicates`]) must be skipped by the caller;
-    /// every other predicate is already proven for every row.
+    /// A decoded columnar block and the rows of it that are inside the
+    /// key and time bounds and pass every predicate; never empty. The
+    /// caller reads the selected rows off [`Block::column`] slices and
+    /// re-checks nothing.
     Block {
         /// The decoded block; column slices via [`Block::column`].
         block: Arc<Block>,
-        /// Indices of predicates the zones could not decide.
-        uncertain: Vec<usize>,
+        /// The rows that count.
+        sel: Selection,
     },
     /// Fully filtered rows (key bounds, time bounds, and all predicates
-    /// applied), from boundary blocks, memtablets, or row-format
-    /// tablets.
+    /// applied) from memtablets, row-format tablets, and columnar
+    /// tablets written under an older schema version.
     Rows(Vec<Row>),
 }
 
@@ -244,9 +357,10 @@ fn span_intersects(prev_last: &[u8], last: &[u8], range: &KeyRange) -> bool {
 impl Table {
     /// Streams aggregate-grade scan units for `req`'s bounding box to
     /// `emit`, cheapest unit first per block: footer stats where zones
-    /// prove everything, decoded column slices where only the box is
-    /// proven, materialized rows at the boundaries. Runs from one
-    /// lock-free read view, like [`Table::query`].
+    /// prove everything, otherwise the decoded block with the selection
+    /// of rows that pass; materialized rows only from memtablets and
+    /// tablets without usable column slices. Runs from one lock-free
+    /// read view, like [`Table::query`].
     pub fn pushdown_scan(
         &self,
         req: &PushdownRequest,
@@ -268,14 +382,24 @@ impl Table {
         if range.is_certainly_empty() || ts_lo > ts_hi {
             return Ok(());
         }
+        let ts_index = schema.ts_index();
+        // The row filter of the materializing sources (key bounds are
+        // applied by their cursors).
+        let passes = |row: &Row| -> Result<bool> {
+            let ts = row.ts(&schema)?;
+            Ok(ts >= ts_lo
+                && ts <= ts_hi
+                && req.predicates.iter().all(|p| p.matches(&row.values[p.col])))
+        };
         let mut materialized = 0u64;
         let mut pruned = 0u64;
+        let mut uncertain: Vec<&ColumnPredicate> = Vec::new();
         for h in &snap.disk {
             if h.meta.max_ts < ts_lo || h.meta.min_ts > ts_hi {
                 continue;
             }
             let footer = h.reader.footer()?;
-            let columnar = footer.format == crate::block::BlockFormat::Columnar
+            let columnar = footer.format == BlockFormat::Columnar
                 && footer.schema.version() == schema.version();
             if !columnar {
                 // Row-format or schema-lagging tablet: the row cursor
@@ -285,11 +409,7 @@ impl Table {
                 let mut batch = Vec::new();
                 while let Some((_, row)) = cur.next_row()? {
                     materialized += 1;
-                    let ts = row.ts(&schema)?;
-                    if ts < ts_lo || ts > ts_hi {
-                        continue;
-                    }
-                    if !req.predicates.iter().all(|p| p.matches(&row.values[p.col])) {
+                    if !passes(&row)? {
                         continue;
                     }
                     batch.push(row);
@@ -302,7 +422,6 @@ impl Table {
                 }
                 continue;
             }
-            let ts_index = schema.ts_index();
             let mut prev_last: &[u8] = b"";
             for (bi, entry) in footer.blocks.iter().enumerate() {
                 let prev = std::mem::replace(&mut prev_last, entry.last_key.as_slice());
@@ -327,24 +446,24 @@ impl Table {
                     _ => false,
                 };
                 // Predicates, judged from their columns' zones.
-                let mut uncertain = Vec::new();
+                uncertain.clear();
                 let mut impossible = false;
-                for (pi, p) in req.predicates.iter().enumerate() {
+                for p in &req.predicates {
                     match p.judge(entry.zones.get(p.col).and_then(|z| z.as_ref())) {
                         ZoneVerdict::AllMatch => {}
                         ZoneVerdict::NoneMatch => {
                             impossible = true;
                             break;
                         }
-                        ZoneVerdict::Uncertain => uncertain.push(pi),
+                        ZoneVerdict::Uncertain => uncertain.push(p),
                     }
                 }
                 if impossible {
                     pruned += 1;
                     continue;
                 }
-                let contained = ts_contained && span_contained(prev, &entry.last_key, &range);
-                if contained && uncertain.is_empty() {
+                let key_contained = span_contained(prev, &entry.last_key, &range);
+                if key_contained && ts_contained && uncertain.is_empty() {
                     if let Some(cols) = &req.stats_cols {
                         let zoned = cols
                             .iter()
@@ -358,30 +477,30 @@ impl Table {
                         }
                     }
                 }
+                // Whatever the zones left open is decided row by row over
+                // the typed slices: key bounds, then time, then predicates.
                 let block = h.reader.read_block(bi)?;
-                if contained {
-                    emit(ScanUnit::Block { block, uncertain })?;
-                    continue;
+                let slice = |c: usize| {
+                    block
+                        .column(c)
+                        .ok_or_else(|| Error::corrupt("columnar tablet block lacks a column"))
+                };
+                let mut sel = Selection::Range(if key_contained {
+                    0..block.len()
+                } else {
+                    block.rows_in_range(&range)?
+                });
+                if !ts_contained {
+                    let ColumnSlice::Timestamp(ts) = slice(ts_index)? else {
+                        return Err(Error::corrupt("timestamp column is not a timestamp slice"));
+                    };
+                    sel.retain(|i| ts[i] >= ts_lo && ts[i] <= ts_hi);
                 }
-                // Boundary block: materialize and filter row by row.
-                let mut rows = Vec::new();
-                for ri in 0..block.len() {
-                    materialized += 1;
-                    if !range.contains(block.key(ri)?) {
-                        continue;
-                    }
-                    let row = block.row(ri, &schema)?;
-                    let ts = row.ts(&schema)?;
-                    if ts < ts_lo || ts > ts_hi {
-                        continue;
-                    }
-                    if !req.predicates.iter().all(|p| p.matches(&row.values[p.col])) {
-                        continue;
-                    }
-                    rows.push(row);
+                for p in &uncertain {
+                    p.filter(slice(p.col)?, &mut sel);
                 }
-                if !rows.is_empty() {
-                    emit(ScanUnit::Rows(rows))?;
+                if !sel.is_empty() {
+                    emit(ScanUnit::Block { block, sel })?;
                 }
             }
         }
@@ -391,14 +510,9 @@ impl Table {
                 let mut out = Vec::with_capacity(rows.len());
                 for (_, row) in rows {
                     materialized += 1;
-                    let ts = row.ts(&schema)?;
-                    if ts < ts_lo || ts > ts_hi {
-                        continue;
+                    if passes(&row)? {
+                        out.push(row);
                     }
-                    if !req.predicates.iter().all(|p| p.matches(&row.values[p.col])) {
-                        continue;
-                    }
-                    out.push(row);
                 }
                 if !out.is_empty() {
                     emit(ScanUnit::Rows(out))?;
@@ -438,7 +552,8 @@ mod tests {
     }
 
     /// A flushed table with `n` rows across several small columnar
-    /// blocks: 4 devices, ascending timestamps, bytes = 10*i.
+    /// blocks: 4 devices, ascending timestamps, bytes = 10*i, and a
+    /// load of i/2 or, every 23rd row, NaN.
     fn flushed_table(n: usize, format: BlockFormat) -> (Db, Arc<Table>) {
         let clock = SimClock::new(START);
         let vfs = SimVfs::instant();
@@ -456,7 +571,11 @@ mod tests {
                     Value::Str(format!("dev-{}", i / chunk)),
                     Value::Timestamp(START + (i % chunk) as Micros * SEC),
                     Value::I64(10 * i as i64),
-                    Value::F64(i as f64 / 2.0),
+                    Value::F64(if i % 23 == 7 {
+                        f64::NAN
+                    } else {
+                        i as f64 / 2.0
+                    }),
                 ]
             })
             .collect();
@@ -476,29 +595,46 @@ mod tests {
         units
     }
 
-    /// Row count implied by a unit list (stats rows + block rows with
-    /// uncertain predicates re-checked + materialized rows).
-    fn unit_rows(units: &[ScanUnit], req: &PushdownRequest) -> u64 {
+    /// Row count implied by a unit list. Every block unit is also held
+    /// to the zero-materialization contract on the way: its selection is
+    /// non-empty and ascending, and the scan did not build the block's
+    /// key arena to compute it.
+    fn unit_rows(units: &[ScanUnit]) -> u64 {
         let mut n = 0u64;
         for u in units {
             match u {
                 ScanUnit::Stats { rows, .. } => n += rows,
-                ScanUnit::Block { block, uncertain } => {
-                    for ri in 0..block.len() {
-                        let ok = uncertain.iter().all(|&pi| {
-                            let p = &req.predicates[pi];
-                            let col = block.column(p.col).unwrap();
-                            p.matches(&col.value(ri))
-                        });
-                        if ok {
-                            n += 1;
-                        }
-                    }
+                ScanUnit::Block { block, sel } => {
+                    assert!(!sel.is_empty(), "empty selections are not emitted");
+                    assert!(sel.iter().zip(sel.iter().skip(1)).all(|(a, b)| a < b));
+                    assert!(sel.iter().all(|i| i < block.len()));
+                    assert!(!block.key_arena_built(), "pushdown built a key arena");
+                    n += sel.len() as u64;
                 }
                 ScanUnit::Rows(rows) => n += rows.len() as u64,
             }
         }
         n
+    }
+
+    /// The rows of `block` a scan for `req` must select, decided the slow
+    /// way: materialize each row, encode its key, test every bound and
+    /// predicate on `Value`s. (Not via `Block::key`, which would build
+    /// the arena the scans are asserted never to build.)
+    fn brute_force_selection(t: &Table, block: &Block, req: &PushdownRequest) -> Vec<usize> {
+        let schema = t.schema();
+        let range = req.query.key_range(&schema).unwrap();
+        let (ts_lo, ts_hi) = req.query.ts_interval();
+        (0..block.len())
+            .filter(|&ri| {
+                let row = block.row(ri, &schema).unwrap();
+                let ts = row.ts(&schema).unwrap();
+                range.contains(&row.encode_key(&schema).unwrap())
+                    && ts >= ts_lo
+                    && ts <= ts_hi
+                    && req.predicates.iter().all(|p| p.matches(&row.values[p.col]))
+            })
+            .collect()
     }
 
     fn req_all() -> PushdownRequest {
@@ -602,7 +738,7 @@ mod tests {
         let units = scan(&t, &req);
         assert!(units.len() > 1, "expected several blocks");
         assert!(units.iter().all(|u| matches!(u, ScanUnit::Stats { .. })));
-        assert_eq!(unit_rows(&units, &req), 400);
+        assert_eq!(unit_rows(&units), 400);
         // MIN/MAX over the zones match the true extremes.
         let (mut lo, mut hi) = (i64::MAX, i64::MIN);
         for u in &units {
@@ -629,17 +765,14 @@ mod tests {
         let mut saw_block = false;
         for u in &units {
             match u {
-                ScanUnit::Block { block, uncertain } => {
+                ScanUnit::Block { block, sel } => {
                     saw_block = true;
-                    assert!(uncertain.is_empty());
+                    assert_eq!(*sel, Selection::Range(0..block.len()));
                     // Sum straight off the column slice.
-                    let col = block.column(2).unwrap();
-                    for ri in 0..col.len() {
-                        match col.value(ri) {
-                            Value::I64(v) => sum += v,
-                            v => panic!("unexpected {v:?}"),
-                        }
-                    }
+                    let Some(ColumnSlice::I64(col)) = block.column(2) else {
+                        panic!("bytes must be an int64 slice");
+                    };
+                    sum += col.iter().sum::<i64>();
                 }
                 ScanUnit::Rows(rows) => {
                     for r in rows {
@@ -660,23 +793,33 @@ mod tests {
     }
 
     #[test]
-    fn key_boundary_blocks_materialize_rows() {
+    fn key_boundary_blocks_are_clipped_not_materialized() {
         let (_db, t) = flushed_table(400, BlockFormat::Columnar);
-        // Prefix query for one device: blocks fully inside the prefix
-        // may come back as Block units; the edges come back as Rows.
+        // Prefix query for one device: the blocks holding the device's
+        // first and last rows also hold a neighbour's, and come back as
+        // the contiguous sub-range of the device's rows.
         let req = PushdownRequest {
             query: Query::all().with_prefix(vec![Value::Str("dev-1".into())]),
             ..req_all()
         };
         let units = scan(&t, &req);
-        assert_eq!(unit_rows(&units, &req), 100);
+        assert_eq!(unit_rows(&units), 100);
+        let mut clipped = 0;
         for u in &units {
-            if let ScanUnit::Rows(rows) = u {
-                for r in rows {
-                    assert_eq!(r.values[0], Value::Str("dev-1".into()));
-                }
-            }
+            let ScanUnit::Block { block, sel } = u else {
+                panic!("flushed columnar data must not yield {u:?}");
+            };
+            let Selection::Range(r) = sel else {
+                panic!("key bounds alone leave no holes, got {sel:?}");
+            };
+            clipped += (r.len() < block.len()) as usize;
+            let Some(ColumnSlice::Str(dev)) = block.column(0) else {
+                panic!("device must be a string slice");
+            };
+            assert!(dev[r.clone()].iter().all(|d| d == "dev-1"));
         }
+        assert!(clipped > 0, "some block must straddle the prefix");
+        assert_eq!(t.stats().snapshot().rows_materialized, 0);
     }
 
     #[test]
@@ -690,16 +833,17 @@ mod tests {
             ..req_all()
         };
         let units = scan(&t, &req);
-        assert_eq!(unit_rows(&units, &req), 40);
+        assert_eq!(unit_rows(&units), 40);
         for u in &units {
-            if let ScanUnit::Rows(rows) = u {
-                for r in rows {
-                    let Value::Timestamp(ts) = r.values[1] else {
-                        panic!()
-                    };
-                    assert!((START + 20 * SEC..START + 30 * SEC).contains(&ts));
-                }
-            }
+            let ScanUnit::Block { block, sel } = u else {
+                panic!("flushed columnar data must not yield {u:?}");
+            };
+            let Some(ColumnSlice::Timestamp(ts)) = block.column(1) else {
+                panic!("ts must be a timestamp slice");
+            };
+            assert!(sel
+                .iter()
+                .all(|i| (START + 20 * SEC..START + 30 * SEC).contains(&ts[i])));
         }
         let s = t.stats().snapshot();
         assert!(s.blocks_pruned > 0, "far-away blocks should be zone-pruned");
@@ -718,7 +862,7 @@ mod tests {
             ..req_all()
         };
         let units = scan(&t, &req);
-        assert_eq!(unit_rows(&units, &req), 100);
+        assert_eq!(unit_rows(&units), 100);
         let s = t.stats().snapshot();
         assert!(s.blocks_pruned > 0, "low-bytes blocks should prune");
         // An impossible predicate prunes everything without I/O.
@@ -730,7 +874,113 @@ mod tests {
             }],
             ..req_all()
         };
-        assert_eq!(unit_rows(&scan(&t, &req), &req), 0);
+        assert_eq!(unit_rows(&scan(&t, &req)), 0);
+    }
+
+    #[test]
+    fn selection_equals_brute_force_row_filter() {
+        let (_db, t) = flushed_table(400, BlockFormat::Columnar);
+        // The row cursor builds key arenas in the blocks it shares with
+        // the scan through the cache; it reads a twin table instead.
+        let (_twin_db, twin) = flushed_table(400, BlockFormat::Columnar);
+        let pred = |col, op, value| ColumnPredicate { col, op, value };
+        let mut requests = Vec::new();
+        let boxes = [
+            Query::all(),
+            Query::all().with_prefix(vec![Value::Str("dev-2".into())]),
+            Query::all().with_ts_range(START + 17 * SEC, START + 61 * SEC),
+            Query::all()
+                .with_key_min(vec![Value::Str("dev-1".into())], false)
+                .with_ts_min(START + 40 * SEC, true),
+            Query::all()
+                .with_key_min(
+                    vec![
+                        Value::Str("dev-0".into()),
+                        Value::Timestamp(START + 33 * SEC),
+                    ],
+                    true,
+                )
+                .with_key_max(
+                    vec![
+                        Value::Str("dev-3".into()),
+                        Value::Timestamp(START + 5 * SEC),
+                    ],
+                    false,
+                ),
+            // Empty: inside the key space, outside every timestamp.
+            Query::all().with_ts_range(START + 1000 * SEC, START + 2000 * SEC),
+        ];
+        for q in &boxes {
+            requests.push(PushdownRequest {
+                query: q.clone(),
+                ..req_all()
+            });
+            for op in [
+                PredOp::Eq,
+                PredOp::Ne,
+                PredOp::Lt,
+                PredOp::Le,
+                PredOp::Gt,
+                PredOp::Ge,
+            ] {
+                for p in [
+                    pred(2, op, Value::I64(1230)),
+                    pred(2, op, Value::I32(1230)),
+                    pred(3, op, Value::F64(77.5)),
+                    pred(3, op, Value::F64(f64::NAN)),
+                    pred(1, op, Value::Timestamp(START + 50 * SEC)),
+                    pred(0, op, Value::Str("dev-1".into())),
+                    // Wrong family: matches nothing, whatever the operator.
+                    pred(2, op, Value::F64(1230.0)),
+                ] {
+                    requests.push(PushdownRequest {
+                        query: q.clone(),
+                        predicates: vec![p, pred(2, PredOp::Ne, Value::I64(2000))],
+                        stats_cols: None,
+                    });
+                }
+            }
+        }
+        let mut holes = 0;
+        for req in &requests {
+            let before = t.stats().snapshot().rows_materialized;
+            let units = scan(&t, req);
+            assert_eq!(t.stats().snapshot().rows_materialized, before);
+            let mut expect = twin.query_all(&req.query).unwrap();
+            expect.retain(|r| req.predicates.iter().all(|p| p.matches(&r.values[p.col])));
+            assert_eq!(unit_rows(&units), expect.len() as u64, "{req:?}");
+            for u in &units {
+                let ScanUnit::Block { block, sel } = u else {
+                    panic!("flushed columnar data must not yield {u:?}");
+                };
+                let got: Vec<usize> = sel.iter().collect();
+                assert_eq!(got, brute_force_selection(&t, block, req), "{req:?}");
+                holes += matches!(sel, Selection::Indices(_)) as usize;
+            }
+        }
+        assert!(holes > 0, "some filter must leave an index vector");
+    }
+
+    #[test]
+    fn selection_stays_a_range_until_a_hole_appears() {
+        let mut sel = Selection::Range(2..10);
+        sel.retain(|i| (4..8).contains(&i));
+        assert_eq!(sel, Selection::Range(4..8));
+        sel.retain(|i| i != 5);
+        assert_eq!(sel, Selection::Indices(vec![4, 6, 7]));
+        assert_eq!(sel.len(), 3);
+        assert_eq!(sel.row(1), 6);
+        let mut seen = Vec::new();
+        sel.for_each_in(1..3, |i| seen.push(i));
+        assert_eq!(seen, vec![6, 7]);
+        sel.retain(|_| false);
+        assert!(sel.is_empty());
+        let mut all = Selection::Range(3..6);
+        all.retain(|_| false);
+        assert!(all.is_empty());
+        let mut seen = Vec::new();
+        Selection::Range(3..9).for_each_in(2..4, |i| seen.push(i));
+        assert_eq!(seen, vec![5, 6]);
     }
 
     #[test]
@@ -749,7 +999,7 @@ mod tests {
             .collect();
         t.insert(rows).unwrap();
         let req = req_all();
-        assert_eq!(unit_rows(&scan(&t, &req), &req), 150);
+        assert_eq!(unit_rows(&scan(&t, &req)), 150);
     }
 
     #[test]
@@ -766,12 +1016,13 @@ mod tests {
         };
         let units = scan(&t, &req);
         assert!(units.iter().all(|u| matches!(u, ScanUnit::Rows(_))));
-        assert_eq!(unit_rows(&units, &req), 100);
+        assert_eq!(unit_rows(&units), 100);
     }
 
     #[test]
     fn matches_row_path_on_random_boxes() {
         let (_db, t) = flushed_table(300, BlockFormat::Columnar);
+        let (_twin_db, twin) = flushed_table(300, BlockFormat::Columnar);
         let cases = [
             Query::all(),
             Query::all().with_prefix(vec![Value::Str("dev-2".into())]),
@@ -781,12 +1032,12 @@ mod tests {
                 .with_ts_range(START, START + 33 * SEC),
         ];
         for q in cases {
-            let expect = t.query_all(&q).unwrap().len() as u64;
+            let expect = twin.query_all(&q).unwrap().len() as u64;
             let req = PushdownRequest {
                 query: q,
                 ..req_all()
             };
-            assert_eq!(unit_rows(&scan(&t, &req), &req), expect);
+            assert_eq!(unit_rows(&scan(&t, &req)), expect);
         }
     }
 }

@@ -23,7 +23,7 @@ mod tests;
 mod tests_ext;
 mod write;
 
-pub use colscan::{cmp_values, ColumnPredicate, PredOp, PushdownRequest, ScanUnit};
+pub use colscan::{cmp_values, ColumnPredicate, PredOp, PushdownRequest, ScanUnit, Selection};
 pub use read::QueryCursor;
 
 use crate::cache::{BlockCache, CacheHandle};

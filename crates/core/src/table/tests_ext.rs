@@ -554,7 +554,7 @@ mod mixed_format_tests {
                 units += 1;
                 match u {
                     ScanUnit::Stats { rows, .. } => count += rows,
-                    ScanUnit::Block { block, .. } => count += block.len() as u64,
+                    ScanUnit::Block { sel, .. } => count += sel.len() as u64,
                     ScanUnit::Rows(rows) => count += rows.len() as u64,
                 }
                 Ok(())

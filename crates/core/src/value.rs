@@ -142,6 +142,17 @@ impl Value {
         }
     }
 
+    /// The value at the integer family's common width: `int32`, `int64`
+    /// and timestamps compare (and sum) across widths as `i64`. `None`
+    /// for every other type.
+    pub fn as_int(&self) -> Option<i64> {
+        match self {
+            Value::I32(x) => Some(*x as i64),
+            Value::I64(x) | Value::Timestamp(x) => Some(*x),
+            _ => None,
+        }
+    }
+
     /// Approximate in-memory footprint in bytes, used for memtable size
     /// accounting.
     pub fn mem_size(&self) -> usize {

@@ -1,7 +1,8 @@
 //! Statement execution against an embedded engine [`Db`].
 
-use crate::ast::{AggFunc, CmpOp, ColumnAst, GroupExpr, Literal, Select, SelectItem, Statement};
-use crate::plan::{cmp_values, plan_select, Plan, Residual};
+use crate::agg::{scan_groups, AggSpec, AggState, GroupSpec, Groups};
+use crate::ast::{AggFunc, ColumnAst, GroupExpr, Literal, Select, SelectItem, Statement};
+use crate::plan::{plan_select, Plan};
 use littletable_core::db::Db;
 use littletable_core::error::{Error, Result};
 use littletable_core::keyenc;
@@ -10,56 +11,18 @@ use littletable_core::resultcache::{CachedRows, ResultKey};
 use littletable_core::rollup::{bucket_of, distinct_bytes};
 use littletable_core::schema::{ColumnDef, Schema};
 use littletable_core::stats::TableStats;
-use littletable_core::table::{ColumnPredicate, PredOp, PushdownRequest, ScanUnit, Table};
+use littletable_core::table::Table;
 use littletable_core::value::{ColumnType, Value};
 use littletable_hll::HyperLogLog;
 use littletable_vfs::Micros;
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
-/// Lowers a residual WHERE conjunct to an engine pushdown predicate.
-/// The two evaluate identically (same `cmp_values` semantics), which is
-/// what lets the engine's zone maps prune blocks for them soundly.
-fn to_predicate(r: &Residual) -> ColumnPredicate {
-    ColumnPredicate {
-        col: r.col,
-        op: match r.op {
-            CmpOp::Eq => PredOp::Eq,
-            CmpOp::Ne => PredOp::Ne,
-            CmpOp::Lt => PredOp::Lt,
-            CmpOp::Le => PredOp::Le,
-            CmpOp::Gt => PredOp::Gt,
-            CmpOp::Ge => PredOp::Ge,
-        },
-        value: r.value.clone(),
-    }
-}
-
-/// One resolved GROUP BY expression: a column, optionally rounded down
-/// to `bucket`-micro boundaries (TIME_BUCKET).
-struct GroupSpec {
-    col: usize,
-    bucket: Option<i64>,
-}
-
-impl GroupSpec {
-    /// The group value this expression yields for a row value.
-    fn value(&self, v: &Value) -> Result<Value> {
-        match self.bucket {
-            None => Ok(v.clone()),
-            Some(w) => {
-                let ts = v.as_timestamp()?;
-                Ok(Value::Timestamp(ts - ts.rem_euclid(w)))
-            }
-        }
-    }
-}
-
-/// One resolved aggregate in the SELECT list.
-struct AggSpec {
-    func: AggFunc,
-    col: Option<usize>,
-    distinct: bool,
+/// Where a grouped SELECT's output column reads from.
+enum Source {
+    /// The value of the GROUP BY expression at this position.
+    Group(usize),
+    /// The aggregate at this position among the SELECT list's.
+    Agg(usize),
 }
 
 /// Where a GROUP BY expression reads from when serving off a rollup
@@ -309,40 +272,43 @@ impl Session {
             return self.plain_select(sel, &schema, plan);
         }
 
-        // Validate the projection: bare columns and time buckets must be
-        // grouped.
+        // Where each SELECT item reads from: bare columns and time
+        // buckets must be grouped, and take their GROUP BY expression's
+        // value; aggregates take their state's, in SELECT-list order.
+        let mut sources = Vec::with_capacity(sel.items.len());
+        let mut n_aggs = 0;
         for item in &sel.items {
-            match item {
+            sources.push(match item {
                 SelectItem::Wildcard => {
                     return Err(Error::invalid("* cannot be mixed with aggregates"))
                 }
-                SelectItem::Column(name) => {
-                    let grouped = sel
-                        .group_by
+                SelectItem::Column(name) => Source::Group(
+                    sel.group_by
                         .iter()
-                        .any(|g| matches!(g, GroupExpr::Column(n) if n == name));
-                    if !grouped {
-                        return Err(Error::invalid(format!(
-                            "column {name:?} must appear in GROUP BY"
-                        )));
-                    }
-                }
+                        .position(|g| matches!(g, GroupExpr::Column(n) if n == name))
+                        .ok_or_else(|| {
+                            Error::invalid(format!("column {name:?} must appear in GROUP BY"))
+                        })?,
+                ),
                 SelectItem::TimeBucket {
                     column,
                     width_micros,
-                } => {
-                    let grouped = sel.group_by.iter().any(|g| {
-                        matches!(g, GroupExpr::TimeBucket { column: c, width_micros: w }
-                            if c == column && w == width_micros)
-                    });
-                    if !grouped {
-                        return Err(Error::invalid(
-                            "TIME_BUCKET in SELECT must appear in GROUP BY",
-                        ));
-                    }
+                } => Source::Group(
+                    sel.group_by
+                        .iter()
+                        .position(|g| {
+                            matches!(g, GroupExpr::TimeBucket { column: c, width_micros: w }
+                                if c == column && w == width_micros)
+                        })
+                        .ok_or_else(|| {
+                            Error::invalid("TIME_BUCKET in SELECT must appear in GROUP BY")
+                        })?,
+                ),
+                SelectItem::Aggregate { .. } => {
+                    n_aggs += 1;
+                    Source::Agg(n_aggs - 1)
                 }
-                SelectItem::Aggregate { .. } => {}
-            }
+            });
         }
         let group_specs: Vec<GroupSpec> = sel
             .group_by
@@ -422,11 +388,10 @@ impl Session {
             TableStats::add(&t.stats().result_cache_misses, 1);
         }
 
-        // Group on the memcmp encoding of the group-by values so groups
-        // come out in key-compatible order. Prefer serving off a rollup
-        // table (pre-aggregated partials plus un-rolled-up tail scans);
-        // fall back to the engine's columnar pushdown over the base.
-        let mut groups: BTreeMap<Vec<u8>, (Vec<Value>, Vec<AggState>)> = BTreeMap::new();
+        // Prefer serving off a rollup table (pre-aggregated partials
+        // plus un-rolled-up tail scans); fall back to the engine's
+        // columnar pushdown over the base.
+        let mut groups = Groups::new(&group_specs, &agg_specs);
         let rollup_served = self.try_rollup_groups(
             &t,
             &sel.table,
@@ -437,14 +402,12 @@ impl Session {
             &mut groups,
         )?;
         if !rollup_served {
-            self.scan_groups(
-                &t,
-                plan.query.clone(),
-                &plan.residual,
-                &group_specs,
-                &agg_specs,
-                &mut groups,
-            )?;
+            scan_groups(&t, plan.query.clone(), &plan.residual, &mut groups)?;
+        }
+        if group_specs.is_empty() {
+            // An ungrouped aggregate is one group whether or not a row
+            // reached it: over empty input it answers COUNT 0.
+            groups.states(&[], Vec::new);
         }
 
         // Assemble output in SELECT-list order.
@@ -472,46 +435,19 @@ impl Session {
                 SelectItem::Wildcard => unreachable!(),
             });
         }
-        let mut rows = Vec::with_capacity(groups.len());
-        for (_, (group_vals, states)) in groups {
-            let mut out = Vec::with_capacity(sel.items.len());
-            let mut agg_i = 0;
-            for item in &sel.items {
-                match item {
-                    SelectItem::Column(n) => {
-                        let pos = sel
-                            .group_by
-                            .iter()
-                            .position(|g| matches!(g, GroupExpr::Column(gn) if gn == n))
-                            .unwrap();
-                        out.push(group_vals[pos].clone());
-                    }
-                    SelectItem::TimeBucket {
-                        column,
-                        width_micros,
-                    } => {
-                        let pos = sel
-                            .group_by
-                            .iter()
-                            .position(|g| {
-                                matches!(g, GroupExpr::TimeBucket { column: c, width_micros: w }
-                                    if c == column && w == width_micros)
-                            })
-                            .unwrap();
-                        out.push(group_vals[pos].clone());
-                    }
-                    SelectItem::Aggregate { .. } => {
-                        out.push(states[agg_i].finish());
-                        agg_i += 1;
-                    }
-                    SelectItem::Wildcard => unreachable!(),
-                }
-            }
-            rows.push(out);
-            if let Some(limit) = sel.limit {
-                if rows.len() >= limit {
-                    break;
-                }
+        let mut rows = Vec::new();
+        for (group_vals, states) in groups.sorted() {
+            rows.push(
+                sources
+                    .iter()
+                    .map(|src| match *src {
+                        Source::Group(pos) => group_vals[pos].clone(),
+                        Source::Agg(i) => states[i].finish(),
+                    })
+                    .collect(),
+            );
+            if sel.limit.is_some_and(|limit| rows.len() >= limit) {
+                break;
             }
         }
         if let (Some(rc), Some(key)) = (cache, cache_key) {
@@ -578,110 +514,6 @@ impl Session {
         Ok(SqlOutput::Rows { columns, rows })
     }
 
-    /// Aggregates base-table rows matching `query` into `groups` via the
-    /// engine's columnar pushdown: footer stats and decoded column slices
-    /// where possible, materialized rows only at box boundaries and for
-    /// pre-columnar tablets.
-    fn scan_groups(
-        &self,
-        t: &Arc<Table>,
-        query: Query,
-        residual: &[Residual],
-        group_specs: &[GroupSpec],
-        agg_specs: &[AggSpec],
-        groups: &mut BTreeMap<Vec<u8>, (Vec<Value>, Vec<AggState>)>,
-    ) -> Result<()> {
-        // COUNT/MIN/MAX over an ungrouped scan can be answered from
-        // footer statistics alone; SUM/AVG/DISTINCT (and any GROUP BY)
-        // must see the values.
-        let stats_cols: Option<Vec<usize>> = if group_specs.is_empty() {
-            let mut cols = Vec::new();
-            let mut ok = true;
-            for a in agg_specs {
-                match (a.func, a.col, a.distinct) {
-                    (_, _, true) => ok = false,
-                    (AggFunc::Count, _, _) => {}
-                    (AggFunc::Min | AggFunc::Max, Some(i), _) => cols.push(i),
-                    _ => ok = false,
-                }
-            }
-            ok.then_some(cols)
-        } else {
-            None
-        };
-        let req = PushdownRequest {
-            query,
-            predicates: residual.iter().map(to_predicate).collect(),
-            stats_cols,
-        };
-        let new_states = || -> Vec<AggState> { agg_specs.iter().map(AggState::new).collect() };
-        t.pushdown_scan(&req, &mut |unit| {
-            match unit {
-                ScanUnit::Stats { rows, zones } => {
-                    // Only issued when group_specs is empty: one group.
-                    let entry = groups
-                        .entry(Vec::new())
-                        .or_insert_with(|| (Vec::new(), new_states()));
-                    for (state, a) in entry.1.iter_mut().zip(agg_specs) {
-                        state.update_stats(rows, a.col.and_then(|c| zones[c].as_ref()))?;
-                    }
-                }
-                ScanUnit::Block { block, uncertain } => {
-                    let slice = |c: usize| {
-                        block
-                            .column(c)
-                            .ok_or_else(|| Error::invalid("columnar block is missing a column"))
-                    };
-                    for ri in 0..block.len() {
-                        let mut pass = true;
-                        for &pi in &uncertain {
-                            let p = &req.predicates[pi];
-                            if !p.matches(&slice(p.col)?.value(ri)) {
-                                pass = false;
-                                break;
-                            }
-                        }
-                        if !pass {
-                            continue;
-                        }
-                        let mut key = Vec::new();
-                        let mut vals = Vec::with_capacity(group_specs.len());
-                        for spec in group_specs {
-                            let v = spec.value(&slice(spec.col)?.value(ri))?;
-                            keyenc::encode_component(&mut key, &v)?;
-                            vals.push(v);
-                        }
-                        let entry = groups.entry(key).or_insert_with(|| (vals, new_states()));
-                        for (state, a) in entry.1.iter_mut().zip(agg_specs) {
-                            let v = match a.col {
-                                Some(c) => Some(slice(c)?.value(ri)),
-                                None => None,
-                            };
-                            state.update(v.as_ref())?;
-                        }
-                    }
-                }
-                ScanUnit::Rows(rows) => {
-                    // Already filtered by bounds and every predicate.
-                    for row in rows {
-                        let mut key = Vec::new();
-                        let mut vals = Vec::with_capacity(group_specs.len());
-                        for spec in group_specs {
-                            let v = spec.value(&row.values[spec.col])?;
-                            keyenc::encode_component(&mut key, &v)?;
-                            vals.push(v);
-                        }
-                        let entry = groups.entry(key).or_insert_with(|| (vals, new_states()));
-                        for (state, a) in entry.1.iter_mut().zip(agg_specs) {
-                            state.update(a.col.map(|c| &row.values[c]))?;
-                        }
-                    }
-                }
-            }
-            Ok(())
-        })
-    }
-
     /// Tries to answer a grouped aggregate from one of the base table's
     /// rollups. Returns `true` when `groups` was fully populated (rollup
     /// partials plus un-rolled-up tail scans of the base); `false` means
@@ -696,7 +528,7 @@ impl Session {
         plan: &Plan,
         group_specs: &[GroupSpec],
         agg_specs: &[AggSpec],
-        groups: &mut BTreeMap<Vec<u8>, (Vec<Value>, Vec<AggState>)>,
+        groups: &mut Groups,
     ) -> Result<bool> {
         // Residual predicates reference raw rows the rollup no longer
         // has; any residual disqualifies the rewrite.
@@ -782,8 +614,6 @@ impl Session {
                 &group_srcs,
                 &aggs,
                 plan,
-                group_specs,
-                agg_specs,
                 groups,
             )? {
                 return Ok(true);
@@ -810,9 +640,7 @@ impl Session {
         group_srcs: &[GroupSrc],
         aggs: &[RollupAgg],
         plan: &Plan,
-        group_specs: &[GroupSpec],
-        agg_specs: &[AggSpec],
-        groups: &mut BTreeMap<Vec<u8>, (Vec<Value>, Vec<AggState>)>,
+        groups: &mut Groups,
     ) -> Result<bool> {
         let now = self.db.now();
         let (q_lo, q_hi) = plan.query.ts_interval();
@@ -854,7 +682,6 @@ impl Session {
             .with_ts_max(r_hi, false);
         rq.key_min = plan.query.key_min.clone();
         rq.key_max = plan.query.key_max.clone();
-        let new_states = || -> Vec<AggState> { agg_specs.iter().map(AggState::new).collect() };
         let mut cur = rtable.query(&rq)?;
         while let Some(row) = cur.next_row()? {
             let bucket_ts = match &row.values[n_dims + 1] {
@@ -875,8 +702,8 @@ impl Session {
                 keyenc::encode_component(&mut key, &v)?;
                 vals.push(v);
             }
-            let entry = groups.entry(key).or_insert_with(|| (vals, new_states()));
-            for (state, src) in entry.1.iter_mut().zip(aggs) {
+            let states = groups.states(&key, || vals);
+            for (state, src) in states.iter_mut().zip(aggs) {
                 match src {
                     RollupAgg::Rows => {
                         if let AggState::Count(n) = state {
@@ -915,11 +742,11 @@ impl Session {
         // fully covered window reads zero base-table blocks).
         if q_lo < r_lo {
             let q1 = plan.query.clone().with_ts_max(r_lo - 1, true);
-            self.scan_groups(t, q1, &plan.residual, group_specs, agg_specs, groups)?;
+            scan_groups(t, q1, &plan.residual, groups)?;
         }
         if r_hi <= q_hi {
             let q2 = plan.query.clone().with_ts_min(r_hi, true);
-            self.scan_groups(t, q2, &plan.residual, group_specs, agg_specs, groups)?;
+            scan_groups(t, q2, &plan.residual, groups)?;
         }
         TableStats::add(&t.stats().rollup_hits, 1);
         Ok(true)
@@ -979,133 +806,6 @@ fn question_bytes(
     }
     q.extend_from_slice(&(sel.limit.map(|l| l as u64 + 1).unwrap_or(0)).to_le_bytes());
     q
-}
-
-/// Streaming aggregate state.
-#[derive(Debug)]
-enum AggState {
-    Count(u64),
-    SumInt(i64, bool),
-    SumFloat(f64),
-    Min(Option<Value>),
-    Max(Option<Value>),
-    Avg(f64, u64),
-    Distinct(HyperLogLog),
-}
-
-impl AggState {
-    fn new(spec: &AggSpec) -> AggState {
-        if spec.distinct {
-            return AggState::Distinct(HyperLogLog::default_precision());
-        }
-        match spec.func {
-            AggFunc::Count => AggState::Count(0),
-            // SUM starts integral and switches to float on first float.
-            AggFunc::Sum => AggState::SumInt(0, false),
-            AggFunc::Min => AggState::Min(None),
-            AggFunc::Max => AggState::Max(None),
-            AggFunc::Avg => AggState::Avg(0.0, 0),
-        }
-    }
-
-    fn update(&mut self, value: Option<&Value>) -> Result<()> {
-        match self {
-            AggState::Count(n) => *n += 1,
-            AggState::SumInt(acc, seen) => match value {
-                Some(Value::I32(v)) => {
-                    *acc += *v as i64;
-                    *seen = true;
-                }
-                Some(Value::I64(v)) | Some(Value::Timestamp(v)) => {
-                    *acc += v;
-                    *seen = true;
-                }
-                Some(Value::F64(v)) => {
-                    *self = AggState::SumFloat(*acc as f64 + v);
-                }
-                Some(v) => return Err(Error::invalid(format!("SUM over non-numeric value {v}"))),
-                None => return Err(Error::invalid("SUM requires a column")),
-            },
-            AggState::SumFloat(acc) => match value {
-                Some(Value::I32(v)) => *acc += *v as f64,
-                Some(Value::I64(v)) | Some(Value::Timestamp(v)) => *acc += *v as f64,
-                Some(Value::F64(v)) => *acc += v,
-                Some(v) => return Err(Error::invalid(format!("SUM over non-numeric value {v}"))),
-                None => return Err(Error::invalid("SUM requires a column")),
-            },
-            AggState::Min(cur) => {
-                let v = value.ok_or_else(|| Error::invalid("MIN requires a column"))?;
-                let replace = match cur {
-                    None => true,
-                    Some(c) => cmp_values(v, c) == Some(std::cmp::Ordering::Less),
-                };
-                if replace {
-                    *cur = Some(v.clone());
-                }
-            }
-            AggState::Max(cur) => {
-                let v = value.ok_or_else(|| Error::invalid("MAX requires a column"))?;
-                let replace = match cur {
-                    None => true,
-                    Some(c) => cmp_values(v, c) == Some(std::cmp::Ordering::Greater),
-                };
-                if replace {
-                    *cur = Some(v.clone());
-                }
-            }
-            AggState::Avg(acc, n) => {
-                let v = value.ok_or_else(|| Error::invalid("AVG requires a column"))?;
-                let x = match v {
-                    Value::I32(v) => *v as f64,
-                    Value::I64(v) => *v as f64,
-                    Value::Timestamp(v) => *v as f64,
-                    Value::F64(v) => *v,
-                    v => return Err(Error::invalid(format!("AVG over non-numeric value {v}"))),
-                };
-                *acc += x;
-                *n += 1;
-            }
-            AggState::Distinct(h) => {
-                let v = value.ok_or_else(|| Error::invalid("COUNT(DISTINCT) requires a column"))?;
-                h.add_bytes(&distinct_bytes(v));
-            }
-        }
-        Ok(())
-    }
-
-    /// Folds a whole block's footer statistics into the state: `rows`
-    /// rows whose aggregated column spans `zone`. Only COUNT/MIN/MAX
-    /// can do this — the scan never produces stats units otherwise.
-    fn update_stats(&mut self, rows: u64, zone: Option<&(Value, Value)>) -> Result<()> {
-        let v = match self {
-            AggState::Count(n) => {
-                *n += rows;
-                return Ok(());
-            }
-            AggState::Min(_) => zone.map(|(lo, _)| lo.clone()),
-            AggState::Max(_) => zone.map(|(_, hi)| hi.clone()),
-            _ => return Err(Error::invalid("aggregate cannot fold footer statistics")),
-        };
-        let v = v.ok_or_else(|| Error::invalid("stats scan unit without a zone map"))?;
-        self.update(Some(&v))
-    }
-
-    fn finish(&self) -> Value {
-        match self {
-            AggState::Count(n) => Value::I64(*n as i64),
-            AggState::SumInt(acc, _) => Value::I64(*acc),
-            AggState::SumFloat(acc) => Value::F64(*acc),
-            AggState::Min(v) | AggState::Max(v) => v.clone().unwrap_or(Value::I64(0)),
-            AggState::Avg(acc, n) => {
-                if *n == 0 {
-                    Value::F64(0.0)
-                } else {
-                    Value::F64(acc / *n as f64)
-                }
-            }
-            AggState::Distinct(h) => Value::I64(h.estimate().round() as i64),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -1315,6 +1015,101 @@ mod tests {
             .unwrap();
         let got = rows(s.execute("SELECT SUM(v) FROM t").unwrap());
         assert_eq!(got[0][0], Value::F64(4.0));
+    }
+
+    #[test]
+    fn sum_past_int64_carries_on_as_a_double() {
+        let (s, _) = session();
+        s.execute("CREATE TABLE t (n INT64, ts TIMESTAMP, v INT64, PRIMARY KEY (n, ts))")
+            .unwrap();
+        s.execute(&format!(
+            "INSERT INTO t VALUES (1, 1, {max}), (1, 2, {max}), (1, 3, -5)",
+            max = i64::MAX
+        ))
+        .unwrap();
+        let expect = vec![vec![Value::F64(i64::MAX as f64 + i64::MAX as f64 - 5.0)]];
+        // Row at a time from the memtablet, then off the flushed block's
+        // typed slice: the same rule, the same value.
+        assert_eq!(rows(s.execute("SELECT SUM(v) FROM t").unwrap()), expect);
+        s.db().flush_all().unwrap();
+        assert_eq!(
+            rows(s.execute("SELECT SUM(v) FROM t WHERE n = 1").unwrap()),
+            expect
+        );
+        // A sum that stays in range stays integral.
+        assert_eq!(
+            rows(s.execute("SELECT SUM(v) FROM t WHERE ts >= 2").unwrap()),
+            vec![vec![Value::I64(i64::MAX - 5)]]
+        );
+    }
+
+    #[test]
+    fn ungrouped_aggregate_over_empty_input_is_one_row() {
+        let (s, _) = session();
+        s.execute("CREATE TABLE t (n INT64, ts TIMESTAMP, v INT64, PRIMARY KEY (n, ts))")
+            .unwrap();
+        let q = "SELECT MAX(v), COUNT(*) FROM t";
+        let empty = vec![vec![Value::I64(0), Value::I64(0)]];
+        // Just created, nothing in memory or on disk.
+        assert_eq!(rows(s.execute(q).unwrap()), empty);
+        // The identical question again: served by the result cache.
+        let hits = s.db().stats().result_cache_hits;
+        assert_eq!(rows(s.execute(q).unwrap()), empty);
+        assert_eq!(s.db().stats().result_cache_hits, hits + 1);
+        // After a flush of zero rows.
+        s.db().flush_all().unwrap();
+        assert_eq!(
+            rows(s.execute(&format!("{q} WHERE n >= 0")).unwrap()),
+            empty
+        );
+        // Every aggregate has an empty answer, and a window that misses
+        // every row of a populated table is empty input too.
+        s.execute("INSERT INTO t VALUES (1, 10, 5)").unwrap();
+        s.db().flush_all().unwrap();
+        assert_eq!(
+            rows(
+                s.execute(
+                    "SELECT COUNT(*), SUM(v), MIN(v), AVG(v), COUNT(DISTINCT v) FROM t \
+                     WHERE ts > 10"
+                )
+                .unwrap()
+            ),
+            vec![vec![
+                Value::I64(0),
+                Value::I64(0),
+                Value::I64(0),
+                Value::F64(0.0),
+                Value::I64(0)
+            ]]
+        );
+        // A grouped aggregate over empty input has no groups.
+        assert_eq!(
+            rows(
+                s.execute("SELECT n, COUNT(*) FROM t WHERE ts > 10 GROUP BY n")
+                    .unwrap()
+            ),
+            Vec::<Vec<Value>>::new()
+        );
+    }
+
+    #[test]
+    fn rollup_served_aggregate_over_empty_input_is_one_row() {
+        let (s, _) = session();
+        let b0 = setup_rolled_metrics(&s);
+        // Whole rollup buckets, none of which holds a row of `n = 9`.
+        let hits = s.db().table("m").unwrap().stats().snapshot().rollup_hits;
+        let got = rows(
+            s.execute(&format!(
+                "SELECT MAX(v), COUNT(*) FROM m WHERE n = 9 AND ts >= {b0} AND ts < {}",
+                b0 + 4 * HOUR
+            ))
+            .unwrap(),
+        );
+        assert_eq!(got, vec![vec![Value::I64(0), Value::I64(0)]]);
+        assert_eq!(
+            s.db().table("m").unwrap().stats().snapshot().rollup_hits,
+            hits + 1
+        );
     }
 
     #[test]

@@ -36,6 +36,7 @@
 
 #![warn(missing_docs)]
 
+mod agg;
 pub mod ast;
 pub mod exec;
 pub mod parser;

@@ -483,7 +483,9 @@ fn result_cache_never_crosses_generations() {
                             let (max, count) = answer(out);
                             match count {
                                 // A fresh generation before its marker
-                                // landed.
+                                // landed: the one row an ungrouped
+                                // aggregate gives over empty input,
+                                // `(MAX's zero, COUNT 0)`.
                                 0 => {}
                                 1 => {
                                     assert!(
