@@ -1,7 +1,8 @@
 //! Criterion microbenchmarks over the engine's hot paths, in real time on
 //! the host (complementing the virtual-time figure harness): key
 //! encoding, block compression, block search, memtable and engine
-//! inserts, scans, HyperLogLog, and SQL parsing.
+//! inserts, scans, HyperLogLog, SQL parsing, and the maintenance kernels
+//! (checksum, column codecs, k-way merge).
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use littletable_bench::env::{bench_row, bench_row_sequential, bench_schema, XorShift64};
@@ -444,6 +445,102 @@ fn bench_catalog(c: &mut Criterion) {
     g.finish();
 }
 
+/// The e2e benchmark's `usage` table and row generator (rows are a pure
+/// function of seed, device and tick; one column per codec family), so
+/// that these kernels see the column shapes that benchmark stores.
+#[allow(dead_code, unused_imports)]
+#[path = "../src/bin/e2e/data.rs"]
+mod usage;
+
+/// The kernels a flush or merge spends its time in: the block checksum,
+/// the column codecs on the e2e benchmark's column shapes (4 096 values:
+/// 16 devices' runs of 256 ticks, as a merged block holds them), and the
+/// k-way merge itself over tablets of 53-row per-device runs (what the
+/// e2e `ingest` workload flushes).
+fn bench_maintenance_kernels(c: &mut Criterion) {
+    let mut g = c.benchmark_group("maintenance_kernels");
+
+    let mut rng = XorShift64::new(11);
+    let mut block = vec![0u8; 64 * 1024];
+    rng.fill(&mut block);
+    g.throughput(Throughput::Bytes(block.len() as u64));
+    g.bench_function("crc32/64k", |b| {
+        b.iter(|| littletable_core::util::crc32(std::hint::black_box(&block)))
+    });
+
+    let grid = usage::Grid {
+        seed: 7,
+        devices: 512,
+        start: usage::T0,
+        step: usage::SECOND,
+    };
+    let coords = (0..16i64).flat_map(|d| (0..256i64).map(move |t| (d, t)));
+    let ts: Vec<i64> = coords.clone().map(|(_, t)| grid.ts(t)).collect();
+    let up: Vec<i64> = coords.clone().map(|(d, t)| grid.cells(d, t).up).collect();
+    let rssi: Vec<f64> = coords.map(|(d, t)| grid.cells(d, t).rssi).collect();
+    g.throughput(Throughput::Elements(ts.len() as u64));
+    for (name, vals) in [("ts", &ts), ("up", &up)] {
+        let dod = littletable_codec::encode_delta_delta(vals);
+        g.bench_function(format!("delta_delta/encode_{name}_4096"), |b| {
+            b.iter(|| littletable_codec::encode_delta_delta(std::hint::black_box(vals)))
+        });
+        g.bench_function(format!("delta_delta/decode_{name}_4096"), |b| {
+            b.iter(|| {
+                littletable_codec::decode_delta_delta(std::hint::black_box(&dod), vals.len())
+                    .unwrap()
+            })
+        });
+        let zz = littletable_codec::encode_zigzag_delta(vals);
+        g.bench_function(format!("zigzag_delta/encode_{name}_4096"), |b| {
+            b.iter(|| littletable_codec::encode_zigzag_delta(std::hint::black_box(vals)))
+        });
+        g.bench_function(format!("zigzag_delta/decode_{name}_4096"), |b| {
+            b.iter(|| {
+                littletable_codec::decode_zigzag_delta(std::hint::black_box(&zz), vals.len())
+                    .unwrap()
+            })
+        });
+    }
+    let xor = littletable_codec::encode_xor_f64(&rssi);
+    g.bench_function("xor/encode_rssi_4096", |b| {
+        b.iter(|| littletable_codec::encode_xor_f64(std::hint::black_box(&rssi)))
+    });
+    g.bench_function("xor/decode_rssi_4096", |b| {
+        b.iter(|| {
+            littletable_codec::decode_xor_f64(std::hint::black_box(&xor), rssi.len()).unwrap()
+        })
+    });
+
+    const TICKS: i64 = 53;
+    for ways in [2i64, 4] {
+        g.throughput(Throughput::Elements((ways * grid.devices * TICKS) as u64));
+        g.bench_function(format!("merge/{ways}way_53row_runs"), |b| {
+            b.iter_batched(
+                || {
+                    // `ways` tablets, each every device's next 53 ticks.
+                    let db = instant_db();
+                    let table = db.create_table("usage", usage::schema(), None).unwrap();
+                    for tick in 0..ways * TICKS {
+                        let rows = (0..grid.devices).map(|d| grid.row(d, tick)).collect();
+                        table.insert(rows).unwrap();
+                        if (tick + 1) % TICKS == 0 {
+                            table.flush_all().unwrap();
+                        }
+                    }
+                    (db, table)
+                },
+                |(_db, table)| {
+                    // Well past the merge delay, inside the same period.
+                    assert!(table.run_merge_once(grid.ts(3600)).unwrap());
+                    assert_eq!(table.num_disk_tablets(), 1);
+                },
+                BatchSize::LargeInput,
+            )
+        });
+    }
+    g.finish();
+}
+
 criterion_group!(
     benches,
     bench_key_encoding,
@@ -456,6 +553,7 @@ criterion_group!(
     bench_hll,
     bench_sql_parse,
     bench_fault_hook,
-    bench_catalog
+    bench_catalog,
+    bench_maintenance_kernels
 );
 criterion_main!(benches);

@@ -59,12 +59,30 @@ type Result<T> = std::result::Result<T, CodecError>;
 
 // ---------------------------------------------------------------- bit I/O
 
+/// The low `n` bits of `v` (`n` ≤ 64).
+#[inline]
+fn low_bits(v: u64, n: u32) -> u64 {
+    if n == 64 {
+        v
+    } else {
+        v & ((1u64 << n) - 1)
+    }
+}
+
 /// MSB-first bit writer.
+///
+/// Bits collect in a 64-bit accumulator and reach the buffer eight bytes
+/// at a time, big-endian, so a field costs one shift and one or, whatever
+/// its width. Between calls the accumulator holds fewer than 64 bits (the
+/// spill invariant): a field that would fill it spills the full word and
+/// leaves only its own tail behind.
 #[derive(Default)]
 pub struct BitWriter {
     buf: Vec<u8>,
-    /// Bits already used in the final byte of `buf`; 0 means aligned.
-    used: u8,
+    /// Pending bits, right-aligned; everything above `pending` is zero.
+    acc: u64,
+    /// Number of pending bits in `acc`, always below 64.
+    pending: u32,
 }
 
 impl BitWriter {
@@ -73,77 +91,172 @@ impl BitWriter {
         Self::default()
     }
 
-    /// Appends a single bit.
-    pub fn write_bit(&mut self, bit: bool) {
-        if self.used == 0 {
-            self.buf.push(0);
-            self.used = 8;
-        }
-        self.used -= 1;
-        if bit {
-            *self.buf.last_mut().expect("pushed above") |= 1 << self.used;
+    /// Creates a writer that appends after the bytes already in `buf`.
+    pub fn appending(buf: Vec<u8>) -> Self {
+        BitWriter {
+            buf,
+            acc: 0,
+            pending: 0,
         }
     }
 
+    /// Appends a single bit.
+    #[inline]
+    pub fn write_bit(&mut self, bit: bool) {
+        self.write_bits(bit as u64, 1);
+    }
+
     /// Appends the low `n` bits of `v`, most significant first.
+    #[inline]
     pub fn write_bits(&mut self, v: u64, n: u8) {
         debug_assert!(n <= 64);
-        for i in (0..n).rev() {
-            self.write_bit((v >> i) & 1 == 1);
+        let n = n as u32;
+        let v = low_bits(v, n);
+        let free = 64 - self.pending;
+        if n < free {
+            self.acc = (self.acc << n) | v;
+            self.pending += n;
+        } else {
+            // The field fills the accumulator: its top `free` bits
+            // complete the word, the remaining `rest` (< 64) start the
+            // next one.
+            let rest = n - free;
+            let word = if free == 64 {
+                v
+            } else {
+                (self.acc << free) | (v >> rest)
+            };
+            self.buf.extend_from_slice(&word.to_be_bytes());
+            self.acc = low_bits(v, rest);
+            self.pending = rest;
         }
     }
 
     /// Returns the buffer; unused bits in the final byte are zero.
-    pub fn finish(self) -> Vec<u8> {
+    pub fn finish(mut self) -> Vec<u8> {
+        if self.pending > 0 {
+            let word = self.acc << (64 - self.pending);
+            let bytes = self.pending.div_ceil(8) as usize;
+            self.buf.extend_from_slice(&word.to_be_bytes()[..bytes]);
+        }
         self.buf
     }
 }
 
 /// MSB-first bit reader with fully checked access.
+///
+/// Mirrors [`BitWriter`]: unread bits sit right-aligned in a 64-bit
+/// accumulator that refills up to eight bytes at a time, and a read is a
+/// shift and a mask. Every read checks that the stream still holds that
+/// many bits.
 pub struct BitReader<'a> {
     data: &'a [u8],
-    /// Next bit position.
+    /// Next byte of `data` not yet pulled into `acc`.
     pos: usize,
+    /// Buffered unread bits, right-aligned; everything above `avail` is
+    /// zero.
+    acc: u64,
+    /// Number of buffered bits in `acc`.
+    avail: u32,
 }
 
 impl<'a> BitReader<'a> {
     /// Wraps `data` for reading from its first bit.
     pub fn new(data: &'a [u8]) -> Self {
-        BitReader { data, pos: 0 }
+        BitReader {
+            data,
+            pos: 0,
+            acc: 0,
+            avail: 0,
+        }
+    }
+
+    /// Tops the accumulator up with as many whole bytes as fit: one
+    /// unaligned word load while eight bytes remain, byte by byte over
+    /// the stream's tail.
+    #[inline]
+    fn refill(&mut self) {
+        let take = (64 - self.avail) / 8;
+        if take == 0 {
+            return;
+        }
+        let rest = &self.data[self.pos..];
+        match rest.first_chunk::<8>() {
+            Some(word) => {
+                let word = u64::from_be_bytes(*word);
+                self.acc = if take == 8 {
+                    word
+                } else {
+                    (self.acc << (8 * take)) | (word >> (64 - 8 * take))
+                };
+                self.avail += 8 * take;
+                self.pos += take as usize;
+            }
+            None => {
+                for &b in &rest[..rest.len().min(take as usize)] {
+                    self.acc = (self.acc << 8) | b as u64;
+                    self.avail += 8;
+                    self.pos += 1;
+                }
+            }
+        }
+    }
+
+    /// Removes the top `n` buffered bits; the caller has checked
+    /// `n <= self.avail`.
+    #[inline]
+    fn take(&mut self, n: u32) -> u64 {
+        self.avail -= n;
+        let v = if self.avail == 64 {
+            0
+        } else {
+            self.acc >> self.avail
+        };
+        self.acc = low_bits(self.acc, self.avail);
+        v
     }
 
     /// Reads one bit, erroring at end of input.
+    #[inline]
     pub fn read_bit(&mut self) -> Result<bool> {
-        let byte = self.pos / 8;
-        if byte >= self.data.len() {
-            return Err(CodecError::new("bit stream truncated"));
-        }
-        let bit = (self.data[byte] >> (7 - (self.pos % 8))) & 1 == 1;
-        self.pos += 1;
-        Ok(bit)
+        Ok(self.read_bits(1)? == 1)
     }
 
     /// Reads `n` bits MSB-first into the low bits of the result.
+    #[inline]
     pub fn read_bits(&mut self, n: u8) -> Result<u64> {
         debug_assert!(n <= 64);
-        let mut v = 0u64;
-        for _ in 0..n {
-            v = (v << 1) | self.read_bit()? as u64;
+        let n = n as u32;
+        if n <= self.avail {
+            return Ok(self.take(n));
         }
-        Ok(v)
+        self.refill();
+        if n <= self.avail {
+            return Ok(self.take(n));
+        }
+        // Either the stream is short, or the field is wider than the 57
+        // to 63 bits a refill around a partial byte can buffer: take what
+        // is buffered, refill, and take the remaining (at most 7) bits.
+        let hi_bits = self.avail;
+        let hi = self.take(hi_bits);
+        self.refill();
+        let lo_bits = n - hi_bits;
+        if lo_bits > self.avail {
+            return Err(CodecError::new("bit stream truncated"));
+        }
+        Ok((hi << lo_bits) | self.take(lo_bits))
     }
 
     /// Verifies that what remains is sub-byte zero padding: a valid
     /// stream ends within 7 bits of the final byte and those bits are 0.
     pub fn expect_zero_padding(&mut self) -> Result<()> {
-        let total = self.data.len() * 8;
-        if total - self.pos >= 8 {
+        let unread = self.avail as usize + (self.data.len() - self.pos) * 8;
+        if unread >= 8 {
             return Err(CodecError::new("trailing bytes after bit stream"));
         }
-        while self.pos < total {
-            if self.read_bit()? {
-                return Err(CodecError::new("nonzero padding after bit stream"));
-            }
+        // Fewer than 8 unread bits: all of them are in the accumulator.
+        if self.acc != 0 {
+            return Err(CodecError::new("nonzero padding after bit stream"));
         }
         Ok(())
     }
@@ -157,6 +270,12 @@ fn put_varint(out: &mut Vec<u8>, mut v: u64) {
         v >>= 7;
     }
     out.push(v as u8);
+}
+
+/// Bytes [`put_varint`] writes for `v`.
+fn varint_len(v: u64) -> usize {
+    let bits = 64 - (v | 1).leading_zeros() as usize;
+    bits.div_ceil(7)
 }
 
 fn read_varint(data: &[u8], pos: &mut usize) -> Result<u64> {
@@ -194,32 +313,32 @@ fn unzigzag(v: u64) -> i64 {
 /// Encodes `vals` as a delta-of-delta bit stream (Gorilla §4.1.1 buckets,
 /// widened to a 64-bit escape so arbitrary i64 sequences round-trip).
 pub fn encode_delta_delta(vals: &[i64]) -> Vec<u8> {
-    let mut w = BitWriter::new();
-    let Some(&first) = vals.first() else {
-        return Vec::new();
+    let mut out = Vec::new();
+    write_delta_delta(vals.iter().copied(), &mut out);
+    out
+}
+
+/// Appends the delta-of-delta stream of `vals` to `out`. Each value is a
+/// prefix-coded bucket tag and its biased payload, written as one field:
+/// `0` | `10`+7 bits | `110`+9 | `1110`+12 | `1111`+64.
+fn write_delta_delta(mut vals: impl Iterator<Item = i64>, out: &mut Vec<u8>) {
+    let Some(first) = vals.next() else {
+        return;
     };
+    let mut w = BitWriter::appending(std::mem::take(out));
     w.write_bits(first as u64, 64);
     let mut prev = first;
     let mut prev_delta = 0i64;
-    for &v in &vals[1..] {
+    for v in vals {
         // Wrapping arithmetic: deltas of extreme values wrap mod 2^64 and
         // un-wrap identically on decode, so round-trips stay exact.
         let delta = v.wrapping_sub(prev);
         let dod = delta.wrapping_sub(prev_delta);
         match dod {
             0 => w.write_bit(false),
-            -63..=64 => {
-                w.write_bits(0b10, 2);
-                w.write_bits((dod + 63) as u64, 7);
-            }
-            -255..=256 => {
-                w.write_bits(0b110, 3);
-                w.write_bits((dod + 255) as u64, 9);
-            }
-            -2047..=2048 => {
-                w.write_bits(0b1110, 4);
-                w.write_bits((dod + 2047) as u64, 12);
-            }
+            -63..=64 => w.write_bits((0b10 << 7) | (dod + 63) as u64, 9),
+            -255..=256 => w.write_bits((0b110 << 9) | (dod + 255) as u64, 12),
+            -2047..=2048 => w.write_bits((0b1110 << 12) | (dod + 2047) as u64, 16),
             _ => {
                 w.write_bits(0b1111, 4);
                 w.write_bits(dod as u64, 64);
@@ -228,7 +347,7 @@ pub fn encode_delta_delta(vals: &[i64]) -> Vec<u8> {
         prev = v;
         prev_delta = delta;
     }
-    w.finish()
+    *out = w.finish();
 }
 
 /// Decodes exactly `n` values from a delta-of-delta stream.
@@ -279,12 +398,46 @@ pub fn decode_delta_delta(data: &[u8], n: usize) -> Result<Vec<i64>> {
 /// from zero).
 pub fn encode_zigzag_delta(vals: &[i64]) -> Vec<u8> {
     let mut out = Vec::with_capacity(vals.len() * 2);
+    write_zigzag_delta(vals.iter().copied(), &mut out);
+    out
+}
+
+fn write_zigzag_delta(vals: impl Iterator<Item = i64>, out: &mut Vec<u8>) {
     let mut prev = 0i64;
-    for &v in vals {
-        put_varint(&mut out, zigzag(v.wrapping_sub(prev)));
+    for v in vals {
+        put_varint(out, zigzag(v.wrapping_sub(prev)));
         prev = v;
     }
-    out
+}
+
+/// `(delta-of-delta bytes, zigzag-delta bytes)` that `vals` would encode
+/// to, without encoding them: the codec race is decided on sizes alone
+/// and only the winner is ever written.
+fn i64_encoded_sizes(vals: impl Iterator<Item = i64>) -> (usize, usize) {
+    let mut dod_bits = 0usize;
+    let mut zz_bytes = 0usize;
+    let mut prev = 0i64;
+    let mut prev_delta = 0i64;
+    for (i, v) in vals.enumerate() {
+        let delta = v.wrapping_sub(prev);
+        zz_bytes += varint_len(zigzag(delta));
+        if i == 0 {
+            // The bit stream opens with the first value verbatim; its
+            // deltas start from there, not from zero.
+            dod_bits = 64;
+        } else {
+            dod_bits += match delta.wrapping_sub(prev_delta) {
+                0 => 1,
+                -63..=64 => 9,
+                -255..=256 => 12,
+                -2047..=2048 => 16,
+                _ => 68,
+            };
+            prev_delta = delta;
+        }
+        prev = v;
+    }
+    (dod_bits.div_ceil(8), zz_bytes)
 }
 
 /// Decodes exactly `n` values from a zigzag-delta stream.
@@ -314,10 +467,19 @@ pub fn decode_zigzag_delta(data: &[u8], n: usize) -> Result<Vec<i64>> {
 /// XORed with its predecessor and only the meaningful bits are stored.
 /// NaN and ±infinity are just bit patterns here and round-trip exactly.
 pub fn encode_xor_f64(vals: &[f64]) -> Vec<u8> {
-    let mut w = BitWriter::new();
+    let mut out = Vec::new();
+    write_xor_f64(vals, &mut out);
+    out
+}
+
+/// Appends the XOR stream of `vals` to `out`. Per value: `0` (same bits),
+/// `10` + the window's `sig` bits (fits the previous window), or `11` +
+/// 5 bits of leading zeros + 6 bits of `sig - 1` + `sig` bits.
+fn write_xor_f64(vals: &[f64], out: &mut Vec<u8>) {
     let Some(&first) = vals.first() else {
-        return Vec::new();
+        return;
     };
+    let mut w = BitWriter::appending(std::mem::take(out));
     w.write_bits(first.to_bits(), 64);
     let mut prev = first.to_bits();
     // Current reuse window: `leading` zero bits then `sig` stored bits.
@@ -332,24 +494,24 @@ pub fn encode_xor_f64(vals: &[f64]) -> Vec<u8> {
             w.write_bit(false);
             continue;
         }
-        w.write_bit(true);
         let lz = (x.leading_zeros() as u8).min(31); // 5-bit field
         let tz = x.trailing_zeros() as u8;
         let win_trailing = 64 - leading - sig;
         if sig > 0 && lz >= leading && tz >= win_trailing {
-            // Fits the previous window: control bit 0, reuse its shape.
-            w.write_bit(false);
+            // Fits the previous window: reuse its shape.
+            w.write_bits(0b10, 2);
             w.write_bits(x >> win_trailing, sig);
         } else {
-            w.write_bit(true);
             leading = lz;
-            sig = 64 - lz - tz;
-            w.write_bits(leading as u64, 5);
-            w.write_bits((sig - 1) as u64, 6); // sig in 1..=64
+            sig = 64 - lz - tz; // 1..=64
+            w.write_bits(
+                (0b11 << 11) | ((leading as u64) << 6) | (sig - 1) as u64,
+                13,
+            );
             w.write_bits(x >> tz, sig);
         }
     }
-    w.finish()
+    *out = w.finish();
 }
 
 /// Decodes exactly `n` values from a Gorilla XOR stream.
@@ -399,40 +561,62 @@ pub fn decode_xor_f64(data: &[u8], n: usize) -> Result<Vec<f64>> {
 /// run-length-encoded codes. Returns `None` when the column is too
 /// distinct for a one-byte code space (the caller falls back to raw).
 pub fn encode_dict_rle(vals: &[&[u8]]) -> Option<Vec<u8>> {
-    let mut dict: Vec<&[u8]> = Vec::new();
-    let mut codes = Vec::with_capacity(vals.len());
-    for v in vals {
-        // Linear probe: the dictionary is ≤ 256 entries and columns are
-        // low-cardinality by selection (raw wins otherwise).
-        let code = match dict.iter().position(|d| d == v) {
-            Some(c) => c,
-            None => {
-                if dict.len() == 256 {
-                    return None;
-                }
-                dict.push(v);
-                dict.len() - 1
-            }
-        };
-        codes.push(code as u8);
-    }
+    let (dict, _) = plan_dict_rle(vals.iter().copied())?;
     let mut out = Vec::new();
-    put_varint(&mut out, dict.len() as u64);
-    for d in &dict {
-        put_varint(&mut out, d.len() as u64);
+    write_dict_rle(&dict, vals.iter().copied(), &mut out);
+    Some(out)
+}
+
+/// Splits `vals` into `(value, length)` runs of equal neighbours.
+fn runs<'a>(vals: impl Iterator<Item = &'a [u8]>) -> impl Iterator<Item = (&'a [u8], u64)> {
+    let mut vals = vals.peekable();
+    std::iter::from_fn(move || {
+        let v = vals.next()?;
+        let mut n = 1;
+        while vals.next_if_eq(&v).is_some() {
+            n += 1;
+        }
+        Some((v, n))
+    })
+}
+
+/// First pass of the dictionary/RLE encoder: the dictionary in
+/// first-seen order and the exact encoded size, or `None` past 256
+/// distinct values. The linear dictionary probe runs once per run of
+/// equal values, not once per row.
+fn plan_dict_rle<'a>(vals: impl Iterator<Item = &'a [u8]>) -> Option<(Vec<&'a [u8]>, usize)> {
+    let mut dict: Vec<&[u8]> = Vec::new();
+    let mut len = 0usize;
+    for (v, n) in runs(vals) {
+        len += 1 + varint_len(n);
+        if !dict.contains(&v) {
+            if dict.len() == 256 {
+                return None;
+            }
+            dict.push(v);
+            len += varint_len(v.len() as u64) + v.len();
+        }
+    }
+    len += varint_len(dict.len() as u64);
+    Some((dict, len))
+}
+
+/// Second pass: the dictionary, then one `(code, run length)` pair per
+/// run of equal values. `dict` is [`plan_dict_rle`]'s for the same values.
+fn write_dict_rle<'a>(dict: &[&[u8]], vals: impl Iterator<Item = &'a [u8]>, out: &mut Vec<u8>) {
+    put_varint(out, dict.len() as u64);
+    for d in dict {
+        put_varint(out, d.len() as u64);
         out.extend_from_slice(d);
     }
-    let mut i = 0usize;
-    while i < codes.len() {
-        let mut j = i + 1;
-        while j < codes.len() && codes[j] == codes[i] {
-            j += 1;
-        }
-        out.push(codes[i]);
-        put_varint(&mut out, (j - i) as u64);
-        i = j;
+    for (v, n) in runs(vals) {
+        let code = dict
+            .iter()
+            .position(|d| *d == v)
+            .expect("the plan saw every value");
+        out.push(code as u8);
+        put_varint(out, n);
     }
-    Some(out)
 }
 
 /// Decodes exactly `n` byte strings from a dictionary/RLE stream.
@@ -520,11 +704,15 @@ pub fn decode_raw_f64(data: &[u8], n: usize) -> Result<Vec<f64>> {
 /// Encodes byte strings as length-prefixed values.
 pub fn encode_raw_bytes(vals: &[&[u8]]) -> Vec<u8> {
     let mut out = Vec::new();
+    write_raw_bytes(vals.iter().copied(), &mut out);
+    out
+}
+
+fn write_raw_bytes<'a>(vals: impl Iterator<Item = &'a [u8]>, out: &mut Vec<u8>) {
     for v in vals {
-        put_varint(&mut out, v.len() as u64);
+        put_varint(out, v.len() as u64);
         out.extend_from_slice(v);
     }
-    out
 }
 
 /// Decodes exactly `n` length-prefixed byte strings.
@@ -552,16 +740,36 @@ pub fn decode_raw_bytes(data: &[u8], n: usize) -> Result<Vec<Vec<u8>>> {
 /// against zigzag-delta against raw and keeping the smallest. Returns
 /// `(codec tag, bytes)`.
 pub fn encode_i64_column(vals: &[i64]) -> (u8, Vec<u8>) {
-    let dod = encode_delta_delta(vals);
-    let zz = encode_zigzag_delta(vals);
+    let mut out = Vec::new();
+    let tag = encode_i64_column_into(vals.iter().copied(), &mut out);
+    (tag, out)
+}
+
+/// As [`encode_i64_column`], over any re-iterable source of values (an
+/// `i32` slice widened on the fly, say) and appending to `out`; returns
+/// the codec tag. The smallest encoding wins, ties going to
+/// delta-of-delta, then zigzag-delta; the losers are sized, not built.
+pub fn encode_i64_column_into<I>(vals: I, out: &mut Vec<u8>) -> u8
+where
+    I: ExactSizeIterator<Item = i64> + Clone,
+{
     let raw_len = vals.len() * 8;
-    if dod.len() <= zz.len() && dod.len() <= raw_len {
-        (TAG_DELTA_DELTA, dod)
-    } else if zz.len() <= raw_len {
-        (TAG_ZIGZAG_DELTA, zz)
+    let (dod_len, zz_len) = i64_encoded_sizes(vals.clone());
+    let start = out.len();
+    let (tag, len) = if dod_len <= zz_len && dod_len <= raw_len {
+        write_delta_delta(vals, out);
+        (TAG_DELTA_DELTA, dod_len)
+    } else if zz_len <= raw_len {
+        write_zigzag_delta(vals, out);
+        (TAG_ZIGZAG_DELTA, zz_len)
     } else {
-        (TAG_RAW, encode_raw_i64(vals))
-    }
+        for v in vals {
+            out.extend_from_slice(&v.to_le_bytes());
+        }
+        (TAG_RAW, raw_len)
+    };
+    debug_assert_eq!(out.len() - start, len, "codec {tag} was mis-sized");
+    tag
 }
 
 /// Decodes an integer column under the codec named by `tag`.
@@ -576,12 +784,23 @@ pub fn decode_i64_column(tag: u8, data: &[u8], n: usize) -> Result<Vec<i64>> {
 
 /// Encodes a double column, racing XOR compression against raw.
 pub fn encode_f64_column(vals: &[f64]) -> (u8, Vec<u8>) {
-    let xor = encode_xor_f64(vals);
-    if xor.len() <= vals.len() * 8 {
-        (TAG_XOR, xor)
-    } else {
-        (TAG_RAW, encode_raw_f64(vals))
+    let mut out = Vec::new();
+    let tag = encode_f64_column_into(vals, &mut out);
+    (tag, out)
+}
+
+/// As [`encode_f64_column`], appending to `out`; returns the codec tag.
+pub fn encode_f64_column_into(vals: &[f64], out: &mut Vec<u8>) -> u8 {
+    let start = out.len();
+    write_xor_f64(vals, out);
+    if out.len() - start <= vals.len() * 8 {
+        return TAG_XOR;
     }
+    out.truncate(start);
+    for v in vals {
+        out.extend_from_slice(&v.to_bits().to_le_bytes());
+    }
+    TAG_RAW
 }
 
 /// Decodes a double column under the codec named by `tag`.
@@ -596,10 +815,30 @@ pub fn decode_f64_column(tag: u8, data: &[u8], n: usize) -> Result<Vec<f64>> {
 /// Encodes a string/blob column, using dictionary + RLE when the column
 /// is low-cardinality enough to win, raw length-prefixed bytes otherwise.
 pub fn encode_bytes_column(vals: &[&[u8]]) -> (u8, Vec<u8>) {
-    let raw = encode_raw_bytes(vals);
-    match encode_dict_rle(vals) {
-        Some(d) if d.len() <= raw.len() => (TAG_DICT_RLE, d),
-        _ => (TAG_RAW, raw),
+    let mut out = Vec::new();
+    let tag = encode_bytes_column_into(vals.iter().copied(), &mut out);
+    (tag, out)
+}
+
+/// As [`encode_bytes_column`], over any re-iterable source of byte
+/// strings and appending to `out`; returns the codec tag.
+pub fn encode_bytes_column_into<'a, I>(vals: I, out: &mut Vec<u8>) -> u8
+where
+    I: Iterator<Item = &'a [u8]> + Clone,
+{
+    let raw_len: usize = vals
+        .clone()
+        .map(|v| varint_len(v.len() as u64) + v.len())
+        .sum();
+    match plan_dict_rle(vals.clone()) {
+        Some((dict, len)) if len <= raw_len => {
+            write_dict_rle(&dict, vals, out);
+            TAG_DICT_RLE
+        }
+        _ => {
+            write_raw_bytes(vals, out);
+            TAG_RAW
+        }
     }
 }
 
@@ -805,6 +1044,121 @@ mod tests {
         }
     }
 
+    /// The bit-at-a-time writer the word-at-a-time [`BitWriter`]
+    /// replaced; the format is whatever this one produces.
+    #[derive(Default)]
+    struct RefBitWriter {
+        buf: Vec<u8>,
+        used: u8,
+    }
+
+    impl RefBitWriter {
+        fn write_bits(&mut self, v: u64, n: u8) {
+            for i in (0..n).rev() {
+                if self.used == 0 {
+                    self.buf.push(0);
+                    self.used = 8;
+                }
+                self.used -= 1;
+                if (v >> i) & 1 == 1 {
+                    *self.buf.last_mut().unwrap() |= 1 << self.used;
+                }
+            }
+        }
+    }
+
+    /// Bit-at-a-time read of `n` bits at bit offset `*pos`, `None` past
+    /// the end — the reference for [`BitReader::read_bits`].
+    fn ref_read_bits(data: &[u8], pos: &mut usize, n: u8) -> Option<u64> {
+        let mut v = 0u64;
+        for _ in 0..n {
+            let byte = *data.get(*pos / 8)?;
+            v = (v << 1) | ((byte >> (7 - *pos % 8)) & 1) as u64;
+            *pos += 1;
+        }
+        Some(v)
+    }
+
+    /// The codec race as it was run before sizes decided it: build all
+    /// three encodings, keep the smallest, ties to delta-of-delta, then
+    /// zigzag-delta.
+    fn ref_encode_i64_column(vals: &[i64]) -> (u8, Vec<u8>) {
+        let dod = encode_delta_delta(vals);
+        let zz = encode_zigzag_delta(vals);
+        let raw_len = vals.len() * 8;
+        if dod.len() <= zz.len() && dod.len() <= raw_len {
+            (TAG_DELTA_DELTA, dod)
+        } else if zz.len() <= raw_len {
+            (TAG_ZIGZAG_DELTA, zz)
+        } else {
+            (TAG_RAW, encode_raw_i64(vals))
+        }
+    }
+
+    #[test]
+    fn writer_spills_at_every_accumulator_fill() {
+        // Fields that land exactly on, one short of and one past the
+        // 64-bit boundary, from every starting offset.
+        for lead in 0..=64u8 {
+            for n in [0u8, 1, 63 - lead.min(63), 64 - lead, 64] {
+                let mut w = BitWriter::new();
+                let mut r = RefBitWriter::default();
+                for (v, n) in [(u64::MAX, lead), (0xA5A5_5A5A_DEAD_BEEF, n), (0b101, 3)] {
+                    w.write_bits(v, n);
+                    r.write_bits(v, n);
+                }
+                assert_eq!(w.finish(), r.buf, "lead {lead} n {n}");
+            }
+        }
+    }
+
+    /// Every truncation and every single-bit flip of `stream` decodes to
+    /// an error or to exactly `n` values.
+    fn mangle<T>(stream: &[u8], n: usize, decode: impl Fn(&[u8], usize) -> Result<Vec<T>>) {
+        for cut in 0..stream.len() {
+            if let Ok(v) = decode(&stream[..cut], n) {
+                assert_eq!(v.len(), n, "cut at {cut}");
+            }
+        }
+        let mut flipped = stream.to_vec();
+        for bit in 0..stream.len() * 8 {
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            if let Ok(v) = decode(&flipped, n) {
+                assert_eq!(v.len(), n, "bit {bit} flipped");
+            }
+            flipped[bit / 8] ^= 1 << (bit % 8);
+        }
+    }
+
+    #[test]
+    fn truncated_and_bit_flipped_streams_error_or_decode_to_length() {
+        // One stream per bucket mix: regular, jittery, escaping.
+        let ints: [Vec<i64>; 3] = [
+            (0..200).map(|i| 1_600_000_000 + i * 60).collect(),
+            (0..200).map(|i| i * i * 37 % 5000 - 2500).collect(),
+            vec![0, i64::MAX, i64::MIN, 5, 5, 5, -70, 300, -3000, 1 << 40],
+        ];
+        for vals in &ints {
+            mangle(&encode_delta_delta(vals), vals.len(), decode_delta_delta);
+        }
+        let floats: [Vec<f64>; 3] = [
+            (0..200).map(|i| 20.0 + (i % 7) as f64 / 8.0).collect(),
+            (0..200).map(|i| ((i * 7919) as f64).sin()).collect(),
+            vec![
+                0.0,
+                f64::NAN,
+                f64::INFINITY,
+                -0.0,
+                1.0,
+                1.0,
+                f64::MIN_POSITIVE,
+            ],
+        ];
+        for vals in &floats {
+            mangle(&encode_xor_f64(vals), vals.len(), decode_xor_f64);
+        }
+    }
+
     proptest! {
         #[test]
         fn prop_i64_round_trip(vals in proptest::collection::vec(any::<i64>(), 0..300)) {
@@ -845,6 +1199,76 @@ mod tests {
             let _ = decode_i64_column(tag, &data, n);
             let _ = decode_f64_column(tag, &data, n);
             let _ = decode_bytes_column(tag, &data, n);
+        }
+
+        #[test]
+        fn prop_bit_io_matches_bit_at_a_time_reference(
+            fields in proptest::collection::vec((any::<u64>(), 0u8..=64), 0..80),
+        ) {
+            let mut w = BitWriter::new();
+            let mut r = RefBitWriter::default();
+            for &(v, n) in &fields {
+                w.write_bits(v, n);
+                r.write_bits(v, n);
+            }
+            let bytes = w.finish();
+            prop_assert_eq!(&bytes, &r.buf);
+            // Read the same widths back, then one field too many.
+            let mut rd = BitReader::new(&bytes);
+            let mut pos = 0usize;
+            for &(v, n) in &fields {
+                let expect = ref_read_bits(&bytes, &mut pos, n).unwrap();
+                prop_assert_eq!(rd.read_bits(n).unwrap(), expect);
+                prop_assert_eq!(expect, if n == 64 { v } else { v & ((1u64 << n) - 1) });
+            }
+            prop_assert!(rd.expect_zero_padding().is_ok());
+            prop_assert!(rd.read_bits(8).is_err());
+        }
+
+        #[test]
+        fn prop_reader_matches_reference_on_arbitrary_bytes(
+            data in proptest::collection::vec(any::<u8>(), 0..40),
+            widths in proptest::collection::vec(0u8..=64, 0..40),
+        ) {
+            let mut rd = BitReader::new(&data);
+            let mut pos = 0usize;
+            for &n in &widths {
+                match ref_read_bits(&data, &mut pos, n) {
+                    Some(expect) => prop_assert_eq!(rd.read_bits(n).unwrap(), expect),
+                    None => {
+                        prop_assert!(rd.read_bits(n).is_err());
+                        break;
+                    }
+                }
+            }
+        }
+
+        #[test]
+        fn prop_sized_race_picks_what_the_built_race_picked(
+            start in any::<i64>(),
+            steps in proptest::collection::vec((0u8..6, any::<i64>()), 0..300),
+        ) {
+            // Mixed regimes inside one column, so every winner and every
+            // tie between neighbours comes up.
+            let vals: Vec<i64> = steps.iter().scan(start >> 8, |acc, &(mode, r)| {
+                *acc = match mode {
+                    0 => *acc,
+                    1 => acc.wrapping_add(60),
+                    2 => acc.wrapping_add(r % 50),
+                    3 => acc.wrapping_add(r % 3000),
+                    4 => acc.wrapping_add(r >> 20),
+                    _ => r,
+                };
+                Some(*acc)
+            }).collect();
+            prop_assert_eq!(encode_i64_column(&vals), ref_encode_i64_column(&vals));
+            let narrow: Vec<i32> = vals.iter().map(|&v| v as i32).collect();
+            let wide: Vec<i64> = narrow.iter().map(|&v| v as i64).collect();
+            let mut out = vec![0xEE];
+            let tag = encode_i64_column_into(narrow.iter().map(|&v| v as i64), &mut out);
+            let (ref_tag, ref_bytes) = ref_encode_i64_column(&wide);
+            prop_assert_eq!(tag, ref_tag);
+            prop_assert_eq!(&out[1..], &ref_bytes[..]);
         }
     }
 }

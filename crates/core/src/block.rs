@@ -21,13 +21,20 @@
 //! Columns appear in tablet-schema order, key columns included — encoded
 //! primary keys are *rebuilt* from the key column values only when a
 //! caller actually iterates rows, so aggregate scans that consume column
-//! slices never pay for key materialization.
+//! slices never pay for key materialization. The rebuilt keys live in one
+//! flat arena (a byte buffer plus row offsets), not a vector per row.
 //!
 //! The offset array (row layout) or the rebuilt key arena (columnar
 //! layout) makes binary search by encoded key possible inside a block,
 //! which is how a query finds its starting row after the tablet index has
 //! located the right block. Blocks are individually compressed on disk;
 //! this module works with the uncompressed form.
+//!
+//! Maintenance moves columns, not rows: a merge hands
+//! [`ColumnarBlockBuilder::append_run`] a row range of a decoded source
+//! block and the builder copies typed sub-slices, and
+//! [`ColumnarBlockBuilder::finish`] encodes straight from its retained
+//! column buffers into a caller-owned output buffer.
 
 use crate::error::{Error, Result};
 use crate::keyenc::{self, KeyRange};
@@ -93,11 +100,6 @@ impl BlockBuilder {
     /// Estimated size of the finished (uncompressed) block.
     pub fn size_estimate(&self) -> usize {
         4 + self.offsets.len() * 4 + self.data.len()
-    }
-
-    /// The key of the last row added.
-    pub fn last_key(&self) -> &[u8] {
-        &self.last_key
     }
 
     /// Serializes the block and resets the builder for reuse.
@@ -185,6 +187,47 @@ impl ColumnSlice {
         }
     }
 
+    fn clear(&mut self) {
+        match self {
+            ColumnSlice::I32(v) => v.clear(),
+            ColumnSlice::I64(v) | ColumnSlice::Timestamp(v) => v.clear(),
+            ColumnSlice::F64(v) => v.clear(),
+            ColumnSlice::Str(v) => v.clear(),
+            ColumnSlice::Blob(v) => v.clear(),
+        }
+    }
+
+    /// Appends `src[rows]`, which must be a slice of the same type.
+    fn extend_from(&mut self, src: &ColumnSlice, rows: Range<usize>) -> Result<()> {
+        match (self, src) {
+            (ColumnSlice::I32(col), ColumnSlice::I32(s)) => col.extend_from_slice(&s[rows]),
+            (ColumnSlice::I64(col), ColumnSlice::I64(s)) => col.extend_from_slice(&s[rows]),
+            (ColumnSlice::F64(col), ColumnSlice::F64(s)) => col.extend_from_slice(&s[rows]),
+            (ColumnSlice::Timestamp(col), ColumnSlice::Timestamp(s)) => {
+                col.extend_from_slice(&s[rows])
+            }
+            (ColumnSlice::Str(col), ColumnSlice::Str(s)) => col.extend_from_slice(&s[rows]),
+            (ColumnSlice::Blob(col), ColumnSlice::Blob(s)) => col.extend_from_slice(&s[rows]),
+            _ => {
+                return Err(Error::invalid(
+                    "source column slice does not match the builder's column type",
+                ))
+            }
+        }
+        Ok(())
+    }
+
+    /// Payload bytes of row `i` in a string or blob slice — the part of
+    /// [`Value::mem_size`] that varies from row to row; 0 for fixed-width
+    /// slices.
+    fn var_len(&self, i: usize) -> usize {
+        match self {
+            ColumnSlice::Str(v) => v[i].len(),
+            ColumnSlice::Blob(v) => v[i].len(),
+            _ => 0,
+        }
+    }
+
     fn push(&mut self, v: &Value) -> Result<()> {
         match (self, v) {
             (ColumnSlice::I32(col), Value::I32(x)) => col.push(*x),
@@ -254,17 +297,25 @@ fn min_max<T: Copy + Ord>(v: &[T]) -> Option<(T, T)> {
 /// not computable (see [`ColumnSlice::zone`]).
 pub type ColumnZones = Vec<Option<(Value, Value)>>;
 
-/// Builds one columnar block. Rows must arrive in ascending key order;
-/// their values are buffered per column and codec-compressed on
-/// [`ColumnarBlockBuilder::finish`].
+/// Builds one columnar block. Rows must arrive in ascending key order
+/// (the tablet writer checks); their values are buffered per column and
+/// codec-compressed on [`ColumnarBlockBuilder::finish`]. The column
+/// buffers and the codec scratch keep their capacity from block to block.
 #[derive(Debug)]
 pub struct ColumnarBlockBuilder {
     cols: Vec<ColumnSlice>,
-    last_key: Vec<u8>,
     rows: usize,
     /// Running estimate of the raw (pre-codec) byte size, used for the
     /// writer's flush threshold.
     bytes: usize,
+    /// What a row adds to `bytes` before its string and blob payloads:
+    /// the sum of [`ColumnType::base_mem_size`] over the columns.
+    fixed_row_bytes: usize,
+    /// Indices of the string and blob columns.
+    var_cols: Vec<usize>,
+    /// One column's encoded bytes, between the codec and the block (its
+    /// length prefix has to be written first).
+    scratch: Vec<u8>,
 }
 
 impl ColumnarBlockBuilder {
@@ -276,14 +327,18 @@ impl ColumnarBlockBuilder {
                 .iter()
                 .map(|c| ColumnSlice::empty_for(c.ty))
                 .collect(),
-            last_key: Vec::new(),
             rows: 0,
             bytes: 0,
+            fixed_row_bytes: schema.columns().iter().map(|c| c.ty.base_mem_size()).sum(),
+            var_cols: (0..schema.columns().len())
+                .filter(|&i| matches!(schema.columns()[i].ty, ColumnType::Str | ColumnType::Blob))
+                .collect(),
+            scratch: Vec::new(),
         }
     }
 
-    /// Appends a row; `key` is its already-encoded primary key.
-    pub fn add(&mut self, key: &[u8], row: &Row) -> Result<()> {
+    /// Appends a row.
+    pub fn add(&mut self, row: &Row) -> Result<()> {
         if row.values.len() != self.cols.len() {
             return Err(Error::invalid("row width does not match schema"));
         }
@@ -292,9 +347,52 @@ impl ColumnarBlockBuilder {
             self.bytes += v.mem_size();
         }
         self.rows += 1;
-        self.last_key.clear();
-        self.last_key.extend_from_slice(key);
         Ok(())
+    }
+
+    /// Appends rows of `src` from `rows.start` on, copying typed
+    /// sub-slices column by column, and stops after the row that brings
+    /// [`ColumnarBlockBuilder::size_estimate`] to `full_at` — exactly
+    /// where appending the same rows one at a time and checking after
+    /// each would stop. Returns the number of rows taken (at least one
+    /// when `rows` is non-empty). `src` must have this builder's column
+    /// types.
+    pub fn append_run(
+        &mut self,
+        src: &ColumnarBlock,
+        rows: Range<usize>,
+        full_at: usize,
+    ) -> Result<usize> {
+        if src.columns.len() != self.cols.len() || rows.start > rows.end || rows.end > src.row_count
+        {
+            return Err(Error::invalid("source block does not match the builder"));
+        }
+        let before = self.size_estimate();
+        let mut est = before;
+        let mut end = rows.start;
+        if self.var_cols.is_empty() {
+            // Every row weighs the same: the cut is a division away.
+            let to_full = full_at.saturating_sub(est).div_ceil(self.fixed_row_bytes);
+            end = rows.end.min(rows.start + to_full.max(1));
+            est += (end - rows.start) * self.fixed_row_bytes;
+        } else {
+            while end < rows.end && (end == rows.start || est < full_at) {
+                est += self.fixed_row_bytes
+                    + self
+                        .var_cols
+                        .iter()
+                        .map(|&c| src.columns[c].var_len(end))
+                        .sum::<usize>();
+                end += 1;
+            }
+        }
+        let taken = rows.start..end;
+        for (col, s) in self.cols.iter_mut().zip(&src.columns) {
+            col.extend_from(s, taken.clone())?;
+        }
+        self.bytes += est - before;
+        self.rows += taken.len();
+        Ok(taken.len())
     }
 
     /// Number of rows added.
@@ -313,58 +411,45 @@ impl ColumnarBlockBuilder {
         4 + self.cols.len() * 6 + self.bytes
     }
 
-    /// The key of the last row added.
-    pub fn last_key(&self) -> &[u8] {
-        &self.last_key
-    }
-
-    /// Serializes the block, returning `(bytes, per-column zones, rows)`
-    /// and resetting the builder for reuse. Zones are `(min, max)` per
-    /// schema column where computable (see [`ColumnSlice::zone`]).
-    pub fn finish(&mut self) -> (Vec<u8>, ColumnZones, u32) {
-        let mut out = Vec::with_capacity(self.size_estimate());
+    /// Serializes the block into `out` (replacing its contents),
+    /// returning `(per-column zones, rows)` and resetting the builder for
+    /// reuse. Zones are `(min, max)` per schema column where computable
+    /// (see [`ColumnSlice::zone`]).
+    pub fn finish(&mut self, out: &mut Vec<u8>) -> (ColumnZones, u32) {
+        out.clear();
         out.extend_from_slice(&(self.rows as u32).to_le_bytes());
-        put_varint(&mut out, self.cols.len() as u64);
+        put_varint(out, self.cols.len() as u64);
         let mut zones = Vec::with_capacity(self.cols.len());
-        for col in &self.cols {
+        for col in &mut self.cols {
             zones.push(col.zone());
-            let (tag, bytes) = match col {
+            self.scratch.clear();
+            let scratch = &mut self.scratch;
+            let tag = match &*col {
                 ColumnSlice::I32(v) => {
-                    let wide: Vec<i64> = v.iter().map(|&x| x as i64).collect();
-                    littletable_codec::encode_i64_column(&wide)
+                    littletable_codec::encode_i64_column_into(v.iter().map(|&x| x as i64), scratch)
                 }
                 ColumnSlice::I64(v) | ColumnSlice::Timestamp(v) => {
-                    littletable_codec::encode_i64_column(v)
+                    littletable_codec::encode_i64_column_into(v.iter().copied(), scratch)
                 }
-                ColumnSlice::F64(v) => littletable_codec::encode_f64_column(v),
-                ColumnSlice::Str(v) => {
-                    let refs: Vec<&[u8]> = v.iter().map(|s| s.as_bytes()).collect();
-                    littletable_codec::encode_bytes_column(&refs)
-                }
-                ColumnSlice::Blob(v) => {
-                    let refs: Vec<&[u8]> = v.iter().map(|b| b.as_slice()).collect();
-                    littletable_codec::encode_bytes_column(&refs)
-                }
+                ColumnSlice::F64(v) => littletable_codec::encode_f64_column_into(v, scratch),
+                ColumnSlice::Str(v) => littletable_codec::encode_bytes_column_into(
+                    v.iter().map(|s| s.as_bytes()),
+                    scratch,
+                ),
+                ColumnSlice::Blob(v) => littletable_codec::encode_bytes_column_into(
+                    v.iter().map(|b| b.as_slice()),
+                    scratch,
+                ),
             };
             out.push(tag);
-            put_varint(&mut out, bytes.len() as u64);
-            out.extend_from_slice(&bytes);
+            put_varint(out, self.scratch.len() as u64);
+            out.extend_from_slice(&self.scratch);
+            col.clear();
         }
         let rows = self.rows as u32;
-        for col in &mut self.cols {
-            *col = ColumnSlice::empty_for(match col {
-                ColumnSlice::I32(_) => ColumnType::I32,
-                ColumnSlice::I64(_) => ColumnType::I64,
-                ColumnSlice::F64(_) => ColumnType::F64,
-                ColumnSlice::Timestamp(_) => ColumnType::Timestamp,
-                ColumnSlice::Str(_) => ColumnType::Str,
-                ColumnSlice::Blob(_) => ColumnType::Blob,
-            });
-        }
         self.rows = 0;
         self.bytes = 0;
-        self.last_key.clear();
-        (out, zones, rows)
+        (zones, rows)
     }
 }
 
@@ -494,14 +579,31 @@ impl Block {
         Ok(start..end.max(start))
     }
 
+    /// Replaces `out` with row `i`'s encoded key. A columnar block
+    /// encodes it from the key column slices; its key arena is neither
+    /// built nor read.
+    pub fn key_into(&self, i: usize, out: &mut Vec<u8>) -> Result<()> {
+        out.clear();
+        match self {
+            Block::Row(b) => out.extend_from_slice(b.key(i)?),
+            Block::Columnar(b) => {
+                if i >= b.row_count {
+                    return Err(Error::corrupt("block row index out of range"));
+                }
+                b.encode_key(i, out);
+            }
+        }
+        Ok(())
+    }
+
     /// Row `i`'s key for one comparison: borrowed from a row block,
-    /// encoded into `scratch` for a columnar one.
-    fn probe_key<'a>(&'a self, i: usize, scratch: &'a mut Vec<u8>) -> Result<&'a [u8]> {
+    /// encoded into `scratch` for a columnar one (whose key arena is
+    /// neither built nor read).
+    pub(crate) fn probe_key<'a>(&'a self, i: usize, scratch: &'a mut Vec<u8>) -> Result<&'a [u8]> {
         match self {
             Block::Row(b) => b.key(i),
-            Block::Columnar(b) => {
-                scratch.clear();
-                b.encode_key(i, scratch);
+            Block::Columnar(_) => {
+                self.key_into(i, scratch)?;
                 Ok(scratch)
             }
         }
@@ -611,6 +713,15 @@ impl RowBlock {
     }
 }
 
+/// Every row's encoded primary key, back to back in one buffer: row `i`'s
+/// key is `bytes[offsets[i]..offsets[i + 1]]`.
+#[derive(Debug, Clone)]
+struct KeyArena {
+    bytes: Vec<u8>,
+    /// `row_count + 1` ascending offsets into `bytes`.
+    offsets: Vec<u32>,
+}
+
 /// A parsed columnar block: decoded typed slices plus a lazily built
 /// arena of encoded primary keys.
 #[derive(Debug, Clone)]
@@ -619,8 +730,9 @@ pub struct ColumnarBlock {
     row_count: usize,
     key_indices: Vec<usize>,
     /// Encoded primary keys, built from the key column slices the first
-    /// time a caller iterates by key. Aggregate scans never touch it.
-    keys: OnceLock<Vec<Vec<u8>>>,
+    /// time a caller iterates by key. Aggregate scans and merges never
+    /// touch it. `None` inside marks keys too large for 32-bit offsets.
+    keys: OnceLock<Option<KeyArena>>,
     byte_size: usize,
 }
 
@@ -719,8 +831,9 @@ impl ColumnarBlock {
     }
 
     /// Appends row `row`'s encoded primary key, straight from the key
-    /// column slices.
-    fn encode_key(&self, row: usize, out: &mut Vec<u8>) {
+    /// column slices. Panics when `row` is out of range — callers index
+    /// within the block's length.
+    pub fn encode_key(&self, row: usize, out: &mut Vec<u8>) {
         for &ki in &self.key_indices {
             match &self.columns[ki] {
                 ColumnSlice::I32(v) => keyenc::encode_int(out, v[row] as i64),
@@ -737,16 +850,29 @@ impl ColumnarBlock {
             return Err(Error::corrupt("block row index out of range"));
         }
         let keys = self.keys.get_or_init(|| {
-            let mut buf = Vec::new();
-            (0..self.row_count)
-                .map(|row| {
-                    buf.clear();
-                    self.encode_key(row, &mut buf);
-                    buf.clone()
-                })
-                .collect()
+            let mut arena = KeyArena {
+                bytes: Vec::new(),
+                offsets: Vec::with_capacity(self.row_count + 1),
+            };
+            arena.offsets.push(0);
+            for row in 0..self.row_count {
+                self.encode_key(row, &mut arena.bytes);
+                arena.offsets.push(u32::try_from(arena.bytes.len()).ok()?);
+            }
+            Some(arena)
         });
-        Ok(&keys[i])
+        let keys = keys
+            .as_ref()
+            .ok_or_else(|| Error::corrupt("block keys exceed 4 GiB"))?;
+        Ok(&keys.bytes[keys.offsets[i] as usize..keys.offsets[i + 1] as usize])
+    }
+
+    /// The timestamp column (the last key column) as a typed slice.
+    pub fn timestamps(&self) -> Result<&[i64]> {
+        match self.key_indices.last().map(|&ki| &self.columns[ki]) {
+            Some(ColumnSlice::Timestamp(v)) => Ok(v),
+            _ => Err(Error::corrupt("columnar block has no timestamp key column")),
+        }
     }
 }
 
@@ -791,10 +917,10 @@ mod tests {
                 Value::I64(i * 10),
                 Value::F64(i as f64 / 2.0),
             ]);
-            let key = row.encode_key(&s).unwrap();
-            b.add(&key, &row).unwrap();
+            b.add(&row).unwrap();
         }
-        let (data, zones, rows) = b.finish();
+        let mut data = Vec::new();
+        let (zones, rows) = b.finish(&mut data);
         assert_eq!(rows as i64, n);
         assert_eq!(zones.len(), 4);
         (Block::parse_columnar(data, &s).unwrap(), s)
@@ -918,10 +1044,9 @@ mod tests {
                 Value::I64(-i),
                 Value::F64(i as f64),
             ]);
-            let key = row.encode_key(&s).unwrap();
-            b.add(&key, &row).unwrap();
+            b.add(&row).unwrap();
         }
-        let (_, zones, _) = b.finish();
+        let (zones, _) = b.finish(&mut Vec::new());
         assert_eq!(zones[0], None); // strings carry no zone
         assert_eq!(
             zones[1],
@@ -942,10 +1067,10 @@ mod tests {
                 Value::I64(i),
                 Value::F64(if i == 1 { f64::NAN } else { i as f64 }),
             ]);
-            let key = row.encode_key(&s).unwrap();
-            b.add(&key, &row).unwrap();
+            b.add(&row).unwrap();
         }
-        let (data, zones, _) = b.finish();
+        let mut data = Vec::new();
+        let (zones, _) = b.finish(&mut data);
         assert_eq!(zones[3], None);
         // The NaN itself still round-trips through the block.
         let blk = Block::parse_columnar(data, &s).unwrap();
@@ -1025,18 +1150,16 @@ mod tests {
         data.push(2); // claims 2 columns, schema has 4
         assert!(Block::parse_columnar(data, &s).is_err());
         // Row count far beyond the column data.
-        let (data, _, _) = {
-            let mut b = ColumnarBlockBuilder::new(&s);
-            let row = Row::new(vec![
-                Value::Str("d".into()),
-                Value::Timestamp(1),
-                Value::I64(1),
-                Value::F64(1.0),
-            ]);
-            let key = row.encode_key(&s).unwrap();
-            b.add(&key, &row).unwrap();
-            b.finish()
-        };
+        let mut b = ColumnarBlockBuilder::new(&s);
+        let row = Row::new(vec![
+            Value::Str("d".into()),
+            Value::Timestamp(1),
+            Value::I64(1),
+            Value::F64(1.0),
+        ]);
+        b.add(&row).unwrap();
+        let mut data = Vec::new();
+        b.finish(&mut data);
         let mut big = data.clone();
         big[..4].copy_from_slice(&u32::MAX.to_le_bytes());
         assert!(matches!(

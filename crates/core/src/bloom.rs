@@ -27,6 +27,10 @@ pub struct BloomFilter {
 #[derive(Debug, Default)]
 pub struct BloomBuilder {
     hashes: Vec<u64>,
+    /// Elements added again after their hash was already collected: they
+    /// count towards the filter's size (it is sized per element added)
+    /// but set no bit the first copy does not.
+    repeats: u64,
 }
 
 impl BloomBuilder {
@@ -40,20 +44,27 @@ impl BloomBuilder {
         self.hashes.push(h);
     }
 
-    /// Number of elements added so far.
+    /// Counts `n` more elements whose hashes were each added before — by
+    /// [`BloomBuilder::add_hash`] — without storing them again. The built
+    /// filter is the one `n` further `add_hash` calls would have given.
+    pub fn add_repeats(&mut self, n: usize) {
+        self.repeats += n as u64;
+    }
+
+    /// Number of elements added so far, repeats included.
     pub fn len(&self) -> usize {
-        self.hashes.len()
+        self.hashes.len() + self.repeats as usize
     }
 
     /// True when nothing has been added.
     pub fn is_empty(&self) -> bool {
-        self.hashes.is_empty()
+        self.len() == 0
     }
 
     /// Finalizes into a filter using `bits_per_key` bits per element
     /// (the paper suggests 10, giving ~1% false positives).
     pub fn build(self, bits_per_key: u32) -> BloomFilter {
-        let n = self.hashes.len().max(1) as u64;
+        let n = self.len().max(1) as u64;
         let num_bits = (n * bits_per_key as u64).max(64);
         let words = num_bits.div_ceil(64);
         let num_bits = words * 64;
@@ -180,6 +191,22 @@ mod tests {
         f.encode(&mut buf);
         let back = BloomFilter::decode(&mut Reader::new(&buf)).unwrap();
         assert_eq!(f, back);
+    }
+
+    #[test]
+    fn repeats_build_the_filter_that_adding_again_would() {
+        let mut again = BloomBuilder::new();
+        let mut counted = BloomBuilder::new();
+        for i in 0..500u64 {
+            again.add_hash(mix64(i / 7));
+            if i % 7 == 0 {
+                counted.add_hash(mix64(i / 7));
+            } else {
+                counted.add_repeats(1);
+            }
+        }
+        assert_eq!(again.len(), counted.len());
+        assert_eq!(again.build(10), counted.build(10));
     }
 
     #[test]

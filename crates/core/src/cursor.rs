@@ -62,10 +62,12 @@ pub struct DiskCursor {
     block: Option<Arc<Block>>,
     started: bool,
     /// When nonzero, forward scans fetch runs of consecutive blocks up to
-    /// this many compressed bytes per read (§3.4.1's ~1 MB buffers, used
-    /// by merges); prefetched blocks queue here. Run reads bypass the
-    /// block cache — they stream each block exactly once, and admitting
-    /// them would evict the point-read working set.
+    /// this many compressed bytes per read (§3.4.1's ~1 MB buffers; the
+    /// rollup fold reads whole tablets this way, and merges do the same
+    /// a block at a time in `table::runmerge`); prefetched blocks queue
+    /// here. Run reads bypass the block cache — they stream each block
+    /// exactly once, and admitting them would evict the point-read
+    /// working set.
     read_run_bytes: usize,
     prefetched: std::collections::VecDeque<(usize, Arc<Block>)>,
     /// The tablet footer, pinned for this cursor's lifetime on first use.

@@ -153,44 +153,41 @@ fn decode_component(key: &[u8], ty: ColumnType) -> Result<(Value, &[u8])> {
     }
 }
 
-/// Returns the end offset of each key component inside an encoded key, in
-/// component order (the last boundary is the full key length). Used to
-/// enter every key *prefix* into a tablet's Bloom filter so prefix lookups
-/// can consult it.
-pub fn component_boundaries(key: &[u8], types: &[ColumnType]) -> Result<Vec<usize>> {
-    let mut boundaries = Vec::with_capacity(types.len());
-    let mut pos = 0usize;
-    for &ty in types {
-        match ty {
-            ColumnType::I32 | ColumnType::I64 | ColumnType::Timestamp => {
-                pos += 8;
-                if pos > key.len() {
-                    return Err(Error::corrupt("key integer truncated"));
+/// Returns the offset just past the key component of type `ty` that
+/// starts at `start` inside an encoded key. Components self-delimit, so
+/// walking a key with this yields the end of every key *prefix* — which
+/// is how a tablet's Bloom filter comes to hold each prefix, so prefix
+/// lookups can consult it.
+pub fn component_end(key: &[u8], start: usize, ty: ColumnType) -> Result<usize> {
+    let mut pos = start;
+    match ty {
+        ColumnType::I32 | ColumnType::I64 | ColumnType::Timestamp => {
+            pos += 8;
+            if pos > key.len() {
+                return Err(Error::corrupt("key integer truncated"));
+            }
+        }
+        ColumnType::Str | ColumnType::Blob => loop {
+            let b = *key
+                .get(pos)
+                .ok_or_else(|| Error::corrupt("key string truncated"))?;
+            pos += 1;
+            if b == 0 {
+                let n = *key
+                    .get(pos)
+                    .ok_or_else(|| Error::corrupt("key escape truncated"))?;
+                pos += 1;
+                if n == 0 {
+                    break;
+                }
+                if n != 0xFF {
+                    return Err(Error::corrupt("bad key escape"));
                 }
             }
-            ColumnType::Str | ColumnType::Blob => loop {
-                let b = *key
-                    .get(pos)
-                    .ok_or_else(|| Error::corrupt("key string truncated"))?;
-                pos += 1;
-                if b == 0 {
-                    let n = *key
-                        .get(pos)
-                        .ok_or_else(|| Error::corrupt("key escape truncated"))?;
-                    pos += 1;
-                    if n == 0 {
-                        break;
-                    }
-                    if n != 0xFF {
-                        return Err(Error::corrupt("bad key escape"));
-                    }
-                }
-            },
-            ColumnType::F64 => return Err(Error::corrupt("double in encoded key")),
-        }
-        boundaries.push(pos);
+        },
+        ColumnType::F64 => return Err(Error::corrupt("double in encoded key")),
     }
-    Ok(boundaries)
+    Ok(pos)
 }
 
 /// The smallest byte string greater than every string with prefix `p`, or
@@ -411,6 +408,27 @@ mod tests {
         let mut enc = encode_prefix(&[Value::I64(1), Value::Timestamp(2)], &types).unwrap();
         enc.push(0);
         assert!(decode_key(&enc, &types).is_err());
+    }
+
+    #[test]
+    fn component_ends_walk_every_prefix() {
+        let types = [ColumnType::Str, ColumnType::I32, ColumnType::Timestamp];
+        let vals = [
+            Value::Str("a\0b".into()),
+            Value::I32(-9),
+            Value::Timestamp(7),
+        ];
+        let key = encode_prefix(&vals, &types).unwrap();
+        let mut pos = 0;
+        for (n, &ty) in types.iter().enumerate() {
+            pos = component_end(&key, pos, ty).unwrap();
+            assert_eq!(key[..pos], encode_prefix(&vals[..=n], &types).unwrap()[..]);
+        }
+        assert_eq!(pos, key.len());
+        assert!(component_end(&key, pos, ColumnType::I64).is_err());
+        assert!(component_end(&key[..3], 0, ColumnType::Str).is_err());
+        assert!(component_end(b"a\0\x07", 0, ColumnType::Blob).is_err());
+        assert!(component_end(&key, 0, ColumnType::F64).is_err());
     }
 
     #[test]

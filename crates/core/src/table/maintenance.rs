@@ -8,9 +8,10 @@
 //! flushed memtablets stay alive through the snapshot's `Arc`s until
 //! the last such reader drops it.
 
+use super::runmerge::{merge_runs, RunSource};
 use super::state::{DiskHandle, SharedMemTablet, TableState};
 use super::{MaintenanceReport, Table};
-use crate::cursor::{DiskCursor, MergeCursor, RowSource};
+use crate::cursor::{DiskCursor, RowSource};
 use crate::descriptor::{tablet_file_name, TableDescriptor, TabletMeta};
 use crate::error::{Error, Result};
 use crate::keyenc::{encode_prefix, KeyRange};
@@ -312,14 +313,21 @@ impl Table {
                 self.opts.bloom_filters,
                 self.opts.block_format,
             );
-            let mut cur = DiskCursor::new(h.reader.clone(), schema.clone(), KeyRange::all(), false)
-                .with_read_run(1 << 20);
-            while let Some((key, row)) = cur.next_row()? {
-                if range.contains(&key) {
-                    deleted += 1;
-                    continue;
+            let mut src = RunSource::open(h.reader.clone())?;
+            while let Some(block) = src.front() {
+                // Keep the block's rows on either side of the prefix:
+                // those before it, then (if that did not use the block
+                // up) step over the matching rows and keep the rest.
+                let len = block.len();
+                let hit = block.rows_in_range(range)?;
+                deleted += hit.len() as u64;
+                src.emit_to(hit.start, &mut w, Micros::MIN)?;
+                if hit.start < len {
+                    src.advance_to(hit.end)?;
+                    if hit.end < len {
+                        src.emit_to(len, &mut w, Micros::MIN)?;
+                    }
                 }
-                w.add_row(&key, &row)?;
             }
             if w.row_count() == 0 {
                 drop(w);
@@ -490,7 +498,7 @@ impl Table {
     /// Merge-sorts `sources` into one new tablet (§3.4.1), translating
     /// rows to the newest schema and dropping rows that have already
     /// expired. Returns `None` when every row had expired.
-    fn execute_merge(
+    pub(super) fn execute_merge(
         &self,
         sources: &[DiskHandle],
         schema: &SchemaRef,
@@ -499,18 +507,6 @@ impl Table {
         now: Micros,
     ) -> Result<Option<DiskHandle>> {
         let cutoff = ttl.map(|t| now.saturating_sub(t)).unwrap_or(Micros::MIN);
-        let cursors: Vec<Box<dyn RowSource + Send>> = sources
-            .iter()
-            .map(|h| {
-                // §3.4.1: merges read in ~1 MB runs so the disk spends at
-                // most half its time seeking between the input tablets.
-                Box::new(
-                    DiskCursor::new(h.reader.clone(), schema.clone(), KeyRange::all(), false)
-                        .with_read_run(1 << 20),
-                ) as Box<dyn RowSource + Send>
-            })
-            .collect();
-        let mut merge = MergeCursor::new(cursors, false);
         let path = join(&self.dir, &tablet_file_name(new_id));
         let size_hint: u64 = sources.iter().map(|h| h.meta.bytes).sum();
         let file = self.vfs.create(&path, size_hint)?;
@@ -521,12 +517,7 @@ impl Table {
             self.opts.bloom_filters,
             self.opts.block_format,
         );
-        while let Some((key, row)) = merge.next_row()? {
-            if row.ts(schema)? < cutoff {
-                continue;
-            }
-            w.add_row(&key, &row)?;
-        }
+        merge_runs(sources.iter().map(|h| h.reader.clone()), &mut w, cutoff)?;
         if w.row_count() == 0 {
             drop(w);
             let _ = self.vfs.remove(&path);

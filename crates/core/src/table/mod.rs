@@ -11,16 +11,21 @@
 //!   built entirely from a snapshot load;
 //! * [`maintenance`] — flush, merge, TTL reaping, bulk delete, cold
 //!   migration, and schema evolution, each republishing the snapshot
-//!   at its commit point.
+//!   at its commit point;
+//! * [`runmerge`] — the block-at-a-time k-way merge that merges and bulk
+//!   deletes stream their input tablets through.
 
 mod colscan;
 mod maintenance;
 mod read;
+mod runmerge;
 mod state;
 #[cfg(test)]
 mod tests;
 #[cfg(test)]
 mod tests_ext;
+#[cfg(test)]
+mod tests_merge;
 mod write;
 
 pub use colscan::{cmp_values, ColumnPredicate, PredOp, PushdownRequest, ScanUnit, Selection};

@@ -1,0 +1,197 @@
+//! The merge that maintenance runs (§3.4.1), over blocks instead of rows.
+//!
+//! Every input tablet is streamed as decoded blocks, read in ~1 MB runs.
+//! The loop picks the source whose head row has the smallest key, finds by
+//! galloping search how far that source's current block stays below every
+//! other source's head, and hands that row range to
+//! [`TabletWriter::add_run`] — which copies column sub-slices when it can
+//! and goes row by row when it must. Keys are compared in their encoded
+//! form, built into a scratch buffer for the handful of rows a search
+//! probes; no key arena, no `Row`, no heap of rows.
+
+use crate::block::Block;
+use crate::error::Result;
+use crate::tablet::{TabletFooter, TabletReader, TabletWriter};
+use littletable_vfs::Micros;
+use std::collections::VecDeque;
+use std::sync::Arc;
+
+/// Compressed bytes fetched per disk access. §3.4.1: to spend at most half
+/// its time seeking between input tablets, a merge must read about 1 MB
+/// at a time. These reads bypass the block cache — they stream each block
+/// exactly once, and admitting them would evict the point-read working
+/// set.
+const READ_RUN_BYTES: usize = 1 << 20;
+
+/// One maintenance input: a tablet streamed front to back, with a head
+/// row that moves forward.
+pub(super) struct RunSource {
+    reader: Arc<TabletReader>,
+    footer: Arc<TabletFooter>,
+    /// Decoded blocks not yet consumed; the front one holds the head row.
+    queue: VecDeque<Block>,
+    /// Index, within the tablet, of the first block not yet read.
+    unread: usize,
+    /// The head row's index within the front block.
+    row: usize,
+    /// The head row's encoded key.
+    head: Vec<u8>,
+}
+
+impl RunSource {
+    /// Opens `reader`'s tablet at its first row: loads the footer and
+    /// reads the first run of blocks.
+    pub(super) fn open(reader: Arc<TabletReader>) -> Result<RunSource> {
+        let mut src = RunSource {
+            footer: reader.footer()?,
+            reader,
+            queue: VecDeque::new(),
+            unread: 0,
+            row: 0,
+            head: Vec::new(),
+        };
+        src.advance_to(0)?;
+        Ok(src)
+    }
+
+    /// The block holding the head row; `None` once the tablet is
+    /// exhausted.
+    pub(super) fn front(&self) -> Option<&Block> {
+        self.queue.front()
+    }
+
+    fn has_unread(&self) -> bool {
+        self.unread < self.footer.blocks.len()
+    }
+
+    fn read_next_run(&mut self) -> Result<()> {
+        let run = self.reader.read_block_run(self.unread, READ_RUN_BYTES)?;
+        self.unread += run.len();
+        self.queue.extend(run);
+        Ok(())
+    }
+
+    /// Moves the head to `row` of the front block, or to the start of the
+    /// block after it when `row` is that block's length.
+    pub(super) fn advance_to(&mut self, row: usize) -> Result<()> {
+        self.row = row;
+        loop {
+            match self.queue.front() {
+                Some(b) if self.row < b.len() => break,
+                Some(_) => {
+                    self.queue.pop_front();
+                    self.row = 0;
+                }
+                None if self.has_unread() => self.read_next_run()?,
+                None => return Ok(()),
+            }
+        }
+        // The row cursor that merges used to pull from held one row in
+        // hand with its position one past it, so it read a tablet's next
+        // run of blocks as the head reached a block's last row. Reading
+        // at the same moment keeps the disk's sequence of reads and
+        // writes — and so its seeks — what it always was.
+        let block = &self.queue[0];
+        let at_last_row = self.row + 1 == block.len();
+        block.key_into(self.row, &mut self.head)?;
+        if at_last_row && self.queue.len() == 1 && self.has_unread() {
+            self.read_next_run()?;
+        }
+        Ok(())
+    }
+
+    /// The end of the longest run of rows, starting at the head, that
+    /// sort before `bound` (or up to it, when `through` is set): found by
+    /// doubling steps from the head, then bisecting the last step.
+    fn run_end(&self, bound: &[u8], through: bool, scratch: &mut Vec<u8>) -> Result<usize> {
+        let block = &self.queue[0];
+        let mut before = |i: usize| -> Result<bool> {
+            let key = block.probe_key(i, scratch)?;
+            Ok(if through { key <= bound } else { key < bound })
+        };
+        // `lo` is inside the run (the head was chosen as the smallest);
+        // `hi` is the block's end or a row known to be outside.
+        let mut lo = self.row;
+        let mut step = 1;
+        let mut hi = loop {
+            let probe = lo + step;
+            if probe >= block.len() {
+                break block.len();
+            }
+            if !before(probe)? {
+                break probe;
+            }
+            lo = probe;
+            step *= 2;
+        };
+        while lo + 1 < hi {
+            let mid = lo + (hi - lo) / 2;
+            if before(mid)? {
+                lo = mid;
+            } else {
+                hi = mid;
+            }
+        }
+        Ok(hi)
+    }
+
+    /// Writes the front block's rows from the head up to `end` into `w`,
+    /// dropping those older than `min_ts`, and moves the head to `end`.
+    pub(super) fn emit_to(
+        &mut self,
+        end: usize,
+        w: &mut TabletWriter,
+        min_ts: Micros,
+    ) -> Result<()> {
+        let mut from = self.row;
+        let len = self.queue[0].len();
+        // See `advance_to`: the next run of blocks was read when the head
+        // reached the last row, before the row ahead of it was written.
+        if self.queue.len() == 1 && self.has_unread() && from + 2 <= len && len < end + 2 {
+            w.add_run(&self.queue[0], &self.footer.schema, from..len - 2, min_ts)?;
+            self.read_next_run()?;
+            from = len - 2;
+        }
+        w.add_run(&self.queue[0], &self.footer.schema, from..end, min_ts)?;
+        self.advance_to(end)
+    }
+}
+
+/// Merge-sorts the tablets behind `readers` into `w`, dropping rows
+/// older than `min_ts`. On equal keys (which unique primary keys rule
+/// out) the earlier reader's row goes first and the writer rejects the
+/// second.
+pub(super) fn merge_runs(
+    readers: impl Iterator<Item = Arc<TabletReader>>,
+    w: &mut TabletWriter,
+    min_ts: Micros,
+) -> Result<()> {
+    let mut sources = readers.map(RunSource::open).collect::<Result<Vec<_>>>()?;
+    let mut scratch = Vec::new();
+    loop {
+        sources.retain(|s| s.front().is_some());
+        // The source whose head comes next, and the one after it: the
+        // first source's rows go out until one would pass the second's
+        // head.
+        let mut first: Option<usize> = None;
+        let mut second: Option<usize> = None;
+        for (i, s) in sources.iter().enumerate() {
+            if first.is_none_or(|f| s.head < sources[f].head) {
+                second = first;
+                first = Some(i);
+            } else if second.is_none_or(|n| s.head < sources[n].head) {
+                second = Some(i);
+            }
+        }
+        let Some(first) = first else {
+            return Ok(());
+        };
+        let end = match second {
+            None => sources[first].queue[0].len(),
+            Some(second) => {
+                sources[first].run_end(&sources[second].head, first < second, &mut scratch)?
+            }
+        };
+        sources[first].emit_to(end, w, min_ts)?;
+    }
+}

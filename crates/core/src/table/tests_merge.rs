@@ -1,0 +1,395 @@
+//! The block-at-a-time merge against the row-at-a-time merge it replaced:
+//! over every kind of source the same rows must yield the same *file* —
+//! block boundaries, codec choices, zone maps, Bloom bits, timespan and
+//! all.
+
+use super::state::DiskHandle;
+use super::*;
+use crate::block::BlockFormat;
+use crate::cursor::{DiskCursor, MergeCursor, RowSource};
+use crate::db::Db;
+use crate::descriptor::{parse_tablet_file_name, tablet_file_name};
+use crate::keyenc::{encode_prefix, KeyRange};
+use crate::query::Query;
+use crate::schema::ColumnDef;
+use crate::tablet::TabletWriter;
+use crate::value::{ColumnType, Value};
+use littletable_vfs::{SimClock, SimVfs, MICROS_PER_SEC};
+
+const SEC: Micros = MICROS_PER_SEC;
+const START: Micros = 1_700_000_000 * MICROS_PER_SEC;
+/// Tablet id the merges under test write to; they are never committed.
+const OUT_ID: u64 = 900_001;
+
+/// The merge loop as it was before maintenance moved columns: a row
+/// cursor per source, a heap of rows, one `add_row` per row, written to
+/// `path`. `drop` leaves out the rows inside a key range, which makes a
+/// single-source call the rewrite a bulk delete performs. Returns
+/// `(rows written, rows dropped by the range)`.
+fn write_by_rows(
+    t: &Table,
+    sources: &[DiskHandle],
+    schema: &SchemaRef,
+    cutoff: Micros,
+    drop: Option<&KeyRange>,
+    path: &str,
+) -> (u64, u64) {
+    let cursors: Vec<Box<dyn RowSource + Send>> = sources
+        .iter()
+        .map(|h| {
+            Box::new(
+                DiskCursor::new(h.reader.clone(), schema.clone(), KeyRange::all(), false)
+                    .with_read_run(1 << 20),
+            ) as Box<dyn RowSource + Send>
+        })
+        .collect();
+    let mut merge = MergeCursor::new(cursors, false);
+    let mut w = TabletWriter::new(
+        t.vfs.create(path, 0).unwrap(),
+        (**schema).clone(),
+        t.opts.block_size,
+        t.opts.bloom_filters,
+        t.opts.block_format,
+    );
+    let mut dropped = 0;
+    while let Some((key, row)) = merge.next_row().unwrap() {
+        if drop.is_some_and(|r| r.contains(&key)) {
+            dropped += 1;
+        } else if row.ts(schema).unwrap() >= cutoff {
+            w.add_row(&key, &row).unwrap();
+        }
+    }
+    let rows = w.row_count();
+    if rows > 0 {
+        w.finish().unwrap();
+    }
+    (rows, dropped)
+}
+
+fn file_bytes(vfs: &SimVfs, path: &str) -> Vec<u8> {
+    let f = vfs.open(path).unwrap();
+    let mut all = vec![0u8; f.len().unwrap() as usize];
+    f.read_exact_at(0, &mut all).unwrap();
+    all
+}
+
+struct Bed {
+    /// Keeps the engine the table belongs to alive.
+    _db: Db,
+    vfs: SimVfs,
+    clock: SimClock,
+    t: Arc<Table>,
+}
+
+fn opts(format: BlockFormat) -> Options {
+    Options {
+        // One tablet per `flush_all`, and no merge unless a test runs it.
+        flush_size: 16 << 20,
+        block_size: 4 << 10,
+        merge_enabled: false,
+        block_format: format,
+        ..Options::default()
+    }
+}
+
+fn wide_schema() -> Schema {
+    Schema::new(
+        vec![
+            ColumnDef::new("host", ColumnType::I64),
+            ColumnDef::new("port", ColumnType::I32),
+            ColumnDef::new("ts", ColumnType::Timestamp),
+            ColumnDef::new("v", ColumnType::I64),
+            ColumnDef::new("load", ColumnType::F64),
+            ColumnDef::new("note", ColumnType::Str),
+        ],
+        &["host", "port", "ts"],
+    )
+    .unwrap()
+}
+
+fn bed_on(vfs: SimVfs, clock: SimClock, format: BlockFormat, schema: Option<Schema>) -> Bed {
+    let db = Db::open(Arc::new(vfs.clone()), Arc::new(clock.clone()), opts(format)).unwrap();
+    let t = match schema {
+        Some(s) => db.create_table("m", s, None).unwrap(),
+        None => db.table("m").unwrap(),
+    };
+    Bed {
+        _db: db,
+        vfs,
+        clock,
+        t,
+    }
+}
+
+fn bed(schema: Schema) -> Bed {
+    bed_on(
+        SimVfs::instant(),
+        SimClock::new(START),
+        BlockFormat::Columnar,
+        Some(schema),
+    )
+}
+
+/// Inserts one row per (host, tick) under the table's current schema and
+/// flushes them into one tablet.
+fn load(b: &Bed, hosts: impl Iterator<Item = i64>, ticks: std::ops::Range<i64>) {
+    let schema = b.t.schema();
+    for h in hosts {
+        let rows: Vec<Vec<Value>> = ticks
+            .clone()
+            .map(|k| {
+                let n = h * 1000 + k;
+                let mut row = vec![
+                    Value::I64(h),
+                    match schema.columns()[1].ty {
+                        ColumnType::I32 => Value::I32((h % 3) as i32 - 1),
+                        _ => Value::I64(h % 3 - 1),
+                    },
+                    Value::Timestamp(START + k * SEC),
+                    Value::I64(n * 7),
+                    Value::F64(if n % 97 == 0 {
+                        f64::NAN
+                    } else {
+                        n as f64 / 4.0
+                    }),
+                    Value::Str(format!("note-{}", n % 11)),
+                ];
+                // Columns added since take a value of their own.
+                for col in &schema.columns()[row.len()..] {
+                    row.push(match col.ty {
+                        ColumnType::I64 => Value::I64(n),
+                        _ => col.default.clone(),
+                    });
+                }
+                row
+            })
+            .collect();
+        b.t.insert(rows).unwrap();
+    }
+    b.t.flush_all().unwrap();
+}
+
+/// Merges every on-disk tablet of the table both ways and holds the
+/// outputs to each other, byte for byte. Returns the merged file, `None`
+/// when both agree that no row survived.
+fn merges_agree(b: &Bed, ttl: Option<Micros>, now: Micros) -> Option<Vec<u8>> {
+    let (sources, schema) = {
+        let st = b.t.state.lock();
+        (st.disk.clone(), st.schema.clone())
+    };
+    assert!(sources.len() >= 2, "{} sources", sources.len());
+    let ref_path = join(b.t.dir(), "by-rows");
+    let out_path = join(b.t.dir(), &tablet_file_name(OUT_ID));
+    for stale in [&ref_path, &out_path] {
+        let _ = b.vfs.remove(stale);
+    }
+    let merged =
+        b.t.execute_merge(&sources, &schema, ttl, OUT_ID, now)
+            .unwrap();
+    let cutoff = ttl.map(|t| now - t).unwrap_or(Micros::MIN);
+    let (ref_rows, _) = write_by_rows(&b.t, &sources, &schema, cutoff, None, &ref_path);
+    let Some(merged) = merged else {
+        assert_eq!(ref_rows, 0, "the run merge dropped rows the row merge kept");
+        return None;
+    };
+    assert_eq!(merged.meta.rows, ref_rows);
+    let got = file_bytes(&b.vfs, &out_path);
+    let want = file_bytes(&b.vfs, &ref_path);
+    assert_eq!(got.len(), want.len(), "merged tablet length");
+    if let Some(at) = got.iter().zip(&want).position(|(a, b)| a != b) {
+        panic!("merged tablets differ first at byte {at} of {}", got.len());
+    }
+    assert_eq!(merged.meta.bytes, got.len() as u64);
+    Some(got)
+}
+
+#[test]
+fn interleaved_sources_two_to_five() {
+    for k in 2..=5i64 {
+        let b = bed(wide_schema());
+        // Every source holds every host: runs of 40 rows take turns.
+        for s in 0..k {
+            load(&b, 0..12, s * 40..(s + 1) * 40);
+        }
+        let merged = merges_agree(&b, None, b.clock.now_micros()).unwrap();
+        assert!(merged.len() > 4 << 10, "{k} sources");
+    }
+}
+
+#[test]
+fn disjoint_and_nested_key_ranges() {
+    let b = bed(wide_schema());
+    // Whole blocks go over in one run; the last source sits inside the
+    // first one's key range.
+    load(&b, 0..10, 0..60);
+    load(&b, 20..30, 0..60);
+    load(&b, 10..20, 0..60);
+    load(&b, 3..6, 60..90);
+    merges_agree(&b, None, b.clock.now_micros()).unwrap();
+}
+
+#[test]
+fn a_run_ending_exactly_on_an_output_block_boundary() {
+    let schema = Schema::new(
+        vec![
+            ColumnDef::new("host", ColumnType::I64),
+            ColumnDef::new("ts", ColumnType::Timestamp),
+            ColumnDef::new("v", ColumnType::I64),
+        ],
+        &["host", "ts"],
+    )
+    .unwrap();
+    let b = bed(schema.clone());
+    // 24 estimated bytes a row over a 22-byte header: a 4 kB block fills
+    // on its 170th row, the last of every second 85-row run.
+    for src in 0..2 {
+        for h in (src..16).step_by(2) {
+            let rows = (0..85)
+                .map(|k| {
+                    vec![
+                        Value::I64(h),
+                        Value::Timestamp(START + k * SEC),
+                        Value::I64(h * k),
+                    ]
+                })
+                .collect();
+            b.t.insert(rows).unwrap();
+        }
+        b.t.flush_all().unwrap();
+    }
+    merges_agree(&b, None, b.clock.now_micros()).unwrap();
+    let out =
+        b.t.new_reader(b.t.vfs.clone(), join(b.t.dir(), &tablet_file_name(OUT_ID)));
+    let footer = out.footer().unwrap();
+    assert_eq!(footer.blocks.len(), 8);
+    for (i, blk) in footer.blocks.iter().enumerate() {
+        assert_eq!(blk.rows, 170);
+        let last = encode_prefix(
+            &[
+                Value::I64(2 * i as i64 + 1),
+                Value::Timestamp(START + 84 * SEC),
+            ],
+            &schema.key_types(),
+        )
+        .unwrap();
+        assert_eq!(blk.last_key, last);
+    }
+}
+
+#[test]
+fn a_row_layout_source_among_columnar_ones() {
+    let vfs = SimVfs::instant();
+    let clock = SimClock::new(START);
+    let b = bed_on(
+        vfs.clone(),
+        clock.clone(),
+        BlockFormat::Row,
+        Some(wide_schema()),
+    );
+    load(&b, 0..8, 0..50);
+    drop(b);
+    let b = bed_on(vfs, clock, BlockFormat::Columnar, None);
+    load(&b, 0..8, 50..100);
+    load(&b, 4..12, 100..150);
+    merges_agree(&b, None, b.clock.now_micros()).unwrap();
+}
+
+#[test]
+fn a_row_layout_output() {
+    let vfs = SimVfs::instant();
+    let clock = SimClock::new(START);
+    let b = bed_on(
+        vfs.clone(),
+        clock.clone(),
+        BlockFormat::Columnar,
+        Some(wide_schema()),
+    );
+    load(&b, 0..8, 0..50);
+    load(&b, 0..8, 50..100);
+    drop(b);
+    // A deployment rolled back to the row layout merges columnar inputs.
+    let b = bed_on(vfs, clock, BlockFormat::Row, None);
+    merges_agree(&b, None, b.clock.now_micros()).unwrap();
+}
+
+#[test]
+fn schema_lagging_sources() {
+    let b = bed(wide_schema());
+    load(&b, 0..8, 0..50);
+    b.t.add_column(ColumnDef::with_default(
+        "extra",
+        ColumnType::I64,
+        Value::I64(-7),
+    ))
+    .unwrap();
+    load(&b, 0..8, 50..100);
+    b.t.widen_column("port").unwrap();
+    load(&b, 2..10, 100..150);
+    let merged = merges_agree(&b, None, b.clock.now_micros());
+    assert!(merged.is_some());
+    // The old tablets' rows came through translated.
+    let rows = b.t.query_all(&Query::all()).unwrap();
+    assert_eq!(rows.len(), 8 * 150);
+    assert_eq!(rows[0].values[1], Value::I64(-1));
+    assert_eq!(rows[0].values[6], Value::I64(-7));
+}
+
+#[test]
+fn ttl_cutoff_inside_a_block_and_past_every_row() {
+    let b = bed(wide_schema());
+    load(&b, 0..8, 0..60);
+    load(&b, 0..8, 60..120);
+    let now = START + 200 * SEC;
+    // Ticks 0..75 have expired: every block of the first source and a
+    // stretch at the head of each run of the second.
+    let cut = merges_agree(&b, Some(125 * SEC), now).unwrap();
+    let all = merges_agree(&b, None, now).unwrap();
+    assert!(cut.len() < all.len());
+    // One tick survives, at the very end of every run.
+    merges_agree(&b, Some(81 * SEC), now).unwrap();
+    // Nothing does.
+    assert!(merges_agree(&b, Some(80 * SEC), now).is_none());
+    assert!(merges_agree(&b, Some(SEC), now).is_none());
+}
+
+#[test]
+fn bulk_delete_of_a_middle_prefix() {
+    let b = bed(wide_schema());
+    load(&b, 0..12, 0..50);
+    load(&b, 4..7, 50..100); // holds nothing but the prefix and neighbours
+    load(&b, 5..6, 100..150); // holds nothing but the prefix: dropped whole
+    load(&b, 8..12, 100..150); // does not hold the prefix: left alone
+    let (sources, schema) = {
+        let st = b.t.state.lock();
+        (st.disk.clone(), st.schema.clone())
+    };
+    let prefix = [Value::I64(5)];
+    let range = KeyRange::for_prefix(encode_prefix(&prefix, &schema.key_types()).unwrap());
+    let mut want = Vec::new();
+    let mut want_deleted = 0;
+    for (i, h) in sources.iter().enumerate() {
+        let path = join(b.t.dir(), &format!("by-rows-{i}"));
+        let one = std::slice::from_ref(h);
+        let (rows, dropped) = write_by_rows(&b.t, one, &schema, Micros::MIN, Some(&range), &path);
+        want_deleted += dropped;
+        if dropped == 0 {
+            want.push(file_bytes(&b.vfs, &join(b.t.dir(), &h.meta.file_name())));
+        } else if rows > 0 {
+            want.push(file_bytes(&b.vfs, &path));
+        }
+        b.vfs.remove(&path).unwrap();
+    }
+    assert_eq!(want.len(), 3);
+    assert_eq!(b.t.bulk_delete(&prefix).unwrap(), want_deleted);
+    let mut got: Vec<Vec<u8>> = b
+        .vfs
+        .list_dir(b.t.dir())
+        .unwrap()
+        .iter()
+        .filter(|name| parse_tablet_file_name(name).is_some())
+        .map(|name| file_bytes(&b.vfs, &join(b.t.dir(), name)))
+        .collect();
+    got.sort();
+    want.sort();
+    assert!(got == want, "rewritten tablets differ from the row rewrite");
+}

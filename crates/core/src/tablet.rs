@@ -13,20 +13,31 @@
 //! paper's "final two words" — plus a compressed size, a CRC, and a magic
 //! number for corruption detection. Reading a cold tablet's footer costs
 //! three seeks: inode, trailer, footer body.
+//!
+//! A [`TabletWriter`] takes rows two ways. [`TabletWriter::add_row`] takes
+//! one materialized row (a memtable flush). [`TabletWriter::add_run`]
+//! takes a row range of a decoded source block (a merge, a bulk delete)
+//! and, when source and output are both columnar under one schema
+//! version, copies typed column sub-slices without building a row; any
+//! other pairing goes row by row inside it. Either way the same rows
+//! yield the same file: blocks are cut after the row that brings the
+//! size estimate to the block size, and the Bloom filter gets every
+//! prefix of every key.
 
-use crate::block::{Block, BlockBuilder, BlockFormat, ColumnarBlockBuilder};
+use crate::block::{Block, BlockBuilder, BlockFormat, ColumnarBlock, ColumnarBlockBuilder};
 use crate::bloom::{BloomBuilder, BloomFilter};
 use crate::cache::{CacheHandle, CompressedBlock};
 use crate::error::{Error, Result};
-use crate::keyenc::component_boundaries;
+use crate::keyenc::component_end;
 use crate::row::{encode_payload, Row};
 use crate::schema::{decode_value, encode_value, Schema};
 use crate::stats::TableStats;
-use crate::util::{crc32, hash_bytes, put_varint, Reader};
-use crate::value::Value;
+use crate::util::{crc32, fnv1a, mix64, put_varint, Reader, FNV_OFFSET};
+use crate::value::{ColumnType, Value};
 use littletable_vfs::{Micros, RandomAccessFile, Vfs, WritableFile};
 use parking_lot::Mutex;
 use std::cell::RefCell;
+use std::ops::Range;
 use std::sync::{Arc, OnceLock};
 
 thread_local! {
@@ -255,6 +266,54 @@ impl TabletFooter {
     }
 }
 
+/// Collects the Bloom filter's elements — the hash of every prefix of
+/// every key, at component boundaries — in one streaming FNV-1a pass per
+/// key. It remembers where the previous key's components ended and the
+/// hash state there, so a key hashes only from its first component that
+/// differs from the previous key's: the prefixes before it are the
+/// previous key's own and are counted, not hashed or stored again.
+struct PrefixBloom {
+    builder: BloomBuilder,
+    key_types: Vec<ColumnType>,
+    /// End offset of each component of the previous key.
+    ends: Vec<usize>,
+    /// FNV-1a state at each of `ends`.
+    states: Vec<u64>,
+}
+
+impl PrefixBloom {
+    fn new(key_types: Vec<ColumnType>) -> Self {
+        PrefixBloom {
+            builder: BloomBuilder::new(),
+            ends: Vec::with_capacity(key_types.len()),
+            states: Vec::with_capacity(key_types.len()),
+            key_types,
+        }
+    }
+
+    /// Adds every prefix of `key`, which shares its first `shared` bytes
+    /// with the previous key added.
+    fn add_key(&mut self, key: &[u8], shared: usize) -> Result<()> {
+        // A component that ends inside the shared bytes ends there in
+        // both keys, on the same hash state.
+        let same = self.ends.iter().take_while(|&&end| end <= shared).count();
+        self.builder.add_repeats(same);
+        self.ends.truncate(same);
+        self.states.truncate(same);
+        let mut pos = self.ends.last().copied().unwrap_or(0);
+        let mut state = self.states.last().copied().unwrap_or(FNV_OFFSET);
+        for &ty in &self.key_types[same..] {
+            let end = component_end(key, pos, ty)?;
+            state = fnv1a(state, &key[pos..end]);
+            self.builder.add_hash(mix64(state));
+            self.ends.push(end);
+            self.states.push(state);
+            pos = end;
+        }
+        Ok(())
+    }
+}
+
 /// Streams sorted rows into a tablet file.
 pub struct TabletWriter {
     file: Box<dyn WritableFile>,
@@ -265,14 +324,17 @@ pub struct TabletWriter {
     colblock: Option<ColumnarBlockBuilder>,
     blocks: Vec<BlockIndexEntry>,
     block_size: usize,
-    bloom: Option<BloomBuilder>,
-    key_types: Vec<crate::value::ColumnType>,
+    bloom: Option<PrefixBloom>,
     schema: Schema,
     min_ts: Micros,
     max_ts: Micros,
     row_count: u64,
     offset: u64,
     last_key: Vec<u8>,
+    /// The next key of a run, encoded here before it becomes `last_key`.
+    key_scratch: Vec<u8>,
+    /// The block under way, serialized and not yet compressed.
+    raw: Vec<u8>,
     scratch: Vec<u8>,
     payload_scratch: Vec<u8>,
 }
@@ -297,17 +359,40 @@ impl TabletWriter {
                 .then(|| ColumnarBlockBuilder::new(&schema)),
             blocks: Vec::new(),
             block_size,
-            bloom: with_bloom.then(BloomBuilder::new),
-            key_types: schema.key_types(),
+            bloom: with_bloom.then(|| PrefixBloom::new(schema.key_types())),
             schema,
             min_ts: Micros::MAX,
             max_ts: Micros::MIN,
             row_count: 0,
             offset: 0,
             last_key: Vec::new(),
+            key_scratch: Vec::new(),
+            raw: Vec::new(),
             scratch: Vec::new(),
             payload_scratch: Vec::new(),
         }
+    }
+
+    /// Checks that `key` sorts strictly after every key written so far,
+    /// enters its prefixes into the Bloom filter, and makes it the last
+    /// key.
+    fn accept_key(&mut self, key: &[u8]) -> Result<()> {
+        if self.row_count > 0 && key <= self.last_key.as_slice() {
+            return Err(Error::invalid(
+                "tablet rows must be written in strictly ascending key order",
+            ));
+        }
+        if let Some(bloom) = &mut self.bloom {
+            let shared = key
+                .iter()
+                .zip(&self.last_key)
+                .take_while(|(a, b)| a == b)
+                .count();
+            bloom.add_key(key, shared)?;
+        }
+        self.last_key.clear();
+        self.last_key.extend_from_slice(key);
+        Ok(())
     }
 
     /// Appends a row under its encoded primary key `key`. Keys must
@@ -315,69 +400,147 @@ impl TabletWriter {
     /// encoding of `row`'s key columns.
     pub fn add_row(&mut self, key: &[u8], row: &Row) -> Result<()> {
         let ts = row.ts(&self.schema)?;
-        if (!self.last_key.is_empty() || self.row_count > 0) && key <= self.last_key.as_slice() {
-            return Err(Error::invalid(
-                "tablet rows must be written in strictly ascending key order",
-            ));
-        }
-        match &mut self.colblock {
-            Some(cb) => cb.add(key, row)?,
+        self.accept_key(key)?;
+        let est = match &mut self.colblock {
+            Some(cb) => {
+                cb.add(row)?;
+                cb.size_estimate()
+            }
             None => {
                 self.payload_scratch.clear();
                 encode_payload(&mut self.payload_scratch, row, &self.schema);
                 self.block.add(key, &self.payload_scratch);
+                self.block.size_estimate()
             }
-        }
+        };
         self.row_count += 1;
         self.min_ts = self.min_ts.min(ts);
         self.max_ts = self.max_ts.max(ts);
-        self.last_key.clear();
-        self.last_key.extend_from_slice(key);
-        if let Some(bloom) = &mut self.bloom {
-            for &end in &component_boundaries(key, &self.key_types)? {
-                bloom.add_hash(hash_bytes(&key[..end]));
-            }
-        }
-        let est = match &self.colblock {
-            Some(cb) => cb.size_estimate(),
-            None => self.block.size_estimate(),
-        };
         if est >= self.block_size {
             self.flush_block()?;
         }
         Ok(())
     }
 
+    /// Appends `rows` of `block`, a block of a tablet written under
+    /// `block_schema` (any version of this writer's schema), skipping
+    /// rows whose timestamp is below `min_ts`. The result is the file
+    /// [`TabletWriter::add_row`] would produce from the same rows, and
+    /// the same ordering rule holds: keys strictly ascending within the
+    /// run and after everything written before it.
+    ///
+    /// A columnar block under this writer's own schema version, going
+    /// into a columnar tablet, is copied as typed column sub-slices.
+    /// Anything else — a row-layout block, a block that needs
+    /// translating, a row-layout writer — is materialized row by row,
+    /// since there are no matching column slices to copy between.
+    pub fn add_run(
+        &mut self,
+        block: &Block,
+        block_schema: &Schema,
+        rows: Range<usize>,
+        min_ts: Micros,
+    ) -> Result<()> {
+        if rows.start > rows.end || rows.end > block.len() {
+            return Err(Error::invalid("row run reaches outside its block"));
+        }
+        let same_schema = block_schema.version() == self.schema.version();
+        if let (Block::Columnar(src), true, true) = (block, same_schema, self.colblock.is_some()) {
+            let ts = src.timestamps()?;
+            let mut at = rows.start;
+            while at < rows.end {
+                // The next stretch of rows still inside the TTL.
+                let live = ts[at..rows.end]
+                    .iter()
+                    .take_while(|&&t| t >= min_ts)
+                    .count();
+                self.append_columns(src, ts, at..at + live)?;
+                at += live + 1;
+            }
+            return Ok(());
+        }
+        let mut key = std::mem::take(&mut self.key_scratch);
+        let result = rows.into_iter().try_for_each(|i| {
+            let mut row = block.row(i, block_schema)?;
+            if !same_schema {
+                row = Row::new(block_schema.translate_row(&self.schema, row.values)?);
+            }
+            if row.ts(&self.schema)? < min_ts {
+                return Ok(());
+            }
+            let key = block.probe_key(i, &mut key)?;
+            self.add_row(key, &row)
+        });
+        self.key_scratch = key;
+        result
+    }
+
+    /// The columnar half of [`TabletWriter::add_run`]: `rows` of `src`
+    /// (whose timestamp column is `ts`) go into the block builder a
+    /// block's worth at a time, each chunk ending exactly where
+    /// row-at-a-time appends would have cut.
+    fn append_columns(
+        &mut self,
+        src: &ColumnarBlock,
+        ts: &[Micros],
+        rows: Range<usize>,
+    ) -> Result<()> {
+        let mut at = rows.start;
+        while at < rows.end {
+            let cb = self.colblock.as_mut().expect("add_run checked");
+            let taken = cb.append_run(src, at..rows.end, self.block_size)?;
+            let full = cb.size_estimate() >= self.block_size;
+            let mut key = std::mem::take(&mut self.key_scratch);
+            let accepted = (at..at + taken).try_for_each(|i| {
+                key.clear();
+                src.encode_key(i, &mut key);
+                self.row_count += 1;
+                self.accept_key(&key)
+            });
+            self.key_scratch = key;
+            accepted?;
+            for &t in &ts[at..at + taken] {
+                self.min_ts = self.min_ts.min(t);
+                self.max_ts = self.max_ts.max(t);
+            }
+            if full {
+                self.flush_block()?;
+            }
+            at += taken;
+        }
+        Ok(())
+    }
+
     fn flush_block(&mut self) -> Result<()> {
-        let (raw, last_key, rows, zones) = match &mut self.colblock {
+        let (rows, zones) = match &mut self.colblock {
             Some(cb) => {
                 if cb.is_empty() {
                     return Ok(());
                 }
-                let last_key = cb.last_key().to_vec();
-                let (raw, zones, rows) = cb.finish();
-                (raw, last_key, rows, zones)
+                let (zones, rows) = cb.finish(&mut self.raw);
+                (rows, zones)
             }
             None => {
                 if self.block.is_empty() {
                     return Ok(());
                 }
-                let last_key = self.block.last_key().to_vec();
                 let rows = self.block.len() as u32;
-                (self.block.finish(), last_key, rows, Vec::new())
+                self.raw = self.block.finish();
+                (rows, Vec::new())
             }
         };
         self.scratch.clear();
-        littletable_compress::compress_into(&raw, &mut self.scratch);
+        littletable_compress::compress_into(&self.raw, &mut self.scratch);
         self.file.append(&self.scratch)?;
         self.blocks.push(BlockIndexEntry {
             offset: self.offset,
             compressed_len: self.scratch.len() as u32,
-            uncompressed_len: raw.len() as u32,
+            uncompressed_len: self.raw.len() as u32,
             crc: Some(crc32(&self.scratch)),
             rows,
             zones,
-            last_key,
+            // A block is flushed right after its last row is added.
+            last_key: self.last_key.clone(),
         });
         self.offset += self.scratch.len() as u64;
         Ok(())
@@ -402,7 +565,7 @@ impl TabletWriter {
             min_ts: self.min_ts,
             max_ts: self.max_ts,
             row_count: self.row_count,
-            bloom: self.bloom.take().map(|b| b.build(10)),
+            bloom: self.bloom.take().map(|b| b.builder.build(10)),
             format: self.format,
             blocks: std::mem::take(&mut self.blocks),
         };
@@ -907,10 +1070,117 @@ mod tests {
         let bloom = r.footer().unwrap().bloom.clone().unwrap();
         // The full prefix (n=50) must be present.
         let p = crate::keyenc::encode_prefix(&[Value::I64(50)], &s.key_types()).unwrap();
-        assert!(bloom.may_contain(hash_bytes(&p)));
+        assert!(bloom.may_contain(crate::util::hash_bytes(&p)));
         // A prefix that never occurred should (almost surely) be absent.
         let p = crate::keyenc::encode_prefix(&[Value::I64(123_456)], &s.key_types()).unwrap();
-        assert!(!bloom.may_contain(hash_bytes(&p)));
+        assert!(!bloom.may_contain(crate::util::hash_bytes(&p)));
+    }
+
+    /// A columnar block of rows `(n, ts = 1000 + n, "val-n")`, in the
+    /// order given — the block builder itself never checks order.
+    fn block_of(s: &Schema, ns: &[i64]) -> Block {
+        let mut b = ColumnarBlockBuilder::new(s);
+        for &n in ns {
+            b.add(&Row::new(vec![
+                Value::I64(n),
+                Value::Timestamp(1000 + n),
+                Value::Str(format!("val-{n}")),
+            ]))
+            .unwrap();
+        }
+        let mut raw = Vec::new();
+        b.finish(&mut raw);
+        Block::parse_columnar(raw, s).unwrap()
+    }
+
+    fn columnar_writer(vfs: &SimVfs, path: &str, bloom: bool) -> TabletWriter {
+        TabletWriter::new(
+            vfs.create(path, 0).unwrap(),
+            schema(),
+            4096,
+            bloom,
+            BlockFormat::Columnar,
+        )
+    }
+
+    #[test]
+    fn add_run_keeps_keys_strictly_ascending() {
+        let vfs = SimVfs::instant();
+        let s = schema();
+        // Inside a run: a step back, then a repeat.
+        for ns in [[1, 2, 4, 3, 5], [1, 2, 2, 3, 4]] {
+            let mut w = columnar_writer(&vfs, "t", false);
+            let err = w.add_run(&block_of(&s, &ns), &s, 0..5, Micros::MIN);
+            assert!(matches!(err, Err(Error::Invalid(_))), "{err:?}");
+            // The part of the run before the break is in order.
+            let mut w = columnar_writer(&vfs, "t", false);
+            w.add_run(&block_of(&s, &ns), &s, 0..2, Micros::MIN)
+                .unwrap();
+        }
+        // Across runs: the next run starts at or below the last key.
+        let mut w = columnar_writer(&vfs, "t", false);
+        w.add_run(&block_of(&s, &[1, 2, 3]), &s, 0..3, Micros::MIN)
+            .unwrap();
+        for first in [3, 2] {
+            let err = w.add_run(&block_of(&s, &[first, 9]), &s, 0..2, Micros::MIN);
+            assert!(matches!(err, Err(Error::Invalid(_))), "{err:?}");
+        }
+        // A run that reaches outside its block is refused outright.
+        let mut w = columnar_writer(&vfs, "t", false);
+        assert!(w
+            .add_run(&block_of(&s, &[1, 2]), &s, 1..3, Micros::MIN)
+            .is_err());
+    }
+
+    #[test]
+    fn bloom_filter_is_the_one_hashing_every_prefix_from_byte_zero_built() {
+        let vfs = SimVfs::instant();
+        let s = schema();
+        // Rows sharing their first key component in stretches, so that
+        // most prefixes repeat the previous row's.
+        let ns: Vec<i64> = (0..600).collect();
+        let row_at = |n: i64| {
+            Row::new(vec![
+                Value::I64(n / 37),
+                Value::Timestamp(1000 + n),
+                Value::Str(format!("val-{n}")),
+            ])
+        };
+        let mut want = BloomBuilder::new();
+        for &n in &ns {
+            let key = row_at(n).encode_key(&s).unwrap();
+            let mut end = 0;
+            for ty in s.key_types() {
+                end = component_end(&key, end, ty).unwrap();
+                want.add_hash(crate::util::hash_bytes(&key[..end]));
+            }
+        }
+        let mut want_bytes = Vec::new();
+        want.build(10).encode(&mut want_bytes);
+
+        let mut by_row = columnar_writer(&vfs, "rows.lt", true);
+        let mut by_run = columnar_writer(&vfs, "runs.lt", true);
+        let mut b = ColumnarBlockBuilder::new(&s);
+        for &n in &ns {
+            let row = row_at(n);
+            by_row.add_row(&row.encode_key(&s).unwrap(), &row).unwrap();
+            b.add(&row).unwrap();
+        }
+        let mut raw = Vec::new();
+        b.finish(&mut raw);
+        let block = Block::parse_columnar(raw, &s).unwrap();
+        // Two runs, so one starts against a key of the run before.
+        by_run.add_run(&block, &s, 0..250, Micros::MIN).unwrap();
+        by_run.add_run(&block, &s, 250..600, Micros::MIN).unwrap();
+        by_row.finish().unwrap();
+        by_run.finish().unwrap();
+        let vfs: Arc<dyn Vfs> = Arc::new(vfs);
+        for path in ["rows.lt", "runs.lt"] {
+            let r = TabletReader::new(vfs.clone(), path.into());
+            let mut got = Vec::new();
+            r.footer().unwrap().bloom.as_ref().unwrap().encode(&mut got);
+            assert!(got == want_bytes, "{path}: Bloom filter bytes moved");
+        }
     }
 
     #[test]

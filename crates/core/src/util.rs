@@ -125,18 +125,74 @@ pub fn put_string(out: &mut Vec<u8>, s: &str) {
     put_len_prefixed(out, s.as_bytes());
 }
 
-/// CRC-32 (IEEE 802.3, reflected) used to checksum descriptors and footers.
-pub fn crc32(data: &[u8]) -> u32 {
+/// Slice-by-8 tables for the reflected IEEE polynomial, built at compile
+/// time. `CRC_TABLES[0]` is the classic byte table; `CRC_TABLES[k][b]` is
+/// the CRC of byte `b` followed by `k` zero bytes, so eight lookups
+/// advance the checksum over eight input bytes at once.
+static CRC_TABLES: [[u32; 256]; 8] = {
     const POLY: u32 = 0xEDB8_8320;
-    let mut crc = !0u32;
-    for &b in data {
-        crc ^= b as u32;
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (POLY & mask);
+    let mut t = [[0u32; 256]; 8];
+    let mut b = 0;
+    while b < 256 {
+        let mut crc = b as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            crc = (crc >> 1) ^ (POLY & (crc & 1).wrapping_neg());
+            bit += 1;
         }
+        t[0][b] = crc;
+        b += 1;
+    }
+    let mut k = 1;
+    while k < 8 {
+        let mut b = 0;
+        while b < 256 {
+            let prev = t[k - 1][b];
+            t[k][b] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
+            b += 1;
+        }
+        k += 1;
+    }
+    t
+};
+
+/// CRC-32 (IEEE 802.3, reflected) used to checksum descriptors, footers
+/// and every tablet block; eight bytes per step.
+pub fn crc32(data: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
+    let mut crc = !0u32;
+    let mut words = data.chunks_exact(8);
+    for w in &mut words {
+        let lo = u32::from_le_bytes([w[0], w[1], w[2], w[3]]) ^ crc;
+        let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+        crc = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in words.remainder() {
+        crc = (crc >> 8) ^ t[0][((crc ^ b as u32) & 0xFF) as usize];
     }
     !crc
+}
+
+/// FNV-1a offset basis: the state [`fnv1a`] starts from.
+pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Folds `data` into an FNV-1a `state`. The hash streams: folding a
+/// string piece by piece gives the state of folding it whole, so one
+/// pass over a key yields the hash of every prefix of it.
+#[inline]
+pub fn fnv1a(mut state: u64, data: &[u8]) -> u64 {
+    for &b in data {
+        state ^= b as u64;
+        state = state.wrapping_mul(0x1000_0000_01b3);
+    }
+    state
 }
 
 /// A 64-bit mixing hash (splitmix64 finalizer) for Bloom filters.
@@ -150,12 +206,7 @@ pub fn mix64(mut x: u64) -> u64 {
 /// Hashes a byte string for Bloom-filter use (FNV-1a folded through
 /// [`mix64`]).
 pub fn hash_bytes(data: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in data {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x1000_0000_01b3);
-    }
-    mix64(h)
+    mix64(fnv1a(FNV_OFFSET, data))
 }
 
 #[cfg(test)]
@@ -203,6 +254,35 @@ mod tests {
         // The canonical IEEE check value.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    #[test]
+    fn crc32_equals_the_bitwise_loop_at_every_length_and_alignment() {
+        fn bitwise(data: &[u8]) -> u32 {
+            let mut crc = !0u32;
+            for &b in data {
+                crc ^= b as u32;
+                for _ in 0..8 {
+                    crc = (crc >> 1) ^ (0xEDB8_8320 & (crc & 1).wrapping_neg());
+                }
+            }
+            !crc
+        }
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let buf: Vec<u8> = (0..302)
+            .map(|_| {
+                state = state
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                (state >> 56) as u8
+            })
+            .collect();
+        for align in 0..2 {
+            for len in 0..=300 {
+                let data = &buf[align..align + len];
+                assert_eq!(crc32(data), bitwise(data), "len {len} align {align}");
+            }
+        }
     }
 
     #[test]

@@ -64,6 +64,17 @@ impl ColumnType {
             ColumnType::Blob => Value::Blob(Vec::new()),
         }
     }
+
+    /// The part of [`Value::mem_size`] that every value of the type
+    /// weighs: all of it for fixed-width types, everything but the
+    /// payload bytes for strings and blobs.
+    pub fn base_mem_size(self) -> usize {
+        match self {
+            ColumnType::I32 => 4,
+            ColumnType::I64 | ColumnType::F64 | ColumnType::Timestamp => 8,
+            ColumnType::Str | ColumnType::Blob => 16,
+        }
+    }
 }
 
 impl fmt::Display for ColumnType {
@@ -156,12 +167,12 @@ impl Value {
     /// Approximate in-memory footprint in bytes, used for memtable size
     /// accounting.
     pub fn mem_size(&self) -> usize {
-        match self {
-            Value::I32(_) => 4,
-            Value::I64(_) | Value::F64(_) | Value::Timestamp(_) => 8,
-            Value::Str(s) => 16 + s.len(),
-            Value::Blob(b) => 16 + b.len(),
-        }
+        let payload = match self {
+            Value::Str(s) => s.len(),
+            Value::Blob(b) => b.len(),
+            _ => 0,
+        };
+        self.column_type().base_mem_size() + payload
     }
 }
 
