@@ -447,7 +447,12 @@ fn bench_catalog(c: &mut Criterion) {
 
 /// The e2e benchmark's `usage` table and row generator (rows are a pure
 /// function of seed, device and tick; one column per codec family), so
-/// that these kernels see the column shapes that benchmark stores.
+/// that these kernels see the column shapes that benchmark stores. The
+/// dependency runs one way: the benchmark package knows nothing of this
+/// file, so a change there can break this target or shift what it
+/// measures — CI's `cargo bench --bench micro --no-run` step catches the
+/// first, and the group's numbers are only comparable within one commit
+/// of `data.rs`.
 #[allow(dead_code, unused_imports)]
 #[path = "../src/bin/e2e/data.rs"]
 mod usage;

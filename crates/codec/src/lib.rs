@@ -92,7 +92,7 @@ impl BitWriter {
     }
 
     /// Creates a writer that appends after the bytes already in `buf`.
-    pub fn appending(buf: Vec<u8>) -> Self {
+    fn appending(buf: Vec<u8>) -> Self {
         BitWriter {
             buf,
             acc: 0,
@@ -557,16 +557,6 @@ pub fn decode_xor_f64(data: &[u8], n: usize) -> Result<Vec<f64>> {
 
 // -------------------------------------------------- dictionary/RLE bytes
 
-/// Encodes byte strings as a first-seen-order dictionary plus
-/// run-length-encoded codes. Returns `None` when the column is too
-/// distinct for a one-byte code space (the caller falls back to raw).
-pub fn encode_dict_rle(vals: &[&[u8]]) -> Option<Vec<u8>> {
-    let (dict, _) = plan_dict_rle(vals.iter().copied())?;
-    let mut out = Vec::new();
-    write_dict_rle(&dict, vals.iter().copied(), &mut out);
-    Some(out)
-}
-
 /// Splits `vals` into `(value, length)` runs of equal neighbours.
 fn runs<'a>(vals: impl Iterator<Item = &'a [u8]>) -> impl Iterator<Item = (&'a [u8], u64)> {
     let mut vals = vals.peekable();
@@ -661,15 +651,6 @@ pub fn decode_dict_rle(data: &[u8], n: usize) -> Result<Vec<Vec<u8>>> {
 
 // ---------------------------------------------------------- raw fallback
 
-/// Encodes integers as fixed-width little-endian words.
-pub fn encode_raw_i64(vals: &[i64]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(vals.len() * 8);
-    for v in vals {
-        out.extend_from_slice(&v.to_le_bytes());
-    }
-    out
-}
-
 /// Decodes exactly `n` fixed-width integers.
 pub fn decode_raw_i64(data: &[u8], n: usize) -> Result<Vec<i64>> {
     if data.len() != n * 8 {
@@ -679,15 +660,6 @@ pub fn decode_raw_i64(data: &[u8], n: usize) -> Result<Vec<i64>> {
         .chunks_exact(8)
         .map(|c| i64::from_le_bytes(c.try_into().expect("chunk is 8 bytes")))
         .collect())
-}
-
-/// Encodes doubles as fixed-width little-endian words.
-pub fn encode_raw_f64(vals: &[f64]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(vals.len() * 8);
-    for v in vals {
-        out.extend_from_slice(&v.to_bits().to_le_bytes());
-    }
-    out
 }
 
 /// Decodes exactly `n` fixed-width doubles.
@@ -701,13 +673,7 @@ pub fn decode_raw_f64(data: &[u8], n: usize) -> Result<Vec<f64>> {
         .collect())
 }
 
-/// Encodes byte strings as length-prefixed values.
-pub fn encode_raw_bytes(vals: &[&[u8]]) -> Vec<u8> {
-    let mut out = Vec::new();
-    write_raw_bytes(vals.iter().copied(), &mut out);
-    out
-}
-
+/// Writes byte strings as length-prefixed values.
 fn write_raw_bytes<'a>(vals: impl Iterator<Item = &'a [u8]>, out: &mut Vec<u8>) {
     for v in vals {
         put_varint(out, v.len() as u64);
@@ -736,19 +702,11 @@ pub fn decode_raw_bytes(data: &[u8], n: usize) -> Result<Vec<Vec<u8>>> {
 
 // ----------------------------------------------------- codec selection
 
-/// Encodes an integer (or timestamp) column, racing delta-of-delta
-/// against zigzag-delta against raw and keeping the smallest. Returns
-/// `(codec tag, bytes)`.
-pub fn encode_i64_column(vals: &[i64]) -> (u8, Vec<u8>) {
-    let mut out = Vec::new();
-    let tag = encode_i64_column_into(vals.iter().copied(), &mut out);
-    (tag, out)
-}
-
-/// As [`encode_i64_column`], over any re-iterable source of values (an
-/// `i32` slice widened on the fly, say) and appending to `out`; returns
-/// the codec tag. The smallest encoding wins, ties going to
-/// delta-of-delta, then zigzag-delta; the losers are sized, not built.
+/// Encodes an integer (or timestamp) column from any re-iterable source
+/// of values (an `i32` slice widened on the fly, say), appending to `out`
+/// and returning the codec tag. Delta-of-delta races zigzag-delta and
+/// raw: the smallest encoding wins, ties going to delta-of-delta, then
+/// zigzag-delta; the losers are sized, not built.
 pub fn encode_i64_column_into<I>(vals: I, out: &mut Vec<u8>) -> u8
 where
     I: ExactSizeIterator<Item = i64> + Clone,
@@ -782,14 +740,8 @@ pub fn decode_i64_column(tag: u8, data: &[u8], n: usize) -> Result<Vec<i64>> {
     }
 }
 
-/// Encodes a double column, racing XOR compression against raw.
-pub fn encode_f64_column(vals: &[f64]) -> (u8, Vec<u8>) {
-    let mut out = Vec::new();
-    let tag = encode_f64_column_into(vals, &mut out);
-    (tag, out)
-}
-
-/// As [`encode_f64_column`], appending to `out`; returns the codec tag.
+/// Encodes a double column, racing XOR compression against raw,
+/// appending to `out` and returning the codec tag.
 pub fn encode_f64_column_into(vals: &[f64], out: &mut Vec<u8>) -> u8 {
     let start = out.len();
     write_xor_f64(vals, out);
@@ -812,16 +764,10 @@ pub fn decode_f64_column(tag: u8, data: &[u8], n: usize) -> Result<Vec<f64>> {
     }
 }
 
-/// Encodes a string/blob column, using dictionary + RLE when the column
-/// is low-cardinality enough to win, raw length-prefixed bytes otherwise.
-pub fn encode_bytes_column(vals: &[&[u8]]) -> (u8, Vec<u8>) {
-    let mut out = Vec::new();
-    let tag = encode_bytes_column_into(vals.iter().copied(), &mut out);
-    (tag, out)
-}
-
-/// As [`encode_bytes_column`], over any re-iterable source of byte
-/// strings and appending to `out`; returns the codec tag.
+/// Encodes a string/blob column from any re-iterable source of byte
+/// strings, appending to `out` and returning the codec tag: dictionary +
+/// RLE when the column is low-cardinality enough to win, raw
+/// length-prefixed bytes otherwise.
 pub fn encode_bytes_column_into<'a, I>(vals: I, out: &mut Vec<u8>) -> u8
 where
     I: Iterator<Item = &'a [u8]> + Clone,
@@ -857,6 +803,49 @@ mod tests {
     use proptest::prelude::*;
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
+
+    // Slice-in, bytes-out forms of the encoders, for the tests' convenience.
+
+    fn encode_raw_i64(vals: &[i64]) -> Vec<u8> {
+        vals.iter().flat_map(|v| v.to_le_bytes()).collect()
+    }
+
+    fn encode_raw_f64(vals: &[f64]) -> Vec<u8> {
+        vals.iter()
+            .flat_map(|v| v.to_bits().to_le_bytes())
+            .collect()
+    }
+
+    fn encode_raw_bytes(vals: &[&[u8]]) -> Vec<u8> {
+        let mut out = Vec::new();
+        write_raw_bytes(vals.iter().copied(), &mut out);
+        out
+    }
+
+    fn encode_dict_rle(vals: &[&[u8]]) -> Option<Vec<u8>> {
+        let (dict, _) = plan_dict_rle(vals.iter().copied())?;
+        let mut out = Vec::new();
+        write_dict_rle(&dict, vals.iter().copied(), &mut out);
+        Some(out)
+    }
+
+    fn encode_i64_column(vals: &[i64]) -> (u8, Vec<u8>) {
+        let mut out = Vec::new();
+        let tag = encode_i64_column_into(vals.iter().copied(), &mut out);
+        (tag, out)
+    }
+
+    fn encode_f64_column(vals: &[f64]) -> (u8, Vec<u8>) {
+        let mut out = Vec::new();
+        let tag = encode_f64_column_into(vals, &mut out);
+        (tag, out)
+    }
+
+    fn encode_bytes_column(vals: &[&[u8]]) -> (u8, Vec<u8>) {
+        let mut out = Vec::new();
+        let tag = encode_bytes_column_into(vals.iter().copied(), &mut out);
+        (tag, out)
+    }
 
     fn check_i64(vals: &[i64]) {
         for (tag, data) in [

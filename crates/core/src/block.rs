@@ -370,21 +370,14 @@ impl ColumnarBlockBuilder {
         let before = self.size_estimate();
         let mut est = before;
         let mut end = rows.start;
-        if self.var_cols.is_empty() {
-            // Every row weighs the same: the cut is a division away.
-            let to_full = full_at.saturating_sub(est).div_ceil(self.fixed_row_bytes);
-            end = rows.end.min(rows.start + to_full.max(1));
-            est += (end - rows.start) * self.fixed_row_bytes;
-        } else {
-            while end < rows.end && (end == rows.start || est < full_at) {
-                est += self.fixed_row_bytes
-                    + self
-                        .var_cols
-                        .iter()
-                        .map(|&c| src.columns[c].var_len(end))
-                        .sum::<usize>();
-                end += 1;
-            }
+        while end < rows.end && (end == rows.start || est < full_at) {
+            est += self.fixed_row_bytes
+                + self
+                    .var_cols
+                    .iter()
+                    .map(|&c| src.columns[c].var_len(end))
+                    .sum::<usize>();
+            end += 1;
         }
         let taken = rows.start..end;
         for (col, s) in self.cols.iter_mut().zip(&src.columns) {
@@ -833,7 +826,7 @@ impl ColumnarBlock {
     /// Appends row `row`'s encoded primary key, straight from the key
     /// column slices. Panics when `row` is out of range — callers index
     /// within the block's length.
-    pub fn encode_key(&self, row: usize, out: &mut Vec<u8>) {
+    pub(crate) fn encode_key(&self, row: usize, out: &mut Vec<u8>) {
         for &ki in &self.key_indices {
             match &self.columns[ki] {
                 ColumnSlice::I32(v) => keyenc::encode_int(out, v[row] as i64),

@@ -14,7 +14,7 @@ use crate::query::Query;
 use crate::schema::ColumnDef;
 use crate::tablet::TabletWriter;
 use crate::value::{ColumnType, Value};
-use littletable_vfs::{SimClock, SimVfs, MICROS_PER_SEC};
+use littletable_vfs::{FaultKind, FaultPlan, FaultRule, OpKind, SimClock, SimVfs, MICROS_PER_SEC};
 
 const SEC: Micros = MICROS_PER_SEC;
 const START: Micros = 1_700_000_000 * MICROS_PER_SEC;
@@ -33,7 +33,7 @@ fn write_by_rows(
     cutoff: Micros,
     drop: Option<&KeyRange>,
     path: &str,
-) -> (u64, u64) {
+) -> Result<(u64, u64)> {
     let cursors: Vec<Box<dyn RowSource + Send>> = sources
         .iter()
         .map(|h| {
@@ -44,26 +44,27 @@ fn write_by_rows(
         })
         .collect();
     let mut merge = MergeCursor::new(cursors, false);
+    let size_hint = sources.iter().map(|h| h.meta.bytes).sum();
     let mut w = TabletWriter::new(
-        t.vfs.create(path, 0).unwrap(),
+        t.vfs.create(path, size_hint)?,
         (**schema).clone(),
         t.opts.block_size,
         t.opts.bloom_filters,
         t.opts.block_format,
     );
     let mut dropped = 0;
-    while let Some((key, row)) = merge.next_row().unwrap() {
+    while let Some((key, row)) = merge.next_row()? {
         if drop.is_some_and(|r| r.contains(&key)) {
             dropped += 1;
-        } else if row.ts(schema).unwrap() >= cutoff {
-            w.add_row(&key, &row).unwrap();
+        } else if row.ts(schema)? >= cutoff {
+            w.add_row(&key, &row)?;
         }
     }
     let rows = w.row_count();
     if rows > 0 {
-        w.finish().unwrap();
+        w.finish()?;
     }
-    (rows, dropped)
+    Ok((rows, dropped))
 }
 
 fn file_bytes(vfs: &SimVfs, path: &str) -> Vec<u8> {
@@ -187,7 +188,7 @@ fn merges_agree(b: &Bed, ttl: Option<Micros>, now: Micros) -> Option<Vec<u8>> {
         b.t.execute_merge(&sources, &schema, ttl, OUT_ID, now)
             .unwrap();
     let cutoff = ttl.map(|t| now - t).unwrap_or(Micros::MIN);
-    let (ref_rows, _) = write_by_rows(&b.t, &sources, &schema, cutoff, None, &ref_path);
+    let (ref_rows, _) = write_by_rows(&b.t, &sources, &schema, cutoff, None, &ref_path).unwrap();
     let Some(merged) = merged else {
         assert_eq!(ref_rows, 0, "the run merge dropped rows the row merge kept");
         return None;
@@ -274,6 +275,97 @@ fn a_run_ending_exactly_on_an_output_block_boundary() {
         .unwrap();
         assert_eq!(blk.last_key, last);
     }
+}
+
+/// `RunSource::emit_to` reads a tablet's next 1 MB run just before the
+/// first row with fewer than two rows queued behind it, which is when
+/// the row cursor read. The rule has no other reason than this one: the
+/// disk must see the two merges issue the same reads and writes in the
+/// same order, so that every seek between an input and the output falls
+/// where it always fell.
+#[test]
+fn reads_fall_between_the_same_writes_as_in_the_row_merge() {
+    // Three rows to a block: the read comes two rows before a block's
+    // end. Then one: it comes a block early.
+    for (pad_words, hosts) in [(88, 240), (264, 80)] {
+        reads_line_up(pad_words, hosts);
+    }
+}
+
+fn reads_line_up(pad_words: usize, hosts: i64) {
+    let schema = Schema::new(
+        vec![
+            ColumnDef::new("host", ColumnType::I64),
+            ColumnDef::new("ts", ColumnType::Timestamp),
+            ColumnDef::new("pad", ColumnType::Str),
+        ],
+        &["host", "ts"],
+    )
+    .unwrap();
+    let b = bed(schema);
+    // Rows this wide put a write after nearly every one of them, and the
+    // padding is noise no compressor shrinks, so each source is three
+    // 1 MB reads long. Seven rows a host, the sources taking turns.
+    let mut x = 0x9E37_79B9_7F4A_7C15u64;
+    for src in 0..2 {
+        for h in 0..hosts {
+            let rows = (src * 7..(src + 1) * 7)
+                .map(|k| {
+                    let pad: String = (0..pad_words)
+                        .map(|_| {
+                            x ^= x << 13;
+                            x ^= x >> 7;
+                            x ^= x << 17;
+                            format!("{x:016x}")
+                        })
+                        .collect();
+                    vec![
+                        Value::I64(h),
+                        Value::Timestamp(START + k * SEC),
+                        Value::Str(pad),
+                    ]
+                })
+                .collect();
+            b.t.insert(rows).unwrap();
+        }
+        b.t.flush_all().unwrap();
+    }
+    let (sources, schema) = {
+        let st = b.t.state.lock();
+        (st.disk.clone(), st.schema.clone())
+    };
+    assert_eq!(sources.len(), 2);
+    let ref_path = join(b.t.dir(), "by-rows");
+    let out_path = join(b.t.dir(), &tablet_file_name(OUT_ID));
+    let now = b.clock.now_micros();
+    // How much of its output a merge had written at each of its reads:
+    // fail the nth read and look at the length of what the merge left.
+    let written_at_reads = |merge: &dyn Fn() -> bool, out: &str| {
+        let mut at = Vec::new();
+        loop {
+            let nth = FaultRule::new(FaultKind::Eio)
+                .on_ops(&[OpKind::Read])
+                .nth_match(at.len() as u64 + 1);
+            b.vfs.set_fault_plan(FaultPlan::new().rule(nth));
+            let finished = merge();
+            b.vfs.clear_fault_plan();
+            if finished {
+                return at;
+            }
+            at.push(b.vfs.file_size(out).unwrap());
+        }
+    };
+    let by_runs = || {
+        b.t.execute_merge(&sources, &schema, None, OUT_ID, now)
+            .is_ok()
+    };
+    let by_rows = || write_by_rows(&b.t, &sources, &schema, Micros::MIN, None, &ref_path).is_ok();
+    assert!(by_runs()); // the sources' footers are in memory from here on
+    let want = written_at_reads(&by_rows, &ref_path);
+    let got = written_at_reads(&by_runs, &out_path);
+    assert!(want.len() == 6 && want[2] > 0, "reads at {want:?}");
+    assert_eq!(got, want);
+    assert!(file_bytes(&b.vfs, &out_path) == file_bytes(&b.vfs, &ref_path));
 }
 
 #[test]
@@ -370,7 +462,8 @@ fn bulk_delete_of_a_middle_prefix() {
     for (i, h) in sources.iter().enumerate() {
         let path = join(b.t.dir(), &format!("by-rows-{i}"));
         let one = std::slice::from_ref(h);
-        let (rows, dropped) = write_by_rows(&b.t, one, &schema, Micros::MIN, Some(&range), &path);
+        let (rows, dropped) =
+            write_by_rows(&b.t, one, &schema, Micros::MIN, Some(&range), &path).unwrap();
         want_deleted += dropped;
         if dropped == 0 {
             want.push(file_bytes(&b.vfs, &join(b.t.dir(), &h.meta.file_name())));
