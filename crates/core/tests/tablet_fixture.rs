@@ -13,6 +13,7 @@ use littletable_vfs::{SimVfs, Vfs};
 use std::sync::Arc;
 
 const FIXTURE: &[u8] = include_bytes!("fixtures/tablet_v3.bin");
+const FIXTURE_V2: &[u8] = include_bytes!("fixtures/tablet_v2.bin");
 const BLOCK_SIZE: usize = 48 << 10;
 
 fn schema() -> Schema {
@@ -137,29 +138,25 @@ fn writer_reproduces_the_checked_in_tablet_byte_for_byte() {
     }
 }
 
-#[test]
-fn fixture_reads_back_row_for_row() {
+/// Reads `fixture` back block by block and holds every row and every
+/// key to `rows()`.
+fn reads_back_row_for_row(fixture: &[u8], format: BlockFormat) {
     let vfs = SimVfs::instant();
     let mut w = vfs.create("fixture.lt", 0).unwrap();
-    w.append(FIXTURE).unwrap();
+    w.append(fixture).unwrap();
     drop(w);
     let s = schema();
     let r = TabletReader::new(Arc::new(vfs) as Arc<dyn Vfs>, "fixture.lt".into());
     let footer = r.footer().unwrap();
-    assert_eq!(footer.format, BlockFormat::Columnar);
+    assert_eq!(footer.format, format);
     assert_eq!(footer.schema, s);
     assert!(footer.bloom.is_some());
     assert!(footer.blocks.len() >= 3, "{} blocks", footer.blocks.len());
-    assert!(
-        footer.blocks.iter().any(|b| b.rows > 256),
-        "some block must overflow the one-byte dictionary code space"
-    );
     let expect = rows();
     assert_eq!(footer.row_count as usize, expect.len());
     let mut at = 0usize;
     for bi in 0..footer.blocks.len() {
         let blk = r.read_block(bi).unwrap();
-        assert_eq!(blk.len(), footer.blocks[bi].rows as usize);
         for j in 0..blk.len() {
             let got = blk.row(j, &s).unwrap();
             // `Value`'s equality is IEEE on doubles; compare those by bits
@@ -178,4 +175,29 @@ fn fixture_reads_back_row_for_row() {
         }
     }
     assert_eq!(at, expect.len());
+}
+
+#[test]
+fn fixture_reads_back_row_for_row() {
+    reads_back_row_for_row(FIXTURE, BlockFormat::Columnar);
+    let vfs = SimVfs::instant();
+    let mut w = vfs.create("fixture.lt", 0).unwrap();
+    w.append(FIXTURE).unwrap();
+    drop(w);
+    let r = TabletReader::new(Arc::new(vfs) as Arc<dyn Vfs>, "fixture.lt".into());
+    let footer = r.footer().unwrap();
+    assert!(
+        footer.blocks.iter().any(|b| b.rows > 256),
+        "some block must overflow the one-byte dictionary code space"
+    );
+    for (bi, entry) in footer.blocks.iter().enumerate() {
+        assert_eq!(r.read_block(bi).unwrap().len(), entry.rows as usize);
+    }
+}
+
+/// `fixtures/tablet_v2.bin` holds the same rows in the row layout
+/// (footer v2), written by the row writer just before it was deleted.
+#[test]
+fn v2_fixture_reads_back_row_for_row() {
+    reads_back_row_for_row(FIXTURE_V2, BlockFormat::Row);
 }

@@ -2,12 +2,15 @@
 //! reference.
 //!
 //! Each seed generates a table's rows and a batch of aggregate SELECTs.
-//! The same rows are stored four ways — flushed as columnar-v3 blocks,
-//! flushed as row-v2 blocks, left in the memtablet, and flushed with the
-//! first tablet lagging one schema version behind — and every SELECT must
-//! return, value for value, what a `BTreeMap` fold over the rows returns.
-//! On the flushed columnar table it must do so without materializing a
-//! single row, whether or not its window cuts blocks.
+//! The same rows are stored three ways — flushed as columnar-v3 blocks,
+//! left in the memtablet, and flushed with the first tablet lagging one
+//! schema version behind — and every SELECT must return, value for value,
+//! what a `BTreeMap` fold over the rows returns. On the flushed columnar
+//! table it must do so without materializing a single row, whether or not
+//! its window cuts blocks. Row-v2 storage is the frozen table of
+//! `tests/common/table_v2.rs` (nothing writes that layout any more): the
+//! same SELECTs run over it as it was written and again after a merge
+//! with a fresh flush, against the fold of the rows it holds.
 //!
 //! Every way stores its rows in tablets that follow each other in key
 //! order, and the reference folds in key order with the executor's own
@@ -16,13 +19,16 @@
 //! match to the bit as well.
 
 use littletable_core::rollup::distinct_bytes;
-use littletable_core::{BlockFormat, Db, Options, Value};
+use littletable_core::{Db, Options, Value};
 use littletable_hll::HyperLogLog;
 use littletable_sql::{Session, SqlOutput};
 use littletable_vfs::{SimClock, SimVfs};
 use std::cmp::Ordering;
 use std::collections::BTreeMap;
 use std::sync::Arc;
+
+#[path = "../../../tests/common/table_v2.rs"]
+mod table_v2;
 
 const START: i64 = 1_700_000_000_000_000;
 const SEC: i64 = 1_000_000;
@@ -510,7 +516,6 @@ fn same(a: &[Vec<Value>], b: &[Vec<Value>]) -> bool {
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum Storage {
     FlushedColumnar,
-    FlushedRow,
     Memtablet,
     /// Columnar, with the `a = 0` rows flushed before `x` was added.
     SchemaLagging,
@@ -525,10 +530,6 @@ fn store(rows: &[Vec<Value>], how: Storage) -> Session {
         Options {
             // A dozen rows to a block, so most windows cut several.
             block_size: 512,
-            block_format: match how {
-                Storage::FlushedRow => BlockFormat::Row,
-                _ => BlockFormat::Columnar,
-            },
             ..Options::small_for_tests()
         },
     )
@@ -573,10 +574,60 @@ fn store(rows: &[Vec<Value>], how: Storage) -> Session {
     s
 }
 
+/// The frozen footer-v2 table as it was written, and again after a merge
+/// with a fresh columnar flush of rows that sort after it; each with the
+/// rows it holds.
+fn stored_as_row_v2() -> [(Session, Vec<Vec<Value>>); 2] {
+    let open = || {
+        let vfs = SimVfs::instant();
+        table_v2::install(&vfs);
+        let db = Db::open(
+            Arc::new(vfs),
+            Arc::new(SimClock::new(table_v2::WRITTEN_AT)),
+            Options {
+                block_size: table_v2::BLOCK_SIZE,
+                ..Options::small_for_tests()
+            },
+        )
+        .unwrap();
+        Session::new(db)
+    };
+    let merged = open();
+    let t = merged.db().table(table_v2::TABLE).unwrap();
+    let fresh = table_v2::ROWS..table_v2::ROWS + 72;
+    t.insert(fresh.clone().map(table_v2::row).collect())
+        .unwrap();
+    t.flush_all().unwrap();
+    while t.run_merge_once(table_v2::WRITTEN_AT).unwrap() {}
+    assert_eq!(t.num_disk_tablets(), 1, "the merge took every tablet");
+    [
+        (open(), table_v2::rows()),
+        (merged, (0..fresh.end).map(table_v2::row).collect()),
+    ]
+}
+
+/// Runs `sel` and holds the answer to `expect`; returns how many rows the
+/// engine materialized on the way.
+fn check(session: &Session, label: &str, sel: &Select, expect: &[Vec<Value>]) -> u64 {
+    let table = session.db().table("t").unwrap();
+    let sql = sel.sql();
+    let before = table.stats().snapshot().rows_materialized;
+    let got = match session.execute(&sql) {
+        Ok(SqlOutput::Rows { rows, .. }) => rows,
+        other => panic!("{label}: {sql}\n  gave {other:?}"),
+    };
+    assert!(
+        same(&got, expect),
+        "{label}: {sql}\n  got    {got:?}\n  expect {expect:?}"
+    );
+    table.stats().snapshot().rows_materialized - before
+}
+
 #[test]
 fn every_storage_path_matches_the_reference_fold() {
     let mut cases = 0;
     let (mut nonempty, mut empty, mut nan_answers, mut promoted) = (0, 0, 0, 0);
+    let row_v2 = stored_as_row_v2();
     for seed in 0..SEEDS {
         let mut rng = Rng(seed);
         let rows = gen_rows(&mut rng, seed % 3 == 0, seed % 2 == 1);
@@ -586,30 +637,26 @@ fn every_storage_path_matches_the_reference_fold() {
         let expected: Vec<Vec<Vec<Value>>> = selects.iter().map(|q| reference(&rows, q)).collect();
         for how in [
             Storage::FlushedColumnar,
-            Storage::FlushedRow,
             Storage::Memtablet,
             Storage::SchemaLagging,
         ] {
             let session = store(&rows, how);
-            let table = session.db().table("t").unwrap();
             for (sel, expect) in selects.iter().zip(&expected) {
-                let sql = sel.sql();
-                let before = table.stats().snapshot();
-                let got = match session.execute(&sql) {
-                    Ok(SqlOutput::Rows { rows, .. }) => rows,
-                    other => panic!("seed {seed} {how:?}: {sql}\n  gave {other:?}"),
-                };
-                let after = table.stats().snapshot();
-                assert!(
-                    same(&got, expect),
-                    "seed {seed} {how:?}: {sql}\n  got    {got:?}\n  expect {expect:?}"
-                );
+                let materialized = check(&session, &format!("seed {seed} {how:?}"), sel, expect);
                 if how == Storage::FlushedColumnar {
                     assert_eq!(
-                        after.rows_materialized, before.rows_materialized,
-                        "seed {seed}: {sql}\n  materialized rows of flushed columnar blocks"
+                        materialized,
+                        0,
+                        "seed {seed}: {}\n  materialized rows of flushed columnar blocks",
+                        sel.sql()
                     );
                 }
+            }
+        }
+        for (at, (session, rows)) in row_v2.iter().enumerate() {
+            let label = format!("seed {seed} row-v2{}", ["", ", merged"][at]);
+            for sel in &selects {
+                check(session, &label, sel, &reference(rows, sel));
             }
         }
         cases += selects.len();
