@@ -57,13 +57,34 @@ fn bench_compression(c: &mut Criterion) {
 }
 
 fn bench_block_search(c: &mut Criterion) {
-    let mut builder = littletable_core::block::BlockBuilder::new();
-    for i in 0..500u32 {
-        builder.add(format!("key-{i:06}").as_bytes(), &[0u8; 100]);
+    use littletable_core::block::BlockEncoder;
+    use littletable_core::schema::{ColumnDef, Schema};
+    let schema = Schema::new(
+        vec![
+            ColumnDef::new("k", ColumnType::Str),
+            ColumnDef::new("ts", ColumnType::Timestamp),
+            ColumnDef::new("v", ColumnType::Blob),
+        ],
+        &["k", "ts"],
+    )
+    .unwrap();
+    let row = |i: u32| {
+        littletable_core::Row::new(vec![
+            Value::Str(format!("key-{i:06}")),
+            Value::Timestamp(0),
+            Value::Blob(vec![0u8; 100]),
+        ])
+    };
+    let mut encoder = BlockEncoder::new(&schema);
+    for i in 0..500 {
+        encoder.add(&row(i)).unwrap();
     }
-    let block = littletable_core::block::Block::parse(builder.finish()).unwrap();
+    let block = encoder.into_block(&schema);
+    let target = row(250).encode_key(&schema).unwrap();
+    // The first seek builds the block's key arena; time the ones after.
+    assert_eq!(block.seek_ge(&target).unwrap(), 250);
     c.bench_function("block/seek_ge_500rows", |b| {
-        b.iter(|| block.seek_ge(std::hint::black_box(b"key-000250")).unwrap())
+        b.iter(|| block.seek_ge(std::hint::black_box(&target)).unwrap())
     });
 }
 
@@ -205,128 +226,6 @@ fn bench_block_cache(c: &mut Criterion) {
             assert_eq!(n, 50_000);
         })
     });
-    g.finish();
-}
-
-fn bench_scan_formats(c: &mut Criterion) {
-    // Row-v2 vs columnar-v3 block layout on the same flushed telemetry
-    // data: full cursor scans and aggregate pushdown (SUM needs the
-    // value column; COUNT/MIN/MAX folds footer statistics without
-    // touching block bytes on v3).
-    use littletable_core::block::{BlockFormat, ColumnSlice};
-    use littletable_core::table::{PushdownRequest, ScanUnit};
-    use littletable_core::value::ColumnType;
-
-    const ROWS: u64 = 50_000;
-    let build = |format: BlockFormat| {
-        let db = Db::open(
-            Arc::new(SimVfs::instant()),
-            Arc::new(SimClock::new(1_700_000_000_000_000)),
-            Options {
-                block_format: format,
-                ..Options::default()
-            },
-        )
-        .unwrap();
-        let schema = littletable_core::schema::Schema::new(
-            vec![
-                littletable_core::schema::ColumnDef::new("device", ColumnType::I64),
-                littletable_core::schema::ColumnDef::new("ts", ColumnType::Timestamp),
-                littletable_core::schema::ColumnDef::new("bytes", ColumnType::I64),
-            ],
-            &["device", "ts"],
-        )
-        .unwrap();
-        let table = db.create_table("t", schema, None).unwrap();
-        let mut batch = Vec::new();
-        for i in 0..ROWS {
-            batch.push(vec![
-                Value::I64((i / 1000) as i64),
-                Value::Timestamp(1_700_000_000_000_000 + (i % 1000) as i64),
-                Value::I64(i as i64 * 37),
-            ]);
-            if batch.len() == 1024 {
-                table.insert(std::mem::take(&mut batch)).unwrap();
-            }
-        }
-        if !batch.is_empty() {
-            table.insert(batch).unwrap();
-        }
-        table.flush_all().unwrap();
-        while table.run_merge_once(db.now()).unwrap() {}
-        (db, table)
-    };
-    let mut g = c.benchmark_group("scan_formats");
-    g.throughput(Throughput::Elements(ROWS));
-    for (label, format) in [
-        ("row_v2", BlockFormat::Row),
-        ("col_v3", BlockFormat::Columnar),
-    ] {
-        let (_db, table) = build(format);
-        g.bench_function(format!("full_scan/{label}"), |b| {
-            b.iter(|| {
-                let mut cur = table.query(&Query::all()).unwrap();
-                let mut n = 0u64;
-                while cur.next_row().unwrap().is_some() {
-                    n += 1;
-                }
-                assert_eq!(n, ROWS);
-            })
-        });
-        g.bench_function(format!("agg_sum_pushdown/{label}"), |b| {
-            let req = PushdownRequest {
-                query: Query::all(),
-                predicates: Vec::new(),
-                stats_cols: None,
-            };
-            b.iter(|| {
-                let mut sum = 0i64;
-                table
-                    .pushdown_scan(&req, &mut |unit| {
-                        match unit {
-                            ScanUnit::Stats { .. } => unreachable!(),
-                            ScanUnit::Block { block, sel } => {
-                                let Some(ColumnSlice::I64(col)) = block.column(2) else {
-                                    unreachable!("bytes is an int64 column");
-                                };
-                                sel.for_each_in(0..sel.len(), |ri| sum += col[ri]);
-                            }
-                            ScanUnit::Rows(rows) => {
-                                for row in rows {
-                                    if let Value::I64(v) = row.values[2] {
-                                        sum += v;
-                                    }
-                                }
-                            }
-                        }
-                        Ok(())
-                    })
-                    .unwrap();
-                std::hint::black_box(sum)
-            })
-        });
-        g.bench_function(format!("agg_count_stats/{label}"), |b| {
-            let req = PushdownRequest {
-                query: Query::all(),
-                predicates: Vec::new(),
-                stats_cols: Some(vec![2]),
-            };
-            b.iter(|| {
-                let mut n = 0u64;
-                table
-                    .pushdown_scan(&req, &mut |unit| {
-                        match unit {
-                            ScanUnit::Stats { rows, .. } => n += rows,
-                            ScanUnit::Block { sel, .. } => n += sel.len() as u64,
-                            ScanUnit::Rows(rows) => n += rows.len() as u64,
-                        }
-                        Ok(())
-                    })
-                    .unwrap();
-                assert_eq!(n, ROWS);
-            })
-        });
-    }
     g.finish();
 }
 
@@ -554,7 +453,6 @@ criterion_group!(
     bench_engine_insert,
     bench_query_scan,
     bench_block_cache,
-    bench_scan_formats,
     bench_hll,
     bench_sql_parse,
     bench_fault_hook,

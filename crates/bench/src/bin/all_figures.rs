@@ -21,5 +21,4 @@ fn main() {
     figures::cachefig::run(quick).emit();
     figures::catalogfig::run(quick).emit();
     figures::contention::run(quick).emit();
-    figures::scanfig::run(quick).emit();
 }

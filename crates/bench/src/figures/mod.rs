@@ -15,7 +15,6 @@ pub mod fleetfigs;
 pub mod headline;
 pub mod ingestfig;
 pub mod rollupfig;
-pub mod scanfig;
 
 #[cfg(test)]
 mod smoke_tests {
@@ -67,31 +66,6 @@ mod smoke_tests {
         );
         let hit = fig.series[1].points.last().unwrap().1;
         assert!(hit > 90.0, "resident hit ratio {hit}%");
-        std::env::remove_var("LITTLETABLE_FIGURE_DIR");
-        let _ = std::fs::remove_dir_all(dir);
-    }
-
-    #[test]
-    fn scan_figure_shows_columnar_wins() {
-        let dir = std::env::temp_dir().join(format!("ltscan-smoke-{}", std::process::id()));
-        std::env::set_var("LITTLETABLE_FIGURE_DIR", &dir);
-        let fig = super::scanfig::run(true);
-        let disk = &fig.series[2].points;
-        let (row_mb, col_mb) = (disk[0].1, disk[1].1);
-        assert!(
-            col_mb < row_mb,
-            "columnar-v3 not smaller on disk: {col_mb} MB vs {row_mb} MB"
-        );
-        // Aggregate pushdown (SUM and footer-stats) must beat the row
-        // layout — the acceptance criterion for the v3 format.
-        for op in [2, 3] {
-            let row_rate = fig.series[0].points[op].1;
-            let col_rate = fig.series[1].points[op].1;
-            assert!(
-                col_rate > row_rate,
-                "columnar aggregate op {op} not faster: {col_rate} vs {row_rate} Mrows/s"
-            );
-        }
         std::env::remove_var("LITTLETABLE_FIGURE_DIR");
         let _ = std::fs::remove_dir_all(dir);
     }

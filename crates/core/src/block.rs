@@ -1,17 +1,7 @@
 //! Tablet blocks: the 64 kB units rows are grouped into on disk (§3.2).
 //!
-//! Two on-disk layouts exist, selected per tablet by its footer version:
-//!
-//! **Row layout** (footer v1/v2) stores each row contiguously:
-//!
-//! ```text
-//! [row_count u32] [row_offset u32 × row_count] [row entries...]
-//! row entry: [key_len varint][key][payload_len varint][payload]
-//! ```
-//!
-//! **Columnar layout** (footer v3) stores the block as per-column slices,
-//! each behind a time-series codec chosen column-by-column (see
-//! [`littletable_codec`]):
+//! A block stores its rows as per-column slices, each behind a
+//! time-series codec chosen column-by-column (see [`littletable_codec`]):
 //!
 //! ```text
 //! [row_count u32] [col_count varint]
@@ -22,19 +12,22 @@
 //! primary keys are *rebuilt* from the key column values only when a
 //! caller actually iterates rows, so aggregate scans that consume column
 //! slices never pay for key materialization. The rebuilt keys live in one
-//! flat arena (a byte buffer plus row offsets), not a vector per row.
+//! flat arena (a byte buffer plus row offsets), not a vector per row, and
+//! make binary search by encoded key possible inside a block, which is
+//! how a query finds its starting row after the tablet index has located
+//! the right block. Blocks are individually compressed on disk; this
+//! module works with the uncompressed form.
 //!
-//! The offset array (row layout) or the rebuilt key arena (columnar
-//! layout) makes binary search by encoded key possible inside a block,
-//! which is how a query finds its starting row after the tablet index has
-//! located the right block. Blocks are individually compressed on disk;
-//! this module works with the uncompressed form.
+//! This is the only layout the engine writes, and the only one it holds
+//! in memory: a [`Block`] is always decoded column slices. Tablets that
+//! predate it store row-major blocks; [`crate::tablet`], which alone
+//! knows they exist, transcodes those into a [`Block`] as it reads them.
 //!
 //! Maintenance moves columns, not rows: a merge hands
-//! [`ColumnarBlockBuilder::append_run`] a row range of a decoded source
-//! block and the builder copies typed sub-slices, and
-//! [`ColumnarBlockBuilder::finish`] encodes straight from its retained
-//! column buffers into a caller-owned output buffer.
+//! [`BlockEncoder::append_run`] a row range of a decoded source block and
+//! the encoder copies typed sub-slices, and [`BlockEncoder::finish`]
+//! encodes straight from its retained column buffers into a caller-owned
+//! output buffer.
 
 use crate::error::{Error, Result};
 use crate::keyenc::{self, KeyRange};
@@ -45,79 +38,7 @@ use crate::value::{ColumnType, Value};
 use std::ops::{Bound, Range};
 use std::sync::OnceLock;
 
-/// Which block layout a tablet is written with. Selected by
-/// [`crate::options::Options::block_format`]; readers detect the layout
-/// from the tablet's footer version, so both formats coexist in one
-/// table.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BlockFormat {
-    /// Row-major entries (footer v2 and earlier).
-    Row,
-    /// Per-column codec-compressed slices with zone maps (footer v3).
-    Columnar,
-}
-
-/// Builds one row-layout block. Rows must be appended in ascending key
-/// order.
-#[derive(Debug, Default)]
-pub struct BlockBuilder {
-    offsets: Vec<u32>,
-    data: Vec<u8>,
-    last_key: Vec<u8>,
-}
-
-impl BlockBuilder {
-    /// Creates an empty builder.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Appends a row.
-    pub fn add(&mut self, key: &[u8], payload: &[u8]) {
-        debug_assert!(
-            self.offsets.is_empty() || key > self.last_key.as_slice(),
-            "block rows must be added in strictly ascending key order"
-        );
-        self.offsets.push(self.data.len() as u32);
-        put_varint(&mut self.data, key.len() as u64);
-        self.data.extend_from_slice(key);
-        put_varint(&mut self.data, payload.len() as u64);
-        self.data.extend_from_slice(payload);
-        self.last_key.clear();
-        self.last_key.extend_from_slice(key);
-    }
-
-    /// Number of rows added.
-    pub fn len(&self) -> usize {
-        self.offsets.len()
-    }
-
-    /// True when no rows have been added.
-    pub fn is_empty(&self) -> bool {
-        self.offsets.is_empty()
-    }
-
-    /// Estimated size of the finished (uncompressed) block.
-    pub fn size_estimate(&self) -> usize {
-        4 + self.offsets.len() * 4 + self.data.len()
-    }
-
-    /// Serializes the block and resets the builder for reuse.
-    pub fn finish(&mut self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(self.size_estimate());
-        out.extend_from_slice(&(self.offsets.len() as u32).to_le_bytes());
-        for off in &self.offsets {
-            out.extend_from_slice(&off.to_le_bytes());
-        }
-        out.extend_from_slice(&self.data);
-        self.offsets.clear();
-        self.data.clear();
-        self.last_key.clear();
-        out
-    }
-}
-
-/// One decoded column of a columnar block, typed per the tablet schema.
+/// One decoded column of a block, typed per the tablet schema.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ColumnSlice {
     /// 32-bit integers.
@@ -297,12 +218,12 @@ fn min_max<T: Copy + Ord>(v: &[T]) -> Option<(T, T)> {
 /// not computable (see [`ColumnSlice::zone`]).
 pub type ColumnZones = Vec<Option<(Value, Value)>>;
 
-/// Builds one columnar block. Rows must arrive in ascending key order
-/// (the tablet writer checks); their values are buffered per column and
-/// codec-compressed on [`ColumnarBlockBuilder::finish`]. The column
-/// buffers and the codec scratch keep their capacity from block to block.
+/// Builds one block. Rows must arrive in ascending key order (the tablet
+/// writer checks); their values are buffered per column and
+/// codec-compressed on [`BlockEncoder::finish`]. The column buffers and
+/// the codec scratch keep their capacity from block to block.
 #[derive(Debug)]
-pub struct ColumnarBlockBuilder {
+pub struct BlockEncoder {
     cols: Vec<ColumnSlice>,
     rows: usize,
     /// Running estimate of the raw (pre-codec) byte size, used for the
@@ -318,10 +239,10 @@ pub struct ColumnarBlockBuilder {
     scratch: Vec<u8>,
 }
 
-impl ColumnarBlockBuilder {
+impl BlockEncoder {
     /// Creates a builder shaped for `schema`.
     pub fn new(schema: &Schema) -> Self {
-        ColumnarBlockBuilder {
+        BlockEncoder {
             cols: schema
                 .columns()
                 .iter()
@@ -352,17 +273,12 @@ impl ColumnarBlockBuilder {
 
     /// Appends rows of `src` from `rows.start` on, copying typed
     /// sub-slices column by column, and stops after the row that brings
-    /// [`ColumnarBlockBuilder::size_estimate`] to `full_at` — exactly
+    /// [`BlockEncoder::size_estimate`] to `full_at` — exactly
     /// where appending the same rows one at a time and checking after
     /// each would stop. Returns the number of rows taken (at least one
     /// when `rows` is non-empty). `src` must have this builder's column
     /// types.
-    pub fn append_run(
-        &mut self,
-        src: &ColumnarBlock,
-        rows: Range<usize>,
-        full_at: usize,
-    ) -> Result<usize> {
+    pub fn append_run(&mut self, src: &Block, rows: Range<usize>, full_at: usize) -> Result<usize> {
         if src.columns.len() != self.cols.len() || rows.start > rows.end || rows.end > src.row_count
         {
             return Err(Error::invalid("source block does not match the builder"));
@@ -399,7 +315,7 @@ impl ColumnarBlockBuilder {
     }
 
     /// Rough size of the block before codec compression — the flush
-    /// threshold input, comparable to [`BlockBuilder::size_estimate`].
+    /// threshold input.
     pub fn size_estimate(&self) -> usize {
         4 + self.cols.len() * 6 + self.bytes
     }
@@ -444,265 +360,11 @@ impl ColumnarBlockBuilder {
         self.bytes = 0;
         (zones, rows)
     }
-}
 
-/// A parsed, uncompressed block in either layout, ready for binary
-/// search, row iteration, and (columnar only) column-slice access.
-#[derive(Debug, Clone)]
-pub enum Block {
-    /// Row-major layout.
-    Row(RowBlock),
-    /// Column-major layout with decoded slices.
-    Columnar(ColumnarBlock),
-}
-
-impl Block {
-    /// Validates and wraps an uncompressed row-layout block.
-    pub fn parse(data: Vec<u8>) -> Result<Block> {
-        Ok(Block::Row(RowBlock::parse(data)?))
-    }
-
-    /// Validates and decodes an uncompressed columnar block written under
-    /// `schema` (the tablet footer's schema).
-    pub fn parse_columnar(data: Vec<u8>, schema: &Schema) -> Result<Block> {
-        Ok(Block::Columnar(ColumnarBlock::parse(data, schema)?))
-    }
-
-    /// Number of rows in the block.
-    pub fn len(&self) -> usize {
-        match self {
-            Block::Row(b) => b.len(),
-            Block::Columnar(b) => b.row_count,
-        }
-    }
-
-    /// True when the block holds no rows.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The block's decompressed size in bytes — what a cached copy of it
-    /// costs in memory. For columnar blocks this counts the decoded
-    /// slices plus the key arena (whether or not it has been built yet),
-    /// so the cache charge is an upper bound on the resident size.
-    pub fn byte_size(&self) -> usize {
-        match self {
-            Block::Row(b) => b.byte_size(),
-            Block::Columnar(b) => b.byte_size,
-        }
-    }
-
-    /// Returns `(key, payload)` of row `i` — row-layout blocks only
-    /// (columnar blocks have no row payloads).
-    pub fn entry(&self, i: usize) -> Result<(&[u8], &[u8])> {
-        match self {
-            Block::Row(b) => b.entry(i),
-            Block::Columnar(_) => Err(Error::invalid(
-                "columnar blocks have no row entries; use key()/row()",
-            )),
-        }
-    }
-
-    /// The encoded primary key of row `i`. Columnar blocks materialize
-    /// their key arena on first call.
-    pub fn key(&self, i: usize) -> Result<&[u8]> {
-        match self {
-            Block::Row(b) => b.key(i),
-            Block::Columnar(b) => b.key(i),
-        }
-    }
-
-    /// Materializes row `i` under the tablet's own `schema`.
-    pub fn row(&self, i: usize, schema: &Schema) -> Result<Row> {
-        match self {
-            Block::Row(b) => {
-                let (key, payload) = b.entry(i)?;
-                crate::row::decode_row(key, payload, schema)
-            }
-            Block::Columnar(b) => {
-                if i >= b.row_count {
-                    return Err(Error::corrupt("block row index out of range"));
-                }
-                Ok(Row::new(b.columns.iter().map(|c| c.value(i)).collect()))
-            }
-        }
-    }
-
-    /// The decoded slice of column `idx` (tablet-schema order), or `None`
-    /// for row-layout blocks. This is the aggregate-pushdown entry point:
-    /// it never materializes rows or keys.
-    pub fn column(&self, idx: usize) -> Option<&ColumnSlice> {
-        match self {
-            Block::Row(_) => None,
-            Block::Columnar(b) => b.columns.get(idx),
-        }
-    }
-
-    /// Index of the first row whose key is ≥ `target` (ascending-seek
-    /// position). Returns `len()` when every key is smaller.
-    pub fn seek_ge(&self, target: &[u8]) -> Result<usize> {
-        self.partition_point(|i| Ok(self.key(i)? < target))
-    }
-
-    /// Index of the first row whose key is > `target`.
-    pub fn seek_gt(&self, target: &[u8]) -> Result<usize> {
-        self.partition_point(|i| Ok(self.key(i)? <= target))
-    }
-
-    /// The interval of row indices whose keys lie inside `range`.
-    /// A columnar block encodes only the O(log n) probed rows' keys, into
-    /// one scratch buffer; its key arena is neither built nor read, so an
-    /// aggregate scan clips a block to the key bounds without paying for
-    /// key materialization.
-    pub fn rows_in_range(&self, range: &KeyRange) -> Result<Range<usize>> {
-        let mut scratch = Vec::new();
-        let mut first = |before: &dyn Fn(&[u8]) -> bool| {
-            self.partition_point(|i| Ok(before(self.probe_key(i, &mut scratch)?)))
-        };
-        let start = match &range.start {
-            Bound::Unbounded => 0,
-            Bound::Included(s) => first(&|k| k < s.as_slice())?,
-            Bound::Excluded(s) => first(&|k| k <= s.as_slice())?,
-        };
-        let end = match &range.end {
-            Bound::Unbounded => self.len(),
-            Bound::Included(e) => first(&|k| k <= e.as_slice())?,
-            Bound::Excluded(e) => first(&|k| k < e.as_slice())?,
-        };
-        Ok(start..end.max(start))
-    }
-
-    /// Replaces `out` with row `i`'s encoded key. A columnar block
-    /// encodes it from the key column slices; its key arena is neither
-    /// built nor read.
-    pub fn key_into(&self, i: usize, out: &mut Vec<u8>) -> Result<()> {
-        out.clear();
-        match self {
-            Block::Row(b) => out.extend_from_slice(b.key(i)?),
-            Block::Columnar(b) => {
-                if i >= b.row_count {
-                    return Err(Error::corrupt("block row index out of range"));
-                }
-                b.encode_key(i, out);
-            }
-        }
-        Ok(())
-    }
-
-    /// Row `i`'s key for one comparison: borrowed from a row block,
-    /// encoded into `scratch` for a columnar one (whose key arena is
-    /// neither built nor read).
-    pub(crate) fn probe_key<'a>(&'a self, i: usize, scratch: &'a mut Vec<u8>) -> Result<&'a [u8]> {
-        match self {
-            Block::Row(b) => b.key(i),
-            Block::Columnar(_) => {
-                self.key_into(i, scratch)?;
-                Ok(scratch)
-            }
-        }
-    }
-
-    /// Index of the first row for which `before` is false; rows are
-    /// sorted so that it holds for a prefix of them.
-    fn partition_point(&self, mut before: impl FnMut(usize) -> Result<bool>) -> Result<usize> {
-        let mut lo = 0usize;
-        let mut hi = self.len();
-        while lo < hi {
-            let mid = (lo + hi) / 2;
-            if before(mid)? {
-                lo = mid + 1;
-            } else {
-                hi = mid;
-            }
-        }
-        Ok(lo)
-    }
-
-    /// Whether a columnar block's key arena has been materialized.
-    #[cfg(test)]
-    pub(crate) fn key_arena_built(&self) -> bool {
-        match self {
-            Block::Row(_) => false,
-            Block::Columnar(b) => b.keys.get().is_some(),
-        }
-    }
-}
-
-/// A parsed row-layout block.
-#[derive(Debug, Clone)]
-pub struct RowBlock {
-    data: Vec<u8>,
-    row_count: usize,
-    /// Byte offset where row entries begin (just past the offset array).
-    entries_base: usize,
-}
-
-impl RowBlock {
-    /// Validates and wraps an uncompressed block.
-    ///
-    /// `row_count` comes straight off disk, so every derived size uses
-    /// checked arithmetic: a corrupt header must yield
-    /// [`Error::corrupt`], never an overflow panic (debug builds) or a
-    /// wrapped bounds check (32-bit release builds).
-    pub fn parse(data: Vec<u8>) -> Result<RowBlock> {
-        if data.len() < 4 {
-            return Err(Error::corrupt("block shorter than its header"));
-        }
-        let row_count = u32::from_le_bytes(data[..4].try_into().unwrap()) as usize;
-        let entries_base = row_count
-            .checked_mul(4)
-            .and_then(|n| n.checked_add(4))
-            .ok_or_else(|| Error::corrupt("block row count overflows"))?;
-        if entries_base > data.len() {
-            return Err(Error::corrupt("block offset array truncated"));
-        }
-        if row_count > 0 {
-            // The offsets are ascending, so validating the final entry
-            // bounds the whole array before any row is touched.
-            let at = entries_base - 4;
-            let last = u32::from_le_bytes(data[at..at + 4].try_into().unwrap()) as usize;
-            match entries_base.checked_add(last) {
-                Some(abs) if abs < data.len() => {}
-                _ => return Err(Error::corrupt("block row offset out of range")),
-            }
-        }
-        Ok(RowBlock {
-            data,
-            row_count,
-            entries_base,
-        })
-    }
-
-    fn len(&self) -> usize {
-        self.row_count
-    }
-
-    fn byte_size(&self) -> usize {
-        self.data.len()
-    }
-
-    fn entry_start(&self, i: usize) -> Result<usize> {
-        let at = 4 + i * 4;
-        let rel = u32::from_le_bytes(self.data[at..at + 4].try_into().unwrap()) as usize;
-        match self.entries_base.checked_add(rel) {
-            Some(abs) if abs < self.data.len() => Ok(abs),
-            _ => Err(Error::corrupt("block row offset out of range")),
-        }
-    }
-
-    fn entry(&self, i: usize) -> Result<(&[u8], &[u8])> {
-        if i >= self.row_count {
-            return Err(Error::corrupt("block row index out of range"));
-        }
-        let start = self.entry_start(i)?;
-        let mut r = Reader::new(&self.data[start..]);
-        let key = r.len_prefixed()?;
-        let payload = r.len_prefixed()?;
-        Ok((key, payload))
-    }
-
-    fn key(&self, i: usize) -> Result<&[u8]> {
-        Ok(self.entry(i)?.0)
+    /// The buffered rows as a decoded block, without a trip through the
+    /// codecs. `schema` is the one the encoder was shaped for.
+    pub fn into_block(self, schema: &Schema) -> Block {
+        Block::from_columns(self.cols, self.rows, schema)
     }
 }
 
@@ -715,10 +377,11 @@ struct KeyArena {
     offsets: Vec<u32>,
 }
 
-/// A parsed columnar block: decoded typed slices plus a lazily built
-/// arena of encoded primary keys.
+/// A decoded block: typed column slices plus a lazily built arena of
+/// encoded primary keys, ready for binary search, row iteration and
+/// column-slice access.
 #[derive(Debug, Clone)]
-pub struct ColumnarBlock {
+pub struct Block {
     columns: Vec<ColumnSlice>,
     row_count: usize,
     key_indices: Vec<usize>,
@@ -729,17 +392,19 @@ pub struct ColumnarBlock {
     byte_size: usize,
 }
 
-impl ColumnarBlock {
-    fn parse(data: Vec<u8>, schema: &Schema) -> Result<ColumnarBlock> {
+impl Block {
+    /// Validates and decodes an uncompressed block written under `schema`
+    /// (the tablet footer's schema).
+    pub fn parse(data: &[u8], schema: &Schema) -> Result<Block> {
         if data.len() < 4 {
-            return Err(Error::corrupt("columnar block shorter than its header"));
+            return Err(Error::corrupt("block shorter than its header"));
         }
         let row_count = u32::from_le_bytes(data[..4].try_into().unwrap()) as usize;
         let mut r = Reader::new(&data[4..]);
         let ncols = r.varint()? as usize;
         if ncols != schema.columns().len() {
             return Err(Error::corrupt(format!(
-                "columnar block has {ncols} columns, schema has {}",
+                "block has {ncols} columns, schema has {}",
                 schema.columns().len()
             )));
         }
@@ -754,14 +419,12 @@ impl ColumnarBlock {
             extents.push((tag, bytes));
         }
         if !r.is_empty() {
-            return Err(Error::corrupt("trailing bytes after columnar block"));
+            return Err(Error::corrupt("trailing bytes after block"));
         }
         for (col, (_, bytes)) in schema.columns().iter().zip(&extents) {
             let dense = !matches!(col.ty, ColumnType::Str | ColumnType::Blob);
             if dense && row_count > bytes.len().saturating_mul(8).saturating_add(64) {
-                return Err(Error::corrupt(
-                    "columnar block row count exceeds column data",
-                ));
+                return Err(Error::corrupt("block row count exceeds column data"));
             }
         }
         let mut columns = Vec::with_capacity(ncols);
@@ -803,6 +466,12 @@ impl ColumnarBlock {
             };
             columns.push(slice);
         }
+        Ok(Block::from_columns(columns, row_count, schema))
+    }
+
+    /// Wraps `row_count` rows already decoded into `schema`'s column
+    /// types.
+    fn from_columns(columns: Vec<ColumnSlice>, row_count: usize, schema: &Schema) -> Block {
         // Cache charge: decoded slices plus the worst-case key arena, so
         // the charge is stable whether or not keys get materialized.
         let key_indices = schema.key_indices().to_vec();
@@ -813,35 +482,44 @@ impl ColumnarBlock {
             + row_count * std::mem::size_of::<Vec<u8>>();
         let byte_size = columns.iter().map(|c| c.byte_size()).sum::<usize>()
             + key_arena_est
-            + std::mem::size_of::<ColumnarBlock>();
-        Ok(ColumnarBlock {
+            + std::mem::size_of::<Block>();
+        Block {
             columns,
             row_count,
             key_indices,
             keys: OnceLock::new(),
             byte_size,
-        })
-    }
-
-    /// Appends row `row`'s encoded primary key, straight from the key
-    /// column slices. Panics when `row` is out of range — callers index
-    /// within the block's length.
-    pub(crate) fn encode_key(&self, row: usize, out: &mut Vec<u8>) {
-        for &ki in &self.key_indices {
-            match &self.columns[ki] {
-                ColumnSlice::I32(v) => keyenc::encode_int(out, v[row] as i64),
-                ColumnSlice::I64(v) | ColumnSlice::Timestamp(v) => keyenc::encode_int(out, v[row]),
-                ColumnSlice::Str(v) => keyenc::encode_bytes(out, v[row].as_bytes()),
-                ColumnSlice::Blob(v) => keyenc::encode_bytes(out, &v[row]),
-                ColumnSlice::F64(_) => unreachable!("key columns are never F64"),
-            }
         }
     }
 
-    fn key(&self, i: usize) -> Result<&[u8]> {
+    /// Number of rows in the block.
+    pub fn len(&self) -> usize {
+        self.row_count
+    }
+
+    /// True when the block holds no rows.
+    pub fn is_empty(&self) -> bool {
+        self.row_count == 0
+    }
+
+    /// What a cached copy of the block costs in memory: the decoded
+    /// slices plus the key arena (whether or not it has been built yet),
+    /// so the cache charge is an upper bound on the resident size.
+    pub fn byte_size(&self) -> usize {
+        self.byte_size
+    }
+
+    fn check_row(&self, i: usize) -> Result<()> {
         if i >= self.row_count {
             return Err(Error::corrupt("block row index out of range"));
         }
+        Ok(())
+    }
+
+    /// The encoded primary key of row `i`. Materializes the key arena on
+    /// first call.
+    pub fn key(&self, i: usize) -> Result<&[u8]> {
+        self.check_row(i)?;
         let keys = self.keys.get_or_init(|| {
             let mut arena = KeyArena {
                 bytes: Vec::new(),
@@ -860,12 +538,108 @@ impl ColumnarBlock {
         Ok(&keys.bytes[keys.offsets[i] as usize..keys.offsets[i + 1] as usize])
     }
 
+    /// Materializes row `i`.
+    pub fn row(&self, i: usize) -> Result<Row> {
+        self.check_row(i)?;
+        Ok(Row::new(self.columns.iter().map(|c| c.value(i)).collect()))
+    }
+
+    /// The decoded slice of column `idx` (tablet-schema order). This is
+    /// the aggregate-pushdown entry point: it never materializes rows or
+    /// keys. Panics when the tablet's schema has no such column.
+    pub fn column(&self, idx: usize) -> &ColumnSlice {
+        &self.columns[idx]
+    }
+
     /// The timestamp column (the last key column) as a typed slice.
     pub fn timestamps(&self) -> Result<&[i64]> {
         match self.key_indices.last().map(|&ki| &self.columns[ki]) {
             Some(ColumnSlice::Timestamp(v)) => Ok(v),
-            _ => Err(Error::corrupt("columnar block has no timestamp key column")),
+            _ => Err(Error::corrupt("block has no timestamp key column")),
         }
+    }
+
+    /// Index of the first row whose key is ≥ `target` (ascending-seek
+    /// position). Returns `len()` when every key is smaller.
+    pub fn seek_ge(&self, target: &[u8]) -> Result<usize> {
+        self.partition_point(|i| Ok(self.key(i)? < target))
+    }
+
+    /// Index of the first row whose key is > `target`.
+    pub fn seek_gt(&self, target: &[u8]) -> Result<usize> {
+        self.partition_point(|i| Ok(self.key(i)? <= target))
+    }
+
+    /// The interval of row indices whose keys lie inside `range`. Only
+    /// the O(log n) probed rows' keys are encoded, into one scratch
+    /// buffer; the key arena is neither built nor read, so an aggregate
+    /// scan clips a block to the key bounds without paying for key
+    /// materialization.
+    pub fn rows_in_range(&self, range: &KeyRange) -> Result<Range<usize>> {
+        let mut scratch = Vec::new();
+        let mut first = |before: &dyn Fn(&[u8]) -> bool| {
+            self.partition_point(|i| {
+                self.key_into(i, &mut scratch)?;
+                Ok(before(&scratch))
+            })
+        };
+        let start = match &range.start {
+            Bound::Unbounded => 0,
+            Bound::Included(s) => first(&|k| k < s.as_slice())?,
+            Bound::Excluded(s) => first(&|k| k <= s.as_slice())?,
+        };
+        let end = match &range.end {
+            Bound::Unbounded => self.len(),
+            Bound::Included(e) => first(&|k| k <= e.as_slice())?,
+            Bound::Excluded(e) => first(&|k| k < e.as_slice())?,
+        };
+        Ok(start..end.max(start))
+    }
+
+    /// Replaces `out` with row `i`'s encoded key, encoded from the key
+    /// column slices; the key arena is neither built nor read.
+    pub fn key_into(&self, i: usize, out: &mut Vec<u8>) -> Result<()> {
+        self.check_row(i)?;
+        out.clear();
+        self.encode_key(i, out);
+        Ok(())
+    }
+
+    /// Appends row `row`'s encoded primary key, straight from the key
+    /// column slices. Panics when `row` is out of range — callers index
+    /// within the block's length.
+    pub(crate) fn encode_key(&self, row: usize, out: &mut Vec<u8>) {
+        for &ki in &self.key_indices {
+            match &self.columns[ki] {
+                ColumnSlice::I32(v) => keyenc::encode_int(out, v[row] as i64),
+                ColumnSlice::I64(v) | ColumnSlice::Timestamp(v) => keyenc::encode_int(out, v[row]),
+                ColumnSlice::Str(v) => keyenc::encode_bytes(out, v[row].as_bytes()),
+                ColumnSlice::Blob(v) => keyenc::encode_bytes(out, &v[row]),
+                ColumnSlice::F64(_) => unreachable!("key columns are never F64"),
+            }
+        }
+    }
+
+    /// Index of the first row for which `before` is false; rows are
+    /// sorted so that it holds for a prefix of them.
+    fn partition_point(&self, mut before: impl FnMut(usize) -> Result<bool>) -> Result<usize> {
+        let mut lo = 0usize;
+        let mut hi = self.len();
+        while lo < hi {
+            let mid = (lo + hi) / 2;
+            if before(mid)? {
+                lo = mid + 1;
+            } else {
+                hi = mid;
+            }
+        }
+        Ok(lo)
+    }
+
+    /// Whether the key arena has been materialized.
+    #[cfg(test)]
+    pub(crate) fn key_arena_built(&self) -> bool {
+        self.keys.get().is_some()
     }
 }
 
@@ -873,16 +647,6 @@ impl ColumnarBlock {
 mod tests {
     use super::*;
     use crate::schema::ColumnDef;
-
-    fn sample_block(n: u64) -> Block {
-        let mut b = BlockBuilder::new();
-        for i in 0..n {
-            let key = format!("key-{i:04}");
-            let payload = format!("value-{i}");
-            b.add(key.as_bytes(), payload.as_bytes());
-        }
-        Block::parse(b.finish()).unwrap()
-    }
 
     fn col_schema() -> Schema {
         Schema::new(
@@ -899,7 +663,7 @@ mod tests {
 
     fn sample_columnar(n: i64) -> (Block, Schema) {
         let s = col_schema();
-        let mut b = ColumnarBlockBuilder::new(&s);
+        let mut b = BlockEncoder::new(&s);
         // Rows must arrive in ascending key order: group by device,
         // ascending timestamps within each device.
         let chunk = (n + 2) / 3;
@@ -916,95 +680,7 @@ mod tests {
         let (zones, rows) = b.finish(&mut data);
         assert_eq!(rows as i64, n);
         assert_eq!(zones.len(), 4);
-        (Block::parse_columnar(data, &s).unwrap(), s)
-    }
-
-    #[test]
-    fn build_and_read_back() {
-        let blk = sample_block(100);
-        assert_eq!(blk.len(), 100);
-        let (k, p) = blk.entry(42).unwrap();
-        assert_eq!(k, b"key-0042");
-        assert_eq!(p, b"value-42");
-    }
-
-    #[test]
-    fn empty_block_round_trips() {
-        let mut b = BlockBuilder::new();
-        let blk = Block::parse(b.finish()).unwrap();
-        assert!(blk.is_empty());
-        assert_eq!(blk.seek_ge(b"x").unwrap(), 0);
-    }
-
-    #[test]
-    fn seek_ge_finds_boundaries() {
-        let blk = sample_block(10);
-        assert_eq!(blk.seek_ge(b"key-0000").unwrap(), 0);
-        assert_eq!(blk.seek_ge(b"key-0005").unwrap(), 5);
-        assert_eq!(blk.seek_ge(b"key-00055").unwrap(), 6); // between 5 and 6
-        assert_eq!(blk.seek_ge(b"key-9999").unwrap(), 10);
-        assert_eq!(blk.seek_ge(b"").unwrap(), 0);
-    }
-
-    #[test]
-    fn seek_gt_skips_equal() {
-        let blk = sample_block(10);
-        assert_eq!(blk.seek_gt(b"key-0005").unwrap(), 6);
-        assert_eq!(blk.seek_gt(b"key-0009").unwrap(), 10);
-    }
-
-    #[test]
-    fn builder_resets_after_finish() {
-        let mut b = BlockBuilder::new();
-        b.add(b"a", b"1");
-        let _ = b.finish();
-        assert!(b.is_empty());
-        b.add(b"a", b"2"); // would panic if last_key were stale
-        let blk = Block::parse(b.finish()).unwrap();
-        assert_eq!(blk.entry(0).unwrap().1, b"2");
-    }
-
-    #[test]
-    fn size_estimate_matches_finish() {
-        let mut b = BlockBuilder::new();
-        for i in 0..50 {
-            b.add(format!("k{i:02}").as_bytes(), b"pppp");
-        }
-        let est = b.size_estimate();
-        let actual = b.finish().len();
-        assert_eq!(est, actual);
-    }
-
-    #[test]
-    fn corrupt_blocks_are_rejected() {
-        assert!(Block::parse(vec![1, 2]).is_err());
-        // Claims 100 rows but has no offset array.
-        let mut data = 100u32.to_le_bytes().to_vec();
-        data.push(0);
-        assert!(Block::parse(data).is_err());
-        // Final row offset points past the end: caught at parse time.
-        let mut b = BlockBuilder::new();
-        b.add(b"k", b"v");
-        let mut data = b.finish();
-        data[4] = 0xFF;
-        assert!(Block::parse(data).is_err());
-        // A non-final bad offset still surfaces at entry() time.
-        let mut b = BlockBuilder::new();
-        b.add(b"a", b"1");
-        b.add(b"b", b"2");
-        let mut data = b.finish();
-        data[4] = 0xFF; // first of two offsets
-        let blk = Block::parse(data).unwrap();
-        assert!(blk.entry(0).is_err());
-    }
-
-    #[test]
-    fn huge_row_count_is_corrupt_not_overflow() {
-        // row_count * 4 + 4 must not overflow on any target; a header
-        // claiming u32::MAX rows is corruption, full stop.
-        let mut data = u32::MAX.to_le_bytes().to_vec();
-        data.extend_from_slice(&[0u8; 64]);
-        assert!(matches!(Block::parse(data), Err(Error::Corrupt(_))));
+        (Block::parse(&data, &s).unwrap(), s)
     }
 
     #[test]
@@ -1012,24 +688,46 @@ mod tests {
         let (blk, s) = sample_columnar(200);
         assert_eq!(blk.len(), 200);
         for i in 0..200usize {
-            let row = blk.row(i, &s).unwrap();
+            let row = blk.row(i).unwrap();
             assert_eq!(row.values[1], Value::Timestamp(1000 + i as i64));
             assert_eq!(row.values[2], Value::I64(i as i64 * 10));
             let expect = row.encode_key(&s).unwrap();
             assert_eq!(blk.key(i).unwrap(), expect.as_slice());
         }
         // Column slices come back typed, without row materialization.
-        match blk.column(2).unwrap() {
+        match blk.column(2) {
             ColumnSlice::I64(v) => assert_eq!(v.iter().sum::<i64>(), (0..200).sum::<i64>() * 10),
             other => panic!("wrong slice type: {other:?}"),
         }
-        assert!(blk.column(9).is_none());
+    }
+
+    #[test]
+    fn into_block_is_the_encoded_block_decoded() {
+        let s = col_schema();
+        let mut b = BlockEncoder::new(&s);
+        for i in 0..70i64 {
+            let row = Row::new(vec![
+                Value::Str(format!("dev-{}", i / 24)),
+                Value::Timestamp(1000 + i),
+                Value::I64(i * 10),
+                Value::F64(i as f64 / 2.0),
+            ]);
+            b.add(&row).unwrap();
+        }
+        let (decoded, _) = sample_columnar(70);
+        let direct = b.into_block(&s);
+        assert_eq!(direct.len(), decoded.len());
+        assert_eq!(direct.byte_size(), decoded.byte_size());
+        for c in 0..4 {
+            assert_eq!(direct.column(c), decoded.column(c));
+        }
+        assert_eq!(direct.key(69).unwrap(), decoded.key(69).unwrap());
     }
 
     #[test]
     fn columnar_zones_cover_numeric_columns() {
         let s = col_schema();
-        let mut b = ColumnarBlockBuilder::new(&s);
+        let mut b = BlockEncoder::new(&s);
         for i in 0..50i64 {
             let row = Row::new(vec![
                 Value::Str("d".into()),
@@ -1052,7 +750,7 @@ mod tests {
     #[test]
     fn nan_poisons_float_zones() {
         let s = col_schema();
-        let mut b = ColumnarBlockBuilder::new(&s);
+        let mut b = BlockEncoder::new(&s);
         for i in 0..3i64 {
             let row = Row::new(vec![
                 Value::Str("d".into()),
@@ -1066,8 +764,8 @@ mod tests {
         let (zones, _) = b.finish(&mut data);
         assert_eq!(zones[3], None);
         // The NaN itself still round-trips through the block.
-        let blk = Block::parse_columnar(data, &s).unwrap();
-        match blk.row(1, &s).unwrap().values[3] {
+        let blk = Block::parse(&data, &s).unwrap();
+        match blk.row(1).unwrap().values[3] {
             Value::F64(f) => assert!(f.is_nan()),
             ref v => panic!("wrong value {v:?}"),
         }
@@ -1086,12 +784,18 @@ mod tests {
         let i = blk.seek_ge(&key).unwrap();
         assert_eq!(blk.key(i).unwrap(), key.as_slice());
         assert_eq!(blk.seek_gt(&key).unwrap(), i + 1);
+        // Between two keys, before the first and past the last.
+        let mut between = key.clone();
+        between.push(0);
+        assert_eq!(blk.seek_ge(&between).unwrap(), i + 1);
+        assert_eq!(blk.seek_ge(b"").unwrap(), 0);
+        assert_eq!(blk.seek_ge(&[0xFF; 4]).unwrap(), 30);
+        assert_eq!(blk.seek_gt(blk.key(29).unwrap()).unwrap(), 30);
     }
 
     #[test]
     fn rows_in_range_matches_key_filter_without_building_the_arena() {
         let (col, s) = sample_columnar(60);
-        let row = sample_block(60);
         let types = s.key_types();
         let prefix = |dev: &str| keyenc::encode_prefix(&[Value::Str(dev.into())], &types).unwrap();
         let full = |dev: &str, ts: i64| {
@@ -1108,24 +812,14 @@ mod tests {
             ),
             KeyRange::from_bounds(None, Some((full("dev-1", 1030), true))),
             KeyRange::from_bounds(Some((prefix("dev-2"), true)), Some((prefix("dev-1"), true))),
-            KeyRange::for_prefix(b"key-003".to_vec()),
-            KeyRange::from_bounds(
-                Some((b"key-0010".to_vec(), false)),
-                Some((b"key-0020".to_vec(), true)),
-            ),
         ];
         for range in &ranges {
             let got = col.rows_in_range(range).unwrap();
             let expect: Vec<usize> = (0..col.len())
                 .filter(|&i| {
-                    let key = col.row(i, &s).unwrap().encode_key(&s).unwrap();
+                    let key = col.row(i).unwrap().encode_key(&s).unwrap();
                     range.contains(&key)
                 })
-                .collect();
-            assert_eq!(got.clone().collect::<Vec<_>>(), expect, "{range:?}");
-            let got = row.rows_in_range(range).unwrap();
-            let expect: Vec<usize> = (0..row.len())
-                .filter(|&i| range.contains(row.key(i).unwrap()))
                 .collect();
             assert_eq!(got.collect::<Vec<_>>(), expect, "{range:?}");
         }
@@ -1137,13 +831,13 @@ mod tests {
     #[test]
     fn corrupt_columnar_blocks_are_rejected() {
         let s = col_schema();
-        assert!(Block::parse_columnar(vec![1, 2], &s).is_err());
+        assert!(Block::parse(&[1, 2], &s).is_err());
         // Wrong column count.
         let mut data = 0u32.to_le_bytes().to_vec();
         data.push(2); // claims 2 columns, schema has 4
-        assert!(Block::parse_columnar(data, &s).is_err());
+        assert!(Block::parse(&data, &s).is_err());
         // Row count far beyond the column data.
-        let mut b = ColumnarBlockBuilder::new(&s);
+        let mut b = BlockEncoder::new(&s);
         let row = Row::new(vec![
             Value::Str("d".into()),
             Value::Timestamp(1),
@@ -1155,26 +849,14 @@ mod tests {
         b.finish(&mut data);
         let mut big = data.clone();
         big[..4].copy_from_slice(&u32::MAX.to_le_bytes());
-        assert!(matches!(
-            Block::parse_columnar(big, &s),
-            Err(Error::Corrupt(_))
-        ));
+        assert!(matches!(Block::parse(&big, &s), Err(Error::Corrupt(_))));
         // Truncation inside a column slice.
         let mut short = data.clone();
         short.truncate(data.len() - 1);
-        assert!(Block::parse_columnar(short, &s).is_err());
+        assert!(Block::parse(&short, &s).is_err());
         // An unknown codec tag is corruption, not a panic.
         let mut bad_tag = data;
         bad_tag[5] = 0x7F; // first column's codec tag
-        assert!(matches!(
-            Block::parse_columnar(bad_tag, &s),
-            Err(Error::Corrupt(_))
-        ));
-    }
-
-    #[test]
-    fn columnar_entry_is_rejected() {
-        let (blk, _) = sample_columnar(3);
-        assert!(blk.entry(0).is_err());
+        assert!(matches!(Block::parse(&bad_tag, &s), Err(Error::Corrupt(_))));
     }
 }

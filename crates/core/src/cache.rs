@@ -565,6 +565,8 @@ impl BlockCache {
     /// entries (blocks or other footers) to fit. A footer too large for
     /// one shard's slice is not admitted and will reload from disk on
     /// each use — bounded memory wins over pinning at pathological sizes.
+    /// The refusal costs its owner what an eviction costs, the reload,
+    /// and is counted as one.
     pub fn insert_footer(
         &self,
         tablet_id: u64,
@@ -575,6 +577,7 @@ impl BlockCache {
         let charge = footer.approx_byte_size();
         let upper_capacity = self.upper_shard_capacity.load(Ordering::Relaxed);
         if charge > upper_capacity {
+            TableStats::add(&owner.footer_evictions, 1);
             return;
         }
         let shard = &self.upper[self.shard_idx(key)];
@@ -901,13 +904,33 @@ impl CacheHandle {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::block::BlockBuilder;
+    use crate::block::BlockEncoder;
+    use crate::row::Row;
+    use crate::schema::{ColumnDef, Schema};
+    use crate::value::{ColumnType, Value};
 
-    fn block_of_size(approx: usize) -> Arc<Block> {
-        let mut b = BlockBuilder::new();
-        let payload = vec![0u8; approx.saturating_sub(32)];
-        b.add(b"key", &payload);
-        Arc::new(Block::parse(b.finish()).unwrap())
+    /// A one-row block charged `size` bytes (or the least a block costs,
+    /// if that is more).
+    fn block_of_size(size: usize) -> Arc<Block> {
+        let schema = Schema::new(
+            vec![
+                ColumnDef::new("ts", ColumnType::Timestamp),
+                ColumnDef::new("v", ColumnType::Blob),
+            ],
+            &["ts"],
+        )
+        .unwrap();
+        let with_blob = |len: usize| {
+            let mut b = BlockEncoder::new(&schema);
+            b.add(&Row::new(vec![
+                Value::Timestamp(0),
+                Value::Blob(vec![0u8; len]),
+            ]))
+            .unwrap();
+            b.into_block(&schema)
+        };
+        let least = with_blob(0).byte_size();
+        Arc::new(with_blob(size.saturating_sub(least)))
     }
 
     /// A stand-in compressed form, `approx` bytes long.
@@ -1057,7 +1080,7 @@ mod tests {
                 max_ts: 1,
                 row_count: 10,
                 bloom: None,
-                format: crate::block::BlockFormat::Row,
+                row_blocks: false,
                 blocks: (0..nblocks)
                     .map(|i| crate::tablet::BlockIndexEntry {
                         offset: i as u64 * 100,
@@ -1089,6 +1112,18 @@ mod tests {
         assert!(cache.bytes_used() <= cache.capacity());
         assert!(st.snapshot().footer_evictions > 0);
         assert!(ids.iter().any(|&t| !cache.footer_resident(t)));
+        // A footer larger than the shard's whole slice is refused, every
+        // time it is offered: each refusal is a reload, counted like one.
+        let big = cache.register_tablet();
+        let huge = footer(200);
+        assert!(huge.approx_byte_size() > cache.capacity());
+        let (before, used) = (st.snapshot().footer_evictions, cache.bytes_used());
+        for offered in 1..=2 {
+            cache.insert_footer(big, huge.clone(), &st);
+            assert!(!cache.footer_resident(big));
+            assert_eq!(st.snapshot().footer_evictions, before + offered);
+        }
+        assert_eq!(cache.bytes_used(), used, "a refusal evicts nothing");
     }
 
     #[test]

@@ -249,7 +249,7 @@ impl DiskCursor {
         debug_assert_eq!(self.pos, Some((bi, ri)));
         let footer = self.footer.as_ref().expect("init pinned the footer");
         let key = block.key(ri)?.to_vec();
-        let row = block.row(ri, &footer.schema)?;
+        let row = block.row(ri)?;
         let row = if footer.schema.version() == self.newest.version() {
             row
         } else {
@@ -424,17 +424,7 @@ mod tests {
 
     /// Writes a tablet holding rows (n, ts=n) for n in `ns`.
     fn write(vfs: &SimVfs, path: &str, s: &Schema, ns: &[i64]) -> Arc<TabletReader> {
-        write_as(vfs, path, s, ns, crate::block::BlockFormat::Columnar)
-    }
-
-    fn write_as(
-        vfs: &SimVfs,
-        path: &str,
-        s: &Schema,
-        ns: &[i64],
-        format: crate::block::BlockFormat,
-    ) -> Arc<TabletReader> {
-        let mut w = TabletWriter::new(vfs.create(path, 0).unwrap(), s.clone(), 256, false, format);
+        let mut w = TabletWriter::new(vfs.create(path, 0).unwrap(), s.clone(), 256, false);
         let mut sorted = ns.to_vec();
         sorted.sort_unstable();
         for n in sorted {

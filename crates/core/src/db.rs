@@ -510,12 +510,12 @@ impl Db {
     /// time. Returns the merged report.
     ///
     /// Transient I/O errors ([`Error::is_transient`]) are retried in place
-    /// with bounded exponential backoff ([`Options::io_retry_limit`] /
-    /// [`Options::io_retry_backoff_ms`]); every retry bumps the table's
-    /// `io_retries` counter. An error that survives its retries (or is not
-    /// transient to begin with) bumps `maintenance_errors`, and the pass
-    /// continues over the remaining tables so one sick table can't starve
-    /// the rest — the first such error is returned at the end.
+    /// up to three times, with a backoff that doubles from 10 ms; every
+    /// retry bumps the table's `io_retries` counter. An error that
+    /// survives its retries (or is not transient to begin with) bumps
+    /// `maintenance_errors`, and the pass continues over the remaining
+    /// tables so one sick table can't starve the rest — the first such
+    /// error is returned at the end.
     pub fn maintain(&self) -> Result<MaintenanceReport> {
         let now = self.now();
         let snap = self.load_catalog();
@@ -623,23 +623,26 @@ impl Db {
         snap
     }
 
+    /// How many times a maintenance pass retries an operation that failed
+    /// with a transient I/O error before giving up for this cycle.
+    const IO_RETRY_LIMIT: u32 = 3;
+    /// Backoff before the first retry, in milliseconds; doubles per
+    /// attempt, capped at one second.
+    const IO_RETRY_BACKOFF_MS: u64 = 10;
+
     /// One table's maintenance with the transient-error retry loop.
     fn maintain_one(&self, t: &Arc<Table>, now: Micros) -> Result<MaintenanceReport> {
-        let limit = self.inner.opts.io_retry_limit;
-        let base_ms = self.inner.opts.io_retry_backoff_ms;
         let mut attempt = 0u32;
         loop {
             match t.maintain(now) {
                 Ok(r) => return Ok(r),
-                Err(e) if e.is_transient() && attempt < limit => {
+                Err(e) if e.is_transient() && attempt < Self::IO_RETRY_LIMIT => {
                     attempt += 1;
                     crate::stats::TableStats::add(&t.stats().io_retries, 1);
-                    let backoff_ms = base_ms
+                    let backoff_ms = Self::IO_RETRY_BACKOFF_MS
                         .saturating_mul(1 << (attempt - 1).min(16))
                         .min(1_000);
-                    if backoff_ms > 0 {
-                        std::thread::sleep(std::time::Duration::from_millis(backoff_ms));
-                    }
+                    std::thread::sleep(std::time::Duration::from_millis(backoff_ms));
                 }
                 Err(e) => return Err(e),
             }

@@ -40,7 +40,7 @@ pub mod tablet;
 pub mod util;
 pub mod value;
 
-pub use block::{BlockFormat, ColumnSlice};
+pub use block::ColumnSlice;
 pub use cache::BlockCache;
 pub use db::Db;
 pub use error::{Error, Result};

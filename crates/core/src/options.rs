@@ -1,6 +1,5 @@
 //! Engine tuning options.
 
-use crate::block::BlockFormat;
 use crate::mergepolicy::MergePolicy;
 use littletable_vfs::Micros;
 
@@ -68,16 +67,10 @@ pub struct Options {
     /// decompress instead of a disk seek. Clamped to `[0.0, 1.0]`; `0.0`
     /// reproduces the single-tier cache.
     pub compressed_cache_fraction: f64,
-    /// Explicit byte budget for the compressed tier, overriding
-    /// [`Options::compressed_cache_fraction`] when set. Clamped to
-    /// [`Options::block_cache_bytes`]; the decompressed tier gets the
-    /// remainder, so the joint budget is still respected.
-    pub compressed_cache_bytes: Option<usize>,
     /// Retune the cache's tier split at maintenance time from ARC-style
     /// ghost-list hit estimation (see [`crate::cache::BlockCache::rebalance`])
     /// instead of pinning it at the configured fraction forever. The
-    /// configured split (fraction or explicit bytes) is still the
-    /// starting point; thereafter each [`crate::db::Db::maintain`] pass
+    /// configured split is still the starting point; thereafter each [`crate::db::Db::maintain`] pass
     /// moves a bounded slice of the joint budget toward the tier with
     /// more byte-weighted would-have-hits. Disable to reproduce the
     /// static two-tier cache exactly (ablation, deterministic tests).
@@ -89,21 +82,6 @@ pub struct Options {
     /// telemetry store that refuses to start over one bad file loses more
     /// data than it protects.
     pub strict_open: bool,
-    /// How many times background maintenance retries an operation that
-    /// failed with a transient I/O error ([`crate::Error::is_transient`])
-    /// before giving up for this cycle.
-    pub io_retry_limit: u32,
-    /// Base backoff between maintenance retries, in milliseconds; doubles
-    /// per attempt, capped at one second.
-    pub io_retry_backoff_ms: u64,
-    /// Block layout for newly written tablets. [`BlockFormat::Columnar`]
-    /// (the default) writes footer-v3 tablets whose blocks hold
-    /// per-column codec-compressed slices with zone maps, enabling
-    /// aggregate pushdown; [`BlockFormat::Row`] writes the classic
-    /// footer-v2 row layout. Either way, tablets of both layouts read
-    /// back transparently, and merges rewrite mixed inputs into the
-    /// configured format.
-    pub block_format: BlockFormat,
     /// Fraction of [`Options::block_cache_bytes`] carved out for the
     /// query-result cache (finished aggregate result sets keyed by table
     /// generation, bounding box, and insert sequence). The carve-out
@@ -133,12 +111,8 @@ impl Default for Options {
             block_cache_bytes: 64 << 20,
             block_cache_shards: 0,
             compressed_cache_fraction: 0.25,
-            compressed_cache_bytes: None,
             adaptive_cache_split: true,
             strict_open: false,
-            io_retry_limit: 3,
-            io_retry_backoff_ms: 10,
-            block_format: BlockFormat::Columnar,
             result_cache_fraction: 1.0 / 16.0,
         }
     }
@@ -168,13 +142,8 @@ impl Options {
     /// sum to at most [`Options::block_cache_bytes`].
     pub fn cache_tier_budgets(&self) -> (usize, usize) {
         let total = self.block_cache_bytes - self.result_cache_budget();
-        let compressed = match self.compressed_cache_bytes {
-            Some(b) => b.min(total),
-            None => {
-                let f = self.compressed_cache_fraction.clamp(0.0, 1.0);
-                (total as f64 * f) as usize
-            }
-        };
+        let f = self.compressed_cache_fraction.clamp(0.0, 1.0);
+        let compressed = (total as f64 * f) as usize;
         (total - compressed, compressed)
     }
 
@@ -206,12 +175,8 @@ mod tests {
         assert_eq!(o.block_cache_bytes, 64 << 20);
         assert_eq!(o.block_cache_shards, 0);
         assert_eq!(o.compressed_cache_fraction, 0.25);
-        assert_eq!(o.compressed_cache_bytes, None);
         assert!(o.adaptive_cache_split);
         assert!(!o.strict_open);
-        assert_eq!(o.io_retry_limit, 3);
-        assert_eq!(o.io_retry_backoff_ms, 10);
-        assert_eq!(o.block_format, BlockFormat::Columnar);
         assert_eq!(o.result_cache_fraction, 1.0 / 16.0);
     }
 
@@ -229,19 +194,7 @@ mod tests {
         assert_eq!(d + c + result, 64 << 20);
         assert_eq!(c, 15 << 20); // default 25% split of the remainder
 
-        o.compressed_cache_bytes = Some(1 << 20);
-        let (d, c) = o.cache_tier_budgets();
-        assert_eq!(c, 1 << 20);
-        assert_eq!(d + c + result, 64 << 20);
-
-        // The explicit knob can never push past the joint budget.
-        o.compressed_cache_bytes = Some(usize::MAX);
-        let (d, c) = o.cache_tier_budgets();
-        assert_eq!(d, 0);
-        assert_eq!(c, 60 << 20);
-
         // Out-of-range fractions clamp instead of misbehaving.
-        o.compressed_cache_bytes = None;
         o.compressed_cache_fraction = 7.0;
         let (d, c) = o.cache_tier_budgets();
         assert_eq!(d, 0);

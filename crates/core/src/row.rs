@@ -1,14 +1,14 @@
-//! Rows and their on-disk payload encoding.
+//! Rows, and the decoding of the row entries older tablets store.
 //!
-//! Inside a tablet block each row is stored as its order-preserving encoded
-//! primary key (see [`crate::keyenc`]) followed by a compact payload of the
-//! non-key columns. The key doubles as the sort/search handle; the payload
-//! uses varint/zigzag encodings. Decoding reconstructs key column values
-//! from the encoded key, so nothing is stored twice.
+//! Tablets written before the columnar block layout store each row as its
+//! order-preserving encoded primary key (see [`crate::keyenc`]) followed
+//! by a compact varint/zigzag payload of the non-key columns; key column
+//! values exist only inside the encoded key. [`decode_row`] reads such an
+//! entry back. Nothing writes them any more.
 
 use crate::error::{Error, Result};
 use crate::keyenc;
-use crate::schema::{decode_value, encode_value, Schema};
+use crate::schema::{decode_value, Schema};
 use crate::util::Reader;
 use crate::value::Value;
 use littletable_vfs::Micros;
@@ -47,15 +47,6 @@ impl Row {
     }
 }
 
-/// Serializes the non-key payload of `row` into `out`.
-pub fn encode_payload(out: &mut Vec<u8>, row: &Row, schema: &Schema) {
-    for (i, v) in row.values.iter().enumerate() {
-        if !schema.key_indices().contains(&i) {
-            encode_value(out, v);
-        }
-    }
-}
-
 /// Reassembles a full row from its encoded key and payload, under the
 /// schema the block was written with.
 pub fn decode_row(key: &[u8], payload: &[u8], schema: &Schema) -> Result<Row> {
@@ -77,11 +68,22 @@ pub fn decode_row(key: &[u8], payload: &[u8], schema: &Schema) -> Result<Row> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use crate::schema::ColumnDef;
+    use crate::schema::{encode_value, ColumnDef};
     use crate::value::ColumnType;
     use proptest::prelude::*;
+
+    /// The payload a row entry stores for `row`: its non-key values.
+    pub(crate) fn payload_of(row: &Row, schema: &Schema) -> Vec<u8> {
+        let mut out = Vec::new();
+        for (i, v) in row.values.iter().enumerate() {
+            if !schema.key_indices().contains(&i) {
+                encode_value(&mut out, v);
+            }
+        }
+        out
+    }
 
     fn schema() -> Schema {
         Schema::new(
@@ -120,8 +122,7 @@ mod tests {
         let s = schema();
         let row = sample_row();
         let key = row.encode_key(&s).unwrap();
-        let mut payload = Vec::new();
-        encode_payload(&mut payload, &row, &s);
+        let payload = payload_of(&row, &s);
         let back = decode_row(&key, &payload, &s).unwrap();
         assert_eq!(back, row);
     }
@@ -141,8 +142,7 @@ mod tests {
         let s = schema();
         let row = sample_row();
         let key = row.encode_key(&s).unwrap();
-        let mut payload = Vec::new();
-        encode_payload(&mut payload, &row, &s);
+        let payload = payload_of(&row, &s);
         assert!(decode_row(&key, &payload[..payload.len() - 1], &s).is_err());
         let mut extended = payload.clone();
         extended.push(7);
@@ -169,8 +169,7 @@ mod tests {
                 Value::Str(note),
             ]);
             let key = row.encode_key(&s).unwrap();
-            let mut payload = Vec::new();
-            encode_payload(&mut payload, &row, &s);
+            let payload = payload_of(&row, &s);
             prop_assert_eq!(decode_row(&key, &payload, &s).unwrap(), row);
         }
     }

@@ -8,200 +8,126 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Lock-free counters updated by the insert, query, flush, and merge paths.
-#[derive(Debug, Default)]
-pub struct TableStats {
+/// Declares [`TableStats`] and [`StatsSnapshot`] from one list of
+/// counters: the atomic field, the snapshot field of the same name, and
+/// the line of [`TableStats::snapshot`] that copies one to the other.
+macro_rules! table_counters {
+    ($($(#[$doc:meta])* $name:ident,)*) => {
+        /// Lock-free counters updated by the insert, query, flush, and
+        /// merge paths.
+        #[derive(Debug, Default)]
+        pub struct TableStats {
+            $($(#[$doc])* pub $name: AtomicU64,)*
+        }
+
+        /// A plain-value snapshot of [`TableStats`].
+        #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+        pub struct StatsSnapshot {
+            $(
+                #[doc = concat!("See [`TableStats::", stringify!($name), "`].")]
+                pub $name: u64,
+            )*
+        }
+
+        impl TableStats {
+            /// Takes a coherent-enough snapshot (individual counters are
+            /// exact; cross-counter consistency is best-effort, which is
+            /// fine for monitoring).
+            pub fn snapshot(&self) -> StatsSnapshot {
+                StatsSnapshot {
+                    $($name: self.$name.load(Ordering::Relaxed),)*
+                }
+            }
+        }
+    };
+}
+
+table_counters! {
     /// Rows accepted by inserts.
-    pub rows_inserted: AtomicU64,
+    rows_inserted,
     /// Rows rejected as duplicate primary keys.
-    pub duplicate_keys: AtomicU64,
+    duplicate_keys,
     /// Queries started (range queries via `query`/`query_all` plus
     /// `latest` calls — every read that opens a cursor).
-    pub queries: AtomicU64,
+    queries,
     /// `latest` calls, also counted in `queries`.
-    pub latest_calls: AtomicU64,
+    latest_calls,
     /// Read-path snapshot acquisitions: one per `query`/`latest` fast
     /// path (an atomic pointer load, no mutex).
-    pub snapshot_loads: AtomicU64,
+    snapshot_loads,
     /// Snapshots published by the write and maintenance paths (one per
     /// tablet-set or schema transition).
-    pub snapshot_publishes: AtomicU64,
+    snapshot_publishes,
     /// Rows popped from the merge cursor (inside key bounds).
-    pub rows_scanned: AtomicU64,
+    rows_scanned,
     /// Rows that also passed the timestamp and TTL filters and were
     /// returned.
-    pub rows_returned: AtomicU64,
+    rows_returned,
     /// In-memory tablets flushed to disk.
-    pub tablets_flushed: AtomicU64,
+    tablets_flushed,
     /// Bytes written by flushes (compressed file sizes).
-    pub bytes_flushed: AtomicU64,
+    bytes_flushed,
     /// Merge operations completed.
-    pub merges: AtomicU64,
+    merges,
     /// Bytes written by merges (compressed output file sizes).
-    pub bytes_merge_written: AtomicU64,
+    bytes_merge_written,
     /// Tablets removed by TTL expiry.
-    pub tablets_expired: AtomicU64,
+    tablets_expired,
     /// Inserts resolved by the "newest timestamp" fast path.
-    pub unique_fast_ts: AtomicU64,
+    unique_fast_ts,
     /// Inserts resolved by the "largest key in period" fast path.
-    pub unique_fast_key: AtomicU64,
+    unique_fast_key,
     /// Inserts that needed the point-query slow path.
-    pub unique_slow: AtomicU64,
+    unique_slow,
     /// Block reads served from the decompressed-block cache.
-    pub cache_hits: AtomicU64,
+    cache_hits,
     /// Block reads that missed the decompressed tier but were served from
     /// the compressed tier — a decompress instead of a disk seek.
-    pub cache_compressed_hits: AtomicU64,
+    cache_compressed_hits,
     /// Block reads that missed both cache tiers and hit disk. Stays 0
     /// when the cache is disabled (uncached reads are not counted).
-    pub cache_misses: AtomicU64,
+    cache_misses,
     /// Decompressed bytes of this table's blocks evicted from the
     /// decompressed tier (including demotions to the compressed tier).
-    pub cache_evicted_bytes: AtomicU64,
+    cache_evicted_bytes,
     /// Tablet footers of this table evicted from the shared cache; each
     /// reload costs the three cold-footer seeks of §3.2.
-    pub footer_evictions: AtomicU64,
+    footer_evictions,
     /// Maintenance operations re-attempted after a transient I/O error
     /// (one count per retry, not per eventual success).
-    pub io_retries: AtomicU64,
+    io_retries,
     /// Maintenance cycles that gave up on an operation after exhausting
     /// retries (the error was surfaced, not swallowed).
-    pub maintenance_errors: AtomicU64,
+    maintenance_errors,
     /// Tablet files set aside at open because they were missing or failed
     /// footer/CRC validation (see `Options::strict_open`).
-    pub tablets_quarantined: AtomicU64,
+    tablets_quarantined,
     /// Pushdown scans started (aggregate queries routed through
     /// [`crate::table::Table::pushdown_scan`] instead of the row cursor).
-    pub pushdown_scans: AtomicU64,
+    pushdown_scans,
     /// Blocks skipped outright by a pushdown scan because their zone
     /// maps proved no row could match.
-    pub blocks_pruned: AtomicU64,
+    blocks_pruned,
     /// Rows materialized into [`crate::row::Row`] values on the read
     /// path (cursor emits plus pushdown boundary rows). The pushdown win
     /// shows up as this counter staying far below `rows_scanned`.
-    pub rows_materialized: AtomicU64,
+    rows_materialized,
     /// Aggregate queries (or portions of them) answered from a rollup
     /// table instead of scanning this base table.
-    pub rollup_hits: AtomicU64,
+    rollup_hits,
     /// On-disk tablets of this table folded into rollup tables.
-    pub rollup_folds: AtomicU64,
+    rollup_folds,
     /// Aggregate queries on this table answered from the query-result
     /// cache without touching either the base table or its rollups.
-    pub result_cache_hits: AtomicU64,
+    result_cache_hits,
     /// Aggregate queries that consulted the query-result cache and missed.
-    pub result_cache_misses: AtomicU64,
-}
-
-/// A plain-value snapshot of [`TableStats`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct StatsSnapshot {
-    /// See [`TableStats::rows_inserted`].
-    pub rows_inserted: u64,
-    /// See [`TableStats::duplicate_keys`].
-    pub duplicate_keys: u64,
-    /// See [`TableStats::queries`].
-    pub queries: u64,
-    /// See [`TableStats::latest_calls`].
-    pub latest_calls: u64,
-    /// See [`TableStats::snapshot_loads`].
-    pub snapshot_loads: u64,
-    /// See [`TableStats::snapshot_publishes`].
-    pub snapshot_publishes: u64,
-    /// See [`TableStats::rows_scanned`].
-    pub rows_scanned: u64,
-    /// See [`TableStats::rows_returned`].
-    pub rows_returned: u64,
-    /// See [`TableStats::tablets_flushed`].
-    pub tablets_flushed: u64,
-    /// See [`TableStats::bytes_flushed`].
-    pub bytes_flushed: u64,
-    /// See [`TableStats::merges`].
-    pub merges: u64,
-    /// See [`TableStats::bytes_merge_written`].
-    pub bytes_merge_written: u64,
-    /// See [`TableStats::tablets_expired`].
-    pub tablets_expired: u64,
-    /// See [`TableStats::unique_fast_ts`].
-    pub unique_fast_ts: u64,
-    /// See [`TableStats::unique_fast_key`].
-    pub unique_fast_key: u64,
-    /// See [`TableStats::unique_slow`].
-    pub unique_slow: u64,
-    /// See [`TableStats::cache_hits`].
-    pub cache_hits: u64,
-    /// See [`TableStats::cache_compressed_hits`].
-    pub cache_compressed_hits: u64,
-    /// See [`TableStats::cache_misses`].
-    pub cache_misses: u64,
-    /// See [`TableStats::cache_evicted_bytes`].
-    pub cache_evicted_bytes: u64,
-    /// See [`TableStats::footer_evictions`].
-    pub footer_evictions: u64,
-    /// See [`TableStats::io_retries`].
-    pub io_retries: u64,
-    /// See [`TableStats::maintenance_errors`].
-    pub maintenance_errors: u64,
-    /// See [`TableStats::tablets_quarantined`].
-    pub tablets_quarantined: u64,
-    /// See [`TableStats::pushdown_scans`].
-    pub pushdown_scans: u64,
-    /// See [`TableStats::blocks_pruned`].
-    pub blocks_pruned: u64,
-    /// See [`TableStats::rows_materialized`].
-    pub rows_materialized: u64,
-    /// See [`TableStats::rollup_hits`].
-    pub rollup_hits: u64,
-    /// See [`TableStats::rollup_folds`].
-    pub rollup_folds: u64,
-    /// See [`TableStats::result_cache_hits`].
-    pub result_cache_hits: u64,
-    /// See [`TableStats::result_cache_misses`].
-    pub result_cache_misses: u64,
+    result_cache_misses,
 }
 
 impl TableStats {
     /// Adds `n` to a counter.
     pub fn add(counter: &AtomicU64, n: u64) {
         counter.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Takes a coherent-enough snapshot (individual counters are exact;
-    /// cross-counter consistency is best-effort, which is fine for
-    /// monitoring).
-    pub fn snapshot(&self) -> StatsSnapshot {
-        StatsSnapshot {
-            rows_inserted: self.rows_inserted.load(Ordering::Relaxed),
-            duplicate_keys: self.duplicate_keys.load(Ordering::Relaxed),
-            queries: self.queries.load(Ordering::Relaxed),
-            latest_calls: self.latest_calls.load(Ordering::Relaxed),
-            snapshot_loads: self.snapshot_loads.load(Ordering::Relaxed),
-            snapshot_publishes: self.snapshot_publishes.load(Ordering::Relaxed),
-            rows_scanned: self.rows_scanned.load(Ordering::Relaxed),
-            rows_returned: self.rows_returned.load(Ordering::Relaxed),
-            tablets_flushed: self.tablets_flushed.load(Ordering::Relaxed),
-            bytes_flushed: self.bytes_flushed.load(Ordering::Relaxed),
-            merges: self.merges.load(Ordering::Relaxed),
-            bytes_merge_written: self.bytes_merge_written.load(Ordering::Relaxed),
-            tablets_expired: self.tablets_expired.load(Ordering::Relaxed),
-            unique_fast_ts: self.unique_fast_ts.load(Ordering::Relaxed),
-            unique_fast_key: self.unique_fast_key.load(Ordering::Relaxed),
-            unique_slow: self.unique_slow.load(Ordering::Relaxed),
-            cache_hits: self.cache_hits.load(Ordering::Relaxed),
-            cache_compressed_hits: self.cache_compressed_hits.load(Ordering::Relaxed),
-            cache_misses: self.cache_misses.load(Ordering::Relaxed),
-            cache_evicted_bytes: self.cache_evicted_bytes.load(Ordering::Relaxed),
-            footer_evictions: self.footer_evictions.load(Ordering::Relaxed),
-            io_retries: self.io_retries.load(Ordering::Relaxed),
-            maintenance_errors: self.maintenance_errors.load(Ordering::Relaxed),
-            tablets_quarantined: self.tablets_quarantined.load(Ordering::Relaxed),
-            pushdown_scans: self.pushdown_scans.load(Ordering::Relaxed),
-            blocks_pruned: self.blocks_pruned.load(Ordering::Relaxed),
-            rows_materialized: self.rows_materialized.load(Ordering::Relaxed),
-            rollup_hits: self.rollup_hits.load(Ordering::Relaxed),
-            rollup_folds: self.rollup_folds.load(Ordering::Relaxed),
-            result_cache_hits: self.result_cache_hits.load(Ordering::Relaxed),
-            result_cache_misses: self.result_cache_misses.load(Ordering::Relaxed),
-        }
     }
 }
 

@@ -1,4 +1,4 @@
-//! Vectorized aggregate pushdown over columnar tablets.
+//! Vectorized aggregate pushdown over on-disk tablets.
 //!
 //! [`Table::pushdown_scan`] walks the same read-view snapshot as
 //! [`Table::query`], but instead of merging rows in key order it hands
@@ -9,7 +9,7 @@
 //!   per-column zone maps). No block bytes are touched at all; enough
 //!   for `COUNT`/`MIN`/`MAX` when the block lies wholly inside the
 //!   bounding box and every predicate is decided by zones.
-//! * [`ScanUnit::Block`] — a decoded columnar block plus the
+//! * [`ScanUnit::Block`] — a decoded block plus the
 //!   [`Selection`] of its rows that are inside the key bounds, inside
 //!   the time bounds, and pass every predicate. The engine evaluates all
 //!   three over the typed column slices (key bounds by a binary search
@@ -18,9 +18,8 @@
 //!   and no [`Row`]s are materialized, whether the block is wholly
 //!   inside the box or merely cut by it.
 //! * [`ScanUnit::Rows`] — fully filtered, materialized rows. Only
-//!   memtablets and tablets without usable column slices produce them:
-//!   row-format (footer v2) tablets, and columnar tablets written under
-//!   an older schema version, whose rows need translating.
+//!   memtablets and tablets written under an older schema version, whose
+//!   rows need translating, produce them.
 //!
 //! Correctness leans on two engine invariants: primary keys are unique
 //! across the whole table (insert-time uniqueness, §3.4.4), so no
@@ -30,7 +29,7 @@
 //! care — and the scan honors neither `descending` nor `limit`.
 
 use super::Table;
-use crate::block::{Block, BlockFormat, ColumnSlice};
+use crate::block::{Block, ColumnSlice};
 use crate::cursor::{DiskCursor, RowSource};
 use crate::error::{Error, Result};
 use crate::keyenc::KeyRange;
@@ -115,8 +114,8 @@ impl ColumnPredicate {
 
     /// Judges the predicate against a block's `(min, max)` zone.
     /// `None` zones are always [`ZoneVerdict::Uncertain`] — absence of
-    /// a zone (strings, NaN-containing floats, pre-v3 tablets) proves
-    /// nothing.
+    /// a zone (strings, NaN-containing floats, tablets older than zone
+    /// maps) proves nothing.
     fn judge(&self, zone: Option<&(Value, Value)>) -> ZoneVerdict {
         let Some((lo, hi)) = zone else {
             return ZoneVerdict::Uncertain;
@@ -304,7 +303,7 @@ pub enum ScanUnit {
         /// Per-schema-column zone maps of the block.
         zones: Vec<Option<(Value, Value)>>,
     },
-    /// A decoded columnar block and the rows of it that are inside the
+    /// A decoded block and the rows of it that are inside the
     /// key and time bounds and pass every predicate; never empty. The
     /// caller reads the selected rows off [`Block::column`] slices and
     /// re-checks nothing.
@@ -315,8 +314,8 @@ pub enum ScanUnit {
         sel: Selection,
     },
     /// Fully filtered rows (key bounds, time bounds, and all predicates
-    /// applied) from memtablets, row-format tablets, and columnar
-    /// tablets written under an older schema version.
+    /// applied) from memtablets and from tablets written under an older
+    /// schema version.
     Rows(Vec<Row>),
 }
 
@@ -359,8 +358,8 @@ impl Table {
     /// `emit`, cheapest unit first per block: footer stats where zones
     /// prove everything, otherwise the decoded block with the selection
     /// of rows that pass; materialized rows only from memtablets and
-    /// tablets without usable column slices. Runs from one lock-free
-    /// read view, like [`Table::query`].
+    /// schema-lagging tablets. Runs from one lock-free read view, like
+    /// [`Table::query`].
     pub fn pushdown_scan(
         &self,
         req: &PushdownRequest,
@@ -399,11 +398,9 @@ impl Table {
                 continue;
             }
             let footer = h.reader.footer()?;
-            let columnar = footer.format == BlockFormat::Columnar
-                && footer.schema.version() == schema.version();
-            if !columnar {
-                // Row-format or schema-lagging tablet: the row cursor
-                // already handles decoding and version translation.
+            if footer.schema.version() != schema.version() {
+                // Schema-lagging tablet: the row cursor already handles
+                // version translation.
                 let mut cur =
                     DiskCursor::new(h.reader.clone(), schema.clone(), range.clone(), false);
                 let mut batch = Vec::new();
@@ -480,24 +477,17 @@ impl Table {
                 // Whatever the zones left open is decided row by row over
                 // the typed slices: key bounds, then time, then predicates.
                 let block = h.reader.read_block(bi)?;
-                let slice = |c: usize| {
-                    block
-                        .column(c)
-                        .ok_or_else(|| Error::corrupt("columnar tablet block lacks a column"))
-                };
                 let mut sel = Selection::Range(if key_contained {
                     0..block.len()
                 } else {
                     block.rows_in_range(&range)?
                 });
                 if !ts_contained {
-                    let ColumnSlice::Timestamp(ts) = slice(ts_index)? else {
-                        return Err(Error::corrupt("timestamp column is not a timestamp slice"));
-                    };
+                    let ts = block.timestamps()?;
                     sel.retain(|i| ts[i] >= ts_lo && ts[i] <= ts_hi);
                 }
                 for p in &uncertain {
-                    p.filter(slice(p.col)?, &mut sel);
+                    p.filter(block.column(p.col), &mut sel);
                 }
                 if !sel.is_empty() {
                     emit(ScanUnit::Block { block, sel })?;
@@ -528,7 +518,6 @@ impl Table {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::block::BlockFormat;
     use crate::db::Db;
     use crate::options::Options;
     use crate::schema::{ColumnDef, Schema};
@@ -551,15 +540,14 @@ mod tests {
         .unwrap()
     }
 
-    /// A flushed table with `n` rows across several small columnar
-    /// blocks: 4 devices, ascending timestamps, bytes = 10*i, and a
-    /// load of i/2 or, every 23rd row, NaN.
-    fn flushed_table(n: usize, format: BlockFormat) -> (Db, Arc<Table>) {
+    /// A flushed table with `n` rows across several small blocks: 4
+    /// devices, ascending timestamps, bytes = 10*i, and a load of i/2
+    /// or, every 23rd row, NaN.
+    fn flushed_table(n: usize) -> (Db, Arc<Table>) {
         let clock = SimClock::new(START);
         let vfs = SimVfs::instant();
         let opts = Options {
             block_size: 512,
-            block_format: format,
             ..Options::small_for_tests()
         };
         let db = Db::open(Arc::new(vfs), Arc::new(clock), opts).unwrap();
@@ -627,7 +615,7 @@ mod tests {
         let (ts_lo, ts_hi) = req.query.ts_interval();
         (0..block.len())
             .filter(|&ri| {
-                let row = block.row(ri, &schema).unwrap();
+                let row = block.row(ri).unwrap();
                 let ts = row.ts(&schema).unwrap();
                 range.contains(&row.encode_key(&schema).unwrap())
                     && ts >= ts_lo
@@ -730,7 +718,7 @@ mod tests {
 
     #[test]
     fn stats_only_full_scan_reads_no_blocks() {
-        let (_db, t) = flushed_table(400, BlockFormat::Columnar);
+        let (_db, t) = flushed_table(400);
         let req = PushdownRequest {
             stats_cols: Some(vec![2]),
             ..req_all()
@@ -758,7 +746,7 @@ mod tests {
 
     #[test]
     fn block_units_cover_sum_exactly() {
-        let (_db, t) = flushed_table(400, BlockFormat::Columnar);
+        let (_db, t) = flushed_table(400);
         let req = req_all(); // stats_cols: None → SUM needs values
         let units = scan(&t, &req);
         let mut sum = 0i64;
@@ -769,7 +757,7 @@ mod tests {
                     saw_block = true;
                     assert_eq!(*sel, Selection::Range(0..block.len()));
                     // Sum straight off the column slice.
-                    let Some(ColumnSlice::I64(col)) = block.column(2) else {
+                    let ColumnSlice::I64(col) = block.column(2) else {
                         panic!("bytes must be an int64 slice");
                     };
                     sum += col.iter().sum::<i64>();
@@ -794,7 +782,7 @@ mod tests {
 
     #[test]
     fn key_boundary_blocks_are_clipped_not_materialized() {
-        let (_db, t) = flushed_table(400, BlockFormat::Columnar);
+        let (_db, t) = flushed_table(400);
         // Prefix query for one device: the blocks holding the device's
         // first and last rows also hold a neighbour's, and come back as
         // the contiguous sub-range of the device's rows.
@@ -807,13 +795,13 @@ mod tests {
         let mut clipped = 0;
         for u in &units {
             let ScanUnit::Block { block, sel } = u else {
-                panic!("flushed columnar data must not yield {u:?}");
+                panic!("flushed data must not yield {u:?}");
             };
             let Selection::Range(r) = sel else {
                 panic!("key bounds alone leave no holes, got {sel:?}");
             };
             clipped += (r.len() < block.len()) as usize;
-            let Some(ColumnSlice::Str(dev)) = block.column(0) else {
+            let ColumnSlice::Str(dev) = block.column(0) else {
                 panic!("device must be a string slice");
             };
             assert!(dev[r.clone()].iter().all(|d| d == "dev-1"));
@@ -824,7 +812,7 @@ mod tests {
 
     #[test]
     fn ts_bounds_prune_and_bound_blocks() {
-        let (_db, t) = flushed_table(400, BlockFormat::Columnar);
+        let (_db, t) = flushed_table(400);
         // Each device spans START..START+99s; restrict to a half-open
         // 10s window [20s, 30s) → 10 timestamps per device.
         let q = Query::all().with_ts_range(START + 20 * SEC, START + 30 * SEC);
@@ -836,9 +824,9 @@ mod tests {
         assert_eq!(unit_rows(&units), 40);
         for u in &units {
             let ScanUnit::Block { block, sel } = u else {
-                panic!("flushed columnar data must not yield {u:?}");
+                panic!("flushed data must not yield {u:?}");
             };
-            let Some(ColumnSlice::Timestamp(ts)) = block.column(1) else {
+            let ColumnSlice::Timestamp(ts) = block.column(1) else {
                 panic!("ts must be a timestamp slice");
             };
             assert!(sel
@@ -851,7 +839,7 @@ mod tests {
 
     #[test]
     fn predicates_prune_and_recheck() {
-        let (_db, t) = flushed_table(400, BlockFormat::Columnar);
+        let (_db, t) = flushed_table(400);
         // bytes >= 3000 → rows 300..400 qualify; early blocks prune.
         let req = PushdownRequest {
             predicates: vec![ColumnPredicate {
@@ -879,10 +867,10 @@ mod tests {
 
     #[test]
     fn selection_equals_brute_force_row_filter() {
-        let (_db, t) = flushed_table(400, BlockFormat::Columnar);
+        let (_db, t) = flushed_table(400);
         // The row cursor builds key arenas in the blocks it shares with
         // the scan through the cache; it reads a twin table instead.
-        let (_twin_db, twin) = flushed_table(400, BlockFormat::Columnar);
+        let (_twin_db, twin) = flushed_table(400);
         let pred = |col, op, value| ColumnPredicate { col, op, value };
         let mut requests = Vec::new();
         let boxes = [
@@ -951,7 +939,7 @@ mod tests {
             assert_eq!(unit_rows(&units), expect.len() as u64, "{req:?}");
             for u in &units {
                 let ScanUnit::Block { block, sel } = u else {
-                    panic!("flushed columnar data must not yield {u:?}");
+                    panic!("flushed data must not yield {u:?}");
                 };
                 let got: Vec<usize> = sel.iter().collect();
                 assert_eq!(got, brute_force_selection(&t, block, req), "{req:?}");
@@ -985,7 +973,7 @@ mod tests {
 
     #[test]
     fn memtable_rows_are_included() {
-        let (_db, t) = flushed_table(100, BlockFormat::Columnar);
+        let (_db, t) = flushed_table(100);
         // 50 more rows, unflushed, timestamps past the flushed range.
         let rows: Vec<Vec<Value>> = (0..50)
             .map(|i| {
@@ -1003,26 +991,9 @@ mod tests {
     }
 
     #[test]
-    fn row_format_tablets_fall_back_to_rows() {
-        let (_db, t) = flushed_table(200, BlockFormat::Row);
-        let req = PushdownRequest {
-            stats_cols: Some(vec![2]),
-            predicates: vec![ColumnPredicate {
-                col: 2,
-                op: PredOp::Ge,
-                value: Value::I64(1000),
-            }],
-            ..req_all()
-        };
-        let units = scan(&t, &req);
-        assert!(units.iter().all(|u| matches!(u, ScanUnit::Rows(_))));
-        assert_eq!(unit_rows(&units), 100);
-    }
-
-    #[test]
     fn matches_row_path_on_random_boxes() {
-        let (_db, t) = flushed_table(300, BlockFormat::Columnar);
-        let (_twin_db, twin) = flushed_table(300, BlockFormat::Columnar);
+        let (_db, t) = flushed_table(300);
+        let (_twin_db, twin) = flushed_table(300);
         let cases = [
             Query::all(),
             Query::all().with_prefix(vec![Value::Str("dev-2".into())]),

@@ -142,7 +142,6 @@ impl Table {
             (*schema).clone(),
             self.opts.block_size,
             self.opts.bloom_filters,
-            self.opts.block_format,
         );
         for (key, row) in mem.iter() {
             w.add_row(key, row)?;
@@ -311,7 +310,6 @@ impl Table {
                 (**schema).clone(),
                 self.opts.block_size,
                 self.opts.bloom_filters,
-                self.opts.block_format,
             );
             let mut src = RunSource::open(h.reader.clone())?;
             while let Some(block) = src.front() {
@@ -515,7 +513,6 @@ impl Table {
             (**schema).clone(),
             self.opts.block_size,
             self.opts.bloom_filters,
-            self.opts.block_format,
         );
         merge_runs(sources.iter().map(|h| h.reader.clone()), &mut w, cutoff)?;
         if w.row_count() == 0 {

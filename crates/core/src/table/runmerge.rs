@@ -4,10 +4,11 @@
 //! The loop picks the source whose head row has the smallest key, finds by
 //! galloping search how far that source's current block stays below every
 //! other source's head, and hands that row range to
-//! [`TabletWriter::add_run`] — which copies column sub-slices when it can
-//! and goes row by row when it must. Keys are compared in their encoded
-//! form, built into a scratch buffer for the handful of rows a search
-//! probes; no key arena, no `Row`, no heap of rows.
+//! [`TabletWriter::add_run`] — which copies column sub-slices unless the
+//! source lags the table's schema and its rows need translating. Keys are
+//! compared in their encoded form, built into a scratch buffer for the
+//! handful of rows a search probes; no key arena, no `Row`, no heap of
+//! rows.
 
 use crate::block::Block;
 use crate::error::Result;
@@ -95,7 +96,8 @@ impl RunSource {
     fn run_end(&self, bound: &[u8], through: bool, scratch: &mut Vec<u8>) -> Result<usize> {
         let block = &self.queue[0];
         let mut before = |i: usize| -> Result<bool> {
-            let key = block.probe_key(i, scratch)?;
+            block.key_into(i, scratch)?;
+            let key = scratch.as_slice();
             Ok(if through { key <= bound } else { key < bound })
         };
         // `lo` is inside the run (the head was chosen as the smallest);

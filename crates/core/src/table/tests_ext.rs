@@ -434,177 +434,3 @@ mod cold_store_tests {
             .all(|f| !f.ends_with(".lt")));
     }
 }
-
-mod mixed_format_tests {
-    //! Row-format (footer v2) and columnar (footer v3) tablets
-    //! coexisting in one table: queries span both transparently, and a
-    //! merge rewrites everything to the configured columnar format.
-
-    use crate::block::BlockFormat;
-    use crate::db::Db;
-    use crate::descriptor::parse_tablet_file_name;
-    use crate::options::Options;
-    use crate::query::Query;
-    use crate::schema::{ColumnDef, Schema};
-    use crate::table::{PushdownRequest, ScanUnit, Table};
-    use crate::tablet::TabletReader;
-    use crate::value::{ColumnType, Value};
-    use littletable_vfs::{Clock, Micros, SimClock, SimVfs, Vfs, MICROS_PER_SEC};
-    use std::sync::Arc;
-
-    const START: Micros = 1_700_000_000_000_000;
-
-    fn schema() -> Schema {
-        Schema::new(
-            vec![
-                ColumnDef::new("host", ColumnType::I64),
-                ColumnDef::new("ts", ColumnType::Timestamp),
-                ColumnDef::new("v", ColumnType::I64),
-            ],
-            &["host", "ts"],
-        )
-        .unwrap()
-    }
-
-    fn opts(format: BlockFormat) -> Options {
-        Options {
-            block_format: format,
-            ..Options::small_for_tests()
-        }
-    }
-
-    /// Footer formats of every live tablet file in the table's dir.
-    fn disk_formats(vfs: &SimVfs, t: &Table) -> Vec<BlockFormat> {
-        let vfs: Arc<dyn Vfs> = Arc::new(vfs.clone());
-        let mut out = Vec::new();
-        for entry in vfs.list_dir(t.dir()).unwrap() {
-            if parse_tablet_file_name(&entry).is_none() {
-                continue;
-            }
-            let path = littletable_vfs::join(t.dir(), &entry);
-            let r = TabletReader::with_cache(vfs.clone(), path, None);
-            out.push(r.footer().unwrap().format);
-        }
-        out
-    }
-
-    fn insert_batch(t: &Table, hosts: std::ops::Range<i64>, n: i64) {
-        for h in hosts {
-            let rows: Vec<Vec<Value>> = (0..n)
-                .map(|k| {
-                    vec![
-                        Value::I64(h),
-                        Value::Timestamp(START + k * MICROS_PER_SEC),
-                        Value::I64(h * 1000 + k),
-                    ]
-                })
-                .collect();
-            t.insert(rows).unwrap();
-        }
-    }
-
-    #[test]
-    fn merge_rewrites_mixed_versions_to_columnar() {
-        let clock = SimClock::new(START);
-        let vfs = SimVfs::instant();
-
-        // Era 1: a row-format deployment writes a v2 tablet.
-        let db = Db::open(
-            Arc::new(vfs.clone()),
-            Arc::new(clock.clone()),
-            opts(BlockFormat::Row),
-        )
-        .unwrap();
-        let t = db.create_table("m", schema(), None).unwrap();
-        insert_batch(&t, 0..4, 50);
-        t.flush_all().unwrap();
-        assert_eq!(disk_formats(&vfs, &t), vec![BlockFormat::Row]);
-        drop(t);
-        drop(db);
-
-        // Era 2: the upgraded deployment writes columnar and reads both.
-        let db = Db::open(
-            Arc::new(vfs.clone()),
-            Arc::new(clock.clone()),
-            opts(BlockFormat::Columnar),
-        )
-        .unwrap();
-        let t = db.table("m").unwrap();
-        // Columnar is much denser on disk, and the merge policy only
-        // merges an adjacent pair when the older tablet is at most twice
-        // the newer one's size — so give the columnar era more rows.
-        insert_batch(&t, 4..16, 50);
-        t.flush_all().unwrap();
-        let formats = disk_formats(&vfs, &t);
-        assert!(formats.contains(&BlockFormat::Row));
-        assert!(formats.contains(&BlockFormat::Columnar));
-
-        // Reads span both formats before any merge.
-        let rows = t.query_all(&Query::all()).unwrap();
-        assert_eq!(rows.len(), 800);
-        let mut units = 0;
-        let mut count = 0u64;
-        t.pushdown_scan(
-            &PushdownRequest {
-                query: Query::all(),
-                predicates: Vec::new(),
-                stats_cols: Some(Vec::new()),
-            },
-            &mut |u| {
-                units += 1;
-                match u {
-                    ScanUnit::Stats { rows, .. } => count += rows,
-                    ScanUnit::Block { sel, .. } => count += sel.len() as u64,
-                    ScanUnit::Rows(rows) => count += rows.len() as u64,
-                }
-                Ok(())
-            },
-        )
-        .unwrap();
-        assert!(units > 1);
-        assert_eq!(count, 800);
-
-        // Merge: the mixed-version inputs produce columnar output.
-        while t.run_merge_once(clock.now_micros()).unwrap() {}
-        let formats = disk_formats(&vfs, &t);
-        assert!(!formats.is_empty());
-        assert!(
-            formats.iter().all(|f| *f == BlockFormat::Columnar),
-            "merge must rewrite to the configured format, got {formats:?}"
-        );
-        let rows = t.query_all(&Query::all()).unwrap();
-        assert_eq!(rows.len(), 800);
-        for (i, r) in rows.iter().enumerate() {
-            let h = (i / 50) as i64;
-            let k = (i % 50) as i64;
-            assert_eq!(r.values[2], Value::I64(h * 1000 + k));
-        }
-    }
-
-    #[test]
-    fn row_format_deployment_reads_columnar_tablets() {
-        let clock = SimClock::new(START);
-        let vfs = SimVfs::instant();
-        // Columnar deployment writes v3 …
-        let db = Db::open(
-            Arc::new(vfs.clone()),
-            Arc::new(clock.clone()),
-            opts(BlockFormat::Columnar),
-        )
-        .unwrap();
-        let t = db.create_table("m", schema(), None).unwrap();
-        insert_batch(&t, 0..4, 25);
-        t.flush_all().unwrap();
-        drop(t);
-        drop(db);
-        // … and a rolled-back row-format deployment still reads it.
-        let db = Db::open(
-            Arc::new(vfs.clone()),
-            Arc::new(clock.clone()),
-            opts(BlockFormat::Row),
-        )
-        .unwrap();
-        let t = db.table("m").unwrap();
-        assert_eq!(t.query_all(&Query::all()).unwrap().len(), 100);
-    }
-}

@@ -5,7 +5,6 @@
 
 use super::state::DiskHandle;
 use super::*;
-use crate::block::BlockFormat;
 use crate::cursor::{DiskCursor, MergeCursor, RowSource};
 use crate::db::Db;
 use crate::descriptor::{parse_tablet_file_name, tablet_file_name};
@@ -15,6 +14,9 @@ use crate::schema::ColumnDef;
 use crate::tablet::TabletWriter;
 use crate::value::{ColumnType, Value};
 use littletable_vfs::{FaultKind, FaultPlan, FaultRule, OpKind, SimClock, SimVfs, MICROS_PER_SEC};
+
+#[path = "../../../../tests/common/table_v2.rs"]
+mod table_v2;
 
 const SEC: Micros = MICROS_PER_SEC;
 const START: Micros = 1_700_000_000 * MICROS_PER_SEC;
@@ -50,7 +52,6 @@ fn write_by_rows(
         (**schema).clone(),
         t.opts.block_size,
         t.opts.bloom_filters,
-        t.opts.block_format,
     );
     let mut dropped = 0;
     while let Some((key, row)) = merge.next_row()? {
@@ -82,13 +83,12 @@ struct Bed {
     t: Arc<Table>,
 }
 
-fn opts(format: BlockFormat) -> Options {
+fn opts() -> Options {
     Options {
         // One tablet per `flush_all`, and no merge unless a test runs it.
         flush_size: 16 << 20,
         block_size: 4 << 10,
         merge_enabled: false,
-        block_format: format,
         ..Options::default()
     }
 }
@@ -108,12 +108,9 @@ fn wide_schema() -> Schema {
     .unwrap()
 }
 
-fn bed_on(vfs: SimVfs, clock: SimClock, format: BlockFormat, schema: Option<Schema>) -> Bed {
-    let db = Db::open(Arc::new(vfs.clone()), Arc::new(clock.clone()), opts(format)).unwrap();
-    let t = match schema {
-        Some(s) => db.create_table("m", s, None).unwrap(),
-        None => db.table("m").unwrap(),
-    };
+fn bed_on(vfs: SimVfs, clock: SimClock, table: impl FnOnce(&Db) -> Arc<Table>) -> Bed {
+    let db = Db::open(Arc::new(vfs.clone()), Arc::new(clock.clone()), opts()).unwrap();
+    let t = table(&db);
     Bed {
         _db: db,
         vfs,
@@ -123,12 +120,19 @@ fn bed_on(vfs: SimVfs, clock: SimClock, format: BlockFormat, schema: Option<Sche
 }
 
 fn bed(schema: Schema) -> Bed {
-    bed_on(
-        SimVfs::instant(),
-        SimClock::new(START),
-        BlockFormat::Columnar,
-        Some(schema),
-    )
+    bed_on(SimVfs::instant(), SimClock::new(START), |db| {
+        db.create_table("m", schema, None).unwrap()
+    })
+}
+
+/// A bed over the frozen footer-v2 table: three row-layout tablets that
+/// no code can write any more.
+fn frozen_bed() -> Bed {
+    let vfs = SimVfs::instant();
+    table_v2::install(&vfs);
+    bed_on(vfs, SimClock::new(table_v2::WRITTEN_AT), |db| {
+        db.table(table_v2::TABLE).unwrap()
+    })
 }
 
 /// Inserts one row per (host, tick) under the table's current schema and
@@ -369,39 +373,88 @@ fn reads_line_up(pad_words: usize, hosts: i64) {
 }
 
 #[test]
-fn a_row_layout_source_among_columnar_ones() {
-    let vfs = SimVfs::instant();
-    let clock = SimClock::new(START);
-    let b = bed_on(
-        vfs.clone(),
-        clock.clone(),
-        BlockFormat::Row,
-        Some(wide_schema()),
-    );
-    load(&b, 0..8, 0..50);
-    drop(b);
-    let b = bed_on(vfs, clock, BlockFormat::Columnar, None);
-    load(&b, 0..8, 50..100);
-    load(&b, 4..12, 100..150);
+fn frozen_row_tablets_among_fresh_columnar_ones() {
+    let b = frozen_bed();
+    // One fresh tablet interleaves with the frozen ones, run by run (the
+    // same `(a, b)`, later ticks); the other sorts after them all.
+    let later = |i: usize| {
+        let mut row = table_v2::row(i);
+        row[2] = Value::Timestamp(row[2].as_timestamp().unwrap() + 30 * SEC);
+        row
+    };
+    let between: Vec<_> = (0..table_v2::ROWS).step_by(2).map(later).collect();
+    let after: Vec<_> = (table_v2::ROWS..table_v2::ROWS + 72)
+        .map(table_v2::row)
+        .collect();
+    let total = table_v2::ROWS + between.len() + after.len();
+    b.t.insert(between).unwrap();
+    b.t.flush_all().unwrap();
+    b.t.insert(after).unwrap();
+    b.t.flush_all().unwrap();
+    // Reads span both layouts before any merge.
+    assert_eq!(b.t.num_disk_tablets(), 5);
+    assert_eq!(b.t.query_all(&Query::all()).unwrap().len(), total);
     merges_agree(&b, None, b.clock.now_micros()).unwrap();
+    // What the merge wrote is the current layout, index statistics and all.
+    let out =
+        b.t.new_reader(b.t.vfs.clone(), join(b.t.dir(), &tablet_file_name(OUT_ID)));
+    let footer = out.footer().unwrap();
+    assert!(!footer.row_blocks);
+    assert_eq!(footer.row_count as usize, total);
+    let width = footer.schema.num_columns();
+    for entry in &footer.blocks {
+        assert!(entry.rows > 0 && entry.zones.len() == width);
+    }
 }
 
 #[test]
-fn a_row_layout_output() {
-    let vfs = SimVfs::instant();
-    let clock = SimClock::new(START);
-    let b = bed_on(
-        vfs.clone(),
-        clock.clone(),
-        BlockFormat::Columnar,
-        Some(wide_schema()),
-    );
-    load(&b, 0..8, 0..50);
-    load(&b, 0..8, 50..100);
-    drop(b);
-    // A deployment rolled back to the row layout merges columnar inputs.
-    let b = bed_on(vfs, clock, BlockFormat::Row, None);
-    merges_agree(&b, None, b.clock.now_micros()).unwrap();
+fn frozen_row_tablets_scan_as_blocks_and_materialize_nothing() {
+    let b = frozen_bed();
+    let req = |query: Query, predicates: Vec<ColumnPredicate>| PushdownRequest {
+        query,
+        predicates,
+        stats_cols: Some(Vec::new()),
+    };
+    let (lo, hi) = (table_v2::START + 5 * SEC, table_v2::START + 9 * SEC);
+    let f_at_least_zero = ColumnPredicate {
+        col: 5,
+        op: PredOp::Ge,
+        value: Value::F64(0.0),
+    };
+    type Expect<'a> = &'a dyn Fn(&[Value]) -> bool;
+    let cases: [(PushdownRequest, Expect); 4] = [
+        (req(Query::all(), vec![]), &|_| true),
+        (
+            req(Query::all().with_prefix(vec![Value::I64(1)]), vec![]),
+            &|row| row[0] == Value::I64(1),
+        ),
+        (req(Query::all().with_ts_range(lo, hi), vec![]), &|row| {
+            (lo..hi).contains(&row[2].as_timestamp().unwrap())
+        }),
+        (
+            req(
+                Query::all().with_prefix(vec![Value::I64(2)]),
+                vec![f_at_least_zero.clone()],
+            ),
+            &|row| row[0] == Value::I64(2) && f_at_least_zero.matches(&row[5]),
+        ),
+    ];
+    for (req, expect) in &cases {
+        let mut selected = 0;
+        b.t.pushdown_scan(req, &mut |unit| {
+            let ScanUnit::Block { block, sel } = unit else {
+                panic!("a frozen tablet must scan as blocks, got {unit:?}");
+            };
+            assert!(!block.key_arena_built(), "pushdown built a key arena");
+            selected += sel.len();
+            Ok(())
+        })
+        .unwrap();
+        let want = table_v2::rows().iter().filter(|r| expect(r)).count();
+        assert!(want > 0);
+        assert_eq!(selected, want, "{req:?}");
+    }
+    assert_eq!(b.t.stats().snapshot().rows_materialized, 0);
 }
 
 #[test]

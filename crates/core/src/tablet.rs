@@ -17,19 +17,27 @@
 //! A [`TabletWriter`] takes rows two ways. [`TabletWriter::add_row`] takes
 //! one materialized row (a memtable flush). [`TabletWriter::add_run`]
 //! takes a row range of a decoded source block (a merge, a bulk delete)
-//! and, when source and output are both columnar under one schema
-//! version, copies typed column sub-slices without building a row; any
-//! other pairing goes row by row inside it. Either way the same rows
+//! and, when the source was written under the writer's schema version,
+//! copies typed column sub-slices without building a row; a source that
+//! needs translating goes row by row inside it. Either way the same rows
 //! yield the same file: blocks are cut after the row that brings the
 //! size estimate to the block size, and the Bloom filter gets every
 //! prefix of every key.
+//!
+//! Every tablet written is footer version 3: blocks of per-column slices
+//! (see [`crate::block`]), row counts and zone maps in the block index.
+//! Footer versions 1 and 2 — row-major blocks, no index statistics — are
+//! read and never written: [`parse_block`] transcodes their blocks into
+//! the same decoded [`Block`] a version-3 block parses to, so nothing
+//! outside this module knows the older layout exists, and the first merge
+//! that takes such a tablet rewrites it as version 3.
 
-use crate::block::{Block, BlockBuilder, BlockFormat, ColumnarBlock, ColumnarBlockBuilder};
+use crate::block::{Block, BlockEncoder};
 use crate::bloom::{BloomBuilder, BloomFilter};
 use crate::cache::{CacheHandle, CompressedBlock};
 use crate::error::{Error, Result};
 use crate::keyenc::component_end;
-use crate::row::{encode_payload, Row};
+use crate::row::{decode_row, Row};
 use crate::schema::{decode_value, encode_value, Schema};
 use crate::stats::TableStats;
 use crate::util::{crc32, fnv1a, mix64, put_varint, Reader, FNV_OFFSET};
@@ -56,13 +64,13 @@ const SCRATCH_RETAIN_MAX: usize = 256 << 10;
 const TRAILER_MAGIC: u64 = 0x4C54_5441_424C_3031; // "LTTABL01"
 /// Trailer byte size: three u64 words, a u32 CRC, and the magic.
 const TRAILER_LEN: u64 = 8 + 8 + 8 + 4 + 8;
-/// Footer version for row-layout tablets. Version 2 added a per-block
-/// CRC32 to each index entry; version-1 tablets (no CRCs) still decode.
-const FOOTER_VERSION_ROW: u8 = 2;
-/// Footer version for columnar tablets (v3): blocks hold per-column
-/// codec-compressed slices, and each index entry additionally records
-/// the block's row count and per-column zone maps.
-const FOOTER_VERSION_COLUMNAR: u8 = 3;
+/// The footer version written: blocks hold per-column codec-compressed
+/// slices, and each index entry records the block's CRC32, row count and
+/// per-column zone maps. Versions 1 and 2 held row-major blocks and
+/// neither counts nor zones; version 2 added the per-block CRC.
+const FOOTER_VERSION: u8 = 3;
+/// The first footer version with a CRC32 in each index entry.
+const FOOTER_VERSION_BLOCK_CRC: u8 = 2;
 
 /// Checks a block's compressed bytes against the CRC recorded in its
 /// index entry, catching corruption that would survive decompression —
@@ -117,21 +125,17 @@ pub struct TabletFooter {
     pub row_count: u64,
     /// Optional Bloom filter over key prefixes.
     pub bloom: Option<BloomFilter>,
-    /// Which block layout the tablet's blocks use; determined by the
-    /// footer version on disk.
-    pub format: BlockFormat,
+    /// True for a footer-v1/v2 tablet, whose row-major blocks
+    /// [`parse_block`] transcodes; nothing else reads it.
+    pub(crate) row_blocks: bool,
     /// Per-block index, in key order.
     pub blocks: Vec<BlockIndexEntry>,
 }
 
 impl TabletFooter {
     fn encode(&self) -> Vec<u8> {
-        let ver = match self.format {
-            BlockFormat::Row => FOOTER_VERSION_ROW,
-            BlockFormat::Columnar => FOOTER_VERSION_COLUMNAR,
-        };
         let mut out = Vec::new();
-        out.push(ver);
+        out.push(FOOTER_VERSION);
         self.schema.encode(&mut out);
         put_varint(&mut out, crate::util::zigzag(self.min_ts));
         put_varint(&mut out, crate::util::zigzag(self.max_ts));
@@ -148,8 +152,6 @@ impl TabletFooter {
             put_varint(&mut out, b.offset);
             put_varint(&mut out, b.compressed_len as u64);
             put_varint(&mut out, b.uncompressed_len as u64);
-            // Presence byte, so re-encoding a version-1 footer (entries
-            // without CRCs) never fabricates a checksum of 0.
             match b.crc {
                 Some(crc) => {
                     out.push(1);
@@ -157,17 +159,15 @@ impl TabletFooter {
                 }
                 None => out.push(0),
             }
-            if ver >= FOOTER_VERSION_COLUMNAR {
-                put_varint(&mut out, b.rows as u64);
-                for z in &b.zones {
-                    match z {
-                        Some((lo, hi)) => {
-                            out.push(1);
-                            encode_value(&mut out, lo);
-                            encode_value(&mut out, hi);
-                        }
-                        None => out.push(0),
+            put_varint(&mut out, b.rows as u64);
+            for z in &b.zones {
+                match z {
+                    Some((lo, hi)) => {
+                        out.push(1);
+                        encode_value(&mut out, lo);
+                        encode_value(&mut out, hi);
                     }
+                    None => out.push(0),
                 }
             }
             crate::util::put_len_prefixed(&mut out, &b.last_key);
@@ -178,11 +178,10 @@ impl TabletFooter {
     fn decode(data: &[u8]) -> Result<TabletFooter> {
         let mut r = Reader::new(data);
         let ver = r.u8()?;
-        let format = match ver {
-            1 | FOOTER_VERSION_ROW => BlockFormat::Row,
-            FOOTER_VERSION_COLUMNAR => BlockFormat::Columnar,
-            _ => return Err(Error::corrupt(format!("unknown footer version {ver}"))),
-        };
+        if !(1..=FOOTER_VERSION).contains(&ver) {
+            return Err(Error::corrupt(format!("unknown footer version {ver}")));
+        }
+        let row_blocks = ver < FOOTER_VERSION;
         let schema = Schema::decode(&mut r)?;
         let min_ts = crate::util::unzigzag(r.varint()?);
         let max_ts = crate::util::unzigzag(r.varint()?);
@@ -198,7 +197,7 @@ impl TabletFooter {
             let offset = r.varint()?;
             let compressed_len = r.varint()? as u32;
             let uncompressed_len = r.varint()? as u32;
-            let crc = if ver >= 2 {
+            let crc = if ver >= FOOTER_VERSION_BLOCK_CRC {
                 match r.u8()? {
                     0 => None,
                     1 => Some(r.varint()? as u32),
@@ -207,7 +206,7 @@ impl TabletFooter {
             } else {
                 None
             };
-            let (rows, zones) = if ver >= FOOTER_VERSION_COLUMNAR {
+            let (rows, zones) = if !row_blocks {
                 let rows = r.varint()? as u32;
                 let mut zones = Vec::with_capacity(schema.columns().len());
                 for col in schema.columns() {
@@ -244,7 +243,7 @@ impl TabletFooter {
             max_ts,
             row_count,
             bloom,
-            format,
+            row_blocks,
             blocks,
         })
     }
@@ -317,11 +316,8 @@ impl PrefixBloom {
 /// Streams sorted rows into a tablet file.
 pub struct TabletWriter {
     file: Box<dyn WritableFile>,
-    format: BlockFormat,
-    block: BlockBuilder,
-    /// Columnar block under construction; `Some` iff `format` is
-    /// [`BlockFormat::Columnar`].
-    colblock: Option<ColumnarBlockBuilder>,
+    /// The block under construction.
+    block: BlockEncoder,
     blocks: Vec<BlockIndexEntry>,
     block_size: usize,
     bloom: Option<PrefixBloom>,
@@ -336,27 +332,21 @@ pub struct TabletWriter {
     /// The block under way, serialized and not yet compressed.
     raw: Vec<u8>,
     scratch: Vec<u8>,
-    payload_scratch: Vec<u8>,
 }
 
 impl TabletWriter {
     /// Starts a tablet at `file`. `block_size` is the uncompressed block
     /// target (64 kB in the paper); `with_bloom` enables the Bloom-filter
-    /// extension; `format` picks the row (footer v2) or columnar
-    /// (footer v3) block layout.
+    /// extension.
     pub fn new(
         file: Box<dyn WritableFile>,
         schema: Schema,
         block_size: usize,
         with_bloom: bool,
-        format: BlockFormat,
     ) -> Self {
         TabletWriter {
             file,
-            format,
-            block: BlockBuilder::new(),
-            colblock: matches!(format, BlockFormat::Columnar)
-                .then(|| ColumnarBlockBuilder::new(&schema)),
+            block: BlockEncoder::new(&schema),
             blocks: Vec::new(),
             block_size,
             bloom: with_bloom.then(|| PrefixBloom::new(schema.key_types())),
@@ -369,7 +359,6 @@ impl TabletWriter {
             key_scratch: Vec::new(),
             raw: Vec::new(),
             scratch: Vec::new(),
-            payload_scratch: Vec::new(),
         }
     }
 
@@ -401,22 +390,11 @@ impl TabletWriter {
     pub fn add_row(&mut self, key: &[u8], row: &Row) -> Result<()> {
         let ts = row.ts(&self.schema)?;
         self.accept_key(key)?;
-        let est = match &mut self.colblock {
-            Some(cb) => {
-                cb.add(row)?;
-                cb.size_estimate()
-            }
-            None => {
-                self.payload_scratch.clear();
-                encode_payload(&mut self.payload_scratch, row, &self.schema);
-                self.block.add(key, &self.payload_scratch);
-                self.block.size_estimate()
-            }
-        };
+        self.block.add(row)?;
         self.row_count += 1;
         self.min_ts = self.min_ts.min(ts);
         self.max_ts = self.max_ts.max(ts);
-        if est >= self.block_size {
+        if self.block.size_estimate() >= self.block_size {
             self.flush_block()?;
         }
         Ok(())
@@ -429,11 +407,9 @@ impl TabletWriter {
     /// the same ordering rule holds: keys strictly ascending within the
     /// run and after everything written before it.
     ///
-    /// A columnar block under this writer's own schema version, going
-    /// into a columnar tablet, is copied as typed column sub-slices.
-    /// Anything else — a row-layout block, a block that needs
-    /// translating, a row-layout writer — is materialized row by row,
-    /// since there are no matching column slices to copy between.
+    /// A block under this writer's own schema version is copied as typed
+    /// column sub-slices. One that needs translating is materialized row
+    /// by row, since its column slices are not the writer's.
     pub fn add_run(
         &mut self,
         block: &Block,
@@ -444,9 +420,8 @@ impl TabletWriter {
         if rows.start > rows.end || rows.end > block.len() {
             return Err(Error::invalid("row run reaches outside its block"));
         }
-        let same_schema = block_schema.version() == self.schema.version();
-        if let (Block::Columnar(src), true, true) = (block, same_schema, self.colblock.is_some()) {
-            let ts = src.timestamps()?;
+        if block_schema.version() == self.schema.version() {
+            let ts = block.timestamps()?;
             let mut at = rows.start;
             while at < rows.end {
                 // The next stretch of rows still inside the TTL.
@@ -454,42 +429,34 @@ impl TabletWriter {
                     .iter()
                     .take_while(|&&t| t >= min_ts)
                     .count();
-                self.append_columns(src, ts, at..at + live)?;
+                self.append_columns(block, ts, at..at + live)?;
                 at += live + 1;
             }
             return Ok(());
         }
         let mut key = std::mem::take(&mut self.key_scratch);
         let result = rows.into_iter().try_for_each(|i| {
-            let mut row = block.row(i, block_schema)?;
-            if !same_schema {
-                row = Row::new(block_schema.translate_row(&self.schema, row.values)?);
-            }
+            let values = block.row(i)?.values;
+            let row = Row::new(block_schema.translate_row(&self.schema, values)?);
             if row.ts(&self.schema)? < min_ts {
                 return Ok(());
             }
-            let key = block.probe_key(i, &mut key)?;
-            self.add_row(key, &row)
+            block.key_into(i, &mut key)?;
+            self.add_row(&key, &row)
         });
         self.key_scratch = key;
         result
     }
 
-    /// The columnar half of [`TabletWriter::add_run`]: `rows` of `src`
-    /// (whose timestamp column is `ts`) go into the block builder a
+    /// The same-schema half of [`TabletWriter::add_run`]: `rows` of `src`
+    /// (whose timestamp column is `ts`) go into the block encoder a
     /// block's worth at a time, each chunk ending exactly where
     /// row-at-a-time appends would have cut.
-    fn append_columns(
-        &mut self,
-        src: &ColumnarBlock,
-        ts: &[Micros],
-        rows: Range<usize>,
-    ) -> Result<()> {
+    fn append_columns(&mut self, src: &Block, ts: &[Micros], rows: Range<usize>) -> Result<()> {
         let mut at = rows.start;
         while at < rows.end {
-            let cb = self.colblock.as_mut().expect("add_run checked");
-            let taken = cb.append_run(src, at..rows.end, self.block_size)?;
-            let full = cb.size_estimate() >= self.block_size;
+            let taken = self.block.append_run(src, at..rows.end, self.block_size)?;
+            let full = self.block.size_estimate() >= self.block_size;
             let mut key = std::mem::take(&mut self.key_scratch);
             let accepted = (at..at + taken).try_for_each(|i| {
                 key.clear();
@@ -512,23 +479,10 @@ impl TabletWriter {
     }
 
     fn flush_block(&mut self) -> Result<()> {
-        let (rows, zones) = match &mut self.colblock {
-            Some(cb) => {
-                if cb.is_empty() {
-                    return Ok(());
-                }
-                let (zones, rows) = cb.finish(&mut self.raw);
-                (rows, zones)
-            }
-            None => {
-                if self.block.is_empty() {
-                    return Ok(());
-                }
-                let rows = self.block.len() as u32;
-                self.raw = self.block.finish();
-                (rows, Vec::new())
-            }
-        };
+        if self.block.is_empty() {
+            return Ok(());
+        }
+        let (zones, rows) = self.block.finish(&mut self.raw);
         self.scratch.clear();
         littletable_compress::compress_into(&self.raw, &mut self.scratch);
         self.file.append(&self.scratch)?;
@@ -566,7 +520,7 @@ impl TabletWriter {
             max_ts: self.max_ts,
             row_count: self.row_count,
             bloom: self.bloom.take().map(|b| b.builder.build(10)),
-            format: self.format,
+            row_blocks: false,
             blocks: std::mem::take(&mut self.blocks),
         };
         let raw = footer.encode();
@@ -587,13 +541,88 @@ impl TabletWriter {
     }
 }
 
-/// Parses an uncompressed block under the layout its tablet's footer
-/// declares.
-fn parse_block(footer: &TabletFooter, raw: Vec<u8>) -> Result<Block> {
-    match footer.format {
-        BlockFormat::Row => Block::parse(raw),
-        BlockFormat::Columnar => Block::parse_columnar(raw, &footer.schema),
+/// Parses an uncompressed block of `footer`'s tablet.
+fn parse_block(footer: &TabletFooter, raw: &[u8]) -> Result<Block> {
+    if footer.row_blocks {
+        transcode_row_block(raw, &footer.schema)
+    } else {
+        Block::parse(raw, &footer.schema)
     }
+}
+
+/// A validated footer-v1/v2 block, which stores each row contiguously:
+///
+/// ```text
+/// [row_count u32] [row_offset u32 × row_count] [row entries...]
+/// row entry: [key_len varint][key][payload_len varint][payload]
+/// ```
+///
+/// The payload holds the non-key columns, [`encode_value`] each; the key
+/// columns are stored only as the encoded key.
+struct RowBlock<'a> {
+    data: &'a [u8],
+    row_count: usize,
+    /// Byte offset where row entries begin (just past the offset array).
+    entries_base: usize,
+}
+
+impl<'a> RowBlock<'a> {
+    /// Validates and wraps an uncompressed block.
+    ///
+    /// `row_count` comes straight off disk, so every derived size uses
+    /// checked arithmetic: a corrupt header must yield
+    /// [`Error::corrupt`], never an overflow panic (debug builds) or a
+    /// wrapped bounds check (32-bit release builds).
+    fn parse(data: &'a [u8]) -> Result<RowBlock<'a>> {
+        if data.len() < 4 {
+            return Err(Error::corrupt("block shorter than its header"));
+        }
+        let row_count = u32::from_le_bytes(data[..4].try_into().unwrap()) as usize;
+        let entries_base = row_count
+            .checked_mul(4)
+            .and_then(|n| n.checked_add(4))
+            .ok_or_else(|| Error::corrupt("block row count overflows"))?;
+        if entries_base > data.len() {
+            return Err(Error::corrupt("block offset array truncated"));
+        }
+        Ok(RowBlock {
+            data,
+            row_count,
+            entries_base,
+        })
+    }
+
+    /// `(key, payload)` of row `i`, which must be below `row_count`.
+    fn entry(&self, i: usize) -> Result<(&'a [u8], &'a [u8])> {
+        let at = 4 + i * 4;
+        let rel = u32::from_le_bytes(self.data[at..at + 4].try_into().unwrap()) as usize;
+        let start = match self.entries_base.checked_add(rel) {
+            Some(abs) if abs < self.data.len() => abs,
+            _ => return Err(Error::corrupt("block row offset out of range")),
+        };
+        let mut r = Reader::new(&self.data[start..]);
+        let key = r.len_prefixed()?;
+        let payload = r.len_prefixed()?;
+        Ok((key, payload))
+    }
+}
+
+/// Decodes a footer-v1/v2 row block written under `schema` into the
+/// column slices a version-3 block of the same rows parses to. The
+/// result derives its keys from the key column values, so every stored
+/// key must be exactly what those values encode to.
+fn transcode_row_block(raw: &[u8], schema: &Schema) -> Result<Block> {
+    let rows = RowBlock::parse(raw)?;
+    let mut columns = BlockEncoder::new(schema);
+    for i in 0..rows.row_count {
+        let (key, payload) = rows.entry(i)?;
+        let row = decode_row(key, payload, schema)?;
+        if row.encode_key(schema)? != key {
+            return Err(Error::corrupt("row block key is not in canonical form"));
+        }
+        columns.add(&row)?;
+    }
+    Ok(columns.into_block(schema))
 }
 
 /// A readable on-disk tablet. The footer is loaded lazily on first use.
@@ -774,7 +803,7 @@ impl TabletReader {
             let block = (|| {
                 verify_block_crc(&buf[off..off + clen], crc)?;
                 let raw = littletable_compress::decompress(&buf[off..off + clen], ulen)?;
-                parse_block(&footer, raw)
+                parse_block(&footer, &raw)
             })()
             .map_err(|e| self.ctx(Some(start + bi), e))?;
             blocks.push(block);
@@ -804,7 +833,7 @@ impl TabletReader {
             let footer = self.footer()?;
             let block = (|| {
                 let raw = littletable_compress::decompress(&c.bytes, c.uncompressed_len as usize)?;
-                parse_block(&footer, raw)
+                parse_block(&footer, &raw)
             })()
             .map_err(|e| self.ctx(Some(i), e))?;
             let block = Arc::new(block);
@@ -857,7 +886,7 @@ impl TabletReader {
                     file.read_exact_at(offset, &mut compressed)?;
                     verify_block_crc(&compressed, crc)?;
                     let raw = littletable_compress::decompress(&compressed, uncompressed_len)?;
-                    parse_block(&footer, raw)
+                    parse_block(&footer, &raw)
                 })();
                 // Cap the retained capacity: one oversized block must not pin
                 // its high-water mark on this thread forever.
@@ -883,7 +912,7 @@ impl TabletReader {
         let block = (|| {
             verify_block_crc(&compressed, crc)?;
             let raw = littletable_compress::decompress(&compressed, uncompressed_len)?;
-            parse_block(&footer, raw)
+            parse_block(&footer, &raw)
         })()
         .map_err(|e| self.ctx(Some(i), e))?;
         Ok((
@@ -956,22 +985,21 @@ mod tests {
         .unwrap()
     }
 
-    fn write_tablet_as(
-        vfs: &SimVfs,
-        path: &str,
-        n: i64,
-        bloom: bool,
-        format: BlockFormat,
-    ) -> Schema {
+    /// Row `n` of the test tablets: `(n, ts = 1000 + n, "val-n")`.
+    fn row_at(n: i64) -> Row {
+        Row::new(vec![
+            Value::I64(n),
+            Value::Timestamp(1000 + n),
+            Value::Str(format!("val-{n}")),
+        ])
+    }
+
+    fn write_tablet(vfs: &SimVfs, path: &str, n: i64, bloom: bool) -> Schema {
         let s = schema();
         let file = vfs.create(path, 0).unwrap();
-        let mut w = TabletWriter::new(file, s.clone(), 4096, bloom, format);
+        let mut w = TabletWriter::new(file, s.clone(), 4096, bloom);
         for i in 0..n {
-            let row = Row::new(vec![
-                Value::I64(i),
-                Value::Timestamp(1000 + i),
-                Value::Str(format!("val-{i}")),
-            ]);
+            let row = row_at(i);
             let key = row.encode_key(&s).unwrap();
             w.add_row(&key, &row).unwrap();
         }
@@ -983,44 +1011,11 @@ mod tests {
         s
     }
 
-    fn write_tablet(vfs: &SimVfs, path: &str, n: i64, bloom: bool) -> Schema {
-        write_tablet_as(vfs, path, n, bloom, BlockFormat::Row)
-    }
-
-    #[test]
-    fn write_read_round_trip() {
-        let vfs = SimVfs::instant();
-        let s = write_tablet(&vfs, "t.lt", 500, true);
-        let r = TabletReader::new(Arc::new(vfs), "t.lt".into());
-        let footer = r.footer().unwrap();
-        assert_eq!(footer.row_count, 500);
-        assert!(footer.blocks.len() > 1, "should span multiple blocks");
-        assert_eq!(footer.schema, s);
-        // Read every row back through the blocks.
-        let mut seen = 0i64;
-        for i in 0..footer.blocks.len() {
-            let blk = r.read_block(i).unwrap();
-            for j in 0..blk.len() {
-                let (key, payload) = blk.entry(j).unwrap();
-                let row = crate::row::decode_row(key, payload, &s).unwrap();
-                assert_eq!(row.values[0], Value::I64(seen));
-                seen += 1;
-            }
-        }
-        assert_eq!(seen, 500);
-    }
-
     #[test]
     fn out_of_order_add_fails() {
         let vfs = SimVfs::instant();
         let s = schema();
-        let mut w = TabletWriter::new(
-            vfs.create("t", 0).unwrap(),
-            s.clone(),
-            4096,
-            false,
-            BlockFormat::Columnar,
-        );
+        let mut w = TabletWriter::new(vfs.create("t", 0).unwrap(), s.clone(), 4096, false);
         let row_at = |i: i64| {
             Row::new(vec![
                 Value::I64(i),
@@ -1051,8 +1046,8 @@ mod tests {
         assert!(bi < nblocks);
         let blk = r.read_block(bi).unwrap();
         let idx = blk.seek_ge(&key).unwrap();
-        let (found, _) = blk.entry(idx).unwrap();
-        assert_eq!(found, key.as_slice());
+        assert_eq!(blk.key(idx).unwrap(), key.as_slice());
+        assert_eq!(blk.row(idx).unwrap().values[0], Value::I64(500));
         // A key beyond everything seeks past the last block.
         let big = Row::new(vec![
             Value::I64(i64::MAX),
@@ -1076,31 +1071,18 @@ mod tests {
         assert!(!bloom.may_contain(crate::util::hash_bytes(&p)));
     }
 
-    /// A columnar block of rows `(n, ts = 1000 + n, "val-n")`, in the
-    /// order given — the block builder itself never checks order.
+    /// A block of the rows `row_at(n)`, in the order given — the block
+    /// encoder itself never checks order.
     fn block_of(s: &Schema, ns: &[i64]) -> Block {
-        let mut b = ColumnarBlockBuilder::new(s);
+        let mut b = BlockEncoder::new(s);
         for &n in ns {
-            b.add(&Row::new(vec![
-                Value::I64(n),
-                Value::Timestamp(1000 + n),
-                Value::Str(format!("val-{n}")),
-            ]))
-            .unwrap();
+            b.add(&row_at(n)).unwrap();
         }
-        let mut raw = Vec::new();
-        b.finish(&mut raw);
-        Block::parse_columnar(raw, s).unwrap()
+        b.into_block(s)
     }
 
-    fn columnar_writer(vfs: &SimVfs, path: &str, bloom: bool) -> TabletWriter {
-        TabletWriter::new(
-            vfs.create(path, 0).unwrap(),
-            schema(),
-            4096,
-            bloom,
-            BlockFormat::Columnar,
-        )
+    fn writer(vfs: &SimVfs, path: &str, bloom: bool) -> TabletWriter {
+        TabletWriter::new(vfs.create(path, 0).unwrap(), schema(), 4096, bloom)
     }
 
     #[test]
@@ -1109,16 +1091,16 @@ mod tests {
         let s = schema();
         // Inside a run: a step back, then a repeat.
         for ns in [[1, 2, 4, 3, 5], [1, 2, 2, 3, 4]] {
-            let mut w = columnar_writer(&vfs, "t", false);
+            let mut w = writer(&vfs, "t", false);
             let err = w.add_run(&block_of(&s, &ns), &s, 0..5, Micros::MIN);
             assert!(matches!(err, Err(Error::Invalid(_))), "{err:?}");
             // The part of the run before the break is in order.
-            let mut w = columnar_writer(&vfs, "t", false);
+            let mut w = writer(&vfs, "t", false);
             w.add_run(&block_of(&s, &ns), &s, 0..2, Micros::MIN)
                 .unwrap();
         }
         // Across runs: the next run starts at or below the last key.
-        let mut w = columnar_writer(&vfs, "t", false);
+        let mut w = writer(&vfs, "t", false);
         w.add_run(&block_of(&s, &[1, 2, 3]), &s, 0..3, Micros::MIN)
             .unwrap();
         for first in [3, 2] {
@@ -1126,7 +1108,7 @@ mod tests {
             assert!(matches!(err, Err(Error::Invalid(_))), "{err:?}");
         }
         // A run that reaches outside its block is refused outright.
-        let mut w = columnar_writer(&vfs, "t", false);
+        let mut w = writer(&vfs, "t", false);
         assert!(w
             .add_run(&block_of(&s, &[1, 2]), &s, 1..3, Micros::MIN)
             .is_err());
@@ -1158,17 +1140,15 @@ mod tests {
         let mut want_bytes = Vec::new();
         want.build(10).encode(&mut want_bytes);
 
-        let mut by_row = columnar_writer(&vfs, "rows.lt", true);
-        let mut by_run = columnar_writer(&vfs, "runs.lt", true);
-        let mut b = ColumnarBlockBuilder::new(&s);
+        let mut by_row = writer(&vfs, "rows.lt", true);
+        let mut by_run = writer(&vfs, "runs.lt", true);
+        let mut b = BlockEncoder::new(&s);
         for &n in &ns {
             let row = row_at(n);
             by_row.add_row(&row.encode_key(&s).unwrap(), &row).unwrap();
             b.add(&row).unwrap();
         }
-        let mut raw = Vec::new();
-        b.finish(&mut raw);
-        let block = Block::parse_columnar(raw, &s).unwrap();
+        let block = b.into_block(&s);
         // Two runs, so one starts against a key of the run before.
         by_run.add_run(&block, &s, 0..250, Micros::MIN).unwrap();
         by_run.add_run(&block, &s, 250..600, Micros::MIN).unwrap();
@@ -1225,13 +1205,7 @@ mod tests {
     fn scratch_capacity_is_capped_after_oversized_reads() {
         let vfs = SimVfs::instant();
         let s = schema();
-        let mut w = TabletWriter::new(
-            vfs.create("big.lt", 0).unwrap(),
-            s.clone(),
-            4096,
-            false,
-            BlockFormat::Row,
-        );
+        let mut w = TabletWriter::new(vfs.create("big.lt", 0).unwrap(), s.clone(), 4096, false);
         // One incompressible megabyte-sized row, forcing a block whose
         // compressed form far exceeds the scratch retention cap.
         let mut state = 0x9E37_79B9_7F4A_7C15u64;
@@ -1296,29 +1270,22 @@ mod tests {
     fn empty_tablet_round_trips() {
         let vfs = SimVfs::instant();
         let s = schema();
-        let w = TabletWriter::new(
-            vfs.create("e.lt", 0).unwrap(),
-            s,
-            4096,
-            true,
-            BlockFormat::Columnar,
-        );
+        let w = TabletWriter::new(vfs.create("e.lt", 0).unwrap(), s, 4096, true);
         let (_, _, rows, _) = w.finish().unwrap();
         assert_eq!(rows, 0);
         let r = TabletReader::new(Arc::new(vfs), "e.lt".into());
         let footer = r.footer().unwrap();
         assert_eq!(footer.row_count, 0);
-        assert_eq!(footer.format, BlockFormat::Columnar);
         assert!(footer.blocks.is_empty());
     }
 
     #[test]
-    fn columnar_write_read_round_trip() {
+    fn write_read_round_trip() {
         let vfs = SimVfs::instant();
-        let s = write_tablet_as(&vfs, "c.lt", 500, true, BlockFormat::Columnar);
+        let s = write_tablet(&vfs, "c.lt", 500, true);
         let r = TabletReader::new(Arc::new(vfs), "c.lt".into());
         let footer = r.footer().unwrap();
-        assert_eq!(footer.format, BlockFormat::Columnar);
+        assert_eq!(footer.schema, s);
         assert_eq!(footer.row_count, 500);
         assert!(footer.blocks.len() > 1, "should span multiple blocks");
         let mut seen = 0i64;
@@ -1340,41 +1307,96 @@ mod tests {
             );
             assert_eq!(entry.zones[2], None); // string column: no zone
             for j in 0..blk.len() {
-                let row = blk.row(j, &s).unwrap();
-                assert_eq!(row.values[0], Value::I64(seen));
-                assert_eq!(row.values[2], Value::Str(format!("val-{seen}")));
+                assert_eq!(blk.row(j).unwrap(), row_at(seen));
                 seen += 1;
             }
-            // Columnar blocks hand out typed slices without row
-            // materialization, and refuse the row-entry accessor.
-            assert!(blk.column(1).is_some());
-            assert!(blk.entry(0).is_err());
         }
         assert_eq!(seen, 500);
     }
 
+    /// The bytes of a footer-v1/v2 row block holding `entries`, each a
+    /// `(key, payload)`.
+    fn row_block_bytes(entries: &[(Vec<u8>, Vec<u8>)]) -> Vec<u8> {
+        let mut out = (entries.len() as u32).to_le_bytes().to_vec();
+        let mut data = Vec::new();
+        for (key, payload) in entries {
+            out.extend_from_slice(&(data.len() as u32).to_le_bytes());
+            crate::util::put_len_prefixed(&mut data, key);
+            crate::util::put_len_prefixed(&mut data, payload);
+        }
+        out.extend_from_slice(&data);
+        out
+    }
+
+    /// As [`row_block_bytes`], for the rows `row_at(n)` under `s`.
+    fn row_block_of(s: &Schema, ns: &[i64]) -> Vec<u8> {
+        let entries: Vec<(Vec<u8>, Vec<u8>)> = ns
+            .iter()
+            .map(|&n| {
+                let row = row_at(n);
+                let payload = crate::row::tests::payload_of(&row, s);
+                (row.encode_key(s).unwrap(), payload)
+            })
+            .collect();
+        row_block_bytes(&entries)
+    }
+
     #[test]
-    fn columnar_seek_block_and_key() {
-        let vfs = SimVfs::instant();
-        let s = write_tablet_as(&vfs, "c.lt", 1000, false, BlockFormat::Columnar);
-        let r = TabletReader::new(Arc::new(vfs), "c.lt".into());
-        let row = Row::new(vec![
-            Value::I64(500),
-            Value::Timestamp(1500),
-            Value::Str(String::new()),
-        ]);
+    fn a_row_block_transcodes_to_the_block_its_rows_encode_to() {
+        let s = schema();
+        for ns in [vec![], vec![7], (0..40).collect::<Vec<i64>>()] {
+            let got = transcode_row_block(&row_block_of(&s, &ns), &s).unwrap();
+            let want = block_of(&s, &ns);
+            assert_eq!(got.len(), ns.len());
+            assert_eq!(got.byte_size(), want.byte_size());
+            for c in 0..s.num_columns() {
+                assert_eq!(got.column(c), want.column(c));
+            }
+            for (i, &n) in ns.iter().enumerate() {
+                assert_eq!(got.row(i).unwrap(), row_at(n));
+                assert_eq!(got.key(i).unwrap(), row_at(n).encode_key(&s).unwrap());
+            }
+        }
+    }
+
+    #[test]
+    fn corrupt_row_blocks_are_rejected_not_panicked_on() {
+        let s = schema();
+        let corrupt = |raw: Vec<u8>| match transcode_row_block(&raw, &s) {
+            Err(Error::Corrupt(_)) => {}
+            other => panic!("expected corruption, got {other:?}"),
+        };
+        corrupt(vec![1, 2]);
+        // Claims 100 rows but has no offset array.
+        let mut raw = 100u32.to_le_bytes().to_vec();
+        raw.push(0);
+        corrupt(raw);
+        // row_count * 4 + 4 must not overflow on any target.
+        let mut raw = u32::MAX.to_le_bytes().to_vec();
+        raw.extend_from_slice(&[0u8; 64]);
+        corrupt(raw);
+        let good = row_block_of(&s, &[1, 2]);
+        // A row offset past the end: the first one, then the last.
+        for at in [4, 8] {
+            let mut raw = good.clone();
+            raw[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+            corrupt(raw);
+        }
+        // A payload cut short, one with a byte too many, and a key that
+        // is not a key.
+        corrupt(good[..good.len() - 1].to_vec());
+        let row = row_at(1);
         let key = row.encode_key(&s).unwrap();
-        let bi = r.seek_block(&key).unwrap();
-        let blk = r.read_block(bi).unwrap();
-        let idx = blk.seek_ge(&key).unwrap();
-        assert_eq!(blk.key(idx).unwrap(), key.as_slice());
-        assert_eq!(blk.row(idx, &s).unwrap().values[0], Value::I64(500));
+        let mut payload = crate::row::tests::payload_of(&row, &s);
+        payload.push(7);
+        corrupt(row_block_bytes(&[(key.clone(), payload)]));
+        corrupt(row_block_bytes(&[(key[1..].to_vec(), Vec::new())]));
     }
 
     #[test]
     fn corrupt_block_errors_name_tablet_and_block() {
         let vfs = SimVfs::instant();
-        write_tablet_as(&vfs, "t.lt", 200, false, BlockFormat::Columnar);
+        write_tablet(&vfs, "t.lt", 200, false);
         let f = vfs.open("t.lt").unwrap();
         let len = f.len().unwrap() as usize;
         let mut all = vec![0u8; len];

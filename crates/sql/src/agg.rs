@@ -18,9 +18,8 @@
 //!
 //! Rows reach each group in scan order either way, so a block answers
 //! exactly as its materialized rows would, float summation order
-//! included. [`ScanUnit::Rows`] (memtablets, row-format and
-//! schema-lagging tablets) takes the row-at-a-time path through the same
-//! states.
+//! included. [`ScanUnit::Rows`] (memtablets and schema-lagging tablets)
+//! takes the row-at-a-time path through the same states.
 
 use crate::ast::{AggFunc, CmpOp};
 use crate::plan::{cmp_values, Residual};
@@ -150,8 +149,8 @@ fn to_predicate(r: &Residual) -> ColumnPredicate {
 
 /// Aggregates base-table rows matching `query` and `residual` into
 /// `groups` via the engine's columnar pushdown: footer stats where they
-/// suffice, typed column slices for every other flushed columnar block,
-/// materialized rows only for memtablets and pre-columnar tablets.
+/// suffice, typed column slices for every other flushed block,
+/// materialized rows only for memtablets and schema-lagging tablets.
 pub(crate) fn scan_groups(
     t: &Table,
     query: Query,
@@ -276,19 +275,14 @@ impl GroupCol<'_> {
     }
 }
 
-/// Folds the selected rows of one columnar block into `groups`: splits
+/// Folds the selected rows of one block into `groups`: splits
 /// the selection into runs of equal group tuple, finds each run's group
 /// once, and has every aggregate fold the run off its typed slice.
 fn fold_block(block: &Block, sel: &Selection, groups: &mut Groups) -> Result<()> {
-    let slice = |c: usize| {
-        block
-            .column(c)
-            .ok_or_else(|| Error::invalid("columnar block is missing a column"))
-    };
     let mut group_cols = groups
         .group_specs
         .iter()
-        .map(|g| match (slice(g.col)?, g.bucket) {
+        .map(|g| match (block.column(g.col), g.bucket) {
             (ColumnSlice::Timestamp(ts), Some(width)) => Ok(GroupCol::Bucket {
                 ts,
                 width,
@@ -298,11 +292,11 @@ fn fold_block(block: &Block, sel: &Selection, groups: &mut Groups) -> Result<()>
             (col, None) => Ok(GroupCol::Column(col)),
         })
         .collect::<Result<Vec<_>>>()?;
-    let agg_cols = groups
+    let agg_cols: Vec<Option<&ColumnSlice>> = groups
         .agg_specs
         .iter()
-        .map(|a| a.col.map(slice).transpose())
-        .collect::<Result<Vec<_>>>()?;
+        .map(|a| a.col.map(|c| block.column(c)))
+        .collect();
     let mut key = Vec::new();
     let mut start = 0;
     while start < sel.len() {

@@ -10,7 +10,8 @@
 //! its window cuts blocks. Row-v2 storage is the frozen table of
 //! `tests/common/table_v2.rs` (nothing writes that layout any more): the
 //! same SELECTs run over it as it was written and again after a merge
-//! with a fresh flush, against the fold of the rows it holds.
+//! with a fresh flush, against the fold of the rows it holds, and must
+//! materialize no row either.
 //!
 //! Every way stores its rows in tablets that follow each other in key
 //! order, and the reference folds in key order with the executor's own
@@ -656,7 +657,13 @@ fn every_storage_path_matches_the_reference_fold() {
         for (at, (session, rows)) in row_v2.iter().enumerate() {
             let label = format!("seed {seed} row-v2{}", ["", ", merged"][at]);
             for sel in &selects {
-                check(session, &label, sel, &reference(rows, sel));
+                let materialized = check(session, &label, sel, &reference(rows, sel));
+                assert_eq!(
+                    materialized,
+                    0,
+                    "{label}: {}\n  materialized rows of flushed blocks",
+                    sel.sql()
+                );
             }
         }
         cases += selects.len();

@@ -1,0 +1,35 @@
+#!/bin/sh
+# Size of the code a deletion pass is judged by. Per crate: non-test Rust
+# lines, i.e. the lines of every src/**/*.rs before the file's test
+# module (the first `#[cfg(test)]` that is followed by `mod name {`; a
+# `#[cfg(test)]` on a lone item or on a `mod tests;` declaration in the
+# middle of a file does not end the count), files named tests*.rs left
+# out. Then every *.rs line in the workspace (tests, benches and examples
+# included; third_party and target not), and the number of fields in
+# `Options`.
+#
+# usage: scripts/loc.sh [checkout]     (default: this checkout)
+set -eu
+cd "${1:-$(dirname "$0")/..}"
+
+non_test_lines() {
+    find "$1" -name '*.rs' ! -name 'tests*.rs' -print0 | sort -z |
+        xargs -0 awk '
+            FNR == 1 { test = 0; attr = 0 }
+            attr && /^ *(pub(\([a-z]+\))? )?mod [a-z_0-9]+ \{/ { test = 1; n-- }
+            { attr = /^ *#\[cfg\(test\)\]$/ }
+            !test { n++ }
+            END { print n + 0 }'
+}
+
+total=0
+for src in crates/*/src src; do
+    n=$(non_test_lines "$src")
+    total=$((total + n))
+    printf '%-22s %6d\n' "${src%/src}" "$n"
+done
+printf '%-22s %6d\n' 'non-test total' "$total"
+printf '%-22s %6d\n' 'all *.rs' \
+    "$(find crates src tests examples -name '*.rs' -not -path '*/target/*' -print0 | xargs -0 cat | wc -l)"
+printf '%-22s %6d\n' 'Options fields' \
+    "$(awk '/^pub struct Options/ { on = 1 } on && /^    pub / { n++ } on && /^}/ { exit } END { print n + 0 }' crates/core/src/options.rs)"

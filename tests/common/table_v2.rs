@@ -34,7 +34,7 @@ pub const BLOCK_SIZE: usize = 512;
 pub const WRITTEN_AT: i64 = START + 3600 * SEC;
 
 /// The table directory, file by file.
-pub const FILES: [(&str, &[u8]); 4] = [
+const FILES: [(&str, &[u8]); 4] = [
     ("DESC", include_bytes!("../fixtures/table_v2/DESC")),
     (
         "tab-0000000000000001.lt",
@@ -81,13 +81,13 @@ pub fn row(i: usize) -> Vec<Value> {
         Value::I64(a as i64),
         Value::I32(b as i32),
         Value::Timestamp(START + tick as i64 * SEC + jitter as i64),
-        Value::I64(if (h >> 4) % 10 == 0 {
+        Value::I64(if (h >> 4).is_multiple_of(10) {
             i64::MAX / 2 + ((h >> 8) % 1000) as i64
         } else {
             ((h >> 8) % 101) as i64 - 50
         }),
         Value::I32(((h >> 20) % 2001) as i32 - 1000),
-        Value::F64(if (h >> 32) % 12 == 0 {
+        Value::F64(if (h >> 32).is_multiple_of(12) {
             f64::NAN
         } else {
             (((h >> 36) % 65) as f64 - 32.0) / 4.0

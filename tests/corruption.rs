@@ -9,13 +9,20 @@
 //! policy quarantines the tablet (renamed aside, dropped from the
 //! descriptor) and `Options::strict_open` restores fail-fast; block-level
 //! damage passes open (the footer validates) and must fail the query.
+//!
+//! Block-level damage is done to both layouts a tablet can have on disk:
+//! the columnar one (footer v3) in a tablet the test writes, and the row
+//! one (footer v2), which nothing writes any more, in a tablet of the
+//! frozen table of `common/table_v2.rs`.
 
-use littletable::core::block::BlockFormat;
 use littletable::core::descriptor::parse_tablet_file_name;
 use littletable::core::table::{PushdownRequest, QUARANTINE_SUFFIX};
 use littletable::vfs::{join, Clock, SimClock, SimVfs, Vfs};
 use littletable::{ColumnDef, ColumnType, Db, Error, Options, Query, Schema, Value};
 use std::sync::Arc;
+
+#[path = "common/table_v2.rs"]
+mod table_v2;
 
 const START: i64 = 1_700_000_000_000_000;
 
@@ -48,26 +55,26 @@ fn write_file(vfs: &SimVfs, path: &str, bytes: &[u8]) {
     f.sync().unwrap();
 }
 
+/// The on-disk layout of the tablet a case damages.
+#[derive(Debug, Clone, Copy)]
+enum Layout {
+    /// Footer v2, from the frozen table.
+    FrozenRow,
+    /// Footer v3, freshly written.
+    Columnar,
+}
+
 /// Writes a real merged tablet, applies `mutate` to its file bytes, and
 /// returns the VFS + clock + corrupted file path, ready for reopening.
 fn build_corrupted(mutate: &dyn Fn(&mut Vec<u8>)) -> (SimVfs, SimClock, String) {
-    build_corrupted_as(BlockFormat::Columnar, mutate)
-}
-
-/// Like [`build_corrupted`], but writing blocks in the given format, so
-/// the same damage is exercised against the row (footer v2) and
-/// columnar (footer v3) layouts.
-fn build_corrupted_as(
-    format: BlockFormat,
-    mutate: &dyn Fn(&mut Vec<u8>),
-) -> (SimVfs, SimClock, String) {
     let clock = SimClock::new(START);
     let vfs = SimVfs::instant();
-    let build_opts = Options {
-        block_format: format,
-        ..Options::small_for_tests()
-    };
-    let db = Db::open(Arc::new(vfs.clone()), Arc::new(clock.clone()), build_opts).unwrap();
+    let db = Db::open(
+        Arc::new(vfs.clone()),
+        Arc::new(clock.clone()),
+        Options::small_for_tests(),
+    )
+    .unwrap();
     let table = db.create_table("t", schema(), None).unwrap();
     for i in 0..600i64 {
         table
@@ -81,29 +88,42 @@ fn build_corrupted_as(
     table.flush_all().unwrap();
     while table.run_merge_once(clock.now_micros()).unwrap() {}
     drop((table, db));
+    let path = corrupt_a_tablet(&vfs, mutate);
+    (vfs, clock, path)
+}
 
+/// Applies `mutate` to the bytes of table `t`'s first tablet file and
+/// returns its path.
+fn corrupt_a_tablet(vfs: &SimVfs, mutate: &dyn Fn(&mut Vec<u8>)) -> String {
     let tablet_name = vfs
         .list_dir("t")
         .unwrap()
         .into_iter()
         .find(|name| parse_tablet_file_name(name).is_some())
-        .expect("merged table must have a tablet file");
+        .expect("the table must have a tablet file");
     let path = join("t", &tablet_name);
-    let mut bytes = read_file(&vfs, &path);
+    let mut bytes = read_file(vfs, &path);
     mutate(&mut bytes);
-    write_file(&vfs, &path, &bytes);
-    (vfs, clock, path)
+    write_file(vfs, &path, &bytes);
+    path
 }
 
 /// Reopens the corrupted store and returns the error the query path
 /// yields. Queried twice so a partial first read can't leave a cache tier
 /// that masks (or worse, trips over) the corruption on the retry.
-fn corrupt_and_query(
-    format: BlockFormat,
-    cache_bytes: usize,
-    mutate: &dyn Fn(&mut Vec<u8>),
-) -> Error {
-    let (vfs, clock, _) = build_corrupted_as(format, mutate);
+fn corrupt_and_query(layout: Layout, cache_bytes: usize, mutate: &dyn Fn(&mut Vec<u8>)) -> Error {
+    let (vfs, clock) = match layout {
+        Layout::Columnar => {
+            let (vfs, clock, _) = build_corrupted(mutate);
+            (vfs, clock)
+        }
+        Layout::FrozenRow => {
+            let vfs = SimVfs::instant();
+            table_v2::install(&vfs);
+            corrupt_a_tablet(&vfs, mutate);
+            (vfs, SimClock::new(table_v2::WRITTEN_AT))
+        }
+    };
     let opts = Options {
         block_cache_bytes: cache_bytes,
         ..Options::small_for_tests()
@@ -113,6 +133,16 @@ fn corrupt_and_query(
     let first = table.query_all(&Query::all());
     let second = table.query_all(&Query::all());
     assert!(second.is_err(), "retry after corruption must still fail");
+    let req = PushdownRequest {
+        query: Query::all(),
+        predicates: Vec::new(),
+        stats_cols: None,
+    };
+    let scanned = table.pushdown_scan(&req, &mut |_| Ok(()));
+    assert!(
+        matches!(scanned, Err(Error::Corrupt(_))),
+        "pushdown over a corrupt {layout:?} block must be Corrupt, got {scanned:?}"
+    );
     first.expect_err("corrupted tablet must fail the query")
 }
 
@@ -120,12 +150,12 @@ fn corrupt_and_query(
 /// served and the query path must yield `Error::Corrupt` with the cache
 /// enabled (both tiers in play) and disabled (the paper's uncached path).
 fn assert_corrupt(label: &str, mutate: &dyn Fn(&mut Vec<u8>)) {
-    for format in [BlockFormat::Row, BlockFormat::Columnar] {
+    for layout in [Layout::FrozenRow, Layout::Columnar] {
         for cache_bytes in [64 << 20, 0] {
-            let err = corrupt_and_query(format, cache_bytes, mutate);
+            let err = corrupt_and_query(layout, cache_bytes, mutate);
             assert!(
                 matches!(err, Error::Corrupt(_)),
-                "{label} (format={format:?}, cache_bytes={cache_bytes}): \
+                "{label} (layout={layout:?}, cache_bytes={cache_bytes}): \
                  expected Corrupt, got {err:?}"
             );
         }
