@@ -1,8 +1,9 @@
 //! Criterion microbenchmarks over the engine's hot paths, in real time on
 //! the host (complementing the virtual-time figure harness): key
 //! encoding, block compression, block search, memtable and engine
-//! inserts, scans, HyperLogLog, SQL parsing, and the maintenance kernels
-//! (checksum, column codecs, k-way merge).
+//! inserts, scans, HyperLogLog, SQL parsing, the maintenance kernels
+//! (checksum, column codecs, k-way merge) and the read path (block parse,
+//! wire encode, cursor drain).
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use littletable_bench::env::{bench_row, bench_row_sequential, bench_schema, XorShift64};
@@ -81,10 +82,11 @@ fn bench_block_search(c: &mut Criterion) {
     }
     let block = encoder.into_block(&schema);
     let target = row(250).encode_key(&schema).unwrap();
-    // The first seek builds the block's key arena; time the ones after.
-    assert_eq!(block.seek_ge(&target).unwrap(), 250);
-    c.bench_function("block/seek_ge_500rows", |b| {
-        b.iter(|| block.seek_ge(std::hint::black_box(&target)).unwrap())
+    // One bisection, the probed rows' keys encoded into a scratch buffer:
+    // what a duplicate-key probe and a cursor's seek pay per block.
+    assert!(block.contains_key(&target).unwrap());
+    c.bench_function("block/contains_key_500rows", |b| {
+        b.iter(|| block.contains_key(std::hint::black_box(&target)).unwrap())
     });
 }
 
@@ -445,6 +447,120 @@ fn bench_maintenance_kernels(c: &mut Criterion) {
     g.finish();
 }
 
+/// A row's way back out, stage by stage on the e2e benchmark's `usage`
+/// rows: decoding a block as `block_size` 64 kB cuts it (1 000 rows — with
+/// its string column and without, which is what the flat string arena has
+/// to be cheap against), encoding a block's rows for the wire from
+/// materialized rows and straight from the column slices (the same bytes,
+/// asserted), and draining a network scan — four devices' rows merged out
+/// of four tablets — row by row and run by run.
+fn bench_read_path(c: &mut Criterion) {
+    use littletable_core::block::{Block, BlockEncoder};
+    use littletable_core::schema::{ColumnDef, Schema};
+    use littletable_core::{Row, RowRun};
+    use littletable_proto::Response;
+
+    let mut g = c.benchmark_group("read_path");
+    let grid = usage::Grid {
+        seed: 7,
+        devices: 512,
+        start: usage::T0,
+        step: usage::SECOND,
+    };
+    // One network's four devices, 250 ticks each, in key order.
+    const TICKS: i64 = 250;
+    let rows: Vec<Vec<Value>> = (0..usage::DEVICES_PER_NETWORK)
+        .flat_map(|d| (0..TICKS).map(move |t| (d, t)))
+        .map(|(d, t)| grid.row(d, t))
+        .collect();
+    let full = usage::schema();
+    let no_tag = {
+        let cols = &full.columns()[..7];
+        let defs = cols.iter().map(|c| ColumnDef::new(c.name.clone(), c.ty));
+        Schema::new(defs.collect(), &["network", "device", "ts"]).unwrap()
+    };
+    g.throughput(Throughput::Elements(rows.len() as u64));
+    for (name, schema) in [
+        ("usage_1000rows", &full),
+        ("usage_1000rows_no_tag", &no_tag),
+    ] {
+        let mut encoder = BlockEncoder::new(schema);
+        for row in &rows {
+            let values = row[..schema.num_columns()].to_vec();
+            encoder.add(&Row::new(values)).unwrap();
+        }
+        let mut data = Vec::new();
+        encoder.finish(&mut data);
+        g.bench_function(format!("block_parse/{name}"), |b| {
+            b.iter(|| Block::parse(std::hint::black_box(&data), schema).unwrap())
+        });
+    }
+
+    let mut encoder = BlockEncoder::new(&full);
+    for row in &rows {
+        encoder.add(&Row::new(row.clone())).unwrap();
+    }
+    let run = RowRun {
+        block: Arc::new(encoder.into_block(&full)),
+        rows: 0..rows.len(),
+        descending: false,
+    };
+    let by_rows = |run: &RowRun| {
+        let rows = run.indices().map(|i| run.block.row(i).unwrap().values);
+        Response::Rows {
+            rows: rows.collect(),
+            more_available: false,
+        }
+        .encode()
+    };
+    let by_runs =
+        |run: &RowRun| Response::rows_from_runs(std::slice::from_ref(run), false).encode();
+    assert!(by_rows(&run) == by_runs(&run));
+    g.bench_function("rows_to_wire/usage_1000rows", |b| {
+        b.iter(|| by_rows(std::hint::black_box(&run)))
+    });
+    g.bench_function("runs_to_wire/usage_1000rows", |b| {
+        b.iter(|| by_runs(std::hint::black_box(&run)))
+    });
+
+    // Four tablets, each the next 250 ticks of every device.
+    let db = instant_db();
+    let table = db.create_table("usage", usage::schema(), None).unwrap();
+    for tick in 0..4 * TICKS {
+        let rows = (0..grid.devices).map(|d| grid.row(d, tick)).collect();
+        table.insert(rows).unwrap();
+        if (tick + 1) % TICKS == 0 {
+            table.flush_all().unwrap();
+        }
+    }
+    assert_eq!(table.num_disk_tablets(), 4);
+    let scan = Query::all().with_prefix(vec![Value::I64(3)]);
+    let expect = (4 * TICKS * usage::DEVICES_PER_NETWORK) as usize;
+    g.throughput(Throughput::Elements(expect as u64));
+    g.bench_function("network_scan_4tablets/next_row", |b| {
+        b.iter(|| {
+            let mut cur = table.query(&scan).unwrap();
+            let mut n = 0;
+            while let Some(row) = cur.next_row().unwrap() {
+                std::hint::black_box(&row);
+                n += 1;
+            }
+            assert_eq!(n, expect);
+        })
+    });
+    g.bench_function("network_scan_4tablets/next_run", |b| {
+        b.iter(|| {
+            let mut cur = table.query(&scan).unwrap();
+            let mut n = 0;
+            while let Some(run) = cur.next_run().unwrap() {
+                n += std::hint::black_box(&run).len();
+            }
+            assert_eq!(n, expect);
+        })
+    });
+    g.finish();
+}
+
 criterion_group!(
     benches,
     bench_key_encoding,
@@ -457,6 +573,7 @@ criterion_group!(
     bench_sql_parse,
     bench_fault_hook,
     bench_catalog,
-    bench_maintenance_kernels
+    bench_maintenance_kernels,
+    bench_read_path
 );
 criterion_main!(benches);

@@ -609,8 +609,67 @@ fn write_dict_rle<'a>(dict: &[&[u8]], vals: impl Iterator<Item = &'a [u8]>, out:
     }
 }
 
-/// Decodes exactly `n` byte strings from a dictionary/RLE stream.
-pub fn decode_dict_rle(data: &[u8], n: usize) -> Result<Vec<Vec<u8>>> {
+/// Decoded byte strings back to back in one buffer: value `i` is
+/// `bytes[offsets[i]..offsets[i + 1]]`. A column decodes into two
+/// allocations however many values it holds.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ByteArena {
+    /// Every value's bytes, in order, with nothing between them.
+    pub bytes: Vec<u8>,
+    /// One more offset than there are values, ascending from 0 to
+    /// `bytes.len()`.
+    pub offsets: Vec<u32>,
+}
+
+impl ByteArena {
+    fn with_capacity(n: usize, bytes: usize) -> Self {
+        let mut offsets = Vec::with_capacity(n + 1);
+        offsets.push(0);
+        ByteArena {
+            bytes: Vec::with_capacity(bytes),
+            offsets,
+        }
+    }
+
+    /// Number of values.
+    pub fn len(&self) -> usize {
+        self.offsets.len() - 1
+    }
+
+    /// True when the arena holds no values.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The values, in order.
+    pub fn iter(&self) -> impl Iterator<Item = &[u8]> {
+        self.offsets
+            .windows(2)
+            .map(|w| &self.bytes[w[0] as usize..w[1] as usize])
+    }
+
+    /// Appends `copies` copies of `v`. The offsets are 32-bit: a column
+    /// that would pass 4 GiB decoded is refused before it is built.
+    fn push_run(&mut self, v: &[u8], copies: usize) -> Result<()> {
+        let end = v
+            .len()
+            .checked_mul(copies)
+            .and_then(|add| add.checked_add(self.bytes.len()))
+            .filter(|&end| u32::try_from(end).is_ok())
+            .ok_or_else(|| CodecError::new("byte column larger than 4 GiB"))?;
+        self.bytes.reserve(end - self.bytes.len());
+        for _ in 0..copies {
+            self.bytes.extend_from_slice(v);
+            self.offsets.push(self.bytes.len() as u32);
+        }
+        Ok(())
+    }
+}
+
+/// Decodes exactly `n` byte strings from a dictionary/RLE stream. The
+/// dictionary is read in place: an entry is copied into the arena once
+/// per row that holds it and never allocated on its own.
+pub fn decode_dict_rle(data: &[u8], n: usize) -> Result<ByteArena> {
     let mut pos = 0usize;
     let dict_len = read_varint(data, &mut pos)? as usize;
     if dict_len > 256 {
@@ -626,7 +685,9 @@ pub fn decode_dict_rle(data: &[u8], n: usize) -> Result<Vec<Vec<u8>>> {
         dict.push(&data[pos..end]);
         pos = end;
     }
-    let mut out: Vec<Vec<u8>> = Vec::with_capacity(n);
+    // A run-length stream's size does not bound its row count, so the
+    // claimed count sizes the first allocation only up to a point.
+    let mut out = ByteArena::with_capacity(n.min(1 << 16), 0);
     while out.len() < n {
         let code = *data
             .get(pos)
@@ -639,9 +700,7 @@ pub fn decode_dict_rle(data: &[u8], n: usize) -> Result<Vec<Vec<u8>>> {
         if run == 0 || run > n - out.len() {
             return Err(CodecError::new("rle run length out of range"));
         }
-        for _ in 0..run {
-            out.push(entry.to_vec());
-        }
+        out.push_run(entry, run)?;
     }
     if pos != data.len() {
         return Err(CodecError::new("trailing bytes after rle stream"));
@@ -682,16 +741,17 @@ fn write_raw_bytes<'a>(vals: impl Iterator<Item = &'a [u8]>, out: &mut Vec<u8>) 
 }
 
 /// Decodes exactly `n` length-prefixed byte strings.
-pub fn decode_raw_bytes(data: &[u8], n: usize) -> Result<Vec<Vec<u8>>> {
+pub fn decode_raw_bytes(data: &[u8], n: usize) -> Result<ByteArena> {
     let mut pos = 0usize;
-    let mut out = Vec::with_capacity(n);
+    // A value costs at least its one-byte length prefix.
+    let mut out = ByteArena::with_capacity(n.min(data.len()), data.len());
     for _ in 0..n {
         let len = read_varint(data, &mut pos)? as usize;
         let end = pos
             .checked_add(len)
             .filter(|&e| e <= data.len())
             .ok_or_else(|| CodecError::new("raw byte value truncated"))?;
-        out.push(data[pos..end].to_vec());
+        out.push_run(&data[pos..end], 1)?;
         pos = end;
     }
     if pos != data.len() {
@@ -789,7 +849,7 @@ where
 }
 
 /// Decodes a string/blob column under the codec named by `tag`.
-pub fn decode_bytes_column(tag: u8, data: &[u8], n: usize) -> Result<Vec<Vec<u8>>> {
+pub fn decode_bytes_column(tag: u8, data: &[u8], n: usize) -> Result<ByteArena> {
     match tag {
         TAG_RAW => decode_raw_bytes(data, n),
         TAG_DICT_RLE => decode_dict_rle(data, n),
@@ -877,11 +937,17 @@ mod tests {
 
     fn check_bytes(vals: &[&[u8]]) {
         let (tag, data) = encode_bytes_column(vals);
-        assert_eq!(decode_bytes_column(tag, &data, vals.len()).unwrap(), vals);
+        let same = |arena: ByteArena| {
+            assert_eq!(arena.offsets[0], 0);
+            assert_eq!(arena.len(), vals.len());
+            assert_eq!(arena.iter().collect::<Vec<_>>(), vals);
+            assert_eq!(*arena.offsets.last().unwrap() as usize, arena.bytes.len());
+        };
+        same(decode_bytes_column(tag, &data, vals.len()).unwrap());
         let raw = encode_raw_bytes(vals);
-        assert_eq!(decode_raw_bytes(&raw, vals.len()).unwrap(), vals);
+        same(decode_raw_bytes(&raw, vals.len()).unwrap());
         if let Some(d) = encode_dict_rle(vals) {
-            assert_eq!(decode_dict_rle(&d, vals.len()).unwrap(), vals);
+            same(decode_dict_rle(&d, vals.len()).unwrap());
         }
     }
 
@@ -976,6 +1042,13 @@ mod tests {
         assert!(decode_xor_f64(&[0xFF], 2).is_err());
         assert!(decode_dict_rle(&[0x02, 0x01], 3).is_err());
         assert!(decode_raw_i64(&[0; 7], 1).is_err());
+        // A run-length stream that would decode past 4 GiB (a 1 kB entry,
+        // five million times) is refused, not built.
+        let mut bomb = vec![0x01, 0x80, 0x08];
+        bomb.extend_from_slice(&[b'x'; 1024]);
+        bomb.push(0);
+        put_varint(&mut bomb, 5_000_000);
+        assert!(decode_dict_rle(&bomb, 5_000_000).is_err());
         // Huge claimed counts must not allocate before failing.
         assert!(decode_delta_delta(&[0; 16], usize::MAX / 2).is_err());
         assert!(decode_zigzag_delta(&[0; 16], usize::MAX / 2).is_err());

@@ -8,35 +8,243 @@
 //! column: [codec_tag u8][encoded_len varint][encoded bytes]
 //! ```
 //!
-//! Columns appear in tablet-schema order, key columns included — encoded
-//! primary keys are *rebuilt* from the key column values only when a
-//! caller actually iterates rows, so aggregate scans that consume column
-//! slices never pay for key materialization. The rebuilt keys live in one
-//! flat arena (a byte buffer plus row offsets), not a vector per row, and
-//! make binary search by encoded key possible inside a block, which is
-//! how a query finds its starting row after the tablet index has located
-//! the right block. Blocks are individually compressed on disk; this
-//! module works with the uncompressed form.
+//! Columns appear in tablet-schema order, key columns included. Encoded
+//! primary keys are never stored and never kept: a caller that needs a
+//! row's key has it encoded from the key column values into a buffer of
+//! its own ([`Block::key_into`]), which is what the binary searches here
+//! and the gallops of the merges do for the handful of rows they probe.
+//! Blocks are individually compressed on disk; this module works with the
+//! uncompressed form.
 //!
 //! This is the only layout the engine writes, and the only one it holds
-//! in memory: a [`Block`] is always decoded column slices. Tablets that
-//! predate it store row-major blocks; [`crate::tablet`], which alone
-//! knows they exist, transcodes those into a [`Block`] as it reads them.
+//! in memory: a [`Block`] is always decoded column slices. Fixed-width
+//! columns are plain vectors; string and blob columns are *flat* — one
+//! byte arena and `rows + 1` offsets ([`FlatColumn`]) — so decoding a
+//! block, copying a run of it and encoding its cells for the wire
+//! allocate per column, never per cell. Tablets that predate the layout
+//! store row-major blocks; [`crate::tablet`], which alone knows they
+//! exist, transcodes those into a [`Block`] as it reads them.
 //!
-//! Maintenance moves columns, not rows: a merge hands
+//! Both directions move columns, not rows. A merge hands
 //! [`BlockEncoder::append_run`] a row range of a decoded source block and
-//! the encoder copies typed sub-slices, and [`BlockEncoder::finish`]
-//! encodes straight from its retained column buffers into a caller-owned
-//! output buffer.
+//! the encoder copies typed sub-slices; [`BlockEncoder::finish`] encodes
+//! straight from its retained column buffers into a caller-owned output
+//! buffer. A query takes row ranges of decoded blocks from its cursor and
+//! reads cells in place through [`ColumnSlice::value_ref`]; a [`Row`] is
+//! built ([`Block::row`]) only for a consumer that asks for one.
 
 use crate::error::{Error, Result};
 use crate::keyenc::{self, KeyRange};
 use crate::row::Row;
 use crate::schema::Schema;
 use crate::util::{put_varint, Reader};
-use crate::value::{ColumnType, Value};
-use std::ops::{Bound, Range};
-use std::sync::OnceLock;
+use crate::value::{ColumnType, Value, ValueRef};
+use std::fmt;
+use std::ops::{Bound, Index, Range};
+
+/// What a [`FlatColumn`] keeps its cells in: `Vec<u8>` for blobs, and
+/// `String` for strings — whose cells are then UTF-8 by construction, so
+/// a column is validated once, when it is decoded, and a cell is read
+/// without a check or a copy.
+pub trait Arena: Default + Clone + PartialEq + fmt::Debug {
+    /// What one cell reads as: `[u8]` or `str`.
+    type Cell: ?Sized;
+    /// Everything stored so far.
+    fn as_bytes(&self) -> &[u8];
+    /// Adds `cell` at the end.
+    fn append(&mut self, cell: &Self::Cell);
+    /// The cell occupying `bytes`, which must be a range one or more
+    /// whole cells were appended at.
+    fn cell(&self, bytes: Range<usize>) -> &Self::Cell;
+    /// `cell` as plain bytes.
+    fn cell_bytes(cell: &Self::Cell) -> &[u8];
+    /// Empties the arena, keeping its allocation.
+    fn clear(&mut self);
+}
+
+impl Arena for Vec<u8> {
+    type Cell = [u8];
+    fn as_bytes(&self) -> &[u8] {
+        self
+    }
+    fn append(&mut self, cell: &[u8]) {
+        self.extend_from_slice(cell)
+    }
+    fn cell(&self, bytes: Range<usize>) -> &[u8] {
+        &self[bytes]
+    }
+    fn cell_bytes(cell: &[u8]) -> &[u8] {
+        cell
+    }
+    fn clear(&mut self) {
+        Vec::clear(self)
+    }
+}
+
+impl Arena for String {
+    type Cell = str;
+    fn as_bytes(&self) -> &[u8] {
+        str::as_bytes(self)
+    }
+    fn append(&mut self, cell: &str) {
+        self.push_str(cell)
+    }
+    fn cell(&self, bytes: Range<usize>) -> &str {
+        &self[bytes]
+    }
+    fn cell_bytes(cell: &str) -> &[u8] {
+        cell.as_bytes()
+    }
+    fn clear(&mut self) {
+        String::clear(self)
+    }
+}
+
+/// A column of variable-length cells stored back to back: cell `i`
+/// occupies `arena[offsets[i]..offsets[i + 1]]`. Two allocations however
+/// many cells there are.
+#[derive(Clone, PartialEq)]
+pub struct FlatColumn<A: Arena> {
+    arena: A,
+    /// One more offset than there are cells, ascending from 0 to the
+    /// arena's length.
+    offsets: Vec<u32>,
+}
+
+/// A flat column of UTF-8 strings.
+pub type StrColumn = FlatColumn<String>;
+/// A flat column of byte arrays.
+pub type BlobColumn = FlatColumn<Vec<u8>>;
+
+impl<A: Arena> Default for FlatColumn<A> {
+    fn default() -> Self {
+        FlatColumn {
+            arena: A::default(),
+            offsets: vec![0],
+        }
+    }
+}
+
+impl<A: Arena> FlatColumn<A> {
+    /// Number of cells.
+    pub fn len(&self) -> usize {
+        self.offsets.len() - 1
+    }
+
+    /// True when the column holds no cells.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    fn extent(&self, rows: Range<usize>) -> Range<usize> {
+        self.offsets[rows.start] as usize..self.offsets[rows.end] as usize
+    }
+
+    /// Cell `i` as plain bytes. Panics when out of range.
+    pub fn bytes(&self, i: usize) -> &[u8] {
+        &self.arena.as_bytes()[self.extent(i..i + 1)]
+    }
+
+    /// The cells, in order.
+    pub fn iter(&self) -> impl Iterator<Item = &A::Cell> + Clone + '_ {
+        (0..self.len()).map(|i| &self[i])
+    }
+
+    /// Appends a cell. The offsets are 32-bit: a column cannot pass 4 GiB.
+    pub fn push(&mut self, cell: &A::Cell) -> Result<()> {
+        let end = self.arena.as_bytes().len() + A::cell_bytes(cell).len();
+        let end = u32::try_from(end).map_err(|_| Error::invalid("column larger than 4 GiB"))?;
+        self.arena.append(cell);
+        self.offsets.push(end);
+        Ok(())
+    }
+
+    /// Appends `src[rows]`: one copy of the rows' bytes, and their offsets
+    /// rebased.
+    fn extend_from(&mut self, src: &FlatColumn<A>, rows: Range<usize>) -> Result<()> {
+        let from = src.extent(rows.clone());
+        let base = self.arena.as_bytes().len();
+        if u32::try_from(base + from.len()).is_err() {
+            return Err(Error::invalid("column larger than 4 GiB"));
+        }
+        self.arena.append(src.arena.cell(from.clone()));
+        self.offsets.extend(
+            src.offsets[rows.start + 1..=rows.end]
+                .iter()
+                .map(|&o| (o as usize - from.start + base) as u32),
+        );
+        Ok(())
+    }
+
+    fn clear(&mut self) {
+        self.arena.clear();
+        self.offsets.truncate(1);
+    }
+
+    /// Resident size in bytes: the arena and the offsets.
+    fn byte_size(&self) -> usize {
+        self.arena.as_bytes().len() + self.offsets.len() * 4
+    }
+}
+
+impl BlobColumn {
+    /// Takes over a decoded arena.
+    fn from_arena(a: littletable_codec::ByteArena) -> Self {
+        FlatColumn {
+            arena: a.bytes,
+            offsets: a.offsets,
+        }
+    }
+
+    /// The same cells as strings: one UTF-8 validation of the whole
+    /// arena, and a check that no cell boundary splits a character.
+    fn into_str(self) -> Result<StrColumn> {
+        let bad = || Error::corrupt("string column value is not valid UTF-8");
+        let arena = String::from_utf8(self.arena).map_err(|_| bad())?;
+        if !self
+            .offsets
+            .iter()
+            .all(|&o| arena.is_char_boundary(o as usize))
+        {
+            return Err(bad());
+        }
+        Ok(FlatColumn {
+            arena,
+            offsets: self.offsets,
+        })
+    }
+}
+
+impl<A: Arena> Index<usize> for FlatColumn<A> {
+    type Output = A::Cell;
+    /// Cell `i`. Panics when out of range.
+    fn index(&self, i: usize) -> &A::Cell {
+        self.arena.cell(self.extent(i..i + 1))
+    }
+}
+
+impl<'a, A: Arena> FromIterator<&'a A::Cell> for FlatColumn<A>
+where
+    A::Cell: 'a,
+{
+    /// Panics past 4 GiB of cells.
+    fn from_iter<I: IntoIterator<Item = &'a A::Cell>>(cells: I) -> Self {
+        let mut col = FlatColumn::default();
+        for cell in cells {
+            col.push(cell).expect("column larger than 4 GiB");
+        }
+        col
+    }
+}
+
+impl<A: Arena> fmt::Debug for FlatColumn<A>
+where
+    A::Cell: fmt::Debug,
+{
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
 
 /// One decoded column of a block, typed per the tablet schema.
 #[derive(Debug, Clone, PartialEq)]
@@ -50,9 +258,9 @@ pub enum ColumnSlice {
     /// Timestamps in micros.
     Timestamp(Vec<i64>),
     /// UTF-8 strings.
-    Str(Vec<String>),
+    Str(StrColumn),
     /// Byte arrays.
-    Blob(Vec<Vec<u8>>),
+    Blob(BlobColumn),
 }
 
 impl ColumnSlice {
@@ -62,8 +270,8 @@ impl ColumnSlice {
             ColumnType::I64 => ColumnSlice::I64(Vec::new()),
             ColumnType::F64 => ColumnSlice::F64(Vec::new()),
             ColumnType::Timestamp => ColumnSlice::Timestamp(Vec::new()),
-            ColumnType::Str => ColumnSlice::Str(Vec::new()),
-            ColumnType::Blob => ColumnSlice::Blob(Vec::new()),
+            ColumnType::Str => ColumnSlice::Str(FlatColumn::default()),
+            ColumnType::Blob => ColumnSlice::Blob(FlatColumn::default()),
         }
     }
 
@@ -84,27 +292,33 @@ impl ColumnSlice {
         self.len() == 0
     }
 
-    /// The value at row `i`. Panics when out of range — callers index
-    /// within `len()`.
-    pub fn value(&self, i: usize) -> Value {
+    /// The value at row `i`, borrowed from the slice. Panics when out of
+    /// range — callers index within `len()`.
+    #[inline]
+    pub fn value_ref(&self, i: usize) -> ValueRef<'_> {
         match self {
-            ColumnSlice::I32(v) => Value::I32(v[i]),
-            ColumnSlice::I64(v) => Value::I64(v[i]),
-            ColumnSlice::F64(v) => Value::F64(v[i]),
-            ColumnSlice::Timestamp(v) => Value::Timestamp(v[i]),
-            ColumnSlice::Str(v) => Value::Str(v[i].clone()),
-            ColumnSlice::Blob(v) => Value::Blob(v[i].clone()),
+            ColumnSlice::I32(v) => ValueRef::I32(v[i]),
+            ColumnSlice::I64(v) => ValueRef::I64(v[i]),
+            ColumnSlice::F64(v) => ValueRef::F64(v[i]),
+            ColumnSlice::Timestamp(v) => ValueRef::Timestamp(v[i]),
+            ColumnSlice::Str(v) => ValueRef::Str(&v[i]),
+            ColumnSlice::Blob(v) => ValueRef::Blob(&v[i]),
         }
     }
 
-    /// Approximate decoded size in bytes, for cache accounting.
+    /// The value at row `i`, owned. Panics when out of range.
+    pub fn value(&self, i: usize) -> Value {
+        self.value_ref(i).to_value()
+    }
+
+    /// Resident size in bytes, for cache accounting.
     pub fn byte_size(&self) -> usize {
         match self {
             ColumnSlice::I32(v) => v.len() * 4,
             ColumnSlice::I64(v) | ColumnSlice::Timestamp(v) => v.len() * 8,
             ColumnSlice::F64(v) => v.len() * 8,
-            ColumnSlice::Str(v) => v.iter().map(|s| 24 + s.len()).sum(),
-            ColumnSlice::Blob(v) => v.iter().map(|b| 24 + b.len()).sum(),
+            ColumnSlice::Str(v) => v.byte_size(),
+            ColumnSlice::Blob(v) => v.byte_size(),
         }
     }
 
@@ -127,8 +341,8 @@ impl ColumnSlice {
             (ColumnSlice::Timestamp(col), ColumnSlice::Timestamp(s)) => {
                 col.extend_from_slice(&s[rows])
             }
-            (ColumnSlice::Str(col), ColumnSlice::Str(s)) => col.extend_from_slice(&s[rows]),
-            (ColumnSlice::Blob(col), ColumnSlice::Blob(s)) => col.extend_from_slice(&s[rows]),
+            (ColumnSlice::Str(col), ColumnSlice::Str(s)) => col.extend_from(s, rows)?,
+            (ColumnSlice::Blob(col), ColumnSlice::Blob(s)) => col.extend_from(s, rows)?,
             _ => {
                 return Err(Error::invalid(
                     "source column slice does not match the builder's column type",
@@ -143,8 +357,8 @@ impl ColumnSlice {
     /// slices.
     fn var_len(&self, i: usize) -> usize {
         match self {
-            ColumnSlice::Str(v) => v[i].len(),
-            ColumnSlice::Blob(v) => v[i].len(),
+            ColumnSlice::Str(v) => v.bytes(i).len(),
+            ColumnSlice::Blob(v) => v.bytes(i).len(),
             _ => 0,
         }
     }
@@ -155,8 +369,8 @@ impl ColumnSlice {
             (ColumnSlice::I64(col), Value::I64(x)) => col.push(*x),
             (ColumnSlice::F64(col), Value::F64(x)) => col.push(*x),
             (ColumnSlice::Timestamp(col), Value::Timestamp(x)) => col.push(*x),
-            (ColumnSlice::Str(col), Value::Str(x)) => col.push(x.clone()),
-            (ColumnSlice::Blob(col), Value::Blob(x)) => col.push(x.clone()),
+            (ColumnSlice::Str(col), Value::Str(x)) => col.push(x)?,
+            (ColumnSlice::Blob(col), Value::Blob(x)) => col.push(x)?,
             (_, v) => {
                 return Err(Error::invalid(format!(
                     "row value of type {:?} does not match column slice",
@@ -165,6 +379,38 @@ impl ColumnSlice {
             }
         }
         Ok(())
+    }
+
+    /// The slice as a column of type `ty` in a newer version of its
+    /// schema: itself, or an `int32` slice widened to `int64` (§3.5).
+    fn translated(&self, ty: ColumnType) -> Result<ColumnSlice> {
+        match (self, ty) {
+            (ColumnSlice::I32(v), ColumnType::I64) => {
+                Ok(ColumnSlice::I64(v.iter().map(|&x| x as i64).collect()))
+            }
+            (ColumnSlice::I32(_), ColumnType::I32)
+            | (ColumnSlice::I64(_), ColumnType::I64)
+            | (ColumnSlice::F64(_), ColumnType::F64)
+            | (ColumnSlice::Timestamp(_), ColumnType::Timestamp)
+            | (ColumnSlice::Str(_), ColumnType::Str)
+            | (ColumnSlice::Blob(_), ColumnType::Blob) => Ok(self.clone()),
+            _ => Err(Error::corrupt(format!(
+                "cannot translate a column slice to {ty}"
+            ))),
+        }
+    }
+
+    /// `rows` copies of `v`: a column added since, at its default.
+    fn repeat(v: &Value, rows: usize) -> Result<ColumnSlice> {
+        let mut col = ColumnSlice::empty_for(v.column_type());
+        match (&mut col, v) {
+            (ColumnSlice::I32(col), Value::I32(x)) => col.resize(rows, *x),
+            (ColumnSlice::I64(col), Value::I64(x)) => col.resize(rows, *x),
+            (ColumnSlice::F64(col), Value::F64(x)) => col.resize(rows, *x),
+            (ColumnSlice::Timestamp(col), Value::Timestamp(x)) => col.resize(rows, *x),
+            (col, v) => (0..rows).try_for_each(|_| col.push(v))?,
+        }
+        Ok(col)
     }
 
     /// `(min, max)` of a numeric slice, for zone maps. `None` for
@@ -342,13 +588,12 @@ impl BlockEncoder {
                 }
                 ColumnSlice::F64(v) => littletable_codec::encode_f64_column_into(v, scratch),
                 ColumnSlice::Str(v) => littletable_codec::encode_bytes_column_into(
-                    v.iter().map(|s| s.as_bytes()),
+                    v.iter().map(str::as_bytes),
                     scratch,
                 ),
-                ColumnSlice::Blob(v) => littletable_codec::encode_bytes_column_into(
-                    v.iter().map(|b| b.as_slice()),
-                    scratch,
-                ),
+                ColumnSlice::Blob(v) => {
+                    littletable_codec::encode_bytes_column_into(v.iter(), scratch)
+                }
             };
             out.push(tag);
             put_varint(out, self.scratch.len() as u64);
@@ -368,27 +613,14 @@ impl BlockEncoder {
     }
 }
 
-/// Every row's encoded primary key, back to back in one buffer: row `i`'s
-/// key is `bytes[offsets[i]..offsets[i + 1]]`.
-#[derive(Debug, Clone)]
-struct KeyArena {
-    bytes: Vec<u8>,
-    /// `row_count + 1` ascending offsets into `bytes`.
-    offsets: Vec<u32>,
-}
-
-/// A decoded block: typed column slices plus a lazily built arena of
-/// encoded primary keys, ready for binary search, row iteration and
-/// column-slice access.
+/// A decoded block: typed column slices, ready for binary search by
+/// key, column-slice access and — for the consumers that want them — row
+/// materialization.
 #[derive(Debug, Clone)]
 pub struct Block {
     columns: Vec<ColumnSlice>,
     row_count: usize,
     key_indices: Vec<usize>,
-    /// Encoded primary keys, built from the key column slices the first
-    /// time a caller iterates by key. Aggregate scans and merges never
-    /// touch it. `None` inside marks keys too large for 32-bit offsets.
-    keys: OnceLock<Option<KeyArena>>,
     byte_size: usize,
 }
 
@@ -450,19 +682,16 @@ impl Block {
                 ColumnType::F64 => ColumnSlice::F64(littletable_codec::decode_f64_column(
                     *tag, bytes, row_count,
                 )?),
-                ColumnType::Str => {
-                    let raw = littletable_codec::decode_bytes_column(*tag, bytes, row_count)?;
-                    let mut strs = Vec::with_capacity(raw.len());
-                    for b in raw {
-                        strs.push(String::from_utf8(b).map_err(|_| {
-                            Error::corrupt("string column value is not valid UTF-8")
-                        })?);
+                ColumnType::Str | ColumnType::Blob => {
+                    let cells = BlobColumn::from_arena(littletable_codec::decode_bytes_column(
+                        *tag, bytes, row_count,
+                    )?);
+                    if col.ty == ColumnType::Str {
+                        ColumnSlice::Str(cells.into_str()?)
+                    } else {
+                        ColumnSlice::Blob(cells)
                     }
-                    ColumnSlice::Str(strs)
                 }
-                ColumnType::Blob => ColumnSlice::Blob(littletable_codec::decode_bytes_column(
-                    *tag, bytes, row_count,
-                )?),
             };
             columns.push(slice);
         }
@@ -472,24 +701,33 @@ impl Block {
     /// Wraps `row_count` rows already decoded into `schema`'s column
     /// types.
     fn from_columns(columns: Vec<ColumnSlice>, row_count: usize, schema: &Schema) -> Block {
-        // Cache charge: decoded slices plus the worst-case key arena, so
-        // the charge is stable whether or not keys get materialized.
-        let key_indices = schema.key_indices().to_vec();
-        let key_arena_est: usize = key_indices
-            .iter()
-            .map(|&ki| columns[ki].byte_size() + 2 * row_count)
-            .sum::<usize>()
-            + row_count * std::mem::size_of::<Vec<u8>>();
-        let byte_size = columns.iter().map(|c| c.byte_size()).sum::<usize>()
-            + key_arena_est
-            + std::mem::size_of::<Block>();
+        let byte_size =
+            columns.iter().map(|c| c.byte_size()).sum::<usize>() + std::mem::size_of::<Block>();
         Block {
             columns,
             row_count,
-            key_indices,
-            keys: OnceLock::new(),
+            key_indices: schema.key_indices().to_vec(),
             byte_size,
         }
+    }
+
+    /// The block as a block of `to`, a newer version of the schema `from`
+    /// it was decoded under (§3.5: evolutions never rewrite tablets):
+    /// widened columns widened, columns added since filled with their
+    /// defaults. Keys are unchanged — `int32` and `int64` encode alike.
+    pub fn translated(&self, from: &Schema, to: &Schema) -> Result<Block> {
+        let (old, new) = (from.columns(), to.columns());
+        if self.columns.len() != old.len() || new.len() < old.len() {
+            return Err(Error::corrupt("block does not match its schema"));
+        }
+        let mut columns = Vec::with_capacity(new.len());
+        for (col, def) in self.columns.iter().zip(new) {
+            columns.push(col.translated(def.ty)?);
+        }
+        for def in &new[old.len()..] {
+            columns.push(ColumnSlice::repeat(&def.default, self.row_count)?);
+        }
+        Ok(Block::from_columns(columns, self.row_count, to))
     }
 
     /// Number of rows in the block.
@@ -503,8 +741,8 @@ impl Block {
     }
 
     /// What a cached copy of the block costs in memory: the decoded
-    /// slices plus the key arena (whether or not it has been built yet),
-    /// so the cache charge is an upper bound on the resident size.
+    /// slices, flat arenas at their real size. A block holds nothing
+    /// else.
     pub fn byte_size(&self) -> usize {
         self.byte_size
     }
@@ -516,37 +754,21 @@ impl Block {
         Ok(())
     }
 
-    /// The encoded primary key of row `i`. Materializes the key arena on
-    /// first call.
-    pub fn key(&self, i: usize) -> Result<&[u8]> {
-        self.check_row(i)?;
-        let keys = self.keys.get_or_init(|| {
-            let mut arena = KeyArena {
-                bytes: Vec::new(),
-                offsets: Vec::with_capacity(self.row_count + 1),
-            };
-            arena.offsets.push(0);
-            for row in 0..self.row_count {
-                self.encode_key(row, &mut arena.bytes);
-                arena.offsets.push(u32::try_from(arena.bytes.len()).ok()?);
-            }
-            Some(arena)
-        });
-        let keys = keys
-            .as_ref()
-            .ok_or_else(|| Error::corrupt("block keys exceed 4 GiB"))?;
-        Ok(&keys.bytes[keys.offsets[i] as usize..keys.offsets[i + 1] as usize])
-    }
-
     /// Materializes row `i`.
     pub fn row(&self, i: usize) -> Result<Row> {
         self.check_row(i)?;
         Ok(Row::new(self.columns.iter().map(|c| c.value(i)).collect()))
     }
 
+    /// Number of columns.
+    pub fn num_columns(&self) -> usize {
+        self.columns.len()
+    }
+
     /// The decoded slice of column `idx` (tablet-schema order). This is
     /// the aggregate-pushdown entry point: it never materializes rows or
     /// keys. Panics when the tablet's schema has no such column.
+    #[inline]
     pub fn column(&self, idx: usize) -> &ColumnSlice {
         &self.columns[idx]
     }
@@ -559,22 +781,9 @@ impl Block {
         }
     }
 
-    /// Index of the first row whose key is ≥ `target` (ascending-seek
-    /// position). Returns `len()` when every key is smaller.
-    pub fn seek_ge(&self, target: &[u8]) -> Result<usize> {
-        self.partition_point(|i| Ok(self.key(i)? < target))
-    }
-
-    /// Index of the first row whose key is > `target`.
-    pub fn seek_gt(&self, target: &[u8]) -> Result<usize> {
-        self.partition_point(|i| Ok(self.key(i)? <= target))
-    }
-
     /// The interval of row indices whose keys lie inside `range`. Only
     /// the O(log n) probed rows' keys are encoded, into one scratch
-    /// buffer; the key arena is neither built nor read, so an aggregate
-    /// scan clips a block to the key bounds without paying for key
-    /// materialization.
+    /// buffer.
     pub fn rows_in_range(&self, range: &KeyRange) -> Result<Range<usize>> {
         let mut scratch = Vec::new();
         let mut first = |before: &dyn Fn(&[u8]) -> bool| {
@@ -596,8 +805,23 @@ impl Block {
         Ok(start..end.max(start))
     }
 
+    /// Whether some row's encoded key is `key`: one bisection, encoding
+    /// the probed rows' keys into a scratch buffer.
+    pub fn contains_key(&self, key: &[u8]) -> Result<bool> {
+        let mut scratch = Vec::new();
+        let at = self.partition_point(|i| {
+            self.key_into(i, &mut scratch)?;
+            Ok(scratch.as_slice() < key)
+        })?;
+        if at == self.len() {
+            return Ok(false);
+        }
+        self.key_into(at, &mut scratch)?;
+        Ok(scratch == key)
+    }
+
     /// Replaces `out` with row `i`'s encoded key, encoded from the key
-    /// column slices; the key arena is neither built nor read.
+    /// column slices.
     pub fn key_into(&self, i: usize, out: &mut Vec<u8>) -> Result<()> {
         self.check_row(i)?;
         out.clear();
@@ -613,8 +837,8 @@ impl Block {
             match &self.columns[ki] {
                 ColumnSlice::I32(v) => keyenc::encode_int(out, v[row] as i64),
                 ColumnSlice::I64(v) | ColumnSlice::Timestamp(v) => keyenc::encode_int(out, v[row]),
-                ColumnSlice::Str(v) => keyenc::encode_bytes(out, v[row].as_bytes()),
-                ColumnSlice::Blob(v) => keyenc::encode_bytes(out, &v[row]),
+                ColumnSlice::Str(v) => keyenc::encode_bytes(out, v.bytes(row)),
+                ColumnSlice::Blob(v) => keyenc::encode_bytes(out, v.bytes(row)),
                 ColumnSlice::F64(_) => unreachable!("key columns are never F64"),
             }
         }
@@ -634,12 +858,6 @@ impl Block {
             }
         }
         Ok(lo)
-    }
-
-    /// Whether the key arena has been materialized.
-    #[cfg(test)]
-    pub(crate) fn key_arena_built(&self) -> bool {
-        self.keys.get().is_some()
     }
 }
 
@@ -687,13 +905,15 @@ mod tests {
     fn columnar_round_trips_rows_and_keys() {
         let (blk, s) = sample_columnar(200);
         assert_eq!(blk.len(), 200);
+        let mut key = vec![7; 3];
         for i in 0..200usize {
             let row = blk.row(i).unwrap();
             assert_eq!(row.values[1], Value::Timestamp(1000 + i as i64));
             assert_eq!(row.values[2], Value::I64(i as i64 * 10));
-            let expect = row.encode_key(&s).unwrap();
-            assert_eq!(blk.key(i).unwrap(), expect.as_slice());
+            blk.key_into(i, &mut key).unwrap();
+            assert_eq!(key, row.encode_key(&s).unwrap());
         }
+        assert!(blk.key_into(200, &mut key).is_err());
         // Column slices come back typed, without row materialization.
         match blk.column(2) {
             ColumnSlice::I64(v) => assert_eq!(v.iter().sum::<i64>(), (0..200).sum::<i64>() * 10),
@@ -721,7 +941,6 @@ mod tests {
         for c in 0..4 {
             assert_eq!(direct.column(c), decoded.column(c));
         }
-        assert_eq!(direct.key(69).unwrap(), decoded.key(69).unwrap());
     }
 
     #[test]
@@ -772,29 +991,35 @@ mod tests {
     }
 
     #[test]
-    fn columnar_seek_by_key() {
+    fn contains_key_finds_exactly_the_keys_present() {
         let (blk, s) = sample_columnar(30);
-        let probe = Row::new(vec![
+        let mut key = Vec::new();
+        for i in [0, 1, 14, 15, 28, 29] {
+            blk.key_into(i, &mut key).unwrap();
+            assert!(blk.contains_key(&key).unwrap(), "row {i}");
+            // Between this key and the next, and just before this one.
+            key.push(0);
+            assert!(!blk.contains_key(&key).unwrap());
+            key.truncate(key.len() - 2);
+            assert!(!blk.contains_key(&key).unwrap());
+        }
+        // Before the first key, past the last, and a key that was never
+        // written inside the block's range.
+        assert!(!blk.contains_key(b"").unwrap());
+        assert!(!blk.contains_key(&[0xFF; 4]).unwrap());
+        let absent = Row::new(vec![
             Value::Str("dev-1".into()),
-            Value::Timestamp(1015),
+            Value::Timestamp(5000),
             Value::I64(0),
             Value::F64(0.0),
         ]);
-        let key = probe.encode_key(&s).unwrap();
-        let i = blk.seek_ge(&key).unwrap();
-        assert_eq!(blk.key(i).unwrap(), key.as_slice());
-        assert_eq!(blk.seek_gt(&key).unwrap(), i + 1);
-        // Between two keys, before the first and past the last.
-        let mut between = key.clone();
-        between.push(0);
-        assert_eq!(blk.seek_ge(&between).unwrap(), i + 1);
-        assert_eq!(blk.seek_ge(b"").unwrap(), 0);
-        assert_eq!(blk.seek_ge(&[0xFF; 4]).unwrap(), 30);
-        assert_eq!(blk.seek_gt(blk.key(29).unwrap()).unwrap(), 30);
+        assert!(!blk.contains_key(&absent.encode_key(&s).unwrap()).unwrap());
+        let (empty, _) = sample_columnar(0);
+        assert!(!empty.contains_key(b"k").unwrap());
     }
 
     #[test]
-    fn rows_in_range_matches_key_filter_without_building_the_arena() {
+    fn rows_in_range_matches_key_filter() {
         let (col, s) = sample_columnar(60);
         let types = s.key_types();
         let prefix = |dev: &str| keyenc::encode_prefix(&[Value::Str(dev.into())], &types).unwrap();
@@ -823,9 +1048,102 @@ mod tests {
                 .collect();
             assert_eq!(got.collect::<Vec<_>>(), expect, "{range:?}");
         }
-        assert!(!col.key_arena_built());
-        col.key(0).unwrap();
-        assert!(col.key_arena_built());
+    }
+
+    #[test]
+    fn flat_columns_copy_runs_and_rebase_offsets() {
+        let src: StrColumn = ["", "ab", "ü", "", "xyz"].into_iter().collect();
+        assert_eq!(src.len(), 5);
+        assert_eq!((&src[1], &src[2], src.bytes(2).len()), ("ab", "ü", 2));
+        let mut dst: StrColumn = ["head"].into_iter().collect();
+        dst.extend_from(&src, 1..4).unwrap();
+        dst.extend_from(&src, 4..4).unwrap();
+        dst.extend_from(&src, 0..1).unwrap();
+        dst.push("tail").unwrap();
+        let want = ["head", "ab", "ü", "", "", "tail"];
+        assert_eq!(dst.iter().collect::<Vec<_>>(), want);
+        assert_eq!(dst, want.into_iter().collect());
+        // Two allocations: the cells' bytes and one offset more than cells.
+        assert_eq!(dst.byte_size(), 12 + 7 * 4);
+        dst.clear();
+        assert!(dst.is_empty() && dst.byte_size() == 4);
+    }
+
+    #[test]
+    fn strings_are_validated_once_per_column() {
+        let blob = |cells: &[&[u8]]| cells.iter().copied().collect::<BlobColumn>();
+        let ok = blob(&["é".as_bytes(), b"", b"z"]).into_str().unwrap();
+        assert_eq!(ok.iter().collect::<Vec<_>>(), ["é", "", "z"]);
+        // Not UTF-8 at all, and UTF-8 only when two cells are read as one.
+        assert!(blob(&[b"ok", &[0xFF]]).into_str().is_err());
+        let e = "é".as_bytes();
+        assert!(blob(&[&e[..1], &e[1..]]).into_str().is_err());
+        // The same through a block: a string column holding such bytes.
+        let s = col_schema();
+        let mut data = 1u32.to_le_bytes().to_vec();
+        data.push(4);
+        for col in [&[1, 0xFF][..], &[0; 8], &[0; 8], &[0; 8]] {
+            data.push(littletable_codec::TAG_RAW);
+            data.push(col.len() as u8);
+            data.extend_from_slice(col);
+        }
+        assert!(matches!(Block::parse(&data, &s), Err(Error::Corrupt(_))));
+    }
+
+    #[test]
+    fn translated_blocks_widen_and_fill_defaults_and_keep_their_keys() {
+        let old = Schema::new(
+            vec![
+                ColumnDef::new("port", ColumnType::I32),
+                ColumnDef::new("ts", ColumnType::Timestamp),
+                ColumnDef::new("note", ColumnType::Str),
+            ],
+            &["port", "ts"],
+        )
+        .unwrap();
+        let new = old
+            .widen_column("port")
+            .unwrap()
+            .add_column(ColumnDef::with_default(
+                "tag",
+                ColumnType::Str,
+                Value::Str("none".into()),
+            ))
+            .unwrap()
+            .add_column(ColumnDef::new("n", ColumnType::I64))
+            .unwrap();
+        let mut b = BlockEncoder::new(&old);
+        for i in 0..5i32 {
+            let row = vec![
+                Value::I32(i - 2),
+                Value::Timestamp(i as i64),
+                Value::Str(format!("n{i}")),
+            ];
+            b.add(&Row::new(row)).unwrap();
+        }
+        let lagging = b.into_block(&old);
+        let got = lagging.translated(&old, &new).unwrap();
+        let (mut k_old, mut k_new) = (Vec::new(), Vec::new());
+        for i in 0..5 {
+            let values = lagging.row(i).unwrap().values;
+            let want = old.translate_row(&new, values).unwrap();
+            assert_eq!(got.row(i).unwrap().values, want);
+            lagging.key_into(i, &mut k_old).unwrap();
+            got.key_into(i, &mut k_new).unwrap();
+            assert_eq!(k_old, k_new);
+        }
+        // A block of the wrong shape, or a narrowing, is refused.
+        assert!(got.translated(&old, &new).is_err());
+        assert!(got.translated(&new, &old).is_err());
+    }
+
+    #[test]
+    fn byte_size_is_what_the_slices_hold() {
+        let (blk, _) = sample_columnar(100);
+        // 100 rows: five-byte device names and their 101 offsets, then
+        // three eight-byte columns.
+        let slices = 100 * 5 + 101 * 4 + 3 * 100 * 8;
+        assert_eq!(blk.byte_size(), slices + std::mem::size_of::<Block>());
     }
 
     #[test]

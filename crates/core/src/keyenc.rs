@@ -273,6 +273,46 @@ impl KeyRange {
         lower_ok && upper_ok
     }
 
+    /// Whether a block whose largest key is `last` can hold a key at or
+    /// past the range's lower bound. Decided from a tablet's block index,
+    /// before the block is read.
+    pub fn span_reaches_start(&self, last: &[u8]) -> bool {
+        match &self.start {
+            Bound::Unbounded => true,
+            Bound::Included(s) => last >= s.as_slice(),
+            Bound::Excluded(s) => last > s.as_slice(),
+        }
+    }
+
+    /// Whether a block all of whose keys sort after `prev_last` (the
+    /// largest key of the block before it, empty for a tablet's first
+    /// block) can hold a key at or before the range's upper bound.
+    pub fn span_reaches_end(&self, prev_last: &[u8]) -> bool {
+        match &self.end {
+            Bound::Unbounded => true,
+            // Every key is > prev_last: once prev_last >= e, none can be
+            // <= e (let alone < e).
+            Bound::Included(e) | Bound::Excluded(e) => prev_last < e.as_slice(),
+        }
+    }
+
+    /// Whether a block whose keys lie in `(prev_last, last]` lies entirely
+    /// inside the range.
+    pub fn contains_span(&self, prev_last: &[u8], last: &[u8]) -> bool {
+        let start_ok = match &self.start {
+            Bound::Unbounded => true,
+            // Every key is > prev_last, so prev_last >= s proves every
+            // key > s (which satisfies both bound kinds).
+            Bound::Included(s) | Bound::Excluded(s) => prev_last >= s.as_slice(),
+        };
+        let end_ok = match &self.end {
+            Bound::Unbounded => true,
+            Bound::Included(e) => last <= e.as_slice(),
+            Bound::Excluded(e) => last < e.as_slice(),
+        };
+        start_ok && end_ok
+    }
+
     /// True when no key can satisfy the range.
     pub fn is_certainly_empty(&self) -> bool {
         match (&self.start, &self.end) {

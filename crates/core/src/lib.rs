@@ -42,6 +42,7 @@ pub mod value;
 
 pub use block::ColumnSlice;
 pub use cache::BlockCache;
+pub use cursor::RowRun;
 pub use db::Db;
 pub use error::{Error, Result};
 pub use options::Options;
@@ -55,4 +56,4 @@ pub use table::{
     ColumnPredicate, InsertReport, MaintenanceReport, PredOp, PushdownRequest, QueryCursor,
     ScanUnit, Selection, Table,
 };
-pub use value::{ColumnType, Value};
+pub use value::{ColumnType, Value, ValueRef};

@@ -5,6 +5,8 @@
 //! to row. When a tablet reaches the configured size or age limit it is
 //! marked read-only and flushed wholesale to disk as one on-disk tablet.
 
+use crate::block::{Block, BlockEncoder};
+use crate::error::Result;
 use crate::keyenc::KeyRange;
 use crate::row::Row;
 use crate::schema::SchemaRef;
@@ -126,8 +128,10 @@ impl MemTablet {
 
     /// Snapshots the rows inside `range` (and every row when `range` is
     /// unbounded) whose insert sequence number is below `before_seq`, in
-    /// ascending key order. Pass [`u64::MAX`] to see everything.
-    pub fn snapshot_range(&self, range: &KeyRange, before_seq: u64) -> Vec<(Vec<u8>, Row)> {
+    /// ascending key order, as one decoded block under the tablet's
+    /// schema: cell values are copied into column slices, and no key and
+    /// no row is cloned. Pass [`u64::MAX`] to see everything.
+    pub fn snapshot_block(&self, range: &KeyRange, before_seq: u64) -> Result<Block> {
         let lo: Bound<&[u8]> = match &range.start {
             Bound::Unbounded => Bound::Unbounded,
             Bound::Included(k) => Bound::Included(k.as_slice()),
@@ -138,11 +142,13 @@ impl MemTablet {
             Bound::Included(k) => Bound::Included(k.as_slice()),
             Bound::Excluded(k) => Bound::Excluded(k.as_slice()),
         };
-        self.rows
-            .range::<[u8], _>((lo, hi))
-            .filter(|(_, m)| m.seq < before_seq)
-            .map(|(k, m)| (k.clone(), m.row.clone()))
-            .collect()
+        let mut block = BlockEncoder::new(&self.schema);
+        for (_, m) in self.rows.range::<[u8], _>((lo, hi)) {
+            if m.seq < before_seq {
+                block.add(&m.row)?;
+            }
+        }
+        Ok(block.into_block(&self.schema))
     }
 
     /// Drains the tablet into sorted `(key, row)` pairs for flushing.
@@ -209,7 +215,7 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_range_filters() {
+    fn snapshot_block_filters() {
         let mut t = MemTablet::new(MemTabletId(1), 0, test_schema());
         for n in 0..10i64 {
             let (k, r, ts) = row(n, 100);
@@ -221,14 +227,15 @@ mod tests {
             start: Bound::Included(lo),
             end: Bound::Excluded(hi),
         };
-        let snap = t.snapshot_range(&range, u64::MAX);
+        let snap = t.snapshot_block(&range, u64::MAX).unwrap();
         assert_eq!(snap.len(), 3);
-        let all = t.snapshot_range(&KeyRange::all(), u64::MAX);
+        assert_eq!(snap.row(0).unwrap().values[0], Value::I64(3));
+        let all = t.snapshot_block(&KeyRange::all(), u64::MAX).unwrap();
         assert_eq!(all.len(), 10);
     }
 
     #[test]
-    fn snapshot_range_honours_seq_cutoff() {
+    fn snapshot_block_honours_seq_cutoff() {
         let mut t = MemTablet::new(MemTabletId(1), 0, test_schema());
         for n in 0..10i64 {
             let (k, r, ts) = row(n, 100);
@@ -236,10 +243,10 @@ mod tests {
         }
         // Rows stamped at or after the cutoff are invisible to the
         // snapshot, as if the reader had started before they committed.
-        let snap = t.snapshot_range(&KeyRange::all(), 104);
-        assert_eq!(snap.len(), 4);
-        assert!(t.snapshot_range(&KeyRange::all(), 100).is_empty());
-        assert_eq!(t.snapshot_range(&KeyRange::all(), u64::MAX).len(), 10);
+        let snap = |before_seq| t.snapshot_block(&KeyRange::all(), before_seq).unwrap();
+        assert_eq!(snap(104).len(), 4);
+        assert!(snap(100).is_empty());
+        assert_eq!(snap(u64::MAX).len(), 10);
     }
 
     #[test]

@@ -45,7 +45,7 @@
 //! above it, merging the two (partial aggregates are additive).
 
 use crate::block::ColumnSlice;
-use crate::cursor::{DiskCursor, RowSource};
+use crate::cursor::{RunCursor, Source};
 use crate::error::{Error, Result};
 use crate::keyenc::KeyRange;
 use crate::schema::{ColumnDef, Schema};
@@ -266,8 +266,8 @@ pub fn distinct_bytes_at(col: &ColumnSlice, row: usize, out: &mut Vec<u8>) {
             put_distinct(out, 0, &v[row].to_le_bytes())
         }
         ColumnSlice::F64(v) => put_distinct(out, 1, &v[row].to_bits().to_le_bytes()),
-        ColumnSlice::Str(v) => put_distinct(out, 2, v[row].as_bytes()),
-        ColumnSlice::Blob(v) => put_distinct(out, 3, &v[row]),
+        ColumnSlice::Str(v) => put_distinct(out, 2, v.bytes(row)),
+        ColumnSlice::Blob(v) => put_distinct(out, 3, v.bytes(row)),
     }
 }
 
@@ -411,7 +411,6 @@ fn fold_base_inner(
     let bindings = bind(&schema, targets)?;
     let key = schema.key_indices();
     let dims: Vec<usize> = key[..key.len() - 1].to_vec();
-    let ts_idx = schema.ts_index();
     let mut folded: Vec<u64> = Vec::with_capacity(tablets.len());
     for (meta, reader) in &tablets {
         // One pass over the tablet feeds every rollup's accumulators.
@@ -419,61 +418,59 @@ fn fold_base_inner(
         // the engine's order-preserving key encoding of the dims plus
         // the bucket, with the original values carried alongside.
         let mut accs: Vec<AccMap> = bindings.iter().map(|_| HashMap::new()).collect();
-        let mut cur = DiskCursor::new(reader.clone(), schema.clone(), KeyRange::all(), false)
-            .with_read_run(1 << 20);
-        while let Some((_key, row)) = cur.next_row()? {
-            let ts = match &row.values[ts_idx] {
-                Value::Timestamp(t) => *t,
-                other => {
-                    return Err(Error::corrupt(format!(
-                        "non-timestamp ts value {other} in base row"
-                    )))
-                }
-            };
-            for (b, acc_map) in bindings.iter().zip(accs.iter_mut()) {
-                let bucket = bucket_of(ts, b.spec.period);
-                let dim_vals: Vec<Value> = dims.iter().map(|&i| row.values[i].clone()).collect();
-                let mut group_key = Vec::new();
-                for v in &dim_vals {
-                    crate::keyenc::encode_component(&mut group_key, v)?;
-                }
-                group_key.extend_from_slice(&bucket.to_le_bytes());
-                let (_, _, acc) = acc_map.entry(group_key).or_insert_with(|| {
-                    (
-                        dim_vals,
-                        bucket,
-                        Acc::new(b.val_idx.len(), b.distinct_idx.len()),
-                    )
-                });
-                acc.rows += 1;
-                for (vi, &ci) in b.val_idx.iter().enumerate() {
-                    let v = &row.values[ci];
-                    if b.val_float[vi] {
-                        if let Value::F64(x) = v {
-                            acc.sums_f[vi] += x;
+        let source =
+            Source::tablet(reader.clone(), schema.clone(), KeyRange::all()).with_read_run(1 << 20);
+        let mut cur = RunCursor::new(vec![source], false);
+        while let Some(run) = cur.next_run()? {
+            let timestamps = run.block.timestamps()?;
+            for i in run.indices() {
+                let (ts, row) = (timestamps[i], run.block.row(i)?);
+                for (b, acc_map) in bindings.iter().zip(accs.iter_mut()) {
+                    let bucket = bucket_of(ts, b.spec.period);
+                    let dim_vals: Vec<Value> =
+                        dims.iter().map(|&i| row.values[i].clone()).collect();
+                    let mut group_key = Vec::new();
+                    for v in &dim_vals {
+                        crate::keyenc::encode_component(&mut group_key, v)?;
+                    }
+                    group_key.extend_from_slice(&bucket.to_le_bytes());
+                    let (_, _, acc) = acc_map.entry(group_key).or_insert_with(|| {
+                        (
+                            dim_vals,
+                            bucket,
+                            Acc::new(b.val_idx.len(), b.distinct_idx.len()),
+                        )
+                    });
+                    acc.rows += 1;
+                    for (vi, &ci) in b.val_idx.iter().enumerate() {
+                        let v = &row.values[ci];
+                        if b.val_float[vi] {
+                            if let Value::F64(x) = v {
+                                acc.sums_f[vi] += x;
+                            }
+                        } else {
+                            match v {
+                                Value::I32(x) => acc.sums_i[vi] += *x as i64,
+                                Value::I64(x) => acc.sums_i[vi] += x,
+                                _ => {}
+                            }
                         }
-                    } else {
-                        match v {
-                            Value::I32(x) => acc.sums_i[vi] += *x as i64,
-                            Value::I64(x) => acc.sums_i[vi] += x,
-                            _ => {}
+                        let better_min = acc.mins[vi]
+                            .as_ref()
+                            .is_none_or(|m| cmp_values(v, m) == Some(CmpOrdering::Less));
+                        if better_min {
+                            acc.mins[vi] = Some(v.clone());
+                        }
+                        let better_max = acc.maxs[vi]
+                            .as_ref()
+                            .is_none_or(|m| cmp_values(v, m) == Some(CmpOrdering::Greater));
+                        if better_max {
+                            acc.maxs[vi] = Some(v.clone());
                         }
                     }
-                    let better_min = acc.mins[vi]
-                        .as_ref()
-                        .is_none_or(|m| cmp_values(v, m) == Some(CmpOrdering::Less));
-                    if better_min {
-                        acc.mins[vi] = Some(v.clone());
+                    for (di, &ci) in b.distinct_idx.iter().enumerate() {
+                        acc.hlls[di].add_bytes(&distinct_bytes(&row.values[ci]));
                     }
-                    let better_max = acc.maxs[vi]
-                        .as_ref()
-                        .is_none_or(|m| cmp_values(v, m) == Some(CmpOrdering::Greater));
-                    if better_max {
-                        acc.maxs[vi] = Some(v.clone());
-                    }
-                }
-                for (di, &ci) in b.distinct_idx.iter().enumerate() {
-                    acc.hlls[di].add_bytes(&distinct_bytes(&row.values[ci]));
                 }
             }
         }
@@ -636,8 +633,8 @@ mod tests {
             ColumnSlice::I64(vec![i64::MIN]),
             ColumnSlice::Timestamp(vec![9]),
             ColumnSlice::F64(vec![f64::NAN]),
-            ColumnSlice::Str(vec!["a\0b".into()]),
-            ColumnSlice::Blob(vec![vec![0, 255]]),
+            ColumnSlice::Str(["a\0b"].into_iter().collect()),
+            ColumnSlice::Blob([&[0u8, 255][..]].into_iter().collect()),
         ];
         let mut out = vec![1, 2, 3];
         for col in &slices {

@@ -79,7 +79,7 @@ pub(crate) mod tests {
         let mut out = Vec::new();
         for (i, v) in row.values.iter().enumerate() {
             if !schema.key_indices().contains(&i) {
-                encode_value(&mut out, v);
+                encode_value(&mut out, v.as_ref());
             }
         }
         out

@@ -12,7 +12,7 @@
 
 use crate::error::{Error, Result};
 use crate::util::{put_string, put_varint, Reader};
-use crate::value::{ColumnType, Value};
+use crate::value::{ColumnType, Value, ValueRef};
 use std::fmt;
 use std::sync::Arc;
 
@@ -256,7 +256,7 @@ impl Schema {
         for c in &self.columns {
             put_string(out, &c.name);
             out.push(c.ty.tag());
-            encode_value(out, &c.default);
+            encode_value(out, c.default.as_ref());
         }
         put_varint(out, self.key.len() as u64);
         for &i in &self.key {
@@ -299,17 +299,19 @@ impl Schema {
     }
 }
 
-/// Encodes a single typed value (used for defaults; row payloads use the
-/// same primitives via the row codec).
-pub fn encode_value(out: &mut Vec<u8>, v: &Value) {
+/// Encodes a single typed value: column defaults, zone maps, and every
+/// cell on the wire — taken borrowed, so that a cell of a decoded column
+/// slice is written from where it lies.
+#[inline]
+pub fn encode_value(out: &mut Vec<u8>, v: ValueRef<'_>) {
     use crate::util::zigzag;
     match v {
-        Value::I32(x) => put_varint(out, zigzag(*x as i64)),
-        Value::I64(x) => put_varint(out, zigzag(*x)),
-        Value::F64(x) => out.extend_from_slice(&x.to_le_bytes()),
-        Value::Timestamp(x) => put_varint(out, zigzag(*x)),
-        Value::Str(s) => put_string(out, s),
-        Value::Blob(b) => crate::util::put_len_prefixed(out, b),
+        ValueRef::I32(x) => put_varint(out, zigzag(x as i64)),
+        ValueRef::I64(x) => put_varint(out, zigzag(x)),
+        ValueRef::F64(x) => out.extend_from_slice(&x.to_le_bytes()),
+        ValueRef::Timestamp(x) => put_varint(out, zigzag(x)),
+        ValueRef::Str(s) => put_string(out, s),
+        ValueRef::Blob(b) => crate::util::put_len_prefixed(out, b),
     }
 }
 

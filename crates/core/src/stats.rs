@@ -109,8 +109,10 @@ table_counters! {
     /// maps proved no row could match.
     blocks_pruned,
     /// Rows materialized into [`crate::row::Row`] values on the read
-    /// path (cursor emits plus pushdown boundary rows). The pushdown win
-    /// shows up as this counter staying far below `rows_scanned`.
+    /// path: one per `QueryCursor::next_row` call, plus the rows a
+    /// pushdown scan builds from memtablets and schema-lagging tablets.
+    /// A consumer of column runs or of pushdown blocks adds nothing, so
+    /// the counter stays far below `rows_scanned` where those serve.
     rows_materialized,
     /// Aggregate queries (or portions of them) answered from a rollup
     /// table instead of scanning this base table.

@@ -30,15 +30,14 @@
 
 use super::Table;
 use crate::block::{Block, ColumnSlice};
-use crate::cursor::{DiskCursor, RowSource};
+use crate::cursor::{RunCursor, Source};
 use crate::error::{Error, Result};
-use crate::keyenc::KeyRange;
 use crate::query::Query;
 use crate::row::Row;
 use crate::stats::TableStats;
 use crate::value::Value;
 use std::cmp::Ordering;
-use std::ops::{Bound, Range};
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Comparison operator of a pushed-down predicate.
@@ -172,11 +171,9 @@ impl ColumnPredicate {
                 sel.retain_cmp(|i| v[i], op, x)
             }
             (ColumnSlice::F64(v), _, Value::F64(x)) => sel.retain_cmp(|i| v[i], op, *x),
-            (ColumnSlice::Str(v), _, Value::Str(x)) => {
-                sel.retain_cmp(|i| v[i].as_str(), op, x.as_str())
-            }
+            (ColumnSlice::Str(v), _, Value::Str(x)) => sel.retain_cmp(|i| &v[i], op, x.as_str()),
             (ColumnSlice::Blob(v), _, Value::Blob(x)) => {
-                sel.retain_cmp(|i| v[i].as_slice(), op, x.as_slice())
+                sel.retain_cmp(|i| &v[i], op, x.as_slice())
             }
             // Incomparable families satisfy no operator.
             _ => *sel = Selection::Range(0..0),
@@ -319,40 +316,6 @@ pub enum ScanUnit {
     Rows(Vec<Row>),
 }
 
-/// Whether the block delimited by `(prev_last, last]` lies entirely
-/// inside `range`.
-fn span_contained(prev_last: &[u8], last: &[u8], range: &KeyRange) -> bool {
-    let start_ok = match &range.start {
-        Bound::Unbounded => true,
-        // All keys in the block are > prev_last, so prev_last >= s
-        // proves every key > s (which satisfies both bound kinds).
-        Bound::Included(s) | Bound::Excluded(s) => prev_last >= s.as_slice(),
-    };
-    let end_ok = match &range.end {
-        Bound::Unbounded => true,
-        Bound::Included(e) => last <= e.as_slice(),
-        Bound::Excluded(e) => last < e.as_slice(),
-    };
-    start_ok && end_ok
-}
-
-/// Whether the block delimited by `(prev_last, last]` could contain any
-/// key of `range`.
-fn span_intersects(prev_last: &[u8], last: &[u8], range: &KeyRange) -> bool {
-    let above_start = match &range.start {
-        Bound::Unbounded => true,
-        Bound::Included(s) => last >= s.as_slice(),
-        Bound::Excluded(s) => last > s.as_slice(),
-    };
-    let below_end = match &range.end {
-        Bound::Unbounded => true,
-        // All keys are > prev_last: once prev_last >= e, no key can be
-        // <= e (let alone < e).
-        Bound::Included(e) | Bound::Excluded(e) => prev_last < e.as_slice(),
-    };
-    above_start && below_end
-}
-
 impl Table {
     /// Streams aggregate-grade scan units for `req`'s bounding box to
     /// `emit`, cheapest unit first per block: footer stats where zones
@@ -382,13 +345,22 @@ impl Table {
             return Ok(());
         }
         let ts_index = schema.ts_index();
-        // The row filter of the materializing sources (key bounds are
-        // applied by their cursors).
-        let passes = |row: &Row| -> Result<bool> {
-            let ts = row.ts(&schema)?;
-            Ok(ts >= ts_lo
-                && ts <= ts_hi
-                && req.predicates.iter().all(|p| p.matches(&row.values[p.col])))
+        // What the materializing sources emit: the rows of `block[rows]`
+        // inside the time bounds that pass every predicate (key bounds
+        // are applied by their cursors).
+        let filtered_rows = |block: &Block, rows: Range<usize>| -> Result<Vec<Row>> {
+            let mut out = Vec::with_capacity(rows.len());
+            for i in rows {
+                let row = block.row(i)?;
+                let ts = row.ts(&schema)?;
+                if ts >= ts_lo
+                    && ts <= ts_hi
+                    && req.predicates.iter().all(|p| p.matches(&row.values[p.col]))
+                {
+                    out.push(row);
+                }
+            }
+            Ok(out)
         };
         let mut materialized = 0u64;
         let mut pruned = 0u64;
@@ -399,36 +371,30 @@ impl Table {
             }
             let footer = h.reader.footer()?;
             if footer.schema.version() != schema.version() {
-                // Schema-lagging tablet: the row cursor already handles
-                // version translation.
-                let mut cur =
-                    DiskCursor::new(h.reader.clone(), schema.clone(), range.clone(), false);
-                let mut batch = Vec::new();
-                while let Some((_, row)) = cur.next_row()? {
-                    materialized += 1;
-                    if !passes(&row)? {
-                        continue;
+                // Schema-lagging tablet: the run cursor hands its blocks
+                // on translated; their zone maps are the old schema's, so
+                // every row is checked.
+                let source = Source::tablet(h.reader.clone(), schema.clone(), range.clone());
+                let mut cur = RunCursor::new(vec![source], false);
+                while let Some(run) = cur.next_run()? {
+                    materialized += run.len() as u64;
+                    let rows = filtered_rows(&run.block, run.rows)?;
+                    if !rows.is_empty() {
+                        emit(ScanUnit::Rows(rows))?;
                     }
-                    batch.push(row);
-                    if batch.len() >= 4096 {
-                        emit(ScanUnit::Rows(std::mem::take(&mut batch)))?;
-                    }
-                }
-                if !batch.is_empty() {
-                    emit(ScanUnit::Rows(batch))?;
                 }
                 continue;
             }
             let mut prev_last: &[u8] = b"";
             for (bi, entry) in footer.blocks.iter().enumerate() {
                 let prev = std::mem::replace(&mut prev_last, entry.last_key.as_slice());
-                if !span_intersects(prev, &entry.last_key, &range) {
-                    // Whole block outside the key bounds; once past the
-                    // upper bound every later block is too.
-                    match &range.end {
-                        Bound::Included(e) | Bound::Excluded(e) if prev >= e.as_slice() => break,
-                        _ => continue,
-                    }
+                // A block wholly outside the key bounds is skipped; once
+                // past the upper bound every later block is too.
+                if !range.span_reaches_end(prev) {
+                    break;
+                }
+                if !range.span_reaches_start(&entry.last_key) {
+                    continue;
                 }
                 // Time bounds, judged from the timestamp column's zone.
                 let ts_zone = entry.zones.get(ts_index).and_then(|z| z.as_ref());
@@ -459,7 +425,7 @@ impl Table {
                     pruned += 1;
                     continue;
                 }
-                let key_contained = span_contained(prev, &entry.last_key, &range);
+                let key_contained = range.contains_span(prev, &entry.last_key);
                 if key_contained && ts_contained && uncertain.is_empty() {
                     if let Some(cols) = &req.stats_cols {
                         let zoned = cols
@@ -495,17 +461,13 @@ impl Table {
             }
         }
         for t in &snap.mem {
-            if let Some(rows) = super::read::mem_rows(t, &range, ts_lo, ts_hi, cutoff_seq, &schema)?
+            if let Some(block) =
+                super::read::mem_block(t, &range, ts_lo, ts_hi, cutoff_seq, &schema)?
             {
-                let mut out = Vec::with_capacity(rows.len());
-                for (_, row) in rows {
-                    materialized += 1;
-                    if passes(&row)? {
-                        out.push(row);
-                    }
-                }
-                if !out.is_empty() {
-                    emit(ScanUnit::Rows(out))?;
+                materialized += block.len() as u64;
+                let rows = filtered_rows(&block, 0..block.len())?;
+                if !rows.is_empty() {
+                    emit(ScanUnit::Rows(rows))?;
                 }
             }
         }
@@ -584,9 +546,8 @@ mod tests {
     }
 
     /// Row count implied by a unit list. Every block unit is also held
-    /// to the zero-materialization contract on the way: its selection is
-    /// non-empty and ascending, and the scan did not build the block's
-    /// key arena to compute it.
+    /// to its contract on the way: its selection is non-empty, ascending
+    /// and inside the block.
     fn unit_rows(units: &[ScanUnit]) -> u64 {
         let mut n = 0u64;
         for u in units {
@@ -596,7 +557,6 @@ mod tests {
                     assert!(!sel.is_empty(), "empty selections are not emitted");
                     assert!(sel.iter().zip(sel.iter().skip(1)).all(|(a, b)| a < b));
                     assert!(sel.iter().all(|i| i < block.len()));
-                    assert!(!block.key_arena_built(), "pushdown built a key arena");
                     n += sel.len() as u64;
                 }
                 ScanUnit::Rows(rows) => n += rows.len() as u64,
@@ -607,8 +567,7 @@ mod tests {
 
     /// The rows of `block` a scan for `req` must select, decided the slow
     /// way: materialize each row, encode its key, test every bound and
-    /// predicate on `Value`s. (Not via `Block::key`, which would build
-    /// the arena the scans are asserted never to build.)
+    /// predicate on `Value`s.
     fn brute_force_selection(t: &Table, block: &Block, req: &PushdownRequest) -> Vec<usize> {
         let schema = t.schema();
         let range = req.query.key_range(&schema).unwrap();
@@ -804,7 +763,7 @@ mod tests {
             let ColumnSlice::Str(dev) = block.column(0) else {
                 panic!("device must be a string slice");
             };
-            assert!(dev[r.clone()].iter().all(|d| d == "dev-1"));
+            assert!(r.clone().all(|i| &dev[i] == "dev-1"));
         }
         assert!(clipped > 0, "some block must straddle the prefix");
         assert_eq!(t.stats().snapshot().rows_materialized, 0);
@@ -868,9 +827,6 @@ mod tests {
     #[test]
     fn selection_equals_brute_force_row_filter() {
         let (_db, t) = flushed_table(400);
-        // The row cursor builds key arenas in the blocks it shares with
-        // the scan through the cache; it reads a twin table instead.
-        let (_twin_db, twin) = flushed_table(400);
         let pred = |col, op, value| ColumnPredicate { col, op, value };
         let mut requests = Vec::new();
         let boxes = [
@@ -934,7 +890,7 @@ mod tests {
             let before = t.stats().snapshot().rows_materialized;
             let units = scan(&t, req);
             assert_eq!(t.stats().snapshot().rows_materialized, before);
-            let mut expect = twin.query_all(&req.query).unwrap();
+            let mut expect = t.query_all(&req.query).unwrap();
             expect.retain(|r| req.predicates.iter().all(|p| p.matches(&r.values[p.col])));
             assert_eq!(unit_rows(&units), expect.len() as u64, "{req:?}");
             for u in &units {
@@ -993,7 +949,6 @@ mod tests {
     #[test]
     fn matches_row_path_on_random_boxes() {
         let (_db, t) = flushed_table(300);
-        let (_twin_db, twin) = flushed_table(300);
         let cases = [
             Query::all(),
             Query::all().with_prefix(vec![Value::Str("dev-2".into())]),
@@ -1003,7 +958,7 @@ mod tests {
                 .with_ts_range(START, START + 33 * SEC),
         ];
         for q in cases {
-            let expect = twin.query_all(&q).unwrap().len() as u64;
+            let expect = t.query_all(&q).unwrap().len() as u64;
             let req = PushdownRequest {
                 query: q,
                 ..req_all()

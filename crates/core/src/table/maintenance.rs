@@ -11,7 +11,7 @@
 use super::runmerge::{merge_runs, RunSource};
 use super::state::{DiskHandle, SharedMemTablet, TableState};
 use super::{MaintenanceReport, Table};
-use crate::cursor::{DiskCursor, RowSource};
+use crate::cursor::{RunCursor, Source};
 use crate::descriptor::{tablet_file_name, TableDescriptor, TabletMeta};
 use crate::error::{Error, Result};
 use crate::keyenc::{encode_prefix, KeyRange};
@@ -291,8 +291,8 @@ impl Table {
                 }
             }
             // Does this tablet hold any matching row at all?
-            let mut probe = DiskCursor::new(h.reader.clone(), schema.clone(), range.clone(), false);
-            if probe.next_row()?.is_none() {
+            let probe = Source::tablet(h.reader.clone(), schema.clone(), range.clone());
+            if RunCursor::new(vec![probe], false).next_run()?.is_none() {
                 continue;
             }
             // Rewrite the tablet without the matching rows.

@@ -8,12 +8,14 @@
 //!   out through the shared [`crate::sync::SnapshotCell`]);
 //! * [`write`] — insert, uniqueness fast paths (§3.4.4), sealing;
 //! * [`read`] — `query`/`latest` and the streaming `QueryCursor`,
-//!   built entirely from a snapshot load;
+//!   built entirely from a snapshot load, over [`crate::cursor`]'s merge
+//!   of block runs;
 //! * [`maintenance`] — flush, merge, TTL reaping, bulk delete, cold
 //!   migration, and schema evolution, each republishing the snapshot
 //!   at its commit point;
 //! * [`runmerge`] — the block-at-a-time k-way merge that merges and bulk
-//!   deletes stream their input tablets through.
+//!   deletes stream their input tablets through (the gallop and the head
+//!   pick are the query cursor's).
 
 mod colscan;
 mod maintenance;

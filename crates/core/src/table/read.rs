@@ -4,14 +4,24 @@
 //! Both entry points run entirely from one `read_view()` — a lock-free
 //! snapshot load plus an insert-sequence cutoff. Disk tablets are
 //! immutable files behind `Arc`'d readers; in-memory tablets are
-//! snapshotted under their own read locks with the cutoff filtering out
-//! rows inserted after the view was taken. Expensive work (range
-//! copying, cross-version `translate_row`) happens outside every lock,
-//! so readers cannot stall the writer or the maintenance paths.
+//! snapshotted under their own read locks, each into one decoded block,
+//! with the cutoff filtering out rows inserted after the view was taken.
+//! Expensive work (translating a block of an older schema version)
+//! happens outside every lock, so readers cannot stall the writer or the
+//! maintenance paths.
+//!
+//! A query's result is a stream of [`RowRun`]s — row ranges of decoded
+//! blocks, merged in key order by [`RunCursor`] and cut here at the
+//! query's time bounds, the table's TTL and the row limits. A consumer
+//! that can work from column slices ([`QueryCursor::next_run`]: the
+//! server's response encoder) never has a [`Row`] built for it;
+//! [`QueryCursor::next_row`] builds one per call for those that want
+//! rows, and is where `rows_materialized` counts.
 
 use super::state::SharedMemTablet;
 use super::Table;
-use crate::cursor::{DiskCursor, MemSource, MergeCursor, RowSource};
+use crate::block::Block;
+use crate::cursor::{RowRun, RunCursor, Source};
 use crate::error::{Error, Result};
 use crate::keyenc::{encode_prefix, KeyRange};
 use crate::query::Query;
@@ -24,37 +34,33 @@ use crate::value::Value;
 use littletable_vfs::Micros;
 use std::sync::Arc;
 
-/// Keyed rows copied out of a memtablet snapshot.
-type KeyedRows = Vec<(Vec<u8>, Row)>;
-
 /// Snapshots one shared memtablet for a query: the rows inside `range`
-/// stamped below `cutoff_seq`, translated to the `newest` schema when
-/// the tablet was written under an older one. Returns `None` when the
-/// tablet's timespan misses `[ts_lo, ts_hi]`. The per-tablet read lock
-/// covers only the range copy; translation runs after it is released.
-pub(super) fn mem_rows(
+/// stamped below `cutoff_seq`, as one block under the `newest` schema.
+/// Returns `None` when the tablet's timespan misses `[ts_lo, ts_hi]`.
+/// The per-tablet read lock covers only the copy into column slices;
+/// translating a block written under an older schema version runs after
+/// it is released.
+pub(super) fn mem_block(
     t: &SharedMemTablet,
     range: &KeyRange,
     ts_lo: Micros,
     ts_hi: Micros,
     cutoff_seq: u64,
     newest: &SchemaRef,
-) -> Result<Option<KeyedRows>> {
-    let (mut rows, from) = {
+) -> Result<Option<Block>> {
+    let (block, from) = {
         let mem = t.read();
         match (mem.min_ts(), mem.max_ts()) {
             (Some(lo), Some(hi)) if hi >= ts_lo && lo <= ts_hi => {}
             _ => return Ok(None),
         }
-        (mem.snapshot_range(range, cutoff_seq), mem.schema().clone())
+        (mem.snapshot_block(range, cutoff_seq)?, mem.schema().clone())
     };
-    if from.version() != newest.version() {
-        for (_, row) in rows.iter_mut() {
-            let vals = std::mem::take(&mut row.values);
-            row.values = from.translate_row(newest, vals)?;
-        }
+    if from.version() == newest.version() {
+        Ok(Some(block))
+    } else {
+        block.translated(&from, newest).map(Some)
     }
-    Ok(Some(rows))
 }
 
 impl Table {
@@ -76,26 +82,26 @@ impl Table {
             Some(ttl) => ts_lo.max(now.saturating_sub(ttl)),
             None => ts_lo,
         };
-        let mut sources: Vec<Box<dyn RowSource + Send>> = Vec::new();
+        let mut sources = Vec::new();
         if !range.is_certainly_empty() && ts_lo <= ts_hi {
             for h in &snap.disk {
                 if h.meta.max_ts >= ts_lo && h.meta.min_ts <= ts_hi {
-                    sources.push(Box::new(DiskCursor::new(
+                    sources.push(Source::tablet(
                         h.reader.clone(),
                         schema.clone(),
                         range.clone(),
-                        q.descending,
-                    )));
+                    ));
                 }
             }
             for t in &snap.mem {
-                if let Some(rows) = mem_rows(t, &range, ts_lo, ts_hi, cutoff_seq, &schema)? {
-                    sources.push(Box::new(MemSource::new(rows, q.descending)));
+                if let Some(block) = mem_block(t, &range, ts_lo, ts_hi, cutoff_seq, &schema)? {
+                    sources.push(Source::block(block));
                 }
             }
         }
         Ok(QueryCursor {
-            merge: MergeCursor::new(sources, q.descending),
+            merge: RunCursor::new(sources, q.descending),
+            pending: None,
             schema,
             ts_lo,
             ts_hi,
@@ -105,6 +111,7 @@ impl Table {
             done: false,
             scanned: 0,
             returned: 0,
+            materialized: 0,
             stats: self.stats.clone(),
         })
     }
@@ -151,7 +158,7 @@ impl Table {
         let full_prefix = prefix.len() == schema.key_len() - 1;
 
         enum Src {
-            Mem(Vec<(Vec<u8>, Row)>),
+            Mem(Block),
             Disk(Arc<TabletReader>),
         }
         let mut spans: Vec<(Micros, Micros, Src)> = Vec::new();
@@ -169,10 +176,10 @@ impl Table {
                 }
             };
             if let Some((lo, hi)) = span {
-                if let Some(rows) =
-                    mem_rows(t, &range, Micros::MIN, Micros::MAX, cutoff_seq, &schema)?
+                if let Some(block) =
+                    mem_block(t, &range, Micros::MIN, Micros::MAX, cutoff_seq, &schema)?
                 {
-                    spans.push((lo, hi, Src::Mem(rows)));
+                    spans.push((lo, hi, Src::Mem(block)));
                 }
             }
         }
@@ -194,52 +201,52 @@ impl Table {
         let prefix_hash = hash_bytes(&encoded);
         let mut scanned = 0u64;
         for group in groups.into_iter().rev() {
-            let mut sources: Vec<Box<dyn RowSource + Send>> = Vec::new();
+            let mut sources = Vec::new();
             for (_, _, src) in group {
                 match src {
-                    Src::Mem(rows) => sources.push(Box::new(MemSource::new(rows, true))),
+                    Src::Mem(block) => sources.push(Source::block(block)),
                     Src::Disk(reader) => {
-                        if self.opts.bloom_filters {
+                        // The filter holds every non-empty prefix of
+                        // every key; the empty one it was never given.
+                        if self.opts.bloom_filters && !prefix.is_empty() {
                             if let Some(bloom) = &reader.footer()?.bloom {
                                 if !bloom.may_contain(prefix_hash) {
                                     continue;
                                 }
                             }
                         }
-                        sources.push(Box::new(DiskCursor::new(
-                            reader,
-                            schema.clone(),
-                            range.clone(),
-                            true,
-                        )));
+                        sources.push(Source::tablet(reader, schema.clone(), range.clone()));
                     }
                 }
             }
             if sources.is_empty() {
                 continue;
             }
-            let mut merge = MergeCursor::new(sources, true);
-            let mut best: Option<(Micros, Row)> = None;
-            while let Some((_, row)) = merge.next_row()? {
-                scanned += 1;
-                let ts = row.ts(&schema)?;
-                if ts < cutoff {
-                    continue;
-                }
-                if full_prefix {
-                    // Descending key order with ts as the final component:
-                    // the first unexpired row is the latest.
-                    best = Some((ts, row));
-                    break;
-                }
-                if best.as_ref().is_none_or(|(b, _)| ts > *b) {
-                    best = Some((ts, row));
+            // The newest unexpired row under the prefix, as the block and
+            // row it sits in: only the winner is materialized.
+            let mut merge = RunCursor::new(sources, true);
+            let mut best: Option<(Micros, Arc<Block>, usize)> = None;
+            'group: while let Some(run) = merge.next_run()? {
+                let ts = run.block.timestamps()?;
+                for i in run.indices() {
+                    scanned += 1;
+                    if ts[i] < cutoff {
+                        continue;
+                    }
+                    if full_prefix || best.as_ref().is_none_or(|(b, ..)| ts[i] > *b) {
+                        best = Some((ts[i], run.block.clone(), i));
+                    }
+                    if full_prefix {
+                        // Descending key order with ts as the final
+                        // component: the first unexpired row is the latest.
+                        break 'group;
+                    }
                 }
             }
-            if let Some((_, row)) = best {
+            if let Some((_, block, i)) = best {
                 TableStats::add(&self.stats.rows_scanned, scanned);
                 TableStats::add(&self.stats.rows_returned, 1);
-                return Ok(Some(row));
+                return block.row(i).map(Some);
             }
         }
         TableStats::add(&self.stats.rows_scanned, scanned);
@@ -248,9 +255,13 @@ impl Table {
 }
 
 /// A streaming query result: rows in key order, filtered by the query's
-/// timestamp bounds and the table's TTL.
+/// timestamp bounds and the table's TTL. Read it as row ranges of decoded
+/// blocks ([`QueryCursor::next_run`]) or as rows
+/// ([`QueryCursor::next_row`]); the two can be mixed and count the same.
 pub struct QueryCursor {
-    merge: MergeCursor,
+    merge: RunCursor,
+    /// The merged run being cut up: its rows not yet examined.
+    pending: Option<RowRun>,
     schema: SchemaRef,
     ts_lo: Micros,
     ts_hi: Micros,
@@ -260,12 +271,16 @@ pub struct QueryCursor {
     done: bool,
     scanned: u64,
     returned: u64,
+    materialized: u64,
     stats: Arc<crate::stats::TableStats>,
 }
 
 impl QueryCursor {
-    /// Produces the next matching row, or `None` at the end.
-    pub fn next_row(&mut self) -> Result<Option<Row>> {
+    /// The next stretch of matching rows that lie together in one block,
+    /// `cap` of them at most: the examined rows that fail the time bounds
+    /// are stepped over and counted, the stretch ends at the next one
+    /// that fails. `None` at the end of the result.
+    fn take(&mut self, cap: usize) -> Result<Option<RowRun>> {
         if self.done {
             return Ok(None);
         }
@@ -273,34 +288,69 @@ impl QueryCursor {
             self.done = true;
             return Ok(None);
         }
-        loop {
-            if self.server_remaining == 0 {
-                // The server's own cap: the client sees `more_available`
-                // and re-submits from the last returned key (§3.5).
-                self.more_available = true;
-                self.done = true;
-                return Ok(None);
-            }
-            match self.merge.next_row()? {
-                None => {
-                    self.done = true;
-                    return Ok(None);
-                }
-                Some((_, row)) => {
-                    self.scanned += 1;
-                    let ts = row.ts(&self.schema)?;
-                    if ts < self.ts_lo || ts > self.ts_hi {
-                        continue;
-                    }
-                    self.returned += 1;
-                    self.server_remaining -= 1;
-                    if let Some(r) = &mut self.remaining {
-                        *r -= 1;
-                    }
-                    return Ok(Some(row));
-                }
-            }
+        if self.server_remaining == 0 {
+            // The server's own cap: the client sees `more_available`
+            // and re-submits from the last returned key (§3.5).
+            self.more_available = true;
+            self.done = true;
+            return Ok(None);
         }
+        let cap = cap
+            .min(self.server_remaining)
+            .min(self.remaining.unwrap_or(usize::MAX));
+        loop {
+            let mut run = match self.pending.take() {
+                Some(run) => run,
+                None => match self.merge.next_run()? {
+                    Some(run) => run,
+                    None => {
+                        self.done = true;
+                        return Ok(None);
+                    }
+                },
+            };
+            let ts = run.block.timestamps()?;
+            let inside = |i: usize| ts[i] >= self.ts_lo && ts[i] <= self.ts_hi;
+            let skipped = run.indices().take_while(|&i| !inside(i)).count();
+            let taken = run
+                .indices()
+                .skip(skipped)
+                .take(cap)
+                .take_while(|&i| inside(i))
+                .count();
+            self.scanned += (skipped + taken) as u64;
+            run.advance(skipped);
+            if taken == 0 {
+                continue;
+            }
+            let out = run.split_front(taken);
+            if !run.is_empty() {
+                self.pending = Some(run);
+            }
+            self.returned += taken as u64;
+            self.server_remaining -= taken;
+            if let Some(r) = &mut self.remaining {
+                *r -= taken;
+            }
+            return Ok(Some(out));
+        }
+    }
+
+    /// Produces the next matching rows that sit side by side in one
+    /// decoded block, or `None` at the end. Nothing is copied and no
+    /// [`Row`] is built: the caller reads the cells it wants off the
+    /// block's column slices.
+    pub fn next_run(&mut self) -> Result<Option<RowRun>> {
+        self.take(usize::MAX)
+    }
+
+    /// Produces the next matching row, or `None` at the end.
+    pub fn next_row(&mut self) -> Result<Option<Row>> {
+        let Some(run) = self.take(1)? else {
+            return Ok(None);
+        };
+        self.materialized += 1;
+        run.block.row(run.rows.start).map(Some)
     }
 
     /// True when the server row limit cut the result short; re-submit the
@@ -329,9 +379,7 @@ impl Drop for QueryCursor {
     fn drop(&mut self) {
         TableStats::add(&self.stats.rows_scanned, self.scanned);
         TableStats::add(&self.stats.rows_returned, self.returned);
-        // Every row the merge produced was decoded into a `Row`; the
-        // pushdown path counts its materializations the same way.
-        TableStats::add(&self.stats.rows_materialized, self.scanned);
+        TableStats::add(&self.stats.rows_materialized, self.materialized);
     }
 }
 

@@ -7,10 +7,13 @@
 //! [`TabletWriter::add_run`] — which copies column sub-slices unless the
 //! source lags the table's schema and its rows need translating. Keys are
 //! compared in their encoded form, built into a scratch buffer for the
-//! handful of rows a search probes; no key arena, no `Row`, no heap of
-//! rows.
+//! handful of rows a search probes; no `Row`, no heap of rows. The gallop
+//! and the pick of the next source are the query cursor's
+//! ([`crate::cursor`]); when blocks are read, and how many at a time, is
+//! this module's own.
 
 use crate::block::Block;
+use crate::cursor::{first_two, run_len};
 use crate::error::Result;
 use crate::tablet::{TabletFooter, TabletReader, TabletWriter};
 use littletable_vfs::Micros;
@@ -91,39 +94,11 @@ impl RunSource {
     }
 
     /// The end of the longest run of rows, starting at the head, that
-    /// sort before `bound` (or up to it, when `through` is set): found by
-    /// doubling steps from the head, then bisecting the last step.
+    /// sort before `bound` (or up to it, when `through` is set).
     fn run_end(&self, bound: &[u8], through: bool, scratch: &mut Vec<u8>) -> Result<usize> {
         let block = &self.queue[0];
-        let mut before = |i: usize| -> Result<bool> {
-            block.key_into(i, scratch)?;
-            let key = scratch.as_slice();
-            Ok(if through { key <= bound } else { key < bound })
-        };
-        // `lo` is inside the run (the head was chosen as the smallest);
-        // `hi` is the block's end or a row known to be outside.
-        let mut lo = self.row;
-        let mut step = 1;
-        let mut hi = loop {
-            let probe = lo + step;
-            if probe >= block.len() {
-                break block.len();
-            }
-            if !before(probe)? {
-                break probe;
-            }
-            lo = probe;
-            step *= 2;
-        };
-        while lo + 1 < hi {
-            let mid = lo + (hi - lo) / 2;
-            if before(mid)? {
-                lo = mid;
-            } else {
-                hi = mid;
-            }
-        }
-        Ok(hi)
+        let rest = block.len() - self.row;
+        Ok(self.row + run_len(block, self.row, rest, false, bound, through, scratch)?)
     }
 
     /// Rows queued behind the front block, counted no further than two.
@@ -144,10 +119,10 @@ impl RunSource {
     /// A row is written with the two rows after it already in memory:
     /// the tablet's next run of blocks is read just before the first row
     /// that has fewer than two queued behind it. Those are the moments at
-    /// which a merge over [`crate::cursor::DiskCursor`]s reads (a cursor
-    /// holds one row in hand and stands one row past it), and the
-    /// simulated disk's seek counts were fixed under such a merge:
-    /// `tests_merge` holds the two sequences of reads and writes equal.
+    /// which a merge over row cursors read (a cursor held one row in hand
+    /// and stood one row past it), and the simulated disk's seek counts
+    /// were fixed under such a merge: `tests_merge` holds where the reads
+    /// fall among the writes to what it recorded there.
     pub(super) fn emit_to(
         &mut self,
         end: usize,
@@ -186,17 +161,8 @@ pub(super) fn merge_runs(
         // The source whose head comes next, and the one after it: the
         // first source's rows go out until one would pass the second's
         // head.
-        let mut first: Option<usize> = None;
-        let mut second: Option<usize> = None;
-        for (i, s) in sources.iter().enumerate() {
-            if first.is_none_or(|f| s.head < sources[f].head) {
-                second = first;
-                first = Some(i);
-            } else if second.is_none_or(|n| s.head < sources[n].head) {
-                second = Some(i);
-            }
-        }
-        let Some(first) = first else {
+        let (Some(first), second) = first_two(sources.iter().map(|s| s.head.as_slice()), false)
+        else {
             return Ok(());
         };
         let end = match second {

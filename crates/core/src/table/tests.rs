@@ -1,6 +1,7 @@
 use super::*;
 use crate::db::Db;
 use crate::query::Query;
+use crate::row::Row;
 use crate::schema::ColumnDef;
 use crate::value::{ColumnType, Value};
 use littletable_vfs::{SimClock, SimVfs, MICROS_PER_SEC};
@@ -538,4 +539,113 @@ fn scan_ratio_accounts_time_filtering() {
     drop(cur);
     let snap = t.stats().snapshot();
     assert_eq!(snap.rows_returned, 10);
+}
+
+#[test]
+fn duplicate_probe_finds_exactly_the_keys_a_tablet_holds() {
+    let opts = Options {
+        block_size: 256,
+        ..Options::small_for_tests()
+    };
+    let (db, _, _) = test_db(opts);
+    let t = db.create_table("usage", usage_schema(), None).unwrap();
+    // Devices 0, 2, 4, ... of network 1, ten ticks each, a few to a block.
+    let rows: Vec<_> = (0..40)
+        .flat_map(|d| (0..10).map(move |k| usage_row(1, d * 2, START + k * SEC, k)))
+        .collect();
+    t.insert(rows).unwrap();
+    t.flush_all().unwrap();
+    let (h, schema) = {
+        let st = t.state.lock();
+        (st.disk[0].clone(), st.schema.clone())
+    };
+    let footer = h.reader.footer().unwrap();
+    assert!(footer.blocks.len() > 4, "{} blocks", footer.blocks.len());
+    let key = |dev: i64, tick: i64| {
+        Row::new(usage_row(1, dev, START + tick * SEC, 0))
+            .encode_key(&schema)
+            .unwrap()
+    };
+    let holds = |key: &[u8]| t.tablet_contains_key(&h, key).unwrap();
+    // The tablet's first and last keys, and a block's first and last.
+    assert!(holds(&key(0, 0)) && holds(&key(78, 9)));
+    let boundary = footer.blocks[1].last_key.clone();
+    assert!(holds(&boundary));
+    let mut past = boundary.clone();
+    *past.last_mut().unwrap() += 1;
+    assert!(!holds(&past), "a key between two blocks");
+    let after = h.reader.read_block(2).unwrap();
+    let mut first = Vec::new();
+    after.key_into(0, &mut first).unwrap();
+    assert!(holds(&first));
+    // Absent: a device between two that exist, a tick nobody wrote, and
+    // keys below and above everything.
+    assert!(holds(&key(40, 5)));
+    assert!(!holds(&key(41, 5)) && !holds(&key(40, 10)));
+    assert!(!holds(&key(-1, 0)) && !holds(&key(80, 0)));
+    // The same through `insert`: its slow path counts the duplicate and
+    // takes the new key.
+    let report = t
+        .insert(vec![
+            usage_row(1, 40, START + 5 * SEC, 7),
+            usage_row(1, 41, START + 5 * SEC, 7),
+        ])
+        .unwrap();
+    assert_eq!((report.inserted, report.duplicates), (1, 1));
+    assert_eq!(t.stats().snapshot().unique_slow, 2);
+}
+
+#[test]
+fn a_run_drain_materializes_no_row() {
+    let (db, _, _) = test_db(Options::small_for_tests());
+    let t = db.create_table("usage", usage_schema(), None).unwrap();
+    t.insert(
+        (0..300)
+            .map(|i| usage_row(1, i / 30, START + i * SEC, i))
+            .collect(),
+    )
+    .unwrap();
+    t.flush_all().unwrap();
+    t.insert(
+        (300..330)
+            .map(|i| usage_row(1, 11, START + i * SEC, i))
+            .collect(),
+    )
+    .unwrap();
+    let q = Query::all().with_ts_range(START + 10 * SEC, START + 320 * SEC);
+    let mut cur = t.query(&q).unwrap();
+    let mut rows = 0;
+    while let Some(run) = cur.next_run().unwrap() {
+        rows += run.len();
+    }
+    assert_eq!((rows, cur.scanned(), cur.returned()), (310, 330, 310));
+    drop(cur);
+    let s = t.stats().snapshot();
+    assert_eq!((s.rows_scanned, s.rows_returned), (330, 310));
+    assert_eq!(s.rows_materialized, 0);
+}
+
+#[test]
+fn a_row_drain_counts_every_row_it_builds() {
+    let (db, _, _) = test_db(Options::small_for_tests());
+    let t = db.create_table("usage", usage_schema(), None).unwrap();
+    t.insert(
+        (0..300)
+            .map(|i| usage_row(1, i / 30, START + i * SEC, i))
+            .collect(),
+    )
+    .unwrap();
+    t.flush_all().unwrap();
+    let q = Query::all().with_ts_range(START + 10 * SEC, START + 200 * SEC);
+    assert_eq!(t.query_all(&q).unwrap().len(), 190);
+    assert_eq!(t.stats().snapshot().rows_materialized, 190);
+    // Rows the caller never asked for were never built.
+    let mut cur = t.query(&q).unwrap();
+    for _ in 0..7 {
+        cur.next_row().unwrap().unwrap();
+    }
+    drop(cur);
+    let s = t.stats().snapshot();
+    assert_eq!(s.rows_materialized, 197);
+    assert_eq!((s.rows_scanned, s.rows_returned), (300 + 17, 197));
 }

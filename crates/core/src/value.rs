@@ -28,6 +28,7 @@ pub enum ColumnType {
 
 impl ColumnType {
     /// Stable single-byte tag used in serialized schemas.
+    #[inline]
     pub fn tag(self) -> u8 {
         match self {
             ColumnType::I32 => 0,
@@ -173,6 +174,67 @@ impl Value {
             _ => 0,
         };
         self.column_type().base_mem_size() + payload
+    }
+}
+
+/// A cell value borrowed from wherever it lives — a [`Value`], or a row
+/// of a decoded column slice — so that an encoder can take either
+/// without a `String` being built for it.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum ValueRef<'a> {
+    /// 32-bit signed integer.
+    I32(i32),
+    /// 64-bit signed integer.
+    I64(i64),
+    /// IEEE 754 double.
+    F64(f64),
+    /// Microseconds since the Unix epoch.
+    Timestamp(Micros),
+    /// UTF-8 string.
+    Str(&'a str),
+    /// Arbitrary bytes.
+    Blob(&'a [u8]),
+}
+
+impl Value {
+    /// The value, borrowed.
+    #[inline]
+    pub fn as_ref(&self) -> ValueRef<'_> {
+        match self {
+            Value::I32(v) => ValueRef::I32(*v),
+            Value::I64(v) => ValueRef::I64(*v),
+            Value::F64(v) => ValueRef::F64(*v),
+            Value::Timestamp(v) => ValueRef::Timestamp(*v),
+            Value::Str(s) => ValueRef::Str(s),
+            Value::Blob(b) => ValueRef::Blob(b),
+        }
+    }
+}
+
+impl ValueRef<'_> {
+    /// The type of this value.
+    #[inline]
+    pub fn column_type(&self) -> ColumnType {
+        match self {
+            ValueRef::I32(_) => ColumnType::I32,
+            ValueRef::I64(_) => ColumnType::I64,
+            ValueRef::F64(_) => ColumnType::F64,
+            ValueRef::Timestamp(_) => ColumnType::Timestamp,
+            ValueRef::Str(_) => ColumnType::Str,
+            ValueRef::Blob(_) => ColumnType::Blob,
+        }
+    }
+
+    /// The value, owned.
+    pub fn to_value(&self) -> Value {
+        match *self {
+            ValueRef::I32(v) => Value::I32(v),
+            ValueRef::I64(v) => Value::I64(v),
+            ValueRef::F64(v) => Value::F64(v),
+            ValueRef::Timestamp(v) => Value::Timestamp(v),
+            ValueRef::Str(s) => Value::Str(s.to_owned()),
+            ValueRef::Blob(b) => Value::Blob(b.to_vec()),
+        }
     }
 }
 

@@ -152,6 +152,7 @@ fn reads_back_row_for_row(fixture: &[u8]) -> TabletReader {
     let expect = rows();
     assert_eq!(footer.row_count as usize, expect.len());
     let mut at = 0usize;
+    let mut key = Vec::new();
     for bi in 0..footer.blocks.len() {
         let blk = r.read_block(bi).unwrap();
         for j in 0..blk.len() {
@@ -164,18 +165,13 @@ fn reads_back_row_for_row(fixture: &[u8]) -> TabletReader {
                     _ => assert_eq!(g, e, "row {at}"),
                 }
             }
-            assert_eq!(
-                blk.key(j).unwrap(),
-                expect[at].encode_key(&s).unwrap().as_slice()
-            );
+            blk.key_into(j, &mut key).unwrap();
+            assert_eq!(key, expect[at].encode_key(&s).unwrap());
             at += 1;
         }
         // The key the writer stored for the block's last row is the key
         // the block derives for it.
-        assert_eq!(
-            blk.key(blk.len() - 1).unwrap(),
-            footer.blocks[bi].last_key.as_slice()
-        );
+        assert_eq!(key, footer.blocks[bi].last_key);
     }
     assert_eq!(at, expect.len());
     r

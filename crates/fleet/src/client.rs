@@ -180,7 +180,7 @@ impl FleetClient {
         let schema = self.schema(sim, table)?;
         let first_key = schema.key_indices()[0];
         let mut bytes = Vec::new();
-        encode_value(&mut bytes, &row[first_key]);
+        encode_value(&mut bytes, row[first_key].as_ref());
         Ok(sim.map().shard_for_key(&bytes))
     }
 

@@ -108,7 +108,9 @@ impl FleetNode {
         if self.vfs.halted() {
             return None;
         }
-        Some(resp)
+        // No wire between the simulated client and the node: hand over
+        // what the wire would have delivered.
+        Some(resp.into_rows())
     }
 
     /// Promotes this spare: opens the engine over whatever the archiver

@@ -2,13 +2,14 @@
 
 use crate::valuecodec::{
     get_insert_rows, get_query, get_rows, get_tagged_value, get_values, put_insert_rows, put_query,
-    put_rows, put_tagged_value, put_values,
+    put_rows, put_run, put_tagged_value, put_values,
 };
 use littletable_core::error::{Error, Result};
 use littletable_core::query::Query;
 use littletable_core::schema::{ColumnDef, Schema};
 use littletable_core::util::{put_string, put_varint, unzigzag, zigzag, Reader};
 use littletable_core::value::{ColumnType, Value};
+use littletable_core::RowRun;
 use littletable_vfs::Micros;
 
 /// Client → server messages.
@@ -207,6 +208,17 @@ pub enum Response {
         /// True when the server row limit truncated the result.
         more_available: bool,
     },
+    /// Query results as the server answers them: the frame payload a
+    /// [`Response::Rows`] of the same rows encodes to, written from
+    /// decoded column slices ([`Response::rows_from_runs`]) without the
+    /// rows having been built. [`Response::encode`] writes it verbatim
+    /// and [`Response::decode`] never yields it — a client sees `Rows`.
+    /// A caller in the server's own process turns it into `Rows` with
+    /// [`Response::into_rows`].
+    EncodedRows {
+        /// The encoded payload, response tag included.
+        payload: Vec<u8>,
+    },
     /// Latest-row result.
     LatestRow {
         /// The row, if any key with the prefix exists.
@@ -288,7 +300,7 @@ fn get_string_list(r: &mut Reader<'_>) -> Result<Vec<String>> {
 fn put_column(out: &mut Vec<u8>, c: &ColumnDef) {
     put_string(out, &c.name);
     out.push(c.ty.tag());
-    put_tagged_value(out, &c.default);
+    put_tagged_value(out, c.default.as_ref());
 }
 
 fn get_column(r: &mut Reader<'_>) -> Result<ColumnDef> {
@@ -437,35 +449,68 @@ impl Request {
 }
 
 impl Response {
+    /// The answer to a query whose result is `runs`, in order: byte for
+    /// byte the payload of `Response::Rows { rows, more_available }` for
+    /// the rows the runs hold, encoded cell by cell from the runs' blocks.
+    pub fn rows_from_runs(runs: &[RowRun], more_available: bool) -> Response {
+        let mut payload = vec![5, more_available as u8];
+        put_varint(&mut payload, runs.iter().map(|r| r.len() as u64).sum());
+        for run in runs {
+            put_run(&mut payload, run);
+        }
+        Response::EncodedRows { payload }
+    }
+
+    /// What a client would have received: [`Response::EncodedRows`]
+    /// decoded to the [`Response::Rows`] it stands for, any other
+    /// response as it is.
+    pub fn into_rows(self) -> Response {
+        match self {
+            Response::EncodedRows { payload } => {
+                Response::decode(&payload).unwrap_or_else(|e| Response::Error {
+                    kind: ErrorKind::Internal,
+                    message: format!("undecodable query response: {e}"),
+                })
+            }
+            other => other,
+        }
+    }
+
     /// Serializes the response into a frame payload.
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::new();
+        self.encode_into(&mut out);
+        out
+    }
+
+    /// Appends the response's frame payload to `out`.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
         match self {
             Response::Ok => out.push(0),
             Response::Error { kind, message } => {
                 out.push(1);
                 out.push(kind.tag());
-                put_string(&mut out, message);
+                put_string(out, message);
             }
             Response::Tables { names } => {
                 out.push(2);
-                put_varint(&mut out, names.len() as u64);
+                put_varint(out, names.len() as u64);
                 for n in names {
-                    put_string(&mut out, n);
+                    put_string(out, n);
                 }
             }
             Response::SchemaInfo { schema, ttl } => {
                 out.push(3);
-                schema.encode(&mut out);
-                put_opt_micros(&mut out, *ttl);
+                schema.encode(out);
+                put_opt_micros(out, *ttl);
             }
             Response::InsertResult {
                 inserted,
                 duplicates,
             } => {
                 out.push(4);
-                put_varint(&mut out, *inserted);
-                put_varint(&mut out, *duplicates);
+                put_varint(out, *inserted);
+                put_varint(out, *duplicates);
             }
             Response::Rows {
                 rows,
@@ -473,15 +518,16 @@ impl Response {
             } => {
                 out.push(5);
                 out.push(*more_available as u8);
-                put_rows(&mut out, rows);
+                put_rows(out, rows);
             }
+            Response::EncodedRows { payload } => out.extend_from_slice(payload),
             Response::LatestRow { row } => {
                 out.push(6);
                 match row {
                     None => out.push(0),
                     Some(values) => {
                         out.push(1);
-                        put_values(&mut out, values);
+                        put_values(out, values);
                     }
                 }
             }
@@ -507,7 +553,7 @@ impl Response {
                     disk_tablets,
                     disk_bytes,
                 ] {
-                    put_varint(&mut out, *v);
+                    put_varint(out, *v);
                 }
             }
             Response::NodeStatus {
@@ -517,13 +563,12 @@ impl Response {
                 primary,
             } => {
                 out.push(9);
-                put_varint(&mut out, *node);
-                put_varint(&mut out, *shard as u64);
-                put_varint(&mut out, *epoch);
+                put_varint(out, *node);
+                put_varint(out, *shard as u64);
+                put_varint(out, *epoch);
                 out.push(*primary as u8);
             }
         }
-        out
     }
 
     /// Parses a frame payload.
@@ -638,7 +683,7 @@ pub fn request_frame_id(payload: &[u8]) -> Option<u64> {
 pub fn encode_response_frame(id: u64, resp: &Response) -> Vec<u8> {
     let mut out = Vec::new();
     put_varint(&mut out, id);
-    out.extend_from_slice(&resp.encode());
+    resp.encode_into(&mut out);
     out
 }
 
@@ -799,6 +844,113 @@ mod tests {
             let enc = resp.encode();
             assert_eq!(Response::decode(&enc).unwrap(), resp, "{resp:?}");
         }
+    }
+
+    /// A response encoded from column runs is, byte for byte, the `Rows`
+    /// response of the same rows — for every column type at its extremes,
+    /// runs in both directions, and the empty result.
+    #[test]
+    fn runs_encode_to_the_bytes_their_rows_encode_to() {
+        use littletable_core::block::BlockEncoder;
+        use littletable_core::Row;
+        use std::sync::Arc;
+
+        let schema = Schema::new(
+            vec![
+                ColumnDef::new("k", ColumnType::Str),
+                ColumnDef::new("ts", ColumnType::Timestamp),
+                ColumnDef::new("n", ColumnType::I32),
+                ColumnDef::new("i", ColumnType::I64),
+                ColumnDef::new("f", ColumnType::F64),
+                ColumnDef::new("b", ColumnType::Blob),
+            ],
+            &["k", "ts"],
+        )
+        .unwrap();
+        let payload_nan = f64::from_bits(0x7FF8_0000_DEAD_BEEF);
+        let row = |k: &str, ts: i64, n: i32, i: i64, f: f64, b: &[u8]| {
+            vec![
+                Value::Str(k.into()),
+                Value::Timestamp(ts),
+                Value::I32(n),
+                Value::I64(i),
+                Value::F64(f),
+                Value::Blob(b.to_vec()),
+            ]
+        };
+        let rows = [
+            row("", i64::MIN, i32::MIN, i64::MIN, -0.0, &[]),
+            row("a\0b", -1, -1, -1, f64::NAN, &[0]),
+            row("é", 0, 0, 0, payload_nan, &[0xFF; 300]),
+            row(
+                &"long ".repeat(60),
+                1,
+                i32::MAX,
+                i64::MAX,
+                f64::INFINITY,
+                &[7],
+            ),
+            row("z", i64::MAX, 1, 1, f64::MIN_POSITIVE, b"\x00\xFF\x00"),
+        ];
+        let mut encoder = BlockEncoder::new(&schema);
+        for row in &rows {
+            encoder.add(&Row::new(row.clone())).unwrap();
+        }
+        let block = Arc::new(encoder.into_block(&schema));
+        let run = |rows: std::ops::Range<usize>, descending| RowRun {
+            block: block.clone(),
+            rows,
+            descending,
+        };
+        let picked = |idx: &[usize]| idx.iter().map(|&i| rows[i].clone()).collect::<Vec<_>>();
+        let cases = [
+            (vec![run(0..5, false)], picked(&[0, 1, 2, 3, 4]), false),
+            (vec![run(0..5, true)], picked(&[4, 3, 2, 1, 0]), true),
+            (
+                vec![run(3..5, false), run(0..2, false), run(2..3, false)],
+                picked(&[3, 4, 0, 1, 2]),
+                false,
+            ),
+            (
+                vec![run(1..4, true), run(0..1, true)],
+                picked(&[3, 2, 1, 0]),
+                true,
+            ),
+            (vec![], vec![], false),
+            (vec![], vec![], true),
+        ];
+        for (runs, rows, more_available) in cases {
+            let want = Response::Rows {
+                rows,
+                more_available,
+            }
+            .encode();
+            let got = Response::rows_from_runs(&runs, more_available);
+            assert_eq!(got.encode(), want);
+            assert_eq!(encode_response_frame(9, &got), {
+                let mut frame = vec![9];
+                frame.extend_from_slice(&want);
+                frame
+            });
+            // NaN is not equal to itself: compare what the decoded
+            // response encodes to.
+            let decoded = got.into_rows();
+            assert!(matches!(decoded, Response::Rows { .. }));
+            assert_eq!(decoded.encode(), want);
+        }
+        // A payload that is not a response decodes to an error, not a
+        // panic, and every other response passes through.
+        let garbage = Response::EncodedRows {
+            payload: vec![5, 0, 200],
+        };
+        assert!(matches!(
+            garbage.into_rows(),
+            Response::Error {
+                kind: ErrorKind::Internal,
+                ..
+            }
+        ));
+        assert_eq!(Response::Pong.into_rows(), Response::Pong);
     }
 
     #[test]

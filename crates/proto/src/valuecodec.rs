@@ -5,7 +5,8 @@ use littletable_core::error::{Error, Result};
 use littletable_core::query::{PrefixBound, Query, TsBound};
 use littletable_core::schema::{decode_value, encode_value};
 use littletable_core::util::{put_varint, unzigzag, zigzag, Reader};
-use littletable_core::value::{ColumnType, Value};
+use littletable_core::value::{ColumnType, Value, ValueRef};
+use littletable_core::RowRun;
 
 /// Wire tag for an absent cell (NULL). The engine has no NULLs (§3.5);
 /// this tag exists only in insert rows, where an absent timestamp means
@@ -13,8 +14,10 @@ use littletable_core::value::{ColumnType, Value};
 /// every [`ColumnType::tag`].
 pub const NULL_TAG: u8 = 0xFF;
 
-/// Appends a type-tagged value.
-pub fn put_tagged_value(out: &mut Vec<u8>, v: &Value) {
+/// Appends a type-tagged value: the one encoder of a cell on the wire,
+/// whether the cell comes out of a [`Value`] ([`Value::as_ref`]) or out
+/// of a column slice.
+pub fn put_tagged_value(out: &mut Vec<u8>, v: ValueRef<'_>) {
     out.push(v.column_type().tag());
     encode_value(out, v);
 }
@@ -30,7 +33,7 @@ pub fn get_tagged_value(r: &mut Reader<'_>) -> Result<Value> {
 pub fn put_opt_tagged_value(out: &mut Vec<u8>, v: &Option<Value>) {
     match v {
         None => out.push(NULL_TAG),
-        Some(v) => put_tagged_value(out, v),
+        Some(v) => put_tagged_value(out, v.as_ref()),
     }
 }
 
@@ -48,7 +51,7 @@ pub fn get_opt_tagged_value(r: &mut Reader<'_>) -> Result<Option<Value>> {
 pub fn put_values(out: &mut Vec<u8>, values: &[Value]) {
     put_varint(out, values.len() as u64);
     for v in values {
-        put_tagged_value(out, v);
+        put_tagged_value(out, v.as_ref());
     }
 }
 
@@ -70,6 +73,21 @@ pub fn put_rows(out: &mut Vec<u8>, rows: &[Vec<Value>]) {
     put_varint(out, rows.len() as u64);
     for row in rows {
         put_values(out, row);
+    }
+}
+
+/// Appends the rows of `run`, in its result order, exactly as
+/// [`put_values`] would append each of them materialized — read in place
+/// off the block's column slices instead. The caller writes the row
+/// count ([`put_rows`]' prefix) for all of a response's runs together.
+pub fn put_run(out: &mut Vec<u8>, run: &RowRun) {
+    let block = &*run.block;
+    let ncols = block.num_columns();
+    for i in run.indices() {
+        put_varint(out, ncols as u64);
+        for c in 0..ncols {
+            put_tagged_value(out, block.column(c).value_ref(i));
+        }
     }
 }
 

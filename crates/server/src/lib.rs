@@ -9,6 +9,13 @@
 //! pipelined request handling with bounded backpressure, and a
 //! group-commit scheduler coalescing flush work across sessions (see
 //! [`net`] for the full design).
+//!
+//! A query's answer never becomes rows here: the dispatcher drains the
+//! engine's cursor as runs — row ranges of decoded blocks — and
+//! [`Response::rows_from_runs`] encodes the frame payload straight from
+//! their column slices, the bytes a [`Response::Rows`] of the same rows
+//! encodes to. In-process callers of [`handle_request`] that want the
+//! rows call [`Response::into_rows`] on what they get back.
 
 #![warn(missing_docs)]
 
@@ -257,15 +264,15 @@ fn try_handle(db: &Db, req: Request) -> littletable_core::Result<Response> {
         }
         Request::Query { table, query } => {
             let t = db.table(&table)?;
+            // The result never leaves its blocks: the cursor hands over
+            // row ranges and the response is encoded from their column
+            // slices. No row, value or key is built here.
             let mut cur = t.query(&query)?;
-            let mut rows = Vec::new();
-            while let Some(row) = cur.next_row()? {
-                rows.push(row.values);
+            let mut runs = Vec::new();
+            while let Some(run) = cur.next_run()? {
+                runs.push(run);
             }
-            Response::Rows {
-                rows,
-                more_available: cur.more_available(),
-            }
+            Response::rows_from_runs(&runs, cur.more_available())
         }
         Request::Latest { table, prefix } => {
             let t = db.table(&table)?;
@@ -413,7 +420,9 @@ mod tests {
                 table: "t".into(),
                 query: Query::all(),
             },
-        ) {
+        )
+        .into_rows()
+        {
             Response::Rows {
                 rows,
                 more_available,
@@ -510,7 +519,9 @@ mod tests {
                 table: "t_1h".into(),
                 query: Query::all(),
             },
-        ) {
+        )
+        .into_rows()
+        {
             Response::Rows { rows, .. } => assert_eq!(rows.len(), 1),
             r => panic!("unexpected {r:?}"),
         }
@@ -579,7 +590,9 @@ mod tests {
                 table: "t".into(),
                 query: Query::all(),
             },
-        ) {
+        )
+        .into_rows()
+        {
             Response::Rows { rows, .. } => {
                 let ts: Vec<&Value> = rows.iter().map(|r| &r[1]).collect();
                 assert!(ts.contains(&&Value::Timestamp(42)), "explicit ts clobbered");
@@ -646,9 +659,107 @@ mod tests {
                 table: "t".into(),
                 query: Query::all(),
             },
-        ) {
+        )
+        .into_rows()
+        {
             Response::Rows { rows, .. } => assert!(rows.is_empty(), "bad batch half-applied"),
             r => panic!("unexpected {r:?}"),
+        }
+    }
+
+    /// What the server answers a query with is, byte for byte, the `Rows`
+    /// response of the rows a row cursor returns — over a tablet written
+    /// before the schema grew and widened, flushed tablets and a
+    /// memtablet at once, in both directions, whole and paged by the
+    /// server's row limit — and the server built no row to produce it.
+    #[test]
+    fn a_query_is_answered_in_the_bytes_its_rows_encode_to() {
+        let opts = Options {
+            server_row_limit: 25,
+            block_size: 512,
+            ..Options::small_for_tests()
+        };
+        let db = Db::open(
+            Arc::new(SimVfs::instant()),
+            Arc::new(SimClock::new(1_700_000_000_000_000)),
+            opts,
+        )
+        .unwrap();
+        let wide = Schema::new(
+            vec![
+                ColumnDef::new("k", ColumnType::Str),
+                ColumnDef::new("ts", ColumnType::Timestamp),
+                ColumnDef::new("n", ColumnType::I32),
+                ColumnDef::new("f", ColumnType::F64),
+                ColumnDef::new("b", ColumnType::Blob),
+            ],
+            &["k", "ts"],
+        )
+        .unwrap();
+        let t = db.create_table("w", wide, None).unwrap();
+        let row = |i: i64, n: Value| {
+            vec![
+                Value::Str(format!("k{}", i % 7)),
+                Value::Timestamp(i),
+                n,
+                Value::F64(if i % 5 == 0 { f64::NAN } else { i as f64 / 8.0 }),
+                Value::Blob(vec![i as u8; (i % 4) as usize * 100]),
+            ]
+        };
+        // Lagging tablet, then the schema moves on.
+        t.insert((0..40).map(|i| row(i, Value::I32(i as i32 - 20))).collect())
+            .unwrap();
+        t.flush_all().unwrap();
+        t.widen_column("n").unwrap();
+        t.add_column(ColumnDef::with_default(
+            "tag",
+            ColumnType::Str,
+            Value::Str("none".into()),
+        ))
+        .unwrap();
+        let newer = |i: i64| {
+            let mut r = row(i, Value::I64(i << 33));
+            r.push(Value::Str(format!("tag-{}", i % 3)));
+            r
+        };
+        t.insert((40..80).map(newer).collect()).unwrap();
+        t.flush_all().unwrap();
+        t.insert((80..100).map(newer).collect()).unwrap();
+        assert_eq!(t.num_disk_tablets(), 2);
+
+        let queries = [
+            Query::all(),
+            Query::all().descending(),
+            Query::all().with_limit(10),
+            Query::all().with_prefix(vec![Value::Str("k3".into())]),
+            Query::all().with_ts_range(35, 85).descending(),
+        ];
+        for query in queries {
+            let mut cur = t.query(&query).unwrap();
+            let mut rows = Vec::new();
+            while let Some(row) = cur.next_row().unwrap() {
+                rows.push(row.values);
+            }
+            let want = Response::Rows {
+                rows,
+                more_available: cur.more_available(),
+            }
+            .encode();
+            drop(cur);
+            let built = t.stats().snapshot().rows_materialized;
+            let resp = handle_request(
+                &db,
+                Request::Query {
+                    table: "w".into(),
+                    query: query.clone(),
+                },
+            );
+            assert_eq!(t.stats().snapshot().rows_materialized, built, "{query:?}");
+            assert!(matches!(resp, Response::EncodedRows { .. }), "{query:?}");
+            assert_eq!(resp.encode(), want, "{query:?}");
+            // NaN is not equal to itself: compare the decoded response by
+            // what it encodes to.
+            assert_eq!(resp.into_rows().encode(), want, "{query:?}");
         }
     }
 
@@ -761,7 +872,9 @@ mod tests {
                 table: "t".into(),
                 query: Query::all(),
             },
-        ) {
+        )
+        .into_rows()
+        {
             Response::Rows { rows, .. } => assert!(rows.is_empty()),
             r => panic!("unexpected {r:?}"),
         }

@@ -256,8 +256,8 @@ impl GroupCol<'_> {
                 ColumnSlice::I64(v) | ColumnSlice::Timestamp(v) => {
                     keyenc::encode_int(key, v[first])
                 }
-                ColumnSlice::Str(v) => keyenc::encode_bytes(key, v[first].as_bytes()),
-                ColumnSlice::Blob(v) => keyenc::encode_bytes(key, &v[first]),
+                ColumnSlice::Str(v) => keyenc::encode_bytes(key, v.bytes(first)),
+                ColumnSlice::Blob(v) => keyenc::encode_bytes(key, v.bytes(first)),
                 ColumnSlice::F64(_) => {
                     return Err(Error::invalid("double values cannot be key components"))
                 }
@@ -491,10 +491,8 @@ impl AggState {
                         winner(cur, Value::as_int, want, sel, span, |i| v[i])
                     }
                     ColumnSlice::F64(v) => winner(cur, as_f64, want, sel, span, |i| v[i]),
-                    ColumnSlice::Str(v) => winner(cur, as_str, want, sel, span, |i| v[i].as_str()),
-                    ColumnSlice::Blob(v) => {
-                        winner(cur, as_blob, want, sel, span, |i| v[i].as_slice())
-                    }
+                    ColumnSlice::Str(v) => winner(cur, as_str, want, sel, span, |i| &v[i]),
+                    ColumnSlice::Blob(v) => winner(cur, as_blob, want, sel, span, |i| &v[i]),
                 };
                 if let Some(row) = best {
                     *cur = Some(col.value(row));
@@ -596,15 +594,12 @@ mod tests {
             ColumnSlice::Timestamp(vec![10, 20, 20, 5, 40, 30]),
             ColumnSlice::F64(vec![f64::NAN, 1.5, -0.0, 0.0, f64::NAN, -2.25]),
             ColumnSlice::F64(vec![3.0, f64::INFINITY, 1e300, 1e300, -1.0, 0.5]),
-            ColumnSlice::Str(["b", "a", "", "c", "a", "b"].map(String::from).to_vec()),
-            ColumnSlice::Blob(vec![
-                vec![1],
-                vec![],
-                vec![0, 255],
-                vec![1],
-                vec![9],
-                vec![],
-            ]),
+            ColumnSlice::Str(["b", "a", "", "c", "a", "b"].into_iter().collect()),
+            ColumnSlice::Blob(
+                [&[1][..], &[], &[0, 255], &[1], &[9], &[]]
+                    .into_iter()
+                    .collect(),
+            ),
         ];
         let selections = [
             Selection::Range(0..6),

@@ -1,0 +1,107 @@
+#!/bin/sh
+# Parent-versus-change runs of one e2e workload, the way a claimed gain
+# has to be shown (choosing-metrics §8): each checkout's benchmark is built
+# into a target directory of its own, the two binaries run in alternating
+# order, every pair on a seed neither has seen, and for each end-to-end
+# metric the table gives both medians, both pairs of quartiles and how
+# many of the pairs the change won (ties count for neither side).
+#
+# usage: scripts/bench_pair.sh [--quick] <parent-checkout> <change-checkout> <workload> [pairs=10]
+#
+# --quick runs the small sizes: numbers that mean nothing, from every
+# line of this script. The build directories are kept, under the change
+# checkout's target/bench_pair/, so a second invocation only rebuilds what
+# moved. A run that fails an operation or a check stops the script.
+set -eu
+
+quick=
+if [ "${1:-}" = --quick ]; then
+    quick=--quick
+    shift
+fi
+if [ $# -lt 3 ]; then
+    sed -n '2,16p' "$0" >&2
+    exit 2
+fi
+parent=$(cd "$1" && pwd)
+change=$(cd "$2" && pwd)
+workload=$3
+pairs=${4:-10}
+manifest=crates/bench/src/bin/e2e/Cargo.toml
+out=$change/target/bench_pair
+mkdir -p "$out"
+
+for side in parent change; do
+    eval "src=\$$side"
+    echo "building $side: $src" >&2
+    (cd "$src" && CARGO_TARGET_DIR="$out/$side" \
+        cargo build --release --offline --quiet --manifest-path "$manifest")
+done
+
+# One run: prints "<side> <metric> <value> <better>" per end-to-end metric.
+run() {
+    side=$1
+    seed=$2
+    eval "src=\$$side"
+    (cd "$src" && "$out/$side/release/e2e" --workload "$workload" --seed "$seed" \
+        --seconds 15 --trace 0 $quick) >"$out/last-$side.txt" 2>&1 || {
+        cat "$out/last-$side.txt" >&2
+        echo "bench_pair: the $side run on seed $seed failed" >&2
+        exit 1
+    }
+    awk -v side="$side" -v w="$workload" \
+        '$1 == w && ($5 == "lower" || $5 == "higher") { print side, $2, $3, $5 }' \
+        "$out/last-$side.txt"
+}
+
+base=$(date +%s)
+: >"$out/samples.txt"
+i=0
+while [ "$i" -lt "$pairs" ]; do
+    seed=$((base + i))
+    if [ $((i % 2)) -eq 0 ]; then order="parent change"; else order="change parent"; fi
+    echo "pair $((i + 1))/$pairs: seed $seed, $order" >&2
+    for side in $order; do
+        run "$side" "$seed" >>"$out/samples.txt"
+    done
+    i=$((i + 1))
+done
+
+awk -v pairs="$pairs" -v w="$workload" '
+    # Quantile q of the n sorted values v[1..n], interpolated.
+    function quantile(v, n, q,    h, lo) {
+        h = (n - 1) * q + 1
+        lo = int(h)
+        if (lo >= n) return v[n]
+        return v[lo] + (h - lo) * (v[lo + 1] - v[lo])
+    }
+    function sorted(side, m, v,    n, i, j, t) {
+        n = count[side, m]
+        for (i = 1; i <= n; i++) v[i] = sample[side, m, i]
+        for (i = 2; i <= n; i++)
+            for (j = i; j > 1 && v[j - 1] > v[j]; j--) { t = v[j]; v[j] = v[j - 1]; v[j - 1] = t }
+        return n
+    }
+    {
+        if (!(($2) in better)) order[++metrics] = $2
+        better[$2] = $4
+        sample[$1, $2, ++count[$1, $2]] = $3
+    }
+    END {
+        printf "%s, %d pairs: medians [q1, q3]; wins are the change'"'"'s\n", w, pairs
+        printf "%-16s %-36s %-36s %s\n", "metric", "parent", "change", "wins/pairs"
+        for (k = 1; k <= metrics; k++) {
+            m = order[k]
+            n = sorted("parent", m, p)
+            sorted("change", m, c)
+            wins = 0
+            for (i = 1; i <= n; i++) {
+                a = sample["parent", m, i]; b = sample["change", m, i]
+                if (better[m] == "lower" ? b < a : b > a) wins++
+            }
+            printf "%-16s %-36s %-36s %d/%d\n", m, \
+                sprintf("%.6g [%.6g, %.6g]", quantile(p, n, 0.5), quantile(p, n, 0.25), quantile(p, n, 0.75)), \
+                sprintf("%.6g [%.6g, %.6g]", quantile(c, n, 0.5), quantile(c, n, 0.25), quantile(c, n, 0.75)), \
+                wins, n
+        }
+    }' "$out/samples.txt"

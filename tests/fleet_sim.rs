@@ -183,7 +183,9 @@ fn single_node_reference() -> Vec<Vec<Value>> {
             table: TABLE.to_string(),
             query: Query::all(),
         },
-    ) {
+    )
+    .into_rows()
+    {
         Response::Rows {
             rows,
             more_available,
