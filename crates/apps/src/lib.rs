@@ -22,6 +22,7 @@
 //! * [`config`] — the in-memory stand-in for the shard's PostgreSQL
 //!   configuration database.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod aggregate;

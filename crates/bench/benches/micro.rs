@@ -300,52 +300,6 @@ fn bench_fault_hook(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_catalog(c: &mut Criterion) {
-    // Hot catalog resolution against a 64-table Db: the snapshot cell's
-    // pinned `Db::table()` vs the `RwLock<HashMap>` design it replaced,
-    // the presorted `list_tables()`, and one create/drop cycle (the
-    // copy-on-write publish cost a catalog writer pays).
-    let mut g = c.benchmark_group("catalog");
-    let db = instant_db();
-    let names: Vec<String> = (0..64).map(|i| format!("table{i:03}")).collect();
-    for n in &names {
-        db.create_table(n, bench_schema(), None).unwrap();
-    }
-    let locked = parking_lot::RwLock::new(
-        names
-            .iter()
-            .map(|n| (n.clone(), db.table(n).unwrap()))
-            .collect::<std::collections::HashMap<_, _>>(),
-    );
-    let mut i = 0usize;
-    g.bench_function("table/snapshot", |b| {
-        b.iter(|| {
-            i += 1;
-            db.table(std::hint::black_box(&names[i % names.len()]))
-                .unwrap()
-        })
-    });
-    let mut j = 0usize;
-    g.bench_function("table/rwlock", |b| {
-        b.iter(|| {
-            j += 1;
-            locked
-                .read()
-                .get(std::hint::black_box(names[j % names.len()].as_str()))
-                .cloned()
-                .unwrap()
-        })
-    });
-    g.bench_function("list_tables", |b| b.iter(|| db.list_tables()));
-    g.bench_function("ddl/create_drop", |b| {
-        b.iter(|| {
-            db.create_table("churn", bench_schema(), None).unwrap();
-            db.drop_table("churn").unwrap();
-        })
-    });
-    g.finish();
-}
-
 /// The e2e benchmark's `usage` table and row generator (rows are a pure
 /// function of seed, device and tick; one column per codec family), so
 /// that these kernels see the column shapes that benchmark stores. The
@@ -572,7 +526,6 @@ criterion_group!(
     bench_hll,
     bench_sql_parse,
     bench_fault_hook,
-    bench_catalog,
     bench_maintenance_kernels,
     bench_read_path
 );

@@ -18,7 +18,4 @@ fn main() {
     figures::ablations::run_bloom(quick).emit();
     figures::ablations::run_periods(quick).emit();
     figures::ablations::run_unique(quick).emit();
-    figures::cachefig::run(quick).emit();
-    figures::catalogfig::run(quick).emit();
-    figures::contention::run(quick).emit();
 }

@@ -2,9 +2,6 @@
 
 pub mod ablations;
 pub mod applog;
-pub mod cachefig;
-pub mod catalogfig;
-pub mod contention;
 pub mod fig2;
 pub mod fig3;
 pub mod fig4;
@@ -48,24 +45,6 @@ mod smoke_tests {
 
         let rates = super::fleetfigs::run_rates(true);
         assert_eq!(rates.series.len(), 2);
-        std::env::remove_var("LITTLETABLE_FIGURE_DIR");
-        let _ = std::fs::remove_dir_all(dir);
-    }
-
-    #[test]
-    fn block_cache_figure_shows_warm_speedup() {
-        let dir = std::env::temp_dir().join(format!("ltcache-smoke-{}", std::process::id()));
-        std::env::set_var("LITTLETABLE_FIGURE_DIR", &dir);
-        let fig = super::cachefig::run(true);
-        let latency = &fig.series[0].points;
-        let uncached = latency.first().unwrap().1;
-        let resident = latency.last().unwrap().1;
-        assert!(
-            uncached >= 5.0 * resident.max(1e-3),
-            "warm reads not >=5x faster: uncached {uncached} ms, resident {resident} ms"
-        );
-        let hit = fig.series[1].points.last().unwrap().1;
-        assert!(hit > 90.0, "resident hit ratio {hit}%");
         std::env::remove_var("LITTLETABLE_FIGURE_DIR");
         let _ = std::fs::remove_dir_all(dir);
     }

@@ -12,6 +12,7 @@
 //! virtual time) plus an explicit CPU-cost model calibrated once against
 //! the paper's headline throughput numbers — see the `env` module.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![allow(clippy::field_reassign_with_default)]
 

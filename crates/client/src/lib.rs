@@ -16,6 +16,7 @@
 //! drops, [`Client::request`] surfaces the error and the application
 //! re-collects recent data from its devices (§4).
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod shardmap;

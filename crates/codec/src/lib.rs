@@ -21,6 +21,8 @@
 //! This crate is deliberately free of engine dependencies: it maps plain
 //! slices (`&[i64]`, `&[f64]`, byte strings) to bytes and back.
 
+#![forbid(unsafe_code)]
+
 use std::fmt;
 
 /// Codec tag stored per column in a v3 block: raw little-endian

@@ -20,6 +20,7 @@
 //! literals only. Offsets are 16-bit little-endian and relative to the
 //! current output position.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 /// Minimum match length the encoder will emit.

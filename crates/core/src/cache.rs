@@ -45,25 +45,6 @@
 //!   never alias a different tablet's data. When a reader is dropped
 //!   (merge, TTL expiry, bulk delete, table drop), its entries — both
 //!   tiers and the footer — are invalidated.
-//! * **Adaptive tier split (ARC-style ghost lists).** When built with
-//!   [`BlockCache::new_adaptive`], each tier's shards remember the keys
-//!   (not the bytes) of recently evicted entries in a bounded FIFO
-//!   *ghost list*. A miss that hits a ghost is a would-have-hit: the
-//!   access would have been served had that tier been larger. Ghost
-//!   hits are tallied by byte weight — scaled for the lower tier by
-//!   [`GHOST_DISK_WEIGHT`], since the miss it signals costs a disk read
-//!   where an upper-tier miss costs only a decompression — and a
-//!   periodic [`rebalance`] (driven from `Db::maintain`) moves a
-//!   bounded slice of the joint budget toward the tier with the greater
-//!   unmet demand — so a
-//!   scan-heavy phase (many re-reads of a working set wider than RAM's
-//!   decompressed slice) grows the compressed tier, while a point-read
-//!   phase (small hot set, decompress cost dominates) grows the
-//!   decompressed tier, with no operator retuning either way. The two
-//!   tier budgets always sum to the configured joint budget; each tier
-//!   keeps a floor slice so it never starves out of the feedback loop.
-//!
-//! [`rebalance`]: BlockCache::rebalance
 //!
 //! Locks are held only for map and slab bookkeeping — never across disk
 //! reads or decompression, and never one shard inside another (demotions
@@ -77,7 +58,7 @@ use crate::block::Block;
 use crate::stats::TableStats;
 use crate::tablet::TabletFooter;
 use parking_lot::Mutex;
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -90,20 +71,6 @@ pub const DEFAULT_SHARDS: usize = 8;
 /// tier's slice reaches this floor, so a small budget becomes a
 /// single-shard cache instead of silently rounding to zero capacity.
 pub const MIN_SHARD_SLICE: usize = 16 << 10;
-
-/// Weight applied to lower-tier ghost votes in the adaptive split's
-/// demand tally. The two tiers' would-have-hits are not worth the same:
-/// an upper-tier ghost hit means the access paid a decompression (~tens
-/// of µs for a 64 kB block), a lower-tier ghost hit means it paid a
-/// disk read (~10 ms of seek and transfer on the paper's drive). Left
-/// unweighted, the upper tier also votes with systematically larger
-/// charges (decompressed plus retained compressed bytes vs compressed
-/// bytes alone), so compressed-tier demand would be structurally
-/// outvoted even when it is the expensive kind. Sixteen is a
-/// deliberately conservative fraction of the real ~100x cost ratio:
-/// enough for disk-bound demand to win decisively, small enough that
-/// sustained decompression pressure can still pull budget back up.
-pub const GHOST_DISK_WEIGHT: u64 = 16;
 
 /// Cache key: a never-reused tablet id plus the block's index within it.
 type BlockKey = (u64, u32);
@@ -151,13 +118,6 @@ struct TierInner<V> {
     free: Vec<usize>,
     bytes: usize,
     hand: usize,
-    /// ARC-style ghost list: keys of recently evicted entries with the
-    /// charge they carried, FIFO-bounded to the tier's capacity. Empty
-    /// unless the cache is adaptive. A hit here is a would-have-hit that
-    /// votes to grow this tier at the next rebalance.
-    ghost: VecDeque<BlockKey>,
-    ghost_map: HashMap<BlockKey, u32>,
-    ghost_bytes: usize,
 }
 
 impl<V> Default for TierInner<V> {
@@ -168,56 +128,19 @@ impl<V> Default for TierInner<V> {
             free: Vec::new(),
             bytes: 0,
             hand: 0,
-            ghost: VecDeque::new(),
-            ghost_map: HashMap::new(),
-            ghost_bytes: 0,
         }
     }
 }
 
 impl<V> TierInner<V> {
-    /// Remembers an evicted key in the ghost list, bounded to `cap`
-    /// bytes of remembered charge (0 disables, for non-adaptive caches).
-    fn ghost_remember(&mut self, key: BlockKey, charge: usize, cap: usize) {
-        if cap == 0 {
-            return;
-        }
-        let charge = charge.min(u32::MAX as usize) as u32;
-        match self.ghost_map.insert(key, charge) {
-            // Re-evicted while its stale FIFO entry is still queued:
-            // keep the old queue position, just refresh the charge.
-            Some(old) => self.ghost_bytes -= old as usize,
-            None => self.ghost.push_back(key),
-        }
-        self.ghost_bytes += charge as usize;
-        while self.ghost_bytes > cap {
-            let Some(oldest) = self.ghost.pop_front() else {
-                break;
-            };
-            if let Some(c) = self.ghost_map.remove(&oldest) {
-                self.ghost_bytes -= c as usize;
-            }
-        }
-    }
-
-    /// Removes `key` from the ghost list, returning its remembered
-    /// charge. The FIFO keeps a stale entry that is skipped when popped.
-    fn ghost_take(&mut self, key: &BlockKey) -> Option<u32> {
-        let charge = self.ghost_map.remove(key)?;
-        self.ghost_bytes -= charge as usize;
-        Some(charge)
-    }
-
     /// Evicts unreferenced entries (second-chance order) until `need`
     /// more bytes fit under `capacity`, pushing victims onto `victims`
     /// for the caller to account (and possibly demote) outside the shard
-    /// lock. Victims are remembered in the ghost list when `ghost_cap`
-    /// is nonzero. Returns false when impossible.
+    /// lock. Returns false when impossible.
     fn evict_until_fits(
         &mut self,
         need: usize,
         capacity: usize,
-        ghost_cap: usize,
         victims: &mut Vec<Slot<V>>,
     ) -> bool {
         while self.bytes + need > capacity {
@@ -245,7 +168,6 @@ impl<V> TierInner<V> {
                 self.map.remove(&victim.key);
                 self.free.push(self.hand);
                 self.bytes -= victim.charge;
-                self.ghost_remember(victim.key, victim.charge, ghost_cap);
                 victims.push(victim);
                 break;
             }
@@ -300,29 +222,12 @@ pub struct BlockCache {
     upper: Box<[Shard<UpperValue>]>,
     /// Compressed bytes of blocks demoted from the upper tier.
     lower: Box<[Shard<CompressedBlock>]>,
-    /// Per-shard tier slices. Plain values at rest for a static split;
-    /// [`BlockCache::rebalance`] moves bytes between them while their sum
-    /// stays pinned at `shard_total`.
-    upper_shard_capacity: AtomicUsize,
-    lower_shard_capacity: AtomicUsize,
-    /// The fixed joint per-shard budget: `upper + lower` slices always
-    /// sum to this, so the cache can never grow past its configured size
-    /// no matter how the split drifts.
-    shard_total: usize,
-    /// Ghost lists and rebalancing are active (see `new_adaptive`).
-    adaptive: bool,
+    /// Per-shard tier slices, fixed at construction. Each shard enforces
+    /// both under its lock, so the cache never grows past their sum.
+    upper_shard_capacity: usize,
+    lower_shard_capacity: usize,
     shard_mask: u64,
     next_tablet_id: AtomicU64,
-    /// Would-have-hit tallies since the last rebalance, byte-weighted so
-    /// a big block's unmet demand votes proportionally to the budget it
-    /// would have needed. Swapped to zero by each rebalance.
-    ghost_bytes_decompressed: AtomicU64,
-    ghost_bytes_compressed: AtomicU64,
-    /// Cumulative ghost-hit counts, for observability (never reset).
-    ghost_hits_decompressed: AtomicU64,
-    ghost_hits_compressed: AtomicU64,
-    /// Number of rebalances that actually moved budget.
-    rebalances: AtomicU64,
 }
 
 impl BlockCache {
@@ -347,65 +252,13 @@ impl BlockCache {
         while shards > 1 && floor / shards < MIN_SHARD_SLICE {
             shards /= 2;
         }
-        Self::build(
-            decompressed_bytes / shards,
-            compressed_bytes / shards,
-            shards,
-            false,
-        )
-    }
-
-    /// Creates a cache whose *joint* budget is `total_bytes`, split
-    /// between the tiers at `initial_compressed_fraction` and thereafter
-    /// retuned by [`BlockCache::rebalance`] from ghost-list demand. Each
-    /// tier's slice is clamped to at least 1/8 of the joint budget so it
-    /// keeps generating evictions — and therefore ghost signal — even
-    /// when the current phase has no use for it.
-    pub fn new_adaptive(
-        total_bytes: usize,
-        initial_compressed_fraction: f64,
-        shards: usize,
-    ) -> BlockCache {
-        let mut shards = if shards == 0 { DEFAULT_SHARDS } else { shards }
-            .next_power_of_two()
-            .min(1 << 10);
-        // Both tiers must clear MIN_SHARD_SLICE even at the floor split.
-        while shards > 1 && total_bytes / shards / 8 < MIN_SHARD_SLICE {
-            shards /= 2;
-        }
-        let shard_total = total_bytes / shards;
-        let floor = shard_total / 8;
-        let frac = initial_compressed_fraction.clamp(0.0, 1.0);
-        let lower = ((shard_total as f64 * frac) as usize).clamp(floor, shard_total - floor);
-        Self::build(shard_total - lower, lower, shards, shard_total > 0)
-    }
-
-    fn build(upper_slice: usize, lower_slice: usize, shards: usize, adaptive: bool) -> BlockCache {
         BlockCache {
             upper: make_shards(shards),
             lower: make_shards(shards),
-            upper_shard_capacity: AtomicUsize::new(upper_slice),
-            lower_shard_capacity: AtomicUsize::new(lower_slice),
-            shard_total: upper_slice + lower_slice,
-            adaptive,
+            upper_shard_capacity: decompressed_bytes / shards,
+            lower_shard_capacity: compressed_bytes / shards,
             shard_mask: shards as u64 - 1,
             next_tablet_id: AtomicU64::new(1),
-            ghost_bytes_decompressed: AtomicU64::new(0),
-            ghost_bytes_compressed: AtomicU64::new(0),
-            ghost_hits_decompressed: AtomicU64::new(0),
-            ghost_hits_compressed: AtomicU64::new(0),
-            rebalances: AtomicU64::new(0),
-        }
-    }
-
-    /// Per-shard byte bound on each tier's ghost list: the joint budget,
-    /// so the ghosts can answer "would the whole cache, given over to
-    /// this tier, have held it?". Zero (disabled) for static caches.
-    fn ghost_cap(&self) -> usize {
-        if self.adaptive {
-            self.shard_total
-        } else {
-            0
         }
     }
 
@@ -423,24 +276,7 @@ impl BlockCache {
         ((h ^ (h >> 31)) & self.shard_mask) as usize
     }
 
-    /// Records a would-have-hit against the upper tier's ghost list.
-    fn note_upper_ghost(&self, inner: &mut TierInner<UpperValue>, key: &BlockKey) {
-        if !self.adaptive {
-            return;
-        }
-        if let Some(charge) = inner.ghost_take(key) {
-            self.ghost_hits_decompressed.fetch_add(1, Ordering::Relaxed);
-            self.ghost_bytes_decompressed
-                .fetch_add(charge as u64, Ordering::Relaxed);
-        }
-    }
-
     /// Looks up a decompressed block, marking it recently used on a hit.
-    /// A miss votes for neither tier here: whether it represents unmet
-    /// *decompressed* demand depends on whether the lower tier serves it,
-    /// which [`take_compressed`] resolves.
-    ///
-    /// [`take_compressed`]: BlockCache::take_compressed
     pub fn get(&self, tablet_id: u64, block_index: u32) -> Option<Arc<Block>> {
         let key = (tablet_id, block_index);
         let shard = &self.upper[self.shard_idx(key)];
@@ -461,48 +297,13 @@ impl BlockCache {
     /// tier. The caller decompresses and re-admits the block to the
     /// upper tier (which carries the compressed form along), keeping the
     /// tiers exclusive.
-    ///
-    /// This is also where the adaptive split's demand signal resolves.
-    /// The two ghost votes are mutually exclusive per access, so they
-    /// cannot cancel each other out:
-    ///
-    /// * lower serves the block and the upper ghost remembers it — a
-    ///   larger *decompressed* tier would have saved this decompression;
-    /// * neither tier has it but the lower ghost remembers it — a larger
-    ///   *compressed* tier would have saved the disk read the caller is
-    ///   about to pay. (An access that is a full miss in both tiers and
-    ///   both ghosts votes for neither.)
     pub fn take_compressed(&self, tablet_id: u64, block_index: u32) -> Option<CompressedBlock> {
         let key = (tablet_id, block_index);
         let shard = &self.lower[self.shard_idx(key)];
-        let taken = {
-            let mut inner = shard.inner.lock();
-            match inner.remove_key(&key) {
-                Some(slot) => {
-                    shard.bytes.store(inner.bytes, Ordering::Relaxed);
-                    Some(slot.value)
-                }
-                None => {
-                    if self.adaptive {
-                        if let Some(charge) = inner.ghost_take(&key) {
-                            self.ghost_hits_compressed.fetch_add(1, Ordering::Relaxed);
-                            self.ghost_bytes_compressed
-                                .fetch_add(charge as u64 * GHOST_DISK_WEIGHT, Ordering::Relaxed);
-                        }
-                    }
-                    None
-                }
-            }
-        };
-        // Lower-tier hit: the access still pays a decompression the upper
-        // tier would have spared. Taken after the lower lock is released —
-        // the admission paths nest upper-then-lower, never the reverse.
-        if taken.is_some() && self.adaptive {
-            let upper = &self.upper[self.shard_idx(key)];
-            let mut inner = upper.inner.lock();
-            self.note_upper_ghost(&mut inner, &key);
-        }
-        taken
+        let mut inner = shard.inner.lock();
+        let slot = inner.remove_key(&key)?;
+        shard.bytes.store(inner.bytes, Ordering::Relaxed);
+        Some(slot.value)
     }
 
     /// Admits a decompressed block, charged by its decompressed size plus
@@ -521,8 +322,7 @@ impl BlockCache {
     ) {
         let key = (tablet_id, block_index);
         let charge = block.byte_size() + compressed.as_ref().map_or(0, |c| c.bytes.len());
-        let upper_capacity = self.upper_shard_capacity.load(Ordering::Relaxed);
-        if charge > upper_capacity {
+        if charge > self.upper_shard_capacity {
             if let Some(c) = compressed {
                 self.insert_compressed(key, c, owner);
             }
@@ -536,8 +336,7 @@ impl BlockCache {
             if let Some(&idx) = inner.map.get(&key) {
                 // Lost a race with another miss on the same block.
                 inner.slots[idx].as_mut().expect("live slot").referenced = true;
-            } else if inner.evict_until_fits(charge, upper_capacity, self.ghost_cap(), &mut victims)
-            {
+            } else if inner.evict_until_fits(charge, self.upper_shard_capacity, &mut victims) {
                 // New entries start unreferenced: a block read once and
                 // never touched again is the first to go, while anything
                 // re-read earns its second chance. This is what makes
@@ -575,8 +374,7 @@ impl BlockCache {
     ) {
         let key = (tablet_id, FOOTER_SLOT);
         let charge = footer.approx_byte_size();
-        let upper_capacity = self.upper_shard_capacity.load(Ordering::Relaxed);
-        if charge > upper_capacity {
+        if charge > self.upper_shard_capacity {
             TableStats::add(&owner.footer_evictions, 1);
             return;
         }
@@ -586,8 +384,7 @@ impl BlockCache {
             let mut inner = shard.inner.lock();
             if let Some(&idx) = inner.map.get(&key) {
                 inner.slots[idx].as_mut().expect("live slot").referenced = true;
-            } else if inner.evict_until_fits(charge, upper_capacity, self.ghost_cap(), &mut victims)
-            {
+            } else if inner.evict_until_fits(charge, self.upper_shard_capacity, &mut victims) {
                 inner.insert_slot(Slot {
                     key,
                     value: UpperValue::Footer(footer),
@@ -601,17 +398,12 @@ impl BlockCache {
         self.settle_upper_victims(victims);
     }
 
-    /// Looks up a cached footer, marking it recently used on a hit. A
-    /// miss on a ghosted footer counts as upper-tier demand, same as a
-    /// block: the reload it forces is three seeks of avoidable work.
+    /// Looks up a cached footer, marking it recently used on a hit.
     pub fn get_footer(&self, tablet_id: u64) -> Option<Arc<TabletFooter>> {
         let key = (tablet_id, FOOTER_SLOT);
         let shard = &self.upper[self.shard_idx(key)];
         let mut inner = shard.inner.lock();
-        let Some(&idx) = inner.map.get(&key) else {
-            self.note_upper_ghost(&mut inner, &key);
-            return None;
-        };
+        let &idx = inner.map.get(&key)?;
         let slot = inner.slots[idx].as_mut().expect("map points at live slot");
         match &slot.value {
             UpperValue::Footer(f) => {
@@ -656,8 +448,7 @@ impl BlockCache {
     /// for good.
     fn insert_compressed(&self, key: BlockKey, value: CompressedBlock, owner: &Arc<TableStats>) {
         let charge = value.bytes.len();
-        let lower_capacity = self.lower_shard_capacity.load(Ordering::Relaxed);
-        if charge > lower_capacity {
+        if charge > self.lower_shard_capacity {
             return;
         }
         let shard = &self.lower[self.shard_idx(key)];
@@ -667,7 +458,7 @@ impl BlockCache {
             return;
         }
         let mut dropped = Vec::new();
-        if inner.evict_until_fits(charge, lower_capacity, self.ghost_cap(), &mut dropped) {
+        if inner.evict_until_fits(charge, self.lower_shard_capacity, &mut dropped) {
             inner.insert_slot(Slot {
                 key,
                 value,
@@ -741,115 +532,17 @@ impl BlockCache {
     /// the shard count (see [`MIN_SHARD_SLICE`]) rather than rounding a
     /// shard's slice to zero.
     pub fn capacity(&self) -> usize {
-        // `shard_total` is fixed at construction, so the joint budget is
-        // stable even mid-rebalance when the two tier slices are being
-        // restored one after the other.
-        self.shard_total * self.upper.len()
+        self.decompressed_capacity() + self.compressed_capacity()
     }
 
     /// The upper (decompressed + footer) tier's byte budget.
     pub fn decompressed_capacity(&self) -> usize {
-        self.upper_shard_capacity.load(Ordering::Relaxed) * self.upper.len()
+        self.upper_shard_capacity * self.upper.len()
     }
 
     /// The lower (compressed) tier's byte budget.
     pub fn compressed_capacity(&self) -> usize {
-        self.lower_shard_capacity.load(Ordering::Relaxed) * self.lower.len()
-    }
-
-    /// True when the tier split is ghost-list driven (built with
-    /// [`BlockCache::new_adaptive`]).
-    pub fn is_adaptive(&self) -> bool {
-        self.adaptive
-    }
-
-    /// The compressed tier's current share of the joint budget, in
-    /// [0, 1]. For a static cache this is simply the configured split.
-    pub fn split_fraction(&self) -> f64 {
-        if self.shard_total == 0 {
-            return 0.0;
-        }
-        self.lower_shard_capacity.load(Ordering::Relaxed) as f64 / self.shard_total as f64
-    }
-
-    /// Cumulative upper-tier (decompressed) ghost hits.
-    pub fn ghost_hits_decompressed(&self) -> u64 {
-        self.ghost_hits_decompressed.load(Ordering::Relaxed)
-    }
-
-    /// Cumulative lower-tier (compressed) ghost hits.
-    pub fn ghost_hits_compressed(&self) -> u64 {
-        self.ghost_hits_compressed.load(Ordering::Relaxed)
-    }
-
-    /// Number of rebalances that moved budget between the tiers.
-    pub fn rebalance_count(&self) -> u64 {
-        self.rebalances.load(Ordering::Relaxed)
-    }
-
-    /// Retunes the tier split from the ghost-hit tallies accumulated
-    /// since the last call, then trims whichever tier shrank (upper-tier
-    /// victims still demote their compressed bytes downward, into the
-    /// room that just opened). Moves a bounded step — between 1/64 and
-    /// 1/8 of the joint budget, scaled by the demand imbalance — toward
-    /// the tier with more byte-weighted would-have-hits, never pushing
-    /// either tier below its 1/8 floor. Returns true when budget moved.
-    ///
-    /// Called from `Db::maintain`, so the split adapts at maintenance
-    /// cadence without any hot-path cost beyond the ghost bookkeeping.
-    pub fn rebalance(&self) -> bool {
-        if !self.adaptive || self.shard_total == 0 {
-            return false;
-        }
-        let up_demand = self.ghost_bytes_decompressed.swap(0, Ordering::Relaxed);
-        let down_demand = self.ghost_bytes_compressed.swap(0, Ordering::Relaxed);
-        if up_demand == down_demand {
-            return false; // includes the idle case: no signal, no churn
-        }
-        let floor = self.shard_total / 8;
-        let min_step = (self.shard_total / 64).max(1);
-        let max_step = (self.shard_total / 8).max(min_step);
-        let imbalance = (up_demand.abs_diff(down_demand) as usize) / self.upper.len();
-        let step = imbalance.clamp(min_step, max_step);
-        let upper_cap = self.upper_shard_capacity.load(Ordering::Relaxed);
-        let lower_cap = self.lower_shard_capacity.load(Ordering::Relaxed);
-        let (new_upper, new_lower) = if up_demand > down_demand {
-            let take = step.min(lower_cap.saturating_sub(floor));
-            (upper_cap + take, lower_cap - take)
-        } else {
-            let take = step.min(upper_cap.saturating_sub(floor));
-            (upper_cap - take, lower_cap + take)
-        };
-        if new_upper == upper_cap {
-            return false; // the loser is already at its floor
-        }
-        // Publish both slices before trimming; growth is harmless to see
-        // early, and the shrink is enforced shard by shard below.
-        self.upper_shard_capacity
-            .store(new_upper, Ordering::Relaxed);
-        self.lower_shard_capacity
-            .store(new_lower, Ordering::Relaxed);
-        self.rebalances.fetch_add(1, Ordering::Relaxed);
-        let ghost_cap = self.ghost_cap();
-        if new_upper < upper_cap {
-            for shard in self.upper.iter() {
-                let mut victims = Vec::new();
-                {
-                    let mut inner = shard.inner.lock();
-                    inner.evict_until_fits(0, new_upper, ghost_cap, &mut victims);
-                    shard.bytes.store(inner.bytes, Ordering::Relaxed);
-                }
-                self.settle_upper_victims(victims);
-            }
-        } else {
-            for shard in self.lower.iter() {
-                let mut inner = shard.inner.lock();
-                let mut dropped = Vec::new();
-                inner.evict_until_fits(0, new_lower, ghost_cap, &mut dropped);
-                shard.bytes.store(inner.bytes, Ordering::Relaxed);
-            }
-        }
-        true
+        self.lower_shard_capacity * self.lower.len()
     }
 
     /// Number of upper-tier entries currently cached (blocks + footers).
@@ -873,9 +566,6 @@ impl std::fmt::Debug for BlockCache {
             .field("bytes_used", &self.bytes_used())
             .field("entries", &self.entry_count())
             .field("compressed_entries", &self.compressed_entry_count())
-            .field("adaptive", &self.adaptive)
-            .field("split_fraction", &self.split_fraction())
-            .field("rebalances", &self.rebalance_count())
             .finish()
     }
 }
@@ -1164,181 +854,6 @@ mod tests {
         assert_eq!(cache.entry_count(), 0);
         assert_eq!(cache.compressed_entry_count(), 0);
         assert!(cache.get(tid, 0).is_none());
-    }
-
-    #[test]
-    fn static_cache_keeps_no_ghosts_and_never_rebalances() {
-        let cache = BlockCache::new(2500, 0, 1);
-        let st = stats();
-        let tid = cache.register_tablet();
-        for i in 0..8u32 {
-            cache.insert(tid, i, block_of_size(1000), None, &st);
-        }
-        // Re-read everything through the full path (upper lookup, then
-        // lower); misses on evicted blocks must not register ghost hits
-        // because the static cache remembers nothing.
-        for i in 0..8u32 {
-            if cache.get(tid, i).is_none() {
-                let _ = cache.take_compressed(tid, i);
-            }
-        }
-        assert_eq!(cache.ghost_hits_decompressed(), 0);
-        assert_eq!(cache.ghost_hits_compressed(), 0);
-        assert!(!cache.rebalance());
-        assert_eq!(cache.rebalance_count(), 0);
-    }
-
-    #[test]
-    fn ghost_votes_resolve_by_serving_tier() {
-        // Adaptive, 128 kB joint budget, 1 shard; upper slice gets most.
-        let cache = BlockCache::new_adaptive(128 << 10, 0.25, 1);
-        assert!(cache.is_adaptive());
-        let st = stats();
-        let tid = cache.register_tablet();
-        // Stream blocks carrying compressed forms: upper evictions demote
-        // into the lower tier, whose own evictions ghost in turn. The
-        // oldest keys end up in neither tier, a middle band compressed
-        // only, the newest decompressed.
-        for i in 0..256u32 {
-            cache.insert(
-                tid,
-                i,
-                block_of_size(1000),
-                Some(compressed_of_size(400)),
-                &st,
-            );
-        }
-        // Re-read every key the way the tablet reader does: upper lookup
-        // first, lower only on an upper miss.
-        for i in 0..256u32 {
-            if cache.get(tid, i).is_none() {
-                let _ = cache.take_compressed(tid, i);
-            }
-        }
-        assert!(
-            cache.ghost_hits_decompressed() > 0,
-            "lower-served re-reads of upper-ghosted blocks must vote upper"
-        );
-        assert!(
-            cache.ghost_hits_compressed() > 0,
-            "disk-bound re-reads of lower-ghosted blocks must vote lower"
-        );
-        // Votes consume their ghost entry: repeating the oldest key's
-        // full miss does not vote again.
-        let upper_votes = cache.ghost_hits_decompressed();
-        let lower_votes = cache.ghost_hits_compressed();
-        assert!(cache.get(tid, 0).is_none());
-        assert!(cache.take_compressed(tid, 0).is_none());
-        assert_eq!(cache.ghost_hits_decompressed(), upper_votes);
-        assert_eq!(cache.ghost_hits_compressed(), lower_votes);
-    }
-
-    #[test]
-    fn rebalance_moves_budget_toward_demand_within_floors() {
-        let cache = BlockCache::new_adaptive(256 << 10, 0.5, 1);
-        let joint = cache.capacity();
-        let st = stats();
-        let tid = cache.register_tablet();
-        // One-sided upper demand: every block's compressed form is small
-        // enough that the lower tier holds all demotions (so nothing ever
-        // ghosts there), while re-reads served compressed vote upper.
-        let press = |cache: &BlockCache| {
-            for i in 0..512u32 {
-                cache.insert(
-                    tid,
-                    i,
-                    block_of_size(1000),
-                    Some(compressed_of_size(200)),
-                    &st,
-                );
-            }
-            for i in 0..512u32 {
-                if cache.get(tid, i).is_none() {
-                    let _ = cache.take_compressed(tid, i);
-                }
-            }
-        };
-        press(&cache);
-        assert!(cache.ghost_hits_decompressed() > 0);
-        assert_eq!(cache.ghost_hits_compressed(), 0);
-        let before = cache.decompressed_capacity();
-        assert!(cache.rebalance(), "one-sided demand must move budget");
-        assert!(cache.decompressed_capacity() > before);
-        assert_eq!(
-            cache.decompressed_capacity() + cache.compressed_capacity(),
-            joint,
-            "joint budget is invariant"
-        );
-        assert_eq!(cache.rebalance_count(), 1);
-        // No new signal since: the next rebalance is a no-op.
-        assert!(!cache.rebalance());
-        // Keep pressing one-sided demand; the split converges at the
-        // loser's floor instead of starving it to zero.
-        for _ in 0..64 {
-            press(&cache);
-            cache.rebalance();
-        }
-        let floor = joint / 8;
-        assert!(cache.compressed_capacity() >= floor);
-        assert!(cache.bytes_used() <= cache.capacity());
-    }
-
-    #[test]
-    fn rebalance_shrinking_upper_demotes_into_lower() {
-        let cache = BlockCache::new_adaptive(256 << 10, 0.25, 1);
-        let st = stats();
-        let tid = cache.register_tablet();
-        // Pin a resident working set in the upper tier (with compressed
-        // forms, so a later trim has something to demote). It fits the
-        // initial upper slice, so it generates no ghost traffic itself.
-        for i in 0..64u32 {
-            cache.insert(
-                tid,
-                i,
-                block_of_size(1000),
-                Some(compressed_of_size(400)),
-                &st,
-            );
-        }
-        let upper_used_before = cache.decompressed_bytes_used();
-        // One-sided lower demand: churn compressed-only entries through
-        // the lower tier until repeated rebalances shrink the upper slice
-        // below its resident bytes.
-        for _ in 0..6 {
-            for i in 0..512u32 {
-                cache.insert_compressed((tid, 1_000 + i), compressed_of_size(400), &st);
-            }
-            for i in 0..512u32 {
-                let _ = cache.take_compressed(tid, 1_000 + i);
-            }
-            cache.rebalance();
-        }
-        assert!(cache.ghost_hits_compressed() > 0);
-        assert!(cache.rebalance_count() > 0);
-        assert!(
-            cache.decompressed_capacity() < upper_used_before,
-            "lower demand must shrink the upper slice below its old residency"
-        );
-        // The trim demoted pinned blocks' compressed forms down rather
-        // than dropping them.
-        assert!(
-            (0..64u32).any(|i| cache.take_compressed(tid, i).is_some()),
-            "shrinking the upper tier must demote evicted blocks' compressed forms"
-        );
-        assert!(cache.decompressed_bytes_used() <= cache.decompressed_capacity());
-        assert!(cache.bytes_used() <= cache.capacity());
-    }
-
-    #[test]
-    fn adaptive_split_clamps_to_tier_floors() {
-        let cache = BlockCache::new_adaptive(256 << 10, 0.0, 1);
-        let joint = cache.capacity();
-        assert!(
-            cache.compressed_capacity() >= joint / 8,
-            "a zero initial fraction must still leave the lower tier its floor slice"
-        );
-        let cache = BlockCache::new_adaptive(256 << 10, 1.0, 1);
-        assert!(cache.decompressed_capacity() >= joint / 8);
     }
 
     #[test]

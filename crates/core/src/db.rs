@@ -7,12 +7,12 @@
 //! a crash left uncommitted.
 //!
 //! The table catalog is published the same way each table publishes its
-//! tablet set: an immutable [`CatalogSnapshot`] behind a
-//! [`SnapshotCell`]. `Db::table()` and `list_tables()` — the calls §2.2
-//! assumes are free enough that clients create and query hundreds of
-//! tables — are a single atomic snapshot load with no lock, so server
-//! worker shards and maintenance sweeps can resolve tables concurrently
-//! without queueing on anything. `create_table`/`drop_table` serialize
+//! tablet set: an immutable [`CatalogSnapshot`] in an `RwLock<Arc<_>>`.
+//! `Db::table()` and `list_tables()` — the calls §2.2 assumes are free
+//! enough that clients create and query hundreds of tables — take the
+//! read lock for one `Arc` clone, and the write lock is only ever held
+//! for a pointer swap, so server worker shards and maintenance sweeps
+//! never wait on DDL's file I/O. `create_table`/`drop_table` serialize
 //! on a small writer mutex and publish copy-on-write snapshots; a
 //! dropped table's `Arc<Table>` stays fully usable by in-flight readers
 //! while every *new* snapshot excludes it.
@@ -24,7 +24,6 @@ use crate::resultcache::ResultCache;
 use crate::rollup::{self, RollupSpec};
 use crate::schema::Schema;
 use crate::stats::{DbStats, DbStatsSnapshot, TableStats};
-use crate::sync::SnapshotCell;
 use crate::table::{MaintenanceReport, Table};
 use littletable_vfs::{Clock, Micros, StdVfs, SystemClock, Vfs};
 use parking_lot::{Mutex, RwLock};
@@ -82,9 +81,10 @@ struct DbInner {
     /// budget is 0 (uncached reads, unbounded per-reader footers — the
     /// paper's behavior).
     cache: Option<Arc<BlockCache>>,
-    /// The current catalog. Loads are lock-free; stores are serialized
-    /// by `catalog_lock`.
-    catalog: SnapshotCell<CatalogSnapshot>,
+    /// The current catalog. Readers clone the `Arc` out; writers,
+    /// serialized by `catalog_lock`, build the next snapshot off to the
+    /// side and hold the write lock only to swap it in.
+    catalog: RwLock<Arc<CatalogSnapshot>>,
     /// Serializes catalog writers (`create_table`/`drop_table`) — held
     /// across a drop's file deletion too, so recreating the same name
     /// cannot interleave with the old directory's teardown.
@@ -124,16 +124,12 @@ impl Db {
     ) -> Result<Db> {
         let opts = Arc::new(opts);
         let (decompressed, compressed) = opts.cache_tier_budgets();
-        let block_budget = decompressed + compressed;
-        let cache = (block_budget > 0).then(|| {
-            Arc::new(if opts.adaptive_cache_split {
-                // The configured split is only the starting point; every
-                // maintenance pass retunes it from ghost-list demand.
-                let fraction = compressed as f64 / block_budget as f64;
-                BlockCache::new_adaptive(block_budget, fraction, opts.block_cache_shards)
-            } else {
-                BlockCache::new(decompressed, compressed, opts.block_cache_shards)
-            })
+        let cache = (decompressed + compressed > 0).then(|| {
+            Arc::new(BlockCache::new(
+                decompressed,
+                compressed,
+                opts.block_cache_shards,
+            ))
         });
         let result_cache = {
             let budget = opts.result_cache_budget();
@@ -186,7 +182,7 @@ impl Db {
             clock,
             opts,
             cache,
-            catalog: SnapshotCell::new(Arc::new(CatalogSnapshot::new(tables))),
+            catalog: RwLock::new(Arc::new(CatalogSnapshot::new(tables))),
             catalog_lock: Mutex::new(()),
             stats: DbStats::default(),
             rollups: RwLock::new(rollups),
@@ -254,19 +250,20 @@ impl Db {
         self.inner.cache.as_ref()
     }
 
-    /// The current catalog snapshot: one lock-free atomic load. The
-    /// cell's own enter counters double as the `catalog_loads` stat, so
-    /// there is no separate bookkeeping on this path.
+    /// The current catalog snapshot, counted in `catalog_loads`.
     fn load_catalog(&self) -> Arc<CatalogSnapshot> {
-        self.inner.catalog.load()
+        TableStats::add(&self.inner.stats.catalog_loads, 1);
+        self.inner.catalog.read().clone()
     }
 
     /// Publishes `tables` as the new catalog. Callers must hold
     /// `catalog_lock`.
     fn publish_catalog_locked(&self, tables: HashMap<Arc<str>, Arc<Table>>) {
-        self.inner
-            .catalog
-            .store(Arc::new(CatalogSnapshot::new(tables)));
+        let new = Arc::new(CatalogSnapshot::new(tables));
+        let old = std::mem::replace(&mut *self.inner.catalog.write(), new);
+        // Released here, after the write guard: a superseded catalog may
+        // be the last owner of a dropped table.
+        drop(old);
         TableStats::add(&self.inner.stats.catalog_publishes, 1);
     }
 
@@ -281,7 +278,7 @@ impl Db {
             return Err(Error::invalid(format!("invalid table name {name:?}")));
         }
         let _writer = self.inner.catalog_lock.lock();
-        let snap = self.inner.catalog.load();
+        let snap = self.load_catalog();
         if snap.tables.contains_key(name) {
             return Err(Error::TableExists(name.to_string()));
         }
@@ -302,22 +299,20 @@ impl Db {
         Ok(table)
     }
 
-    /// Looks up a table by name. Lock-free: a pinned access to the
-    /// current catalog snapshot — no mutex and no refcount traffic on
-    /// the catalog itself, just the returned table's `Arc` clone.
+    /// Looks up a table by name in the current catalog snapshot.
     pub fn table(&self, name: &str) -> Result<Arc<Table>> {
-        self.inner
-            .catalog
-            .with(|cat| cat.tables.get(name).cloned())
+        self.load_catalog()
+            .tables
+            .get(name)
+            .cloned()
             .ok_or_else(|| Error::NoSuchTable(name.to_string()))
     }
 
-    /// All table names, sorted. Lock-free: the published snapshot keeps
-    /// its name list presorted, so this is one pinned access and a clone.
+    /// All table names, sorted (the published snapshot keeps its name
+    /// list presorted).
     pub fn list_tables(&self) -> Vec<String> {
-        self.inner
-            .catalog
-            .with(|cat| cat.sorted_names.iter().map(|n| n.to_string()).collect())
+        let cat = self.load_catalog();
+        cat.sorted_names.iter().map(|n| n.to_string()).collect()
     }
 
     /// Drops a table and deletes its files. Applications drop and recreate
@@ -368,7 +363,7 @@ impl Db {
     /// delete files, and flush the result cache's entries for it.
     fn drop_table_inner(&self, name: &str) -> Result<()> {
         let _writer = self.inner.catalog_lock.lock();
-        let snap = self.inner.catalog.load();
+        let snap = self.load_catalog();
         let table = snap
             .tables
             .get(name)
@@ -560,9 +555,6 @@ impl Db {
                 }
             }
         }
-        // Retune the cache's tier split from the ghost-list demand that
-        // accumulated since the last pass (no-op for static caches).
-        self.rebalance_cache();
         match first_err {
             Some(e) => Err(e),
             None => Ok(total),
@@ -585,35 +577,24 @@ impl Db {
         Ok(report)
     }
 
-    /// Rebalances the block cache's tier split from ghost-list demand
-    /// (see [`BlockCache::rebalance`]). Returns whether budget moved.
-    /// Called from [`Db::maintain`]; exposed for callers that drive
-    /// maintenance per table and want the cache retuned on their own
-    /// cadence.
+    /// Shim for the frozen `e2e` benchmark, which still calls it after
+    /// each maintenance pass: the cache's tier split is static, so there
+    /// is nothing to rebalance. Always `false`; a `[benchmark]` follow-up
+    /// removes the call and then this.
     pub fn rebalance_cache(&self) -> bool {
-        self.inner.cache.as_ref().is_some_and(|c| c.rebalance())
+        false
     }
 
-    /// Database-wide counters: catalog snapshot traffic and the adaptive
-    /// cache split's telemetry.
+    /// Database-wide counters: catalog snapshot traffic and the result
+    /// cache's telemetry.
     pub fn stats(&self) -> DbStatsSnapshot {
-        // Load counting lives in the snapshot cell itself, so the
-        // reported total includes the access this call makes to size
-        // the catalog.
-        let catalog_loads = self.inner.catalog.loads();
-        let tables = self.inner.catalog.with(|cat| cat.tables.len()) as u64;
         let mut snap = DbStatsSnapshot {
-            catalog_loads,
+            catalog_loads: self.inner.stats.catalog_loads.load(Ordering::Relaxed),
             catalog_publishes: self.inner.stats.catalog_publishes.load(Ordering::Relaxed),
-            tables,
+            tables: self.load_catalog().tables.len() as u64,
+            cache_split_fraction: Options::COMPRESSED_CACHE_FRACTION,
             ..DbStatsSnapshot::default()
         };
-        if let Some(cache) = &self.inner.cache {
-            snap.ghost_hits_decompressed = cache.ghost_hits_decompressed();
-            snap.ghost_hits_compressed = cache.ghost_hits_compressed();
-            snap.cache_rebalances = cache.rebalance_count();
-            snap.cache_split_fraction = cache.split_fraction();
-        }
         if let Some(rc) = &self.inner.result_cache {
             snap.result_cache_hits = rc.hits();
             snap.result_cache_misses = rc.misses();

@@ -12,6 +12,7 @@
 //! guarantee is *prefix durability* — if a row survives a crash, so does
 //! every row inserted into the same table before it.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod archive;
@@ -34,7 +35,6 @@ pub mod rollup;
 pub mod row;
 pub mod schema;
 pub mod stats;
-pub mod sync;
 pub mod table;
 pub mod tablet;
 pub mod util;

@@ -61,20 +61,6 @@ pub struct Options {
     /// two, then *down* while a shard's slice of the budget would fall
     /// below a useful minimum (see [`crate::cache::MIN_SHARD_SLICE`]).
     pub block_cache_shards: usize,
-    /// Fraction of [`Options::block_cache_bytes`] reserved for the
-    /// compressed tier, which holds the compressed bytes of blocks
-    /// evicted from the decompressed tier so they come back with a cheap
-    /// decompress instead of a disk seek. Clamped to `[0.0, 1.0]`; `0.0`
-    /// reproduces the single-tier cache.
-    pub compressed_cache_fraction: f64,
-    /// Retune the cache's tier split at maintenance time from ARC-style
-    /// ghost-list hit estimation (see [`crate::cache::BlockCache::rebalance`])
-    /// instead of pinning it at the configured fraction forever. The
-    /// configured split is still the starting point; thereafter each [`crate::db::Db::maintain`] pass
-    /// moves a bounded slice of the joint budget toward the tier with
-    /// more byte-weighted would-have-hits. Disable to reproduce the
-    /// static two-tier cache exactly (ablation, deterministic tests).
-    pub adaptive_cache_split: bool,
     /// Fail [`crate::db::Db::open`] outright when a referenced tablet is
     /// missing or fails footer/CRC validation, instead of quarantining the
     /// file (rename to `*.quarantine`, drop from the descriptor) and
@@ -110,8 +96,6 @@ impl Default for Options {
             maintenance_interval_ms: 1_000,
             block_cache_bytes: 64 << 20,
             block_cache_shards: 0,
-            compressed_cache_fraction: 0.25,
-            adaptive_cache_split: true,
             strict_open: false,
             result_cache_fraction: 1.0 / 16.0,
         }
@@ -119,6 +103,14 @@ impl Default for Options {
 }
 
 impl Options {
+    /// Fraction of the block cache's budget given to the compressed tier,
+    /// which holds the compressed bytes of blocks evicted from the
+    /// decompressed tier so they come back with a cheap decompress
+    /// instead of a disk seek. A constant: no workload in the benchmark
+    /// moved a tuner off it, and the best static split in the sweep that
+    /// once justified one sat next to it (EXPERIMENTS.md).
+    pub const COMPRESSED_CACHE_FRACTION: f64 = 0.25;
+
     /// The merge-policy view of these options.
     pub fn merge_policy(&self) -> MergePolicy {
         MergePolicy {
@@ -142,8 +134,7 @@ impl Options {
     /// sum to at most [`Options::block_cache_bytes`].
     pub fn cache_tier_budgets(&self) -> (usize, usize) {
         let total = self.block_cache_bytes - self.result_cache_budget();
-        let f = self.compressed_cache_fraction.clamp(0.0, 1.0);
-        let compressed = (total as f64 * f) as usize;
+        let compressed = (total as f64 * Self::COMPRESSED_CACHE_FRACTION) as usize;
         (total - compressed, compressed)
     }
 
@@ -174,8 +165,6 @@ mod tests {
         assert_eq!(o.max_sealed_backlog, 100);
         assert_eq!(o.block_cache_bytes, 64 << 20);
         assert_eq!(o.block_cache_shards, 0);
-        assert_eq!(o.compressed_cache_fraction, 0.25);
-        assert!(o.adaptive_cache_split);
         assert!(!o.strict_open);
         assert_eq!(o.result_cache_fraction, 1.0 / 16.0);
     }
@@ -194,14 +183,7 @@ mod tests {
         assert_eq!(d + c + result, 64 << 20);
         assert_eq!(c, 15 << 20); // default 25% split of the remainder
 
-        // Out-of-range fractions clamp instead of misbehaving.
-        o.compressed_cache_fraction = 7.0;
-        let (d, c) = o.cache_tier_budgets();
-        assert_eq!(d, 0);
-        assert_eq!(c, 60 << 20);
-
         // Disabling the result cache restores the full block budget.
-        o.compressed_cache_fraction = 0.25;
         o.result_cache_fraction = 0.0;
         assert_eq!(o.result_cache_budget(), 0);
         let (d, c) = o.cache_tier_budgets();

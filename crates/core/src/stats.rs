@@ -3,8 +3,8 @@
 //! [`TableStats`] backs the production-metrics figures of §5.2: rows
 //! scanned versus rows returned (Fig. 9), insert and query rates
 //! (§5.2.3), and flush/merge activity (write amplification, §5.1.3).
-//! [`DbStats`] covers the database-wide hot paths those tables share:
-//! lock-free catalog resolution and the adaptive block-cache split.
+//! [`DbStats`] counts the database-wide path those tables share: catalog
+//! loads and publishes.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -53,7 +53,7 @@ table_counters! {
     /// `latest` calls, also counted in `queries`.
     latest_calls,
     /// Read-path snapshot acquisitions: one per `query`/`latest` fast
-    /// path (an atomic pointer load, no mutex).
+    /// path (an `Arc` clone, never behind the state mutex).
     snapshot_loads,
     /// Snapshots published by the write and maintenance paths (one per
     /// tablet-set or schema transition).
@@ -133,37 +133,34 @@ impl TableStats {
     }
 }
 
-/// Database-wide counters: catalog mutation traffic plus, via
-/// [`crate::db::Db::stats`], the adaptive cache-split telemetry.
-/// Catalog *loads* are counted by the snapshot cell itself (its sharded
-/// pin counters double as the statistic), so the hot lookup path
-/// carries no bookkeeping beyond its own pin.
+/// Database-wide counters: catalog traffic.
 #[derive(Debug, Default)]
 pub struct DbStats {
+    /// Catalog snapshots loaded (one per table lookup, listing, DDL
+    /// statement or maintenance sweep).
+    pub catalog_loads: AtomicU64,
     /// Catalog snapshots published (create/drop, one per mutation).
     pub catalog_publishes: AtomicU64,
 }
 
-/// A plain-value snapshot of the database-wide counters, including the
-/// shared cache's adaptive-split telemetry. This is what the benches and
-/// the server stats path read.
+/// A plain-value snapshot of the database-wide counters. This is what
+/// the benches and the server stats path read.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct DbStatsSnapshot {
     /// Catalog snapshot loads: one per `Db::table()` / `list_tables()` /
-    /// maintenance sweep — each a single atomic load, no lock.
+    /// DDL statement / maintenance sweep.
     pub catalog_loads: u64,
     /// Catalog snapshots published by `create_table` / `drop_table`.
     pub catalog_publishes: u64,
     /// Tables in the current catalog snapshot.
     pub tables: u64,
-    /// Would-have-hits against the decompressed tier's ghost list.
-    pub ghost_hits_decompressed: u64,
-    /// Would-have-hits against the compressed tier's ghost list.
-    pub ghost_hits_compressed: u64,
-    /// Cache rebalances that actually moved budget between the tiers.
+    /// Shim for the frozen `e2e` benchmark's `core.cache.rebalances`:
+    /// the tier split is static, so always 0. A `[benchmark]` follow-up
+    /// removes the metric and then this.
     pub cache_rebalances: u64,
-    /// The compressed tier's current share of the joint cache budget in
-    /// [0, 1]; 0.0 when the cache is disabled.
+    /// Shim for the frozen `e2e` benchmark's `core.cache.split_fraction`:
+    /// always [`crate::options::Options::COMPRESSED_CACHE_FRACTION`].
+    /// A `[benchmark]` follow-up removes the metric and then this.
     pub cache_split_fraction: f64,
     /// Query-result cache hits across all tables.
     pub result_cache_hits: u64,

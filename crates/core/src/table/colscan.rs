@@ -321,7 +321,7 @@ impl Table {
     /// `emit`, cheapest unit first per block: footer stats where zones
     /// prove everything, otherwise the decoded block with the selection
     /// of rows that pass; materialized rows only from memtablets and
-    /// schema-lagging tablets. Runs from one lock-free read view, like
+    /// schema-lagging tablets. Runs from one read view, like
     /// [`Table::query`].
     pub fn pushdown_scan(
         &self,

@@ -4,8 +4,8 @@
 //!
 //! Module map:
 //! * [`state`] — the mutable `TableState` behind the mutex and the
-//!   immutable `TabletSnapshot` published to readers (the snapshot goes
-//!   out through the shared [`crate::sync::SnapshotCell`]);
+//!   immutable `TabletSnapshot` published to readers (an `Arc` swapped
+//!   in an `RwLock` whose write side is held for the swap only);
 //! * [`write`] — insert, uniqueness fast paths (§3.4.4), sealing;
 //! * [`read`] — `query`/`latest` and the streaming `QueryCursor`,
 //!   built entirely from a snapshot load, over [`crate::cursor`]'s merge
@@ -40,10 +40,9 @@ use crate::flushdeps::FlushDeps;
 use crate::options::Options;
 use crate::schema::{Schema, SchemaRef};
 use crate::stats::TableStats;
-use crate::sync::SnapshotCell;
 use crate::tablet::TabletReader;
 use littletable_vfs::{join, Clock, Micros, Vfs};
-use parking_lot::Mutex;
+use parking_lot::{Mutex, RwLock};
 use state::{DiskHandle, TableState, TabletSnapshot};
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -108,7 +107,7 @@ pub struct Table {
     state: Mutex<TableState>,
     /// The published read view; rebuilt and swapped (under the state
     /// mutex) at every tablet-set or schema transition.
-    snapshot: SnapshotCell<TabletSnapshot>,
+    snapshot: RwLock<Arc<TabletSnapshot>>,
     /// Table-wide insert sequence, stamped onto each row inside its
     /// memtablet's write lock. Readers load it *before* loading the
     /// snapshot and ignore memtable rows stamped at or above the loaded
@@ -167,7 +166,7 @@ impl Table {
             merge_running: false,
             dropped: false,
         };
-        let snapshot = SnapshotCell::new(Arc::new(state.build_snapshot()));
+        let snapshot = RwLock::new(Arc::new(state.build_snapshot()));
         Ok(Arc::new(Table {
             name,
             dir,
@@ -297,7 +296,7 @@ impl Table {
             merge_running: false,
             dropped: false,
         };
-        let snapshot = SnapshotCell::new(Arc::new(state.build_snapshot()));
+        let snapshot = RwLock::new(Arc::new(state.build_snapshot()));
         Ok(Arc::new(Table {
             name,
             dir,
@@ -323,7 +322,11 @@ impl Table {
     /// Rebuilds and publishes the read snapshot from the current state.
     /// The caller holds the state mutex, which serializes stores.
     pub(crate) fn publish_locked(&self, st: &TableState) {
-        self.snapshot.store(Arc::new(st.build_snapshot()));
+        let new = Arc::new(st.build_snapshot());
+        let old = std::mem::replace(&mut *self.snapshot.write(), new);
+        // Released after the write guard: the superseded snapshot may be
+        // the last owner of flushed memtablets and merged-away readers.
+        drop(old);
         TableStats::add(&self.stats.snapshot_publishes, 1);
     }
 
@@ -340,7 +343,7 @@ impl Table {
     /// older snapshot lacks, breaking the no-gaps guarantee.
     pub(crate) fn read_view(&self) -> (Arc<TabletSnapshot>, u64) {
         let cutoff = self.insert_seq.load(Ordering::SeqCst);
-        let snap = self.snapshot.load();
+        let snap = self.snapshot.read().clone();
         TableStats::add(&self.stats.snapshot_loads, 1);
         (snap, cutoff)
     }
@@ -367,12 +370,12 @@ impl Table {
 
     /// The current schema.
     pub fn schema(&self) -> SchemaRef {
-        self.snapshot.load().schema.clone()
+        self.snapshot.read().schema.clone()
     }
 
     /// The current TTL.
     pub fn ttl(&self) -> Option<Micros> {
-        self.snapshot.load().ttl
+        self.snapshot.read().ttl
     }
 
     /// Operational counters.
@@ -388,7 +391,7 @@ impl Table {
 
     /// Number of on-disk tablets.
     pub fn num_disk_tablets(&self) -> usize {
-        self.snapshot.load().disk.len()
+        self.snapshot.read().disk.len()
     }
 
     /// Number of filling in-memory tablets.
@@ -398,18 +401,18 @@ impl Table {
 
     /// Total compressed bytes across on-disk tablets.
     pub fn disk_bytes(&self) -> u64 {
-        self.snapshot.load().disk.iter().map(|h| h.meta.bytes).sum()
+        self.snapshot.read().disk.iter().map(|h| h.meta.bytes).sum()
     }
 
     /// Total rows across on-disk tablets (per descriptor counts).
     pub fn disk_rows(&self) -> u64 {
-        self.snapshot.load().disk.iter().map(|h| h.meta.rows).sum()
+        self.snapshot.read().disk.iter().map(|h| h.meta.rows).sum()
     }
 
     /// Total compressed bytes of tablets currently in the cold store.
     pub fn cold_bytes(&self) -> u64 {
         self.snapshot
-            .load()
+            .read()
             .disk
             .iter()
             .filter(|h| h.meta.cold)
@@ -498,7 +501,7 @@ impl Table {
 
     /// Whether this table has been dropped from its database.
     pub(crate) fn is_dropped(&self) -> bool {
-        self.snapshot.load().dropped
+        self.snapshot.read().dropped
     }
 
     /// Marks the given on-disk tablets as folded into every registered

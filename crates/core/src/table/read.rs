@@ -1,8 +1,9 @@
 //! The read path: `query`, `query_all`, `latest`, and the streaming
 //! [`QueryCursor`].
 //!
-//! Both entry points run entirely from one `read_view()` — a lock-free
-//! snapshot load plus an insert-sequence cutoff. Disk tablets are
+//! Both entry points run entirely from one `read_view()` — a snapshot
+//! load (an `Arc` clone, never behind the state mutex or any I/O) plus
+//! an insert-sequence cutoff. Disk tablets are
 //! immutable files behind `Arc`'d readers; in-memory tablets are
 //! snapshotted under their own read locks, each into one decoded block,
 //! with the cutoff filtering out rows inserted after the view was taken.
@@ -65,8 +66,8 @@ pub(super) fn mem_block(
 
 impl Table {
     /// Executes a query, returning a streaming cursor over matching rows
-    /// in key order. The fast path acquires no mutex: one snapshot load,
-    /// then per-memtablet read locks for the row copies.
+    /// in key order. The fast path never takes the state mutex: one
+    /// snapshot load, then per-memtablet read locks for the row copies.
     pub fn query(&self, q: &Query) -> Result<QueryCursor> {
         TableStats::add(&self.stats.queries, 1);
         let now = self.clock.now_micros();
@@ -130,7 +131,7 @@ impl Table {
     /// Finds the most recent row whose key starts with `prefix` (§3.4.5):
     /// works backwards through each group of tablets with overlapping
     /// timespans, consulting Bloom filters where available. Shares the
-    /// lock-free snapshot fast path with [`Table::query`].
+    /// snapshot fast path with [`Table::query`].
     pub fn latest(&self, prefix: &[Value]) -> Result<Option<Row>> {
         TableStats::add(&self.stats.queries, 1);
         TableStats::add(&self.stats.latest_calls, 1);

@@ -1,6 +1,6 @@
 //! Tablet-set bookkeeping: the mutable [`TableState`] behind the state
 //! mutex, the shared in-memory tablets it hands to readers, and the
-//! immutable [`TabletSnapshot`] published to the lock-free read path.
+//! immutable [`TabletSnapshot`] published to the read path.
 
 use crate::descriptor::TabletMeta;
 use crate::flushdeps::FlushDeps;

@@ -242,7 +242,7 @@ fn latest_and_query_all_count_queries_once() {
     let after2 = t.stats().snapshot();
     assert_eq!(after2.queries, after.queries + 1);
     assert_eq!(after2.latest_calls, after.latest_calls);
-    // Every read went through the lock-free snapshot.
+    // Every read went through the published snapshot.
     assert!(after2.snapshot_loads >= 2);
 }
 

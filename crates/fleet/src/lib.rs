@@ -35,6 +35,7 @@
 //!    archival refuses to overwrite it (`SyncReport::diverged`) until the
 //!    node is fenced and rolled back.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod client;

@@ -8,6 +8,7 @@
 //! Fusy–Gandouet–Meunier estimator with the usual small-range (linear
 //! counting) correction.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 /// Default precision: 2¹² registers ⇒ ~1.6% standard error, 4 kB dense.

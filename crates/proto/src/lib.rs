@@ -12,6 +12,7 @@
 //! reserved tag [`valuecodec::NULL_TAG`] marks an absent insert cell (a
 //! timestamp the client omitted for the server to stamp, §3.1).
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod frame;

@@ -11,8 +11,8 @@
 //! one seal/flush cycle per shard instead of racing per-insert — and two
 //! hot tables on different shards seal and flush in parallel instead of
 //! queueing behind one whole-catalog sweep. The sweep resolves its
-//! tables through the Db's lock-free catalog snapshots, so shards never
-//! contend with each other (or with query workers) on table resolution.
+//! tables through the Db's published catalog snapshots, so shards never
+//! wait on each other's flush I/O (or on DDL) to resolve a table.
 
 use littletable_core::db::Db;
 use std::hash::{DefaultHasher, Hash, Hasher};
@@ -103,10 +103,8 @@ impl GroupCommit {
     /// Each cycle: block until the shard's tables have dirty rows,
     /// coalesce further arrivals for up to `interval` (cut short when
     /// `rows_threshold` accumulates), then run one maintenance pass over
-    /// the tables that hash to this shard. Shard 0 also retunes the
-    /// adaptive cache split, standing in for the embedded engine's
-    /// whole-db maintenance doing so. Errors are retried implicitly by
-    /// the next cycle.
+    /// the tables that hash to this shard. Errors are retried implicitly
+    /// by the next cycle.
     ///
     /// [`stop`]: GroupCommit::stop
     pub fn run_shard(&self, idx: usize, db: &Db, rows_threshold: u64, interval: Duration) {
@@ -131,15 +129,13 @@ impl GroupCommit {
             let stopped = st.stopped;
             drop(st);
             // Sweep this shard's slice of the catalog. `list_tables` and
-            // `maintain_table` are lock-free snapshot loads, so a sweep
-            // costs nothing on other shards' tables beyond the hash.
+            // `maintain_table` resolve names against a loaded snapshot,
+            // so a sweep costs nothing on other shards' tables beyond
+            // the hash.
             for name in db.list_tables() {
                 if self.shard_of(&name) == idx {
                     let _ = db.maintain_table(&name);
                 }
-            }
-            if idx == 0 {
-                db.rebalance_cache();
             }
             shard.commits.fetch_add(1, Ordering::Relaxed);
             if stopped {

@@ -13,6 +13,7 @@
 //! spinning-disk physics (8 ms seeks against 120 MB/s sequential transfer);
 //! see [`disk`] for the substitution rationale.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod clock;

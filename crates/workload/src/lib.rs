@@ -9,6 +9,7 @@
 //! quantities like rows-scanned/rows-returned, actually drive the engine
 //! with the modelled mix.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod catalog;

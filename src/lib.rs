@@ -49,6 +49,7 @@
 //! assert_eq!(rows.len(), 1);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub use littletable_apps as apps;

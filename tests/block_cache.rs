@@ -6,8 +6,11 @@
 //! tablets without flushing the hot set, and disabling the cache
 //! reproduces the uncached read path exactly.
 
+use littletable::core::block::{Block, BlockEncoder};
+use littletable::core::cache::CompressedBlock;
+use littletable::core::stats::TableStats;
 use littletable::vfs::{Clock, DiskParams, SimClock, SimVfs};
-use littletable::{ColumnDef, ColumnType, Db, Options, Query, Row, Schema, Value};
+use littletable::{BlockCache, ColumnDef, ColumnType, Db, Options, Query, Row, Schema, Value};
 use std::sync::Arc;
 
 const START: i64 = 1_700_000_000_000_000;
@@ -293,51 +296,71 @@ fn two_tier_budget_holds_with_footers_under_pressure() {
 
 #[test]
 fn two_tier_beats_single_tier_at_equal_budget() {
-    // Same joint budget, same workload, on the simulated paper disk: the
-    // default 25% compressed slice must serve the overflow from memory
-    // where the single-tier config goes back to disk.
-    let run = |fraction: f64| {
-        let clock = SimClock::new(START);
-        let vfs = SimVfs::new(DiskParams::paper_disk(), clock.clone());
-        let opts = Options {
-            block_cache_bytes: 96 << 10,
-            block_cache_shards: 1,
-            compressed_cache_fraction: fraction,
-            // Static-split ablation: the adaptive tuner would float both
-            // runs toward the same split and erase the contrast.
-            adaptive_cache_split: false,
-            ..Options::small_for_tests()
-        };
-        let db = Db::open(Arc::new(vfs.clone()), Arc::new(clock.clone()), opts).unwrap();
-        let table = build_merged_table(&db, &clock, "t", 2400);
-        let probe = |table: &littletable::Table| {
-            for k in (0..1200).step_by(16) {
-                let rows = table
-                    .query_all(&Query::all().with_prefix(vec![Value::I64(k)]))
+    // Same joint budget, same access sequence, replayed the way the
+    // tablet reader drives the cache (decompressed tier, then compressed
+    // tier, then disk): the shipped 25% compressed slice must serve the
+    // overflow from memory where one decompressed tier of the whole
+    // budget goes back to disk.
+    let schema = schema();
+    let blocks: Vec<(Arc<Block>, CompressedBlock)> = (0..38i64)
+        .map(|b| {
+            let mut enc = BlockEncoder::new(&schema);
+            for i in b * 32..(b + 1) * 32 {
+                enc.add(&Row::new(row(i, START + i, (i % 251) as u8, 100)))
                     .unwrap();
-                assert_eq!(rows.len(), 1);
             }
-        };
-        // Warm both tiers, then clear the disk model's page/drive caches
-        // so the measured pass pays real seeks for every engine miss.
-        probe(&table);
-        probe(&table);
-        vfs.clear_caches();
-        let t0 = clock.now_micros();
-        probe(&table);
-        probe(&table);
-        let elapsed = clock.now_micros() - t0;
-        (elapsed, table.stats().snapshot())
+            let mut raw = Vec::new();
+            enc.finish(&mut raw);
+            let compressed = CompressedBlock {
+                bytes: littletable::compress::compress(&raw).into(),
+                uncompressed_len: raw.len() as u32,
+            };
+            (Arc::new(Block::parse(&raw, &schema).unwrap()), compressed)
+        })
+        .collect();
+    let stats = Arc::new(TableStats::default());
+    // Four cycles over the 38 blocks; returns (compressed-tier hits, disk reads).
+    let run = |cache: BlockCache| {
+        let tid = cache.register_tablet();
+        let (mut compressed_hits, mut disk_reads) = (0u32, 0u32);
+        for _ in 0..4 {
+            for (bi, (block, compressed)) in blocks.iter().enumerate() {
+                let bi = bi as u32;
+                if cache.get(tid, bi).is_some() {
+                    continue;
+                }
+                let compressed = match cache.take_compressed(tid, bi) {
+                    Some(c) => {
+                        compressed_hits += 1;
+                        c
+                    }
+                    None => {
+                        disk_reads += 1;
+                        compressed.clone()
+                    }
+                };
+                cache.insert(tid, bi, block.clone(), Some(compressed), &stats);
+                assert!(cache.bytes_used() <= cache.capacity());
+            }
+        }
+        (compressed_hits, disk_reads)
     };
+    let opts = Options {
+        block_cache_bytes: 96 << 10,
+        ..Options::small_for_tests()
+    };
+    let (decompressed, compressed) = opts.cache_tier_budgets();
+    let working_set: usize = blocks.iter().map(|(b, _)| b.byte_size()).sum();
+    assert!(working_set > decompressed + compressed, "must overflow");
 
-    let (single_micros, single_snap) = run(0.0);
-    let (two_tier_micros, two_tier_snap) = run(0.25);
-    assert_eq!(single_snap.cache_compressed_hits, 0);
-    assert!(two_tier_snap.cache_compressed_hits > 0);
+    let (single_hits, single_reads) = run(BlockCache::new(decompressed + compressed, 0, 1));
+    let (two_tier_hits, two_tier_reads) = run(BlockCache::new(decompressed, compressed, 1));
+    assert_eq!(single_hits, 0);
+    assert!(two_tier_hits > 0);
     assert!(
-        two_tier_micros < single_micros,
-        "two-tier must be strictly faster at the same budget: \
-         two-tier {two_tier_micros} µs vs single-tier {single_micros} µs"
+        two_tier_reads < single_reads,
+        "two-tier must go to disk less at the same budget: \
+         two-tier {two_tier_reads} reads vs single-tier {single_reads}"
     );
 }
 
@@ -350,7 +373,6 @@ fn footer_evictions_are_counted_and_queries_survive() {
     let opts = Options {
         block_cache_bytes: 32 << 10,
         block_cache_shards: 1,
-        compressed_cache_fraction: 0.0,
         ..Options::small_for_tests()
     };
     let db = Db::open(Arc::new(SimVfs::instant()), Arc::new(clock.clone()), opts).unwrap();
