@@ -11,16 +11,22 @@
 //! tiers:
 //!
 //! * The **upper (decompressed) tier** holds parsed [`Block`]s ready to
-//!   serve reads, plus cached [`TabletFooter`]s under their own charge
-//!   class — folding the paper's "footers cached almost indefinitely"
-//!   into a bounded budget instead of pinning one footer per reader
-//!   forever.
+//!   serve reads.
 //! * The **lower (compressed) tier** holds the *compressed* bytes of
 //!   blocks evicted from the upper tier. A re-read of a demoted block
 //!   costs one decompress (~tens of µs) instead of a disk seek (~10 ms
 //!   on the paper's drive), the read-amplification-vs-memory tradeoff of
 //!   the LSM literature. The two tiers are *exclusive*: promotion moves
 //!   an entry up, eviction demotes it down, so no block is charged twice.
+//!
+//! Cached [`TabletFooter`]s live beside the upper tier and are paid for
+//! out of its budget — folding the paper's "footers cached almost
+//! indefinitely" into a bounded budget instead of pinning one footer per
+//! reader forever. They sit in one unsharded CLOCK of their own, charged
+//! to the cache as a whole: their resident bytes come off every upper
+//! shard's slice in equal parts, up to half the upper tier, so a footer
+//! is refused only when it alone exceeds that half — not, as when footers
+//! hashed to a shard like blocks, whenever it exceeded one shard's slice.
 //!
 //! Design points:
 //!
@@ -49,7 +55,9 @@
 //! Locks are held only for map and slab bookkeeping — never across disk
 //! reads or decompression, and never one shard inside another (demotions
 //! gather their victims under the upper-tier lock, then insert them into
-//! the lower tier after releasing it). Concurrent misses on the same
+//! the lower tier after releasing it). The one nesting is a footer's
+//! admission, which holds the footer lock while it trims each upper shard
+//! to its reduced slice; no path takes the footer lock under a shard's. Concurrent misses on the same
 //! block may both decompress it; the second insert is dropped, which
 //! wastes a little CPU once but never blocks a reader behind another
 //! reader's I/O.
@@ -75,11 +83,6 @@ pub const MIN_SHARD_SLICE: usize = 16 << 10;
 /// Cache key: a never-reused tablet id plus the block's index within it.
 type BlockKey = (u64, u32);
 
-/// Pseudo block index under which a tablet's footer is cached. Real
-/// block indexes can never reach it: a tablet would need > 256 TB of
-/// 64 kB blocks, three orders of magnitude past `max_tablet_size`.
-const FOOTER_SLOT: u32 = u32::MAX;
-
 /// The compressed on-disk form of a block, retained so an eviction from
 /// the decompressed tier can be demoted instead of discarded.
 #[derive(Clone)]
@@ -90,14 +93,11 @@ pub struct CompressedBlock {
     pub uncompressed_len: u32,
 }
 
-/// Value held by an upper-tier slot: a hot decompressed block (with its
-/// compressed form kept for demotion) or a tablet footer.
-enum UpperValue {
-    Block {
-        block: Arc<Block>,
-        compressed: Option<CompressedBlock>,
-    },
-    Footer(Arc<TabletFooter>),
+/// Value held by an upper-tier slot: a hot decompressed block with its
+/// compressed form kept for demotion.
+struct HotBlock {
+    block: Arc<Block>,
+    compressed: Option<CompressedBlock>,
 }
 
 struct Slot<V> {
@@ -206,22 +206,34 @@ struct Shard<V> {
     bytes: AtomicUsize,
 }
 
-fn make_shards<V>(n: usize) -> Box<[Shard<V>]> {
-    (0..n)
-        .map(|_| Shard {
+impl<V> Default for Shard<V> {
+    fn default() -> Self {
+        Shard {
             inner: Mutex::new(TierInner::default()),
             bytes: AtomicUsize::new(0),
-        })
-        .collect()
+        }
+    }
+}
+
+fn make_shards<V>(n: usize) -> Box<[Shard<V>]> {
+    (0..n).map(|_| Shard::default()).collect()
 }
 
 /// The sharded, scan-resistant, two-tier block-and-footer cache. One
 /// instance is shared by every table of a [`crate::db::Db`].
 pub struct BlockCache {
-    /// Decompressed blocks and tablet footers.
-    upper: Box<[Shard<UpperValue>]>,
+    /// Decompressed blocks.
+    upper: Box<[Shard<HotBlock>]>,
     /// Compressed bytes of blocks demoted from the upper tier.
     lower: Box<[Shard<CompressedBlock>]>,
+    /// Tablet footers, keyed `(tablet id, 0)`. Its `bytes` mirror is what
+    /// the upper shards leave free: written only under the footer lock —
+    /// raised before the shards are trimmed for an admission, lowered
+    /// after a footer has left — and read by a block's admission under
+    /// its shard's lock. `Relaxed` is enough: an admission that takes a
+    /// shard's lock after the trim released it sees the raised value
+    /// through that mutex, and one that took it before is trimmed.
+    footers: Shard<Arc<TabletFooter>>,
     /// Per-shard tier slices, fixed at construction. Each shard enforces
     /// both under its lock, so the cache never grows past their sum.
     upper_shard_capacity: usize,
@@ -255,6 +267,7 @@ impl BlockCache {
         BlockCache {
             upper: make_shards(shards),
             lower: make_shards(shards),
+            footers: Shard::default(),
             upper_shard_capacity: decompressed_bytes / shards,
             lower_shard_capacity: compressed_bytes / shards,
             shard_mask: shards as u64 - 1,
@@ -276,6 +289,14 @@ impl BlockCache {
         ((h ^ (h >> 31)) & self.shard_mask) as usize
     }
 
+    /// One upper shard's slice once the resident footers' bytes have
+    /// come off every shard in equal parts. The footers' cap keeps the
+    /// deduction to at most half the slice.
+    fn upper_slice(&self) -> usize {
+        let footer_bytes = self.footers.bytes.load(Ordering::Relaxed);
+        self.upper_shard_capacity - footer_bytes.div_ceil(self.upper.len())
+    }
+
     /// Looks up a decompressed block, marking it recently used on a hit.
     pub fn get(&self, tablet_id: u64, block_index: u32) -> Option<Arc<Block>> {
         let key = (tablet_id, block_index);
@@ -283,14 +304,8 @@ impl BlockCache {
         let mut inner = shard.inner.lock();
         let &idx = inner.map.get(&key)?;
         let slot = inner.slots[idx].as_mut().expect("map points at live slot");
-        match &slot.value {
-            UpperValue::Block { block, .. } => {
-                let block = block.clone();
-                slot.referenced = true;
-                Some(block)
-            }
-            UpperValue::Footer(_) => None,
-        }
+        slot.referenced = true;
+        Some(slot.value.block.clone())
     }
 
     /// Removes and returns a block's compressed bytes from the lower
@@ -308,8 +323,7 @@ impl BlockCache {
 
     /// Admits a decompressed block, charged by its decompressed size plus
     /// the retained compressed bytes, evicting colder entries to fit.
-    /// Evicted blocks demote their compressed form to the lower tier;
-    /// evicted footers count against their owner's `footer_evictions`.
+    /// Evicted blocks demote their compressed form to the lower tier.
     /// Blocks too large for one shard's slice (and keys already present)
     /// skip the upper tier; their compressed bytes go straight down.
     pub fn insert(
@@ -336,7 +350,7 @@ impl BlockCache {
             if let Some(&idx) = inner.map.get(&key) {
                 // Lost a race with another miss on the same block.
                 inner.slots[idx].as_mut().expect("live slot").referenced = true;
-            } else if inner.evict_until_fits(charge, self.upper_shard_capacity, &mut victims) {
+            } else if inner.evict_until_fits(charge, self.upper_slice(), &mut victims) {
                 // New entries start unreferenced: a block read once and
                 // never touched again is the first to go, while anything
                 // re-read earns its second chance. This is what makes
@@ -344,7 +358,7 @@ impl BlockCache {
                 // one-off wide query) cheap to absorb.
                 inner.insert_slot(Slot {
                     key,
-                    value: UpperValue::Block { block, compressed },
+                    value: HotBlock { block, compressed },
                     charge,
                     owner: owner.clone(),
                     referenced: false,
@@ -360,85 +374,88 @@ impl BlockCache {
         self.settle_upper_victims(victims);
     }
 
-    /// Admits a tablet footer under its own charge class, evicting colder
-    /// entries (blocks or other footers) to fit. A footer too large for
-    /// one shard's slice is not admitted and will reload from disk on
-    /// each use — bounded memory wins over pinning at pathological sizes.
-    /// The refusal costs its owner what an eviction costs, the reload,
-    /// and is counted as one.
+    /// Admits a tablet footer, evicting colder footers to fit under the
+    /// footers' cap (half the upper tier) and trimming every upper shard
+    /// to the slice that is left once the footers' bytes have come off
+    /// it. A footer larger than the cap is not admitted and will reload
+    /// from disk on each use — bounded memory wins over pinning at
+    /// pathological sizes. The refusal costs its owner what an eviction
+    /// costs, the reload, and is counted as one.
     pub fn insert_footer(
         &self,
         tablet_id: u64,
         footer: Arc<TabletFooter>,
         owner: &Arc<TableStats>,
     ) {
-        let key = (tablet_id, FOOTER_SLOT);
+        let key = (tablet_id, 0);
         let charge = footer.approx_byte_size();
-        if charge > self.upper_shard_capacity {
+        let cap = self.decompressed_capacity() / 2;
+        if charge > cap {
             TableStats::add(&owner.footer_evictions, 1);
             return;
         }
-        let shard = &self.upper[self.shard_idx(key)];
-        let mut victims = Vec::new();
-        {
-            let mut inner = shard.inner.lock();
-            if let Some(&idx) = inner.map.get(&key) {
-                inner.slots[idx].as_mut().expect("live slot").referenced = true;
-            } else if inner.evict_until_fits(charge, self.upper_shard_capacity, &mut victims) {
-                inner.insert_slot(Slot {
-                    key,
-                    value: UpperValue::Footer(footer),
-                    charge,
-                    owner: owner.clone(),
-                    referenced: false,
-                });
-            }
-            shard.bytes.store(inner.bytes, Ordering::Relaxed);
+        let mut footers = self.footers.inner.lock();
+        if let Some(&idx) = footers.map.get(&key) {
+            footers.slots[idx].as_mut().expect("live slot").referenced = true;
+            return;
         }
-        self.settle_upper_victims(victims);
+        // Cannot fail: `charge <= cap`, and an emptied tier holds nothing.
+        let mut evicted = Vec::new();
+        footers.evict_until_fits(charge, cap, &mut evicted);
+        for victim in evicted {
+            TableStats::add(&victim.owner.footer_evictions, 1);
+        }
+        // Reserve the room first, so that no block is admitted into it
+        // while the shards are trimmed, then take it.
+        self.footers
+            .bytes
+            .store(footers.bytes + charge, Ordering::Relaxed);
+        let slice = self.upper_slice();
+        for shard in self.upper.iter() {
+            let mut victims = Vec::new();
+            {
+                let mut inner = shard.inner.lock();
+                inner.evict_until_fits(0, slice, &mut victims);
+                shard.bytes.store(inner.bytes, Ordering::Relaxed);
+            }
+            self.settle_upper_victims(victims);
+        }
+        footers.insert_slot(Slot {
+            key,
+            value: footer,
+            charge,
+            owner: owner.clone(),
+            referenced: false,
+        });
     }
 
     /// Looks up a cached footer, marking it recently used on a hit.
     pub fn get_footer(&self, tablet_id: u64) -> Option<Arc<TabletFooter>> {
-        let key = (tablet_id, FOOTER_SLOT);
-        let shard = &self.upper[self.shard_idx(key)];
-        let mut inner = shard.inner.lock();
-        let &idx = inner.map.get(&key)?;
-        let slot = inner.slots[idx].as_mut().expect("map points at live slot");
-        match &slot.value {
-            UpperValue::Footer(f) => {
-                let f = f.clone();
-                slot.referenced = true;
-                Some(f)
-            }
-            UpperValue::Block { .. } => None,
-        }
+        let mut footers = self.footers.inner.lock();
+        let &idx = footers.map.get(&(tablet_id, 0))?;
+        let slot = footers.slots[idx]
+            .as_mut()
+            .expect("map points at live slot");
+        slot.referenced = true;
+        Some(slot.value.clone())
     }
 
     /// True when `tablet_id`'s footer is currently resident, without
     /// touching its reference bit (observation only).
     pub fn footer_resident(&self, tablet_id: u64) -> bool {
-        let key = (tablet_id, FOOTER_SLOT);
-        let shard = &self.upper[self.shard_idx(key)];
-        shard.inner.lock().map.contains_key(&key)
+        self.footers.inner.lock().map.contains_key(&(tablet_id, 0))
     }
 
     /// Charges upper-tier evictions to their owners and demotes evicted
     /// blocks' compressed bytes into the lower tier. Called after the
     /// upper shard lock is released, so tier locks never nest.
-    fn settle_upper_victims(&self, victims: Vec<Slot<UpperValue>>) {
+    fn settle_upper_victims(&self, victims: Vec<Slot<HotBlock>>) {
         for victim in victims {
-            match victim.value {
-                UpperValue::Block { block, compressed } => {
-                    TableStats::add(&victim.owner.cache_evicted_bytes, block.byte_size() as u64);
-                    drop(block);
-                    if let Some(c) = compressed {
-                        self.insert_compressed(victim.key, c, &victim.owner);
-                    }
-                }
-                UpperValue::Footer(_) => {
-                    TableStats::add(&victim.owner.footer_evictions, 1);
-                }
+            let HotBlock { block, compressed } = victim.value;
+            TableStats::add(&victim.owner.cache_evicted_bytes, block.byte_size() as u64);
+            drop(block);
+            if let Some(c) = compressed {
+                self.insert_compressed(victim.key, c, &victim.owner);
             }
         }
     }
@@ -500,22 +517,31 @@ impl BlockCache {
             }
             shard.bytes.store(inner.bytes, Ordering::Relaxed);
         }
+        let mut footers = self.footers.inner.lock();
+        footers.remove_key(&(tablet_id, 0));
+        self.footers.bytes.store(footers.bytes, Ordering::Relaxed);
     }
 
     /// Current bytes held across both tiers (decompressed blocks with
     /// their retained compressed forms, footers, and demoted compressed
-    /// blocks). Each shard's slice is enforced under its lock, so this
-    /// can never exceed [`BlockCache::capacity`].
+    /// blocks). Each shard's slice, less its part of the footers' bytes,
+    /// is enforced under its lock, so this can never exceed
+    /// [`BlockCache::capacity`].
     pub fn bytes_used(&self) -> usize {
         self.decompressed_bytes_used() + self.compressed_bytes_used()
     }
 
-    /// Current upper-tier bytes (decompressed blocks + footers).
+    /// Current upper-tier bytes (decompressed blocks + footers). Read
+    /// under the footer lock, so never in the middle of an admission that
+    /// has reserved its room but not yet trimmed the shards for it.
     pub fn decompressed_bytes_used(&self) -> usize {
-        self.upper
+        let footers = self.footers.inner.lock();
+        let blocks: usize = self
+            .upper
             .iter()
             .map(|s| s.bytes.load(Ordering::Relaxed))
-            .sum()
+            .sum();
+        blocks + footers.bytes
     }
 
     /// Current lower-tier bytes (demoted compressed blocks).
@@ -547,7 +573,8 @@ impl BlockCache {
 
     /// Number of upper-tier entries currently cached (blocks + footers).
     pub fn entry_count(&self) -> usize {
-        self.upper.iter().map(|s| s.inner.lock().map.len()).sum()
+        let blocks: usize = self.upper.iter().map(|s| s.inner.lock().map.len()).sum();
+        blocks + self.footers.inner.lock().map.len()
     }
 
     /// Number of lower-tier (compressed block) entries currently cached.
@@ -753,37 +780,39 @@ mod tests {
         assert_eq!(cache.compressed_bytes_used(), 0);
     }
 
-    #[test]
-    fn footers_cache_evict_and_count() {
-        let schema = crate::schema::Schema::new(
+    /// A footer indexing `nblocks` blocks (~100 bytes of charge each).
+    fn footer(nblocks: usize) -> Arc<TabletFooter> {
+        let schema = Schema::new(
             vec![
-                crate::schema::ColumnDef::new("k", crate::value::ColumnType::I64),
-                crate::schema::ColumnDef::new("ts", crate::value::ColumnType::Timestamp),
+                ColumnDef::new("k", ColumnType::I64),
+                ColumnDef::new("ts", ColumnType::Timestamp),
             ],
             &["k", "ts"],
         )
         .unwrap();
-        let footer = |nblocks: usize| {
-            Arc::new(TabletFooter {
-                schema: schema.clone(),
-                min_ts: 0,
-                max_ts: 1,
-                row_count: 10,
-                bloom: None,
-                row_blocks: false,
-                blocks: (0..nblocks)
-                    .map(|i| crate::tablet::BlockIndexEntry {
-                        offset: i as u64 * 100,
-                        compressed_len: 100,
-                        uncompressed_len: 300,
-                        crc: None,
-                        rows: 0,
-                        zones: Vec::new(),
-                        last_key: vec![0u8; 16],
-                    })
-                    .collect(),
-            })
-        };
+        Arc::new(TabletFooter {
+            schema,
+            min_ts: 0,
+            max_ts: 1,
+            row_count: 10,
+            bloom: None,
+            row_blocks: false,
+            blocks: (0..nblocks)
+                .map(|i| crate::tablet::BlockIndexEntry {
+                    offset: i as u64 * 100,
+                    compressed_len: 100,
+                    uncompressed_len: 300,
+                    crc: None,
+                    rows: 0,
+                    zones: Vec::new(),
+                    last_key: vec![0u8; 16],
+                })
+                .collect(),
+        })
+    }
+
+    #[test]
+    fn footers_cache_evict_and_count() {
         let cache = BlockCache::new(4096, 0, 1);
         let st = stats();
         let a = cache.register_tablet();
@@ -802,8 +831,8 @@ mod tests {
         assert!(cache.bytes_used() <= cache.capacity());
         assert!(st.snapshot().footer_evictions > 0);
         assert!(ids.iter().any(|&t| !cache.footer_resident(t)));
-        // A footer larger than the shard's whole slice is refused, every
-        // time it is offered: each refusal is a reload, counted like one.
+        // A footer larger than the footers' cap is refused, every time it
+        // is offered: each refusal is a reload, counted like one.
         let big = cache.register_tablet();
         let huge = footer(200);
         assert!(huge.approx_byte_size() > cache.capacity());
@@ -857,6 +886,130 @@ mod tests {
     }
 
     #[test]
+    fn footer_over_one_shard_slice_is_cached_and_paid_for_by_every_shard() {
+        // Eight 32 kB upper shards; the footer is bigger than any one of
+        // them but under the footers' cap of half the tier.
+        let cache = BlockCache::new(256 << 10, 128 << 10, 8);
+        assert_eq!(cache.upper.len(), 8);
+        let big = footer(600);
+        let charge = big.approx_byte_size();
+        assert!(charge > cache.upper_shard_capacity);
+        assert!(charge <= cache.decompressed_capacity() / 2);
+        let st = stats();
+        // Blocks first, to every shard's full slice.
+        let tid = cache.register_tablet();
+        for i in 0..400u32 {
+            cache.insert(
+                tid,
+                i,
+                block_of_size(1000),
+                Some(compressed_of_size(100)),
+                &st,
+            );
+        }
+        let blocks_before = cache.entry_count();
+        assert!(cache.decompressed_bytes_used() + charge > cache.decompressed_capacity());
+        // Admission trims every shard by its part of the footer's bytes:
+        // the joint budget holds and the evicted blocks are demoted.
+        let f = cache.register_tablet();
+        for _ in 0..3 {
+            cache.insert_footer(f, big.clone(), &st);
+            assert!(cache.footer_resident(f));
+            assert!(cache.bytes_used() <= cache.capacity());
+        }
+        assert_eq!(st.snapshot().footer_evictions, 0);
+        assert!(Arc::ptr_eq(&cache.get_footer(f).unwrap(), &big));
+        assert!(cache.entry_count() < blocks_before);
+        assert!(st.snapshot().cache_evicted_bytes > 0);
+        // Blocks keep being admitted, into the slices that are left.
+        for i in 400..800u32 {
+            cache.insert(tid, i, block_of_size(1000), None, &st);
+            assert!(cache.bytes_used() <= cache.capacity());
+        }
+        assert!(cache.footer_resident(f));
+        // More footers than the cap holds: colder ones are evicted and
+        // counted, blocks are never squeezed below half their tier.
+        for _ in 0..8 {
+            cache.insert_footer(cache.register_tablet(), footer(600), &st);
+            assert!(cache.bytes_used() <= cache.capacity());
+        }
+        assert!(st.snapshot().footer_evictions > 0);
+        assert!(cache.upper_slice() >= cache.upper_shard_capacity / 2);
+        // Dropping a tablet gives its footer's room back to the shards.
+        let slice = cache.upper_slice();
+        for t in 1..=cache.register_tablet() {
+            cache.invalidate_tablet(t);
+        }
+        assert!(cache.upper_slice() > slice);
+        assert_eq!(cache.upper_slice(), cache.upper_shard_capacity);
+        assert_eq!(cache.bytes_used(), 0);
+    }
+
+    #[test]
+    fn second_query_reads_no_footer_bytes_when_footer_exceeds_a_shard_slice() {
+        use crate::db::Db;
+        use crate::options::Options;
+        use crate::query::Query;
+        use littletable_vfs::{DiskParams, SimClock, SimVfs};
+
+        let clock = SimClock::new(1_700_000_000_000_000);
+        let vfs = SimVfs::new(DiskParams::paper_disk(), clock.clone());
+        let opts = Options {
+            // 1 kB blocks make a footer of a few hundred index entries out
+            // of one small tablet; 640 kB is the least budget that keeps
+            // eight shards.
+            block_size: 1 << 10,
+            flush_size: 4 << 20,
+            block_cache_bytes: 640 << 10,
+            block_cache_shards: 8,
+            ..Options::small_for_tests()
+        };
+        let db = Db::open(Arc::new(vfs.clone()), Arc::new(clock), opts).unwrap();
+        let schema = Schema::new(
+            vec![
+                ColumnDef::new("k", ColumnType::I64),
+                ColumnDef::new("ts", ColumnType::Timestamp),
+                ColumnDef::new("v", ColumnType::Blob),
+            ],
+            &["k", "ts"],
+        )
+        .unwrap();
+        let table = db.create_table("t", schema, None).unwrap();
+        let rows = (0..4000i64)
+            .map(|i| {
+                vec![
+                    Value::I64(i),
+                    Value::Timestamp(1_700_000_000_000_000 + i),
+                    Value::Blob(vec![(i % 251) as u8; 100]),
+                ]
+            })
+            .collect();
+        table.insert(rows).unwrap();
+        table.flush_all().unwrap();
+        let cache = db.block_cache().unwrap();
+        assert_eq!(cache.upper.len(), 8);
+        let tablets = table.unfolded_tablets(true);
+        assert_eq!(tablets.len(), 1);
+        let reader = &tablets[0].1;
+        let charge = reader.footer().unwrap().approx_byte_size();
+        assert!(charge > cache.upper_shard_capacity, "footer {charge} B");
+        assert!(charge <= cache.decompressed_capacity() / 2);
+
+        let q = Query::all().with_prefix(vec![Value::I64(2000)]);
+        assert_eq!(table.query_all(&q).unwrap().len(), 1);
+        assert!(reader.footer_cached());
+        // Only the engine's cache can make the repeats free.
+        vfs.clear_caches();
+        let read_after_first = vfs.model().stats().bytes_read;
+        for _ in 0..3 {
+            assert_eq!(table.query_all(&q).unwrap().len(), 1);
+        }
+        assert_eq!(vfs.model().stats().bytes_read, read_after_first);
+        assert_eq!(table.stats().snapshot().footer_evictions, 0);
+        assert!(cache.bytes_used() <= cache.capacity());
+    }
+
+    #[test]
     fn concurrent_inserts_never_exceed_budget() {
         let cache = Arc::new(BlockCache::new(64 << 10, 16 << 10, 4));
         let st = stats();
@@ -876,6 +1029,16 @@ mod tests {
                     );
                     let _ = cache.get(tid, i.wrapping_sub(t as u32));
                     assert!(cache.bytes_used() <= cache.capacity());
+                    // Footers come and go beside the blocks: admissions
+                    // (the cap holds three of these) and invalidations.
+                    if i % 8 == t as u32 {
+                        let f = cache.register_tablet();
+                        cache.insert_footer(f, footer(80), &st);
+                        assert!(cache.bytes_used() <= cache.capacity());
+                        if i % 16 == t as u32 {
+                            cache.invalidate_tablet(f);
+                        }
+                    }
                 }
             }));
         }
