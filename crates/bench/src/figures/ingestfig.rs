@@ -1,16 +1,15 @@
 //! BENCH_ingest: pipelined ingest throughput of the nonblocking
-//! readiness-loop server vs. a thread-per-connection baseline.
+//! readiness-loop server.
 //!
 //! Not a figure from the paper — it characterises this implementation's
 //! ingest front end (the paper's deployment ingests from thousands of
 //! access points through a handful of collector connections per shard,
-//! §4). Both servers front an identical engine on an instant simulated
-//! disk and speak the same pipelined wire protocol; the only variable is
-//! the connection-handling architecture. Clients keep a bounded window
-//! of insert batches in flight and record per-batch acknowledgement
-//! latency; the figure reports aggregate rows/s and p99 ack latency
-//! over a connections × batch-size grid, measured in wall-clock time on
-//! real sockets.
+//! §4). The server fronts an engine on an instant simulated disk;
+//! clients keep a bounded window of insert batches in flight and record
+//! per-batch acknowledgement latency; the figure reports aggregate
+//! rows/s and p99 ack latency over a connections × batch-size grid,
+//! measured in wall-clock time on real sockets. It stands in for the
+//! concurrent-ingest workload the `e2e` benchmark does not have yet.
 
 use crate::report::FigureResult;
 use littletable_core::db::Db;
@@ -24,7 +23,7 @@ use littletable_server::{handle_request, Server, ServerConfig};
 use littletable_vfs::{SimClock, SimVfs};
 use std::collections::VecDeque;
 use std::io::BufReader;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -45,100 +44,14 @@ fn ingest_schema() -> Schema {
 
 fn bench_db() -> Db {
     // Instant simulated disk: the quantity under test is the front end,
-    // not the storage stack. Background maintenance is off; each server
-    // variant brings its own flush policy.
+    // not the storage stack. Background maintenance is off; the server's
+    // group committer drives flushes.
     Db::open(
         Arc::new(SimVfs::instant()),
         Arc::new(SimClock::new(1_700_000_000_000_000)),
         Options::small_for_tests(),
     )
     .unwrap()
-}
-
-/// The pre-rework architecture, kept as the benchmark baseline: one
-/// blocking handler thread per connection, responses written per
-/// request, maintenance driven per-request rather than group-committed.
-/// It speaks the same enveloped protocol, so the identical client loop
-/// drives both servers. Accepts exactly `conns` connections; drops the
-/// listener afterwards and joins handlers when clients hang up.
-struct ThreadPerConnServer {
-    addr: SocketAddr,
-    accept: Option<std::thread::JoinHandle<()>>,
-}
-
-impl ThreadPerConnServer {
-    fn start(db: Db, conns: usize) -> ThreadPerConnServer {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        // One maintenance guard shared by every handler, standing in for
-        // the old single background maintenance thread: handlers pool
-        // their dirty-row counts and exactly one runs maintenance at a
-        // time (concurrent maintainers are not a supported engine mode).
-        let maint: Arc<(std::sync::atomic::AtomicU64, std::sync::Mutex<()>)> = Arc::default();
-        let accept = std::thread::spawn(move || {
-            let mut handlers = Vec::new();
-            for _ in 0..conns {
-                let (stream, _) = match listener.accept() {
-                    Ok(a) => a,
-                    Err(_) => break,
-                };
-                let db = db.clone();
-                let maint = maint.clone();
-                handlers.push(std::thread::spawn(move || {
-                    let _ = Self::serve(&db, stream, &maint);
-                }));
-            }
-            for h in handlers {
-                let _ = h.join();
-            }
-        });
-        ThreadPerConnServer {
-            addr,
-            accept: Some(accept),
-        }
-    }
-
-    fn serve(
-        db: &Db,
-        mut stream: TcpStream,
-        maint: &(std::sync::atomic::AtomicU64, std::sync::Mutex<()>),
-    ) -> std::io::Result<()> {
-        use std::sync::atomic::Ordering;
-        stream.set_nodelay(true)?;
-        let mut reader = BufReader::new(stream.try_clone()?);
-        loop {
-            let payload = match read_frame(&mut reader)? {
-                Some(p) => p,
-                None => return Ok(()),
-            };
-            let (id, req) = match littletable_proto::decode_request_frame(&payload) {
-                Ok(x) => x,
-                Err(_) => return Ok(()),
-            };
-            let resp = handle_request(db, req);
-            if let Response::InsertResult { inserted, .. } = &resp {
-                let dirty = maint.0.fetch_add(*inserted, Ordering::Relaxed) + *inserted;
-                if dirty >= 4096 {
-                    // A handler that finds the guard taken skips; the
-                    // maintainer in progress covers its rows.
-                    if let Ok(_g) = maint.1.try_lock() {
-                        maint.0.store(0, Ordering::Relaxed);
-                        let _ = db.maintain();
-                    }
-                }
-            }
-            write_frame(
-                &mut stream,
-                &littletable_proto::encode_response_frame(id, &resp),
-            )?;
-        }
-    }
-
-    fn join(mut self) {
-        if let Some(h) = self.accept.take() {
-            let _ = h.join();
-        }
-    }
 }
 
 /// Drives `conns` pipelined client connections against `addr`, each
@@ -234,22 +147,6 @@ fn measure_nonblocking(conns: usize, batch: usize, batches: usize) -> (f64, f64)
     out
 }
 
-fn measure_baseline(conns: usize, batch: usize, batches: usize) -> (f64, f64) {
-    let db = bench_db();
-    handle_request(
-        &db,
-        Request::CreateTable {
-            table: TABLE.into(),
-            schema: ingest_schema(),
-            ttl: None,
-        },
-    );
-    let server = ThreadPerConnServer::start(db, conns);
-    let out = run_clients(server.addr, conns, batch, batches);
-    server.join();
-    out
-}
-
 /// Runs the figure.
 pub fn run(quick: bool) -> FigureResult {
     let (conn_grid, batch_grid, rows_per_cell): (&[usize], &[usize], usize) = if quick {
@@ -260,7 +157,7 @@ pub fn run(quick: bool) -> FigureResult {
 
     let mut fig = FigureResult::new(
         "BENCH_ingest",
-        "Pipelined ingest: nonblocking event loop vs. thread-per-connection",
+        "Pipelined ingest through the nonblocking event loop",
         "client connections",
         "rows/s (series also report p99 batch-ack ms)",
     );
@@ -269,31 +166,19 @@ pub fn run(quick: bool) -> FigureResult {
     for &batch in batch_grid {
         let mut nb_tp = Vec::new();
         let mut nb_p99 = Vec::new();
-        let mut tc_tp = Vec::new();
-        let mut tc_p99 = Vec::new();
         for &conns in conn_grid {
             let batches = (rows_per_cell / (conns * batch)).max(4);
             let (tp, p99) = measure_nonblocking(conns, batch, batches);
             nb_tp.push((conns as f64, tp));
             nb_p99.push((conns as f64, p99));
-            let (tp_b, p99_b) = measure_baseline(conns, batch, batches);
-            tc_tp.push((conns as f64, tp_b));
-            tc_p99.push((conns as f64, p99_b));
             if conns >= 64 {
                 summary.push(format!(
-                    "{conns} conns, batch {batch}: nonblocking {:.0} rows/s (p99 {:.2} ms) \
-                     vs thread-per-conn {:.0} rows/s (p99 {:.2} ms)",
-                    tp, p99, tp_b, p99_b
+                    "{conns} conns, batch {batch}: {tp:.0} rows/s (p99 {p99:.2} ms)"
                 ));
             }
         }
         fig.push_series(&format!("nonblocking rows/s (batch {batch})"), nb_tp);
-        fig.push_series(&format!("thread-per-conn rows/s (batch {batch})"), tc_tp);
         fig.push_series(&format!("nonblocking p99 ack ms (batch {batch})"), nb_p99);
-        fig.push_series(
-            &format!("thread-per-conn p99 ack ms (batch {batch})"),
-            tc_p99,
-        );
     }
 
     fig.paper(
@@ -307,12 +192,6 @@ pub fn run(quick: bool) -> FigureResult {
         "pipelined clients, window {WINDOW} batches in flight per connection; \
          wall-clock timing on real sockets; instant simulated disk"
     ));
-    fig.note(
-        "both servers speak the identical enveloped protocol and front the same \
-         engine options; the variable is the connection-handling architecture \
-         (poll-based worker shards + group commit vs. one blocking thread per \
-         connection with per-handler maintenance)",
-    );
     if quick {
         fig.note(&format!(
             "quick mode: ~{} rows per grid cell",
@@ -324,30 +203,13 @@ pub fn run(quick: bool) -> FigureResult {
 
 #[cfg(test)]
 mod tests {
-    /// Manual A/B probe of one grid cell; run with
-    /// `cargo test -p littletable-bench --release -- --ignored --nocapture ingest_cell`.
-    #[test]
-    #[ignore]
-    fn ingest_cell_probe() {
-        for round in 0..3 {
-            let (tp, p99) = super::measure_nonblocking(64, 64, 16);
-            let (tpb, p99b) = super::measure_baseline(64, 64, 16);
-            println!(
-                "round {round}: nonblocking {tp:.0} rows/s (p99 {p99:.1} ms) vs \
-                 baseline {tpb:.0} rows/s (p99 {p99b:.1} ms)"
-            );
-        }
-    }
-
     #[test]
     fn ingest_figure_runs_smoke() {
         let dir = std::env::temp_dir().join(format!("ltingest-smoke-{}", std::process::id()));
         std::env::set_var("LITTLETABLE_FIGURE_DIR", &dir);
-        // Tiny direct grid rather than run(true): smoke-checks both
-        // server paths without a multi-second perf run in unit tests.
+        // One tiny cell rather than run(true): a smoke check without a
+        // multi-second perf run in unit tests.
         let (tp, p99) = super::measure_nonblocking(4, 32, 8);
-        assert!(tp > 0.0 && p99 > 0.0);
-        let (tp, p99) = super::measure_baseline(4, 32, 8);
         assert!(tp > 0.0 && p99 > 0.0);
         std::env::remove_var("LITTLETABLE_FIGURE_DIR");
         let _ = std::fs::remove_dir_all(dir);

@@ -11,7 +11,6 @@ pub mod fig9;
 pub mod fleetfigs;
 pub mod headline;
 pub mod ingestfig;
-pub mod rollupfig;
 
 #[cfg(test)]
 mod smoke_tests {
@@ -45,26 +44,6 @@ mod smoke_tests {
 
         let rates = super::fleetfigs::run_rates(true);
         assert_eq!(rates.series.len(), 2);
-        std::env::remove_var("LITTLETABLE_FIGURE_DIR");
-        let _ = std::fs::remove_dir_all(dir);
-    }
-
-    #[test]
-    fn rollup_figure_shows_dashboard_speedup() {
-        let dir = std::env::temp_dir().join(format!("ltrollup-smoke-{}", std::process::id()));
-        std::env::set_var("LITTLETABLE_FIGURE_DIR", &dir);
-        // run() asserts the >=5x acceptance bound and the zero-base-read
-        // counters internally.
-        let fig = super::rollupfig::run(true);
-        assert_eq!(fig.series.len(), 3);
-        // Compare steady-state repeats (refresh #2 on) — refresh #1 is
-        // the cold start on every path.
-        let push = fig.series[0].points[1].1;
-        let cached = fig.series[2].points.last().unwrap().1;
-        assert!(
-            push >= 5.0 * cached.max(1e-3),
-            "cached dashboard refresh not >=5x faster: {push} ms vs {cached} ms"
-        );
         std::env::remove_var("LITTLETABLE_FIGURE_DIR");
         let _ = std::fs::remove_dir_all(dir);
     }

@@ -1,11 +1,11 @@
 //! Benchmark harness regenerating every table and figure of the
 //! LittleTable paper's evaluation (§5).
 //!
-//! Each figure has a binary (`cargo run -p littletable-bench --release
-//! --bin fig2` and friends) that prints the regenerated series alongside
-//! the paper's reference numbers and writes JSON to `target/figures/`.
-//! `--bin all_figures` runs the full set. Pass `--quick` for a reduced,
-//! CI-sized run.
+//! One binary runs them by name (`cargo run -p littletable-bench
+//! --release --bin figures -- fig2`), printing the regenerated series
+//! alongside the paper's reference numbers and writing JSON to
+//! `target/figures/`; `figures all` runs the full set. Pass `--quick` for
+//! a reduced, CI-sized run.
 //!
 //! Methodology: the real engine runs against the simulated spinning disk
 //! of `littletable-vfs` (seeks, transfers, and readahead measured in

@@ -1030,7 +1030,7 @@ mod tests {
                     let _ = cache.get(tid, i.wrapping_sub(t as u32));
                     assert!(cache.bytes_used() <= cache.capacity());
                     // Footers come and go beside the blocks: admissions
-                    // (the cap holds three of these) and invalidations.
+                    // (the cap holds a few of these) and invalidations.
                     if i % 8 == t as u32 {
                         let f = cache.register_tablet();
                         cache.insert_footer(f, footer(80), &st);

@@ -324,7 +324,7 @@ mod tests {
     use littletable_proto::{decode_response_frame, encode_request_frame, read_frame, write_frame};
     use littletable_vfs::{SimClock, SimVfs};
     use std::io::{self, Write};
-    use std::net::{TcpListener, TcpStream};
+    use std::net::TcpStream;
     use std::sync::Arc;
     use std::time::{Duration, Instant};
 
@@ -1100,47 +1100,8 @@ mod tests {
         server.shutdown();
     }
 
-    /// The old `serve_connection` loop: 200 ms read timeout with a bare
-    /// `continue` on mid-frame timeouts. Kept as a test fixture to show
-    /// the desync bug the incremental decoder fixes.
-    fn old_style_serve(db: &Db, mut stream: TcpStream) -> io::Result<()> {
-        stream.set_nodelay(true)?;
-        stream.set_read_timeout(Some(Duration::from_millis(200)))?;
-        let mut reader = io::BufReader::new(stream.try_clone()?);
-        loop {
-            let payload = match read_frame(&mut reader) {
-                Ok(Some(p)) => p,
-                Ok(None) => return Ok(()),
-                Err(e)
-                    if e.kind() == io::ErrorKind::WouldBlock
-                        || e.kind() == io::ErrorKind::TimedOut =>
-                {
-                    // BUG: read_frame may already have consumed the header
-                    // and part of the payload; retrying from scratch
-                    // desyncs the stream.
-                    continue;
-                }
-                Err(e) => return Err(e),
-            };
-            let (id, resp) = match littletable_proto::decode_request_frame(&payload) {
-                Ok((id, req)) => (id, handle_request(db, req)),
-                Err(e) => (
-                    0,
-                    Response::Error {
-                        kind: ErrorKind::Internal,
-                        message: format!("malformed request: {e}"),
-                    },
-                ),
-            };
-            write_frame(
-                &mut stream,
-                &littletable_proto::encode_response_frame(id, &resp),
-            )?;
-        }
-    }
-
     /// Writes one valid frame in two halves, split mid-payload, with a
-    /// pause longer than the old loop's 200 ms read timeout.
+    /// pause between them.
     fn write_split_frame(stream: &mut TcpStream, payload: &[u8], pause: Duration) {
         let mut framed = Vec::new();
         framed.extend_from_slice(&(payload.len() as u32).to_le_bytes());
@@ -1153,41 +1114,10 @@ mod tests {
         stream.flush().unwrap();
     }
 
-    /// Regression: a slow writer that pauses mid-frame desyncs the old
-    /// blocking loop (consumed bytes are lost on timeout) …
-    #[test]
-    fn slow_writer_desyncs_old_blocking_loop() {
-        let db = test_db();
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let handle = std::thread::spawn(move || {
-            let (stream, _) = listener.accept().unwrap();
-            old_style_serve(&db, stream)
-        });
-        let mut stream = TcpStream::connect(addr).unwrap();
-        let payload = encode_request_frame(
-            1,
-            &Request::GetSchema {
-                table: "zzzzzz".into(),
-            },
-        );
-        write_split_frame(&mut stream, &payload, Duration::from_millis(350));
-        // The old loop lost the two payload bytes it consumed before the
-        // timeout, then misread the remaining payload as a frame header —
-        // a bogus length it rejects, killing the connection without ever
-        // answering.
-        let mut reader = io::BufReader::new(stream.try_clone().unwrap());
-        if let Ok(Some(_)) = read_frame(&mut reader) {
-            panic!("old loop unexpectedly answered a split frame");
-        } // Ok(None) / Err: connection died — the desync
-        assert!(
-            handle.join().unwrap().is_err(),
-            "old loop should error out on the desynced stream"
-        );
-    }
-
-    /// … while the incremental decoder preserves partial state across
-    /// arbitrarily slow writers and answers correctly.
+    /// Regression: a writer that pauses mid-frame once desynced the
+    /// stream (a blocking loop with a 200 ms read timeout dropped the
+    /// bytes it had consumed). The incremental decoder preserves partial
+    /// state across arbitrarily slow writers and answers correctly.
     #[test]
     fn slow_writer_is_fine_with_incremental_decoder() {
         let db = test_db();

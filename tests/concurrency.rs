@@ -12,7 +12,7 @@ use littletable::{
     ColumnDef, ColumnType, Db, Error, Options, Query, Schema, Session, SqlOutput, Value,
 };
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 use std::thread;
 
 const START: i64 = 1_700_000_000 * MICROS_PER_SEC;
@@ -187,7 +187,7 @@ fn readers_see_consistent_snapshots_under_maintenance() {
         assert_eq!(latest.values[1], Value::I64(ROWS_PER_WRITER - 1));
     }
     // The read path really ran snapshot-based: every query and latest
-    // call above loaded a published snapshot without the state mutex.
+    // call above loaded a published snapshot, never the state mutex.
     let stats = table.stats().snapshot();
     assert!(stats.snapshot_loads > 0);
     assert!(stats.snapshot_publishes > 0);
@@ -195,7 +195,7 @@ fn readers_see_consistent_snapshots_under_maintenance() {
 }
 
 /// Catalog churn oracle: writer threads create and drop tables in a
-/// tight loop while reader threads resolve names through the lock-free
+/// tight loop while reader threads resolve names through the published
 /// catalog. Every observation must be consistent:
 ///
 ///  - a static anchor table is present in every `list_tables()` view,
@@ -208,8 +208,8 @@ fn readers_see_consistent_snapshots_under_maintenance() {
 ///    since catalog publishes are totally ordered.
 ///
 /// Runs under the TSan CI job, which is what actually checks that the
-/// mutex-free `Db::table()` / `list_tables()` loads race cleanly with
-/// concurrent `create_table` / `drop_table` publishes.
+/// `Db::table()` / `list_tables()` loads race cleanly with concurrent
+/// `create_table` / `drop_table` publishes.
 #[test]
 fn catalog_churn_keeps_lookups_consistent() {
     const SLOTS: usize = 2;
@@ -406,6 +406,152 @@ fn drop_and_recreate_same_name_isolates_generations() {
     let third = db.create_table("t", schema(), None).unwrap();
     assert_eq!(third.query_all(&Query::all()).unwrap().len(), 0);
     assert_eq!(third.num_disk_tablets(), 0);
+}
+
+fn marker_row(writer: i64, seq: i64) -> Vec<Value> {
+    vec![
+        Value::I64(writer),
+        Value::I64(seq),
+        Value::Timestamp(START + seq),
+        Value::I64(seq),
+    ]
+}
+
+/// A reader that loaded a tablet snapshot keeps a fully usable old
+/// generation however many snapshots are published after it, and the
+/// publishes do not wait for it: the writer below completes over a
+/// thousand of them — flushes that retire the memtablet the reader's
+/// cursor points into, merges that delete its tablet files — while the
+/// reader sits on its cursor, blocked until the writer is done. (A store
+/// that waited for readers to let go would deadlock here.)
+#[test]
+fn held_snapshot_outlives_a_thousand_publishes() {
+    const OLD_ROWS: i64 = 300;
+    let clock = SimClock::new(START);
+    let db = Db::open(
+        Arc::new(SimVfs::instant()),
+        Arc::new(clock.clone()),
+        Options::small_for_tests(),
+    )
+    .unwrap();
+    let table = db.create_table("s", schema(), None).unwrap();
+    // The old generation: two disk tablets and a filling memtablet.
+    for i in 0..OLD_ROWS {
+        table.insert(vec![marker_row(0, i)]).unwrap();
+        if i == 100 || i == 200 {
+            table.flush_all().unwrap();
+        }
+    }
+
+    let (holding_tx, holding_rx) = mpsc::channel();
+    let (done_tx, done_rx) = mpsc::channel();
+    thread::scope(|s| {
+        let reader = {
+            let table = table.clone();
+            s.spawn(move || {
+                let mut cursor = table.query(&Query::all()).unwrap();
+                let first = cursor.next_row().unwrap().expect("old generation has rows");
+                assert_eq!(first.values[1], Value::I64(0));
+                holding_tx.send(()).unwrap();
+                done_rx.recv().unwrap();
+                let mut seen = 1;
+                while let Some(row) = cursor.next_row().unwrap() {
+                    assert_eq!(row.values[0], Value::I64(0), "a later writer's row");
+                    assert_eq!(row.values[1], Value::I64(seen), "gap or repeat");
+                    seen += 1;
+                }
+                assert_eq!(seen, OLD_ROWS, "the held snapshot lost rows");
+            })
+        };
+        holding_rx.recv().unwrap();
+        let before = table.stats().snapshot().snapshot_publishes;
+        let mut i = 0;
+        while table.stats().snapshot().snapshot_publishes < before + 1_000 {
+            table.insert(vec![marker_row(1, i)]).unwrap();
+            table.flush_all().unwrap();
+            if i % 16 == 15 {
+                while table.run_merge_once(clock.now_micros()).unwrap() {}
+            }
+            i += 1;
+        }
+        done_tx.send(()).unwrap();
+        reader.join().unwrap();
+    });
+    // And the current generation holds both writers' rows.
+    assert_eq!(
+        table.query_all(&Query::all()).unwrap().len() as u64,
+        table.stats().snapshot().rows_inserted
+    );
+}
+
+/// The same for the catalog: a reader that resolved a table handle (and
+/// opened a cursor on it) keeps the old generation's rows across a
+/// thousand `drop -> create` cycles of the same name, none of which
+/// waits for it, and never sees a later generation through it.
+#[test]
+fn held_table_handle_outlives_a_thousand_drop_create_cycles() {
+    const CYCLES: i64 = 1_000;
+    let clock = SimClock::new(START);
+    let db = Db::open(
+        Arc::new(SimVfs::instant()),
+        Arc::new(clock),
+        Options::small_for_tests(),
+    )
+    .unwrap();
+    let first = db.create_table("t", schema(), None).unwrap();
+    first.insert(vec![marker_row(7, 0)]).unwrap();
+    first.flush_all().unwrap();
+    first.insert(vec![marker_row(7, 1)]).unwrap();
+    drop(first);
+
+    let (holding_tx, holding_rx) = mpsc::channel();
+    let (done_tx, done_rx) = mpsc::channel();
+    thread::scope(|s| {
+        let reader = {
+            let db = &db;
+            s.spawn(move || {
+                let old = db.table("t").unwrap();
+                let mut cursor = old.query(&Query::all()).unwrap();
+                // Reading the first row opens the disk tablet: a drop
+                // deletes files at once, and an open handle is what
+                // survives the unlink.
+                let next_seq = |cursor: &mut littletable::core::QueryCursor| {
+                    let row = cursor.next_row().unwrap()?;
+                    assert_eq!(row.values[0], Value::I64(7));
+                    let Value::I64(seq) = row.values[1] else {
+                        panic!("bad marker row {row:?}");
+                    };
+                    Some(seq)
+                };
+                assert_eq!(next_seq(&mut cursor), Some(0));
+                holding_tx.send(()).unwrap();
+                done_rx.recv().unwrap();
+                // The cursor drains the rest of generation 0, though its
+                // files are long deleted and its name a thousand times
+                // reused.
+                assert_eq!(next_seq(&mut cursor), Some(1));
+                assert_eq!(next_seq(&mut cursor), None);
+                // New calls on the old handle fail cleanly; the name now
+                // resolves to the last generation only.
+                assert!(matches!(
+                    old.query_all(&Query::all()),
+                    Err(Error::NoSuchTable(_))
+                ));
+                let rows = db.table("t").unwrap().query_all(&Query::all()).unwrap();
+                assert_eq!(rows.len(), 1);
+                assert_eq!(rows[0].values[1], Value::I64(CYCLES));
+            })
+        };
+        holding_rx.recv().unwrap();
+        for generation in 1..=CYCLES {
+            db.drop_table("t").unwrap();
+            let t = db.create_table("t", schema(), None).unwrap();
+            t.insert(vec![marker_row(8, generation)]).unwrap();
+        }
+        done_tx.send(()).unwrap();
+        reader.join().unwrap();
+    });
+    assert_eq!(db.stats().catalog_publishes, 1 + 2 * CYCLES as u64);
 }
 
 /// The query-result cache keys on the table's generation, so a result
