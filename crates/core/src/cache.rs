@@ -57,10 +57,10 @@
 //! gather their victims under the upper-tier lock, then insert them into
 //! the lower tier after releasing it). The one nesting is a footer's
 //! admission, which holds the footer lock while it trims each upper shard
-//! to its reduced slice; no path takes the footer lock under a shard's. Concurrent misses on the same
-//! block may both decompress it; the second insert is dropped, which
-//! wastes a little CPU once but never blocks a reader behind another
-//! reader's I/O.
+//! to its reduced slice; no path takes the footer lock under a shard's.
+//! Concurrent misses on the same block may both decompress it; the second
+//! insert is dropped, which wastes a little CPU once but never blocks a
+//! reader behind another reader's I/O.
 
 use crate::block::Block;
 use crate::stats::TableStats;
@@ -133,6 +133,14 @@ impl<V> Default for TierInner<V> {
 }
 
 impl<V> TierInner<V> {
+    /// The entry under `key`, marked recently used.
+    fn touch(&mut self, key: &BlockKey) -> Option<&V> {
+        let &idx = self.map.get(key)?;
+        let slot = self.slots[idx].as_mut().expect("map points at live slot");
+        slot.referenced = true;
+        Some(&slot.value)
+    }
+
     /// Evicts unreferenced entries (second-chance order) until `need`
     /// more bytes fit under `capacity`, pushing victims onto `victims`
     /// for the caller to account (and possibly demote) outside the shard
@@ -212,6 +220,23 @@ impl<V> Default for Shard<V> {
             inner: Mutex::new(TierInner::default()),
             bytes: AtomicUsize::new(0),
         }
+    }
+}
+
+impl<V> Shard<V> {
+    /// Drops every entry of `tablet_id`, with no eviction accounting.
+    fn remove_tablet(&self, tablet_id: u64) {
+        let mut inner = self.inner.lock();
+        let keys: Vec<BlockKey> = inner
+            .map
+            .keys()
+            .filter(|k| k.0 == tablet_id)
+            .copied()
+            .collect();
+        for key in keys {
+            inner.remove_key(&key);
+        }
+        self.bytes.store(inner.bytes, Ordering::Relaxed);
     }
 }
 
@@ -302,10 +327,7 @@ impl BlockCache {
         let key = (tablet_id, block_index);
         let shard = &self.upper[self.shard_idx(key)];
         let mut inner = shard.inner.lock();
-        let &idx = inner.map.get(&key)?;
-        let slot = inner.slots[idx].as_mut().expect("map points at live slot");
-        slot.referenced = true;
-        Some(slot.value.block.clone())
+        inner.touch(&key).map(|hot| hot.block.clone())
     }
 
     /// Removes and returns a block's compressed bytes from the lower
@@ -347,9 +369,8 @@ impl BlockCache {
         let mut rejected = None;
         {
             let mut inner = shard.inner.lock();
-            if let Some(&idx) = inner.map.get(&key) {
+            if inner.touch(&key).is_some() {
                 // Lost a race with another miss on the same block.
-                inner.slots[idx].as_mut().expect("live slot").referenced = true;
             } else if inner.evict_until_fits(charge, self.upper_slice(), &mut victims) {
                 // New entries start unreferenced: a block read once and
                 // never touched again is the first to go, while anything
@@ -395,8 +416,7 @@ impl BlockCache {
             return;
         }
         let mut footers = self.footers.inner.lock();
-        if let Some(&idx) = footers.map.get(&key) {
-            footers.slots[idx].as_mut().expect("live slot").referenced = true;
+        if footers.touch(&key).is_some() {
             return;
         }
         // Cannot fail: `charge <= cap`, and an emptied tier holds nothing.
@@ -431,13 +451,7 @@ impl BlockCache {
 
     /// Looks up a cached footer, marking it recently used on a hit.
     pub fn get_footer(&self, tablet_id: u64) -> Option<Arc<TabletFooter>> {
-        let mut footers = self.footers.inner.lock();
-        let &idx = footers.map.get(&(tablet_id, 0))?;
-        let slot = footers.slots[idx]
-            .as_mut()
-            .expect("map points at live slot");
-        slot.referenced = true;
-        Some(slot.value.clone())
+        self.footers.inner.lock().touch(&(tablet_id, 0)).cloned()
     }
 
     /// True when `tablet_id`'s footer is currently resident, without
@@ -470,8 +484,7 @@ impl BlockCache {
         }
         let shard = &self.lower[self.shard_idx(key)];
         let mut inner = shard.inner.lock();
-        if let Some(&idx) = inner.map.get(&key) {
-            inner.slots[idx].as_mut().expect("live slot").referenced = true;
+        if inner.touch(&key).is_some() {
             return;
         }
         let mut dropped = Vec::new();
@@ -491,35 +504,9 @@ impl BlockCache {
     /// compressed blocks, and its footer (the tablet's file is being
     /// deleted). Not counted as eviction in the owner's stats.
     pub fn invalidate_tablet(&self, tablet_id: u64) {
-        for shard in self.upper.iter() {
-            let mut inner = shard.inner.lock();
-            let keys: Vec<BlockKey> = inner
-                .map
-                .keys()
-                .filter(|k| k.0 == tablet_id)
-                .copied()
-                .collect();
-            for key in keys {
-                inner.remove_key(&key);
-            }
-            shard.bytes.store(inner.bytes, Ordering::Relaxed);
-        }
-        for shard in self.lower.iter() {
-            let mut inner = shard.inner.lock();
-            let keys: Vec<BlockKey> = inner
-                .map
-                .keys()
-                .filter(|k| k.0 == tablet_id)
-                .copied()
-                .collect();
-            for key in keys {
-                inner.remove_key(&key);
-            }
-            shard.bytes.store(inner.bytes, Ordering::Relaxed);
-        }
-        let mut footers = self.footers.inner.lock();
-        footers.remove_key(&(tablet_id, 0));
-        self.footers.bytes.store(footers.bytes, Ordering::Relaxed);
+        self.upper.iter().for_each(|s| s.remove_tablet(tablet_id));
+        self.lower.iter().for_each(|s| s.remove_tablet(tablet_id));
+        self.footers.remove_tablet(tablet_id);
     }
 
     /// Current bytes held across both tiers (decompressed blocks with
