@@ -1,10 +1,13 @@
-//! Grouped aggregation: streaming aggregate states, and the fold of the
-//! engine's pushdown scan units into them.
+//! Grouped aggregation: the one aggregate fold in the tree.
 //!
-//! [`scan_groups`] hands [`Table::pushdown_scan`] the query box and the
-//! residual predicates, and the engine hands back units it has already
-//! filtered, so nothing here evaluates a predicate. A
-//! [`ScanUnit::Block`] is folded without building a [`Value`] per cell:
+//! Everything that aggregates — a SQL `SELECT` over a base table, the
+//! same `SELECT` served off a rollup table's partials, and the
+//! maintenance pass that writes those partials — runs [`fold_block`]
+//! over [`ScanUnit::Block`]s into a [`Groups`]. [`scan_groups`] hands
+//! [`Table::pushdown_scan`] the query box and the predicates, and the
+//! engine hands back units it has already filtered, so nothing here
+//! evaluates a predicate. A block is folded without building a
+//! [`Value`] per cell:
 //!
 //! * **Grouping by run detection** (the paper's §2.3.2 observation that
 //!   the key sort order does the grouping). The selected rows of a block
@@ -16,71 +19,113 @@
 //! * **Typed kernels.** Each aggregate folds a run straight off the
 //!   column's typed slice, resolving the slice's type once per run.
 //!
-//! Rows reach each group in scan order either way, so a block answers
-//! exactly as its materialized rows would, float summation order
-//! included. [`ScanUnit::Rows`] (memtablets and schema-lagging tablets)
-//! takes the row-at-a-time path through the same states.
+//! Rows reach each group in scan order, so a block answers exactly as
+//! its rows would one by one, float summation order included. Memtablets
+//! and schema-lagging tablets arrive as blocks like any other.
+//!
+//! What a table's columns are to the groups is an [`Input`]: a base
+//! table's rows feed each state by [`AggState::fold`]; a rollup table's
+//! rows are *partial aggregates*, whose sums and extrema fold the same
+//! way (the sum of `{v}_sum`, the least `{v}_min`) and whose row counts,
+//! averages and distinct sketches merge instead.
 
-use crate::ast::{AggFunc, CmpOp};
-use crate::plan::{cmp_values, Residual};
-use littletable_core::block::{Block, ColumnSlice};
-use littletable_core::error::{Error, Result};
-use littletable_core::keyenc;
-use littletable_core::query::Query;
-use littletable_core::rollup::{bucket_of, distinct_bytes, distinct_bytes_at};
-use littletable_core::table::{
-    ColumnPredicate, PredOp, PushdownRequest, ScanUnit, Selection, Table,
-};
-use littletable_core::value::Value;
+use crate::block::{Block, ColumnSlice};
+use crate::error::{Error, Result};
+use crate::keyenc;
+use crate::query::Query;
+use crate::rollup::{bucket_of, distinct_bytes_at};
+use crate::table::{cmp_values, ColumnPredicate, PushdownRequest, ScanUnit, Selection, Table};
+use crate::value::Value;
 use littletable_hll::HyperLogLog;
 use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::ops::Range;
 
+/// Supported aggregate functions.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum AggFunc {
+    /// `COUNT`
+    Count,
+    /// `SUM`
+    Sum,
+    /// `MIN`
+    Min,
+    /// `MAX`
+    Max,
+    /// `AVG`
+    Avg,
+}
+
 /// One resolved GROUP BY expression: a column, optionally rounded down
 /// to `bucket`-micro boundaries (TIME_BUCKET).
-pub(crate) struct GroupSpec {
-    pub(crate) col: usize,
-    pub(crate) bucket: Option<i64>,
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct GroupSpec {
+    /// Column index in the scanned table's schema.
+    pub col: usize,
+    /// `TIME_BUCKET` width in micros; `None` groups by the plain value.
+    pub bucket: Option<i64>,
 }
 
-impl GroupSpec {
-    /// The group value this expression yields for a row value.
-    fn value(&self, v: &Value) -> Result<Value> {
-        match self.bucket {
-            None => Ok(v.clone()),
-            Some(w) => Ok(Value::Timestamp(bucket_of(v.as_timestamp()?, w))),
+/// One resolved aggregate.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct AggSpec {
+    /// Which aggregate.
+    pub func: AggFunc,
+    /// Column index in the scanned table's schema; `None` is `COUNT(*)`.
+    pub col: Option<usize>,
+    /// `COUNT(DISTINCT col)`.
+    pub distinct: bool,
+}
+
+/// What the columns of one scanned table are to a query's groups and
+/// aggregate states. The states are the query's; two inputs over the
+/// same states (a rollup table's partials, then the base table's rows
+/// at the window's ragged ends) differ in their column indices only.
+#[derive(Debug, Clone, Copy)]
+pub struct Input<'a> {
+    /// The GROUP BY expressions, over the scanned table's columns.
+    pub groups: &'a [GroupSpec],
+    /// The aggregates, likewise, in state order.
+    pub aggs: &'a [AggSpec],
+    /// `Some(col)` when each scanned row is a partial aggregate of as
+    /// many base rows as its int64 column `col` says.
+    pub(crate) partial_rows: Option<usize>,
+}
+
+impl<'a> Input<'a> {
+    /// The input of a table whose rows are the rows to aggregate.
+    pub fn rows(groups: &'a [GroupSpec], aggs: &'a [AggSpec]) -> Self {
+        Input {
+            groups,
+            aggs,
+            partial_rows: None,
         }
     }
-}
-
-/// One resolved aggregate in the SELECT list.
-pub(crate) struct AggSpec {
-    pub(crate) func: AggFunc,
-    pub(crate) col: Option<usize>,
-    pub(crate) distinct: bool,
 }
 
 /// Aggregation in progress: every group's values and one state per
 /// aggregate. Groups are found by the memcmp encoding of their values —
 /// a hash probe, since a scan asks once per run — and come out sorted by
 /// it, which is key-compatible order.
-pub(crate) struct Groups<'a> {
-    group_specs: &'a [GroupSpec],
-    agg_specs: &'a [AggSpec],
+pub struct Groups<'a> {
+    /// Values per group.
+    n_vals: usize,
+    /// What a new group's states are made from.
+    aggs: &'a [AggSpec],
     /// Encoded group values to the group's position in `vals`/`states`.
     index: HashMap<Vec<u8>, usize>,
-    /// `group_specs.len()` values per group, in group position order.
+    /// `n_vals` values per group, in group position order.
     vals: Vec<Value>,
-    /// `agg_specs.len()` states per group, likewise.
+    /// `aggs.len()` states per group, likewise.
     states: Vec<AggState>,
 }
 
 impl<'a> Groups<'a> {
-    pub(crate) fn new(group_specs: &'a [GroupSpec], agg_specs: &'a [AggSpec]) -> Self {
+    /// No groups yet, for a query with `input`'s expressions.
+    pub fn new(input: &Input<'a>) -> Self {
         Groups {
-            group_specs,
-            agg_specs,
+            n_vals: input.groups.len(),
+            aggs: input.aggs,
             index: HashMap::new(),
             vals: Vec::new(),
             states: Vec::new(),
@@ -90,7 +135,7 @@ impl<'a> Groups<'a> {
     /// The aggregate states of the group whose values encode to `key`.
     /// A group not seen before is created with the values `vals` yields
     /// (one per GROUP BY expression, in order).
-    pub(crate) fn states<I: IntoIterator<Item = Value>>(
+    pub fn states<I: IntoIterator<Item = Value>>(
         &mut self,
         key: &[u8],
         vals: impl FnOnce() -> I,
@@ -101,25 +146,25 @@ impl<'a> Groups<'a> {
                 let group = self.index.len();
                 self.index.insert(key.to_vec(), group);
                 self.vals.extend(vals());
-                debug_assert_eq!(self.vals.len(), (group + 1) * self.group_specs.len());
-                self.states.extend(self.agg_specs.iter().map(AggState::new));
+                debug_assert_eq!(self.vals.len(), (group + 1) * self.n_vals);
+                self.states.extend(self.aggs.iter().map(AggState::new));
                 group
             }
         };
-        let n = self.agg_specs.len();
+        let n = self.aggs.len();
         &mut self.states[group * n..(group + 1) * n]
     }
 
     /// Every group's values and states, in the order of the encoded
     /// values.
-    pub(crate) fn sorted(&self) -> impl Iterator<Item = (&[Value], &[AggState])> {
+    pub fn sorted(&self) -> impl Iterator<Item = (&[Value], &[AggState])> {
         let mut order: Vec<(&[u8], usize)> = self
             .index
             .iter()
             .map(|(key, &group)| (key.as_slice(), group))
             .collect();
         order.sort_unstable();
-        let (nv, ns) = (self.group_specs.len(), self.agg_specs.len());
+        let (nv, ns) = (self.n_vals, self.aggs.len());
         order.into_iter().map(move |(_, g)| {
             (
                 &self.vals[g * nv..(g + 1) * nv],
@@ -129,42 +174,24 @@ impl<'a> Groups<'a> {
     }
 }
 
-/// Lowers a residual WHERE conjunct to an engine pushdown predicate.
-/// The two evaluate identically (same `cmp_values` semantics), which is
-/// what lets the engine's zone maps prune blocks for them soundly.
-fn to_predicate(r: &Residual) -> ColumnPredicate {
-    ColumnPredicate {
-        col: r.col,
-        op: match r.op {
-            CmpOp::Eq => PredOp::Eq,
-            CmpOp::Ne => PredOp::Ne,
-            CmpOp::Lt => PredOp::Lt,
-            CmpOp::Le => PredOp::Le,
-            CmpOp::Gt => PredOp::Gt,
-            CmpOp::Ge => PredOp::Ge,
-        },
-        value: r.value.clone(),
-    }
-}
-
-/// Aggregates base-table rows matching `query` and `residual` into
-/// `groups` via the engine's columnar pushdown: footer stats where they
-/// suffice, typed column slices for every other flushed block,
-/// materialized rows only for memtablets and schema-lagging tablets.
-pub(crate) fn scan_groups(
+/// Aggregates the rows of `t` inside `query` that pass `predicates`
+/// into `groups` via the engine's columnar pushdown: footer statistics
+/// where they suffice, typed column slices for every other block.
+pub fn scan_groups(
     t: &Table,
     query: Query,
-    residual: &[Residual],
+    predicates: &[ColumnPredicate],
+    input: &Input,
     groups: &mut Groups,
 ) -> Result<()> {
-    let (group_specs, agg_specs) = (groups.group_specs, groups.agg_specs);
-    // COUNT/MIN/MAX over an ungrouped scan can be answered from
-    // footer statistics alone; SUM/AVG/DISTINCT (and any GROUP BY)
-    // must see the values.
-    let stats_cols: Option<Vec<usize>> = if group_specs.is_empty() {
+    // COUNT/MIN/MAX over an ungrouped scan of rows can be answered from
+    // footer statistics alone; SUM/AVG/DISTINCT, any GROUP BY and every
+    // partial must see the values.
+    let stats_cols: Option<Vec<usize>> = if input.groups.is_empty() && input.partial_rows.is_none()
+    {
         let mut cols = Vec::new();
         let mut ok = true;
-        for a in agg_specs {
+        for a in input.aggs {
             match (a.func, a.col, a.distinct) {
                 (_, _, true) => ok = false,
                 (AggFunc::Count, _, _) => {}
@@ -178,36 +205,19 @@ pub(crate) fn scan_groups(
     };
     let req = PushdownRequest {
         query,
-        predicates: residual.iter().map(to_predicate).collect(),
+        predicates: predicates.to_vec(),
         stats_cols,
     };
-    t.pushdown_scan(&req, &mut |unit| {
-        match unit {
-            ScanUnit::Stats { rows, zones } => {
-                // Only issued when group_specs is empty: one group.
-                let states = groups.states(&[], Vec::new);
-                for (state, a) in states.iter_mut().zip(agg_specs) {
-                    state.update_stats(rows, a.col.and_then(|c| zones[c].as_ref()))?;
-                }
+    t.pushdown_scan(&req, &mut |unit| match unit {
+        ScanUnit::Stats { rows, zones } => {
+            // Only issued when there is no GROUP BY: one group.
+            let states = groups.states(&[], Vec::new);
+            for (state, a) in states.iter_mut().zip(input.aggs) {
+                state.update_stats(rows, a.col.and_then(|c| zones[c].as_ref()))?;
             }
-            ScanUnit::Block { block, sel } => fold_block(&block, &sel, groups)?,
-            ScanUnit::Rows(rows) => {
-                for row in rows {
-                    let mut key = Vec::new();
-                    let mut vals = Vec::with_capacity(group_specs.len());
-                    for spec in group_specs {
-                        let v = spec.value(&row.values[spec.col])?;
-                        keyenc::encode_component(&mut key, &v)?;
-                        vals.push(v);
-                    }
-                    let states = groups.states(&key, || vals);
-                    for (state, a) in states.iter_mut().zip(agg_specs) {
-                        state.update(a.col.map(|c| &row.values[c]))?;
-                    }
-                }
-            }
+            Ok(())
         }
-        Ok(())
+        ScanUnit::Block { block, sel } => fold_block(&block, &sel, input, groups),
     })
 }
 
@@ -277,10 +287,16 @@ impl GroupCol<'_> {
 
 /// Folds the selected rows of one block into `groups`: splits
 /// the selection into runs of equal group tuple, finds each run's group
-/// once, and has every aggregate fold the run off its typed slice.
-fn fold_block(block: &Block, sel: &Selection, groups: &mut Groups) -> Result<()> {
-    let mut group_cols = groups
-        .group_specs
+/// once, and has every aggregate fold (or, of partials, merge) the run
+/// off its typed slice.
+pub(crate) fn fold_block(
+    block: &Block,
+    sel: &Selection,
+    input: &Input,
+    groups: &mut Groups,
+) -> Result<()> {
+    let mut group_cols = input
+        .groups
         .iter()
         .map(|g| match (block.column(g.col), g.bucket) {
             (ColumnSlice::Timestamp(ts), Some(width)) => Ok(GroupCol::Bucket {
@@ -292,11 +308,16 @@ fn fold_block(block: &Block, sel: &Selection, groups: &mut Groups) -> Result<()>
             (col, None) => Ok(GroupCol::Column(col)),
         })
         .collect::<Result<Vec<_>>>()?;
-    let agg_cols: Vec<Option<&ColumnSlice>> = groups
-        .agg_specs
+    let agg_cols: Vec<Option<&ColumnSlice>> = input
+        .aggs
         .iter()
         .map(|a| a.col.map(|c| block.column(c)))
         .collect();
+    let partial_rows = match input.partial_rows.map(|c| block.column(c)) {
+        None => None,
+        Some(ColumnSlice::I64(rows)) => Some(rows),
+        Some(_) => return Err(Error::corrupt("bad rollup row count column")),
+    };
     let mut key = Vec::new();
     let mut start = 0;
     while start < sel.len() {
@@ -312,7 +333,10 @@ fn fold_block(block: &Block, sel: &Selection, groups: &mut Groups) -> Result<()>
         }
         let states = groups.states(&key, || group_cols.iter().map(|g| g.value(first)));
         for (state, col) in states.iter_mut().zip(&agg_cols) {
-            state.fold(*col, sel, start..end)?;
+            match partial_rows {
+                None => state.fold(*col, sel, start..end)?,
+                Some(rows) => state.merge(*col, rows, sel, start..end)?,
+            }
         }
         start = end;
     }
@@ -322,8 +346,10 @@ fn fold_block(block: &Block, sel: &Selection, groups: &mut Groups) -> Result<()>
 /// SUM's accumulator: integral until it meets a double or leaves the
 /// int64 range, a double from then on.
 #[derive(Debug)]
-pub(crate) enum Sum {
+pub enum Sum {
+    /// Every addend so far was integral and the total fits.
     Int(i64),
+    /// A double was added, or the integral total left int64.
     Float(f64),
 }
 
@@ -348,13 +374,17 @@ impl Sum {
 
 /// Streaming aggregate state.
 #[derive(Debug)]
-pub(crate) enum AggState {
+pub enum AggState {
+    /// COUNT: rows seen.
     Count(u64),
+    /// SUM.
     Sum(Sum),
     /// MIN (`Ordering::Less`) or MAX (`Ordering::Greater`): the value
     /// held is replaced by one that compares so against it.
     Extreme(Ordering, Option<Value>),
+    /// AVG: the sum as a double, and the rows it is over.
     Avg(f64, u64),
+    /// COUNT(DISTINCT): a sketch of the values seen.
     Distinct(HyperLogLog),
 }
 
@@ -421,45 +451,9 @@ impl AggState {
         }
     }
 
-    /// Folds one row's value.
-    pub(crate) fn update(&mut self, value: Option<&Value>) -> Result<()> {
-        let need =
-            |what: &str| value.ok_or_else(|| Error::invalid(format!("{what} requires a column")));
-        match self {
-            AggState::Count(n) => *n += 1,
-            AggState::Sum(sum) => match need("SUM")? {
-                Value::F64(x) => sum.add_float(*x),
-                v => match v.as_int() {
-                    Some(x) => sum.add_int(x),
-                    None => return Err(Error::invalid(format!("SUM over non-numeric value {v}"))),
-                },
-            },
-            AggState::Extreme(want, cur) => {
-                let v = need("MIN/MAX")?;
-                if cur.as_ref().is_none_or(|c| cmp_values(v, c) == Some(*want)) {
-                    *cur = Some(v.clone());
-                }
-            }
-            AggState::Avg(acc, n) => {
-                *acc += match need("AVG")? {
-                    Value::F64(x) => *x,
-                    v => match v.as_int() {
-                        Some(x) => x as f64,
-                        None => {
-                            return Err(Error::invalid(format!("AVG over non-numeric value {v}")))
-                        }
-                    },
-                };
-                *n += 1;
-            }
-            AggState::Distinct(h) => h.add_bytes(&distinct_bytes(need("COUNT(DISTINCT)")?)),
-        }
-        Ok(())
-    }
-
     /// Folds the rows at positions `span` of `sel` off the aggregated
-    /// column's slice: what [`AggState::update`] would make of the same
-    /// rows one by one, without a [`Value`] per cell.
+    /// column's slice: what folding the same rows one `Value` at a time
+    /// would make of them, without a [`Value`] per cell.
     fn fold(
         &mut self,
         col: Option<&ColumnSlice>,
@@ -523,17 +517,62 @@ impl AggState {
         Ok(())
     }
 
+    /// Merges the partial aggregates at positions `span` of `sel`: each
+    /// stands for `rows[i]` base rows, and `col` holds, per partial, what
+    /// this aggregate keeps of them — their sum for SUM and AVG, their
+    /// least or greatest value for MIN and MAX, a serialized sketch of
+    /// them for COUNT(DISTINCT). Sums and extrema of partials are sums
+    /// and extrema of that column; the rest combine with the row counts.
+    fn merge(
+        &mut self,
+        col: Option<&ColumnSlice>,
+        rows: &[i64],
+        sel: &Selection,
+        span: Range<usize>,
+    ) -> Result<()> {
+        match self {
+            AggState::Sum(_) | AggState::Extreme(..) => return self.fold(col, sel, span),
+            AggState::Count(n) => sel.for_each_in(span, |i| *n += rows[i] as u64),
+            AggState::Avg(acc, n) => {
+                match col {
+                    Some(ColumnSlice::I64(v)) => {
+                        sel.for_each_in(span.clone(), |i| *acc += v[i] as f64)
+                    }
+                    Some(ColumnSlice::F64(v)) => sel.for_each_in(span.clone(), |i| *acc += v[i]),
+                    _ => return Err(Error::corrupt("bad rollup sum column")),
+                }
+                sel.for_each_in(span, |i| *n += rows[i] as u64);
+            }
+            AggState::Distinct(h) => {
+                let Some(ColumnSlice::Blob(sketches)) = col else {
+                    return Err(Error::corrupt("bad rollup sketch column"));
+                };
+                let mut undecodable = false;
+                sel.for_each_in(span, |i| match HyperLogLog::from_bytes(sketches.bytes(i)) {
+                    Some(partial) if partial.precision() == h.precision() => h.merge(&partial),
+                    _ => undecodable = true,
+                });
+                if undecodable {
+                    return Err(Error::corrupt("undecodable rollup HLL sketch"));
+                }
+            }
+        }
+        Ok(())
+    }
+
     /// Folds a whole block's footer statistics into the state: `rows`
     /// rows whose aggregated column spans `zone`. Only COUNT/MIN/MAX
     /// can do this — the scan never produces stats units otherwise.
     fn update_stats(&mut self, rows: u64, zone: Option<&(Value, Value)>) -> Result<()> {
         match self {
             AggState::Count(n) => *n += rows,
-            AggState::Extreme(want, _) => {
+            AggState::Extreme(want, cur) => {
                 let (lo, hi) =
                     zone.ok_or_else(|| Error::invalid("stats scan unit without a zone map"))?;
                 let v = if *want == Ordering::Less { lo } else { hi };
-                self.update(Some(v))?;
+                if cur.as_ref().is_none_or(|c| cmp_values(v, c) == Some(*want)) {
+                    *cur = Some(v.clone());
+                }
             }
             _ => return Err(Error::invalid("aggregate cannot fold footer statistics")),
         }
@@ -542,7 +581,7 @@ impl AggState {
 
     /// The aggregate's value; over no rows, COUNT is 0 and the others
     /// their zero.
-    pub(crate) fn finish(&self) -> Value {
+    pub fn finish(&self) -> Value {
         match self {
             AggState::Count(n) => Value::I64(*n as i64),
             AggState::Sum(Sum::Int(acc)) => Value::I64(*acc),
@@ -563,6 +602,51 @@ impl AggState {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rollup::distinct_bytes;
+
+    impl AggState {
+        /// Folds one row's value: the reference the typed kernels are
+        /// held to.
+        fn update(&mut self, value: Option<&Value>) -> Result<()> {
+            let need = |what: &str| {
+                value.ok_or_else(|| Error::invalid(format!("{what} requires a column")))
+            };
+            match self {
+                AggState::Count(n) => *n += 1,
+                AggState::Sum(sum) => match need("SUM")? {
+                    Value::F64(x) => sum.add_float(*x),
+                    v => match v.as_int() {
+                        Some(x) => sum.add_int(x),
+                        None => {
+                            return Err(Error::invalid(format!("SUM over non-numeric value {v}")))
+                        }
+                    },
+                },
+                AggState::Extreme(want, cur) => {
+                    let v = need("MIN/MAX")?;
+                    if cur.as_ref().is_none_or(|c| cmp_values(v, c) == Some(*want)) {
+                        *cur = Some(v.clone());
+                    }
+                }
+                AggState::Avg(acc, n) => {
+                    *acc += match need("AVG")? {
+                        Value::F64(x) => *x,
+                        v => match v.as_int() {
+                            Some(x) => x as f64,
+                            None => {
+                                return Err(Error::invalid(format!(
+                                    "AVG over non-numeric value {v}"
+                                )))
+                            }
+                        },
+                    };
+                    *n += 1;
+                }
+                AggState::Distinct(h) => h.add_bytes(&distinct_bytes(need("COUNT(DISTINCT)")?)),
+            }
+            Ok(())
+        }
+    }
 
     fn spec(func: AggFunc, distinct: bool) -> AggSpec {
         AggSpec {
@@ -665,7 +749,7 @@ mod tests {
             bucket: None,
         }];
         let agg_specs = [spec(AggFunc::Count, false), spec(AggFunc::Sum, false)];
-        let mut groups = Groups::new(&group_specs, &agg_specs);
+        let mut groups = Groups::new(&Input::rows(&group_specs, &agg_specs));
         for v in [5i64, -1, 5, 300, -1, 5] {
             let mut key = Vec::new();
             keyenc::encode_int(&mut key, v);

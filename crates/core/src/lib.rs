@@ -15,6 +15,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod agg;
 pub mod archive;
 pub mod block;
 pub mod bloom;

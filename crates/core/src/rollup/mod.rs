@@ -21,7 +21,7 @@
 //! base table's merge-exclusion slot:
 //!
 //! 1. list the base's on-disk tablets not yet marked `rolled_up`;
-//! 2. scan each one and accumulate partial aggregates per
+//! 2. fold each one's blocks into partial aggregates per
 //!    `(dims, bucket)`;
 //! 3. insert the partials into every registered rollup table — keys are
 //!    deterministic (`chunk` = source tablet id), so a crash-and-refold
@@ -40,23 +40,30 @@
 //!
 //! Every row with `ts` below the base's *rollup watermark*
 //! ([`crate::Table::rollup_watermark`]) is fully represented in the
-//! rollup tables; the SQL layer answers bucketed aggregates from the
-//! rollup below the watermark and scans only the un-rolled-up tail
-//! above it, merging the two (partial aggregates are additive).
+//! rollup tables; [`serve`] answers an eligible grouped aggregate from
+//! the rollup's whole buckets below the watermark and scans only the
+//! window's ragged ends from the base, into the same [`Groups`]
+//! (partial aggregates are additive).
+//!
+//! One function, [`stat_columns`], says which aggregate of the base
+//! each rollup column after `(dims…, chunk, ts)` holds. The schema, the
+//! fold that writes partials and the serving path that reads them are
+//! all derived from its list, and both the fold and the serving path
+//! run [`crate::agg`]'s block fold.
 
+use crate::agg::{fold_block, scan_groups, AggFunc, AggSpec, AggState, GroupSpec, Groups, Input};
 use crate::block::ColumnSlice;
 use crate::cursor::{RunCursor, Source};
+use crate::db::Db;
 use crate::error::{Error, Result};
 use crate::keyenc::KeyRange;
+use crate::query::Query;
 use crate::schema::{ColumnDef, Schema};
 use crate::stats::TableStats;
-use crate::table::{cmp_values, Table};
+use crate::table::{ColumnPredicate, Selection, Table};
 use crate::util::{crc32, put_string, put_varint, Reader};
 use crate::value::{ColumnType, Value};
-use littletable_hll::HyperLogLog;
 use littletable_vfs::{join, Micros, Vfs};
-use std::cmp::Ordering as CmpOrdering;
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// File name of the rollup spec within a rollup table's directory. Its
@@ -188,49 +195,64 @@ fn stat_type(base: ColumnType) -> Result<ColumnType> {
     }
 }
 
-/// Derives the rollup table's schema from the base table's.
-///
-/// Layout: the base's non-timestamp key columns (the *dims*), then
-/// `chunk int64` (source base-tablet id), `ts timestamp` (bucket start),
-/// `rows int64`, then `{v}_sum`/`{v}_min`/`{v}_max` per value column and
-/// `{d}_hll blob` per distinct column. Primary key `(dims…, chunk, ts)`.
-pub fn rollup_schema(base: &Schema, spec: &RollupSpec) -> Result<Schema> {
-    if spec.period <= 0 {
-        return Err(Error::invalid("rollup period must be positive"));
-    }
-    let mut columns = Vec::new();
-    let mut key_names: Vec<String> = Vec::new();
-    let key = base.key_indices();
-    for &i in &key[..key.len() - 1] {
-        let c = &base.columns()[i];
-        columns.push(ColumnDef::new(c.name.clone(), c.ty));
-        key_names.push(c.name.clone());
-    }
-    columns.push(ColumnDef::new("chunk", ColumnType::I64));
-    key_names.push("chunk".into());
-    columns.push(ColumnDef::new("ts", ColumnType::Timestamp));
-    key_names.push("ts".into());
-    columns.push(ColumnDef::new("rows", ColumnType::I64));
+/// The rollup's columns after `(dims…, chunk, ts)`, in schema order,
+/// each with the aggregate over the base table's rows that a partial
+/// holds in it: `rows`, then `{v}_sum`/`{v}_min`/`{v}_max` per value
+/// column, then `{d}_hll` per distinct column. The one place that order
+/// is decided — the schema, the fold and the serving path read it here.
+fn stat_columns(base: &Schema, spec: &RollupSpec) -> Result<(Vec<ColumnDef>, Vec<AggSpec>)> {
+    let index = |name: &String| {
+        base.column_index(name)
+            .ok_or_else(|| Error::invalid(format!("no column {name:?} in base table")))
+    };
+    let (mut defs, mut aggs) = (Vec::new(), Vec::new());
+    let mut stat = |name: String, ty, func, col, distinct| {
+        defs.push(ColumnDef::new(name, ty));
+        aggs.push(AggSpec {
+            func,
+            col,
+            distinct,
+        });
+    };
+    stat("rows".into(), ColumnType::I64, AggFunc::Count, None, false);
     for name in &spec.value_cols {
-        let idx = base
-            .column_index(name)
-            .ok_or_else(|| Error::invalid(format!("no column {name:?} in base table")))?;
-        let ty = stat_type(base.columns()[idx].ty)?;
-        columns.push(ColumnDef::new(format!("{name}_sum"), ty));
-        columns.push(ColumnDef::new(format!("{name}_min"), ty));
-        columns.push(ColumnDef::new(format!("{name}_max"), ty));
+        let col = index(name)?;
+        let ty = stat_type(base.columns()[col].ty)?;
+        stat(format!("{name}_sum"), ty, AggFunc::Sum, Some(col), false);
+        stat(format!("{name}_min"), ty, AggFunc::Min, Some(col), false);
+        stat(format!("{name}_max"), ty, AggFunc::Max, Some(col), false);
     }
     for name in &spec.distinct_cols {
-        let idx = base
-            .column_index(name)
-            .ok_or_else(|| Error::invalid(format!("no column {name:?} in base table")))?;
-        if idx == base.ts_index() {
+        let col = index(name)?;
+        if col == base.ts_index() {
             return Err(Error::invalid(
                 "the timestamp column cannot be distinct-counted",
             ));
         }
-        columns.push(ColumnDef::new(format!("{name}_hll"), ColumnType::Blob));
+        let ty = ColumnType::Blob;
+        stat(format!("{name}_hll"), ty, AggFunc::Count, Some(col), true);
     }
+    Ok((defs, aggs))
+}
+
+/// Derives the rollup table's schema from the base table's.
+///
+/// Layout: the base's non-timestamp key columns (the *dims*), then
+/// `chunk int64` (source base-tablet id), `ts timestamp` (bucket start),
+/// then the [`stat_columns`]. Primary key `(dims…, chunk, ts)`.
+pub fn rollup_schema(base: &Schema, spec: &RollupSpec) -> Result<Schema> {
+    if spec.period <= 0 {
+        return Err(Error::invalid("rollup period must be positive"));
+    }
+    let key = base.key_indices();
+    let mut columns: Vec<ColumnDef> = key[..key.len() - 1]
+        .iter()
+        .map(|&i| ColumnDef::new(base.columns()[i].name.clone(), base.columns()[i].ty))
+        .collect();
+    columns.push(ColumnDef::new("chunk", ColumnType::I64));
+    columns.push(ColumnDef::new("ts", ColumnType::Timestamp));
+    let key_names: Vec<String> = columns.iter().map(|c| c.name.clone()).collect();
+    columns.extend(stat_columns(base, spec)?.0);
     let key_refs: Vec<&str> = key_names.iter().map(|s| s.as_str()).collect();
     Schema::new(columns, &key_refs)
 }
@@ -275,85 +297,6 @@ fn put_distinct(out: &mut Vec<u8>, family: u8, payload: &[u8]) {
     out.clear();
     out.push(family);
     out.extend_from_slice(payload);
-}
-
-/// One tablet's groups for one rollup: encoded (dims, bucket) key to
-/// the original dim values, the bucket, and the running aggregate.
-type AccMap = HashMap<Vec<u8>, (Vec<Value>, Micros, Acc)>;
-
-/// One partial aggregate under accumulation.
-struct Acc {
-    rows: i64,
-    /// Per value column: (sum over the int family as i64 or f64, min,
-    /// max). Sums start at the type's zero; extrema start `None`.
-    sums_i: Vec<i64>,
-    sums_f: Vec<f64>,
-    mins: Vec<Option<Value>>,
-    maxs: Vec<Option<Value>>,
-    hlls: Vec<HyperLogLog>,
-}
-
-impl Acc {
-    fn new(n_vals: usize, n_distinct: usize) -> Self {
-        Acc {
-            rows: 0,
-            sums_i: vec![0; n_vals],
-            sums_f: vec![0.0; n_vals],
-            mins: vec![None; n_vals],
-            maxs: vec![None; n_vals],
-            hlls: (0..n_distinct)
-                .map(|_| HyperLogLog::default_precision())
-                .collect(),
-        }
-    }
-}
-
-/// Column bindings of one rollup spec against the base schema, resolved
-/// once per fold.
-struct Binding {
-    spec: Arc<RollupSpec>,
-    table: Arc<Table>,
-    val_idx: Vec<usize>,
-    val_float: Vec<bool>,
-    distinct_idx: Vec<usize>,
-}
-
-fn bind(base_schema: &Schema, targets: &[(Arc<RollupSpec>, Arc<Table>)]) -> Result<Vec<Binding>> {
-    let mut out = Vec::with_capacity(targets.len());
-    for (spec, table) in targets {
-        let mut val_idx = Vec::new();
-        let mut val_float = Vec::new();
-        for name in &spec.value_cols {
-            let idx = base_schema
-                .column_index(name)
-                .ok_or_else(|| Error::invalid(format!("rollup column {name:?} missing in base")))?;
-            val_float.push(stat_type(base_schema.columns()[idx].ty)? == ColumnType::F64);
-            val_idx.push(idx);
-        }
-        let mut distinct_idx = Vec::new();
-        for name in &spec.distinct_cols {
-            let idx = base_schema
-                .column_index(name)
-                .ok_or_else(|| Error::invalid(format!("rollup column {name:?} missing in base")))?;
-            distinct_idx.push(idx);
-        }
-        out.push(Binding {
-            spec: spec.clone(),
-            table: table.clone(),
-            val_idx,
-            val_float,
-            distinct_idx,
-        });
-    }
-    Ok(out)
-}
-
-/// Widens a base value to its rollup stat column type.
-fn widen(v: Value) -> Value {
-    match v {
-        Value::I32(x) => Value::I64(x as i64),
-        other => other,
-    }
 }
 
 /// Folds the base table's not-yet-rolled-up on-disk tablets into every
@@ -408,91 +351,51 @@ fn fold_base_inner(
         return Ok(0);
     }
     let schema = base.schema();
-    let bindings = bind(&schema, targets)?;
     let key = schema.key_indices();
-    let dims: Vec<usize> = key[..key.len() - 1].to_vec();
+    // Each rollup is `GROUP BY dims…, TIME_BUCKET(ts, period)` with its
+    // stat columns' aggregates, over the base's own columns.
+    let mut plans = Vec::with_capacity(targets.len());
+    for (spec, _) in targets {
+        let mut group_specs: Vec<GroupSpec> = key
+            .iter()
+            .map(|&col| GroupSpec { col, bucket: None })
+            .collect();
+        group_specs[key.len() - 1].bucket = Some(spec.period);
+        let (defs, aggs) = stat_columns(&schema, spec)?;
+        plans.push((group_specs, defs, aggs));
+    }
+    let inputs: Vec<Input> = plans
+        .iter()
+        .map(|(group_specs, _, aggs)| Input::rows(group_specs, aggs))
+        .collect();
     let mut folded: Vec<u64> = Vec::with_capacity(tablets.len());
     for (meta, reader) in &tablets {
-        // One pass over the tablet feeds every rollup's accumulators.
-        // `Value` has no `Hash`/`Eq` (doubles), so groups are keyed by
-        // the engine's order-preserving key encoding of the dims plus
-        // the bucket, with the original values carried alongside.
-        let mut accs: Vec<AccMap> = bindings.iter().map(|_| HashMap::new()).collect();
+        // One pass over the tablet's blocks feeds every rollup's groups.
+        let mut groups: Vec<Groups> = inputs.iter().map(Groups::new).collect();
         let source =
             Source::tablet(reader.clone(), schema.clone(), KeyRange::all()).with_read_run(1 << 20);
         let mut cur = RunCursor::new(vec![source], false);
         while let Some(run) = cur.next_run()? {
-            let timestamps = run.block.timestamps()?;
-            for i in run.indices() {
-                let (ts, row) = (timestamps[i], run.block.row(i)?);
-                for (b, acc_map) in bindings.iter().zip(accs.iter_mut()) {
-                    let bucket = bucket_of(ts, b.spec.period);
-                    let dim_vals: Vec<Value> =
-                        dims.iter().map(|&i| row.values[i].clone()).collect();
-                    let mut group_key = Vec::new();
-                    for v in &dim_vals {
-                        crate::keyenc::encode_component(&mut group_key, v)?;
-                    }
-                    group_key.extend_from_slice(&bucket.to_le_bytes());
-                    let (_, _, acc) = acc_map.entry(group_key).or_insert_with(|| {
-                        (
-                            dim_vals,
-                            bucket,
-                            Acc::new(b.val_idx.len(), b.distinct_idx.len()),
-                        )
-                    });
-                    acc.rows += 1;
-                    for (vi, &ci) in b.val_idx.iter().enumerate() {
-                        let v = &row.values[ci];
-                        if b.val_float[vi] {
-                            if let Value::F64(x) = v {
-                                acc.sums_f[vi] += x;
-                            }
-                        } else {
-                            match v {
-                                Value::I32(x) => acc.sums_i[vi] += *x as i64,
-                                Value::I64(x) => acc.sums_i[vi] += x,
-                                _ => {}
-                            }
-                        }
-                        let better_min = acc.mins[vi]
-                            .as_ref()
-                            .is_none_or(|m| cmp_values(v, m) == Some(CmpOrdering::Less));
-                        if better_min {
-                            acc.mins[vi] = Some(v.clone());
-                        }
-                        let better_max = acc.maxs[vi]
-                            .as_ref()
-                            .is_none_or(|m| cmp_values(v, m) == Some(CmpOrdering::Greater));
-                        if better_max {
-                            acc.maxs[vi] = Some(v.clone());
-                        }
-                    }
-                    for (di, &ci) in b.distinct_idx.iter().enumerate() {
-                        acc.hlls[di].add_bytes(&distinct_bytes(&row.values[ci]));
-                    }
-                }
+            let sel = Selection::Range(run.rows);
+            for (input, groups) in inputs.iter().zip(&mut groups) {
+                fold_block(&run.block, &sel, input, groups)?;
             }
         }
-        // Assemble and insert this tablet's partials into each rollup.
-        for (b, acc_map) in bindings.iter().zip(accs) {
-            let mut rows: Vec<Vec<Value>> = Vec::with_capacity(acc_map.len());
-            for (_, (dim_vals, bucket, acc)) in acc_map {
-                let mut row = dim_vals;
+        // One partial row per group, in (dims, bucket) order.
+        for (((spec, table), (_, defs, _)), groups) in targets.iter().zip(&plans).zip(&groups) {
+            let mut rows: Vec<Vec<Value>> = Vec::new();
+            for (vals, states) in groups.sorted() {
+                let (dims, bucket) = vals.split_at(key.len() - 1);
+                let mut row = dims.to_vec();
                 row.push(Value::I64(meta.id as i64));
-                row.push(Value::Timestamp(bucket));
-                row.push(Value::I64(acc.rows));
-                for vi in 0..b.val_idx.len() {
-                    if b.val_float[vi] {
-                        row.push(Value::F64(acc.sums_f[vi]));
-                    } else {
-                        row.push(Value::I64(acc.sums_i[vi]));
-                    }
-                    row.push(widen(acc.mins[vi].clone().unwrap_or(Value::I64(0))));
-                    row.push(widen(acc.maxs[vi].clone().unwrap_or(Value::I64(0))));
-                }
-                for hll in &acc.hlls {
-                    row.push(Value::Blob(hll.to_bytes()));
+                row.push(bucket[0].clone());
+                for (def, state) in defs.iter().zip(states) {
+                    row.push(partial_value(def.ty, state).ok_or_else(|| {
+                        Error::invalid(format!(
+                            "rollup {:?}: {:?} of base tablet {} does not fit in int64",
+                            spec.name, def.name, meta.id
+                        ))
+                    })?);
                 }
                 rows.push(row);
             }
@@ -500,7 +403,7 @@ fn fold_base_inner(
                 // Duplicates mean a previous fold of this tablet already
                 // landed (crash before the rolled_up mark); rejection is
                 // the idempotency we rely on.
-                b.table.insert(rows)?;
+                table.insert(rows)?;
             }
         }
         folded.push(meta.id);
@@ -508,12 +411,177 @@ fn fold_base_inner(
     // Make the partials durable before the rolled_up mark commits: the
     // mark is the point of no return, after which these tablets become
     // merge-eligible and lose their identity.
-    for b in &bindings {
-        b.table.flush_all()?;
+    for (_, table) in targets {
+        table.flush_all()?;
     }
     base.mark_rolled_up(&folded)?;
     TableStats::add(&base.stats().rollup_folds, folded.len() as u64);
     Ok(folded.len())
+}
+
+/// What a finished state puts in its stat column: the sketch's bytes,
+/// or the aggregate's value at the column's type (the int family widened
+/// to int64). `None` when an integer column's sum left int64 — a partial
+/// cannot hold it, and the caller leaves the tablet to the base scan.
+fn partial_value(ty: ColumnType, state: &AggState) -> Option<Value> {
+    match (state, ty) {
+        (AggState::Distinct(sketch), _) => Some(Value::Blob(sketch.to_bytes())),
+        (_, ColumnType::I64) => state.finish().as_int().map(Value::I64),
+        _ => Some(state.finish()),
+    }
+}
+
+/// Answers a grouped aggregate over `base` — `input`'s expressions, no
+/// row filter beyond `query`'s box — from one of its rollups, into
+/// `groups`. Returns `false`, with `groups` untouched, when no registered
+/// rollup can: the caller runs [`scan_groups`] over the base instead.
+///
+/// The timestamp window splits three ways: the whole rollup buckets in
+/// it come from the rollup's partials, and the ragged ends are scanned
+/// from the base. Partial aggregates are additive, so a group
+/// straddling the split merges correctly; its partials reach its states
+/// tablet by tablet, as base rows do. Rollups are tried coarsest first
+/// (fewer partials to merge).
+pub fn serve(
+    db: &Db,
+    base: &Table,
+    query: &Query,
+    predicates: &[ColumnPredicate],
+    input: &Input,
+    groups: &mut Groups,
+) -> Result<bool> {
+    let schema = base.schema();
+    let n_dims = schema.key_len() - 1;
+    let (q_lo, q_hi) = query.ts_interval();
+    // Predicates reference raw rows the rollup no longer has. Key bounds
+    // on the dims transfer to the rollup's key verbatim; one that reaches
+    // the timestamp component would name `chunk` there.
+    if !predicates.is_empty()
+        || [&query.key_min, &query.key_max]
+            .iter()
+            .any(|b| b.as_ref().is_some_and(|b| b.values.len() > n_dims))
+    {
+        return Ok(false);
+    }
+    // Buckets straddling the base's TTL horizon would resurrect expired
+    // rows; the low-end scan re-applies the TTL filter row by row instead.
+    let cutoff = base
+        .ttl()
+        .map(|ttl| db.now().saturating_sub(ttl))
+        .unwrap_or(Micros::MIN);
+    let watermark = base.rollup_watermark();
+    let mut specs = db.rollup_specs_for(base.name());
+    specs.sort_by_key(|s| std::cmp::Reverse(s.period));
+    for spec in specs {
+        if spec.period <= 0 {
+            continue;
+        }
+        let Some((group_specs, agg_specs)) = partial_exprs(&schema, &spec, input)? else {
+            continue;
+        };
+        let Ok(rtable) = db.table(&spec.name) else {
+            continue;
+        };
+        let Some((r_lo, r_hi)) = whole_buckets(spec.period, q_lo.max(cutoff), q_hi, watermark)
+        else {
+            continue;
+        };
+        let partials = Input {
+            groups: &group_specs,
+            aggs: &agg_specs,
+            partial_rows: Some(n_dims + 2),
+        };
+        // The dims lead the rollup's key too: the same box, whole buckets.
+        let whole = query
+            .clone()
+            .with_ts_min(r_lo, true)
+            .with_ts_max(r_hi, false);
+        scan_groups(&rtable, whole, &[], &partials, groups)?;
+        // Ragged ends from the base table (skipped when empty, so a
+        // fully covered window reads zero base-table blocks).
+        if q_lo < r_lo {
+            let low = query.clone().with_ts_max(r_lo - 1, true);
+            scan_groups(base, low, &[], input, groups)?;
+        }
+        if r_hi <= q_hi {
+            let high = query.clone().with_ts_min(r_hi, true);
+            scan_groups(base, high, &[], input, groups)?;
+        }
+        TableStats::add(&base.stats().rollup_hits, 1);
+        return Ok(true);
+    }
+    Ok(false)
+}
+
+/// The query's expressions over the rollup table's columns — dim `j` is
+/// column `j`, the bucket start is the rollup's `ts`, the stat columns
+/// follow `(dims…, chunk, ts)` — or `None` when the rollup cannot answer
+/// one of them: every GROUP BY expression must be a dim column or a
+/// `TIME_BUCKET` of the timestamp by a whole multiple of the period, and
+/// every aggregate one the [`stat_columns`] hold (COUNT is `rows`, AVG
+/// is `{v}_sum` over `rows`).
+fn partial_exprs(
+    base: &Schema,
+    spec: &RollupSpec,
+    input: &Input,
+) -> Result<Option<(Vec<GroupSpec>, Vec<AggSpec>)>> {
+    let key = base.key_indices();
+    let n_dims = key.len() - 1;
+    let mut group_specs = Vec::with_capacity(input.groups.len());
+    for g in input.groups {
+        let col = match g.bucket {
+            Some(w) => {
+                (g.col == key[n_dims] && w > 0 && w % spec.period == 0).then_some(n_dims + 1)
+            }
+            None => key[..n_dims].iter().position(|&k| k == g.col),
+        };
+        match col {
+            Some(col) => group_specs.push(GroupSpec { col, ..*g }),
+            None => return Ok(None),
+        }
+    }
+    let (_, held) = stat_columns(base, spec)?;
+    let mut agg_specs = Vec::with_capacity(input.aggs.len());
+    for a in input.aggs {
+        let held_as = match a.func {
+            // The engine has no NULLs, so COUNT(col) == COUNT(*).
+            AggFunc::Count if !a.distinct => held[0],
+            AggFunc::Avg => AggSpec {
+                func: AggFunc::Sum,
+                ..*a
+            },
+            _ => *a,
+        };
+        match held.iter().position(|h| *h == held_as) {
+            Some(at) => agg_specs.push(AggSpec {
+                col: Some(n_dims + 2 + at),
+                ..*a
+            }),
+            None => return Ok(None),
+        }
+    }
+    Ok(Some((group_specs, agg_specs)))
+}
+
+/// The whole `period` buckets `[r_lo, r_hi)` inside the window
+/// `[lo, hi]` and below the rollup watermark, if there is one.
+fn whole_buckets(
+    period: Micros,
+    lo: Micros,
+    hi: Micros,
+    watermark: Micros,
+) -> Option<(Micros, Micros)> {
+    if lo > hi {
+        return None;
+    }
+    // 128-bit arithmetic so bucket alignment cannot overflow at the
+    // extremes of the timestamp range.
+    let p = period as i128;
+    let floor_p = |x: i128| -> i128 { x.div_euclid(p) * p };
+    let ceil_p = |x: i128| -> i128 { -floor_p(-x) };
+    let r_lo = ceil_p(lo as i128);
+    let r_hi = floor_p(hi as i128 + 1).min(floor_p(watermark as i128));
+    (r_lo < r_hi).then_some((r_lo as Micros, r_hi as Micros))
 }
 
 #[cfg(test)]
@@ -892,5 +960,196 @@ mod tests {
         base.insert(vec![row(1, 1, START + 3 * HOUR, 1, 0.0, "x")])
             .unwrap();
         assert_eq!(base.rollup_watermark(), START + 3 * HOUR);
+    }
+
+    /// `hops` is an int32 value column, so its `_sum/_min/_max` widen.
+    fn hops_schema() -> Schema {
+        Schema::new(
+            vec![
+                ColumnDef::new("net", ColumnType::I64),
+                ColumnDef::new("dev", ColumnType::I32),
+                ColumnDef::new("ts", ColumnType::Timestamp),
+                ColumnDef::new("hops", ColumnType::I32),
+                ColumnDef::new("load", ColumnType::F64),
+                ColumnDef::new("user", ColumnType::Str),
+            ],
+            &["net", "dev", "ts"],
+        )
+        .unwrap()
+    }
+
+    /// A database on `vfs` whose `hops` table has an hourly and a
+    /// four-hourly rollup, created before the base's tablets (one per
+    /// time period spanned) were loaded and folded by maintenance. Loads that do not sum exactly, so the
+    /// partials depend on the order rows reach them in.
+    fn rolled_hops(vfs: &SimVfs) -> Db {
+        let db = Db::open(
+            Arc::new(vfs.clone()),
+            Arc::new(SimClock::new(START)),
+            Options::small_for_tests(),
+        )
+        .unwrap();
+        let t = db.create_table("hops", hops_schema(), None).unwrap();
+        let values = vec!["hops".to_string(), "load".to_string()];
+        db.create_rollup("hops_1h", "hops", HOUR, values, vec!["user".into()])
+            .unwrap();
+        db.create_rollup("hops_4h", "hops", 4 * HOUR, vec!["hops".into()], vec![])
+            .unwrap();
+        let mut x = 7u64;
+        let mut rows = Vec::new();
+        for i in 0..600i64 {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            rows.push(vec![
+                Value::I64(i % 3),
+                Value::I32((i % 2) as i32),
+                Value::Timestamp(START + i * 97_000_000),
+                Value::I32((x >> 40) as i32 - (1 << 23)),
+                Value::F64((x >> 50) as f64 * 0.1),
+                Value::Str(format!("u{}", x % 17)),
+            ]);
+        }
+        t.insert(rows).unwrap();
+        t.flush_all().unwrap();
+        assert!(db.maintain_table("hops").unwrap().tablets_folded > 1);
+        db
+    }
+
+    #[test]
+    fn fold_writes_the_partials_a_row_at_a_time_fold_would() {
+        let db = rolled_hops(&SimVfs::instant());
+        let base = db.table("hops").unwrap();
+        // The base tablets partition time; a row's chunk is the one it is in.
+        let tablets = base.unfolded_tablets(true);
+        let chunk_of = |ts: Micros| {
+            let mut holding = tablets
+                .iter()
+                .filter(|(meta, _)| (meta.min_ts..=meta.max_ts).contains(&ts));
+            let chunk = holding.next().expect("a tablet holds the row").0.id as i64;
+            assert!(holding.next().is_none(), "tablets overlap in time");
+            chunk
+        };
+        // (net, dev, chunk, bucket) to rows, hops sum/min/max, load
+        // sum/min/max, users.
+        type Naive = (i64, i64, i64, i64, f64, f64, f64, HyperLogLog);
+        let mut naive: std::collections::BTreeMap<(i64, i64, i64, Micros), Naive> =
+            Default::default();
+        for row in base.query_all(&Query::all()).unwrap() {
+            let v = &row.values;
+            let (hops, Value::F64(load)) = (v[3].as_int().unwrap(), &v[4]) else {
+                panic!("bad load {:?}", v[4]);
+            };
+            let ts = v[2].as_int().unwrap();
+            let key = (
+                v[0].as_int().unwrap(),
+                v[1].as_int().unwrap(),
+                chunk_of(ts),
+                bucket_of(ts, HOUR),
+            );
+            let acc = naive.entry(key).or_insert_with(|| {
+                let empty = HyperLogLog::default_precision();
+                (0, 0, hops, hops, 0.0, *load, *load, empty)
+            });
+            acc.0 += 1;
+            acc.1 += hops;
+            acc.2 = acc.2.min(hops);
+            acc.3 = acc.3.max(hops);
+            acc.4 += load;
+            acc.5 = acc.5.min(*load);
+            acc.6 = acc.6.max(*load);
+            acc.7.add_bytes(&distinct_bytes(&v[5]));
+        }
+        let expect: Vec<Vec<Value>> = naive
+            .into_iter()
+            .map(|((net, dev, chunk, bucket), acc)| {
+                vec![
+                    Value::I64(net),
+                    Value::I32(dev as i32),
+                    Value::I64(chunk),
+                    Value::Timestamp(bucket),
+                    Value::I64(acc.0),
+                    Value::I64(acc.1),
+                    Value::I64(acc.2),
+                    Value::I64(acc.3),
+                    Value::F64(acc.4),
+                    Value::F64(acc.5),
+                    Value::F64(acc.6),
+                    Value::Blob(acc.7.to_bytes()),
+                ]
+            })
+            .collect();
+        let partials = db.table("hops_1h").unwrap();
+        let got: Vec<Vec<Value>> = partials
+            .query_all(&Query::all())
+            .unwrap()
+            .into_iter()
+            .map(|r| r.values)
+            .collect();
+        assert!(got.len() > 30, "{} partials", got.len());
+        assert_eq!(got, expect);
+    }
+
+    #[test]
+    fn the_same_input_folds_to_byte_identical_rollup_tablets() {
+        let (a, b) = (SimVfs::instant(), SimVfs::instant());
+        let (db_a, db_b) = (rolled_hops(&a), rolled_hops(&b));
+        let mut tablets = 0;
+        for name in ["hops_1h", "hops_4h"] {
+            let dir = db_a.table(name).unwrap().dir().to_string();
+            assert_eq!(dir, db_b.table(name).unwrap().dir());
+            let mut files = a.list_dir(&dir).unwrap();
+            files.sort();
+            let mut files_b = b.list_dir(&dir).unwrap();
+            files_b.sort();
+            assert_eq!(files, files_b);
+            for file in files {
+                let read = |vfs: &SimVfs| {
+                    let f = vfs.open(&join(&dir, &file)).unwrap();
+                    let mut data = vec![0u8; f.len().unwrap() as usize];
+                    f.read_exact_at(0, &mut data).unwrap();
+                    data
+                };
+                assert_eq!(read(&a), read(&b), "{dir}/{file}");
+                tablets += crate::descriptor::parse_tablet_file_name(&file).is_some() as usize;
+            }
+        }
+        assert!(tablets >= 2, "{tablets} rollup tablets compared");
+    }
+
+    #[test]
+    fn a_bad_sketch_in_the_rollup_table_is_corruption_not_a_panic() {
+        let group_specs = [GroupSpec {
+            col: 0,
+            bucket: None,
+        }];
+        let agg_specs = [AggSpec {
+            func: AggFunc::Count,
+            col: Some(5),
+            distinct: true,
+        }];
+        let input = Input::rows(&group_specs, &agg_specs);
+        // Neither a sketch at all, nor one of a precision the states
+        // cannot be merged with.
+        for sketch in [vec![1, 2, 3], [vec![4], vec![0; 16]].concat()] {
+            let db = rolled_hops(&SimVfs::instant());
+            let base = db.table("hops").unwrap();
+            let mut groups = Groups::new(&input);
+            assert!(serve(&db, &base, &Query::all(), &[], &input, &mut groups).unwrap());
+            // The rollup table is an ordinary table: anyone can insert.
+            let mut bad = db
+                .table("hops_1h")
+                .unwrap()
+                .query_all(&Query::all())
+                .unwrap()[0]
+                .values
+                .clone();
+            bad[2] = Value::I64(999);
+            bad[11] = Value::Blob(sketch);
+            db.table("hops_1h").unwrap().insert(vec![bad]).unwrap();
+            let mut groups = Groups::new(&input);
+            let err = serve(&db, &base, &Query::all(), &[], &input, &mut groups).unwrap_err();
+            assert!(matches!(err, Error::Corrupt(_)), "{err:?}");
+        }
     }
 }

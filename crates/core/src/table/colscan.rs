@@ -17,9 +17,12 @@
 //!   it folds the selected rows straight off [`Block::column`]. No keys
 //!   and no [`Row`]s are materialized, whether the block is wholly
 //!   inside the box or merely cut by it.
-//! * [`ScanUnit::Rows`] — fully filtered, materialized rows. Only
-//!   memtablets and tablets written under an older schema version, whose
-//!   rows need translating, produce them.
+//!
+//! Memtablets and tablets written under an older schema version have no
+//! zones to judge by (a memtablet has none; a lagging tablet's are the
+//! old schema's), so their blocks — the memtablet's snapshot, the lagging
+//! tablet's translated runs — are `Block` units with every bound and
+//! predicate checked over the slices.
 //!
 //! Correctness leans on two engine invariants: primary keys are unique
 //! across the whole table (insert-time uniqueness, §3.4.4), so no
@@ -33,9 +36,9 @@ use crate::block::{Block, ColumnSlice};
 use crate::cursor::{RunCursor, Source};
 use crate::error::{Error, Result};
 use crate::query::Query;
-use crate::row::Row;
 use crate::stats::TableStats;
 use crate::value::Value;
+use littletable_vfs::Micros;
 use std::cmp::Ordering;
 use std::ops::Range;
 use std::sync::Arc;
@@ -97,8 +100,8 @@ enum ZoneVerdict {
 
 impl ColumnPredicate {
     /// Evaluates the predicate against one value. Incomparable pairs
-    /// (including NaN on either side) match no operator, mirroring the
-    /// SQL layer's residual-filter semantics.
+    /// (including NaN on either side) match no operator. The SQL layer's
+    /// plain SELECT filters its residual conjuncts with this.
     pub fn matches(&self, v: &Value) -> bool {
         match (self.op, cmp_values(v, &self.value)) {
             (PredOp::Eq, Some(Ordering::Equal)) => true,
@@ -310,18 +313,37 @@ pub enum ScanUnit {
         /// The rows that count.
         sel: Selection,
     },
-    /// Fully filtered rows (key bounds, time bounds, and all predicates
-    /// applied) from memtablets and from tablets written under an older
-    /// schema version.
-    Rows(Vec<Row>),
+}
+
+/// Emits the rows of `block[rows]` (already inside the key bounds) that
+/// are inside `ts_bounds`, where no zone proved that already, and pass
+/// `preds`, the predicates no zone decided — if any row is left.
+fn emit_selected(
+    block: Arc<Block>,
+    rows: Range<usize>,
+    ts_bounds: Option<(Micros, Micros)>,
+    preds: &[&ColumnPredicate],
+    emit: &mut dyn FnMut(ScanUnit) -> Result<()>,
+) -> Result<()> {
+    let mut sel = Selection::Range(rows);
+    if let Some((lo, hi)) = ts_bounds {
+        let ts = block.timestamps()?;
+        sel.retain(|i| ts[i] >= lo && ts[i] <= hi);
+    }
+    for p in preds {
+        p.filter(block.column(p.col), &mut sel);
+    }
+    if sel.is_empty() {
+        return Ok(());
+    }
+    emit(ScanUnit::Block { block, sel })
 }
 
 impl Table {
     /// Streams aggregate-grade scan units for `req`'s bounding box to
     /// `emit`, cheapest unit first per block: footer stats where zones
     /// prove everything, otherwise the decoded block with the selection
-    /// of rows that pass; materialized rows only from memtablets and
-    /// schema-lagging tablets. Runs from one read view, like
+    /// of rows that pass. Runs from one read view, like
     /// [`Table::query`].
     pub fn pushdown_scan(
         &self,
@@ -345,24 +367,8 @@ impl Table {
             return Ok(());
         }
         let ts_index = schema.ts_index();
-        // What the materializing sources emit: the rows of `block[rows]`
-        // inside the time bounds that pass every predicate (key bounds
-        // are applied by their cursors).
-        let filtered_rows = |block: &Block, rows: Range<usize>| -> Result<Vec<Row>> {
-            let mut out = Vec::with_capacity(rows.len());
-            for i in rows {
-                let row = block.row(i)?;
-                let ts = row.ts(&schema)?;
-                if ts >= ts_lo
-                    && ts <= ts_hi
-                    && req.predicates.iter().all(|p| p.matches(&row.values[p.col]))
-                {
-                    out.push(row);
-                }
-            }
-            Ok(out)
-        };
-        let mut materialized = 0u64;
+        let ts_bounds = Some((ts_lo, ts_hi));
+        let every: Vec<&ColumnPredicate> = req.predicates.iter().collect();
         let mut pruned = 0u64;
         let mut uncertain: Vec<&ColumnPredicate> = Vec::new();
         for h in &snap.disk {
@@ -377,11 +383,7 @@ impl Table {
                 let source = Source::tablet(h.reader.clone(), schema.clone(), range.clone());
                 let mut cur = RunCursor::new(vec![source], false);
                 while let Some(run) = cur.next_run()? {
-                    materialized += run.len() as u64;
-                    let rows = filtered_rows(&run.block, run.rows)?;
-                    if !rows.is_empty() {
-                        emit(ScanUnit::Rows(rows))?;
-                    }
+                    emit_selected(run.block, run.rows, ts_bounds, &every, emit)?;
                 }
                 continue;
             }
@@ -443,36 +445,24 @@ impl Table {
                 // Whatever the zones left open is decided row by row over
                 // the typed slices: key bounds, then time, then predicates.
                 let block = h.reader.read_block(bi)?;
-                let mut sel = Selection::Range(if key_contained {
+                let rows = if key_contained {
                     0..block.len()
                 } else {
                     block.rows_in_range(&range)?
-                });
-                if !ts_contained {
-                    let ts = block.timestamps()?;
-                    sel.retain(|i| ts[i] >= ts_lo && ts[i] <= ts_hi);
-                }
-                for p in &uncertain {
-                    p.filter(block.column(p.col), &mut sel);
-                }
-                if !sel.is_empty() {
-                    emit(ScanUnit::Block { block, sel })?;
-                }
+                };
+                let ts_bounds = ts_bounds.filter(|_| !ts_contained);
+                emit_selected(block, rows, ts_bounds, &uncertain, emit)?;
             }
         }
         for t in &snap.mem {
             if let Some(block) =
                 super::read::mem_block(t, &range, ts_lo, ts_hi, cutoff_seq, &schema)?
             {
-                materialized += block.len() as u64;
-                let rows = filtered_rows(&block, 0..block.len())?;
-                if !rows.is_empty() {
-                    emit(ScanUnit::Rows(rows))?;
-                }
+                let rows = 0..block.len();
+                emit_selected(Arc::new(block), rows, ts_bounds, &every, emit)?;
             }
         }
         TableStats::add(&self.stats.blocks_pruned, pruned);
-        TableStats::add(&self.stats.rows_materialized, materialized);
         Ok(())
     }
 }
@@ -502,10 +492,25 @@ mod tests {
         .unwrap()
     }
 
-    /// A flushed table with `n` rows across several small blocks: 4
-    /// devices, ascending timestamps, bytes = 10*i, and a load of i/2
-    /// or, every 23rd row, NaN.
+    /// Where a test table's rows sit when it is scanned.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Stored {
+        /// Flushed, under the current schema.
+        Flushed,
+        /// Still in the memtablet.
+        InMemory,
+        /// Flushed, then a column was added: every tablet lags the schema.
+        Lagging,
+    }
+
     fn flushed_table(n: usize) -> (Db, Arc<Table>) {
+        usage_table(n, Stored::Flushed)
+    }
+
+    /// A table with `n` rows across several small blocks: 4 devices,
+    /// ascending timestamps, bytes = 10*i, and a load of i/2 or, every
+    /// 23rd row, NaN.
+    fn usage_table(n: usize, stored: Stored) -> (Db, Arc<Table>) {
         let clock = SimClock::new(START);
         let vfs = SimVfs::instant();
         let opts = Options {
@@ -530,8 +535,16 @@ mod tests {
             })
             .collect();
         t.insert(rows).unwrap();
+        if stored == Stored::InMemory {
+            assert_eq!(t.num_disk_tablets(), 0);
+            return (db, t);
+        }
         t.flush_all().unwrap();
         assert!(t.num_disk_tablets() >= 1);
+        if stored == Stored::Lagging {
+            let extra = ColumnDef::with_default("extra", ColumnType::I64, Value::I64(0));
+            t.add_column(extra).unwrap();
+        }
         (db, t)
     }
 
@@ -559,7 +572,6 @@ mod tests {
                     assert!(sel.iter().all(|i| i < block.len()));
                     n += sel.len() as u64;
                 }
-                ScanUnit::Rows(rows) => n += rows.len() as u64,
             }
         }
         n
@@ -606,6 +618,7 @@ mod tests {
         );
         assert_eq!(cmp_values(&Value::F64(f64::NAN), &Value::F64(1.0)), None);
         assert_eq!(cmp_values(&Value::F64(1.0), &Value::I64(1)), None);
+        assert_eq!(cmp_values(&Value::Str("a".into()), &Value::I64(1)), None);
         assert_eq!(
             cmp_values(&Value::Str("a".into()), &Value::Str("b".into())),
             Some(Less)
@@ -721,14 +734,6 @@ mod tests {
                     };
                     sum += col.iter().sum::<i64>();
                 }
-                ScanUnit::Rows(rows) => {
-                    for r in rows {
-                        match &r.values[2] {
-                            Value::I64(v) => sum += v,
-                            v => panic!("unexpected {v:?}"),
-                        }
-                    }
-                }
                 ScanUnit::Stats { .. } => panic!("stats forbidden when stats_cols is None"),
             }
         }
@@ -826,7 +831,6 @@ mod tests {
 
     #[test]
     fn selection_equals_brute_force_row_filter() {
-        let (_db, t) = flushed_table(400);
         let pred = |col, op, value| ColumnPredicate { col, op, value };
         let mut requests = Vec::new();
         let boxes = [
@@ -885,24 +889,36 @@ mod tests {
                 }
             }
         }
-        let mut holes = 0;
-        for req in &requests {
-            let before = t.stats().snapshot().rows_materialized;
-            let units = scan(&t, req);
-            assert_eq!(t.stats().snapshot().rows_materialized, before);
-            let mut expect = t.query_all(&req.query).unwrap();
-            expect.retain(|r| req.predicates.iter().all(|p| p.matches(&r.values[p.col])));
-            assert_eq!(unit_rows(&units), expect.len() as u64, "{req:?}");
-            for u in &units {
-                let ScanUnit::Block { block, sel } = u else {
-                    panic!("flushed data must not yield {u:?}");
-                };
-                let got: Vec<usize> = sel.iter().collect();
-                assert_eq!(got, brute_force_selection(&t, block, req), "{req:?}");
-                holes += matches!(sel, Selection::Indices(_)) as usize;
+        // However the rows are stored, every unit is a block whose
+        // selection is the brute-force filter's, and no row is built.
+        for stored in [Stored::Flushed, Stored::InMemory, Stored::Lagging] {
+            let (_db, t) = usage_table(400, stored);
+            let mut holes = 0;
+            for req in &requests {
+                let before = t.stats().snapshot().rows_materialized;
+                let units = scan(&t, req);
+                assert_eq!(t.stats().snapshot().rows_materialized, before);
+                let mut expect = t.query_all(&req.query).unwrap();
+                expect.retain(|r| req.predicates.iter().all(|p| p.matches(&r.values[p.col])));
+                assert_eq!(unit_rows(&units), expect.len() as u64, "{stored:?} {req:?}");
+                for u in &units {
+                    let ScanUnit::Block { block, sel } = u else {
+                        panic!("{stored:?} data must not yield {u:?}");
+                    };
+                    let got: Vec<usize> = sel.iter().collect();
+                    assert_eq!(
+                        got,
+                        brute_force_selection(&t, block, req),
+                        "{stored:?} {req:?}"
+                    );
+                    holes += matches!(sel, Selection::Indices(_)) as usize;
+                }
             }
+            assert!(
+                holes > 0,
+                "{stored:?}: some filter must leave an index vector"
+            );
         }
-        assert!(holes > 0, "some filter must leave an index vector");
     }
 
     #[test]
@@ -942,8 +958,12 @@ mod tests {
             })
             .collect();
         t.insert(rows).unwrap();
-        let req = req_all();
-        assert_eq!(unit_rows(&scan(&t, &req)), 150);
+        let units = scan(&t, &req_all());
+        assert_eq!(unit_rows(&units), 150);
+        // The memtablet's rows arrive as a block of their own.
+        assert!(units.iter().any(|u| matches!(u,
+            ScanUnit::Block { block, sel } if *sel == Selection::Range(0..50) && block.len() == 50)));
+        assert_eq!(t.stats().snapshot().rows_materialized, 0);
     }
 
     #[test]

@@ -4,6 +4,8 @@
 //! table DDL with a clustering primary key and TTL, batched inserts,
 //! bounded scans, and aggregation with GROUP BY.
 
+pub use littletable_core::agg::AggFunc;
+pub use littletable_core::table::PredOp;
 use littletable_core::value::{ColumnType, Value};
 
 /// A parsed statement.
@@ -143,30 +145,13 @@ impl Literal {
     }
 }
 
-/// Comparison operators in WHERE clauses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CmpOp {
-    /// `=`
-    Eq,
-    /// `!=`
-    Ne,
-    /// `<`
-    Lt,
-    /// `<=`
-    Le,
-    /// `>`
-    Gt,
-    /// `>=`
-    Ge,
-}
-
 /// One conjunct: `column op literal`. WHERE clauses are conjunctions.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Condition {
     /// Column name.
     pub column: String,
     /// Operator.
-    pub op: CmpOp,
+    pub op: PredOp,
     /// Right-hand literal.
     pub literal: Literal,
 }
@@ -209,21 +194,6 @@ pub enum GroupExpr {
         /// Bucket width in micros.
         width_micros: i64,
     },
-}
-
-/// Supported aggregate functions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AggFunc {
-    /// `COUNT`
-    Count,
-    /// `SUM`
-    Sum,
-    /// `MIN`
-    Min,
-    /// `MAX`
-    Max,
-    /// `AVG`
-    Avg,
 }
 
 /// A SELECT statement.

@@ -1,19 +1,15 @@
 //! Statement execution against an embedded engine [`Db`].
 
-use crate::agg::{scan_groups, AggSpec, AggState, GroupSpec, Groups};
 use crate::ast::{AggFunc, ColumnAst, GroupExpr, Literal, Select, SelectItem, Statement};
-use crate::plan::{plan_select, Plan};
+use crate::plan::{column_index, plan_select, Plan};
+use littletable_core::agg::{scan_groups, AggSpec, GroupSpec, Groups, Input};
 use littletable_core::db::Db;
 use littletable_core::error::{Error, Result};
-use littletable_core::keyenc;
-use littletable_core::query::Query;
 use littletable_core::resultcache::{CachedRows, ResultKey};
-use littletable_core::rollup::{bucket_of, distinct_bytes};
+use littletable_core::rollup::{self, distinct_bytes};
 use littletable_core::schema::{ColumnDef, Schema};
 use littletable_core::stats::TableStats;
-use littletable_core::table::Table;
 use littletable_core::value::{ColumnType, Value};
-use littletable_hll::HyperLogLog;
 use littletable_vfs::Micros;
 use std::sync::Arc;
 
@@ -23,30 +19,6 @@ enum Source {
     Group(usize),
     /// The aggregate at this position among the SELECT list's.
     Agg(usize),
-}
-
-/// Where a GROUP BY expression reads from when serving off a rollup
-/// table: a dimension column (same index as in the base key prefix) or
-/// the bucket-start timestamp re-bucketed to the query's width.
-enum GroupSrc {
-    Dim(usize),
-    Bucket(i64),
-}
-
-/// Where one aggregate reads from in a rollup row.
-enum RollupAgg {
-    /// COUNT(*) / COUNT(col): the `rows` column.
-    Rows,
-    /// SUM(v): the `{v}_sum` column (partial sums add).
-    Sum(usize),
-    /// MIN(v): the `{v}_min` column.
-    Min(usize),
-    /// MAX(v): the `{v}_max` column.
-    Max(usize),
-    /// AVG(v): `{v}_sum` with the `rows` count.
-    Avg(usize),
-    /// COUNT(DISTINCT d): the `{d}_hll` sketch column.
-    Hll(usize),
 }
 
 /// The result of executing one statement.
@@ -205,11 +177,7 @@ impl Session {
             None => (0..schema.num_columns()).collect(),
             Some(names) => names
                 .iter()
-                .map(|n| {
-                    schema
-                        .column_index(n)
-                        .ok_or_else(|| Error::invalid(format!("no column {n:?}")))
-                })
+                .map(|n| column_index(&schema, n))
                 .collect::<Result<_>>()?,
         };
         let ts_index = schema.ts_index();
@@ -321,9 +289,7 @@ impl Session {
                         width_micros,
                     } => (column, Some(*width_micros)),
                 };
-                let col = schema
-                    .column_index(name)
-                    .ok_or_else(|| Error::invalid(format!("no column {name:?}")))?;
+                let col = column_index(&schema, name)?;
                 let ty = schema.columns()[col].ty;
                 if bucket.is_some() && ty != ColumnType::Timestamp {
                     return Err(Error::invalid("TIME_BUCKET requires a TIMESTAMP column"));
@@ -346,17 +312,12 @@ impl Session {
                 _ => None,
             })
             .map(|(func, column, distinct)| {
-                let idx = match column {
-                    None => None,
-                    Some(n) => Some(
-                        schema
-                            .column_index(n)
-                            .ok_or_else(|| Error::invalid(format!("no column {n:?}")))?,
-                    ),
-                };
                 Ok(AggSpec {
                     func: *func,
-                    col: idx,
+                    col: column
+                        .as_ref()
+                        .map(|n| column_index(&schema, n))
+                        .transpose()?,
                     distinct,
                 })
             })
@@ -391,18 +352,17 @@ impl Session {
         // Prefer serving off a rollup table (pre-aggregated partials
         // plus un-rolled-up tail scans); fall back to the engine's
         // columnar pushdown over the base.
-        let mut groups = Groups::new(&group_specs, &agg_specs);
-        let rollup_served = self.try_rollup_groups(
+        let input = Input::rows(&group_specs, &agg_specs);
+        let mut groups = Groups::new(&input);
+        if !rollup::serve(
+            &self.db,
             &t,
-            &sel.table,
-            &schema,
-            &plan,
-            &group_specs,
-            &agg_specs,
+            &plan.query,
+            &plan.residual,
+            &input,
             &mut groups,
-        )?;
-        if !rollup_served {
-            scan_groups(&t, plan.query.clone(), &plan.residual, &mut groups)?;
+        )? {
+            scan_groups(&t, plan.query.clone(), &plan.residual, &input, &mut groups)?;
         }
         if group_specs.is_empty() {
             // An ungrouped aggregate is one group whether or not a row
@@ -485,9 +445,7 @@ impl Session {
                     }
                 }
                 SelectItem::Column(n) => {
-                    let i = schema
-                        .column_index(n)
-                        .ok_or_else(|| Error::invalid(format!("no column {n:?}")))?;
+                    let i = column_index(schema, n)?;
                     columns.push(n.clone());
                     slots.push(i);
                 }
@@ -501,7 +459,7 @@ impl Session {
         let mut cur = t.query(&plan.query)?;
         let mut rows = Vec::new();
         while let Some(row) = cur.next_row()? {
-            if !plan.residual.iter().all(|r| r.matches(&row.values)) {
+            if !plan.residual.iter().all(|p| p.matches(&row.values[p.col])) {
                 continue;
             }
             rows.push(slots.iter().map(|&i| row.values[i].clone()).collect());
@@ -512,244 +470,6 @@ impl Session {
             }
         }
         Ok(SqlOutput::Rows { columns, rows })
-    }
-
-    /// Tries to answer a grouped aggregate from one of the base table's
-    /// rollups. Returns `true` when `groups` was fully populated (rollup
-    /// partials plus un-rolled-up tail scans of the base); `false` means
-    /// no registered rollup can serve this query and the caller should
-    /// run the ordinary pushdown.
-    #[allow(clippy::too_many_arguments)]
-    fn try_rollup_groups(
-        &self,
-        t: &Arc<Table>,
-        table_name: &str,
-        schema: &Schema,
-        plan: &Plan,
-        group_specs: &[GroupSpec],
-        agg_specs: &[AggSpec],
-        groups: &mut Groups,
-    ) -> Result<bool> {
-        // Residual predicates reference raw rows the rollup no longer
-        // has; any residual disqualifies the rewrite.
-        if !plan.residual.is_empty() {
-            return Ok(false);
-        }
-        let mut specs = self.db.rollup_specs_for(table_name);
-        if specs.is_empty() {
-            return Ok(false);
-        }
-        // Coarser periods mean fewer partial rows to merge; try those
-        // first.
-        specs.sort_by_key(|s| std::cmp::Reverse(s.period));
-        let key_cols = schema.key_indices();
-        let n_dims = key_cols.len() - 1;
-        let ts_idx = schema.ts_index();
-        'spec: for spec in specs {
-            if spec.period <= 0 {
-                continue;
-            }
-            // Every GROUP BY expression must be answerable from the
-            // rollup key: a dim column verbatim, or TIME_BUCKET whose
-            // width is a whole multiple of the rollup period.
-            let mut group_srcs = Vec::with_capacity(group_specs.len());
-            for g in group_specs {
-                match g.bucket {
-                    Some(w) => {
-                        if g.col != ts_idx || w <= 0 || w % spec.period != 0 {
-                            continue 'spec;
-                        }
-                        group_srcs.push(GroupSrc::Bucket(w));
-                    }
-                    None => match key_cols[..n_dims].iter().position(|&k| k == g.col) {
-                        Some(j) => group_srcs.push(GroupSrc::Dim(j)),
-                        None => continue 'spec,
-                    },
-                }
-            }
-            // Every aggregate must map onto a maintained stat column.
-            let stats_base = n_dims + 3;
-            let n_vals = spec.value_cols.len();
-            let mut aggs = Vec::with_capacity(agg_specs.len());
-            for a in agg_specs {
-                let src = if a.distinct {
-                    let name = match a.col {
-                        Some(c) => schema.columns()[c].name.as_str(),
-                        None => continue 'spec,
-                    };
-                    match spec.distinct_cols.iter().position(|c| c == name) {
-                        Some(di) => RollupAgg::Hll(stats_base + 3 * n_vals + di),
-                        None => continue 'spec,
-                    }
-                } else if a.func == AggFunc::Count {
-                    // The engine has no NULLs, so COUNT(col) == COUNT(*).
-                    RollupAgg::Rows
-                } else {
-                    let name = match a.col {
-                        Some(c) => schema.columns()[c].name.as_str(),
-                        None => continue 'spec,
-                    };
-                    let Some(vi) = spec.value_cols.iter().position(|c| c == name) else {
-                        continue 'spec;
-                    };
-                    let base = stats_base + 3 * vi;
-                    match a.func {
-                        AggFunc::Sum => RollupAgg::Sum(base),
-                        AggFunc::Min => RollupAgg::Min(base + 1),
-                        AggFunc::Max => RollupAgg::Max(base + 2),
-                        AggFunc::Avg => RollupAgg::Avg(base),
-                        AggFunc::Count => unreachable!(),
-                    }
-                };
-                aggs.push(src);
-            }
-            let Ok(rtable) = self.db.table(&spec.name) else {
-                continue 'spec;
-            };
-            if self.serve_rollup(
-                t,
-                &rtable,
-                spec.period,
-                n_dims,
-                &group_srcs,
-                &aggs,
-                plan,
-                groups,
-            )? {
-                return Ok(true);
-            }
-        }
-        Ok(false)
-    }
-
-    /// Serves one eligible grouped aggregate off `rtable`. The timestamp
-    /// window splits three ways: whole rollup buckets inside
-    /// `[r_lo, r_hi)` come from the rollup's partials, and the ragged
-    /// ends — below the first whole bucket (bounded additionally by the
-    /// base's TTL horizon) and at or above the rollup watermark — are
-    /// scanned from the base. Partial aggregates are additive, so a
-    /// group straddling the split merges correctly. Returns `false`
-    /// when the window contains no whole bucket (caller falls back).
-    #[allow(clippy::too_many_arguments)]
-    fn serve_rollup(
-        &self,
-        t: &Arc<Table>,
-        rtable: &Arc<Table>,
-        period: Micros,
-        n_dims: usize,
-        group_srcs: &[GroupSrc],
-        aggs: &[RollupAgg],
-        plan: &Plan,
-        groups: &mut Groups,
-    ) -> Result<bool> {
-        let now = self.db.now();
-        let (q_lo, q_hi) = plan.query.ts_interval();
-        if q_lo > q_hi {
-            return Ok(false);
-        }
-        // Buckets straddling the base's TTL horizon would resurrect
-        // expired rows; the low tail scan below re-applies the TTL
-        // filter row by row instead.
-        let cutoff = t
-            .ttl()
-            .map(|ttl| now.saturating_sub(ttl))
-            .unwrap_or(Micros::MIN);
-        let watermark = t.rollup_watermark();
-        // 128-bit arithmetic so bucket alignment cannot overflow at the
-        // extremes of the timestamp range.
-        let p = period as i128;
-        let floor_p = |x: i128| -> i128 { x.div_euclid(p) * p };
-        let lo = q_lo.max(cutoff) as i128;
-        let r_lo = {
-            let f = floor_p(lo);
-            if f == lo {
-                f
-            } else {
-                f + p
-            }
-        };
-        let r_hi = floor_p(q_hi as i128 + 1).min(floor_p(watermark as i128));
-        if r_hi <= r_lo {
-            return Ok(false);
-        }
-        let (r_lo, r_hi) = (r_lo as Micros, r_hi as Micros);
-
-        // Whole buckets from the rollup. The plan's key bounds only ever
-        // name dim columns, which lead the rollup's key too, so they
-        // transfer verbatim.
-        let mut rq = Query::all()
-            .with_ts_min(r_lo, true)
-            .with_ts_max(r_hi, false);
-        rq.key_min = plan.query.key_min.clone();
-        rq.key_max = plan.query.key_max.clone();
-        let mut cur = rtable.query(&rq)?;
-        while let Some(row) = cur.next_row()? {
-            let bucket_ts = match &row.values[n_dims + 1] {
-                Value::Timestamp(b) => *b,
-                v => return Err(Error::corrupt(format!("bad rollup bucket value {v}"))),
-            };
-            let rows_n = match &row.values[n_dims + 2] {
-                Value::I64(n) => *n,
-                v => return Err(Error::corrupt(format!("bad rollup row count {v}"))),
-            };
-            let mut key = Vec::new();
-            let mut vals = Vec::with_capacity(group_srcs.len());
-            for gs in group_srcs {
-                let v = match gs {
-                    GroupSrc::Dim(j) => row.values[*j].clone(),
-                    GroupSrc::Bucket(w) => Value::Timestamp(bucket_of(bucket_ts, *w)),
-                };
-                keyenc::encode_component(&mut key, &v)?;
-                vals.push(v);
-            }
-            let states = groups.states(&key, || vals);
-            for (state, src) in states.iter_mut().zip(aggs) {
-                match src {
-                    RollupAgg::Rows => {
-                        if let AggState::Count(n) = state {
-                            *n += rows_n as u64;
-                        }
-                    }
-                    RollupAgg::Sum(c) | RollupAgg::Min(c) | RollupAgg::Max(c) => {
-                        state.update(Some(&row.values[*c]))?;
-                    }
-                    RollupAgg::Avg(c) => {
-                        let s = match &row.values[*c] {
-                            Value::I64(v) => *v as f64,
-                            Value::F64(v) => *v,
-                            v => return Err(Error::corrupt(format!("bad rollup sum value {v}"))),
-                        };
-                        if let AggState::Avg(acc, n) = state {
-                            *acc += s;
-                            *n += rows_n as u64;
-                        }
-                    }
-                    RollupAgg::Hll(c) => {
-                        let Value::Blob(b) = &row.values[*c] else {
-                            return Err(Error::corrupt("bad rollup sketch column"));
-                        };
-                        let h = HyperLogLog::from_bytes(b)
-                            .ok_or_else(|| Error::corrupt("undecodable rollup HLL sketch"))?;
-                        if let AggState::Distinct(d) = state {
-                            d.merge(&h);
-                        }
-                    }
-                }
-            }
-        }
-
-        // Ragged ends from the base table (skipped when empty, so a
-        // fully covered window reads zero base-table blocks).
-        if q_lo < r_lo {
-            let q1 = plan.query.clone().with_ts_max(r_lo - 1, true);
-            scan_groups(t, q1, &plan.residual, groups)?;
-        }
-        if r_hi <= q_hi {
-            let q2 = plan.query.clone().with_ts_min(r_hi, true);
-            scan_groups(t, q2, &plan.residual, groups)?;
-        }
-        TableStats::add(&t.stats().rollup_hits, 1);
-        Ok(true)
     }
 }
 
@@ -1335,6 +1055,54 @@ mod tests {
     }
 
     #[test]
+    fn a_fold_whose_sum_leaves_int64_fails_and_the_base_keeps_answering() {
+        let (s, _) = session();
+        s.execute("CREATE TABLE m (n INT64, ts TIMESTAMP, v INT64, PRIMARY KEY (n, ts))")
+            .unwrap();
+        s.execute("CREATE ROLLUP m_1h ON m PERIOD '1h' AGGREGATE (v)")
+            .unwrap();
+        let b0 = START - START.rem_euclid(HOUR);
+        let big = i64::MAX / 2 + 1;
+        s.execute(&format!(
+            "INSERT INTO m VALUES (1, {}, {big}), (1, {}, {big}), (1, {}, 5)",
+            b0 + 1,
+            b0 + 2,
+            b0 + HOUR + 1
+        ))
+        .unwrap();
+        s.db().flush_all().unwrap();
+        // The partial's `v_sum` is an int64 column: the fold says so
+        // instead of panicking (debug) or wrapping (release).
+        let err = s.db().maintain_table("m").unwrap_err();
+        assert!(
+            matches!(&err, Error::Invalid(msg) if msg.contains("m_1h") && msg.contains("v_sum"))
+        );
+        let m = s.db().table("m").unwrap();
+        assert_eq!(m.rollup_watermark(), b0 + 1, "the tablet stays unfolded");
+        assert_eq!(m.stats().snapshot().rollup_folds, 0);
+        let got = rows(
+            s.execute(&format!(
+                "SELECT TIME_BUCKET(ts, INTERVAL '1h'), SUM(v), COUNT(*) FROM m \
+                 WHERE ts >= {b0} AND ts < {} GROUP BY TIME_BUCKET(ts, INTERVAL '1h')",
+                b0 + 2 * HOUR
+            ))
+            .unwrap(),
+        );
+        assert_eq!(
+            got,
+            vec![
+                vec![
+                    Value::Timestamp(b0),
+                    Value::F64(big as f64 + big as f64),
+                    Value::I64(2)
+                ],
+                vec![Value::Timestamp(b0 + HOUR), Value::I64(5), Value::I64(1)],
+            ]
+        );
+        assert_eq!(m.stats().snapshot().rollup_hits, 0);
+    }
+
+    #[test]
     fn count_distinct_via_hll() {
         let (s, _) = session();
         let b0 = setup_rolled_metrics(&s);
@@ -1365,6 +1133,17 @@ mod tests {
             .unwrap(),
         );
         assert_eq!(got, vec![vec![Value::I64(1), Value::I64(12)]]);
+    }
+
+    /// `question_bytes` writes a predicate's operator as its ordinal, so
+    /// the ordinals are part of the result-cache key.
+    #[test]
+    fn predicate_operators_keep_their_ordinals() {
+        use crate::ast::PredOp::*;
+        assert_eq!(
+            [Eq, Ne, Lt, Le, Gt, Ge].map(|op| op as u8),
+            [0, 1, 2, 3, 4, 5]
+        );
     }
 
     #[test]

@@ -37,7 +37,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod agg;
 pub mod ast;
 pub mod exec;
 pub mod parser;

@@ -547,12 +547,12 @@ impl Parser {
     fn condition(&mut self) -> Result<Condition> {
         let column = self.ident()?;
         let op = match self.next()? {
-            Token::Symbol(Sym::Eq) => CmpOp::Eq,
-            Token::Symbol(Sym::Ne) => CmpOp::Ne,
-            Token::Symbol(Sym::Lt) => CmpOp::Lt,
-            Token::Symbol(Sym::Le) => CmpOp::Le,
-            Token::Symbol(Sym::Gt) => CmpOp::Gt,
-            Token::Symbol(Sym::Ge) => CmpOp::Ge,
+            Token::Symbol(Sym::Eq) => PredOp::Eq,
+            Token::Symbol(Sym::Ne) => PredOp::Ne,
+            Token::Symbol(Sym::Lt) => PredOp::Lt,
+            Token::Symbol(Sym::Le) => PredOp::Le,
+            Token::Symbol(Sym::Gt) => PredOp::Gt,
+            Token::Symbol(Sym::Ge) => PredOp::Ge,
             t => return Err(Error::invalid(format!("expected comparison, got {t:?}"))),
         };
         let literal = self.literal()?;

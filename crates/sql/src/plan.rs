@@ -8,63 +8,20 @@
 //! cannot be absorbed into the box is kept as a residual filter evaluated
 //! per row.
 
-use crate::ast::{CmpOp, Select};
+use crate::ast::{PredOp, Select};
 use littletable_core::error::{Error, Result};
 use littletable_core::query::Query;
 use littletable_core::schema::Schema;
+use littletable_core::table::{cmp_values, ColumnPredicate};
 use littletable_core::value::Value;
 use littletable_vfs::Micros;
 use std::cmp::Ordering;
 
-/// Compares two values of the same family (integer/timestamp widths mix;
-/// floats, strings, and blobs compare within their own type). Returns
-/// `None` for incomparable types.
-pub fn cmp_values(a: &Value, b: &Value) -> Option<Ordering> {
-    use Value::*;
-    let int = |v: &Value| match v {
-        I32(x) => Some(*x as i64),
-        I64(x) => Some(*x),
-        Timestamp(x) => Some(*x),
-        _ => None,
-    };
-    if let (Some(x), Some(y)) = (int(a), int(b)) {
-        return Some(x.cmp(&y));
-    }
-    match (a, b) {
-        (F64(x), F64(y)) => x.partial_cmp(y),
-        (Str(x), Str(y)) => Some(x.cmp(y)),
-        (Blob(x), Blob(y)) => Some(x.cmp(y)),
-        _ => None,
-    }
-}
-
-/// A residual predicate: `row[col] op value`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Residual {
-    /// Column index in the schema.
-    pub col: usize,
-    /// Operator.
-    pub op: CmpOp,
-    /// Comparison value.
-    pub value: Value,
-}
-
-impl Residual {
-    /// Evaluates the predicate against a row.
-    pub fn matches(&self, row: &[Value]) -> bool {
-        let ord = cmp_values(&row[self.col], &self.value);
-        match (self.op, ord) {
-            (CmpOp::Eq, Some(Ordering::Equal)) => true,
-            (CmpOp::Ne, Some(o)) => o != Ordering::Equal,
-            (CmpOp::Lt, Some(Ordering::Less)) => true,
-            (CmpOp::Le, Some(Ordering::Less | Ordering::Equal)) => true,
-            (CmpOp::Gt, Some(Ordering::Greater)) => true,
-            (CmpOp::Ge, Some(Ordering::Greater | Ordering::Equal)) => true,
-            // Incomparable types never match (the planner has already
-            // type-checked literals, so this is unreachable in practice).
-            _ => false,
-        }
-    }
+/// The position in `schema` of the column a statement names.
+pub(crate) fn column_index(schema: &Schema, name: &str) -> Result<usize> {
+    schema
+        .column_index(name)
+        .ok_or_else(|| Error::invalid(format!("no column {name:?}")))
 }
 
 /// A planned SELECT scan.
@@ -73,17 +30,15 @@ pub struct Plan {
     /// The bounding-box query to hand the engine.
     pub query: Query,
     /// Per-row filters the box could not express.
-    pub residual: Vec<Residual>,
+    pub residual: Vec<ColumnPredicate>,
 }
 
 /// Plans the FROM/WHERE/ORDER BY/LIMIT part of a SELECT against `schema`.
 pub fn plan_select(sel: &Select, schema: &Schema, now: Micros) -> Result<Plan> {
     // Resolve conditions to (column index, op, typed value).
-    let mut resolved: Vec<(usize, CmpOp, Value)> = Vec::with_capacity(sel.conditions.len());
+    let mut resolved: Vec<(usize, PredOp, Value)> = Vec::with_capacity(sel.conditions.len());
     for c in &sel.conditions {
-        let idx = schema
-            .column_index(&c.column)
-            .ok_or_else(|| Error::invalid(format!("no column {:?}", c.column)))?;
+        let idx = column_index(schema, &c.column)?;
         let value = c.literal.to_value(schema.columns()[idx].ty, now)?;
         resolved.push((idx, c.op, value));
     }
@@ -99,27 +54,27 @@ pub fn plan_select(sel: &Select, schema: &Schema, now: Micros) -> Result<Plan> {
         }
         let ts = value.as_timestamp()?;
         match op {
-            CmpOp::Eq => {
+            PredOp::Eq => {
                 query = query.with_ts_min(ts, true).with_ts_max(ts, true);
                 absorbed[i] = true;
             }
-            CmpOp::Ge => {
+            PredOp::Ge => {
                 query = tighten_ts_min(query, ts, true);
                 absorbed[i] = true;
             }
-            CmpOp::Gt => {
+            PredOp::Gt => {
                 query = tighten_ts_min(query, ts, false);
                 absorbed[i] = true;
             }
-            CmpOp::Le => {
+            PredOp::Le => {
                 query = tighten_ts_max(query, ts, true);
                 absorbed[i] = true;
             }
-            CmpOp::Lt => {
+            PredOp::Lt => {
                 query = tighten_ts_max(query, ts, false);
                 absorbed[i] = true;
             }
-            CmpOp::Ne => {} // residual
+            PredOp::Ne => {} // residual
         }
     }
 
@@ -131,7 +86,7 @@ pub fn plan_select(sel: &Select, schema: &Schema, now: Micros) -> Result<Plan> {
         if let Some(i) = resolved
             .iter()
             .enumerate()
-            .position(|(i, (col, op, _))| !absorbed[i] && *col == kc && *op == CmpOp::Eq)
+            .position(|(i, (col, op, _))| !absorbed[i] && *col == kc && *op == PredOp::Eq)
         {
             absorbed[i] = true;
             eq_prefix.push(resolved[i].2.clone());
@@ -145,8 +100,8 @@ pub fn plan_select(sel: &Select, schema: &Schema, now: Micros) -> Result<Plan> {
                 continue;
             }
             match op {
-                CmpOp::Ge | CmpOp::Gt => {
-                    let incl = *op == CmpOp::Ge;
+                PredOp::Ge | PredOp::Gt => {
+                    let incl = *op == PredOp::Ge;
                     let tighter = match &lo {
                         None => true,
                         Some((cur, _)) => cmp_values(value, cur) == Some(Ordering::Greater),
@@ -156,8 +111,8 @@ pub fn plan_select(sel: &Select, schema: &Schema, now: Micros) -> Result<Plan> {
                     }
                     absorbed[i] = true;
                 }
-                CmpOp::Le | CmpOp::Lt => {
-                    let incl = *op == CmpOp::Le;
+                PredOp::Le | PredOp::Lt => {
+                    let incl = *op == PredOp::Le;
                     let tighter = match &hi {
                         None => true,
                         Some((cur, _)) => cmp_values(value, cur) == Some(Ordering::Less),
@@ -193,11 +148,11 @@ pub fn plan_select(sel: &Select, schema: &Schema, now: Micros) -> Result<Plan> {
     }
 
     // Everything unabsorbed is a residual filter.
-    let residual: Vec<Residual> = resolved
+    let residual: Vec<ColumnPredicate> = resolved
         .into_iter()
         .zip(absorbed)
         .filter(|(_, a)| !a)
-        .map(|((col, op, value), _)| Residual { col, op, value })
+        .map(|((col, op, value), _)| ColumnPredicate { col, op, value })
         .collect();
 
     // ORDER BY must follow the primary key (the only order the engine
@@ -315,18 +270,8 @@ mod tests {
         let p = plan("SELECT * FROM t WHERE network = 1 AND bytes > 100");
         assert_eq!(p.residual.len(), 1);
         assert_eq!(p.residual[0].col, 3);
-        assert!(p.residual[0].matches(&[
-            Value::I64(1),
-            Value::I64(1),
-            Value::Timestamp(0),
-            Value::I64(101)
-        ]));
-        assert!(!p.residual[0].matches(&[
-            Value::I64(1),
-            Value::I64(1),
-            Value::Timestamp(0),
-            Value::I64(100)
-        ]));
+        assert!(p.residual[0].matches(&Value::I64(101)));
+        assert!(!p.residual[0].matches(&Value::I64(100)));
     }
 
     #[test]
@@ -353,22 +298,5 @@ mod tests {
         assert!(plan_select(&sel, &schema(), 0).is_err());
         let p = plan("SELECT * FROM t ORDER BY network, device DESC");
         assert!(p.query.descending);
-    }
-
-    #[test]
-    fn cmp_values_families() {
-        assert_eq!(
-            cmp_values(&Value::I32(5), &Value::I64(5)),
-            Some(Ordering::Equal)
-        );
-        assert_eq!(
-            cmp_values(&Value::Timestamp(3), &Value::I64(9)),
-            Some(Ordering::Less)
-        );
-        assert_eq!(
-            cmp_values(&Value::Str("a".into()), &Value::Str("b".into())),
-            Some(Ordering::Less)
-        );
-        assert_eq!(cmp_values(&Value::Str("a".into()), &Value::I64(1)), None);
     }
 }

@@ -5,9 +5,8 @@
 //! The same rows are stored three ways — flushed as columnar-v3 blocks,
 //! left in the memtablet, and flushed with the first tablet lagging one
 //! schema version behind — and every SELECT must return, value for value,
-//! what a `BTreeMap` fold over the rows returns. On the flushed columnar
-//! table it must do so without materializing a single row, whether or not
-//! its window cuts blocks. Row-v2 storage is the frozen table of
+//! what a `BTreeMap` fold over the rows returns, without materializing a
+//! single row, whether or not its window cuts blocks. Row-v2 storage is the frozen table of
 //! `tests/common/table_v2.rs` (nothing writes that layout any more): the
 //! same SELECTs run over it as it was written and again after a merge
 //! with a fresh flush, against the fold of the rows it holds, and must
@@ -17,7 +16,14 @@
 //! order, and the reference folds in key order with the executor's own
 //! rules (first value wins a MIN/MAX tie, NaN is incomparable, SUM
 //! carries on as a double past int64), so order-dependent answers must
-//! match to the bit as well.
+//! match to the bit as well. No way builds a row: memtablets and
+//! schema-lagging tablets are scanned as column slices like the rest.
+//!
+//! A second leg crosses the rollup tier: the same seeds' rows under two
+//! rollups of different periods — created before the load, created after
+//! it (backfill), and with the newest base tablet not yet folded — and
+//! SELECTs a rollup can serve, each of which must be served by one
+//! (`rollup_hits`), build no row, and equal the reference.
 
 use littletable_core::rollup::distinct_bytes;
 use littletable_core::{Db, Options, Value};
@@ -522,9 +528,7 @@ enum Storage {
     SchemaLagging,
 }
 
-/// A session over a fresh database holding `rows` the given way. NaN has
-/// no SQL literal, so rows go in through the engine API.
-fn store(rows: &[Vec<Value>], how: Storage) -> Session {
+fn open_session() -> Session {
     let db = Db::open(
         Arc::new(SimVfs::instant()),
         Arc::new(SimClock::new(START + 3600 * SEC)),
@@ -535,7 +539,13 @@ fn store(rows: &[Vec<Value>], how: Storage) -> Session {
         },
     )
     .unwrap();
-    let s = Session::new(db);
+    Session::new(db)
+}
+
+/// A session over a fresh database holding `rows` the given way. NaN has
+/// no SQL literal, so rows go in through the engine API.
+fn store(rows: &[Vec<Value>], how: Storage) -> Session {
+    let s = open_session();
     let x_col = if how == Storage::SchemaLagging {
         ""
     } else {
@@ -644,14 +654,12 @@ fn every_storage_path_matches_the_reference_fold() {
             let session = store(&rows, how);
             for (sel, expect) in selects.iter().zip(&expected) {
                 let materialized = check(&session, &format!("seed {seed} {how:?}"), sel, expect);
-                if how == Storage::FlushedColumnar {
-                    assert_eq!(
-                        materialized,
-                        0,
-                        "seed {seed}: {}\n  materialized rows of flushed columnar blocks",
-                        sel.sql()
-                    );
-                }
+                assert_eq!(
+                    materialized,
+                    0,
+                    "seed {seed} {how:?}: {}\n  materialized rows",
+                    sel.sql()
+                );
             }
         }
         for (at, (session, rows)) in row_v2.iter().enumerate() {
@@ -691,4 +699,228 @@ fn every_storage_path_matches_the_reference_fold() {
     assert!(empty >= 10, "{empty} answers over empty input");
     assert!(nan_answers >= 5, "{nan_answers} answers holding NaN");
     assert!(promoted >= 3, "{promoted} sums past int64");
+}
+
+/// When the two rollups of the rollup leg come to exist and how far they
+/// have caught up.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Rolled {
+    /// Created on the empty table; maintenance folds the load.
+    BeforeLoad,
+    /// Created over the loaded table: `CREATE ROLLUP` backfills.
+    Backfilled,
+    /// As `BeforeLoad`, but the rows from `UNFOLDED_FROM` on arrive in a
+    /// later tablet that no maintenance pass has folded: the watermark
+    /// sits inside every window that reaches that far.
+    NewestUnfolded,
+}
+
+const UNFOLDED_FROM: i64 = START + 16 * SEC;
+
+/// A session whose table `t` holds `rows` under a 2 s and a 10 s rollup.
+/// `i` gets stat columns only when `with_i`: a seed whose `i` sums leave
+/// int64 cannot be rolled up (the fold refuses; `exec.rs` tests that).
+fn store_rolled(rows: &[Vec<Value>], how: Rolled, with_i: bool) -> Session {
+    let s = open_session();
+    s.execute(
+        "CREATE TABLE t (a INT64, b INT32, ts TIMESTAMP, i INT64, n INT32, f DOUBLE, \
+         s TEXT, x INT64 DEFAULT 7, PRIMARY KEY (a, b, ts))",
+    )
+    .unwrap();
+    let create_rollups = || {
+        let i = if with_i { "i, " } else { "" };
+        for period in [2, 10] {
+            s.execute(&format!(
+                "CREATE ROLLUP t_{period}s ON t PERIOD '{period}s' AGGREGATE ({i}n, f) DISTINCT (s, n)"
+            ))
+            .unwrap();
+        }
+    };
+    let t = s.db().table("t").unwrap();
+    let load = |rows: Vec<Vec<Value>>| {
+        t.insert(rows).unwrap();
+        t.flush_all().unwrap();
+    };
+    match how {
+        Rolled::Backfilled => {
+            load(rows.to_vec());
+            create_rollups();
+        }
+        Rolled::BeforeLoad => {
+            create_rollups();
+            load(rows.to_vec());
+            s.db().maintain_table("t").unwrap();
+        }
+        Rolled::NewestUnfolded => {
+            create_rollups();
+            let (old, new): (Vec<_>, Vec<_>) = rows
+                .iter()
+                .cloned()
+                .partition(|r| r[TS].as_int().unwrap() < UNFOLDED_FROM);
+            load(old);
+            s.db().maintain_table("t").unwrap();
+            load(new);
+        }
+    }
+    let watermark = t.rollup_watermark();
+    if how == Rolled::NewestUnfolded {
+        assert!(
+            (UNFOLDED_FROM..i64::MAX).contains(&watermark),
+            "{watermark}"
+        );
+    } else {
+        assert_eq!(watermark, i64::MAX, "{how:?}");
+    }
+    s
+}
+
+/// A SELECT one of the rollups can serve: bounds on the dims and a
+/// window holding a whole 2 s bucket below `UNFOLDED_FROM`, no other
+/// predicate, dims and `TIME_BUCKET`s of whole periods to group by, and
+/// aggregates the stat columns hold. With `nans`, no MIN/MAX over `f`: an
+/// extremum starts over in each partial, so a NaN leading a bucket hides
+/// that bucket's other values from the merged answer where a row-order
+/// fold would get past it.
+fn gen_rollup_select(rng: &mut Rng, nans: bool, with_i: bool) -> Select {
+    let mut conds = Vec::new();
+    if rng.chance(60) {
+        conds.push(Cond {
+            col: A,
+            op: rng.pick(&[Op::Eq, Op::Eq, Op::Ge, Op::Lt]),
+            value: Value::I64(rng.below(3) as i64),
+        });
+        if conds[0].op == Op::Eq && rng.chance(50) {
+            conds.push(Cond {
+                col: B,
+                op: rng.pick(&[Op::Eq, Op::Ge, Op::Lt]),
+                value: Value::I32(rng.below(3) as i32),
+            });
+        }
+    }
+    if rng.chance(75) {
+        // Micros that fall between rows and between bucket boundaries.
+        let lo = START - 5 * SEC + rng.below(13 * SEC as u64) as i64;
+        conds.push(Cond {
+            col: TS,
+            op: rng.pick(&[Op::Ge, Op::Gt]),
+            value: Value::Timestamp(lo),
+        });
+        if rng.chance(70) {
+            conds.push(Cond {
+                col: TS,
+                op: rng.pick(&[Op::Lt, Op::Le]),
+                value: Value::Timestamp(lo + 5 * SEC + rng.below(20 * SEC as u64) as i64),
+            });
+        }
+    }
+    let bucket = Group::Bucket(rng.pick(&[2, 4, 10, 20, 60]));
+    let groups = match rng.below(7) {
+        0 | 1 => vec![],
+        2 => vec![bucket],
+        3 => vec![Group::Col(A)],
+        4 => vec![Group::Col(A), Group::Col(B)],
+        5 => vec![Group::Col(A), bucket],
+        _ => vec![bucket, Group::Col(B)],
+    };
+    let mut menu = vec![
+        Agg::Count,
+        Agg::Sum(N),
+        Agg::Sum(F),
+        Agg::Min(N),
+        Agg::Max(N),
+        Agg::Avg(N),
+        Agg::Avg(F),
+        Agg::Distinct(S),
+        Agg::Distinct(N),
+    ];
+    if with_i {
+        menu.extend([Agg::Sum(I), Agg::Min(I), Agg::Avg(I)]);
+    }
+    if !nans {
+        menu.extend([Agg::Min(F), Agg::Max(F)]);
+    }
+    let aggs = (0..1 + rng.below(5)).map(|_| rng.pick(&menu)).collect();
+    Select {
+        conds,
+        groups,
+        aggs,
+        limit: rng.chance(10).then(|| 1 + rng.below(4) as usize),
+    }
+}
+
+/// A rollup's `_min`/`_max` columns hold int32 values widened, so an
+/// answer's int32 may come back int64; to compare, both sides widen.
+fn widened(rows: &[Vec<Value>]) -> Vec<Vec<Value>> {
+    let widen = |v: &Value| match v {
+        Value::I32(x) => Value::I64(*x as i64),
+        v => v.clone(),
+    };
+    rows.iter().map(|r| r.iter().map(widen).collect()).collect()
+}
+
+#[test]
+fn rollup_serving_matches_the_reference_fold() {
+    let (mut cases, mut nan_answers, mut straddled) = (0, 0, 0);
+    for seed in 0..SEEDS {
+        let mut rng = Rng(seed ^ 0x726f6c6c);
+        let (nans, huge) = (seed % 3 == 0, seed % 2 == 1);
+        let rows = gen_rows(&mut rng, nans, huge);
+        let mut selects: Vec<Select> = Vec::new();
+        while selects.len() < SELECTS_PER_SEED {
+            let sel = gen_rollup_select(&mut rng, nans, !huge);
+            // A repeat would be answered by the result cache.
+            if selects.iter().all(|seen| seen.sql() != sel.sql()) {
+                selects.push(sel);
+            }
+        }
+        let expected: Vec<Vec<Vec<Value>>> = selects
+            .iter()
+            .map(|q| widened(&reference(&rows, q)))
+            .collect();
+        for how in [
+            Rolled::BeforeLoad,
+            Rolled::Backfilled,
+            Rolled::NewestUnfolded,
+        ] {
+            let session = store_rolled(&rows, how, !huge);
+            let table = session.db().table("t").unwrap();
+            for (sel, expect) in selects.iter().zip(&expected) {
+                let label = format!("seed {seed} {how:?}");
+                let before = table.stats().snapshot();
+                let got = match session.execute(&sel.sql()) {
+                    Ok(SqlOutput::Rows { rows, .. }) => widened(&rows),
+                    other => panic!("{label}: {}\n  gave {other:?}", sel.sql()),
+                };
+                assert!(
+                    same(&got, expect),
+                    "{label}: {}\n  got    {got:?}\n  expect {expect:?}",
+                    sel.sql()
+                );
+                let after = table.stats().snapshot();
+                assert_eq!(
+                    after.rollup_hits,
+                    before.rollup_hits + 1,
+                    "{label}: {}\n  was not served by a rollup",
+                    sel.sql()
+                );
+                assert_eq!(after.rows_materialized, before.rows_materialized);
+                // Served by partials and by the unfolded tablet's rows.
+                straddled += (how == Rolled::NewestUnfolded
+                    && after.pushdown_scans > before.pushdown_scans)
+                    as usize;
+            }
+        }
+        cases += selects.len();
+        let is_nan = |v: &Value| matches!(v, Value::F64(x) if x.is_nan());
+        nan_answers += expected
+            .iter()
+            .filter(|answer| answer.iter().flatten().any(is_nan))
+            .count();
+    }
+    assert!(cases >= 200, "{cases} cases");
+    assert!(nan_answers >= 5, "{nan_answers} answers holding NaN");
+    assert!(
+        straddled >= 50,
+        "{straddled} answers that straddled the watermark"
+    );
 }

@@ -4,9 +4,10 @@
 # module (the first `#[cfg(test)]` that is followed by `mod name {`; a
 # `#[cfg(test)]` on a lone item or on a `mod tests;` declaration in the
 # middle of a file does not end the count), files named tests*.rs left
-# out. Then every *.rs line in the workspace (tests, benches and examples
-# included; third_party and target not), and the number of fields in
-# `Options`.
+# out. Then their total, the `core + sql + server` sum ROADMAP.md tracks
+# against its target, every *.rs line in the workspace (tests, benches
+# and examples included; third_party and target not), and the number of
+# fields in `Options`.
 #
 # usage: scripts/loc.sh [checkout]     (default: this checkout)
 set -eu
@@ -23,12 +24,15 @@ non_test_lines() {
 }
 
 total=0
+engine=0
 for src in crates/*/src src; do
     n=$(non_test_lines "$src")
     total=$((total + n))
+    case $src in crates/core/src | crates/sql/src | crates/server/src) engine=$((engine + n)) ;; esac
     printf '%-22s %6d\n' "${src%/src}" "$n"
 done
 printf '%-22s %6d\n' 'non-test total' "$total"
+printf '%-22s %6d\n' 'core + sql + server' "$engine"
 printf '%-22s %6d\n' 'all *.rs' \
     "$(find crates src tests examples -name '*.rs' -not -path '*/target/*' -print0 | xargs -0 cat | wc -l)"
 printf '%-22s %6d\n' 'Options fields' \
