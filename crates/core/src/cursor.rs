@@ -1,5 +1,6 @@
-//! The merge-sorted result stream of a query (§3.2), over blocks instead
-//! of rows.
+//! The merge-sort of tablet streams, over blocks instead of rows: the one
+//! the paper answers a query with (§3.2) and merges tablets with
+//! (§3.4.1).
 //!
 //! To execute a query, LittleTable selects every tablet whose timespan
 //! overlaps the query's timestamp bounds, seeks each to the query's key
@@ -12,13 +13,20 @@
 //! snapshot built once into a single block. A source that lags the
 //! table's schema has each block translated to the newest one as it is
 //! loaded ([`Block::translated`]), so downstream of here there is one
-//! schema. [`RunCursor`] merges them the way maintenance does
-//! ([`crate::table`]'s run merge shares [`run_len`] and [`first_two`]):
-//! pick the source whose head row comes first, gallop — encoding keys for
-//! the probed rows only — to where its block would pass the head that
-//! comes second, and yield that row range as a [`RowRun`]. No key is kept
-//! per row, no [`crate::row::Row`] is built and no heap is pushed; a
-//! descending query is the same walk from the other end.
+//! schema. [`RunCursor`] merges them: pick the source whose head row
+//! comes first, gallop — encoding keys for the probed rows only — to
+//! where its block would pass the head that comes second, and yield that
+//! row range as a [`RowRun`]. No key is kept per row, no
+//! [`crate::row::Row`] is built and no heap is pushed; a descending query
+//! is the same walk from the other end.
+//!
+//! The cursor has three consumers. A query cuts the runs at its time
+//! bounds and limits ([`crate::table::QueryCursor`]); the rollup fold
+//! aggregates them; a merge or a bulk delete hands them to
+//! [`crate::tablet::TabletWriter::add_run`]. The last two read whole
+//! tablets once, so their sources read [`READ_RUN_BYTES`] at a time and
+//! past the block cache ([`Source::with_read_run`]); nothing else about
+//! the merge differs.
 
 use crate::block::Block;
 use crate::error::Result;
@@ -29,6 +37,11 @@ use std::cmp::Ordering;
 use std::collections::VecDeque;
 use std::ops::{Bound, Range};
 use std::sync::Arc;
+
+/// Compressed bytes a whole-tablet scan (a merge, a bulk delete, a rollup
+/// fold) fetches per disk access. §3.4.1: to spend at most half its time
+/// seeking between input tablets, a merge must read about 1 MB at a time.
+pub(crate) const READ_RUN_BYTES: usize = 1 << 20;
 
 /// Consecutive rows of one decoded block, all part of a result and
 /// adjacent in it. `rows` is always an ascending range of row indices; a
@@ -109,7 +122,7 @@ fn take_front(rows: &mut Range<usize>, n: usize, descending: bool) -> Range<usiz
 /// row itself is taken to: the caller chose it as the first of all heads.
 /// Found by doubling steps from the head, then bisecting the last step;
 /// only the probed rows' keys are encoded, into `scratch`.
-pub(crate) fn run_len(
+fn run_len(
     block: &Block,
     head: usize,
     limit: usize,
@@ -153,7 +166,7 @@ pub(crate) fn run_len(
 /// Positions, among `heads`, of the head that comes first in scan order
 /// and of the one that comes next; of equal heads (which unique primary
 /// keys rule out) the earlier position goes first.
-pub(crate) fn first_two<'a>(
+fn first_two<'a>(
     heads: impl Iterator<Item = &'a [u8]>,
     descending: bool,
 ) -> (Option<usize>, Option<usize>) {
@@ -184,12 +197,14 @@ struct TabletSide {
     /// Index of the block to load next, in scan direction; `None` once
     /// the scan has left the key range or the tablet.
     next: Option<usize>,
+    /// Index past the last block an ascending scan can want: the first
+    /// one the index shows to lie wholly beyond the key range.
+    stop: usize,
     /// When nonzero, ascending scans fetch runs of consecutive blocks up
-    /// to this many compressed bytes per read (§3.4.1's ~1 MB buffers;
-    /// the rollup fold reads whole tablets this way); prefetched blocks
-    /// queue here. Run reads bypass the block cache — they stream each
-    /// block exactly once, and admitting them would evict the point-read
-    /// working set.
+    /// to this many compressed bytes per read, never past `stop`;
+    /// prefetched blocks queue here. Run reads bypass the block cache —
+    /// they stream each block exactly once, and admitting them would
+    /// evict the point-read working set.
     read_run_bytes: usize,
     prefetched: VecDeque<(usize, Arc<Block>)>,
 }
@@ -212,6 +227,10 @@ impl TabletSide {
                 }
             }
         } else {
+            self.stop = match &self.range.end {
+                Bound::Unbounded => blocks.len(),
+                Bound::Included(k) | Bound::Excluded(k) => (seek(k) + 1).min(blocks.len()),
+            };
             match &self.range.start {
                 Bound::Unbounded => Some(0),
                 Bound::Included(k) | Bound::Excluded(k) => Some(seek(k)),
@@ -230,7 +249,9 @@ impl TabletSide {
             self.prefetched.pop_front();
         }
         if self.prefetched.front().is_none_or(|(qi, _)| *qi != bi) {
-            let run = self.reader.read_block_run(bi, self.read_run_bytes)?;
+            let run = self
+                .reader
+                .read_block_run(bi..self.stop, self.read_run_bytes)?;
             self.prefetched = run
                 .into_iter()
                 .enumerate()
@@ -323,6 +344,7 @@ impl Source {
                 range,
                 footer: None,
                 next: None,
+                stop: 0,
                 read_run_bytes: 0,
                 prefetched: VecDeque::new(),
             }),

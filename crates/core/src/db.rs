@@ -436,7 +436,7 @@ impl Db {
         targets.push((spec.clone(), table.clone()));
         let backfill = base_table
             .flush_all()
-            .and_then(|()| rollup::fold_backfill(&base_table, &targets));
+            .and_then(|()| rollup::fold_base(&base_table, &targets, true));
         if let Err(e) = backfill {
             let _ = self.drop_table_inner(name);
             return Err(e);

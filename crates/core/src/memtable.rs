@@ -150,11 +150,6 @@ impl MemTablet {
         }
         Ok(block.into_block(&self.schema))
     }
-
-    /// Drains the tablet into sorted `(key, row)` pairs for flushing.
-    pub fn into_sorted_rows(self) -> Vec<(Vec<u8>, Row)> {
-        self.rows.into_iter().map(|(k, m)| (k, m.row)).collect()
-    }
 }
 
 #[cfg(test)]
@@ -207,8 +202,7 @@ mod tests {
             let (k, r, ts) = row(n, 100);
             t.insert(k, r, ts, 0);
         }
-        let sorted = t.into_sorted_rows();
-        let keys: Vec<_> = sorted.iter().map(|(k, _)| k.clone()).collect();
+        let keys: Vec<_> = t.iter().map(|(k, _)| k.to_vec()).collect();
         let mut expect = keys.clone();
         expect.sort();
         assert_eq!(keys, expect);

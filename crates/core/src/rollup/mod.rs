@@ -53,7 +53,7 @@
 
 use crate::agg::{fold_block, scan_groups, AggFunc, AggSpec, AggState, GroupSpec, Groups, Input};
 use crate::block::ColumnSlice;
-use crate::cursor::{RunCursor, Source};
+use crate::cursor::{RunCursor, Source, READ_RUN_BYTES};
 use crate::db::Db;
 use crate::error::{Error, Result};
 use crate::keyenc::KeyRange;
@@ -301,52 +301,29 @@ fn put_distinct(out: &mut Vec<u8>, family: u8, payload: &[u8]) {
 
 /// Folds the base table's not-yet-rolled-up on-disk tablets into every
 /// registered rollup table, then marks them rolled up. Returns the
-/// number of tablets folded. With `include_rolled`, re-folds everything
-/// (the backfill path for a newly created rollup; duplicate partials
-/// are rejected by the engine's uniqueness check, making it idempotent).
+/// number of tablets folded. A `backfill` — a newly created rollup's —
+/// re-folds everything (duplicate partials are rejected by the engine's
+/// uniqueness check, making it idempotent) and *waits* for the base's
+/// maintenance slot, because `CREATE ROLLUP` must not return before the
+/// existing data is folded; a maintenance pass that finds the slot taken,
+/// or the base dropped, skips.
 pub(crate) fn fold_base(
     base: &Arc<Table>,
     targets: &[(Arc<RollupSpec>, Arc<Table>)],
-    include_rolled: bool,
+    backfill: bool,
 ) -> Result<usize> {
     if targets.is_empty() {
         return Ok(0);
     }
-    if !base.try_begin_merge_exclusion() {
-        return Ok(0);
-    }
-    let result = fold_base_inner(base, targets, include_rolled);
-    base.end_merge_exclusion();
-    result
-}
-
-/// The backfill variant of [`fold_base`]: *waits* for the base's
-/// merge-exclusion slot instead of skipping the pass, because `CREATE
-/// ROLLUP` must not return before the existing data is folded.
-pub(crate) fn fold_backfill(
-    base: &Arc<Table>,
-    targets: &[(Arc<RollupSpec>, Arc<Table>)],
-) -> Result<usize> {
-    loop {
-        if base.try_begin_merge_exclusion() {
-            break;
+    let _slot = loop {
+        match base.merge_slot(|_| Some(())) {
+            Ok(Some((slot, ()))) => break slot,
+            Ok(None) if backfill => std::thread::yield_now(),
+            Err(e) if backfill => return Err(e),
+            _ => return Ok(0),
         }
-        if base.is_dropped() {
-            return Err(Error::invalid("base table dropped during rollup backfill"));
-        }
-        std::thread::yield_now();
-    }
-    let result = fold_base_inner(base, targets, true);
-    base.end_merge_exclusion();
-    result
-}
-
-fn fold_base_inner(
-    base: &Arc<Table>,
-    targets: &[(Arc<RollupSpec>, Arc<Table>)],
-    include_rolled: bool,
-) -> Result<usize> {
-    let tablets = base.unfolded_tablets(include_rolled);
+    };
+    let tablets = base.unfolded_tablets(backfill);
     if tablets.is_empty() {
         return Ok(0);
     }
@@ -372,8 +349,8 @@ fn fold_base_inner(
     for (meta, reader) in &tablets {
         // One pass over the tablet's blocks feeds every rollup's groups.
         let mut groups: Vec<Groups> = inputs.iter().map(Groups::new).collect();
-        let source =
-            Source::tablet(reader.clone(), schema.clone(), KeyRange::all()).with_read_run(1 << 20);
+        let source = Source::tablet(reader.clone(), schema.clone(), KeyRange::all())
+            .with_read_run(READ_RUN_BYTES);
         let mut cur = RunCursor::new(vec![source], false);
         while let Some(run) = cur.next_run()? {
             let sel = Selection::Range(run.rows);

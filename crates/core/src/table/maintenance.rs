@@ -1,182 +1,204 @@
 //! The maintenance paths: flushing sealed groups, merging, TTL reaping,
-//! bulk delete, cold-tier migration, and schema evolution.
+//! bulk delete, cold-tier migration, rollup marks, and schema evolution.
 //!
-//! Each path does its disk work outside the state mutex, then commits
-//! under it: mutate the tablet set, republish the read snapshot
-//! ([`Table::publish_locked`]), and persist the descriptor. Readers
-//! holding the previous snapshot keep their (pre-transition) view —
-//! flushed memtablets stay alive through the snapshot's `Arc`s until
-//! the last such reader drops it.
+//! Each is the same pipeline with parts left out. Whatever writes tablets
+//! does so outside the state mutex, through [`Table::write_tablet`]: a
+//! flush feeds it a memtablet's rows, a merge or a bulk delete the column
+//! runs a [`RunCursor`] yields over the tablets being rewritten, read
+//! 1 MB at a time. Whatever must not overlap a merge holds the table's
+//! [`super::MergeSlot`]. And every transition ends in [`Table::commit`],
+//! the one place the tablet set, the schema or the TTL changes: under the
+//! state mutex it refuses a dropped table, swaps tablets out and in,
+//! republishes the read snapshot and persists the descriptor; the replaced
+//! files are unlinked after. Readers holding the previous snapshot keep
+//! their view — flushed memtablets and replaced readers stay alive
+//! through its `Arc`s until the last such reader drops it.
 
-use super::runmerge::{merge_runs, RunSource};
-use super::state::{DiskHandle, SharedMemTablet, TableState};
+use super::state::{DiskHandle, TableState};
 use super::{MaintenanceReport, Table};
-use crate::cursor::{RunCursor, Source};
+use crate::cursor::{RunCursor, Source, READ_RUN_BYTES};
 use crate::descriptor::{tablet_file_name, TableDescriptor, TabletMeta};
 use crate::error::{Error, Result};
 use crate::keyenc::{encode_prefix, KeyRange};
-use crate::memtable::MemTabletId;
+use crate::memtable::{MemTablet, MemTabletId};
 use crate::mergepolicy::find_merge;
-use crate::schema::{Schema, SchemaRef};
+use crate::schema::{ColumnDef, Schema, SchemaRef};
 use crate::stats::TableStats;
 use crate::tablet::TabletWriter;
 use crate::util::hash_bytes;
 use crate::value::Value;
-use littletable_vfs::{join, Micros, Vfs};
+use littletable_vfs::{join, Micros};
+use std::ops::Bound;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-impl Table {
-    // ---------------------------------------------------------------- flush
+/// A maintenance pass that finds its table dropped has nothing to do,
+/// which is not an error.
+pub(super) fn or_if_dropped<T>(result: Result<T>, nothing: T) -> Result<T> {
+    match result {
+        Err(Error::NoSuchTable(_)) => Ok(nothing),
+        result => result,
+    }
+}
 
-    /// Flushes the oldest sealed group, if any. Returns whether a group
-    /// was flushed.
-    pub fn flush_next_group(&self) -> Result<bool> {
-        let _flush = self.flush_lock.lock();
-        let (group_id, tablets) = {
+/// Merge-sorts the rows of `sources` inside `range`, as `schema` shows
+/// them, into `w`, dropping those older than `min_ts`. Reads go a run of
+/// blocks at a time and past the block cache (§3.4.1).
+fn merge_into(
+    w: &mut TabletWriter,
+    sources: &[DiskHandle],
+    schema: &SchemaRef,
+    range: &KeyRange,
+    min_ts: Micros,
+) -> Result<()> {
+    let sources = sources
+        .iter()
+        .map(|h| {
+            Source::tablet(h.reader.clone(), schema.clone(), range.clone())
+                .with_read_run(READ_RUN_BYTES)
+        })
+        .collect();
+    let mut runs = RunCursor::new(sources, false);
+    while let Some(run) = runs.next_run()? {
+        w.add_run(&run.block, run.rows, min_ts)?;
+    }
+    Ok(())
+}
+
+/// The tablet files a transition has written and not committed. Dropped
+/// with any in it — a later write failed, the commit was refused — it
+/// unlinks them: a transition publishes all of its output or leaves none
+/// behind.
+pub(super) struct Written<'a> {
+    table: &'a Table,
+    files: Vec<DiskHandle>,
+}
+
+impl Drop for Written<'_> {
+    fn drop(&mut self) {
+        self.table.unlink(&self.files);
+    }
+}
+
+impl Table {
+    /// Writes one new tablet under `schema` into the hot store: allocates
+    /// its id, creates the file, has `fill` put the rows in, finishes and
+    /// syncs it. `None` when `fill` put no row in; no file is left behind
+    /// then, nor when anything failed (the fsync gate: nothing of a tablet
+    /// whose write or sync failed is published).
+    fn write_tablet(
+        &self,
+        schema: &SchemaRef,
+        size_hint: u64,
+        rolled_up: bool,
+        now: Micros,
+        fill: impl FnOnce(&mut TabletWriter) -> Result<()>,
+    ) -> Result<Option<DiskHandle>> {
+        let id = {
             let mut st = self.state.lock();
-            if st.dropped {
-                // A dropped table must not write new files into its
-                // directory: `drop_table` may already have deleted it, and
-                // a same-name table may own the path again.
-                return Ok(false);
-            }
-            let Some(group) = st.sealed.front_mut() else {
-                return Ok(false);
-            };
-            group.flushing = true;
-            (group.id, group.tablets.clone())
+            st.next_tablet_id += 1;
+            st.next_tablet_id - 1
         };
-        let now = self.clock.now_micros();
-        // Allocate tablet ids.
-        let ids: Vec<u64> = {
-            let mut st = self.state.lock();
-            tablets
-                .iter()
-                .map(|_| {
-                    let id = st.next_tablet_id;
-                    st.next_tablet_id += 1;
-                    id
-                })
-                .collect()
-        };
-        let written: Result<Vec<DiskHandle>> = (|| {
-            let mut new_handles = Vec::new();
-            for (mem, id) in tablets.iter().zip(&ids) {
-                if mem.read().is_empty() {
-                    continue;
-                }
-                let meta = self.write_mem_tablet(mem, *id, now)?;
-                new_handles.push(DiskHandle {
-                    reader: self.new_reader(self.vfs.clone(), join(&self.dir, &meta.file_name())),
-                    meta,
-                });
+        let path = join(&self.dir, &tablet_file_name(id));
+        let written = (|| {
+            let mut w = TabletWriter::new(
+                self.vfs.create(&path, size_hint)?,
+                (**schema).clone(),
+                self.opts.block_size,
+                self.opts.bloom_filters,
+            );
+            fill(&mut w)?;
+            if w.row_count() == 0 {
+                return Ok(None);
             }
-            Ok(new_handles)
+            w.finish().map(Some)
         })();
-        let new_handles = match written {
-            Ok(h) => h,
-            Err(e) => {
-                // fsync-gate: a failed write or sync means nothing from
-                // this group is published. Reclaim whatever partial output
-                // exists (best-effort — the disk may still be failing) and
-                // hand the sealed group back for a later retry; reads keep
-                // serving it from memory meanwhile.
-                for id in &ids {
-                    let _ = self.vfs.remove(&join(&self.dir, &tablet_file_name(*id)));
-                }
-                let mut st = self.state.lock();
-                if let Some(g) = st.sealed.iter_mut().find(|g| g.id == group_id) {
-                    g.flushing = false;
-                }
-                return Err(e);
+        match written {
+            Ok(Some((min_ts, max_ts, rows, bytes))) => Ok(Some(DiskHandle {
+                reader: self.new_reader(self.vfs.clone(), path),
+                meta: TabletMeta {
+                    id,
+                    min_ts,
+                    max_ts,
+                    rows,
+                    bytes,
+                    written_at: now,
+                    schema_version: schema.version(),
+                    cold: false,
+                    rolled_up,
+                },
+            })),
+            nothing => {
+                // Best-effort: the disk may still be failing.
+                let _ = self.vfs.remove(&path);
+                nothing.map(|_| None)
             }
-        };
-        for h in &new_handles {
-            TableStats::add(&self.stats.tablets_flushed, 1);
-            TableStats::add(&self.stats.bytes_flushed, h.meta.bytes);
         }
-        // Commit: swap the group for its disk handles in one snapshot
-        // publish (readers see either all-mem or all-disk, never both),
-        // then persist the descriptor.
+    }
+
+    /// What a transition has written so far (`None`: nothing).
+    pub(super) fn written(&self, files: impl IntoIterator<Item = DiskHandle>) -> Written<'_> {
+        Written {
+            table: self,
+            files: files.into_iter().collect(),
+        }
+    }
+
+    /// Removes tablet files, each from the store its handle says it is
+    /// in; best-effort, an orphan is reaped at open. Readers of a snapshot
+    /// that lists a removed tablet hold its reader by `Arc`, and removal
+    /// unlinks, so their open handles stay valid.
+    fn unlink(&self, handles: &[DiskHandle]) {
+        for h in handles {
+            let cold = self.cold_vfs.as_ref().filter(|_| h.meta.cold);
+            let _ = (cold.unwrap_or(&self.vfs)).remove(&join(&self.dir, &h.meta.file_name()));
+        }
+    }
+
+    /// The commit every transition ends in, under the state mutex. A
+    /// dropped table is refused with `Error::NoSuchTable`: `drop_table` may
+    /// have deleted the directory and a same-name table may own the path
+    /// again, so neither a file nor a descriptor may appear in it. `change`
+    /// edits the state and returns the handles it took out of the tablet
+    /// set, or `None` for nothing to change; `written` joins the set, the
+    /// snapshot is republished (readers see the set before the transition
+    /// or after it, never between) and the descriptor persisted. Then the
+    /// replaced files are unlinked — unless the save failed, and the
+    /// on-disk descriptor still names them. Returns the handles replaced.
+    pub(super) fn commit(
+        &self,
+        mut written: Written<'_>,
+        change: impl FnOnce(&mut TableState) -> Result<Option<Vec<DiskHandle>>>,
+    ) -> Result<Vec<DiskHandle>> {
         let mut st = self.state.lock();
-        if st.dropped {
-            // Dropped between the write and the commit (drop_table waits
-            // on `flush_lock`, so this is the last flush it lets finish):
-            // abandon the output instead of resurrecting files or a
-            // descriptor in a directory about to be — or already —
-            // deleted and possibly re-owned by a recreated table.
-            drop(st);
-            for h in &new_handles {
-                let _ = self.vfs.remove(&join(&self.dir, &h.meta.file_name()));
-            }
-            return Ok(false);
-        }
-        st.disk.extend(new_handles);
+        let changed = if st.dropped {
+            Err(Error::NoSuchTable(self.name.clone()))
+        } else {
+            change(&mut st)
+        };
+        // Refused or declined: `written` drops after the lock, and unlinks.
+        let Some(replaced) = changed? else {
+            return Ok(Vec::new());
+        };
+        st.disk.append(&mut written.files);
         st.sort_disk();
-        let pos = st
-            .sealed
-            .iter()
-            .position(|g| g.id == group_id)
-            .expect("flushing group still present");
-        st.sealed.remove(pos);
         self.publish_locked(&st);
         self.save_descriptor_locked(&st)?;
-        Ok(true)
+        drop(st);
+        self.unlink(&replaced);
+        Ok(replaced)
     }
 
-    fn write_mem_tablet(
-        &self,
-        tablet: &SharedMemTablet,
-        id: u64,
-        now: Micros,
-    ) -> Result<TabletMeta> {
-        // Sealed tablets take no further inserts; the read guard is held
-        // across the file write only to satisfy the lock discipline.
-        let mem = tablet.read();
-        let schema = mem.schema().clone();
-        let path = join(&self.dir, &tablet_file_name(id));
-        let file = self.vfs.create(&path, mem.bytes() as u64)?;
-        let mut w = TabletWriter::new(
-            file,
-            (*schema).clone(),
-            self.opts.block_size,
-            self.opts.bloom_filters,
-        );
-        for (key, row) in mem.iter() {
-            w.add_row(key, row)?;
-        }
-        let (min_ts, max_ts, rows, bytes) = w.finish()?;
-        Ok(TabletMeta {
-            id,
-            min_ts,
-            max_ts,
-            rows,
-            bytes,
-            written_at: now,
-            schema_version: schema.version(),
-            cold: false,
-            rolled_up: false,
-        })
-    }
-
-    pub(super) fn save_descriptor_locked(&self, st: &TableState) -> Result<()> {
+    fn save_descriptor_locked(&self, st: &TableState) -> Result<()> {
         let mut desc = TableDescriptor::new((*st.schema).clone(), st.ttl);
         desc.next_tablet_id = st.next_tablet_id;
         desc.tablets = st.metas();
         // Track save failures: the in-memory transition already committed,
         // so until a later save lands the on-disk `DESC` is stale and no
         // flush may report durability over it (see `resync_descriptor`).
-        match desc.save(self.vfs.as_ref(), &self.dir) {
-            Ok(()) => {
-                self.desc_dirty.store(false, Ordering::Release);
-                Ok(())
-            }
-            Err(e) => {
-                self.desc_dirty.store(true, Ordering::Release);
-                Err(e)
-            }
-        }
+        let saved = desc.save(self.vfs.as_ref(), &self.dir);
+        self.desc_dirty.store(saved.is_err(), Ordering::Release);
+        saved
     }
 
     /// Re-saves the descriptor if a previous save failed after its
@@ -196,17 +218,76 @@ impl Table {
         self.save_descriptor_locked(&st)
     }
 
-    /// Seals every filling tablet and flushes everything to disk.
-    pub fn flush_all(&self) -> Result<()> {
-        {
-            let mut st = self.state.lock();
-            let ids: Vec<MemTabletId> = st.filling.values().map(|t| t.id()).collect();
-            for id in ids {
-                self.seal_locked(&mut st, id);
+    // ---------------------------------------------------------------- flush
+
+    /// Flushes the oldest sealed group, if any. Returns whether a group
+    /// was flushed.
+    pub fn flush_next_group(&self) -> Result<bool> {
+        // Held to the commit: sealed groups commit strictly FIFO, and
+        // `mark_dropped` waits here for the flush under way.
+        let _flush = self.flush_lock.lock();
+        let (group_id, tablets) = {
+            let st = self.state.lock();
+            match st.sealed.front() {
+                Some(group) if !st.dropped => (group.id, group.tablets.clone()),
+                _ => return Ok(false),
+            }
+        };
+        let now = self.clock.now_micros();
+        // A failed write leaves the sealed group where it is for a later
+        // retry; reads keep serving it from memory meanwhile.
+        let mut written = self.written(None);
+        for tablet in &tablets {
+            let (schema, bytes) = {
+                let mem = tablet.read();
+                (mem.schema().clone(), mem.bytes() as u64)
+            };
+            let flushed = self.write_tablet(&schema, bytes, false, now, |w| {
+                // Sealed tablets take no further inserts; the read guard is
+                // held across the file write only to satisfy the lock
+                // discipline.
+                let mem = tablet.read();
+                let filled = mem.iter().try_for_each(|(key, row)| w.add_row(key, row));
+                filled
+            })?;
+            written.files.extend(flushed);
+        }
+        let bytes = written.files.iter().map(|h| h.meta.bytes).sum();
+        TableStats::add(&self.stats.tablets_flushed, written.files.len() as u64);
+        TableStats::add(&self.stats.bytes_flushed, bytes);
+        // The group leaves memory in the same publish its tablets enter
+        // the disk set in: readers see either all-mem or all-disk.
+        let committed = self.commit(written, |st| {
+            st.sealed.retain(|g| g.id != group_id);
+            Ok(Some(Vec::new()))
+        });
+        or_if_dropped(committed.map(|_| true), false)
+    }
+
+    /// Seals the filling tablets `due` picks, each with the tablets that
+    /// must flush before it (its flush-dependency closure, which is what
+    /// preserves prefix durability). Returns how many it picked.
+    fn seal_where(&self, st: &mut TableState, due: impl Fn(&MemTablet) -> bool) -> usize {
+        let picked = st.filling.values().filter(|t| due(&t.read()));
+        let ids: Vec<MemTabletId> = picked.map(|t| t.id()).collect();
+        for &id in &ids {
+            // The closure may have sealed it already with a sibling.
+            if st.filling.values().any(|t| t.id() == id) {
+                self.seal_locked(st, id);
             }
         }
+        ids.len()
+    }
+
+    fn flush_where(&self, due: impl Fn(&MemTablet) -> bool) -> Result<()> {
+        self.seal_where(&mut self.state.lock(), due);
         while self.flush_next_group()? {}
         self.resync_descriptor()
+    }
+
+    /// Seals every filling tablet and flushes everything to disk.
+    pub fn flush_all(&self) -> Result<()> {
+        self.flush_where(|_| true)
     }
 
     /// Flushes to disk every in-memory tablet holding rows with timestamps
@@ -215,24 +296,7 @@ impl Table {
     /// When this returns, every row with `row.ts <= ts` that was inserted
     /// before the call is durable.
     pub fn flush_before(&self, ts: Micros) -> Result<()> {
-        {
-            let mut st = self.state.lock();
-            let ids: Vec<MemTabletId> = st
-                .filling
-                .values()
-                .filter(|t| t.read().min_ts().is_some_and(|lo| lo <= ts))
-                .map(|t| t.id())
-                .collect();
-            for id in ids {
-                // The closure drags along any tablets that must flush
-                // first, preserving prefix durability.
-                if st.filling.values().any(|t| t.id() == id) {
-                    self.seal_locked(&mut st, id);
-                }
-            }
-        }
-        while self.flush_next_group()? {}
-        self.resync_descriptor()
+        self.flush_where(|mem| mem.min_ts().is_some_and(|lo| lo <= ts))
     }
 
     // ----------------------------------------------------------- bulk delete
@@ -252,37 +316,30 @@ impl Table {
             ));
         }
         let encoded = encode_prefix(prefix, &schema.key_types())?;
-        let range = KeyRange::for_prefix(encoded.clone());
         self.flush_all()?;
-
         // Take the merger's slot so no merge runs while we rewrite.
-        {
-            let mut st = self.state.lock();
-            if st.merge_running {
-                return Err(Error::invalid(
-                    "bulk_delete cannot run while a merge is in progress",
-                ));
-            }
-            st.merge_running = true;
+        let (_slot, (sources, schema)) = self
+            .merge_slot(|st| Some((st.disk.clone(), st.schema.clone())))?
+            .ok_or_else(|| Error::invalid("bulk_delete cannot run while a merge is in progress"))?;
+        let prefix_hash = hash_bytes(&encoded);
+        let range = KeyRange::for_prefix(encoded.clone());
+        // What a rewrite keeps: the rows that sort before the prefix, then
+        // those after it. A block wholly under the prefix is in neither
+        // range, and is stepped over from the index, unread.
+        let mut kept = vec![KeyRange {
+            start: Bound::Unbounded,
+            end: Bound::Excluded(encoded),
+        }];
+        if let Bound::Excluded(next) = &range.end {
+            kept.push(KeyRange {
+                start: Bound::Included(next.clone()),
+                end: Bound::Unbounded,
+            });
         }
-        let result = self.bulk_delete_inner(&schema, &encoded, &range);
-        self.state.lock().merge_running = false;
-        result
-    }
-
-    fn bulk_delete_inner(
-        &self,
-        schema: &SchemaRef,
-        encoded: &[u8],
-        range: &KeyRange,
-    ) -> Result<u64> {
-        let sources: Vec<DiskHandle> = self.state.lock().disk.clone();
         let now = self.clock.now_micros();
-        let prefix_hash = hash_bytes(encoded);
         let mut deleted = 0u64;
-        // (old id, replacement) pairs; None replacement = tablet dropped.
-        let mut rewrites: Vec<(u64, Option<DiskHandle>)> = Vec::new();
-        let mut new_ids: Vec<u64> = Vec::new();
+        let mut rewritten_ids: Vec<u64> = Vec::new();
+        let mut written = self.written(None);
         for h in &sources {
             let footer = h.reader.footer()?;
             if let Some(bloom) = &footer.bloom {
@@ -295,88 +352,26 @@ impl Table {
             if RunCursor::new(vec![probe], false).next_run()?.is_none() {
                 continue;
             }
-            // Rewrite the tablet without the matching rows.
-            let new_id = {
-                let mut st = self.state.lock();
-                let id = st.next_tablet_id;
-                st.next_tablet_id += 1;
-                id
+            let one = std::slice::from_ref(h);
+            let fill = |w: &mut TabletWriter| {
+                let keep = |range| merge_into(w, one, &schema, range, Micros::MIN);
+                kept.iter().try_for_each(keep)
             };
-            new_ids.push(new_id);
-            let path = join(&self.dir, &tablet_file_name(new_id));
-            let file = self.vfs.create(&path, h.meta.bytes)?;
-            let mut w = TabletWriter::new(
-                file,
-                (**schema).clone(),
-                self.opts.block_size,
-                self.opts.bloom_filters,
-            );
-            let mut src = RunSource::open(h.reader.clone())?;
-            while let Some(block) = src.front() {
-                // Keep the block's rows on either side of the prefix:
-                // those before it, then (if that did not use the block
-                // up) step over the matching rows and keep the rest.
-                let len = block.len();
-                let hit = block.rows_in_range(range)?;
-                deleted += hit.len() as u64;
-                src.emit_to(hit.start, &mut w, Micros::MIN)?;
-                if hit.start < len {
-                    src.advance_to(hit.end)?;
-                    if hit.end < len {
-                        src.emit_to(len, &mut w, Micros::MIN)?;
-                    }
-                }
-            }
-            if w.row_count() == 0 {
-                drop(w);
-                let _ = self.vfs.remove(&path);
-                rewrites.push((h.meta.id, None));
-            } else {
-                let (min_ts, max_ts, rows, bytes) = w.finish()?;
-                let meta = TabletMeta {
-                    id: new_id,
-                    min_ts,
-                    max_ts,
-                    rows,
-                    bytes,
-                    written_at: now,
-                    schema_version: schema.version(),
-                    cold: false,
-                    rolled_up: h.meta.rolled_up,
-                };
-                rewrites.push((
-                    h.meta.id,
-                    Some(DiskHandle {
-                        reader: self.new_reader(self.vfs.clone(), path),
-                        meta,
-                    }),
-                ));
-            }
+            let rest = self.write_tablet(&schema, h.meta.bytes, h.meta.rolled_up, now, fill)?;
+            deleted += footer.row_count - rest.as_ref().map_or(0, |h| h.meta.rows);
+            rewritten_ids.push(h.meta.id);
+            written.files.extend(rest);
         }
-        if rewrites.is_empty() {
+        if rewritten_ids.is_empty() {
             return Ok(0);
         }
-        // Single atomic commit, then reclaim the old files.
-        let mut st = self.state.lock();
-        for (old_id, replacement) in &rewrites {
-            st.disk.retain(|h| h.meta.id != *old_id);
-            if let Some(h) = replacement {
-                st.disk.push(h.clone());
-            }
-        }
-        st.sort_disk();
-        self.publish_locked(&st);
-        self.save_descriptor_locked(&st)?;
-        drop(st);
+        self.commit(written, |st| {
+            Ok(Some(st.take_disk(|m| rewritten_ids.contains(&m.id))))
+        })?;
         // A bulk delete mutates data without going through `insert`, so the
         // query-result cache's insert_seq key would otherwise keep serving
         // pre-delete results.
         self.insert_seq.fetch_add(1, Ordering::SeqCst);
-        for (old_id, _) in &rewrites {
-            let _ = self
-                .vfs
-                .remove(&join(&self.dir, &tablet_file_name(*old_id)));
-        }
         Ok(deleted)
     }
 
@@ -386,28 +381,14 @@ impl Table {
     /// flushes sealed groups, performs at most one merge, and reaps
     /// TTL-expired tablets.
     pub fn maintain(&self, now: Micros) -> Result<MaintenanceReport> {
-        let mut report = MaintenanceReport::default();
         // 1. Age-based seals (§3.4.1: flush no later than 10 minutes after
         //    a tablet's first insert).
-        {
-            let mut st = self.state.lock();
-            let due: Vec<MemTabletId> = st
-                .filling
-                .values()
-                .filter(|t| {
-                    let mem = t.read();
-                    !mem.is_empty() && now - mem.first_insert_at() >= self.opts.flush_age
-                })
-                .map(|t| t.id())
-                .collect();
-            report.sealed_by_age = due.len();
-            for id in due {
-                // The closure may have sealed it already with a sibling.
-                if st.filling.values().any(|t| t.id() == id) {
-                    self.seal_locked(&mut st, id);
-                }
-            }
-        }
+        let mut report = MaintenanceReport {
+            sealed_by_age: self.seal_where(&mut self.state.lock(), |mem| {
+                !mem.is_empty() && now - mem.first_insert_at() >= self.opts.flush_age
+            }),
+            ..MaintenanceReport::default()
+        };
         // 2. Flush everything sealed.
         while self.flush_next_group()? {
             report.groups_flushed += 1;
@@ -425,11 +406,7 @@ impl Table {
 
     /// Performs at most one merge step; returns whether a merge ran.
     pub fn run_merge_once(&self, now: Micros) -> Result<bool> {
-        let (sources, schema, ttl, new_id) = {
-            let mut st = self.state.lock();
-            if st.merge_running || st.dropped {
-                return Ok(false);
-            }
+        let picked = self.merge_slot(|st| {
             let mut metas = st.metas();
             if self.rollup_source.load(Ordering::Acquire) {
                 // Tablets not yet folded into every rollup must keep their
@@ -438,144 +415,61 @@ impl Table {
                 // pass marks tablets and unblocks them.
                 metas.retain(|m| m.rolled_up);
             }
-            let policy = self.opts.merge_policy();
-            let Some(ids) = find_merge(&metas, now, &policy) else {
-                return Ok(false);
-            };
-            st.merge_running = true;
-            let sources: Vec<DiskHandle> = st
-                .disk
-                .iter()
-                .filter(|h| ids.contains(&h.meta.id))
-                .cloned()
-                .collect();
-            let new_id = st.next_tablet_id;
-            st.next_tablet_id += 1;
-            (sources, st.schema.clone(), st.ttl, new_id)
-        };
-        let result = self.execute_merge(&sources, &schema, ttl, new_id, now);
-        let mut st = self.state.lock();
-        st.merge_running = false;
-        if st.dropped {
-            // Dropped while merging: the sources are already gone from
-            // the published snapshot (and their files deleted); committing
-            // would write a descriptor into a directory this table no
-            // longer owns. Abandon the merge output.
-            drop(st);
-            let _ = self.vfs.remove(&join(&self.dir, &tablet_file_name(new_id)));
+            let ids = find_merge(&metas, now, &self.opts.merge_policy())?;
+            let sources = st.disk.iter().filter(|h| ids.contains(&h.meta.id));
+            let sources: Vec<DiskHandle> = sources.cloned().collect();
+            Some((sources, st.schema.clone(), st.ttl))
+        });
+        let Some((_slot, (sources, schema, ttl))) = or_if_dropped(picked, None)? else {
             return Ok(false);
-        }
-        match result {
-            Ok(new_handle) => {
-                let source_ids: Vec<u64> = sources.iter().map(|h| h.meta.id).collect();
-                st.disk.retain(|h| !source_ids.contains(&h.meta.id));
-                if let Some(h) = new_handle {
-                    st.disk.push(h);
-                }
-                st.sort_disk();
-                self.publish_locked(&st);
-                self.save_descriptor_locked(&st)?;
-                drop(st);
-                // Readers still holding the pre-merge snapshot keep the
-                // source readers alive via Arc; file removal on the
-                // SimVfs/posix VFS unlinks, so open handles stay valid.
-                for h in &sources {
-                    let _ = self.vfs.remove(&join(&self.dir, &h.meta.file_name()));
-                }
-                TableStats::add(&self.stats.merges, 1);
-                Ok(true)
-            }
-            Err(e) => {
-                drop(st);
-                let _ = self.vfs.remove(&join(&self.dir, &tablet_file_name(new_id)));
-                Err(e)
-            }
-        }
+        };
+        let written = self.written(self.execute_merge(&sources, &schema, ttl, now)?);
+        let ids: Vec<u64> = sources.iter().map(|h| h.meta.id).collect();
+        let committed = self.commit(written, |st| {
+            Ok(Some(st.take_disk(|m| ids.contains(&m.id))))
+        });
+        let ran = or_if_dropped(committed.map(|_| true), false)?;
+        TableStats::add(&self.stats.merges, ran as u64);
+        Ok(ran)
     }
 
-    /// Merge-sorts `sources` into one new tablet (§3.4.1), translating
-    /// rows to the newest schema and dropping rows that have already
-    /// expired. Returns `None` when every row had expired.
+    /// Merge-sorts `sources` into one new tablet (§3.4.1) under `schema`,
+    /// dropping rows that have already expired. Returns `None` when every
+    /// row had expired.
     pub(super) fn execute_merge(
         &self,
         sources: &[DiskHandle],
         schema: &SchemaRef,
         ttl: Option<Micros>,
-        new_id: u64,
         now: Micros,
     ) -> Result<Option<DiskHandle>> {
         let cutoff = ttl.map(|t| now.saturating_sub(t)).unwrap_or(Micros::MIN);
-        let path = join(&self.dir, &tablet_file_name(new_id));
         let size_hint: u64 = sources.iter().map(|h| h.meta.bytes).sum();
-        let file = self.vfs.create(&path, size_hint)?;
-        let mut w = TabletWriter::new(
-            file,
-            (**schema).clone(),
-            self.opts.block_size,
-            self.opts.bloom_filters,
-        );
-        merge_runs(sources.iter().map(|h| h.reader.clone()), &mut w, cutoff)?;
-        if w.row_count() == 0 {
-            drop(w);
-            let _ = self.vfs.remove(&path);
-            return Ok(None);
+        let rolled_up = sources.iter().all(|h| h.meta.rolled_up);
+        let merged = self.write_tablet(schema, size_hint, rolled_up, now, |w| {
+            merge_into(w, sources, schema, &KeyRange::all(), cutoff)
+        })?;
+        if let Some(h) = &merged {
+            TableStats::add(&self.stats.bytes_merge_written, h.meta.bytes);
         }
-        let (min_ts, max_ts, rows, bytes) = w.finish()?;
-        TableStats::add(&self.stats.bytes_merge_written, bytes);
-        let meta = TabletMeta {
-            id: new_id,
-            min_ts,
-            max_ts,
-            rows,
-            bytes,
-            written_at: now,
-            schema_version: schema.version(),
-            cold: false,
-            rolled_up: sources.iter().all(|h| h.meta.rolled_up),
-        };
-        Ok(Some(DiskHandle {
-            reader: self.new_reader(self.vfs.clone(), path),
-            meta,
-        }))
+        Ok(merged)
     }
 
     /// Removes on-disk tablets whose every row has expired (§3.3).
     /// Returns the number of tablets reclaimed.
     pub fn ttl_reap(&self, now: Micros) -> Result<usize> {
-        let dead: Vec<DiskHandle> = {
-            let mut st = self.state.lock();
-            if st.dropped {
-                // drop_table already deleted (or is deleting) every file.
-                return Ok(0);
-            }
-            let Some(ttl) = st.ttl else { return Ok(0) };
-            if st.merge_running {
-                // A merge may be reading any tablet; wait for the next pass.
-                return Ok(0);
-            }
+        let dead = self.commit(self.written(None), |st| {
+            // A merge may be reading any tablet; wait for the next pass.
+            let Some(ttl) = st.ttl.filter(|_| !st.merge_running) else {
+                return Ok(None);
+            };
             let cutoff = now.saturating_sub(ttl);
-            let (keep, dead): (Vec<_>, Vec<_>) =
-                st.disk.drain(..).partition(|h| h.meta.max_ts >= cutoff);
-            st.disk = keep;
-            if dead.is_empty() {
-                return Ok(0);
-            }
-            self.publish_locked(&st);
-            self.save_descriptor_locked(&st)?;
-            dead
-        };
-        for h in &dead {
-            let path = join(&self.dir, &h.meta.file_name());
-            if h.meta.cold {
-                if let Some(cold) = &self.cold_vfs {
-                    let _ = cold.remove(&path);
-                }
-            } else {
-                let _ = self.vfs.remove(&path);
-            }
-        }
-        TableStats::add(&self.stats.tablets_expired, dead.len() as u64);
-        Ok(dead.len())
+            let dead = st.take_disk(|m| m.max_ts < cutoff);
+            Ok((!dead.is_empty()).then_some(dead))
+        });
+        let dead = or_if_dropped(dead, Vec::new())?.len();
+        TableStats::add(&self.stats.tablets_expired, dead as u64);
+        Ok(dead)
     }
 
     // ------------------------------------------------------------ cold store
@@ -592,35 +486,27 @@ impl Table {
             .cold_vfs
             .clone()
             .ok_or_else(|| Error::invalid("no cold store configured"))?;
-        // Take the merger's slot so sources cannot be merged away.
-        {
-            let mut st = self.state.lock();
-            if st.merge_running {
-                return Ok(0);
-            }
-            st.merge_running = true;
-        }
-        let result = self.migrate_to_cold_inner(&cold, cutoff);
-        self.state.lock().merge_running = false;
-        result
-    }
-
-    fn migrate_to_cold_inner(&self, cold: &Arc<dyn Vfs>, cutoff: Micros) -> Result<usize> {
-        let candidates: Vec<DiskHandle> = self
-            .state
-            .lock()
-            .disk
-            .iter()
-            .filter(|h| !h.meta.cold && h.meta.max_ts < cutoff)
-            .cloned()
-            .collect();
-        if candidates.is_empty() {
+        // Under the merger's slot, so sources cannot be merged away.
+        let due = |h: &&DiskHandle| !h.meta.cold && h.meta.max_ts < cutoff;
+        let picked = self.merge_slot(|st| {
+            let due: Vec<DiskHandle> = st.disk.iter().filter(due).cloned().collect();
+            (!due.is_empty()).then_some(due)
+        })?;
+        let Some((_slot, candidates)) = picked else {
             return Ok(0);
-        }
+        };
         cold.mkdir_all(&self.dir)?;
-        let mut migrated = Vec::with_capacity(candidates.len());
+        let mut migrated = self.written(None);
         for h in &candidates {
             let path = join(&self.dir, &h.meta.file_name());
+            let mut meta = h.meta.clone();
+            meta.cold = true;
+            // Listed before the copy starts, so that a copy that fails
+            // half-way is unlinked with the finished ones.
+            migrated.files.push(DiskHandle {
+                reader: self.new_reader(cold.clone(), path.clone()),
+                meta,
+            });
             let src = self.vfs.open(&path)?;
             let len = src.len()?;
             let mut buf = vec![0u8; len as usize];
@@ -628,29 +514,15 @@ impl Table {
             let mut w = cold.create(&path, len)?;
             w.append(&buf)?;
             w.sync()?;
-            let mut meta = h.meta.clone();
-            meta.cold = true;
-            migrated.push(DiskHandle {
-                reader: self.new_reader(cold.clone(), path),
-                meta,
-            });
         }
         cold.sync_dir(&self.dir)?;
-        // Single descriptor commit flips the tablets to the cold tier,
-        // then the hot copies are reclaimed.
-        let mut st = self.state.lock();
-        for h in &migrated {
-            st.disk.retain(|x| x.meta.id != h.meta.id);
-            st.disk.push(h.clone());
-        }
-        st.sort_disk();
-        self.publish_locked(&st);
-        self.save_descriptor_locked(&st)?;
-        drop(st);
-        for h in &candidates {
-            let _ = self.vfs.remove(&join(&self.dir, &h.meta.file_name()));
-        }
-        Ok(migrated.len())
+        // One commit flips the tablets to the cold tier (a cold handle
+        // replaces the hot one of the same id), and unlinks the hot copies.
+        let ids: Vec<u64> = candidates.iter().map(|h| h.meta.id).collect();
+        let moved = self.commit(migrated, |st| {
+            Ok(Some(st.take_disk(|m| !m.cold && ids.contains(&m.id))))
+        })?;
+        Ok(moved.len())
     }
 
     // ---------------------------------------------------------- schema & ttl
@@ -658,36 +530,31 @@ impl Table {
     /// Appends a column to the schema (§3.5). Existing tablets are not
     /// rewritten; filling tablets are sealed so no tablet mixes schema
     /// versions.
-    pub fn add_column(&self, col: crate::schema::ColumnDef) -> Result<()> {
-        let mut st = self.state.lock();
-        let new_schema = st.schema.add_column(col)?;
-        self.install_schema_locked(&mut st, new_schema)
+    pub fn add_column(&self, col: ColumnDef) -> Result<()> {
+        self.install_schema(|schema| schema.add_column(col))
     }
 
     /// Widens an `int32` column to `int64` (§3.5).
     pub fn widen_column(&self, name: &str) -> Result<()> {
-        let mut st = self.state.lock();
-        let new_schema = st.schema.widen_column(name)?;
-        self.install_schema_locked(&mut st, new_schema)
+        self.install_schema(|schema| schema.widen_column(name))
     }
 
-    fn install_schema_locked(&self, st: &mut TableState, new_schema: Schema) -> Result<()> {
-        let ids: Vec<MemTabletId> = st.filling.values().map(|t| t.id()).collect();
-        for id in ids {
-            if st.filling.values().any(|t| t.id() == id) {
-                self.seal_locked(st, id);
-            }
-        }
-        st.schema = Arc::new(new_schema);
-        self.publish_locked(st);
-        self.save_descriptor_locked(st)
+    fn install_schema(&self, evolve: impl FnOnce(&Schema) -> Result<Schema>) -> Result<()> {
+        self.commit(self.written(None), |st| {
+            let new_schema = evolve(&st.schema)?;
+            self.seal_where(st, |_| true);
+            st.schema = Arc::new(new_schema);
+            Ok(Some(Vec::new()))
+        })?;
+        Ok(())
     }
 
     /// Changes the table's TTL (§3.5).
     pub fn set_ttl(&self, ttl: Option<Micros>) -> Result<()> {
-        let mut st = self.state.lock();
-        st.ttl = ttl;
-        self.publish_locked(&st);
-        self.save_descriptor_locked(&st)
+        self.commit(self.written(None), |st| {
+            st.ttl = ttl;
+            Ok(Some(Vec::new()))
+        })?;
+        Ok(())
     }
 }

@@ -11,16 +11,13 @@
 //!   built entirely from a snapshot load, over [`crate::cursor`]'s merge
 //!   of block runs;
 //! * [`maintenance`] — flush, merge, TTL reaping, bulk delete, cold
-//!   migration, and schema evolution, each republishing the snapshot
-//!   at its commit point;
-//! * [`runmerge`] — the block-at-a-time k-way merge that merges and bulk
-//!   deletes stream their input tablets through (the gallop and the head
-//!   pick are the query cursor's).
+//!   migration, and schema evolution: tablets rewritten through the
+//!   query's merge cursor, every transition through one commit that
+//!   republishes the snapshot.
 
 mod colscan;
 mod maintenance;
 mod read;
-mod runmerge;
 mod state;
 #[cfg(test)]
 mod tests;
@@ -132,6 +129,18 @@ pub struct Table {
     /// True when at least one rollup table is registered over this table;
     /// restricts merging to rolled-up tablets (see `run_merge_once`).
     pub(crate) rollup_source: AtomicBool,
+}
+
+/// The table's one maintenance slot, held. While it lives no merge, bulk
+/// delete, cold migration or rollup fold starts and the TTL reaper leaves
+/// the tablet set alone, so the tablets its holder reads stay in the
+/// table. Released on drop.
+pub(crate) struct MergeSlot<'a>(&'a Table);
+
+impl Drop for MergeSlot<'_> {
+    fn drop(&mut self) {
+        self.0.state.lock().merge_running = false;
+    }
 }
 
 impl Table {
@@ -482,47 +491,40 @@ impl Table {
             .collect()
     }
 
-    /// Takes the merger's exclusion slot so no merge / bulk delete / cold
-    /// migration runs concurrently. Returns false when the slot is taken
-    /// (or the table is dropped); the caller should retry later.
-    pub(crate) fn try_begin_merge_exclusion(&self) -> bool {
+    /// Takes the maintenance slot, unless it is taken or `pick` — run
+    /// under the same hold of the state mutex, so what it picks from the
+    /// state is what the slot then protects — finds nothing to do.
+    /// `Error::NoSuchTable` for a dropped table.
+    pub(crate) fn merge_slot<T>(
+        &self,
+        pick: impl FnOnce(&TableState) -> Option<T>,
+    ) -> Result<Option<(MergeSlot<'_>, T)>> {
         let mut st = self.state.lock();
-        if st.merge_running || st.dropped {
-            return false;
+        if st.dropped {
+            return Err(Error::NoSuchTable(self.name.clone()));
         }
-        st.merge_running = true;
-        true
-    }
-
-    /// Releases the slot taken by `try_begin_merge_exclusion`.
-    pub(crate) fn end_merge_exclusion(&self) {
-        self.state.lock().merge_running = false;
-    }
-
-    /// Whether this table has been dropped from its database.
-    pub(crate) fn is_dropped(&self) -> bool {
-        self.snapshot.read().dropped
+        if st.merge_running {
+            return Ok(None);
+        }
+        Ok(pick(&st).map(|picked| {
+            st.merge_running = true;
+            (MergeSlot(self), picked)
+        }))
     }
 
     /// Marks the given on-disk tablets as folded into every registered
-    /// rollup, republishing the snapshot and persisting the descriptor.
+    /// rollup.
     pub(crate) fn mark_rolled_up(&self, ids: &[u64]) -> Result<()> {
-        let mut st = self.state.lock();
-        if st.dropped {
-            return Ok(());
-        }
-        let mut changed = false;
-        for h in &mut st.disk {
-            if ids.contains(&h.meta.id) && !h.meta.rolled_up {
+        let marked = self.commit(self.written(None), |st| {
+            let unmarked = |h: &&mut DiskHandle| ids.contains(&h.meta.id) && !h.meta.rolled_up;
+            let mut changed = false;
+            for h in st.disk.iter_mut().filter(unmarked) {
                 h.meta.rolled_up = true;
                 changed = true;
             }
-        }
-        if !changed {
-            return Ok(());
-        }
-        self.publish_locked(&st);
-        self.save_descriptor_locked(&st)
+            Ok(changed.then(Vec::new))
+        });
+        maintenance::or_if_dropped(marked.map(drop), ())
     }
 
     pub(crate) fn mark_dropped(&self) {

@@ -58,7 +58,6 @@ impl SharedMemTablet {
 pub(crate) struct SealedGroup {
     pub(crate) id: u64,
     pub(crate) tablets: Vec<Arc<SharedMemTablet>>,
-    pub(crate) flushing: bool,
 }
 
 /// The mutable half of a table, guarded by `Table::state`. Everything a
@@ -86,6 +85,16 @@ pub(crate) struct TableState {
 impl TableState {
     pub(crate) fn sort_disk(&mut self) {
         self.disk.sort_by_key(|h| (h.meta.min_ts, h.meta.id));
+    }
+
+    /// Takes the on-disk tablets `leaving` picks out of the set, the rest
+    /// keeping their order.
+    pub(crate) fn take_disk(&mut self, leaving: impl Fn(&TabletMeta) -> bool) -> Vec<DiskHandle> {
+        let (out, kept) = std::mem::take(&mut self.disk)
+            .into_iter()
+            .partition(|h| leaving(&h.meta));
+        self.disk = kept;
+        out
     }
 
     pub(crate) fn metas(&self) -> Vec<TabletMeta> {

@@ -177,6 +177,19 @@ fn load(b: &Bed, hosts: impl Iterator<Item = i64>, ticks: std::ops::Range<i64>) 
     b.t.flush_all().unwrap();
 }
 
+/// `execute_merge` with its output at [`OUT_ID`], whatever was there before.
+fn merge_to_out(
+    b: &Bed,
+    sources: &[DiskHandle],
+    schema: &SchemaRef,
+    ttl: Option<Micros>,
+    now: Micros,
+) -> Result<Option<DiskHandle>> {
+    let _ = b.vfs.remove(&join(b.t.dir(), &tablet_file_name(OUT_ID)));
+    b.t.state.lock().next_tablet_id = OUT_ID;
+    b.t.execute_merge(sources, schema, ttl, now)
+}
+
 /// Merges every on-disk tablet of the table both ways and holds the
 /// outputs to each other, byte for byte. Returns the merged file, `None`
 /// when both agree that no row survived.
@@ -188,12 +201,8 @@ fn merges_agree(b: &Bed, ttl: Option<Micros>, now: Micros) -> Option<Vec<u8>> {
     assert!(sources.len() >= 2, "{} sources", sources.len());
     let ref_path = join(b.t.dir(), "by-rows");
     let out_path = join(b.t.dir(), &tablet_file_name(OUT_ID));
-    for stale in [&ref_path, &out_path] {
-        let _ = b.vfs.remove(stale);
-    }
-    let merged =
-        b.t.execute_merge(&sources, &schema, ttl, OUT_ID, now)
-            .unwrap();
+    let _ = b.vfs.remove(&ref_path);
+    let merged = merge_to_out(b, &sources, &schema, ttl, now).unwrap();
     let cutoff = ttl.map(|t| now - t).unwrap_or(Micros::MIN);
     let (ref_rows, _) = write_by_rows(&b.t, &sources, &schema, cutoff, None, &ref_path).unwrap();
     let Some(merged) = merged else {
@@ -284,25 +293,18 @@ fn a_run_ending_exactly_on_an_output_block_boundary() {
     }
 }
 
-/// `RunSource::emit_to` reads a tablet's next 1 MB run just before the
-/// first row with fewer than two rows queued behind it, which is when a
-/// merge over row cursors — each holding one row in hand and standing one
-/// row past it — read. The rule has no other reason than this one: the
-/// disk must see a merge issue the reads and writes it always issued, in
-/// the same order, so that every seek between an input and the output
-/// falls where it always fell. The lengths below are how much of its
-/// output the row merge had written at each of its six reads, recorded
-/// from it before it was deleted; the inputs and the output are the same
-/// bytes now as then.
+/// What matters about a merge's I/O: it reads each input about 1 MB at a
+/// time (§3.4.1: at most half its time goes to seeking between them), and
+/// past the block cache — it streams every block exactly once, and
+/// admitting them would evict the point-read working set.
 #[test]
-fn reads_fall_between_the_same_writes_as_in_the_row_merge() {
-    // Three rows to a block: the read comes two rows before a block's
-    // end. Then one: it comes a block early.
-    reads_line_up(88, 240, [0, 0, 2083078, 2095738, 4174942, 4183389]);
-    reads_line_up(264, 80, [0, 0, 2068441, 2097864, 4145275, 4174736]);
+fn a_merge_reads_its_inputs_a_megabyte_at_a_time_past_the_cache() {
+    // Three rows to a block, then one.
+    merge_reads_in_runs(88, 240);
+    merge_reads_in_runs(264, 80);
 }
 
-fn reads_line_up(pad_words: usize, hosts: i64, want: [u64; 6]) {
+fn merge_reads_in_runs(pad_words: usize, hosts: i64) {
     let schema = Schema::new(
         vec![
             ColumnDef::new("host", ColumnType::I64),
@@ -313,8 +315,7 @@ fn reads_line_up(pad_words: usize, hosts: i64, want: [u64; 6]) {
     )
     .unwrap();
     let b = bed(schema);
-    // Rows this wide put a write after nearly every one of them, and the
-    // padding is noise no compressor shrinks, so each source is three
+    // The padding is noise no compressor shrinks, so each source is three
     // 1 MB reads long. Seven rows a host, the sources taking turns.
     let mut x = 0x9E37_79B9_7F4A_7C15u64;
     for src in 0..2 {
@@ -345,32 +346,51 @@ fn reads_line_up(pad_words: usize, hosts: i64, want: [u64; 6]) {
         (st.disk.clone(), st.schema.clone())
     };
     assert_eq!(sources.len(), 2);
-    let ref_path = join(b.t.dir(), "by-rows");
-    let out_path = join(b.t.dir(), &tablet_file_name(OUT_ID));
     let now = b.clock.now_micros();
-    // How much of its output a merge had written at each of its reads:
-    // fail the nth read and look at the length of what the merge left.
-    let written_at_reads = |merge: &dyn Fn() -> bool, out: &str| {
-        let mut at = Vec::new();
-        loop {
-            let nth = FaultRule::new(FaultKind::Eio)
-                .on_ops(&[OpKind::Read])
-                .nth_match(at.len() as u64 + 1);
-            b.vfs.set_fault_plan(FaultPlan::new().rule(nth));
-            let finished = merge();
-            b.vfs.clear_fault_plan();
-            if finished {
-                return at;
-            }
-            at.push(b.vfs.file_size(out).unwrap());
+    let merge = || merge_to_out(&b, &sources, &schema, None, now).map(drop);
+    merge().unwrap(); // the sources' footers are in memory from here on
+    let largest_block = sources
+        .iter()
+        .flat_map(|h| h.reader.footer().unwrap().blocks.clone())
+        .map(|e| e.compressed_len as u64)
+        .max()
+        .unwrap();
+    let cache = b.t.cache.as_ref().unwrap();
+    let cached = || {
+        let s = b.t.stats().snapshot();
+        let (hits, misses) = (s.cache_hits + s.cache_compressed_hits, s.cache_misses);
+        (hits, misses, cache.entry_count(), cache.bytes_used())
+    };
+    let cached_before = cached();
+    // How much a merge had read before each of its reads: fail the nth
+    // and look at what the disk transferred up to it. The last entry is
+    // the whole merge's, which no fault stopped.
+    let mut read_before = Vec::new();
+    loop {
+        let nth = FaultRule::new(FaultKind::Eio)
+            .on_ops(&[OpKind::Read])
+            .nth_match(read_before.len() as u64 + 1);
+        b.vfs.set_fault_plan(FaultPlan::new().rule(nth));
+        b.vfs.clear_caches(); // the disk model's, which would hide a second read
+        let from = b.vfs.model().stats().bytes_read;
+        let finished = merge().is_ok();
+        b.vfs.clear_fault_plan();
+        read_before.push(b.vfs.model().stats().bytes_read - from);
+        if finished {
+            break;
         }
-    };
-    let by_runs = || {
-        b.t.execute_merge(&sources, &schema, None, OUT_ID, now)
-            .is_ok()
-    };
-    assert!(by_runs()); // the sources' footers are in memory from here on
-    assert_eq!(written_at_reads(&by_runs, &out_path), want);
+    }
+    let reads: Vec<u64> = read_before.windows(2).map(|w| w[1] - w[0]).collect();
+    assert_eq!(reads.len(), 6, "{reads:?}");
+    for &read in &reads {
+        assert!(
+            read > largest_block && read <= crate::cursor::READ_RUN_BYTES as u64,
+            "{reads:?}, blocks of up to {largest_block}"
+        );
+    }
+    assert_eq!(cached(), cached_before, "a merge's reads went by the cache");
+    let out_path = join(b.t.dir(), &tablet_file_name(OUT_ID));
+    let ref_path = join(b.t.dir(), "by-rows");
     write_by_rows(&b.t, &sources, &schema, Micros::MIN, None, &ref_path).unwrap();
     assert!(file_bytes(&b.vfs, &out_path) == file_bytes(&b.vfs, &ref_path));
 }

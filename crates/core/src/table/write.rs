@@ -218,11 +218,8 @@ impl Table {
         }
         let id = st.next_group_id;
         st.next_group_id += 1;
-        st.sealed.push_back(super::state::SealedGroup {
-            id,
-            tablets,
-            flushing: false,
-        });
+        st.sealed
+            .push_back(super::state::SealedGroup { id, tablets });
     }
 
     /// Inline-flushes oldest groups while the sealed backlog exceeds the

@@ -16,13 +16,12 @@
 //!
 //! A [`TabletWriter`] takes rows two ways. [`TabletWriter::add_row`] takes
 //! one materialized row (a memtable flush). [`TabletWriter::add_run`]
-//! takes a row range of a decoded source block (a merge, a bulk delete)
-//! and, when the source was written under the writer's schema version,
-//! copies typed column sub-slices without building a row; a source that
-//! needs translating goes row by row inside it. Either way the same rows
-//! yield the same file: blocks are cut after the row that brings the
-//! size estimate to the block size, and the Bloom filter gets every
-//! prefix of every key.
+//! takes a row range of a decoded block under the writer's schema (a
+//! merge, a bulk delete — [`crate::cursor`] hands every block on under the
+//! newest schema) and copies typed column sub-slices without building a
+//! row. Either way the same rows yield the same file: blocks are cut
+//! after the row that brings the size estimate to the block size, and the
+//! Bloom filter gets every prefix of every key.
 //!
 //! Every tablet written is footer version 3: blocks of per-column slices
 //! (see [`crate::block`]), row counts and zone maps in the block index.
@@ -71,18 +70,6 @@ const TRAILER_LEN: u64 = 8 + 8 + 8 + 4 + 8;
 const FOOTER_VERSION: u8 = 3;
 /// The first footer version with a CRC32 in each index entry.
 const FOOTER_VERSION_BLOCK_CRC: u8 = 2;
-
-/// Checks a block's compressed bytes against the CRC recorded in its
-/// index entry, catching corruption that would survive decompression —
-/// e.g. a flipped bit that still yields output of the expected length.
-fn verify_block_crc(compressed: &[u8], crc: Option<u32>) -> Result<()> {
-    match crc {
-        Some(expected) if crc32(compressed) != expected => {
-            Err(Error::corrupt("tablet block checksum mismatch"))
-        }
-        _ => Ok(()),
-    }
-}
 
 /// Index entry for one block inside a tablet.
 #[derive(Debug, Clone, PartialEq)]
@@ -400,57 +387,32 @@ impl TabletWriter {
         Ok(())
     }
 
-    /// Appends `rows` of `block`, a block of a tablet written under
-    /// `block_schema` (any version of this writer's schema), skipping
-    /// rows whose timestamp is below `min_ts`. The result is the file
+    /// Appends `rows` of `block`, a block under this writer's schema,
+    /// skipping rows whose timestamp is below `min_ts`: typed column
+    /// sub-slices are copied, no row is built. The result is the file
     /// [`TabletWriter::add_row`] would produce from the same rows, and
     /// the same ordering rule holds: keys strictly ascending within the
     /// run and after everything written before it.
-    ///
-    /// A block under this writer's own schema version is copied as typed
-    /// column sub-slices. One that needs translating is materialized row
-    /// by row, since its column slices are not the writer's.
-    pub fn add_run(
-        &mut self,
-        block: &Block,
-        block_schema: &Schema,
-        rows: Range<usize>,
-        min_ts: Micros,
-    ) -> Result<()> {
+    pub fn add_run(&mut self, block: &Block, rows: Range<usize>, min_ts: Micros) -> Result<()> {
         if rows.start > rows.end || rows.end > block.len() {
             return Err(Error::invalid("row run reaches outside its block"));
         }
-        if block_schema.version() == self.schema.version() {
-            let ts = block.timestamps()?;
-            let mut at = rows.start;
-            while at < rows.end {
-                // The next stretch of rows still inside the TTL.
-                let live = ts[at..rows.end]
-                    .iter()
-                    .take_while(|&&t| t >= min_ts)
-                    .count();
-                self.append_columns(block, ts, at..at + live)?;
-                at += live + 1;
-            }
-            return Ok(());
+        let ts = block.timestamps()?;
+        let mut at = rows.start;
+        while at < rows.end {
+            // The next stretch of rows still inside the TTL.
+            let live = ts[at..rows.end]
+                .iter()
+                .take_while(|&&t| t >= min_ts)
+                .count();
+            self.append_columns(block, ts, at..at + live)?;
+            at += live + 1;
         }
-        let mut key = std::mem::take(&mut self.key_scratch);
-        let result = rows.into_iter().try_for_each(|i| {
-            let values = block.row(i)?.values;
-            let row = Row::new(block_schema.translate_row(&self.schema, values)?);
-            if row.ts(&self.schema)? < min_ts {
-                return Ok(());
-            }
-            block.key_into(i, &mut key)?;
-            self.add_row(&key, &row)
-        });
-        self.key_scratch = key;
-        result
+        Ok(())
     }
 
-    /// The same-schema half of [`TabletWriter::add_run`]: `rows` of `src`
-    /// (whose timestamp column is `ts`) go into the block encoder a
-    /// block's worth at a time, each chunk ending exactly where
+    /// `rows` of `src` (whose timestamp column is `ts`) go into the block
+    /// encoder a block's worth at a time, each chunk ending exactly where
     /// row-at-a-time appends would have cut.
     fn append_columns(&mut self, src: &Block, ts: &[Micros], rows: Range<usize>) -> Result<()> {
         let mut at = rows.start;
@@ -770,46 +732,63 @@ impl TabletReader {
         TabletFooter::decode(&raw)
     }
 
-    /// Reads and decompresses a *run* of consecutive blocks starting at
-    /// `start`, fetching up to `max_bytes` of compressed data in one
-    /// contiguous read. §3.4.1 of the paper: to spend at most half its
-    /// time seeking, LittleTable must read about 1 MB at a time; merges
-    /// read through tablets with exactly such buffers.
-    pub fn read_block_run(&self, start: usize, max_bytes: usize) -> Result<Vec<Block>> {
-        let footer = self.footer()?;
-        if start >= footer.blocks.len() {
-            return Err(self.ctx(Some(start), Error::corrupt("block index out of range")));
-        }
-        let first_off = footer.blocks[start].offset;
-        let mut spans = Vec::new();
-        let mut total = 0usize;
-        for e in &footer.blocks[start..] {
-            if !spans.is_empty() && total + e.compressed_len as usize > max_bytes {
-                break;
+    /// Decodes block `bi` from its compressed bytes: checks them against
+    /// `crc` — the CRC recorded in the block's index entry, which catches
+    /// corruption that would survive decompression (a flipped bit that
+    /// still yields output of the expected length); `None` for a tablet
+    /// written before footer version 2, and for bytes that were checked
+    /// on their way into the cache — then decompresses and parses. A
+    /// corruption error names this tablet and the block.
+    fn decode_block(
+        &self,
+        footer: &TabletFooter,
+        bi: usize,
+        compressed: &[u8],
+        uncompressed_len: usize,
+        crc: Option<u32>,
+    ) -> Result<Block> {
+        (|| {
+            if crc.is_some_and(|expected| crc32(compressed) != expected) {
+                return Err(Error::corrupt("tablet block checksum mismatch"));
             }
-            total += e.compressed_len as usize;
-            spans.push((
-                e.compressed_len as usize,
-                e.uncompressed_len as usize,
-                e.crc,
-            ));
+            let raw = littletable_compress::decompress(compressed, uncompressed_len)?;
+            parse_block(footer, &raw)
+        })()
+        .map_err(|e| self.ctx(Some(bi), e))
+    }
+
+    /// Reads and decompresses a *run* of consecutive blocks: those of
+    /// `blocks` from its start on, up to `max_bytes` of compressed data
+    /// (one block at least), in one contiguous read. §3.4.1 of the paper:
+    /// to spend at most half its time seeking, LittleTable must read
+    /// about 1 MB at a time; merges read through tablets with exactly
+    /// such buffers.
+    pub fn read_block_run(&self, blocks: Range<usize>, max_bytes: usize) -> Result<Vec<Block>> {
+        let footer = self.footer()?;
+        let start = blocks.start;
+        let entries = footer
+            .blocks
+            .get(blocks)
+            .filter(|entries| !entries.is_empty())
+            .ok_or_else(|| self.ctx(Some(start), Error::corrupt("block index out of range")))?;
+        let mut total = entries[0].compressed_len as usize;
+        let mut n = 1;
+        while n < entries.len() && total + entries[n].compressed_len as usize <= max_bytes {
+            total += entries[n].compressed_len as usize;
+            n += 1;
         }
         let file = self.file()?;
         let mut buf = vec![0u8; total];
-        file.read_exact_at(first_off, &mut buf)?;
-        let mut blocks = Vec::with_capacity(spans.len());
+        file.read_exact_at(entries[0].offset, &mut buf)?;
+        let mut out = Vec::with_capacity(n);
         let mut off = 0usize;
-        for (bi, (clen, ulen, crc)) in spans.into_iter().enumerate() {
-            let block = (|| {
-                verify_block_crc(&buf[off..off + clen], crc)?;
-                let raw = littletable_compress::decompress(&buf[off..off + clen], ulen)?;
-                parse_block(&footer, &raw)
-            })()
-            .map_err(|e| self.ctx(Some(start + bi), e))?;
-            blocks.push(block);
-            off += clen;
+        for (i, e) in entries[..n].iter().enumerate() {
+            let compressed = &buf[off..off + e.compressed_len as usize];
+            let ulen = e.uncompressed_len as usize;
+            out.push(self.decode_block(&footer, start + i, compressed, ulen, e.crc)?);
+            off += compressed.len();
         }
-        Ok(blocks)
+        Ok(out)
     }
 
     /// Reads and decompresses block `i`, consulting the shared two-tier
@@ -831,11 +810,8 @@ impl TabletReader {
         if let Some(c) = cache.cache.take_compressed(cache.tablet_id, bi) {
             TableStats::add(&cache.stats.cache_compressed_hits, 1);
             let footer = self.footer()?;
-            let block = (|| {
-                let raw = littletable_compress::decompress(&c.bytes, c.uncompressed_len as usize)?;
-                parse_block(&footer, &raw)
-            })()
-            .map_err(|e| self.ctx(Some(i), e))?;
+            let block =
+                self.decode_block(&footer, i, &c.bytes, c.uncompressed_len as usize, None)?;
             let block = Arc::new(block);
             cache
                 .cache
@@ -843,8 +819,15 @@ impl TabletReader {
             return Ok(block);
         }
         TableStats::add(&cache.stats.cache_misses, 1);
-        let (block, compressed) = self.read_block_keeping_compressed(i)?;
+        // Read into a fresh buffer, which becomes the cache's retained
+        // compressed copy: the allocation is the cache fill, not churn.
+        let mut compressed = Vec::new();
+        let (block, uncompressed_len) = self.read_block_into(i, &mut compressed)?;
         let block = Arc::new(block);
+        let compressed = CompressedBlock {
+            bytes: compressed.into(),
+            uncompressed_len,
+        };
         cache.cache.insert(
             cache.tablet_id,
             bi,
@@ -855,73 +838,36 @@ impl TabletReader {
         Ok(block)
     }
 
-    /// Copies block `i`'s index scalars out under the footer borrow
-    /// instead of cloning the whole entry (whose last_key would
-    /// allocate). Returns `(offset, compressed_len, uncompressed_len, crc)`.
-    fn block_extent(footer: &TabletFooter, i: usize) -> Result<(u64, usize, usize, Option<u32>)> {
+    /// Reads block `i`'s compressed bytes off disk into `compressed`
+    /// (resized to hold exactly them) and decodes them. Returns the block
+    /// and its uncompressed length.
+    fn read_block_into(&self, i: usize, compressed: &mut Vec<u8>) -> Result<(Block, u32)> {
+        let footer = self.footer()?;
         let e = footer
             .blocks
             .get(i)
-            .ok_or_else(|| Error::corrupt("block index out of range"))?;
-        Ok((
-            e.offset,
-            e.compressed_len as usize,
-            e.uncompressed_len as usize,
-            e.crc,
-        ))
+            .ok_or_else(|| self.ctx(Some(i), Error::corrupt("block index out of range")))?;
+        compressed.resize(e.compressed_len as usize, 0);
+        self.file()?.read_exact_at(e.offset, compressed)?;
+        let block =
+            self.decode_block(&footer, i, compressed, e.uncompressed_len as usize, e.crc)?;
+        Ok((block, e.uncompressed_len))
     }
 
     /// The uncached read path: reuses a thread-local scratch buffer so
     /// steady-state reads allocate nothing for the compressed bytes.
     fn read_block_from_disk(&self, i: usize) -> Result<Block> {
-        let footer = self.footer()?;
-        let (offset, compressed_len, uncompressed_len, crc) =
-            Self::block_extent(&footer, i).map_err(|e| self.ctx(Some(i), e))?;
-        let file = self.file()?;
-        COMPRESSED_SCRATCH
-            .with(|scratch| {
-                let mut compressed = scratch.borrow_mut();
-                compressed.resize(compressed_len, 0);
-                let block = (|| {
-                    file.read_exact_at(offset, &mut compressed)?;
-                    verify_block_crc(&compressed, crc)?;
-                    let raw = littletable_compress::decompress(&compressed, uncompressed_len)?;
-                    parse_block(&footer, &raw)
-                })();
-                // Cap the retained capacity: one oversized block must not pin
-                // its high-water mark on this thread forever.
-                if compressed.capacity() > SCRATCH_RETAIN_MAX {
-                    compressed.clear();
-                    compressed.shrink_to(SCRATCH_RETAIN_MAX);
-                }
-                block
-            })
-            .map_err(|e| self.ctx(Some(i), e))
-    }
-
-    /// The cached miss path: reads into a fresh buffer that becomes the
-    /// cache's retained compressed copy (so the allocation is the cache
-    /// fill, not churn).
-    fn read_block_keeping_compressed(&self, i: usize) -> Result<(Block, CompressedBlock)> {
-        let footer = self.footer()?;
-        let (offset, compressed_len, uncompressed_len, crc) =
-            Self::block_extent(&footer, i).map_err(|e| self.ctx(Some(i), e))?;
-        let file = self.file()?;
-        let mut compressed = vec![0u8; compressed_len];
-        file.read_exact_at(offset, &mut compressed)?;
-        let block = (|| {
-            verify_block_crc(&compressed, crc)?;
-            let raw = littletable_compress::decompress(&compressed, uncompressed_len)?;
-            parse_block(&footer, &raw)
-        })()
-        .map_err(|e| self.ctx(Some(i), e))?;
-        Ok((
-            block,
-            CompressedBlock {
-                bytes: compressed.into(),
-                uncompressed_len: uncompressed_len as u32,
-            },
-        ))
+        COMPRESSED_SCRATCH.with(|scratch| {
+            let mut compressed = scratch.borrow_mut();
+            let read = self.read_block_into(i, &mut compressed);
+            // Cap the retained capacity: one oversized block must not pin
+            // its high-water mark on this thread forever.
+            if compressed.capacity() > SCRATCH_RETAIN_MAX {
+                compressed.clear();
+                compressed.shrink_to(SCRATCH_RETAIN_MAX);
+            }
+            read.map(|(block, _)| block)
+        })
     }
 
     /// Index of the first block that could contain `key` (i.e. the first
@@ -1099,25 +1045,24 @@ mod tests {
         // Inside a run: a step back, then a repeat.
         for ns in [[1, 2, 4, 3, 5], [1, 2, 2, 3, 4]] {
             let mut w = writer(&vfs, "t", false);
-            let err = w.add_run(&block_of(&s, &ns), &s, 0..5, Micros::MIN);
+            let err = w.add_run(&block_of(&s, &ns), 0..5, Micros::MIN);
             assert!(matches!(err, Err(Error::Invalid(_))), "{err:?}");
             // The part of the run before the break is in order.
             let mut w = writer(&vfs, "t", false);
-            w.add_run(&block_of(&s, &ns), &s, 0..2, Micros::MIN)
-                .unwrap();
+            w.add_run(&block_of(&s, &ns), 0..2, Micros::MIN).unwrap();
         }
         // Across runs: the next run starts at or below the last key.
         let mut w = writer(&vfs, "t", false);
-        w.add_run(&block_of(&s, &[1, 2, 3]), &s, 0..3, Micros::MIN)
+        w.add_run(&block_of(&s, &[1, 2, 3]), 0..3, Micros::MIN)
             .unwrap();
         for first in [3, 2] {
-            let err = w.add_run(&block_of(&s, &[first, 9]), &s, 0..2, Micros::MIN);
+            let err = w.add_run(&block_of(&s, &[first, 9]), 0..2, Micros::MIN);
             assert!(matches!(err, Err(Error::Invalid(_))), "{err:?}");
         }
         // A run that reaches outside its block is refused outright.
         let mut w = writer(&vfs, "t", false);
         assert!(w
-            .add_run(&block_of(&s, &[1, 2]), &s, 1..3, Micros::MIN)
+            .add_run(&block_of(&s, &[1, 2]), 1..3, Micros::MIN)
             .is_err());
     }
 
@@ -1157,8 +1102,8 @@ mod tests {
         }
         let block = b.into_block(&s);
         // Two runs, so one starts against a key of the run before.
-        by_run.add_run(&block, &s, 0..250, Micros::MIN).unwrap();
-        by_run.add_run(&block, &s, 250..600, Micros::MIN).unwrap();
+        by_run.add_run(&block, 0..250, Micros::MIN).unwrap();
+        by_run.add_run(&block, 250..600, Micros::MIN).unwrap();
         by_row.finish().unwrap();
         by_run.finish().unwrap();
         let vfs: Arc<dyn Vfs> = Arc::new(vfs);
