@@ -519,14 +519,17 @@ mod tests {
         while let Some(run) = cur.next_run().unwrap() {
             assert!(!run.is_empty() && run.descending == descending);
             runs += 1;
-            for i in run.indices() {
-                match run.block.column(0).value(i) {
-                    Value::I64(n) => out.push(n),
-                    v => panic!("unexpected {v:?}"),
-                }
-            }
+            out.extend(run.indices().map(|i| i64_at(&run, i)));
         }
         (out, runs)
+    }
+
+    /// The first column of row `i` of a run's block.
+    fn i64_at(run: &RowRun, i: usize) -> i64 {
+        match run.block.column(0).value(i) {
+            Value::I64(n) => n,
+            v => panic!("unexpected {v:?}"),
+        }
     }
 
     #[test]
@@ -675,11 +678,75 @@ mod tests {
 
     #[test]
     fn read_runs_prefetch_without_changing_the_result() {
+        use littletable_vfs::{FaultKind, FaultPlan, FaultRule, OpKind};
         let vfs = SimVfs::instant();
         let s = schema();
         let r = write(&vfs, "t", &s, &(0..200).collect::<Vec<_>>());
-        let buffered = Source::tablet(r, s.clone(), KeyRange::all()).with_read_run(600);
-        assert_eq!(drain(vec![buffered], false).0, (0..200).collect::<Vec<_>>());
+        r.footer().unwrap();
+        let bound = |n: i64, inclusive: bool| {
+            if inclusive {
+                Bound::Included(key_of(&s, n))
+            } else {
+                Bound::Excluded(key_of(&s, n))
+            }
+        };
+        let ranges = [
+            (KeyRange::all(), 0..200),
+            (
+                KeyRange {
+                    start: bound(37, true),
+                    end: Bound::Unbounded,
+                },
+                37..200,
+            ),
+            (
+                KeyRange {
+                    start: bound(37, false),
+                    end: bound(151, false),
+                },
+                38..151,
+            ),
+            (
+                KeyRange {
+                    start: Bound::Unbounded,
+                    end: bound(3, true),
+                },
+                0..4,
+            ),
+        ];
+        for (range, want) in ranges {
+            let want: Vec<i64> = want.collect();
+            // A few blocks to a read, so the queue refills mid-scan.
+            let buffered =
+                || vec![Source::tablet(r.clone(), s.clone(), range.clone()).with_read_run(600)];
+            assert_eq!(drain(buffered(), false).0, want);
+            // Every read failed in turn: the cursor reports the error and,
+            // asked again, makes the read again.
+            for nth in 1.. {
+                let rule = FaultRule::new(FaultKind::Eio)
+                    .on_ops(&[OpKind::Read])
+                    .nth_match(nth);
+                vfs.set_fault_plan(FaultPlan::new().rule(rule));
+                let mut cur = RunCursor::new(buffered(), false);
+                let (mut got, mut errors) = (Vec::new(), 0);
+                loop {
+                    match cur.next_run() {
+                        Ok(Some(run)) => got.extend(run.indices().map(|i| i64_at(&run, i))),
+                        Ok(None) => break,
+                        Err(_) => {
+                            errors += 1;
+                            vfs.clear_fault_plan();
+                        }
+                    }
+                }
+                vfs.clear_fault_plan();
+                assert_eq!(got, want, "read {nth} of {range:?}");
+                if errors == 0 {
+                    assert!(nth > 1, "{range:?} read nothing");
+                    break;
+                }
+            }
+        }
     }
 
     #[test]

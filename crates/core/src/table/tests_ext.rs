@@ -403,6 +403,56 @@ mod cold_store_tests {
     }
 
     #[test]
+    fn a_migration_that_fails_part_way_leaves_nothing_behind() {
+        use littletable_vfs::{FaultKind, FaultPlan, FaultRule, OpKind};
+        let (db, hot, cold, _clock) = setup();
+        let t = db.create_table("t", schema(), None).unwrap();
+        fill(&t, START - 30 * DAY, 200);
+        fill(&t, START - 20 * DAY, 200);
+        fill(&t, START, 200); // stays hot
+        let listing = || {
+            let sorted = |vfs: &SimVfs| {
+                let mut names = vfs.list_dir("t").unwrap_or_default();
+                names.sort();
+                names
+            };
+            (sorted(&hot), sorted(&cold))
+        };
+        let (rows_before, listing_before) = (t.query_all(&Query::all()).unwrap(), listing());
+        // Fail each write to the cold store in turn — the directory, each
+        // copy's creation, append and sync, the directory sync — until a
+        // call gets through with none failed.
+        let mut failed = 0;
+        let migrated = loop {
+            let nth = FaultRule::new(FaultKind::Eio)
+                .on_ops(&[
+                    OpKind::Mkdir,
+                    OpKind::Create,
+                    OpKind::Append,
+                    OpKind::Sync,
+                    OpKind::SyncDir,
+                ])
+                .nth_match(failed + 1);
+            cold.set_fault_plan(FaultPlan::new().rule(nth));
+            let result = t.migrate_to_cold(START - DAY);
+            cold.clear_fault_plan();
+            if cold.faults_injected() == failed {
+                break result.unwrap();
+            }
+            failed += 1;
+            assert!(result.is_err(), "write {failed} failed and went unreported");
+            assert_eq!(listing(), listing_before, "write {failed}");
+            assert_eq!(t.query_all(&Query::all()).unwrap(), rows_before);
+            assert_eq!(t.cold_bytes(), 0);
+        };
+        assert_eq!((failed, migrated), (8, 2));
+        assert_eq!(t.query_all(&Query::all()).unwrap(), rows_before);
+        let (hot_after, cold_after) = listing();
+        assert_eq!(cold_after.len(), 2);
+        assert_eq!(hot_after.len(), listing_before.0.len() - 2);
+    }
+
+    #[test]
     fn migrate_without_cold_store_is_an_error() {
         let clock = SimClock::new(START);
         let db = Db::open(

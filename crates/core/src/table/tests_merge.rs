@@ -561,3 +561,94 @@ fn bulk_delete_of_a_middle_prefix() {
     want.sort();
     assert!(got == want, "rewritten tablets differ from the row rewrite");
 }
+
+fn tablet_listing(b: &Bed) -> Vec<String> {
+    let mut names = b.vfs.list_dir(b.t.dir()).unwrap();
+    names.sort();
+    names
+}
+
+#[test]
+fn a_bulk_delete_that_fails_part_way_leaves_nothing_behind() {
+    let b = bed(wide_schema());
+    load(&b, 0..12, 0..50);
+    load(&b, 4..7, 50..100);
+    load(&b, 5..6, 100..150); // dropped whole: nothing is written for it
+    load(&b, 3..9, 150..200);
+    let prefix = [Value::I64(5)];
+    // Rows as text: a NaN equals itself there.
+    let rows = || format!("{:?}", b.t.query_all(&Query::all()).unwrap());
+    let rows_before = b.t.query_all(&Query::all()).unwrap();
+    let shown_before = rows();
+    let under_prefix = |r: &&Row| r.values[0] == prefix[0];
+    let want_deleted = rows_before.iter().filter(under_prefix).count() as u64;
+    let listing_before = tablet_listing(&b);
+    // Fail each write to a replacement tablet in turn — its creation, every
+    // append, its sync — until a call gets through with none failed.
+    let mut failed = 0;
+    let deleted = loop {
+        let nth = FaultRule::new(FaultKind::Eio)
+            .on_path(".lt")
+            .on_ops(&[OpKind::Create, OpKind::Append, OpKind::Sync])
+            .nth_match(failed + 1);
+        b.vfs.set_fault_plan(FaultPlan::new().rule(nth));
+        let injected = b.vfs.faults_injected();
+        let result = b.t.bulk_delete(&prefix);
+        b.vfs.clear_fault_plan();
+        if b.vfs.faults_injected() == injected {
+            break result.unwrap();
+        }
+        failed += 1;
+        assert!(result.is_err(), "write {failed} failed and went unreported");
+        assert_eq!(tablet_listing(&b), listing_before, "write {failed}");
+        assert!(
+            rows() == shown_before,
+            "write {failed}: the table's rows moved"
+        );
+    };
+    // Three tablets rewritten, each a creation, appends and a sync.
+    assert!(failed >= 9, "{failed} writes failed");
+    assert_eq!(deleted, want_deleted);
+    let rows_after = b.t.query_all(&Query::all()).unwrap();
+    assert_eq!(rows_after.len() as u64, rows_before.len() as u64 - deleted);
+    assert!(!rows_after.iter().any(|r| under_prefix(&r)));
+    assert_eq!(tablet_listing(&b).len(), listing_before.len() - 1);
+}
+
+#[test]
+fn a_bulk_delete_steps_over_the_blocks_under_the_prefix_unread() {
+    let b = bed(wide_schema());
+    load(&b, 0..6, 0..400);
+    let source = b.t.state.lock().disk[0].clone();
+    let footer = source.reader.footer().unwrap(); // in memory from here on
+    let schema = b.t.schema();
+    let prefix = [Value::I64(3)];
+    let range = KeyRange::for_prefix(encode_prefix(&prefix, &schema.key_types()).unwrap());
+    let (std::ops::Bound::Included(first), std::ops::Bound::Excluded(past)) =
+        (&range.start, &range.end)
+    else {
+        panic!("{range:?}");
+    };
+    // The index places the prefix's first row in block `lo` and the first
+    // row past the prefix in block `hi`; the blocks between hold nothing
+    // else.
+    let lo = footer.blocks.partition_point(|e| e.last_key < *first);
+    let hi = footer.blocks.partition_point(|e| e.last_key < *past);
+    assert!(
+        lo > 0 && hi < footer.blocks.len() - 1 && hi - lo > 3,
+        "{lo} {hi}"
+    );
+    let bytes = |blocks: &[crate::tablet::BlockIndexEntry]| -> u64 {
+        blocks.iter().map(|e| e.compressed_len as u64).sum()
+    };
+    // One block read to see that the tablet holds the prefix at all, then
+    // the two stretches that stay.
+    let want =
+        bytes(&footer.blocks[lo..=lo]) + bytes(&footer.blocks[..=lo]) + bytes(&footer.blocks[hi..]);
+    b.vfs.clear_caches();
+    let read_before = b.vfs.model().stats().bytes_read;
+    assert_eq!(b.t.bulk_delete(&prefix).unwrap(), 400);
+    assert_eq!(b.vfs.model().stats().bytes_read - read_before, want);
+    assert!(want < bytes(&footer.blocks) - bytes(&footer.blocks[lo + 1..hi]) / 2);
+    assert_eq!(b.t.query_all(&Query::all()).unwrap().len(), 5 * 400);
+}

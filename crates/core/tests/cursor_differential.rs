@@ -12,13 +12,16 @@
 //! identical from `next_run()`, from `next_row()` and from the two mixed,
 //! with `scanned()`, `returned()` and `more_available()` what the
 //! reference counts for that page; the pages together are the reference's
-//! whole answer; `latest()` is the reference's newest row. A last test
-//! fails every disk read of a query in turn.
+//! whole answer; `latest()` is the reference's newest row. One test fails
+//! every disk read of a query in turn. The last is the ascending leg no
+//! query takes: tablet sources that read a run of blocks at a time, past
+//! the cache, which is how maintenance drives the same cursor — reached
+//! here through a bulk delete, with every one of its reads failed in turn.
 
 use littletable_core::period::period_for;
 use littletable_core::schema::{ColumnDef, Schema};
 use littletable_core::{ColumnType, Db, Options, Query, QueryCursor, Table, Value};
-use littletable_vfs::{FaultKind, FaultPlan, FaultRule, OpKind, SimClock, SimVfs};
+use littletable_vfs::{FaultKind, FaultPlan, FaultRule, OpKind, SimClock, SimVfs, Vfs};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -616,5 +619,81 @@ fn a_failed_read_is_an_error_never_a_short_result() {
             }
             assert!(failures >= 2, "{failures} reads failed");
         }
+    }
+}
+
+/// The cursor as maintenance drives it: ascending, every tablet source
+/// reading a run of blocks at a time (`Source::with_read_run`, which no
+/// query sets and which is private to the crate), over the two key ranges
+/// a bulk delete keeps — everything before a prefix, everything after it.
+/// What the rewritten tablets then answer is held to the reference with
+/// the prefix's rows filtered out, by the whole differential; before
+/// that, every read of the bulk delete is failed in turn, and each failure
+/// must be an error that leaves the table's files and answers alone.
+#[test]
+fn a_bulk_delete_keeps_what_the_reference_keeps_with_every_read_failed_in_turn() {
+    let beds: [(u64, fn(&mut Rng) -> Bed); 4] = [
+        (3, |rng| generated(rng, false)),
+        (17, |rng| generated(rng, false)),
+        (40, |rng| generated(rng, false)),
+        (5, frozen),
+    ];
+    for (seed, layout) in beds {
+        let mut rng = Rng(seed);
+        let mut bed = layout(&mut rng);
+        let mut prefix = key_bound(&mut rng, &bed.t);
+        prefix.truncate(1 + rng.below(2) as usize);
+        // Inside the data, whatever `key_bound` drew.
+        for component in &mut prefix {
+            let k = rng.below(3) as i64;
+            *component = match component {
+                Value::I32(_) => Value::I32(k as i32),
+                _ => Value::I64(k),
+            };
+        }
+        let under = |row: &Row| key_of(row)[..prefix.len()] == ints(&prefix)[..];
+        let doomed = bed.groups.iter().flat_map(|g| &g.rows).filter(|r| under(r));
+        let doomed = doomed.count() as u64;
+        // A bulk delete flushes first; done here, the files it starts
+        // from are the ones a failed attempt must leave.
+        bed.t.flush_all().unwrap();
+        let listing = || {
+            let mut names = bed.vfs.list_dir(bed.t.name()).unwrap();
+            names.sort();
+            names
+        };
+        let before = listing();
+        let mut failures = 0;
+        for nth in 1.. {
+            let rule = FaultRule::new(FaultKind::Eio)
+                .on_ops(&[OpKind::Read])
+                .nth_match(nth);
+            bed.vfs.set_fault_plan(FaultPlan::new().rule(rule));
+            let injected = bed.vfs.faults_injected();
+            let result = bed.t.bulk_delete(&prefix);
+            bed.vfs.clear_fault_plan();
+            if bed.vfs.faults_injected() == injected {
+                assert_eq!(result.unwrap(), doomed, "seed {seed}, {prefix:?}");
+                break;
+            }
+            failures += 1;
+            assert!(result.is_err(), "seed {seed}: read {nth} failed unreported");
+            assert_eq!(listing(), before, "seed {seed}, read {nth}");
+            check_query(&bed, &Query::all(), Drain::Runs);
+        }
+        assert!(
+            doomed > 0 && failures >= 2,
+            "seed {seed}: {failures} reads failed"
+        );
+        // Tablets are rewritten one for one, so the reference's tablets
+        // are its old ones less the prefix.
+        for g in &mut bed.groups {
+            g.rows.retain(|r| !under(r));
+            let ts = g.rows.iter().map(|r| key_of(r)[2]);
+            g.min_ts = ts.clone().min().unwrap_or(0);
+            g.max_ts = ts.max().unwrap_or(0);
+        }
+        bed.groups.retain(|g| !g.rows.is_empty());
+        check_bed(&bed, &mut rng, 6);
     }
 }

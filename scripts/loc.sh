@@ -10,7 +10,22 @@
 # fields in `Options`.
 #
 # usage: scripts/loc.sh [checkout]     (default: this checkout)
+#        scripts/loc.sh <parent-checkout> <change-checkout>
+#
+# With two checkouts every line reads `parent -> change (delta)`: what a
+# deletion pass states in its PR.
 set -eu
+if [ $# -eq 2 ]; then
+    parent=$("$0" "$1")
+    "$0" "$2" | while IFS= read -r line; do
+        label=${line%% [ 0-9]*}
+        now=${line##* }
+        was=$(printf '%s\n' "$parent" | grep -F "$label " | head -n 1)
+        was=${was##* }
+        printf '%-22s %6s -> %6d (%+d)\n' "$label" "${was:--}" "$now" "$((now - ${was:-0}))"
+    done
+    exit
+fi
 cd "${1:-$(dirname "$0")/..}"
 
 non_test_lines() {

@@ -7,7 +7,7 @@
 //! no duplicates, and the visible count never goes backwards between a
 //! reader's successive queries.
 
-use littletable::vfs::{Clock, SimClock, SimVfs, MICROS_PER_SEC};
+use littletable::vfs::{Clock, SimClock, SimVfs, Vfs, MICROS_PER_SEC};
 use littletable::{
     ColumnDef, ColumnType, Db, Error, Options, Query, Schema, Session, SqlOutput, Value,
 };
@@ -552,6 +552,85 @@ fn held_table_handle_outlives_a_thousand_drop_create_cycles() {
         reader.join().unwrap();
     });
     assert_eq!(db.stats().catalog_publishes, 1 + 2 * CYCLES as u64);
+}
+
+/// And what a held handle can no longer do: commit. After `drop_table` and
+/// a `create_table` of the same name, the directory and its descriptor
+/// are the new table's; every call on the stale handle that would publish
+/// a transition — a TTL, a schema version, rewritten or migrated tablets —
+/// is refused before it writes, and the new table is found untouched by a
+/// reopen.
+#[test]
+fn a_stale_handle_commits_nothing_over_a_recreated_table() {
+    const HOUR: i64 = 3600 * MICROS_PER_SEC;
+    let clock = SimClock::new(START);
+    let (hot, cold) = (SimVfs::instant(), SimVfs::instant());
+    let open = || {
+        Db::open_with_cold(
+            Arc::new(hot.clone()),
+            Some(Arc::new(cold.clone())),
+            Arc::new(clock.clone()),
+            Options::small_for_tests(),
+        )
+        .unwrap()
+    };
+    let db = open();
+    let stale = db.create_table("t", schema(), None).unwrap();
+    stale.insert(vec![marker_row(7, 0)]).unwrap();
+    stale.flush_all().unwrap();
+    // One row stays in memory: a bulk delete flushes first.
+    stale.insert(vec![marker_row(7, 1)]).unwrap();
+    db.drop_table("t").unwrap();
+
+    let mut columns = schema().columns().to_vec();
+    columns.push(ColumnDef::new("note", ColumnType::Str));
+    let other = Schema::new(columns, &["writer", "seq", "ts"]).unwrap();
+    let fresh = db.create_table("t", other.clone(), Some(HOUR)).unwrap();
+    let fresh_rows: Vec<Vec<Value>> = (0..3)
+        .map(|seq| {
+            let mut row = marker_row(8, seq);
+            row.push(Value::Str(format!("n{seq}")));
+            row
+        })
+        .collect();
+    fresh.insert(fresh_rows.clone()).unwrap();
+    fresh.flush_all().unwrap();
+    let listing = || {
+        let sorted = |vfs: &SimVfs| {
+            let mut names = vfs.list_dir("t").unwrap_or_default();
+            names.sort();
+            names
+        };
+        (sorted(&hot), sorted(&cold))
+    };
+    let before = listing();
+    assert_eq!(before.0.len(), 2, "{before:?}");
+
+    let extra = ColumnDef::with_default("a", ColumnType::I64, Value::I64(0));
+    let refused = [
+        stale.set_ttl(Some(1)),
+        stale.add_column(extra),
+        stale.widen_column("v"),
+        stale.bulk_delete(&[Value::I64(7)]).map(drop),
+        stale.migrate_to_cold(i64::MAX).map(drop),
+    ];
+    for (call, result) in refused.iter().enumerate() {
+        assert!(
+            matches!(result, Err(Error::NoSuchTable(_))),
+            "call {call} on the stale handle: {result:?}"
+        );
+    }
+    assert_eq!(listing(), before);
+
+    drop((stale, fresh, db));
+    let db = open();
+    let t = db.table("t").unwrap();
+    assert_eq!(*t.schema(), other);
+    assert_eq!(t.ttl(), Some(HOUR));
+    let rows = t.query_all(&Query::all()).unwrap();
+    let rows: Vec<Vec<Value>> = rows.into_iter().map(|r| r.values).collect();
+    assert_eq!(rows, fresh_rows);
+    assert_eq!(listing(), before);
 }
 
 /// The query-result cache keys on the table's generation, so a result
