@@ -24,8 +24,8 @@
 //! bounds and limits ([`crate::table::QueryCursor`]); the rollup fold
 //! aggregates them; a merge or a bulk delete hands them to
 //! [`crate::tablet::TabletWriter::add_run`]. The last two read whole
-//! tablets once, so their sources read [`READ_RUN_BYTES`] at a time and
-//! past the block cache ([`Source::with_read_run`]); nothing else about
+//! tablets once, so their sources read `READ_RUN_BYTES` at a time and
+//! past the block cache (`Source::with_read_run`); nothing else about
 //! the merge differs.
 
 use crate::block::Block;

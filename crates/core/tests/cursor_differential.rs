@@ -632,7 +632,8 @@ fn a_failed_read_is_an_error_never_a_short_result() {
 /// must be an error that leaves the table's files and answers alone.
 #[test]
 fn a_bulk_delete_keeps_what_the_reference_keeps_with_every_read_failed_in_turn() {
-    let beds: [(u64, fn(&mut Rng) -> Bed); 4] = [
+    type Layout = fn(&mut Rng) -> Bed;
+    let beds: [(u64, Layout); 4] = [
         (3, |rng| generated(rng, false)),
         (17, |rng| generated(rng, false)),
         (40, |rng| generated(rng, false)),
