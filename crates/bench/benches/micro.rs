@@ -2,8 +2,9 @@
 //! the host (complementing the virtual-time figure harness): key
 //! encoding, block compression, block search, memtable and engine
 //! inserts, scans, HyperLogLog, SQL parsing, the maintenance kernels
-//! (checksum, column codecs, k-way merge) and the read path (block parse,
-//! wire encode, cursor drain).
+//! (checksum, column codecs, k-way merge), the read path (block parse,
+//! wire encode, cursor drain) and the decode kernels under it (column
+//! codecs, `ltz`, the client's row decode).
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use littletable_bench::env::{bench_row, bench_row_sequential, bench_schema, XorShift64};
@@ -515,6 +516,118 @@ fn bench_read_path(c: &mut Criterion) {
     g.finish();
 }
 
+/// The decode kernels on a `dashboard` op's blocking path, on the e2e
+/// benchmark's `usage` rows: every column of a 1 000-row block (one
+/// network's four devices, 250 ticks each, as `read_path/block_parse`
+/// parses it) through the codec the writer's race picks for it; `ltz`
+/// decompression of that block and of 64 kB of rows as the wire lays
+/// them out (what `compress.decompress_ns_per_byte` times); and the
+/// client's decode of a response of 1 367 rows, the `dashboard` mean.
+fn bench_decode_kernels(c: &mut Criterion) {
+    use littletable_codec as codec;
+    use littletable_core::block::BlockEncoder;
+    use littletable_core::util::Reader;
+    use littletable_core::Row;
+    use littletable_proto::valuecodec::{get_rows, put_rows};
+    use std::hint::black_box;
+
+    let codec_name = |tag| match tag {
+        codec::TAG_RAW => "raw",
+        codec::TAG_DELTA_DELTA => "delta_delta",
+        codec::TAG_ZIGZAG_DELTA => "zigzag_delta",
+        codec::TAG_XOR => "xor",
+        _ => "dict_rle",
+    };
+    let mut g = c.benchmark_group("decode_kernels");
+    let grid = usage::Grid {
+        seed: 7,
+        devices: 512,
+        start: usage::T0,
+        step: usage::SECOND,
+    };
+    let network_rows = |ticks: i64| {
+        (0..usage::DEVICES_PER_NETWORK)
+            .flat_map(move |d| (0..ticks).map(move |t| (d, t)))
+            .map(|(d, t)| grid.row(d, t))
+            .collect::<Vec<_>>()
+    };
+    let rows = network_rows(250);
+    let n = rows.len();
+    let schema = usage::schema();
+    g.throughput(Throughput::Elements(n as u64));
+    for (c, col) in schema.columns().iter().enumerate() {
+        let mut data = Vec::new();
+        match col.ty {
+            ColumnType::F64 => {
+                let vals: Vec<f64> = rows
+                    .iter()
+                    .map(|r| match r[c] {
+                        Value::F64(v) => v,
+                        ref v => unreachable!("a double column holds {v:?}"),
+                    })
+                    .collect();
+                let tag = codec::encode_f64_column_into(&vals, &mut data);
+                g.bench_function(format!("{}/{}_1000", col.name, codec_name(tag)), |b| {
+                    b.iter(|| codec::decode_f64_column(tag, black_box(&data), n).unwrap())
+                });
+            }
+            ColumnType::Str => {
+                let vals: Vec<&[u8]> = rows
+                    .iter()
+                    .map(|r| match &r[c] {
+                        Value::Str(s) => s.as_bytes(),
+                        v => unreachable!("a string column holds {v:?}"),
+                    })
+                    .collect();
+                let tag = codec::encode_bytes_column_into(vals.iter().copied(), &mut data);
+                g.bench_function(format!("{}/{}_1000", col.name, codec_name(tag)), |b| {
+                    b.iter(|| codec::decode_bytes_column(tag, black_box(&data), n).unwrap())
+                });
+            }
+            _ => {
+                let vals: Vec<i64> = rows.iter().map(|r| r[c].as_int().unwrap()).collect();
+                let tag = codec::encode_i64_column_into(vals.iter().copied(), &mut data);
+                g.bench_function(format!("{}/{}_1000", col.name, codec_name(tag)), |b| {
+                    b.iter(|| codec::decode_i64_column(tag, black_box(&data), n).unwrap())
+                });
+            }
+        }
+    }
+
+    let mut encoder = BlockEncoder::new(&schema);
+    for row in &rows {
+        encoder.add(&Row::new(row.clone())).unwrap();
+    }
+    let mut block = Vec::new();
+    encoder.finish(&mut block);
+    let mut wire = Vec::new();
+    let mut tick = 0;
+    while wire.len() < 64 << 10 {
+        put_rows(
+            &mut wire,
+            &(0..64).map(|d| grid.row(d, tick)).collect::<Vec<_>>(),
+        );
+        tick += 1;
+    }
+    wire.truncate(64 << 10);
+    for (name, raw) in [("usage_block_1000rows", &block), ("wire_rows_64k", &wire)] {
+        let packed = littletable_compress::compress(raw);
+        g.throughput(Throughput::Bytes(raw.len() as u64));
+        g.bench_function(format!("ltz_decompress/{name}"), |b| {
+            b.iter(|| littletable_compress::decompress(black_box(&packed), raw.len()).unwrap())
+        });
+    }
+
+    let response: Vec<Vec<Value>> = network_rows(342).into_iter().take(1367).collect();
+    let mut payload = Vec::new();
+    put_rows(&mut payload, &response);
+    g.throughput(Throughput::Elements(response.len() as u64));
+    g.bench_function("get_rows/usage_1367rows", |b| {
+        b.iter(|| get_rows(&mut Reader::new(black_box(&payload))).unwrap())
+    });
+    g.finish();
+}
+
 criterion_group!(
     benches,
     bench_key_encoding,
@@ -527,6 +640,7 @@ criterion_group!(
     bench_sql_parse,
     bench_fault_hook,
     bench_maintenance_kernels,
-    bench_read_path
+    bench_read_path,
+    bench_decode_kernels
 );
 criterion_main!(benches);

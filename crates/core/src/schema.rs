@@ -319,6 +319,7 @@ pub fn encode_value(out: &mut Vec<u8>, v: ValueRef<'_>) {
 }
 
 /// Decodes a value of a known type written by [`encode_value`].
+#[inline]
 pub fn decode_value(r: &mut Reader<'_>, ty: ColumnType) -> Result<Value> {
     use crate::util::unzigzag;
     Ok(match ty {

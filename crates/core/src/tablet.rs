@@ -51,13 +51,39 @@ thread_local! {
     /// Scratch buffer for compressed block bytes, reused across
     /// [`TabletReader::read_block`] calls on the same thread.
     static COMPRESSED_SCRATCH: RefCell<Vec<u8>> = const { RefCell::new(Vec::new()) };
+    /// Scratch buffer a block or footer is decompressed into: parsing
+    /// copies out what it keeps, so the bytes never outlive the call.
+    static RAW_SCRATCH: RefCell<Vec<u8>> = const { RefCell::new(Vec::new()) };
 }
 
-/// Largest capacity [`COMPRESSED_SCRATCH`] keeps between reads. One
-/// oversized block (a giant row) must not pin its high-water mark on
+/// Largest capacity a scratch buffer keeps between reads. One oversized
+/// block (a giant row) or footer must not pin its high-water mark on
 /// every reader thread forever; anything above this is released after
 /// the read that needed it.
 const SCRATCH_RETAIN_MAX: usize = 256 << 10;
+
+fn shed_oversized(scratch: &mut Vec<u8>) {
+    if scratch.capacity() > SCRATCH_RETAIN_MAX {
+        scratch.clear();
+        scratch.shrink_to(SCRATCH_RETAIN_MAX);
+    }
+}
+
+/// Decompresses `compressed` to `len` bytes in this thread's
+/// [`RAW_SCRATCH`] and hands them to `parse`.
+fn with_decompressed<T>(
+    compressed: &[u8],
+    len: usize,
+    parse: impl FnOnce(&[u8]) -> Result<T>,
+) -> Result<T> {
+    RAW_SCRATCH.with_borrow_mut(|raw| {
+        let parsed = littletable_compress::decompress_into(compressed, len, raw)
+            .map_err(Error::from)
+            .and_then(|()| parse(raw));
+        shed_oversized(raw);
+        parsed
+    })
+}
 
 /// Magic number ending every tablet file.
 const TRAILER_MAGIC: u64 = 0x4C54_5441_424C_3031; // "LTTABL01"
@@ -728,8 +754,7 @@ impl TabletReader {
         if crc32(&compressed) != crc {
             return Err(Error::corrupt("tablet footer checksum mismatch"));
         }
-        let raw = littletable_compress::decompress(&compressed, uncompressed_len as usize)?;
-        TabletFooter::decode(&raw)
+        with_decompressed(&compressed, uncompressed_len as usize, TabletFooter::decode)
     }
 
     /// Decodes block `bi` from its compressed bytes: checks them against
@@ -751,8 +776,7 @@ impl TabletReader {
             if crc.is_some_and(|expected| crc32(compressed) != expected) {
                 return Err(Error::corrupt("tablet block checksum mismatch"));
             }
-            let raw = littletable_compress::decompress(compressed, uncompressed_len)?;
-            parse_block(footer, &raw)
+            with_decompressed(compressed, uncompressed_len, |raw| parse_block(footer, raw))
         })()
         .map_err(|e| self.ctx(Some(bi), e))
     }
@@ -860,12 +884,7 @@ impl TabletReader {
         COMPRESSED_SCRATCH.with(|scratch| {
             let mut compressed = scratch.borrow_mut();
             let read = self.read_block_into(i, &mut compressed);
-            // Cap the retained capacity: one oversized block must not pin
-            // its high-water mark on this thread forever.
-            if compressed.capacity() > SCRATCH_RETAIN_MAX {
-                compressed.clear();
-                compressed.shrink_to(SCRATCH_RETAIN_MAX);
-            }
+            shed_oversized(&mut compressed);
             read.map(|(block, _)| block)
         })
     }
@@ -1183,12 +1202,14 @@ mod tests {
             "test needs a block larger than the retention cap"
         );
         r.read_block(0).unwrap();
-        COMPRESSED_SCRATCH.with(|scratch| {
-            assert!(
-                scratch.borrow().capacity() <= SCRATCH_RETAIN_MAX,
-                "scratch must shed an oversized read's capacity"
-            );
-        });
+        for scratch in [&COMPRESSED_SCRATCH, &RAW_SCRATCH] {
+            scratch.with(|scratch| {
+                assert!(
+                    scratch.borrow().capacity() <= SCRATCH_RETAIN_MAX,
+                    "scratch must shed an oversized read's capacity"
+                );
+            });
+        }
     }
 
     #[test]

@@ -55,6 +55,7 @@ impl<'a> Reader<'a> {
     }
 
     /// Reads `n` raw bytes.
+    #[inline]
     pub fn bytes(&mut self, n: usize) -> Result<&'a [u8]> {
         if self.remaining() < n {
             return Err(Self::corrupt("bytes"));
@@ -65,6 +66,7 @@ impl<'a> Reader<'a> {
     }
 
     /// Reads one byte.
+    #[inline]
     pub fn u8(&mut self) -> Result<u8> {
         Ok(self.bytes(1)?[0])
     }
@@ -80,17 +82,31 @@ impl<'a> Reader<'a> {
     }
 
     /// Reads a little-endian f64.
+    #[inline]
     pub fn f64(&mut self) -> Result<f64> {
         Ok(f64::from_le_bytes(self.bytes(8)?.try_into().unwrap()))
     }
 
-    /// Reads a LEB128 varint.
+    /// Reads a LEB128 varint; a one-byte value takes no loop. The tenth
+    /// byte holds bit 63 only, so one above 1 (which would spill past 64
+    /// bits, or continue to an eleventh byte) is an error.
+    #[inline]
     pub fn varint(&mut self) -> Result<u64> {
+        match self.buf.get(self.pos) {
+            Some(&b) if b < 0x80 => {
+                self.pos += 1;
+                Ok(b as u64)
+            }
+            _ => self.long_varint(),
+        }
+    }
+
+    fn long_varint(&mut self) -> Result<u64> {
         let mut v = 0u64;
         let mut shift = 0u32;
         loop {
             let b = self.u8()?;
-            if shift >= 64 {
+            if shift == 63 && b > 1 {
                 return Err(Error::corrupt("varint overflows u64"));
             }
             v |= ((b & 0x7F) as u64) << shift;
@@ -102,12 +118,14 @@ impl<'a> Reader<'a> {
     }
 
     /// Reads a varint-length-prefixed byte slice.
+    #[inline]
     pub fn len_prefixed(&mut self) -> Result<&'a [u8]> {
         let n = self.varint()? as usize;
         self.bytes(n)
     }
 
     /// Reads a varint-length-prefixed UTF-8 string.
+    #[inline]
     pub fn string(&mut self) -> Result<String> {
         let b = self.len_prefixed()?;
         String::from_utf8(b.to_vec()).map_err(|_| Error::corrupt("invalid UTF-8 string"))
@@ -247,6 +265,42 @@ mod tests {
         let buf = [0xFFu8; 11];
         let mut r = Reader::new(&buf);
         assert!(r.varint().is_err());
+    }
+
+    #[test]
+    fn varint_rejects_a_tenth_byte_past_bit_63() {
+        let mut bad = [0x80u8; 10];
+        bad[9] = 0x02;
+        let err = Reader::new(&bad).varint().unwrap_err();
+        assert!(err.is_corruption(), "{err}");
+        assert!(err.to_string().contains("varint overflows u64"), "{err}");
+        // Eleven bytes: the tenth continues instead of ending at bit 63.
+        let mut long = [0x80u8; 11];
+        long[10] = 0x00;
+        assert!(Reader::new(&long).varint().is_err());
+        // The largest value still fits: nine 0xFF bytes and a final 0x01.
+        let mut buf = Vec::new();
+        put_varint(&mut buf, u64::MAX);
+        assert_eq!(buf, [[0xFF; 9].as_slice(), &[0x01]].concat());
+        assert_eq!(Reader::new(&buf).varint().unwrap(), u64::MAX);
+        let mut top = [0x80u8; 10];
+        top[9] = 0x01;
+        assert_eq!(Reader::new(&top).varint().unwrap(), 1 << 63);
+    }
+
+    #[test]
+    fn varint_of_every_length_reads_what_was_put() {
+        for bits in 0..64 {
+            for v in [1u64 << bits, (1u64 << bits) - 1, (1 << bits) | 1] {
+                let mut buf = vec![];
+                put_varint(&mut buf, v);
+                buf.push(0xAA);
+                let mut r = Reader::new(&buf);
+                assert_eq!(r.varint().unwrap(), v);
+                assert_eq!(r.remaining(), 1, "{v} left its last byte");
+                assert!(Reader::new(&buf[..buf.len() - 2]).varint().is_err());
+            }
+        }
     }
 
     #[test]

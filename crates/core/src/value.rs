@@ -41,6 +41,7 @@ impl ColumnType {
     }
 
     /// Inverse of [`ColumnType::tag`].
+    #[inline]
     pub fn from_tag(tag: u8) -> Result<Self> {
         Ok(match tag {
             0 => ColumnType::I32,

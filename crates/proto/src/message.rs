@@ -974,6 +974,35 @@ mod tests {
     }
 
     #[test]
+    fn a_varint_spilling_past_bit_63_is_corrupt() {
+        // Ten bytes whose last carries bits above bit 63: read as 0 once.
+        let mut overflow = [0x80u8; 10];
+        overflow[9] = 0x02;
+        let req = Request::Latest {
+            table: "t".into(),
+            prefix: vec![Value::I64(0)],
+        };
+        let mut frame = encode_request_frame(7, &req);
+        assert_eq!(
+            frame.pop(),
+            Some(0),
+            "the prefix cell's zigzag 0 ends the frame"
+        );
+        frame.extend_from_slice(&overflow);
+        assert!(matches!(
+            decode_request_frame(&frame),
+            Err(Error::Corrupt(_))
+        ));
+        // The same bytes as the frame's request id.
+        let frame = [&overflow[..], &req.encode()].concat();
+        assert!(matches!(
+            decode_request_frame(&frame),
+            Err(Error::Corrupt(_))
+        ));
+        assert_eq!(request_frame_id(&frame), None);
+    }
+
+    #[test]
     fn garbage_is_rejected_without_panic() {
         assert!(Request::decode(&[]).is_err());
         assert!(Request::decode(&[99]).is_err());

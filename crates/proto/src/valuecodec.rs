@@ -22,7 +22,9 @@ pub fn put_tagged_value(out: &mut Vec<u8>, v: ValueRef<'_>) {
     encode_value(out, v);
 }
 
-/// Reads a type-tagged value.
+/// Reads a type-tagged value. `from_tag` inlines to a range check on the
+/// tag byte and `decode_value`'s match on it is the cell's one dispatch.
+#[inline]
 pub fn get_tagged_value(r: &mut Reader<'_>) -> Result<Value> {
     let ty = ColumnType::from_tag(r.u8()?)?;
     decode_value(r, ty)
@@ -55,13 +57,15 @@ pub fn put_values(out: &mut Vec<u8>, values: &[Value]) {
     }
 }
 
-/// Reads a list of tagged values.
+/// Reads a list of tagged values. A cell is at least a byte, so the
+/// reservation is capped by what is left to read, whatever the count
+/// claims.
 pub fn get_values(r: &mut Reader<'_>) -> Result<Vec<Value>> {
     let n = r.varint()? as usize;
     if n > 1 << 20 {
         return Err(Error::corrupt("implausible value count"));
     }
-    let mut out = Vec::with_capacity(n);
+    let mut out = Vec::with_capacity(n.min(r.remaining()));
     for _ in 0..n {
         out.push(get_tagged_value(r)?);
     }
@@ -91,13 +95,14 @@ pub fn put_run(out: &mut Vec<u8>, run: &RowRun) {
     }
 }
 
-/// Reads a list of rows.
+/// Reads a list of rows, reserving for no more rows than there are bytes
+/// left (a row is at least its one-byte cell count).
 pub fn get_rows(r: &mut Reader<'_>) -> Result<Vec<Vec<Value>>> {
     let n = r.varint()? as usize;
     if n > 1 << 24 {
         return Err(Error::corrupt("implausible row count"));
     }
-    let mut out = Vec::with_capacity(n);
+    let mut out = Vec::with_capacity(n.min(r.remaining()));
     for _ in 0..n {
         out.push(get_values(r)?);
     }
@@ -290,6 +295,136 @@ mod tests {
         for cut in 0..buf.len() {
             let mut r = Reader::new(&buf[..cut]);
             assert!(get_values(&mut r).is_err() || cut == 0);
+        }
+    }
+
+    #[test]
+    fn hostile_counts_are_errors() {
+        // The largest counts each reader accepts, over a few bytes.
+        for (count, body) in [(1u64 << 24, &[1u8, 1, 0][..]), (1 << 20, &[1, 0])] {
+            let mut buf = Vec::new();
+            put_varint(&mut buf, count);
+            buf.extend_from_slice(body);
+            assert!(get_rows(&mut Reader::new(&buf)).is_err());
+            assert!(get_values(&mut Reader::new(&buf)).is_err());
+        }
+        // One row claiming a million cells.
+        let mut buf = vec![1];
+        put_varint(&mut buf, 1 << 20);
+        assert!(get_rows(&mut Reader::new(&buf)).is_err());
+    }
+
+    /// The decoder [`get_rows`] replaced — a type lookup, then a match
+    /// on the type, per cell; a reservation of whatever count the input
+    /// claims — kept as the reference it is held to.
+    fn ref_get_rows(r: &mut Reader<'_>) -> Result<Vec<Vec<Value>>> {
+        use littletable_core::value::ColumnType;
+        let ref_get_values = |r: &mut Reader<'_>| -> Result<Vec<Value>> {
+            let n = r.varint()? as usize;
+            if n > 1 << 20 {
+                return Err(Error::corrupt("implausible value count"));
+            }
+            let mut out = Vec::with_capacity(n);
+            for _ in 0..n {
+                out.push(match ColumnType::from_tag(r.u8()?)? {
+                    ColumnType::I32 => {
+                        let v = unzigzag(r.varint()?);
+                        let v32 =
+                            i32::try_from(v).map_err(|_| Error::corrupt("i32 out of range"))?;
+                        Value::I32(v32)
+                    }
+                    ColumnType::I64 => Value::I64(unzigzag(r.varint()?)),
+                    ColumnType::F64 => Value::F64(r.f64()?),
+                    ColumnType::Timestamp => Value::Timestamp(unzigzag(r.varint()?)),
+                    ColumnType::Str => Value::Str(r.string()?),
+                    ColumnType::Blob => Value::Blob(r.len_prefixed()?.to_vec()),
+                });
+            }
+            Ok(out)
+        };
+        let n = r.varint()? as usize;
+        if n > 1 << 24 {
+            return Err(Error::corrupt("implausible row count"));
+        }
+        let mut out = Vec::with_capacity(n);
+        for _ in 0..n {
+            out.push(ref_get_values(r)?);
+        }
+        Ok(out)
+    }
+
+    /// The cell `(ty, r, width)` stands for: every type, with integers
+    /// whose varints are 1 byte (`width` 0), 9 bytes (1) or 10 bytes (2).
+    fn cell(ty: u8, r: u64, width: u8) -> Value {
+        let int = match width {
+            0 => (r % 128) as i64 - 64,
+            1 => (r >> 4 | 1 << 59) as i64,
+            _ => (r | 1 << 63) as i64,
+        };
+        match ty {
+            0 => Value::I32(int as i32),
+            1 => Value::I64(int),
+            2 => Value::F64(f64::from_bits(r)),
+            3 => Value::Timestamp(int),
+            4 => Value::Str("ap-indoor".chars().cycle().take(r as usize % 20).collect()),
+            _ => Value::Blob(r.to_le_bytes()[..r as usize % 9].to_vec()),
+        }
+    }
+
+    /// Decodes `buf` and every truncation and single-bit flip of it with
+    /// [`get_rows`] and the reference: the same rows (compared by their
+    /// encoding, which NaN cells survive) and the same bytes left, or the
+    /// same error.
+    fn rows_same_as_reference(buf: &[u8]) {
+        let decode = |data: &[u8], get: fn(&mut Reader<'_>) -> Result<Vec<Vec<Value>>>| {
+            let mut r = Reader::new(data);
+            match get(&mut r) {
+                Ok(rows) => {
+                    let mut enc = Vec::new();
+                    put_rows(&mut enc, &rows);
+                    Ok((enc, r.remaining()))
+                }
+                Err(e) => Err(e.to_string()),
+            }
+        };
+        let check = |data: &[u8], what: &dyn Fn() -> String| {
+            assert_eq!(
+                decode(data, get_rows),
+                decode(data, ref_get_rows),
+                "{}",
+                what()
+            );
+        };
+        check(buf, &|| "intact".into());
+        for cut in 0..buf.len() {
+            check(&buf[..cut], &|| format!("cut at {cut}"));
+        }
+        let mut flipped = buf.to_vec();
+        for bit in 0..buf.len() * 8 {
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            check(&flipped, &|| format!("bit {bit} flipped"));
+            flipped[bit / 8] ^= 1 << (bit % 8);
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn prop_get_rows_matches_reference(
+            rows in proptest::collection::vec(
+                proptest::collection::vec(
+                    (0u8..6, proptest::prelude::any::<u64>(), 0u8..3),
+                    0..6,
+                ),
+                0..6,
+            ),
+        ) {
+            let rows: Vec<Vec<Value>> = rows
+                .iter()
+                .map(|row| row.iter().map(|&(ty, r, width)| cell(ty, r, width)).collect())
+                .collect();
+            let mut buf = Vec::new();
+            put_rows(&mut buf, &rows);
+            rows_same_as_reference(&buf);
         }
     }
 }
