@@ -1,10 +1,10 @@
 //! Criterion microbenchmarks over the engine's hot paths, in real time on
 //! the host (complementing the virtual-time figure harness): key
-//! encoding, block compression, block search, memtable and engine
-//! inserts, scans, HyperLogLog, SQL parsing, the maintenance kernels
-//! (checksum, column codecs, k-way merge), the read path (block parse,
-//! wire encode, cursor drain) and the decode kernels under it (column
-//! codecs, `ltz`, the client's row decode).
+//! encoding, block compression, block search, engine inserts, the
+//! memtablet's flush and snapshot, scans, HyperLogLog, SQL parsing, the
+//! maintenance kernels (checksum, column codecs, k-way merge), the read
+//! path (block parse, wire encode, cursor drain) and the decode kernels
+//! under it (column codecs, `ltz`, the client's row decode).
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use littletable_bench::env::{bench_row, bench_row_sequential, bench_schema, XorShift64};
@@ -120,6 +120,94 @@ fn bench_engine_insert(c: &mut Criterion) {
             )
         });
     }
+    // One tick of the e2e benchmark's 512 devices, `ingest`'s batch: every
+    // row newer than the table, the shape where fast path 1 fired for the
+    // first row only while it was checked row by row. A fresh table every
+    // 32 ticks (made, and the old one dropped, outside the timing) keeps
+    // the memtablet the size `ingest` fills.
+    let grid = usage::Grid {
+        seed: 7,
+        devices: 512,
+        start: usage::T0,
+        step: usage::SECOND,
+    };
+    g.throughput(Throughput::Elements(grid.devices as u64));
+    g.bench_function("usage_tick_512", |b| {
+        let mut bed = None;
+        let mut tick = 0;
+        b.iter_batched(
+            || {
+                if tick % 32 == 0 {
+                    let db = instant_db();
+                    let table = db.create_table("usage", usage::schema(), None).unwrap();
+                    bed = Some((db, table));
+                }
+                let rows: Vec<_> = (0..grid.devices).map(|d| grid.row(d, tick % 32)).collect();
+                tick += 1;
+                (bed.as_ref().unwrap().1.clone(), rows)
+            },
+            |(table, rows)| table.insert(rows).unwrap(),
+            BatchSize::SmallInput,
+        )
+    });
+    g.finish();
+}
+
+/// The memtablet on the e2e benchmark's `usage` rows: flushing 16 384 of
+/// them (32 ticks of 512 devices, about what `ingest` flushes at its 2 MB
+/// flush size) and scanning one device of a memtablet of 10 240 (ten
+/// minutes of `mixed`'s 1 024 devices) — the read `mixed` makes of recent
+/// data.
+fn bench_memtablet(c: &mut Criterion) {
+    let mut g = c.benchmark_group("memtablet");
+    let load = |grid: &usage::Grid, ticks: i64| {
+        let db = instant_db();
+        let table = db.create_table("usage", usage::schema(), None).unwrap();
+        for tick in 0..ticks {
+            let rows = (0..grid.devices).map(|d| grid.row(d, tick)).collect();
+            table.insert(rows).unwrap();
+        }
+        (db, table)
+    };
+    let ingest = usage::Grid {
+        seed: 7,
+        devices: 512,
+        start: usage::T0,
+        step: usage::SECOND,
+    };
+    g.throughput(Throughput::Elements(32 * 512));
+    g.bench_function("flush_16k_rows", |b| {
+        // Flushed beds are kept, so that dropping them is not timed.
+        let mut flushed = Vec::new();
+        b.iter_batched(
+            || load(&ingest, 32),
+            |(db, table)| {
+                table.flush_all().unwrap();
+                flushed.push((db, table));
+            },
+            BatchSize::LargeInput,
+        )
+    });
+
+    let mixed = usage::Grid {
+        seed: 7,
+        devices: 1024,
+        start: usage::T0,
+        step: usage::MINUTE,
+    };
+    let (_db, table) = load(&mixed, 10);
+    let device = 321;
+    let scan = Query::all()
+        .with_prefix(vec![
+            Value::I64(usage::Grid::network(device)),
+            Value::I64(device),
+        ])
+        .with_ts_range(mixed.ts(0), mixed.ts(10));
+    assert_eq!(table.query_all(&scan).unwrap().len(), 10);
+    g.throughput(Throughput::Elements(10));
+    g.bench_function("snapshot_one_device_10k", |b| {
+        b.iter(|| table.query_all(&scan).unwrap())
+    });
     g.finish();
 }
 
@@ -634,6 +722,7 @@ criterion_group!(
     bench_compression,
     bench_block_search,
     bench_engine_insert,
+    bench_memtablet,
     bench_query_scan,
     bench_block_cache,
     bench_hll,

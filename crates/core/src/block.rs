@@ -25,13 +25,15 @@
 //! store row-major blocks; [`crate::tablet`], which alone knows they
 //! exist, transcodes those into a [`Block`] as it reads them.
 //!
-//! Both directions move columns, not rows. A merge hands
-//! [`BlockEncoder::append_run`] a row range of a decoded source block and
-//! the encoder copies typed sub-slices; [`BlockEncoder::finish`] encodes
-//! straight from its retained column buffers into a caller-owned output
-//! buffer. A query takes row ranges of decoded blocks from its cursor and
-//! reads cells in place through [`ColumnSlice::value_ref`]; a [`Row`] is
-//! built ([`Block::row`]) only for a consumer that asks for one.
+//! Both directions move columns, not rows. A flush or a merge hands
+//! [`BlockEncoder::append_run`] a row range of a decoded block — a
+//! memtablet's rows gathered in key order (`ColumnSlice::gather`), a
+//! source tablet's block — and the encoder copies typed sub-slices;
+//! [`BlockEncoder::finish`] encodes straight from its retained column
+//! buffers into a caller-owned output buffer. A query takes row ranges of
+//! decoded blocks from its cursor and reads cells in place through
+//! [`ColumnSlice::value_ref`]; a [`Row`] is built ([`Block::row`]) only
+//! for a consumer that asks for one.
 
 use crate::error::{Error, Result};
 use crate::keyenc::{self, KeyRange};
@@ -264,7 +266,7 @@ pub enum ColumnSlice {
 }
 
 impl ColumnSlice {
-    fn empty_for(ty: ColumnType) -> ColumnSlice {
+    pub(crate) fn empty_for(ty: ColumnType) -> ColumnSlice {
         match ty {
             ColumnType::I32 => ColumnSlice::I32(Vec::new()),
             ColumnType::I64 => ColumnSlice::I64(Vec::new()),
@@ -352,6 +354,19 @@ impl ColumnSlice {
         Ok(())
     }
 
+    /// The values at `rows`, in that order. Panics on a row out of range.
+    pub(crate) fn gather(&self, rows: &[u32]) -> ColumnSlice {
+        let at = rows.iter().map(|&r| r as usize);
+        match self {
+            ColumnSlice::I32(v) => ColumnSlice::I32(at.map(|r| v[r]).collect()),
+            ColumnSlice::I64(v) => ColumnSlice::I64(at.map(|r| v[r]).collect()),
+            ColumnSlice::F64(v) => ColumnSlice::F64(at.map(|r| v[r]).collect()),
+            ColumnSlice::Timestamp(v) => ColumnSlice::Timestamp(at.map(|r| v[r]).collect()),
+            ColumnSlice::Str(v) => ColumnSlice::Str(at.map(|r| &v[r]).collect()),
+            ColumnSlice::Blob(v) => ColumnSlice::Blob(at.map(|r| &v[r]).collect()),
+        }
+    }
+
     /// Payload bytes of row `i` in a string or blob slice — the part of
     /// [`Value::mem_size`] that varies from row to row; 0 for fixed-width
     /// slices.
@@ -363,7 +378,7 @@ impl ColumnSlice {
         }
     }
 
-    fn push(&mut self, v: &Value) -> Result<()> {
+    pub(crate) fn push(&mut self, v: &Value) -> Result<()> {
         match (self, v) {
             (ColumnSlice::I32(col), Value::I32(x)) => col.push(*x),
             (ColumnSlice::I64(col), Value::I64(x)) => col.push(*x),
@@ -700,7 +715,11 @@ impl Block {
 
     /// Wraps `row_count` rows already decoded into `schema`'s column
     /// types.
-    fn from_columns(columns: Vec<ColumnSlice>, row_count: usize, schema: &Schema) -> Block {
+    pub(crate) fn from_columns(
+        columns: Vec<ColumnSlice>,
+        row_count: usize,
+        schema: &Schema,
+    ) -> Block {
         let byte_size =
             columns.iter().map(|c| c.byte_size()).sum::<usize>() + std::mem::size_of::<Block>();
         Block {

@@ -1,32 +1,50 @@
-//! In-memory (filling) tablets.
-//!
-//! Newly inserted rows land in an in-memory tablet — one per active time
-//! period (§3.4.3) — implemented as an ordered map from encoded primary key
-//! to row. When a tablet reaches the configured size or age limit it is
-//! marked read-only and flushed wholesale to disk as one on-disk tablet.
+//! In-memory (filling) tablets, one per active time period (§3.4.3),
+//! sealed at the configured size or age and flushed whole to one on-disk
+//! tablet. A tablet keeps its rows in arrival order, in the typed columns a
+//! decoded [`Block`] is made of, with their keys in one arena and their
+//! insert stamps. A map from a key's hash to the first row holding it
+//! answers "is this key here?"; key order is a permutation of the rows,
+//! sorted only when asked for — by a reader's key range, the flush, or a
+//! hash two keys share — and then only extended to the rows appended since.
 
-use crate::block::{Block, BlockEncoder};
-use crate::error::Result;
+use crate::block::{BlobColumn, Block, ColumnSlice};
+use crate::error::{Error, Result};
 use crate::keyenc::KeyRange;
-use crate::row::Row;
 use crate::schema::SchemaRef;
+use crate::value::Value;
 use littletable_vfs::Micros;
-use std::collections::BTreeMap;
-use std::ops::Bound;
+use parking_lot::{Mutex, MutexGuard};
+use std::collections::hash_map::{HashMap, RandomState};
+use std::hash::{BuildHasher, BuildHasherDefault, Hasher};
+use std::sync::OnceLock;
 
 /// Engine-unique id for an in-memory tablet, used by the flush-dependency
 /// graph.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct MemTabletId(pub u64);
 
-/// A row plus the table-wide insert sequence number it committed at.
-/// Readers snapshot "all rows with `seq < cutoff`", which lets a query
-/// assemble a consistent cross-tablet view while holding only one
-/// tablet's lock at a time.
-#[derive(Debug, Clone)]
-struct MemRow {
-    row: Row,
-    seq: u64,
+/// The hash a [`MemTablet`] indexes an encoded key by: SipHash under a key
+/// drawn once per process, so that no input can be made to collide.
+pub(crate) fn hash_key(key: &[u8]) -> u64 {
+    static STATE: OnceLock<RandomState> = OnceLock::new();
+    STATE.get_or_init(RandomState::new).hash_one(key)
+}
+
+/// The hasher of a tablet's hash index, whose keys are [`hash_key`]s
+/// already: it hands them on unchanged.
+#[derive(Default)]
+struct HashIsKey(u64);
+
+impl Hasher for HashIsKey {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("the index is keyed by u64 hashes only")
+    }
+    fn write_u64(&mut self, hash: u64) {
+        self.0 = hash;
+    }
 }
 
 /// One filling tablet.
@@ -37,7 +55,17 @@ pub struct MemTablet {
     /// evolutions seal all filling tablets, so one tablet never mixes
     /// schema versions.
     schema: SchemaRef,
-    rows: BTreeMap<Vec<u8>, MemRow>,
+    /// The rows, in arrival order: their cells, keys and insert stamps.
+    /// Readers snapshot "all rows with `seq < cutoff`", which lets a query
+    /// assemble a consistent cross-tablet view while holding only one
+    /// tablet's lock at a time.
+    cols: Vec<ColumnSlice>,
+    keys: BlobColumn,
+    seqs: Vec<u64>,
+    /// Key hash → the first row holding a key of that hash.
+    by_hash: HashMap<u64, u32, BuildHasherDefault<HashIsKey>>,
+    /// The first `sorted.len()` rows in key order: see `key_order`.
+    sorted: Mutex<Vec<u32>>,
     bytes: usize,
     /// Clock time of the first insert, for the age-based flush trigger.
     first_insert_at: Micros,
@@ -50,8 +78,16 @@ impl MemTablet {
     pub fn new(id: MemTabletId, now: Micros, schema: SchemaRef) -> Self {
         MemTablet {
             id,
+            cols: schema
+                .columns()
+                .iter()
+                .map(|c| ColumnSlice::empty_for(c.ty))
+                .collect(),
             schema,
-            rows: BTreeMap::new(),
+            keys: BlobColumn::default(),
+            seqs: Vec::new(),
+            by_hash: HashMap::default(),
+            sorted: Mutex::new(Vec::new()),
             bytes: 0,
             first_insert_at: now,
             min_ts: Micros::MAX,
@@ -69,19 +105,14 @@ impl MemTablet {
         &self.schema
     }
 
-    /// Iterates all rows in ascending key order without cloning.
-    pub fn iter(&self) -> impl Iterator<Item = (&Vec<u8>, &Row)> {
-        self.rows.iter().map(|(k, m)| (k, &m.row))
-    }
-
     /// Number of rows.
     pub fn len(&self) -> usize {
-        self.rows.len()
+        self.seqs.len()
     }
 
     /// True when no rows have been inserted.
     pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
+        self.seqs.is_empty()
     }
 
     /// Approximate memory footprint of the stored rows.
@@ -104,58 +135,89 @@ impl MemTablet {
         (!self.is_empty()).then_some(self.max_ts)
     }
 
-    /// Largest encoded key present.
-    pub fn max_key(&self) -> Option<&[u8]> {
-        self.rows.keys().next_back().map(|k| k.as_slice())
+    fn key(&self, row: u32) -> &[u8] {
+        self.keys.bytes(row as usize)
     }
 
-    /// True when `key` is present.
-    pub fn contains_key(&self, key: &[u8]) -> bool {
-        self.rows.contains_key(key)
+    /// True when `key`, whose [`hash_key`] is `hash`, is present.
+    pub(crate) fn contains(&self, key: &[u8], hash: u64) -> bool {
+        // When another key holds the hash, `key` is looked up in key order.
+        let in_order = |order: &[u32]| order.binary_search_by(|&r| self.key(r).cmp(key)).is_ok();
+        match self.by_hash.get(&hash) {
+            Some(&row) => self.key(row) == key || in_order(&self.key_order()),
+            None => false,
+        }
     }
 
-    /// Inserts a row under its encoded key, stamped with the table-wide
-    /// insert sequence number `seq`. The caller has already checked
-    /// uniqueness table-wide; within one tablet a duplicate is a logic
-    /// error.
-    pub fn insert(&mut self, key: Vec<u8>, row: Row, ts: Micros, seq: u64) {
-        self.bytes += key.len() + row.mem_size();
+    /// Appends a row: its cells, which the caller has checked against the
+    /// schema; its encoded key and that key's [`hash_key`]; its timestamp;
+    /// and the table-wide insert sequence number it is stamped with. The
+    /// caller has also checked uniqueness table-wide.
+    pub(crate) fn append(
+        &mut self,
+        key: &[u8],
+        hash: u64,
+        values: &[Value],
+        ts: Micros,
+        seq: u64,
+    ) -> Result<()> {
+        let row = u32::try_from(self.len())
+            .map_err(|_| Error::invalid("an in-memory tablet holds at most 2^32 rows"))?;
+        // A row's footprint, for the size trigger: its key, 24, and its
+        // cells' `mem_size`.
+        let mut bytes = key.len() + 24;
+        for (col, v) in self.cols.iter_mut().zip(values) {
+            col.push(v)?;
+            bytes += v.mem_size();
+        }
+        self.keys.push(key)?;
+        self.seqs.push(seq);
+        self.by_hash.entry(hash).or_insert(row);
+        self.bytes += bytes;
         self.min_ts = self.min_ts.min(ts);
         self.max_ts = self.max_ts.max(ts);
-        let prev = self.rows.insert(key, MemRow { row, seq });
-        debug_assert!(prev.is_none(), "duplicate key reached the memtable");
+        Ok(())
+    }
+
+    /// The rows' indices in ascending key order, extended to the rows
+    /// appended since the last call: the stable sort takes the sorted
+    /// prefix as one run, sorts the new tail's runs (batches that arrive
+    /// in key order are one each) and merges them.
+    fn key_order(&self) -> MutexGuard<'_, Vec<u32>> {
+        let mut order = self.sorted.lock();
+        if order.len() < self.len() {
+            let tail = order.len() as u32..self.len() as u32;
+            order.extend(tail);
+            order.sort_by(|&a, &b| self.key(a).cmp(self.key(b)));
+        }
+        order
     }
 
     /// Snapshots the rows inside `range` (and every row when `range` is
     /// unbounded) whose insert sequence number is below `before_seq`, in
     /// ascending key order, as one decoded block under the tablet's
-    /// schema: cell values are copied into column slices, and no key and
-    /// no row is cloned. Pass [`u64::MAX`] to see everything.
+    /// schema: the range is bisected in key order and the rows' cells
+    /// gathered into column slices. Pass [`u64::MAX`] to see everything.
     pub fn snapshot_block(&self, range: &KeyRange, before_seq: u64) -> Result<Block> {
-        let lo: Bound<&[u8]> = match &range.start {
-            Bound::Unbounded => Bound::Unbounded,
-            Bound::Included(k) => Bound::Included(k.as_slice()),
-            Bound::Excluded(k) => Bound::Excluded(k.as_slice()),
+        let rows: Vec<u32> = {
+            let order = self.key_order();
+            let start = order.partition_point(|&r| !range.span_reaches_start(self.key(r)));
+            let len = order[start..].partition_point(|&r| range.contains(self.key(r)));
+            let in_range = order[start..start + len].iter().copied();
+            in_range
+                .filter(|&r| self.seqs[r as usize] < before_seq)
+                .collect()
         };
-        let hi: Bound<&[u8]> = match &range.end {
-            Bound::Unbounded => Bound::Unbounded,
-            Bound::Included(k) => Bound::Included(k.as_slice()),
-            Bound::Excluded(k) => Bound::Excluded(k.as_slice()),
-        };
-        let mut block = BlockEncoder::new(&self.schema);
-        for (_, m) in self.rows.range::<[u8], _>((lo, hi)) {
-            if m.seq < before_seq {
-                block.add(&m.row)?;
-            }
-        }
-        Ok(block.into_block(&self.schema))
+        let cols = self.cols.iter().map(|c| c.gather(&rows)).collect();
+        Ok(Block::from_columns(cols, rows.len(), &self.schema))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::value::Value;
+    use proptest::prelude::*;
+    use std::ops::Bound;
 
     fn test_schema() -> SchemaRef {
         use crate::schema::{ColumnDef, Schema};
@@ -165,6 +227,7 @@ mod tests {
                 vec![
                     ColumnDef::new("n", ColumnType::I64),
                     ColumnDef::new("ts", ColumnType::Timestamp),
+                    ColumnDef::new("v", ColumnType::Str),
                 ],
                 &["n", "ts"],
             )
@@ -172,12 +235,27 @@ mod tests {
         )
     }
 
-    fn row(n: i64, ts: Micros) -> (Vec<u8>, Row, Micros) {
-        let row = Row::new(vec![Value::I64(n), Value::Timestamp(ts)]);
-        let mut key = Vec::new();
-        crate::keyenc::encode_component(&mut key, &Value::I64(n)).unwrap();
-        crate::keyenc::encode_component(&mut key, &Value::Timestamp(ts)).unwrap();
-        (key, row, ts)
+    fn row(n: i64, ts: Micros) -> (Vec<u8>, Vec<Value>) {
+        let values = vec![
+            Value::I64(n),
+            Value::Timestamp(ts),
+            Value::Str(format!("v{n}")),
+        ];
+        let key = crate::row::Row::new(values.clone())
+            .encode_key(&test_schema())
+            .unwrap();
+        (key, values)
+    }
+
+    fn append(t: &mut MemTablet, n: i64, ts: Micros, seq: u64) {
+        let (key, values) = row(n, ts);
+        t.append(&key, hash_key(&key), &values, ts, seq).unwrap();
+    }
+
+    fn ns(block: &Block) -> Vec<i64> {
+        (0..block.len())
+            .map(|i| block.column(0).value(i).as_int().unwrap())
+            .collect()
     }
 
     #[test]
@@ -185,55 +263,39 @@ mod tests {
         let mut t = MemTablet::new(MemTabletId(1), 1000, test_schema());
         assert!(t.is_empty());
         for (n, ts) in [(3, 30), (1, 10), (2, 20)] {
-            let (k, r, ts) = row(n, ts);
-            t.insert(k, r, ts, 0);
+            append(&mut t, n, ts, 0);
         }
         assert_eq!(t.len(), 3);
         assert_eq!(t.min_ts(), Some(10));
         assert_eq!(t.max_ts(), Some(30));
-        assert!(t.bytes() > 0);
         assert_eq!(t.first_insert_at(), 1000);
-    }
-
-    #[test]
-    fn rows_come_out_sorted() {
-        let mut t = MemTablet::new(MemTabletId(1), 0, test_schema());
-        for n in [5i64, 1, 9, 3] {
-            let (k, r, ts) = row(n, 100);
-            t.insert(k, r, ts, 0);
-        }
-        let keys: Vec<_> = t.iter().map(|(k, _)| k.to_vec()).collect();
-        let mut expect = keys.clone();
-        expect.sort();
-        assert_eq!(keys, expect);
+        // What a row costs: its key, 24, and each cell's `mem_size`.
+        let (key, values) = row(1, 10);
+        let one = key.len() + 24 + values.iter().map(Value::mem_size).sum::<usize>();
+        assert_eq!(t.bytes(), 3 * one);
     }
 
     #[test]
     fn snapshot_block_filters() {
         let mut t = MemTablet::new(MemTabletId(1), 0, test_schema());
-        for n in 0..10i64 {
-            let (k, r, ts) = row(n, 100);
-            t.insert(k, r, ts, n as u64);
+        for n in [5i64, 1, 9, 3, 0, 8, 2, 7, 4, 6] {
+            append(&mut t, n, 100, n as u64);
         }
-        let (lo, _, _) = row(3, 100);
-        let (hi, _, _) = row(6, 100);
         let range = KeyRange {
-            start: Bound::Included(lo),
-            end: Bound::Excluded(hi),
+            start: Bound::Included(row(3, 100).0),
+            end: Bound::Excluded(row(6, 100).0),
         };
-        let snap = t.snapshot_block(&range, u64::MAX).unwrap();
-        assert_eq!(snap.len(), 3);
-        assert_eq!(snap.row(0).unwrap().values[0], Value::I64(3));
+        assert_eq!(ns(&t.snapshot_block(&range, u64::MAX).unwrap()), [3, 4, 5]);
         let all = t.snapshot_block(&KeyRange::all(), u64::MAX).unwrap();
-        assert_eq!(all.len(), 10);
+        assert_eq!(ns(&all), (0..10).collect::<Vec<_>>());
+        assert_eq!(all.row(4).unwrap().values, row(4, 100).1);
     }
 
     #[test]
     fn snapshot_block_honours_seq_cutoff() {
         let mut t = MemTablet::new(MemTabletId(1), 0, test_schema());
         for n in 0..10i64 {
-            let (k, r, ts) = row(n, 100);
-            t.insert(k, r, ts, 100 + n as u64);
+            append(&mut t, n, 100, 100 + n as u64);
         }
         // Rows stamped at or after the cutoff are invisible to the
         // snapshot, as if the reader had started before they committed.
@@ -244,14 +306,47 @@ mod tests {
     }
 
     #[test]
-    fn max_key_is_last() {
+    fn a_hash_two_keys_share_is_told_apart_in_key_order() {
         let mut t = MemTablet::new(MemTabletId(1), 0, test_schema());
-        assert!(t.max_key().is_none());
-        let (k1, r1, ts) = row(1, 100);
-        let (k2, r2, _) = row(2, 100);
-        t.insert(k2.clone(), r2, ts, 0);
-        t.insert(k1.clone(), r1, ts, 1);
-        assert_eq!(t.max_key().unwrap(), k2.as_slice());
-        assert!(t.contains_key(&k1));
+        for n in [4i64, 2, 6] {
+            let (key, values) = row(n, 100);
+            t.append(&key, 7, &values, 100, 0).unwrap();
+        }
+        for n in [4i64, 2, 6] {
+            assert!(t.contains(&row(n, 100).0, 7), "{n}");
+        }
+        assert!(!t.contains(&row(3, 100).0, 7));
+        assert!(!t.contains(&row(2, 100).0, 8));
+    }
+
+    proptest! {
+        /// Key order extended over appends interleaved with snapshots is
+        /// the sorted order of everything appended, and `contains` knows
+        /// exactly the keys appended.
+        #[test]
+        fn key_order_extends_to_the_sorted_order(
+            steps in proptest::collection::vec(
+                (proptest::collection::vec(0i64..400, 0..40), any::<bool>()), 1..12),
+        ) {
+            let mut t = MemTablet::new(MemTabletId(1), 0, test_schema());
+            let mut want = std::collections::BTreeSet::new();
+            for (ns_in, snapshot) in steps {
+                for n in ns_in {
+                    let (key, _) = row(n, 100);
+                    if !t.contains(&key, hash_key(&key)) {
+                        prop_assert!(want.insert(n));
+                        append(&mut t, n, 100, 0);
+                    } else {
+                        prop_assert!(want.contains(&n));
+                    }
+                }
+                if snapshot {
+                    let got = ns(&t.snapshot_block(&KeyRange::all(), u64::MAX).unwrap());
+                    prop_assert_eq!(got, want.iter().copied().collect::<Vec<_>>());
+                }
+            }
+            let got = ns(&t.snapshot_block(&KeyRange::all(), u64::MAX).unwrap());
+            prop_assert_eq!(got, want.into_iter().collect::<Vec<_>>());
+        }
     }
 }

@@ -40,11 +40,6 @@ impl Row {
         }
         Ok(out)
     }
-
-    /// Approximate in-memory footprint, for memtable accounting.
-    pub fn mem_size(&self) -> usize {
-        24 + self.values.iter().map(Value::mem_size).sum::<usize>()
-    }
 }
 
 /// Reassembles a full row from its encoded key and payload, under the

@@ -2,10 +2,11 @@
 //! bulk delete, cold-tier migration, rollup marks, and schema evolution.
 //!
 //! Each is the same pipeline with parts left out. Whatever writes tablets
-//! does so outside the state mutex, through [`Table::write_tablet`]: a
-//! flush feeds it a memtablet's rows, a merge or a bulk delete the column
-//! runs a [`RunCursor`] yields over the tablets being rewritten, read
-//! 1 MB at a time. Whatever must not overlap a merge holds the table's
+//! does so outside the state mutex, through [`Table::write_tablet`] and
+//! `TabletWriter::add_run`: a flush feeds it a memtablet gathered into one
+//! block in key order, a merge or a bulk delete the column runs a
+//! [`RunCursor`] yields over the tablets being rewritten, read 1 MB at a
+//! time. Whatever must not overlap a merge holds the table's
 //! [`super::MergeSlot`]. And every transition ends in [`Table::commit`],
 //! the one place the tablet set, the schema or the TTL changes: under the
 //! state mutex it refuses a dropped table, swaps tablets out and in,
@@ -243,12 +244,10 @@ impl Table {
                 (mem.schema().clone(), mem.bytes() as u64)
             };
             let flushed = self.write_tablet(&schema, bytes, false, now, |w| {
-                // Sealed tablets take no further inserts; the read guard is
-                // held across the file write only to satisfy the lock
-                // discipline.
-                let mem = tablet.read();
-                let filled = mem.iter().try_for_each(|(key, row)| w.add_row(key, row));
-                filled
+                // The whole tablet, gathered in key order into one block,
+                // goes in through the path merges take.
+                let block = tablet.read().snapshot_block(&KeyRange::all(), u64::MAX)?;
+                w.add_run(&block, 0..block.len(), Micros::MIN)
             })?;
             written.files.extend(flushed);
         }

@@ -449,25 +449,10 @@ impl Table {
     /// with nothing unfolded the watermark is `Micros::MAX`.
     pub fn rollup_watermark(&self) -> Micros {
         let st = self.state.lock();
-        let mut w = Micros::MAX;
-        for h in &st.disk {
-            if !h.meta.rolled_up {
-                w = w.min(h.meta.min_ts);
-            }
-        }
-        for mem in st.filling.values() {
-            if let Some(lo) = mem.read().min_ts() {
-                w = w.min(lo);
-            }
-        }
-        for group in &st.sealed {
-            for mem in &group.tablets {
-                if let Some(lo) = mem.read().min_ts() {
-                    w = w.min(lo);
-                }
-            }
-        }
-        w
+        let unfolded = st.disk.iter().filter(|h| !h.meta.rolled_up);
+        let mem = st.mem_tablets().filter_map(|t| t.read().min_ts());
+        let lows = unfolded.map(|h| h.meta.min_ts).chain(mem);
+        lows.min().unwrap_or(Micros::MAX)
     }
 
     /// Marks this table as feeding at least one rollup table, which

@@ -101,21 +101,33 @@ impl TableState {
         self.disk.iter().map(|h| h.meta.clone()).collect()
     }
 
-    /// True when any in-memory tablet (filling or sealed) holds `key`.
-    /// Only tablets whose timespan contains `ts` can hold it, since the
-    /// timestamp is part of the key. Takes per-tablet read locks; the
-    /// caller holds the state mutex (lock order: state, then tablet).
-    pub(crate) fn mem_contains(&self, key: &[u8], ts: Micros) -> bool {
-        self.filling
-            .values()
-            .chain(self.sealed.iter().flat_map(|g| g.tablets.iter()))
-            .any(|t| {
-                let mem = t.read();
-                match (mem.min_ts(), mem.max_ts()) {
-                    (Some(lo), Some(hi)) => lo <= ts && ts <= hi && mem.contains_key(key),
-                    _ => false,
-                }
-            })
+    /// Every in-memory tablet, filling or sealed.
+    pub(crate) fn mem_tablets(&self) -> impl Iterator<Item = &Arc<SharedMemTablet>> {
+        let sealed = self.sealed.iter().flat_map(|g| g.tablets.iter());
+        self.filling.values().chain(sealed)
+    }
+
+    /// True when any in-memory tablet (filling or sealed) holds `key`,
+    /// whose [`crate::memtable::hash_key`] is `hash`. Only tablets whose
+    /// timespan contains `ts` can hold it, since the timestamp is part of
+    /// the key. Takes per-tablet read locks; the caller holds the state
+    /// mutex (lock order: state, then tablet).
+    pub(crate) fn mem_contains(&self, key: &[u8], hash: u64, ts: Micros) -> bool {
+        self.mem_tablets().any(|t| {
+            let mem = t.read();
+            match (mem.min_ts(), mem.max_ts()) {
+                (Some(lo), Some(hi)) => lo <= ts && ts <= hi && mem.contains(key, hash),
+                _ => false,
+            }
+        })
+    }
+
+    /// The on-disk tablets whose timespan holds `ts`: the only ones that
+    /// can hold a key with that timestamp.
+    pub(crate) fn covering(&self, ts: Micros) -> impl Iterator<Item = &DiskHandle> {
+        self.disk
+            .iter()
+            .filter(move |h| h.meta.min_ts <= ts && ts <= h.meta.max_ts)
     }
 
     pub(crate) fn sealed_tablet_count(&self) -> usize {
@@ -130,12 +142,7 @@ impl TableState {
             schema: self.schema.clone(),
             ttl: self.ttl,
             disk: self.disk.clone(),
-            mem: self
-                .filling
-                .values()
-                .cloned()
-                .chain(self.sealed.iter().flat_map(|g| g.tablets.iter().cloned()))
-                .collect(),
+            mem: self.mem_tablets().cloned().collect(),
             dropped: self.dropped,
         }
     }

@@ -14,14 +14,13 @@
 //! number for corruption detection. Reading a cold tablet's footer costs
 //! three seeks: inode, trailer, footer body.
 //!
-//! A [`TabletWriter`] takes rows two ways. [`TabletWriter::add_row`] takes
-//! one materialized row (a memtable flush). [`TabletWriter::add_run`]
-//! takes a row range of a decoded block under the writer's schema (a
-//! merge, a bulk delete — [`crate::cursor`] hands every block on under the
-//! newest schema) and copies typed column sub-slices without building a
-//! row. Either way the same rows yield the same file: blocks are cut
-//! after the row that brings the size estimate to the block size, and the
-//! Bloom filter gets every prefix of every key.
+//! A [`TabletWriter`] takes rows by [`TabletWriter::add_run`]: a row range
+//! of a decoded block under its schema — a flushed memtablet gathered in
+//! key order, a merge's or a bulk delete's runs — whose typed column
+//! sub-slices it copies without building a row. However the same rows are
+//! cut into runs, and row by row (`add_row`, the tests' reference), they
+//! yield the same file: blocks are cut after the row that brings the size
+//! estimate to the block size, and the Bloom filter gets every key prefix.
 //!
 //! Every tablet written is footer version 3: blocks of per-column slices
 //! (see [`crate::block`]), row counts and zone maps in the block index.
@@ -36,7 +35,7 @@ use crate::bloom::{BloomBuilder, BloomFilter};
 use crate::cache::{CacheHandle, CompressedBlock};
 use crate::error::{Error, Result};
 use crate::keyenc::component_end;
-use crate::row::{decode_row, Row};
+use crate::row::decode_row;
 use crate::schema::{decode_value, encode_value, Schema};
 use crate::stats::TableStats;
 use crate::util::{crc32, fnv1a, mix64, put_varint, Reader, FNV_OFFSET};
@@ -397,28 +396,12 @@ impl TabletWriter {
         Ok(())
     }
 
-    /// Appends a row under its encoded primary key `key`. Keys must
-    /// arrive in strictly ascending order, and `key` must be the
-    /// encoding of `row`'s key columns.
-    pub fn add_row(&mut self, key: &[u8], row: &Row) -> Result<()> {
-        let ts = row.ts(&self.schema)?;
-        self.accept_key(key)?;
-        self.block.add(row)?;
-        self.row_count += 1;
-        self.min_ts = self.min_ts.min(ts);
-        self.max_ts = self.max_ts.max(ts);
-        if self.block.size_estimate() >= self.block_size {
-            self.flush_block()?;
-        }
-        Ok(())
-    }
-
     /// Appends `rows` of `block`, a block under this writer's schema,
     /// skipping rows whose timestamp is below `min_ts`: typed column
     /// sub-slices are copied, no row is built. The result is the file
-    /// [`TabletWriter::add_row`] would produce from the same rows, and
-    /// the same ordering rule holds: keys strictly ascending within the
-    /// run and after everything written before it.
+    /// appending the same rows one at a time would produce, and keys must
+    /// ascend strictly within the run and after everything written before
+    /// it.
     pub fn add_run(&mut self, block: &Block, rows: Range<usize>, min_ts: Micros) -> Result<()> {
         if rows.start > rows.end || rows.end > block.len() {
             return Err(Error::invalid("row run reaches outside its block"));
@@ -939,6 +922,25 @@ mod tests {
     use crate::value::{ColumnType, Value};
     use littletable_vfs::SimVfs;
     use std::ops::Bound;
+
+    impl TabletWriter {
+        /// Appends a row under its encoded primary key `key`. Keys must
+        /// arrive in strictly ascending order, and `key` must be the
+        /// encoding of `row`'s key columns. The row-at-a-time reference
+        /// [`TabletWriter::add_run`] is held to.
+        pub(crate) fn add_row(&mut self, key: &[u8], row: &Row) -> Result<()> {
+            let ts = row.ts(&self.schema)?;
+            self.accept_key(key)?;
+            self.block.add(row)?;
+            self.row_count += 1;
+            self.min_ts = self.min_ts.min(ts);
+            self.max_ts = self.max_ts.max(ts);
+            if self.block.size_estimate() >= self.block_size {
+                self.flush_block()?;
+            }
+            Ok(())
+        }
+    }
 
     fn schema() -> Schema {
         Schema::new(

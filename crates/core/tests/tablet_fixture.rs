@@ -8,11 +8,12 @@
 //! v2), written by the row writer just before it was deleted. Nothing can
 //! reproduce it any more; it must keep reading back as the same rows.
 
+use littletable_core::block::BlockEncoder;
 use littletable_core::schema::{ColumnDef, Schema};
 use littletable_core::tablet::{TabletReader, TabletWriter};
 use littletable_core::value::{ColumnType, Value};
 use littletable_core::Row;
-use littletable_vfs::{SimVfs, Vfs};
+use littletable_vfs::{Micros, SimVfs, Vfs};
 use std::sync::Arc;
 
 const FIXTURE: &[u8] = include_bytes!("fixtures/tablet_v3.bin");
@@ -107,12 +108,19 @@ fn rows() -> Vec<Row> {
     out
 }
 
+/// Writes `rows()` as one block of all of them, handed to the writer in
+/// runs that start and stop anywhere, the way a flush or a merge hands
+/// them over.
 fn write_tablet(vfs: &SimVfs, path: &str) -> Vec<u8> {
     let s = schema();
-    let mut w = TabletWriter::new(vfs.create(path, 0).unwrap(), s.clone(), BLOCK_SIZE, true);
+    let mut encoder = BlockEncoder::new(&s);
     for row in rows() {
-        let key = row.encode_key(&s).unwrap();
-        w.add_row(&key, &row).unwrap();
+        encoder.add(&row).unwrap();
+    }
+    let block = encoder.into_block(&s);
+    let mut w = TabletWriter::new(vfs.create(path, 0).unwrap(), s.clone(), BLOCK_SIZE, true);
+    for run in [0..1, 1..700, 700..701, 701..block.len()] {
+        w.add_run(&block, run, Micros::MIN).unwrap();
     }
     w.finish().unwrap();
     read_file(vfs, path)

@@ -120,19 +120,20 @@ pub fn put_insert_rows(out: &mut Vec<u8>, rows: &[Vec<Option<Value>>]) {
     }
 }
 
-/// Reads insert rows written by [`put_insert_rows`].
+/// Reads insert rows written by [`put_insert_rows`], reserving for no
+/// more rows or cells than there are bytes left (each takes one at least).
 pub fn get_insert_rows(r: &mut Reader<'_>) -> Result<Vec<Vec<Option<Value>>>> {
     let n = r.varint()? as usize;
     if n > 1 << 24 {
         return Err(Error::corrupt("implausible row count"));
     }
-    let mut out = Vec::with_capacity(n.min(1 << 16));
+    let mut out = Vec::with_capacity(n.min(r.remaining()));
     for _ in 0..n {
         let m = r.varint()? as usize;
         if m > 1 << 20 {
             return Err(Error::corrupt("implausible value count"));
         }
-        let mut row = Vec::with_capacity(m.min(1 << 16));
+        let mut row = Vec::with_capacity(m.min(r.remaining()));
         for _ in 0..m {
             row.push(get_opt_tagged_value(r)?);
         }
@@ -312,6 +313,17 @@ mod tests {
         let mut buf = vec![1];
         put_varint(&mut buf, 1 << 20);
         assert!(get_rows(&mut Reader::new(&buf)).is_err());
+        assert!(get_insert_rows(&mut Reader::new(&buf)).is_err());
+        // Insert rows: the largest row count, then the largest cell count,
+        // each over a few bytes of cells.
+        let mut rows = Vec::new();
+        put_varint(&mut rows, 1 << 24);
+        rows.extend_from_slice(&[1, NULL_TAG, 0]);
+        assert!(get_insert_rows(&mut Reader::new(&rows)).is_err());
+        let mut cells = vec![1];
+        put_varint(&mut cells, 1 << 20);
+        cells.extend_from_slice(&[NULL_TAG, NULL_TAG]);
+        assert!(get_insert_rows(&mut Reader::new(&cells)).is_err());
     }
 
     /// The decoder [`get_rows`] replaced — a type lookup, then a match

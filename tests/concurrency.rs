@@ -194,6 +194,118 @@ fn readers_see_consistent_snapshots_under_maintenance() {
     assert!(stats.latest_calls > 0);
 }
 
+/// Two writers insert the same keys in overlapping batches — one walking
+/// them forward, the other backward — while seals and flushes run and a
+/// reader takes snapshots. Each key lands exactly once, whichever writer
+/// gets there first; and since a writer's rows are stamped in the order
+/// it applies them, a snapshot that shows a writer's row shows every row
+/// that writer landed before it: a prefix of each writer's stamps, in
+/// every tablet at once.
+#[test]
+fn overlapping_batches_land_each_key_once_and_snapshots_see_prefixes() {
+    const KEYS: i64 = 2_000;
+    const BATCH: i64 = 50;
+    let schema = Schema::new(
+        vec![
+            ColumnDef::new("k", ColumnType::I64),
+            ColumnDef::new("ts", ColumnType::Timestamp),
+            ColumnDef::new("writer", ColumnType::I64),
+            ColumnDef::new("step", ColumnType::I64),
+        ],
+        &["k", "ts"],
+    )
+    .unwrap();
+    let mut opts = Options::small_for_tests();
+    opts.flush_size = 4 << 10;
+    let clock = SimClock::new(START);
+    let db = Db::open(Arc::new(SimVfs::instant()), Arc::new(clock), opts).unwrap();
+    let table = db.create_table("s", schema, None).unwrap();
+    // A row's `(writer, step)`: the writer that landed it, and where in
+    // that writer's order of application.
+    let landed = |row: &littletable::Row| match (&row.values[2], &row.values[3]) {
+        (Value::I64(w), Value::I64(step)) => (*w as usize, *step),
+        _ => panic!("unexpected row shape: {row:?}"),
+    };
+    let writers_done = AtomicBool::new(false);
+    let mut snapshots: Vec<Vec<(usize, i64)>> = Vec::new();
+    let inserted: Vec<u64> = thread::scope(|s| {
+        let writers: Vec<_> = (0..2i64)
+            .map(|w| {
+                let table = table.clone();
+                s.spawn(move || {
+                    let mut keys: Vec<i64> = (0..KEYS).collect();
+                    if w == 1 {
+                        keys.reverse();
+                    }
+                    let mut inserted = 0;
+                    for (b, chunk) in keys.chunks(BATCH as usize).enumerate() {
+                        let rows = chunk.iter().enumerate().map(|(j, &k)| {
+                            vec![
+                                Value::I64(k),
+                                Value::Timestamp(START + k),
+                                Value::I64(w),
+                                Value::I64(b as i64 * BATCH + j as i64),
+                            ]
+                        });
+                        let report = table.insert(rows.collect()).unwrap();
+                        assert_eq!(report.inserted + report.duplicates, chunk.len());
+                        inserted += report.inserted as u64;
+                    }
+                    inserted
+                })
+            })
+            .collect();
+        s.spawn(|| {
+            while !writers_done.load(Ordering::SeqCst) {
+                table.flush_all().unwrap();
+                thread::yield_now();
+            }
+        });
+        let reader = s.spawn(|| {
+            let mut snapshots = Vec::new();
+            while !writers_done.load(Ordering::SeqCst) {
+                let rows = table.query_all(&Query::all()).unwrap();
+                snapshots.push(rows.iter().map(landed).collect::<Vec<_>>());
+            }
+            snapshots
+        });
+        let inserted = writers.into_iter().map(|h| h.join().unwrap()).collect();
+        writers_done.store(true, Ordering::SeqCst);
+        snapshots = reader.join().unwrap();
+        inserted
+    });
+    let rows = table.query_all(&Query::all()).unwrap();
+    let keys: Vec<Value> = rows.iter().map(|r| r.values[0].clone()).collect();
+    assert_eq!(keys, (0..KEYS).map(Value::I64).collect::<Vec<_>>());
+    assert_eq!(inserted.iter().sum::<u64>(), KEYS as u64);
+    // Each writer's landed steps, in order.
+    let mut steps = [Vec::new(), Vec::new()];
+    for (w, step) in rows.iter().map(landed) {
+        steps[w].push(step);
+    }
+    for s in &mut steps {
+        s.sort_unstable();
+    }
+    assert!(!snapshots.is_empty());
+    for snapshot in &snapshots {
+        let mut seen = [Vec::new(), Vec::new()];
+        for &(w, step) in snapshot {
+            seen[w].push(step);
+        }
+        for w in 0..2 {
+            seen[w].sort_unstable();
+            let upto = seen[w]
+                .last()
+                .map_or(0, |&last| steps[w].partition_point(|&s| s <= last));
+            assert_eq!(
+                seen[w],
+                steps[w][..upto],
+                "writer {w}: not a prefix of its stamps"
+            );
+        }
+    }
+}
+
 /// Catalog churn oracle: writer threads create and drop tables in a
 /// tight loop while reader threads resolve names through the published
 /// catalog. Every observation must be consistent:
