@@ -1,5 +1,4 @@
-//! The database: a collection of tables under one VFS root, plus optional
-//! background maintenance.
+//! The database: a collection of tables under one VFS root.
 //!
 //! LittleTable runs as an independent server process (§3.1); this type is
 //! the embeddable engine behind it. Opening a database scans the root for
@@ -7,7 +6,7 @@
 //! a crash left uncommitted.
 //!
 //! The table catalog is published the same way each table publishes its
-//! tablet set: an immutable [`CatalogSnapshot`] in an `RwLock<Arc<_>>`.
+//! tablet set: an immutable [`Catalog`] in an `RwLock<Arc<_>>`.
 //! `Db::table()` and `list_tables()` — the calls §2.2 assumes are free
 //! enough that clients create and query hundreds of tables — take the
 //! read lock for one `Arc` clone, and the write lock is only ever held
@@ -16,6 +15,10 @@
 //! on a small writer mutex and publish copy-on-write snapshots; a
 //! dropped table's `Arc<Table>` stays fully usable by in-flight readers
 //! while every *new* snapshot excludes it.
+//!
+//! The engine spawns no thread of its own. Maintenance (flush by age,
+//! merge, TTL expiry, rollup folds) runs when a caller asks for it:
+//! [`Db::maintain`] sweeps every table, [`Db::maintain_table`] one.
 
 use crate::cache::BlockCache;
 use crate::error::{Error, Result};
@@ -27,10 +30,9 @@ use crate::stats::{DbStats, DbStatsSnapshot, TableStats};
 use crate::table::{MaintenanceReport, Table};
 use littletable_vfs::{Clock, Micros, StdVfs, SystemClock, Vfs};
 use parking_lot::{Mutex, RwLock};
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::collections::BTreeMap;
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use std::thread::JoinHandle;
 
 /// Returns the parent (database root) of a table directory.
 pub(crate) fn root_of(dir: &str) -> &str {
@@ -50,24 +52,9 @@ fn valid_table_name(name: &str) -> bool {
 /// Readers resolve names against whichever snapshot they loaded; writers
 /// build a new snapshot copy-on-write and publish it whole. Names are
 /// interned as `Arc<str>` so the copy-on-write clone a DDL writer pays
-/// is O(n) refcount bumps, not O(n) string allocations.
-struct CatalogSnapshot {
-    tables: HashMap<Arc<str>, Arc<Table>>,
-    /// Precomputed so `list_tables` is one pass over a sorted list
-    /// instead of a collect-and-sort per call.
-    sorted_names: Vec<Arc<str>>,
-}
-
-impl CatalogSnapshot {
-    fn new(tables: HashMap<Arc<str>, Arc<Table>>) -> CatalogSnapshot {
-        let mut sorted_names: Vec<Arc<str>> = tables.keys().cloned().collect();
-        sorted_names.sort();
-        CatalogSnapshot {
-            tables,
-            sorted_names,
-        }
-    }
-}
+/// is O(n) refcount bumps, not O(n) string allocations. Sorted by name,
+/// so every sweep visits tables in the same order in every process.
+type Catalog = BTreeMap<Arc<str>, Arc<Table>>;
 
 struct DbInner {
     vfs: Arc<dyn Vfs>,
@@ -84,7 +71,7 @@ struct DbInner {
     /// The current catalog. Readers clone the `Arc` out; writers,
     /// serialized by `catalog_lock`, build the next snapshot off to the
     /// side and hold the write lock only to swap it in.
-    catalog: RwLock<Arc<CatalogSnapshot>>,
+    catalog: RwLock<Arc<Catalog>>,
     /// Serializes catalog writers (`create_table`/`drop_table`) — held
     /// across a drop's file deletion too, so recreating the same name
     /// cannot interleave with the old directory's teardown.
@@ -97,8 +84,6 @@ struct DbInner {
     rollups: RwLock<Vec<Arc<RollupSpec>>>,
     /// The query-result cache; `None` when its budget carve-out is 0.
     result_cache: Option<Arc<ResultCache>>,
-    shutdown: Arc<AtomicBool>,
-    worker: Mutex<Option<JoinHandle<()>>>,
 }
 
 /// A LittleTable database handle. Cheap to clone; clones share state.
@@ -135,7 +120,7 @@ impl Db {
             let budget = opts.result_cache_budget();
             (budget > 0).then(|| Arc::new(ResultCache::new(budget)))
         };
-        let mut tables = HashMap::new();
+        let mut tables = Catalog::new();
         for entry in vfs.list_dir("").unwrap_or_default() {
             let desc_path = littletable_vfs::join(&entry, crate::descriptor::DESC_FILE);
             if !vfs.exists(&desc_path) {
@@ -154,7 +139,7 @@ impl Db {
         }
         // Recover rollup definitions: a table directory holding a ROLLUP
         // spec file is a rollup table. Bases get their source flag set
-        // before the background worker can start merging.
+        // before any maintenance pass can start merging.
         let mut rollups: Vec<Arc<RollupSpec>> = Vec::new();
         for (name, table) in &tables {
             let spec_path = littletable_vfs::join(table.dir(), rollup::SPEC_FILE);
@@ -182,46 +167,19 @@ impl Db {
             clock,
             opts,
             cache,
-            catalog: RwLock::new(Arc::new(CatalogSnapshot::new(tables))),
+            catalog: RwLock::new(Arc::new(tables)),
             catalog_lock: Mutex::new(()),
             stats: DbStats::default(),
             rollups: RwLock::new(rollups),
             result_cache,
-            shutdown: Arc::new(AtomicBool::new(false)),
-            worker: Mutex::new(None),
         });
-        let db = Db { inner };
-        if db.inner.opts.background {
-            db.start_background_worker();
-        }
-        Ok(db)
+        Ok(Db { inner })
     }
 
     /// Opens a database on the local file system with the wall clock.
     pub fn open_local(path: impl Into<std::path::PathBuf>, opts: Options) -> Result<Db> {
         let vfs = Arc::new(StdVfs::new(path)?);
         Db::open(vfs, Arc::new(SystemClock), opts)
-    }
-
-    fn start_background_worker(&self) {
-        let db = self.clone();
-        let shutdown = self.inner.shutdown.clone();
-        let interval = std::time::Duration::from_millis(self.inner.opts.maintenance_interval_ms);
-        let handle = std::thread::Builder::new()
-            .name("littletable-maintenance".into())
-            .spawn(move || {
-                while !shutdown.load(Ordering::Relaxed) {
-                    std::thread::sleep(interval);
-                    if shutdown.load(Ordering::Relaxed) {
-                        break;
-                    }
-                    // Maintenance errors are retried next tick; a real
-                    // deployment would log them.
-                    let _ = db.maintain();
-                }
-            })
-            .expect("spawn maintenance thread");
-        *self.inner.worker.lock() = Some(handle);
     }
 
     /// The engine clock's current time.
@@ -251,16 +209,15 @@ impl Db {
     }
 
     /// The current catalog snapshot, counted in `catalog_loads`.
-    fn load_catalog(&self) -> Arc<CatalogSnapshot> {
+    fn load_catalog(&self) -> Arc<Catalog> {
         TableStats::add(&self.inner.stats.catalog_loads, 1);
         self.inner.catalog.read().clone()
     }
 
     /// Publishes `tables` as the new catalog. Callers must hold
     /// `catalog_lock`.
-    fn publish_catalog_locked(&self, tables: HashMap<Arc<str>, Arc<Table>>) {
-        let new = Arc::new(CatalogSnapshot::new(tables));
-        let old = std::mem::replace(&mut *self.inner.catalog.write(), new);
+    fn publish_catalog_locked(&self, tables: Catalog) {
+        let old = std::mem::replace(&mut *self.inner.catalog.write(), Arc::new(tables));
         // Released here, after the write guard: a superseded catalog may
         // be the last owner of a dropped table.
         drop(old);
@@ -279,7 +236,7 @@ impl Db {
         }
         let _writer = self.inner.catalog_lock.lock();
         let snap = self.load_catalog();
-        if snap.tables.contains_key(name) {
+        if snap.contains_key(name) {
             return Err(Error::TableExists(name.to_string()));
         }
         let table = Table::create(
@@ -293,7 +250,7 @@ impl Db {
             schema,
             ttl,
         )?;
-        let mut tables = snap.tables.clone();
+        let mut tables = (*snap).clone();
         tables.insert(Arc::from(name), table.clone());
         self.publish_catalog_locked(tables);
         Ok(table)
@@ -302,17 +259,14 @@ impl Db {
     /// Looks up a table by name in the current catalog snapshot.
     pub fn table(&self, name: &str) -> Result<Arc<Table>> {
         self.load_catalog()
-            .tables
             .get(name)
             .cloned()
             .ok_or_else(|| Error::NoSuchTable(name.to_string()))
     }
 
-    /// All table names, sorted (the published snapshot keeps its name
-    /// list presorted).
+    /// All table names, sorted.
     pub fn list_tables(&self) -> Vec<String> {
-        let cat = self.load_catalog();
-        cat.sorted_names.iter().map(|n| n.to_string()).collect()
+        self.load_catalog().keys().map(|n| n.to_string()).collect()
     }
 
     /// Drops a table and deletes its files. Applications drop and recreate
@@ -365,11 +319,10 @@ impl Db {
         let _writer = self.inner.catalog_lock.lock();
         let snap = self.load_catalog();
         let table = snap
-            .tables
             .get(name)
             .cloned()
             .ok_or_else(|| Error::NoSuchTable(name.to_string()))?;
-        let mut tables = snap.tables.clone();
+        let mut tables = (*snap).clone();
         tables.remove(name);
         self.publish_catalog_locked(tables);
         // Belt and braces: result-cache keys embed the generation, so a
@@ -473,8 +426,9 @@ impl Db {
         self.inner.rollups.read().clone()
     }
 
-    /// The query-result cache, or `None` when disabled via
-    /// [`Options::result_cache_fraction`].
+    /// The query-result cache, or `None` when the block cache is disabled
+    /// (its budget is [`Options::RESULT_CACHE_FRACTION`] of the block
+    /// cache's).
     pub fn result_cache(&self) -> Option<&Arc<ResultCache>> {
         self.inner.result_cache.as_ref()
     }
@@ -501,80 +455,45 @@ impl Db {
         rollup::fold_base(&base_table, &targets, false)
     }
 
-    /// Runs one maintenance pass over every table at the current clock
-    /// time. Returns the merged report.
+    /// Runs [`Db::maintain_table`]'s pass over every table, in name
+    /// order, and returns the merged report.
     ///
-    /// Transient I/O errors ([`Error::is_transient`]) are retried in place
-    /// up to three times, with a backoff that doubles from 10 ms; every
-    /// retry bumps the table's `io_retries` counter. An error that
-    /// survives its retries (or is not transient to begin with) bumps
-    /// `maintenance_errors`, and the pass continues over the remaining
-    /// tables so one sick table can't starve the rest — the first such
-    /// error is returned at the end.
+    /// A table whose pass fails is skipped so one sick table can't starve
+    /// the rest; the first such error is returned at the end. A table
+    /// dropped after the catalog snapshot was loaded has nothing to do.
     pub fn maintain(&self) -> Result<MaintenanceReport> {
-        let now = self.now();
-        let snap = self.load_catalog();
         let mut total = MaintenanceReport::default();
         let mut first_err = None;
-        for t in snap.tables.values() {
-            match self.maintain_one(t, now) {
+        for t in self.load_catalog().values() {
+            match self.maintain_one(t) {
                 Ok(r) => {
                     total.sealed_by_age += r.sealed_by_age;
                     total.groups_flushed += r.groups_flushed;
                     total.merges += r.merges;
                     total.tablets_expired += r.tablets_expired;
+                    total.tablets_folded += r.tablets_folded;
                 }
                 Err(e) => {
-                    TableStats::add(&t.stats().maintenance_errors, 1);
-                    if first_err.is_none() {
-                        first_err = Some(e);
-                    }
+                    first_err.get_or_insert(e);
                 }
             }
         }
-        // Fold freshly flushed base tablets into their rollup tables.
-        // This runs after the per-table pass so a tablet flushed above is
-        // folded in the same sweep.
-        let bases: Vec<String> = {
-            let reg = self.inner.rollups.read();
-            let mut bases: Vec<String> = reg.iter().map(|s| s.base.clone()).collect();
-            bases.sort();
-            bases.dedup();
-            bases
-        };
-        for base in &bases {
-            match self.fold_table(base) {
-                Ok(n) => total.tablets_folded += n,
-                Err(e) => {
-                    if let Ok(t) = self.table(base) {
-                        TableStats::add(&t.stats().maintenance_errors, 1);
-                    }
-                    if first_err.is_none() {
-                        first_err = Some(e);
-                    }
-                }
-            }
-        }
-        match first_err {
-            Some(e) => Err(e),
-            None => Ok(total),
-        }
+        first_err.map_or(Ok(total), Err)
     }
 
-    /// Runs one maintenance pass over a single table (same retry
-    /// semantics as [`Db::maintain`]). The per-table write shards of the
-    /// server's group committer drive this so distinct tables commit
-    /// independently instead of through one whole-catalog sweep.
+    /// Runs one maintenance pass over a single table at the current clock
+    /// time: the table's own flush, merge and TTL work, then the fold of
+    /// its new tablets into its rollups. The per-table write shards of the server's group
+    /// committer drive this so distinct tables commit independently
+    /// instead of through one whole-catalog sweep.
+    ///
+    /// Transient I/O errors ([`Error::is_transient`]) are retried in place
+    /// up to three times, with a backoff that doubles from 10 ms; every
+    /// retry bumps the table's `io_retries` counter. An error that
+    /// survives its retries (or is not transient to begin with) bumps
+    /// `maintenance_errors` and is returned.
     pub fn maintain_table(&self, name: &str) -> Result<MaintenanceReport> {
-        let t = self.table(name)?;
-        let now = self.now();
-        let mut report = self.maintain_one(&t, now).inspect_err(|_| {
-            TableStats::add(&t.stats().maintenance_errors, 1);
-        })?;
-        report.tablets_folded = self.fold_table(name).inspect_err(|_| {
-            TableStats::add(&t.stats().maintenance_errors, 1);
-        })?;
-        Ok(report)
+        self.maintain_one(&self.table(name)?)
     }
 
     /// Shim for the frozen `e2e` benchmark, which still calls it after
@@ -591,15 +510,12 @@ impl Db {
         let mut snap = DbStatsSnapshot {
             catalog_loads: self.inner.stats.catalog_loads.load(Ordering::Relaxed),
             catalog_publishes: self.inner.stats.catalog_publishes.load(Ordering::Relaxed),
-            tables: self.load_catalog().tables.len() as u64,
+            tables: self.load_catalog().len() as u64,
             cache_split_fraction: Options::COMPRESSED_CACHE_FRACTION,
             ..DbStatsSnapshot::default()
         };
         if let Some(rc) = &self.inner.result_cache {
-            snap.result_cache_hits = rc.hits();
-            snap.result_cache_misses = rc.misses();
             snap.result_cache_entries = rc.entries() as u64;
-            snap.result_cache_bytes = rc.bytes() as u64;
         }
         snap
     }
@@ -611,68 +527,47 @@ impl Db {
     /// attempt, capped at one second.
     const IO_RETRY_BACKOFF_MS: u64 = 10;
 
-    /// One table's maintenance with the transient-error retry loop.
-    fn maintain_one(&self, t: &Arc<Table>, now: Micros) -> Result<MaintenanceReport> {
+    /// The body of [`Db::maintain_table`], for a resolved table.
+    fn maintain_one(&self, t: &Arc<Table>) -> Result<MaintenanceReport> {
+        let now = self.now();
         let mut attempt = 0u32;
-        loop {
+        let maintained = loop {
             match t.maintain(now) {
-                Ok(r) => return Ok(r),
                 Err(e) if e.is_transient() && attempt < Self::IO_RETRY_LIMIT => {
                     attempt += 1;
-                    crate::stats::TableStats::add(&t.stats().io_retries, 1);
+                    TableStats::add(&t.stats().io_retries, 1);
                     let backoff_ms = Self::IO_RETRY_BACKOFF_MS
                         .saturating_mul(1 << (attempt - 1).min(16))
                         .min(1_000);
                     std::thread::sleep(std::time::Duration::from_millis(backoff_ms));
                 }
-                Err(e) => return Err(e),
+                result => break result,
             }
-        }
+        };
+        maintained
+            .and_then(|mut report| {
+                report.tablets_folded = self.fold_table(t.name())?;
+                Ok(report)
+            })
+            .inspect_err(|_| TableStats::add(&t.stats().maintenance_errors, 1))
     }
 
     /// Runs maintenance passes until a pass does no work (useful in tests
     /// and virtual-time benchmarks).
     pub fn maintain_until_quiescent(&self) -> Result<()> {
-        loop {
-            let r = self.maintain()?;
-            if r.sealed_by_age == 0
-                && r.groups_flushed == 0
-                && r.merges == 0
-                && r.tablets_expired == 0
-                && r.tablets_folded == 0
-            {
-                return Ok(());
-            }
-        }
-    }
-
-    /// Flushes every table's in-memory data to disk.
-    pub fn flush_all(&self) -> Result<()> {
-        let snap = self.load_catalog();
-        for t in snap.tables.values() {
-            t.flush_all()?;
-        }
+        while self.maintain()? != MaintenanceReport::default() {}
         Ok(())
     }
 
-    /// Stops the background worker (if any). In keeping with the paper's
-    /// durability model, unflushed rows are *not* persisted — they would
-    /// be re-collected from the devices after a restart; call
-    /// [`Db::flush_all`] first for a polite shutdown.
-    pub fn shutdown(&self) {
-        self.inner.shutdown.store(true, Ordering::Relaxed);
-        if let Some(h) = self.inner.worker.lock().take() {
-            let _ = h.join();
+    /// Flushes every table's in-memory data to disk, in name order. In
+    /// keeping with the paper's durability model, rows not yet flushed
+    /// when the process ends are lost — they would be re-collected from
+    /// the devices after a restart — so a polite shutdown calls this.
+    pub fn flush_all(&self) -> Result<()> {
+        for t in self.load_catalog().values() {
+            t.flush_all()?;
         }
-    }
-}
-
-impl Drop for DbInner {
-    fn drop(&mut self) {
-        self.shutdown.store(true, Ordering::Relaxed);
-        if let Some(h) = self.worker.lock().take() {
-            let _ = h.join();
-        }
+        Ok(())
     }
 }
 
@@ -688,5 +583,55 @@ mod tests {
         assert!(!valid_table_name(".hidden"));
         assert!(!valid_table_name("a/b"));
         assert!(!valid_table_name(&"x".repeat(200)));
+    }
+
+    /// `flush_all` visits tables in name order in every process: on
+    /// databases built alike, failing the k-th tablet create fails the
+    /// same table, the k-th by name.
+    #[test]
+    fn flush_all_visits_tables_in_name_order() {
+        use crate::schema::ColumnDef;
+        use crate::value::{ColumnType, Value};
+        use littletable_vfs::{FaultKind, FaultPlan, FaultRule, OpKind, SimClock, SimVfs};
+
+        const START: Micros = 1_700_000_000_000_000;
+        let schema = Schema::new(
+            vec![
+                ColumnDef::new("k", ColumnType::I64),
+                ColumnDef::new("ts", ColumnType::Timestamp),
+            ],
+            &["k", "ts"],
+        )
+        .unwrap();
+        let failing_table = |k: u64| {
+            let vfs = SimVfs::instant();
+            let clock = Arc::new(SimClock::new(START));
+            let db = Db::open(Arc::new(vfs.clone()), clock, Options::small_for_tests()).unwrap();
+            for i in 0..8 {
+                let t = db
+                    .create_table(&format!("t{i}"), schema.clone(), None)
+                    .unwrap();
+                t.insert(vec![vec![Value::I64(i), Value::Timestamp(START)]])
+                    .unwrap();
+            }
+            vfs.set_fault_plan(
+                FaultPlan::new().rule(
+                    FaultRule::new(FaultKind::Eio)
+                        .on_ops(&[OpKind::Create])
+                        .on_path("/tab-")
+                        .nth_match(k)
+                        .times(1),
+                ),
+            );
+            let _ = db.flush_all();
+            let trace = vfs.take_fault_trace();
+            assert_eq!(trace.len(), 1, "tablet create {k} never failed");
+            littletable_vfs::parent(&trace[0].path).to_string()
+        };
+        for k in 1..=8 {
+            let first = failing_table(k);
+            assert_eq!(first, failing_table(k), "tablet create {k}");
+            assert_eq!(first, format!("t{}", k - 1), "tablet create {k}");
+        }
     }
 }

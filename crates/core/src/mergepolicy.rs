@@ -16,71 +16,20 @@
 //! sees as many tablets as possible.
 
 use crate::descriptor::TabletMeta;
-use crate::period::{period_for, PeriodKind};
-use crate::util::mix64;
+use crate::options::Options;
+use crate::period::period_for;
 use littletable_vfs::Micros;
-
-/// Tuning knobs for [`find_merge`].
-#[derive(Debug, Clone, Copy)]
-pub struct MergePolicy {
-    /// Maximum size of a merged output tablet, in bytes (128 MB default).
-    pub max_tablet_size: u64,
-    /// How long after a tablet is written before it may be merged (90 s
-    /// default) — gives each merge more tablets to work with.
-    pub merge_delay: Micros,
-    /// Never merge tablets whose timespans start in different time
-    /// periods. Disabling this is the §3.4.2 ablation.
-    pub respect_periods: bool,
-    /// When set, a tablet that has rolled into a larger time period only
-    /// becomes merge-eligible after a pseudorandom fraction of that period
-    /// has elapsed since the rollover — spreading the surge of merge work
-    /// across tables as periods roll over (§3.4.2). `None` disables.
-    pub rollover_jitter_seed: Option<u64>,
-}
-
-impl Default for MergePolicy {
-    fn default() -> Self {
-        MergePolicy {
-            max_tablet_size: 128 << 20,
-            merge_delay: 90 * 1_000_000,
-            respect_periods: true,
-            rollover_jitter_seed: None,
-        }
-    }
-}
 
 /// Finds the next merge to perform: the ids of two or more adjacent
 /// tablets, in timespan order. `tablets` must already be sorted by
 /// `(min_ts, id)` (see [`crate::descriptor::TableDescriptor::sort_tablets`]).
-/// Returns `None` when nothing is mergeable.
-pub fn find_merge(tablets: &[TabletMeta], now: Micros, policy: &MergePolicy) -> Option<Vec<u64>> {
-    let eligible = |t: &TabletMeta| {
-        if t.cold {
-            // Cold-store tablets are write-once archives; never re-merge.
-            return false;
-        }
-        if now - t.written_at < policy.merge_delay {
-            return false;
-        }
-        if let (Some(seed), true) = (policy.rollover_jitter_seed, policy.respect_periods) {
-            // If the tablet's bin has coarsened since it was written, wait a
-            // deterministic pseudorandom fraction of the new (larger) period
-            // past the rollover instant before touching it.
-            let p_now = period_for(t.min_ts, now);
-            let p_then = period_for(t.min_ts, t.written_at);
-            if p_now.kind != p_then.kind && p_now.kind != PeriodKind::FourHour {
-                let rolled_at = p_now.start + p_now.kind.len();
-                let jitter = (mix64(seed ^ t.id ^ p_now.start as u64)
-                    % (p_now.kind.len() as u64 / 2)) as Micros;
-                if now < rolled_at + jitter {
-                    return false;
-                }
-            }
-        }
-        true
-    };
+/// Returns `None` when nothing is mergeable. Reads `max_tablet_size`,
+/// `merge_delay` and `respect_periods` from `opts`.
+pub fn find_merge(tablets: &[TabletMeta], now: Micros, opts: &Options) -> Option<Vec<u64>> {
+    // Cold-store tablets are write-once archives; never re-merge.
+    let eligible = |t: &TabletMeta| !t.cold && now - t.written_at >= opts.merge_delay;
     let same_group = |a: &TabletMeta, b: &TabletMeta| {
-        !policy.respect_periods || period_for(a.min_ts, now) == period_for(b.min_ts, now)
+        !opts.respect_periods || period_for(a.min_ts, now) == period_for(b.min_ts, now)
     };
     for i in 0..tablets.len().saturating_sub(1) {
         let a = &tablets[i];
@@ -94,7 +43,7 @@ pub fn find_merge(tablets: &[TabletMeta], now: Micros, policy: &MergePolicy) -> 
             continue;
         }
         let mut total = a.bytes + b.bytes;
-        if total > policy.max_tablet_size {
+        if total > opts.max_tablet_size {
             continue;
         }
         let mut ids = vec![a.id, b.id];
@@ -102,7 +51,7 @@ pub fn find_merge(tablets: &[TabletMeta], now: Micros, policy: &MergePolicy) -> 
         // appendix notes the logarithmic bounds continue to hold for this
         // extension regardless of the extra tablets' sizes.
         for c in &tablets[i + 2..] {
-            if !eligible(c) || !same_group(b, c) || total + c.bytes > policy.max_tablet_size {
+            if !eligible(c) || !same_group(b, c) || total + c.bytes > opts.max_tablet_size {
                 break;
             }
             total += c.bytes;
@@ -133,14 +82,14 @@ mod tests {
         }
     }
 
-    /// A policy with no delay and no period constraint, matching the
+    /// Options with no delay and no period constraint, matching the
     /// appendix's abstract setting.
-    fn plain(max: u64) -> MergePolicy {
-        MergePolicy {
+    fn plain(max: u64) -> Options {
+        Options {
             max_tablet_size: max,
             merge_delay: 0,
             respect_periods: false,
-            rollover_jitter_seed: None,
+            ..Options::default()
         }
     }
 
@@ -171,30 +120,29 @@ mod tests {
 
     #[test]
     fn merge_delay_blocks_young_tablets() {
-        let policy = MergePolicy {
+        let opts = Options {
             merge_delay: 90_000_000,
             respect_periods: false,
-            ..Default::default()
+            ..Options::default()
         };
         let ts = vec![meta(1, 0, 10, 0), meta(2, 10, 10, 50_000_000)];
-        assert_eq!(find_merge(&ts, 100_000_000, &policy), None);
-        assert_eq!(find_merge(&ts, 200_000_000, &policy), Some(vec![1, 2]));
+        assert_eq!(find_merge(&ts, 100_000_000, &opts), None);
+        assert_eq!(find_merge(&ts, 200_000_000, &opts), Some(vec![1, 2]));
     }
 
     #[test]
     fn period_boundaries_are_respected() {
-        let policy = MergePolicy {
+        let opts = Options {
             merge_delay: 0,
-            respect_periods: true,
-            ..Default::default()
+            ..Options::default()
         };
         let now = 10 * WEEK + 3 * DAY;
         // One tablet in last week's bin, one in an old week bin.
         let ts = vec![meta(1, 8 * WEEK, 10, 0), meta(2, 10 * WEEK + DAY, 10, 0)];
-        assert_eq!(find_merge(&ts, now, &policy), None);
+        assert_eq!(find_merge(&ts, now, &opts), None);
         // Two in the same old week merge fine.
         let ts = vec![meta(1, 8 * WEEK, 10, 0), meta(2, 8 * WEEK + DAY, 10, 0)];
-        assert_eq!(find_merge(&ts, now, &policy), Some(vec![1, 2]));
+        assert_eq!(find_merge(&ts, now, &opts), Some(vec![1, 2]));
     }
 
     #[test]

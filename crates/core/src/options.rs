@@ -1,6 +1,5 @@
 //! Engine tuning options.
 
-use crate::mergepolicy::MergePolicy;
 use littletable_vfs::Micros;
 
 /// Tuning knobs for a [`crate::db::Db`]. Defaults are the paper's
@@ -31,21 +30,12 @@ pub struct Options {
     /// Use the descriptor/index fast paths for insert-time uniqueness
     /// checks (§3.4.4); disabling forces the point-query slow path.
     pub uniqueness_fast_paths: bool,
-    /// Seed for the period-rollover merge jitter (§3.4.2); `None`
-    /// disables jitter (useful in deterministic tests).
-    pub rollover_jitter_seed: Option<u64>,
     /// The server's own cap on rows returned per query; results that hit
     /// it carry a `more_available` flag and the client re-submits (§3.5).
     pub server_row_limit: usize,
     /// Maximum tablets sealed-but-unflushed before inserts flush inline,
     /// bounding memory (the 100-tablet limit of §5.1.3).
     pub max_sealed_backlog: usize,
-    /// Spawn a background maintenance thread (flush by age, merge, TTL).
-    /// Disable for deterministic tests and virtual-time benchmarks, which
-    /// drive [`crate::db::Db::maintain`] manually.
-    pub background: bool,
-    /// Background maintenance cadence in milliseconds.
-    pub maintenance_interval_ms: u64,
     /// Joint budget, in bytes, for the shared block cache that serves
     /// point-lookup and query block reads (§3.2 keeps footers cached;
     /// this extends the idea to hot data blocks and bounds footer
@@ -61,20 +51,6 @@ pub struct Options {
     /// two, then *down* while a shard's slice of the budget would fall
     /// below a useful minimum (see [`crate::cache::MIN_SHARD_SLICE`]).
     pub block_cache_shards: usize,
-    /// Fail [`crate::db::Db::open`] outright when a referenced tablet is
-    /// missing or fails footer/CRC validation, instead of quarantining the
-    /// file (rename to `*.quarantine`, drop from the descriptor) and
-    /// serving the rest of the table. Quarantine is the default because a
-    /// telemetry store that refuses to start over one bad file loses more
-    /// data than it protects.
-    pub strict_open: bool,
-    /// Fraction of [`Options::block_cache_bytes`] carved out for the
-    /// query-result cache (finished aggregate result sets keyed by table
-    /// generation, bounding box, and insert sequence). The carve-out
-    /// comes off the top of the joint budget before the block tiers are
-    /// split, so total cache memory is unchanged. Clamped to
-    /// `[0.0, 1.0]`; `0.0` disables the result cache.
-    pub result_cache_fraction: f64,
 }
 
 impl Default for Options {
@@ -89,15 +65,10 @@ impl Default for Options {
             respect_periods: true,
             bloom_filters: true,
             uniqueness_fast_paths: true,
-            rollover_jitter_seed: None,
             server_row_limit: 1 << 20,
             max_sealed_backlog: 100,
-            background: false,
-            maintenance_interval_ms: 1_000,
             block_cache_bytes: 64 << 20,
             block_cache_shards: 0,
-            strict_open: false,
-            result_cache_fraction: 1.0 / 16.0,
         }
     }
 }
@@ -111,21 +82,17 @@ impl Options {
     /// once justified one sat next to it (EXPERIMENTS.md).
     pub const COMPRESSED_CACHE_FRACTION: f64 = 0.25;
 
-    /// The merge-policy view of these options.
-    pub fn merge_policy(&self) -> MergePolicy {
-        MergePolicy {
-            max_tablet_size: self.max_tablet_size,
-            merge_delay: self.merge_delay,
-            respect_periods: self.respect_periods,
-            rollover_jitter_seed: self.rollover_jitter_seed,
-        }
-    }
+    /// Fraction of [`Options::block_cache_bytes`] carved out for the
+    /// query-result cache (finished aggregate result sets keyed by table
+    /// generation, bounding box, and insert sequence). The carve-out comes
+    /// off the top of the joint budget before the block tiers are split,
+    /// so total cache memory is unchanged.
+    pub const RESULT_CACHE_FRACTION: f64 = 1.0 / 16.0;
 
     /// Bytes carved out of [`Options::block_cache_bytes`] for the
-    /// query-result cache. `0` disables it.
+    /// query-result cache. `0` (no block cache) disables it.
     pub fn result_cache_budget(&self) -> usize {
-        let f = self.result_cache_fraction.clamp(0.0, 1.0);
-        (self.block_cache_bytes as f64 * f) as usize
+        (self.block_cache_bytes as f64 * Self::RESULT_CACHE_FRACTION) as usize
     }
 
     /// Resolves the joint cache budget into `(decompressed_bytes,
@@ -165,13 +132,11 @@ mod tests {
         assert_eq!(o.max_sealed_backlog, 100);
         assert_eq!(o.block_cache_bytes, 64 << 20);
         assert_eq!(o.block_cache_shards, 0);
-        assert!(!o.strict_open);
-        assert_eq!(o.result_cache_fraction, 1.0 / 16.0);
     }
 
     #[test]
     fn tier_budgets_sum_to_joint_budget() {
-        let mut o = Options {
+        let o = Options {
             block_cache_bytes: 64 << 20,
             ..Options::default()
         };
@@ -183,20 +148,12 @@ mod tests {
         assert_eq!(d + c + result, 64 << 20);
         assert_eq!(c, 15 << 20); // default 25% split of the remainder
 
-        // Disabling the result cache restores the full block budget.
-        o.result_cache_fraction = 0.0;
+        // No block cache, no result cache.
+        let o = Options {
+            block_cache_bytes: 0,
+            ..Options::default()
+        };
         assert_eq!(o.result_cache_budget(), 0);
-        let (d, c) = o.cache_tier_budgets();
-        assert_eq!(d + c, 64 << 20);
-        assert_eq!(c, 16 << 20);
-    }
-
-    #[test]
-    fn merge_policy_mirrors_options() {
-        let o = Options::default();
-        let p = o.merge_policy();
-        assert_eq!(p.max_tablet_size, o.max_tablet_size);
-        assert_eq!(p.merge_delay, o.merge_delay);
-        assert!(p.respect_periods);
+        assert_eq!(o.cache_tier_budgets(), (0, 0));
     }
 }

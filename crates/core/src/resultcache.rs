@@ -23,13 +23,13 @@
 //! exists only to promptly reclaim memory when a table is dropped.
 //!
 //! The cache's budget is a carve-out from the block cache's joint budget
-//! ([`crate::Options::result_cache_fraction`]), so enabling it never
-//! increases total cache memory.
+//! ([`crate::Options::RESULT_CACHE_FRACTION`]), so enabling it never
+//! increases total cache memory. Hits and misses are counted per table,
+//! by the caller ([`crate::stats::TableStats::result_cache_hits`]).
 
 use crate::value::Value;
 use parking_lot::Mutex;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Everything that identifies a cached result. Equal keys are guaranteed
@@ -93,8 +93,6 @@ struct Inner {
 pub struct ResultCache {
     budget: usize,
     inner: Mutex<Inner>,
-    hits: AtomicU64,
-    misses: AtomicU64,
 }
 
 impl ResultCache {
@@ -103,8 +101,6 @@ impl ResultCache {
         ResultCache {
             budget,
             inner: Mutex::new(Inner::default()),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
         }
     }
 
@@ -118,17 +114,9 @@ impl ResultCache {
         let mut inner = self.inner.lock();
         inner.tick += 1;
         let tick = inner.tick;
-        match inner.map.get_mut(key) {
-            Some(e) => {
-                e.last_used = tick;
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(e.rows.clone())
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
+        let e = inner.map.get_mut(key)?;
+        e.last_used = tick;
+        Some(e.rows.clone())
     }
 
     /// Inserts a result, evicting least-recently-used entries to stay
@@ -186,16 +174,6 @@ impl ResultCache {
         inner.bytes -= freed;
     }
 
-    /// Lifetime hit count.
-    pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
-    }
-
-    /// Lifetime miss count.
-    pub fn misses(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed)
-    }
-
     /// Entries currently resident.
     pub fn entries(&self) -> usize {
         self.inner.lock().map.len()
@@ -234,8 +212,6 @@ mod tests {
         assert!(c.get(&k).is_none());
         c.put(k.clone(), rows(3));
         assert_eq!(c.get(&k).unwrap().rows.len(), 3);
-        assert_eq!(c.hits(), 1);
-        assert_eq!(c.misses(), 1);
     }
 
     #[test]

@@ -870,7 +870,6 @@ mod tests {
         t.flush_all().unwrap();
         db.create_rollup("usage_1h", "usage", HOUR, vec!["bytes".into()], vec![])
             .unwrap();
-        db.shutdown();
         drop(db);
 
         let db = Db::open(

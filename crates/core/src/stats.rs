@@ -100,7 +100,7 @@ table_counters! {
     /// retries (the error was surfaced, not swallowed).
     maintenance_errors,
     /// Tablet files set aside at open because they were missing or failed
-    /// footer/CRC validation (see `Options::strict_open`).
+    /// footer/CRC validation.
     tablets_quarantined,
     /// Pushdown scans started (aggregate queries routed through
     /// [`crate::table::Table::pushdown_scan`] instead of the row cursor).
@@ -162,14 +162,9 @@ pub struct DbStatsSnapshot {
     /// always [`crate::options::Options::COMPRESSED_CACHE_FRACTION`].
     /// A `[benchmark]` follow-up removes the metric and then this.
     pub cache_split_fraction: f64,
-    /// Query-result cache hits across all tables.
-    pub result_cache_hits: u64,
-    /// Query-result cache misses across all tables.
-    pub result_cache_misses: u64,
-    /// Entries currently resident in the query-result cache.
+    /// Entries currently resident in the query-result cache. Its hits and
+    /// misses are counted per table ([`TableStats::result_cache_hits`]).
     pub result_cache_entries: u64,
-    /// Estimated bytes charged to the query-result cache.
-    pub result_cache_bytes: u64,
 }
 
 impl StatsSnapshot {

@@ -414,7 +414,7 @@ impl Table {
                 // pass marks tablets and unblocks them.
                 metas.retain(|m| m.rolled_up);
             }
-            let ids = find_merge(&metas, now, &self.opts.merge_policy())?;
+            let ids = find_merge(&metas, now, &self.opts)?;
             let sources = st.disk.iter().filter(|h| ids.contains(&h.meta.id));
             let sources: Vec<DiskHandle> = sources.cloned().collect();
             Some((sources, st.schema.clone(), st.ttl))

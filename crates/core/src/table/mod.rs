@@ -230,9 +230,10 @@ impl Table {
         let stats = Arc::new(TableStats::default());
         // Validate every referenced tablet's footer eagerly. A tablet that
         // is missing or fails validation is quarantined (renamed aside,
-        // dropped from the descriptor) unless `strict_open` demands the
-        // old fail-fast behavior; transient I/O errors always propagate —
-        // a flaky disk is not corruption.
+        // dropped from the descriptor): a telemetry store that refuses to
+        // start over one bad file loses more data than it protects.
+        // Transient I/O errors always propagate — a flaky disk is not
+        // corruption.
         let mut disk: Vec<DiskHandle> = Vec::new();
         let mut quarantined = 0u64;
         for meta in &desc.tablets {
@@ -262,7 +263,7 @@ impl Table {
                     )),
                     meta: meta.clone(),
                 }),
-                Err(e) if !opts.strict_open && should_quarantine(&e) => {
+                Err(e) if should_quarantine(&e) => {
                     if backing.exists(&path) {
                         let aside = format!("{path}{QUARANTINE_SUFFIX}");
                         let _ = backing.rename(&path, &aside);

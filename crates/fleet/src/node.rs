@@ -131,9 +131,7 @@ impl FleetNode {
     /// Demotes this node to a fenced spare at `epoch`, closing its
     /// engine so the archiver can write underneath it.
     pub fn demote(&mut self, epoch: u64) {
-        if let Some(db) = self.db.take() {
-            db.shutdown();
-        }
+        self.db = None;
         self.state.demote(epoch);
     }
 

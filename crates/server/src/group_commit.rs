@@ -14,11 +14,12 @@
 //! tables through the Db's published catalog snapshots, so shards never
 //! wait on each other's flush I/O (or on DDL) to resolve a table.
 
+use crate::ServerConfig;
 use littletable_core::db::Db;
 use std::hash::{DefaultHasher, Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 #[derive(Default)]
 struct ShardState {
@@ -101,13 +102,14 @@ impl GroupCommit {
     /// One shard's committer body; runs on its own thread until [`stop`].
     ///
     /// Each cycle: block until the shard's tables have dirty rows,
-    /// coalesce further arrivals for up to `interval` (cut short when
-    /// `rows_threshold` accumulates), then run one maintenance pass over
-    /// the tables that hash to this shard. Errors are retried implicitly
-    /// by the next cycle.
+    /// coalesce further arrivals for up to
+    /// [`ServerConfig::GROUP_COMMIT_INTERVAL`] (cut short when
+    /// [`ServerConfig::GROUP_COMMIT_ROWS`] accumulate), then run one
+    /// maintenance pass over the tables that hash to this shard. Errors
+    /// are retried implicitly by the next cycle.
     ///
     /// [`stop`]: GroupCommit::stop
-    pub fn run_shard(&self, idx: usize, db: &Db, rows_threshold: u64, interval: Duration) {
+    pub fn run_shard(&self, idx: usize, db: &Db) {
         let shard = &self.shards[idx];
         loop {
             let mut st = shard.state.lock().unwrap();
@@ -117,8 +119,8 @@ impl GroupCommit {
             if st.dirty_rows == 0 && st.stopped {
                 return;
             }
-            let deadline = Instant::now() + interval;
-            while st.dirty_rows < rows_threshold && !st.stopped {
+            let deadline = Instant::now() + ServerConfig::GROUP_COMMIT_INTERVAL;
+            while st.dirty_rows < ServerConfig::GROUP_COMMIT_ROWS && !st.stopped {
                 let left = deadline.saturating_duration_since(Instant::now());
                 if left.is_zero() {
                     break;

@@ -209,46 +209,22 @@ fn try_handle(db: &Db, req: Request) -> littletable_core::Result<Response> {
         }
         Request::Insert { table, rows } => {
             let t = db.table(&table)?;
-            let schema = t.schema();
-            let ncols = schema.num_columns();
-            let ts_index = schema.ts_index();
-            // Validate the whole batch before touching the memtable so a
-            // malformed batch rejects atomically instead of half-applying.
-            for row in &rows {
-                if row.len() != ncols {
-                    return Err(Error::invalid(format!(
-                        "row has {} values but schema has {} columns",
-                        row.len(),
-                        ncols
-                    )));
-                }
-                for (i, cell) in row.iter().enumerate() {
-                    match cell {
-                        // §3.1: only the timestamp may be omitted; the
-                        // server stamps it. The engine itself has no NULLs
-                        // (§3.5), so any other absent cell is an error.
-                        None if i == ts_index => {}
-                        None => {
-                            return Err(Error::invalid(format!(
-                                "null value in non-timestamp column {}",
-                                schema.columns()[i].name
-                            )))
-                        }
-                        Some(v) => {
-                            if !v.fits(schema.columns()[i].ty) {
-                                return Err(Error::invalid(format!(
-                                    "type mismatch in column {}",
-                                    schema.columns()[i].name
-                                )));
-                            }
-                        }
-                    }
-                }
-            }
-            // Stamp only rows that omitted their timestamp; explicit
-            // timestamps in the same batch are preserved.
+            let ts_index = t.schema().ts_index();
             let now = t.now();
-            let rows: Vec<Vec<Value>> = rows
+            // §3.1: only the timestamp may be omitted; the server stamps
+            // it, keeping explicit timestamps in the same batch. The
+            // engine itself has no NULLs (§3.5), so any other absent cell
+            // is an error. Arity and types are `Table::insert`'s to check,
+            // for the whole batch before any row applies.
+            let mut cells = rows.iter().flat_map(|row| row.iter().enumerate());
+            if let Some((i, _)) = cells.find(|(i, c)| c.is_none() && *i != ts_index) {
+                return Err(Error::invalid(format!(
+                    "absent value in non-timestamp column {i}"
+                )));
+            }
+            // Each row keeps its allocation: `Option<Value>` and `Value`
+            // are the same size, so the collects run in place.
+            let rows = rows
                 .into_iter()
                 .map(|row| {
                     row.into_iter()
@@ -1169,16 +1145,7 @@ mod tests {
     #[test]
     fn group_commit_flushes_in_background() {
         let db = test_db();
-        let mut server = Server::bind_with(
-            db,
-            "127.0.0.1:0",
-            ServerConfig {
-                group_commit_rows: 64,
-                group_commit_interval_ms: 5,
-                ..ServerConfig::default()
-            },
-        )
-        .unwrap();
+        let mut server = Server::bind(db, "127.0.0.1:0").unwrap();
         server.start().unwrap();
         let mut stream = TcpStream::connect(server.local_addr()).unwrap();
         assert_eq!(
@@ -1245,8 +1212,6 @@ mod tests {
             db,
             "127.0.0.1:0",
             ServerConfig {
-                group_commit_rows: 4,
-                group_commit_interval_ms: 5,
                 commit_shards: 4,
                 ..ServerConfig::default()
             },

@@ -17,7 +17,7 @@
 //! batches.
 //!
 //! **Backpressure.** Once a connection's unwritten response bytes exceed
-//! [`ServerConfig::max_conn_buffer`], the worker stops *reading* from
+//! [`ServerConfig::MAX_CONN_BUFFER`], the worker stops *reading* from
 //! that socket (drops it from the poll read set) until the client drains
 //! responses. Kernel TCP buffers then fill and the client's writes
 //! block: a slow reader throttles only itself, and server memory per
@@ -55,19 +55,22 @@ use std::time::Duration;
 pub struct ServerConfig {
     /// Event-loop worker shards. Each owns its connections exclusively.
     pub workers: usize,
-    /// Group commit runs as soon as this many rows are dirty, without
-    /// waiting out the coalescing interval.
-    pub group_commit_rows: u64,
-    /// Group-commit coalescing window: dirty rows wait at most this long
-    /// before a maintenance pass seals and flushes them.
-    pub group_commit_interval_ms: u64,
     /// Per-table write shards for group commit: each table hashes to one
     /// shard, and each shard runs its own committer thread, so distinct
     /// tables' batches seal and flush in parallel.
     pub commit_shards: usize,
+}
+
+impl ServerConfig {
+    /// Group commit runs as soon as this many rows are dirty, without
+    /// waiting out the coalescing interval.
+    pub const GROUP_COMMIT_ROWS: u64 = 4096;
+    /// Group-commit coalescing window: dirty rows wait at most this long
+    /// before a maintenance pass seals and flushes them.
+    pub const GROUP_COMMIT_INTERVAL: Duration = Duration::from_millis(20);
     /// Per-connection cap on buffered response bytes before the worker
     /// stops reading that socket (pipelining backpressure).
-    pub max_conn_buffer: usize,
+    pub const MAX_CONN_BUFFER: usize = 1 << 20;
 }
 
 impl Default for ServerConfig {
@@ -76,10 +79,7 @@ impl Default for ServerConfig {
             workers: std::thread::available_parallelism()
                 .map(|n| n.get().min(4))
                 .unwrap_or(2),
-            group_commit_rows: 4096,
-            group_commit_interval_ms: 20,
             commit_shards: 2,
-            max_conn_buffer: 1 << 20,
         }
     }
 }
@@ -118,7 +118,6 @@ impl Shared {
 pub struct Server {
     db: Db,
     addr: SocketAddr,
-    cfg: ServerConfig,
     node: Arc<NodeState>,
     listener: Option<TcpListener>,
     wake_rxs: Vec<UnixStream>,
@@ -163,17 +162,15 @@ impl Server {
             });
             wake_rxs.push(rx);
         }
-        let commit_shards = cfg.commit_shards;
         Ok(Server {
             db,
             addr,
-            cfg,
             node,
             listener: Some(listener),
             wake_rxs,
             shared: Arc::new(Shared {
                 shutdown: AtomicBool::new(false),
-                group: GroupCommit::new(commit_shards),
+                group: GroupCommit::new(cfg.commit_shards),
                 inboxes,
                 next_conn: AtomicUsize::new(0),
             }),
@@ -214,7 +211,6 @@ impl Server {
                 listener: if idx == 0 { listener.take() } else { None },
                 wake_rx,
                 conns: Vec::new(),
-                max_conn_buffer: self.cfg.max_conn_buffer.max(1),
             };
             self.workers.push(
                 std::thread::Builder::new()
@@ -222,15 +218,13 @@ impl Server {
                     .spawn(move || worker.run())?,
             );
         }
-        let rows = self.cfg.group_commit_rows.max(1);
-        let interval = Duration::from_millis(self.cfg.group_commit_interval_ms);
         for idx in 0..self.shared.group.shard_count() {
             let db = self.db.clone();
             let shared = self.shared.clone();
             self.committers.push(
                 std::thread::Builder::new()
                     .name(format!("lt-commit-{idx}"))
-                    .spawn(move || shared.group.run_shard(idx, &db, rows, interval))?,
+                    .spawn(move || shared.group.run_shard(idx, &db))?,
             );
         }
         Ok(())
@@ -353,7 +347,6 @@ struct Worker {
     listener: Option<TcpListener>,
     wake_rx: UnixStream,
     conns: Vec<Option<Conn>>,
-    max_conn_buffer: usize,
 }
 
 impl Worker {
@@ -379,7 +372,7 @@ impl Worker {
             for (i, slot) in self.conns.iter().enumerate() {
                 let Some(c) = slot else { continue };
                 let mut events = 0i16;
-                if !c.peer_closed && c.pending_out() < self.max_conn_buffer {
+                if !c.peer_closed && c.pending_out() < ServerConfig::MAX_CONN_BUFFER {
                     events |= POLLIN;
                 }
                 if c.pending_out() > 0 {
@@ -474,13 +467,7 @@ impl Worker {
             dead = true;
         }
         if !dead && revents & (POLLIN | POLLHUP | POLLERR) != 0 && !conn.peer_closed {
-            dead = read_and_process(
-                &self.db,
-                &self.node,
-                &self.shared.group,
-                conn,
-                self.max_conn_buffer,
-            );
+            dead = read_and_process(&self.db, &self.node, &self.shared.group, conn);
         }
         if !dead {
             dead = conn.flush_out();
@@ -494,15 +481,9 @@ impl Worker {
 /// Reads until the socket would block (or backpressure engages),
 /// executing every complete frame in arrival order. True means the
 /// connection is dead.
-fn read_and_process(
-    db: &Db,
-    node: &NodeState,
-    group: &GroupCommit,
-    conn: &mut Conn,
-    max_buffer: usize,
-) -> bool {
+fn read_and_process(db: &Db, node: &NodeState, group: &GroupCommit, conn: &mut Conn) -> bool {
     loop {
-        if conn.pending_out() >= max_buffer {
+        if conn.pending_out() >= ServerConfig::MAX_CONN_BUFFER {
             break;
         }
         match conn.dec.read_from(&mut conn.stream) {

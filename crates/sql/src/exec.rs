@@ -773,9 +773,10 @@ mod tests {
         // Just created, nothing in memory or on disk.
         assert_eq!(rows(s.execute(q).unwrap()), empty);
         // The identical question again: served by the result cache.
-        let hits = s.db().stats().result_cache_hits;
+        let t = s.db().table("t").unwrap();
+        let hits = t.stats().snapshot().result_cache_hits;
         assert_eq!(rows(s.execute(q).unwrap()), empty);
-        assert_eq!(s.db().stats().result_cache_hits, hits + 1);
+        assert_eq!(t.stats().snapshot().result_cache_hits, hits + 1);
         // After a flush of zero rows.
         s.db().flush_all().unwrap();
         assert_eq!(

@@ -72,7 +72,6 @@ fn main() -> littletable::Result<()> {
 
     // Flush and reopen: everything durable survives.
     db.flush_all()?;
-    db.shutdown();
     drop(db);
     let db2 = Db::open_local(&dir, Options::default())?;
     let n = db2.table("usage")?.query_all(&Query::all())?.len();

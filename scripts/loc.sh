@@ -7,7 +7,7 @@
 # out. Then their total, the `core + sql + server` sum ROADMAP.md tracks
 # against its target, every *.rs line in the workspace (tests, benches
 # and examples included; third_party and target not), and the number of
-# fields in `Options`.
+# fields in `Options` and in `ServerConfig`.
 #
 # usage: scripts/loc.sh [checkout]     (default: this checkout)
 #        scripts/loc.sh <parent-checkout> <change-checkout>
@@ -50,5 +50,12 @@ printf '%-22s %6d\n' 'non-test total' "$total"
 printf '%-22s %6d\n' 'core + sql + server' "$engine"
 printf '%-22s %6d\n' 'all *.rs' \
     "$(find crates src tests examples -name '*.rs' -not -path '*/target/*' -print0 | xargs -0 cat | wc -l)"
-printf '%-22s %6d\n' 'Options fields' \
-    "$(awk '/^pub struct Options/ { on = 1 } on && /^    pub / { n++ } on && /^}/ { exit } END { print n + 0 }' crates/core/src/options.rs)"
+fields() {
+    awk -v s="pub struct $1 " '
+        index($0, s) == 1 { on = 1 }
+        on && /^    pub / { n++ }
+        on && /^}/ { exit }
+        END { print n + 0 }' "$2"
+}
+printf '%-22s %6d\n' 'Options fields' "$(fields Options crates/core/src/options.rs)"
+printf '%-22s %6d\n' 'ServerConfig fields' "$(fields ServerConfig crates/server/src/net.rs)"

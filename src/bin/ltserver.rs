@@ -25,11 +25,7 @@ fn main() {
             }
         }
     }
-    let opts = Options {
-        background: true,
-        ..Options::default()
-    };
-    let db = match Db::open_local(&data, opts) {
+    let db = match Db::open_local(&data, Options::default()) {
         Ok(db) => db,
         Err(e) => {
             eprintln!("failed to open {data}: {e}");
@@ -40,7 +36,7 @@ fn main() {
         "littletable-server: {} tables in {data}",
         db.list_tables().len()
     );
-    let mut server = match Server::bind(db, &listen) {
+    let mut server = match Server::bind(db.clone(), &listen) {
         Ok(s) => s,
         Err(e) => {
             eprintln!("failed to bind {listen}: {e}");
@@ -49,8 +45,14 @@ fn main() {
     };
     eprintln!("listening on {}", server.local_addr());
     server.start().expect("start accept loop");
-    // Serve until killed; maintenance runs on the background thread.
+    // Serve until killed. The group committers maintain the tables that
+    // take inserts; this loop gives every table — flush by age, merges,
+    // TTL expiry, rollup folds — one pass a second. Errors are retried
+    // on the next pass.
     loop {
-        std::thread::sleep(std::time::Duration::from_secs(3600));
+        std::thread::sleep(std::time::Duration::from_secs(1));
+        if let Err(e) = db.maintain() {
+            eprintln!("maintenance: {e}");
+        }
     }
 }

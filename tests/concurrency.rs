@@ -867,9 +867,9 @@ fn result_cache_never_crosses_generations() {
     ]])
     .unwrap();
     assert_eq!(answer(session.execute(Q).unwrap()), (7777, 1));
-    let before = db.stats();
+    let before = t.stats().snapshot();
     assert_eq!(answer(session.execute(Q).unwrap()), (7777, 1));
-    let after = db.stats();
+    let after = t.stats().snapshot();
     assert_eq!(
         after.result_cache_hits,
         before.result_cache_hits + 1,

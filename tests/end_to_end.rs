@@ -77,7 +77,6 @@ fn tcp_client_sql_session_and_restart_on_real_files() {
 
         db.flush_all().unwrap();
         server.shutdown();
-        db.shutdown();
     }
     // A new process (new Db) recovers everything from the directory.
     {
@@ -131,19 +130,16 @@ fn sql_ddl_dml_lifecycle_on_real_files() {
     assert_eq!(rows[1][1], Value::I64(7));
     session.execute("DROP TABLE events").unwrap();
     assert!(session.execute("SELECT * FROM events").is_err());
-    db.shutdown();
     std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
-fn background_maintenance_thread_flushes_by_age() {
-    let dir = temp_dir("bg");
+fn maintenance_flushes_by_age_on_real_files() {
+    let dir = temp_dir("age");
     let mut opts = Options::small_for_tests();
-    opts.background = true;
-    opts.maintenance_interval_ms = 20;
     opts.flush_age = 1; // everything is immediately age-due
     opts.flush_size = usize::MAX;
-    let db = Db::open_local(&dir, opts).unwrap();
+    let db = Db::open_local(&dir, opts.clone()).unwrap();
     let table = db.create_table("t", usage_schema(), None).unwrap();
     table
         .insert(vec![vec![
@@ -153,17 +149,15 @@ fn background_maintenance_thread_flushes_by_age() {
             Value::I64(42),
         ]])
         .unwrap();
-    // The background thread should flush it within a few intervals.
-    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
-    while table.num_disk_tablets() == 0 {
-        assert!(
-            std::time::Instant::now() < deadline,
-            "background flush never happened"
-        );
-        std::thread::sleep(std::time::Duration::from_millis(10));
-    }
-    assert_eq!(table.query_all(&Query::all()).unwrap().len(), 1);
-    db.shutdown();
+    // The engine flushes nothing on its own; one pass seals and flushes.
+    std::thread::sleep(std::time::Duration::from_millis(1));
+    let report = db.maintain().unwrap();
+    assert_eq!((report.sealed_by_age, report.groups_flushed), (1, 1));
+    assert_eq!(table.num_disk_tablets(), 1);
+    drop((table, db));
+    let db = Db::open_local(&dir, opts).unwrap();
+    let rows = db.table("t").unwrap().query_all(&Query::all()).unwrap();
+    assert_eq!(rows.len(), 1);
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -217,6 +211,5 @@ fn concurrent_writers_and_readers_do_not_interfere() {
     }
     db.flush_all().unwrap();
     assert_eq!(table.query_all(&Query::all()).unwrap().len(), 2000);
-    db.shutdown();
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -202,7 +202,6 @@ fn std_error_point(root: PathBuf, k: u64, kind: FaultKind) {
     );
     vfs.clear_fault_plan();
     if verify_degraded_live(&db, &out).is_some() {
-        db.shutdown();
         drop(db);
         let db2 = open_std_db(&vfs, &clock).expect("reopen after degraded episode");
         check_descriptor_consistency(&vfs);
@@ -213,7 +212,6 @@ fn std_error_point(root: PathBuf, k: u64, kind: FaultKind) {
             expected,
             "real-FS durability promise broken by a restart"
         );
-        db2.shutdown();
     }
     std::fs::remove_dir_all(&root).expect("clean scratch dir");
 }
@@ -232,7 +230,6 @@ fn stdvfs_error_point_sweep() {
         let out = run_workload(&db, &clock, Mode::Stop);
         assert_eq!(out.acked, TOTAL_ROWS, "fault-free StdVfs run incomplete");
         assert_eq!(out.floor, TOTAL_ROWS);
-        db.shutdown();
         vfs.op_count()
     };
     assert!(n >= 16, "StdVfs workload too small to sweep: {n} ops");

@@ -178,5 +178,4 @@ fn torn_frames_and_pipelining_across_many_connections() {
     assert_eq!(idx, want, "rows lost or duplicated under torn frames");
 
     server.shutdown();
-    db.shutdown();
 }

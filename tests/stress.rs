@@ -1,6 +1,6 @@
-//! Concurrency stress: writers, readers, and background maintenance
-//! (flushes and merges) all running at once, then a full verification —
-//! every accepted row present exactly once, in order.
+//! Concurrency stress: writers, readers, and maintenance passes (flushes
+//! and merges) all running at once, then a full verification — every
+//! accepted row present exactly once, in order.
 
 use littletable::vfs::{SimClock, SimVfs};
 use littletable::{ColumnDef, ColumnType, Db, Options, Query, Schema, Value};
@@ -26,8 +26,6 @@ fn writers_readers_and_maintenance_race_safely() {
     let opts = Options {
         flush_size: 16 << 10, // frequent flushes
         merge_delay: 0,       // eager merging
-        background: true,
-        maintenance_interval_ms: 5,
         ..Options::small_for_tests()
     };
     let db = Db::open(
@@ -38,6 +36,18 @@ fn writers_readers_and_maintenance_race_safely() {
     .unwrap();
     let table = db.create_table("s", schema(), None).unwrap();
     let stop = Arc::new(AtomicBool::new(false));
+
+    // The engine runs no maintenance of its own: a pass every 5 ms here.
+    let maintainer = {
+        let db = db.clone();
+        let stop = stop.clone();
+        std::thread::spawn(move || {
+            while !stop.load(Ordering::Relaxed) {
+                std::thread::sleep(std::time::Duration::from_millis(5));
+                db.maintain().unwrap();
+            }
+        })
+    };
 
     let readers: Vec<_> = (0..2)
         .map(|_| {
@@ -96,7 +106,7 @@ fn writers_readers_and_maintenance_race_safely() {
     for h in readers {
         h.join().unwrap();
     }
-    db.shutdown();
+    maintainer.join().unwrap();
     table.flush_all().unwrap();
     while table.run_merge_once(db.now()).unwrap() {}
 
