@@ -16,7 +16,9 @@ const MINUTE: Micros = 60 * 1_000_000;
 const DAY: Micros = 24 * 3600 * 1_000_000;
 
 /// Bloom ablation: latest-for-prefix over a many-tablet table, with and
-/// without the per-tablet Bloom filters.
+/// without the per-tablet Bloom filters. Panics when the filters save less
+/// than three quarters of the seeks: a false-positive rate grown large
+/// enough to undo them fails the run.
 pub fn run_bloom(quick: bool) -> FigureResult {
     let tablets = if quick { 16 } else { 64 };
     let total = if quick { 8 << 20 } else { 32 << 20 };
@@ -62,6 +64,10 @@ pub fn run_bloom(quick: bool) -> FigureResult {
         "with blooms {:.1} ms / {:.0} seeks per lookup; without {:.1} ms / {:.0} seeks",
         points[0].1, points[0].2, points[1].1, points[1].2
     ));
+    assert!(
+        points[0].2 <= points[1].2 / 4.0,
+        "Bloom filters no longer skip the tablets they should"
+    );
     fig
 }
 

@@ -10,9 +10,15 @@
 //! Because prefix queries need to test *prefixes* and not only full keys,
 //! the filter stores one entry per key prefix at each component boundary
 //! (the engine feeds it every boundary — key components self-delimit).
+//! It is sized by the distinct prefixes it holds, so on a
+//! `(network, device, ts)` key, where the first two prefixes repeat from
+//! row to row, it costs about 10 bits per row, not 30.
 
-use crate::error::Result;
+use crate::error::{Error, Result};
 use crate::util::{mix64, put_varint, Reader};
+
+/// Most hash probes per element a filter may use.
+const MAX_K: u32 = 16;
 
 /// A classic Bloom filter with double hashing.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -27,10 +33,6 @@ pub struct BloomFilter {
 #[derive(Debug, Default)]
 pub struct BloomBuilder {
     hashes: Vec<u64>,
-    /// Elements added again after their hash was already collected: they
-    /// count towards the filter's size (it is sized per element added)
-    /// but set no bit the first copy does not.
-    repeats: u64,
 }
 
 impl BloomBuilder {
@@ -39,37 +41,23 @@ impl BloomBuilder {
         Self::default()
     }
 
-    /// Adds a pre-hashed element (see [`crate::util::hash_bytes`]).
+    /// Adds a pre-hashed element (see [`crate::util::hash_bytes`]). The
+    /// caller adds each element once: every hash added buys the filter
+    /// `bits_per_key` more bits.
     pub fn add_hash(&mut self, h: u64) {
         self.hashes.push(h);
     }
 
-    /// Counts `n` more elements whose hashes were each added before — by
-    /// [`BloomBuilder::add_hash`] — without storing them again. The built
-    /// filter is the one `n` further `add_hash` calls would have given.
-    pub fn add_repeats(&mut self, n: usize) {
-        self.repeats += n as u64;
-    }
-
-    /// Number of elements added so far, repeats included.
-    pub fn len(&self) -> usize {
-        self.hashes.len() + self.repeats as usize
-    }
-
-    /// True when nothing has been added.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Finalizes into a filter using `bits_per_key` bits per element
-    /// (the paper suggests 10, giving ~1% false positives).
+    /// Finalizes into a filter of `bits_per_key` bits per hash added,
+    /// rounded up to whole 64-bit words (the paper suggests 10, giving ~1%
+    /// false positives).
     pub fn build(self, bits_per_key: u32) -> BloomFilter {
-        let n = self.len().max(1) as u64;
+        let n = self.hashes.len().max(1) as u64;
         let num_bits = (n * bits_per_key as u64).max(64);
         let words = num_bits.div_ceil(64);
         let num_bits = words * 64;
         // k = bits_per_key * ln 2 ≈ 0.69 * bits_per_key, clamped sanely.
-        let k = ((bits_per_key as f64 * 0.69).round() as u32).clamp(1, 16);
+        let k = ((bits_per_key as f64 * 0.69).round() as u32).clamp(1, MAX_K);
         let mut f = BloomFilter {
             bits: vec![0; words as usize],
             num_bits,
@@ -122,18 +110,27 @@ impl BloomFilter {
         }
     }
 
-    /// Decodes a filter written by [`BloomFilter::encode`].
+    /// Decodes a filter written by [`BloomFilter::encode`]. The size is
+    /// the word count's, whatever size a later writer would pick. A
+    /// filter no writer could produce — no words, a `k` outside
+    /// `1..=16`, more words than bytes left — is corruption.
     pub fn decode(r: &mut Reader<'_>) -> Result<BloomFilter> {
-        let k = r.varint()? as u32;
-        let words = r.varint()? as usize;
-        let mut bits = Vec::with_capacity(words);
+        let k = r.varint()?;
+        if !(1..=MAX_K as u64).contains(&k) {
+            return Err(Error::corrupt(format!("bloom filter k {k}")));
+        }
+        let words = r.varint()?;
+        if words == 0 || words > (r.remaining() / 8) as u64 {
+            return Err(Error::corrupt(format!("bloom filter of {words} words")));
+        }
+        let mut bits = Vec::with_capacity(words as usize);
         for _ in 0..words {
             bits.push(r.u64()?);
         }
         Ok(BloomFilter {
             num_bits: bits.len() as u64 * 64,
             bits,
-            k,
+            k: k as u32,
         })
     }
 }
@@ -193,20 +190,61 @@ mod tests {
         assert_eq!(f, back);
     }
 
+    /// `k`, the word count, then the words.
+    fn crafted(k: u64, words: u64, word_bytes: usize) -> Vec<u8> {
+        let mut buf = Vec::new();
+        put_varint(&mut buf, k);
+        put_varint(&mut buf, words);
+        buf.resize(buf.len() + word_bytes, 0xA5);
+        buf
+    }
+
     #[test]
-    fn repeats_build_the_filter_that_adding_again_would() {
-        let mut again = BloomBuilder::new();
-        let mut counted = BloomBuilder::new();
-        for i in 0..500u64 {
-            again.add_hash(mix64(i / 7));
-            if i % 7 == 0 {
-                counted.add_hash(mix64(i / 7));
-            } else {
-                counted.add_repeats(1);
-            }
+    fn decode_refuses_filters_no_writer_produces() {
+        let corrupt = |buf: &[u8]| {
+            let got = BloomFilter::decode(&mut Reader::new(buf));
+            assert!(matches!(got, Err(Error::Corrupt(_))), "{got:?}");
+        };
+        // No words: every probe would take a position modulo zero.
+        corrupt(&crafted(7, 0, 0));
+        // k = 0 answers "maybe" to everything; a huge k (or one that
+        // truncates to a small one) probes for ever.
+        for k in [0, 17, u32::MAX as u64 + 7, u64::MAX] {
+            corrupt(&crafted(k, 1, 8));
         }
-        assert_eq!(again.len(), counted.len());
-        assert_eq!(again.build(10), counted.build(10));
+        // More words than bytes: refused before anything is reserved.
+        corrupt(&crafted(7, u64::MAX, 8));
+        corrupt(&crafted(7, 2, 15));
+        // The edges still decode.
+        for k in [1, 16] {
+            let f = BloomFilter::decode(&mut Reader::new(&crafted(k, 2, 16))).unwrap();
+            assert_eq!((f.k, f.byte_size()), (k as u32, 16));
+        }
+    }
+
+    #[test]
+    fn truncated_or_flipped_filters_decode_or_fail_without_panicking() {
+        let mut b = BloomBuilder::new();
+        for i in 0..40u64 {
+            b.add_hash(mix64(i));
+        }
+        let mut buf = Vec::new();
+        b.build(10).encode(&mut buf);
+        let probe = |bytes: &[u8]| {
+            if let Ok(f) = BloomFilter::decode(&mut Reader::new(bytes)) {
+                for i in 0..64u64 {
+                    f.may_contain(mix64(i));
+                }
+            }
+        };
+        for len in 0..buf.len() {
+            assert!(BloomFilter::decode(&mut Reader::new(&buf[..len])).is_err());
+        }
+        for bit in 0..buf.len() * 8 {
+            let mut flipped = buf.clone();
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            probe(&flipped);
+        }
     }
 
     #[test]

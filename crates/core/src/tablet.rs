@@ -277,12 +277,14 @@ impl TabletFooter {
     }
 }
 
-/// Collects the Bloom filter's elements — the hash of every prefix of
-/// every key, at component boundaries — in one streaming FNV-1a pass per
-/// key. It remembers where the previous key's components ended and the
-/// hash state there, so a key hashes only from its first component that
-/// differs from the previous key's: the prefixes before it are the
-/// previous key's own and are counted, not hashed or stored again.
+/// Collects the Bloom filter's elements — the hash of every distinct
+/// prefix of the keys, at component boundaries — in one streaming FNV-1a
+/// pass per key. It remembers where the previous key's components ended
+/// and the hash state there, so a key hashes only from its first
+/// component that differs from the previous key's: the prefixes before
+/// it are the previous key's own, already in the filter. Keys arrive
+/// sorted, so the rows sharing a prefix are adjacent and each distinct
+/// prefix is added exactly once.
 struct PrefixBloom {
     builder: BloomBuilder,
     key_types: Vec<ColumnType>,
@@ -308,7 +310,6 @@ impl PrefixBloom {
         // A component that ends inside the shared bytes ends there in
         // both keys, on the same hash state.
         let same = self.ends.iter().take_while(|&&end| end <= shared).count();
-        self.builder.add_repeats(same);
         self.ends.truncate(same);
         self.states.truncate(same);
         let mut pos = self.ends.last().copied().unwrap_or(0);
@@ -916,7 +917,7 @@ impl std::fmt::Debug for TabletReader {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::keyenc::KeyRange;
+    use crate::keyenc::{encode_prefix, KeyRange};
     use crate::row::Row;
     use crate::schema::ColumnDef;
     use crate::value::{ColumnType, Value};
@@ -1101,14 +1102,13 @@ mod tests {
                 Value::Str(format!("val-{n}")),
             ])
         };
+        let keys: Vec<Vec<u8>> = ns
+            .iter()
+            .map(|&n| row_at(n).encode_key(&s).unwrap())
+            .collect();
         let mut want = BloomBuilder::new();
-        for &n in &ns {
-            let key = row_at(n).encode_key(&s).unwrap();
-            let mut end = 0;
-            for ty in s.key_types() {
-                end = component_end(&key, end, ty).unwrap();
-                want.add_hash(crate::util::hash_bytes(&key[..end]));
-            }
+        for prefix in distinct_prefixes(&s, &keys) {
+            want.add_hash(crate::util::hash_bytes(&prefix));
         }
         let mut want_bytes = Vec::new();
         want.build(10).encode(&mut want_bytes);
@@ -1134,6 +1134,88 @@ mod tests {
             r.footer().unwrap().bloom.as_ref().unwrap().encode(&mut got);
             assert!(got == want_bytes, "{path}: Bloom filter bytes moved");
         }
+    }
+
+    /// Every prefix of `keys` at a component boundary, each once.
+    fn distinct_prefixes(s: &Schema, keys: &[Vec<u8>]) -> std::collections::BTreeSet<Vec<u8>> {
+        let mut prefixes = std::collections::BTreeSet::new();
+        for key in keys {
+            let mut end = 0;
+            for ty in s.key_types() {
+                end = component_end(key, end, ty).unwrap();
+                prefixes.insert(key[..end].to_vec());
+            }
+        }
+        prefixes
+    }
+
+    #[test]
+    fn bloom_filter_costs_ten_bits_per_distinct_prefix() {
+        let vfs = SimVfs::instant();
+        let s = Schema::new(
+            vec![
+                ColumnDef::new("network", ColumnType::I64),
+                ColumnDef::new("device", ColumnType::I64),
+                ColumnDef::new("ts", ColumnType::Timestamp),
+                ColumnDef::new("bytes", ColumnType::I64),
+            ],
+            &["network", "device", "ts"],
+        )
+        .unwrap();
+        // 4 networks × 25 devices × 40 samples, at even timestamps.
+        let key_at = |net: i64, dev: i64, ts: i64| {
+            encode_prefix(
+                &[Value::I64(net), Value::I64(dev), Value::Timestamp(ts)],
+                &s.key_types(),
+            )
+            .unwrap()
+        };
+        let mut keys = Vec::new();
+        let mut b = BlockEncoder::new(&s);
+        for net in 0..4 {
+            for dev in 0..25 {
+                for t in 0..40 {
+                    let ts = 1000 + 2 * t;
+                    b.add(&Row::new(vec![
+                        Value::I64(net),
+                        Value::I64(dev),
+                        Value::Timestamp(ts),
+                        Value::I64(t),
+                    ]))
+                    .unwrap();
+                    keys.push(key_at(net, dev, ts));
+                }
+            }
+        }
+        let block = b.into_block(&s);
+        let mut w = TabletWriter::new(vfs.create("t.lt", 0).unwrap(), s.clone(), 4096, true);
+        w.add_run(&block, 0..block.len(), Micros::MIN).unwrap();
+        w.finish().unwrap();
+        let r = TabletReader::new(Arc::new(vfs), "t.lt".into());
+        let bloom = r.footer().unwrap().bloom.clone().unwrap();
+
+        let prefixes = distinct_prefixes(&s, &keys);
+        assert_eq!(prefixes.len(), 4 + 4 * 25 + 4000);
+        let bits = bloom.byte_size() as u64 * 8;
+        assert_eq!(bits, (10 * prefixes.len() as u64).div_ceil(64) * 64);
+        assert!(
+            bits < 11 * keys.len() as u64,
+            "{bits} bits for {} rows",
+            keys.len()
+        );
+        for p in &prefixes {
+            assert!(bloom.may_contain(crate::util::hash_bytes(p)));
+        }
+        // Absent full keys: odd timestamps of every device, then devices
+        // and networks that never wrote.
+        let absent = (0..10_000i64).map(|i| match i {
+            0..4000 => key_at(i / 1000, i / 40 % 25, 1001 + 2 * (i % 40)),
+            _ => key_at(i % 7, 25 + i % 13, 1000 + 2 * (i % 40)),
+        });
+        let passed = absent
+            .filter(|k| bloom.may_contain(crate::util::hash_bytes(k)))
+            .count();
+        assert!(passed <= 200, "{passed} of 10 000 absent keys passed");
     }
 
     #[test]

@@ -1,19 +1,32 @@
 //! The v3 tablet format is frozen: `fixtures/tablet_v3.bin` was written
 //! by the bit-at-a-time codec kernels and the bytewise CRC that predate
-//! the word-at-a-time ones, and every later writer must reproduce it
-//! byte for byte from the same rows — bit streams, codec choices, block
-//! boundaries, zone maps, Bloom bits, checksums and trailer alike.
+//! the word-at-a-time ones, and every later writer must reproduce its
+//! blocks byte for byte from the same rows — bit streams, codec choices,
+//! block boundaries and checksums — and its footer field for field, zone
+//! maps included.
+//!
+//! The one declared exception is the footer's Bloom filter. The fixture's
+//! was sized at 10 bits for every prefix of every row, repeats included
+//! (30 bits a row on this three-column key); writers now size it at 10
+//! bits per distinct prefix, so its bytes, and with them the compressed
+//! footer, its CRC and the trailer, moved. The new filter is held to a
+//! reference built from each distinct prefix once, and the fixture's own
+//! larger filter must still pass every prefix of every row.
 //!
 //! `fixtures/tablet_v2.bin` holds the same rows in the row layout (footer
 //! v2), written by the row writer just before it was deleted. Nothing can
 //! reproduce it any more; it must keep reading back as the same rows.
 
 use littletable_core::block::BlockEncoder;
+use littletable_core::bloom::BloomBuilder;
+use littletable_core::keyenc::component_end;
 use littletable_core::schema::{ColumnDef, Schema};
 use littletable_core::tablet::{TabletReader, TabletWriter};
+use littletable_core::util::hash_bytes;
 use littletable_core::value::{ColumnType, Value};
 use littletable_core::Row;
 use littletable_vfs::{Micros, SimVfs, Vfs};
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 const FIXTURE: &[u8] = include_bytes!("fixtures/tablet_v3.bin");
@@ -133,26 +146,71 @@ fn read_file(vfs: &SimVfs, path: &str) -> Vec<u8> {
     all
 }
 
+/// A reader over a tablet file holding `bytes`.
+fn reader_over(bytes: &[u8]) -> TabletReader {
+    let vfs = SimVfs::instant();
+    let mut w = vfs.create("tablet.lt", 0).unwrap();
+    w.append(bytes).unwrap();
+    drop(w);
+    TabletReader::new(Arc::new(vfs) as Arc<dyn Vfs>, "tablet.lt".into())
+}
+
+/// Every prefix of `rows()`' keys at a component boundary, each once.
+fn distinct_prefixes() -> BTreeSet<Vec<u8>> {
+    let s = schema();
+    let mut prefixes = BTreeSet::new();
+    for row in rows() {
+        let key = row.encode_key(&s).unwrap();
+        let mut end = 0;
+        for ty in s.key_types() {
+            end = component_end(&key, end, ty).unwrap();
+            prefixes.insert(key[..end].to_vec());
+        }
+    }
+    prefixes
+}
+
 #[test]
 fn writer_reproduces_the_checked_in_tablet_byte_for_byte() {
     let vfs = SimVfs::instant();
     let written = write_tablet(&vfs, "new.lt");
-    assert_eq!(written.len(), FIXTURE.len(), "tablet length moved");
-    if let Some(at) = written.iter().zip(FIXTURE).position(|(a, b)| a != b) {
-        panic!("tablet bytes differ from the fixture first at offset {at}");
+    let (got, want) = (reader_over(&written), reader_over(FIXTURE));
+    let (got, want) = (got.footer().unwrap(), want.footer().unwrap());
+
+    // The blocks, byte for byte.
+    let last = want.blocks.last().unwrap();
+    let footer_off = (last.offset + last.compressed_len as u64) as usize;
+    if let Some(at) = written[..footer_off]
+        .iter()
+        .zip(&FIXTURE[..footer_off])
+        .position(|(a, b)| a != b)
+    {
+        panic!("block bytes differ from the fixture first at offset {at}");
     }
+
+    // The footer, field for field, except the Bloom filter.
+    assert_eq!(got.schema, want.schema);
+    assert_eq!((got.min_ts, got.max_ts), (want.min_ts, want.max_ts));
+    assert_eq!(got.row_count, want.row_count);
+    assert_eq!(got.blocks, want.blocks);
+
+    // The filter: one 10-bit share per distinct prefix.
+    let mut reference = BloomBuilder::new();
+    for prefix in distinct_prefixes() {
+        reference.add_hash(hash_bytes(&prefix));
+    }
+    let (mut got_bloom, mut want_bloom) = (Vec::new(), Vec::new());
+    got.bloom.as_ref().unwrap().encode(&mut got_bloom);
+    reference.build(10).encode(&mut want_bloom);
+    assert!(got_bloom == want_bloom, "Bloom filter bytes moved");
 }
 
 /// Reads `fixture` back block by block and holds every row and every
 /// key — the block's arena keys and the index's stored last keys alike —
 /// to `rows()`. Returns the reader.
 fn reads_back_row_for_row(fixture: &[u8]) -> TabletReader {
-    let vfs = SimVfs::instant();
-    let mut w = vfs.create("fixture.lt", 0).unwrap();
-    w.append(fixture).unwrap();
-    drop(w);
     let s = schema();
-    let r = TabletReader::new(Arc::new(vfs) as Arc<dyn Vfs>, "fixture.lt".into());
+    let r = reader_over(fixture);
     let footer = r.footer().unwrap();
     assert_eq!(footer.schema, s);
     assert!(footer.bloom.is_some());
@@ -195,6 +253,14 @@ fn fixture_reads_back_row_for_row() {
     );
     for (bi, entry) in footer.blocks.iter().enumerate() {
         assert_eq!(r.read_block(bi).unwrap().len(), entry.rows as usize);
+    }
+    // A tablet written before filters were sized by distinct prefixes
+    // keeps answering from its own, larger filter: 30 bits a row here.
+    let bloom = footer.bloom.as_ref().unwrap();
+    let rows = footer.row_count;
+    assert_eq!(bloom.byte_size() as u64 * 8, (30 * rows).div_ceil(64) * 64);
+    for prefix in distinct_prefixes() {
+        assert!(bloom.may_contain(hash_bytes(&prefix)));
     }
 }
 

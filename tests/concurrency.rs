@@ -12,7 +12,7 @@ use littletable::{
     ColumnDef, ColumnType, Db, Error, Options, Query, Schema, Session, SqlOutput, Value,
 };
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::{mpsc, Arc, Barrier};
 use std::thread;
 
 const START: i64 = 1_700_000_000 * MICROS_PER_SEC;
@@ -227,12 +227,16 @@ fn overlapping_batches_land_each_key_once_and_snapshots_see_prefixes() {
         _ => panic!("unexpected row shape: {row:?}"),
     };
     let writers_done = AtomicBool::new(false);
+    // The writers start only once the reader holds its first snapshot, so
+    // however the threads are scheduled there is at least one to check.
+    let start = Barrier::new(3);
     let mut snapshots: Vec<Vec<(usize, i64)>> = Vec::new();
     let inserted: Vec<u64> = thread::scope(|s| {
         let writers: Vec<_> = (0..2i64)
             .map(|w| {
-                let table = table.clone();
+                let (table, start) = (table.clone(), &start);
                 s.spawn(move || {
+                    start.wait();
                     let mut keys: Vec<i64> = (0..KEYS).collect();
                     if w == 1 {
                         keys.reverse();
@@ -262,10 +266,14 @@ fn overlapping_batches_land_each_key_once_and_snapshots_see_prefixes() {
             }
         });
         let reader = s.spawn(|| {
-            let mut snapshots = Vec::new();
-            while !writers_done.load(Ordering::SeqCst) {
+            let snapshot = || {
                 let rows = table.query_all(&Query::all()).unwrap();
-                snapshots.push(rows.iter().map(landed).collect::<Vec<_>>());
+                rows.iter().map(landed).collect::<Vec<_>>()
+            };
+            let mut snapshots = vec![snapshot()];
+            start.wait();
+            while !writers_done.load(Ordering::SeqCst) {
+                snapshots.push(snapshot());
             }
             snapshots
         });
