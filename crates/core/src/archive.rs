@@ -21,7 +21,7 @@
 //! (see [`crate::table::Table::migrate_to_cold`]) live in S3-like storage
 //! that is durable and shared by design, so they are not re-replicated.
 
-use crate::descriptor::{TableDescriptor, DESC_FILE, DESC_TMP};
+use crate::descriptor::{TableDescriptor, DESC_FILE};
 use crate::error::Result;
 use littletable_vfs::{join, Vfs};
 
@@ -140,8 +140,8 @@ pub fn sync_once(src: &dyn Vfs, dst: &dyn Vfs) -> Result<SyncReport> {
         let mut names: Vec<&String> = entries.iter().filter(|n| *n != DESC_FILE).collect();
         names.extend(entries.iter().filter(|n| *n == DESC_FILE));
         for name in names {
-            if name == DESC_TMP {
-                continue; // in-flight temp files never replicate
+            if name.ends_with(".tmp") {
+                continue; // in-flight temp files (DESC, ROLLUP) never replicate
             }
             let path = join(table, name);
             let len = match src.file_size(&path) {
@@ -168,7 +168,7 @@ pub fn sync_once(src: &dyn Vfs, dst: &dyn Vfs) -> Result<SyncReport> {
                 Err(e) if e.kind() == std::io::ErrorKind::NotFound => !src.exists(&path),
                 Err(e) => return Err(e.into()),
             };
-            if name == DESC_TMP || vanished {
+            if name.ends_with(".tmp") || vanished {
                 let _ = dst.remove(&path);
                 report.files_removed += 1;
             }
@@ -343,6 +343,25 @@ mod tests {
         assert!(r1.files_copied > 0);
         let r2 = sync_once(&vfs, &spare).unwrap();
         assert!(r2.quiescent(), "{r2:?}");
+    }
+
+    #[test]
+    fn in_flight_temp_files_never_replicate() {
+        let (db, vfs, _clock) = primary();
+        let spare = SimVfs::instant();
+        db.create_table("t", schema(), None).unwrap();
+        // A descriptor and a rollup spec caught mid-save on the primary,
+        // and stale ones on the spare.
+        for store in [&vfs, &spare] {
+            store.mkdir_all("t").unwrap();
+            for tmp in ["t/DESC.tmp", "t/ROLLUP.tmp"] {
+                store.create(tmp, 0).unwrap().append(b"half").unwrap();
+            }
+        }
+        sync_once(&vfs, &spare).unwrap();
+        let mut names = spare.list_dir("t").unwrap();
+        names.sort();
+        assert_eq!(names, ["DESC"]);
     }
 
     #[test]

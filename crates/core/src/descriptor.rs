@@ -18,8 +18,62 @@ pub const DESC_FILE: &str = "DESC";
 /// File name of the in-flight temporary descriptor.
 pub const DESC_TMP: &str = "DESC.tmp";
 
-const DESC_MAGIC: u32 = 0x4C54_4445; // "LTDE"
 const DESC_VERSION: u8 = 2;
+
+/// The descriptor file: its name and magic number ("LTDE").
+const DESC: DurableFile = DurableFile(DESC_FILE, 0x4C54_4445);
+
+/// A small file a table directory replaces whole — the descriptor, a
+/// rollup spec — named `.0`. Its bytes frame a body: the magic number
+/// `.1`, the body's CRC32, the body. A save writes them to `<.0>.tmp`,
+/// syncs it, renames it over `.0` and syncs the directory, so a crash
+/// leaves the old file or the new one, and at worst a stale temporary.
+pub(crate) struct DurableFile(pub(crate) &'static str, pub(crate) u32);
+
+impl DurableFile {
+    /// `body`, framed.
+    pub(crate) fn frame(&self, body: &[u8]) -> Vec<u8> {
+        [&self.1.to_le_bytes()[..], &crc32(body).to_le_bytes(), body].concat()
+    }
+
+    /// The body `data` frames, checked against the magic number and CRC.
+    pub(crate) fn unframe<'a>(&self, data: &'a [u8]) -> Result<&'a [u8]> {
+        let mut r = Reader::new(data);
+        let (magic, crc) = (r.u32()?, r.u32()?);
+        let body = &data[8..];
+        if magic != self.1 || crc != crc32(body) {
+            return Err(Error::corrupt(format!("{}: bad magic or checksum", self.0)));
+        }
+        Ok(body)
+    }
+
+    /// Durably replaces the file in `dir` with `data`.
+    pub(crate) fn save(&self, vfs: &dyn Vfs, dir: &str, data: &[u8]) -> Result<()> {
+        let tmp = join(dir, &format!("{}.tmp", self.0));
+        let mut f = vfs.create(&tmp, data.len() as u64)?;
+        f.append(data)?;
+        f.sync()?;
+        drop(f);
+        vfs.rename(&tmp, &join(dir, self.0))?;
+        Ok(vfs.sync_dir(dir)?)
+    }
+
+    /// The file's bytes in `dir`. With `retire`, a stale temporary a
+    /// crash left is removed first; without, nothing is written.
+    pub(crate) fn read(&self, vfs: &dyn Vfs, dir: &str, retire: bool) -> Result<Vec<u8>> {
+        let tmp = join(dir, &format!("{}.tmp", self.0));
+        if retire && vfs.exists(&tmp) && vfs.remove(&tmp).is_ok() {
+            // Make the cleanup itself durable: without this, a second
+            // crash can resurrect the stale tmp file and every reopen
+            // repeats the removal without ever retiring it.
+            let _ = vfs.sync_dir(dir);
+        }
+        let f = vfs.open(&join(dir, self.0))?;
+        let mut data = vec![0u8; f.len()? as usize];
+        f.read_exact_at(0, &mut data)?;
+        Ok(data)
+    }
+}
 
 /// Descriptor-level metadata for one on-disk tablet.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -116,24 +170,11 @@ impl TableDescriptor {
             put_varint(&mut body, t.cold as u64);
             put_varint(&mut body, t.rolled_up as u64);
         }
-        let mut out = Vec::with_capacity(body.len() + 8);
-        out.extend_from_slice(&DESC_MAGIC.to_le_bytes());
-        out.extend_from_slice(&crc32(&body).to_le_bytes());
-        out.extend_from_slice(&body);
-        out
+        DESC.frame(&body)
     }
 
     fn decode(data: &[u8]) -> Result<TableDescriptor> {
-        let mut r = Reader::new(data);
-        if r.u32()? != DESC_MAGIC {
-            return Err(Error::corrupt("bad descriptor magic"));
-        }
-        let crc = r.u32()?;
-        let body = r.bytes(r.remaining())?;
-        if crc32(body) != crc {
-            return Err(Error::corrupt("descriptor checksum mismatch"));
-        }
-        let mut r = Reader::new(body);
+        let mut r = Reader::new(DESC.unframe(data)?);
         let ver = r.u8()?;
         if ver == 0 || ver > DESC_VERSION {
             return Err(Error::corrupt(format!("unknown descriptor version {ver}")));
@@ -175,33 +216,12 @@ impl TableDescriptor {
     /// Durably replaces the descriptor in `dir`: write `DESC.tmp`, sync,
     /// rename over `DESC`, sync the directory.
     pub fn save(&self, vfs: &dyn Vfs, dir: &str) -> Result<()> {
-        let tmp = join(dir, DESC_TMP);
-        let dst = join(dir, DESC_FILE);
-        let data = self.encode();
-        let mut f = vfs.create(&tmp, data.len() as u64)?;
-        f.append(&data)?;
-        f.sync()?;
-        drop(f);
-        vfs.rename(&tmp, &dst)?;
-        vfs.sync_dir(dir)?;
-        Ok(())
+        DESC.save(vfs, dir, &self.encode())
     }
 
     /// Loads the descriptor from `dir`, cleaning up a stale `DESC.tmp`.
     pub fn load(vfs: &dyn Vfs, dir: &str) -> Result<TableDescriptor> {
-        let tmp = join(dir, DESC_TMP);
-        if vfs.exists(&tmp) && vfs.remove(&tmp).is_ok() {
-            // Make the cleanup itself durable: without this, a second
-            // crash can resurrect the stale tmp file and every reopen
-            // repeats the removal without ever retiring it.
-            let _ = vfs.sync_dir(dir);
-        }
-        let path = join(dir, DESC_FILE);
-        let f = vfs.open(&path)?;
-        let len = f.len()? as usize;
-        let mut data = vec![0u8; len];
-        f.read_exact_at(0, &mut data)?;
-        Self::decode(&data)
+        Self::decode(&DESC.read(vfs, dir, true)?)
     }
 
     /// Reads and decodes the descriptor in `dir` without side effects:
@@ -210,12 +230,7 @@ impl TableDescriptor {
     /// (the archiver inspects the primary's descriptor while the primary
     /// may be mid-`save`).
     pub fn peek(vfs: &dyn Vfs, dir: &str) -> Result<TableDescriptor> {
-        let path = join(dir, DESC_FILE);
-        let f = vfs.open(&path)?;
-        let len = f.len()? as usize;
-        let mut data = vec![0u8; len];
-        f.read_exact_at(0, &mut data)?;
-        Self::decode(&data)
+        Self::decode(&DESC.read(vfs, dir, false)?)
     }
 
     /// The largest row timestamp recorded across all tablets, if any.
@@ -352,11 +367,7 @@ mod tests {
             put_varint(&mut body, t.schema_version as u64);
             put_varint(&mut body, t.cold as u64);
         }
-        let mut data = Vec::new();
-        data.extend_from_slice(&DESC_MAGIC.to_le_bytes());
-        data.extend_from_slice(&crc32(&body).to_le_bytes());
-        data.extend_from_slice(&body);
-        let back = TableDescriptor::decode(&data).unwrap();
+        let back = TableDescriptor::decode(&DESC.frame(&body)).unwrap();
         assert!(back.tablets.iter().all(|t| !t.rolled_up));
         assert_eq!(back.next_tablet_id, d.next_tablet_id);
         assert_eq!(back.tablets.len(), d.tablets.len());

@@ -24,7 +24,6 @@ pub mod cursor;
 pub mod db;
 pub mod descriptor;
 pub mod error;
-pub mod flushdeps;
 pub mod keyenc;
 pub mod memtable;
 pub mod mergepolicy;

@@ -18,8 +18,9 @@ use std::collections::hash_map::{HashMap, RandomState};
 use std::hash::{BuildHasher, BuildHasherDefault, Hasher};
 use std::sync::OnceLock;
 
-/// Engine-unique id for an in-memory tablet, used by the flush-dependency
-/// graph.
+/// Table-unique id for an in-memory tablet, allocated when the tablet is
+/// created. A tablet takes its first row as it is created, so id order is
+/// the order of first insert stamps; sealing visits due tablets in it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct MemTabletId(pub u64);
 
@@ -133,6 +134,12 @@ impl MemTablet {
     /// Largest row timestamp, or `None` when empty.
     pub fn max_ts(&self) -> Option<Micros> {
         (!self.is_empty()).then_some(self.max_ts)
+    }
+
+    /// The insert stamps of the first and the last row, or `None` when
+    /// empty.
+    pub(crate) fn stamps(&self) -> Option<(u64, u64)> {
+        Some((*self.seqs.first()?, *self.seqs.last()?))
     }
 
     fn key(&self, row: u32) -> &[u8] {

@@ -55,24 +55,26 @@ use crate::agg::{fold_block, scan_groups, AggFunc, AggSpec, AggState, GroupSpec,
 use crate::block::ColumnSlice;
 use crate::cursor::{RunCursor, Source, READ_RUN_BYTES};
 use crate::db::Db;
+use crate::descriptor::DurableFile;
 use crate::error::{Error, Result};
 use crate::keyenc::KeyRange;
 use crate::query::Query;
 use crate::schema::{ColumnDef, Schema};
 use crate::stats::TableStats;
 use crate::table::{ColumnPredicate, Selection, Table};
-use crate::util::{crc32, put_string, put_varint, Reader};
+use crate::util::{put_string, put_varint, Reader};
 use crate::value::{ColumnType, Value};
-use littletable_vfs::{join, Micros, Vfs};
+use littletable_vfs::{Micros, Vfs};
 use std::sync::Arc;
 
 /// File name of the rollup spec within a rollup table's directory. Its
 /// presence is what distinguishes a rollup table from a base table at
 /// `Db::open`.
 pub const SPEC_FILE: &str = "ROLLUP";
-const SPEC_TMP: &str = "ROLLUP.tmp";
-const SPEC_MAGIC: u32 = 0x4C54_524C; // "LTRL"
 const SPEC_VERSION: u8 = 1;
+
+/// The spec file: its name and magic number ("LTRL").
+const SPEC: DurableFile = DurableFile(SPEC_FILE, 0x4C54_524C);
 
 /// The durable definition of one rollup: which base table it folds,
 /// at what period, and which columns get sums/extrema and HLL sketches.
@@ -107,24 +109,11 @@ impl RollupSpec {
         for c in &self.distinct_cols {
             put_string(&mut body, c);
         }
-        let mut out = Vec::with_capacity(body.len() + 8);
-        out.extend_from_slice(&SPEC_MAGIC.to_le_bytes());
-        out.extend_from_slice(&crc32(&body).to_le_bytes());
-        out.extend_from_slice(&body);
-        out
+        SPEC.frame(&body)
     }
 
     fn decode(data: &[u8]) -> Result<RollupSpec> {
-        let mut r = Reader::new(data);
-        if r.u32()? != SPEC_MAGIC {
-            return Err(Error::corrupt("bad rollup spec magic"));
-        }
-        let crc = r.u32()?;
-        let body = r.bytes(r.remaining())?;
-        if crc32(body) != crc {
-            return Err(Error::corrupt("rollup spec checksum mismatch"));
-        }
-        let mut r = Reader::new(body);
+        let mut r = Reader::new(SPEC.unframe(data)?);
         let ver = r.u8()?;
         if ver != SPEC_VERSION {
             return Err(Error::corrupt(format!("unknown rollup spec version {ver}")));
@@ -156,30 +145,12 @@ impl RollupSpec {
 
     /// Durably writes the spec into the rollup table's directory.
     pub(crate) fn save(&self, vfs: &dyn Vfs, dir: &str) -> Result<()> {
-        let tmp = join(dir, SPEC_TMP);
-        let dst = join(dir, SPEC_FILE);
-        let data = self.encode();
-        let mut f = vfs.create(&tmp, data.len() as u64)?;
-        f.append(&data)?;
-        f.sync()?;
-        drop(f);
-        vfs.rename(&tmp, &dst)?;
-        vfs.sync_dir(dir)?;
-        Ok(())
+        SPEC.save(vfs, dir, &self.encode())
     }
 
     /// Loads a spec from a rollup table's directory.
     pub(crate) fn load(vfs: &dyn Vfs, dir: &str) -> Result<RollupSpec> {
-        let tmp = join(dir, SPEC_TMP);
-        if vfs.exists(&tmp) && vfs.remove(&tmp).is_ok() {
-            let _ = vfs.sync_dir(dir);
-        }
-        let path = join(dir, SPEC_FILE);
-        let f = vfs.open(&path)?;
-        let len = f.len()? as usize;
-        let mut data = vec![0u8; len];
-        f.read_exact_at(0, &mut data)?;
-        Self::decode(&data)
+        Self::decode(&SPEC.read(vfs, dir, true)?)
     }
 }
 
@@ -692,7 +663,7 @@ mod tests {
     use crate::options::Options;
     use crate::query::Query;
     use littletable_hll::HyperLogLog;
-    use littletable_vfs::{SimClock, SimVfs};
+    use littletable_vfs::{join, SimClock, SimVfs};
 
     const START: Micros = 1_700_000_000_000_000;
     const HOUR: Micros = 3_600_000_000;

@@ -227,10 +227,10 @@ impl Table {
         // Held to the commit: sealed groups commit strictly FIFO, and
         // `mark_dropped` waits here for the flush under way.
         let _flush = self.flush_lock.lock();
-        let (group_id, tablets) = {
+        let tablets = {
             let st = self.state.lock();
             match st.sealed.front() {
-                Some(group) if !st.dropped => (group.id, group.tablets.clone()),
+                Some(group) if !st.dropped => group.clone(),
                 _ => return Ok(false),
             }
         };
@@ -255,25 +255,32 @@ impl Table {
         TableStats::add(&self.stats.tablets_flushed, written.files.len() as u64);
         TableStats::add(&self.stats.bytes_flushed, bytes);
         // The group leaves memory in the same publish its tablets enter
-        // the disk set in: readers see either all-mem or all-disk.
+        // the disk set in: readers see either all-mem or all-disk. It is
+        // still the front one: only this function, under `flush_lock`,
+        // takes groups out.
         let committed = self.commit(written, |st| {
-            st.sealed.retain(|g| g.id != group_id);
+            st.sealed.pop_front();
             Ok(Some(Vec::new()))
         });
         or_if_dropped(committed.map(|_| true), false)
     }
 
     /// Seals the filling tablets `due` picks, each with the tablets that
-    /// must flush before it (its flush-dependency closure, which is what
-    /// preserves prefix durability). Returns how many it picked.
-    fn seal_where(&self, st: &mut TableState, due: impl Fn(&MemTablet) -> bool) -> usize {
+    /// must flush with it (see `seal_locked`, which is what preserves
+    /// prefix durability). Returns how many it picked.
+    pub(super) fn seal_where(
+        &self,
+        st: &mut TableState,
+        due: impl Fn(&MemTablet) -> bool,
+    ) -> usize {
         let picked = st.filling.values().filter(|t| due(&t.read()));
-        let ids: Vec<MemTabletId> = picked.map(|t| t.id()).collect();
+        let mut ids: Vec<MemTabletId> = picked.map(|t| t.id()).collect();
+        // In id order, not the map's: which tablets share a group — and so
+        // how many descriptor saves the flush takes — must not depend on
+        // the hasher.
+        ids.sort_unstable();
         for &id in &ids {
-            // The closure may have sealed it already with a sibling.
-            if st.filling.values().any(|t| t.id() == id) {
-                self.seal_locked(st, id);
-            }
+            self.seal_locked(st, id);
         }
         ids.len()
     }

@@ -25,6 +25,8 @@ mod tests;
 mod tests_ext;
 #[cfg(test)]
 mod tests_merge;
+#[cfg(test)]
+mod tests_seal;
 mod write;
 
 pub use colscan::{cmp_values, ColumnPredicate, PredOp, PushdownRequest, ScanUnit, Selection};
@@ -33,8 +35,8 @@ pub use read::QueryCursor;
 use crate::cache::{BlockCache, CacheHandle};
 use crate::descriptor::{parse_tablet_file_name, TableDescriptor, TabletMeta, DESC_FILE, DESC_TMP};
 use crate::error::{Error, Result};
-use crate::flushdeps::FlushDeps;
 use crate::options::Options;
+use crate::rollup::SPEC_FILE;
 use crate::schema::{Schema, SchemaRef};
 use crate::stats::TableStats;
 use crate::tablet::TabletReader;
@@ -43,7 +45,7 @@ use parking_lot::{Mutex, RwLock};
 use state::{DiskHandle, TableState, TabletSnapshot};
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, PoisonError};
 
 /// Suffix appended to a tablet file set aside by quarantine at open.
 pub const QUARANTINE_SUFFIX: &str = ".quarantine";
@@ -102,6 +104,9 @@ pub struct Table {
     cache: Option<Arc<BlockCache>>,
     stats: Arc<TableStats>,
     state: Mutex<TableState>,
+    /// Notified, with the state mutex, when the maintenance slot is
+    /// released (see `mark_dropped`).
+    slot_freed: Condvar,
     /// The published read view; rebuilt and swapped (under the state
     /// mutex) at every tablet-set or schema transition.
     snapshot: RwLock<Arc<TabletSnapshot>>,
@@ -140,6 +145,7 @@ pub(crate) struct MergeSlot<'a>(&'a Table);
 impl Drop for MergeSlot<'_> {
     fn drop(&mut self) {
         self.0.state.lock().merge_running = false;
+        self.0.slot_freed.notify_all();
     }
 }
 
@@ -157,43 +163,13 @@ impl Table {
         ttl: Option<Micros>,
     ) -> Result<Arc<Table>> {
         vfs.mkdir_all(&dir)?;
-        let desc = TableDescriptor::new(schema.clone(), ttl);
+        let desc = TableDescriptor::new(schema, ttl);
         desc.save(vfs.as_ref(), &dir)?;
         vfs.sync_dir(crate::db::root_of(&dir))?;
-        let state = TableState {
-            schema: Arc::new(schema),
-            ttl,
-            next_tablet_id: desc.next_tablet_id,
-            next_mem_id: 1,
-            next_group_id: 1,
-            filling: HashMap::new(),
-            last_insert: None,
-            deps: FlushDeps::new(),
-            sealed: VecDeque::new(),
-            disk: Vec::new(),
-            max_ts: Micros::MIN,
-            merge_running: false,
-            dropped: false,
-        };
-        let snapshot = RwLock::new(Arc::new(state.build_snapshot()));
-        Ok(Arc::new(Table {
-            name,
-            dir,
-            vfs,
-            cold_vfs,
-            clock,
-            opts,
-            cache,
-            stats: Arc::new(TableStats::default()),
-            state: Mutex::new(state),
-            snapshot,
-            insert_seq: AtomicU64::new(0),
-            insert_lock: Mutex::new(()),
-            flush_lock: Mutex::new(()),
-            desc_dirty: AtomicBool::new(false),
-            generation: NEXT_GENERATION.fetch_add(1, Ordering::Relaxed),
-            rollup_source: AtomicBool::new(false),
-        }))
+        let (stats, disk) = (Arc::default(), Vec::new());
+        Ok(Table::assemble(
+            vfs, cold_vfs, clock, opts, cache, stats, name, dir, desc, disk,
+        ))
     }
 
     #[allow(clippy::too_many_arguments)] // crate-internal constructor
@@ -208,24 +184,30 @@ impl Table {
     ) -> Result<Arc<Table>> {
         let mut desc = TableDescriptor::load(vfs.as_ref(), &dir)?;
         desc.sort_tablets();
-        // Delete orphan tablet files left by a crash mid-flush or
-        // mid-merge: they were never committed to the descriptor.
-        // Quarantined files are evidence, not orphans — leave them, as
-        // well as the rollup spec that marks this table as derived.
-        for entry in vfs.list_dir(&dir)? {
-            if entry == DESC_FILE
-                || entry == DESC_TMP
-                || entry == crate::rollup::SPEC_FILE
-                || entry.ends_with(QUARANTINE_SUFFIX)
-            {
-                continue;
-            }
-            match parse_tablet_file_name(&entry) {
-                Some(id) if desc.tablets.iter().any(|t| t.id == id) => {}
-                _ => {
-                    let _ = vfs.remove(&join(&dir, &entry));
+        // Delete the orphan tablet files a crash mid-flush, mid-merge or
+        // mid-migration left in either store: those the descriptor does not
+        // place there, never committed or committed away. Quarantined files
+        // are evidence, not orphans; the descriptor and the rollup spec that
+        // marks this table as derived are not tablets.
+        let sweep = |store: &dyn Vfs, entries: Vec<String>, cold: bool| {
+            for entry in entries {
+                let kept = match parse_tablet_file_name(&entry) {
+                    Some(id) => desc.tablets.iter().any(|t| t.id == id && t.cold == cold),
+                    None => {
+                        [DESC_FILE, DESC_TMP, SPEC_FILE].contains(&entry.as_str())
+                            || entry.ends_with(QUARANTINE_SUFFIX)
+                    }
+                };
+                if !kept {
+                    let _ = store.remove(&join(&dir, &entry));
                 }
             }
+        };
+        sweep(vfs.as_ref(), vfs.list_dir(&dir)?, false);
+        if let Some(cold) = &cold_vfs {
+            // Best-effort: a cold store that never held this table has no
+            // directory, and an orphan left is reaped at the next open.
+            sweep(cold.as_ref(), cold.list_dir(&dir).unwrap_or_default(), true);
         }
         let stats = Arc::new(TableStats::default());
         // Validate every referenced tablet's footer eagerly. A tablet that
@@ -279,35 +261,46 @@ impl Table {
             // Drop the quarantined tablets from the durable descriptor so
             // the next open doesn't re-report them. Best-effort: a failure
             // here just defers the rewrite to the next descriptor save.
-            let kept: std::collections::HashSet<u64> = disk.iter().map(|h| h.meta.id).collect();
-            let mut clean = TableDescriptor::new(desc.schema.clone(), desc.ttl);
-            clean.next_tablet_id = desc.next_tablet_id;
-            clean.tablets = desc
+            let mut clean = desc.clone();
+            clean
                 .tablets
-                .iter()
-                .filter(|t| kept.contains(&t.id))
-                .cloned()
-                .collect();
+                .retain(|t| disk.iter().any(|h| h.meta.id == t.id));
             let _ = clean.save(vfs.as_ref(), &dir);
         }
-        let max_ts = desc.max_ts().unwrap_or(Micros::MIN);
+        Ok(Table::assemble(
+            vfs, cold_vfs, clock, opts, cache, stats, name, dir, desc, disk,
+        ))
+    }
+
+    /// The one constructor behind `create` and `open`: the table `desc`
+    /// describes, with `disk` its validated on-disk tablets.
+    #[allow(clippy::too_many_arguments)]
+    fn assemble(
+        vfs: Arc<dyn Vfs>,
+        cold_vfs: Option<Arc<dyn Vfs>>,
+        clock: Arc<dyn Clock>,
+        opts: Arc<Options>,
+        cache: Option<Arc<BlockCache>>,
+        stats: Arc<TableStats>,
+        name: String,
+        dir: String,
+        desc: TableDescriptor,
+        disk: Vec<DiskHandle>,
+    ) -> Arc<Table> {
         let state = TableState {
+            max_ts: desc.max_ts().unwrap_or(Micros::MIN),
             schema: Arc::new(desc.schema),
             ttl: desc.ttl,
             next_tablet_id: desc.next_tablet_id,
             next_mem_id: 1,
-            next_group_id: 1,
             filling: HashMap::new(),
-            last_insert: None,
-            deps: FlushDeps::new(),
             sealed: VecDeque::new(),
             disk,
-            max_ts,
             merge_running: false,
             dropped: false,
         };
         let snapshot = RwLock::new(Arc::new(state.build_snapshot()));
-        Ok(Arc::new(Table {
+        Arc::new(Table {
             name,
             dir,
             vfs,
@@ -317,6 +310,7 @@ impl Table {
             cache,
             stats,
             state: Mutex::new(state),
+            slot_freed: Condvar::new(),
             snapshot,
             insert_seq: AtomicU64::new(0),
             insert_lock: Mutex::new(()),
@@ -324,7 +318,7 @@ impl Table {
             desc_dirty: AtomicBool::new(false),
             generation: NEXT_GENERATION.fetch_add(1, Ordering::Relaxed),
             rollup_source: AtomicBool::new(false),
-        }))
+        })
     }
 
     // ------------------------------------------------------ snapshot plumbing
@@ -518,6 +512,14 @@ impl Table {
             let mut st = self.state.lock();
             st.dropped = true;
             self.publish_locked(&st);
+            // Wait out the maintenance slot's holder too. A rewrite in
+            // flight has an id of this incarnation and maybe its file; once
+            // `drop_table` deletes the directory, a recreated table can
+            // write a tablet of that id, and the refused rewrite's cleanup
+            // would unlink it. `merge_slot` refuses a dropped table, so no
+            // new holder starts.
+            let freed = self.slot_freed.wait_while(st, |st| st.merge_running);
+            drop(freed.unwrap_or_else(PoisonError::into_inner));
         }
         // Drain any in-flight flush before returning: its commit step
         // re-checks `dropped` under the state lock, so once we can take

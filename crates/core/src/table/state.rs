@@ -3,7 +3,6 @@
 //! immutable [`TabletSnapshot`] published to the read path.
 
 use crate::descriptor::TabletMeta;
-use crate::flushdeps::FlushDeps;
 use crate::memtable::{MemTablet, MemTabletId};
 use crate::period::Period;
 use crate::schema::SchemaRef;
@@ -53,27 +52,19 @@ impl SharedMemTablet {
     }
 }
 
-/// A set of sealed tablets that must flush together (one flush
-/// dependency closure, §3.4.3).
-pub(crate) struct SealedGroup {
-    pub(crate) id: u64,
-    pub(crate) tablets: Vec<Arc<SharedMemTablet>>,
-}
-
 /// The mutable half of a table, guarded by `Table::state`. Everything a
 /// reader needs is mirrored into a [`TabletSnapshot`] at each
-/// transition; the remainder (id counters, flush dependencies, the
-/// filling-vs-sealed distinction) is writer-side only.
+/// transition; the remainder (id counters, the filling-vs-sealed
+/// distinction) is writer-side only.
 pub(crate) struct TableState {
     pub(crate) schema: SchemaRef,
     pub(crate) ttl: Option<Micros>,
     pub(crate) next_tablet_id: u64,
     pub(crate) next_mem_id: u64,
-    pub(crate) next_group_id: u64,
     pub(crate) filling: HashMap<Period, Arc<SharedMemTablet>>,
-    pub(crate) last_insert: Option<MemTabletId>,
-    pub(crate) deps: FlushDeps,
-    pub(crate) sealed: VecDeque<SealedGroup>,
+    /// Sealed tablets in the groups they flush in, oldest first: each
+    /// group commits in one descriptor update (§3.4.3).
+    pub(crate) sealed: VecDeque<Vec<Arc<SharedMemTablet>>>,
     pub(crate) disk: Vec<DiskHandle>,
     /// Largest row timestamp present (durable or in memory), for the
     /// newest-timestamp uniqueness fast path.
@@ -103,8 +94,7 @@ impl TableState {
 
     /// Every in-memory tablet, filling or sealed.
     pub(crate) fn mem_tablets(&self) -> impl Iterator<Item = &Arc<SharedMemTablet>> {
-        let sealed = self.sealed.iter().flat_map(|g| g.tablets.iter());
-        self.filling.values().chain(sealed)
+        self.filling.values().chain(self.sealed.iter().flatten())
     }
 
     /// True when any in-memory tablet (filling or sealed) holds `key`,
@@ -131,7 +121,7 @@ impl TableState {
     }
 
     pub(crate) fn sealed_tablet_count(&self) -> usize {
-        self.sealed.iter().map(|g| g.tablets.len()).sum()
+        self.sealed.iter().map(Vec::len).sum()
     }
 
     /// Builds the immutable view published to readers: the current

@@ -6,10 +6,10 @@ use crate::schema::ColumnDef;
 use crate::value::{ColumnType, Value};
 use littletable_vfs::{SimClock, SimVfs, MICROS_PER_SEC};
 
-const SEC: Micros = MICROS_PER_SEC;
-const START: Micros = 1_700_000_000 * MICROS_PER_SEC;
+pub(super) const SEC: Micros = MICROS_PER_SEC;
+pub(super) const START: Micros = 1_700_000_000 * MICROS_PER_SEC;
 
-fn usage_schema() -> Schema {
+pub(super) fn usage_schema() -> Schema {
     Schema::new(
         vec![
             ColumnDef::new("network", ColumnType::I64),
@@ -22,7 +22,7 @@ fn usage_schema() -> Schema {
     .unwrap()
 }
 
-fn test_db(opts: Options) -> (Db, SimVfs, SimClock) {
+pub(super) fn test_db(opts: Options) -> (Db, SimVfs, SimClock) {
     let clock = SimClock::new(START);
     let vfs = SimVfs::instant();
     // Share the clock between the engine and the test driver.
@@ -30,7 +30,7 @@ fn test_db(opts: Options) -> (Db, SimVfs, SimClock) {
     (db, vfs, clock)
 }
 
-fn usage_row(net: i64, dev: i64, ts: Micros, bytes: i64) -> Vec<Value> {
+pub(super) fn usage_row(net: i64, dev: i64, ts: Micros, bytes: i64) -> Vec<Value> {
     vec![
         Value::I64(net),
         Value::I64(dev),
@@ -497,6 +497,134 @@ fn db_table_lifecycle() {
     )
     .unwrap();
     assert_eq!(db2.list_tables(), vec!["a".to_string(), "b".to_string()]);
+}
+
+/// A `SimVfs` whose next `create` of one path, armed by the test, pauses
+/// with the file created: it says so on the first channel and waits for
+/// the second.
+struct PausingVfs {
+    inner: SimVfs,
+    pause: Mutex<Option<PausedCreate>>,
+}
+
+type PausedCreate = (
+    String,
+    std::sync::mpsc::Sender<()>,
+    std::sync::mpsc::Receiver<()>,
+);
+
+impl Vfs for PausingVfs {
+    fn open(&self, path: &str) -> std::io::Result<Box<dyn littletable_vfs::RandomAccessFile>> {
+        self.inner.open(path)
+    }
+    fn create(
+        &self,
+        path: &str,
+        hint: u64,
+    ) -> std::io::Result<Box<dyn littletable_vfs::WritableFile>> {
+        let file = self.inner.create(path, hint)?;
+        let armed = self.pause.lock().take_if(|(p, ..)| p == path);
+        if let Some((_, paused, release)) = armed {
+            paused.send(()).unwrap();
+            release.recv().unwrap();
+        }
+        Ok(file)
+    }
+    fn rename(&self, from: &str, to: &str) -> std::io::Result<()> {
+        self.inner.rename(from, to)
+    }
+    fn remove(&self, path: &str) -> std::io::Result<()> {
+        self.inner.remove(path)
+    }
+    fn exists(&self, path: &str) -> bool {
+        self.inner.exists(path)
+    }
+    fn mkdir_all(&self, path: &str) -> std::io::Result<()> {
+        self.inner.mkdir_all(path)
+    }
+    fn list_dir(&self, path: &str) -> std::io::Result<Vec<String>> {
+        self.inner.list_dir(path)
+    }
+    fn sync_dir(&self, path: &str) -> std::io::Result<()> {
+        self.inner.sync_dir(path)
+    }
+    fn file_size(&self, path: &str) -> std::io::Result<u64> {
+        self.inner.file_size(path)
+    }
+}
+
+#[test]
+fn a_merge_in_flight_across_drop_and_recreate_spares_the_new_table() {
+    use std::sync::mpsc::channel;
+    use std::time::Duration;
+    let vfs = Arc::new(PausingVfs {
+        inner: SimVfs::instant(),
+        pause: Mutex::new(None),
+    });
+    let clock = SimClock::new(START);
+    let open = || {
+        Db::open(
+            vfs.clone(),
+            Arc::new(clock.clone()),
+            Options::small_for_tests(),
+        )
+    };
+    let db = open().unwrap();
+    let now = clock.now_micros();
+    let fill = move |t: &Table, net: i64, tablets: i64| {
+        for i in 0..tablets {
+            t.insert(vec![usage_row(net, i, now + i, i)]).unwrap();
+            t.flush_all().unwrap();
+        }
+    };
+    // Tablets 1 and 2, whose merge writes tablet 3: it pauses there.
+    let t = db.create_table("usage", usage_schema(), None).unwrap();
+    fill(&t, 1, 2);
+    let (paused, on_pause) = channel();
+    let (release, on_release) = channel();
+    *vfs.pause.lock() = Some((
+        format!("usage/{}", crate::descriptor::tablet_file_name(3)),
+        paused,
+        on_release,
+    ));
+    let merge = std::thread::spawn({
+        let t = t.clone();
+        move || t.run_merge_once(now)
+    });
+    on_pause.recv().unwrap();
+    // Meanwhile the table is dropped and recreated, and the new one
+    // flushes tablets up to the same id.
+    let (recreated, on_recreated) = channel();
+    let recreate = std::thread::spawn({
+        let db = db.clone();
+        move || {
+            db.drop_table("usage").unwrap();
+            let t = db.create_table("usage", usage_schema(), None).unwrap();
+            fill(&t, 2, 3);
+            recreated.send(()).unwrap();
+        }
+    });
+    // Once the old table is marked dropped the merge's commit is refused.
+    // The drop must then wait for the merge, so this times out; were it
+    // not to, the new tablet 3 is written by now.
+    while !t.state.lock().dropped {
+        std::thread::yield_now();
+    }
+    let _ = on_recreated.recv_timeout(Duration::from_millis(500));
+    release.send(()).unwrap();
+    let merged = merge.join().unwrap();
+    recreate.join().unwrap();
+    drop(db);
+    let rows = open()
+        .unwrap()
+        .table("usage")
+        .unwrap()
+        .query_all(&Query::all())
+        .unwrap();
+    let want: Vec<Vec<Value>> = (0..3).map(|i| usage_row(2, i, now + i, i)).collect();
+    assert_eq!(rows.into_iter().map(|r| r.values).collect::<Vec<_>>(), want);
+    // The merge found its table dropped, which is not an error.
+    assert!(matches!(merged, Ok(false)), "{merged:?}");
 }
 
 #[test]

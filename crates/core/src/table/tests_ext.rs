@@ -452,6 +452,69 @@ mod cold_store_tests {
         assert_eq!(hot_after.len(), listing_before.0.len() - 2);
     }
 
+    /// Crashes the operation `k` of a migration makes on the cold store
+    /// (`on_cold`) or the hot one, reboots both and reopens: every row
+    /// reads back, and each store holds exactly the tablets the descriptor
+    /// places in it. Returns false once the migration makes fewer than `k`
+    /// operations there.
+    fn crash_mid_migration(on_cold: bool, k: u64) -> bool {
+        use crate::descriptor::TableDescriptor;
+        use littletable_vfs::FaultPlan;
+        let (db, hot, cold, clock) = setup();
+        let t = db.create_table("t", schema(), None).unwrap();
+        fill(&t, START - 30 * DAY, 200);
+        fill(&t, START - 20 * DAY, 200);
+        fill(&t, START, 200); // stays hot
+        let rows = t.query_all(&Query::all()).unwrap();
+        let store = if on_cold { &cold } else { &hot };
+        store.set_fault_plan(FaultPlan::crash_at(store.op_count() + k));
+        let _ = t.migrate_to_cold(START - DAY);
+        let fired = store.faults_injected() > 0;
+        drop((t, db));
+        for store in [&hot, &cold] {
+            store.crash();
+            store.clear_fault_plan();
+        }
+        let db = Db::open_with_cold(
+            Arc::new(hot.clone()),
+            Some(Arc::new(cold.clone())),
+            Arc::new(clock.clone()),
+            Options::small_for_tests(),
+        )
+        .unwrap();
+        let at = format!(
+            "crash at op {k} on the {} store",
+            ["hot", "cold"][on_cold as usize]
+        );
+        assert_eq!(
+            db.table("t").unwrap().query_all(&Query::all()).unwrap(),
+            rows,
+            "{at}"
+        );
+        let desc = TableDescriptor::load(&hot, "t").unwrap();
+        for (store, cold) in [(&hot, false), (&cold, true)] {
+            let mut held: Vec<String> = store.list_dir("t").unwrap_or_default();
+            held.retain(|f| f.ends_with(".lt"));
+            held.sort();
+            let placed = desc.tablets.iter().filter(|m| m.cold == cold);
+            let mut placed: Vec<String> = placed.map(|m| m.file_name()).collect();
+            placed.sort();
+            assert_eq!(held, placed, "{at}: cold store {cold}");
+        }
+        fired
+    }
+
+    #[test]
+    fn a_crash_mid_migration_leaves_each_store_its_own_tablets() {
+        for on_cold in [true, false] {
+            let mut k = 0;
+            while crash_mid_migration(on_cold, k) {
+                k += 1;
+            }
+            assert!(k >= 8, "only {k} operations");
+        }
+    }
+
     #[test]
     fn migrate_without_cold_store_is_an_error() {
         let clock = SimClock::new(START);

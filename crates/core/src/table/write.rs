@@ -1,9 +1,9 @@
 //! The insert path: a batch validated whole, then applied under one hold
 //! of the state mutex, dropped only around the slow path's disk probe —
-//! uniqueness with the §3.4.4 fast paths, time-period binning,
-//! flush-dependency tracking and size-triggered sealing. Rows land under
-//! their memtablet's own write lock, taken once per run of rows bound for
-//! it, so reader snapshots of *other* tablets are never blocked.
+//! uniqueness with the §3.4.4 fast paths, time-period binning, insert
+//! stamps and size-triggered sealing. Rows land under their memtablet's
+//! own write lock, taken once per run of rows bound for it, so reader
+//! snapshots of *other* tablets are never blocked.
 
 use super::state::{DiskHandle, SharedMemTablet, TableState};
 use super::{InsertReport, Table};
@@ -235,19 +235,11 @@ impl Table {
                 report.duplicates += 1;
                 continue;
             }
-            let seq = *seq.get_or_insert_with(|| {
-                // Flush-ordering dependency (§3.4.3): the previously
-                // written tablet must flush before this one.
-                if let Some(last) = st.last_insert.filter(|&last| last != tablet.id()) {
-                    st.deps.add_edge(last, tablet.id());
-                }
-                st.last_insert = Some(tablet.id());
-                // Stamped inside the tablet's write lock: a reader that
-                // loads cutoff C and later read-locks this tablet finds
-                // every row stamped below C fully inserted. The run shares
-                // the stamp, so a reader sees all of it or none.
-                self.insert_seq.fetch_add(1, Ordering::SeqCst)
-            });
+            // Stamped inside the tablet's write lock: a reader that loads
+            // cutoff C and later read-locks this tablet finds every row
+            // stamped below C fully inserted. The run shares the stamp, so
+            // a reader sees all of it or none.
+            let seq = *seq.get_or_insert_with(|| self.insert_seq.fetch_add(1, Ordering::SeqCst));
             mem.append(key, hash, &batch.rows[i - 1], ts, seq)?;
             st.max_ts = st.max_ts.max(ts);
             report.inserted += 1;
@@ -287,34 +279,37 @@ impl Table {
         t
     }
 
-    /// Seals `target` together with its flush-dependency closure into one
-    /// atomic group. Sealing moves tablets between writer-side sets only
-    /// — the published snapshot's membership is unchanged, so no
-    /// republish happens here.
+    /// Seals `target`, if it is still filling, into one group with every
+    /// filling tablet whose first row was stamped before the group's last
+    /// row, in first-insert order. That is the flush-dependency closure of
+    /// §3.4.3: a tablet whose row precedes a row of the group must flush
+    /// no later than it, and one that takes only later rows need not. The
+    /// group commits in one descriptor update, so a crash keeps all of it
+    /// or none. Sealing moves tablets between writer-side sets only — the
+    /// published snapshot's membership is unchanged, so no republish
+    /// happens here.
     pub(super) fn seal_locked(&self, st: &mut TableState, target: MemTabletId) {
-        let mut group_ids = st.deps.closure_before(target);
-        group_ids.insert(target);
-        // Only tablets still filling can be sealed now; earlier members of
-        // the closure may already sit in earlier groups, which flush first
-        // anyway (FIFO).
-        group_ids.retain(|&id| st.filling.values().any(|t| t.id() == id));
-        if group_ids.is_empty() {
+        let mut filling: Vec<_> = st
+            .filling
+            .iter()
+            .map(|(&period, t)| {
+                // A tablet whose only append failed holds no row to order.
+                let (first, last) = t.read().stamps().unwrap_or((u64::MAX, 0));
+                (first, last, t.id(), period)
+            })
+            .collect();
+        filling.sort_unstable();
+        let Some(&(_, mut reach, ..)) = filling.iter().find(|f| f.2 == target) else {
             return;
+        };
+        let mut group = Vec::new();
+        for (first, last, id, period) in filling {
+            if id == target || first < reach {
+                reach = reach.max(last);
+                group.extend(st.filling.remove(&period));
+            }
         }
-        let mut tablets = Vec::with_capacity(group_ids.len());
-        for id in st.deps.order_group(&group_ids) {
-            let filling = st.filling.iter().find(|(_, t)| t.id() == id);
-            let period = *filling.expect("sealed tablet must be filling").0;
-            tablets.extend(st.filling.remove(&period));
-        }
-        st.deps.remove(&group_ids);
-        if st.last_insert.is_some_and(|l| group_ids.contains(&l)) {
-            st.last_insert = None;
-        }
-        let id = st.next_group_id;
-        st.next_group_id += 1;
-        st.sealed
-            .push_back(super::state::SealedGroup { id, tablets });
+        st.sealed.push_back(group);
     }
 
     /// Inline-flushes oldest groups while the sealed backlog exceeds the

@@ -5,10 +5,12 @@
 //!
 //! Random batches carry duplicates (within a batch, across batches and of
 //! flushed rows), timestamps out of order, rows of two time periods, and —
-//! with a tiny flush size — size seals in the middle of a batch; half the
-//! cases run the `uniqueness_fast_paths: false` ablation. Every batch's
-//! `InsertReport`, the table's rows and its `rows_inserted`,
-//! `duplicate_keys` and `unique_*` counters must be the model's. Three
+//! with a tiny flush size — size seals in the middle of a batch, which take
+//! along every filling tablet whose first row precedes the sealed group's
+//! last; half the cases run the `uniqueness_fast_paths: false` ablation.
+//! Every batch's `InsertReport`, the table's rows, its tablet count after a
+//! flush and its `rows_inserted`, `duplicate_keys` and `unique_*` counters
+//! must be the model's. Three
 //! fixed cases ride along: a flushed tablet is, byte for byte, the file of
 //! the same rows sorted and written one at a time; a batch alternating
 //! periods A, B, A seals both tablets in one group; a batch holding a bad
@@ -68,12 +70,14 @@ fn open(vfs: &SimVfs, opts: Options) -> (Db, Arc<Table>) {
     (db, t)
 }
 
-/// The keys of one tablet, filling, sealed or flushed, and what they cost
-/// the size trigger.
+/// The keys of one tablet, filling, sealed or flushed, what they cost the
+/// size trigger, and the insert stamps of its first and last row.
 #[derive(Default)]
 struct Tablet {
     keys: Vec<Vec<u8>>,
     bytes: usize,
+    first: u64,
+    last: u64,
 }
 
 /// What the model expects the counters to have added up to.
@@ -96,6 +100,8 @@ struct Model {
     /// Each flushed tablet's `(min_ts, max_ts, largest key)`.
     disk: Vec<(i64, i64, Vec<u8>)>,
     max_ts: i64,
+    /// Rows inserted so far: the next row's stamp.
+    stamp: u64,
     counts: Counts,
 }
 
@@ -135,12 +141,17 @@ impl Model {
             report.inserted += 1;
             self.max_ts = self.max_ts.max(ts);
             let period = period_for(ts, NOW);
-            let tablet = self.filling.entry(period).or_default();
+            let stamp = self.stamp;
+            self.stamp += 1;
+            let tablet = self.filling.entry(period).or_insert_with(|| Tablet {
+                first: stamp,
+                ..Tablet::default()
+            });
+            tablet.last = stamp;
             tablet.bytes += key.len() + 24 + values.iter().map(Value::mem_size).sum::<usize>();
             tablet.keys.push(key.clone());
             if tablet.bytes >= self.flush_size {
-                let full = self.filling.remove(&period).unwrap();
-                self.sealed.push(full);
+                self.seal(period);
                 fresh_above = self.max_ts;
             }
             self.in_memory.insert(key.clone());
@@ -149,6 +160,22 @@ impl Model {
         self.counts.inserted += report.inserted as u64;
         self.counts.duplicates += report.duplicates as u64;
         report
+    }
+
+    /// Seals `period`'s tablet with every filling tablet whose first row
+    /// was stamped before the group's last (§3.4.3's flush dependencies),
+    /// in first-insert order.
+    fn seal(&mut self, period: Period) {
+        let mut order: Vec<Period> = self.filling.keys().copied().collect();
+        order.sort_by_key(|p| self.filling[p].first);
+        let mut reach = self.filling[&period].last;
+        for p in order {
+            if p == period || self.filling[&p].first < reach {
+                let tablet = self.filling.remove(&p).unwrap();
+                reach = reach.max(tablet.last);
+                self.sealed.push(tablet);
+            }
+        }
     }
 
     fn flush_all(&mut self) {
@@ -208,12 +235,9 @@ proptest! {
             sealed: Vec::new(),
             disk: Vec::new(),
             max_ts: i64::MIN,
+            stamp: 0,
             counts: Counts::default(),
         };
-        // With two filling tablets, a size seal takes the tablets the
-        // flush dependencies tie to the full one along, which the model
-        // does not follow: there the paths rows take are not compared.
-        let paths_known = !(tiny && two_periods);
         for op in ops {
             match op {
                 Op::Insert(spec) => {
@@ -234,9 +258,7 @@ proptest! {
                 Op::FlushAll => {
                     t.flush_all().unwrap();
                     model.flush_all();
-                    if paths_known {
-                        prop_assert_eq!(t.num_disk_tablets(), model.disk.len());
-                    }
+                    prop_assert_eq!(t.num_disk_tablets(), model.disk.len());
                 }
             }
             let rows: Vec<Vec<Value>> = t
@@ -247,17 +269,13 @@ proptest! {
                 .collect();
             prop_assert_eq!(&rows, &model.rows.values().cloned().collect::<Vec<_>>());
             let s = t.stats().snapshot();
-            let mut got = Counts {
+            let got = Counts {
                 inserted: s.rows_inserted,
                 duplicates: s.duplicate_keys,
                 fast_ts: s.unique_fast_ts,
                 fast_key: s.unique_fast_key,
                 slow: s.unique_slow,
             };
-            if !paths_known {
-                (got.fast_ts, got.fast_key, got.slow) =
-                    (model.counts.fast_ts, model.counts.fast_key, model.counts.slow);
-            }
             prop_assert_eq!(got, model.counts);
         }
     }

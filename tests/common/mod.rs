@@ -482,6 +482,100 @@ pub fn verify_degraded_service(vfs: &SimVfs, clock: &SimClock, db: &Db, out: &Ou
     );
 }
 
+/// Rows the interleaved-period workload inserts.
+pub const INTERLEAVED_ROWS: u64 = 120;
+/// µs in a day.
+pub const DAY: i64 = 86_400 * 1_000_000;
+
+/// Row `i` of the interleaved-period workload: even rows fall in the
+/// current day, odd ones in a week a month back.
+pub fn interleaved_row(i: u64) -> Vec<Value> {
+    let month_back = (i % 2) as i64 * 30 * DAY;
+    vec![
+        Value::I64(i as i64),
+        Value::Timestamp(START - month_back + i as i64 * STEP),
+        Value::I64(i as i64 * 10),
+    ]
+}
+
+/// Opens (or reopens) the interleaved-period workload's database: the
+/// harness options with a flush size of a few rows.
+pub fn open_interleaved_db(vfs: &SimVfs, clock: &SimClock) -> littletable::Result<Db> {
+    let opts = Options {
+        flush_size: 400,
+        ..opts()
+    };
+    Db::open(Arc::new(vfs.clone()), Arc::new(clock.clone()), opts)
+}
+
+/// Runs the interleaved-period workload, stopping at the first error.
+/// Rows alternate between two periods, so two tablets fill at once and
+/// every seal — by size every few rows, by age in a maintenance pass
+/// (which merges too), by `flush_before` of the old week, by `flush_all` —
+/// takes both into one flush group.
+pub fn run_interleaved(db: &Db, clock: &SimClock) -> Outcome {
+    let mut out = Outcome::default();
+    let Ok(table) = db.create_table(TABLE, schema(), None) else {
+        return out;
+    };
+    out.created = true;
+    for i in 0..INTERLEAVED_ROWS {
+        if table.insert(vec![interleaved_row(i)]).is_err() {
+            return out;
+        }
+        out.acked += 1;
+        let step = match i % 40 {
+            13 => table.flush_before(START - 30 * DAY + i as i64 * STEP),
+            26 => {
+                clock.advance(opts().flush_age + 1);
+                db.maintain().map(drop)
+            }
+            39 => table.flush_all().map(|()| out.floor = out.acked),
+            _ => Ok(()),
+        };
+        if step.is_err() {
+            return out;
+        }
+    }
+    out
+}
+
+/// The interleaved workload's crash oracle: reboot, reopen, and check
+/// that the visible rows are exactly the first k rows in insertion order
+/// for some k at or above the last acked `flush_all` — whichever period
+/// each row fell in — and that the unrecovered tail re-sends cleanly.
+pub fn verify_interleaved_recovery(vfs: &SimVfs, clock: &SimClock, out: &Outcome) {
+    vfs.crash();
+    vfs.clear_fault_plan();
+    let db = open_interleaved_db(vfs, clock).expect("reopen after crash must succeed");
+    check_descriptor_consistency(vfs);
+    let Ok(table) = db.table(TABLE) else {
+        assert!(
+            !out.created,
+            "table acked to the client but lost in the crash"
+        );
+        return;
+    };
+    let k = visible_indices(&table).len() as u64;
+    assert_eq!(
+        visible_indices(&table),
+        (0..k).collect::<Vec<_>>(),
+        "recovered rows are not a prefix of the insertion order"
+    );
+    assert!(
+        (out.floor..=out.acked).contains(&k),
+        "recovered {k} rows; floor {}, acked {}",
+        out.floor,
+        out.acked
+    );
+    for i in k..out.acked {
+        let rep = table.insert(vec![interleaved_row(i)]).unwrap();
+        assert_eq!(rep.inserted, 1, "re-sent row {i} rejected");
+    }
+    table.flush_all().expect("post-recovery flush must succeed");
+    assert_eq!(visible_indices(&table), (0..out.acked).collect::<Vec<_>>());
+}
+
 /// Runs the workload once on a pristine store with no faults and returns
 /// the total number of VFS operations it performs — the sweep space.
 pub fn count_workload_ops() -> u64 {
@@ -491,5 +585,18 @@ pub fn count_workload_ops() -> u64 {
     let out = run_workload(&db, &clock, Mode::Stop);
     assert_eq!(out.acked, TOTAL_ROWS, "fault-free workload must complete");
     assert_eq!(out.floor, TOTAL_ROWS);
+    vfs.op_count()
+}
+
+/// As [`count_workload_ops`], for the interleaved-period workload.
+pub fn count_interleaved_ops() -> u64 {
+    let vfs = SimVfs::instant();
+    let clock = SimClock::new(START);
+    let db = open_interleaved_db(&vfs, &clock).unwrap();
+    let out = run_interleaved(&db, &clock);
+    assert_eq!(
+        out.floor, INTERLEAVED_ROWS,
+        "fault-free workload must complete"
+    );
     vfs.op_count()
 }

@@ -5,7 +5,9 @@
 //! recovery invariants (see `tests/common/mod.rs` for the oracle).
 //!
 //! Tier-1 runs a sampled stride across the op space; set `LT_FULL_SWEEP=1`
-//! to sweep every single operation. Alongside the sweeps live the
+//! to sweep every single operation. A second workload, whose rows
+//! alternate between two time periods, is crash-swept the same way: its
+//! flush groups hold two tablets. Alongside the sweeps live the
 //! graceful-degradation acceptance tests: transient `EIO` retried by
 //! background maintenance, `ENOSPC` during flush leaving reads serving,
 //! and seeded random fault fuzzing.
@@ -109,6 +111,42 @@ fn crash_point_sweep() {
     }
     assert!(
         points >= 120.min(n),
+        "crash sweep covered only {points} points"
+    );
+}
+
+/// Crash after global op `k` of the interleaved-period workload, whose
+/// flush groups hold a tablet of each period.
+fn interleaved_crash_point(k: u64) {
+    let vfs = SimVfs::instant();
+    let clock = SimClock::new(START);
+    vfs.set_fault_plan(FaultPlan::crash_at(k));
+    let out = match open_interleaved_db(&vfs, &clock) {
+        Ok(db) => run_interleaved(&db, &clock),
+        Err(_) => Outcome::default(),
+    };
+    assert!(vfs.faults_injected() > 0, "crash point {k} never fired");
+    verify_interleaved_recovery(&vfs, &clock, &out);
+}
+
+#[test]
+fn interleaved_crash_point_sweep() {
+    let n = count_interleaved_ops();
+    assert_eq!(
+        n,
+        count_interleaved_ops(),
+        "workload is not I/O-deterministic"
+    );
+    let stride = if full_sweep() { 1 } else { (n / 100).max(1) };
+    let mut points = 0u64;
+    let mut k = 0;
+    while k < n {
+        interleaved_crash_point(k);
+        points += 1;
+        k += stride;
+    }
+    assert!(
+        points >= 100.min(n),
         "crash sweep covered only {points} points"
     );
 }
