@@ -1,8 +1,9 @@
 //! Grouped aggregation: the one aggregate fold in the tree.
 //!
-//! Everything that aggregates — a SQL `SELECT` over a base table, the
-//! same `SELECT` served off a rollup table's partials, and the
-//! maintenance pass that writes those partials — runs [`fold_block`]
+//! Everything that aggregates — an [`Aggregate`] that
+//! [`crate::Db::aggregate`] answers from a base table, the same question
+//! served off a rollup table's partials, and the maintenance pass that
+//! writes those partials — runs [`fold_block`]
 //! over [`ScanUnit::Block`]s into a [`Groups`]. [`scan_groups`] hands
 //! [`Table::pushdown_scan`] the query box and the predicates, and the
 //! engine hands back units it has already filtered, so nothing here
@@ -40,9 +41,10 @@ use littletable_hll::HyperLogLog;
 use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::ops::Range;
+use std::sync::Arc;
 
 /// Supported aggregate functions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AggFunc {
     /// `COUNT`
     Count,
@@ -58,7 +60,7 @@ pub enum AggFunc {
 
 /// One resolved GROUP BY expression: a column, optionally rounded down
 /// to `bucket`-micro boundaries (TIME_BUCKET).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct GroupSpec {
     /// Column index in the scanned table's schema.
     pub col: usize,
@@ -67,7 +69,7 @@ pub struct GroupSpec {
 }
 
 /// One resolved aggregate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct AggSpec {
     /// Which aggregate.
     pub func: AggFunc,
@@ -77,12 +79,34 @@ pub struct AggSpec {
     pub distinct: bool,
 }
 
+/// A grouped aggregate over one table, as [`crate::Db::aggregate`] answers
+/// it: the rows inside `query`'s box that pass every predicate, grouped
+/// by `groups`, each group folded by `aggs`.
+#[derive(Debug, Clone)]
+pub struct Aggregate {
+    /// The bounding box. `descending` and `limit` are ignored.
+    pub query: Query,
+    /// Conjunctive per-row filters below the box.
+    pub predicates: Vec<ColumnPredicate>,
+    /// The GROUP BY expressions; none makes one group of every row.
+    pub groups: Vec<GroupSpec>,
+    /// The aggregates, in answer order.
+    pub aggs: Vec<AggSpec>,
+    /// At most this many groups are answered, the first in group order.
+    pub limit: Option<usize>,
+}
+
+/// An aggregate's answer: per group, its values then its finished
+/// aggregates, in the order of the encoded group values. Shared with the
+/// result cache.
+pub type AggRows = Arc<Vec<Vec<Value>>>;
+
 /// What the columns of one scanned table are to a query's groups and
 /// aggregate states. The states are the query's; two inputs over the
 /// same states (a rollup table's partials, then the base table's rows
 /// at the window's ragged ends) differ in their column indices only.
 #[derive(Debug, Clone, Copy)]
-pub struct Input<'a> {
+pub(crate) struct Input<'a> {
     /// The GROUP BY expressions, over the scanned table's columns.
     pub groups: &'a [GroupSpec],
     /// The aggregates, likewise, in state order.
@@ -94,7 +118,7 @@ pub struct Input<'a> {
 
 impl<'a> Input<'a> {
     /// The input of a table whose rows are the rows to aggregate.
-    pub fn rows(groups: &'a [GroupSpec], aggs: &'a [AggSpec]) -> Self {
+    pub(crate) fn rows(groups: &'a [GroupSpec], aggs: &'a [AggSpec]) -> Self {
         Input {
             groups,
             aggs,
@@ -107,7 +131,7 @@ impl<'a> Input<'a> {
 /// aggregate. Groups are found by the memcmp encoding of their values —
 /// a hash probe, since a scan asks once per run — and come out sorted by
 /// it, which is key-compatible order.
-pub struct Groups<'a> {
+pub(crate) struct Groups<'a> {
     /// Values per group.
     n_vals: usize,
     /// What a new group's states are made from.
@@ -122,7 +146,7 @@ pub struct Groups<'a> {
 
 impl<'a> Groups<'a> {
     /// No groups yet, for a query with `input`'s expressions.
-    pub fn new(input: &Input<'a>) -> Self {
+    pub(crate) fn new(input: &Input<'a>) -> Self {
         Groups {
             n_vals: input.groups.len(),
             aggs: input.aggs,
@@ -135,7 +159,7 @@ impl<'a> Groups<'a> {
     /// The aggregate states of the group whose values encode to `key`.
     /// A group not seen before is created with the values `vals` yields
     /// (one per GROUP BY expression, in order).
-    pub fn states<I: IntoIterator<Item = Value>>(
+    pub(crate) fn states<I: IntoIterator<Item = Value>>(
         &mut self,
         key: &[u8],
         vals: impl FnOnce() -> I,
@@ -157,7 +181,7 @@ impl<'a> Groups<'a> {
 
     /// Every group's values and states, in the order of the encoded
     /// values.
-    pub fn sorted(&self) -> impl Iterator<Item = (&[Value], &[AggState])> {
+    pub(crate) fn sorted(&self) -> impl Iterator<Item = (&[Value], &[AggState])> {
         let mut order: Vec<(&[u8], usize)> = self
             .index
             .iter()
@@ -177,7 +201,7 @@ impl<'a> Groups<'a> {
 /// Aggregates the rows of `t` inside `query` that pass `predicates`
 /// into `groups` via the engine's columnar pushdown: footer statistics
 /// where they suffice, typed column slices for every other block.
-pub fn scan_groups(
+pub(crate) fn scan_groups(
     t: &Table,
     query: Query,
     predicates: &[ColumnPredicate],

@@ -20,10 +20,11 @@
 //! merge, TTL expiry, rollup folds) runs when a caller asks for it:
 //! [`Db::maintain`] sweeps every table, [`Db::maintain_table`] one.
 
+use crate::agg::{scan_groups, AggRows, AggState, Aggregate, Groups, Input};
 use crate::cache::BlockCache;
 use crate::error::{Error, Result};
 use crate::options::Options;
-use crate::resultcache::ResultCache;
+use crate::resultcache::{ResultCache, ResultKey};
 use crate::rollup::{self, RollupSpec};
 use crate::schema::Schema;
 use crate::stats::{DbStats, DbStatsSnapshot, TableStats};
@@ -83,7 +84,7 @@ struct DbInner {
     /// `create_rollup` / `drop_rollup` / `drop_table`.
     rollups: RwLock<Vec<Arc<RollupSpec>>>,
     /// The query-result cache; `None` when its budget carve-out is 0.
-    result_cache: Option<Arc<ResultCache>>,
+    result_cache: Option<ResultCache>,
 }
 
 /// A LittleTable database handle. Cheap to clone; clones share state.
@@ -118,7 +119,7 @@ impl Db {
         });
         let result_cache = {
             let budget = opts.result_cache_budget();
-            (budget > 0).then(|| Arc::new(ResultCache::new(budget)))
+            (budget > 0).then(|| ResultCache::new(budget))
         };
         let mut tables = Catalog::new();
         for entry in vfs.list_dir("").unwrap_or_default() {
@@ -426,11 +427,54 @@ impl Db {
         self.inner.rollups.read().clone()
     }
 
-    /// The query-result cache, or `None` when the block cache is disabled
-    /// (its budget is [`Options::RESULT_CACHE_FRACTION`] of the block
-    /// cache's).
-    pub fn result_cache(&self) -> Option<&Arc<ResultCache>> {
-        self.inner.result_cache.as_ref()
+    /// Answers `q` over `t`: per group, its values then its finished
+    /// aggregates, in group order, at most `q.limit` groups. An ungrouped
+    /// aggregate is one group whether or not a row reached it, so over
+    /// empty input it answers COUNT 0.
+    ///
+    /// The answer comes from the first of these that has it: the result
+    /// cache; a rollup's partials and the base table's ragged window ends
+    /// ([`rollup::serve`]); the base table's columnar pushdown, footer
+    /// statistics where they suffice. An answer computed with no insert
+    /// landing meanwhile is cached.
+    pub fn aggregate(&self, t: &Table, q: &Aggregate) -> Result<AggRows> {
+        let cached = match &self.inner.result_cache {
+            Some(rc) => Some((rc, ResultKey::new(t, q, self.now())?)),
+            None => None,
+        };
+        if let Some((rc, key)) = &cached {
+            if let Some(hit) = rc.get(key) {
+                TableStats::add(&t.stats().result_cache_hits, 1);
+                return Ok(hit);
+            }
+            TableStats::add(&t.stats().result_cache_misses, 1);
+        }
+        let input = Input::rows(&q.groups, &q.aggs);
+        let mut groups = Groups::new(&input);
+        if !rollup::serve(self, t, &q.query, &q.predicates, &input, &mut groups)? {
+            scan_groups(t, q.query.clone(), &q.predicates, &input, &mut groups)?;
+        }
+        if q.groups.is_empty() {
+            groups.states(&[], Vec::new);
+        }
+        let rows: AggRows = Arc::new(
+            groups
+                .sorted()
+                .take(q.limit.unwrap_or(usize::MAX))
+                .map(|(vals, states)| {
+                    let finished = states.iter().map(AggState::finish);
+                    vals.iter().cloned().chain(finished).collect()
+                })
+                .collect(),
+        );
+        if let Some((rc, key)) = cached {
+            // Only an answer no insert raced claims the write position
+            // its key names.
+            if t.insert_seq() == key.insert_seq {
+                rc.put(key, rows.clone());
+            }
+        }
+        Ok(rows)
     }
 
     /// Resolves `base`'s rollup specs to `(spec, rollup table)` pairs.

@@ -187,7 +187,7 @@ impl TableDescriptor {
         };
         let next_tablet_id = r.varint()?;
         let n = r.varint()? as usize;
-        let mut tablets = Vec::with_capacity(n.min(1 << 20));
+        let mut tablets = Vec::with_capacity(n.min(r.remaining()).min(1 << 20));
         for _ in 0..n {
             tablets.push(TabletMeta {
                 id: r.varint()?,
@@ -196,7 +196,7 @@ impl TableDescriptor {
                 rows: r.varint()?,
                 bytes: r.varint()?,
                 written_at: unzigzag(r.varint()?),
-                schema_version: r.varint()? as u32,
+                schema_version: r.varint_u32("schema version")?,
                 cold: r.varint()? != 0,
                 // v1 descriptors predate rollups; nothing was folded.
                 rolled_up: ver >= 2 && r.varint()? != 0,
@@ -371,6 +371,52 @@ mod tests {
         assert!(back.tablets.iter().all(|t| !t.rolled_up));
         assert_eq!(back.next_tablet_id, d.next_tablet_id);
         assert_eq!(back.tablets.len(), d.tablets.len());
+    }
+
+    #[test]
+    fn a_huge_tablet_count_over_a_few_bytes_is_corrupt() {
+        let mut body = DESC
+            .unframe(&TableDescriptor::new(schema(), None).encode())
+            .unwrap()
+            .to_vec();
+        assert_eq!(body.pop(), Some(0), "the tablet count ends the body");
+        put_varint(&mut body, u64::MAX >> 1);
+        body.extend_from_slice(&[1, 2, 3]);
+        assert!(matches!(
+            TableDescriptor::decode(&DESC.frame(&body)),
+            Err(Error::Corrupt(_))
+        ));
+    }
+
+    /// Every truncation and bit flip of a body whose frame is rebuilt
+    /// around it, so the decoder parses the damage instead of refusing
+    /// the checksum.
+    #[test]
+    fn truncated_or_flipped_bodies_decode_or_fail_without_panicking() {
+        let body = DESC.unframe(&sample().encode()).unwrap().to_vec();
+        for cut in 0..body.len() {
+            assert!(
+                TableDescriptor::decode(&DESC.frame(&body[..cut])).is_err(),
+                "cut at {cut}"
+            );
+        }
+        let mut flipped = body.clone();
+        for bit in 0..body.len() * 8 {
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            let _ = TableDescriptor::decode(&DESC.frame(&flipped));
+            flipped[bit / 8] ^= 1 << (bit % 8);
+        }
+        // A schema version past u32 is corruption, not a truncation.
+        let mut d = sample();
+        d.tablets.truncate(1);
+        let mut body = DESC.unframe(&d.encode()).unwrap().to_vec();
+        let at = body.len() - 3;
+        assert_eq!(body[at..], [1, 0, 0], "schema version, cold, rolled up");
+        body.splice(at..at + 1, [0x80, 0x80, 0x80, 0x80, 0x10]);
+        assert!(matches!(
+            TableDescriptor::decode(&DESC.frame(&body)),
+            Err(Error::Corrupt(msg)) if msg.contains("schema version")
+        ));
     }
 
     #[test]

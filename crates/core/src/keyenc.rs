@@ -206,7 +206,7 @@ pub fn prefix_successor(mut p: Vec<u8>) -> Option<Vec<u8>> {
 
 /// An encoded-key range with inclusive/exclusive bounds, the key dimension
 /// of the paper's two-dimensional query bounding box.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct KeyRange {
     /// Lower bound on encoded keys.
     pub start: Bound<Vec<u8>>,

@@ -30,7 +30,7 @@ pub mod mergepolicy;
 pub mod options;
 pub mod period;
 pub mod query;
-pub mod resultcache;
+mod resultcache;
 pub mod rollup;
 pub mod row;
 pub mod schema;
@@ -47,7 +47,6 @@ pub use db::Db;
 pub use error::{Error, Result};
 pub use options::Options;
 pub use query::Query;
-pub use resultcache::{CachedRows, ResultCache, ResultKey};
 pub use rollup::RollupSpec;
 pub use row::Row;
 pub use schema::{ColumnDef, Schema, SchemaRef, TS_COLUMN};

@@ -3,19 +3,18 @@
 //! Dashboards re-issue the same aggregate queries over and over
 //! (§4.1.2's aggregator workload); when nothing has changed since the
 //! last run, re-walking tablets — or even rollup tables — is pure waste.
-//! This cache stores *finished* result sets keyed by everything that
-//! could change the answer:
+//! [`crate::Db::aggregate`] stores each *finished* answer here, keyed by
+//! everything that could change it ([`ResultKey`]):
 //!
 //! * the table **generation** — a process-unique incarnation number, so
 //!   a drop/recreate cycle can never serve rows computed against the
 //!   previous incarnation;
-//! * the table's **insert sequence** at the time the result was
+//! * the table's **insert sequence** at the time the answer was
 //!   computed — any insert (or bulk delete) bumps it, so a cached entry
 //!   is self-invalidating the moment the table's contents change;
-//! * the **TTL cutoff** in effect — time passing expires rows, and two
-//!   queries straddling an expiry boundary may legitimately differ;
-//! * the serialized **question**: bounding box, predicates, grouping,
-//!   and aggregate list, encoded by the SQL layer.
+//! * the **question** as the scan reads it: schema version, key range,
+//!   the timestamp window raised to the TTL horizon, predicates,
+//!   grouping, aggregates and limit.
 //!
 //! There is deliberately no publish-subscribe invalidation path for
 //! inserts: staleness is impossible by construction because the key
@@ -24,59 +23,97 @@
 //!
 //! The cache's budget is a carve-out from the block cache's joint budget
 //! ([`crate::Options::RESULT_CACHE_FRACTION`]), so enabling it never
-//! increases total cache memory. Hits and misses are counted per table,
-//! by the caller ([`crate::stats::TableStats::result_cache_hits`]).
+//! increases total cache memory. Hits and misses are counted per table
+//! ([`crate::stats::TableStats::result_cache_hits`]).
 
+use crate::agg::{AggRows, AggSpec, Aggregate, GroupSpec};
+use crate::error::Result;
+use crate::keyenc::KeyRange;
+use crate::rollup::distinct_bytes;
+use crate::table::{PredOp, Table};
 use crate::value::Value;
+use littletable_vfs::Micros;
 use parking_lot::Mutex;
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::ops::Bound;
 
-/// Everything that identifies a cached result. Equal keys are guaranteed
-/// to have equal answers.
+/// Everything that identifies a cached answer: the table's incarnation
+/// and write position, and the question as the scan reads it. Equal keys
+/// fold the same rows the same way.
+///
+/// The TTL horizon `now − ttl` enters only as the raised lower bound of
+/// `window`, and that is exact. Every serving path clamps its scan there
+/// (`Table::pushdown_scan`, and `rollup::serve`'s whole buckets), and the
+/// TTL reap drops only tablets wholly below it, so the horizon affects an
+/// answer only through `max(lo, now − ttl)`. The key's clock is read
+/// before the scan's, and a later request reads it later still: its
+/// lower bound is at least the one the cached answer was scanned with,
+/// which is at least the one that answer was keyed with. An equal key
+/// therefore means the three are equal — the horizon had not reached
+/// the window, or had not moved within it.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct ResultKey {
-    /// The table's process-unique incarnation number
-    /// ([`crate::Table::generation`]).
-    pub generation: u64,
-    /// The table's insert sequence when the result was computed
-    /// ([`crate::Table::insert_seq`]).
-    pub insert_seq: u64,
-    /// The TTL expiry cutoff (in micros) in effect for the query;
-    /// `i64::MIN` when the table has no TTL.
-    pub ttl_cutoff: i64,
-    /// Serialized query shape: bounding box, residual predicates,
-    /// grouping, aggregates, and limit, as encoded by the SQL executor.
-    pub question: Vec<u8>,
+pub(crate) struct ResultKey {
+    /// The table's process-unique incarnation number.
+    generation: u64,
+    /// The table's insert sequence before the answer was computed.
+    pub(crate) insert_seq: u64,
+    /// The schema the column indices below refer to.
+    schema_version: u32,
+    /// The key bounds, encoded.
+    range: KeyRange,
+    /// The closed timestamp interval, its lower bound raised to the TTL
+    /// horizon.
+    window: (Micros, Micros),
+    /// Each predicate's column, operator and value (as
+    /// [`distinct_bytes`], which equates the int family as the predicate
+    /// does).
+    predicates: Vec<(usize, PredOp, Vec<u8>)>,
+    groups: Vec<GroupSpec>,
+    aggs: Vec<AggSpec>,
+    limit: Option<usize>,
 }
 
-/// A finished, immutable result set.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CachedRows {
-    /// Output column labels, in SELECT order.
-    pub columns: Vec<String>,
-    /// Result rows.
-    pub rows: Vec<Vec<Value>>,
-}
-
-impl CachedRows {
-    fn charge(&self, key: &ResultKey) -> usize {
-        let mut bytes = 128 + key.question.len();
-        for c in &self.columns {
-            bytes += 24 + c.len();
-        }
-        for row in &self.rows {
-            bytes += 24;
-            for v in row {
-                bytes += v.mem_size();
-            }
-        }
-        bytes
+impl ResultKey {
+    /// The key of `q` over `t` with the clock at `now`.
+    pub(crate) fn new(t: &Table, q: &Aggregate, now: Micros) -> Result<ResultKey> {
+        let schema = t.schema();
+        let (lo, hi) = q.query.ts_interval();
+        let horizon = t.ttl().map_or(Micros::MIN, |ttl| now.saturating_sub(ttl));
+        Ok(ResultKey {
+            generation: t.generation(),
+            insert_seq: t.insert_seq(),
+            schema_version: schema.version(),
+            range: q.query.key_range(&schema)?,
+            window: (lo.max(horizon), hi),
+            predicates: q
+                .predicates
+                .iter()
+                .map(|p| (p.col, p.op, distinct_bytes(&p.value)))
+                .collect(),
+            groups: q.groups.clone(),
+            aggs: q.aggs.clone(),
+            limit: q.limit,
+        })
     }
 }
 
+/// What an entry costs the budget, in estimated bytes.
+fn charge(key: &ResultKey, rows: &[Vec<Value>]) -> usize {
+    let bound = |b: &Bound<Vec<u8>>| match b {
+        Bound::Included(k) | Bound::Excluded(k) => k.len(),
+        Bound::Unbounded => 0,
+    };
+    let mut bytes = 128 + bound(&key.range.start) + bound(&key.range.end);
+    bytes += key.predicates.iter().map(|p| 40 + p.2.len()).sum::<usize>();
+    bytes += 24 * (key.groups.len() + key.aggs.len());
+    for row in rows {
+        bytes += 24 + row.iter().map(Value::mem_size).sum::<usize>();
+    }
+    bytes
+}
+
 struct Entry {
-    rows: Arc<CachedRows>,
+    rows: AggRows,
     charge: usize,
     last_used: u64,
 }
@@ -88,29 +125,24 @@ struct Inner {
     tick: u64,
 }
 
-/// A budgeted LRU cache of finished aggregate result sets. All methods
-/// are safe to call concurrently.
-pub struct ResultCache {
+/// A budgeted LRU cache of finished aggregate answers. All methods are
+/// safe to call concurrently.
+pub(crate) struct ResultCache {
     budget: usize,
     inner: Mutex<Inner>,
 }
 
 impl ResultCache {
     /// Creates a cache charged against `budget` bytes.
-    pub fn new(budget: usize) -> Self {
+    pub(crate) fn new(budget: usize) -> Self {
         ResultCache {
             budget,
             inner: Mutex::new(Inner::default()),
         }
     }
 
-    /// Byte budget this cache was created with.
-    pub fn budget(&self) -> usize {
-        self.budget
-    }
-
-    /// Looks up a result. A hit refreshes the entry's recency.
-    pub fn get(&self, key: &ResultKey) -> Option<Arc<CachedRows>> {
+    /// Looks up an answer. A hit refreshes the entry's recency.
+    pub(crate) fn get(&self, key: &ResultKey) -> Option<AggRows> {
         let mut inner = self.inner.lock();
         inner.tick += 1;
         let tick = inner.tick;
@@ -119,10 +151,10 @@ impl ResultCache {
         Some(e.rows.clone())
     }
 
-    /// Inserts a result, evicting least-recently-used entries to stay
-    /// within budget. Results larger than the whole budget are ignored.
-    pub fn put(&self, key: ResultKey, rows: Arc<CachedRows>) {
-        let charge = rows.charge(&key);
+    /// Inserts an answer, evicting least-recently-used entries to stay
+    /// within budget. Answers larger than the whole budget are ignored.
+    pub(crate) fn put(&self, key: ResultKey, rows: AggRows) {
+        let charge = charge(&key, &rows);
         if charge > self.budget {
             return;
         }
@@ -160,7 +192,7 @@ impl ResultCache {
     /// Drops every entry computed against the given table generation.
     /// Correctness never depends on this — keys embed the generation —
     /// but dropping a table should release its memory promptly.
-    pub fn invalidate_generation(&self, generation: u64) {
+    pub(crate) fn invalidate_generation(&self, generation: u64) {
         let mut inner = self.inner.lock();
         let mut freed = 0usize;
         inner.map.retain(|k, e| {
@@ -175,85 +207,88 @@ impl ResultCache {
     }
 
     /// Entries currently resident.
-    pub fn entries(&self) -> usize {
+    pub(crate) fn entries(&self) -> usize {
         self.inner.lock().map.len()
-    }
-
-    /// Estimated bytes currently charged.
-    pub fn bytes(&self) -> usize {
-        self.inner.lock().bytes
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
 
-    fn key(generation: u64, insert_seq: u64, q: &[u8]) -> ResultKey {
+    /// A key per `(generation, insert_seq, question)`.
+    fn key(generation: u64, insert_seq: u64, q: &str) -> ResultKey {
         ResultKey {
             generation,
             insert_seq,
-            ttl_cutoff: i64::MIN,
-            question: q.to_vec(),
+            schema_version: 1,
+            range: KeyRange::all(),
+            window: (Micros::MIN, Micros::MAX),
+            predicates: vec![(0, PredOp::Eq, q.as_bytes().to_vec())],
+            groups: Vec::new(),
+            aggs: Vec::new(),
+            limit: None,
         }
     }
 
-    fn rows(n: usize) -> Arc<CachedRows> {
-        Arc::new(CachedRows {
-            columns: vec!["sum(v)".into()],
-            rows: (0..n).map(|i| vec![Value::I64(i as i64)]).collect(),
-        })
+    fn rows(n: usize) -> AggRows {
+        Arc::new((0..n).map(|i| vec![Value::I64(i as i64)]).collect())
+    }
+
+    fn bytes(c: &ResultCache) -> usize {
+        c.inner.lock().bytes
     }
 
     #[test]
     fn hit_and_miss_round_trip() {
         let c = ResultCache::new(1 << 20);
-        let k = key(1, 5, b"q1");
+        let k = key(1, 5, "q1");
         assert!(c.get(&k).is_none());
         c.put(k.clone(), rows(3));
-        assert_eq!(c.get(&k).unwrap().rows.len(), 3);
+        assert_eq!(c.get(&k).unwrap().len(), 3);
     }
 
     #[test]
     fn different_seq_or_generation_misses() {
         let c = ResultCache::new(1 << 20);
-        c.put(key(1, 5, b"q1"), rows(3));
-        assert!(c.get(&key(1, 6, b"q1")).is_none());
-        assert!(c.get(&key(2, 5, b"q1")).is_none());
-        assert!(c.get(&key(1, 5, b"q2")).is_none());
+        c.put(key(1, 5, "q1"), rows(3));
+        assert!(c.get(&key(1, 6, "q1")).is_none());
+        assert!(c.get(&key(2, 5, "q1")).is_none());
+        assert!(c.get(&key(1, 5, "q2")).is_none());
     }
 
     #[test]
     fn evicts_lru_to_stay_within_budget() {
-        let one = rows(1).charge(&key(1, 1, b"a"));
+        let one = charge(&key(1, 1, "a"), &rows(1));
         let c = ResultCache::new(3 * one + one / 2);
-        c.put(key(1, 1, b"a"), rows(1));
-        c.put(key(1, 1, b"b"), rows(1));
-        c.put(key(1, 1, b"c"), rows(1));
+        c.put(key(1, 1, "a"), rows(1));
+        c.put(key(1, 1, "b"), rows(1));
+        c.put(key(1, 1, "c"), rows(1));
         // Touch "a" so "b" becomes the LRU victim.
-        assert!(c.get(&key(1, 1, b"a")).is_some());
-        c.put(key(1, 1, b"d"), rows(1));
-        assert!(c.bytes() <= c.budget());
-        assert!(c.get(&key(1, 1, b"b")).is_none());
-        assert!(c.get(&key(1, 1, b"a")).is_some());
+        assert!(c.get(&key(1, 1, "a")).is_some());
+        c.put(key(1, 1, "d"), rows(1));
+        assert!(bytes(&c) <= c.budget);
+        assert!(c.get(&key(1, 1, "b")).is_none());
+        assert!(c.get(&key(1, 1, "a")).is_some());
     }
 
     #[test]
     fn oversized_results_are_not_cached() {
         let c = ResultCache::new(64);
-        c.put(key(1, 1, b"big"), rows(1000));
+        c.put(key(1, 1, "big"), rows(1000));
         assert_eq!(c.entries(), 0);
-        assert_eq!(c.bytes(), 0);
+        assert_eq!(bytes(&c), 0);
     }
 
     #[test]
     fn invalidate_generation_frees_bytes() {
         let c = ResultCache::new(1 << 20);
-        c.put(key(1, 1, b"a"), rows(2));
-        c.put(key(2, 1, b"b"), rows(2));
+        c.put(key(1, 1, "a"), rows(2));
+        c.put(key(2, 1, "b"), rows(2));
         c.invalidate_generation(1);
-        assert!(c.get(&key(1, 1, b"a")).is_none());
-        assert!(c.get(&key(2, 1, b"b")).is_some());
+        assert!(c.get(&key(1, 1, "a")).is_none());
+        assert!(c.get(&key(2, 1, "b")).is_some());
         assert_eq!(c.entries(), 1);
     }
 }

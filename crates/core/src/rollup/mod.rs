@@ -390,7 +390,7 @@ fn partial_value(ty: ColumnType, state: &AggState) -> Option<Value> {
 /// straddling the split merges correctly; its partials reach its states
 /// tablet by tablet, as base rows do. Rollups are tried coarsest first
 /// (fewer partials to merge).
-pub fn serve(
+pub(crate) fn serve(
     db: &Db,
     base: &Table,
     query: &Query,

@@ -44,7 +44,7 @@ use std::ops::Range;
 use std::sync::Arc;
 
 /// Comparison operator of a pushed-down predicate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PredOp {
     /// Equal.
     Eq,

@@ -204,22 +204,23 @@ impl TabletFooter {
             t => return Err(Error::corrupt(format!("bad bloom tag {t}"))),
         };
         let nblocks = r.varint()? as usize;
-        let mut blocks = Vec::with_capacity(nblocks.min(1 << 20));
+        // Every entry takes bytes, so the count cannot outrun them.
+        let mut blocks = Vec::with_capacity(nblocks.min(r.remaining()).min(1 << 20));
         for _ in 0..nblocks {
             let offset = r.varint()?;
-            let compressed_len = r.varint()? as u32;
-            let uncompressed_len = r.varint()? as u32;
+            let compressed_len = r.varint_u32("block length")?;
+            let uncompressed_len = r.varint_u32("block length")?;
             let crc = if ver >= FOOTER_VERSION_BLOCK_CRC {
                 match r.u8()? {
                     0 => None,
-                    1 => Some(r.varint()? as u32),
+                    1 => Some(r.varint_u32("block crc")?),
                     t => return Err(Error::corrupt(format!("bad block crc tag {t}"))),
                 }
             } else {
                 None
             };
             let (rows, zones) = if !row_blocks {
-                let rows = r.varint()? as u32;
+                let rows = r.varint_u32("block row count")?;
                 let mut zones = Vec::with_capacity(schema.columns().len());
                 for col in schema.columns() {
                     zones.push(match r.u8()? {
@@ -1497,6 +1498,46 @@ mod tests {
                 );
             }
             other => panic!("expected corruption, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_huge_block_count_over_a_few_bytes_is_corrupt() {
+        let empty = TabletFooter {
+            schema: schema(),
+            min_ts: 0,
+            max_ts: 0,
+            row_count: 0,
+            bloom: None,
+            row_blocks: false,
+            blocks: Vec::new(),
+        };
+        let mut enc = empty.encode();
+        assert_eq!(enc.pop(), Some(0), "the block count ends the footer");
+        put_varint(&mut enc, u64::MAX >> 1);
+        enc.extend_from_slice(&[1, 2, 3]);
+        assert!(matches!(TabletFooter::decode(&enc), Err(Error::Corrupt(_))));
+    }
+
+    #[test]
+    fn truncated_or_flipped_footers_decode_or_fail_without_panicking() {
+        let vfs = SimVfs::instant();
+        write_tablet(&vfs, "t.lt", 500, true);
+        let footer = TabletReader::new(Arc::new(vfs), "t.lt".into())
+            .footer()
+            .unwrap();
+        assert!(footer.bloom.is_some() && footer.blocks.len() > 1);
+        assert!(footer.blocks[0].zones.iter().any(Option::is_some));
+        let enc = footer.encode();
+        assert!(TabletFooter::decode(&enc).is_ok());
+        for cut in 0..enc.len() {
+            assert!(TabletFooter::decode(&enc[..cut]).is_err(), "cut at {cut}");
+        }
+        let mut flipped = enc.clone();
+        for bit in 0..enc.len() * 8 {
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            let _ = TabletFooter::decode(&flipped);
+            flipped[bit / 8] ^= 1 << (bit % 8);
         }
     }
 }

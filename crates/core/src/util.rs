@@ -117,6 +117,11 @@ impl<'a> Reader<'a> {
         }
     }
 
+    /// Reads a varint that must fit a `u32`; `what` names it in the error.
+    pub fn varint_u32(&mut self, what: &str) -> Result<u32> {
+        u32::try_from(self.varint()?).map_err(|_| Error::corrupt(format!("{what} exceeds u32")))
+    }
+
     /// Reads a varint-length-prefixed byte slice.
     #[inline]
     pub fn len_prefixed(&mut self) -> Result<&'a [u8]> {

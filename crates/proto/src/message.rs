@@ -285,12 +285,15 @@ fn put_string_list(out: &mut Vec<u8>, items: &[String]) {
     }
 }
 
-fn get_string_list(r: &mut Reader<'_>) -> Result<Vec<String>> {
+/// Reads a list of at most `max` strings; `what` names the list in the
+/// error for a longer one.
+fn get_string_list(r: &mut Reader<'_>, max: usize, what: &str) -> Result<Vec<String>> {
     let n = r.varint()? as usize;
-    if n > 1 << 16 {
-        return Err(Error::corrupt("implausible column-list length"));
+    if n > max {
+        return Err(Error::corrupt(format!("implausible {what}")));
     }
-    let mut items = Vec::with_capacity(n);
+    // Every string takes a byte at least, so the count cannot outrun them.
+    let mut items = Vec::with_capacity(n.min(r.remaining()));
     for _ in 0..n {
         items.push(r.string()?);
     }
@@ -434,8 +437,8 @@ impl Request {
                 name: r.string()?,
                 base: r.string()?,
                 period: unzigzag(r.varint()?),
-                value_cols: get_string_list(&mut r)?,
-                distinct_cols: get_string_list(&mut r)?,
+                value_cols: get_string_list(&mut r, 1 << 16, "column-list length")?,
+                distinct_cols: get_string_list(&mut r, 1 << 16, "column-list length")?,
             },
             13 => Request::DropRollup { name: r.string()? },
             14 => Request::NodeStatus,
@@ -494,10 +497,7 @@ impl Response {
             }
             Response::Tables { names } => {
                 out.push(2);
-                put_varint(out, names.len() as u64);
-                for n in names {
-                    put_string(out, n);
-                }
+                put_string_list(out, names);
             }
             Response::SchemaInfo { schema, ttl } => {
                 out.push(3);
@@ -581,17 +581,9 @@ impl Response {
                 kind: ErrorKind::from_tag(r.u8()?)?,
                 message: r.string()?,
             },
-            2 => {
-                let n = r.varint()? as usize;
-                if n > 1 << 20 {
-                    return Err(Error::corrupt("implausible table count"));
-                }
-                let mut names = Vec::with_capacity(n);
-                for _ in 0..n {
-                    names.push(r.string()?);
-                }
-                Response::Tables { names }
-            }
+            2 => Response::Tables {
+                names: get_string_list(&mut r, 1 << 20, "table count")?,
+            },
             3 => Response::SchemaInfo {
                 schema: Schema::decode(&mut r)?,
                 ttl: get_opt_micros(&mut r)?,
@@ -1010,6 +1002,42 @@ mod tests {
         let mut enc = Request::Ping.encode();
         enc.push(0); // trailing byte
         assert!(Request::decode(&enc).is_err());
+    }
+
+    #[test]
+    fn huge_list_counts_over_a_few_bytes_are_errors() {
+        let mut resp = vec![2];
+        put_varint(&mut resp, u64::MAX >> 1);
+        resp.extend_from_slice(&[1, b'a', 1]);
+        assert!(Response::decode(&resp).is_err());
+        let mut req = Request::CreateRollup {
+            name: "r".into(),
+            base: "t".into(),
+            period: 1,
+            value_cols: vec![],
+            distinct_cols: vec![],
+        }
+        .encode();
+        req.truncate(req.len() - 2);
+        put_varint(&mut req, u64::MAX >> 1);
+        req.extend_from_slice(&[1, b'a']);
+        assert!(Request::decode(&req).is_err());
+
+        // A column list may hold 2^16 names and no more, however many
+        // bytes back it.
+        let rollup = |n: usize| Request::CreateRollup {
+            name: "r".into(),
+            base: "t".into(),
+            period: 1,
+            value_cols: vec!["a".into(); n],
+            distinct_cols: vec![],
+        };
+        assert_eq!(
+            Request::decode(&rollup(1 << 16).encode()).unwrap(),
+            rollup(1 << 16)
+        );
+        let err = Request::decode(&rollup((1 << 16) + 1).encode()).unwrap_err();
+        assert!(err.to_string().contains("implausible"), "{err}");
     }
 
     #[test]

@@ -161,8 +161,9 @@ pub struct Condition {
 pub enum SelectItem {
     /// `*`
     Wildcard,
-    /// A bare column.
-    Column(String),
+    /// A bare column or a `TIME_BUCKET`; in an aggregating SELECT it must
+    /// also appear in GROUP BY.
+    Group(GroupExpr),
     /// An aggregate over a column (or `*` for COUNT).
     Aggregate {
         /// Which aggregate.
@@ -172,22 +173,15 @@ pub enum SelectItem {
         /// `COUNT(DISTINCT col)`: approximate distinct count.
         distinct: bool,
     },
-    /// `TIME_BUCKET(col, INTERVAL '...')`: the timestamp rounded down
-    /// to a bucket boundary. Must also appear in GROUP BY.
-    TimeBucket {
-        /// Timestamp column argument.
-        column: String,
-        /// Bucket width in micros.
-        width_micros: i64,
-    },
 }
 
-/// A grouping expression in GROUP BY.
+/// A grouping expression: a GROUP BY item, or a SELECT item that names one.
 #[derive(Debug, Clone, PartialEq)]
 pub enum GroupExpr {
     /// A bare column.
     Column(String),
-    /// `TIME_BUCKET(col, INTERVAL '...')`.
+    /// `TIME_BUCKET(col, INTERVAL '...')`: the timestamp rounded down to
+    /// a bucket boundary.
     TimeBucket {
         /// Timestamp column argument.
         column: String,
@@ -209,8 +203,6 @@ pub struct Select {
     pub group_by: Vec<GroupExpr>,
     /// `true` for `ORDER BY <key prefix> DESC`.
     pub order_desc: bool,
-    /// Whether an ORDER BY clause was present.
-    pub has_order_by: bool,
     /// ORDER BY columns (must be a prefix of the primary key).
     pub order_by: Vec<String>,
     /// LIMIT, if any.

@@ -2,24 +2,11 @@
 
 use crate::ast::{AggFunc, ColumnAst, GroupExpr, Literal, Select, SelectItem, Statement};
 use crate::plan::{column_index, plan_select, Plan};
-use littletable_core::agg::{scan_groups, AggSpec, GroupSpec, Groups, Input};
+use littletable_core::agg::{AggSpec, Aggregate, GroupSpec};
 use littletable_core::db::Db;
 use littletable_core::error::{Error, Result};
-use littletable_core::resultcache::{CachedRows, ResultKey};
-use littletable_core::rollup::{self, distinct_bytes};
 use littletable_core::schema::{ColumnDef, Schema};
-use littletable_core::stats::TableStats;
 use littletable_core::value::{ColumnType, Value};
-use littletable_vfs::Micros;
-use std::sync::Arc;
-
-/// Where a grouped SELECT's output column reads from.
-enum Source {
-    /// The value of the GROUP BY expression at this position.
-    Group(usize),
-    /// The aggregate at this position among the SELECT list's.
-    Agg(usize),
-}
 
 /// The result of executing one statement.
 #[derive(Debug, Clone, PartialEq)]
@@ -219,66 +206,75 @@ impl Session {
     fn select(&self, sel: &Select) -> Result<SqlOutput> {
         let t = self.db.table(&sel.table)?;
         let schema = t.schema();
-        let now = self.db.now();
-        let mut plan = plan_select(sel, &schema, now)?;
-
-        let has_aggregates = sel
+        let mut plan = plan_select(sel, &schema, self.db.now())?;
+        let aggregates = sel
             .items
             .iter()
             .any(|i| matches!(i, SelectItem::Aggregate { .. }));
-        let grouped = has_aggregates || !sel.group_by.is_empty();
-
-        // The engine's limit counts pre-residual/pre-aggregation rows, so
-        // only push it down for plain scans with no residual filters.
-        if grouped || !plan.residual.is_empty() {
-            plan.query.limit = None;
-        } else {
-            plan.query.limit = sel.limit;
-        }
-
-        if !grouped {
+        if !aggregates && sel.group_by.is_empty() {
+            // The engine's limit counts pre-residual rows, so it is only
+            // pushed down with no residual filter.
+            if plan.residual.is_empty() {
+                plan.query.limit = sel.limit;
+            }
             return self.plain_select(sel, &schema, plan);
         }
 
-        // Where each SELECT item reads from: bare columns and time
-        // buckets must be grouped, and take their GROUP BY expression's
-        // value; aggregates take their state's, in SELECT-list order.
-        let mut sources = Vec::with_capacity(sel.items.len());
-        let mut n_aggs = 0;
+        // Each SELECT item's label, and its position in an answer row:
+        // the GROUP BY values, then the aggregates in SELECT-list order.
+        let mut columns = Vec::with_capacity(sel.items.len());
+        let mut slots = Vec::with_capacity(sel.items.len());
+        let mut aggs = Vec::new();
         for item in &sel.items {
-            sources.push(match item {
+            match item {
                 SelectItem::Wildcard => {
                     return Err(Error::invalid("* cannot be mixed with aggregates"))
                 }
-                SelectItem::Column(name) => Source::Group(
-                    sel.group_by
-                        .iter()
-                        .position(|g| matches!(g, GroupExpr::Column(n) if n == name))
-                        .ok_or_else(|| {
+                SelectItem::Group(expr) => {
+                    let pos = sel.group_by.iter().position(|g| g == expr);
+                    slots.push(pos.ok_or_else(|| match expr {
+                        GroupExpr::Column(name) => {
                             Error::invalid(format!("column {name:?} must appear in GROUP BY"))
-                        })?,
-                ),
-                SelectItem::TimeBucket {
-                    column,
-                    width_micros,
-                } => Source::Group(
-                    sel.group_by
-                        .iter()
-                        .position(|g| {
-                            matches!(g, GroupExpr::TimeBucket { column: c, width_micros: w }
-                                if c == column && w == width_micros)
-                        })
-                        .ok_or_else(|| {
+                        }
+                        GroupExpr::TimeBucket { .. } => {
                             Error::invalid("TIME_BUCKET in SELECT must appear in GROUP BY")
-                        })?,
-                ),
-                SelectItem::Aggregate { .. } => {
-                    n_aggs += 1;
-                    Source::Agg(n_aggs - 1)
+                        }
+                    })?);
+                    columns.push(match expr {
+                        GroupExpr::Column(name) => name.clone(),
+                        GroupExpr::TimeBucket { column, .. } => format!("time_bucket({column})"),
+                    });
                 }
-            });
+                SelectItem::Aggregate {
+                    func,
+                    column,
+                    distinct,
+                } => {
+                    slots.push(sel.group_by.len() + aggs.len());
+                    aggs.push(AggSpec {
+                        func: *func,
+                        col: column
+                            .as_ref()
+                            .map(|n| column_index(&schema, n))
+                            .transpose()?,
+                        distinct: *distinct,
+                    });
+                    columns.push(format!(
+                        "{}({}{})",
+                        match func {
+                            AggFunc::Count => "count",
+                            AggFunc::Sum => "sum",
+                            AggFunc::Min => "min",
+                            AggFunc::Max => "max",
+                            AggFunc::Avg => "avg",
+                        },
+                        if *distinct { "distinct " } else { "" },
+                        column.as_deref().unwrap_or("*")
+                    ));
+                }
+            }
         }
-        let group_specs: Vec<GroupSpec> = sel
+        let groups = sel
             .group_by
             .iter()
             .map(|g| {
@@ -300,139 +296,24 @@ impl Session {
                 Ok(GroupSpec { col, bucket })
             })
             .collect::<Result<_>>()?;
-        let agg_specs: Vec<AggSpec> = sel
-            .items
-            .iter()
-            .filter_map(|item| match item {
-                SelectItem::Aggregate {
-                    func,
-                    column,
-                    distinct,
-                } => Some((func, column, *distinct)),
-                _ => None,
-            })
-            .map(|(func, column, distinct)| {
-                Ok(AggSpec {
-                    func: *func,
-                    col: column
-                        .as_ref()
-                        .map(|n| column_index(&schema, n))
-                        .transpose()?,
-                    distinct,
-                })
-            })
-            .collect::<Result<_>>()?;
-
-        // Grouped/aggregate results are cached keyed on the table's
-        // identity (generation), write position (insert sequence), TTL
-        // horizon, and the normalized question; any of those changing
-        // invalidates the entry by missing.
-        let ttl_cutoff = t
-            .ttl()
-            .map(|ttl| now.saturating_sub(ttl))
-            .unwrap_or(Micros::MIN);
-        let cache = self.db.result_cache().cloned();
-        let cache_key = cache.as_ref().map(|_| ResultKey {
-            generation: t.generation(),
-            insert_seq: t.insert_seq(),
-            ttl_cutoff,
-            question: question_bytes(sel, &schema, &plan, &group_specs, &agg_specs),
-        });
-        if let (Some(rc), Some(key)) = (&cache, &cache_key) {
-            if let Some(hit) = rc.get(key) {
-                TableStats::add(&t.stats().result_cache_hits, 1);
-                return Ok(SqlOutput::Rows {
-                    columns: hit.columns.clone(),
-                    rows: hit.rows.clone(),
-                });
-            }
-            TableStats::add(&t.stats().result_cache_misses, 1);
-        }
-
-        // Prefer serving off a rollup table (pre-aggregated partials
-        // plus un-rolled-up tail scans); fall back to the engine's
-        // columnar pushdown over the base.
-        let input = Input::rows(&group_specs, &agg_specs);
-        let mut groups = Groups::new(&input);
-        if !rollup::serve(
-            &self.db,
+        let answer = self.db.aggregate(
             &t,
-            &plan.query,
-            &plan.residual,
-            &input,
-            &mut groups,
-        )? {
-            scan_groups(&t, plan.query.clone(), &plan.residual, &input, &mut groups)?;
-        }
-        if group_specs.is_empty() {
-            // An ungrouped aggregate is one group whether or not a row
-            // reached it: over empty input it answers COUNT 0.
-            groups.states(&[], Vec::new);
-        }
-
-        // Assemble output in SELECT-list order.
-        let mut columns = Vec::new();
-        for item in &sel.items {
-            columns.push(match item {
-                SelectItem::Column(n) => n.clone(),
-                SelectItem::TimeBucket { column, .. } => format!("time_bucket({column})"),
-                SelectItem::Aggregate {
-                    func,
-                    column,
-                    distinct,
-                } => format!(
-                    "{}({}{})",
-                    match func {
-                        AggFunc::Count => "count",
-                        AggFunc::Sum => "sum",
-                        AggFunc::Min => "min",
-                        AggFunc::Max => "max",
-                        AggFunc::Avg => "avg",
-                    },
-                    if *distinct { "distinct " } else { "" },
-                    column.as_deref().unwrap_or("*")
-                ),
-                SelectItem::Wildcard => unreachable!(),
-            });
-        }
-        let mut rows = Vec::new();
-        for (group_vals, states) in groups.sorted() {
-            rows.push(
-                sources
-                    .iter()
-                    .map(|src| match *src {
-                        Source::Group(pos) => group_vals[pos].clone(),
-                        Source::Agg(i) => states[i].finish(),
-                    })
-                    .collect(),
-            );
-            if sel.limit.is_some_and(|limit| rows.len() >= limit) {
-                break;
-            }
-        }
-        if let (Some(rc), Some(key)) = (cache, cache_key) {
-            // Quiescence guard: only cache if no insert landed while the
-            // scan ran, so an entry never claims a write position it did
-            // not actually observe.
-            if t.insert_seq() == key.insert_seq {
-                rc.put(
-                    key,
-                    Arc::new(CachedRows {
-                        columns: columns.clone(),
-                        rows: rows.clone(),
-                    }),
-                );
-            }
-        }
+            &Aggregate {
+                query: plan.query,
+                predicates: plan.residual,
+                groups,
+                aggs,
+                limit: sel.limit,
+            },
+        )?;
+        let rows = answer
+            .iter()
+            .map(|row| slots.iter().map(|&i| row[i].clone()).collect())
+            .collect();
         Ok(SqlOutput::Rows { columns, rows })
     }
 
-    fn plain_select(
-        &self,
-        sel: &Select,
-        schema: &Schema,
-        plan: crate::plan::Plan,
-    ) -> Result<SqlOutput> {
+    fn plain_select(&self, sel: &Select, schema: &Schema, plan: Plan) -> Result<SqlOutput> {
         // Projection slots.
         let mut columns = Vec::new();
         let mut slots: Vec<usize> = Vec::new();
@@ -444,12 +325,12 @@ impl Session {
                         slots.push(i);
                     }
                 }
-                SelectItem::Column(n) => {
+                SelectItem::Group(GroupExpr::Column(n)) => {
                     let i = column_index(schema, n)?;
                     columns.push(n.clone());
                     slots.push(i);
                 }
-                SelectItem::TimeBucket { .. } => {
+                SelectItem::Group(GroupExpr::TimeBucket { .. }) => {
                     return Err(Error::invalid("TIME_BUCKET requires GROUP BY"))
                 }
                 SelectItem::Aggregate { .. } => unreachable!("handled by caller"),
@@ -471,61 +352,6 @@ impl Session {
         }
         Ok(SqlOutput::Rows { columns, rows })
     }
-}
-
-/// Serializes everything that determines a grouped query's answer
-/// besides the table's contents, for use as a result-cache key. Two
-/// queries with equal bytes and an unchanged table return the same
-/// rows.
-fn question_bytes(
-    sel: &Select,
-    schema: &Schema,
-    plan: &Plan,
-    group_specs: &[GroupSpec],
-    agg_specs: &[AggSpec],
-) -> Vec<u8> {
-    let mut q = Vec::new();
-    q.extend_from_slice(&schema.version().to_le_bytes());
-    let (lo, hi) = plan.query.ts_interval();
-    q.extend_from_slice(&lo.to_le_bytes());
-    q.extend_from_slice(&hi.to_le_bytes());
-    q.push(plan.query.descending as u8);
-    let put_value = |q: &mut Vec<u8>, v: &Value| {
-        let d = distinct_bytes(v);
-        q.extend_from_slice(&(d.len() as u32).to_le_bytes());
-        q.extend_from_slice(&d);
-    };
-    for bound in [&plan.query.key_min, &plan.query.key_max] {
-        match bound {
-            None => q.push(0),
-            Some(b) => {
-                q.push(1 + b.inclusive as u8);
-                q.extend_from_slice(&(b.values.len() as u32).to_le_bytes());
-                for v in &b.values {
-                    put_value(&mut q, v);
-                }
-            }
-        }
-    }
-    q.extend_from_slice(&(plan.residual.len() as u32).to_le_bytes());
-    for r in &plan.residual {
-        q.extend_from_slice(&(r.col as u32).to_le_bytes());
-        q.push(r.op as u8);
-        put_value(&mut q, &r.value);
-    }
-    q.extend_from_slice(&(group_specs.len() as u32).to_le_bytes());
-    for g in group_specs {
-        q.extend_from_slice(&(g.col as u32).to_le_bytes());
-        q.extend_from_slice(&g.bucket.unwrap_or(0).to_le_bytes());
-    }
-    q.extend_from_slice(&(agg_specs.len() as u32).to_le_bytes());
-    for a in agg_specs {
-        q.push(a.func as u8);
-        q.push(a.distinct as u8);
-        q.extend_from_slice(&(a.col.map(|c| c as u32 + 1).unwrap_or(0)).to_le_bytes());
-    }
-    q.extend_from_slice(&(sel.limit.map(|l| l as u64 + 1).unwrap_or(0)).to_le_bytes());
-    q
 }
 
 #[cfg(test)]
@@ -658,6 +484,19 @@ mod tests {
         assert_eq!(got.len(), 3);
         for r in &got {
             assert!(matches!(r[1], Value::I64(b) if b >= 300));
+        }
+    }
+
+    #[test]
+    fn limit_zero_returns_no_rows() {
+        let (s, _) = session();
+        setup_usage(&s);
+        for q in [
+            "SELECT device FROM usage LIMIT 0",
+            "SELECT device, COUNT(*) FROM usage GROUP BY device LIMIT 0",
+            "SELECT COUNT(*) FROM usage LIMIT 0",
+        ] {
+            assert_eq!(rows(s.execute(q).unwrap()), Vec::<Vec<Value>>::new(), "{q}");
         }
     }
 
@@ -1136,17 +975,6 @@ mod tests {
         assert_eq!(got, vec![vec![Value::I64(1), Value::I64(12)]]);
     }
 
-    /// `question_bytes` writes a predicate's operator as its ordinal, so
-    /// the ordinals are part of the result-cache key.
-    #[test]
-    fn predicate_operators_keep_their_ordinals() {
-        use crate::ast::PredOp::*;
-        assert_eq!(
-            [Eq, Ne, Lt, Le, Gt, Ge].map(|op| op as u8),
-            [0, 1, 2, 3, 4, 5]
-        );
-    }
-
     #[test]
     fn result_cache_hit_miss_and_invalidation() {
         let (s, _) = session();
@@ -1173,6 +1001,94 @@ mod tests {
         let snap = s.db().table("usage").unwrap().stats().snapshot();
         assert_eq!(snap.result_cache_hits, 1);
         assert_eq!(snap.result_cache_misses, 2);
+    }
+
+    /// The cache holds the engine's answer, not a statement's output: the
+    /// same aggregate with its SELECT items in another order is a hit,
+    /// and comes back in that order.
+    #[test]
+    fn a_cached_answer_is_projected_in_each_statements_order() {
+        let (s, _) = session();
+        setup_usage(&s);
+        let rest = "FROM usage WHERE network = 1 GROUP BY device";
+        let first = rows(
+            s.execute(&format!("SELECT device, SUM(bytes) {rest}"))
+                .unwrap(),
+        );
+        assert_eq!(first.len(), 3);
+        let t = s.db().table("usage").unwrap();
+        let hits = t.stats().snapshot().result_cache_hits;
+        assert_eq!(
+            s.execute(&format!("SELECT SUM(bytes), device {rest}"))
+                .unwrap(),
+            SqlOutput::Rows {
+                columns: vec!["sum(bytes)".into(), "device".into()],
+                rows: first
+                    .iter()
+                    .map(|r| vec![r[1].clone(), r[0].clone()])
+                    .collect(),
+            }
+        );
+        assert_eq!(t.stats().snapshot().result_cache_hits, hits + 1);
+    }
+
+    /// On a table with a TTL the cache keys on the window the scan reads:
+    /// a window above the horizon hits however the clock moves below it,
+    /// and one the horizon reaches misses and drops the expired rows.
+    #[test]
+    fn result_cache_keys_on_the_window_above_the_ttl_horizon() {
+        const MIN: i64 = 60_000_000;
+        let (s, clock) = session();
+        s.execute("CREATE TABLE t (n INT64, ts TIMESTAMP, v INT64, PRIMARY KEY (n, ts)) TTL '1h'")
+            .unwrap();
+        s.execute(&format!(
+            "INSERT INTO t VALUES (1, {}, 1), (1, {}, 10), (2, {}, 100)",
+            START - 50 * MIN,
+            START - 40 * MIN,
+            START - 10 * MIN
+        ))
+        .unwrap();
+        let t = s.db().table("t").unwrap();
+        let counts = || {
+            let snap = t.stats().snapshot();
+            (snap.result_cache_hits, snap.result_cache_misses)
+        };
+        let recent = [
+            format!(
+                "SELECT n, SUM(v) FROM t WHERE ts >= {} GROUP BY n",
+                START - 20 * MIN
+            ),
+            format!(
+                "SELECT COUNT(*), MAX(v) FROM t WHERE ts >= {}",
+                START - 20 * MIN
+            ),
+        ];
+        let whole = "SELECT COUNT(*), SUM(v) FROM t";
+        let first: Vec<_> = recent.iter().map(|q| rows(s.execute(q).unwrap())).collect();
+        assert_eq!(
+            first,
+            [
+                vec![vec![Value::I64(2), Value::I64(100)]],
+                vec![vec![Value::I64(1), Value::I64(100)]]
+            ]
+        );
+        assert_eq!(
+            rows(s.execute(whole).unwrap()),
+            vec![vec![Value::I64(3), Value::I64(111)]]
+        );
+        // The horizon moves from an hour before START to half an hour
+        // before: past two rows, short of the recent window.
+        clock.set(START + 30 * MIN);
+        let (hits, misses) = counts();
+        for (q, answer) in recent.iter().zip(&first) {
+            assert_eq!(&rows(s.execute(q).unwrap()), answer, "{q}");
+        }
+        assert_eq!(counts(), (hits + 2, misses));
+        assert_eq!(
+            rows(s.execute(whole).unwrap()),
+            vec![vec![Value::I64(1), Value::I64(100)]]
+        );
+        assert_eq!(counts(), (hits + 2, misses + 1));
     }
 
     #[test]

@@ -444,16 +444,7 @@ impl Parser {
                             distinct,
                         });
                     }
-                    _ if name.eq_ignore_ascii_case("TIME_BUCKET")
-                        && self.peek() == Some(&Token::Symbol(Sym::LParen)) =>
-                    {
-                        let (column, width_micros) = self.time_bucket_args()?;
-                        items.push(SelectItem::TimeBucket {
-                            column,
-                            width_micros,
-                        });
-                    }
-                    _ => items.push(SelectItem::Column(name)),
+                    _ => items.push(SelectItem::Group(self.group_expr(name)?)),
                 }
             }
             if !self.eat_sym(Sym::Comma) {
@@ -476,17 +467,7 @@ impl Parser {
             self.expect_kw("BY")?;
             loop {
                 let name = self.ident()?;
-                if name.eq_ignore_ascii_case("TIME_BUCKET")
-                    && self.peek() == Some(&Token::Symbol(Sym::LParen))
-                {
-                    let (column, width_micros) = self.time_bucket_args()?;
-                    group_by.push(GroupExpr::TimeBucket {
-                        column,
-                        width_micros,
-                    });
-                } else {
-                    group_by.push(GroupExpr::Column(name));
-                }
+                group_by.push(self.group_expr(name)?);
                 if !self.eat_sym(Sym::Comma) {
                     break;
                 }
@@ -494,10 +475,8 @@ impl Parser {
         }
         let mut order_by = Vec::new();
         let mut order_desc = false;
-        let mut has_order_by = false;
         if self.eat_kw("ORDER") {
             self.expect_kw("BY")?;
-            has_order_by = true;
             loop {
                 order_by.push(self.ident()?);
                 if !self.eat_sym(Sym::Comma) {
@@ -524,24 +503,29 @@ impl Parser {
             conditions,
             group_by,
             order_desc,
-            has_order_by,
             order_by,
             limit,
         })
     }
 
-    /// Parses the argument list of `TIME_BUCKET(col, INTERVAL '...')`,
-    /// after the name and before the opening parenthesis.
-    fn time_bucket_args(&mut self) -> Result<(String, i64)> {
-        self.expect_sym(Sym::LParen)?;
+    /// The grouping expression that starts with the identifier `name`,
+    /// already consumed: `TIME_BUCKET(col, INTERVAL '...')` when an
+    /// argument list follows, else the column `name`.
+    fn group_expr(&mut self, name: String) -> Result<GroupExpr> {
+        if !name.eq_ignore_ascii_case("TIME_BUCKET") || !self.eat_sym(Sym::LParen) {
+            return Ok(GroupExpr::Column(name));
+        }
         let column = self.ident()?;
         self.expect_sym(Sym::Comma)?;
-        let width = self.interval()?;
+        let width_micros = self.interval()?;
         self.expect_sym(Sym::RParen)?;
-        if width <= 0 {
+        if width_micros <= 0 {
             return Err(Error::invalid("TIME_BUCKET width must be positive"));
         }
-        Ok((column, width))
+        Ok(GroupExpr::TimeBucket {
+            column,
+            width_micros,
+        })
     }
 
     fn condition(&mut self) -> Result<Condition> {
@@ -651,10 +635,10 @@ mod tests {
             Statement::Select(s) => {
                 assert_eq!(
                     s.items[0],
-                    SelectItem::TimeBucket {
+                    SelectItem::Group(GroupExpr::TimeBucket {
                         column: "ts".into(),
                         width_micros: 3_600_000_000
-                    }
+                    })
                 );
                 assert_eq!(
                     s.group_by,
@@ -670,7 +654,10 @@ mod tests {
         let stmt = parse("SELECT time_bucket FROM t").unwrap();
         match stmt {
             Statement::Select(s) => {
-                assert_eq!(s.items[0], SelectItem::Column("time_bucket".into()));
+                assert_eq!(
+                    s.items[0],
+                    SelectItem::Group(GroupExpr::Column("time_bucket".into()))
+                );
             }
             s => panic!("unexpected {s:?}"),
         }

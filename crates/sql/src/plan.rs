@@ -157,7 +157,7 @@ pub fn plan_select(sel: &Select, schema: &Schema, now: Micros) -> Result<Plan> {
 
     // ORDER BY must follow the primary key (the only order the engine
     // produces, §3.1).
-    if sel.has_order_by {
+    if !sel.order_by.is_empty() {
         let key_names: Vec<&str> = schema
             .key_indices()
             .iter()

@@ -617,8 +617,8 @@ fn stored_as_row_v2() -> [(Session, Vec<Vec<Value>>); 2] {
     ]
 }
 
-/// Runs `sel` and holds the answer to `expect`; returns how many rows the
-/// engine materialized on the way.
+/// Runs `sel` and holds the answer to `expect`, then asks again; returns
+/// how many rows the engine materialized on the first ask.
 fn check(session: &Session, label: &str, sel: &Select, expect: &[Vec<Value>]) -> u64 {
     let table = session.db().table("t").unwrap();
     let sql = sel.sql();
@@ -631,7 +631,31 @@ fn check(session: &Session, label: &str, sel: &Select, expect: &[Vec<Value>]) ->
         same(&got, expect),
         "{label}: {sql}\n  got    {got:?}\n  expect {expect:?}"
     );
-    table.stats().snapshot().rows_materialized - before
+    let materialized = table.stats().snapshot().rows_materialized - before;
+    ask_again(session, label, &sql, &got);
+    materialized
+}
+
+/// Asks `sql` a second time: the result cache answers it with the first
+/// answer, `first`, and no row is materialized.
+fn ask_again(session: &Session, label: &str, sql: &str, first: &[Vec<Value>]) {
+    let table = session.db().table("t").unwrap();
+    let before = table.stats().snapshot();
+    let again = match session.execute(sql) {
+        Ok(SqlOutput::Rows { rows, .. }) => rows,
+        other => panic!("{label}: {sql} asked again\n  gave {other:?}"),
+    };
+    assert!(
+        same(&again, first),
+        "{label}: {sql} asked again\n  got   {again:?}\n  first {first:?}"
+    );
+    let after = table.stats().snapshot();
+    assert_eq!(
+        after.result_cache_hits,
+        before.result_cache_hits + 1,
+        "{label}: {sql} asked again\n  was not a result-cache hit"
+    );
+    assert_eq!(after.rows_materialized, before.rows_materialized);
 }
 
 #[test]
@@ -887,10 +911,11 @@ fn rollup_serving_matches_the_reference_fold() {
             for (sel, expect) in selects.iter().zip(&expected) {
                 let label = format!("seed {seed} {how:?}");
                 let before = table.stats().snapshot();
-                let got = match session.execute(&sel.sql()) {
-                    Ok(SqlOutput::Rows { rows, .. }) => widened(&rows),
+                let first = match session.execute(&sel.sql()) {
+                    Ok(SqlOutput::Rows { rows, .. }) => rows,
                     other => panic!("{label}: {}\n  gave {other:?}", sel.sql()),
                 };
+                let got = widened(&first);
                 assert!(
                     same(&got, expect),
                     "{label}: {}\n  got    {got:?}\n  expect {expect:?}",
@@ -908,6 +933,7 @@ fn rollup_serving_matches_the_reference_fold() {
                 straddled += (how == Rolled::NewestUnfolded
                     && after.pushdown_scans > before.pushdown_scans)
                     as usize;
+                ask_again(&session, &label, &sel.sql(), &first);
             }
         }
         cases += selects.len();
