@@ -3,8 +3,8 @@
 //! Everything that aggregates — an [`Aggregate`] that
 //! [`crate::Db::aggregate`] answers from a base table, the same question
 //! served off a rollup table's partials, and the maintenance pass that
-//! writes those partials — runs [`fold_block`]
-//! over [`ScanUnit::Block`]s into a [`Groups`]. [`scan_groups`] hands
+//! writes those partials — runs `fold_block`
+//! over [`ScanUnit::Block`]s into a `Groups`. `scan_groups` hands
 //! [`Table::pushdown_scan`] the query box and the predicates, and the
 //! engine hands back units it has already filtered, so nothing here
 //! evaluates a predicate. A block is folded without building a
@@ -24,8 +24,8 @@
 //! its rows would one by one, float summation order included. Memtablets
 //! and schema-lagging tablets arrive as blocks like any other.
 //!
-//! What a table's columns are to the groups is an [`Input`]: a base
-//! table's rows feed each state by [`AggState::fold`]; a rollup table's
+//! What a table's columns are to the groups is an `Input`: a base
+//! table's rows feed each state by `AggState::fold`; a rollup table's
 //! rows are *partial aggregates*, whose sums and extrema fold the same
 //! way (the sum of `{v}_sum`, the least `{v}_min`) and whose row counts,
 //! averages and distinct sketches merge instead.
@@ -323,6 +323,9 @@ pub(crate) fn fold_block(
         .groups
         .iter()
         .map(|g| match (block.column(g.col), g.bucket) {
+            (_, Some(width)) if width <= 0 => Err(Error::invalid(format!(
+                "TIME_BUCKET width must be positive, got {width}"
+            ))),
             (ColumnSlice::Timestamp(ts), Some(width)) => Ok(GroupCol::Bucket {
                 ts,
                 width,
@@ -794,5 +797,41 @@ mod tests {
                 (Value::I64(300), Value::I64(1), Value::I64(300)),
             ]
         );
+    }
+
+    #[test]
+    fn a_bucket_width_below_one_is_an_error_not_a_panic() {
+        use crate::schema::{ColumnDef, Schema};
+        use crate::value::ColumnType;
+        use crate::{Db, Options};
+        use littletable_vfs::{SimClock, SimVfs};
+
+        let db = Db::open(
+            Arc::new(SimVfs::instant()),
+            Arc::new(SimClock::new(1_000)),
+            Options::small_for_tests(),
+        )
+        .unwrap();
+        let schema = Schema::new(vec![ColumnDef::new("ts", ColumnType::Timestamp)], &["ts"]);
+        let t = db.create_table("t", schema.unwrap(), None).unwrap();
+        t.insert(vec![vec![Value::Timestamp(500)]]).unwrap();
+        for width in [0, -5] {
+            let q = Aggregate {
+                query: Query::all(),
+                predicates: Vec::new(),
+                groups: vec![GroupSpec {
+                    col: 0,
+                    bucket: Some(width),
+                }],
+                aggs: vec![AggSpec {
+                    func: AggFunc::Count,
+                    col: None,
+                    distinct: false,
+                }],
+                limit: None,
+            };
+            let err = db.aggregate(&t, &q).unwrap_err();
+            assert!(matches!(err, Error::Invalid(_)), "{width}: {err:?}");
+        }
     }
 }

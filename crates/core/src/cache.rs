@@ -27,6 +27,9 @@
 //! shard's slice in equal parts, up to half the upper tier, so a footer
 //! is refused only when it alone exceeds that half — not, as when footers
 //! hashed to a shard like blocks, whenever it exceeded one shard's slice.
+//! A cache of capacity 0 (`block_cache_bytes = 0`, and every standalone
+//! reader's own) admits no block and pins every footer until its tablet
+//! leaves: the paper's behaviour, on the one read path.
 //!
 //! Design points:
 //!
@@ -316,10 +319,12 @@ impl BlockCache {
 
     /// One upper shard's slice once the resident footers' bytes have
     /// come off every shard in equal parts. The footers' cap keeps the
-    /// deduction to at most half the slice.
+    /// deduction to at most half the slice, except in a zero-capacity
+    /// cache, whose slice stays 0 under any footers.
     fn upper_slice(&self) -> usize {
         let footer_bytes = self.footers.bytes.load(Ordering::Relaxed);
-        self.upper_shard_capacity - footer_bytes.div_ceil(self.upper.len())
+        self.upper_shard_capacity
+            .saturating_sub(footer_bytes.div_ceil(self.upper.len()))
     }
 
     /// Looks up a decompressed block, marking it recently used on a hit.
@@ -402,6 +407,9 @@ impl BlockCache {
     /// from disk on each use — bounded memory wins over pinning at
     /// pathological sizes. The refusal costs its owner what an eviction
     /// costs, the reload, and is counted as one.
+    ///
+    /// A cache of capacity 0 has no cap: it pins every footer until its
+    /// tablet is invalidated, the paper's "almost indefinitely" (§3.2).
     pub fn insert_footer(
         &self,
         tablet_id: u64,
@@ -410,7 +418,10 @@ impl BlockCache {
     ) {
         let key = (tablet_id, 0);
         let charge = footer.approx_byte_size();
-        let cap = self.decompressed_capacity() / 2;
+        let cap = match self.capacity() {
+            0 => usize::MAX,
+            _ => self.decompressed_capacity() / 2,
+        };
         if charge > cap {
             TableStats::add(&owner.footer_evictions, 1);
             return;
@@ -581,27 +592,6 @@ impl std::fmt::Debug for BlockCache {
             .field("entries", &self.entry_count())
             .field("compressed_entries", &self.compressed_entry_count())
             .finish()
-    }
-}
-
-/// A tablet reader's connection to the shared cache: the cache, the
-/// reader's never-reused tablet id, and the owning table's stats.
-#[derive(Clone)]
-pub(crate) struct CacheHandle {
-    pub(crate) cache: Arc<BlockCache>,
-    pub(crate) tablet_id: u64,
-    pub(crate) stats: Arc<TableStats>,
-}
-
-impl CacheHandle {
-    /// Builds a handle with a freshly allocated tablet id.
-    pub(crate) fn register(cache: Arc<BlockCache>, stats: Arc<TableStats>) -> CacheHandle {
-        let tablet_id = cache.register_tablet();
-        CacheHandle {
-            cache,
-            tablet_id,
-            stats,
-        }
     }
 }
 
@@ -856,20 +846,26 @@ mod tests {
     }
 
     #[test]
-    fn zero_capacity_admits_nothing() {
+    fn zero_capacity_pins_every_footer_and_holds_no_block() {
         let cache = BlockCache::new(0, 0, 0);
         let st = stats();
-        let tid = cache.register_tablet();
-        cache.insert(
-            tid,
-            0,
-            block_of_size(100),
-            Some(compressed_of_size(50)),
-            &st,
-        );
-        assert_eq!(cache.entry_count(), 0);
+        let tids: Vec<u64> = (0..3).map(|_| cache.register_tablet()).collect();
+        for (&tid, nblocks) in tids.iter().zip([1, 600, 20_000]) {
+            cache.insert_footer(tid, footer(nblocks), &st);
+            assert!(cache.footer_resident(tid), "{nblocks}-block footer");
+            let compressed = Some(compressed_of_size(50));
+            cache.insert(tid, 0, block_of_size(100), compressed, &st);
+            assert!(cache.get(tid, 0).is_none());
+        }
+        assert!(tids.iter().all(|&t| cache.footer_resident(t)));
+        assert_eq!(cache.entry_count(), tids.len(), "footers only");
         assert_eq!(cache.compressed_entry_count(), 0);
-        assert!(cache.get(tid, 0).is_none());
+        assert_eq!(st.snapshot().footer_evictions, 0);
+        assert_eq!(st.snapshot().cache_evicted_bytes, 0);
+        // A pinned footer leaves with its tablet.
+        cache.invalidate_tablet(tids[1]);
+        assert!(!cache.footer_resident(tids[1]));
+        assert!(cache.get_footer(tids[2]).is_some());
     }
 
     #[test]
@@ -973,7 +969,7 @@ mod tests {
             .collect();
         table.insert(rows).unwrap();
         table.flush_all().unwrap();
-        let cache = db.block_cache().unwrap();
+        let cache = db.block_cache();
         assert_eq!(cache.upper.len(), 8);
         let tablets = table.unfolded_tablets(true);
         assert_eq!(tablets.len(), 1);

@@ -13,7 +13,7 @@
 //! snapshot built once into a single block. A source that lags the
 //! table's schema has each block translated to the newest one as it is
 //! loaded ([`Block::translated`]), so downstream of here there is one
-//! schema. [`RunCursor`] merges them: pick the source whose head row
+//! schema. `RunCursor` merges them: pick the source whose head row
 //! comes first, gallop — encoding keys for the probed rows only — to
 //! where its block would pass the head that comes second, and yield that
 //! row range as a [`RowRun`]. No key is kept per row, no

@@ -6,7 +6,7 @@
 //! a crash left uncommitted.
 //!
 //! The table catalog is published the same way each table publishes its
-//! tablet set: an immutable [`Catalog`] in an `RwLock<Arc<_>>`.
+//! tablet set: an immutable `Catalog` in an `RwLock<Arc<_>>`.
 //! `Db::table()` and `list_tables()` — the calls §2.2 assumes are free
 //! enough that clients create and query hundreds of tables — take the
 //! read lock for one `Arc` clone, and the write lock is only ever held
@@ -65,10 +65,10 @@ struct DbInner {
     /// One two-tier block-and-footer cache shared by every table: hot
     /// decompressed blocks and tablet footers in the upper tier,
     /// compressed bytes of demoted blocks in the lower, all under the
-    /// joint `Options::block_cache_bytes` budget. `None` when that
-    /// budget is 0 (uncached reads, unbounded per-reader footers — the
-    /// paper's behavior).
-    cache: Option<Arc<BlockCache>>,
+    /// joint `Options::block_cache_bytes` budget. A budget of 0 makes it
+    /// empty: it admits no block and pins every footer (the paper's
+    /// behavior).
+    cache: Arc<BlockCache>,
     /// The current catalog. Readers clone the `Arc` out; writers,
     /// serialized by `catalog_lock`, build the next snapshot off to the
     /// side and hold the write lock only to swap it in.
@@ -83,8 +83,9 @@ struct DbInner {
     /// maintenance fold pass and the SQL planner; written only by
     /// `create_rollup` / `drop_rollup` / `drop_table`.
     rollups: RwLock<Vec<Arc<RollupSpec>>>,
-    /// The query-result cache; `None` when its budget carve-out is 0.
-    result_cache: Option<ResultCache>,
+    /// The query-result cache; it holds nothing when its budget
+    /// carve-out is 0.
+    result_cache: ResultCache,
 }
 
 /// A LittleTable database handle. Cheap to clone; clones share state.
@@ -110,17 +111,9 @@ impl Db {
     ) -> Result<Db> {
         let opts = Arc::new(opts);
         let (decompressed, compressed) = opts.cache_tier_budgets();
-        let cache = (decompressed + compressed > 0).then(|| {
-            Arc::new(BlockCache::new(
-                decompressed,
-                compressed,
-                opts.block_cache_shards,
-            ))
-        });
-        let result_cache = {
-            let budget = opts.result_cache_budget();
-            (budget > 0).then(|| ResultCache::new(budget))
-        };
+        let shards = opts.block_cache_shards;
+        let cache = Arc::new(BlockCache::new(decompressed, compressed, shards));
+        let result_cache = ResultCache::new(opts.result_cache_budget());
         let mut tables = Catalog::new();
         for entry in vfs.list_dir("").unwrap_or_default() {
             let desc_path = littletable_vfs::join(&entry, crate::descriptor::DESC_FILE);
@@ -203,10 +196,10 @@ impl Db {
         &self.inner.clock
     }
 
-    /// The shared decompressed-block cache, or `None` when disabled via
-    /// [`Options::block_cache_bytes`].
-    pub fn block_cache(&self) -> Option<&Arc<BlockCache>> {
-        self.inner.cache.as_ref()
+    /// The shared block cache; empty when [`Options::block_cache_bytes`]
+    /// is 0.
+    pub fn block_cache(&self) -> &Arc<BlockCache> {
+        &self.inner.cache
     }
 
     /// The current catalog snapshot, counted in `catalog_loads`.
@@ -329,9 +322,9 @@ impl Db {
         // Belt and braces: result-cache keys embed the generation, so a
         // recreated table can never hit the old entries — this just
         // releases their memory promptly.
-        if let Some(rc) = &self.inner.result_cache {
-            rc.invalidate_generation(table.generation());
-        }
+        self.inner
+            .result_cache
+            .invalidate_generation(table.generation());
         // Stop the table's own write/maintenance machinery (this waits
         // out any in-flight flush), then delete its files.
         table.mark_dropped();
@@ -434,21 +427,17 @@ impl Db {
     ///
     /// The answer comes from the first of these that has it: the result
     /// cache; a rollup's partials and the base table's ragged window ends
-    /// ([`rollup::serve`]); the base table's columnar pushdown, footer
+    /// (`rollup::serve`); the base table's columnar pushdown, footer
     /// statistics where they suffice. An answer computed with no insert
     /// landing meanwhile is cached.
     pub fn aggregate(&self, t: &Table, q: &Aggregate) -> Result<AggRows> {
-        let cached = match &self.inner.result_cache {
-            Some(rc) => Some((rc, ResultKey::new(t, q, self.now())?)),
-            None => None,
-        };
-        if let Some((rc, key)) = &cached {
-            if let Some(hit) = rc.get(key) {
-                TableStats::add(&t.stats().result_cache_hits, 1);
-                return Ok(hit);
-            }
-            TableStats::add(&t.stats().result_cache_misses, 1);
+        let rc = &self.inner.result_cache;
+        let key = ResultKey::new(t, q, self.now())?;
+        if let Some(hit) = rc.get(&key) {
+            TableStats::add(&t.stats().result_cache_hits, 1);
+            return Ok(hit);
         }
+        TableStats::add(&t.stats().result_cache_misses, 1);
         let input = Input::rows(&q.groups, &q.aggs);
         let mut groups = Groups::new(&input);
         if !rollup::serve(self, t, &q.query, &q.predicates, &input, &mut groups)? {
@@ -467,12 +456,10 @@ impl Db {
                 })
                 .collect(),
         );
-        if let Some((rc, key)) = cached {
-            // Only an answer no insert raced claims the write position
-            // its key names.
-            if t.insert_seq() == key.insert_seq {
-                rc.put(key, rows.clone());
-            }
+        // Only an answer no insert raced claims the write position its key
+        // names.
+        if t.insert_seq() == key.insert_seq {
+            rc.put(key, rows.clone());
         }
         Ok(rows)
     }
@@ -551,17 +538,14 @@ impl Db {
     /// Database-wide counters: catalog snapshot traffic and the result
     /// cache's telemetry.
     pub fn stats(&self) -> DbStatsSnapshot {
-        let mut snap = DbStatsSnapshot {
+        DbStatsSnapshot {
             catalog_loads: self.inner.stats.catalog_loads.load(Ordering::Relaxed),
             catalog_publishes: self.inner.stats.catalog_publishes.load(Ordering::Relaxed),
             tables: self.load_catalog().len() as u64,
             cache_split_fraction: Options::COMPRESSED_CACHE_FRACTION,
+            result_cache_entries: self.inner.result_cache.entries() as u64,
             ..DbStatsSnapshot::default()
-        };
-        if let Some(rc) = &self.inner.result_cache {
-            snap.result_cache_entries = rc.entries() as u64;
         }
-        snap
     }
 
     /// How many times a maintenance pass retries an operation that failed

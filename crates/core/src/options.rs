@@ -42,9 +42,9 @@ pub struct Options {
     /// memory). The budget covers *both* tiers — decompressed blocks
     /// plus cached tablet footers in the upper tier, compressed block
     /// bytes in the lower tier — so the cache's total memory use never
-    /// exceeds it. `0` disables the cache entirely, reproducing the
-    /// uncached read path bit-for-bit (and the paper's unbounded
-    /// per-reader footer caching).
+    /// exceeds it. `0` makes both caches empty: every block read goes to
+    /// disk (counted as a miss) and every footer stays pinned while its
+    /// tablet lives, the paper's unbounded footer caching.
     pub block_cache_bytes: usize,
     /// Number of independently-locked cache shards; `0` picks a default
     /// suited to a handful of query threads. Rounded up to a power of
@@ -90,7 +90,8 @@ impl Options {
     pub const RESULT_CACHE_FRACTION: f64 = 1.0 / 16.0;
 
     /// Bytes carved out of [`Options::block_cache_bytes`] for the
-    /// query-result cache. `0` (no block cache) disables it.
+    /// query-result cache; `0`, an empty result cache, when the joint
+    /// budget is 0.
     pub fn result_cache_budget(&self) -> usize {
         (self.block_cache_bytes as f64 * Self::RESULT_CACHE_FRACTION) as usize
     }

@@ -40,12 +40,12 @@
 //!
 //! Every row with `ts` below the base's *rollup watermark*
 //! ([`crate::Table::rollup_watermark`]) is fully represented in the
-//! rollup tables; [`serve`] answers an eligible grouped aggregate from
+//! rollup tables; `serve` answers an eligible grouped aggregate from
 //! the rollup's whole buckets below the watermark and scans only the
-//! window's ragged ends from the base, into the same [`Groups`]
+//! window's ragged ends from the base, into the same `Groups`
 //! (partial aggregates are additive).
 //!
-//! One function, [`stat_columns`], says which aggregate of the base
+//! One function, `stat_columns`, says which aggregate of the base
 //! each rollup column after `(dims…, chunk, ts)` holds. The schema, the
 //! fold that writes partials and the serving path that reads them are
 //! all derived from its list, and both the fold and the serving path
@@ -120,7 +120,10 @@ impl RollupSpec {
         }
         let name = r.string()?;
         let base = r.string()?;
-        let period = r.varint()? as Micros;
+        let period = Micros::try_from(r.varint()?)
+            .ok()
+            .filter(|&p| p > 0)
+            .ok_or_else(|| Error::corrupt("rollup spec period out of range"))?;
         let n = r.varint()? as usize;
         let mut value_cols = Vec::with_capacity(n.min(1 << 10));
         for _ in 0..n {
@@ -210,7 +213,7 @@ fn stat_columns(base: &Schema, spec: &RollupSpec) -> Result<(Vec<ColumnDef>, Vec
 ///
 /// Layout: the base's non-timestamp key columns (the *dims*), then
 /// `chunk int64` (source base-tablet id), `ts timestamp` (bucket start),
-/// then the [`stat_columns`]. Primary key `(dims…, chunk, ts)`.
+/// then the `stat_columns`. Primary key `(dims…, chunk, ts)`.
 pub fn rollup_schema(base: &Schema, spec: &RollupSpec) -> Result<Schema> {
     if spec.period <= 0 {
         return Err(Error::invalid("rollup period must be positive"));
@@ -574,6 +577,19 @@ mod tests {
         data[9] ^= 0x10;
         assert!(RollupSpec::decode(&data).is_err());
         assert!(RollupSpec::decode(&data[..6]).is_err());
+    }
+
+    /// A period of 0 is saved as 0 and a negative one as a varint of
+    /// 2^63 or more: neither is a bucket width.
+    #[test]
+    fn spec_with_a_period_out_of_range_is_refused_on_load() {
+        let vfs = SimVfs::instant();
+        vfs.mkdir_all("r").unwrap();
+        for period in [0, -5, Micros::MIN] {
+            RollupSpec { period, ..spec() }.save(&vfs, "r").unwrap();
+            let err = RollupSpec::load(&vfs, "r").unwrap_err();
+            assert!(matches!(err, Error::Corrupt(_)), "{period}: {err:?}");
+        }
     }
 
     #[test]

@@ -269,7 +269,7 @@ impl Schema {
 
     /// Decodes a schema previously written by [`Schema::encode`].
     pub fn decode(r: &mut Reader<'_>) -> Result<Schema> {
-        let version = r.varint()? as u32;
+        let version = r.varint_u32("schema version")?;
         let ncols = r.varint()? as usize;
         if ncols == 0 || ncols > 4096 {
             return Err(Error::corrupt(format!("implausible column count {ncols}")));
@@ -293,9 +293,9 @@ impl Schema {
             }
             key.push(i);
         }
-        let names: Vec<&str> = key.iter().map(|&i| columns[i].name.as_str()).collect();
-        let names2 = names.clone();
-        Schema::with_version(version, columns.clone(), &names2).map_err(|e| match e {
+        let names: Vec<String> = key.iter().map(|&i| columns[i].name.clone()).collect();
+        let names: Vec<&str> = names.iter().map(String::as_str).collect();
+        Schema::with_version(version, columns, &names).map_err(|e| match e {
             Error::Invalid(m) => Error::Corrupt(m),
             e => e,
         })
@@ -539,5 +539,17 @@ mod tests {
             let mut r = Reader::new(&buf[..cut]);
             assert!(Schema::decode(&mut r).is_err(), "cut={cut}");
         }
+    }
+
+    #[test]
+    fn decode_rejects_a_version_past_u32() {
+        let mut body = Vec::new();
+        usage_schema().encode(&mut body);
+        assert_eq!(body[0], 1, "version 1 is one varint byte");
+        let mut buf = Vec::new();
+        put_varint(&mut buf, 1 << 32);
+        buf.extend_from_slice(&body[1..]);
+        let err = Schema::decode(&mut Reader::new(&buf)).unwrap_err();
+        assert!(matches!(err, Error::Corrupt(_)), "{err:?}");
     }
 }

@@ -84,8 +84,8 @@ table_counters! {
     /// Block reads that missed the decompressed tier but were served from
     /// the compressed tier — a decompress instead of a disk seek.
     cache_compressed_hits,
-    /// Block reads that missed both cache tiers and hit disk. Stays 0
-    /// when the cache is disabled (uncached reads are not counted).
+    /// Block reads that missed both cache tiers and hit disk: every
+    /// single-block read when the cache's budget is 0.
     cache_misses,
     /// Decompressed bytes of this table's blocks evicted from the
     /// decompressed tier (including demotions to the compressed tier).

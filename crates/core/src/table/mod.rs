@@ -3,14 +3,14 @@
 //! TTL expiry, and schema evolution.
 //!
 //! Module map:
-//! * [`state`] — the mutable `TableState` behind the mutex and the
+//! * `state` — the mutable `TableState` behind the mutex and the
 //!   immutable `TabletSnapshot` published to readers (an `Arc` swapped
 //!   in an `RwLock` whose write side is held for the swap only);
-//! * [`write`] — insert, uniqueness fast paths (§3.4.4), sealing;
-//! * [`read`] — `query`/`latest` and the streaming `QueryCursor`,
+//! * `write` — insert, uniqueness fast paths (§3.4.4), sealing;
+//! * `read` — `query`/`latest` and the streaming `QueryCursor`,
 //!   built entirely from a snapshot load, over [`crate::cursor`]'s merge
 //!   of block runs;
-//! * [`maintenance`] — flush, merge, TTL reaping, bulk delete, cold
+//! * `maintenance` — flush, merge, TTL reaping, bulk delete, cold
 //!   migration, and schema evolution: tablets rewritten through the
 //!   query's merge cursor, every transition through one commit that
 //!   republishes the snapshot.
@@ -32,7 +32,7 @@ mod write;
 pub use colscan::{cmp_values, ColumnPredicate, PredOp, PushdownRequest, ScanUnit, Selection};
 pub use read::QueryCursor;
 
-use crate::cache::{BlockCache, CacheHandle};
+use crate::cache::BlockCache;
 use crate::descriptor::{parse_tablet_file_name, TableDescriptor, TabletMeta, DESC_FILE, DESC_TMP};
 use crate::error::{Error, Result};
 use crate::options::Options;
@@ -99,9 +99,9 @@ pub struct Table {
     cold_vfs: Option<Arc<dyn Vfs>>,
     clock: Arc<dyn Clock>,
     opts: Arc<Options>,
-    /// Shared decompressed-block cache, owned by the [`crate::db::Db`];
-    /// `None` when `Options::block_cache_bytes` is 0.
-    cache: Option<Arc<BlockCache>>,
+    /// The block cache the [`crate::db::Db`] shares among its tables
+    /// (empty when `Options::block_cache_bytes` is 0).
+    cache: Arc<BlockCache>,
     stats: Arc<TableStats>,
     state: Mutex<TableState>,
     /// Notified, with the state mutex, when the maintenance slot is
@@ -156,7 +156,7 @@ impl Table {
         cold_vfs: Option<Arc<dyn Vfs>>,
         clock: Arc<dyn Clock>,
         opts: Arc<Options>,
-        cache: Option<Arc<BlockCache>>,
+        cache: Arc<BlockCache>,
         name: String,
         dir: String,
         schema: Schema,
@@ -178,7 +178,7 @@ impl Table {
         cold_vfs: Option<Arc<dyn Vfs>>,
         clock: Arc<dyn Clock>,
         opts: Arc<Options>,
-        cache: Option<Arc<BlockCache>>,
+        cache: Arc<BlockCache>,
         name: String,
         dir: String,
     ) -> Result<Arc<Table>> {
@@ -229,19 +229,18 @@ impl Table {
                 vfs.clone()
             };
             let path = join(&dir, &meta.file_name());
-            // Probe with a throwaway uncached reader: validation must not
-            // warm the shared cache (or pin a footer in the reader we
-            // keep), or the first query after open would look cold-cache
-            // fast and the paper's ~4-seek first-row cost would vanish.
-            let probe = TabletReader::with_cache(backing.clone(), path.clone(), None);
+            // Probe with a throwaway reader and its own empty cache:
+            // validation must not warm the shared cache, or the first
+            // query after open would look cold-cache fast and the paper's
+            // ~4-seek first-row cost would vanish.
+            let probe = TabletReader::new(backing.clone(), path.clone());
             match probe.footer() {
                 Ok(_) => disk.push(DiskHandle {
                     reader: Arc::new(TabletReader::with_cache(
                         backing.clone(),
                         path.clone(),
-                        cache
-                            .as_ref()
-                            .map(|c| CacheHandle::register(c.clone(), stats.clone())),
+                        cache.clone(),
+                        stats.clone(),
                     )),
                     meta: meta.clone(),
                 }),
@@ -280,7 +279,7 @@ impl Table {
         cold_vfs: Option<Arc<dyn Vfs>>,
         clock: Arc<dyn Clock>,
         opts: Arc<Options>,
-        cache: Option<Arc<BlockCache>>,
+        cache: Arc<BlockCache>,
         stats: Arc<TableStats>,
         name: String,
         dir: String,
@@ -353,16 +352,10 @@ impl Table {
     }
 
     /// Builds a reader for a newly written tablet file, registered with
-    /// the shared block cache (when one is configured) under a fresh
-    /// cache-tablet id.
+    /// the shared block cache under a fresh cache-tablet id.
     fn new_reader(&self, backing: Arc<dyn Vfs>, path: String) -> Arc<TabletReader> {
-        Arc::new(TabletReader::with_cache(
-            backing,
-            path,
-            self.cache
-                .as_ref()
-                .map(|c| CacheHandle::register(c.clone(), self.stats.clone())),
-        ))
+        let (cache, stats) = (self.cache.clone(), self.stats.clone());
+        Arc::new(TabletReader::with_cache(backing, path, cache, stats))
     }
 
     // -------------------------------------------------------------- accessors

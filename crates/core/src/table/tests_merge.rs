@@ -355,7 +355,7 @@ fn merge_reads_in_runs(pad_words: usize, hosts: i64) {
         .map(|e| e.compressed_len as u64)
         .max()
         .unwrap();
-    let cache = b.t.cache.as_ref().unwrap();
+    let cache = &b.t.cache;
     let cached = || {
         let s = b.t.stats().snapshot();
         let (hits, misses) = (s.cache_hits + s.cache_compressed_hits, s.cache_misses);

@@ -186,7 +186,9 @@ impl Table {
                 return Ok(false);
             }
         }
-        let bi = h.reader.seek_block(key)?;
+        let bi = footer
+            .blocks
+            .partition_point(|b| b.last_key.as_slice() < key);
         if bi >= footer.blocks.len() {
             return Ok(false);
         }

@@ -25,14 +25,14 @@
 //! Every tablet written is footer version 3: blocks of per-column slices
 //! (see [`crate::block`]), row counts and zone maps in the block index.
 //! Footer versions 1 and 2 — row-major blocks, no index statistics — are
-//! read and never written: [`parse_block`] transcodes their blocks into
+//! read and never written: `parse_block` transcodes their blocks into
 //! the same decoded [`Block`] a version-3 block parses to, so nothing
 //! outside this module knows the older layout exists, and the first merge
 //! that takes such a tablet rewrites it as version 3.
 
 use crate::block::{Block, BlockEncoder};
 use crate::bloom::{BloomBuilder, BloomFilter};
-use crate::cache::{CacheHandle, CompressedBlock};
+use crate::cache::{BlockCache, CompressedBlock};
 use crate::error::{Error, Result};
 use crate::keyenc::component_end;
 use crate::row::decode_row;
@@ -44,29 +44,19 @@ use littletable_vfs::{Micros, RandomAccessFile, Vfs, WritableFile};
 use parking_lot::Mutex;
 use std::cell::RefCell;
 use std::ops::Range;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 thread_local! {
-    /// Scratch buffer for compressed block bytes, reused across
-    /// [`TabletReader::read_block`] calls on the same thread.
-    static COMPRESSED_SCRATCH: RefCell<Vec<u8>> = const { RefCell::new(Vec::new()) };
     /// Scratch buffer a block or footer is decompressed into: parsing
     /// copies out what it keeps, so the bytes never outlive the call.
     static RAW_SCRATCH: RefCell<Vec<u8>> = const { RefCell::new(Vec::new()) };
 }
 
-/// Largest capacity a scratch buffer keeps between reads. One oversized
+/// Largest capacity the scratch buffer keeps between reads. One oversized
 /// block (a giant row) or footer must not pin its high-water mark on
 /// every reader thread forever; anything above this is released after
 /// the read that needed it.
 const SCRATCH_RETAIN_MAX: usize = 256 << 10;
-
-fn shed_oversized(scratch: &mut Vec<u8>) {
-    if scratch.capacity() > SCRATCH_RETAIN_MAX {
-        scratch.clear();
-        scratch.shrink_to(SCRATCH_RETAIN_MAX);
-    }
-}
 
 /// Decompresses `compressed` to `len` bytes in this thread's
 /// [`RAW_SCRATCH`] and hands them to `parse`.
@@ -79,7 +69,10 @@ fn with_decompressed<T>(
         let parsed = littletable_compress::decompress_into(compressed, len, raw)
             .map_err(Error::from)
             .and_then(|()| parse(raw));
-        shed_oversized(raw);
+        if raw.capacity() > SCRATCH_RETAIN_MAX {
+            raw.clear();
+            raw.shrink_to(SCRATCH_RETAIN_MAX);
+        }
         parsed
     })
 }
@@ -598,48 +591,51 @@ fn transcode_row_block(raw: &[u8], schema: &Schema) -> Result<Block> {
     Ok(columns.into_block(schema))
 }
 
-/// A readable on-disk tablet. The footer is loaded lazily on first use.
-/// When the reader is attached to the shared cache, the footer lives
-/// there under its own charge class, bounded by the joint cache budget
-/// and reclaimable under memory pressure; without a cache it is pinned
-/// for the lifetime of the reader — LittleTable keeps footers in memory
-/// "almost indefinitely" (§3.2); after a restart (or an eviction) they
-/// reload on demand (§3.5).
+/// A readable on-disk tablet. The footer is loaded lazily on first use
+/// and every footer and block read goes through the reader's block cache:
+/// the footer lives there under its own charge class, bounded by the
+/// joint cache budget and reclaimable under memory pressure — LittleTable
+/// keeps footers in memory "almost indefinitely" (§3.2); after a restart
+/// (or an eviction) they reload on demand (§3.5). A zero-budget cache
+/// admits no block and pins every footer.
 pub struct TabletReader {
     vfs: Arc<dyn Vfs>,
     path: String,
     file: Mutex<Option<Arc<dyn RandomAccessFile>>>,
-    /// Per-reader footer pin, used only when no shared cache is
-    /// attached (the paper's unbounded behavior, faithful but unbounded
-    /// at very high tablet counts).
-    footer_local: OnceLock<Arc<TabletFooter>>,
-    /// Connection to the shared two-tier block cache; `None` runs
-    /// every block read straight off disk.
-    cache: Option<CacheHandle>,
+    /// The block cache: the database's shared one, or a zero-budget one
+    /// of the reader's own.
+    cache: Arc<BlockCache>,
+    /// This reader's never-reused id in `cache`.
+    tablet_id: u64,
+    /// The owning table's counters, charged for this reader's cache
+    /// traffic.
+    stats: Arc<TableStats>,
 }
 
 impl TabletReader {
-    /// Creates a lazy reader for the tablet at `path`. No I/O happens until
-    /// the footer or a block is first requested.
+    /// Creates a lazy reader for the tablet at `path`, with a zero-budget
+    /// cache of its own. No I/O happens until the footer or a block is
+    /// first requested.
     pub fn new(vfs: Arc<dyn Vfs>, path: String) -> Self {
-        TabletReader {
-            vfs,
-            path,
-            file: Mutex::new(None),
-            footer_local: OnceLock::new(),
-            cache: None,
-        }
+        let cache = Arc::new(BlockCache::new(0, 0, 1));
+        TabletReader::with_cache(vfs, path, cache, Arc::default())
     }
 
-    /// As [`TabletReader::new`], attached to the shared block cache under
-    /// a freshly allocated tablet id.
-    pub(crate) fn with_cache(vfs: Arc<dyn Vfs>, path: String, cache: Option<CacheHandle>) -> Self {
+    /// As [`TabletReader::new`], attached to `cache` under a freshly
+    /// allocated tablet id, its reads counted in `stats`.
+    pub(crate) fn with_cache(
+        vfs: Arc<dyn Vfs>,
+        path: String,
+        cache: Arc<BlockCache>,
+        stats: Arc<TableStats>,
+    ) -> Self {
         TabletReader {
             vfs,
             path,
             file: Mutex::new(None),
-            footer_local: OnceLock::new(),
+            tablet_id: cache.register_tablet(),
             cache,
+            stats,
         }
     }
 
@@ -671,35 +667,23 @@ impl TabletReader {
         Ok(f)
     }
 
-    /// The footer, loading (3 seeks) and caching it on first call. With
-    /// a shared cache attached the footer is cached there — bounded by
-    /// the joint budget and reloadable after eviction; otherwise it is
-    /// pinned in this reader for its lifetime.
+    /// The footer, loading (3 seeks) and caching it on first call. It is
+    /// cached in the reader's block cache — bounded by the joint budget
+    /// and reloadable after eviction, or pinned while the reader lives
+    /// when the budget is zero.
     pub fn footer(&self) -> Result<Arc<TabletFooter>> {
-        if let Some(cache) = &self.cache {
-            if let Some(f) = cache.cache.get_footer(cache.tablet_id) {
-                return Ok(f);
-            }
-            let loaded = Arc::new(self.load_footer()?);
-            cache
-                .cache
-                .insert_footer(cache.tablet_id, loaded.clone(), &cache.stats);
-            return Ok(loaded);
-        }
-        if let Some(f) = self.footer_local.get() {
-            return Ok(f.clone());
+        if let Some(f) = self.cache.get_footer(self.tablet_id) {
+            return Ok(f);
         }
         let loaded = Arc::new(self.load_footer()?);
-        Ok(self.footer_local.get_or_init(|| loaded).clone())
+        let (tid, stats) = (self.tablet_id, &self.stats);
+        self.cache.insert_footer(tid, loaded.clone(), stats);
+        Ok(loaded)
     }
 
-    /// True when the footer is currently resident in memory (in the
-    /// shared cache, or pinned locally when no cache is attached).
+    /// True when the footer is currently resident in the block cache.
     pub fn footer_cached(&self) -> bool {
-        match &self.cache {
-            Some(c) => c.cache.footer_resident(c.tablet_id),
-            None => self.footer_local.get().is_some(),
-        }
+        self.cache.footer_resident(self.tablet_id)
     }
 
     fn load_footer(&self) -> Result<TabletFooter> {
@@ -800,97 +784,48 @@ impl TabletReader {
         Ok(out)
     }
 
-    /// Reads and decompresses block `i`, consulting the shared two-tier
-    /// cache when this reader is attached to one. Decompressed-tier hits
-    /// return the cached `Arc` without touching disk; compressed-tier
-    /// hits pay one decompress (never a seek) and promote the block back
-    /// up; full misses read, decompress (no cache lock held for either),
-    /// then admit the block with its compressed bytes retained for a
-    /// future demotion.
+    /// Reads and decompresses block `i` through the reader's two-tier
+    /// cache. Decompressed-tier hits return the cached `Arc` without
+    /// touching disk; compressed-tier hits pay one decompress (never a
+    /// seek) and promote the block back up; full misses read, decompress
+    /// (no cache lock held for either), then offer the block to the cache
+    /// with its compressed bytes retained for a future demotion.
     pub fn read_block(&self, i: usize) -> Result<Arc<Block>> {
-        let Some(cache) = &self.cache else {
-            return Ok(Arc::new(self.read_block_from_disk(i)?));
-        };
-        let bi = i as u32;
-        if let Some(block) = cache.cache.get(cache.tablet_id, bi) {
-            TableStats::add(&cache.stats.cache_hits, 1);
+        let (tid, bi) = (self.tablet_id, i as u32);
+        if let Some(block) = self.cache.get(tid, bi) {
+            TableStats::add(&self.stats.cache_hits, 1);
             return Ok(block);
         }
-        if let Some(c) = cache.cache.take_compressed(cache.tablet_id, bi) {
-            TableStats::add(&cache.stats.cache_compressed_hits, 1);
-            let footer = self.footer()?;
-            let block =
-                self.decode_block(&footer, i, &c.bytes, c.uncompressed_len as usize, None)?;
-            let block = Arc::new(block);
-            cache
-                .cache
-                .insert(cache.tablet_id, bi, block.clone(), Some(c), &cache.stats);
-            return Ok(block);
-        }
-        TableStats::add(&cache.stats.cache_misses, 1);
-        // Read into a fresh buffer, which becomes the cache's retained
-        // compressed copy: the allocation is the cache fill, not churn.
-        let mut compressed = Vec::new();
-        let (block, uncompressed_len) = self.read_block_into(i, &mut compressed)?;
-        let block = Arc::new(block);
-        let compressed = CompressedBlock {
-            bytes: compressed.into(),
-            uncompressed_len,
-        };
-        cache.cache.insert(
-            cache.tablet_id,
-            bi,
-            block.clone(),
-            Some(compressed),
-            &cache.stats,
-        );
-        Ok(block)
-    }
-
-    /// Reads block `i`'s compressed bytes off disk into `compressed`
-    /// (resized to hold exactly them) and decodes them. Returns the block
-    /// and its uncompressed length.
-    fn read_block_into(&self, i: usize, compressed: &mut Vec<u8>) -> Result<(Block, u32)> {
+        let taken = self.cache.take_compressed(tid, bi);
         let footer = self.footer()?;
-        let e = footer
-            .blocks
-            .get(i)
-            .ok_or_else(|| self.ctx(Some(i), Error::corrupt("block index out of range")))?;
-        compressed.resize(e.compressed_len as usize, 0);
-        self.file()?.read_exact_at(e.offset, compressed)?;
-        let block =
-            self.decode_block(&footer, i, compressed, e.uncompressed_len as usize, e.crc)?;
-        Ok((block, e.uncompressed_len))
-    }
-
-    /// The uncached read path: reuses a thread-local scratch buffer so
-    /// steady-state reads allocate nothing for the compressed bytes.
-    fn read_block_from_disk(&self, i: usize) -> Result<Block> {
-        COMPRESSED_SCRATCH.with(|scratch| {
-            let mut compressed = scratch.borrow_mut();
-            let read = self.read_block_into(i, &mut compressed);
-            shed_oversized(&mut compressed);
-            read.map(|(block, _)| block)
-        })
-    }
-
-    /// Index of the first block that could contain `key` (i.e. the first
-    /// block whose last key is ≥ `key`). Returns `num_blocks` when `key` is
-    /// beyond every block.
-    pub fn seek_block(&self, key: &[u8]) -> Result<usize> {
-        let footer = self.footer()?;
-        let blocks = &footer.blocks;
-        let mut lo = 0usize;
-        let mut hi = blocks.len();
-        while lo < hi {
-            let mid = (lo + hi) / 2;
-            if blocks[mid].last_key.as_slice() < key {
-                lo = mid + 1;
-            } else {
-                hi = mid;
+        let (compressed, crc) = match taken {
+            Some(hit) => {
+                TableStats::add(&self.stats.cache_compressed_hits, 1);
+                (hit, None)
             }
-        }
-        Ok(lo)
+            None => {
+                TableStats::add(&self.stats.cache_misses, 1);
+                let e = footer
+                    .blocks
+                    .get(i)
+                    .ok_or_else(|| self.ctx(Some(i), Error::corrupt("block index out of range")))?;
+                // A fresh buffer, which becomes the cache's retained
+                // compressed copy: the allocation is the cache fill.
+                let mut bytes = vec![0u8; e.compressed_len as usize];
+                self.file()?.read_exact_at(e.offset, &mut bytes)?;
+                let compressed = CompressedBlock {
+                    bytes: bytes.into(),
+                    uncompressed_len: e.uncompressed_len,
+                };
+                (compressed, e.crc)
+            }
+        };
+        let ulen = compressed.uncompressed_len as usize;
+        let block = Arc::new(self.decode_block(&footer, i, &compressed.bytes, ulen, crc)?);
+        let stats = &self.stats;
+        self.cache
+            .insert(tid, bi, block.clone(), Some(compressed), stats);
+        Ok(block)
     }
 }
 
@@ -900,9 +835,7 @@ impl Drop for TabletReader {
     /// bulk-deleted, migrated, or the table is dropped) and no cursor
     /// still holds it.
     fn drop(&mut self) {
-        if let Some(cache) = &self.cache {
-            cache.cache.invalidate_tablet(cache.tablet_id);
-        }
+        self.cache.invalidate_tablet(self.tablet_id);
     }
 }
 
@@ -1001,11 +934,14 @@ mod tests {
     }
 
     #[test]
-    fn seek_block_locates_keys() {
+    fn block_index_locates_keys() {
         let vfs = SimVfs::instant();
         let s = write_tablet(&vfs, "t.lt", 1000, false);
         let r = TabletReader::new(Arc::new(vfs), "t.lt".into());
-        let nblocks = r.footer().unwrap().blocks.len();
+        let footer = r.footer().unwrap();
+        let nblocks = footer.blocks.len();
+        // The first block whose last key is ≥ the key, as readers seek.
+        let seek = |k: &[u8]| footer.blocks.partition_point(|b| b.last_key.as_slice() < k);
         // A key in the middle must land in a valid block containing it.
         let row = Row::new(vec![
             Value::I64(500),
@@ -1013,7 +949,7 @@ mod tests {
             Value::Str(String::new()),
         ]);
         let key = row.encode_key(&s).unwrap();
-        let bi = r.seek_block(&key).unwrap();
+        let bi = seek(&key);
         assert!(bi < nblocks);
         let blk = r.read_block(bi).unwrap();
         assert!(blk.contains_key(&key).unwrap());
@@ -1030,7 +966,7 @@ mod tests {
             Value::Timestamp(0),
             Value::Str(String::new()),
         ]);
-        assert_eq!(r.seek_block(&big.encode_key(&s).unwrap()).unwrap(), nblocks);
+        assert_eq!(seek(&big.encode_key(&s).unwrap()), nblocks);
     }
 
     #[test]
@@ -1287,14 +1223,12 @@ mod tests {
             "test needs a block larger than the retention cap"
         );
         r.read_block(0).unwrap();
-        for scratch in [&COMPRESSED_SCRATCH, &RAW_SCRATCH] {
-            scratch.with(|scratch| {
-                assert!(
-                    scratch.borrow().capacity() <= SCRATCH_RETAIN_MAX,
-                    "scratch must shed an oversized read's capacity"
-                );
-            });
-        }
+        RAW_SCRATCH.with_borrow(|scratch| {
+            assert!(
+                scratch.capacity() <= SCRATCH_RETAIN_MAX,
+                "scratch must shed an oversized read's capacity"
+            );
+        });
     }
 
     #[test]

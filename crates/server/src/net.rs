@@ -3,7 +3,7 @@
 //!
 //! Each worker owns a set of connections outright — their sockets, their
 //! incremental frame decoders, and their write buffers — and runs a
-//! `poll(2)` loop over them (see [`crate::poll`]; no async runtime). The
+//! `poll(2)` loop over them (see `crate::poll`; no async runtime). The
 //! listener lives in worker 0's poll set, so accepting never busy-polls;
 //! accepted connections are dealt round-robin to workers through small
 //! inbox queues, with a `UnixStream` wakeup pair per worker so a sleeping
@@ -25,7 +25,7 @@
 //!
 //! **Group commit.** Workers execute inserts against the memtable
 //! inline, but sealing and flushing are batched: each insert reports its
-//! row count *and table* to the [`crate::group_commit`] scheduler, which
+//! row count *and table* to the `crate::group_commit` scheduler, which
 //! hashes the table onto one of [`ServerConfig::commit_shards`] per-table
 //! write shards. Each shard coalesces flush/seal/merge work for its
 //! tables into single maintenance passes, so batches for distinct tables

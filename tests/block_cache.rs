@@ -3,8 +3,8 @@
 //! compressed tier + cached footers) holds under concurrency and
 //! pressure, the compressed tier serves overflow working sets faster
 //! than a single-tier cache at the same budget, merges invalidate dead
-//! tablets without flushing the hot set, and disabling the cache
-//! reproduces the uncached read path exactly.
+//! tablets without flushing the hot set, and a zero budget reads from
+//! disk exactly as a cold cache does.
 
 use littletable::core::block::{Block, BlockEncoder};
 use littletable::core::cache::CompressedBlock;
@@ -133,9 +133,10 @@ fn disabled_cache_reproduces_uncached_read_counts() {
         "uncached repeat must re-read the block"
     );
     assert_eq!(cached_repeat, 0, "cached repeat must do zero disk reads");
-    // Counters follow suit: disabled cache records nothing.
+    // Counters follow suit: an empty cache never hits, and every block
+    // it read from disk is a miss.
     assert_eq!(uncached_snap.cache_hits, 0);
-    assert_eq!(uncached_snap.cache_misses, 0);
+    assert!(uncached_snap.cache_misses > 0);
     assert!(cached_snap.cache_hits > 0);
 }
 
@@ -165,7 +166,7 @@ fn merge_invalidates_dead_tablet_entries() {
             .unwrap();
         assert_eq!(rows.len(), 1);
     }
-    let cache = db.block_cache().expect("cache on by default").clone();
+    let cache = db.block_cache().clone();
     assert!(cache.entry_count() > 0);
     // Merge everything: the source tablets leave service, so every cached
     // block now describes a deleted file and must be unreachable.
@@ -248,7 +249,7 @@ fn scan_and_merge_pass_leaves_hot_set_hit_ratio_intact() {
         (before - after).abs() <= 0.1,
         "hot-set hit ratio moved too much: {before} -> {after}"
     );
-    let cache = db.block_cache().unwrap();
+    let cache = db.block_cache();
     assert!(cache.bytes_used() <= cache.capacity());
 }
 
@@ -265,7 +266,7 @@ fn two_tier_budget_holds_with_footers_under_pressure() {
     };
     let db = Db::open(Arc::new(SimVfs::instant()), Arc::new(clock.clone()), opts).unwrap();
     let table = build_merged_table(&db, &clock, "t", 2400);
-    let cache = db.block_cache().unwrap().clone();
+    let cache = db.block_cache().clone();
     assert!(cache.capacity() <= 96 << 10);
     assert!(cache.decompressed_capacity() + cache.compressed_capacity() <= 96 << 10);
     // ~38 distinct 4 kB blocks (~150 kB decompressed) cycled twice
@@ -379,7 +380,7 @@ fn footer_evictions_are_counted_and_queries_survive() {
     let tables: Vec<_> = (0..12)
         .map(|t| build_merged_table(&db, &clock, &format!("t{t}"), 300))
         .collect();
-    let cache = db.block_cache().unwrap().clone();
+    let cache = db.block_cache().clone();
     for round in 0..3 {
         for (t, table) in tables.iter().enumerate() {
             let k = (t as i64 * 25 + round) % 300;
@@ -410,7 +411,7 @@ fn concurrent_queries_never_exceed_cache_budget() {
     };
     let db = Db::open(Arc::new(SimVfs::instant()), Arc::new(clock.clone()), opts).unwrap();
     let table = build_merged_table(&db, &clock, "t", 4000);
-    let cache = db.block_cache().unwrap().clone();
+    let cache = db.block_cache().clone();
     let mut handles = Vec::new();
     for t in 0..8i64 {
         let table = table.clone();
