@@ -19,7 +19,7 @@ use crate::device::DeviceId;
 use littletable_core::schema::{ColumnDef, Schema};
 use littletable_core::table::Table;
 use littletable_core::value::{ColumnType, Value};
-use littletable_core::{Query, Result};
+use littletable_core::{Error, Query, Result};
 use littletable_hll::HyperLogLog;
 use littletable_vfs::Micros;
 use std::collections::BTreeMap;
@@ -228,8 +228,9 @@ pub fn write_client_sketches(
 }
 
 /// Estimates distinct clients on `network` over `[from, to)` by unioning
-/// the stored sketches — the fixed-size-union property that makes
-/// HyperLogLog the right tool here.
+/// the stored sketches — the mergeable-union property that makes
+/// HyperLogLog the right tool here. A sketch that does not decode, or is
+/// of another precision than the first one read, is corruption.
 pub fn estimate_clients(table: &Table, network: i64, from: Micros, to: Micros) -> Result<f64> {
     let q = Query::all()
         .with_prefix(vec![Value::I64(network)])
@@ -240,12 +241,14 @@ pub fn estimate_clients(table: &Table, network: i64, from: Micros, to: Micros) -
         let Value::Blob(bytes) = &row.values[2] else {
             continue;
         };
-        let Some(hll) = HyperLogLog::from_bytes(bytes) else {
-            continue;
-        };
         match &mut merged {
-            None => merged = Some(hll),
-            Some(m) => m.merge(&hll),
+            None => {
+                let first = HyperLogLog::from_bytes(bytes);
+                merged = Some(first.ok_or_else(|| Error::corrupt("undecodable client sketch"))?);
+            }
+            Some(m) => m
+                .merge_bytes(bytes)
+                .map_err(|e| Error::corrupt(format!("client sketch: {e}")))?,
         }
     }
     Ok(merged.map(|m| m.estimate()).unwrap_or(0.0))
@@ -472,6 +475,43 @@ mod tests {
             estimate_clients(&dest, 9, EPOCH, EPOCH + MINUTE).unwrap(),
             0.0
         );
+    }
+
+    /// A stored sketch of another precision, or bytes that are no sketch,
+    /// make the estimate an error instead of a panic or a skipped row.
+    #[test]
+    fn a_bad_client_sketch_is_corruption() {
+        let (db, _, _, _) = setup();
+        let sketch = |precision: u8| {
+            let mut h = HyperLogLog::new(precision);
+            h.add_bytes(b"client");
+            Value::Blob(h.to_bytes())
+        };
+        for (name, bad) in [
+            ("mixed", sketch(10)),
+            ("garbage", Value::Blob(vec![0xFF, 1, 2])),
+        ] {
+            let dest = db.create_table(name, client_sketch_schema(), None).unwrap();
+            let rows = [sketch(12), bad.clone()]
+                .into_iter()
+                .enumerate()
+                .map(|(i, blob)| vec![Value::I64(1), Value::Timestamp(EPOCH + i as i64), blob])
+                .collect();
+            dest.insert(rows).unwrap();
+            let err = estimate_clients(&dest, 1, EPOCH, EPOCH + MINUTE).unwrap_err();
+            assert!(err.is_corruption(), "{name}: {err}");
+            // Read first, the bad sketch is refused all the same.
+            dest.insert(vec![vec![Value::I64(2), Value::Timestamp(EPOCH), bad]])
+                .unwrap();
+            dest.insert(vec![vec![
+                Value::I64(2),
+                Value::Timestamp(EPOCH + 1),
+                sketch(12),
+            ]])
+            .unwrap();
+            let err = estimate_clients(&dest, 2, EPOCH, EPOCH + MINUTE).unwrap_err();
+            assert!(err.is_corruption(), "{name}, read first: {err}");
+        }
     }
 
     #[test]

@@ -574,13 +574,14 @@ impl AggState {
                 let Some(ColumnSlice::Blob(sketches)) = col else {
                     return Err(Error::corrupt("bad rollup sketch column"));
                 };
-                let mut undecodable = false;
-                sel.for_each_in(span, |i| match HyperLogLog::from_bytes(sketches.bytes(i)) {
-                    Some(partial) if partial.precision() == h.precision() => h.merge(&partial),
-                    _ => undecodable = true,
+                let mut refused = None;
+                sel.for_each_in(span, |i| {
+                    if let Err(e) = h.merge_bytes(sketches.bytes(i)) {
+                        refused = Some(e);
+                    }
                 });
-                if undecodable {
-                    return Err(Error::corrupt("undecodable rollup HLL sketch"));
+                if let Some(e) = refused {
+                    return Err(Error::corrupt(format!("rollup sketch column: {e}")));
                 }
             }
         }

@@ -124,16 +124,18 @@ impl RollupSpec {
             .ok()
             .filter(|&p| p > 0)
             .ok_or_else(|| Error::corrupt("rollup spec period out of range"))?;
-        let n = r.varint()? as usize;
-        let mut value_cols = Vec::with_capacity(n.min(1 << 10));
-        for _ in 0..n {
-            value_cols.push(r.string()?);
-        }
-        let n = r.varint()? as usize;
-        let mut distinct_cols = Vec::with_capacity(n.min(1 << 10));
-        for _ in 0..n {
-            distinct_cols.push(r.string()?);
-        }
+        // A column name takes at least its length byte, so a count cannot
+        // outrun the bytes left.
+        let names = |r: &mut Reader| -> Result<Vec<String>> {
+            let n = r.varint()? as usize;
+            let mut out = Vec::with_capacity(n.min(r.remaining()).min(1 << 10));
+            for _ in 0..n {
+                out.push(r.string()?);
+            }
+            Ok(out)
+        };
+        let value_cols = names(&mut r)?;
+        let distinct_cols = names(&mut r)?;
         if !r.is_empty() {
             return Err(Error::corrupt("trailing bytes after rollup spec"));
         }
@@ -579,6 +581,71 @@ mod tests {
         assert!(RollupSpec::decode(&data[..6]).is_err());
     }
 
+    /// A column count past the bytes left is corruption, and reserves
+    /// for no more names than those bytes could hold.
+    #[test]
+    fn a_huge_column_count_over_a_few_bytes_is_corrupt() {
+        let mut body = SPEC.unframe(&spec().encode()).unwrap().to_vec();
+        assert_eq!(body.pop(), Some(b'r'), "the last distinct column, \"user\"");
+        body.truncate(body.len() - 4);
+        assert_eq!(body.pop(), Some(1), "the distinct column count");
+        put_varint(&mut body, u64::MAX >> 1);
+        body.extend_from_slice(&[1, b'a']);
+        let err = RollupSpec::decode(&SPEC.frame(&body)).unwrap_err();
+        assert!(matches!(err, Error::Corrupt(_)), "{err:?}");
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(32))]
+
+        /// Every truncation and every bit flip of an encoded spec is an
+        /// error (the frame's checksum refuses them), never a panic. With
+        /// the frame rebuilt around a damaged body, so that the parser
+        /// itself reads the damage, every truncation is still an error,
+        /// and a flip decodes to a spec that round-trips or fails.
+        fn prop_hostile_spec_bytes_are_errors(
+            names in proptest::collection::vec(
+                proptest::collection::vec(proptest::prelude::any::<u8>(), 0..6),
+                2..8,
+            ),
+            split in 0usize..7,
+            period in 1i64..i64::MAX,
+        ) {
+            let name = |b: &Vec<u8>| b.iter().map(|&c| (b'a' + c % 26) as char).collect();
+            let cols: Vec<String> = names[2..].iter().map(name).collect();
+            let split = split.min(cols.len());
+            let s = RollupSpec {
+                name: name(&names[0]),
+                base: name(&names[1]),
+                period,
+                value_cols: cols[..split].to_vec(),
+                distinct_cols: cols[split..].to_vec(),
+            };
+            let framed = s.encode();
+            assert_eq!(RollupSpec::decode(&framed).unwrap(), s);
+            let body = SPEC.unframe(&framed).unwrap().to_vec();
+            for cut in 0..framed.len() {
+                assert!(RollupSpec::decode(&framed[..cut]).is_err(), "cut at {cut}");
+            }
+            for cut in 0..body.len() {
+                assert!(RollupSpec::decode(&SPEC.frame(&body[..cut])).is_err(), "body cut at {cut}");
+            }
+            let (mut framed, mut body) = (framed, body);
+            for bit in 0..framed.len() * 8 {
+                framed[bit / 8] ^= 1 << (bit % 8);
+                assert!(RollupSpec::decode(&framed).is_err(), "bit {bit} flipped");
+                framed[bit / 8] ^= 1 << (bit % 8);
+            }
+            for bit in 0..body.len() * 8 {
+                body[bit / 8] ^= 1 << (bit % 8);
+                if let Ok(back) = RollupSpec::decode(&SPEC.frame(&body)) {
+                    assert_eq!(RollupSpec::decode(&back.encode()).unwrap(), back);
+                }
+                body[bit / 8] ^= 1 << (bit % 8);
+            }
+        }
+    }
+
     /// A period of 0 is saved as 0 and a negative one as a varint of
     /// 2^63 or more: neither is a bucket width.
     #[test]
@@ -958,6 +1025,14 @@ mod tests {
             .unwrap();
         db.create_rollup("hops_4h", "hops", 4 * HOUR, vec!["hops".into()], vec![])
             .unwrap();
+        t.insert(hops_rows()).unwrap();
+        t.flush_all().unwrap();
+        assert!(db.maintain_table("hops").unwrap().tablets_folded > 1);
+        db
+    }
+
+    /// 600 `hops` rows, 97 s apart, over three networks and two devices.
+    fn hops_rows() -> Vec<Vec<Value>> {
         let mut x = 7u64;
         let mut rows = Vec::new();
         for i in 0..600i64 {
@@ -973,10 +1048,134 @@ mod tests {
                 Value::Str(format!("u{}", x % 17)),
             ]);
         }
-        t.insert(rows).unwrap();
-        t.flush_all().unwrap();
-        assert!(db.maintain_table("hops").unwrap().tablets_folded > 1);
+        rows
+    }
+
+    /// `blob`'s sketch in the dense form, the only one written before the
+    /// sparse form existed: the precision byte, then every register.
+    fn dense_sketch(blob: &[u8]) -> Vec<u8> {
+        let p = blob[0] & 0x7F;
+        if blob[0] == p {
+            return blob.to_vec();
+        }
+        let mut out = vec![0; 1 + (1 << p)];
+        out[0] = p;
+        for e in blob[1..].chunks_exact(3) {
+            let word = u32::from_be_bytes([0, e[0], e[1], e[2]]);
+            out[1 + (word >> 6) as usize] = (word & 0x3F) as u8;
+        }
+        assert_eq!(
+            HyperLogLog::from_bytes(&out),
+            HyperLogLog::from_bytes(blob),
+            "the two forms hold the same registers"
+        );
+        out
+    }
+
+    /// `hops` loaded in two batches, each flushed and then folded into
+    /// `hops_1h` by maintenance. Where `dense[i]`, batch `i`'s partials
+    /// are in `hops_1h` first, taken from `from` (the same database folded
+    /// with no such help) with their sketches in the dense form, so the
+    /// fold's own inserts are rejected as duplicates: what a rollup folded
+    /// before the sparse form existed holds.
+    fn two_batch_hops(dense: [bool; 2], from: Option<&Db>) -> Db {
+        let (db, _, _) = test_db();
+        let t = db.create_table("hops", hops_schema(), None).unwrap();
+        let values = vec!["hops".to_string(), "load".to_string()];
+        db.create_rollup("hops_1h", "hops", HOUR, values, vec!["user".into()])
+            .unwrap();
+        let rollup = db.table("hops_1h").unwrap();
+        for (batch, dense) in hops_rows().chunks(300).zip(dense) {
+            t.insert(batch.to_vec()).unwrap();
+            t.flush_all().unwrap();
+            if dense {
+                let chunks: Vec<Value> = t
+                    .unfolded_tablets(false)
+                    .iter()
+                    .map(|(meta, _)| Value::I64(meta.id as i64))
+                    .collect();
+                let from = from.expect("a database to take the partials from");
+                let partials: Vec<Vec<Value>> = from
+                    .table("hops_1h")
+                    .unwrap()
+                    .query_all(&Query::all())
+                    .unwrap()
+                    .into_iter()
+                    .filter(|row| chunks.contains(&row.values[2]))
+                    .map(|row| {
+                        let mut v = row.values;
+                        let Some(Value::Blob(blob)) = v.last_mut() else {
+                            panic!("no sketch in {v:?}");
+                        };
+                        *blob = dense_sketch(blob);
+                        v
+                    })
+                    .collect();
+                assert!(!partials.is_empty());
+                rollup.insert(partials).unwrap();
+            }
+            assert!(db.maintain_table("hops").unwrap().tablets_folded > 0);
+        }
         db
+    }
+
+    /// A rollup whose older partials hold dense sketches and newer ones
+    /// sparse answers `COUNT(DISTINCT)` exactly as one that holds only
+    /// dense sketches, and as one that holds only what the fold writes.
+    #[test]
+    fn dense_and_sparse_partials_answer_alike() {
+        let folded = two_batch_hops([false, false], None);
+        let all_dense = two_batch_hops([true, true], Some(&folded));
+        let mixed = two_batch_hops([true, false], Some(&folded));
+        let forms = |db: &Db| {
+            let mut forms = [0, 0];
+            for row in db
+                .table("hops_1h")
+                .unwrap()
+                .query_all(&Query::all())
+                .unwrap()
+            {
+                let Some(Value::Blob(blob)) = row.values.last() else {
+                    panic!("no sketch");
+                };
+                forms[(blob[0] >> 7) as usize] += 1;
+            }
+            forms
+        };
+        // Every partial of 17 users or fewer is sparse as the fold writes it.
+        assert!(matches!(forms(&folded), [0, n] if n > 0));
+        assert!(matches!(forms(&all_dense), [n, 0] if n > 0));
+        assert!(matches!(forms(&mixed), [d, s] if d > 0 && s > 0));
+        let group_specs = [
+            GroupSpec {
+                col: 0,
+                bucket: None,
+            },
+            GroupSpec {
+                col: 2,
+                bucket: Some(2 * HOUR),
+            },
+        ];
+        let agg_specs = [AggSpec {
+            func: AggFunc::Count,
+            col: Some(5),
+            distinct: true,
+        }];
+        let input = Input::rows(&group_specs, &agg_specs);
+        let answer = |db: &Db| {
+            let mut groups = Groups::new(&input);
+            let base = db.table("hops").unwrap();
+            assert!(serve(db, &base, &Query::all(), &[], &input, &mut groups).unwrap());
+            let rows: Vec<(Vec<Value>, Value)> = groups
+                .sorted()
+                .map(|(vals, states)| (vals.to_vec(), states[0].finish()))
+                .collect();
+            rows
+        };
+        let want = answer(&all_dense);
+        assert!(want.len() > 10, "{want:?}");
+        assert_eq!(answer(&mixed), want);
+        assert_eq!(answer(&folded), want);
     }
 
     #[test]
