@@ -3,9 +3,14 @@
 //! Plays the role of the paper's SQLite virtual-table adaptor (§3.1,
 //! §3.5): it keeps a persistent TCP connection to the server (so it
 //! notices server crashes), caches table schemas, batches inserts, and
-//! transparently continues queries that hit the server's row limit by
-//! re-submitting with the starting key bound advanced past the last row
-//! returned.
+//! transparently continues queries that hit the server's row limit.
+//!
+//! Each of the two adaptor rules exists once. [`query_paged`] is the
+//! continuation: re-submit with the starting key bound advanced past the
+//! last row returned. [`Client::query`] runs it over one connection and
+//! the fleet adaptor runs it once per shard. [`PipelinedInserter`] is the
+//! batcher: a window of 1 sends one batch at a time and waits for its
+//! acknowledgement, a larger window keeps that many batches in flight.
 //!
 //! Every request carries a client-chosen id; the server answers each
 //! connection's requests in FIFO order with the matching ids, which is
@@ -296,47 +301,10 @@ impl Client {
     }
 
     /// Runs a query, transparently re-submitting when the server's row
-    /// limit truncates a response (§3.5): the starting bound advances to
-    /// just past the key of the last row returned.
+    /// limit truncates a response (see [`query_paged`]).
     pub fn query(&mut self, table: &str, query: &Query) -> Result<Vec<Vec<Value>>> {
         let schema = self.schema(table)?;
-        let key_indices: Vec<usize> = schema.key_indices().to_vec();
-        let mut q = query.clone();
-        let mut out: Vec<Vec<Value>> = Vec::new();
-        loop {
-            let (rows, more) = match self.request(&Request::Query {
-                table: table.into(),
-                query: q.clone(),
-            })? {
-                Response::Rows {
-                    rows,
-                    more_available,
-                } => (rows, more_available),
-                r => return Err(ClientError::Protocol(format!("expected Rows, got {r:?}"))),
-            };
-            out.extend(rows);
-            if let Some(limit) = query.limit {
-                if out.len() >= limit {
-                    out.truncate(limit);
-                    return Ok(out);
-                }
-            }
-            if !more {
-                return Ok(out);
-            }
-            let last = out
-                .last()
-                .ok_or_else(|| ClientError::Protocol("more_available with no rows".into()))?;
-            let key_values: Vec<Value> = key_indices.iter().map(|&i| last[i].clone()).collect();
-            if q.descending {
-                q = q.with_key_max(key_values, false);
-            } else {
-                q = q.with_key_min(key_values, false);
-            }
-            if let Some(limit) = query.limit {
-                q.limit = Some(limit - out.len());
-            }
-        }
+        query_paged(&schema, table, query, |req| self.request(req))
     }
 
     /// Fetches a table's operational counters (see
@@ -364,60 +332,57 @@ impl Client {
     }
 }
 
-/// Accumulates rows and sends them in fixed-size batches — the paper's
-/// applications commonly insert batches of around 512 rows.
-pub struct BatchInserter<'a> {
-    client: &'a mut Client,
-    table: String,
-    batch_size: usize,
-    buffer: Vec<Vec<Value>>,
-    inserted: u64,
-    duplicates: u64,
-}
-
-impl<'a> BatchInserter<'a> {
-    /// Creates a batcher for `table`, flushing every `batch_size` rows.
-    pub fn new(client: &'a mut Client, table: &str, batch_size: usize) -> Self {
-        BatchInserter {
-            client,
-            table: table.to_string(),
-            batch_size: batch_size.max(1),
-            buffer: Vec::new(),
-            inserted: 0,
-            duplicates: 0,
+/// Runs `query` against one server that cuts each answer at its row
+/// limit (§3.5), sending every request through `send`. Rows accumulate
+/// until the query's own limit is reached or an answer is not
+/// `more_available`; otherwise the query is re-submitted from just past
+/// the last row's key (its upper bound when descending) with the
+/// remaining limit. [`Client::query`] and the fleet adaptor (once per
+/// shard) both page through here.
+pub fn query_paged<E: From<ClientError>>(
+    schema: &Schema,
+    table: &str,
+    query: &Query,
+    mut send: impl FnMut(&Request) -> std::result::Result<Response, E>,
+) -> std::result::Result<Vec<Vec<Value>>, E> {
+    let mut q = query.clone();
+    let mut out: Vec<Vec<Value>> = Vec::new();
+    loop {
+        let (rows, more) = match send(&Request::Query {
+            table: table.into(),
+            query: q.clone(),
+        })? {
+            Response::Rows {
+                rows,
+                more_available,
+            } => (rows, more_available),
+            r => return Err(ClientError::Protocol(format!("expected Rows, got {r:?}")).into()),
+        };
+        let last_key: Option<Vec<Value>> = rows.last().map(|row| {
+            schema
+                .key_indices()
+                .iter()
+                .map(|&i| row[i].clone())
+                .collect()
+        });
+        out.extend(rows);
+        if let Some(limit) = query.limit {
+            if out.len() >= limit {
+                out.truncate(limit);
+                return Ok(out);
+            }
+            q.limit = Some(limit - out.len());
         }
-    }
-
-    /// Queues a row, flushing if the batch is full.
-    pub fn push(&mut self, row: Vec<Value>) -> Result<()> {
-        self.buffer.push(row);
-        if self.buffer.len() >= self.batch_size {
-            self.flush()?;
+        if !more {
+            return Ok(out);
         }
-        Ok(())
-    }
-
-    /// Sends any queued rows now.
-    pub fn flush(&mut self) -> Result<()> {
-        if self.buffer.is_empty() {
-            return Ok(());
-        }
-        let rows = std::mem::take(&mut self.buffer);
-        let (ins, dup) = self.client.insert(&self.table, rows)?;
-        self.inserted += ins;
-        self.duplicates += dup;
-        Ok(())
-    }
-
-    /// Totals so far: `(inserted, duplicates)`.
-    pub fn totals(&self) -> (u64, u64) {
-        (self.inserted, self.duplicates)
-    }
-
-    /// Flushes and returns the totals.
-    pub fn finish(mut self) -> Result<(u64, u64)> {
-        self.flush()?;
-        Ok((self.inserted, self.duplicates))
+        let key =
+            last_key.ok_or_else(|| ClientError::Protocol("more_available with no rows".into()))?;
+        q = if q.descending {
+            q.with_key_max(key, false)
+        } else {
+            q.with_key_min(key, false)
+        };
     }
 }
 
@@ -596,36 +561,25 @@ mod tests {
     }
 
     #[test]
-    fn batch_inserter_flushes_by_size() {
-        let (_server, addr) = start_server(1 << 20);
-        let mut c = Client::connect(addr).unwrap();
-        c.create_table("t", usage_schema(), None).unwrap();
-        let mut b = BatchInserter::new(&mut c, "t", 16);
-        for i in 0..50 {
-            b.push(vec![Value::I64(i), Value::Timestamp(i), Value::I64(i)])
-                .unwrap();
-        }
-        let (ins, dup) = b.finish().unwrap();
-        assert_eq!((ins, dup), (50, 0));
-        assert_eq!(c.query("t", &Query::all()).unwrap().len(), 50);
-    }
-
-    #[test]
     fn pipelined_inserter_overlaps_batches() {
-        let (_server, addr) = start_server(1 << 20);
-        let mut c = Client::connect(addr).unwrap();
-        c.create_table("t", usage_schema(), None).unwrap();
-        let mut p = PipelinedInserter::new(&mut c, "t", 8, 4);
-        for i in 0..100 {
-            p.push(vec![Value::I64(i), Value::Timestamp(i), Value::I64(i)])
-                .unwrap();
+        // (rows, batch size, window): a window of 1 is the plain batcher,
+        // one batch on the wire at a time.
+        for (n, batch, window) in [(100, 8, 4), (50, 16, 1)] {
+            let (_server, addr) = start_server(1 << 20);
+            let mut c = Client::connect(addr).unwrap();
+            c.create_table("t", usage_schema(), None).unwrap();
+            let mut p = PipelinedInserter::new(&mut c, "t", batch, window);
+            for i in 0..n {
+                p.push(vec![Value::I64(i), Value::Timestamp(i), Value::I64(i)])
+                    .unwrap();
+            }
+            // Full batches have gone out; the newest waits on its ack,
+            // and never more than `window` of them do.
+            assert!((1..=window).contains(&p.in_flight()));
+            let (ins, dup) = p.finish().unwrap();
+            assert_eq!((ins, dup), (n as u64, 0));
+            assert_eq!(c.query("t", &Query::all()).unwrap().len(), n as usize);
         }
-        // With 8-row batches and a window of 4, some batches must have
-        // been in flight simultaneously at this point.
-        assert!(p.in_flight() > 0);
-        let (ins, dup) = p.finish().unwrap();
-        assert_eq!((ins, dup), (100, 0));
-        assert_eq!(c.query("t", &Query::all()).unwrap().len(), 100);
     }
 
     #[test]

@@ -151,12 +151,6 @@ impl Backoff {
         }
     }
 
-    /// A schedule suited to in-process fleet tests: 1ms base, 50ms cap,
-    /// 8 tries (~400ms worst case).
-    pub fn for_tests() -> Backoff {
-        Backoff::new(Duration::from_millis(1), Duration::from_millis(50), 8)
-    }
-
     /// The next delay to sleep before retrying, or `None` when the
     /// budget is exhausted and the error should surface to the caller.
     pub fn next_delay(&mut self) -> Option<Duration> {

@@ -61,8 +61,9 @@ impl Period {
     }
 }
 
+/// Saturates: the period holding `Micros::MIN` starts at `Micros::MIN`.
 fn align_down(ts: Micros, unit: Micros) -> Micros {
-    ts.div_euclid(unit) * unit
+    ts.div_euclid(unit).saturating_mul(unit)
 }
 
 /// Maps a row timestamp to its period, relative to the current time `now`.

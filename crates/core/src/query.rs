@@ -118,31 +118,24 @@ impl Query {
     }
 
     /// The timestamp bounds normalized to a closed interval
-    /// `[min, max]` in micros.
+    /// `[min, max]` in micros. An exclusive bound past the end of the
+    /// range (`ts > Micros::MAX`, `ts < Micros::MIN`) admits no
+    /// timestamp at all: the interval comes back empty, `min > max`.
     pub fn ts_interval(&self) -> (Micros, Micros) {
         let lo = match self.ts_min {
-            None => Micros::MIN,
-            Some(TsBound {
-                ts,
-                inclusive: true,
-            }) => ts,
-            Some(TsBound {
-                ts,
-                inclusive: false,
-            }) => ts.saturating_add(1),
+            None => Some(Micros::MIN),
+            Some(b) if b.inclusive => Some(b.ts),
+            Some(b) => b.ts.checked_add(1),
         };
         let hi = match self.ts_max {
-            None => Micros::MAX,
-            Some(TsBound {
-                ts,
-                inclusive: true,
-            }) => ts,
-            Some(TsBound {
-                ts,
-                inclusive: false,
-            }) => ts.saturating_sub(1),
+            None => Some(Micros::MAX),
+            Some(b) if b.inclusive => Some(b.ts),
+            Some(b) => b.ts.checked_sub(1),
         };
-        (lo, hi)
+        match (lo, hi) {
+            (Some(lo), Some(hi)) => (lo, hi),
+            _ => (Micros::MAX, Micros::MIN),
+        }
     }
 
     /// Encodes the key bounds into a byte range under `schema`.
@@ -182,6 +175,11 @@ mod tests {
         let q = Query::all().with_ts_min(100, false).with_ts_max(200, true);
         assert_eq!(q.ts_interval(), (101, 200));
         assert_eq!(Query::all().ts_interval(), (Micros::MIN, Micros::MAX));
+        // Exclusive bounds past either end of the range admit nothing.
+        let (lo, hi) = Query::all().with_ts_min(Micros::MAX, false).ts_interval();
+        assert!(lo > hi);
+        let (lo, hi) = Query::all().with_ts_max(Micros::MIN, false).ts_interval();
+        assert!(lo > hi);
     }
 
     #[test]

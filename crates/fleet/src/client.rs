@@ -1,7 +1,7 @@
 //! The application-side fleet adaptor.
 
 use crate::sim::{ArchiveOutcome, FleetError, FleetSim};
-use littletable_client::Backoff;
+use littletable_client::{query_paged, Backoff};
 use littletable_core::query::Query;
 use littletable_core::row::Row;
 use littletable_core::schema::{encode_value, Schema};
@@ -228,10 +228,9 @@ impl FleetClient {
         Ok((inserted, duplicates))
     }
 
-    /// Runs `query` on every shard — continuing each shard past its
-    /// server row limit exactly like the single-node client — then
-    /// merges the streams in primary-key order and applies the limit
-    /// fleet-wide.
+    /// Runs `query` on every shard, paging each one past its server row
+    /// limit through [`query_paged`], then merges the streams in
+    /// primary-key order and applies the limit fleet-wide.
     pub fn query(
         &mut self,
         sim: &mut FleetSim,
@@ -239,53 +238,11 @@ impl FleetClient {
         query: &Query,
     ) -> Result<Vec<Vec<Value>>, FleetError> {
         let schema = self.schema(sim, table)?;
-        let key_indices: Vec<usize> = schema.key_indices().to_vec();
         let mut all: Vec<Vec<Value>> = Vec::new();
         for shard in 0..sim.shards() {
-            let mut q = query.clone();
-            let mut got = 0usize;
-            loop {
-                let (rows, more) = match self.send_with_failover(
-                    sim,
-                    shard,
-                    &Request::Query {
-                        table: table.to_string(),
-                        query: q.clone(),
-                    },
-                )? {
-                    Response::Rows {
-                        rows,
-                        more_available,
-                    } => (rows, more_available),
-                    r => {
-                        return Err(FleetError::Engine(format!(
-                            "query: unexpected response {r:?}"
-                        )))
-                    }
-                };
-                got += rows.len();
-                let last = rows.last().cloned();
-                all.extend(rows);
-                if let Some(limit) = query.limit {
-                    if got >= limit {
-                        break;
-                    }
-                }
-                if !more {
-                    break;
-                }
-                let last =
-                    last.ok_or_else(|| FleetError::Engine("more_available with no rows".into()))?;
-                let key_values: Vec<Value> = key_indices.iter().map(|&i| last[i].clone()).collect();
-                if q.descending {
-                    q = q.with_key_max(key_values, false);
-                } else {
-                    q = q.with_key_min(key_values, false);
-                }
-                if let Some(limit) = query.limit {
-                    q.limit = Some(limit - got);
-                }
-            }
+            all.extend(query_paged(&schema, table, query, |req| {
+                self.send_with_failover(sim, shard, req)
+            })?);
         }
         // Merge the per-shard streams into one key-ordered result.
         let mut keyed: Vec<(Vec<u8>, Vec<Value>)> = Vec::with_capacity(all.len());

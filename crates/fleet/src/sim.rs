@@ -1,7 +1,7 @@
 //! The cluster driver: boot, archive, kill, fail over, fail back.
 
 use crate::node::FleetNode;
-use littletable_client::ShardMap;
+use littletable_client::{ClientError, ShardMap};
 use littletable_core::archive::{rollback_diverged, sync_until_quiescent};
 use littletable_core::options::Options;
 use littletable_proto::ErrorKind;
@@ -43,6 +43,14 @@ impl std::fmt::Display for FleetError {
 }
 
 impl std::error::Error for FleetError {}
+
+/// A malformed answer met while paging a query (the only client error
+/// the fleet adaptor's in-process transport can produce).
+impl From<ClientError> for FleetError {
+    fn from(e: ClientError) -> Self {
+        FleetError::Engine(e.to_string())
+    }
+}
 
 /// Outcome of one archive tick on one shard.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

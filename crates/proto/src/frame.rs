@@ -52,7 +52,8 @@ fn check_len(len: usize) -> io::Result<()> {
 }
 
 /// Reads one frame written by [`write_frame`]. Returns `None` on a clean
-/// EOF at a frame boundary.
+/// EOF at a frame boundary; an EOF anywhere inside a frame, its length
+/// prefix included, is an `UnexpectedEof` error.
 ///
 /// The payload buffer grows in steps of at most [`READ_CHUNK`] as bytes
 /// arrive; a length prefix never commits memory ahead of the data. Reads
@@ -60,11 +61,12 @@ fn check_len(len: usize) -> io::Result<()> {
 /// the next frame.
 pub fn read_frame<R: Read>(r: &mut R) -> io::Result<Option<Vec<u8>>> {
     let mut len_buf = [0u8; 4];
-    match r.read_exact(&mut len_buf) {
+    match r.read_exact(&mut len_buf[..1]) {
         Ok(()) => {}
         Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => return Ok(None),
         Err(e) => return Err(e),
     }
+    r.read_exact(&mut len_buf[1..])?;
     let len = u32::from_le_bytes(len_buf) as usize;
     check_len(len)?;
     let mut payload = Vec::with_capacity(len.min(READ_CHUNK));
@@ -255,6 +257,101 @@ mod tests {
             "decoder committed {} bytes for an empty payload",
             dec.buffer_capacity()
         );
+    }
+
+    /// What a reader made of a byte stream: the whole frames it returned,
+    /// then `true` for a clean end or `false` for an error.
+    type Outcome = (Vec<Vec<u8>>, bool);
+
+    /// What every reader must make of `wire`: its whole frames in order,
+    /// then a clean end exactly when the last of them ends the stream.
+    fn expected(wire: &[u8]) -> Outcome {
+        let mut frames = Vec::new();
+        let mut rest = wire;
+        while rest.len() >= 4 {
+            let len = u32::from_le_bytes(rest[..4].try_into().unwrap()) as usize;
+            if len > MAX_FRAME_LEN || rest.len() - 4 < len {
+                break;
+            }
+            frames.push(rest[4..4 + len].to_vec());
+            rest = &rest[4 + len..];
+        }
+        (frames, rest.is_empty())
+    }
+
+    /// `wire` through [`read_frame`], no single read asking for more
+    /// than [`READ_CHUNK`] bytes.
+    fn via_read_frame(wire: &[u8]) -> Outcome {
+        let mut probe = RequestSizeProbe {
+            data: wire,
+            max_request: 0,
+        };
+        let mut frames = Vec::new();
+        let clean = loop {
+            match read_frame(&mut probe) {
+                Ok(Some(f)) => frames.push(f),
+                Ok(None) => break true,
+                Err(_) => break false,
+            }
+        };
+        assert!(probe.max_request <= READ_CHUNK, "{}", probe.max_request);
+        (frames, clean)
+    }
+
+    /// `pieces` pushed one by one through a [`FrameDecoder`], which never
+    /// holds more than [`READ_CHUNK`] bytes beyond those pushed so far.
+    fn via_decoder<'a>(pieces: impl IntoIterator<Item = &'a [u8]>) -> Outcome {
+        let mut dec = FrameDecoder::new();
+        let mut frames = Vec::new();
+        let mut pushed = 0;
+        for piece in pieces {
+            dec.push(piece);
+            pushed += piece.len();
+            loop {
+                match dec.next_frame() {
+                    Ok(Some(f)) => frames.push(f),
+                    Ok(None) => break,
+                    Err(_) => return (frames, false),
+                }
+            }
+            assert!(dec.buffer_capacity() <= pushed + READ_CHUNK);
+        }
+        let clean = dec.is_clean();
+        (frames, clean)
+    }
+
+    #[test]
+    fn hostile_bytes_yield_whole_frames_then_an_error_or_a_clean_end() {
+        let mut wire = Vec::new();
+        for f in [&b"hello"[..], b"", &[0xA5; 300], b"tail"] {
+            write_frame(&mut wire, f).unwrap();
+        }
+        let truncations = (0..=wire.len()).map(|n| wire[..n].to_vec());
+        let flips = (0..wire.len() * 8).map(|bit| {
+            let mut w = wire.clone();
+            w[bit / 8] ^= 1 << (bit % 8);
+            w
+        });
+        let mut seed = 0x9E37_79B9_7F4A_7C15u64;
+        for input in truncations.chain(flips) {
+            let want = expected(&input);
+            assert_eq!(via_read_frame(&input), want, "read_frame on {input:?}");
+            assert_eq!(via_decoder([&input[..]]), want, "whole push of {input:?}");
+            // Random splits, empty pieces included.
+            for _ in 0..2 {
+                let mut pieces = Vec::new();
+                let mut rest = &input[..];
+                while !rest.is_empty() {
+                    seed ^= seed << 13;
+                    seed ^= seed >> 7;
+                    seed ^= seed << 17;
+                    let (piece, tail) = rest.split_at((seed % 40) as usize % (rest.len() + 1));
+                    pieces.push(piece);
+                    rest = tail;
+                }
+                assert_eq!(via_decoder(pieces), want, "split push of {input:?}");
+            }
+        }
     }
 
     #[test]

@@ -189,11 +189,6 @@ impl Server {
         &self.db
     }
 
-    /// The node's fleet state (role, epoch, shard).
-    pub fn node_state(&self) -> &Arc<NodeState> {
-        &self.node
-    }
-
     /// Starts the worker shards and the group-commit scheduler.
     pub fn start(&mut self) -> io::Result<()> {
         let listener = self

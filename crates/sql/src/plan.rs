@@ -55,7 +55,7 @@ pub fn plan_select(sel: &Select, schema: &Schema, now: Micros) -> Result<Plan> {
         let ts = value.as_timestamp()?;
         match op {
             PredOp::Eq => {
-                query = query.with_ts_min(ts, true).with_ts_max(ts, true);
+                query = tighten_ts_max(tighten_ts_min(query, ts, true), ts, true);
                 absorbed[i] = true;
             }
             PredOp::Ge => {
@@ -177,23 +177,22 @@ pub fn plan_select(sel: &Select, schema: &Schema, now: Micros) -> Result<Plan> {
     Ok(Plan { query, residual })
 }
 
+/// Keeps the tighter of `q`'s lower time bound and `ts` (`>=` when
+/// `inclusive`, else `>`); at equal timestamps the exclusive one is
+/// tighter. Bounds are compared as given, never shifted by one, so
+/// `ts > Micros::MAX` stays a bound that admits nothing.
 fn tighten_ts_min(q: Query, ts: Micros, inclusive: bool) -> Query {
-    let (cur_lo, _) = q.ts_interval();
-    let new_lo = if inclusive { ts } else { ts.saturating_add(1) };
-    if new_lo > cur_lo {
-        q.with_ts_min(new_lo, true)
-    } else {
-        q
+    match q.ts_min {
+        Some(cur) if (cur.ts, !cur.inclusive) >= (ts, !inclusive) => q,
+        _ => q.with_ts_min(ts, inclusive),
     }
 }
 
+/// The upper-bound mirror of [`tighten_ts_min`].
 fn tighten_ts_max(q: Query, ts: Micros, inclusive: bool) -> Query {
-    let (_, cur_hi) = q.ts_interval();
-    let new_hi = if inclusive { ts } else { ts.saturating_sub(1) };
-    if new_hi < cur_hi {
-        q.with_ts_max(new_hi, true)
-    } else {
-        q
+    match q.ts_max {
+        Some(cur) if (cur.ts, cur.inclusive) <= (ts, inclusive) => q,
+        _ => q.with_ts_max(ts, inclusive),
     }
 }
 

@@ -22,7 +22,7 @@
 //!   tablet footer costs the three seeks described in §3.5 of the paper
 //!   (inode, trailer, footer).
 
-use crate::clock::{Micros, SimClock};
+use crate::clock::SimClock;
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -359,12 +359,6 @@ impl std::fmt::Debug for DiskModel {
             .field("stats", &self.stats())
             .finish()
     }
-}
-
-/// Convenience: charge the model for a duration of pure CPU or network time
-/// (used by the benchmark harness to model per-command round trips).
-pub fn charge_latency(clock: &SimClock, micros: Micros) {
-    clock.advance(micros);
 }
 
 #[cfg(test)]

@@ -5,7 +5,7 @@
 //!
 //! Run with: `cargo run --example shard`
 
-use littletable::client::{BatchInserter, Client};
+use littletable::client::{Client, PipelinedInserter};
 use littletable::server::Server;
 use littletable::vfs::{SimClock, SimVfs};
 use littletable::{ColumnDef, ColumnType, Db, Options, Query, Schema, Value};
@@ -43,7 +43,7 @@ fn main() {
     .unwrap();
     client.create_table("temps", schema, None).unwrap();
 
-    let mut batcher = BatchInserter::new(&mut client, "temps", 512);
+    let mut batcher = PipelinedInserter::new(&mut client, "temps", 512, 1);
     for i in 0..1000i64 {
         batcher
             .push(vec![
