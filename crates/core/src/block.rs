@@ -1196,4 +1196,117 @@ mod tests {
         bad_tag[5] = 0x7F; // first column's codec tag
         assert!(matches!(Block::parse(&bad_tag, &s), Err(Error::Corrupt(_))));
     }
+
+    /// Encoded blocks of `(c, ts)`, keyed on `ts`, for `c` of every
+    /// column type: 1 and 5 rows of constant, regular, irregular and
+    /// scattered values, NaN and empty cells among them. Each comes with
+    /// its schema and the codec tag of its `c` slice.
+    fn small_blocks() -> Vec<(Schema, Vec<u8>, ColumnType, u8)> {
+        let mut out = Vec::new();
+        for ty in [
+            ColumnType::I32,
+            ColumnType::I64,
+            ColumnType::Timestamp,
+            ColumnType::F64,
+            ColumnType::Str,
+            ColumnType::Blob,
+        ] {
+            let s = Schema::new(
+                vec![
+                    ColumnDef::new("c", ty),
+                    ColumnDef::new("ts", ColumnType::Timestamp),
+                ],
+                &["ts"],
+            )
+            .unwrap();
+            for (n, pattern) in [1, 5].into_iter().flat_map(|n| (0..4).map(move |p| (n, p))) {
+                let mut b = BlockEncoder::new(&s);
+                for i in 0..n as i64 {
+                    let r = crate::util::mix64(i as u64 ^ pattern << 8) as i64;
+                    let v = [7, 3 * i, i * i * 11 - 5 * i, r][pattern as usize];
+                    let c = match ty {
+                        ColumnType::I32 => Value::I32(v as i32),
+                        ColumnType::I64 => Value::I64(v),
+                        ColumnType::Timestamp => Value::Timestamp(v),
+                        ColumnType::F64 if pattern == 2 && i == 1 => Value::F64(f64::NAN),
+                        ColumnType::F64 if pattern == 3 => Value::F64(f64::from_bits(r as u64)),
+                        ColumnType::F64 => Value::F64(v as f64 / 4.0),
+                        ColumnType::Str => Value::Str("é".repeat((v as usize) % 4)),
+                        ColumnType::Blob => {
+                            Value::Blob(v.to_le_bytes()[..(v as usize) % 9].to_vec())
+                        }
+                    };
+                    let ts = [1000 + i, 1000 + i * i * 7][pattern as usize % 2];
+                    b.add(&Row::new(vec![c, Value::Timestamp(ts)])).unwrap();
+                }
+                let mut data = Vec::new();
+                b.finish(&mut data);
+                let tag = data[5];
+                out.push((s.clone(), data, ty, tag));
+            }
+        }
+        out
+    }
+
+    /// Parses hostile bytes: an error, or a block no larger than its
+    /// input allows whose every row and key reads without a panic. The
+    /// timestamp slice bounds the row count (8 rows a byte, plus 64), and
+    /// no cell can be longer than the input.
+    fn parse_is_bounded(data: &[u8], s: &Schema) {
+        let Ok(blk) = Block::parse(data, s) else {
+            return;
+        };
+        let rows_max = data.len() * 8 + 64;
+        assert!(
+            blk.len() <= rows_max,
+            "{} rows from {} bytes",
+            blk.len(),
+            data.len()
+        );
+        let per_row = 8 * blk.num_columns() + 4 + data.len();
+        assert!(blk.byte_size() <= std::mem::size_of::<Block>() + (rows_max + 1) * per_row);
+        let mut key = Vec::new();
+        for i in 0..blk.len() {
+            let _ = blk.row(i);
+            let _ = blk.key_into(i, &mut key);
+        }
+    }
+
+    /// Every truncation and every bit flip of small blocks of each column
+    /// type, under each codec the encoder picks for it: a compressed-tier
+    /// hit parses its block without a CRC, so the parse alone must hold.
+    #[test]
+    fn hostile_column_slices_parse_to_an_error_or_a_bounded_block() {
+        let blocks = small_blocks();
+        let tags: std::collections::HashSet<(ColumnType, u8)> =
+            blocks.iter().map(|(_, _, ty, tag)| (*ty, *tag)).collect();
+        use littletable_codec::{
+            TAG_DELTA_DELTA, TAG_DICT_RLE, TAG_RAW, TAG_XOR, TAG_ZIGZAG_DELTA,
+        };
+        for want in [
+            (ColumnType::I64, TAG_DELTA_DELTA),
+            (ColumnType::I64, TAG_ZIGZAG_DELTA),
+            (ColumnType::I64, TAG_RAW),
+            (ColumnType::F64, TAG_XOR),
+            (ColumnType::F64, TAG_RAW),
+            (ColumnType::Str, TAG_DICT_RLE),
+            (ColumnType::Str, TAG_RAW),
+            (ColumnType::Blob, TAG_DICT_RLE),
+            (ColumnType::Blob, TAG_RAW),
+        ] {
+            assert!(tags.contains(&want), "no {want:?} slice among the cases");
+        }
+        for (s, data, _, _) in &blocks {
+            assert!(Block::parse(data, s).is_ok());
+            for cut in 0..data.len() {
+                parse_is_bounded(&data[..cut], s);
+            }
+            let mut flipped = data.clone();
+            for bit in 0..data.len() * 8 {
+                flipped[bit / 8] ^= 1 << (bit % 8);
+                parse_is_bounded(&flipped, s);
+                flipped[bit / 8] ^= 1 << (bit % 8);
+            }
+        }
+    }
 }

@@ -45,15 +45,21 @@
 //!   without LRU's per-access list surgery.
 //! * **Scan-resistant admission.** Only the single-block read path
 //!   ([`crate::tablet::TabletReader::read_block`]) consults or fills the
-//!   cache. The ~1 MB buffered run reads that merges and bulk rewrites
-//!   use (§3.4.1, [`crate::tablet::TabletReader::read_block_run`]) bypass
-//!   it entirely, so a full-table merge pass cannot wipe out the hot set
-//!   the way it would with admit-everything caching.
+//!   block tiers. The ~1 MB buffered run reads that merges and bulk
+//!   rewrites use (§3.4.1, [`crate::tablet::TabletReader::read_block_run`])
+//!   bypass it entirely, so a full-table merge pass cannot wipe out the
+//!   hot set the way it would with admit-everything caching. Writes admit
+//!   footers only: every tablet written (flush, merge, bulk-delete
+//!   rewrite) enters its footer as it is finished, the one a first query
+//!   would otherwise load from disk.
 //! * **Write-once keys.** Tablet ids are allocated once per
 //!   [`crate::tablet::TabletReader`] and never reused, so an entry can
 //!   never alias a different tablet's data. When a reader is dropped
 //!   (merge, TTL expiry, bulk delete, table drop), its entries — both
-//!   tiers and the footer — are invalidated.
+//!   tiers and the footer — are invalidated. A writer admits its footer
+//!   under the id of the reader its tablet will be served through, built
+//!   before the first byte is written, so a write that fails drops that
+//!   reader and anything admitted with it.
 //!
 //! Locks are held only for map and slab bookkeeping — never across disk
 //! reads or decompression, and never one shard inside another (demotions

@@ -50,14 +50,16 @@ pub struct Period {
 }
 
 impl Period {
-    /// Exclusive end of the period.
+    /// Exclusive end of the period, saturating: the period holding
+    /// `Micros::MAX` would end past it, and ends at it instead.
     pub fn end(&self) -> Micros {
-        self.start + self.kind.len()
+        self.start.saturating_add(self.kind.len())
     }
 
-    /// True when `ts` falls inside the period.
+    /// True when `ts` falls inside the period, `Micros::MAX` included
+    /// for the period that holds it.
     pub fn contains(&self, ts: Micros) -> bool {
-        ts >= self.start && ts < self.end()
+        ts >= self.start && ts.abs_diff(self.start) < self.kind.len() as u64
     }
 }
 
@@ -149,6 +151,20 @@ mod tests {
         assert_eq!(p.kind, PeriodKind::Week);
         assert_eq!(p.start, -WEEK);
         assert!(p.contains(-1));
+    }
+
+    #[test]
+    fn the_periods_at_either_end_of_time_hold_their_extremes() {
+        for now in [0, Micros::MAX] {
+            let p = period_for(Micros::MAX, now);
+            assert_eq!(p.end(), Micros::MAX);
+            assert!(p.contains(Micros::MAX) && p.contains(p.start));
+            assert!(!p.contains(p.start - 1) && !p.contains(Micros::MIN));
+        }
+        let p = period_for(Micros::MIN, 0);
+        assert_eq!(p.start, Micros::MIN);
+        assert!(p.contains(Micros::MIN) && !p.contains(p.end()));
+        assert!(!p.contains(Micros::MAX));
     }
 
     #[test]

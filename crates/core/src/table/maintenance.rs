@@ -87,6 +87,10 @@ impl Table {
     /// syncs it. `None` when `fill` put no row in; no file is left behind
     /// then, nor when anything failed (the fsync gate: nothing of a tablet
     /// whose write or sync failed is published).
+    ///
+    /// The tablet's footer enters the block cache as it is written, under
+    /// the id of the reader built for it first (see [`crate::cache`]). A
+    /// failed write drops that reader, which invalidates what it admitted.
     fn write_tablet(
         &self,
         schema: &SchemaRef,
@@ -101,13 +105,15 @@ impl Table {
             st.next_tablet_id - 1
         };
         let path = join(&self.dir, &tablet_file_name(id));
+        let reader = self.new_reader(self.vfs.clone(), path.clone());
         let written = (|| {
             let mut w = TabletWriter::new(
                 self.vfs.create(&path, size_hint)?,
                 (**schema).clone(),
                 self.opts.block_size,
                 self.opts.bloom_filters,
-            );
+            )
+            .warming(reader.clone());
             fill(&mut w)?;
             if w.row_count() == 0 {
                 return Ok(None);
@@ -116,7 +122,7 @@ impl Table {
         })();
         match written {
             Ok(Some((min_ts, max_ts, rows, bytes))) => Ok(Some(DiskHandle {
-                reader: self.new_reader(self.vfs.clone(), path),
+                reader,
                 meta: TabletMeta {
                     id,
                     min_ts,

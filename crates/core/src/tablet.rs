@@ -339,6 +339,9 @@ pub struct TabletWriter {
     /// The block under way, serialized and not yet compressed.
     raw: Vec<u8>,
     scratch: Vec<u8>,
+    /// The reader the tablet will be served through, whose footer
+    /// [`TabletWriter::finish`] admits (see [`TabletWriter::warming`]).
+    warm: Option<Arc<TabletReader>>,
 }
 
 impl TabletWriter {
@@ -366,7 +369,15 @@ impl TabletWriter {
             key_scratch: Vec::new(),
             raw: Vec::new(),
             scratch: Vec::new(),
+            warm: None,
         }
+    }
+
+    /// Makes [`TabletWriter::finish`] admit the footer it wrote to
+    /// `reader`'s block cache once it is synced.
+    pub(crate) fn warming(mut self, reader: Arc<TabletReader>) -> Self {
+        self.warm = Some(reader);
+        self
     }
 
     /// Checks that `key` sorts strictly after every key written so far,
@@ -480,6 +491,8 @@ impl TabletWriter {
     /// trailer, and syncs. Returns `(min_ts, max_ts, row_count, file_len)`.
     pub fn finish(mut self) -> Result<(Micros, Micros, u64, u64)> {
         self.flush_block()?;
+        // Sized as a footer decoded from disk is, for the one admitted.
+        self.blocks.shrink_to_fit();
         let footer = TabletFooter {
             schema: self.schema.clone(),
             min_ts: self.min_ts,
@@ -502,6 +515,12 @@ impl TabletWriter {
         trailer.extend_from_slice(&TRAILER_MAGIC.to_le_bytes());
         self.file.append(&trailer)?;
         self.file.sync()?;
+        if let Some(reader) = &self.warm {
+            let footer = Arc::new(footer);
+            reader
+                .cache
+                .insert_footer(reader.tablet_id, footer, &reader.stats);
+        }
         let file_len = footer_off + compressed.len() as u64 + TRAILER_LEN;
         Ok((self.min_ts, self.max_ts, self.row_count, file_len))
     }
@@ -1256,6 +1275,47 @@ mod tests {
         assert!(!r.footer_cached());
         r.footer().unwrap();
         assert!(r.footer_cached());
+    }
+
+    /// A writer warming a reader admits the footer it wrote, the one a
+    /// reader decodes from the file, and no block: each block read still
+    /// misses, at any budget.
+    #[test]
+    fn warming_writers_admit_their_footer_and_no_block() {
+        let vfs: Arc<dyn Vfs> = Arc::new(SimVfs::instant());
+        let s = schema();
+        for budget in [1 << 20, 0] {
+            let cache = Arc::new(BlockCache::new(budget, budget, 1));
+            let stats = Arc::new(TableStats::default());
+            let path = format!("w-{budget}.lt");
+            let reader = TabletReader::with_cache(vfs.clone(), path.clone(), cache, stats);
+            let reader = Arc::new(reader);
+            let file = vfs.create(&path, 0).unwrap();
+            let mut w = TabletWriter::new(file, s.clone(), 4096, true).warming(reader.clone());
+            for i in 0..1000 {
+                let row = row_at(i);
+                w.add_row(&row.encode_key(&s).unwrap(), &row).unwrap();
+            }
+            w.finish().unwrap();
+            assert!(reader.footer_cached());
+            assert_eq!(reader.cache.compressed_entry_count(), 0, "{path}");
+            let from_disk = TabletReader::new(vfs.clone(), path.clone());
+            let (admitted, decoded) = (reader.footer().unwrap(), from_disk.footer().unwrap());
+            assert_eq!(format!("{admitted:?}"), format!("{decoded:?}"), "{path}");
+            assert_eq!(admitted.blocks.capacity(), admitted.blocks.len(), "{path}");
+            let nblocks = decoded.blocks.len();
+            assert!(nblocks > 1);
+            for i in 0..nblocks {
+                let (got, want) = (
+                    reader.read_block(i).unwrap(),
+                    from_disk.read_block(i).unwrap(),
+                );
+                assert_eq!(format!("{got:?}"), format!("{want:?}"), "{path} block {i}");
+            }
+            let snap = reader.stats.snapshot();
+            assert_eq!(snap.cache_compressed_hits, 0, "{path}");
+            assert_eq!(snap.cache_misses, nblocks as u64, "{path}");
+        }
     }
 
     #[test]

@@ -4,12 +4,16 @@
 //! pressure, the compressed tier serves overflow working sets faster
 //! than a single-tier cache at the same budget, merges invalidate dead
 //! tablets without flushing the hot set, and a zero budget reads from
-//! disk exactly as a cold cache does.
+//! disk exactly as a cold cache does. A tablet's footer enters the cache
+//! as the tablet is written; its blocks enter only as they are read.
 
 use littletable::core::block::{Block, BlockEncoder};
 use littletable::core::cache::CompressedBlock;
 use littletable::core::stats::TableStats;
-use littletable::vfs::{Clock, DiskParams, SimClock, SimVfs};
+use littletable::core::tablet::TabletReader;
+use littletable::vfs::{
+    Clock, DiskParams, FaultKind, FaultPlan, FaultRule, FaultVfs, OpKind, SimClock, SimVfs, Vfs,
+};
 use littletable::{BlockCache, ColumnDef, ColumnType, Db, Options, Query, Row, Schema, Value};
 use std::sync::Arc;
 
@@ -50,6 +54,45 @@ fn build_merged_table(db: &Db, clock: &SimClock, name: &str, n: i64) -> Arc<litt
 
 fn values_of(rows: Vec<Row>) -> Vec<Vec<Value>> {
     rows.into_iter().map(|r| r.values).collect()
+}
+
+/// The cache ids of every tablet with its footer resident. Ids are
+/// allocated in order and never reused, so the ones below a freshly
+/// registered id are every id handed out so far.
+fn resident_footers(cache: &BlockCache) -> Vec<u64> {
+    (1..cache.register_tablet())
+        .filter(|&t| cache.footer_resident(t))
+        .collect()
+}
+
+/// Fails the second read of a tablet file while `query` runs, so it
+/// passes only if it reads one block and no trailer or footer, which
+/// would take two reads more.
+fn reads_one_block(vfs: &SimVfs, query: impl FnOnce()) {
+    let second_read = FaultRule::new(FaultKind::Eio).on_ops(&[OpKind::Read]);
+    vfs.set_fault_plan(FaultPlan::new().rule(second_read.on_path(".lt").nth_match(2)));
+    query();
+    vfs.clear_fault_plan();
+}
+
+/// Inserts `tablets` batches of `per` rows of `table`, keys ascending
+/// from 0, flushing each into a tablet of its own.
+fn flush_tablets(table: &littletable::Table, tablets: i64, per: i64) {
+    for batch in 0..tablets {
+        let rows = (batch * per..(batch + 1) * per)
+            .map(|k| row(k, START + k, (k % 251) as u8, 100))
+            .collect();
+        table.insert(rows).unwrap();
+        table.flush_all().unwrap();
+    }
+}
+
+/// Point-queries every `step`th key below `n`, each answered by one row.
+fn query_keys(table: &littletable::Table, n: i64, step: usize) {
+    for k in (0..n).step_by(step) {
+        let q = Query::all().with_prefix(vec![Value::I64(k)]);
+        assert_eq!(table.query_all(&q).unwrap().len(), 1, "key {k}");
+    }
 }
 
 #[test]
@@ -168,23 +211,30 @@ fn merge_invalidates_dead_tablet_entries() {
     }
     let cache = db.block_cache().clone();
     assert!(cache.entry_count() > 0);
+    let sources = resident_footers(&cache);
+    assert_eq!(sources.len(), 4, "every source tablet's footer");
     // Merge everything: the source tablets leave service, so every cached
-    // block now describes a deleted file and must be unreachable.
+    // block now describes a deleted file and must be unreachable. What
+    // is left is the footer the merge wrote, under a new id.
     while table.run_merge_once(clock.now_micros()).unwrap() {}
     assert_eq!(table.num_disk_tablets(), 1);
+    assert!(sources.iter().all(|&t| !cache.footer_resident(t)));
     assert_eq!(
-        cache.entry_count(),
-        0,
-        "merged-away tablets must drop their cached blocks"
+        (cache.entry_count(), cache.compressed_entry_count()),
+        (1, 0),
+        "merged-away tablets must drop their cached blocks and footers"
     );
-    // The merged tablet serves the same data and re-warms the cache.
+    // The merged tablet serves the same data and re-warms the cache with
+    // its blocks, read from disk.
+    let misses = table.stats().snapshot().cache_misses;
     for k in (0..1600).step_by(100) {
         let rows = table
             .query_all(&Query::all().with_prefix(vec![Value::I64(k)]))
             .unwrap();
         assert_eq!(rows.len(), 1);
     }
-    assert!(cache.entry_count() > 0);
+    assert!(table.stats().snapshot().cache_misses > misses);
+    assert!(cache.entry_count() > 1);
     assert!(cache.bytes_used() <= cache.capacity());
 }
 
@@ -441,4 +491,118 @@ fn concurrent_queries_never_exceed_cache_budget() {
         snap.cache_hit_ratio()
     );
     assert!(cache.bytes_used() <= cache.capacity());
+}
+
+#[test]
+fn a_flushed_tablets_footer_is_cached_as_written_and_is_the_one_on_disk() {
+    let clock = SimClock::new(START);
+    let vfs = SimVfs::instant();
+    let opts = Options::small_for_tests();
+    let db = Db::open(Arc::new(vfs.clone()), Arc::new(clock), opts).unwrap();
+    let table = db.create_table("t", schema(), None).unwrap();
+    flush_tablets(&table, 1, 300);
+    let cache = db.block_cache();
+    // The flush admitted its footer and no block.
+    let written = resident_footers(cache);
+    assert_eq!(written.len(), 1);
+    assert_eq!(
+        (cache.entry_count(), cache.compressed_entry_count()),
+        (1, 0)
+    );
+    let q = Query::all().with_prefix(vec![Value::I64(150)]);
+    let mut rows = Vec::new();
+    reads_one_block(&vfs, || rows = table.query_all(&q).expect("one read"));
+    assert_eq!(values_of(rows), vec![row(150, START + 150, 150, 100)]);
+    let snap = table.stats().snapshot();
+    assert_eq!((snap.cache_misses, snap.footer_evictions), (1, 0));
+    // What the writer admitted is what a reader decodes from the file,
+    // field for field.
+    let names = vfs.list_dir("t").unwrap();
+    let name = names.iter().find(|n| n.ends_with(".lt")).unwrap();
+    let path = littletable::vfs::join("t", name);
+    let on_disk = TabletReader::new(Arc::new(vfs.clone()), path)
+        .footer()
+        .unwrap();
+    let admitted = cache.get_footer(written[0]).unwrap();
+    assert_eq!(format!("{admitted:?}"), format!("{on_disk:?}"));
+}
+
+/// At the default budget and at zero, where no block is ever held and
+/// the written footer is pinned.
+#[test]
+fn merged_and_rewritten_tablets_are_first_read_without_a_footer_load() {
+    let default = Options::small_for_tests().block_cache_bytes;
+    for budget in [default, 0] {
+        let clock = SimClock::new(START);
+        let vfs = SimVfs::instant();
+        let opts = Options {
+            block_cache_bytes: budget,
+            ..Options::small_for_tests()
+        };
+        let db = Db::open(Arc::new(vfs.clone()), Arc::new(clock.clone()), opts).unwrap();
+        let table = db.create_table("t", schema(), None).unwrap();
+        flush_tablets(&table, 4, 400);
+        query_keys(&table, 1600, 100);
+        while table.run_merge_once(clock.now_micros()).unwrap() {}
+        assert_eq!(table.num_disk_tablets(), 1);
+        let cache = db.block_cache();
+        let entries = || (cache.entry_count(), cache.compressed_entry_count());
+        assert_eq!(entries(), (1, 0), "budget {budget}");
+        reads_one_block(&vfs, || query_keys(&table, 1, 1));
+        // A bulk delete's rewrite admits its footer the same way.
+        assert_eq!(table.bulk_delete(&[Value::I64(800)]).unwrap(), 1);
+        assert_eq!(table.num_disk_tablets(), 1);
+        assert_eq!(entries(), (1, 0), "budget {budget}");
+        reads_one_block(&vfs, || query_keys(&table, 1, 1));
+        if budget == 0 {
+            let snap = table.stats().snapshot();
+            assert_eq!((snap.cache_hits, snap.cache_compressed_hits), (0, 0));
+        }
+    }
+}
+
+#[test]
+fn enospc_in_a_merge_leaves_nothing_under_the_failed_tablets_id() {
+    let clock = SimClock::new(START);
+    let vfs = FaultVfs::new(SimVfs::instant());
+    let opts = Options::small_for_tests();
+    let db = Db::open(Arc::new(vfs.clone()), Arc::new(clock.clone()), opts).unwrap();
+    let table = db.create_table("t", schema(), None).unwrap();
+    flush_tablets(&table, 4, 400);
+    query_keys(&table, 1600, 100);
+    let cache = db.block_cache().clone();
+    let held = |c: &BlockCache| (c.entry_count(), c.compressed_entry_count(), c.bytes_used());
+    let before = held(&cache);
+    // The merge's k-th append to or sync of its tablet fails, for k = 1,
+    // 2, ...: each block, its footer, its trailer, the sync just before
+    // the footer would be admitted. Then one goes through.
+    let mut failures = 0;
+    loop {
+        let rule = FaultRule::new(FaultKind::Enospc).on_ops(&[OpKind::Append, OpKind::Sync]);
+        let rule = rule.on_path(".lt").nth_match(failures + 1);
+        vfs.set_fault_plan(FaultPlan::new().rule(rule));
+        let merged = table.run_merge_once(clock.now_micros());
+        vfs.clear_fault_plan();
+        match merged {
+            Ok(ran) => {
+                assert!(ran);
+                break;
+            }
+            Err(e) => assert!(e.is_disk_full(), "{e}"),
+        }
+        failures += 1;
+        let failed = cache.register_tablet() - 1;
+        assert!(
+            !cache.footer_resident(failed),
+            "failure {failures}: footer left"
+        );
+        assert_eq!(held(&cache), before, "failure {failures}");
+    }
+    assert!(
+        failures >= 4,
+        "{failures} appends: too few blocks to fail between"
+    );
+    let merged = cache.register_tablet() - 1;
+    assert!(cache.footer_resident(merged), "the merged tablet's footer");
+    query_keys(&table, 1600, 100);
 }
