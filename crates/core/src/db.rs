@@ -28,7 +28,7 @@ use crate::resultcache::{ResultCache, ResultKey};
 use crate::rollup::{self, RollupSpec};
 use crate::schema::Schema;
 use crate::stats::{DbStats, DbStatsSnapshot, TableStats};
-use crate::table::{MaintenanceReport, Table};
+use crate::table::{check_ttl, MaintenanceReport, Table};
 use littletable_vfs::{Clock, Micros, StdVfs, SystemClock, Vfs};
 use parking_lot::{Mutex, RwLock};
 use std::collections::BTreeMap;
@@ -218,7 +218,8 @@ impl Db {
         TableStats::add(&self.inner.stats.catalog_publishes, 1);
     }
 
-    /// Creates a table. Fails if the name is taken or invalid.
+    /// Creates a table. Fails if the name is taken or invalid, or the TTL
+    /// is not positive.
     pub fn create_table(
         &self,
         name: &str,
@@ -228,6 +229,7 @@ impl Db {
         if !valid_table_name(name) {
             return Err(Error::invalid(format!("invalid table name {name:?}")));
         }
+        check_ttl(ttl)?;
         let _writer = self.inner.catalog_lock.lock();
         let snap = self.load_catalog();
         if snap.contains_key(name) {

@@ -30,7 +30,7 @@ use crate::agg::{AggRows, AggSpec, Aggregate, GroupSpec};
 use crate::error::Result;
 use crate::keyenc::KeyRange;
 use crate::rollup::distinct_bytes;
-use crate::table::{PredOp, Table};
+use crate::table::{ttl_horizon, PredOp, Table};
 use crate::value::Value;
 use littletable_vfs::Micros;
 use parking_lot::Mutex;
@@ -41,12 +41,12 @@ use std::ops::Bound;
 /// and write position, and the question as the scan reads it. Equal keys
 /// fold the same rows the same way.
 ///
-/// The TTL horizon `now − ttl` enters only as the raised lower bound of
-/// `window`, and that is exact. Every serving path clamps its scan there
-/// (`Table::pushdown_scan`, and `rollup::serve`'s whole buckets), and the
-/// TTL reap drops only tablets wholly below it, so the horizon affects an
-/// answer only through `max(lo, now − ttl)`. The key's clock is read
-/// before the scan's, and a later request reads it later still: its
+/// The TTL horizon, computed only by [`ttl_horizon`], enters only as
+/// the raised lower bound of `window`, and that is exact: a scan clamps
+/// its window there, rollup serving takes whole buckets only above it,
+/// and the reap drops only tablets wholly below it, so the horizon
+/// affects an answer only through `max(lo, horizon)`. The key's clock is
+/// read before the scan's, and a later request reads it later still: its
 /// lower bound is at least the one the cached answer was scanned with,
 /// which is at least the one that answer was keyed with. An equal key
 /// therefore means the three are equal — the horizon had not reached
@@ -78,13 +78,12 @@ impl ResultKey {
     pub(crate) fn new(t: &Table, q: &Aggregate, now: Micros) -> Result<ResultKey> {
         let schema = t.schema();
         let (lo, hi) = q.query.ts_interval();
-        let horizon = t.ttl().map_or(Micros::MIN, |ttl| now.saturating_sub(ttl));
         Ok(ResultKey {
             generation: t.generation(),
             insert_seq: t.insert_seq(),
             schema_version: schema.version(),
             range: q.query.key_range(&schema)?,
-            window: (lo.max(horizon), hi),
+            window: (lo.max(ttl_horizon(t.ttl(), now)), hi),
             predicates: q
                 .predicates
                 .iter()

@@ -61,7 +61,7 @@ use crate::keyenc::KeyRange;
 use crate::query::Query;
 use crate::schema::{ColumnDef, Schema};
 use crate::stats::TableStats;
-use crate::table::{ColumnPredicate, Selection, Table};
+use crate::table::{ttl_horizon, ColumnPredicate, Selection, Table};
 use crate::util::{put_string, put_varint, Reader};
 use crate::value::{ColumnType, Value};
 use littletable_vfs::{Micros, Vfs};
@@ -418,10 +418,7 @@ pub(crate) fn serve(
     }
     // Buckets straddling the base's TTL horizon would resurrect expired
     // rows; the low-end scan re-applies the TTL filter row by row instead.
-    let cutoff = base
-        .ttl()
-        .map(|ttl| db.now().saturating_sub(ttl))
-        .unwrap_or(Micros::MIN);
+    let cutoff = ttl_horizon(base.ttl(), db.now());
     let watermark = base.rollup_watermark();
     let mut specs = db.rollup_specs_for(base.name());
     specs.sort_by_key(|s| std::cmp::Reverse(s.period));

@@ -274,7 +274,8 @@ impl Schema {
         if ncols == 0 || ncols > 4096 {
             return Err(Error::corrupt(format!("implausible column count {ncols}")));
         }
-        let mut columns = Vec::with_capacity(ncols);
+        // A column takes three bytes at least, a key index one.
+        let mut columns = Vec::with_capacity(ncols.min(r.remaining()));
         for _ in 0..ncols {
             let name = r.string()?;
             let ty = ColumnType::from_tag(r.u8()?)?;
@@ -285,7 +286,7 @@ impl Schema {
         if nkey == 0 || nkey > ncols {
             return Err(Error::corrupt(format!("implausible key length {nkey}")));
         }
-        let mut key = Vec::with_capacity(nkey);
+        let mut key = Vec::with_capacity(nkey.min(r.remaining()));
         for _ in 0..nkey {
             let i = r.varint()? as usize;
             if i >= ncols {

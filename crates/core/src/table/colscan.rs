@@ -1,9 +1,11 @@
 //! Vectorized aggregate pushdown over on-disk tablets.
 //!
-//! [`Table::pushdown_scan`] walks the same read-view snapshot as
-//! [`Table::query`], but instead of merging rows in key order it hands
-//! the caller the cheapest unit that still answers an aggregate
-//! exactly, per block:
+//! [`Table::pushdown_scan`] starts from the same read view as
+//! [`Table::query`] (`Table::view`: the snapshot, the key range, the
+//! window raised to the TTL horizon, the overlapping tablets), but
+//! instead of merging rows in key order it hands the caller the
+//! cheapest unit that still answers an aggregate exactly, per block —
+//! the disk tablets' blocks first, then the memtablets':
 //!
 //! * [`ScanUnit::Stats`] — the block's footer statistics (row count and
 //!   per-column zone maps). No block bytes are touched at all; enough
@@ -33,8 +35,8 @@
 
 use super::Table;
 use crate::block::{Block, ColumnSlice};
-use crate::cursor::{RunCursor, Source};
-use crate::error::{Error, Result};
+use crate::cursor::RunCursor;
+use crate::error::Result;
 use crate::query::Query;
 use crate::stats::TableStats;
 use crate::value::Value;
@@ -351,37 +353,20 @@ impl Table {
         emit: &mut dyn FnMut(ScanUnit) -> Result<()>,
     ) -> Result<()> {
         TableStats::add(&self.stats.pushdown_scans, 1);
-        let now = self.clock.now_micros();
-        let (snap, cutoff_seq) = self.read_view();
-        if snap.dropped {
-            return Err(Error::NoSuchTable(self.name().to_string()));
-        }
-        let schema = snap.schema.clone();
-        let range = req.query.key_range(&schema)?;
-        let (ts_lo, ts_hi) = req.query.ts_interval();
-        let ts_lo = match snap.ttl {
-            Some(ttl) => ts_lo.max(now.saturating_sub(ttl)),
-            None => ts_lo,
-        };
-        if range.is_certainly_empty() || ts_lo > ts_hi {
-            return Ok(());
-        }
+        let view = self.view(|s| req.query.key_range(s), req.query.ts_interval())?;
+        let (schema, range, ts_lo, ts_hi) = (&view.schema, &view.range, view.lo, view.hi);
         let ts_index = schema.ts_index();
         let ts_bounds = Some((ts_lo, ts_hi));
         let every: Vec<&ColumnPredicate> = req.predicates.iter().collect();
         let mut pruned = 0u64;
         let mut uncertain: Vec<&ColumnPredicate> = Vec::new();
-        for h in &snap.disk {
-            if h.meta.max_ts < ts_lo || h.meta.min_ts > ts_hi {
-                continue;
-            }
+        for h in view.disk() {
             let footer = h.reader.footer()?;
             if footer.schema.version() != schema.version() {
                 // Schema-lagging tablet: the run cursor hands its blocks
                 // on translated; their zone maps are the old schema's, so
                 // every row is checked.
-                let source = Source::tablet(h.reader.clone(), schema.clone(), range.clone());
-                let mut cur = RunCursor::new(vec![source], false);
+                let mut cur = RunCursor::new(vec![view.source(h)], false);
                 while let Some(run) = cur.next_run()? {
                     emit_selected(run.block, run.rows, ts_bounds, &every, emit)?;
                 }
@@ -448,19 +433,16 @@ impl Table {
                 let rows = if key_contained {
                     0..block.len()
                 } else {
-                    block.rows_in_range(&range)?
+                    block.rows_in_range(range)?
                 };
                 let ts_bounds = ts_bounds.filter(|_| !ts_contained);
                 emit_selected(block, rows, ts_bounds, &uncertain, emit)?;
             }
         }
-        for t in &snap.mem {
-            if let Some(block) =
-                super::read::mem_block(t, &range, ts_lo, ts_hi, cutoff_seq, &schema)?
-            {
-                let rows = 0..block.len();
-                emit_selected(Arc::new(block), rows, ts_bounds, &every, emit)?;
-            }
+        for mem in view.mem() {
+            let (_, block) = mem?;
+            let rows = 0..block.len();
+            emit_selected(Arc::new(block), rows, ts_bounds, &every, emit)?;
         }
         TableStats::add(&self.stats.blocks_pruned, pruned);
         Ok(())

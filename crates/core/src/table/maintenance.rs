@@ -16,7 +16,7 @@
 //! through its `Arc`s until the last such reader drops it.
 
 use super::state::{DiskHandle, TableState};
-use super::{MaintenanceReport, Table};
+use super::{check_ttl, ttl_horizon, MaintenanceReport, Table};
 use crate::cursor::{RunCursor, Source, READ_RUN_BYTES};
 use crate::descriptor::{tablet_file_name, TableDescriptor, TabletMeta};
 use crate::error::{Error, Result};
@@ -455,7 +455,7 @@ impl Table {
         ttl: Option<Micros>,
         now: Micros,
     ) -> Result<Option<DiskHandle>> {
-        let cutoff = ttl.map(|t| now.saturating_sub(t)).unwrap_or(Micros::MIN);
+        let cutoff = ttl_horizon(ttl, now);
         let size_hint: u64 = sources.iter().map(|h| h.meta.bytes).sum();
         let rolled_up = sources.iter().all(|h| h.meta.rolled_up);
         let merged = self.write_tablet(schema, size_hint, rolled_up, now, |w| {
@@ -472,11 +472,11 @@ impl Table {
     pub fn ttl_reap(&self, now: Micros) -> Result<usize> {
         let dead = self.commit(self.written(None), |st| {
             // A merge may be reading any tablet; wait for the next pass.
-            let Some(ttl) = st.ttl.filter(|_| !st.merge_running) else {
+            if st.ttl.is_none() || st.merge_running {
                 return Ok(None);
-            };
-            let cutoff = now.saturating_sub(ttl);
-            let dead = st.take_disk(|m| m.max_ts < cutoff);
+            }
+            let horizon = ttl_horizon(st.ttl, now);
+            let dead = st.take_disk(|m| m.max_ts < horizon);
             Ok((!dead.is_empty()).then_some(dead))
         });
         let dead = or_if_dropped(dead, Vec::new())?.len();
@@ -561,8 +561,9 @@ impl Table {
         Ok(())
     }
 
-    /// Changes the table's TTL (§3.5).
+    /// Changes the table's TTL (§3.5); a TTL must be positive.
     pub fn set_ttl(&self, ttl: Option<Micros>) -> Result<()> {
+        check_ttl(ttl)?;
         self.commit(self.written(None), |st| {
             st.ttl = ttl;
             Ok(Some(Vec::new()))

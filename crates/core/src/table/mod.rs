@@ -7,9 +7,10 @@
 //!   immutable `TabletSnapshot` published to readers (an `Arc` swapped
 //!   in an `RwLock` whose write side is held for the swap only);
 //! * `write` — insert, uniqueness fast paths (§3.4.4), sealing;
-//! * `read` — `query`/`latest` and the streaming `QueryCursor`,
-//!   built entirely from a snapshot load, over [`crate::cursor`]'s merge
-//!   of block runs;
+//! * `read` — the one read view (`Table::view`) that `query`, `latest`
+//!   and `pushdown_scan` start from, `query`/`latest` and the streaming
+//!   `QueryCursor` over [`crate::cursor`]'s merge of block runs;
+//! * `colscan` — the aggregate pushdown scan;
 //! * `maintenance` — flush, merge, TTL reaping, bulk delete, cold
 //!   migration, and schema evolution: tablets rewritten through the
 //!   query's merge cursor, every transition through one commit that
@@ -84,6 +85,22 @@ pub struct MaintenanceReport {
     pub tablets_folded: usize,
 }
 
+/// The TTL horizon at `now`: a row stamped below it has expired (§3.3);
+/// `Micros::MIN` without a TTL. Every read raises its window to it
+/// (`Table::view`), merges drop the rows below it, the reaper the
+/// tablets wholly below it, and the result cache keys on it.
+pub(crate) fn ttl_horizon(ttl: Option<Micros>, now: Micros) -> Micros {
+    ttl.map_or(Micros::MIN, |ttl| now.saturating_sub(ttl))
+}
+
+/// Refuses a TTL that is not positive, under which every row expires.
+pub(crate) fn check_ttl(ttl: Option<Micros>) -> Result<()> {
+    match ttl {
+        Some(ttl) if ttl <= 0 => Err(Error::invalid(format!("TTL must be positive, got {ttl}"))),
+        _ => Ok(()),
+    }
+}
+
 /// Source of table generation numbers: a process-wide counter so a
 /// dropped-and-recreated table of the same name never repeats a
 /// generation, which is what lets the query-result cache key on it.
@@ -114,7 +131,7 @@ pub struct Table {
     /// memtablet's write lock. Readers load it *before* loading the
     /// snapshot and ignore memtable rows stamped at or above the loaded
     /// value, which makes a multi-tablet read a consistent point-in-time
-    /// view without holding any table-wide lock (see `Table::read_view`).
+    /// view without holding any table-wide lock (see `Table::view`).
     insert_seq: AtomicU64,
     /// Serializes slow-path uniqueness checks so disk reads never happen
     /// under the state mutex (§3.4.4).
@@ -331,24 +348,6 @@ impl Table {
         // the last owner of flushed memtablets and merged-away readers.
         drop(old);
         TableStats::add(&self.stats.snapshot_publishes, 1);
-    }
-
-    /// The read fast path: returns the current snapshot plus the
-    /// insert-sequence cutoff that makes it a consistent point-in-time
-    /// view. No mutex is acquired.
-    ///
-    /// Order matters. The cutoff is loaded *before* the snapshot: every
-    /// row stamped below the cutoff finished its insert — including the
-    /// publish of its (possibly new) memtablet — before we loaded it,
-    /// so that tablet is in the snapshot we load next and the row is
-    /// visible under the tablet's read lock. Loading in the opposite
-    /// order could admit a row (low seq, new tablet) whose tablet the
-    /// older snapshot lacks, breaking the no-gaps guarantee.
-    pub(crate) fn read_view(&self) -> (Arc<TabletSnapshot>, u64) {
-        let cutoff = self.insert_seq.load(Ordering::SeqCst);
-        let snap = self.snapshot.read().clone();
-        TableStats::add(&self.stats.snapshot_loads, 1);
-        (snap, cutoff)
     }
 
     /// Builds a reader for a newly written tablet file, registered with

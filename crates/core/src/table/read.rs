@@ -1,26 +1,26 @@
-//! The read path: `query`, `query_all`, `latest`, and the streaming
-//! [`QueryCursor`].
+//! The read path: the one read [`View`] that `query`, `latest` and
+//! `pushdown_scan` start from, and the streaming [`QueryCursor`].
 //!
-//! Both entry points run entirely from one `read_view()` — a snapshot
-//! load (an `Arc` clone, never behind the state mutex or any I/O) plus
-//! an insert-sequence cutoff. Disk tablets are
-//! immutable files behind `Arc`'d readers; in-memory tablets are
-//! snapshotted under their own read locks, each into one decoded block,
-//! with the cutoff filtering out rows inserted after the view was taken.
-//! Expensive work (translating a block of an older schema version)
-//! happens outside every lock, so readers cannot stall the writer or the
-//! maintenance paths.
+//! A read keeps the tablets whose timespans overlap its window (§3.2)
+//! and drops expired rows (§3.3); [`Table::view`] decides both, once,
+//! from one snapshot load (an `Arc` clone, never behind the state mutex
+//! or any I/O) and an insert-sequence cutoff. Disk tablets are immutable
+//! files behind `Arc`'d readers; in-memory tablets are snapshotted under
+//! their own read locks, each into one decoded block, with the cutoff
+//! filtering out rows inserted after the view was taken. Expensive work
+//! (translating a block of an older schema version) happens outside
+//! every lock, so readers cannot stall the writer or maintenance.
 //!
 //! A query's result is a stream of [`RowRun`]s — row ranges of decoded
 //! blocks, merged in key order by [`RunCursor`] and cut here at the
-//! query's time bounds, the table's TTL and the row limits. A consumer
-//! that can work from column slices ([`QueryCursor::next_run`]: the
-//! server's response encoder) never has a [`Row`] built for it;
-//! [`QueryCursor::next_row`] builds one per call for those that want
-//! rows, and is where `rows_materialized` counts.
+//! view's window and the row limits. A consumer that can work from
+//! column slices ([`QueryCursor::next_run`]: the server's response
+//! encoder) never has a [`Row`] built for it; [`QueryCursor::next_row`]
+//! builds one per call for those that want rows, and is where
+//! `rows_materialized` counts.
 
-use super::state::SharedMemTablet;
-use super::Table;
+use super::state::{DiskHandle, SharedMemTablet, TabletSnapshot};
+use super::{ttl_horizon, Table};
 use crate::block::Block;
 use crate::cursor::{RowRun, RunCursor, Source};
 use crate::error::{Error, Result};
@@ -29,83 +29,120 @@ use crate::query::Query;
 use crate::row::Row;
 use crate::schema::SchemaRef;
 use crate::stats::TableStats;
-use crate::tablet::TabletReader;
 use crate::util::hash_bytes;
 use crate::value::Value;
 use littletable_vfs::Micros;
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-/// Snapshots one shared memtablet for a query: the rows inside `range`
-/// stamped below `cutoff_seq`, as one block under the `newest` schema.
-/// Returns `None` when the tablet's timespan misses `[ts_lo, ts_hi]`.
-/// The per-tablet read lock covers only the copy into column slices;
-/// translating a block written under an older schema version runs after
-/// it is released.
-pub(super) fn mem_block(
-    t: &SharedMemTablet,
-    range: &KeyRange,
-    ts_lo: Micros,
-    ts_hi: Micros,
+/// What one read sees: one snapshot and its insert-sequence cutoff, the
+/// schema, the key range, and the closed window `[lo, hi]`, `lo` raised
+/// to the TTL horizon.
+pub(super) struct View {
+    snap: Arc<TabletSnapshot>,
     cutoff_seq: u64,
-    newest: &SchemaRef,
-) -> Result<Option<Block>> {
-    let (block, from) = {
-        let mem = t.read();
-        match (mem.min_ts(), mem.max_ts()) {
-            (Some(lo), Some(hi)) if hi >= ts_lo && lo <= ts_hi => {}
-            _ => return Ok(None),
+    pub(super) schema: SchemaRef,
+    pub(super) range: KeyRange,
+    pub(super) lo: Micros,
+    pub(super) hi: Micros,
+}
+
+impl View {
+    /// True when a tablet spanning `[lo, hi]` can hold a row inside both
+    /// the key range and the window.
+    fn overlaps(&self, lo: Micros, hi: Micros) -> bool {
+        !self.range.is_certainly_empty() && self.lo <= self.hi && hi >= self.lo && lo <= self.hi
+    }
+
+    /// The on-disk tablets whose timespans overlap the window, in
+    /// snapshot order.
+    pub(super) fn disk(&self) -> impl Iterator<Item = &DiskHandle> {
+        let disk = self.snap.disk.iter();
+        disk.filter(|h| self.overlaps(h.meta.min_ts, h.meta.max_ts))
+    }
+
+    /// A disk tablet's rows inside the key range, under the view's schema.
+    pub(super) fn source(&self, h: &DiskHandle) -> Source {
+        Source::tablet(h.reader.clone(), self.schema.clone(), self.range.clone())
+    }
+
+    /// Each memtablet whose timespan overlaps the window: the span, and
+    /// its rows inside the key range stamped below the cutoff as one
+    /// block under the view's schema.
+    pub(super) fn mem(&self) -> impl Iterator<Item = Result<((Micros, Micros), Block)>> + '_ {
+        let mem = self.snap.mem.iter();
+        mem.filter_map(|t| self.mem_block(t).transpose())
+    }
+
+    /// Snapshots one memtablet for [`View::mem`]. The per-tablet read
+    /// lock covers only the copy into column slices; translating a block
+    /// written under an older schema version runs after it is released.
+    fn mem_block(&self, t: &SharedMemTablet) -> Result<Option<((Micros, Micros), Block)>> {
+        let (span, mut block, from) = {
+            let mem = t.read();
+            let span = match (mem.min_ts(), mem.max_ts()) {
+                (Some(lo), Some(hi)) if self.overlaps(lo, hi) => (lo, hi),
+                _ => return Ok(None),
+            };
+            let block = mem.snapshot_block(&self.range, self.cutoff_seq)?;
+            (span, block, mem.schema().clone())
+        };
+        if from.version() != self.schema.version() {
+            block = block.translated(&from, &self.schema)?;
         }
-        (mem.snapshot_block(range, cutoff_seq)?, mem.schema().clone())
-    };
-    if from.version() == newest.version() {
-        Ok(Some(block))
-    } else {
-        block.translated(&from, newest).map(Some)
+        Ok(Some((span, block)))
     }
 }
 
 impl Table {
+    /// Opens a read [`View`] of `[lo, hi]` over the key range `range`
+    /// derives from the snapshot's schema; `Error::NoSuchTable` for a
+    /// dropped table. No mutex is acquired.
+    ///
+    /// Order matters. The insert-sequence cutoff is loaded *before* the
+    /// snapshot: every row stamped below it finished its insert —
+    /// including the publish of its (possibly new) memtablet — before we
+    /// loaded it, so that tablet is in the snapshot we load next and the
+    /// row is visible under the tablet's read lock. The opposite order
+    /// could admit a row (low seq, new tablet) whose tablet the older
+    /// snapshot lacks, breaking the no-gaps guarantee.
+    pub(super) fn view(
+        &self,
+        range: impl FnOnce(&SchemaRef) -> Result<KeyRange>,
+        (lo, hi): (Micros, Micros),
+    ) -> Result<View> {
+        let now = self.clock.now_micros();
+        let cutoff_seq = self.insert_seq.load(Ordering::SeqCst);
+        let snap = self.snapshot.read().clone();
+        TableStats::add(&self.stats.snapshot_loads, 1);
+        if snap.dropped {
+            return Err(Error::NoSuchTable(self.name().to_string()));
+        }
+        Ok(View {
+            schema: snap.schema.clone(),
+            range: range(&snap.schema)?,
+            lo: lo.max(ttl_horizon(snap.ttl, now)),
+            hi,
+            snap,
+            cutoff_seq,
+        })
+    }
+
     /// Executes a query, returning a streaming cursor over matching rows
     /// in key order. The fast path never takes the state mutex: one
     /// snapshot load, then per-memtablet read locks for the row copies.
     pub fn query(&self, q: &Query) -> Result<QueryCursor> {
         TableStats::add(&self.stats.queries, 1);
-        let now = self.clock.now_micros();
-        let (snap, cutoff_seq) = self.read_view();
-        if snap.dropped {
-            return Err(Error::NoSuchTable(self.name().to_string()));
-        }
-        let schema = snap.schema.clone();
-        let range = q.key_range(&schema)?;
-        let (ts_lo, ts_hi) = q.ts_interval();
-        // TTL: expired rows are filtered from results (§3.3).
-        let ts_lo = match snap.ttl {
-            Some(ttl) => ts_lo.max(now.saturating_sub(ttl)),
-            None => ts_lo,
-        };
-        let mut sources = Vec::new();
-        if !range.is_certainly_empty() && ts_lo <= ts_hi {
-            for h in &snap.disk {
-                if h.meta.max_ts >= ts_lo && h.meta.min_ts <= ts_hi {
-                    sources.push(Source::tablet(
-                        h.reader.clone(),
-                        schema.clone(),
-                        range.clone(),
-                    ));
-                }
-            }
-            for t in &snap.mem {
-                if let Some(block) = mem_block(t, &range, ts_lo, ts_hi, cutoff_seq, &schema)? {
-                    sources.push(Source::block(block));
-                }
-            }
-        }
+        let view = self.view(|schema| q.key_range(schema), q.ts_interval())?;
+        let disk = view.disk().map(|h| Ok(view.source(h)));
+        let mem = view.mem().map(|m| m.map(|(_, block)| Source::block(block)));
+        let sources = disk.chain(mem).collect::<Result<_>>()?;
         Ok(QueryCursor {
             merge: RunCursor::new(sources, q.descending),
             pending: None,
-            schema,
-            ts_lo,
-            ts_hi,
+            schema: view.schema,
+            ts_lo: view.lo,
+            ts_hi: view.hi,
             remaining: q.limit,
             server_remaining: self.opts.server_row_limit,
             more_available: false,
@@ -130,59 +167,39 @@ impl Table {
 
     /// Finds the most recent row whose key starts with `prefix` (§3.4.5):
     /// works backwards through each group of tablets with overlapping
-    /// timespans, consulting Bloom filters where available. Shares the
-    /// snapshot fast path with [`Table::query`].
+    /// timespans, consulting Bloom filters where available. Starts from
+    /// the same read view as [`Table::query`].
     pub fn latest(&self, prefix: &[Value]) -> Result<Option<Row>> {
         TableStats::add(&self.stats.queries, 1);
         TableStats::add(&self.stats.latest_calls, 1);
-        let now = self.clock.now_micros();
-        let (snap, cutoff_seq) = self.read_view();
-        if snap.dropped {
-            return Err(Error::NoSuchTable(self.name().to_string()));
-        }
-        let schema = snap.schema.clone();
-        let types = schema.key_types();
-        if prefix.len() >= schema.key_len() {
-            return Err(Error::invalid(
-                "latest() takes a strict prefix of the key columns",
-            ));
-        }
-        let encoded = encode_prefix(prefix, &types)?;
-        let range = KeyRange::for_prefix(encoded.clone());
-        let cutoff = snap
-            .ttl
-            .map(|ttl| now.saturating_sub(ttl))
-            .unwrap_or(Micros::MIN);
+        let mut prefix_hash = 0;
+        let subtree = |schema: &SchemaRef| {
+            if prefix.len() >= schema.key_len() {
+                return Err(Error::invalid(
+                    "latest() takes a strict prefix of the key columns",
+                ));
+            }
+            let encoded = encode_prefix(prefix, &schema.key_types())?;
+            prefix_hash = hash_bytes(&encoded);
+            Ok(KeyRange::for_prefix(encoded))
+        };
+        let view = self.view(subtree, (Micros::MIN, Micros::MAX))?;
         // The prefix determines every key column except (at least) the
         // timestamp, so within the subtree the timestamp dominates the
         // remaining sort order only when the prefix is full.
-        let full_prefix = prefix.len() == schema.key_len() - 1;
+        let full_prefix = prefix.len() == view.schema.key_len() - 1;
 
-        enum Src {
+        enum Src<'a> {
             Mem(Block),
-            Disk(Arc<TabletReader>),
+            Disk(&'a DiskHandle),
         }
-        let mut spans: Vec<(Micros, Micros, Src)> = Vec::new();
-        for h in &snap.disk {
-            if h.meta.max_ts >= cutoff {
-                spans.push((h.meta.min_ts, h.meta.max_ts, Src::Disk(h.reader.clone())));
-            }
-        }
-        for t in &snap.mem {
-            let span = {
-                let mem = t.read();
-                match (mem.min_ts(), mem.max_ts()) {
-                    (Some(lo), Some(hi)) if hi >= cutoff => Some((lo, hi)),
-                    _ => None,
-                }
-            };
-            if let Some((lo, hi)) = span {
-                if let Some(block) =
-                    mem_block(t, &range, Micros::MIN, Micros::MAX, cutoff_seq, &schema)?
-                {
-                    spans.push((lo, hi, Src::Mem(block)));
-                }
-            }
+        let disk = view
+            .disk()
+            .map(|h| (h.meta.min_ts, h.meta.max_ts, Src::Disk(h)));
+        let mut spans: Vec<(Micros, Micros, Src)> = disk.collect();
+        for mem in view.mem() {
+            let ((lo, hi), block) = mem?;
+            spans.push((lo, hi, Src::Mem(block)));
         }
 
         // Group spans whose time ranges overlap (connected intervals).
@@ -199,24 +216,23 @@ impl Table {
             }
         }
 
-        let prefix_hash = hash_bytes(&encoded);
         let mut scanned = 0u64;
         for group in groups.into_iter().rev() {
             let mut sources = Vec::new();
             for (_, _, src) in group {
                 match src {
                     Src::Mem(block) => sources.push(Source::block(block)),
-                    Src::Disk(reader) => {
+                    Src::Disk(h) => {
                         // The filter holds every non-empty prefix of
                         // every key; the empty one it was never given.
                         if self.opts.bloom_filters && !prefix.is_empty() {
-                            if let Some(bloom) = &reader.footer()?.bloom {
+                            if let Some(bloom) = &h.reader.footer()?.bloom {
                                 if !bloom.may_contain(prefix_hash) {
                                     continue;
                                 }
                             }
                         }
-                        sources.push(Source::tablet(reader, schema.clone(), range.clone()));
+                        sources.push(view.source(h));
                     }
                 }
             }
@@ -231,7 +247,7 @@ impl Table {
                 let ts = run.block.timestamps()?;
                 for i in run.indices() {
                     scanned += 1;
-                    if ts[i] < cutoff {
+                    if ts[i] < view.lo {
                         continue;
                     }
                     if full_prefix || best.as_ref().is_none_or(|(b, ..)| ts[i] > *b) {

@@ -139,7 +139,7 @@ impl TableState {
 }
 
 /// An immutable, atomically published view of the table's tablet set.
-/// `query()` and `latest()` work entirely from one of these: disk
+/// Every read works from one of these (`Table::view`): disk
 /// handles are `Arc`'d readers of immutable files, and the shared
 /// memtablets are snapshotted under their own read locks with the
 /// caller's insert-sequence cutoff, so a reader never touches the state

@@ -242,7 +242,7 @@ mod evolution_merge_tests {
         assert_eq!(rows[0].values[3], Value::Str("old".into()));
         assert_eq!(rows[200].values[2], Value::I64(1 << 40));
         assert_eq!(rows[200].values[3], Value::Str("new".into()));
-        let (snap, _) = t.read_view();
+        let snap = t.snapshot.read().clone();
         assert!(snap.disk.iter().any(|h| h.meta.schema_version == 3));
     }
 

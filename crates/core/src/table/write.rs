@@ -274,7 +274,7 @@ impl Table {
         let t = Arc::new(SharedMemTablet::new(t));
         st.filling.insert(period, t.clone());
         // Readers must learn about the new tablet before any row can be
-        // stamped into it: read_view() loads its cutoff before the
+        // stamped into it: `Table::view` loads its cutoff before the
         // snapshot, so a row visible under the cutoff must sit in a tablet
         // the snapshot already lists.
         self.publish_locked(st);

@@ -703,9 +703,9 @@ mod tests {
         .unwrap()
     }
 
-    #[test]
-    fn requests_round_trip() {
-        let reqs = vec![
+    /// One or two instances of every request.
+    fn requests() -> Vec<Request> {
+        vec![
             Request::ListTables,
             Request::GetSchema { table: "t".into() },
             Request::CreateTable {
@@ -742,6 +742,14 @@ mod tests {
                 table: "t".into(),
                 query: Query::all().with_limit(10).descending(),
             },
+            Request::Query {
+                table: "t".into(),
+                query: Query::all()
+                    .with_key_min(vec![Value::I64(-3)], true)
+                    .with_key_max(vec![Value::I64(9), Value::Timestamp(7)], false)
+                    .with_ts_min(-5, false)
+                    .with_ts_max(1 << 50, true),
+            },
             Request::Latest {
                 table: "t".into(),
                 prefix: vec![Value::I64(1)],
@@ -766,16 +774,20 @@ mod tests {
                 name: "t_1h".into(),
             },
             Request::NodeStatus,
-        ];
-        for req in reqs {
+        ]
+    }
+
+    #[test]
+    fn requests_round_trip() {
+        for req in requests() {
             let enc = req.encode();
             assert_eq!(Request::decode(&enc).unwrap(), req, "{req:?}");
         }
     }
 
-    #[test]
-    fn responses_round_trip() {
-        let resps = vec![
+    /// One or two instances of every response a client can receive.
+    fn responses() -> Vec<Response> {
+        vec![
             Response::Ok,
             Response::Error {
                 kind: ErrorKind::NoSuchTable,
@@ -831,8 +843,12 @@ mod tests {
                 kind: ErrorKind::NotPrimary,
                 message: "shard 3 is served by node 11 (epoch 7)".into(),
             },
-        ];
-        for resp in resps {
+        ]
+    }
+
+    #[test]
+    fn responses_round_trip() {
+        for resp in responses() {
             let enc = resp.encode();
             assert_eq!(Response::decode(&enc).unwrap(), resp, "{resp:?}");
         }
@@ -992,6 +1008,104 @@ mod tests {
             Err(Error::Corrupt(_))
         ));
         assert_eq!(request_frame_id(&frame), None);
+    }
+
+    /// The list entries and cells a decoded request holds.
+    fn request_counts(req: &Request) -> usize {
+        let bound = |b: &Option<littletable_core::query::PrefixBound>| {
+            b.as_ref().map_or(0, |b| b.values.len())
+        };
+        match req {
+            Request::CreateTable { schema, .. } => 2 * schema.columns().len(),
+            Request::AddColumn { .. } => 1,
+            Request::Insert { rows, .. } => rows.len() + rows.iter().map(Vec::len).sum::<usize>(),
+            Request::Query { query, .. } => bound(&query.key_min) + bound(&query.key_max),
+            Request::Latest { prefix, .. } => prefix.len(),
+            Request::CreateRollup {
+                value_cols,
+                distinct_cols,
+                ..
+            } => value_cols.len() + distinct_cols.len(),
+            _ => 0,
+        }
+    }
+
+    /// The list entries and cells a decoded response holds.
+    fn response_counts(resp: &Response) -> usize {
+        match resp {
+            Response::Tables { names } => names.len(),
+            Response::SchemaInfo { schema, .. } => 2 * schema.columns().len(),
+            Response::Rows { rows, .. } => rows.len() + rows.iter().map(Vec::len).sum::<usize>(),
+            Response::LatestRow { row } => row.as_ref().map_or(0, Vec::len),
+            _ => 0,
+        }
+    }
+
+    /// Every truncation and every single-bit flip of `bytes`.
+    fn hostile(bytes: &[u8]) -> impl Iterator<Item = Vec<u8>> + '_ {
+        let cuts = (0..bytes.len()).map(|n| bytes[..n].to_vec());
+        let flips = (0..bytes.len() * 8).map(|bit| {
+            let mut b = bytes.to_vec();
+            b[bit / 8] ^= 1 << (bit % 8);
+            b
+        });
+        cuts.chain(flips)
+    }
+
+    /// Each truncation and bit flip of every message, bare and in its
+    /// envelope, decodes to an error or to a message — never a panic —
+    /// and a message holds no more entries than its input has bytes.
+    #[test]
+    fn hostile_bytes_give_errors_or_messages_never_panics() {
+        let (mut messages, mut errors) = (0, 0);
+        for req in requests() {
+            for bytes in hostile(&req.encode()) {
+                match Request::decode(&bytes) {
+                    Ok(got) => {
+                        assert!(
+                            request_counts(&got) <= bytes.len(),
+                            "{got:?} from {bytes:?}"
+                        );
+                        messages += 1;
+                    }
+                    Err(_) => errors += 1,
+                }
+            }
+            for bytes in hostile(&encode_request_frame(300, &req)) {
+                if let Ok((_, got)) = decode_request_frame(&bytes) {
+                    assert!(
+                        request_counts(&got) <= bytes.len(),
+                        "{got:?} from {bytes:?}"
+                    );
+                }
+                let _ = request_frame_id(&bytes);
+            }
+        }
+        for resp in responses() {
+            for bytes in hostile(&resp.encode()) {
+                match Response::decode(&bytes) {
+                    Ok(got) => {
+                        assert!(
+                            response_counts(&got) <= bytes.len(),
+                            "{got:?} from {bytes:?}"
+                        );
+                        messages += 1;
+                    }
+                    Err(_) => errors += 1,
+                }
+            }
+            for bytes in hostile(&encode_response_frame(300, &resp)) {
+                if let Ok((_, got)) = decode_response_frame(&bytes) {
+                    assert!(
+                        response_counts(&got) <= bytes.len(),
+                        "{got:?} from {bytes:?}"
+                    );
+                }
+            }
+        }
+        // Both outcomes are reached: flips of tags and counts are
+        // refused, flips inside names and numbers still decode.
+        assert!(messages >= 500 && errors >= 500, "{messages} {errors}");
     }
 
     #[test]

@@ -446,6 +446,51 @@ mod tests {
         }
     }
 
+    /// A TTL that is not positive, off the wire, is refused: it would
+    /// expire every row, and the next maintenance pass would unlink
+    /// every tablet.
+    #[test]
+    fn a_ttl_that_is_not_positive_is_refused() {
+        let db = test_db();
+        let wire = |req: Request| {
+            let frame = encode_request_frame(1, &req);
+            let (_, req) = littletable_proto::decode_request_frame(&frame).unwrap();
+            handle_request(&db, req)
+        };
+        let invalid = |resp: Response| match resp {
+            Response::Error { kind, .. } => assert_eq!(kind, ErrorKind::Invalid),
+            r => panic!("unexpected {r:?}"),
+        };
+        for ttl in [0, -1] {
+            invalid(wire(Request::CreateTable {
+                table: "t".into(),
+                schema: schema(),
+                ttl: Some(ttl),
+            }));
+        }
+        let create = Request::CreateTable {
+            table: "t".into(),
+            schema: schema(),
+            ttl: Some(3_600_000_000),
+        };
+        assert_eq!(wire(create), Response::Ok);
+        let t = db.table("t").unwrap();
+        let rows =
+            (0..3).map(|n| vec![Value::I64(n), Value::Timestamp(t.now() - n), Value::I64(n)]);
+        t.insert(rows.collect()).unwrap();
+        t.flush_all().unwrap();
+        let set = |ttl| Request::SetTtl {
+            table: "t".into(),
+            ttl: Some(ttl),
+        };
+        invalid(wire(set(-1)));
+        invalid(wire(set(0)));
+        assert_eq!(t.ttl(), Some(3_600_000_000));
+        db.maintain().unwrap();
+        assert_eq!(t.query_all(&Query::all()).unwrap().len(), 3);
+        assert_eq!(t.num_disk_tablets(), 1);
+    }
+
     #[test]
     fn dispatcher_rollup_lifecycle() {
         let db = test_db();

@@ -539,6 +539,30 @@ mod tests {
         assert!(s.execute("SELECT * FROM t").is_err());
     }
 
+    /// A duration past int64 micros is an error, not a panic (debug) or a
+    /// wrapped, maybe negative, TTL (release); a zero TTL is refused.
+    #[test]
+    fn out_of_range_durations_and_ttls_are_errors() {
+        let (s, _) = session();
+        let table = "CREATE TABLE t (n INT64, ts TIMESTAMP, PRIMARY KEY (n, ts))";
+        for ttl in ["10000000000000w", "0s"] {
+            let err = s.execute(&format!("{table} TTL '{ttl}'")).unwrap_err();
+            assert!(matches!(err, Error::Invalid(_)), "{ttl}: {err}");
+        }
+        assert!(s.db().table("t").is_err());
+        s.execute(table).unwrap();
+        for ttl in ["10000000000000w", "0s"] {
+            let err = s.execute(&format!("ALTER TABLE t SET TTL '{ttl}'"));
+            assert!(matches!(err, Err(Error::Invalid(_))), "{ttl}: {err:?}");
+        }
+        assert_eq!(s.db().table("t").unwrap().ttl(), None);
+        let rollup = "CREATE ROLLUP r ON t PERIOD '10000000000000w'";
+        assert!(matches!(s.execute(rollup), Err(Error::Invalid(_))));
+        let bucket =
+            "SELECT COUNT(*) FROM t GROUP BY TIME_BUCKET(ts, INTERVAL '9999999999999999d')";
+        assert!(matches!(s.execute(bucket), Err(Error::Invalid(_))));
+    }
+
     #[test]
     fn duplicate_inserts_are_skipped() {
         let (s, _) = session();

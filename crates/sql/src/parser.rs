@@ -44,7 +44,8 @@ pub fn parse_duration(s: &str) -> Result<i64> {
         "w" => 7 * 86_400 * 1_000_000,
         u => return Err(Error::invalid(format!("unknown duration unit {u:?}"))),
     };
-    Ok(n * mult)
+    n.checked_mul(mult)
+        .ok_or_else(|| Error::invalid(format!("duration {s:?} out of range")))
 }
 
 struct Parser {
@@ -785,5 +786,11 @@ mod tests {
         assert!(parse_duration("5x").is_err());
         assert!(parse_duration("h").is_err());
         assert!(parse_duration("").is_err());
+        assert_eq!(
+            parse_duration("15250284w").unwrap(),
+            15_250_284 * 604_800_000_000
+        );
+        assert!(parse_duration("15250285w").is_err());
+        assert!(parse_duration("10000000000000w").is_err());
     }
 }

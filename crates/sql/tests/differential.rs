@@ -950,3 +950,146 @@ fn rollup_serving_matches_the_reference_fold() {
         "{straddled} answers that straddled the watermark"
     );
 }
+
+/// The TTL leg's table life: where its horizon sits at first, how long
+/// its TTL is, and where the horizon moves to. Each horizon falls between
+/// rows, inside blocks (a dozen rows of one `(a, b)` series, about
+/// twelve seconds of it) and inside a 2 s and a 10 s rollup bucket.
+const TTL_SECS: i64 = 3600;
+const HORIZONS: [i64; 2] = [START + 7 * SEC + SEC / 2, START + 13 * SEC + SEC / 2];
+
+/// How the TTL leg stores the rows.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Expiring {
+    Flushed,
+    InMemory,
+    /// Flushed under the rollup leg's two rollups, created before the
+    /// load and folded by maintenance.
+    Rolled,
+}
+
+/// A session whose table `t` holds `rows` under a TTL, its clock set so
+/// that the horizon sits at `HORIZONS[0]`; with the clock, to move it.
+fn store_expiring(rows: &[Vec<Value>], how: Expiring) -> (Session, SimClock) {
+    let clock = SimClock::new(HORIZONS[0] + TTL_SECS * SEC);
+    let db = Db::open(
+        Arc::new(SimVfs::instant()),
+        Arc::new(clock.clone()),
+        Options {
+            block_size: 512,
+            ..Options::small_for_tests()
+        },
+    )
+    .unwrap();
+    let s = Session::new(db);
+    s.execute(&format!(
+        "CREATE TABLE t (a INT64, b INT32, ts TIMESTAMP, i INT64, n INT32, f DOUBLE, \
+         s TEXT, x INT64 DEFAULT 7, PRIMARY KEY (a, b, ts)) TTL '{TTL_SECS}s'"
+    ))
+    .unwrap();
+    if how == Expiring::Rolled {
+        for period in [2, 10] {
+            s.execute(&format!(
+                "CREATE ROLLUP t_{period}s ON t PERIOD '{period}s' AGGREGATE (n, f) DISTINCT (s, n)"
+            ))
+            .unwrap();
+        }
+    }
+    let t = s.db().table("t").unwrap();
+    t.insert(rows.to_vec()).unwrap();
+    if how != Expiring::InMemory {
+        t.flush_all().unwrap();
+    }
+    if how == Expiring::Rolled {
+        s.db().maintain_table("t").unwrap();
+        assert_eq!(t.rollup_watermark(), i64::MAX);
+    }
+    (s, clock)
+}
+
+/// The rows a horizon leaves: those stamped at or after it.
+fn unexpired(rows: &[Vec<Value>], horizon: i64) -> Vec<Vec<Value>> {
+    let live = |r: &&Vec<Value>| r[TS].as_int().unwrap() >= horizon;
+    rows.iter().filter(live).cloned().collect()
+}
+
+/// Under a TTL whose horizon cuts blocks and rollup buckets, every
+/// SELECT — pushed down, answered from footer stats, served by a rollup,
+/// and asked again from the result cache — equals the reference fold of
+/// the unexpired rows. Then the clock moves the horizon past more rows:
+/// each SELECT asked again is answered, hit or miss, as the fold of the
+/// rows still unexpired.
+#[test]
+fn every_path_under_a_ttl_matches_the_fold_of_the_unexpired_rows() {
+    let (mut rolled, mut hits, mut misses) = (0, 0, 0);
+    for seed in 0..SEEDS {
+        let mut rng = Rng(seed ^ 0x74746c);
+        let nans = seed % 3 == 0;
+        let rows = gen_rows(&mut rng, nans, false);
+        let plain: Vec<Select> = (0..SELECTS_PER_SEED)
+            .map(|_| gen_select(&mut rng))
+            .collect();
+        let mut rollup: Vec<Select> = Vec::new();
+        while rollup.len() < SELECTS_PER_SEED {
+            let sel = gen_rollup_select(&mut rng, nans, false);
+            if rollup.iter().all(|seen| seen.sql() != sel.sql()) {
+                rollup.push(sel);
+            }
+        }
+        for how in [Expiring::Flushed, Expiring::InMemory, Expiring::Rolled] {
+            let selects = if how == Expiring::Rolled {
+                &rollup
+            } else {
+                &plain
+            };
+            // A rollup's `_min`/`_max` hold int32 values widened.
+            let fit = |r: &[Vec<Value>]| match how {
+                Expiring::Rolled => widened(r),
+                _ => r.to_vec(),
+            };
+            let (session, clock) = store_expiring(&rows, how);
+            let table = session.db().table("t").unwrap();
+            let live = unexpired(&rows, HORIZONS[0]);
+            for sel in selects {
+                let label = format!("seed {seed} {how:?}");
+                let expect = fit(&reference(&live, sel));
+                let before = table.stats().snapshot();
+                let got = match session.execute(&sel.sql()) {
+                    Ok(SqlOutput::Rows { rows, .. }) => rows,
+                    other => panic!("{label}: {}\n  gave {other:?}", sel.sql()),
+                };
+                assert!(
+                    same(&fit(&got), &expect),
+                    "{label}: {}\n  got    {got:?}\n  expect {expect:?}",
+                    sel.sql()
+                );
+                let after = table.stats().snapshot();
+                assert_eq!(after.rows_materialized, before.rows_materialized);
+                rolled += (after.rollup_hits > before.rollup_hits) as usize;
+                ask_again(&session, &label, &sel.sql(), &got);
+            }
+            clock.set(HORIZONS[1] + TTL_SECS * SEC);
+            let live = unexpired(&rows, HORIZONS[1]);
+            for sel in selects {
+                let label = format!("seed {seed} {how:?}, horizon moved");
+                let expect = fit(&reference(&live, sel));
+                let before = table.stats().snapshot();
+                let got = match session.execute(&sel.sql()) {
+                    Ok(SqlOutput::Rows { rows, .. }) => fit(&rows),
+                    other => panic!("{label}: {}\n  gave {other:?}", sel.sql()),
+                };
+                assert!(
+                    same(&got, &expect),
+                    "{label}: {}\n  got    {got:?}\n  expect {expect:?}",
+                    sel.sql()
+                );
+                let hit = table.stats().snapshot().result_cache_hits > before.result_cache_hits;
+                hits += hit as usize;
+                misses += !hit as usize;
+            }
+        }
+    }
+    assert!(rolled >= 150, "{rolled} answers served by a rollup");
+    assert!(hits >= 100, "{hits} answers the moved horizon left cached");
+    assert!(misses >= 300, "{misses} answers the moved horizon changed");
+}
