@@ -13,11 +13,13 @@
 //! * The **upper (decompressed) tier** holds parsed [`Block`]s ready to
 //!   serve reads.
 //! * The **lower (compressed) tier** holds the *compressed* bytes of
-//!   blocks evicted from the upper tier. A re-read of a demoted block
-//!   costs one decompress (~tens of µs) instead of a disk seek (~10 ms
-//!   on the paper's drive), the read-amplification-vs-memory tradeoff of
-//!   the LSM literature. The two tiers are *exclusive*: promotion moves
-//!   an entry up, eviction demotes it down, so no block is charged twice.
+//!   blocks evicted from the upper tier, and of blocks read ahead of a
+//!   miss. A re-read of such a block costs one decompress (~tens of µs)
+//!   instead of a disk seek (~10 ms on the paper's drive), the
+//!   read-amplification-vs-memory tradeoff of the LSM literature. The two
+//!   tiers are *exclusive*: promotion moves an entry up, eviction demotes
+//!   it down, so no block is charged twice (but for the readahead race
+//!   below).
 //!
 //! Cached [`TabletFooter`]s live beside the upper tier and are paid for
 //! out of its budget — folding the paper's "footers cached almost
@@ -43,7 +45,7 @@
 //!   a clock hand; a hit sets the entry's reference bit, eviction clears
 //!   bits until it finds an unreferenced victim. LRU-quality hit rates
 //!   without LRU's per-access list surgery.
-//! * **Scan-resistant admission.** Only the single-block read path
+//! * **Scan-resistant admission.** Only the block read path
 //!   ([`crate::tablet::TabletReader::read_block`]) consults or fills the
 //!   block tiers. The ~1 MB buffered run reads that merges and bulk
 //!   rewrites use (§3.4.1, [`crate::tablet::TabletReader::read_block_run`])
@@ -52,6 +54,19 @@
 //!   footers only: every tablet written (flush, merge, bulk-delete
 //!   rewrite) enters its footer as it is finished, the one a first query
 //!   would otherwise load from disk.
+//! * **Readahead fills free space only.** A block miss reads the blocks
+//!   after the missed one in the same disk access — while the cache has
+//!   room for the whole read, and each of them is resident already or
+//!   fits in free space in its lower-tier shard
+//!   (`BlockCache::may_read_ahead`) — and offers their compressed bytes
+//!   to the lower tier (`BlockCache::admit_readahead`): the third way
+//!   in, beside a miss and a demotion. It takes free space in the
+//!   block's shard and nothing else — it never evicts, and skips a block
+//!   resident in either tier — so a full cache of hot blocks is left
+//!   exactly as it was. A miss on the same block racing the admission
+//!   can leave it in both tiers for a while; that is harmless (both
+//!   copies are the same bytes), and the demotion that would duplicate
+//!   it finds the lower copy and drops its own.
 //! * **Write-once keys.** Tablet ids are allocated once per
 //!   [`crate::tablet::TabletReader`] and never reused, so an entry can
 //!   never alias a different tablet's data. When a reader is dropped
@@ -517,6 +532,52 @@ impl BlockCache {
         shard.bytes.store(inner.bytes, Ordering::Relaxed);
     }
 
+    /// Whether the read of a miss may extend over a block of `len`
+    /// compressed bytes: the block is resident in either tier (and will
+    /// be skipped), or it fits in the free space of its lower-tier shard.
+    pub(crate) fn may_read_ahead(&self, tablet_id: u64, block_index: u32, len: usize) -> bool {
+        let key = (tablet_id, block_index);
+        let idx = self.shard_idx(key);
+        if self.upper[idx].inner.lock().map.contains_key(&key) {
+            return true;
+        }
+        let lower = self.lower[idx].inner.lock();
+        lower.map.contains_key(&key) || lower.bytes + len <= self.lower_shard_capacity
+    }
+
+    /// Admits the compressed bytes of a block read ahead of a miss, into
+    /// free space in its lower-tier shard only: it never evicts, and a
+    /// block already resident in either tier is skipped. Returns whether
+    /// the block was admitted.
+    pub(crate) fn admit_readahead(
+        &self,
+        tablet_id: u64,
+        block_index: u32,
+        value: CompressedBlock,
+        owner: &Arc<TableStats>,
+    ) -> bool {
+        let key = (tablet_id, block_index);
+        let idx = self.shard_idx(key);
+        if self.upper[idx].inner.lock().map.contains_key(&key) {
+            return false;
+        }
+        let charge = value.bytes.len();
+        let shard = &self.lower[idx];
+        let mut inner = shard.inner.lock();
+        if inner.map.contains_key(&key) || inner.bytes + charge > self.lower_shard_capacity {
+            return false;
+        }
+        inner.insert_slot(Slot {
+            key,
+            value,
+            charge,
+            owner: owner.clone(),
+            referenced: false,
+        });
+        shard.bytes.store(inner.bytes, Ordering::Relaxed);
+        true
+    }
+
     /// Drops every cached entry of `tablet_id` — decompressed blocks,
     /// compressed blocks, and its footer (the tablet's file is being
     /// deleted). Not counted as eviction in the owner's stats.
@@ -932,6 +993,203 @@ mod tests {
         assert!(cache.upper_slice() > slice);
         assert_eq!(cache.upper_slice(), cache.upper_shard_capacity);
         assert_eq!(cache.bytes_used(), 0);
+    }
+
+    #[test]
+    fn readahead_takes_free_lower_space_only_and_skips_resident_blocks() {
+        let cache = BlockCache::new(1 << 20, 4096, 1);
+        let st = stats();
+        let tid = cache.register_tablet();
+        let hot = block_of_size(1000);
+        cache.insert(tid, 0, hot, Some(compressed_of_size(200)), &st);
+        // Resident blocks: a read may pass over them, and skips them.
+        assert!(cache.may_read_ahead(tid, 0, 1 << 20));
+        assert!(!cache.admit_readahead(tid, 0, compressed_of_size(200), &st));
+        assert_eq!(cache.compressed_entry_count(), 0);
+        assert!(cache.admit_readahead(tid, 1, compressed_of_size(1000), &st));
+        assert!(cache.may_read_ahead(tid, 1, 1 << 20));
+        assert!(!cache.admit_readahead(tid, 1, compressed_of_size(1000), &st));
+        assert_eq!(cache.compressed_bytes_used(), 1000);
+        assert!(cache.may_read_ahead(tid, 2, 3000));
+        assert!(cache.admit_readahead(tid, 2, compressed_of_size(3000), &st));
+        // 96 bytes left: refused, and nothing made room for it.
+        assert!(!cache.may_read_ahead(tid, 3, 200));
+        assert!(!cache.admit_readahead(tid, 3, compressed_of_size(200), &st));
+        assert_eq!(cache.compressed_bytes_used(), 4000);
+        assert!(cache.take_compressed(tid, 1).is_some());
+        assert!(cache.take_compressed(tid, 2).is_some());
+        assert!(cache.get(tid, 0).is_some());
+    }
+
+    /// Every resident block key, with its tier (0 upper, 1 lower).
+    fn resident(cache: &BlockCache) -> std::collections::BTreeSet<(u8, BlockKey)> {
+        let mut keys = std::collections::BTreeSet::new();
+        for s in cache.upper.iter() {
+            keys.extend(s.inner.lock().map.keys().map(|&k| (0, k)));
+        }
+        for s in cache.lower.iter() {
+            keys.extend(s.inner.lock().map.keys().map(|&k| (1, k)));
+        }
+        keys
+    }
+
+    /// A tablet at `path` of `rows` rows `(k, ts, v)` cut into blocks of
+    /// about `block_size` bytes, `v` being `payload(k)`, and a reader of
+    /// it through `cache`, its footer loaded.
+    fn tablet(
+        vfs: &littletable_vfs::SimVfs,
+        cache: &Arc<BlockCache>,
+        path: &str,
+        rows: i64,
+        block_size: usize,
+        payload: impl Fn(i64) -> Vec<u8>,
+    ) -> crate::tablet::TabletReader {
+        use crate::tablet::{TabletReader, TabletWriter};
+        use littletable_vfs::Vfs;
+        let schema = Schema::new(
+            vec![
+                ColumnDef::new("k", ColumnType::I64),
+                ColumnDef::new("ts", ColumnType::Timestamp),
+                ColumnDef::new("v", ColumnType::Blob),
+            ],
+            &["k", "ts"],
+        )
+        .unwrap();
+        let file = vfs.create(path, 0).unwrap();
+        let mut w = TabletWriter::new(file, schema.clone(), block_size, false);
+        for k in 0..rows {
+            let row = Row::new(vec![
+                Value::I64(k),
+                Value::Timestamp(k),
+                Value::Blob(payload(k)),
+            ]);
+            w.add_row(&row.encode_key(&schema).unwrap(), &row).unwrap();
+        }
+        w.finish().unwrap();
+        let (vfs, stats) = (Arc::new(vfs.clone()), stats());
+        let reader = TabletReader::with_cache(vfs, path.into(), cache.clone(), stats);
+        reader.footer().unwrap();
+        reader
+    }
+
+    /// Bytes no compressor shrinks.
+    fn noise(k: i64, len: usize) -> Vec<u8> {
+        let mut x = (k as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        (0..len)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                x as u8
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_full_cache_keeps_a_hot_tables_blocks_and_misses_elsewhere_read_only_their_own_bytes() {
+        let vfs = littletable_vfs::SimVfs::instant();
+        let cache = Arc::new(BlockCache::new(32 << 10, 16 << 10, 1));
+        // Small blocks that compress, read until the cache is full.
+        let hot = tablet(&vfs, &cache, "hot.lt", 2000, 1 << 10, |k| {
+            vec![(k % 7) as u8; 50]
+        });
+        for bi in 0..hot.footer().unwrap().blocks.len() {
+            hot.read_block(bi).unwrap();
+        }
+        // Blocks of 20 kB that do not: more than the cache has free, and
+        // larger than either tier's slice, so the misses cache nothing.
+        let other = tablet(&vfs, &cache, "other.lt", 40, 20 << 10, |k| {
+            noise(k, 4 << 10)
+        });
+        let footer = other.footer().unwrap();
+        assert!(footer.blocks.len() > 3);
+        let least = footer
+            .blocks
+            .iter()
+            .map(|e| e.compressed_len)
+            .min()
+            .unwrap() as usize;
+        assert!(cache.capacity() - cache.bytes_used() < least);
+        let before = resident(&cache);
+        assert!(before.iter().any(|(tier, _)| *tier == 1), "{before:?}");
+        for bi in 0..3 {
+            vfs.clear_caches();
+            let read_before = vfs.model().stats().bytes_read;
+            other.read_block(bi).unwrap();
+            let read = vfs.model().stats().bytes_read - read_before;
+            assert_eq!(read, footer.blocks[bi].compressed_len as u64, "block {bi}");
+        }
+        assert_eq!(resident(&cache), before);
+    }
+
+    #[test]
+    fn readahead_into_a_nearly_full_lower_tier_takes_its_free_space_and_evicts_nothing() {
+        let vfs = littletable_vfs::SimVfs::instant();
+        let cache = Arc::new(BlockCache::new(1 << 20, 16 << 10, 1));
+        // One miss on the hot table fills the lower tier with what it
+        // reads ahead.
+        let hot = tablet(&vfs, &cache, "hot.lt", 400, 1 << 10, |k| noise(k, 40));
+        hot.read_block(0).unwrap();
+        let other = tablet(&vfs, &cache, "other.lt", 2000, 1 << 10, |k| noise(k, 40));
+        let footer = other.footer().unwrap();
+        let read = |bi: usize| {
+            vfs.clear_caches();
+            let read_before = vfs.model().stats().bytes_read;
+            other.read_block(bi).unwrap();
+            vfs.model().stats().bytes_read - read_before
+        };
+        // With room in the cache as a whole but none in the lower tier for
+        // the block after it, a miss reads its own block alone.
+        let free = cache.compressed_capacity() - cache.compressed_bytes_used();
+        assert!(free < footer.blocks[1].compressed_len as usize, "{free}");
+        let full = resident(&cache);
+        assert_eq!(read(0), footer.blocks[0].compressed_len as u64);
+        assert_eq!(
+            cache.compressed_entry_count(),
+            full.len() - cache.entry_count() + 3
+        );
+        // Hits promote hot blocks out of the lower tier again.
+        for bi in 1..8 {
+            hot.read_block(bi).unwrap();
+        }
+        let free = cache.compressed_capacity() - cache.compressed_bytes_used();
+        assert!((3 << 10..12 << 10).contains(&free), "{free}");
+        let hot_blocks = resident(&cache);
+        // A read that reaches over blocks each of which fits in the free
+        // space, more than all of them do: the free space is taken, and
+        // no hot block leaves for it.
+        assert!(read(100) > 2 * free as u64);
+        let after = resident(&cache);
+        assert!(hot_blocks.iter().all(|key| after.contains(key)));
+        let hot_lower = hot_blocks.iter().filter(|(tier, _)| *tier == 1).count();
+        assert!(cache.compressed_entry_count() > hot_lower);
+        assert!(cache.bytes_used() <= cache.capacity());
+    }
+
+    #[test]
+    fn a_miss_reads_ahead_only_while_the_whole_read_fits_in_the_cache() {
+        let vfs = littletable_vfs::SimVfs::instant();
+        let cache = Arc::new(BlockCache::new(16 << 10, 16 << 10, 1));
+        let t = tablet(&vfs, &cache, "t.lt", 200, 1 << 10, |k| noise(k, 40));
+        let footer = t.footer().unwrap();
+        let (first, next) = (
+            footer.blocks[0].compressed_len,
+            footer.blocks[1].compressed_len,
+        );
+        // The upper tier full to the byte; the lower tier with room for
+        // the block after the missed one, not for both.
+        let st = stats();
+        let other = cache.register_tablet();
+        cache.insert(other, 0, block_of_size(cache.upper_slice()), None, &st);
+        assert!(t.footer_cached() && cache.get(other, 0).is_some());
+        let free = (first + next) as usize - 1;
+        assert!(free >= next as usize);
+        cache.insert_compressed((other, 1), compressed_of_size((16 << 10) - free), &st);
+        assert_eq!(cache.capacity() - cache.bytes_used(), free);
+        vfs.clear_caches();
+        let read_before = vfs.model().stats().bytes_read;
+        t.read_block(0).unwrap();
+        assert_eq!(vfs.model().stats().bytes_read - read_before, first as u64);
     }
 
     #[test]

@@ -43,6 +43,12 @@ use std::sync::Arc;
 /// seeking between input tablets, a merge must read about 1 MB at a time.
 pub(crate) const READ_RUN_BYTES: usize = 1 << 20;
 
+/// Compressed bytes a block miss reads at most, the missed block and the
+/// ones after it ([`TabletReader::read_block`]). On the paper's disk any
+/// read at a new position transfers the 128 kB OS readahead window, so a
+/// read this long costs what a one-block read does.
+pub(crate) const READAHEAD_BYTES: usize = 128 << 10;
+
 /// Consecutive rows of one decoded block, all part of a result and
 /// adjacent in it. `rows` is always an ascending range of row indices; a
 /// descending query's run is read from its end, which is what

@@ -359,8 +359,11 @@ impl Table {
                     continue;
                 }
             }
-            // Does this tablet hold any matching row at all?
-            let probe = Source::tablet(h.reader.clone(), schema.clone(), range.clone());
+            // Does this tablet hold any matching row at all? Asked one
+            // block per read past the cache, as the rewrite reads: a tablet
+            // about to be replaced admits nothing, its neighbours included.
+            let probe =
+                Source::tablet(h.reader.clone(), schema.clone(), range.clone()).with_read_run(1);
             if RunCursor::new(vec![probe], false).next_run()?.is_none() {
                 continue;
             }

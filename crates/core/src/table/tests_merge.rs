@@ -652,3 +652,22 @@ fn a_bulk_delete_steps_over_the_blocks_under_the_prefix_unread() {
     assert!(want < bytes(&footer.blocks) - bytes(&footer.blocks[lo + 1..hi]) / 2);
     assert_eq!(b.t.query_all(&Query::all()).unwrap().len(), 5 * 400);
 }
+
+#[test]
+fn a_bulk_delete_probes_its_tablets_past_the_block_cache() {
+    let b = bed(wide_schema());
+    load(&b, 0..6, 0..400);
+    load(&b, 2..5, 400..600);
+    assert_eq!(b.t.num_disk_tablets(), 2);
+    let before = b.t.stats().snapshot();
+    let cache = &b.t.cache;
+    let entries = (cache.entry_count(), cache.compressed_entry_count());
+    assert_eq!(b.t.bulk_delete(&[Value::I64(3)]).unwrap(), 600);
+    let after = b.t.stats().snapshot();
+    assert_eq!(after.cache_misses, before.cache_misses);
+    assert_eq!(after.cache_compressed_hits, before.cache_compressed_hits);
+    // The replacements' footers, admitted as they were written, and no
+    // block of the tablets replaced.
+    assert_eq!(cache.entry_count(), entries.0);
+    assert_eq!(cache.compressed_entry_count(), entries.1);
+}

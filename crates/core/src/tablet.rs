@@ -33,6 +33,7 @@
 use crate::block::{Block, BlockEncoder};
 use crate::bloom::{BloomBuilder, BloomFilter};
 use crate::cache::{BlockCache, CompressedBlock};
+use crate::cursor::READAHEAD_BYTES;
 use crate::error::{Error, Result};
 use crate::keyenc::component_end;
 use crate::row::decode_row;
@@ -610,6 +611,19 @@ fn transcode_row_block(raw: &[u8], schema: &Schema) -> Result<Block> {
     Ok(columns.into_block(schema))
 }
 
+/// Cuts the bytes of a read of consecutive blocks into each block's
+/// bytes, paired with its index entry, in file order.
+fn cut<'a>(
+    entries: &'a [BlockIndexEntry],
+    mut bytes: &'a [u8],
+) -> impl Iterator<Item = (&'a BlockIndexEntry, &'a [u8])> {
+    entries.iter().map(move |e| {
+        let (block, rest) = bytes.split_at(e.compressed_len as usize);
+        bytes = rest;
+        (e, block)
+    })
+}
+
 /// A readable on-disk tablet. The footer is loaded lazily on first use
 /// and every footer and block read goes through the reader's block cache:
 /// the footer lives there under its own charge class, bounded by the
@@ -742,7 +756,22 @@ impl TabletReader {
         if crc32(&compressed) != crc {
             return Err(Error::corrupt("tablet footer checksum mismatch"));
         }
-        with_decompressed(&compressed, uncompressed_len as usize, TabletFooter::decode)
+        let footer =
+            with_decompressed(&compressed, uncompressed_len as usize, TabletFooter::decode)?;
+        // The blocks lie end to end from offset 0 up to the footer, as the
+        // writer lays them: a read of any run of them is one slice of the
+        // file, and no entry can send a read past it.
+        let end = footer
+            .blocks
+            .iter()
+            .try_fold(0u64, |at, e| match e.offset == at {
+                true => at.checked_add(e.compressed_len as u64),
+                false => None,
+            });
+        if end != Some(footer_off) {
+            return Err(Error::corrupt("tablet block index does not tile the file"));
+        }
+        Ok(footer)
     }
 
     /// Decodes block `bi` from its compressed bytes: checks them against
@@ -778,29 +807,45 @@ impl TabletReader {
     pub fn read_block_run(&self, blocks: Range<usize>, max_bytes: usize) -> Result<Vec<Block>> {
         let footer = self.footer()?;
         let start = blocks.start;
-        let entries = footer
-            .blocks
-            .get(blocks)
-            .filter(|entries| !entries.is_empty())
-            .ok_or_else(|| self.ctx(Some(start), Error::corrupt("block index out of range")))?;
+        let entries = self.entries(&footer, blocks)?;
         let mut total = entries[0].compressed_len as usize;
         let mut n = 1;
         while n < entries.len() && total + entries[n].compressed_len as usize <= max_bytes {
             total += entries[n].compressed_len as usize;
             n += 1;
         }
-        let file = self.file()?;
-        let mut buf = vec![0u8; total];
-        file.read_exact_at(entries[0].offset, &mut buf)?;
-        let mut out = Vec::with_capacity(n);
-        let mut off = 0usize;
-        for (i, e) in entries[..n].iter().enumerate() {
-            let compressed = &buf[off..off + e.compressed_len as usize];
-            let ulen = e.uncompressed_len as usize;
-            out.push(self.decode_block(&footer, start + i, compressed, ulen, e.crc)?);
-            off += compressed.len();
-        }
-        Ok(out)
+        let buf = self.read_blocks(&entries[..n])?;
+        cut(&entries[..n], &buf)
+            .enumerate()
+            .map(|(k, (e, bytes))| {
+                let ulen = e.uncompressed_len as usize;
+                self.decode_block(&footer, start + k, bytes, ulen, e.crc)
+            })
+            .collect()
+    }
+
+    /// The index entries of `blocks`, which must hold at least one.
+    fn entries<'f>(
+        &self,
+        footer: &'f TabletFooter,
+        blocks: Range<usize>,
+    ) -> Result<&'f [BlockIndexEntry]> {
+        let first = blocks.start;
+        footer
+            .blocks
+            .get(blocks)
+            .filter(|entries| !entries.is_empty())
+            .ok_or_else(|| self.ctx(Some(first), Error::corrupt("block index out of range")))
+    }
+
+    /// Reads the compressed bytes of `entries`, consecutive blocks, in one
+    /// disk access. `load_footer` checked that the blocks lie end to end,
+    /// so the read is one slice of the file and never reaches past the
+    /// footer.
+    fn read_blocks(&self, entries: &[BlockIndexEntry]) -> Result<Vec<u8>> {
+        let mut buf = vec![0u8; entries.iter().map(|e| e.compressed_len as usize).sum()];
+        self.file()?.read_exact_at(entries[0].offset, &mut buf)?;
+        Ok(buf)
     }
 
     /// Reads and decompresses block `i` through the reader's two-tier
@@ -809,6 +854,15 @@ impl TabletReader {
     /// seek) and promote the block back up; full misses read, decompress
     /// (no cache lock held for either), then offer the block to the cache
     /// with its compressed bytes retained for a future demotion.
+    ///
+    /// A miss reads ahead: the one disk access also covers the blocks
+    /// after block `i`, up to `READAHEAD_BYTES` (128 kB) in all, while
+    /// the cache has room for the whole read and each block after block
+    /// `i` either is resident already or fits in free space in its
+    /// lower-tier shard. Only block `i` is decoded; each block after it
+    /// whose bytes match their CRC is offered to the lower tier, which
+    /// takes it into free space only and skips a resident one. A full
+    /// cache reads block `i` alone.
     pub fn read_block(&self, i: usize) -> Result<Arc<Block>> {
         let (tid, bi) = (self.tablet_id, i as u32);
         if let Some(block) = self.cache.get(tid, bi) {
@@ -824,19 +878,34 @@ impl TabletReader {
             }
             None => {
                 TableStats::add(&self.stats.cache_misses, 1);
-                let e = footer
-                    .blocks
-                    .get(i)
-                    .ok_or_else(|| self.ctx(Some(i), Error::corrupt("block index out of range")))?;
-                // A fresh buffer, which becomes the cache's retained
-                // compressed copy: the allocation is the cache fill.
-                let mut bytes = vec![0u8; e.compressed_len as usize];
-                self.file()?.read_exact_at(e.offset, &mut bytes)?;
-                let compressed = CompressedBlock {
+                let entries = self.entries(&footer, i..footer.blocks.len())?;
+                let cache = &self.cache;
+                let room = cache.capacity().saturating_sub(cache.bytes_used());
+                let room = room.min(READAHEAD_BYTES);
+                let mut span = entries[0].compressed_len as usize;
+                let mut n = 1;
+                while let Some(e) = entries.get(n) {
+                    let len = e.compressed_len as usize;
+                    if span + len > room || !cache.may_read_ahead(tid, bi + n as u32, len) {
+                        break;
+                    }
+                    span += len;
+                    n += 1;
+                }
+                let buf = self.read_blocks(&entries[..n])?;
+                let compressed = |e: &BlockIndexEntry, bytes: &[u8]| CompressedBlock {
                     bytes: bytes.into(),
                     uncompressed_len: e.uncompressed_len,
                 };
-                (compressed, e.crc)
+                let mut blocks = cut(&entries[..n], &buf);
+                let (e, bytes) = blocks.next().expect("a read covers its first block");
+                for (ahead, (e, bytes)) in (bi + 1..).zip(blocks) {
+                    // Bytes enter the cache checked, as a miss's do.
+                    if e.crc.is_none_or(|crc| crc32(bytes) == crc) {
+                        cache.admit_readahead(tid, ahead, compressed(e, bytes), &self.stats);
+                    }
+                }
+                (compressed(e, bytes), e.crc)
             }
         };
         let ulen = compressed.uncompressed_len as usize;
@@ -874,7 +943,7 @@ mod tests {
     use crate::row::Row;
     use crate::schema::ColumnDef;
     use crate::value::{ColumnType, Value};
-    use littletable_vfs::SimVfs;
+    use littletable_vfs::{FaultKind, FaultPlan, FaultRule, OpKind, SimVfs};
     use std::ops::Bound;
 
     impl TabletWriter {
@@ -1278,8 +1347,8 @@ mod tests {
     }
 
     /// A writer warming a reader admits the footer it wrote, the one a
-    /// reader decodes from the file, and no block: each block read still
-    /// misses, at any budget.
+    /// reader decodes from the file, and no block: block 0 misses at any
+    /// budget (at 1 MB its read reaches ahead, and later blocks hit).
     #[test]
     fn warming_writers_admit_their_footer_and_no_block() {
         let vfs: Arc<dyn Vfs> = Arc::new(SimVfs::instant());
@@ -1313,8 +1382,11 @@ mod tests {
                 assert_eq!(format!("{got:?}"), format!("{want:?}"), "{path} block {i}");
             }
             let snap = reader.stats.snapshot();
-            assert_eq!(snap.cache_compressed_hits, 0, "{path}");
-            assert_eq!(snap.cache_misses, nblocks as u64, "{path}");
+            assert_eq!(snap.cache_hits, 0, "{path}");
+            assert!(snap.cache_misses >= 1, "{path}");
+            let served = snap.cache_misses + snap.cache_compressed_hits;
+            assert_eq!(served, nblocks as u64, "{path}");
+            assert_eq!(snap.cache_compressed_hits > 0, budget > 0, "{path}");
         }
     }
 
@@ -1511,6 +1583,180 @@ mod tests {
         put_varint(&mut enc, u64::MAX >> 1);
         enc.extend_from_slice(&[1, 2, 3]);
         assert!(matches!(TabletFooter::decode(&enc), Err(Error::Corrupt(_))));
+    }
+
+    fn file_bytes(vfs: &SimVfs, path: &str) -> Vec<u8> {
+        let f = vfs.open(path).unwrap();
+        let mut all = vec![0u8; f.len().unwrap() as usize];
+        f.read_exact_at(0, &mut all).unwrap();
+        all
+    }
+
+    /// Rewrites `path` as `to` with `footer` in place of its footer, under
+    /// a trailer whose CRC matches: only the footer's own checks stand
+    /// between its block index and the reads it directs.
+    fn forge_footer(vfs: &SimVfs, path: &str, to: &str, footer: &TabletFooter) {
+        let all = file_bytes(vfs, path);
+        let trailer = &all[all.len() - TRAILER_LEN as usize..];
+        let footer_off = u64::from_le_bytes(trailer[16..24].try_into().unwrap());
+        let raw = footer.encode();
+        let mut compressed = Vec::new();
+        littletable_compress::compress_into(&raw, &mut compressed);
+        let mut out = all[..footer_off as usize].to_vec();
+        out.extend_from_slice(&compressed);
+        out.extend_from_slice(&(raw.len() as u64).to_le_bytes());
+        out.extend_from_slice(&(compressed.len() as u64).to_le_bytes());
+        out.extend_from_slice(&footer_off.to_le_bytes());
+        out.extend_from_slice(&crc32(&compressed).to_le_bytes());
+        out.extend_from_slice(&TRAILER_MAGIC.to_le_bytes());
+        let mut w = vfs.create(to, 0).unwrap();
+        w.append(&out).unwrap();
+    }
+
+    #[test]
+    fn a_block_index_that_does_not_tile_the_file_is_corrupt() {
+        let vfs = SimVfs::instant();
+        write_tablet(&vfs, "t.lt", 1000, false);
+        let good = TabletReader::new(Arc::new(vfs.clone()), "t.lt".into())
+            .footer()
+            .unwrap();
+        let n = good.blocks.len();
+        assert!(n > 2);
+        let footer_off = good.blocks[n - 1].offset + good.blocks[n - 1].compressed_len as u64;
+        forge_footer(&vfs, "t.lt", "same.lt", &good);
+        let same = TabletReader::new(Arc::new(vfs.clone()), "same.lt".into());
+        assert_eq!(same.footer().unwrap().blocks, good.blocks);
+        type Forgery = fn(&mut Vec<BlockIndexEntry>, u64);
+        let forgeries: [(&str, Forgery); 6] = [
+            ("gap", |b, _| b[1].offset += 1),
+            ("overlap", |b, _| b[1].offset -= 1),
+            ("not from 0", |b, _| b[0].offset = 1),
+            ("short of the footer", |b, _| b[2].compressed_len -= 1),
+            ("past the footer", |b, off| {
+                let mut past = b[0].clone();
+                past.offset = off;
+                b.push(past);
+            }),
+            ("u32::MAX long", |b, _| b[0].compressed_len = u32::MAX),
+        ];
+        for (i, (what, forge)) in forgeries.into_iter().enumerate() {
+            let mut footer = (*good).clone();
+            forge(&mut footer.blocks, footer_off);
+            let path = format!("bad-{i}.lt");
+            forge_footer(&vfs, "t.lt", &path, &footer);
+            let len = vfs.file_size(&path).unwrap();
+            let r = TabletReader::new(Arc::new(vfs.clone()), path.clone());
+            vfs.clear_caches();
+            let read_before = vfs.model().stats().bytes_read;
+            for result in [r.footer().map(drop), r.read_block(0).map(drop)] {
+                match result {
+                    Err(Error::Corrupt(msg)) => assert!(msg.contains(&path), "{what}: {msg}"),
+                    other => panic!("{what}: expected corruption, got {other:?}"),
+                }
+            }
+            // Only the trailer and the footer were read, twice.
+            assert!(
+                vfs.model().stats().bytes_read - read_before <= 2 * len,
+                "{what}"
+            );
+        }
+    }
+
+    /// A tablet of `n` rows at `path` with a reader through a roomy
+    /// cache of its own, its footer already loaded.
+    fn cached_reader(vfs: &SimVfs, path: &str, n: i64) -> (TabletReader, Arc<TabletFooter>) {
+        write_tablet(vfs, path, n, false);
+        let cache = Arc::new(BlockCache::new(4 << 20, 4 << 20, 1));
+        let reader =
+            TabletReader::with_cache(Arc::new(vfs.clone()), path.into(), cache, Arc::default());
+        let footer = reader.footer().unwrap();
+        (reader, footer)
+    }
+
+    /// How many blocks from block 0 on one read ahead covers.
+    fn covered(footer: &TabletFooter) -> usize {
+        let mut span = 0;
+        let mut fits = |e: &BlockIndexEntry| {
+            span += e.compressed_len as usize;
+            span <= READAHEAD_BYTES
+        };
+        footer.blocks.iter().take_while(|e| fits(e)).count().max(1)
+    }
+
+    #[test]
+    fn after_a_miss_the_blocks_read_ahead_hit_with_no_second_disk_read() {
+        for (path, n) in [("short.lt", 1500), ("long.lt", 100_000)] {
+            let vfs = SimVfs::instant();
+            let (r, footer) = cached_reader(&vfs, path, n);
+            let from_disk = TabletReader::new(Arc::new(vfs.clone()), path.into());
+            let want: Vec<Arc<Block>> = (0..footer.blocks.len())
+                .map(|i| from_disk.read_block(i).unwrap())
+                .collect();
+            let ahead = covered(&footer);
+            vfs.clear_caches(); // the disk model's window, which would hide the read
+            let read_before = vfs.model().stats().bytes_read;
+            let missed = r.read_block(0).unwrap();
+            assert_eq!(format!("{missed:?}"), format!("{:?}", want[0]));
+            // One read, of the blocks covered and never past the footer.
+            let e = &footer.blocks[ahead - 1];
+            let end = e.offset + e.compressed_len as u64;
+            assert_eq!(vfs.model().stats().bytes_read - read_before, end, "{path}");
+            assert!(end <= READAHEAD_BYTES as u64);
+            assert_eq!(ahead == footer.blocks.len(), path == "short.lt");
+            assert!(ahead > 2, "{path}");
+            // Any further disk read fails.
+            let every_read = FaultRule::new(FaultKind::Eio).on_ops(&[OpKind::Read]);
+            vfs.set_fault_plan(FaultPlan::new().rule(every_read));
+            for (i, want) in want.iter().enumerate().take(ahead).skip(1) {
+                let got = r.read_block(i).unwrap();
+                assert_eq!(format!("{got:?}"), format!("{want:?}"), "{path} block {i}");
+            }
+            assert_eq!(vfs.faults_injected(), 0, "{path}");
+            if ahead < footer.blocks.len() {
+                assert!(r.read_block(ahead).is_err(), "{path}: past the readahead");
+            }
+            vfs.clear_fault_plan();
+            let snap = r.stats.snapshot();
+            assert_eq!(snap.cache_compressed_hits, ahead as u64 - 1, "{path}");
+        }
+    }
+
+    #[test]
+    fn a_neighbour_with_a_flipped_bit_is_never_decoded_and_reads_as_corrupt() {
+        let vfs = SimVfs::instant();
+        let (_, footer) = cached_reader(&vfs, "t.lt", 1500);
+        assert!(covered(&footer) > 2);
+        // A flipped bit in block 1 that only its CRC catches: the bytes
+        // still decompress and parse.
+        let mut all = file_bytes(&vfs, "t.lt");
+        let e = &footer.blocks[1];
+        let at = e.offset as usize..(e.offset + e.compressed_len as u64) as usize;
+        let ulen = e.uncompressed_len as usize;
+        let decodes =
+            |bytes: &[u8]| with_decompressed(bytes, ulen, |raw| parse_block(&footer, raw));
+        let bit = (0..at.len() * 8)
+            .find(|&bit| {
+                let mut bytes = all[at.clone()].to_vec();
+                bytes[bit / 8] ^= 1 << (bit % 8);
+                decodes(&bytes).is_ok()
+            })
+            .expect("a flip that decodes");
+        all[at.start + bit / 8] ^= 1 << (bit % 8);
+        let mut w = vfs.create("bad.lt", 0).unwrap();
+        w.append(&all).unwrap();
+        drop(w);
+        let cache = Arc::new(BlockCache::new(4 << 20, 4 << 20, 1));
+        let stats = Arc::new(TableStats::default());
+        let r = TabletReader::with_cache(Arc::new(vfs.clone()), "bad.lt".into(), cache, stats);
+        r.read_block(0).unwrap();
+        match r.read_block(1) {
+            Err(Error::Corrupt(msg)) => assert!(msg.contains("bad.lt block 1"), "{msg}"),
+            other => panic!("expected corruption, got {other:?}"),
+        }
+        // The rest of the read was kept.
+        r.read_block(2).unwrap();
+        let snap = r.stats.snapshot();
+        assert_eq!((snap.cache_misses, snap.cache_compressed_hits), (2, 1));
     }
 
     #[test]

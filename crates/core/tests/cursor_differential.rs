@@ -17,10 +17,16 @@
 //! query takes: tablet sources that read a run of blocks at a time, past
 //! the cache, which is how maintenance drives the same cursor — reached
 //! here through a bulk delete, with every one of its reads failed in turn.
+//! Another leg opens the same layouts twice, with a roomy block cache
+//! (where a miss reads the blocks after it too) and with none, and holds
+//! every query, `latest()` and pushdown scan to the same answer.
 
 use littletable_core::period::period_for;
 use littletable_core::schema::{ColumnDef, Schema};
-use littletable_core::{ColumnType, Db, Options, Query, QueryCursor, Table, Value};
+use littletable_core::{
+    ColumnPredicate, ColumnType, Db, Options, PredOp, PushdownRequest, Query, QueryCursor,
+    ScanUnit, Table, Value,
+};
 use littletable_vfs::{FaultKind, FaultPlan, FaultRule, OpKind, SimClock, SimVfs, Vfs};
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -697,4 +703,103 @@ fn a_bulk_delete_keeps_what_the_reference_keeps_with_every_read_failed_in_turn()
         bed.groups.retain(|g| !g.rows.is_empty());
         check_bed(&bed, &mut rng, 6);
     }
+}
+
+/// Everything a pushdown scan of `req` hands out, as text (a NaN equals
+/// itself there) in sorted order, since an aggregate's input has none:
+/// each stats unit's row count and zones, each block unit's selected
+/// rows.
+fn pushdown(bed: &Bed, req: &PushdownRequest) -> Vec<String> {
+    let mut out = Vec::new();
+    let mut take = |unit| {
+        match unit {
+            ScanUnit::Stats { rows, zones } => out.push(format!("{rows} {zones:?}")),
+            ScanUnit::Block { block, sel } => {
+                for pos in 0..sel.len() {
+                    out.push(format!("{:?}", block.row(sel.row(pos))?.values));
+                }
+            }
+        }
+        Ok(())
+    };
+    bed.t.pushdown_scan(req, &mut take).unwrap();
+    out.sort();
+    out
+}
+
+fn random_pushdown(rng: &mut Rng, t: &Table) -> PushdownRequest {
+    let ops = [
+        PredOp::Eq,
+        PredOp::Ne,
+        PredOp::Lt,
+        PredOp::Le,
+        PredOp::Gt,
+        PredOp::Ge,
+    ];
+    let predicates = (0..rng.below(3))
+        .map(|_| {
+            let (col, value) = match rng.below(3) {
+                0 => (3, Value::I64(rng.below(101) as i64 - 50)),
+                1 => (4, Value::I64(rng.below(2001) as i64 - 1000)),
+                _ => (5, Value::F64(rng.below(65) as f64 / 4.0 - 8.0)),
+            };
+            let op = rng.pick(&ops);
+            ColumnPredicate { col, op, value }
+        })
+        .collect();
+    let stats_cols = match rng.below(3) {
+        0 => None,
+        1 => Some(Vec::new()),
+        _ => Some(vec![3, 4]),
+    };
+    PushdownRequest {
+        query: random_query(rng, t),
+        predicates,
+        stats_cols,
+    }
+}
+
+/// Reading ahead changes no answer. Each seed's layout is opened twice:
+/// with a roomy cache, where a block miss also reads the blocks after it
+/// and those are served from the compressed tier, and with
+/// `block_cache_bytes = 0`, where there is never room to read ahead and
+/// every block comes off disk alone. Every query (each held to the
+/// reference as well), `latest()` and pushdown scan must answer the same
+/// through both.
+#[test]
+fn reading_ahead_changes_no_answer() {
+    let mut compressed_hits = 0;
+    for seed in 0..24 {
+        let (mut rng, mut twin) = (Rng(seed), Rng(seed));
+        let roomy = generated(&mut rng, true);
+        let bare = generated(&mut twin, false);
+        let same = |what: &dyn std::fmt::Debug, a: Vec<String>, b: Vec<String>| {
+            assert_eq!(a, b, "seed {seed}: {what:?}");
+        };
+        let text = |rows: Vec<Row>| canon(&rows).iter().map(|r| format!("{r:?}")).collect();
+        for _ in 0..12 {
+            let q = random_query(&mut rng, &roomy.t);
+            let (a, b) = (
+                check_query(&roomy, &q, Drain::Runs),
+                check_query(&bare, &q, Drain::Runs),
+            );
+            same(&q, text(a), text(b));
+            let req = random_pushdown(&mut rng, &roomy.t);
+            same(&req, pushdown(&roomy, &req), pushdown(&bare, &req));
+        }
+        for len in 0..3 {
+            let mut prefix = key_bound(&mut rng, &roomy.t);
+            prefix.truncate(len);
+            let latest = |bed: &Bed| bed.t.latest(&prefix).unwrap().map(|r| r.values);
+            let (a, b) = (latest(&roomy), latest(&bare));
+            same(
+                &prefix,
+                text(a.into_iter().collect()),
+                text(b.into_iter().collect()),
+            );
+        }
+        assert_eq!(bare.t.stats().snapshot().cache_compressed_hits, 0);
+        compressed_hits += roomy.t.stats().snapshot().cache_compressed_hits;
+    }
+    assert!(compressed_hits > 0);
 }
