@@ -25,6 +25,8 @@ mod tests;
 #[cfg(test)]
 mod tests_ext;
 #[cfg(test)]
+mod tests_inherit;
+#[cfg(test)]
 mod tests_merge;
 #[cfg(test)]
 mod tests_seal;

@@ -19,7 +19,9 @@
 //! here through a bulk delete, with every one of its reads failed in turn.
 //! Another leg opens the same layouts twice, with a roomy block cache
 //! (where a miss reads the blocks after it too) and with none, and holds
-//! every query, `latest()` and pushdown scan to the same answer.
+//! every query, `latest()` and pushdown scan to the same answer; one more
+//! merges both after querying them, where the roomy cache's merges hand
+//! what was cached in their inputs to their outputs, and does the same.
 
 use littletable_core::period::period_for;
 use littletable_core::schema::{ColumnDef, Schema};
@@ -802,4 +804,77 @@ fn reading_ahead_changes_no_answer() {
         compressed_hits += roomy.t.stats().snapshot().cache_compressed_hits;
     }
     assert!(compressed_hits > 0);
+}
+
+/// Everything one submission of `q` hands out, as text, with the rows it
+/// scanned and whether it says there is more.
+fn answer(bed: &Bed, q: &Query) -> Vec<String> {
+    let mut cur = bed.t.query(q).unwrap();
+    let rows = drain(&mut cur, Drain::Runs, q.descending);
+    let mut out: Vec<String> = canon(&rows).iter().map(|r| format!("{r:?}")).collect();
+    out.push(format!(
+        "scanned {} more {}",
+        cur.scanned(),
+        cur.more_available()
+    ));
+    out
+}
+
+/// Inheriting cache residency changes no answer. Each seed's layout is
+/// opened twice: warm, with a roomy cache, and cold, at
+/// `block_cache_bytes = 0`. Both are queried (each query held to the
+/// reference as well) and then merged until no merge is left, a merge
+/// delay later; the warm one's merges hand the blocks its queries cached
+/// to their outputs. After that every query, `latest()` and pushdown scan
+/// must answer the same through both.
+#[test]
+fn inheriting_cache_residency_changes_no_answer() {
+    let later = NOW + Options::default().merge_delay;
+    let (mut inherited, mut compressed_hits) = (0, 0);
+    for seed in 0..24 {
+        let (mut rng, mut twin) = (Rng(seed), Rng(seed));
+        let warm = generated(&mut rng, true);
+        let cold = generated(&mut twin, false);
+        let same = |what: &dyn std::fmt::Debug, a: Vec<String>, b: Vec<String>| {
+            assert_eq!(a, b, "seed {seed}: {what:?}");
+        };
+        let text = |rows: Vec<Row>| canon(&rows).iter().map(|r| format!("{r:?}")).collect();
+        for _ in 0..6 {
+            let q = random_query(&mut rng, &warm.t);
+            let (a, b) = (
+                check_query(&warm, &q, Drain::Runs),
+                check_query(&cold, &q, Drain::Runs),
+            );
+            same(&q, text(a), text(b));
+        }
+        for bed in [&warm, &cold] {
+            while bed.t.run_merge_once(later).unwrap() {}
+        }
+        let merged = warm.t.stats().snapshot();
+        for _ in 0..12 {
+            let q = random_query(&mut rng, &warm.t);
+            same(&q, answer(&warm, &q), answer(&cold, &q));
+            let req = random_pushdown(&mut rng, &warm.t);
+            same(&req, pushdown(&warm, &req), pushdown(&cold, &req));
+        }
+        for len in 0..3 {
+            let mut prefix = key_bound(&mut rng, &warm.t);
+            prefix.truncate(len);
+            let latest = |bed: &Bed| bed.t.latest(&prefix).unwrap().map(|r| r.values);
+            let (a, b) = (latest(&warm), latest(&cold));
+            same(
+                &prefix,
+                text(a.into_iter().collect()),
+                text(b.into_iter().collect()),
+            );
+        }
+        assert_eq!(cold.t.stats().snapshot().cache_rewrite_admits, 0);
+        let after = warm.t.stats().snapshot();
+        inherited += after.cache_rewrite_admits;
+        compressed_hits += after.cache_compressed_hits - merged.cache_compressed_hits;
+    }
+    assert!(
+        inherited > 0 && compressed_hits > 0,
+        "{inherited} {compressed_hits}"
+    );
 }
