@@ -17,9 +17,8 @@
 //! * tablets are write-once, so a same-size file never needs re-copying —
 //!   only the descriptor changes in place.
 //!
-//! The archiver covers the shard's local (hot) tier. Cold-tier tablets
-//! (see [`crate::table::Table::migrate_to_cold`]) live in S3-like storage
-//! that is durable and shared by design, so they are not re-replicated.
+//! The archiver copies the shard's one store, which holds every tablet of
+//! every table, so the spare needs no file from anywhere else.
 
 use crate::descriptor::{TableDescriptor, DESC_FILE};
 use crate::error::Result;

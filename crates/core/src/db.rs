@@ -59,7 +59,6 @@ type Catalog = BTreeMap<Arc<str>, Arc<Table>>;
 
 struct DbInner {
     vfs: Arc<dyn Vfs>,
-    cold_vfs: Option<Arc<dyn Vfs>>,
     clock: Arc<dyn Clock>,
     opts: Arc<Options>,
     /// One two-tier block-and-footer cache shared by every table: hot
@@ -95,20 +94,14 @@ pub struct Db {
 }
 
 impl Db {
-    /// Opens (or initializes) a database over `vfs`, recovering every
-    /// table found under the root.
+    /// Opens (or initializes) a database over `vfs`, the shard's one
+    /// store, recovering every table found under the root: each table's
+    /// descriptor is loaded, the tablet files it does not list are
+    /// deleted, and those that fail validation are quarantined. A
+    /// descriptor that does not decode fails the open before any of its
+    /// table's tablet files is deleted or set aside — among them one that
+    /// places a tablet in a cold store, which this engine does not have.
     pub fn open(vfs: Arc<dyn Vfs>, clock: Arc<dyn Clock>, opts: Options) -> Result<Db> {
-        Db::open_with_cold(vfs, None, clock, opts)
-    }
-
-    /// As [`Db::open`], with an additional write-once cold store for old
-    /// tablets (§6; see [`Table::migrate_to_cold`]).
-    pub fn open_with_cold(
-        vfs: Arc<dyn Vfs>,
-        cold_vfs: Option<Arc<dyn Vfs>>,
-        clock: Arc<dyn Clock>,
-        opts: Options,
-    ) -> Result<Db> {
         let opts = Arc::new(opts);
         let (decompressed, compressed) = opts.cache_tier_budgets();
         let shards = opts.block_cache_shards;
@@ -122,7 +115,6 @@ impl Db {
             }
             let table = Table::open(
                 vfs.clone(),
-                cold_vfs.clone(),
                 clock.clone(),
                 opts.clone(),
                 cache.clone(),
@@ -157,7 +149,6 @@ impl Db {
         }
         let inner = Arc::new(DbInner {
             vfs,
-            cold_vfs,
             clock,
             opts,
             cache,
@@ -237,7 +228,6 @@ impl Db {
         }
         let table = Table::create(
             self.inner.vfs.clone(),
-            self.inner.cold_vfs.clone(),
             self.inner.clock.clone(),
             self.inner.opts.clone(),
             self.inner.cache.clone(),
@@ -333,11 +323,6 @@ impl Db {
         let dir = table.dir().to_string();
         for entry in self.inner.vfs.list_dir(&dir).unwrap_or_default() {
             let _ = self.inner.vfs.remove(&littletable_vfs::join(&dir, &entry));
-        }
-        if let Some(cold) = &self.inner.cold_vfs {
-            for entry in cold.list_dir(&dir).unwrap_or_default() {
-                let _ = cold.remove(&littletable_vfs::join(&dir, &entry));
-            }
         }
         Ok(())
     }

@@ -93,10 +93,6 @@ pub struct TabletMeta {
     pub written_at: Micros,
     /// Schema version the tablet's rows were written under.
     pub schema_version: u32,
-    /// True when the tablet file lives in the cold store (§6's
-    /// LHAM-inspired write-once backing store for old data) rather than
-    /// the shard's local disk.
-    pub cold: bool,
     /// True once the tablet's rows have been folded into every rollup
     /// table registered for this base table. On tables that feed rollups,
     /// only rolled-up tablets are merge-eligible, so a tablet's identity
@@ -167,7 +163,8 @@ impl TableDescriptor {
             put_varint(&mut body, t.bytes);
             put_varint(&mut body, zigzag(t.written_at));
             put_varint(&mut body, t.schema_version as u64);
-            put_varint(&mut body, t.cold as u64);
+            // The retired cold-store flag: every tablet is in the one store.
+            put_varint(&mut body, 0);
             put_varint(&mut body, t.rolled_up as u64);
         }
         DESC.frame(&body)
@@ -189,18 +186,29 @@ impl TableDescriptor {
         let n = r.varint()? as usize;
         let mut tablets = Vec::with_capacity(n.min(r.remaining()).min(1 << 20));
         for _ in 0..n {
-            tablets.push(TabletMeta {
-                id: r.varint()?,
+            let id = r.varint()?;
+            let mut meta = TabletMeta {
+                id,
                 min_ts: unzigzag(r.varint()?),
                 max_ts: unzigzag(r.varint()?),
                 rows: r.varint()?,
                 bytes: r.varint()?,
                 written_at: unzigzag(r.varint()?),
                 schema_version: r.varint_u32("schema version")?,
-                cold: r.varint()? != 0,
-                // v1 descriptors predate rollups; nothing was folded.
-                rolled_up: ver >= 2 && r.varint()? != 0,
-            });
+                rolled_up: false,
+            };
+            // A tablet an older engine moved to its cold store is not in
+            // this one. Refused here, before an open sweeps or quarantines
+            // anything: read as local, its missing file would be set aside
+            // and the tablet dropped from the descriptor for good.
+            if r.varint()? != 0 {
+                return Err(Error::corrupt(format!(
+                    "tablet {id} is in a cold store, which this engine does not have"
+                )));
+            }
+            // v1 descriptors predate rollups; nothing was folded.
+            meta.rolled_up = ver >= 2 && r.varint()? != 0;
+            tablets.push(meta);
         }
         if !r.is_empty() {
             return Err(Error::corrupt("trailing bytes after descriptor"));
@@ -275,7 +283,6 @@ mod tests {
                 bytes: 1000,
                 written_at: 250,
                 schema_version: 1,
-                cold: false,
                 rolled_up: false,
             },
             TabletMeta {
@@ -286,7 +293,6 @@ mod tests {
                 bytes: 2000,
                 written_at: 350,
                 schema_version: 1,
-                cold: true,
                 rolled_up: true,
             },
         ];
@@ -365,7 +371,7 @@ mod tests {
             put_varint(&mut body, t.bytes);
             put_varint(&mut body, zigzag(t.written_at));
             put_varint(&mut body, t.schema_version as u64);
-            put_varint(&mut body, t.cold as u64);
+            put_varint(&mut body, 0);
         }
         let back = TableDescriptor::decode(&DESC.frame(&body)).unwrap();
         assert!(back.tablets.iter().all(|t| !t.rolled_up));
@@ -412,11 +418,61 @@ mod tests {
         let mut body = DESC.unframe(&d.encode()).unwrap().to_vec();
         let at = body.len() - 3;
         assert_eq!(body[at..], [1, 0, 0], "schema version, cold, rolled up");
+        // A set cold flag is refused, naming the tablet.
+        let mut cold = body.clone();
+        cold[at + 1] = 1;
+        assert!(matches!(
+            TableDescriptor::decode(&DESC.frame(&cold)),
+            Err(Error::Corrupt(msg)) if msg.contains("tablet 1 ")
+        ));
         body.splice(at..at + 1, [0x80, 0x80, 0x80, 0x80, 0x10]);
         assert!(matches!(
             TableDescriptor::decode(&DESC.frame(&body)),
             Err(Error::Corrupt(msg)) if msg.contains("schema version")
         ));
+    }
+
+    /// A descriptor an older engine wrote after moving a tablet to its
+    /// cold store fails `Db::open`, naming the tablet, and leaves the
+    /// table directory as it found it, the tablet's file beside it
+    /// included.
+    #[test]
+    fn a_cold_flag_fails_the_open_and_touches_no_file() {
+        use crate::db::Db;
+        use crate::options::Options;
+        use crate::value::Value;
+        use littletable_vfs::SimClock;
+        use std::sync::Arc;
+        let vfs = SimVfs::instant();
+        let open = || {
+            let clock = Arc::new(SimClock::new(1_000));
+            Db::open(Arc::new(vfs.clone()), clock, Options::small_for_tests())
+        };
+        let t = open().unwrap().create_table("t", schema(), None).unwrap();
+        t.insert(vec![vec![Value::I64(1), Value::Timestamp(100)]])
+            .unwrap();
+        t.flush_all().unwrap();
+        drop(t);
+        let desc = TableDescriptor::load(&vfs, "t").unwrap();
+        let [tablet] = &desc.tablets[..] else {
+            panic!("{desc:?}")
+        };
+        let mut body = DESC.unframe(&desc.encode()).unwrap().to_vec();
+        let at = body.len() - 2;
+        assert_eq!(body[at..], [0, 0], "cold, rolled up");
+        body[at] = 1;
+        DESC.save(&vfs, "t", &DESC.frame(&body)).unwrap();
+        let listing = || {
+            let mut names = vfs.list_dir("t").unwrap();
+            names.sort();
+            names
+        };
+        let before = listing();
+        assert!(before.contains(&tablet.file_name()), "{before:?}");
+        let err = open().err().expect("a cold tablet must fail the open");
+        let named = format!("tablet {} ", tablet.id);
+        assert!(err.to_string().contains(&named), "{err}");
+        assert_eq!(listing(), before);
     }
 
     #[test]

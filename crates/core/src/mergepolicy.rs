@@ -26,8 +26,7 @@ use littletable_vfs::Micros;
 /// Returns `None` when nothing is mergeable. Reads `max_tablet_size`,
 /// `merge_delay` and `respect_periods` from `opts`.
 pub fn find_merge(tablets: &[TabletMeta], now: Micros, opts: &Options) -> Option<Vec<u64>> {
-    // Cold-store tablets are write-once archives; never re-merge.
-    let eligible = |t: &TabletMeta| !t.cold && now - t.written_at >= opts.merge_delay;
+    let eligible = |t: &TabletMeta| now - t.written_at >= opts.merge_delay;
     let same_group = |a: &TabletMeta, b: &TabletMeta| {
         !opts.respect_periods || period_for(a.min_ts, now) == period_for(b.min_ts, now)
     };
@@ -77,7 +76,6 @@ mod tests {
             bytes,
             written_at,
             schema_version: 1,
-            cold: false,
             rolled_up: false,
         }
     }

@@ -17,8 +17,8 @@
 //!   three over the typed column slices (key bounds by a binary search
 //!   that encodes only the probed keys), so the caller filters nothing:
 //!   it folds the selected rows straight off [`Block::column`]. No keys
-//!   and no [`Row`]s are materialized, whether the block is wholly
-//!   inside the box or merely cut by it.
+//!   and no [`Row`](crate::row::Row)s are materialized, whether the
+//!   block is wholly inside the box or merely cut by it.
 //!
 //! Memtablets and tablets written under an older schema version have no
 //! zones to judge by (a memtablet has none; a lagging tablet's are the

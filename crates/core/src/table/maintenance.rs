@@ -1,5 +1,5 @@
 //! The maintenance paths: flushing sealed groups, merging, TTL reaping,
-//! bulk delete, cold-tier migration, rollup marks, and schema evolution.
+//! bulk delete, rollup marks, and schema evolution.
 //!
 //! Each is the same pipeline with parts left out. Whatever writes tablets
 //! does so outside the state mutex, through [`Table::write_tablet`] and
@@ -82,11 +82,11 @@ impl Drop for Written<'_> {
 }
 
 impl Table {
-    /// Writes one new tablet under `schema` into the hot store: allocates
-    /// its id, creates the file, has `fill` put the rows in, finishes and
-    /// syncs it. `None` when `fill` put no row in; no file is left behind
-    /// then, nor when anything failed (the fsync gate: nothing of a tablet
-    /// whose write or sync failed is published).
+    /// Writes one new tablet under `schema` into the table directory:
+    /// allocates its id, creates the file, has `fill` put the rows in,
+    /// finishes and syncs it. `None` when `fill` put no row in; no file is
+    /// left behind then, nor when anything failed (the fsync gate: nothing
+    /// of a tablet whose write or sync failed is published).
     ///
     /// The tablet's footer enters the block cache as it is written, under
     /// the id of the reader built for it first (see [`crate::cache`]), and
@@ -110,7 +110,7 @@ impl Table {
             st.next_tablet_id - 1
         };
         let path = join(&self.dir, &tablet_file_name(id));
-        let reader = self.new_reader(self.vfs.clone(), path.clone());
+        let reader = self.new_reader(path.clone());
         let written = (|| {
             let mut w = TabletWriter::new(
                 self.vfs.create(&path, size_hint)?,
@@ -137,7 +137,6 @@ impl Table {
                     bytes,
                     written_at: now,
                     schema_version: schema.version(),
-                    cold: false,
                     rolled_up,
                 },
             })),
@@ -157,14 +156,12 @@ impl Table {
         }
     }
 
-    /// Removes tablet files, each from the store its handle says it is
-    /// in; best-effort, an orphan is reaped at open. Readers of a snapshot
-    /// that lists a removed tablet hold its reader by `Arc`, and removal
-    /// unlinks, so their open handles stay valid.
+    /// Removes tablet files; best-effort, an orphan is reaped at open.
+    /// Readers of a snapshot that lists a removed tablet hold its reader
+    /// by `Arc`, and removal unlinks, so their open handles stay valid.
     fn unlink(&self, handles: &[DiskHandle]) {
         for h in handles {
-            let cold = self.cold_vfs.as_ref().filter(|_| h.meta.cold);
-            let _ = (cold.unwrap_or(&self.vfs)).remove(&join(&self.dir, &h.meta.file_name()));
+            let _ = self.vfs.remove(&join(&self.dir, &h.meta.file_name()));
         }
     }
 
@@ -492,59 +489,6 @@ impl Table {
         let dead = or_if_dropped(dead, Vec::new())?.len();
         TableStats::add(&self.stats.tablets_expired, dead as u64);
         Ok(dead)
-    }
-
-    // ------------------------------------------------------------ cold store
-
-    /// Moves every on-disk tablet whose newest row is older than `cutoff`
-    /// to the cold store (§6: "LHAM introduced the idea of moving older
-    /// data in a log-structured system to write-once media... we are
-    /// considering using Amazon S3 as an additional backing store for old
-    /// LittleTable data"). Cold tablets keep serving queries through the
-    /// cold VFS, are excluded from merging, and still expire by TTL.
-    /// Returns the number of tablets migrated.
-    pub fn migrate_to_cold(&self, cutoff: Micros) -> Result<usize> {
-        let cold = self
-            .cold_vfs
-            .clone()
-            .ok_or_else(|| Error::invalid("no cold store configured"))?;
-        // Under the merger's slot, so sources cannot be merged away.
-        let due = |h: &&DiskHandle| !h.meta.cold && h.meta.max_ts < cutoff;
-        let picked = self.merge_slot(|st| {
-            let due: Vec<DiskHandle> = st.disk.iter().filter(due).cloned().collect();
-            (!due.is_empty()).then_some(due)
-        })?;
-        let Some((_slot, candidates)) = picked else {
-            return Ok(0);
-        };
-        cold.mkdir_all(&self.dir)?;
-        let mut migrated = self.written(None);
-        for h in &candidates {
-            let path = join(&self.dir, &h.meta.file_name());
-            let mut meta = h.meta.clone();
-            meta.cold = true;
-            // Listed before the copy starts, so that a copy that fails
-            // half-way is unlinked with the finished ones.
-            migrated.files.push(DiskHandle {
-                reader: self.new_reader(cold.clone(), path.clone()),
-                meta,
-            });
-            let src = self.vfs.open(&path)?;
-            let len = src.len()?;
-            let mut buf = vec![0u8; len as usize];
-            src.read_exact_at(0, &mut buf)?;
-            let mut w = cold.create(&path, len)?;
-            w.append(&buf)?;
-            w.sync()?;
-        }
-        cold.sync_dir(&self.dir)?;
-        // One commit flips the tablets to the cold tier (a cold handle
-        // replaces the hot one of the same id), and unlinks the hot copies.
-        let ids: Vec<u64> = candidates.iter().map(|h| h.meta.id).collect();
-        let moved = self.commit(migrated, |st| {
-            Ok(Some(st.take_disk(|m| !m.cold && ids.contains(&m.id))))
-        })?;
-        Ok(moved.len())
     }
 
     // ---------------------------------------------------------- schema & ttl

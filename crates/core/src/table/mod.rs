@@ -11,10 +11,10 @@
 //!   and `pushdown_scan` start from, `query`/`latest` and the streaming
 //!   `QueryCursor` over [`crate::cursor`]'s merge of block runs;
 //! * `colscan` — the aggregate pushdown scan;
-//! * `maintenance` — flush, merge, TTL reaping, bulk delete, cold
-//!   migration, and schema evolution: tablets rewritten through the
-//!   query's merge cursor, every transition through one commit that
-//!   republishes the snapshot.
+//! * `maintenance` — flush, merge, TTL reaping, bulk delete, rollup
+//!   marks and schema evolution: tablets rewritten through the query's
+//!   merge cursor, every transition through one commit that republishes
+//!   the snapshot.
 
 mod colscan;
 mod maintenance;
@@ -113,9 +113,6 @@ pub struct Table {
     name: String,
     dir: String,
     vfs: Arc<dyn Vfs>,
-    /// Optional write-once backing store for old tablets (§6's
-    /// LHAM-inspired cold tier; Amazon S3 in the paper's plans).
-    cold_vfs: Option<Arc<dyn Vfs>>,
     clock: Arc<dyn Clock>,
     opts: Arc<Options>,
     /// The block cache the [`crate::db::Db`] shares among its tables
@@ -156,8 +153,8 @@ pub struct Table {
 }
 
 /// The table's one maintenance slot, held. While it lives no merge, bulk
-/// delete, cold migration or rollup fold starts and the TTL reaper leaves
-/// the tablet set alone, so the tablets its holder reads stay in the
+/// delete or rollup fold starts and the TTL reaper leaves the tablet set
+/// alone, so the tablets its holder reads stay in the
 /// table. Released on drop.
 pub(crate) struct MergeSlot<'a>(&'a Table);
 
@@ -172,7 +169,6 @@ impl Table {
     #[allow(clippy::too_many_arguments)] // crate-internal constructor
     pub(crate) fn create(
         vfs: Arc<dyn Vfs>,
-        cold_vfs: Option<Arc<dyn Vfs>>,
         clock: Arc<dyn Clock>,
         opts: Arc<Options>,
         cache: Arc<BlockCache>,
@@ -187,14 +183,12 @@ impl Table {
         vfs.sync_dir(crate::db::root_of(&dir))?;
         let (stats, disk) = (Arc::default(), Vec::new());
         Ok(Table::assemble(
-            vfs, cold_vfs, clock, opts, cache, stats, name, dir, desc, disk,
+            vfs, clock, opts, cache, stats, name, dir, desc, disk,
         ))
     }
 
-    #[allow(clippy::too_many_arguments)] // crate-internal constructor
     pub(crate) fn open(
         vfs: Arc<dyn Vfs>,
-        cold_vfs: Option<Arc<dyn Vfs>>,
         clock: Arc<dyn Clock>,
         opts: Arc<Options>,
         cache: Arc<BlockCache>,
@@ -203,30 +197,22 @@ impl Table {
     ) -> Result<Arc<Table>> {
         let mut desc = TableDescriptor::load(vfs.as_ref(), &dir)?;
         desc.sort_tablets();
-        // Delete the orphan tablet files a crash mid-flush, mid-merge or
-        // mid-migration left in either store: those the descriptor does not
-        // place there, never committed or committed away. Quarantined files
-        // are evidence, not orphans; the descriptor and the rollup spec that
-        // marks this table as derived are not tablets.
-        let sweep = |store: &dyn Vfs, entries: Vec<String>, cold: bool| {
-            for entry in entries {
-                let kept = match parse_tablet_file_name(&entry) {
-                    Some(id) => desc.tablets.iter().any(|t| t.id == id && t.cold == cold),
-                    None => {
-                        [DESC_FILE, DESC_TMP, SPEC_FILE].contains(&entry.as_str())
-                            || entry.ends_with(QUARANTINE_SUFFIX)
-                    }
-                };
-                if !kept {
-                    let _ = store.remove(&join(&dir, &entry));
+        // Delete the orphan tablet files a crash mid-flush or mid-merge
+        // left: those the descriptor does not list, never committed or
+        // committed away. Quarantined files are evidence, not orphans; the
+        // descriptor and the rollup spec that marks this table as derived
+        // are not tablets.
+        for entry in vfs.list_dir(&dir)? {
+            let kept = match parse_tablet_file_name(&entry) {
+                Some(id) => desc.tablets.iter().any(|t| t.id == id),
+                None => {
+                    [DESC_FILE, DESC_TMP, SPEC_FILE].contains(&entry.as_str())
+                        || entry.ends_with(QUARANTINE_SUFFIX)
                 }
+            };
+            if !kept {
+                let _ = vfs.remove(&join(&dir, &entry));
             }
-        };
-        sweep(vfs.as_ref(), vfs.list_dir(&dir)?, false);
-        if let Some(cold) = &cold_vfs {
-            // Best-effort: a cold store that never held this table has no
-            // directory, and an orphan left is reaped at the next open.
-            sweep(cold.as_ref(), cold.list_dir(&dir).unwrap_or_default(), true);
         }
         let stats = Arc::new(TableStats::default());
         // Validate every referenced tablet's footer eagerly. A tablet that
@@ -238,25 +224,16 @@ impl Table {
         let mut disk: Vec<DiskHandle> = Vec::new();
         let mut quarantined = 0u64;
         for meta in &desc.tablets {
-            let backing: Arc<dyn Vfs> = if meta.cold {
-                cold_vfs.clone().ok_or_else(|| {
-                    Error::invalid(format!(
-                        "table {name:?} has cold tablets but no cold store is configured"
-                    ))
-                })?
-            } else {
-                vfs.clone()
-            };
             let path = join(&dir, &meta.file_name());
             // Probe with a throwaway reader and its own empty cache:
             // validation must not warm the shared cache, or the first
             // query after open would look cold-cache fast and the paper's
             // ~4-seek first-row cost would vanish.
-            let probe = TabletReader::new(backing.clone(), path.clone());
+            let probe = TabletReader::new(vfs.clone(), path.clone());
             match probe.footer() {
                 Ok(_) => disk.push(DiskHandle {
                     reader: Arc::new(TabletReader::with_cache(
-                        backing.clone(),
+                        vfs.clone(),
                         path.clone(),
                         cache.clone(),
                         stats.clone(),
@@ -264,10 +241,10 @@ impl Table {
                     meta: meta.clone(),
                 }),
                 Err(e) if should_quarantine(&e) => {
-                    if backing.exists(&path) {
+                    if vfs.exists(&path) {
                         let aside = format!("{path}{QUARANTINE_SUFFIX}");
-                        let _ = backing.rename(&path, &aside);
-                        let _ = backing.sync_dir(&dir);
+                        let _ = vfs.rename(&path, &aside);
+                        let _ = vfs.sync_dir(&dir);
                     }
                     quarantined += 1;
                 }
@@ -286,7 +263,7 @@ impl Table {
             let _ = clean.save(vfs.as_ref(), &dir);
         }
         Ok(Table::assemble(
-            vfs, cold_vfs, clock, opts, cache, stats, name, dir, desc, disk,
+            vfs, clock, opts, cache, stats, name, dir, desc, disk,
         ))
     }
 
@@ -295,7 +272,6 @@ impl Table {
     #[allow(clippy::too_many_arguments)]
     fn assemble(
         vfs: Arc<dyn Vfs>,
-        cold_vfs: Option<Arc<dyn Vfs>>,
         clock: Arc<dyn Clock>,
         opts: Arc<Options>,
         cache: Arc<BlockCache>,
@@ -322,7 +298,6 @@ impl Table {
             name,
             dir,
             vfs,
-            cold_vfs,
             clock,
             opts,
             cache,
@@ -354,9 +329,9 @@ impl Table {
 
     /// Builds a reader for a newly written tablet file, registered with
     /// the shared block cache under a fresh cache-tablet id.
-    fn new_reader(&self, backing: Arc<dyn Vfs>, path: String) -> Arc<TabletReader> {
-        let (cache, stats) = (self.cache.clone(), self.stats.clone());
-        Arc::new(TabletReader::with_cache(backing, path, cache, stats))
+    fn new_reader(&self, path: String) -> Arc<TabletReader> {
+        let (vfs, cache, stats) = (self.vfs.clone(), self.cache.clone(), self.stats.clone());
+        Arc::new(TabletReader::with_cache(vfs, path, cache, stats))
     }
 
     // -------------------------------------------------------------- accessors
@@ -405,17 +380,6 @@ impl Table {
     /// Total rows across on-disk tablets (per descriptor counts).
     pub fn disk_rows(&self) -> u64 {
         self.snapshot.read().disk.iter().map(|h| h.meta.rows).sum()
-    }
-
-    /// Total compressed bytes of tablets currently in the cold store.
-    pub fn cold_bytes(&self) -> u64 {
-        self.snapshot
-            .read()
-            .disk
-            .iter()
-            .filter(|h| h.meta.cold)
-            .map(|h| h.meta.bytes)
-            .sum()
     }
 
     /// Process-unique incarnation number of this table handle. Two tables

@@ -1,6 +1,6 @@
 //! Tests for the paper's proposed extensions implemented here:
-//! `flush_before` (§4.1.2), `bulk_delete` (§7), schema evolution
-//! interacting with merges, and the §6 cold tier.
+//! `flush_before` (§4.1.2), `bulk_delete` (§7), and schema evolution
+//! interacting with merges.
 
 mod extension_tests {
     use crate::db::Db;
@@ -284,266 +284,5 @@ mod evolution_merge_tests {
         assert!(rows.iter().all(|r| r.values.len() == 3
             && r.values[0] == Value::I64(2)
             && r.values[2] == Value::I64(0)));
-    }
-}
-
-mod cold_store_tests {
-    //! The §6 cold-tier extension: old tablets move to a write-once
-    //! backing store and keep serving queries from there.
-
-    use crate::db::Db;
-    use crate::options::Options;
-    use crate::query::Query;
-    use crate::schema::{ColumnDef, Schema};
-    use crate::table::Table;
-    use crate::value::{ColumnType, Value};
-    use littletable_vfs::{Clock, Micros, SimClock, SimVfs, Vfs};
-    use std::sync::Arc;
-
-    const START: Micros = 1_700_000_000_000_000;
-    const DAY: Micros = 86_400 * 1_000_000;
-
-    fn schema() -> Schema {
-        Schema::new(
-            vec![
-                ColumnDef::new("n", ColumnType::I64),
-                ColumnDef::new("ts", ColumnType::Timestamp),
-            ],
-            &["n", "ts"],
-        )
-        .unwrap()
-    }
-
-    fn setup() -> (Db, SimVfs, SimVfs, SimClock) {
-        let clock = SimClock::new(START);
-        let hot = SimVfs::instant();
-        let cold = SimVfs::instant();
-        let db = Db::open_with_cold(
-            Arc::new(hot.clone()),
-            Some(Arc::new(cold.clone())),
-            Arc::new(clock.clone()),
-            Options::small_for_tests(),
-        )
-        .unwrap();
-        (db, hot, cold, clock)
-    }
-
-    fn fill(t: &Table, base: Micros, n: i64) {
-        for i in 0..n {
-            t.insert(vec![vec![
-                Value::I64(base / 1000 + i),
-                Value::Timestamp(base + i),
-            ]])
-            .unwrap();
-        }
-        t.flush_all().unwrap();
-    }
-
-    #[test]
-    fn old_tablets_migrate_and_keep_serving() {
-        let (db, hot, cold, clock) = setup();
-        let t = db.create_table("t", schema(), None).unwrap();
-        fill(&t, START - 30 * DAY, 200); // old data
-        fill(&t, START, 200); // recent data
-        let migrated = t.migrate_to_cold(START - DAY).unwrap();
-        assert_eq!(migrated, 1);
-        assert!(t.cold_bytes() > 0);
-        // The cold file exists in the cold store, not the hot one.
-        let cold_files = cold.list_dir("t").unwrap();
-        assert_eq!(cold_files.iter().filter(|f| f.ends_with(".lt")).count(), 1);
-        let hot_files = hot.list_dir("t").unwrap();
-        assert_eq!(hot_files.iter().filter(|f| f.ends_with(".lt")).count(), 1);
-        // Queries span both tiers transparently.
-        assert_eq!(t.query_all(&Query::all()).unwrap().len(), 400);
-        // Migration is idempotent.
-        assert_eq!(t.migrate_to_cold(START - DAY).unwrap(), 0);
-        // Cold tablets never merge.
-        assert!(!t.run_merge_once(clock.now_micros()).unwrap());
-    }
-
-    #[test]
-    fn cold_tablets_survive_restart() {
-        let (db, hot, cold, clock) = setup();
-        let t = db.create_table("t", schema(), None).unwrap();
-        fill(&t, START - 30 * DAY, 100);
-        t.migrate_to_cold(START).unwrap();
-        drop(db);
-        let db2 = Db::open_with_cold(
-            Arc::new(hot.clone()),
-            Some(Arc::new(cold.clone())),
-            Arc::new(clock.clone()),
-            Options::small_for_tests(),
-        )
-        .unwrap();
-        let t2 = db2.table("t").unwrap();
-        assert_eq!(t2.query_all(&Query::all()).unwrap().len(), 100);
-        assert!(t2.cold_bytes() > 0);
-        // Opening without a cold store fails loudly rather than serving
-        // partial data.
-        let res = Db::open(
-            Arc::new(hot.clone()),
-            Arc::new(clock.clone()),
-            Options::small_for_tests(),
-        );
-        assert!(res.is_err());
-    }
-
-    #[test]
-    fn ttl_reaps_cold_tablets_from_the_cold_store() {
-        let (db, _hot, cold, clock) = setup();
-        let ttl = 10 * DAY;
-        let t = db.create_table("t", schema(), Some(ttl)).unwrap();
-        fill(&t, START - 30 * DAY, 50);
-        t.migrate_to_cold(START).unwrap();
-        clock.set(START + ttl);
-        let reaped = t.ttl_reap(clock.now_micros()).unwrap();
-        assert_eq!(reaped, 1);
-        let cold_files = cold.list_dir("t").unwrap();
-        assert_eq!(cold_files.iter().filter(|f| f.ends_with(".lt")).count(), 0);
-    }
-
-    #[test]
-    fn a_migration_that_fails_part_way_leaves_nothing_behind() {
-        use littletable_vfs::{FaultKind, FaultPlan, FaultRule, OpKind};
-        let (db, hot, cold, _clock) = setup();
-        let t = db.create_table("t", schema(), None).unwrap();
-        fill(&t, START - 30 * DAY, 200);
-        fill(&t, START - 20 * DAY, 200);
-        fill(&t, START, 200); // stays hot
-        let listing = || {
-            let sorted = |vfs: &SimVfs| {
-                let mut names = vfs.list_dir("t").unwrap_or_default();
-                names.sort();
-                names
-            };
-            (sorted(&hot), sorted(&cold))
-        };
-        let (rows_before, listing_before) = (t.query_all(&Query::all()).unwrap(), listing());
-        // Fail each write to the cold store in turn — the directory, each
-        // copy's creation, append and sync, the directory sync — until a
-        // call gets through with none failed.
-        let mut failed = 0;
-        let migrated = loop {
-            let nth = FaultRule::new(FaultKind::Eio)
-                .on_ops(&[
-                    OpKind::Mkdir,
-                    OpKind::Create,
-                    OpKind::Append,
-                    OpKind::Sync,
-                    OpKind::SyncDir,
-                ])
-                .nth_match(failed + 1);
-            cold.set_fault_plan(FaultPlan::new().rule(nth));
-            let result = t.migrate_to_cold(START - DAY);
-            cold.clear_fault_plan();
-            if cold.faults_injected() == failed {
-                break result.unwrap();
-            }
-            failed += 1;
-            assert!(result.is_err(), "write {failed} failed and went unreported");
-            assert_eq!(listing(), listing_before, "write {failed}");
-            assert_eq!(t.query_all(&Query::all()).unwrap(), rows_before);
-            assert_eq!(t.cold_bytes(), 0);
-        };
-        assert_eq!((failed, migrated), (8, 2));
-        assert_eq!(t.query_all(&Query::all()).unwrap(), rows_before);
-        let (hot_after, cold_after) = listing();
-        assert_eq!(cold_after.len(), 2);
-        assert_eq!(hot_after.len(), listing_before.0.len() - 2);
-    }
-
-    /// Crashes the operation `k` of a migration makes on the cold store
-    /// (`on_cold`) or the hot one, reboots both and reopens: every row
-    /// reads back, and each store holds exactly the tablets the descriptor
-    /// places in it. Returns false once the migration makes fewer than `k`
-    /// operations there.
-    fn crash_mid_migration(on_cold: bool, k: u64) -> bool {
-        use crate::descriptor::TableDescriptor;
-        use littletable_vfs::FaultPlan;
-        let (db, hot, cold, clock) = setup();
-        let t = db.create_table("t", schema(), None).unwrap();
-        fill(&t, START - 30 * DAY, 200);
-        fill(&t, START - 20 * DAY, 200);
-        fill(&t, START, 200); // stays hot
-        let rows = t.query_all(&Query::all()).unwrap();
-        let store = if on_cold { &cold } else { &hot };
-        store.set_fault_plan(FaultPlan::crash_at(store.op_count() + k));
-        let _ = t.migrate_to_cold(START - DAY);
-        let fired = store.faults_injected() > 0;
-        drop((t, db));
-        for store in [&hot, &cold] {
-            store.crash();
-            store.clear_fault_plan();
-        }
-        let db = Db::open_with_cold(
-            Arc::new(hot.clone()),
-            Some(Arc::new(cold.clone())),
-            Arc::new(clock.clone()),
-            Options::small_for_tests(),
-        )
-        .unwrap();
-        let at = format!(
-            "crash at op {k} on the {} store",
-            ["hot", "cold"][on_cold as usize]
-        );
-        assert_eq!(
-            db.table("t").unwrap().query_all(&Query::all()).unwrap(),
-            rows,
-            "{at}"
-        );
-        let desc = TableDescriptor::load(&hot, "t").unwrap();
-        for (store, cold) in [(&hot, false), (&cold, true)] {
-            let mut held: Vec<String> = store.list_dir("t").unwrap_or_default();
-            held.retain(|f| f.ends_with(".lt"));
-            held.sort();
-            let placed = desc.tablets.iter().filter(|m| m.cold == cold);
-            let mut placed: Vec<String> = placed.map(|m| m.file_name()).collect();
-            placed.sort();
-            assert_eq!(held, placed, "{at}: cold store {cold}");
-        }
-        fired
-    }
-
-    #[test]
-    fn a_crash_mid_migration_leaves_each_store_its_own_tablets() {
-        for on_cold in [true, false] {
-            let mut k = 0;
-            while crash_mid_migration(on_cold, k) {
-                k += 1;
-            }
-            assert!(k >= 8, "only {k} operations");
-        }
-    }
-
-    #[test]
-    fn migrate_without_cold_store_is_an_error() {
-        let clock = SimClock::new(START);
-        let db = Db::open(
-            Arc::new(SimVfs::instant()),
-            Arc::new(clock.clone()),
-            Options::small_for_tests(),
-        )
-        .unwrap();
-        let t = db.create_table("t", schema(), None).unwrap();
-        assert!(t.migrate_to_cold(START).is_err());
-    }
-
-    #[test]
-    fn drop_table_cleans_both_tiers() {
-        let (db, hot, cold, _clock) = setup();
-        let t = db.create_table("t", schema(), None).unwrap();
-        fill(&t, START - 30 * DAY, 50);
-        t.migrate_to_cold(START).unwrap();
-        db.drop_table("t").unwrap();
-        assert!(hot
-            .list_dir("t")
-            .unwrap_or_default()
-            .iter()
-            .all(|f| !f.ends_with(".lt")));
-        assert!(cold
-            .list_dir("t")
-            .unwrap_or_default()
-            .iter()
-            .all(|f| !f.ends_with(".lt")));
     }
 }

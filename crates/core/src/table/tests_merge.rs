@@ -275,8 +275,7 @@ fn a_run_ending_exactly_on_an_output_block_boundary() {
         b.t.flush_all().unwrap();
     }
     merges_agree(&b, None, b.clock.now_micros()).unwrap();
-    let out =
-        b.t.new_reader(b.t.vfs.clone(), join(b.t.dir(), &tablet_file_name(OUT_ID)));
+    let out = b.t.new_reader(join(b.t.dir(), &tablet_file_name(OUT_ID)));
     let footer = out.footer().unwrap();
     assert_eq!(footer.blocks.len(), 8);
     for (i, blk) in footer.blocks.iter().enumerate() {
@@ -419,8 +418,7 @@ fn frozen_row_tablets_among_fresh_columnar_ones() {
     assert_eq!(b.t.query_all(&Query::all()).unwrap().len(), total);
     merges_agree(&b, None, b.clock.now_micros()).unwrap();
     // What the merge wrote is the current layout, index statistics and all.
-    let out =
-        b.t.new_reader(b.t.vfs.clone(), join(b.t.dir(), &tablet_file_name(OUT_ID)));
+    let out = b.t.new_reader(join(b.t.dir(), &tablet_file_name(OUT_ID)));
     let footer = out.footer().unwrap();
     assert!(!footer.row_blocks);
     assert_eq!(footer.row_count as usize, total);

@@ -954,8 +954,8 @@ impl TabletReader {
 impl Drop for TabletReader {
     /// Invalidation point for the block cache: a reader is dropped
     /// exactly when its tablet leaves service (merged away, TTL-expired,
-    /// bulk-deleted, migrated, or the table is dropped) and no cursor
-    /// still holds it.
+    /// bulk-deleted, or the table is dropped) and no cursor still holds
+    /// it.
     fn drop(&mut self) {
         self.cache.invalidate_tablet(self.tablet_id);
     }

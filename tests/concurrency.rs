@@ -677,18 +677,16 @@ fn held_table_handle_outlives_a_thousand_drop_create_cycles() {
 /// And what a held handle can no longer do: commit. After `drop_table` and
 /// a `create_table` of the same name, the directory and its descriptor
 /// are the new table's; every call on the stale handle that would publish
-/// a transition — a TTL, a schema version, rewritten or migrated tablets —
-/// is refused before it writes, and the new table is found untouched by a
-/// reopen.
+/// a transition — a TTL, a schema version, rewritten tablets — is refused
+/// before it writes, and the new table is found untouched by a reopen.
 #[test]
 fn a_stale_handle_commits_nothing_over_a_recreated_table() {
     const HOUR: i64 = 3600 * MICROS_PER_SEC;
     let clock = SimClock::new(START);
-    let (hot, cold) = (SimVfs::instant(), SimVfs::instant());
+    let hot = SimVfs::instant();
     let open = || {
-        Db::open_with_cold(
+        Db::open(
             Arc::new(hot.clone()),
-            Some(Arc::new(cold.clone())),
             Arc::new(clock.clone()),
             Options::small_for_tests(),
         )
@@ -716,15 +714,12 @@ fn a_stale_handle_commits_nothing_over_a_recreated_table() {
     fresh.insert(fresh_rows.clone()).unwrap();
     fresh.flush_all().unwrap();
     let listing = || {
-        let sorted = |vfs: &SimVfs| {
-            let mut names = vfs.list_dir("t").unwrap_or_default();
-            names.sort();
-            names
-        };
-        (sorted(&hot), sorted(&cold))
+        let mut names = hot.list_dir("t").unwrap_or_default();
+        names.sort();
+        names
     };
     let before = listing();
-    assert_eq!(before.0.len(), 2, "{before:?}");
+    assert_eq!(before.len(), 2, "{before:?}");
 
     let extra = ColumnDef::with_default("a", ColumnType::I64, Value::I64(0));
     let refused = [
@@ -732,7 +727,6 @@ fn a_stale_handle_commits_nothing_over_a_recreated_table() {
         stale.add_column(extra),
         stale.widen_column("v"),
         stale.bulk_delete(&[Value::I64(7)]).map(drop),
-        stale.migrate_to_cold(i64::MAX).map(drop),
     ];
     for (call, result) in refused.iter().enumerate() {
         assert!(
