@@ -46,11 +46,16 @@
 //!   bits until it finds an unreferenced victim. LRU-quality hit rates
 //!   without LRU's per-access list surgery.
 //! * **Scan-resistant admission.** Only the block read path
-//!   ([`crate::tablet::TabletReader::read_block`]) consults the block
-//!   tiers. The ~1 MB buffered run reads that merges and bulk rewrites
-//!   use (§3.4.1, [`crate::tablet::TabletReader::read_block_run`]) still
-//!   bypass it entirely, so a full-table merge pass cannot wipe out the
-//!   hot set the way it would with admit-everything caching. Every tablet
+//!   ([`crate::tablet::TabletReader::read_block`]) admits, promotes or
+//!   marks blocks. The ~1 MB buffered run reads that merges, bulk
+//!   rewrites and rollup folds use (§3.4.1,
+//!   [`crate::tablet::TabletReader::read_block_run`]) only observe it:
+//!   before a run goes to disk, a block resident in either tier is taken
+//!   from there (`BlockCache::peek_block`: no reference bit set, nothing
+//!   promoted or admitted, no hit or miss counted), and the blocks read
+//!   from disk are admitted nowhere. So a full-table merge pass cannot
+//!   wipe out the hot set the way it would with admit-everything caching,
+//!   nor reorder its eviction, yet reads none of it from disk. Every tablet
 //!   written (flush, merge, bulk-delete rewrite) enters its footer as it
 //!   is finished, the one a first query would otherwise load from disk.
 //! * **Rewrites inherit residency.** Before a merge or a bulk delete
@@ -123,6 +128,14 @@ pub struct CompressedBlock {
     pub bytes: Arc<[u8]>,
     /// Decompressed size, needed to decompress on promotion.
     pub uncompressed_len: u32,
+}
+
+/// A block resident in the cache, as [`BlockCache::peek_block`] finds it.
+pub(crate) enum Resident {
+    /// The upper tier's decompressed block.
+    Decoded(Arc<Block>),
+    /// The lower tier's compressed bytes, checked on their way in.
+    Compressed(CompressedBlock),
 }
 
 /// Value held by an upper-tier slot: a hot decompressed block with its
@@ -229,6 +242,12 @@ impl<V> TierInner<V> {
         self.slots[idx] = Some(slot);
         self.map.insert(key, idx);
         self.bytes += charge;
+    }
+
+    /// The entry under `key`, its reference bit left as it was.
+    fn peek(&self, key: &BlockKey) -> Option<&V> {
+        let &idx = self.map.get(key)?;
+        self.slots[idx].as_ref().map(|slot| &slot.value)
     }
 
     fn remove_key(&mut self, key: &BlockKey) -> Option<Slot<V>> {
@@ -503,18 +522,28 @@ impl BlockCache {
     /// `tablet_id`'s footer if it is resident, its reference bit left as
     /// it was (observation only).
     pub(crate) fn peek_footer(&self, tablet_id: u64) -> Option<Arc<TabletFooter>> {
-        let footers = self.footers.inner.lock();
-        let &idx = footers.map.get(&(tablet_id, 0))?;
-        footers.slots[idx].as_ref().map(|slot| slot.value.clone())
+        self.footers.inner.lock().peek(&(tablet_id, 0)).cloned()
+    }
+
+    /// A block as either tier holds it, observation only: no reference
+    /// bit set, nothing promoted, no count moved. One shard lock is held
+    /// at a time.
+    pub(crate) fn peek_block(&self, tablet_id: u64, block_index: u32) -> Option<Resident> {
+        let key = (tablet_id, block_index);
+        let idx = self.shard_idx(key);
+        let (upper, lower) = (&self.upper[idx].inner, &self.lower[idx].inner);
+        let decoded = upper.lock().peek(&key).map(|hot| hot.block.clone());
+        if let Some(block) = decoded {
+            return Some(Resident::Decoded(block));
+        }
+        let compressed = lower.lock().peek(&key).cloned();
+        compressed.map(Resident::Compressed)
     }
 
     /// Whether a block is resident in either tier, its reference bit left
     /// as it was (observation only).
     pub(crate) fn block_resident(&self, tablet_id: u64, block_index: u32) -> bool {
-        let key = (tablet_id, block_index);
-        let idx = self.shard_idx(key);
-        self.upper[idx].inner.lock().map.contains_key(&key)
-            || self.lower[idx].inner.lock().map.contains_key(&key)
+        self.peek_block(tablet_id, block_index).is_some()
     }
 
     /// Charges upper-tier evictions to their owners and demotes evicted
@@ -684,7 +713,7 @@ impl std::fmt::Debug for BlockCache {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::block::BlockEncoder;
     use crate::row::Row;
@@ -1215,10 +1244,10 @@ mod tests {
 
     /// A CLOCK's hand and, slot by slot, its key and reference bit: all
     /// that decides which entry it evicts next.
-    type Clock = (usize, Vec<Option<(BlockKey, bool)>>);
+    pub(crate) type Clock = (usize, Vec<Option<(BlockKey, bool)>>);
 
     /// Every CLOCK of the cache: each tier's shards, then the footers'.
-    fn clocks(cache: &BlockCache) -> Vec<Clock> {
+    pub(crate) fn clocks(cache: &BlockCache) -> Vec<Clock> {
         fn clock<V>(shard: &Shard<V>) -> Clock {
             let inner = shard.inner.lock();
             let slots = inner.slots.iter();
@@ -1268,6 +1297,32 @@ mod tests {
         let upper = cache.upper[0].inner.lock();
         assert!(!upper.map.contains_key(&(tid, 0)));
         assert!(upper.map.contains_key(&(other, 0)));
+    }
+
+    #[test]
+    fn peeking_finds_a_block_in_either_tier_and_leaves_every_clock_as_it_was() {
+        let cache = BlockCache::new(64 << 10, 16 << 10, 1);
+        let st = stats();
+        let tid = cache.register_tablet();
+        let hot = block_of_size(1000);
+        cache.insert(tid, 0, hot.clone(), None, &st);
+        let cold = compressed_of_size(500);
+        assert!(cache.admit_into_free_space(tid, 1, cold.clone(), &st));
+        let (before, used) = (clocks(&cache), cache.bytes_used());
+        let upper = cache.peek_block(tid, 0);
+        assert!(matches!(upper, Some(Resident::Decoded(b)) if Arc::ptr_eq(&b, &hot)));
+        let lower = cache.peek_block(tid, 1);
+        assert!(
+            matches!(lower, Some(Resident::Compressed(c)) if Arc::ptr_eq(&c.bytes, &cold.bytes))
+        );
+        assert!(cache.peek_block(tid, 2).is_none());
+        // Nothing was marked, promoted or admitted.
+        assert_eq!(clocks(&cache), before);
+        assert_eq!(cache.bytes_used(), used);
+        assert_eq!(
+            (cache.entry_count(), cache.compressed_entry_count()),
+            (1, 1)
+        );
     }
 
     #[test]

@@ -24,9 +24,11 @@
 //! bounds and limits ([`crate::table::QueryCursor`]); the rollup fold
 //! aggregates them; a merge or a bulk delete hands them to
 //! [`crate::tablet::TabletWriter::add_run`]. The last two read whole
-//! tablets once, so their sources read `READ_RUN_BYTES` at a time and
-//! past the block cache (`Source::with_read_run`); nothing else about
-//! the merge differs.
+//! tablets once, so their sources read `READ_RUN_BYTES` at a time
+//! (`Source::with_read_run`): a block the block cache holds is taken from
+//! it, observed only, and the first one it lacks starts a run read from
+//! disk that neither consults nor fills the cache. Nothing else about the
+//! merge differs.
 
 use crate::block::Block;
 use crate::error::Result;
@@ -206,11 +208,12 @@ struct TabletSide {
     /// Index past the last block an ascending scan can want: the first
     /// one the index shows to lie wholly beyond the key range.
     stop: usize,
-    /// When nonzero, ascending scans fetch runs of consecutive blocks up
-    /// to this many compressed bytes per read, never past `stop`;
-    /// prefetched blocks queue here. Run reads bypass the block cache —
-    /// they stream each block exactly once, and admitting them would
-    /// evict the point-read working set.
+    /// When nonzero, ascending scans take a block the cache holds from
+    /// there, and otherwise fetch a run of consecutive blocks up to this
+    /// many compressed bytes in one read, never past `stop`; prefetched
+    /// blocks queue here. The cache is only observed: a run read streams
+    /// each block exactly once, and admitting or promoting its blocks
+    /// would evict the point-read working set.
     read_run_bytes: usize,
     prefetched: VecDeque<(usize, Arc<Block>)>,
 }
@@ -246,15 +249,19 @@ impl TabletSide {
         Ok(footer)
     }
 
-    fn load(&mut self, bi: usize, descending: bool) -> Result<Arc<Block>> {
+    fn load(&mut self, footer: &TabletFooter, bi: usize, descending: bool) -> Result<Arc<Block>> {
         if self.read_run_bytes == 0 || descending {
             return self.reader.read_block(bi);
         }
-        // Serve from the prefetch queue, refilling it with a long run.
+        // Serve from the prefetch queue, else from the cache, else refill
+        // the queue with a long run.
         while self.prefetched.front().is_some_and(|(qi, _)| *qi < bi) {
             self.prefetched.pop_front();
         }
         if self.prefetched.front().is_none_or(|(qi, _)| *qi != bi) {
+            if let Some(block) = self.reader.resident_block(footer, bi)? {
+                return Ok(block);
+            }
             let run = self
                 .reader
                 .read_block_run(bi..self.stop, self.read_run_bytes)?;
@@ -302,7 +309,7 @@ impl TabletSide {
             }
             // Only a block that was read is left behind: after a failed
             // read the same call reads it again.
-            let block = self.load(bi, descending)?;
+            let block = self.load(&footer, bi, descending)?;
             self.next = after;
             let rows = if self.range.contains_span(prev_last, last) {
                 0..block.len()

@@ -91,6 +91,10 @@ table_counters! {
     /// tier as it wrote them, because a tablet it rewrote had a block
     /// cached.
     cache_rewrite_admits,
+    /// Blocks a run read (a merge, a bulk delete, a rollup fold) took
+    /// from the cache instead of the disk. Not a query hit: the cache is
+    /// only observed, and `cache_hits` does not move.
+    cache_run_hits,
     /// Decompressed bytes of this table's blocks evicted from the
     /// decompressed tier (including demotions to the compressed tier).
     cache_evicted_bytes,

@@ -5,13 +5,14 @@
 //! does so outside the state mutex, through [`Table::write_tablet`] and
 //! `TabletWriter::add_run`: a flush feeds it a memtablet gathered into one
 //! block in key order, a merge or a bulk delete the column runs a
-//! [`RunCursor`] yields over the tablets being rewritten, read 1 MB at a
-//! time. Whatever must not overlap a merge holds the table's
-//! [`super::MergeSlot`]. And every transition ends in [`Table::commit`],
-//! the one place the tablet set, the schema or the TTL changes: under the
-//! state mutex it refuses a dropped table, swaps tablets out and in,
-//! republishes the read snapshot and persists the descriptor; the replaced
-//! files are unlinked after. Readers holding the previous snapshot keep
+//! [`RunCursor`] yields over the tablets being rewritten: each block the
+//! block cache holds is taken from it, observed only, and the rest are
+//! read from disk 1 MB at a time. Whatever must not overlap a merge holds
+//! the table's [`super::MergeSlot`]. And every transition ends in
+//! [`Table::commit`], the one place the tablet set, the schema or the TTL
+//! changes: under the state mutex it refuses a dropped table, swaps
+//! tablets out and in, republishes the read snapshot and persists the
+//! descriptor; the replaced files are unlinked after. Readers holding the previous snapshot keep
 //! their view — flushed memtablets and replaced readers stay alive
 //! through its `Arc`s until the last such reader drops it.
 
@@ -43,8 +44,10 @@ pub(super) fn or_if_dropped<T>(result: Result<T>, nothing: T) -> Result<T> {
 }
 
 /// Merge-sorts the rows of `sources` inside `range`, as `schema` shows
-/// them, into `w`, dropping those older than `min_ts`. Reads go a run of
-/// blocks at a time and past the block cache (§3.4.1).
+/// them, into `w`, dropping those older than `min_ts`. A block the block
+/// cache holds is taken from it without a reference bit set or a count
+/// moved; a block it lacks starts a disk read of a run of blocks, about
+/// 1 MB (§3.4.1), that admits none of them.
 fn merge_into(
     w: &mut TabletWriter,
     sources: &[DiskHandle],
@@ -363,8 +366,10 @@ impl Table {
                 }
             }
             // Does this tablet hold any matching row at all? Asked one
-            // block per read past the cache, as the rewrite reads: a tablet
-            // about to be replaced admits nothing, its neighbours included.
+            // block per read, as the rewrite reads: a resident block is
+            // taken from the cache, observed only, and one read from disk is
+            // not admitted, so a tablet about to be replaced admits nothing,
+            // its neighbours included.
             let probe =
                 Source::tablet(h.reader.clone(), schema.clone(), range.clone()).with_read_run(1);
             if RunCursor::new(vec![probe], false).next_run()?.is_none() {

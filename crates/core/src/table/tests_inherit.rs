@@ -1,15 +1,19 @@
-//! A rewrite hands its inputs' cache residency to its output: when a
-//! tablet a merge or a bulk delete replaces had a block cached, each block
-//! the rewrite writes enters the lower tier, into free space only.
+//! A rewrite and the block cache: it takes each block of its inputs the
+//! cache holds from there, observed only, and reads the rest from disk;
+//! and it hands its inputs' cache residency to its output: when a tablet
+//! a merge or a bulk delete replaces had a block cached, each block the
+//! rewrite writes enters the lower tier, into free space only.
 
 use super::state::DiskHandle;
+use super::tests_merge::file_bytes;
 use super::*;
+use crate::cache::Resident;
 use crate::db::Db;
 use crate::query::Query;
 use crate::schema::ColumnDef;
 use crate::tablet::TabletReader;
 use crate::value::{ColumnType, Value};
-use littletable_vfs::{FaultKind, FaultPlan, FaultRule, OpKind, SimClock, SimVfs};
+use littletable_vfs::{join, FaultKind, FaultPlan, FaultRule, OpKind, SimClock, SimVfs, Vfs};
 
 const START: Micros = 1_700_000_000_000_000;
 
@@ -99,14 +103,24 @@ fn merge(t: &Table) {
     assert!(!t.run_merge_once(START).unwrap());
 }
 
-/// Which blocks of `h`'s tablet are resident in either tier, its footer
-/// peeked at: observing leaves every CLOCK as it was.
-fn resident(t: &Table, h: &DiskHandle) -> Vec<bool> {
+/// Each block of `h`'s tablet as the cache holds it: `U`pper tier,
+/// `L`ower tier or `-` not at all, observed only.
+fn tiers(t: &Table, h: &DiskHandle) -> String {
     let id = h.reader.cache_id();
     let footer = t.cache.peek_footer(id).expect("a cached footer");
     (0..footer.blocks.len() as u32)
-        .map(|bi| t.cache.block_resident(id, bi))
+        .map(|bi| match t.cache.peek_block(id, bi) {
+            Some(Resident::Decoded(_)) => 'U',
+            Some(Resident::Compressed(_)) => 'L',
+            None => '-',
+        })
         .collect()
+}
+
+/// Which blocks of `h`'s tablet are resident in either tier, its footer
+/// peeked at: observing leaves every CLOCK as it was.
+fn resident(t: &Table, h: &DiskHandle) -> Vec<bool> {
+    tiers(t, h).chars().map(|tier| tier != '-').collect()
 }
 
 /// `(blocks, lower-tier blocks, blocks inherited)`: what the cache holds
@@ -242,4 +256,201 @@ fn after_a_hot_merge_the_warmed_keys_are_read_with_no_disk_read() {
             "block {bi}"
         );
     }
+}
+
+/// The table's files, name and bytes, in name order.
+fn files(vfs: &SimVfs, t: &Table) -> Vec<(String, Vec<u8>)> {
+    let mut names = vfs.list_dir(t.dir()).unwrap();
+    names.sort();
+    names
+        .into_iter()
+        .map(|n| {
+            let bytes = file_bytes(vfs, &join(t.dir(), &n));
+            (n, bytes)
+        })
+        .collect()
+}
+
+/// Four tablets of 2000 rows, about 230 kB each, whose first rows were
+/// point-queried and whose blocks 4 were then read once: in each tablet
+/// block 0 is in the upper tier, and so is block 4, with its reference
+/// bit clear; the other blocks read ahead of block 0 are in the lower
+/// tier, and the rest nowhere.
+fn partly_resident(vfs: &SimVfs, budget: usize) -> Db {
+    let db = loaded(vfs, budget, 4, 2000);
+    let t = db.table("t").unwrap();
+    query_keys(&t, 0..4);
+    for h in disk(&t) {
+        h.reader.read_block(4).unwrap();
+    }
+    db
+}
+
+/// Rewrites the table the same way twice: warm, through a roomy cache
+/// that queries filled, and cold, with no cache. Both leave the same
+/// files, byte for byte; only the warm rewrite takes blocks from the
+/// cache, and it reads fewer bytes from disk. With `lag`, a column is
+/// added after every input was flushed, so each block taken is translated
+/// to the newest schema on its way to the writer.
+fn rewrites_alike(lag: bool, rewrite: impl Fn(&Table)) {
+    let run = |budget| {
+        let vfs = SimVfs::instant();
+        let db = partly_resident(&vfs, budget);
+        let t = db.table("t").unwrap();
+        if lag {
+            let x = ColumnDef::with_default("x", ColumnType::I64, Value::I64(7));
+            t.add_column(x).unwrap();
+        }
+        let read = vfs.model().stats().bytes_read;
+        rewrite(&t);
+        let read = vfs.model().stats().bytes_read - read;
+        (files(&vfs, &t), t.stats.snapshot().cache_run_hits, read)
+    };
+    let (warm, taken, warm_read) = run(64 << 20);
+    let (cold, none, cold_read) = run(0);
+    let names = |f: &[(String, Vec<u8>)]| f.iter().map(|(n, _)| n.clone()).collect::<Vec<_>>();
+    assert_eq!(names(&warm), names(&cold));
+    for ((name, a), (_, b)) in warm.iter().zip(&cold) {
+        assert!(a == b, "{name} differs");
+    }
+    assert!(taken > 0 && none == 0, "{taken} {none}");
+    assert!(warm_read < cold_read, "{warm_read} {cold_read}");
+}
+
+#[test]
+fn a_merge_that_takes_resident_blocks_writes_what_a_cold_one_writes() {
+    rewrites_alike(false, merge);
+}
+
+#[test]
+fn a_bulk_delete_that_takes_resident_blocks_writes_what_a_cold_one_writes() {
+    rewrites_alike(false, |t| {
+        assert_eq!(t.bulk_delete(&[Value::I64(8)]).unwrap(), 1);
+    });
+}
+
+#[test]
+fn a_schema_lagging_merge_that_takes_resident_blocks_writes_what_a_cold_one_writes() {
+    rewrites_alike(true, merge);
+}
+
+#[test]
+fn a_merge_of_wholly_resident_tablets_reads_nothing_from_disk() {
+    let vfs = SimVfs::instant();
+    let db = loaded(&vfs, 64 << 20, 4, 400);
+    let t = db.table("t").unwrap();
+    // Each tablet's first key: its block, in the upper tier, and every
+    // block after it, read ahead into the lower one.
+    query_keys(&t, 0..4);
+    let blocks: usize = disk(&t)
+        .iter()
+        .map(|h| tiers(&t, h))
+        .inspect(|w| assert!(w.starts_with("UL") && !w.contains('-'), "{w}"))
+        .map(|w| w.len())
+        .sum();
+    vfs.clear_caches();
+    let read = vfs.model().stats().bytes_read;
+    let any_read = FaultRule::new(FaultKind::Eio).on_ops(&[OpKind::Read]);
+    vfs.set_fault_plan(FaultPlan::new().rule(any_read));
+    merge(&t);
+    vfs.clear_fault_plan();
+    assert_eq!(vfs.model().stats().bytes_read, read);
+    assert_eq!(t.stats.snapshot().cache_run_hits, blocks as u64);
+    query_keys(&t, 0..1600);
+}
+
+#[test]
+fn a_partly_resident_merge_fails_whole_at_every_disk_read() {
+    let want = {
+        let vfs = SimVfs::instant();
+        let db = loaded(&vfs, 0, 4, 2000);
+        db.table("t").unwrap().query_all(&Query::all()).unwrap()
+    };
+    let mut failures = 0;
+    for nth in 1.. {
+        // The same start every time: a query would warm what it reads.
+        let vfs = SimVfs::instant();
+        let db = partly_resident(&vfs, 64 << 20);
+        let t = db.table("t").unwrap();
+        let warm: Vec<String> = disk(&t).iter().map(|h| tiers(&t, h)).collect();
+        assert!(warm
+            .iter()
+            .all(|w| w.contains('U') && w.contains('L') && w.ends_with('-')));
+        let before = files(&vfs, &t);
+        let rule = FaultRule::new(FaultKind::Eio)
+            .on_ops(&[OpKind::Read])
+            .nth_match(nth);
+        vfs.set_fault_plan(FaultPlan::new().rule(rule));
+        let result = t.run_merge_once(START);
+        vfs.clear_fault_plan();
+        if vfs.faults_injected() == 0 {
+            assert!(result.unwrap());
+            assert!(t.stats.snapshot().cache_run_hits > 0);
+            break;
+        }
+        failures += 1;
+        assert!(result.is_err(), "read {nth} failed unreported");
+        assert!(
+            files(&vfs, &t) == before,
+            "read {nth} left the files changed"
+        );
+        assert_eq!(disk(&t).len(), 4, "read {nth}");
+        assert!(t.query_all(&Query::all()).unwrap() == want, "read {nth}");
+    }
+    assert!(failures >= 4, "{failures} reads failed");
+}
+
+#[test]
+fn a_merge_takes_resident_blocks_and_leaves_the_cache_as_it_found_them() {
+    let vfs = SimVfs::instant();
+    let db = partly_resident(&vfs, 64 << 20);
+    let t = db.table("t").unwrap();
+    let c = &t.cache;
+    // The inputs are held, so their entries outlive the merge.
+    let inputs = disk(&t);
+    let counts = || {
+        let s = t.stats.snapshot();
+        (s.cache_hits, s.cache_compressed_hits, s.cache_misses)
+    };
+    // Each CLOCK's hand, and the reference bits of the inputs' entries.
+    let ids: Vec<u64> = inputs.iter().map(|h| h.reader.cache_id()).collect();
+    let clocks = || {
+        let clocks = crate::cache::tests::clocks(c).into_iter();
+        clocks
+            .map(|(hand, slots)| {
+                let slots = slots.into_iter().flatten();
+                (hand, slots.filter(|(k, _)| ids.contains(&k.0)).collect())
+            })
+            .collect::<Vec<(usize, Vec<_>)>>()
+    };
+    let state = || {
+        let tiers: Vec<String> = inputs.iter().map(|h| tiers(&t, h)).collect();
+        (counts(), tiers, clocks())
+    };
+    let sizes = || (c.entry_count(), c.compressed_entry_count(), c.bytes_used());
+    let (before, (entries, lower, used)) = (state(), sizes());
+    merge(&t);
+    assert_eq!(state(), before);
+    assert!(t.stats.snapshot().cache_run_hits > 0);
+    // All the cache gained is the output's footer and the blocks it
+    // inherited.
+    let out = disk(&t).remove(0);
+    let footer = c
+        .peek_footer(out.reader.cache_id())
+        .expect("a cached footer");
+    let on = resident(&t, &out);
+    let admitted = on.iter().filter(|&&on| on).count();
+    let bytes: usize = (footer.blocks.iter().zip(&on))
+        .filter(|(_, &on)| on)
+        .map(|(e, _)| e.compressed_len as usize)
+        .sum();
+    assert_eq!(t.stats.snapshot().cache_rewrite_admits, admitted as u64);
+    assert_eq!(
+        sizes(),
+        (
+            entries + 1,
+            lower + admitted,
+            used + footer.approx_byte_size() + bytes
+        )
+    );
 }

@@ -71,7 +71,7 @@ fn write_by_rows(
     Ok((rows, dropped))
 }
 
-fn file_bytes(vfs: &SimVfs, path: &str) -> Vec<u8> {
+pub(super) fn file_bytes(vfs: &SimVfs, path: &str) -> Vec<u8> {
     let f = vfs.open(path).unwrap();
     let mut all = vec![0u8; f.len().unwrap() as usize];
     f.read_exact_at(0, &mut all).unwrap();
@@ -294,8 +294,8 @@ fn a_run_ending_exactly_on_an_output_block_boundary() {
 
 /// What matters about a merge's I/O: it reads each input about 1 MB at a
 /// time (§3.4.1: at most half its time goes to seeking between them), and
-/// past the block cache — it streams every block exactly once, and
-/// admitting them would evict the point-read working set.
+/// leaves the block cache as it was — it streams every block exactly once,
+/// and admitting them would evict the point-read working set.
 #[test]
 fn a_merge_reads_its_inputs_a_megabyte_at_a_time_past_the_cache() {
     // Three rows to a block, then one.

@@ -32,7 +32,7 @@
 
 use crate::block::{Block, BlockEncoder};
 use crate::bloom::{BloomBuilder, BloomFilter};
-use crate::cache::{BlockCache, CompressedBlock};
+use crate::cache::{BlockCache, CompressedBlock, Resident};
 use crate::cursor::READAHEAD_BYTES;
 use crate::error::{Error, Result};
 use crate::keyenc::component_end;
@@ -837,7 +837,9 @@ impl TabletReader {
     /// (one block at least), in one contiguous read. §3.4.1 of the paper:
     /// to spend at most half its time seeking, LittleTable must read
     /// about 1 MB at a time; merges read through tablets with exactly
-    /// such buffers.
+    /// such buffers. Every block of the run comes from disk, resident or
+    /// not; the run reads of merges start at a block the cache lacks
+    /// (`TabletReader::resident_block`).
     pub fn read_block_run(&self, blocks: Range<usize>, max_bytes: usize) -> Result<Vec<Block>> {
         let footer = self.footer()?;
         let start = blocks.start;
@@ -856,6 +858,29 @@ impl TabletReader {
                 self.decode_block(&footer, start + k, bytes, ulen, e.crc)
             })
             .collect()
+    }
+
+    /// Block `i` if the cache holds it, taken for a run read without
+    /// disturbing the cache: no reference bit set, nothing promoted or
+    /// admitted, no hit or miss counted, so a merge pass leaves the hot
+    /// set as it found it (§3.4.1). An upper-tier block is handed out as
+    /// it is; a lower-tier one is decoded from bytes checked on their way
+    /// in. Counted in `cache_run_hits`.
+    pub(crate) fn resident_block(
+        &self,
+        footer: &TabletFooter,
+        i: usize,
+    ) -> Result<Option<Arc<Block>>> {
+        let block = match self.cache.peek_block(self.tablet_id, i as u32) {
+            None => return Ok(None),
+            Some(Resident::Decoded(block)) => block,
+            Some(Resident::Compressed(c)) => {
+                let ulen = c.uncompressed_len as usize;
+                Arc::new(self.decode_block(footer, i, &c.bytes, ulen, None)?)
+            }
+        };
+        TableStats::add(&self.stats.cache_run_hits, 1);
+        Ok(Some(block))
     }
 
     /// The index entries of `blocks`, which must hold at least one.

@@ -3,8 +3,17 @@
 # has to be shown (choosing-metrics §8): each checkout's benchmark is built
 # into a target directory of its own, the two binaries run in alternating
 # order, every pair on a seed neither has seen, and for each end-to-end
-# metric the table gives both medians, both pairs of quartiles and how
-# many of the pairs the change won (ties count for neither side).
+# metric the table gives both medians, both pairs of quartiles, how many
+# of the pairs the change won (ties count for neither side) and a verdict
+# (choosing-metrics §6.5 and §8), the first of these that holds:
+#   gain          the change won at least 9 pairs in 10, and its median is
+#                 better than the parent's by more than the parent's q3 - q1
+#   worse         the change's median is worse than the parent's by more
+#                 than the metric's bound times the parent's median
+#   unresolved    the parent's q3 - q1 exceeds that bound
+#   within bound  any other case
+# (A metric printed without a bound reads "no bound" unless it is a gain.)
+# The verdicts do not change the exit code.
 #
 # usage: scripts/bench_pair.sh [--quick] <parent-checkout> <change-checkout> <workload> [pairs=10]
 #
@@ -20,7 +29,7 @@ if [ "${1:-}" = --quick ]; then
     shift
 fi
 if [ $# -lt 3 ]; then
-    sed -n '2,16p' "$0" >&2
+    sed -n '2,23p' "$0" >&2
     exit 2
 fi
 parent=$(cd "$1" && pwd)
@@ -38,7 +47,8 @@ for side in parent change; do
         cargo build --release --offline --quiet --manifest-path "$manifest")
 done
 
-# One run: prints "<side> <metric> <value> <better>" per end-to-end metric.
+# One run: prints "<side> <metric> <value> <better> <bound>" per end-to-end
+# metric, the bound as e2e prints it ("5%").
 run() {
     side=$1
     seed=$2
@@ -50,7 +60,7 @@ run() {
         exit 1
     }
     awk -v side="$side" -v w="$workload" \
-        '$1 == w && ($5 == "lower" || $5 == "higher") { print side, $2, $3, $5 }' \
+        '$1 == w && ($5 == "lower" || $5 == "higher") { print side, $2, $3, $5, $6 }' \
         "$out/last-$side.txt"
 }
 
@@ -82,14 +92,25 @@ awk -v pairs="$pairs" -v w="$workload" '
             for (j = i; j > 1 && v[j - 1] > v[j]; j--) { t = v[j]; v[j] = v[j - 1]; v[j - 1] = t }
         return n
     }
+    # The first verdict that holds, in the order the header lists them.
+    function verdict(m, wins, n, pm, pq1, pq3, cm,    gain, bound) {
+        gain = better[m] == "lower" ? pm - cm : cm - pm
+        if (10 * wins >= 9 * n && gain > pq3 - pq1) return "gain"
+        if (bounds[m] !~ /%$/) return "no bound"
+        bound = substr(bounds[m], 1, length(bounds[m]) - 1) / 100 * (pm < 0 ? -pm : pm)
+        if (-gain > bound) return "worse"
+        if (pq3 - pq1 > bound) return "unresolved"
+        return "within bound"
+    }
     {
         if (!(($2) in better)) order[++metrics] = $2
         better[$2] = $4
+        bounds[$2] = $5
         sample[$1, $2, ++count[$1, $2]] = $3
     }
     END {
         printf "%s, %d pairs: medians [q1, q3]; wins are the change'"'"'s\n", w, pairs
-        printf "%-16s %-36s %-36s %s\n", "metric", "parent", "change", "wins/pairs"
+        printf "%-16s %-36s %-36s %-10s %s\n", "metric", "parent", "change", "wins/pairs", "verdict"
         for (k = 1; k <= metrics; k++) {
             m = order[k]
             n = sorted("parent", m, p)
@@ -99,9 +120,11 @@ awk -v pairs="$pairs" -v w="$workload" '
                 a = sample["parent", m, i]; b = sample["change", m, i]
                 if (better[m] == "lower" ? b < a : b > a) wins++
             }
-            printf "%-16s %-36s %-36s %d/%d\n", m, \
-                sprintf("%.6g [%.6g, %.6g]", quantile(p, n, 0.5), quantile(p, n, 0.25), quantile(p, n, 0.75)), \
-                sprintf("%.6g [%.6g, %.6g]", quantile(c, n, 0.5), quantile(c, n, 0.25), quantile(c, n, 0.75)), \
-                wins, n
+            pm = quantile(p, n, 0.5); pq1 = quantile(p, n, 0.25); pq3 = quantile(p, n, 0.75)
+            cm = quantile(c, n, 0.5)
+            printf "%-16s %-36s %-36s %-10s %s\n", m, \
+                sprintf("%.6g [%.6g, %.6g]", pm, pq1, pq3), \
+                sprintf("%.6g [%.6g, %.6g]", cm, quantile(c, n, 0.25), quantile(c, n, 0.75)), \
+                wins "/" n, verdict(m, wins, n, pm, pq1, pq3, cm)
         }
     }' "$out/samples.txt"
