@@ -30,6 +30,7 @@ pub use shardmap::{shard_for, Backoff, ShardMap, ShardRoute};
 
 use littletable_core::query::Query;
 use littletable_core::schema::{ColumnDef, Schema};
+use littletable_core::stats::StatsSnapshot;
 use littletable_core::value::Value;
 use littletable_proto::{
     decode_response_frame, encode_request_frame, read_frame, write_frame, ErrorKind, Request,
@@ -307,13 +308,16 @@ impl Client {
         query_paged(&schema, table, query, |req| self.request(req))
     }
 
-    /// Fetches a table's operational counters (see
-    /// [`Response::Stats`]).
-    pub fn stats(&mut self, table: &str) -> Result<Response> {
-        match self.request(&Request::Stats {
-            table: table.into(),
-        })? {
-            r @ Response::Stats { .. } => Ok(r),
+    /// Fetches a table's operational counters, its on-disk tablet count
+    /// and its on-disk bytes (see [`Response::Stats`]).
+    pub fn stats(&mut self, table: &str) -> Result<(StatsSnapshot, u64, u64)> {
+        let table = table.into();
+        match self.request(&Request::Stats { table })? {
+            Response::Stats {
+                counters,
+                disk_tablets,
+                disk_bytes,
+            } => Ok((*counters, disk_tablets, disk_bytes)),
             r => Err(ClientError::Protocol(format!("expected Stats, got {r:?}"))),
         }
     }
@@ -652,17 +656,9 @@ mod tests {
             vec![vec![Value::I64(1), Value::Timestamp(5), Value::I64(9)]],
         )
         .unwrap();
-        match c.stats("t").unwrap() {
-            Response::Stats {
-                rows_inserted,
-                duplicate_keys,
-                ..
-            } => {
-                assert_eq!(rows_inserted, 1);
-                assert_eq!(duplicate_keys, 0);
-            }
-            r => panic!("unexpected {r:?}"),
-        }
+        let (counters, ..) = c.stats("t").unwrap();
+        assert_eq!(counters.rows_inserted, 1);
+        assert_eq!(counters.duplicate_keys, 0);
     }
 
     #[test]

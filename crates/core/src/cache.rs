@@ -61,7 +61,7 @@
 //! * **Rewrites inherit residency.** Before a merge or a bulk delete
 //!   writes anything, it asks whether any block of the tablets it
 //!   replaces is resident in either tier (`BlockCache::peek_footer` and
-//!   `BlockCache::block_resident`, which observe only: no reference bit
+//!   `BlockCache::peek_block`, which observe only: no reference bit
 //!   set, nothing read from disk). If one is, each block it writes is
 //!   offered to the lower tier under the new tablet's id as it is
 //!   appended. A flush inherits nothing, nor does a rewrite of tablets
@@ -88,6 +88,9 @@
 //!   and the blocks it inherits, under the id of the reader its tablet
 //!   will be served through, built before the first byte is written, so
 //!   a write that fails drops that reader and anything admitted with it.
+//! * **Key order.** Invalidation frees a tablet's slots in key order, not
+//!   in its `HashMap`'s per-process hash order: the freed slots are
+//!   reused, and the CLOCK hand meets entries in slot order.
 //!
 //! Locks are held only for map and slab bookkeeping — never across disk
 //! reads or decompression, and never one shard inside another (demotions
@@ -275,15 +278,17 @@ impl<V> Default for Shard<V> {
 }
 
 impl<V> Shard<V> {
-    /// Drops every entry of `tablet_id`, with no eviction accounting.
+    /// Drops every entry of `tablet_id`, in key order (module doc), with
+    /// no eviction accounting.
     fn remove_tablet(&self, tablet_id: u64) {
         let mut inner = self.inner.lock();
-        let keys: Vec<BlockKey> = inner
+        let mut keys: Vec<BlockKey> = inner
             .map
             .keys()
             .filter(|k| k.0 == tablet_id)
             .copied()
             .collect();
+        keys.sort_unstable();
         for key in keys {
             inner.remove_key(&key);
         }
@@ -540,12 +545,6 @@ impl BlockCache {
         compressed.map(Resident::Compressed)
     }
 
-    /// Whether a block is resident in either tier, its reference bit left
-    /// as it was (observation only).
-    pub(crate) fn block_resident(&self, tablet_id: u64, block_index: u32) -> bool {
-        self.peek_block(tablet_id, block_index).is_some()
-    }
-
     /// Charges upper-tier evictions to their owners and demotes evicted
     /// blocks' compressed bytes into the lower tier. Called after the
     /// upper shard lock is released, so tier locks never nest.
@@ -591,7 +590,7 @@ impl BlockCache {
     /// be skipped), or it fits in the free space of its lower-tier shard.
     pub(crate) fn may_read_ahead(&self, tablet_id: u64, block_index: u32, len: usize) -> bool {
         let lower = &self.lower[self.shard_idx((tablet_id, block_index))];
-        self.block_resident(tablet_id, block_index)
+        self.peek_block(tablet_id, block_index).is_some()
             || lower.inner.lock().bytes + len <= self.lower_shard_capacity
     }
 
@@ -962,6 +961,40 @@ pub(crate) mod tests {
         assert_eq!(st.snapshot().footer_evictions, 0);
     }
 
+    /// Two caches, each of whose maps hashes with its own random state,
+    /// given the same inserts, hits, invalidation and evicting inserts,
+    /// lay their slots out alike and evict the same blocks: the freed
+    /// slots, which the next inserts take, are freed in key order.
+    #[test]
+    fn caches_with_their_own_hashers_evict_the_same_blocks() {
+        let run = || {
+            let cache = BlockCache::new(32 * 1200 + 100, 8 * 200 + 50, 1);
+            let st = stats();
+            let [a, b, c, d] = [(); 4].map(|_| cache.register_tablet());
+            let insert = |tid, i| {
+                let compressed = Some(compressed_of_size(200));
+                cache.insert(tid, i, block_of_size(1000), compressed, &st);
+            };
+            for i in 0..16 {
+                insert(a, i);
+                insert(b, i);
+            }
+            for i in (0..16).step_by(2) {
+                assert!(cache.get(b, i).is_some());
+            }
+            cache.invalidate_tablet(a);
+            for i in 0..16 {
+                insert(c, i);
+            }
+            for i in 0..12 {
+                insert(d, i);
+            }
+            assert!(st.snapshot().cache_evicted_bytes > 0);
+            (resident(&cache), clocks(&cache))
+        };
+        assert_eq!(run(), run());
+    }
+
     #[test]
     fn zero_capacity_pins_every_footer_and_holds_no_block() {
         let cache = BlockCache::new(0, 0, 0);
@@ -1273,7 +1306,7 @@ pub(crate) mod tests {
         let t = tablet(&vfs, &cache, "t.lt", 400, 1 << 10, |k| noise(k, 40));
         t.read_block(0).unwrap();
         let tid = t.cache_id();
-        assert!(cache.compressed_entry_count() > 0 && cache.block_resident(tid, 0));
+        assert!(cache.compressed_entry_count() > 0 && cache.peek_block(tid, 0).is_some());
         let before = clocks(&cache);
         let read = vfs.model().stats().bytes_read;
         assert!(t.has_resident_block());

@@ -10,7 +10,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Declares [`TableStats`] and [`StatsSnapshot`] from one list of
 /// counters: the atomic field, the snapshot field of the same name, and
-/// the line of [`TableStats::snapshot`] that copies one to the other.
+/// each struct's counters as an array in declaration order.
 macro_rules! table_counters {
     ($($(#[$doc:meta])* $name:ident,)*) => {
         /// Lock-free counters updated by the insert, query, flush, and
@@ -30,13 +30,24 @@ macro_rules! table_counters {
         }
 
         impl TableStats {
-            /// Takes a coherent-enough snapshot (individual counters are
-            /// exact; cross-counter consistency is best-effort, which is
-            /// fine for monitoring).
-            pub fn snapshot(&self) -> StatsSnapshot {
-                StatsSnapshot {
-                    $($name: self.$name.load(Ordering::Relaxed),)*
-                }
+            /// Every counter, in declaration order.
+            pub fn counters(&self) -> [&AtomicU64; StatsSnapshot::COUNT] {
+                [$(&self.$name,)*]
+            }
+        }
+
+        impl StatsSnapshot {
+            /// Number of counters.
+            pub const COUNT: usize = [$(stringify!($name),)*].len();
+
+            /// Every counter's value, in declaration order.
+            pub fn values(&self) -> [u64; Self::COUNT] {
+                [$(self.$name,)*]
+            }
+
+            /// Every counter, writable, in declaration order.
+            pub fn values_mut(&mut self) -> [&mut u64; Self::COUNT] {
+                [$(&mut self.$name,)*]
             }
         }
     };
@@ -135,6 +146,17 @@ table_counters! {
 }
 
 impl TableStats {
+    /// Takes a coherent-enough snapshot (individual counters are exact;
+    /// cross-counter consistency is best-effort, which is fine for
+    /// monitoring).
+    pub fn snapshot(&self) -> StatsSnapshot {
+        let mut snap = StatsSnapshot::default();
+        for (value, counter) in snap.values_mut().into_iter().zip(self.counters()) {
+            *value = counter.load(Ordering::Relaxed);
+        }
+        snap
+    }
+
     /// Adds `n` to a counter.
     pub fn add(counter: &AtomicU64, n: u64) {
         counter.fetch_add(n, Ordering::Relaxed);
@@ -151,8 +173,8 @@ pub struct DbStats {
     pub catalog_publishes: AtomicU64,
 }
 
-/// A plain-value snapshot of the database-wide counters. This is what
-/// the benches and the server stats path read.
+/// A plain-value snapshot of the database-wide counters, which the `e2e`
+/// benchmark reads. No wire message carries it.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct DbStatsSnapshot {
     /// Catalog snapshot loads: one per `Db::table()` / `list_tables()` /
@@ -223,6 +245,26 @@ mod tests {
         let snap = s.snapshot();
         assert_eq!(snap.rows_inserted, 10);
         assert!((snap.scan_ratio() - 1.4).abs() < 1e-9);
+    }
+
+    /// The arrays follow the declaration: the first counter leads, the
+    /// last closes, and a snapshot reads each atomic into its own field.
+    #[test]
+    fn counters_and_values_walk_the_declaration_in_order() {
+        let s = TableStats::default();
+        for (i, counter) in s.counters().into_iter().enumerate() {
+            counter.store(i as u64 + 1, Ordering::Relaxed);
+        }
+        let snap = s.snapshot();
+        assert_eq!(snap.rows_inserted, 1);
+        assert_eq!(snap.duplicate_keys, 2);
+        assert_eq!(snap.result_cache_misses, StatsSnapshot::COUNT as u64);
+        let mut rebuilt = StatsSnapshot::default();
+        for (value, i) in rebuilt.values_mut().into_iter().zip(1..) {
+            *value = i;
+        }
+        assert_eq!(rebuilt, snap);
+        assert_eq!(snap.values(), std::array::from_fn(|i| i as u64 + 1));
     }
 
     #[test]

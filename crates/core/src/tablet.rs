@@ -750,7 +750,8 @@ impl TabletReader {
         let Some(footer) = self.cache.peek_footer(self.tablet_id) else {
             return false;
         };
-        (0..footer.blocks.len() as u32).any(|bi| self.cache.block_resident(self.tablet_id, bi))
+        (0..footer.blocks.len() as u32)
+            .any(|bi| self.cache.peek_block(self.tablet_id, bi).is_some())
     }
 
     fn load_footer(&self) -> Result<TabletFooter> {

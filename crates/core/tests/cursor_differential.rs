@@ -20,12 +20,15 @@
 //! reads failed in turn.
 //! Another leg opens the same layouts twice, with a roomy block cache
 //! (where a miss reads the blocks after it too) and with none, and holds
-//! every query, `latest()` and pushdown scan to the same answer; one more
+//! every query, `latest()` and pushdown scan to the same answer; a third
+//! does the same with a one-shard cache of a few blocks, which evicts
+//! while queries run; one more
 //! merges both after querying them, where the roomy cache's merges hand
 //! what was cached in their inputs to their outputs, and does the same.
 
 use littletable_core::period::period_for;
 use littletable_core::schema::{ColumnDef, Schema};
+use littletable_core::stats::StatsSnapshot;
 use littletable_core::{
     ColumnPredicate, ColumnType, Db, Options, PredOp, PushdownRequest, Query, QueryCursor,
     ScanUnit, Table, Value,
@@ -124,12 +127,18 @@ fn push_groups(groups: &mut Vec<Group>, batch: &[Row]) {
     }
 }
 
-fn open(vfs: &SimVfs, block_size: usize, server_limit: usize, cache: bool) -> Db {
+/// A block cache larger than any layout here.
+const ROOMY: usize = 1 << 20;
+/// A block cache of a few of the largest blocks here (`block_size` 4096),
+/// under the floor at which the cache would split into shards.
+const SMALL: usize = 16 << 10;
+
+fn open(vfs: &SimVfs, block_size: usize, server_limit: usize, cache_bytes: usize) -> Db {
     let opts = Options {
         block_size,
         server_row_limit: server_limit,
         merge_enabled: false,
-        block_cache_bytes: if cache { 1 << 20 } else { 0 },
+        block_cache_bytes: cache_bytes,
         ..Options::default()
     };
     Db::open(Arc::new(vfs.clone()), Arc::new(SimClock::new(NOW)), opts).unwrap()
@@ -153,8 +162,9 @@ fn old_schema() -> Schema {
     .unwrap()
 }
 
-/// A generated layout. `cache` off makes every block read a disk read.
-fn generated(rng: &mut Rng, cache: bool) -> Bed {
+/// A generated layout. A `cache_bytes` of 0 makes every block read a
+/// disk read.
+fn generated(rng: &mut Rng, cache_bytes: usize) -> Bed {
     let block_size = rng.pick(&[1, 160, 4096]);
     let server_limit = rng.pick(&[5, 1 << 20]);
     let batches = 1 + rng.below(6) as usize;
@@ -213,7 +223,7 @@ fn generated(rng: &mut Rng, cache: bool) -> Bed {
     }
 
     let vfs = SimVfs::instant();
-    let db = open(&vfs, block_size, server_limit, cache);
+    let db = open(&vfs, block_size, server_limit, cache_bytes);
     let t = db.create_table("t", old_schema(), None).unwrap();
     let evolve = |t: &Table| {
         t.add_column(ColumnDef::with_default("x", ColumnType::I64, Value::I64(7)))
@@ -273,12 +283,12 @@ fn generated(rng: &mut Rng, cache: bool) -> Bed {
 
 /// The frozen footer-v2 table (three row-layout tablets, one per `a`),
 /// with, when `rng` says so, fresh rows flushed beside them and more left
-/// in memory. `cache` off makes every block read a disk read.
-fn frozen(rng: &mut Rng, cache: bool) -> Bed {
+/// in memory. A `cache_bytes` of 0 makes every block read a disk read.
+fn frozen(rng: &mut Rng, cache_bytes: usize) -> Bed {
     let server_limit = rng.pick(&[7, 1 << 20]);
     let vfs = SimVfs::instant();
     table_v2::install(&vfs);
-    let db = open(&vfs, table_v2::BLOCK_SIZE, server_limit, cache);
+    let db = open(&vfs, table_v2::BLOCK_SIZE, server_limit, cache_bytes);
     let t = db.table(table_v2::TABLE).unwrap();
     let mut groups = Vec::new();
     for a in 0..3 {
@@ -564,7 +574,7 @@ proptest! {
     #[test]
     fn generated_layouts_answer_as_the_reference_does(seed in any::<u64>()) {
         let mut rng = Rng(seed);
-        let bed = generated(&mut rng, true);
+        let bed = generated(&mut rng, ROOMY);
         check_bed(&bed, &mut rng, 12);
     }
 
@@ -576,7 +586,7 @@ proptest! {
     #[test]
     fn the_frozen_row_table_answers_as_the_reference_does(seed in any::<u64>()) {
         let mut rng = Rng(seed);
-        let bed = frozen(&mut rng, true);
+        let bed = frozen(&mut rng, ROOMY);
         check_bed(&bed, &mut rng, 12);
     }
 }
@@ -589,7 +599,7 @@ proptest! {
 fn a_failed_read_is_an_error_never_a_short_result() {
     for seed in [3, 17, 40] {
         let mut rng = Rng(seed);
-        let bed = generated(&mut rng, false);
+        let bed = generated(&mut rng, 0);
         for q in [Query::all(), Query::all().descending()] {
             let want = reference(&bed, &q, bed.server_limit).rows;
             let mut failures = 0;
@@ -643,10 +653,10 @@ fn a_failed_read_is_an_error_never_a_short_result() {
 fn a_bulk_delete_keeps_what_the_reference_keeps_with_every_read_failed_in_turn() {
     type Layout = fn(&mut Rng) -> Bed;
     let beds: [(u64, Layout); 4] = [
-        (3, |rng| generated(rng, false)),
-        (17, |rng| generated(rng, false)),
-        (40, |rng| generated(rng, false)),
-        (5, |rng| frozen(rng, false)),
+        (3, |rng| generated(rng, 0)),
+        (17, |rng| generated(rng, 0)),
+        (40, |rng| generated(rng, 0)),
+        (5, |rng| frozen(rng, 0)),
     ];
     for (seed, layout) in beds {
         let mut rng = Rng(seed);
@@ -762,49 +772,75 @@ fn random_pushdown(rng: &mut Rng, t: &Table) -> PushdownRequest {
     }
 }
 
-/// Reading ahead changes no answer. Each seed's layout is opened twice:
-/// with a roomy cache, where a block miss also reads the blocks after it
-/// and those are served from the compressed tier, and with
-/// `block_cache_bytes = 0`, where there is never room to read ahead and
-/// every block comes off disk alone. Every query (each held to the
-/// reference as well), `latest()` and pushdown scan must answer the same
-/// through both.
+/// Opens seed's layout twice, with a cache of `cache_bytes` and with
+/// `block_cache_bytes = 0`, where every block comes off disk alone, and
+/// holds every query (each held to the reference as well), `latest()`
+/// and pushdown scan to the same answer through both. Returns the
+/// counters of the side with the cache.
+fn same_answers_with_and_without_a_cache(seed: u64, cache_bytes: usize) -> StatsSnapshot {
+    let (mut rng, mut twin) = (Rng(seed), Rng(seed));
+    let cached = generated(&mut rng, cache_bytes);
+    let bare = generated(&mut twin, 0);
+    let same = |what: &dyn std::fmt::Debug, a: Vec<String>, b: Vec<String>| {
+        assert_eq!(a, b, "seed {seed}: {what:?}");
+    };
+    let text = |rows: Vec<Row>| canon(&rows).iter().map(|r| format!("{r:?}")).collect();
+    for _ in 0..12 {
+        let q = random_query(&mut rng, &cached.t);
+        let (a, b) = (
+            check_query(&cached, &q, Drain::Runs),
+            check_query(&bare, &q, Drain::Runs),
+        );
+        same(&q, text(a), text(b));
+        let req = random_pushdown(&mut rng, &cached.t);
+        same(&req, pushdown(&cached, &req), pushdown(&bare, &req));
+    }
+    for len in 0..3 {
+        let mut prefix = key_bound(&mut rng, &cached.t);
+        prefix.truncate(len);
+        let latest = |bed: &Bed| bed.t.latest(&prefix).unwrap().map(|r| r.values);
+        let (a, b) = (latest(&cached), latest(&bare));
+        same(
+            &prefix,
+            text(a.into_iter().collect()),
+            text(b.into_iter().collect()),
+        );
+    }
+    assert_eq!(bare.t.stats().snapshot().cache_compressed_hits, 0);
+    cached.t.stats().snapshot()
+}
+
+/// Reading ahead changes no answer. Each seed's layout is opened with a
+/// roomy cache, where a block miss also reads the blocks after it and
+/// those are served from the compressed tier, and without one, where
+/// there is never room to read ahead.
 #[test]
 fn reading_ahead_changes_no_answer() {
     let mut compressed_hits = 0;
     for seed in 0..24 {
-        let (mut rng, mut twin) = (Rng(seed), Rng(seed));
-        let roomy = generated(&mut rng, true);
-        let bare = generated(&mut twin, false);
-        let same = |what: &dyn std::fmt::Debug, a: Vec<String>, b: Vec<String>| {
-            assert_eq!(a, b, "seed {seed}: {what:?}");
-        };
-        let text = |rows: Vec<Row>| canon(&rows).iter().map(|r| format!("{r:?}")).collect();
-        for _ in 0..12 {
-            let q = random_query(&mut rng, &roomy.t);
-            let (a, b) = (
-                check_query(&roomy, &q, Drain::Runs),
-                check_query(&bare, &q, Drain::Runs),
-            );
-            same(&q, text(a), text(b));
-            let req = random_pushdown(&mut rng, &roomy.t);
-            same(&req, pushdown(&roomy, &req), pushdown(&bare, &req));
-        }
-        for len in 0..3 {
-            let mut prefix = key_bound(&mut rng, &roomy.t);
-            prefix.truncate(len);
-            let latest = |bed: &Bed| bed.t.latest(&prefix).unwrap().map(|r| r.values);
-            let (a, b) = (latest(&roomy), latest(&bare));
-            same(
-                &prefix,
-                text(a.into_iter().collect()),
-                text(b.into_iter().collect()),
-            );
-        }
-        assert_eq!(bare.t.stats().snapshot().cache_compressed_hits, 0);
-        compressed_hits += roomy.t.stats().snapshot().cache_compressed_hits;
+        compressed_hits += same_answers_with_and_without_a_cache(seed, ROOMY).cache_compressed_hits;
     }
     assert!(compressed_hits > 0);
+}
+
+/// A cache that evicts in the middle of a query changes no answer. Each
+/// seed's layout is opened with a budget of a few blocks, which the cache
+/// keeps as one shard, and without one. The small cache evicts blocks a
+/// query read a moment ago, demotes them, serves some back from its
+/// compressed tier and hands their slots to other blocks, all while
+/// queries run.
+#[test]
+fn a_cache_that_evicts_mid_query_changes_no_answer() {
+    let (mut evicted, mut compressed_hits) = (0, 0);
+    for seed in 0..24 {
+        let small = same_answers_with_and_without_a_cache(seed, SMALL);
+        evicted += small.cache_evicted_bytes;
+        compressed_hits += small.cache_compressed_hits;
+    }
+    assert!(
+        evicted > 0 && compressed_hits > 0,
+        "{evicted} {compressed_hits}"
+    );
 }
 
 /// Everything one submission of `q` hands out, as text, with the rows it
@@ -834,8 +870,8 @@ fn inheriting_cache_residency_changes_no_answer() {
     let (mut inherited, mut compressed_hits) = (0, 0);
     for seed in 0..24 {
         let (mut rng, mut twin) = (Rng(seed), Rng(seed));
-        let warm = generated(&mut rng, true);
-        let cold = generated(&mut twin, false);
+        let warm = generated(&mut rng, ROOMY);
+        let cold = generated(&mut twin, 0);
         let same = |what: &dyn std::fmt::Debug, a: Vec<String>, b: Vec<String>| {
             assert_eq!(a, b, "seed {seed}: {what:?}");
         };

@@ -7,6 +7,7 @@ use crate::valuecodec::{
 use littletable_core::error::{Error, Result};
 use littletable_core::query::Query;
 use littletable_core::schema::{ColumnDef, Schema};
+use littletable_core::stats::StatsSnapshot;
 use littletable_core::util::{put_string, put_varint, unzigzag, zigzag, Reader};
 use littletable_core::value::{ColumnType, Value};
 use littletable_core::RowRun;
@@ -226,21 +227,11 @@ pub enum Response {
     },
     /// Liveness reply.
     Pong,
-    /// A table's operational counters (subset of the engine's
-    /// `StatsSnapshot` that operators watch: §5.2's metrics).
+    /// A table's operational counters, every one the engine declares
+    /// (§5.2's metrics), and two gauges of its size on disk.
     Stats {
-        /// Rows accepted by inserts.
-        rows_inserted: u64,
-        /// Rows rejected as duplicates.
-        duplicate_keys: u64,
-        /// Rows scanned by queries.
-        rows_scanned: u64,
-        /// Rows returned by queries.
-        rows_returned: u64,
-        /// Tablets flushed.
-        tablets_flushed: u64,
-        /// Merge operations.
-        merges: u64,
+        /// Sent as each counter's varint, in declaration order.
+        counters: Box<StatsSnapshot>,
         /// On-disk tablet count right now.
         disk_tablets: u64,
         /// On-disk bytes right now.
@@ -533,27 +524,14 @@ impl Response {
             }
             Response::Pong => out.push(7),
             Response::Stats {
-                rows_inserted,
-                duplicate_keys,
-                rows_scanned,
-                rows_returned,
-                tablets_flushed,
-                merges,
+                counters,
                 disk_tablets,
                 disk_bytes,
             } => {
                 out.push(8);
-                for v in [
-                    rows_inserted,
-                    duplicate_keys,
-                    rows_scanned,
-                    rows_returned,
-                    tablets_flushed,
-                    merges,
-                    disk_tablets,
-                    disk_bytes,
-                ] {
-                    put_varint(out, *v);
+                let gauges = [*disk_tablets, *disk_bytes];
+                for v in counters.values().into_iter().chain(gauges) {
+                    put_varint(out, v);
                 }
             }
             Response::NodeStatus {
@@ -607,16 +585,17 @@ impl Response {
                 },
             },
             7 => Response::Pong,
-            8 => Response::Stats {
-                rows_inserted: r.varint()?,
-                duplicate_keys: r.varint()?,
-                rows_scanned: r.varint()?,
-                rows_returned: r.varint()?,
-                tablets_flushed: r.varint()?,
-                merges: r.varint()?,
-                disk_tablets: r.varint()?,
-                disk_bytes: r.varint()?,
-            },
+            8 => {
+                let mut counters = Box::<StatsSnapshot>::default();
+                for v in counters.values_mut() {
+                    *v = r.varint()?;
+                }
+                Response::Stats {
+                    counters,
+                    disk_tablets: r.varint()?,
+                    disk_bytes: r.varint()?,
+                }
+            }
             9 => Response::NodeStatus {
                 node: r.varint()?,
                 shard: u32::try_from(r.varint()?)
@@ -818,12 +797,15 @@ mod tests {
             },
             Response::Pong,
             Response::Stats {
-                rows_inserted: 1,
-                duplicate_keys: 2,
-                rows_scanned: 3,
-                rows_returned: 4,
-                tablets_flushed: 5,
-                merges: 6,
+                counters: Box::new(StatsSnapshot {
+                    rows_inserted: 1,
+                    duplicate_keys: 2,
+                    rows_scanned: 3,
+                    rows_returned: 4,
+                    tablets_flushed: 5,
+                    merges: 6,
+                    ..StatsSnapshot::default()
+                }),
                 disk_tablets: 7,
                 disk_bytes: 8,
             },

@@ -258,14 +258,8 @@ fn try_handle(db: &Db, req: Request) -> littletable_core::Result<Response> {
         }
         Request::Stats { table } => {
             let t = db.table(&table)?;
-            let s = t.stats().snapshot();
             Response::Stats {
-                rows_inserted: s.rows_inserted,
-                duplicate_keys: s.duplicate_keys,
-                rows_scanned: s.rows_scanned,
-                rows_returned: s.rows_returned,
-                tablets_flushed: s.tablets_flushed,
-                merges: s.merges,
+                counters: Box::new(t.stats().snapshot()),
                 disk_tablets: t.num_disk_tablets() as u64,
                 disk_bytes: t.disk_bytes(),
             }
@@ -297,7 +291,9 @@ mod tests {
     use littletable_core::schema::{ColumnDef, Schema};
     use littletable_core::value::ColumnType;
     use littletable_core::{Options, Query};
-    use littletable_proto::{decode_response_frame, encode_request_frame, read_frame, write_frame};
+    use littletable_proto::{
+        decode_response_frame, encode_request_frame, encode_response_frame, read_frame, write_frame,
+    };
     use littletable_vfs::{SimClock, SimVfs};
     use std::io::{self, Write};
     use std::net::TcpStream;
@@ -829,13 +825,48 @@ mod tests {
             },
         );
         match handle_request(&db, Request::Stats { table: "t".into() }) {
-            Response::Stats {
-                rows_inserted,
-                duplicate_keys,
-                ..
-            } => {
-                assert_eq!(rows_inserted, 1);
-                assert_eq!(duplicate_keys, 1);
+            Response::Stats { counters, .. } => {
+                assert_eq!(counters.rows_inserted, 1);
+                assert_eq!(counters.duplicate_keys, 1);
+            }
+            r => panic!("unexpected {r:?}"),
+        }
+    }
+
+    /// Every declared counter crosses the wire with its own value:
+    /// counter i set to i + 1, served through `handle_request`, framed
+    /// and decoded, is the table's snapshot, and the two gauges are the
+    /// table's own.
+    #[test]
+    fn every_counter_crosses_the_wire_with_its_own_value() {
+        let db = test_db();
+        let t = db.create_table("t", schema(), None).unwrap();
+        t.insert(vec![vec![
+            Value::I64(1),
+            Value::Timestamp(1),
+            Value::I64(1),
+        ]])
+        .unwrap();
+        t.flush_all().unwrap();
+        for (i, counter) in t.stats().counters().into_iter().enumerate() {
+            counter.store(i as u64 + 1, Ordering::Relaxed);
+        }
+        let served = handle_request(&db, Request::Stats { table: "t".into() });
+        let frame = encode_response_frame(7, &served);
+        match decode_response_frame(&frame).unwrap() {
+            (
+                7,
+                Response::Stats {
+                    counters,
+                    disk_tablets,
+                    disk_bytes,
+                },
+            ) => {
+                assert_eq!(*counters, t.stats().snapshot());
+                assert_eq!(counters.values(), std::array::from_fn(|i| i as u64 + 1));
+                assert_eq!(disk_tablets, t.num_disk_tablets() as u64);
+                assert_eq!(disk_bytes, t.disk_bytes());
+                assert!(disk_tablets == 1 && disk_bytes > 0);
             }
             r => panic!("unexpected {r:?}"),
         }
