@@ -44,7 +44,9 @@
 //! * **CLOCK eviction.** Each shard keeps its entries in a slab swept by
 //!   a clock hand; a hit sets the entry's reference bit, eviction clears
 //!   bits until it finds an unreferenced victim. LRU-quality hit rates
-//!   without LRU's per-access list surgery.
+//!   without LRU's per-access list surgery. The slab, `Shard`, is
+//!   generic over its key: every shard of both tiers, the footers, and
+//!   the query-result cache's answers (`resultcache`) are one.
 //! * **Scan-resistant admission.** Only the block read path
 //!   ([`crate::tablet::TabletReader::read_block`]) admits, promotes or
 //!   marks blocks. The ~1 MB buffered run reads that merges, bulk
@@ -88,8 +90,9 @@
 //!   and the blocks it inherits, under the id of the reader its tablet
 //!   will be served through, built before the first byte is written, so
 //!   a write that fails drops that reader and anything admitted with it.
-//! * **Key order.** Invalidation frees a tablet's slots in key order, not
-//!   in its `HashMap`'s per-process hash order: the freed slots are
+//! * **Key order.** Invalidation frees a tablet's slots in key order, and
+//!   the result cache frees a dropped table's answers in slot order —
+//!   never in a `HashMap`'s per-process hash order: the freed slots are
 //!   reused, and the CLOCK hand meets entries in slot order.
 //!
 //! Locks are held only for map and slab bookkeeping — never across disk
@@ -107,6 +110,7 @@ use crate::stats::TableStats;
 use crate::tablet::TabletFooter;
 use parking_lot::Mutex;
 use std::collections::HashMap;
+use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -120,7 +124,8 @@ pub const DEFAULT_SHARDS: usize = 8;
 /// single-shard cache instead of silently rounding to zero capacity.
 pub const MIN_SHARD_SLICE: usize = 16 << 10;
 
-/// Cache key: a never-reused tablet id plus the block's index within it.
+/// Cache key of a block: a never-reused tablet id plus the block's index
+/// within it. A footer is keyed `(tablet id, 0)`.
 type BlockKey = (u64, u32);
 
 /// The compressed on-disk form of a block, retained so an eviction from
@@ -146,31 +151,39 @@ pub(crate) enum Resident {
 struct HotBlock {
     block: Arc<Block>,
     compressed: Option<CompressedBlock>,
+    /// Stats of the table that inserted the block; its eviction is
+    /// charged back to it.
+    owner: Arc<TableStats>,
 }
 
-struct Slot<V> {
-    key: BlockKey,
+/// A cached footer and the stats of the table that inserted it, charged
+/// its eviction.
+type FooterEntry = (Arc<TabletFooter>, Arc<TableStats>);
+
+pub(crate) struct Slot<K, V> {
+    key: K,
     value: V,
     charge: usize,
-    /// Stats of the table that inserted the entry; evictions are charged
-    /// back to it.
-    owner: Arc<TableStats>,
     /// CLOCK reference bit: set on hit, cleared by the sweeping hand.
     referenced: bool,
 }
 
-struct TierInner<V> {
-    map: HashMap<BlockKey, usize>,
+/// One CLOCK: a slab of entries swept by a hand, found through a map from
+/// key to slot. Each shard of a block tier is one, so are the footers, and
+/// so is the query-result cache ([`crate::resultcache`]).
+pub(crate) struct Shard<K, V> {
+    map: HashMap<K, usize>,
     /// Slab of entries; `None` holes are reusable via `free`.
-    slots: Vec<Option<Slot<V>>>,
+    slots: Vec<Option<Slot<K, V>>>,
     free: Vec<usize>,
-    bytes: usize,
+    /// Bytes charged by the entries resident.
+    pub(crate) bytes: usize,
     hand: usize,
 }
 
-impl<V> Default for TierInner<V> {
+impl<K, V> Default for Shard<K, V> {
     fn default() -> Self {
-        TierInner {
+        Shard {
             map: HashMap::new(),
             slots: Vec::new(),
             free: Vec::new(),
@@ -180,9 +193,9 @@ impl<V> Default for TierInner<V> {
     }
 }
 
-impl<V> TierInner<V> {
+impl<K: Clone + Eq + Hash, V> Shard<K, V> {
     /// The entry under `key`, marked recently used.
-    fn touch(&mut self, key: &BlockKey) -> Option<&V> {
+    pub(crate) fn touch(&mut self, key: &K) -> Option<&V> {
         let &idx = self.map.get(key)?;
         let slot = self.slots[idx].as_mut().expect("map points at live slot");
         slot.referenced = true;
@@ -193,11 +206,11 @@ impl<V> TierInner<V> {
     /// more bytes fit under `capacity`, pushing victims onto `victims`
     /// for the caller to account (and possibly demote) outside the shard
     /// lock. Returns false when impossible.
-    fn evict_until_fits(
+    pub(crate) fn evict_until_fits(
         &mut self,
         need: usize,
         capacity: usize,
-        victims: &mut Vec<Slot<V>>,
+        victims: &mut Vec<Slot<K, V>>,
     ) -> bool {
         while self.bytes + need > capacity {
             if self.map.is_empty() {
@@ -231,10 +244,10 @@ impl<V> TierInner<V> {
         true
     }
 
-    /// Places a slot the caller has already made room for.
-    fn insert_slot(&mut self, slot: Slot<V>) {
-        let key = slot.key;
-        let charge = slot.charge;
+    /// Places an entry the caller has already made room for, unreferenced:
+    /// an entry used once and never again is the first to go, while one
+    /// used again earns its second chance.
+    pub(crate) fn insert(&mut self, key: K, value: V, charge: usize) {
         let idx = match self.free.pop() {
             Some(idx) => idx,
             None => {
@@ -242,18 +255,33 @@ impl<V> TierInner<V> {
                 self.slots.len() - 1
             }
         };
-        self.slots[idx] = Some(slot);
-        self.map.insert(key, idx);
+        self.map.insert(key.clone(), idx);
+        self.slots[idx] = Some(Slot {
+            key,
+            value,
+            charge,
+            referenced: false,
+        });
         self.bytes += charge;
     }
 
     /// The entry under `key`, its reference bit left as it was.
-    fn peek(&self, key: &BlockKey) -> Option<&V> {
+    fn peek(&self, key: &K) -> Option<&V> {
         let &idx = self.map.get(key)?;
         self.slots[idx].as_ref().map(|slot| &slot.value)
     }
 
-    fn remove_key(&mut self, key: &BlockKey) -> Option<Slot<V>> {
+    /// Entries resident.
+    pub(crate) fn len(&self) -> usize {
+        self.map.len()
+    }
+
+    /// The resident keys, in slot order: an order no hasher decides.
+    pub(crate) fn keys(&self) -> impl Iterator<Item = &K> {
+        self.slots.iter().flatten().map(|slot| &slot.key)
+    }
+
+    pub(crate) fn remove_key(&mut self, key: &K) -> Option<Slot<K, V>> {
         let idx = self.map.remove(key)?;
         let slot = self.slots[idx].take().expect("map points at live slot");
         self.bytes -= slot.charge;
@@ -262,32 +290,28 @@ impl<V> TierInner<V> {
     }
 }
 
-struct Shard<V> {
-    inner: Mutex<TierInner<V>>,
+/// A shard behind its own mutex, with a lock-free mirror of its bytes.
+struct Locked<V> {
+    inner: Mutex<Shard<BlockKey, V>>,
     /// Lock-free mirror of `inner.bytes` for observation.
     bytes: AtomicUsize,
 }
 
-impl<V> Default for Shard<V> {
+impl<V> Default for Locked<V> {
     fn default() -> Self {
-        Shard {
-            inner: Mutex::new(TierInner::default()),
+        Locked {
+            inner: Mutex::new(Shard::default()),
             bytes: AtomicUsize::new(0),
         }
     }
 }
 
-impl<V> Shard<V> {
+impl<V> Locked<V> {
     /// Drops every entry of `tablet_id`, in key order (module doc), with
     /// no eviction accounting.
     fn remove_tablet(&self, tablet_id: u64) {
         let mut inner = self.inner.lock();
-        let mut keys: Vec<BlockKey> = inner
-            .map
-            .keys()
-            .filter(|k| k.0 == tablet_id)
-            .copied()
-            .collect();
+        let mut keys: Vec<BlockKey> = inner.keys().filter(|k| k.0 == tablet_id).copied().collect();
         keys.sort_unstable();
         for key in keys {
             inner.remove_key(&key);
@@ -296,17 +320,17 @@ impl<V> Shard<V> {
     }
 }
 
-fn make_shards<V>(n: usize) -> Box<[Shard<V>]> {
-    (0..n).map(|_| Shard::default()).collect()
+fn make_shards<V>(n: usize) -> Box<[Locked<V>]> {
+    (0..n).map(|_| Locked::default()).collect()
 }
 
 /// The sharded, scan-resistant, two-tier block-and-footer cache. One
 /// instance is shared by every table of a [`crate::db::Db`].
 pub struct BlockCache {
     /// Decompressed blocks.
-    upper: Box<[Shard<HotBlock>]>,
+    upper: Box<[Locked<HotBlock>]>,
     /// Compressed bytes of blocks demoted from the upper tier.
-    lower: Box<[Shard<CompressedBlock>]>,
+    lower: Box<[Locked<CompressedBlock>]>,
     /// Tablet footers, keyed `(tablet id, 0)`. Its `bytes` mirror is what
     /// the upper shards leave free: written only under the footer lock —
     /// raised before the shards are trimmed for an admission, lowered
@@ -314,7 +338,7 @@ pub struct BlockCache {
     /// its shard's lock. `Relaxed` is enough: an admission that takes a
     /// shard's lock after the trim released it sees the raised value
     /// through that mutex, and one that took it before is trimmed.
-    footers: Shard<Arc<TabletFooter>>,
+    footers: Locked<FooterEntry>,
     /// Per-shard tier slices, fixed at construction. Each shard enforces
     /// both under its lock, so the cache never grows past their sum.
     upper_shard_capacity: usize,
@@ -348,7 +372,7 @@ impl BlockCache {
         BlockCache {
             upper: make_shards(shards),
             lower: make_shards(shards),
-            footers: Shard::default(),
+            footers: Locked::default(),
             upper_shard_capacity: decompressed_bytes / shards,
             lower_shard_capacity: compressed_bytes / shards,
             shard_mask: shards as u64 - 1,
@@ -418,7 +442,7 @@ impl BlockCache {
         let charge = block.byte_size() + compressed.as_ref().map_or(0, |c| c.bytes.len());
         if charge > self.upper_shard_capacity {
             if let Some(c) = compressed {
-                self.insert_compressed(key, c, owner);
+                self.insert_compressed(key, c);
             }
             return;
         }
@@ -430,25 +454,22 @@ impl BlockCache {
             if inner.touch(&key).is_some() {
                 // Lost a race with another miss on the same block.
             } else if inner.evict_until_fits(charge, self.upper_slice(), &mut victims) {
-                // New entries start unreferenced: a block read once and
-                // never touched again is the first to go, while anything
-                // re-read earns its second chance. This is what makes
-                // single-pass traffic that does reach the cache (e.g. a
-                // one-off wide query) cheap to absorb.
-                inner.insert_slot(Slot {
-                    key,
-                    value: HotBlock { block, compressed },
-                    charge,
-                    owner: owner.clone(),
-                    referenced: false,
-                });
+                // Unreferenced, so single-pass traffic that does reach the
+                // cache (e.g. a one-off wide query) is cheap to absorb.
+                let owner = owner.clone();
+                let hot = HotBlock {
+                    block,
+                    compressed,
+                    owner,
+                };
+                inner.insert(key, hot, charge);
             } else {
                 rejected = compressed;
             }
             shard.bytes.store(inner.bytes, Ordering::Relaxed);
         }
         if let Some(c) = rejected {
-            self.insert_compressed(key, c, owner);
+            self.insert_compressed(key, c);
         }
         self.settle_upper_victims(victims);
     }
@@ -487,7 +508,7 @@ impl BlockCache {
         let mut evicted = Vec::new();
         footers.evict_until_fits(charge, cap, &mut evicted);
         for victim in evicted {
-            TableStats::add(&victim.owner.footer_evictions, 1);
+            TableStats::add(&victim.value.1.footer_evictions, 1);
         }
         // Reserve the room first, so that no block is admitted into it
         // while the shards are trimmed, then take it.
@@ -504,30 +525,26 @@ impl BlockCache {
             }
             self.settle_upper_victims(victims);
         }
-        footers.insert_slot(Slot {
-            key,
-            value: footer,
-            charge,
-            owner: owner.clone(),
-            referenced: false,
-        });
+        footers.insert(key, (footer, owner.clone()), charge);
     }
 
     /// Looks up a cached footer, marking it recently used on a hit.
     pub fn get_footer(&self, tablet_id: u64) -> Option<Arc<TabletFooter>> {
-        self.footers.inner.lock().touch(&(tablet_id, 0)).cloned()
+        let mut footers = self.footers.inner.lock();
+        footers.touch(&(tablet_id, 0)).map(|(f, _)| f.clone())
     }
 
     /// True when `tablet_id`'s footer is currently resident, without
     /// touching its reference bit (observation only).
     pub fn footer_resident(&self, tablet_id: u64) -> bool {
-        self.footers.inner.lock().map.contains_key(&(tablet_id, 0))
+        self.footers.inner.lock().peek(&(tablet_id, 0)).is_some()
     }
 
     /// `tablet_id`'s footer if it is resident, its reference bit left as
     /// it was (observation only).
     pub(crate) fn peek_footer(&self, tablet_id: u64) -> Option<Arc<TabletFooter>> {
-        self.footers.inner.lock().peek(&(tablet_id, 0)).cloned()
+        let footers = self.footers.inner.lock();
+        footers.peek(&(tablet_id, 0)).map(|(f, _)| f.clone())
     }
 
     /// A block as either tier holds it, observation only: no reference
@@ -548,21 +565,25 @@ impl BlockCache {
     /// Charges upper-tier evictions to their owners and demotes evicted
     /// blocks' compressed bytes into the lower tier. Called after the
     /// upper shard lock is released, so tier locks never nest.
-    fn settle_upper_victims(&self, victims: Vec<Slot<HotBlock>>) {
+    fn settle_upper_victims(&self, victims: Vec<Slot<BlockKey, HotBlock>>) {
         for victim in victims {
-            let HotBlock { block, compressed } = victim.value;
-            TableStats::add(&victim.owner.cache_evicted_bytes, block.byte_size() as u64);
+            let HotBlock {
+                block,
+                compressed,
+                owner,
+            } = victim.value;
+            TableStats::add(&owner.cache_evicted_bytes, block.byte_size() as u64);
             drop(block);
             if let Some(c) = compressed {
-                self.insert_compressed(victim.key, c, &victim.owner);
+                self.insert_compressed(victim.key, c);
             }
         }
     }
 
     /// Admits compressed block bytes to the lower tier, evicting colder
     /// compressed entries to fit. Lower-tier evictions leave the cache
-    /// for good.
-    fn insert_compressed(&self, key: BlockKey, value: CompressedBlock, owner: &Arc<TableStats>) {
+    /// for good, charged to nobody.
+    fn insert_compressed(&self, key: BlockKey, value: CompressedBlock) {
         let charge = value.bytes.len();
         if charge > self.lower_shard_capacity {
             return;
@@ -574,13 +595,7 @@ impl BlockCache {
         }
         let mut dropped = Vec::new();
         if inner.evict_until_fits(charge, self.lower_shard_capacity, &mut dropped) {
-            inner.insert_slot(Slot {
-                key,
-                value,
-                charge,
-                owner: owner.clone(),
-                referenced: false,
-            });
+            inner.insert(key, value, charge);
         }
         shard.bytes.store(inner.bytes, Ordering::Relaxed);
     }
@@ -603,26 +618,19 @@ impl BlockCache {
         tablet_id: u64,
         block_index: u32,
         value: CompressedBlock,
-        owner: &Arc<TableStats>,
     ) -> bool {
         let key = (tablet_id, block_index);
         let idx = self.shard_idx(key);
-        if self.upper[idx].inner.lock().map.contains_key(&key) {
+        if self.upper[idx].inner.lock().peek(&key).is_some() {
             return false;
         }
         let charge = value.bytes.len();
         let shard = &self.lower[idx];
         let mut inner = shard.inner.lock();
-        if inner.map.contains_key(&key) || inner.bytes + charge > self.lower_shard_capacity {
+        if inner.peek(&key).is_some() || inner.bytes + charge > self.lower_shard_capacity {
             return false;
         }
-        inner.insert_slot(Slot {
-            key,
-            value,
-            charge,
-            owner: owner.clone(),
-            referenced: false,
-        });
+        inner.insert(key, value, charge);
         shard.bytes.store(inner.bytes, Ordering::Relaxed);
         true
     }
@@ -687,13 +695,13 @@ impl BlockCache {
 
     /// Number of upper-tier entries currently cached (blocks + footers).
     pub fn entry_count(&self) -> usize {
-        let blocks: usize = self.upper.iter().map(|s| s.inner.lock().map.len()).sum();
-        blocks + self.footers.inner.lock().map.len()
+        let blocks: usize = self.upper.iter().map(|s| s.inner.lock().len()).sum();
+        blocks + self.footers.inner.lock().len()
     }
 
     /// Number of lower-tier (compressed block) entries currently cached.
     pub fn compressed_entry_count(&self) -> usize {
-        self.lower.iter().map(|s| s.inner.lock().map.len()).sum()
+        self.lower.iter().map(|s| s.inner.lock().len()).sum()
     }
 }
 
@@ -947,8 +955,8 @@ pub(crate) mod tests {
             cache.insert(a, i, block_of_size(500), Some(compressed_of_size(100)), &st);
             cache.insert(b, i, block_of_size(500), Some(compressed_of_size(100)), &st);
         }
-        cache.insert_compressed((a, 100), compressed_of_size(100), &st);
-        cache.insert_compressed((b, 100), compressed_of_size(100), &st);
+        cache.insert_compressed((a, 100), compressed_of_size(100));
+        cache.insert_compressed((b, 100), compressed_of_size(100));
         cache.invalidate_tablet(a);
         for i in 0..8u32 {
             assert!(cache.get(a, i).is_none());
@@ -1087,17 +1095,17 @@ pub(crate) mod tests {
         cache.insert(tid, 0, hot, Some(compressed_of_size(200)), &st);
         // Resident blocks: a read may pass over them, and skips them.
         assert!(cache.may_read_ahead(tid, 0, 1 << 20));
-        assert!(!cache.admit_into_free_space(tid, 0, compressed_of_size(200), &st));
+        assert!(!cache.admit_into_free_space(tid, 0, compressed_of_size(200)));
         assert_eq!(cache.compressed_entry_count(), 0);
-        assert!(cache.admit_into_free_space(tid, 1, compressed_of_size(1000), &st));
+        assert!(cache.admit_into_free_space(tid, 1, compressed_of_size(1000)));
         assert!(cache.may_read_ahead(tid, 1, 1 << 20));
-        assert!(!cache.admit_into_free_space(tid, 1, compressed_of_size(1000), &st));
+        assert!(!cache.admit_into_free_space(tid, 1, compressed_of_size(1000)));
         assert_eq!(cache.compressed_bytes_used(), 1000);
         assert!(cache.may_read_ahead(tid, 2, 3000));
-        assert!(cache.admit_into_free_space(tid, 2, compressed_of_size(3000), &st));
+        assert!(cache.admit_into_free_space(tid, 2, compressed_of_size(3000)));
         // 96 bytes left: refused, and nothing made room for it.
         assert!(!cache.may_read_ahead(tid, 3, 200));
-        assert!(!cache.admit_into_free_space(tid, 3, compressed_of_size(200), &st));
+        assert!(!cache.admit_into_free_space(tid, 3, compressed_of_size(200)));
         assert_eq!(cache.compressed_bytes_used(), 4000);
         assert!(cache.take_compressed(tid, 1).is_some());
         assert!(cache.take_compressed(tid, 2).is_some());
@@ -1267,7 +1275,7 @@ pub(crate) mod tests {
         assert!(t.footer_cached() && cache.get(other, 0).is_some());
         let free = (first + next) as usize - 1;
         assert!(free >= next as usize);
-        cache.insert_compressed((other, 1), compressed_of_size((16 << 10) - free), &st);
+        cache.insert_compressed((other, 1), compressed_of_size((16 << 10) - free));
         assert_eq!(cache.capacity() - cache.bytes_used(), free);
         vfs.clear_caches();
         let read_before = vfs.model().stats().bytes_read;
@@ -1281,7 +1289,7 @@ pub(crate) mod tests {
 
     /// Every CLOCK of the cache: each tier's shards, then the footers'.
     pub(crate) fn clocks(cache: &BlockCache) -> Vec<Clock> {
-        fn clock<V>(shard: &Shard<V>) -> Clock {
+        fn clock<V>(shard: &Locked<V>) -> Clock {
             let inner = shard.inner.lock();
             let slots = inner.slots.iter();
             let bits = slots.map(|s| s.as_ref().map(|s| (s.key, s.referenced)));
@@ -1340,7 +1348,7 @@ pub(crate) mod tests {
         let hot = block_of_size(1000);
         cache.insert(tid, 0, hot.clone(), None, &st);
         let cold = compressed_of_size(500);
-        assert!(cache.admit_into_free_space(tid, 1, cold.clone(), &st));
+        assert!(cache.admit_into_free_space(tid, 1, cold.clone()));
         let (before, used) = (clocks(&cache), cache.bytes_used());
         let upper = cache.peek_block(tid, 0);
         assert!(matches!(upper, Some(Resident::Decoded(b)) if Arc::ptr_eq(&b, &hot)));

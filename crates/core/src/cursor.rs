@@ -4,9 +4,13 @@
 //!
 //! To execute a query, LittleTable selects every tablet whose timespan
 //! overlaps the query's timestamp bounds, seeks each to the query's key
-//! bound (index binary search, then in-block binary search), and
-//! merge-sorts the streams into a single result ordered by primary key.
-//! Primary keys are unique table-wide, so the merge never sees ties.
+//! bound, and merge-sorts the streams into a single result ordered by
+//! primary key. The seek is the index's one search,
+//! [`TabletFooter::blocks_in`]: the span of blocks that can hold a key of
+//! the range, which an ascending scan reads from its start and a
+//! descending one from its end, each block's rows in the range found by
+//! in-block binary search. Primary keys are unique table-wide, so the
+//! merge never sees ties.
 //!
 //! Every source is a sequence of decoded [`Block`]s in key order: an
 //! on-disk tablet read block by block through the cache, or a memtablet
@@ -37,7 +41,7 @@ use crate::schema::SchemaRef;
 use crate::tablet::{TabletFooter, TabletReader};
 use std::cmp::Ordering;
 use std::collections::VecDeque;
-use std::ops::{Bound, Range};
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Compressed bytes a whole-tablet scan (a merge, a bulk delete, a rollup
@@ -202,15 +206,13 @@ struct TabletSide {
     /// lifetime: block loads stay off the shared cache's footer lock and
     /// are immune to a footer eviction mid-scan.
     footer: Option<Arc<TabletFooter>>,
-    /// Index of the block to load next, in scan direction; `None` once
-    /// the scan has left the key range or the tablet.
-    next: Option<usize>,
-    /// Index past the last block an ascending scan can want: the first
-    /// one the index shows to lie wholly beyond the key range.
-    stop: usize,
+    /// The blocks of the key range's span ([`TabletFooter::blocks_in`])
+    /// not yet read: an ascending scan reads from its start, a descending
+    /// one from its end. Empty until the footer is pinned.
+    span: Range<usize>,
     /// When nonzero, ascending scans take a block the cache holds from
     /// there, and otherwise fetch a run of consecutive blocks up to this
-    /// many compressed bytes in one read, never past `stop`; prefetched
+    /// many compressed bytes in one read, never past the span; prefetched
     /// blocks queue here. The cache is only observed: a run read streams
     /// each block exactly once, and admitting or promoting its blocks
     /// would evict the point-read working set.
@@ -219,32 +221,13 @@ struct TabletSide {
 }
 
 impl TabletSide {
-    /// Pins the footer and finds the block the scan starts at: the one
-    /// nearest the bound it starts from.
-    fn open(&mut self, descending: bool) -> Result<Arc<TabletFooter>> {
+    /// Pins the footer and finds the span of blocks the scan reads.
+    fn open(&mut self) -> Result<Arc<TabletFooter>> {
         if let Some(f) = &self.footer {
             return Ok(f.clone());
         }
         let footer = self.reader.footer()?;
-        let blocks = &footer.blocks;
-        let seek = |k: &[u8]| blocks.partition_point(|b| b.last_key.as_slice() < k);
-        self.next = if descending {
-            match &self.range.end {
-                Bound::Unbounded => blocks.len().checked_sub(1),
-                Bound::Included(k) | Bound::Excluded(k) => {
-                    blocks.len().checked_sub(1).map(|last| seek(k).min(last))
-                }
-            }
-        } else {
-            self.stop = match &self.range.end {
-                Bound::Unbounded => blocks.len(),
-                Bound::Included(k) | Bound::Excluded(k) => (seek(k) + 1).min(blocks.len()),
-            };
-            match &self.range.start {
-                Bound::Unbounded => Some(0),
-                Bound::Included(k) | Bound::Excluded(k) => Some(seek(k)),
-            }
-        };
+        self.span = footer.blocks_in(&self.range);
         self.footer = Some(footer.clone());
         Ok(footer)
     }
@@ -264,7 +247,7 @@ impl TabletSide {
             }
             let run = self
                 .reader
-                .read_block_run(bi..self.stop, self.read_run_bytes)?;
+                .read_block_run(bi..self.span.end, self.read_run_bytes)?;
             self.prefetched = run
                 .into_iter()
                 .enumerate()
@@ -278,40 +261,14 @@ impl TabletSide {
     /// The next block holding rows inside the key range, with those rows;
     /// `None` at the end of the scan.
     fn next_block(&mut self, descending: bool) -> Result<Option<(Arc<Block>, Range<usize>)>> {
-        let footer = self.open(descending)?;
-        while let Some(bi) = self.next.filter(|&bi| bi < footer.blocks.len()) {
-            let last = footer.blocks[bi].last_key.as_slice();
-            let prev_last = match bi.checked_sub(1) {
-                Some(p) => footer.blocks[p].last_key.as_slice(),
-                None => b"",
-            };
-            // Judged from the index alone: a block on the far side of the
-            // range ends the scan unread; one short of the near side (an
-            // exclusive bound equal to its last key) is stepped over.
-            let reaches_start = self.range.span_reaches_start(last);
-            let reaches_end = self.range.span_reaches_end(prev_last);
-            let (near, far) = if descending {
-                (reaches_end, reaches_start)
-            } else {
-                (reaches_start, reaches_end)
-            };
-            if !far {
-                break;
-            }
-            let after = if descending {
-                bi.checked_sub(1)
-            } else {
-                Some(bi + 1)
-            };
-            if !near {
-                self.next = after;
-                continue;
-            }
+        let footer = self.open()?;
+        while !self.span.is_empty() {
+            let bi = head_row(&self.span, descending);
             // Only a block that was read is left behind: after a failed
             // read the same call reads it again.
             let block = self.load(&footer, bi, descending)?;
-            self.next = after;
-            let rows = if self.range.contains_span(prev_last, last) {
+            take_front(&mut self.span, 1, descending);
+            let rows = if footer.block_inside(bi, &self.range) {
                 0..block.len()
             } else {
                 block.rows_in_range(&self.range)?
@@ -326,7 +283,6 @@ impl TabletSide {
             };
             return Ok(Some((block, rows)));
         }
-        self.next = None;
         Ok(None)
     }
 }
@@ -356,8 +312,7 @@ impl Source {
                 newest,
                 range,
                 footer: None,
-                next: None,
-                stop: 0,
+                span: 0..0,
                 read_run_bytes: 0,
                 prefetched: VecDeque::new(),
             }),
@@ -477,6 +432,7 @@ mod tests {
     use crate::tablet::TabletWriter;
     use crate::value::{ColumnType, Value};
     use littletable_vfs::{SimVfs, Vfs};
+    use std::ops::Bound;
 
     fn schema() -> SchemaRef {
         Arc::new(

@@ -119,7 +119,6 @@ impl Db {
                 opts.clone(),
                 cache.clone(),
                 entry.clone(),
-                entry.clone(),
             )?;
             tables.insert(Arc::from(entry.as_str()), table);
         }
@@ -231,7 +230,6 @@ impl Db {
             self.inner.clock.clone(),
             self.inner.opts.clone(),
             self.inner.cache.clone(),
-            name.to_string(),
             name.to_string(),
             schema,
             ttl,

@@ -16,6 +16,7 @@ use littletable_vfs::Micros;
 use parking_lot::{Mutex, MutexGuard};
 use std::collections::hash_map::{HashMap, RandomState};
 use std::hash::{BuildHasher, BuildHasherDefault, Hasher};
+use std::ops::{Bound, RangeBounds};
 use std::sync::OnceLock;
 
 /// Table-unique id for an in-memory tablet, allocated when the tablet is
@@ -208,7 +209,8 @@ impl MemTablet {
     pub fn snapshot_block(&self, range: &KeyRange, before_seq: u64) -> Result<Block> {
         let rows: Vec<u32> = {
             let order = self.key_order();
-            let start = order.partition_point(|&r| !range.span_reaches_start(self.key(r)));
+            let from_start = (range.start.as_ref().map(Vec::as_slice), Bound::Unbounded);
+            let start = order.partition_point(|&r| !from_start.contains(self.key(r)));
             let len = order[start..].partition_point(|&r| range.contains(self.key(r)));
             let in_range = order[start..start + len].iter().copied();
             in_range

@@ -25,7 +25,8 @@ pub struct Options {
     /// Bin in-memory tablets and bound merges by time period (§3.4.2);
     /// disabling is the clustering ablation.
     pub respect_periods: bool,
-    /// Store Bloom filters in tablet footers (§3.4.5 extension).
+    /// Store Bloom filters in the footers of tablets written from now on
+    /// (§3.4.5 extension). Readers consult whatever filter a footer has.
     pub bloom_filters: bool,
     /// Use the descriptor/index fast paths for insert-time uniqueness
     /// checks (§3.4.4); disabling forces the point-query slow path.

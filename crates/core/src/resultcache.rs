@@ -23,10 +23,14 @@
 //!
 //! The cache's budget is a carve-out from the block cache's joint budget
 //! ([`crate::Options::RESULT_CACHE_FRACTION`]), so enabling it never
-//! increases total cache memory. Hits and misses are counted per table
+//! increases total cache memory. Its answers live in one CLOCK slab, the
+//! [`Shard`] each block-cache shard is, charged by [`charge`]: a hit sets
+//! an answer's reference bit, and a put evicts the answers the hand finds
+//! unreferenced until it fits. Hits and misses are counted per table
 //! ([`crate::stats::TableStats::result_cache_hits`]).
 
 use crate::agg::{AggRows, AggSpec, Aggregate, GroupSpec};
+use crate::cache::Shard;
 use crate::error::Result;
 use crate::keyenc::KeyRange;
 use crate::rollup::distinct_bytes;
@@ -34,7 +38,6 @@ use crate::table::{ttl_horizon, PredOp, Table};
 use crate::value::Value;
 use littletable_vfs::Micros;
 use parking_lot::Mutex;
-use std::collections::HashMap;
 use std::ops::Bound;
 
 /// Everything that identifies a cached answer: the table's incarnation
@@ -111,24 +114,13 @@ fn charge(key: &ResultKey, rows: &[Vec<Value>]) -> usize {
     bytes
 }
 
-struct Entry {
-    rows: AggRows,
-    charge: usize,
-    last_used: u64,
-}
-
-#[derive(Default)]
-struct Inner {
-    map: HashMap<ResultKey, Entry>,
-    bytes: usize,
-    tick: u64,
-}
-
-/// A budgeted LRU cache of finished aggregate answers. All methods are
-/// safe to call concurrently.
+/// A budgeted cache of finished aggregate answers: one CLOCK slab of
+/// the block cache's kind ([`crate::cache`]), evicting the answers not
+/// asked for again since the hand last passed. All methods are safe to
+/// call concurrently.
 pub(crate) struct ResultCache {
     budget: usize,
-    inner: Mutex<Inner>,
+    inner: Mutex<Shard<ResultKey, AggRows>>,
 }
 
 impl ResultCache {
@@ -136,78 +128,52 @@ impl ResultCache {
     pub(crate) fn new(budget: usize) -> Self {
         ResultCache {
             budget,
-            inner: Mutex::new(Inner::default()),
+            inner: Mutex::new(Shard::default()),
         }
     }
 
-    /// Looks up an answer. A hit refreshes the entry's recency.
+    /// Looks up an answer. A hit sets the entry's reference bit.
     pub(crate) fn get(&self, key: &ResultKey) -> Option<AggRows> {
-        let mut inner = self.inner.lock();
-        inner.tick += 1;
-        let tick = inner.tick;
-        let e = inner.map.get_mut(key)?;
-        e.last_used = tick;
-        Some(e.rows.clone())
+        self.inner.lock().touch(key).cloned()
     }
 
-    /// Inserts an answer, evicting least-recently-used entries to stay
-    /// within budget. Answers larger than the whole budget are ignored.
+    /// Inserts an answer, evicting colder entries to stay within budget.
+    /// Answers larger than the whole budget are ignored, and so is one
+    /// whose key is resident already: equal keys hold equal answers.
     pub(crate) fn put(&self, key: ResultKey, rows: AggRows) {
         let charge = charge(&key, &rows);
         if charge > self.budget {
             return;
         }
         let mut inner = self.inner.lock();
-        inner.tick += 1;
-        let tick = inner.tick;
-        if let Some(old) = inner.map.insert(
-            key,
-            Entry {
-                rows,
-                charge,
-                last_used: tick,
-            },
-        ) {
-            inner.bytes -= old.charge;
-        }
-        inner.bytes += charge;
-        while inner.bytes > self.budget {
-            // O(n) victim scan; the cache holds few, large entries, so
-            // a heap or intrusive list would be bookkeeping for nothing.
-            let Some(victim) = inner
-                .map
-                .iter()
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(k, _)| k.clone())
-            else {
-                break;
-            };
-            if let Some(e) = inner.map.remove(&victim) {
-                inner.bytes -= e.charge;
-            }
+        if inner.touch(&key).is_none() {
+            // Cannot fail: `charge <= budget`, and an emptied slab holds
+            // nothing.
+            inner.evict_until_fits(charge, self.budget, &mut Vec::new());
+            inner.insert(key, rows, charge);
         }
     }
 
-    /// Drops every entry computed against the given table generation.
-    /// Correctness never depends on this — keys embed the generation —
-    /// but dropping a table should release its memory promptly.
+    /// Drops every entry computed against the given table generation,
+    /// freeing their slots in slot order (see [`crate::cache`], "Key
+    /// order"). Correctness never depends on this — keys embed the
+    /// generation — but dropping a table should release its memory
+    /// promptly.
     pub(crate) fn invalidate_generation(&self, generation: u64) {
         let mut inner = self.inner.lock();
-        let mut freed = 0usize;
-        inner.map.retain(|k, e| {
-            if k.generation == generation {
-                freed += e.charge;
-                false
-            } else {
-                true
-            }
-        });
-        inner.bytes -= freed;
+        let doomed: Vec<ResultKey> = inner
+            .keys()
+            .filter(|k| k.generation == generation)
+            .cloned()
+            .collect();
+        for key in doomed {
+            inner.remove_key(&key);
+        }
     }
 
     /// Entries currently resident.
     pub(crate) fn entries(&self) -> usize {
-        self.inner.lock().map.len()
+        self.inner.lock().len()
     }
 }
 

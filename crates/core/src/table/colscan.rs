@@ -2,7 +2,9 @@
 //!
 //! [`Table::pushdown_scan`] starts from the same read view as
 //! [`Table::query`] (`Table::view`: the snapshot, the key range, the
-//! window raised to the TTL horizon, the overlapping tablets), but
+//! window raised to the TTL horizon, the overlapping tablets), and from
+//! the same blocks: the span of each tablet's index that can hold a key
+//! of the range ([`crate::tablet::TabletFooter::blocks_in`]). But
 //! instead of merging rows in key order it hands the caller the
 //! cheapest unit that still answers an aggregate exactly, per block —
 //! the disk tablets' blocks first, then the memtablets':
@@ -372,17 +374,8 @@ impl Table {
                 }
                 continue;
             }
-            let mut prev_last: &[u8] = b"";
-            for (bi, entry) in footer.blocks.iter().enumerate() {
-                let prev = std::mem::replace(&mut prev_last, entry.last_key.as_slice());
-                // A block wholly outside the key bounds is skipped; once
-                // past the upper bound every later block is too.
-                if !range.span_reaches_end(prev) {
-                    break;
-                }
-                if !range.span_reaches_start(&entry.last_key) {
-                    continue;
-                }
+            for bi in footer.blocks_in(range) {
+                let entry = &footer.blocks[bi];
                 // Time bounds, judged from the timestamp column's zone.
                 let ts_zone = entry.zones.get(ts_index).and_then(|z| z.as_ref());
                 let ts_contained = match ts_zone {
@@ -412,7 +405,7 @@ impl Table {
                     pruned += 1;
                     continue;
                 }
-                let key_contained = range.contains_span(prev, &entry.last_key);
+                let key_contained = footer.block_inside(bi, range);
                 if key_contained && ts_contained && uncertain.is_empty() {
                     if let Some(cols) = &req.stats_cols {
                         let zoned = cols

@@ -112,7 +112,7 @@ impl Table {
             st.next_tablet_id += 1;
             st.next_tablet_id - 1
         };
-        let path = join(&self.dir, &tablet_file_name(id));
+        let path = join(&self.name, &tablet_file_name(id));
         let reader = self.new_reader(path.clone());
         let written = (|| {
             let mut w = TabletWriter::new(
@@ -164,7 +164,7 @@ impl Table {
     /// by `Arc`, and removal unlinks, so their open handles stay valid.
     fn unlink(&self, handles: &[DiskHandle]) {
         for h in handles {
-            let _ = self.vfs.remove(&join(&self.dir, &h.meta.file_name()));
+            let _ = self.vfs.remove(&join(&self.name, &h.meta.file_name()));
         }
     }
 
@@ -209,7 +209,7 @@ impl Table {
         // Track save failures: the in-memory transition already committed,
         // so until a later save lands the on-disk `DESC` is stale and no
         // flush may report durability over it (see `resync_descriptor`).
-        let saved = desc.save(self.vfs.as_ref(), &self.dir);
+        let saved = desc.save(self.vfs.as_ref(), &self.name);
         self.desc_dirty.store(saved.is_err(), Ordering::Release);
         saved
     }
@@ -360,10 +360,8 @@ impl Table {
         let mut written = self.written(None);
         for h in &sources {
             let footer = h.reader.footer()?;
-            if let Some(bloom) = &footer.bloom {
-                if !bloom.may_contain(prefix_hash) {
-                    continue;
-                }
+            if !footer.may_hold(prefix_hash) {
+                continue;
             }
             // Does this tablet hold any matching row at all? Asked one
             // block per read, as the rewrite reads: a resident block is

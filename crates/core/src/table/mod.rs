@@ -110,8 +110,8 @@ static NEXT_GENERATION: AtomicU64 = AtomicU64::new(1);
 
 /// A handle to one table. All methods are safe to call concurrently.
 pub struct Table {
+    /// The table's name, and the name of its directory.
     name: String,
-    dir: String,
     vfs: Arc<dyn Vfs>,
     clock: Arc<dyn Clock>,
     opts: Arc<Options>,
@@ -166,43 +166,42 @@ impl Drop for MergeSlot<'_> {
 }
 
 impl Table {
-    #[allow(clippy::too_many_arguments)] // crate-internal constructor
+    /// Creates table `name` in the directory of that name.
     pub(crate) fn create(
         vfs: Arc<dyn Vfs>,
         clock: Arc<dyn Clock>,
         opts: Arc<Options>,
         cache: Arc<BlockCache>,
         name: String,
-        dir: String,
         schema: Schema,
         ttl: Option<Micros>,
     ) -> Result<Arc<Table>> {
-        vfs.mkdir_all(&dir)?;
+        vfs.mkdir_all(&name)?;
         let desc = TableDescriptor::new(schema, ttl);
-        desc.save(vfs.as_ref(), &dir)?;
-        vfs.sync_dir(crate::db::root_of(&dir))?;
+        desc.save(vfs.as_ref(), &name)?;
+        vfs.sync_dir(crate::db::root_of(&name))?;
         let (stats, disk) = (Arc::default(), Vec::new());
         Ok(Table::assemble(
-            vfs, clock, opts, cache, stats, name, dir, desc, disk,
+            vfs, clock, opts, cache, stats, name, desc, disk,
         ))
     }
 
+    /// Opens table `name` from the directory of that name.
     pub(crate) fn open(
         vfs: Arc<dyn Vfs>,
         clock: Arc<dyn Clock>,
         opts: Arc<Options>,
         cache: Arc<BlockCache>,
         name: String,
-        dir: String,
     ) -> Result<Arc<Table>> {
-        let mut desc = TableDescriptor::load(vfs.as_ref(), &dir)?;
+        let mut desc = TableDescriptor::load(vfs.as_ref(), &name)?;
         desc.sort_tablets();
         // Delete the orphan tablet files a crash mid-flush or mid-merge
         // left: those the descriptor does not list, never committed or
         // committed away. Quarantined files are evidence, not orphans; the
         // descriptor and the rollup spec that marks this table as derived
         // are not tablets.
-        for entry in vfs.list_dir(&dir)? {
+        for entry in vfs.list_dir(&name)? {
             let kept = match parse_tablet_file_name(&entry) {
                 Some(id) => desc.tablets.iter().any(|t| t.id == id),
                 None => {
@@ -211,7 +210,7 @@ impl Table {
                 }
             };
             if !kept {
-                let _ = vfs.remove(&join(&dir, &entry));
+                let _ = vfs.remove(&join(&name, &entry));
             }
         }
         let stats = Arc::new(TableStats::default());
@@ -224,7 +223,7 @@ impl Table {
         let mut disk: Vec<DiskHandle> = Vec::new();
         let mut quarantined = 0u64;
         for meta in &desc.tablets {
-            let path = join(&dir, &meta.file_name());
+            let path = join(&name, &meta.file_name());
             // Probe with a throwaway reader and its own empty cache:
             // validation must not warm the shared cache, or the first
             // query after open would look cold-cache fast and the paper's
@@ -244,7 +243,7 @@ impl Table {
                     if vfs.exists(&path) {
                         let aside = format!("{path}{QUARANTINE_SUFFIX}");
                         let _ = vfs.rename(&path, &aside);
-                        let _ = vfs.sync_dir(&dir);
+                        let _ = vfs.sync_dir(&name);
                     }
                     quarantined += 1;
                 }
@@ -260,10 +259,10 @@ impl Table {
             clean
                 .tablets
                 .retain(|t| disk.iter().any(|h| h.meta.id == t.id));
-            let _ = clean.save(vfs.as_ref(), &dir);
+            let _ = clean.save(vfs.as_ref(), &name);
         }
         Ok(Table::assemble(
-            vfs, clock, opts, cache, stats, name, dir, desc, disk,
+            vfs, clock, opts, cache, stats, name, desc, disk,
         ))
     }
 
@@ -277,7 +276,6 @@ impl Table {
         cache: Arc<BlockCache>,
         stats: Arc<TableStats>,
         name: String,
-        dir: String,
         desc: TableDescriptor,
         disk: Vec<DiskHandle>,
     ) -> Arc<Table> {
@@ -296,7 +294,6 @@ impl Table {
         let snapshot = RwLock::new(Arc::new(state.build_snapshot()));
         Arc::new(Table {
             name,
-            dir,
             vfs,
             clock,
             opts,
@@ -487,6 +484,6 @@ impl Table {
     }
 
     pub(crate) fn dir(&self) -> &str {
-        &self.dir
+        &self.name
     }
 }

@@ -225,12 +225,8 @@ impl Table {
                     Src::Disk(h) => {
                         // The filter holds every non-empty prefix of
                         // every key; the empty one it was never given.
-                        if self.opts.bloom_filters && !prefix.is_empty() {
-                            if let Some(bloom) = &h.reader.footer()?.bloom {
-                                if !bloom.may_contain(prefix_hash) {
-                                    continue;
-                                }
-                            }
+                        if !prefix.is_empty() && !h.reader.footer()?.may_hold(prefix_hash) {
+                            continue;
                         }
                         sources.push(view.source(h));
                     }

@@ -170,13 +170,16 @@ fn one_cached_input_block_hands_over_the_whole_output() {
     assert_eq!(held(&t), (1, blocks.len(), blocks.len() as u64));
 }
 
-#[test]
-fn a_full_cache_keeps_its_resident_set_through_a_hot_merge() {
+/// Table `a`: one row a block, each decoding to more than the upper tier
+/// holds, so they live in the lower tier alone and fill it. With
+/// `read_b`, one key of table `b` was read first, so its block entered
+/// the upper tier. Then `write` writes to table `b`: table `a`'s blocks
+/// stay resident exactly where they were, and the cache stays within its
+/// capacity.
+fn a_full_cache_keeps_its_resident_set(read_b: bool, write: impl FnOnce(&Table)) {
     let vfs = SimVfs::instant();
     {
         let db = open(&vfs, 0);
-        // Table `a`: one row a block, each decoding to more than the upper
-        // tier below holds.
         let a = db.create_table("a", schema(), None).unwrap();
         for k in 0..20 {
             let mut v = noise(k, 2 << 10);
@@ -187,23 +190,57 @@ fn a_full_cache_keeps_its_resident_set_through_a_hot_merge() {
         a.flush_all().unwrap();
         load(&db.create_table("b", schema(), None).unwrap(), 4, 100);
     }
-    // Upper tier 45 kB, lower tier 15 kB. One key of table `b` is read,
-    // so its block enters the upper tier. Then table `a`'s blocks, which
-    // live in the lower tier alone, fill that.
+    // Upper tier 45 kB, lower tier 15 kB.
     let db = open(&vfs, 64 << 10);
     let (a, b) = (db.table("a").unwrap(), db.table("b").unwrap());
-    query_keys(&b, 150..151);
+    if read_b {
+        query_keys(&b, 150..151);
+    }
     query_keys(&a, 0..20);
     let cache = &a.cache;
     let lower = cache.compressed_capacity() - cache.compressed_bytes_used();
     assert!(lower < 2 << 10, "{lower} bytes free in the lower tier");
     let before: Vec<Vec<bool>> = disk(&a).iter().map(|h| resident(&a, h)).collect();
     assert!(before.iter().flatten().filter(|&&on| on).count() > 3);
-    assert!(disk(&b).iter().any(|h| resident(&b, h).contains(&true)));
-    merge(&b);
+    write(&b);
     let after: Vec<Vec<bool>> = disk(&a).iter().map(|h| resident(&a, h)).collect();
     assert_eq!(after, before);
     assert!(cache.bytes_used() <= cache.capacity());
+}
+
+#[test]
+fn a_full_cache_keeps_its_resident_set_through_a_hot_merge() {
+    a_full_cache_keeps_its_resident_set(true, |b| {
+        assert!(disk(b).iter().any(|h| resident(b, h).contains(&true)));
+        merge(b);
+    });
+}
+
+#[test]
+fn a_full_cache_keeps_its_resident_set_through_a_flush() {
+    a_full_cache_keeps_its_resident_set(true, |b| {
+        // Stamped past every row `b` holds: no uniqueness probe reads it.
+        let row = |k| {
+            vec![
+                Value::I64(k),
+                Value::Timestamp(START + k),
+                Value::Blob(noise(k, 100)),
+            ]
+        };
+        b.insert((400..500).map(row).collect()).unwrap();
+        b.flush_all().unwrap();
+        assert_eq!(disk(b).len(), 5);
+    });
+}
+
+#[test]
+fn a_full_cache_keeps_its_resident_set_through_a_cold_merge_larger_than_the_lower_tier() {
+    a_full_cache_keeps_its_resident_set(false, |b| {
+        assert!(disk(b).iter().all(|h| !h.reader.has_resident_block()));
+        let written: u64 = disk(b).iter().map(|h| h.meta.bytes).sum();
+        assert!(written > b.cache.compressed_capacity() as u64, "{written}");
+        merge(b);
+    });
 }
 
 #[test]

@@ -9,7 +9,7 @@ use super::state::{DiskHandle, SharedMemTablet, TableState};
 use super::{InsertReport, Table};
 use crate::block::BlobColumn;
 use crate::error::{Error, Result};
-use crate::keyenc::encode_component;
+use crate::keyenc::{encode_component, KeyRange};
 use crate::memtable::{hash_key, MemTablet, MemTabletId};
 use crate::period::{period_for, Period, PeriodKind};
 use crate::schema::SchemaRef;
@@ -181,18 +181,14 @@ impl Table {
 
     pub(super) fn tablet_contains_key(&self, h: &DiskHandle, key: &[u8]) -> Result<bool> {
         let footer = h.reader.footer()?;
-        if let Some(bloom) = &footer.bloom {
-            if !bloom.may_contain(hash_bytes(key)) {
-                return Ok(false);
-            }
-        }
-        let bi = footer
-            .blocks
-            .partition_point(|b| b.last_key.as_slice() < key);
-        if bi >= footer.blocks.len() {
+        if !footer.may_hold(hash_bytes(key)) {
             return Ok(false);
         }
-        h.reader.read_block(bi)?.contains_key(key)
+        // The block that would hold `key`: the first of its subtree's span.
+        match footer.blocks_in(&KeyRange::for_prefix(key.to_vec())).next() {
+            Some(bi) => h.reader.read_block(bi)?.contains_key(key),
+            None => Ok(false),
+        }
     }
 
     fn bin(&self, ts: Micros, now: Micros) -> Period {

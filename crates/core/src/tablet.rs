@@ -35,7 +35,7 @@ use crate::bloom::{BloomBuilder, BloomFilter};
 use crate::cache::{BlockCache, CompressedBlock, Resident};
 use crate::cursor::READAHEAD_BYTES;
 use crate::error::{Error, Result};
-use crate::keyenc::component_end;
+use crate::keyenc::{component_end, KeyRange};
 use crate::row::decode_row;
 use crate::schema::{decode_value, encode_value, Schema};
 use crate::stats::TableStats;
@@ -270,6 +270,41 @@ impl TabletFooter {
             .sum::<usize>();
         sz
     }
+
+    /// The blocks a scan of `range` reads, found from the index alone
+    /// (§3.2): those whose last key reaches the range's start and whose
+    /// predecessor's last key (empty for block 0) falls short of its end.
+    /// Both tests are monotone in the sorted last keys, so the span is
+    /// two binary searches; a block outside it holds no key of the range.
+    pub fn blocks_in(&self, range: &KeyRange) -> Range<usize> {
+        let blocks = &self.blocks;
+        let start = blocks.partition_point(|b| !range.span_reaches_start(&b.last_key));
+        // The blocks whose last key falls short of the end, and the one
+        // after them; none when not even the empty key does.
+        let short = blocks.partition_point(|b| range.span_reaches_end(&b.last_key));
+        let end = if range.span_reaches_end(b"") {
+            (short + 1).min(blocks.len())
+        } else {
+            0
+        };
+        start..end.max(start)
+    }
+
+    /// Whether every key of block `bi` lies inside `range`, as the index
+    /// shows: its keys sort after the previous block's last key.
+    pub(crate) fn block_inside(&self, bi: usize, range: &KeyRange) -> bool {
+        let prev_last = match bi.checked_sub(1) {
+            Some(p) => self.blocks[p].last_key.as_slice(),
+            None => b"",
+        };
+        range.contains_span(prev_last, &self.blocks[bi].last_key)
+    }
+
+    /// Whether the tablet may hold a key, or a key prefix, whose hash is
+    /// `hash` (§3.4.5): false only when its Bloom filter rules it out.
+    pub fn may_hold(&self, hash: u64) -> bool {
+        self.bloom.as_ref().is_none_or(|b| b.may_contain(hash))
+    }
 }
 
 /// Collects the Bloom filter's elements — the hash of every distinct
@@ -484,7 +519,7 @@ impl TabletWriter {
                 uncompressed_len: self.raw.len() as u32,
             };
             let (cache, tid, bi) = (&reader.cache, reader.tablet_id, self.blocks.len() as u32);
-            if cache.admit_into_free_space(tid, bi, block, &reader.stats) {
+            if cache.admit_into_free_space(tid, bi, block) {
                 TableStats::add(&reader.stats.cache_rewrite_admits, 1);
             }
         }
@@ -962,7 +997,7 @@ impl TabletReader {
                 for (ahead, (e, bytes)) in (bi + 1..).zip(blocks) {
                     // Bytes enter the cache checked, as a miss's do.
                     if e.crc.is_none_or(|crc| crc32(bytes) == crc) {
-                        cache.admit_into_free_space(tid, ahead, compressed(e, bytes), &self.stats);
+                        cache.admit_into_free_space(tid, ahead, compressed(e, bytes));
                     }
                 }
                 (compressed(e, bytes), e.crc)
@@ -1122,6 +1157,81 @@ mod tests {
             Value::Str(String::new()),
         ]);
         assert_eq!(seek(&big.encode_key(&s).unwrap()), nblocks);
+    }
+
+    /// A footer whose blocks end at `last_keys`, in order.
+    fn footer_ending_at(last_keys: &[Vec<u8>]) -> TabletFooter {
+        let entry = |(i, last_key): (usize, &Vec<u8>)| BlockIndexEntry {
+            offset: i as u64,
+            compressed_len: 1,
+            uncompressed_len: 1,
+            crc: None,
+            rows: 1,
+            zones: Vec::new(),
+            last_key: last_key.clone(),
+        };
+        TabletFooter {
+            schema: schema(),
+            min_ts: 0,
+            max_ts: 0,
+            row_count: last_keys.len() as u64,
+            bloom: None,
+            row_blocks: false,
+            blocks: last_keys.iter().enumerate().map(entry).collect(),
+        }
+    }
+
+    /// `blocks_in` is the block-by-block walk it replaced: a block is in
+    /// the span exactly when its last key reaches the range's start and
+    /// the previous block's last key (empty for the first) its end, for
+    /// every bound kind at either end on every probe key.
+    #[test]
+    fn a_span_is_the_blocks_the_reach_checks_keep() {
+        let s = schema();
+        let key = |n: i64, ts: i64| {
+            let row = Row::new(vec![
+                Value::I64(n),
+                Value::Timestamp(ts),
+                Value::Str(String::new()),
+            ]);
+            row.encode_key(&s).unwrap()
+        };
+        // One-row blocks; and blocks ending inside runs of keys that share
+        // their leading component.
+        let one_row: Vec<Vec<u8>> = (0..6).map(|n| key(2 * n, 0)).collect();
+        let runs = [(1, 0), (1, 5), (1, 9), (3, 2), (3, 4), (5, 1)].map(|(n, ts)| key(n, ts));
+        for last_keys in [one_row, runs.to_vec()] {
+            let footer = footer_ending_at(&last_keys);
+            // Before the first key, each last key and each leading
+            // component, between two blocks and after the last.
+            let mut probes = vec![Vec::new(), key(-1, 0)];
+            for last in &last_keys {
+                let mut after = last.clone();
+                after.push(0);
+                probes.extend([last.clone(), after, last[..8].to_vec()]);
+            }
+            let bounds = probes.iter().flat_map(|p| {
+                let kinds = [Bound::Included(p.clone()), Bound::Excluded(p.clone())];
+                kinds.into_iter().chain([Bound::Unbounded])
+            });
+            let bounds: Vec<Bound<Vec<u8>>> = bounds.collect();
+            for start in &bounds {
+                for end in &bounds {
+                    let (start, end) = (start.clone(), end.clone());
+                    let range = KeyRange { start, end };
+                    let span = footer.blocks_in(&range);
+                    for (bi, entry) in footer.blocks.iter().enumerate() {
+                        let prev: &[u8] = match bi {
+                            0 => b"",
+                            _ => &footer.blocks[bi - 1].last_key,
+                        };
+                        let kept = range.span_reaches_start(&entry.last_key)
+                            && range.span_reaches_end(prev);
+                        assert_eq!(span.contains(&bi), kept, "{range:?}, block {bi}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -13,7 +13,13 @@
 #   unresolved    the parent's q3 - q1 exceeds that bound
 #   within bound  any other case
 # (A metric printed without a bound reads "no bound" unless it is a gain.)
-# The verdicts do not change the exit code.
+# Two marks follow a verdict that says little: "(change spread)" a gain or
+# a worse on a metric whose change-side q3 - q1 exceeds its bound, the
+# change's own runs disagreeing by more than the margin judged; and
+# "(n<10)" any verdict drawn from fewer than 10 pairs, which a machine
+# whose runs fall in two speed modes can tip (six `mixed` pairs once read
+# `op_p50_ms` worse for a change with no code on that path). Neither the
+# verdicts nor the marks change the exit code.
 #
 # usage: scripts/bench_pair.sh [--quick] <parent-checkout> <change-checkout> <workload> [pairs=10]
 #
@@ -29,7 +35,7 @@ if [ "${1:-}" = --quick ]; then
     shift
 fi
 if [ $# -lt 3 ]; then
-    sed -n '2,23p' "$0" >&2
+    sed -n '2,29p' "$0" >&2
     exit 2
 fi
 parent=$(cd "$1" && pwd)
@@ -92,15 +98,26 @@ awk -v pairs="$pairs" -v w="$workload" '
             for (j = i; j > 1 && v[j - 1] > v[j]; j--) { t = v[j]; v[j] = v[j - 1]; v[j - 1] = t }
         return n
     }
+    # The bound of metric m, as a difference from the parent median pm.
+    function bound_at(m, pm) {
+        return substr(bounds[m], 1, length(bounds[m]) - 1) / 100 * (pm < 0 ? -pm : pm)
+    }
     # The first verdict that holds, in the order the header lists them.
     function verdict(m, wins, n, pm, pq1, pq3, cm,    gain, bound) {
         gain = better[m] == "lower" ? pm - cm : cm - pm
         if (10 * wins >= 9 * n && gain > pq3 - pq1) return "gain"
         if (bounds[m] !~ /%$/) return "no bound"
-        bound = substr(bounds[m], 1, length(bounds[m]) - 1) / 100 * (pm < 0 ? -pm : pm)
+        bound = bound_at(m, pm)
         if (-gain > bound) return "worse"
         if (pq3 - pq1 > bound) return "unresolved"
         return "within bound"
+    }
+    # The verdict with the marks the header lists.
+    function marked(v, m, n, pm, cq1, cq3) {
+        if ((v == "gain" || v == "worse") && bounds[m] ~ /%$/ && cq3 - cq1 > bound_at(m, pm))
+            v = v " (change spread)"
+        if (n < 10) v = v " (n<10)"
+        return v
     }
     {
         if (!(($2) in better)) order[++metrics] = $2
@@ -121,10 +138,11 @@ awk -v pairs="$pairs" -v w="$workload" '
                 if (better[m] == "lower" ? b < a : b > a) wins++
             }
             pm = quantile(p, n, 0.5); pq1 = quantile(p, n, 0.25); pq3 = quantile(p, n, 0.75)
-            cm = quantile(c, n, 0.5)
+            cm = quantile(c, n, 0.5); cq1 = quantile(c, n, 0.25); cq3 = quantile(c, n, 0.75)
+            v = verdict(m, wins, n, pm, pq1, pq3, cm)
             printf "%-16s %-36s %-36s %-10s %s\n", m, \
                 sprintf("%.6g [%.6g, %.6g]", pm, pq1, pq3), \
-                sprintf("%.6g [%.6g, %.6g]", cm, quantile(c, n, 0.25), quantile(c, n, 0.75)), \
-                wins "/" n, verdict(m, wins, n, pm, pq1, pq3, cm)
+                sprintf("%.6g [%.6g, %.6g]", cm, cq1, cq3), \
+                wins "/" n, marked(v, m, n, pm, cq1, cq3)
         }
     }' "$out/samples.txt"
