@@ -195,7 +195,10 @@ impl<K, V> Default for Shard<K, V> {
 
 impl<K: Clone + Eq + Hash, V> Shard<K, V> {
     /// The entry under `key`, marked recently used.
-    pub(crate) fn touch(&mut self, key: &K) -> Option<&V> {
+    pub(crate) fn touch<Q: Eq + Hash + ?Sized>(&mut self, key: &Q) -> Option<&V>
+    where
+        K: std::borrow::Borrow<Q>,
+    {
         let &idx = self.map.get(key)?;
         let slot = self.slots[idx].as_mut().expect("map points at live slot");
         slot.referenced = true;

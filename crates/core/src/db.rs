@@ -11,10 +11,14 @@
 //! enough that clients create and query hundreds of tables — take the
 //! read lock for one `Arc` clone, and the write lock is only ever held
 //! for a pointer swap, so server worker shards and maintenance sweeps
-//! never wait on DDL's file I/O. `create_table`/`drop_table` serialize
-//! on a small writer mutex and publish copy-on-write snapshots; a
-//! dropped table's `Arc<Table>` stays fully usable by in-flight readers
-//! while every *new* snapshot excludes it.
+//! never wait on DDL's file I/O. DDL serializes on a small writer mutex
+//! and publishes copy-on-write snapshots; a dropped table's `Arc<Table>`
+//! stays fully usable by in-flight readers while every *new* snapshot
+//! excludes it.
+//!
+//! The catalog is the one record of which table rolls up which: a rollup
+//! table's entry holds its [`RollupSpec`], each publish sets the tables'
+//! `rollup_source` flags from it, and a drop cascade is one publish.
 //!
 //! The engine spawns no thread of its own. Maintenance (flush by age,
 //! merge, TTL expiry, rollup folds) runs when a caller asks for it:
@@ -22,6 +26,7 @@
 
 use crate::agg::{scan_groups, AggRows, AggState, Aggregate, Groups, Input};
 use crate::cache::BlockCache;
+use crate::descriptor::DESC_FILE;
 use crate::error::{Error, Result};
 use crate::options::Options;
 use crate::resultcache::{ResultCache, ResultKey};
@@ -31,14 +36,9 @@ use crate::stats::{DbStats, DbStatsSnapshot, TableStats};
 use crate::table::{check_ttl, MaintenanceReport, Table};
 use littletable_vfs::{Clock, Micros, StdVfs, SystemClock, Vfs};
 use parking_lot::{Mutex, RwLock};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashSet};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
-
-/// Returns the parent (database root) of a table directory.
-pub(crate) fn root_of(dir: &str) -> &str {
-    littletable_vfs::parent(dir)
-}
 
 fn valid_table_name(name: &str) -> bool {
     !name.is_empty()
@@ -55,7 +55,35 @@ fn valid_table_name(name: &str) -> bool {
 /// interned as `Arc<str>` so the copy-on-write clone a DDL writer pays
 /// is O(n) refcount bumps, not O(n) string allocations. Sorted by name,
 /// so every sweep visits tables in the same order in every process.
-type Catalog = BTreeMap<Arc<str>, Arc<Table>>;
+type Catalog = BTreeMap<Arc<str>, Entry>;
+
+/// A catalog entry: a table and, when it is a rollup table, its spec.
+#[derive(Clone)]
+struct Entry {
+    table: Arc<Table>,
+    rollup: Option<Arc<RollupSpec>>,
+}
+
+/// `tables`, ready to publish, each table's `rollup_source` flag set to
+/// whether a rollup in `tables` names it: the flag's one writer.
+fn published(tables: Catalog) -> Arc<Catalog> {
+    let specs = tables.values().filter_map(|e| e.rollup.as_ref());
+    let bases: HashSet<&str> = specs.map(|s| s.base.as_str()).collect();
+    for (name, e) in &tables {
+        let source = bases.contains(&**name);
+        e.table.rollup_source.store(source, Ordering::Release);
+    }
+    Arc::new(tables)
+}
+
+/// Deletes a dropped table's files, best-effort, its descriptor first: a
+/// crash part-way leaves no table, only orphan tablet files.
+fn delete_table_files(vfs: &dyn Vfs, dir: &str) {
+    let _ = vfs.remove(&littletable_vfs::join(dir, DESC_FILE));
+    for entry in vfs.list_dir(dir).unwrap_or_default() {
+        let _ = vfs.remove(&littletable_vfs::join(dir, &entry));
+    }
+}
 
 struct DbInner {
     vfs: Arc<dyn Vfs>,
@@ -72,16 +100,11 @@ struct DbInner {
     /// serialized by `catalog_lock`, build the next snapshot off to the
     /// side and hold the write lock only to swap it in.
     catalog: RwLock<Arc<Catalog>>,
-    /// Serializes catalog writers (`create_table`/`drop_table`) — held
-    /// across a drop's file deletion too, so recreating the same name
-    /// cannot interleave with the old directory's teardown.
+    /// Serializes catalog writers (every DDL statement) — held across a
+    /// drop's file deletion too, so recreating the same name cannot
+    /// interleave with the old directory's teardown.
     catalog_lock: Mutex<()>,
     stats: DbStats,
-    /// Registered rollup definitions (each also durably recorded as a
-    /// `ROLLUP` file inside its rollup table's directory). Read by the
-    /// maintenance fold pass and the SQL planner; written only by
-    /// `create_rollup` / `drop_rollup` / `drop_table`.
-    rollups: RwLock<Vec<Arc<RollupSpec>>>,
     /// The query-result cache; it holds nothing when its budget
     /// carve-out is 0.
     result_cache: ResultCache,
@@ -109,7 +132,7 @@ impl Db {
         let result_cache = ResultCache::new(opts.result_cache_budget());
         let mut tables = Catalog::new();
         for entry in vfs.list_dir("").unwrap_or_default() {
-            let desc_path = littletable_vfs::join(&entry, crate::descriptor::DESC_FILE);
+            let desc_path = littletable_vfs::join(&entry, DESC_FILE);
             if !vfs.exists(&desc_path) {
                 continue;
             }
@@ -120,30 +143,26 @@ impl Db {
                 cache.clone(),
                 entry.clone(),
             )?;
-            tables.insert(Arc::from(entry.as_str()), table);
-        }
-        // Recover rollup definitions: a table directory holding a ROLLUP
-        // spec file is a rollup table. Bases get their source flag set
-        // before any maintenance pass can start merging.
-        let mut rollups: Vec<Arc<RollupSpec>> = Vec::new();
-        for (name, table) in &tables {
-            let spec_path = littletable_vfs::join(table.dir(), rollup::SPEC_FILE);
-            if !vfs.exists(&spec_path) {
-                continue;
-            }
-            let spec = RollupSpec::load(vfs.as_ref(), table.dir())?;
-            let dir_name: &str = name;
-            if spec.name != dir_name {
+            // A table directory holding a ROLLUP spec file is a rollup table.
+            let is_rollup = vfs.exists(&littletable_vfs::join(&entry, rollup::SPEC_FILE));
+            let spec = is_rollup.then(|| RollupSpec::load(vfs.as_ref(), &entry));
+            let rollup = spec.transpose()?.map(Arc::new);
+            if let Some(spec) = rollup.as_ref().filter(|s| s.name != entry) {
                 return Err(Error::corrupt(format!(
-                    "rollup spec in {:?} names table {:?}",
-                    name, spec.name
+                    "rollup spec in {entry:?} names table {:?}",
+                    spec.name
                 )));
             }
-            rollups.push(Arc::new(spec));
+            tables.insert(Arc::from(entry.as_str()), Entry { table, rollup });
         }
-        for spec in &rollups {
-            if let Some(base) = tables.get(spec.base.as_str()) {
-                base.set_rollup_source(true);
+        // A rollup without a base is left from an interrupted drop: finish it.
+        let names: Vec<Arc<str>> = tables.keys().cloned().collect();
+        for name in names {
+            let base = tables[&name].rollup.as_ref().map(|s| s.base.as_str());
+            if base.is_some_and(|b| !tables.contains_key(b)) {
+                RollupSpec::remove(vfs.as_ref(), &name)?;
+                tables.remove(&name);
+                delete_table_files(vfs.as_ref(), &name);
             }
         }
         let inner = Arc::new(DbInner {
@@ -151,10 +170,9 @@ impl Db {
             clock,
             opts,
             cache,
-            catalog: RwLock::new(Arc::new(tables)),
+            catalog: RwLock::new(published(tables)),
             catalog_lock: Mutex::new(()),
             stats: DbStats::default(),
-            rollups: RwLock::new(rollups),
             result_cache,
         });
         Ok(Db { inner })
@@ -201,7 +219,7 @@ impl Db {
     /// Publishes `tables` as the new catalog. Callers must hold
     /// `catalog_lock`.
     fn publish_catalog_locked(&self, tables: Catalog) {
-        let old = std::mem::replace(&mut *self.inner.catalog.write(), Arc::new(tables));
+        let old = std::mem::replace(&mut *self.inner.catalog.write(), published(tables));
         // Released here, after the write guard: a superseded catalog may
         // be the last owner of a dropped table.
         drop(old);
@@ -234,17 +252,18 @@ impl Db {
             schema,
             ttl,
         )?;
-        let mut tables = (*snap).clone();
-        tables.insert(Arc::from(name), table.clone());
+        let (mut tables, rollup) = ((*snap).clone(), None);
+        let entry = Entry { table, rollup };
+        tables.insert(Arc::from(name), entry.clone());
         self.publish_catalog_locked(tables);
-        Ok(table)
+        Ok(entry.table)
     }
 
     /// Looks up a table by name in the current catalog snapshot.
     pub fn table(&self, name: &str) -> Result<Arc<Table>> {
         self.load_catalog()
             .get(name)
-            .cloned()
+            .map(|e| e.table.clone())
             .ok_or_else(|| Error::NoSuchTable(name.to_string()))
     }
 
@@ -262,65 +281,37 @@ impl Db {
     /// on a stale handle fail with [`Error::NoSuchTable`], and the name
     /// is free for recreation the moment this returns — the writer lock
     /// is held across the file deletion, so a recreated table can never
-    /// interleave with its predecessor's teardown.
+    /// interleave with its predecessor's teardown. The rollups over a
+    /// base go with it: first their spec files, durably, so a crash
+    /// leaves plain tables at worst, never a rollup of a missing base;
+    /// then one publish; then the teardowns.
     pub fn drop_table(&self, name: &str) -> Result<()> {
-        // If `name` is itself a rollup table, retire its spec first (and
-        // the base's source flag when it was the last rollup over it).
-        let removed_spec: Option<Arc<RollupSpec>> = {
-            let mut reg = self.inner.rollups.write();
-            reg.iter()
-                .position(|s| s.name == name)
-                .map(|i| reg.remove(i))
-        };
-        if let Some(spec) = &removed_spec {
-            if self.rollup_specs_for(&spec.base).is_empty() {
-                if let Ok(base) = self.table(&spec.base) {
-                    base.set_rollup_source(false);
-                }
-            }
-        }
-        // If `name` is a base with rollups, cascade: the derived tables
-        // are meaningless without their source. Specs come out of the
-        // registry before any directory is touched so a concurrent
-        // maintenance pass cannot fold into a table being deleted.
-        let dependents: Vec<Arc<RollupSpec>> = {
-            let mut reg = self.inner.rollups.write();
-            let deps: Vec<_> = reg.iter().filter(|s| s.base == name).cloned().collect();
-            reg.retain(|s| s.base != name);
-            deps
-        };
-        self.drop_table_inner(name)?;
-        for dep in &dependents {
-            // Best-effort: the dependent may already be gone.
-            let _ = self.drop_table_inner(&dep.name);
-        }
-        Ok(())
+        let _writer = self.inner.catalog_lock.lock();
+        self.drop_locked(&self.load_catalog(), name)
     }
 
-    /// Drops exactly one table (no rollup cascade): unpublish, tear down,
-    /// delete files, and flush the result cache's entries for it.
-    fn drop_table_inner(&self, name: &str) -> Result<()> {
-        let _writer = self.inner.catalog_lock.lock();
-        let snap = self.load_catalog();
-        let table = snap
-            .get(name)
-            .cloned()
-            .ok_or_else(|| Error::NoSuchTable(name.to_string()))?;
-        let mut tables = (*snap).clone();
-        tables.remove(name);
-        self.publish_catalog_locked(tables);
-        // Belt and braces: result-cache keys embed the generation, so a
-        // recreated table can never hit the old entries — this just
-        // releases their memory promptly.
-        self.inner
-            .result_cache
-            .invalidate_generation(table.generation());
-        // Stop the table's own write/maintenance machinery (this waits
-        // out any in-flight flush), then delete its files.
-        table.mark_dropped();
-        let dir = table.dir().to_string();
-        for entry in self.inner.vfs.list_dir(&dir).unwrap_or_default() {
-            let _ = self.inner.vfs.remove(&littletable_vfs::join(&dir, &entry));
+    /// [`Db::drop_table`] from `snap`, the current catalog. Callers hold
+    /// `catalog_lock`.
+    fn drop_locked(&self, snap: &Catalog, name: &str) -> Result<()> {
+        let doomed =
+            |n: &str, e: &Entry| n == name || e.rollup.as_ref().is_some_and(|s| s.base == name);
+        let (dropped, kept): (Catalog, Catalog) =
+            snap.clone().into_iter().partition(|(n, e)| doomed(n, e));
+        if !dropped.contains_key(name) {
+            return Err(Error::NoSuchTable(name.to_string()));
+        }
+        let vfs = self.inner.vfs.as_ref();
+        for e in dropped.values() {
+            RollupSpec::remove(vfs, e.table.dir())?;
+        }
+        self.publish_catalog_locked(kept);
+        for Entry { table, .. } in dropped.values() {
+            // Keys embed the generation: this only frees memory sooner.
+            let rc = &self.inner.result_cache;
+            rc.invalidate_generation(table.generation());
+            // Waits out any in-flight flush before the files go.
+            table.mark_dropped();
+            delete_table_files(vfs, table.dir());
         }
         Ok(())
     }
@@ -335,7 +326,9 @@ impl Db {
     /// The current contents of `base` are backfilled before this returns;
     /// thereafter every maintenance pass folds newly flushed tablets. The
     /// rollup's TTL is the base's TTL plus one period, so a bucket
-    /// outlives the youngest raw row that contributed to it.
+    /// outlives the youngest raw row that contributed to it. When the
+    /// backfill fails, or `base` is no longer the incarnation it read,
+    /// the new table is dropped again.
     pub fn create_rollup(
         &self,
         name: &str,
@@ -345,7 +338,7 @@ impl Db {
         distinct_cols: Vec<String>,
     ) -> Result<Arc<Table>> {
         let base_table = self.table(base)?;
-        if self.inner.rollups.read().iter().any(|s| s.name == base) {
+        if self.list_rollups().iter().any(|s| s.name == base) {
             return Err(Error::invalid("cannot create a rollup over a rollup"));
         }
         let spec = Arc::new(RollupSpec {
@@ -358,51 +351,59 @@ impl Db {
         let schema = rollup::rollup_schema(&base_table.schema(), &spec)?;
         let ttl = base_table.ttl().map(|t| t.saturating_add(period));
         let table = self.create_table(name, schema, ttl)?;
-        // Backfill every existing disk tablet into *all* of the base's
-        // rollups (already-folded pairs are rejected as duplicates), so
-        // the rolled_up marks this fold commits stay truthful for the
-        // new spec too. A crash before the spec file lands leaves an
-        // orphan plain table and an unfolded base — re-running CREATE
-        // ROLLUP after dropping the orphan recovers.
-        let mut targets = self.rollup_targets_for(base)?;
+        // Backfill every disk tablet into *all* the base's rollups (folded
+        // pairs are rejected as duplicates), so the rolled_up marks stay
+        // true for the new spec too. A crash before the spec file lands
+        // leaves a plain table, to drop before CREATE ROLLUP is retried.
+        let mut targets = self.rollup_targets_for(&base_table);
         targets.push((spec.clone(), table.clone()));
         let backfill = base_table
             .flush_all()
             .and_then(|()| rollup::fold_base(&base_table, &targets, true));
-        if let Err(e) = backfill {
-            let _ = self.drop_table_inner(name);
+        let _writer = self.inner.catalog_lock.lock();
+        let snap = self.load_catalog();
+        let live = |n: &str, t: &Table| match snap.get(n) {
+            Some(e) if e.table.generation() == t.generation() => Ok(()),
+            _ => Err(Error::NoSuchTable(n.to_string())),
+        };
+        let attached = backfill.and_then(|_| live(base, &base_table));
+        let attached = attached.and_then(|()| live(name, &table));
+        let attached = attached.and_then(|()| spec.save(self.inner.vfs.as_ref(), table.dir()));
+        if let Err(e) = attached {
+            if live(name, &table).is_ok() {
+                let _ = self.drop_locked(&snap, name);
+            }
             return Err(e);
         }
-        spec.save(self.inner.vfs.as_ref(), table.dir())?;
-        self.inner.rollups.write().push(spec);
-        base_table.set_rollup_source(true);
-        Ok(table)
+        let (mut tables, rollup) = ((*snap).clone(), Some(spec));
+        let entry = Entry { table, rollup };
+        tables.insert(Arc::from(name), entry.clone());
+        self.publish_catalog_locked(tables);
+        Ok(entry.table)
     }
 
-    /// Drops a rollup table and unregisters its definition. The base
-    /// table is untouched (and becomes freely mergeable again when this
-    /// was its last rollup).
+    /// Drops a rollup table and its definition; the base is untouched, and
+    /// mergeable again when this was its last rollup.
     pub fn drop_rollup(&self, name: &str) -> Result<()> {
-        if !self.inner.rollups.read().iter().any(|s| s.name == name) {
+        let _writer = self.inner.catalog_lock.lock();
+        let snap = self.load_catalog();
+        if snap.get(name).is_none_or(|e| e.rollup.is_none()) {
             return Err(Error::invalid(format!("no such rollup {name:?}")));
         }
-        self.drop_table(name)
+        self.drop_locked(&snap, name)
     }
 
-    /// The registered rollup definitions over `base`.
+    /// The rollup definitions over `base`, in name order.
     pub fn rollup_specs_for(&self, base: &str) -> Vec<Arc<RollupSpec>> {
-        self.inner
-            .rollups
-            .read()
-            .iter()
-            .filter(|s| s.base == base)
-            .cloned()
-            .collect()
+        let mut specs = self.list_rollups();
+        specs.retain(|s| s.base == base);
+        specs
     }
 
-    /// Every registered rollup definition.
+    /// Every rollup definition, in name order.
     pub fn list_rollups(&self) -> Vec<Arc<RollupSpec>> {
-        self.inner.rollups.read().clone()
+        let snap = self.load_catalog();
+        snap.values().filter_map(|e| e.rollup.clone()).collect()
     }
 
     /// Answers `q` over `t`: per group, its values then its finished
@@ -449,26 +450,14 @@ impl Db {
         Ok(rows)
     }
 
-    /// Resolves `base`'s rollup specs to `(spec, rollup table)` pairs.
-    fn rollup_targets_for(&self, base: &str) -> Result<Vec<(Arc<RollupSpec>, Arc<Table>)>> {
-        let mut out = Vec::new();
-        for spec in self.rollup_specs_for(base) {
-            let table = self.table(&spec.name)?;
-            out.push((spec, table));
-        }
-        Ok(out)
-    }
-
-    /// Folds `base`'s not-yet-rolled-up tablets into its rollups.
-    fn fold_table(&self, base: &str) -> Result<usize> {
-        let targets = self.rollup_targets_for(base)?;
-        if targets.is_empty() {
-            return Ok(0);
-        }
-        let Ok(base_table) = self.table(base) else {
-            return Ok(0);
-        };
-        rollup::fold_base(&base_table, &targets, false)
+    /// `base`'s rollups with their tables, from one catalog snapshot;
+    /// none when `base` is no longer the catalog's table of its name.
+    pub(crate) fn rollup_targets_for(&self, base: &Table) -> Vec<(Arc<RollupSpec>, Arc<Table>)> {
+        let snap = self.load_catalog();
+        let live = snap.get(base.name()).map(|e| e.table.generation()) == Some(base.generation());
+        let spec = |e: &Entry| e.rollup.clone().filter(|s| live && s.base == base.name());
+        let pair = |e: &Entry| Some((spec(e)?, e.table.clone()));
+        snap.values().filter_map(pair).collect()
     }
 
     /// Runs [`Db::maintain_table`]'s pass over every table, in name
@@ -480,8 +469,8 @@ impl Db {
     pub fn maintain(&self) -> Result<MaintenanceReport> {
         let mut total = MaintenanceReport::default();
         let mut first_err = None;
-        for t in self.load_catalog().values() {
-            match self.maintain_one(t) {
+        for Entry { table, .. } in self.load_catalog().values() {
+            match self.maintain_one(table) {
                 Ok(r) => {
                     total.sealed_by_age += r.sealed_by_age;
                     total.groups_flushed += r.groups_flushed;
@@ -559,7 +548,7 @@ impl Db {
         };
         maintained
             .and_then(|mut report| {
-                report.tablets_folded = self.fold_table(t.name())?;
+                report.tablets_folded = rollup::fold_base(t, &self.rollup_targets_for(t), false)?;
                 Ok(report)
             })
             .inspect_err(|_| TableStats::add(&t.stats().maintenance_errors, 1))
@@ -577,8 +566,8 @@ impl Db {
     /// when the process ends are lost — they would be re-collected from
     /// the devices after a restart — so a polite shutdown calls this.
     pub fn flush_all(&self) -> Result<()> {
-        for t in self.load_catalog().values() {
-            t.flush_all()?;
+        for Entry { table, .. } in self.load_catalog().values() {
+            table.flush_all()?;
         }
         Ok(())
     }

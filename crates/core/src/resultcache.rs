@@ -39,6 +39,7 @@ use crate::value::Value;
 use littletable_vfs::Micros;
 use parking_lot::Mutex;
 use std::ops::Bound;
+use std::sync::Arc;
 
 /// Everything that identifies a cached answer: the table's incarnation
 /// and write position, and the question as the scan reads it. Equal keys
@@ -120,7 +121,8 @@ fn charge(key: &ResultKey, rows: &[Vec<Value>]) -> usize {
 /// call concurrently.
 pub(crate) struct ResultCache {
     budget: usize,
-    inner: Mutex<Shard<ResultKey, AggRows>>,
+    /// The map and the slot share each key's one copy, which [`charge`] counts.
+    inner: Mutex<Shard<Arc<ResultKey>, AggRows>>,
 }
 
 impl ResultCache {
@@ -150,7 +152,7 @@ impl ResultCache {
             // Cannot fail: `charge <= budget`, and an emptied slab holds
             // nothing.
             inner.evict_until_fits(charge, self.budget, &mut Vec::new());
-            inner.insert(key, rows, charge);
+            inner.insert(Arc::new(key), rows, charge);
         }
     }
 
@@ -161,7 +163,7 @@ impl ResultCache {
     /// promptly.
     pub(crate) fn invalidate_generation(&self, generation: u64) {
         let mut inner = self.inner.lock();
-        let doomed: Vec<ResultKey> = inner
+        let doomed: Vec<Arc<ResultKey>> = inner
             .keys()
             .filter(|k| k.generation == generation)
             .cloned()
@@ -244,6 +246,27 @@ mod tests {
         c.put(key(1, 1, "big"), rows(1000));
         assert_eq!(c.entries(), 0);
         assert_eq!(bytes(&c), 0);
+    }
+
+    /// The map and the slot hold one shared copy of a key, and an
+    /// eviction or an invalidation lets go of both.
+    #[test]
+    fn a_resident_key_is_stored_once() {
+        let c = ResultCache::new(charge(&key(1, 1, "a"), &rows(1)));
+        let resident = |c: &ResultCache| {
+            let inner = c.inner.lock();
+            let k = inner.keys().next().expect("one answer resident");
+            assert_eq!(Arc::strong_count(k), 2, "the map's and the slot's");
+            k.clone()
+        };
+        c.put(key(1, 1, "a"), rows(1));
+        let a = resident(&c);
+        c.put(key(2, 1, "b"), rows(1));
+        assert_eq!(Arc::strong_count(&a), 1, "evicted");
+        let b = resident(&c);
+        c.invalidate_generation(2);
+        assert_eq!(Arc::strong_count(&b), 1, "invalidated");
+        assert_eq!(c.entries(), 0);
     }
 
     #[test]

@@ -34,7 +34,8 @@
 //! identity is the idempotency key, a base table feeding rollups only
 //! merges tablets that are already rolled up
 //! (see `Table::rollup_source`) — merging first would re-chunk rows and
-//! double-count them on the refold.
+//! double-count them on the refold. The database's catalog publish, its
+//! one writer, sets it from the rollup specs the catalog's entries hold.
 //!
 //! # Serving
 //!
@@ -151,6 +152,16 @@ impl RollupSpec {
     /// Durably writes the spec into the rollup table's directory.
     pub(crate) fn save(&self, vfs: &dyn Vfs, dir: &str) -> Result<()> {
         SPEC.save(vfs, dir, &self.encode())
+    }
+
+    /// Durably removes the spec file, if any, leaving a plain table.
+    pub(crate) fn remove(vfs: &dyn Vfs, dir: &str) -> Result<()> {
+        let path = littletable_vfs::join(dir, SPEC_FILE);
+        if vfs.exists(&path) {
+            vfs.remove(&path)?;
+            vfs.sync_dir(dir)?;
+        }
+        Ok(())
     }
 
     /// Loads a spec from a rollup table's directory.
@@ -420,16 +431,10 @@ pub(crate) fn serve(
     // rows; the low-end scan re-applies the TTL filter row by row instead.
     let cutoff = ttl_horizon(base.ttl(), db.now());
     let watermark = base.rollup_watermark();
-    let mut specs = db.rollup_specs_for(base.name());
-    specs.sort_by_key(|s| std::cmp::Reverse(s.period));
-    for spec in specs {
-        if spec.period <= 0 {
-            continue;
-        }
+    let mut targets = db.rollup_targets_for(base);
+    targets.sort_by_key(|(s, _)| std::cmp::Reverse(s.period));
+    for (spec, rtable) in targets {
         let Some((group_specs, agg_specs)) = partial_exprs(&schema, &spec, input)? else {
-            continue;
-        };
-        let Ok(rtable) = db.table(&spec.name) else {
             continue;
         };
         let Some((r_lo, r_hi)) = whole_buckets(spec.period, q_lo.max(cutoff), q_hi, watermark)

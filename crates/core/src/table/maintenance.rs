@@ -430,7 +430,7 @@ impl Table {
     pub fn run_merge_once(&self, now: Micros) -> Result<bool> {
         let picked = self.merge_slot(|st| {
             let mut metas = st.metas();
-            if self.rollup_source.load(Ordering::Acquire) {
+            if self.is_rollup_source() {
                 // Tablets not yet folded into every rollup must keep their
                 // identity (fold idempotency is keyed on tablet id), so the
                 // merger only considers rolled-up tablets here; the fold

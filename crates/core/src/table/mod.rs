@@ -147,8 +147,8 @@ pub struct Table {
     /// result-cache entries embed it so a drop/recreate cycle can never
     /// serve a previous incarnation's rows.
     generation: u64,
-    /// True when at least one rollup table is registered over this table;
-    /// restricts merging to rolled-up tablets (see `run_merge_once`).
+    /// True when a rollup names this table as its base, which restricts
+    /// merging to rolled-up tablets; written by the catalog's publish.
     pub(crate) rollup_source: AtomicBool,
 }
 
@@ -179,7 +179,7 @@ impl Table {
         vfs.mkdir_all(&name)?;
         let desc = TableDescriptor::new(schema, ttl);
         desc.save(vfs.as_ref(), &name)?;
-        vfs.sync_dir(crate::db::root_of(&name))?;
+        vfs.sync_dir(littletable_vfs::parent(&name))?;
         let (stats, disk) = (Arc::default(), Vec::new());
         Ok(Table::assemble(
             vfs, clock, opts, cache, stats, name, desc, disk,
@@ -405,10 +405,10 @@ impl Table {
         lows.min().unwrap_or(Micros::MAX)
     }
 
-    /// Marks this table as feeding at least one rollup table, which
-    /// restricts merging to already-folded tablets.
-    pub(crate) fn set_rollup_source(&self, on: bool) {
-        self.rollup_source.store(on, Ordering::Release);
+    /// True when some rollup in the database's catalog names this table
+    /// as its base, which restricts merging to already-folded tablets.
+    pub fn is_rollup_source(&self) -> bool {
+        self.rollup_source.load(Ordering::Acquire)
     }
 
     /// On-disk tablets that have not yet been folded into the registered

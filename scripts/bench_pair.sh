@@ -26,7 +26,9 @@
 # --quick runs the small sizes: numbers that mean nothing, from every
 # line of this script. The build directories are kept, under the change
 # checkout's target/bench_pair/, so a second invocation only rebuilds what
-# moved. A run that fails an operation or a check stops the script.
+# moved; so are the per-pair samples, one samples-<workload>.txt per
+# workload, which the next invocation on that workload overwrites. A run
+# that fails an operation or a check stops the script.
 set -eu
 
 quick=
@@ -35,7 +37,7 @@ if [ "${1:-}" = --quick ]; then
     shift
 fi
 if [ $# -lt 3 ]; then
-    sed -n '2,29p' "$0" >&2
+    sed -n '2,31p' "$0" >&2
     exit 2
 fi
 parent=$(cd "$1" && pwd)
@@ -71,14 +73,15 @@ run() {
 }
 
 base=$(date +%s)
-: >"$out/samples.txt"
+samples=$out/samples-$workload.txt
+: >"$samples"
 i=0
 while [ "$i" -lt "$pairs" ]; do
     seed=$((base + i))
     if [ $((i % 2)) -eq 0 ]; then order="parent change"; else order="change parent"; fi
     echo "pair $((i + 1))/$pairs: seed $seed, $order" >&2
     for side in $order; do
-        run "$side" "$seed" >>"$out/samples.txt"
+        run "$side" "$seed" >>"$samples"
     done
     i=$((i + 1))
 done
@@ -145,4 +148,4 @@ awk -v pairs="$pairs" -v w="$workload" '
                 sprintf("%.6g [%.6g, %.6g]", cm, cq1, cq3), \
                 wins "/" n, marked(v, m, n, pm, cq1, cq3)
         }
-    }' "$out/samples.txt"
+    }' "$samples"

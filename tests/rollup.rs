@@ -9,11 +9,21 @@
 //!    and `rows_materialized` stay flat while `rollup_hits` advances);
 //! 2. a cached result is never served after an insert that overlaps its
 //!    bounding box — the cache key pins the table's `insert_seq`.
+//!
+//! Beside them, the catalog's rollup bookkeeping: a drop cut short, on
+//! the simulated disk and killed at every op on a real one, leaves no
+//! rollup that can answer for a recreated base, and seeded DDL sequences
+//! keep the catalog as a model says.
 
+use littletable::core::rollup::RollupSpec;
 use littletable::proto::{Request, Response};
 use littletable::server::handle_request;
-use littletable::vfs::{SimClock, SimVfs};
-use littletable::{Db, Options, Session, SqlOutput, Value};
+use littletable::vfs::{join, FaultPlan, FaultVfs, SimClock, SimVfs, StdVfs, Vfs};
+use littletable::{Db, Options, Query, Session, SqlOutput, Value};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+use std::collections::BTreeMap;
+use std::path::PathBuf;
 use std::sync::Arc;
 
 const START: i64 = 1_700_000_000_000_000;
@@ -247,4 +257,302 @@ fn rollup_ddl_over_the_wire() {
         Response::Ok
     );
     assert!(db.table("m_1h").is_err());
+}
+
+/// The bucket at or before START.
+const B0: i64 = START - START.rem_euclid(HOUR);
+
+/// Creates `m (sensor, ts, v)` and loads 6 hours × 12 samples of `v`,
+/// one table write, flushed.
+fn load_m(s: &Session, v: i64) {
+    s.execute("CREATE TABLE m (sensor INT64, ts TIMESTAMP, v INT64, PRIMARY KEY (sensor, ts))")
+        .unwrap();
+    let rows = (0..72i64).map(|i| {
+        let ts = START + (i / 12) * HOUR + (i % 12) * 60_000_000;
+        vec![Value::I64(1), Value::Timestamp(ts), Value::I64(v)]
+    });
+    s.db().table("m").unwrap().insert(rows.collect()).unwrap();
+    s.db().flush_all().unwrap();
+}
+
+/// `m` at `v = 1000`, rolled up hourly with SUM/MIN/MAX on `v`.
+fn seed_thousands(s: &Session) {
+    load_m(s, 1000);
+    s.execute("CREATE ROLLUP m_1h ON m PERIOD '1h' AGGREGATE (v)")
+        .unwrap();
+}
+
+/// `m`'s hourly `SUM(v), COUNT(*)` over its six hours.
+fn hourly(s: &Session) -> Vec<Vec<Value>> {
+    rows(
+        s.execute(&format!(
+            "SELECT TIME_BUCKET(ts, INTERVAL '1h'), SUM(v), COUNT(*) FROM m \
+             WHERE ts >= {B0} AND ts < {} GROUP BY TIME_BUCKET(ts, INTERVAL '1h')",
+            B0 + 7 * HOUR
+        ))
+        .unwrap(),
+    )
+}
+
+/// `(ts, v)` rows folded into `width`-wide buckets: per bucket, in
+/// order, its start, `SUM(v)` and `COUNT(*)`.
+fn bucket_sums(rows: impl IntoIterator<Item = (i64, i64)>, width: i64) -> Vec<Vec<Value>> {
+    let mut sums: BTreeMap<i64, (i64, i64)> = BTreeMap::new();
+    for (ts, v) in rows {
+        let e = sums.entry(ts - ts.rem_euclid(width)).or_default();
+        *e = (e.0 + v, e.1 + 1);
+    }
+    let row = |(b, (sum, n))| vec![Value::Timestamp(b), Value::I64(sum), Value::I64(n)];
+    sums.into_iter().map(row).collect()
+}
+
+/// No listed rollup names a missing base, and the merge flag is set on
+/// exactly the tables some rollup names.
+fn assert_rollups_have_bases(db: &Db) {
+    let rollups = db.list_rollups();
+    for spec in &rollups {
+        assert!(
+            db.table(&spec.base).is_ok(),
+            "rollup {:?} lists missing base {:?}",
+            spec.name,
+            spec.base
+        );
+    }
+    for name in db.list_tables() {
+        let named = rollups.iter().any(|s| s.base == name);
+        let flagged = db.table(&name).unwrap().is_rollup_source();
+        assert_eq!(flagged, named, "merge flag of {name:?}");
+    }
+}
+
+/// Recreates `m` at `v = 1`, folds, and checks that every hour reads
+/// the new rows only.
+fn assert_recreated_m_answers_for_itself(s: &Session) {
+    load_m(s, 1);
+    s.db().maintain().unwrap();
+    let got = hourly(s);
+    let want: Vec<Vec<Value>> = (0..6)
+        .map(|h| {
+            vec![
+                Value::Timestamp(B0 + h * HOUR),
+                Value::I64(12),
+                Value::I64(12),
+            ]
+        })
+        .collect();
+    assert_eq!(got, want, "a recreated m answered with another's rows");
+}
+
+/// Base `m`'s files gone and its rollup's left, as a drop cut short
+/// between the two leaves them. The reopened catalog lists no rollup
+/// without a base, and a recreated `m` — whose tablet ids restart at 1,
+/// so its partials would collide with the leftover's — answers from its
+/// own rows.
+#[test]
+fn an_interrupted_drop_cannot_answer_for_a_recreated_base() {
+    let (s, vfs, clock) = open();
+    seed_thousands(&s);
+    drop(s);
+    for file in vfs.list_dir("m").unwrap() {
+        vfs.remove(&join("m", &file)).unwrap();
+    }
+    let db = Db::open(
+        Arc::new(vfs.clone()),
+        Arc::new(clock.clone()),
+        Options::small_for_tests(),
+    )
+    .unwrap();
+    assert_rollups_have_bases(&db);
+    assert_recreated_m_answers_for_itself(&Session::new(db));
+}
+
+/// `drop_table("m")` over `m_1h`, killed at each of its I/O operations
+/// in turn on a real file system, then restarted: no rollup outlives its
+/// base, the merge flag marks exactly the bases, a surviving `m`
+/// answers as a fold of the rows it holds, and a recreated one answers
+/// for itself.
+#[test]
+fn a_drop_cascade_killed_at_every_op_recovers() {
+    let root = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("lt-rollup-drop-kill");
+    let _ = std::fs::remove_dir_all(&root);
+    let clock = SimClock::new(START);
+    let open_on = |vfs: &FaultVfs<StdVfs>| {
+        let opts = Options::small_for_tests();
+        Db::open(Arc::new(vfs.clone()), Arc::new(clock.clone()), opts).unwrap()
+    };
+    let bed = |dir: &str| {
+        let vfs = FaultVfs::new(StdVfs::new(root.join(dir)).unwrap());
+        let db = open_on(&vfs);
+        seed_thousands(&Session::new(db.clone()));
+        (vfs, db)
+    };
+    let ops = {
+        let (vfs, db) = bed("count");
+        let before = vfs.op_count();
+        db.drop_table("m").unwrap();
+        vfs.op_count() - before
+    };
+    assert!(ops >= 4, "the drop took only {ops} ops");
+    for k in 0..ops {
+        let (vfs, db) = bed(&format!("kill-{k}"));
+        vfs.set_fault_plan(FaultPlan::crash_at(vfs.op_count() + k));
+        let _ = db.drop_table("m");
+        assert_eq!(vfs.faults_injected(), 1, "kill at op {k} never fired");
+        drop(db);
+        vfs.clear_fault_plan();
+        vfs.reboot();
+        let s = Session::new(open_on(&vfs));
+        assert_rollups_have_bases(s.db());
+        let Ok(m) = s.db().table("m") else {
+            assert_recreated_m_answers_for_itself(&s);
+            continue;
+        };
+        let held = m.query_all(&Query::all()).unwrap().into_iter().map(|row| {
+            match (&row.values[1], &row.values[2]) {
+                (Value::Timestamp(ts), Value::I64(v)) => (*ts, *v),
+                _ => panic!("bad row {row:?}"),
+            }
+        });
+        let want = bucket_sums(held, HOUR);
+        let hits = m.stats().snapshot().rollup_hits;
+        assert_eq!(hourly(&s), want, "kill at op {k}");
+        let served = m.stats().snapshot().rollup_hits - hits;
+        let rolled = !s.db().rollup_specs_for("m").is_empty();
+        assert_eq!(served, u64::from(rolled), "kill at op {k}: rollup hits");
+    }
+    std::fs::remove_dir_all(&root).unwrap();
+}
+
+/// Seeded random sequences of create table, create rollup, drop rollup,
+/// drop and recreate base, insert, flush and `maintain`, against a model
+/// of the catalog: after every step the table and rollup listings, each
+/// base's specs and every table's merge flag match it, and a
+/// rollup-servable `SUM` over each base equals the fold of its rows.
+#[test]
+fn ddl_sequences_keep_the_catalog_as_modelled() {
+    const BASES: [&str; 2] = ["a", "b"];
+    let mut served = 0;
+    for seed in 0..6u64 {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let (s, _, clock) = open();
+        let db = s.db().clone();
+        // Table name -> the base it rolls up, or None for a base.
+        let mut model: BTreeMap<String, Option<String>> = BTreeMap::new();
+        // Each base's rows, as (ts, v).
+        let mut data: BTreeMap<String, Vec<(i64, i64)>> = BTreeMap::new();
+        let mut next_ts = START;
+        for step in 0..60 {
+            let base = BASES[rng.gen_range(0..BASES.len())];
+            let hours = rng.gen_range(1..3i64);
+            let rollup = format!("{base}_{hours}h");
+            let is_base = model.get(base) == Some(&None);
+            let ctx = format!("seed {seed} step {step}");
+            match rng.gen_range(0..9) {
+                0 => {
+                    let made = s.execute(&format!(
+                        "CREATE TABLE {base} (sensor INT64, ts TIMESTAMP, v INT64, \
+                         PRIMARY KEY (sensor, ts))"
+                    ));
+                    assert_eq!(made.is_ok(), !model.contains_key(base), "{ctx}");
+                    model.entry(base.into()).or_insert(None);
+                    data.entry(base.into()).or_default();
+                }
+                1 => {
+                    let made = s.execute(&format!(
+                        "CREATE ROLLUP {rollup} ON {base} PERIOD '{hours}h' AGGREGATE (v)"
+                    ));
+                    let fits = is_base && !model.contains_key(&rollup);
+                    assert_eq!(made.is_ok(), fits, "{ctx}: {made:?}");
+                    if fits {
+                        model.insert(rollup, Some(base.into()));
+                    }
+                }
+                2 => {
+                    let over = model.keys().find(|n| model[*n].is_some()).cloned();
+                    let name = over.unwrap_or(rollup);
+                    let made = s.execute(&format!("CREATE ROLLUP {name}_r ON {name} PERIOD '1h'"));
+                    assert!(made.is_err(), "{ctx}: a rollup over {name:?}");
+                }
+                3 => {
+                    let dropped = s.execute(&format!("DROP ROLLUP {rollup}"));
+                    let was = matches!(model.get(&rollup), Some(Some(_)));
+                    assert_eq!(dropped.is_ok(), was, "{ctx}");
+                    if was {
+                        model.remove(&rollup);
+                    }
+                }
+                4 => {
+                    let dropped = db.drop_table(base);
+                    assert_eq!(dropped.is_ok(), is_base, "{ctx}");
+                    if is_base {
+                        model.retain(|n, b| n != base && b.as_deref() != Some(base));
+                        data.remove(base);
+                    }
+                }
+                5 | 6 if is_base => {
+                    let n = rng.gen_range(1..30);
+                    let mut rows = Vec::new();
+                    for _ in 0..n {
+                        let v = rng.gen_range(-50..50i64);
+                        rows.push(vec![
+                            Value::I64(1),
+                            Value::Timestamp(next_ts),
+                            Value::I64(v),
+                        ]);
+                        data.get_mut(base).unwrap().push((next_ts, v));
+                        next_ts += 7 * 60_000_000;
+                    }
+                    db.table(base).unwrap().insert(rows).unwrap();
+                }
+                7 => db.flush_all().unwrap(),
+                _ => {
+                    clock.advance(HOUR);
+                    db.maintain().unwrap();
+                }
+            }
+            let tables: Vec<String> = model.keys().cloned().collect();
+            assert_eq!(db.list_tables(), tables, "{ctx}");
+            let rollups = |of: Option<&str>| -> Vec<(String, String)> {
+                let over = model
+                    .iter()
+                    .filter_map(|(n, b)| Some((n.clone(), b.clone()?)));
+                over.filter(|(_, b)| of.is_none_or(|of| of == b)).collect()
+            };
+            let pairs = |specs: Vec<Arc<RollupSpec>>| -> Vec<(String, String)> {
+                let mut pairs: Vec<_> = specs
+                    .iter()
+                    .map(|s| (s.name.clone(), s.base.clone()))
+                    .collect();
+                pairs.sort();
+                pairs
+            };
+            assert_eq!(pairs(db.list_rollups()), rollups(None), "{ctx}");
+            for base in BASES {
+                let specs = pairs(db.rollup_specs_for(base));
+                assert_eq!(specs, rollups(Some(base)), "{ctx}");
+            }
+            for name in &tables {
+                let named = model.values().any(|b| b.as_deref() == Some(name));
+                let flagged = db.table(name).unwrap().is_rollup_source();
+                assert_eq!(flagged, named, "{ctx}: merge flag of {name:?}");
+            }
+            for (base, rows_of) in &data {
+                let t = db.table(base).unwrap();
+                for hours in [1, 2] {
+                    let want = bucket_sums(rows_of.iter().copied(), hours * HOUR);
+                    let hits = t.stats().snapshot().rollup_hits;
+                    let got = rows(
+                        s.execute(&format!(
+                            "SELECT TIME_BUCKET(ts, INTERVAL '{hours}h'), SUM(v), COUNT(*) \
+                             FROM {base} GROUP BY TIME_BUCKET(ts, INTERVAL '{hours}h')"
+                        ))
+                        .unwrap(),
+                    );
+                    assert_eq!(got, want, "{ctx}: {hours}h sums of {base:?}");
+                    served += t.stats().snapshot().rollup_hits - hits;
+                }
+            }
+        }
+    }
+    assert!(served > 0, "no sum was ever served from a rollup");
 }
