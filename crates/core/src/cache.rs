@@ -1412,7 +1412,7 @@ pub(crate) mod tests {
         table.flush_all().unwrap();
         let cache = db.block_cache();
         assert_eq!(cache.upper.len(), 8);
-        let tablets = table.unfolded_tablets(true);
+        let tablets = table.disk_tablets(false);
         assert_eq!(tablets.len(), 1);
         let reader = &tablets[0].1;
         let charge = reader.footer().unwrap().approx_byte_size();

@@ -3,7 +3,8 @@
 //! LittleTable runs as an independent server process (§3.1); this type is
 //! the embeddable engine behind it. Opening a database scans the root for
 //! table directories, loads each descriptor, and deletes any tablet files
-//! a crash left uncommitted.
+//! a crash left uncommitted — every file of a directory with no
+//! descriptor.
 //!
 //! The table catalog is published the same way each table publishes its
 //! tablet set: an immutable `Catalog` in an `RwLock<Arc<_>>`.
@@ -18,7 +19,8 @@
 //!
 //! The catalog is the one record of which table rolls up which: a rollup
 //! table's entry holds its [`RollupSpec`], each publish sets the tables'
-//! `rollup_source` flags from it, and a drop cascade is one publish.
+//! `rollup_source` flags from it, and a drop cascade is one publish. So is
+//! `CREATE ROLLUP`, under the writer lock and then the base's slot.
 //!
 //! The engine spawns no thread of its own. Maintenance (flush by age,
 //! merge, TTL expiry, rollup folds) runs when a caller asks for it:
@@ -121,6 +123,8 @@ impl Db {
     /// store, recovering every table found under the root: each table's
     /// descriptor is loaded, the tablet files it does not list are
     /// deleted, and those that fail validation are quarantined. A
+    /// directory with no descriptor holds no table, and its files are
+    /// deleted. A
     /// descriptor that does not decode fails the open before any of its
     /// table's tablet files is deleted or set aside — among them one that
     /// places a tablet in a cold store, which this engine does not have.
@@ -134,6 +138,9 @@ impl Db {
         for entry in vfs.list_dir("").unwrap_or_default() {
             let desc_path = littletable_vfs::join(&entry, DESC_FILE);
             if !vfs.exists(&desc_path) {
+                // No table: a drop cut short after its descriptor went, or a
+                // create before its descriptor landed, left these files.
+                delete_table_files(vfs.as_ref(), &entry);
                 continue;
             }
             let table = Table::open(
@@ -234,12 +241,22 @@ impl Db {
         schema: Schema,
         ttl: Option<Micros>,
     ) -> Result<Arc<Table>> {
+        let _writer = self.inner.catalog_lock.lock();
+        self.create_locked(&self.load_catalog(), name, schema, ttl)
+    }
+
+    /// [`Db::create_table`] over `snap`, under `catalog_lock`.
+    fn create_locked(
+        &self,
+        snap: &Catalog,
+        name: &str,
+        schema: Schema,
+        ttl: Option<Micros>,
+    ) -> Result<Arc<Table>> {
         if !valid_table_name(name) {
             return Err(Error::invalid(format!("invalid table name {name:?}")));
         }
         check_ttl(ttl)?;
-        let _writer = self.inner.catalog_lock.lock();
-        let snap = self.load_catalog();
         if snap.contains_key(name) {
             return Err(Error::TableExists(name.to_string()));
         }
@@ -252,7 +269,7 @@ impl Db {
             schema,
             ttl,
         )?;
-        let (mut tables, rollup) = ((*snap).clone(), None);
+        let (mut tables, rollup) = (snap.clone(), None);
         let entry = Entry { table, rollup };
         tables.insert(Arc::from(name), entry.clone());
         self.publish_catalog_locked(tables);
@@ -326,9 +343,9 @@ impl Db {
     /// The current contents of `base` are backfilled before this returns;
     /// thereafter every maintenance pass folds newly flushed tablets. The
     /// rollup's TTL is the base's TTL plus one period, so a bucket
-    /// outlives the youngest raw row that contributed to it. When the
-    /// backfill fails, or `base` is no longer the incarnation it read,
-    /// the new table is dropped again.
+    /// outlives the youngest raw row that contributed to it. One
+    /// transaction under the writer lock and the base's slot (see
+    /// [`crate::rollup`]); on failure the new table is dropped again.
     pub fn create_rollup(
         &self,
         name: &str,
@@ -337,10 +354,13 @@ impl Db {
         value_cols: Vec<String>,
         distinct_cols: Vec<String>,
     ) -> Result<Arc<Table>> {
-        let base_table = self.table(base)?;
-        if self.list_rollups().iter().any(|s| s.name == base) {
+        let _writer = self.inner.catalog_lock.lock();
+        let snap = self.load_catalog();
+        let base_entry = snap.get(base).ok_or(Error::NoSuchTable(base.to_string()))?;
+        if base_entry.rollup.is_some() {
             return Err(Error::invalid("cannot create a rollup over a rollup"));
         }
+        let base_table = base_entry.table.clone();
         let spec = Arc::new(RollupSpec {
             name: name.to_string(),
             base: base.to_string(),
@@ -350,29 +370,22 @@ impl Db {
         });
         let schema = rollup::rollup_schema(&base_table.schema(), &spec)?;
         let ttl = base_table.ttl().map(|t| t.saturating_add(period));
-        let table = self.create_table(name, schema, ttl)?;
-        // Backfill every disk tablet into *all* the base's rollups (folded
-        // pairs are rejected as duplicates), so the rolled_up marks stay
-        // true for the new spec too. A crash before the spec file lands
-        // leaves a plain table, to drop before CREATE ROLLUP is retried.
-        let mut targets = self.rollup_targets_for(&base_table);
-        targets.push((spec.clone(), table.clone()));
-        let backfill = base_table
-            .flush_all()
-            .and_then(|()| rollup::fold_base(&base_table, &targets, true));
-        let _writer = self.inner.catalog_lock.lock();
-        let snap = self.load_catalog();
-        let live = |n: &str, t: &Table| match snap.get(n) {
-            Some(e) if e.table.generation() == t.generation() => Ok(()),
-            _ => Err(Error::NoSuchTable(n.to_string())),
-        };
-        let attached = backfill.and_then(|_| live(base, &base_table));
-        let attached = attached.and_then(|()| live(name, &table));
-        let attached = attached.and_then(|()| spec.save(self.inner.vfs.as_ref(), table.dir()));
-        if let Err(e) = attached {
-            if live(name, &table).is_ok() {
-                let _ = self.drop_locked(&snap, name);
+        let slot = loop {
+            match base_table.merge_slot(|_| Some(()))? {
+                Some((slot, ())) => break slot,
+                None => std::thread::yield_now(),
             }
+        };
+        let table = self.create_locked(&snap, name, schema, ttl)?;
+        let mut all = self.rollup_targets_for(&base_table);
+        all.push((spec.clone(), table.clone()));
+        let attached = base_table
+            .flush_all()
+            .and_then(|()| rollup::fold_base(&base_table, &slot, &all[all.len() - 1..], true))
+            .and_then(|_| rollup::fold_base(&base_table, &slot, &all, false))
+            .and_then(|_| spec.save(self.inner.vfs.as_ref(), table.dir()));
+        if let Err(e) = attached {
+            let _ = self.drop_locked(&self.load_catalog(), name);
             return Err(e);
         }
         let (mut tables, rollup) = ((*snap).clone(), Some(spec));
@@ -548,7 +561,11 @@ impl Db {
         };
         maintained
             .and_then(|mut report| {
-                report.tablets_folded = rollup::fold_base(t, &self.rollup_targets_for(t), false)?;
+                // Under the slot, which CREATE ROLLUP holds until its publish.
+                if let Ok(Some((slot, ()))) = t.merge_slot(|_| t.is_rollup_source().then_some(())) {
+                    let targets = self.rollup_targets_for(t);
+                    report.tablets_folded = rollup::fold_base(t, &slot, &targets, false)?;
+                }
                 Ok(report)
             })
             .inspect_err(|_| TableStats::add(&t.stats().maintenance_errors, 1))

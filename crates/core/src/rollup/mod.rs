@@ -37,6 +37,10 @@
 //! double-count them on the refold. The database's catalog publish, its
 //! one writer, sets it from the rollup specs the catalog's entries hold.
 //!
+//! `Db::create_rollup` holds the writer lock and the base's slot until it
+//! publishes: it folds the marked tablets into the new rollup alone, then
+//! the rest into all. A maintenance pass reads the rollups under the slot.
+//!
 //! # Serving
 //!
 //! Every row with `ts` below the base's *rollup watermark*
@@ -62,7 +66,7 @@ use crate::keyenc::KeyRange;
 use crate::query::Query;
 use crate::schema::{ColumnDef, Schema};
 use crate::stats::TableStats;
-use crate::table::{ttl_horizon, ColumnPredicate, Selection, Table};
+use crate::table::{ttl_horizon, ColumnPredicate, MergeSlot, Selection, Table};
 use crate::util::{put_string, put_varint, Reader};
 use crate::value::{ColumnType, Value};
 use littletable_vfs::{Micros, Vfs};
@@ -286,32 +290,18 @@ fn put_distinct(out: &mut Vec<u8>, family: u8, payload: &[u8]) {
     out.extend_from_slice(payload);
 }
 
-/// Folds the base table's not-yet-rolled-up on-disk tablets into every
-/// registered rollup table, then marks them rolled up. Returns the
-/// number of tablets folded. A `backfill` — a newly created rollup's —
-/// re-folds everything (duplicate partials are rejected by the engine's
-/// uniqueness check, making it idempotent) and *waits* for the base's
-/// maintenance slot, because `CREATE ROLLUP` must not return before the
-/// existing data is folded; a maintenance pass that finds the slot taken,
-/// or the base dropped, skips.
+/// Folds the base's on-disk tablets whose `rolled_up` mark is `rolled_up`
+/// into every rollup of `targets` under the base's held slot, then marks
+/// them. Returns how many it folded. A refold after a crash before the
+/// mark has its partials rejected as duplicates (`chunk` is the tablet id).
 pub(crate) fn fold_base(
-    base: &Arc<Table>,
+    base: &Table,
+    _slot: &MergeSlot<'_>,
     targets: &[(Arc<RollupSpec>, Arc<Table>)],
-    backfill: bool,
+    rolled_up: bool,
 ) -> Result<usize> {
-    if targets.is_empty() {
-        return Ok(0);
-    }
-    let _slot = loop {
-        match base.merge_slot(|_| Some(())) {
-            Ok(Some((slot, ()))) => break slot,
-            Ok(None) if backfill => std::thread::yield_now(),
-            Err(e) if backfill => return Err(e),
-            _ => return Ok(0),
-        }
-    };
-    let tablets = base.unfolded_tablets(backfill);
-    if tablets.is_empty() {
+    let tablets = base.disk_tablets(rolled_up);
+    if targets.is_empty() || tablets.is_empty() {
         return Ok(0);
     }
     let schema = base.schema();
@@ -840,25 +830,7 @@ mod tests {
         expect.insert((1, bucket_of(START + HOUR, HOUR)), (20, 140));
         assert_eq!(per_group, expect);
         // Every backfilled tablet is marked so maintenance will not refold.
-        assert_eq!(
-            crate::rollup::fold_base(&base, &db_targets(&db), false).unwrap(),
-            0
-        );
-    }
-
-    fn db_targets(
-        db: &Db,
-    ) -> Vec<(
-        std::sync::Arc<RollupSpec>,
-        std::sync::Arc<crate::table::Table>,
-    )> {
-        db.rollup_specs_for("usage")
-            .into_iter()
-            .map(|s| {
-                let t = db.table(&s.name).unwrap();
-                (s, t)
-            })
-            .collect()
+        assert!(base.disk_tablets(false).is_empty());
     }
 
     #[test]
@@ -1092,7 +1064,7 @@ mod tests {
             t.flush_all().unwrap();
             if dense {
                 let chunks: Vec<Value> = t
-                    .unfolded_tablets(false)
+                    .disk_tablets(false)
                     .iter()
                     .map(|(meta, _)| Value::I64(meta.id as i64))
                     .collect();
@@ -1185,7 +1157,7 @@ mod tests {
         let db = rolled_hops(&SimVfs::instant());
         let base = db.table("hops").unwrap();
         // The base tablets partition time; a row's chunk is the one it is in.
-        let tablets = base.unfolded_tablets(true);
+        let tablets = base.disk_tablets(true);
         let chunk_of = |ts: Micros| {
             let mut holding = tablets
                 .iter()

@@ -325,7 +325,7 @@ impl Table {
     /// first; each affected on-disk tablet is rewritten without the
     /// matching rows (or dropped outright when nothing else remains), and
     /// the descriptor is replaced once. Returns the number of rows
-    /// deleted.
+    /// deleted. Refused on a table that rollups fold: drop them first.
     pub fn bulk_delete(&self, prefix: &[Value]) -> Result<u64> {
         let schema = self.schema();
         if prefix.is_empty() || prefix.len() >= schema.key_len() {
@@ -339,6 +339,10 @@ impl Table {
         let (_slot, (sources, schema)) = self
             .merge_slot(|st| Some((st.disk.clone(), st.schema.clone())))?
             .ok_or_else(|| Error::invalid("bulk_delete cannot run while a merge is in progress"))?;
+        // A rewrite would keep its `rolled_up` marks over deleted partials.
+        if self.is_rollup_source() {
+            return Err(Error::invalid("rollups fold this table; drop them first"));
+        }
         let prefix_hash = hash_bytes(&encoded);
         let range = KeyRange::for_prefix(encoded.clone());
         // What a rewrite keeps: the rows that sort before the prefix, then

@@ -411,17 +411,14 @@ impl Table {
         self.rollup_source.load(Ordering::Acquire)
     }
 
-    /// On-disk tablets that have not yet been folded into the registered
-    /// rollups (or all of them, for a backfill), with their readers.
-    pub(crate) fn unfolded_tablets(
-        &self,
-        include_rolled: bool,
-    ) -> Vec<(TabletMeta, Arc<TabletReader>)> {
+    /// The on-disk tablets whose `rolled_up` mark is `rolled_up`, with
+    /// their readers.
+    pub(crate) fn disk_tablets(&self, rolled_up: bool) -> Vec<(TabletMeta, Arc<TabletReader>)> {
         self.state
             .lock()
             .disk
             .iter()
-            .filter(|h| include_rolled || !h.meta.rolled_up)
+            .filter(|h| h.meta.rolled_up == rolled_up)
             .map(|h| (h.meta.clone(), h.reader.clone()))
             .collect()
     }

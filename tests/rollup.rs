@@ -13,18 +13,24 @@
 //! Beside them, the catalog's rollup bookkeeping: a drop cut short, on
 //! the simulated disk and killed at every op on a real one, leaves no
 //! rollup that can answer for a recreated base, and seeded DDL sequences
-//! keep the catalog as a model says.
+//! keep the catalog as a model says. And `CREATE ROLLUP` as one
+//! transaction: each base tablet reaches each rollup once, whether older
+//! rollups folded it before a merge, a maintenance pass runs during the
+//! attach, or the create is killed at any op.
 
 use littletable::core::rollup::RollupSpec;
 use littletable::proto::{Request, Response};
 use littletable::server::handle_request;
-use littletable::vfs::{join, FaultPlan, FaultVfs, SimClock, SimVfs, StdVfs, Vfs};
-use littletable::{Db, Options, Query, Session, SqlOutput, Value};
+use littletable::vfs::{
+    join, FaultPlan, FaultVfs, RandomAccessFile, SimClock, SimVfs, StdVfs, Vfs, WritableFile,
+};
+use littletable::{Db, Error, Options, Query, Session, SqlOutput, Value};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeMap;
+use std::io;
 use std::path::PathBuf;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 const START: i64 = 1_700_000_000_000_000;
 const HOUR: i64 = 3_600_000_000;
@@ -555,4 +561,285 @@ fn ddl_sequences_keep_the_catalog_as_modelled() {
         }
     }
     assert!(served > 0, "no sum was ever served from a rollup");
+}
+
+const MINUTE: i64 = 60_000_000;
+const DAY: i64 = 24 * HOUR;
+
+/// Rows of `sensor` at `v = 1`, one a minute from START, for the minutes
+/// in `minutes`.
+fn minutes(sensor: i64, minutes: std::ops::Range<i64>) -> Vec<Vec<Value>> {
+    let row = |i| {
+        vec![
+            Value::I64(sensor),
+            Value::Timestamp(START + i * MINUTE),
+            Value::I64(1),
+        ]
+    };
+    minutes.map(row).collect()
+}
+
+/// `m (sensor, ts, v)` rolled up hourly on `v`, then four flushed batches
+/// of 30 minutes of sensor 1, maintained until quiescent: one merge has
+/// left two tablets, each folded.
+fn merged_bed(db: &Db) {
+    let s = Session::new(db.clone());
+    s.execute("CREATE TABLE m (sensor INT64, ts TIMESTAMP, v INT64, PRIMARY KEY (sensor, ts))")
+        .unwrap();
+    s.execute("CREATE ROLLUP m_1h ON m PERIOD '1h' AGGREGATE (v)")
+        .unwrap();
+    let m = db.table("m").unwrap();
+    for batch in 0..4 {
+        m.insert(minutes(1, batch * 30..batch * 30 + 30)).unwrap();
+        m.flush_all().unwrap();
+    }
+    db.maintain_until_quiescent().unwrap();
+    let merges = m.stats().snapshot().merges;
+    assert_eq!((merges, m.num_disk_tablets()), (1, 2));
+    assert_eq!(m.rollup_watermark(), i64::MAX, "a tablet is left unfolded");
+}
+
+/// `m`'s `SUM(v), COUNT(*)` per `interval` bucket of `width` µs: asserted
+/// to be served from a rollup and to equal a fold of the rows `m` holds.
+fn assert_rollups_fold_m(s: &Session, interval: &str, width: i64, ctx: &str) {
+    let m = s.db().table("m").unwrap();
+    let held = m.query_all(&Query::all()).unwrap().into_iter().map(|row| {
+        match (&row.values[1], &row.values[2]) {
+            (Value::Timestamp(ts), Value::I64(v)) => (*ts, *v),
+            _ => panic!("bad row {row:?}"),
+        }
+    });
+    let want = bucket_sums(held, width);
+    let hits = m.stats().snapshot().rollup_hits;
+    let got = rows(
+        s.execute(&format!(
+            "SELECT TIME_BUCKET(ts, INTERVAL '{interval}'), SUM(v), COUNT(*) FROM m \
+             GROUP BY TIME_BUCKET(ts, INTERVAL '{interval}')"
+        ))
+        .unwrap(),
+    );
+    assert_eq!(got, want, "{ctx}: {interval} sums");
+    let served = m.stats().snapshot().rollup_hits - hits;
+    assert_eq!(served, 1, "{ctx}: {interval} sums not served from a rollup");
+}
+
+/// A second rollup over tablets that the first one folded and that merged
+/// since: the first one's partials of the merged tablets (which have new
+/// ids) are not folded into it again, so its hourly sums stay
+/// `[47, 47] [60, 60] [13, 13]` rather than doubling the first two.
+#[test]
+fn a_second_rollup_over_merged_tablets_leaves_the_first_ones_sums() {
+    let (s, _, _) = open();
+    merged_bed(s.db());
+    s.execute("CREATE ROLLUP m_1d ON m PERIOD '1d' AGGREGATE (v)")
+        .unwrap();
+    let want: Vec<Vec<Value>> = [(0, 47), (1, 60), (2, 13)]
+        .into_iter()
+        .map(|(h, n)| {
+            vec![
+                Value::Timestamp(B0 + h * HOUR),
+                Value::I64(n),
+                Value::I64(n),
+            ]
+        })
+        .collect();
+    assert_eq!(hourly(&s), want, "m_1h's sums after CREATE ROLLUP m_1d");
+    assert_rollups_fold_m(&s, "1h", HOUR, "m_1h");
+    assert_rollups_fold_m(&s, "1d", DAY, "m_1d");
+}
+
+/// What `HookVfs` runs.
+type Hook = Box<dyn FnOnce() + Send>;
+
+/// A `SimVfs` that runs a hook, once, just before a file at `path` is
+/// created.
+#[derive(Clone)]
+struct HookVfs {
+    inner: SimVfs,
+    path: &'static str,
+    hook: Arc<Mutex<Option<Hook>>>,
+}
+
+impl Vfs for HookVfs {
+    fn open(&self, path: &str) -> io::Result<Box<dyn RandomAccessFile>> {
+        self.inner.open(path)
+    }
+    fn create(&self, path: &str, size_hint: u64) -> io::Result<Box<dyn WritableFile>> {
+        if path == self.path {
+            let hook = self.hook.lock().unwrap().take();
+            hook.into_iter().for_each(|hook| hook());
+        }
+        self.inner.create(path, size_hint)
+    }
+    fn rename(&self, from: &str, to: &str) -> io::Result<()> {
+        self.inner.rename(from, to)
+    }
+    fn remove(&self, path: &str) -> io::Result<()> {
+        self.inner.remove(path)
+    }
+    fn exists(&self, path: &str) -> bool {
+        self.inner.exists(path)
+    }
+    fn mkdir_all(&self, path: &str) -> io::Result<()> {
+        self.inner.mkdir_all(path)
+    }
+    fn list_dir(&self, path: &str) -> io::Result<Vec<String>> {
+        self.inner.list_dir(path)
+    }
+    fn sync_dir(&self, path: &str) -> io::Result<()> {
+        self.inner.sync_dir(path)
+    }
+    fn file_size(&self, path: &str) -> io::Result<u64> {
+        self.inner.file_size(path)
+    }
+}
+
+/// Rows of sensor 2 inserted, flushed and maintained while `CREATE ROLLUP
+/// m_1d` writes its spec file: the fold that maintenance pass would make
+/// waits for the attach, so the new tablet reaches `m_1d` as well as
+/// `m_1h`, and the daily sum reads all 120 rows rather than 60.
+#[test]
+fn a_fold_during_the_attach_reaches_the_new_rollup() {
+    let vfs = HookVfs {
+        inner: SimVfs::instant(),
+        path: "m_1d/ROLLUP.tmp",
+        hook: Arc::default(),
+    };
+    let clock = Arc::new(SimClock::new(START));
+    let db = Db::open(Arc::new(vfs.clone()), clock, Options::small_for_tests()).unwrap();
+    let s = Session::new(db.clone());
+    s.execute("CREATE TABLE m (sensor INT64, ts TIMESTAMP, v INT64, PRIMARY KEY (sensor, ts))")
+        .unwrap();
+    s.execute("CREATE ROLLUP m_1h ON m PERIOD '1h' AGGREGATE (v)")
+        .unwrap();
+    let m = db.table("m").unwrap();
+    m.insert(minutes(1, 0..60)).unwrap();
+    m.flush_all().unwrap();
+    db.maintain().unwrap();
+    let during = db.clone();
+    *vfs.hook.lock().unwrap() = Some(Box::new(move || {
+        let m = during.table("m").unwrap();
+        m.insert(minutes(2, 0..60)).unwrap();
+        m.flush_all().unwrap();
+        during.maintain().unwrap();
+    }));
+    s.execute("CREATE ROLLUP m_1d ON m PERIOD '1d' AGGREGATE (v)")
+        .unwrap();
+    assert!(vfs.hook.lock().unwrap().is_none(), "the hook never ran");
+    db.maintain().unwrap();
+    assert_eq!(m.query_all(&Query::all()).unwrap().len(), 120);
+    assert_rollups_fold_m(&s, "1d", DAY, "m_1d");
+    assert_rollups_fold_m(&s, "1h", HOUR, "m_1h");
+}
+
+/// A bulk delete would rewrite tablets that keep their `rolled_up` mark
+/// while the rollups keep the deleted rows' partials, so it is refused
+/// while `m_1h` folds `m`, leaving the data as it was, and runs once
+/// `m_1h` is dropped.
+#[test]
+fn a_bulk_delete_is_refused_while_rollups_fold_the_table() {
+    let (s, _, _) = open();
+    s.execute("CREATE TABLE m (sensor INT64, ts TIMESTAMP, v INT64, PRIMARY KEY (sensor, ts))")
+        .unwrap();
+    let m = s.db().table("m").unwrap();
+    m.insert([minutes(1, 0..60), minutes(2, 0..60)].concat())
+        .unwrap();
+    m.flush_all().unwrap();
+    s.execute("CREATE ROLLUP m_1h ON m PERIOD '1h' AGGREGATE (v)")
+        .unwrap();
+    let err = m.bulk_delete(&[Value::I64(2)]).unwrap_err();
+    assert!(matches!(err, Error::Invalid(_)), "{err:?}");
+    assert_eq!(m.query_all(&Query::all()).unwrap().len(), 120);
+    assert_rollups_fold_m(&s, "1h", HOUR, "refused");
+    s.execute("DROP ROLLUP m_1h").unwrap();
+    assert_eq!(m.bulk_delete(&[Value::I64(2)]).unwrap(), 60);
+    assert_eq!(m.query_all(&Query::all()).unwrap().len(), 60);
+}
+
+/// A table directory whose descriptor is gone holds no table — a drop cut
+/// short after the descriptor, or a create before it — and open deletes
+/// its files.
+#[test]
+fn open_empties_a_table_directory_with_no_descriptor() {
+    let (s, vfs, clock) = open();
+    load_m(&s, 1);
+    s.db()
+        .table("m")
+        .unwrap()
+        .insert(minutes(2, 0..60))
+        .unwrap();
+    s.db().flush_all().unwrap();
+    drop(s);
+    let tablets = vfs.list_dir("m").unwrap().len() - 1;
+    assert!(tablets >= 2, "{tablets} tablet files");
+    vfs.remove("m/DESC").unwrap();
+    let db = Db::open(
+        Arc::new(vfs.clone()),
+        Arc::new(clock.clone()),
+        Options::small_for_tests(),
+    )
+    .unwrap();
+    assert!(db.list_tables().is_empty());
+    assert_eq!(vfs.list_dir("m").unwrap(), Vec::<String>::new());
+}
+
+/// `CREATE ROLLUP m_2h` over `m`, `m_1h` and folded, merged tablets,
+/// killed at each of its I/O operations in turn on a real file system,
+/// then restarted and maintained: no rollup lacks its base, every hourly
+/// and two-hourly sum is a fold of `m`'s rows, and `m_2h` is either a
+/// rollup or, dropped, can be created again.
+#[test]
+fn a_create_rollup_killed_at_every_op_recovers() {
+    const CREATE: &str = "CREATE ROLLUP m_2h ON m PERIOD '2h' AGGREGATE (v)";
+    let root = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("lt-rollup-create-kill");
+    let _ = std::fs::remove_dir_all(&root);
+    let clock = SimClock::new(START);
+    let open_on = |vfs: &FaultVfs<StdVfs>| {
+        let opts = Options::small_for_tests();
+        Db::open(Arc::new(vfs.clone()), Arc::new(clock.clone()), opts).unwrap()
+    };
+    let bed = |dir: &str| {
+        let vfs = FaultVfs::new(StdVfs::new(root.join(dir)).unwrap());
+        let db = open_on(&vfs);
+        merged_bed(&db);
+        (vfs, Session::new(db))
+    };
+    let ops = {
+        let (vfs, s) = bed("count");
+        let before = vfs.op_count();
+        s.execute(CREATE).unwrap();
+        vfs.op_count() - before
+    };
+    assert!(ops >= 8, "the create took only {ops} ops");
+    for k in 0..ops {
+        let ctx = format!("kill at op {k}");
+        let (vfs, s) = bed(&format!("kill-{k}"));
+        vfs.set_fault_plan(FaultPlan::crash_at(vfs.op_count() + k));
+        let _ = s.execute(CREATE);
+        assert_eq!(vfs.faults_injected(), 1, "{ctx} never fired");
+        drop(s);
+        vfs.clear_fault_plan();
+        vfs.reboot();
+        let s = Session::new(open_on(&vfs));
+        s.db().maintain().unwrap();
+        assert_rollups_have_bases(s.db());
+        let listed = |db: &Db| db.list_rollups().iter().map(|r| r.name.clone()).collect();
+        let names: Vec<String> = listed(s.db());
+        assert!(names.contains(&"m_1h".to_string()), "{ctx}: {names:?}");
+        assert_rollups_fold_m(&s, "1h", HOUR, &ctx);
+        assert_rollups_fold_m(&s, "2h", 2 * HOUR, &ctx);
+        if names.contains(&"m_2h".to_string()) {
+            continue;
+        }
+        // A plain leftover is dropped before the create is retried.
+        let _ = s.db().drop_table("m_2h");
+        s.execute(CREATE).unwrap();
+        drop(s);
+        let s = Session::new(open_on(&vfs));
+        let ctx = format!("{ctx}, retried");
+        assert_eq!(listed(s.db()), ["m_1h", "m_2h"], "{ctx}");
+        assert_rollups_fold_m(&s, "1h", HOUR, &ctx);
+        assert_rollups_fold_m(&s, "2h", 2 * HOUR, &ctx);
+    }
+    std::fs::remove_dir_all(&root).unwrap();
 }
