@@ -1412,9 +1412,9 @@ pub(crate) mod tests {
         table.flush_all().unwrap();
         let cache = db.block_cache();
         assert_eq!(cache.upper.len(), 8);
-        let tablets = table.disk_tablets(false);
+        let tablets = table.disk_tablets(false).unwrap();
         assert_eq!(tablets.len(), 1);
-        let reader = &tablets[0].1;
+        let reader = &tablets[0].reader;
         let charge = reader.footer().unwrap().approx_byte_size();
         assert!(charge > cache.upper_shard_capacity, "footer {charge} B");
         assert!(charge <= cache.decompressed_capacity() / 2);

@@ -79,12 +79,15 @@ fn published(tables: Catalog) -> Arc<Catalog> {
 }
 
 /// Deletes a dropped table's files, best-effort, its descriptor first: a
-/// crash part-way leaves no table, only orphan tablet files.
+/// crash part-way leaves no table, only orphan tablet files. The
+/// directory sync after the removals makes a drop that has returned
+/// survive a crash.
 fn delete_table_files(vfs: &dyn Vfs, dir: &str) {
     let _ = vfs.remove(&littletable_vfs::join(dir, DESC_FILE));
     for entry in vfs.list_dir(dir).unwrap_or_default() {
         let _ = vfs.remove(&littletable_vfs::join(dir, &entry));
     }
+    let _ = vfs.sync_dir(dir);
 }
 
 struct DbInner {

@@ -300,7 +300,7 @@ pub(crate) fn fold_base(
     targets: &[(Arc<RollupSpec>, Arc<Table>)],
     rolled_up: bool,
 ) -> Result<usize> {
-    let tablets = base.disk_tablets(rolled_up);
+    let tablets = base.disk_tablets(rolled_up)?;
     if targets.is_empty() || tablets.is_empty() {
         return Ok(0);
     }
@@ -323,10 +323,10 @@ pub(crate) fn fold_base(
         .map(|(group_specs, _, aggs)| Input::rows(group_specs, aggs))
         .collect();
     let mut folded: Vec<u64> = Vec::with_capacity(tablets.len());
-    for (meta, reader) in &tablets {
+    for h in &tablets {
         // One pass over the tablet's blocks feeds every rollup's groups.
         let mut groups: Vec<Groups> = inputs.iter().map(Groups::new).collect();
-        let source = Source::tablet(reader.clone(), schema.clone(), KeyRange::all())
+        let source = Source::tablet(h.reader.clone(), schema.clone(), KeyRange::all())
             .with_read_run(READ_RUN_BYTES);
         let mut cur = RunCursor::new(vec![source], false);
         while let Some(run) = cur.next_run()? {
@@ -341,13 +341,13 @@ pub(crate) fn fold_base(
             for (vals, states) in groups.sorted() {
                 let (dims, bucket) = vals.split_at(key.len() - 1);
                 let mut row = dims.to_vec();
-                row.push(Value::I64(meta.id as i64));
+                row.push(Value::I64(h.meta.id as i64));
                 row.push(bucket[0].clone());
                 for (def, state) in defs.iter().zip(states) {
                     row.push(partial_value(def.ty, state).ok_or_else(|| {
                         Error::invalid(format!(
                             "rollup {:?}: {:?} of base tablet {} does not fit in int64",
-                            spec.name, def.name, meta.id
+                            spec.name, def.name, h.meta.id
                         ))
                     })?);
                 }
@@ -360,7 +360,7 @@ pub(crate) fn fold_base(
                 table.insert(rows)?;
             }
         }
-        folded.push(meta.id);
+        folded.push(h.meta.id);
     }
     // Make the partials durable before the rolled_up mark commits: the
     // mark is the point of no return, after which these tablets become
@@ -830,7 +830,7 @@ mod tests {
         expect.insert((1, bucket_of(START + HOUR, HOUR)), (20, 140));
         assert_eq!(per_group, expect);
         // Every backfilled tablet is marked so maintenance will not refold.
-        assert!(base.disk_tablets(false).is_empty());
+        assert!(base.disk_tablets(false).unwrap().is_empty());
     }
 
     #[test]
@@ -852,6 +852,46 @@ mod tests {
         assert_eq!(rows.len(), 1);
         assert_eq!(rows[0].values[5], Value::I64(42));
         assert!(base.stats().snapshot().rollup_folds >= 1);
+    }
+
+    /// A flush group committed in memory and not yet saved is folded only
+    /// once the fold's listing has saved it: `DESC` names the tablet before
+    /// the rollup holds a partial of it, so no crash can take the tablet
+    /// (and, with it, its id) away from under its partials.
+    #[test]
+    fn the_fold_sees_only_saved_tablets() {
+        use crate::descriptor::{tablet_file_name, TableDescriptor};
+        use littletable_vfs::{FaultKind, FaultPlan, FaultRule, OpKind};
+        let (db, vfs, _) = test_db();
+        let base = seed_base(&db);
+        let r = db
+            .create_rollup("usage_1h", "usage", HOUR, vec!["bytes".into()], vec![])
+            .unwrap();
+        let partials = r.query_all(&Query::all()).unwrap().len();
+        let id = TableDescriptor::peek(&vfs, "usage").unwrap().next_tablet_id;
+        let named = |id| {
+            let desc = TableDescriptor::peek(&vfs, "usage").unwrap();
+            desc.tablets.iter().any(|t| t.id == id)
+        };
+        // Enough rows of one group to seal a tablet by size, then its
+        // group committed in memory only.
+        let rows = (0..4000).map(|i| row(9, 9, START + 2 * HOUR + i * 500_000, 42, 0.0, "dave"));
+        base.insert(rows.collect()).unwrap();
+        assert!(base.flush_group().unwrap(), "no group was sealed");
+        assert!(!named(id), "the group was saved at its commit");
+        // The fold stops at its first read of the tablet: after the
+        // listing, before any partial of it.
+        let path = join("usage", &tablet_file_name(id));
+        let read = FaultRule::new(FaultKind::Eio).on_ops(&[OpKind::Read]);
+        vfs.set_fault_plan(FaultPlan::new().rule(read.on_path(path)));
+        let targets = db.rollup_targets_for(&base);
+        let (slot, ()) = base.merge_slot(|_| Some(())).unwrap().unwrap();
+        fold_base(&base, &slot, &targets, false).unwrap_err();
+        assert!(named(id), "the fold listed a tablet DESC does not name");
+        assert_eq!(r.query_all(&Query::all()).unwrap().len(), partials);
+        vfs.clear_fault_plan();
+        assert_eq!(fold_base(&base, &slot, &targets, false).unwrap(), 1);
+        assert_eq!(r.query_all(&Query::all()).unwrap().len(), partials + 1);
     }
 
     #[test]
@@ -1065,8 +1105,9 @@ mod tests {
             if dense {
                 let chunks: Vec<Value> = t
                     .disk_tablets(false)
+                    .unwrap()
                     .iter()
-                    .map(|(meta, _)| Value::I64(meta.id as i64))
+                    .map(|h| Value::I64(h.meta.id as i64))
                     .collect();
                 let from = from.expect("a database to take the partials from");
                 let partials: Vec<Vec<Value>> = from
@@ -1157,12 +1198,12 @@ mod tests {
         let db = rolled_hops(&SimVfs::instant());
         let base = db.table("hops").unwrap();
         // The base tablets partition time; a row's chunk is the one it is in.
-        let tablets = base.disk_tablets(true);
+        let tablets = base.disk_tablets(true).unwrap();
         let chunk_of = |ts: Micros| {
             let mut holding = tablets
                 .iter()
-                .filter(|(meta, _)| (meta.min_ts..=meta.max_ts).contains(&ts));
-            let chunk = holding.next().expect("a tablet holds the row").0.id as i64;
+                .filter(|h| (h.meta.min_ts..=h.meta.max_ts).contains(&ts));
+            let chunk = holding.next().expect("a tablet holds the row").meta.id as i64;
             assert!(holding.next().is_none(), "tablets overlap in time");
             chunk
         };

@@ -84,6 +84,9 @@ table_counters! {
     bytes_merge_written,
     /// Tablets removed by TTL expiry.
     tablets_expired,
+    /// Descriptor saves: at most one per call that commits (a maintenance
+    /// pass, a flush, a DDL change), or before a fold lists the tablets.
+    descriptor_saves,
     /// Inserts resolved by the "newest timestamp" fast path.
     unique_fast_ts,
     /// Inserts resolved by the "largest key in period" fast path.

@@ -11,10 +11,10 @@
 //! the table's [`super::MergeSlot`]. And every transition ends in
 //! [`Table::commit`], the one place the tablet set, the schema or the TTL
 //! changes: under the state mutex it refuses a dropped table, swaps
-//! tablets out and in, republishes the read snapshot and persists the
-//! descriptor; the replaced files are unlinked after. Readers holding the previous snapshot keep
-//! their view — flushed memtablets and replaced readers stay alive
-//! through its `Arc`s until the last such reader drops it.
+//! tablets out and in and republishes the read snapshot; each public call
+//! then ends in one [`Table::persist`]: one save, then unlinks. Readers
+//! holding the previous snapshot keep their view — flushed memtablets and
+//! replaced readers stay alive through its `Arc`s until the last drops it.
 
 use super::state::{DiskHandle, TableState};
 use super::{check_ttl, ttl_horizon, MaintenanceReport, Table};
@@ -168,16 +168,16 @@ impl Table {
         }
     }
 
-    /// The commit every transition ends in, under the state mutex. A
-    /// dropped table is refused with `Error::NoSuchTable`: `drop_table` may
-    /// have deleted the directory and a same-name table may own the path
-    /// again, so neither a file nor a descriptor may appear in it. `change`
-    /// edits the state and returns the handles it took out of the tablet
-    /// set, or `None` for nothing to change; `written` joins the set, the
-    /// snapshot is republished (readers see the set before the transition
-    /// or after it, never between) and the descriptor persisted. Then the
-    /// replaced files are unlinked — unless the save failed, and the
-    /// on-disk descriptor still names them. Returns the handles replaced.
+    /// The in-memory commit every transition ends in, under the state
+    /// mutex. A dropped table is refused with `Error::NoSuchTable`:
+    /// `drop_table` may have deleted the directory and a same-name table
+    /// may own the path again, so no file may appear in it. `change` edits
+    /// the state and returns the handles it took out of the tablet set, or
+    /// `None` for nothing to change; `written` joins the set, the snapshot
+    /// is republished (readers see the set before the transition or after
+    /// it, never between) and the descriptor marked dirty. Nothing is saved
+    /// or unlinked here: returns the handles replaced, for the caller's
+    /// [`Table::persist`].
     pub(super) fn commit(
         &self,
         mut written: Written<'_>,
@@ -195,40 +195,47 @@ impl Table {
         };
         st.disk.append(&mut written.files);
         st.sort_disk();
+        st.desc_dirty = true;
         self.publish_locked(&st);
-        self.save_descriptor_locked(&st)?;
-        drop(st);
-        self.unlink(&replaced);
         Ok(replaced)
     }
 
-    fn save_descriptor_locked(&self, st: &TableState) -> Result<()> {
+    /// Saves a dirty descriptor, then unlinks `replaced`, which it no
+    /// longer names; a failed save leaves both dirty flag and files. Under
+    /// the state mutex: a dropped table's path may be a new table's.
+    pub(super) fn persist(&self, replaced: Vec<DiskHandle>) -> Result<()> {
+        let mut st = self.state.lock();
+        self.save_locked(&mut st)?;
+        if !st.dropped {
+            self.unlink(&replaced);
+        }
+        Ok(())
+    }
+
+    /// Saves the descriptor of a live table whose memory is ahead of it.
+    pub(super) fn save_locked(&self, st: &mut TableState) -> Result<()> {
+        if st.dropped || !st.desc_dirty {
+            return Ok(());
+        }
         let mut desc = TableDescriptor::new((*st.schema).clone(), st.ttl);
         desc.next_tablet_id = st.next_tablet_id;
         desc.tablets = st.metas();
-        // Track save failures: the in-memory transition already committed,
-        // so until a later save lands the on-disk `DESC` is stale and no
-        // flush may report durability over it (see `resync_descriptor`).
-        let saved = desc.save(self.vfs.as_ref(), &self.name);
-        self.desc_dirty.store(saved.is_err(), Ordering::Release);
-        saved
+        desc.save(self.vfs.as_ref(), &self.name)?;
+        st.desc_dirty = false;
+        TableStats::add(&self.stats.descriptor_saves, 1);
+        Ok(())
     }
 
-    /// Re-saves the descriptor if a previous save failed after its
-    /// transition committed in memory. Called on every `flush_all` /
-    /// `maintain` so one bad save degrades a single operation, not the
-    /// durability of every flush after it.
-    fn resync_descriptor(&self) -> Result<()> {
-        if !self.desc_dirty.load(Ordering::Acquire) {
-            return Ok(());
-        }
-        let st = self.state.lock();
-        if st.dropped {
-            // Never re-materialize a descriptor for a dropped table: the
-            // path may belong to a freshly created table of the same name.
-            return Ok(());
-        }
-        self.save_descriptor_locked(&st)
+    /// Runs `op`, whose commits collect what they replaced, then persists
+    /// once, on `op`'s error path too (`op`'s error wins).
+    pub(super) fn persisting<T>(
+        &self,
+        op: impl FnOnce(&mut Vec<DiskHandle>) -> Result<T>,
+    ) -> Result<T> {
+        let mut replaced = Vec::new();
+        let done = op(&mut replaced);
+        let persisted = self.persist(replaced);
+        done.and_then(|out| persisted.map(|()| out))
     }
 
     // ---------------------------------------------------------------- flush
@@ -236,6 +243,11 @@ impl Table {
     /// Flushes the oldest sealed group, if any. Returns whether a group
     /// was flushed.
     pub fn flush_next_group(&self) -> Result<bool> {
+        self.persisting(|_| self.flush_group())
+    }
+
+    /// Commits the oldest sealed group, if any, in memory.
+    pub(crate) fn flush_group(&self) -> Result<bool> {
         // Held to the commit: sealed groups commit strictly FIFO, and
         // `mark_dropped` waits here for the flush under way.
         let _flush = self.flush_lock.lock();
@@ -299,8 +311,10 @@ impl Table {
 
     fn flush_where(&self, due: impl Fn(&MemTablet) -> bool) -> Result<()> {
         self.seal_where(&mut self.state.lock(), due);
-        while self.flush_next_group()? {}
-        self.resync_descriptor()
+        self.persisting(|_| {
+            while self.flush_group()? {}
+            Ok(())
+        })
     }
 
     /// Seals every filling tablet and flushes everything to disk.
@@ -334,78 +348,83 @@ impl Table {
             ));
         }
         let encoded = encode_prefix(prefix, &schema.key_types())?;
-        self.flush_all()?;
-        // Take the merger's slot so no merge runs while we rewrite.
-        let (_slot, (sources, schema)) = self
-            .merge_slot(|st| Some((st.disk.clone(), st.schema.clone())))?
-            .ok_or_else(|| Error::invalid("bulk_delete cannot run while a merge is in progress"))?;
-        // A rewrite would keep its `rolled_up` marks over deleted partials.
-        if self.is_rollup_source() {
-            return Err(Error::invalid("rollups fold this table; drop them first"));
-        }
-        let prefix_hash = hash_bytes(&encoded);
-        let range = KeyRange::for_prefix(encoded.clone());
-        // What a rewrite keeps: the rows that sort before the prefix, then
-        // those after it. A block wholly under the prefix is in neither
-        // range, and is stepped over from the index, unread.
-        let mut kept = vec![KeyRange {
-            start: Bound::Unbounded,
-            end: Bound::Excluded(encoded),
-        }];
-        if let Bound::Excluded(next) = &range.end {
-            kept.push(KeyRange {
-                start: Bound::Included(next.clone()),
-                end: Bound::Unbounded,
-            });
-        }
-        let now = self.clock.now_micros();
-        let mut deleted = 0u64;
-        let mut rewritten_ids: Vec<u64> = Vec::new();
-        let mut written = self.written(None);
-        for h in &sources {
-            let footer = h.reader.footer()?;
-            if !footer.may_hold(prefix_hash) {
-                continue;
+        self.persisting(|replaced| {
+            self.seal_where(&mut self.state.lock(), |_| true);
+            while self.flush_group()? {}
+            // Take the merger's slot so no merge runs while we rewrite.
+            let (_slot, (sources, schema)) = self
+                .merge_slot(|st| Some((st.disk.clone(), st.schema.clone())))?
+                .ok_or_else(|| {
+                    Error::invalid("bulk_delete cannot run while a merge is in progress")
+                })?;
+            // A rewrite would keep its `rolled_up` marks over deleted partials.
+            if self.is_rollup_source() {
+                return Err(Error::invalid("rollups fold this table; drop them first"));
             }
-            // Does this tablet hold any matching row at all? Asked one
-            // block per read, as the rewrite reads: a resident block is
-            // taken from the cache, observed only, and one read from disk is
-            // not admitted, so a tablet about to be replaced admits nothing,
-            // its neighbours included.
-            let probe =
-                Source::tablet(h.reader.clone(), schema.clone(), range.clone()).with_read_run(1);
-            if RunCursor::new(vec![probe], false).next_run()?.is_none() {
-                continue;
+            let prefix_hash = hash_bytes(&encoded);
+            let range = KeyRange::for_prefix(encoded.clone());
+            // What a rewrite keeps: the rows that sort before the prefix, then
+            // those after it. A block wholly under the prefix is in neither
+            // range, and is stepped over from the index, unread.
+            let mut kept = vec![KeyRange {
+                start: Bound::Unbounded,
+                end: Bound::Excluded(encoded),
+            }];
+            if let Bound::Excluded(next) = &range.end {
+                kept.push(KeyRange {
+                    start: Bound::Included(next.clone()),
+                    end: Bound::Unbounded,
+                });
             }
-            let one = std::slice::from_ref(h);
-            let fill = |w: &mut TabletWriter| {
-                let keep = |range| merge_into(w, one, &schema, range, Micros::MIN);
-                kept.iter().try_for_each(keep)
-            };
-            let (bytes, rolled_up) = (h.meta.bytes, h.meta.rolled_up);
-            let rest = self.write_tablet(&schema, bytes, rolled_up, now, one, fill)?;
-            deleted += footer.row_count - rest.as_ref().map_or(0, |h| h.meta.rows);
-            rewritten_ids.push(h.meta.id);
-            written.files.extend(rest);
-        }
-        if rewritten_ids.is_empty() {
-            return Ok(0);
-        }
-        self.commit(written, |st| {
-            Ok(Some(st.take_disk(|m| rewritten_ids.contains(&m.id))))
-        })?;
-        // A bulk delete mutates data without going through `insert`, so the
-        // query-result cache's insert_seq key would otherwise keep serving
-        // pre-delete results.
-        self.insert_seq.fetch_add(1, Ordering::SeqCst);
-        Ok(deleted)
+            let now = self.clock.now_micros();
+            let mut deleted = 0u64;
+            let mut rewritten_ids: Vec<u64> = Vec::new();
+            let mut written = self.written(None);
+            for h in &sources {
+                let footer = h.reader.footer()?;
+                if !footer.may_hold(prefix_hash) {
+                    continue;
+                }
+                // Does this tablet hold any matching row at all? Asked one
+                // block per read, as the rewrite reads: a resident block is
+                // taken from the cache, observed only, and one read from disk is
+                // not admitted, so a tablet about to be replaced admits nothing,
+                // its neighbours included.
+                let probe = Source::tablet(h.reader.clone(), schema.clone(), range.clone())
+                    .with_read_run(1);
+                if RunCursor::new(vec![probe], false).next_run()?.is_none() {
+                    continue;
+                }
+                let one = std::slice::from_ref(h);
+                let fill = |w: &mut TabletWriter| {
+                    let keep = |range| merge_into(w, one, &schema, range, Micros::MIN);
+                    kept.iter().try_for_each(keep)
+                };
+                let (bytes, rolled_up) = (h.meta.bytes, h.meta.rolled_up);
+                let rest = self.write_tablet(&schema, bytes, rolled_up, now, one, fill)?;
+                deleted += footer.row_count - rest.as_ref().map_or(0, |h| h.meta.rows);
+                rewritten_ids.push(h.meta.id);
+                written.files.extend(rest);
+            }
+            if rewritten_ids.is_empty() {
+                return Ok(0);
+            }
+            replaced.extend(self.commit(written, |st| {
+                Ok(Some(st.take_disk(|m| rewritten_ids.contains(&m.id))))
+            })?);
+            // A bulk delete mutates data without going through `insert`, so the
+            // query-result cache's insert_seq key would otherwise keep serving
+            // pre-delete results.
+            self.insert_seq.fetch_add(1, Ordering::SeqCst);
+            Ok(deleted)
+        })
     }
 
     // ----------------------------------------------------------- maintenance
 
     /// Runs one maintenance pass at time `now`: seals aged tablets,
     /// flushes sealed groups, performs at most one merge, and reaps
-    /// TTL-expired tablets.
+    /// TTL-expired tablets — all in one descriptor save.
     pub fn maintain(&self, now: Micros) -> Result<MaintenanceReport> {
         // 1. Age-based seals (§3.4.1: flush no later than 10 minutes after
         //    a tablet's first insert).
@@ -415,23 +434,27 @@ impl Table {
             }),
             ..MaintenanceReport::default()
         };
-        // 2. Flush everything sealed.
-        while self.flush_next_group()? {
-            report.groups_flushed += 1;
-        }
-        // 3. One merge.
-        if self.opts.merge_enabled && self.run_merge_once(now)? {
-            report.merges = 1;
-        }
-        // 4. TTL expiry.
-        report.tablets_expired = self.ttl_reap(now)?;
-        // 5. Heal a descriptor left stale by an earlier failed save.
-        self.resync_descriptor()?;
-        Ok(report)
+        self.persisting(|replaced| {
+            // 2. Flush everything sealed.
+            while self.flush_group()? {
+                report.groups_flushed += 1;
+            }
+            // 3. One merge.
+            if self.opts.merge_enabled && self.merge_once(now, replaced)? {
+                report.merges = 1;
+            }
+            // 4. TTL expiry.
+            report.tablets_expired = self.reap(now, replaced)?;
+            Ok(report)
+        })
     }
 
     /// Performs at most one merge step; returns whether a merge ran.
     pub fn run_merge_once(&self, now: Micros) -> Result<bool> {
+        self.persisting(|replaced| self.merge_once(now, replaced))
+    }
+
+    fn merge_once(&self, now: Micros, replaced: &mut Vec<DiskHandle>) -> Result<bool> {
         let picked = self.merge_slot(|st| {
             let mut metas = st.metas();
             if self.is_rollup_source() {
@@ -454,7 +477,8 @@ impl Table {
         let committed = self.commit(written, |st| {
             Ok(Some(st.take_disk(|m| ids.contains(&m.id))))
         });
-        let ran = or_if_dropped(committed.map(|_| true), false)?;
+        let committed = committed.map(|out| replaced.extend(out));
+        let ran = or_if_dropped(committed.map(|()| true), false)?;
         TableStats::add(&self.stats.merges, ran as u64);
         Ok(ran)
     }
@@ -484,6 +508,10 @@ impl Table {
     /// Removes on-disk tablets whose every row has expired (§3.3).
     /// Returns the number of tablets reclaimed.
     pub fn ttl_reap(&self, now: Micros) -> Result<usize> {
+        self.persisting(|replaced| self.reap(now, replaced))
+    }
+
+    fn reap(&self, now: Micros, replaced: &mut Vec<DiskHandle>) -> Result<usize> {
         let dead = self.commit(self.written(None), |st| {
             // A merge may be reading any tablet; wait for the next pass.
             if st.ttl.is_none() || st.merge_running {
@@ -493,9 +521,10 @@ impl Table {
             let dead = st.take_disk(|m| m.max_ts < horizon);
             Ok((!dead.is_empty()).then_some(dead))
         });
-        let dead = or_if_dropped(dead, Vec::new())?.len();
-        TableStats::add(&self.stats.tablets_expired, dead as u64);
-        Ok(dead)
+        let dead = or_if_dropped(dead, Vec::new())?;
+        TableStats::add(&self.stats.tablets_expired, dead.len() as u64);
+        replaced.extend_from_slice(&dead);
+        Ok(dead.len())
     }
 
     // ---------------------------------------------------------- schema & ttl
@@ -513,11 +542,13 @@ impl Table {
     }
 
     fn install_schema(&self, evolve: impl FnOnce(&Schema) -> Result<Schema>) -> Result<()> {
-        self.commit(self.written(None), |st| {
-            let new_schema = evolve(&st.schema)?;
-            self.seal_where(st, |_| true);
-            st.schema = Arc::new(new_schema);
-            Ok(Some(Vec::new()))
+        self.persisting(|_| {
+            self.commit(self.written(None), |st| {
+                let new_schema = evolve(&st.schema)?;
+                self.seal_where(st, |_| true);
+                st.schema = Arc::new(new_schema);
+                Ok(Some(Vec::new()))
+            })
         })?;
         Ok(())
     }
@@ -525,9 +556,11 @@ impl Table {
     /// Changes the table's TTL (§3.5); a TTL must be positive.
     pub fn set_ttl(&self, ttl: Option<Micros>) -> Result<()> {
         check_ttl(ttl)?;
-        self.commit(self.written(None), |st| {
-            st.ttl = ttl;
-            Ok(Some(Vec::new()))
+        self.persisting(|_| {
+            self.commit(self.written(None), |st| {
+                st.ttl = ttl;
+                Ok(Some(Vec::new()))
+            })
         })?;
         Ok(())
     }

@@ -14,7 +14,7 @@
 //! * `maintenance` — flush, merge, TTL reaping, bulk delete, rollup
 //!   marks and schema evolution: tablets rewritten through the query's
 //!   merge cursor, every transition through one commit that republishes
-//!   the snapshot.
+//!   the snapshot, every public call through one descriptor save.
 
 mod colscan;
 mod maintenance;
@@ -36,7 +36,7 @@ pub use colscan::{cmp_values, ColumnPredicate, PredOp, PushdownRequest, ScanUnit
 pub use read::QueryCursor;
 
 use crate::cache::BlockCache;
-use crate::descriptor::{parse_tablet_file_name, TableDescriptor, TabletMeta, DESC_FILE, DESC_TMP};
+use crate::descriptor::{parse_tablet_file_name, TableDescriptor, DESC_FILE, DESC_TMP};
 use crate::error::{Error, Result};
 use crate::options::Options;
 use crate::rollup::SPEC_FILE;
@@ -137,12 +137,6 @@ pub struct Table {
     insert_lock: Mutex<()>,
     /// Serializes flushes so sealed groups commit strictly FIFO.
     flush_lock: Mutex<()>,
-    /// True when the on-disk descriptor is behind the in-memory tablet
-    /// set (a descriptor save failed after its transition committed).
-    /// `flush_all` and `maintain` re-save until it clears, so a later
-    /// successful flush restores the durability promise instead of
-    /// silently returning `Ok` over a stale `DESC`.
-    desc_dirty: AtomicBool,
     /// Process-unique incarnation number (from [`NEXT_GENERATION`]);
     /// result-cache entries embed it so a drop/recreate cycle can never
     /// serve a previous incarnation's rows.
@@ -250,20 +244,13 @@ impl Table {
                 Err(e) => return Err(e),
             }
         }
-        if quarantined > 0 {
-            TableStats::add(&stats.tablets_quarantined, quarantined);
-            // Drop the quarantined tablets from the durable descriptor so
-            // the next open doesn't re-report them. Best-effort: a failure
-            // here just defers the rewrite to the next descriptor save.
-            let mut clean = desc.clone();
-            clean
-                .tablets
-                .retain(|t| disk.iter().any(|h| h.meta.id == t.id));
-            let _ = clean.save(vfs.as_ref(), &name);
-        }
-        Ok(Table::assemble(
-            vfs, clock, opts, cache, stats, name, desc, disk,
-        ))
+        TableStats::add(&stats.tablets_quarantined, quarantined);
+        let table = Table::assemble(vfs, clock, opts, cache, stats, name, desc, disk);
+        // Drop the quarantined tablets from `DESC` so the next open does not
+        // re-report them; a failed save is retried by the next call's.
+        table.state.lock().desc_dirty = quarantined > 0;
+        let _ = table.persist(Vec::new());
+        Ok(table)
     }
 
     /// The one constructor behind `create` and `open`: the table `desc`
@@ -290,6 +277,7 @@ impl Table {
             disk,
             merge_running: false,
             dropped: false,
+            desc_dirty: false,
         };
         let snapshot = RwLock::new(Arc::new(state.build_snapshot()));
         Arc::new(Table {
@@ -305,7 +293,6 @@ impl Table {
             insert_seq: AtomicU64::new(0),
             insert_lock: Mutex::new(()),
             flush_lock: Mutex::new(()),
-            desc_dirty: AtomicBool::new(false),
             generation: NEXT_GENERATION.fetch_add(1, Ordering::Relaxed),
             rollup_source: AtomicBool::new(false),
         })
@@ -412,15 +399,13 @@ impl Table {
     }
 
     /// The on-disk tablets whose `rolled_up` mark is `rolled_up`, with
-    /// their readers.
-    pub(crate) fn disk_tablets(&self, rolled_up: bool) -> Vec<(TabletMeta, Arc<TabletReader>)> {
-        self.state
-            .lock()
-            .disk
-            .iter()
-            .filter(|h| h.meta.rolled_up == rolled_up)
-            .map(|h| (h.meta.clone(), h.reader.clone()))
-            .collect()
+    /// their readers, once saved (a fold must see no tablet a crash can
+    /// take away, whose id would be reused).
+    pub(crate) fn disk_tablets(&self, rolled_up: bool) -> Result<Vec<DiskHandle>> {
+        let mut st = self.state.lock();
+        self.save_locked(&mut st)?;
+        let listed = st.disk.iter().filter(|h| h.meta.rolled_up == rolled_up);
+        Ok(listed.cloned().collect())
     }
 
     /// Takes the maintenance slot, unless it is taken or `pick` — run
@@ -447,14 +432,16 @@ impl Table {
     /// Marks the given on-disk tablets as folded into every registered
     /// rollup.
     pub(crate) fn mark_rolled_up(&self, ids: &[u64]) -> Result<()> {
-        let marked = self.commit(self.written(None), |st| {
-            let unmarked = |h: &&mut DiskHandle| ids.contains(&h.meta.id) && !h.meta.rolled_up;
-            let mut changed = false;
-            for h in st.disk.iter_mut().filter(unmarked) {
-                h.meta.rolled_up = true;
-                changed = true;
-            }
-            Ok(changed.then(Vec::new))
+        let marked = self.persisting(|_| {
+            self.commit(self.written(None), |st| {
+                let unmarked = |h: &&mut DiskHandle| ids.contains(&h.meta.id) && !h.meta.rolled_up;
+                let mut changed = false;
+                for h in st.disk.iter_mut().filter(unmarked) {
+                    h.meta.rolled_up = true;
+                    changed = true;
+                }
+                Ok(changed.then(Vec::new))
+            })
         });
         maintenance::or_if_dropped(marked.map(drop), ())
     }

@@ -71,6 +71,8 @@ pub(crate) struct TableState {
     pub(crate) max_ts: Micros,
     pub(crate) merge_running: bool,
     pub(crate) dropped: bool,
+    /// Memory is ahead of `DESC`: set by each commit, cleared by a save.
+    pub(crate) desc_dirty: bool,
 }
 
 impl TableState {

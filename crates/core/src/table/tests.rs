@@ -777,3 +777,68 @@ fn a_row_drain_counts_every_row_it_builds() {
     assert_eq!(s.rows_materialized, 197);
     assert_eq!((s.rows_scanned, s.rows_returned), (300 + 17, 197));
 }
+
+/// Every public call that commits pays one descriptor save, however many
+/// transitions it commits, and a call that commits nothing pays none.
+#[test]
+fn each_call_saves_the_descriptor_once() {
+    const MIN: Micros = 60 * SEC;
+    const HOUR: Micros = 60 * MIN;
+    let day = START - START.rem_euclid(24 * HOUR);
+    let (db, _, clock) = test_db(Options::small_for_tests());
+    clock.set(day + 23 * HOUR);
+    let t = db
+        .create_table("usage", usage_schema(), Some(14 * HOUR))
+        .unwrap();
+    let saves = || t.stats().snapshot().descriptor_saves;
+    // `n` rows of device `dev`, a minute apart from `day + at`, each
+    // batch in one 4-hour period.
+    let load = |dev: i64, at: Micros, n: i64| {
+        let rows = (0..n).map(|i| usage_row(1, dev, day + at + i * MIN, i));
+        t.insert(rows.collect()).unwrap();
+    };
+    // X, whose newest row the TTL horizon passes by the pass; T1 and T2,
+    // two tablets of one period, which the pass merges.
+    for (dev, at) in [(0, 9 * HOUR), (1, 12 * HOUR), (2, 12 * HOUR + 10 * MIN)] {
+        load(dev, at, 10);
+        t.flush_all().unwrap();
+    }
+    // Two filling tablets in two periods, aged past the flush age by the
+    // pass: two groups.
+    load(3, 16 * HOUR, 10);
+    load(4, 20 * HOUR, 10);
+    clock.advance(11 * MIN);
+    let before = saves();
+    let report = t.maintain(clock.now_micros()).unwrap();
+    let want = MaintenanceReport {
+        sealed_by_age: 2,
+        groups_flushed: 2,
+        merges: 1,
+        tablets_expired: 1,
+        tablets_folded: 0,
+    };
+    assert_eq!((report, saves() - before), (want, 1));
+    let before = saves();
+    let idle = t.maintain(clock.now_micros()).unwrap();
+    assert_eq!((idle, saves() - before), (MaintenanceReport::default(), 0));
+    // Three batches in three periods, each its own group.
+    for (dev, at) in [(5, 13 * HOUR), (6, 17 * HOUR), (7, 21 * HOUR)] {
+        load(dev, at, 10);
+    }
+    let (before, stats) = (saves(), t.stats().snapshot());
+    t.flush_all().unwrap();
+    let after = t.stats().snapshot();
+    assert_eq!(after.tablets_flushed - stats.tablets_flushed, 3);
+    assert_eq!(after.snapshot_publishes - stats.snapshot_publishes, 3);
+    assert_eq!(saves() - before, 1);
+    let before = saves();
+    assert_eq!(t.bulk_delete(&[Value::I64(1)]).unwrap(), 70);
+    assert_eq!(saves() - before, 1);
+    let before = saves();
+    let col = ColumnDef::with_default("note", ColumnType::Str, Value::Str("-".into()));
+    t.add_column(col).unwrap();
+    assert_eq!(saves() - before, 1);
+    let before = saves();
+    t.set_ttl(None).unwrap();
+    assert_eq!(saves() - before, 1);
+}

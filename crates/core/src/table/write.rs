@@ -313,11 +313,13 @@ impl Table {
     /// Inline-flushes oldest groups while the sealed backlog exceeds the
     /// configured cap, bounding memory (§5.1.3's 100-tablet limit).
     fn enforce_backlog(&self) -> Result<()> {
-        while self.state.lock().sealed_tablet_count() > self.opts.max_sealed_backlog {
-            if !self.flush_next_group()? {
-                break;
-            }
+        let over = || self.state.lock().sealed_tablet_count() > self.opts.max_sealed_backlog;
+        if !over() {
+            return Ok(());
         }
-        Ok(())
+        self.persisting(|_| {
+            while over() && self.flush_group()? {}
+            Ok(())
+        })
     }
 }

@@ -9,8 +9,17 @@
 mod common;
 
 use common::*;
-use littletable::vfs::{Clock, FaultKind, FaultPlan, FaultRule, OpKind, SimClock, SimVfs, Vfs};
-use littletable::{ColumnDef, ColumnType, Query, Value};
+use littletable::core::descriptor::{parse_tablet_file_name, TableDescriptor};
+use littletable::vfs::{
+    Clock, FaultKind, FaultPlan, FaultRule, FaultVfs, OpKind, SimClock, SimVfs, StdVfs, Vfs,
+};
+use littletable::{
+    core::table::MaintenanceReport, ColumnDef, ColumnType, Db, Options, Query, Schema, Session,
+    SqlOutput, Value,
+};
+use std::collections::BTreeMap;
+use std::path::PathBuf;
+use std::sync::Arc;
 
 #[test]
 fn repeated_crashes_always_preserve_a_prefix() {
@@ -378,4 +387,287 @@ fn torn_rename_outside_the_sync_discipline_loses_the_unsynced_tail() {
         b"synced-half".len() as u64,
         "unsynced tail must be gone"
     );
+}
+
+#[test]
+fn a_returned_drop_survives_a_crash() {
+    let vfs = SimVfs::instant();
+    let clock = SimClock::new(START);
+    let db = open_db(&vfs, &clock).unwrap();
+    let t = db.create_table(TABLE, schema(), None).unwrap();
+    t.insert((0..50).map(|i| make_row(i, 3)).collect()).unwrap();
+    t.flush_all().unwrap();
+    db.drop_table(TABLE).unwrap();
+    drop((t, db));
+    vfs.crash();
+    let db = open_db(&vfs, &clock).unwrap();
+    assert_eq!(db.list_tables(), Vec::<String>::new(), "the drop came back");
+}
+
+#[test]
+fn a_returned_drop_cascade_survives_a_crash() {
+    let vfs = SimVfs::instant();
+    let clock = SimClock::new(START);
+    let db = open_db(&vfs, &clock).unwrap();
+    let t = db.create_table(TABLE, schema(), None).unwrap();
+    t.insert((0..50).map(|i| make_row(i, 3)).collect()).unwrap();
+    t.flush_all().unwrap();
+    db.create_rollup(ROLLUP, TABLE, ROLLUP_PERIOD, vec!["v".into()], vec![])
+        .unwrap();
+    db.maintain_until_quiescent().unwrap();
+    db.drop_table(TABLE).unwrap();
+    drop((t, db));
+    vfs.crash();
+    let db = open_db(&vfs, &clock).unwrap();
+    assert_eq!(db.list_tables(), Vec::<String>::new(), "the drop came back");
+}
+
+const MINUTE: i64 = 60_000_000;
+const HOUR: i64 = 60 * MINUTE;
+/// The start of the day `START` falls in: periods in it are 4-hour bins.
+const DAY_START: i64 = START - START.rem_euclid(24 * HOUR);
+/// The pass bed's clock while it is built.
+const BED_AT: i64 = DAY_START + 20 * HOUR + 30 * MINUTE;
+/// The pass's clock: past the flush age of every row inserted at BED_AT.
+const PASS_AT: i64 = BED_AT + 11 * MINUTE;
+/// Base `m`'s TTL. Its horizon passes tablet X's newest row between
+/// BED_AT and PASS_AT.
+const PASS_TTL: i64 = 10 * HOUR;
+
+/// `n` rows of sensor 1, one a minute from `DAY_START + from`, with
+/// values that differ by row.
+fn minute_rows(from: i64, n: i64) -> Vec<Vec<Value>> {
+    let row = |i: i64| {
+        let ts = DAY_START + from + i * MINUTE;
+        vec![
+            Value::I64(1),
+            Value::Timestamp(ts),
+            Value::I64(ts / MINUTE % 97),
+        ]
+    };
+    (0..n).map(row).collect()
+}
+
+/// Rows as `(ts, v)` pairs, in order.
+type Pairs = Vec<(i64, i64)>;
+
+/// `(ts, v)` of each row of `rows`.
+fn ts_v(rows: impl IntoIterator<Item = Vec<Value>>) -> Pairs {
+    let pair = |row: Vec<Value>| match (&row[1], &row[2]) {
+        (Value::Timestamp(ts), Value::I64(v)) => (*ts, *v),
+        _ => panic!("bad row {row:?}"),
+    };
+    let mut pairs: Pairs = rows.into_iter().map(pair).collect();
+    pairs.sort_unstable();
+    pairs
+}
+
+/// A store a maintenance pass is killed on: its op counter and fault
+/// plan, and the restart after a kill.
+trait KillStore: Vfs + Clone + 'static {
+    fn ops(&self) -> u64;
+    fn plan(&self, plan: FaultPlan);
+    fn injected(&self) -> u64;
+    fn restart(&self);
+}
+
+/// Power is cut: what was not synced is lost.
+impl KillStore for SimVfs {
+    fn ops(&self) -> u64 {
+        self.op_count()
+    }
+    fn plan(&self, plan: FaultPlan) {
+        self.set_fault_plan(plan);
+    }
+    fn injected(&self) -> u64 {
+        self.faults_injected()
+    }
+    fn restart(&self) {
+        self.crash();
+        self.clear_fault_plan();
+    }
+}
+
+/// The process is killed on a real file system: every operation that
+/// completed stays, synced or not, as a journal may commit an unlink
+/// ahead of the save that was to order it.
+impl KillStore for FaultVfs<StdVfs> {
+    fn ops(&self) -> u64 {
+        self.op_count()
+    }
+    fn plan(&self, plan: FaultPlan) {
+        self.set_fault_plan(plan);
+    }
+    fn injected(&self) -> u64 {
+        self.faults_injected()
+    }
+    fn restart(&self) {
+        self.clear_fault_plan();
+        self.reboot();
+    }
+}
+
+/// Builds the pass bed on `vfs`: base `m` with TTL and an hourly rollup
+/// `m_1h`, holding tablet X (rows just above the TTL horizon) and two
+/// adjacent tablets T1 and T2 of the same period, every one folded; then
+/// rows of two more periods in memory. The clock is then set to PASS_AT,
+/// where `Db::maintain_table("m")` seals and flushes those rows in two
+/// groups, merges T1 and T2, reaps X and folds the two new tablets.
+/// Returns the database, its clock, and the `(ts, v)` rows it held
+/// durably before the pass and those the pass flushes.
+fn pass_bed(vfs: &impl KillStore) -> (Db, SimClock, Pairs, Pairs) {
+    let clock = SimClock::new(BED_AT);
+    let opts = Options::small_for_tests();
+    let db = Db::open(Arc::new(vfs.clone()), Arc::new(clock.clone()), opts).unwrap();
+    let m = db.create_table("m", schema_m(), Some(PASS_TTL)).unwrap();
+    db.create_rollup("m_1h", "m", HOUR, vec!["v".into()], vec![])
+        .unwrap();
+    let batches = [
+        (10 * HOUR + 31 * MINUTE, 5),
+        (12 * HOUR, 20),
+        (12 * HOUR + 20 * MINUTE, 20),
+    ];
+    let mut durable = Vec::new();
+    for (i, &(from, n)) in batches.iter().enumerate() {
+        m.insert(minute_rows(from, n)).unwrap();
+        m.flush_all().unwrap();
+        if i > 0 {
+            durable.extend(ts_v(minute_rows(from, n)));
+        }
+    }
+    let folded = db.maintain_table("m").unwrap();
+    assert_eq!((folded.merges, folded.tablets_folded), (0, 3));
+    let mut pass = ts_v(minute_rows(16 * HOUR, 20));
+    pass.extend(ts_v(minute_rows(20 * HOUR, 20)));
+    m.insert(minute_rows(16 * HOUR, 20)).unwrap();
+    m.insert(minute_rows(20 * HOUR, 20)).unwrap();
+    clock.set(PASS_AT);
+    (db, clock, durable, pass)
+}
+
+/// The base table of the pass bed.
+fn schema_m() -> Schema {
+    Schema::new(
+        vec![
+            ColumnDef::new("sensor", ColumnType::I64),
+            ColumnDef::new("ts", ColumnType::Timestamp),
+            ColumnDef::new("v", ColumnType::I64),
+        ],
+        &["sensor", "ts"],
+    )
+    .unwrap()
+}
+
+/// Kills `Db::maintain_table("m")` on the pass bed at each sampled op —
+/// every op under `LT_FULL_SWEEP=1` — restarts, reopens and maintains
+/// until quiescent, then checks: `m` holds its durable rows plus all of
+/// the pass's rows or none; every hourly `SUM(v), COUNT(*)` is served from
+/// `m_1h` and equals the fold of `m`'s rows; nothing was quarantined;
+/// every tablet file is named by its table's `DESC`.
+fn pass_killed_at_every_op<S: KillStore>(fresh: impl Fn(&str) -> S) {
+    let ops = {
+        let vfs = fresh("count");
+        let (db, ..) = pass_bed(&vfs);
+        let before = vfs.ops();
+        let report = db.maintain_table("m").unwrap();
+        let want = MaintenanceReport {
+            sealed_by_age: 2,
+            groups_flushed: 2,
+            merges: 1,
+            tablets_expired: 1,
+            tablets_folded: 2,
+        };
+        assert_eq!(report, want, "the bed's pass");
+        vfs.ops() - before
+    };
+    let full = std::env::var("LT_FULL_SWEEP").is_ok_and(|v| v == "1");
+    let stride = if full { 1 } else { (ops / 12).max(1) };
+    for k in (0..ops).step_by(stride as usize) {
+        let ctx = format!("kill at op {k} of {ops}");
+        let vfs = fresh(&format!("kill-{k}"));
+        let (db, clock, durable, pass) = pass_bed(&vfs);
+        vfs.plan(FaultPlan::crash_at(vfs.ops() + k));
+        db.maintain_table("m").expect_err(&ctx);
+        assert_eq!(vfs.injected(), 1, "{ctx} never fired");
+        drop(db);
+        vfs.restart();
+        let opts = Options::small_for_tests();
+        let db = Db::open(Arc::new(vfs.clone()), Arc::new(clock.clone()), opts).unwrap();
+        let quarantined = |db: &Db| {
+            let tables = db.list_tables().into_iter().map(|n| db.table(&n).unwrap());
+            tables
+                .map(|t| t.stats().snapshot().tablets_quarantined)
+                .sum::<u64>()
+        };
+        assert_eq!(quarantined(&db), 0, "{ctx}: quarantined at open");
+        db.maintain_until_quiescent().unwrap();
+        let m = db.table("m").unwrap();
+        let held = ts_v(
+            m.query_all(&Query::all())
+                .unwrap()
+                .into_iter()
+                .map(|r| r.values),
+        );
+        let mut all = durable.clone();
+        all.extend(&pass);
+        all.sort_unstable();
+        assert!(
+            held == durable || held == all,
+            "{ctx}: m holds {} rows",
+            held.len()
+        );
+        let mut want: BTreeMap<i64, (i64, i64)> = BTreeMap::new();
+        for (ts, v) in &held {
+            let e = want.entry(ts - ts.rem_euclid(HOUR)).or_default();
+            *e = (e.0 + v, e.1 + 1);
+        }
+        let want: Vec<Vec<Value>> = want
+            .into_iter()
+            .map(|(b, (sum, n))| vec![Value::Timestamp(b), Value::I64(sum), Value::I64(n)])
+            .collect();
+        let hits = m.stats().snapshot().rollup_hits;
+        let sql = "SELECT TIME_BUCKET(ts, INTERVAL '1h'), SUM(v), COUNT(*) FROM m \
+                   GROUP BY TIME_BUCKET(ts, INTERVAL '1h')";
+        let SqlOutput::Rows { rows, .. } = Session::new(db.clone()).execute(sql).unwrap() else {
+            panic!("{ctx}: the aggregate returned no rows");
+        };
+        assert_eq!(rows, want, "{ctx}: hourly sums");
+        assert_eq!(
+            m.stats().snapshot().rollup_hits - hits,
+            1,
+            "{ctx}: not served from m_1h"
+        );
+        for dir in ["m", "m_1h"] {
+            let named = TableDescriptor::peek(&vfs, dir).unwrap().tablets;
+            for entry in vfs.list_dir(dir).unwrap() {
+                if let Some(id) = parse_tablet_file_name(&entry) {
+                    assert!(
+                        named.iter().any(|t| t.id == id),
+                        "{ctx}: {dir}/{entry} unnamed"
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// A maintenance pass — two flush groups, a merge, a TTL reap and the
+/// fold of its new tablets — killed at each op with the power cut: the
+/// pass's groups land all or none, and no rollup holds partials of a
+/// tablet the crash took away.
+#[test]
+fn a_maintenance_pass_killed_at_every_op_recovers() {
+    pass_killed_at_every_op(|_| SimVfs::instant());
+}
+
+/// The same pass killed at each op on a real file system, where an
+/// unlink that completed stays whether or not a later sync ordered it: a
+/// replaced tablet is unlinked only once the descriptor no longer names
+/// it.
+#[test]
+fn a_maintenance_pass_killed_at_every_op_on_a_real_disk_recovers() {
+    let root = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("lt-pass-kill");
+    let _ = std::fs::remove_dir_all(&root);
+    pass_killed_at_every_op(|dir| FaultVfs::new(StdVfs::new(root.join(dir)).unwrap()));
+    std::fs::remove_dir_all(&root).unwrap();
 }
