@@ -3,8 +3,9 @@
 //! encoding, block compression, block search, engine inserts, the
 //! memtablet's flush and snapshot, scans, HyperLogLog, SQL parsing, the
 //! maintenance kernels (checksum, column codecs, k-way merge), the read
-//! path (block parse, wire encode, cursor drain) and the decode kernels
-//! under it (column codecs, `ltz`, the client's row decode).
+//! path (block parse, wire encode, cursor drain), the decode kernels
+//! under it (column codecs, `ltz`, the client's row decode) and the
+//! grouped aggregate over a pushdown panel.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use littletable_bench::env::{bench_row, bench_row_sequential, bench_schema, XorShift64};
@@ -339,6 +340,84 @@ fn bench_sql_parse(c: &mut Criterion) {
     c.bench_function("sql/parse_select", |b| {
         b.iter(|| littletable_sql::parse(std::hint::black_box(sql)).unwrap())
     });
+}
+
+fn bench_aggregate(c: &mut Criterion) {
+    // The dashboard's pushdown panel: one network's 8 192 rows (4 devices,
+    // a row a minute each, one flushed tablet), 5-minute buckets, COUNT,
+    // SUM, MAX and AVG, and a residual `rssi <` filter about half the
+    // rows pass. Each ask moves the window's far end by a microsecond
+    // past the data, so the result cache never answers.
+    use littletable_core::agg::{AggFunc, AggSpec, Aggregate, GroupSpec};
+    use littletable_core::schema::{ColumnDef, Schema};
+    use littletable_core::{ColumnPredicate, PredOp};
+    const START: i64 = 1_700_000_000_000_000;
+    const MINUTE: i64 = 60_000_000;
+    let db = instant_db();
+    let schema = Schema::new(
+        vec![
+            ColumnDef::new("network", ColumnType::I64),
+            ColumnDef::new("device", ColumnType::I64),
+            ColumnDef::new("ts", ColumnType::Timestamp),
+            ColumnDef::new("up", ColumnType::I64),
+            ColumnDef::new("down", ColumnType::I64),
+            ColumnDef::new("rssi", ColumnType::F64),
+        ],
+        &["network", "device", "ts"],
+    )
+    .unwrap();
+    let table = db.create_table("usage", schema, None).unwrap();
+    let mut rng = XorShift64::new(9);
+    let rows: Vec<Vec<Value>> = (0..8192i64)
+        .map(|i| {
+            vec![
+                Value::I64(1),
+                Value::I64(i / 2048),
+                Value::Timestamp(START + i % 2048 * MINUTE),
+                Value::I64((rng.next_u64() % 100_000) as i64),
+                Value::I64((rng.next_u64() % 1_000_000) as i64),
+                Value::F64(-90.0 + (rng.next_u64() % 600) as f64 / 10.0),
+            ]
+        })
+        .collect();
+    table.insert(rows).unwrap();
+    table.flush_all().unwrap();
+    let agg = |func, col| AggSpec {
+        func,
+        col,
+        distinct: false,
+    };
+    let mut q = Aggregate {
+        query: Query::all().with_prefix(vec![Value::I64(1)]),
+        predicates: vec![ColumnPredicate {
+            col: 5,
+            op: PredOp::Lt,
+            value: Value::F64(-60.0),
+        }],
+        groups: vec![GroupSpec {
+            col: 2,
+            bucket: Some(5 * MINUTE),
+        }],
+        aggs: vec![
+            agg(AggFunc::Count, None),
+            agg(AggFunc::Sum, Some(3)),
+            agg(AggFunc::Max, Some(4)),
+            agg(AggFunc::Avg, Some(5)),
+        ],
+        limit: None,
+    };
+    let mut g = c.benchmark_group("aggregate");
+    g.throughput(Throughput::Elements(8192));
+    let mut end = START + 2048 * MINUTE;
+    g.bench_function("pushdown_panel", |b| {
+        b.iter(|| {
+            end += 1;
+            q.query = q.query.clone().with_ts_max(end, false);
+            let answer = db.aggregate(&table, &q).unwrap();
+            assert!(answer.len() > 400, "{} buckets", answer.len());
+        })
+    });
+    g.finish();
 }
 
 fn bench_fault_hook(c: &mut Criterion) {
@@ -727,6 +806,7 @@ criterion_group!(
     bench_block_cache,
     bench_hll,
     bench_sql_parse,
+    bench_aggregate,
     bench_fault_hook,
     bench_maintenance_kernels,
     bench_read_path,

@@ -26,7 +26,7 @@
 //! merge, TTL expiry, rollup folds) runs when a caller asks for it:
 //! [`Db::maintain`] sweeps every table, [`Db::maintain_table`] one.
 
-use crate::agg::{scan_groups, AggRows, AggState, Aggregate, Groups, Input};
+use crate::agg::{scan_groups, AggRows, Aggregate, Groups, Input};
 use crate::cache::BlockCache;
 use crate::descriptor::DESC_FILE;
 use crate::error::{Error, Result};
@@ -446,15 +446,18 @@ impl Db {
             scan_groups(t, q.query.clone(), &q.predicates, &input, &mut groups)?;
         }
         if q.groups.is_empty() {
-            groups.states(&[], Vec::new);
+            groups.group(&[], Vec::new);
         }
+        let width = q.groups.len() + q.aggs.len();
         let rows: AggRows = Arc::new(
             groups
                 .sorted()
                 .take(q.limit.unwrap_or(usize::MAX))
-                .map(|(vals, states)| {
-                    let finished = states.iter().map(AggState::finish);
-                    vals.iter().cloned().chain(finished).collect()
+                .map(|(g, vals)| {
+                    let mut row = Vec::with_capacity(width);
+                    row.extend_from_slice(vals);
+                    row.extend(groups.finished(g, false));
+                    row
                 })
                 .collect(),
         );

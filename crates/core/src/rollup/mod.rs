@@ -56,7 +56,7 @@
 //! all derived from its list, and both the fold and the serving path
 //! run [`crate::agg`]'s block fold.
 
-use crate::agg::{fold_block, scan_groups, AggFunc, AggSpec, AggState, GroupSpec, Groups, Input};
+use crate::agg::{fold_block, scan_groups, AggFunc, AggSpec, GroupSpec, Groups, Input};
 use crate::block::ColumnSlice;
 use crate::cursor::{RunCursor, Source, READ_RUN_BYTES};
 use crate::db::Db;
@@ -335,16 +335,18 @@ pub(crate) fn fold_base(
                 fold_block(&run.block, &sel, input, groups)?;
             }
         }
+        let probes = groups.iter().map(|g| g.probes).sum();
+        TableStats::add(&base.stats().agg_group_probes, probes);
         // One partial row per group, in (dims, bucket) order.
         for (((spec, table), (_, defs, _)), groups) in targets.iter().zip(&plans).zip(&groups) {
             let mut rows: Vec<Vec<Value>> = Vec::new();
-            for (vals, states) in groups.sorted() {
+            for (g, vals) in groups.sorted() {
                 let (dims, bucket) = vals.split_at(key.len() - 1);
                 let mut row = dims.to_vec();
                 row.push(Value::I64(h.meta.id as i64));
                 row.push(bucket[0].clone());
-                for (def, state) in defs.iter().zip(states) {
-                    row.push(partial_value(def.ty, state).ok_or_else(|| {
+                for (def, value) in defs.iter().zip(groups.finished(g, true)) {
+                    row.push(partial_value(def.ty, value).ok_or_else(|| {
                         Error::invalid(format!(
                             "rollup {:?}: {:?} of base tablet {} does not fit in int64",
                             spec.name, def.name, h.meta.id
@@ -373,15 +375,15 @@ pub(crate) fn fold_base(
     Ok(folded.len())
 }
 
-/// What a finished state puts in its stat column: the sketch's bytes,
-/// or the aggregate's value at the column's type (the int family widened
-/// to int64). `None` when an integer column's sum left int64 — a partial
-/// cannot hold it, and the caller leaves the tablet to the base scan.
-fn partial_value(ty: ColumnType, state: &AggState) -> Option<Value> {
-    match (state, ty) {
-        (AggState::Distinct(sketch), _) => Some(Value::Blob(sketch.to_bytes())),
-        (_, ColumnType::I64) => state.finish().as_int().map(Value::I64),
-        _ => Some(state.finish()),
+/// What a finished aggregate puts in its stat column: a sketch's bytes
+/// as they are, any other value at the column's type (the int family
+/// widened to int64). `None` when an integer column's sum left int64 — a
+/// partial cannot hold it, and the caller leaves the tablet to the base
+/// scan.
+fn partial_value(ty: ColumnType, value: Value) -> Option<Value> {
+    match ty {
+        ColumnType::I64 => value.as_int().map(Value::I64),
+        _ => Some(value),
     }
 }
 
@@ -1183,7 +1185,7 @@ mod tests {
             assert!(serve(db, &base, &Query::all(), &[], &input, &mut groups).unwrap());
             let rows: Vec<(Vec<Value>, Value)> = groups
                 .sorted()
-                .map(|(vals, states)| (vals.to_vec(), states[0].finish()))
+                .map(|(g, vals)| (vals.to_vec(), groups.finished(g, false).next().unwrap()))
                 .collect();
             rows
         };

@@ -136,6 +136,11 @@ table_counters! {
     /// A consumer of column runs or of pushdown blocks adds nothing, so
     /// the counter stays far below `rows_scanned` where those serve.
     rows_materialized,
+    /// Group-map lookups made by the aggregate fold over this table's
+    /// scan units: at most one per run of rows of equal group tuple, none
+    /// for a run of the group the previous run's or the one made after
+    /// it. Added once per scan.
+    agg_group_probes,
     /// Aggregate queries (or portions of them) answered from a rollup
     /// table instead of scanning this base table.
     rollup_hits,

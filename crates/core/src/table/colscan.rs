@@ -20,7 +20,8 @@
 //!   that encodes only the probed keys), so the caller filters nothing:
 //!   it folds the selected rows straight off [`Block::column`]. No keys
 //!   and no [`Row`](crate::row::Row)s are materialized, whether the
-//!   block is wholly inside the box or merely cut by it.
+//!   block is wholly inside the box or merely cut by it. A filter
+//!   compacts the selection without a branch on the predicate.
 //!
 //! Memtablets and tablets written under an older schema version have no
 //! zones to judge by (a memtablet has none; a lagging tablet's are the
@@ -237,30 +238,46 @@ impl Selection {
         }
     }
 
+    /// The first position of `span` whose row `hit` holds for, or
+    /// `span.end` — where an aggregate's run of equal group values ends.
+    pub fn find_in(&self, span: Range<usize>, hit: impl Fn(usize) -> bool) -> usize {
+        let found = match self {
+            Selection::Range(r) => span.clone().find(|&p| hit(r.start + p)),
+            Selection::Indices(idx) => span.clone().find(|&p| hit(idx[p] as usize)),
+        };
+        found.unwrap_or(span.end)
+    }
+
     /// The selected row indices, ascending.
     pub fn iter(&self) -> impl Iterator<Item = usize> + '_ {
         (0..self.len()).map(|pos| self.row(pos))
     }
 
     /// Keeps the rows for which `keep` holds. A range is first trimmed
-    /// at both ends, so a bound that cuts a sorted run leaves a range;
-    /// it becomes an index vector only if a row inside it fails.
+    /// at both ends; if a row inside it fails, it becomes indices, which
+    /// are compacted without a branch on `keep`: each one is written at
+    /// the next free slot, which advances by its keep bit.
     fn retain(&mut self, keep: impl Fn(usize) -> bool) {
-        match self {
-            Selection::Range(r) => {
-                while r.start < r.end && !keep(r.start) {
-                    r.start += 1;
-                }
-                while r.start < r.end && !keep(r.end - 1) {
-                    r.end -= 1;
-                }
-                if let Some(hole) = r.clone().find(|&i| !keep(i)) {
-                    let mut idx: Vec<u32> = (r.start..hole).map(|i| i as u32).collect();
-                    idx.extend((hole + 1..r.end).filter(|&i| keep(i)).map(|i| i as u32));
-                    *self = Selection::Indices(idx);
-                }
+        if let Selection::Range(r) = self {
+            while r.start < r.end && !keep(r.start) {
+                r.start += 1;
             }
-            Selection::Indices(idx) => idx.retain(|&i| keep(i as usize)),
+            while r.start < r.end && !keep(r.end - 1) {
+                r.end -= 1;
+            }
+            if r.clone().all(&keep) {
+                return;
+            }
+            *self = Selection::Indices((r.start as u32..r.end as u32).collect());
+        }
+        if let Selection::Indices(idx) = self {
+            let mut kept = 0;
+            for at in 0..idx.len() {
+                let i = idx[at];
+                idx[kept] = i;
+                kept += keep(i as usize) as usize;
+            }
+            idx.truncate(kept);
         }
     }
 
@@ -270,7 +287,7 @@ impl Selection {
     fn retain_cmp<T: PartialOrd + Copy>(&mut self, at: impl Fn(usize) -> T, op: PredOp, value: T) {
         match op {
             PredOp::Eq => self.retain(|i| at(i) == value),
-            PredOp::Ne => self.retain(|i| at(i) < value || at(i) > value),
+            PredOp::Ne => self.retain(|i| (at(i) < value) | (at(i) > value)),
             PredOp::Lt => self.retain(|i| at(i) < value),
             PredOp::Le => self.retain(|i| at(i) <= value),
             PredOp::Gt => self.retain(|i| at(i) > value),
@@ -332,7 +349,7 @@ fn emit_selected(
     let mut sel = Selection::Range(rows);
     if let Some((lo, hi)) = ts_bounds {
         let ts = block.timestamps()?;
-        sel.retain(|i| ts[i] >= lo && ts[i] <= hi);
+        sel.retain(|i| (ts[i] >= lo) & (ts[i] <= hi));
     }
     for p in preds {
         p.filter(block.column(p.col), &mut sel);
@@ -916,6 +933,32 @@ mod tests {
         let mut seen = Vec::new();
         Selection::Range(3..9).for_each_in(2..4, |i| seen.push(i));
         assert_eq!(seen, vec![5, 6]);
+    }
+
+    /// Compaction keeps exactly the rows a brute-force filter keeps, in
+    /// order, for every keep pattern of up to 12 rows: from a range,
+    /// which stays a range until a hole appears, and from an index
+    /// vector with gaps.
+    #[test]
+    fn retain_equals_a_brute_force_filter_on_every_keep_pattern() {
+        for n in 0..=12usize {
+            for mask in 0u32..1 << n {
+                let bit = |pos: usize| mask >> pos & 1 == 1;
+                let want: Vec<usize> = (3..3 + n).filter(|&i| bit(i - 3)).collect();
+                let mut sel = Selection::Range(3..3 + n);
+                sel.retain(|i| bit(i - 3));
+                let got: Vec<usize> = sel.iter().collect();
+                assert_eq!(got, want, "{n} rows of a range, keep {mask:b}");
+                let holes = want.windows(2).any(|w| w[1] != w[0] + 1);
+                assert_eq!(matches!(sel, Selection::Indices(_)), holes, "keep {mask:b}");
+
+                let mut sel = Selection::Indices((0..n as u32).map(|i| 2 * i + 1).collect());
+                sel.retain(|i| bit(i / 2));
+                let got: Vec<usize> = sel.iter().collect();
+                let want: Vec<usize> = (0..n).filter(|&p| bit(p)).map(|p| 2 * p + 1).collect();
+                assert_eq!(got, want, "{n} indices, keep {mask:b}");
+            }
+        }
     }
 
     #[test]

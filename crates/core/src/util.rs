@@ -232,6 +232,20 @@ pub fn hash_bytes(data: &[u8]) -> u64 {
     mix64(fnv1a(FNV_OFFSET, data))
 }
 
+/// Hashes a short byte string a word at a time: its length, then its
+/// bytes eight at a time (the last word zero-padded), each folded in
+/// through [`mix64`] from `seed`. An in-memory map draws its seed at
+/// random, so that no fixed set of keys collides.
+pub(crate) fn hash_words(seed: u64, bytes: &[u8]) -> u64 {
+    bytes
+        .chunks(8)
+        .fold(mix64(seed ^ bytes.len() as u64), |h, w| {
+            let mut word = [0u8; 8];
+            word[..w.len()].copy_from_slice(w);
+            mix64(h ^ u64::from_le_bytes(word))
+        })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -1093,3 +1093,75 @@ fn every_path_under_a_ttl_matches_the_fold_of_the_unexpired_rows() {
     assert!(hits >= 100, "{hits} answers the moved horizon left cached");
     assert!(misses >= 300, "{misses} answers the moved horizon changed");
 }
+
+/// A session whose table `t` holds `rows` as four time-sliced flushes:
+/// each tablet holds every key's rows of one 6 s stretch, so the
+/// tablets' key ranges interleave, as a table taking inserts in time
+/// order makes them.
+fn store_time_sliced(rows: &[Vec<Value>]) -> Session {
+    let s = open_session();
+    s.execute(
+        "CREATE TABLE t (a INT64, b INT32, ts TIMESTAMP, i INT64, n INT32, f DOUBLE, \
+         s TEXT, x INT64 DEFAULT 7, PRIMARY KEY (a, b, ts))",
+    )
+    .unwrap();
+    let t = s.db().table("t").unwrap();
+    for slice in 0..4 {
+        let within = |r: &&Vec<Value>| (r[TS].as_int().unwrap() - START) / (6 * SEC) == slice;
+        t.insert(rows.iter().filter(within).cloned().collect())
+            .unwrap();
+        t.flush_all().unwrap();
+    }
+    s
+}
+
+/// Merging changes the order in which a group's rows reach it — tablet
+/// by tablet before, key order after — and nothing else: every generated
+/// SELECT over time-sliced tablets, answered before and after
+/// maintenance merges them, gives the same groups, counts, integer sums
+/// and extrema (the rows hold no NaN), and double sums and averages
+/// within 1e-12 relative.
+#[test]
+fn merged_and_unmerged_tablets_answer_alike() {
+    let mut compared = 0;
+    for seed in 0..SEEDS {
+        let mut rng = Rng(seed);
+        let rows = gen_rows(&mut rng, false, seed % 2 == 1);
+        let selects: Vec<Select> = (0..SELECTS_PER_SEED)
+            .map(|_| gen_select(&mut rng))
+            .collect();
+        let unmerged = store_time_sliced(&rows);
+        let merged = store_time_sliced(&rows);
+        merged.db().maintain_until_quiescent().unwrap();
+        let tablets = |s: &Session| s.db().table("t").unwrap().num_disk_tablets();
+        assert!(
+            tablets(&merged) < tablets(&unmerged),
+            "seed {seed}: maintenance merged nothing"
+        );
+        for sel in &selects {
+            let sql = sel.sql();
+            let answer = |s: &Session| match s.execute(&sql) {
+                Ok(SqlOutput::Rows { rows, .. }) => rows,
+                other => panic!("seed {seed}: {sql}\n  gave {other:?}"),
+            };
+            let (before, after) = (answer(&unmerged), answer(&merged));
+            let why = format!("seed {seed}: {sql}\n  before {before:?}\n  after  {after:?}");
+            assert_eq!(before.len(), after.len(), "{why}");
+            let n = sel.groups.len();
+            for (b, a) in before.iter().zip(&after) {
+                assert_eq!(b[..n], a[..n], "{why}");
+                for ((x, y), agg) in b[n..].iter().zip(&a[n..]).zip(&sel.aggs) {
+                    let alike = match (agg, x, y) {
+                        (Agg::Sum(_) | Agg::Avg(_), Value::F64(x), Value::F64(y)) => {
+                            (x - y).abs() <= 1e-12 * x.abs().max(y.abs())
+                        }
+                        _ => x == y,
+                    };
+                    assert!(alike, "{why}");
+                }
+            }
+            compared += 1;
+        }
+    }
+    assert!(compared >= 200, "{compared} SELECTs");
+}
