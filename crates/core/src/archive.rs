@@ -140,7 +140,7 @@ pub fn sync_once(src: &dyn Vfs, dst: &dyn Vfs) -> Result<SyncReport> {
         names.extend(entries.iter().filter(|n| *n == DESC_FILE));
         for name in names {
             if name.ends_with(".tmp") {
-                continue; // in-flight temp files (DESC, ROLLUP) never replicate
+                continue; // an in-flight DESC.tmp never replicates
             }
             let path = join(table, name);
             let len = match src.file_size(&path) {

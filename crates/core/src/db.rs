@@ -17,10 +17,10 @@
 //! stays fully usable by in-flight readers while every *new* snapshot
 //! excludes it.
 //!
-//! The catalog is the one record of which table rolls up which: a rollup
-//! table's entry holds its [`RollupSpec`], each publish sets the tables'
-//! `rollup_source` flags from it, and a drop cascade is one publish. So is
-//! `CREATE ROLLUP`, under the writer lock and then the base's slot.
+//! A rollup table holds its [`RollupSpec`], saved in its descriptor, and
+//! each publish sets the tables' `rollup_source` flags from their specs.
+//! A drop cascade is one publish, and so is `CREATE ROLLUP`, under the
+//! writer lock and then the base's slot: no reader sees it half built.
 //!
 //! The engine spawns no thread of its own. Maintenance (flush by age,
 //! merge, TTL expiry, rollup folds) runs when a caller asks for it:
@@ -28,7 +28,7 @@
 
 use crate::agg::{scan_groups, AggRows, Aggregate, Groups, Input};
 use crate::cache::BlockCache;
-use crate::descriptor::DESC_FILE;
+use crate::descriptor::{TableDescriptor, DESC_FILE};
 use crate::error::{Error, Result};
 use crate::options::Options;
 use crate::resultcache::{ResultCache, ResultKey};
@@ -57,23 +57,16 @@ fn valid_table_name(name: &str) -> bool {
 /// interned as `Arc<str>` so the copy-on-write clone a DDL writer pays
 /// is O(n) refcount bumps, not O(n) string allocations. Sorted by name,
 /// so every sweep visits tables in the same order in every process.
-type Catalog = BTreeMap<Arc<str>, Entry>;
-
-/// A catalog entry: a table and, when it is a rollup table, its spec.
-#[derive(Clone)]
-struct Entry {
-    table: Arc<Table>,
-    rollup: Option<Arc<RollupSpec>>,
-}
+type Catalog = BTreeMap<Arc<str>, Arc<Table>>;
 
 /// `tables`, ready to publish, each table's `rollup_source` flag set to
 /// whether a rollup in `tables` names it: the flag's one writer.
 fn published(tables: Catalog) -> Arc<Catalog> {
-    let specs = tables.values().filter_map(|e| e.rollup.as_ref());
+    let specs = tables.values().filter_map(|t| t.rollup());
     let bases: HashSet<&str> = specs.map(|s| s.base.as_str()).collect();
-    for (name, e) in &tables {
+    for (name, t) in &tables {
         let source = bases.contains(&**name);
-        e.table.rollup_source.store(source, Ordering::Release);
+        t.rollup_source.store(source, Ordering::Release);
     }
     Arc::new(tables)
 }
@@ -127,10 +120,12 @@ impl Db {
     /// descriptor is loaded, the tablet files it does not list are
     /// deleted, and those that fail validation are quarantined. A
     /// directory with no descriptor holds no table, and its files are
-    /// deleted. A
+    /// deleted, and so are a rollup's that is not attached or whose base
+    /// is not a table: a `CREATE ROLLUP` or a drop cut short. A
     /// descriptor that does not decode fails the open before any of its
     /// table's tablet files is deleted or set aside — among them one that
-    /// places a tablet in a cold store, which this engine does not have.
+    /// places a tablet in a cold store, which this engine does not have —
+    /// and so does an older engine's `ROLLUP` spec file.
     pub fn open(vfs: Arc<dyn Vfs>, clock: Arc<dyn Clock>, opts: Options) -> Result<Db> {
         let opts = Arc::new(opts);
         let (decompressed, compressed) = opts.cache_tier_budgets();
@@ -146,6 +141,12 @@ impl Db {
                 delete_table_files(vfs.as_ref(), &entry);
                 continue;
             }
+            // Checked before `Table::open`, whose sweep would delete it.
+            if vfs.exists(&littletable_vfs::join(&entry, "ROLLUP")) {
+                return Err(Error::corrupt(format!(
+                    "{entry}/ROLLUP: an older engine's rollup spec, kept in DESC now"
+                )));
+            }
             let table = Table::open(
                 vfs.clone(),
                 clock.clone(),
@@ -153,28 +154,20 @@ impl Db {
                 cache.clone(),
                 entry.clone(),
             )?;
-            // A table directory holding a ROLLUP spec file is a rollup table.
-            let is_rollup = vfs.exists(&littletable_vfs::join(&entry, rollup::SPEC_FILE));
-            let spec = is_rollup.then(|| RollupSpec::load(vfs.as_ref(), &entry));
-            let rollup = spec.transpose()?.map(Arc::new);
-            if let Some(spec) = rollup.as_ref().filter(|s| s.name != entry) {
-                return Err(Error::corrupt(format!(
-                    "rollup spec in {entry:?} names table {:?}",
-                    spec.name
-                )));
-            }
-            tables.insert(Arc::from(entry.as_str()), Entry { table, rollup });
+            tables.insert(Arc::from(entry.as_str()), table);
         }
-        // A rollup without a base is left from an interrupted drop: finish it.
-        let names: Vec<Arc<str>> = tables.keys().cloned().collect();
-        for name in names {
-            let base = tables[&name].rollup.as_ref().map(|s| s.base.as_str());
-            if base.is_some_and(|b| !tables.contains_key(b)) {
-                RollupSpec::remove(vfs.as_ref(), &name)?;
-                tables.remove(&name);
-                delete_table_files(vfs.as_ref(), &name);
+        // A rollup not attached is a create cut short, and one whose base
+        // is not a table a drop cut short: finish either.
+        let names: HashSet<Arc<str>> = tables.keys().cloned().collect();
+        tables.retain(|name, t| {
+            let base = t.rollup().map(|s| s.base.as_str());
+            let cut_short =
+                base.is_some_and(|b| !t.attached.load(Ordering::Relaxed) || !names.contains(b));
+            if cut_short {
+                delete_table_files(vfs.as_ref(), name);
             }
-        }
+            !cut_short
+        });
         let inner = Arc::new(DbInner {
             vfs,
             clock,
@@ -245,45 +238,47 @@ impl Db {
         ttl: Option<Micros>,
     ) -> Result<Arc<Table>> {
         let _writer = self.inner.catalog_lock.lock();
-        self.create_locked(&self.load_catalog(), name, schema, ttl)
+        let desc = TableDescriptor::new(schema, ttl);
+        self.create_locked(&self.load_catalog(), name, desc, |_| Ok(()))
     }
 
-    /// [`Db::create_table`] over `snap`, under `catalog_lock`.
+    /// [`Db::create_table`] of the table `desc` describes, from `snap`, the
+    /// current catalog, under `catalog_lock`. The table is published once
+    /// `build` has run on it, and no reader sees it before; if `build`
+    /// fails, its files are deleted unpublished.
     fn create_locked(
         &self,
         snap: &Catalog,
         name: &str,
-        schema: Schema,
-        ttl: Option<Micros>,
+        desc: TableDescriptor,
+        build: impl FnOnce(&Arc<Table>) -> Result<()>,
     ) -> Result<Arc<Table>> {
         if !valid_table_name(name) {
             return Err(Error::invalid(format!("invalid table name {name:?}")));
         }
-        check_ttl(ttl)?;
+        check_ttl(desc.ttl)?;
         if snap.contains_key(name) {
             return Err(Error::TableExists(name.to_string()));
         }
-        let table = Table::create(
-            self.inner.vfs.clone(),
-            self.inner.clock.clone(),
-            self.inner.opts.clone(),
-            self.inner.cache.clone(),
-            name.to_string(),
-            schema,
-            ttl,
-        )?;
-        let (mut tables, rollup) = (snap.clone(), None);
-        let entry = Entry { table, rollup };
-        tables.insert(Arc::from(name), entry.clone());
+        let inner = &self.inner;
+        let (vfs, clock, opts) = (inner.vfs.clone(), inner.clock.clone(), inner.opts.clone());
+        let table = Table::create(vfs, clock, opts, inner.cache.clone(), name.into(), desc)?;
+        if let Err(e) = build(&table) {
+            table.mark_dropped();
+            delete_table_files(inner.vfs.as_ref(), table.dir());
+            return Err(e);
+        }
+        let mut tables = snap.clone();
+        tables.insert(Arc::from(name), table.clone());
         self.publish_catalog_locked(tables);
-        Ok(entry.table)
+        Ok(table)
     }
 
     /// Looks up a table by name in the current catalog snapshot.
     pub fn table(&self, name: &str) -> Result<Arc<Table>> {
         self.load_catalog()
             .get(name)
-            .map(|e| e.table.clone())
+            .cloned()
             .ok_or_else(|| Error::NoSuchTable(name.to_string()))
     }
 
@@ -302,9 +297,9 @@ impl Db {
     /// is free for recreation the moment this returns — the writer lock
     /// is held across the file deletion, so a recreated table can never
     /// interleave with its predecessor's teardown. The rollups over a
-    /// base go with it: first their spec files, durably, so a crash
-    /// leaves plain tables at worst, never a rollup of a missing base;
-    /// then one publish; then the teardowns.
+    /// base go with it, in one publish, and then the teardowns: the named
+    /// table's first, so that a crash after its descriptor went leaves
+    /// rollups without a base, which the next open removes.
     pub fn drop_table(&self, name: &str) -> Result<()> {
         let _writer = self.inner.catalog_lock.lock();
         self.drop_locked(&self.load_catalog(), name)
@@ -313,19 +308,15 @@ impl Db {
     /// [`Db::drop_table`] from `snap`, the current catalog. Callers hold
     /// `catalog_lock`.
     fn drop_locked(&self, snap: &Catalog, name: &str) -> Result<()> {
-        let doomed =
-            |n: &str, e: &Entry| n == name || e.rollup.as_ref().is_some_and(|s| s.base == name);
-        let (dropped, kept): (Catalog, Catalog) =
-            snap.clone().into_iter().partition(|(n, e)| doomed(n, e));
-        if !dropped.contains_key(name) {
+        let doomed = |n: &str, t: &Table| n == name || t.rollup().is_some_and(|s| s.base == name);
+        let (mut dropped, kept): (Catalog, Catalog) =
+            snap.clone().into_iter().partition(|(n, t)| doomed(n, t));
+        let Some(named) = dropped.remove(name) else {
             return Err(Error::NoSuchTable(name.to_string()));
-        }
-        let vfs = self.inner.vfs.as_ref();
-        for e in dropped.values() {
-            RollupSpec::remove(vfs, e.table.dir())?;
-        }
+        };
         self.publish_catalog_locked(kept);
-        for Entry { table, .. } in dropped.values() {
+        let vfs = self.inner.vfs.as_ref();
+        for table in std::iter::once(&named).chain(dropped.values()) {
             // Keys embed the generation: this only frees memory sooner.
             let rc = &self.inner.result_cache;
             rc.invalidate_generation(table.generation());
@@ -348,7 +339,8 @@ impl Db {
     /// rollup's TTL is the base's TTL plus one period, so a bucket
     /// outlives the youngest raw row that contributed to it. One
     /// transaction under the writer lock and the base's slot (see
-    /// [`crate::rollup`]); on failure the new table is dropped again.
+    /// [`crate::rollup`]): the table is published once its descriptor is
+    /// saved attached, and on failure its files are deleted unpublished.
     pub fn create_rollup(
         &self,
         name: &str,
@@ -359,11 +351,10 @@ impl Db {
     ) -> Result<Arc<Table>> {
         let _writer = self.inner.catalog_lock.lock();
         let snap = self.load_catalog();
-        let base_entry = snap.get(base).ok_or(Error::NoSuchTable(base.to_string()))?;
-        if base_entry.rollup.is_some() {
+        let base_table = snap.get(base).ok_or(Error::NoSuchTable(base.to_string()))?;
+        if base_table.rollup().is_some() {
             return Err(Error::invalid("cannot create a rollup over a rollup"));
         }
-        let base_table = base_entry.table.clone();
         let spec = Arc::new(RollupSpec {
             name: name.to_string(),
             base: base.to_string(),
@@ -379,23 +370,18 @@ impl Db {
                 None => std::thread::yield_now(),
             }
         };
-        let table = self.create_locked(&snap, name, schema, ttl)?;
-        let mut all = self.rollup_targets_for(&base_table);
-        all.push((spec.clone(), table.clone()));
-        let attached = base_table
-            .flush_all()
-            .and_then(|()| rollup::fold_base(&base_table, &slot, &all[all.len() - 1..], true))
-            .and_then(|_| rollup::fold_base(&base_table, &slot, &all, false))
-            .and_then(|_| spec.save(self.inner.vfs.as_ref(), table.dir()));
-        if let Err(e) = attached {
-            let _ = self.drop_locked(&self.load_catalog(), name);
-            return Err(e);
-        }
-        let (mut tables, rollup) = ((*snap).clone(), Some(spec));
-        let entry = Entry { table, rollup };
-        tables.insert(Arc::from(name), entry.clone());
-        self.publish_catalog_locked(tables);
-        Ok(entry.table)
+        let desc = TableDescriptor {
+            rollup: Some(spec.clone()),
+            ..TableDescriptor::new(schema, ttl)
+        };
+        self.create_locked(&snap, name, desc, |table| {
+            let mut all = self.rollup_targets_for(base_table);
+            all.push((spec, table.clone()));
+            base_table.flush_all()?;
+            rollup::fold_base(base_table, &slot, &all[all.len() - 1..], true)?;
+            rollup::fold_base(base_table, &slot, &all, false)?;
+            table.attach()
+        })
     }
 
     /// Drops a rollup table and its definition; the base is untouched, and
@@ -403,7 +389,7 @@ impl Db {
     pub fn drop_rollup(&self, name: &str) -> Result<()> {
         let _writer = self.inner.catalog_lock.lock();
         let snap = self.load_catalog();
-        if snap.get(name).is_none_or(|e| e.rollup.is_none()) {
+        if snap.get(name).is_none_or(|t| t.rollup().is_none()) {
             return Err(Error::invalid(format!("no such rollup {name:?}")));
         }
         self.drop_locked(&snap, name)
@@ -419,7 +405,7 @@ impl Db {
     /// Every rollup definition, in name order.
     pub fn list_rollups(&self) -> Vec<Arc<RollupSpec>> {
         let snap = self.load_catalog();
-        snap.values().filter_map(|e| e.rollup.clone()).collect()
+        snap.values().filter_map(|t| t.rollup().cloned()).collect()
     }
 
     /// Answers `q` over `t`: per group, its values then its finished
@@ -473,9 +459,9 @@ impl Db {
     /// none when `base` is no longer the catalog's table of its name.
     pub(crate) fn rollup_targets_for(&self, base: &Table) -> Vec<(Arc<RollupSpec>, Arc<Table>)> {
         let snap = self.load_catalog();
-        let live = snap.get(base.name()).map(|e| e.table.generation()) == Some(base.generation());
-        let spec = |e: &Entry| e.rollup.clone().filter(|s| live && s.base == base.name());
-        let pair = |e: &Entry| Some((spec(e)?, e.table.clone()));
+        let live = snap.get(base.name()).map(|t| t.generation()) == Some(base.generation());
+        let ours = |s: &&Arc<RollupSpec>| live && s.base == base.name();
+        let pair = |t: &Arc<Table>| Some((t.rollup().filter(ours)?.clone(), t.clone()));
         snap.values().filter_map(pair).collect()
     }
 
@@ -488,7 +474,7 @@ impl Db {
     pub fn maintain(&self) -> Result<MaintenanceReport> {
         let mut total = MaintenanceReport::default();
         let mut first_err = None;
-        for Entry { table, .. } in self.load_catalog().values() {
+        for table in self.load_catalog().values() {
             match self.maintain_one(table) {
                 Ok(r) => {
                     total.sealed_by_age += r.sealed_by_age;
@@ -589,7 +575,7 @@ impl Db {
     /// when the process ends are lost — they would be re-collected from
     /// the devices after a restart — so a polite shutdown calls this.
     pub fn flush_all(&self) -> Result<()> {
-        for Entry { table, .. } in self.load_catalog().values() {
+        for table in self.load_catalog().values() {
             table.flush_all()?;
         }
         Ok(())

@@ -9,69 +9,57 @@
 //! exists logically exactly when the descriptor lists it.
 
 use crate::error::{Error, Result};
+use crate::rollup::RollupSpec;
 use crate::schema::Schema;
-use crate::util::{crc32, put_varint, unzigzag, zigzag, Reader};
+use crate::util::{crc32, put_string, put_varint, unzigzag, zigzag, Reader};
 use littletable_vfs::{join, Micros, Vfs};
+use std::sync::Arc;
 
 /// File name of the committed descriptor within a table directory.
 pub const DESC_FILE: &str = "DESC";
 /// File name of the in-flight temporary descriptor.
 pub const DESC_TMP: &str = "DESC.tmp";
 
-const DESC_VERSION: u8 = 2;
+/// v3 adds the rollup section; v2 the `rolled_up` mark of each tablet.
+const DESC_VERSION: u8 = 3;
 
-/// The descriptor file: its name and magic number ("LTDE").
-const DESC: DurableFile = DurableFile(DESC_FILE, 0x4C54_4445);
+/// The descriptor file, and its magic number ("LTDE").
+const DESC: DescFile = DescFile;
+const MAGIC: u32 = 0x4C54_4445;
 
-/// A small file a table directory replaces whole — the descriptor, a
-/// rollup spec — named `.0`. Its bytes frame a body: the magic number
-/// `.1`, the body's CRC32, the body. A save writes them to `<.0>.tmp`,
-/// syncs it, renames it over `.0` and syncs the directory, so a crash
-/// leaves the old file or the new one, and at worst a stale temporary.
-pub(crate) struct DurableFile(pub(crate) &'static str, pub(crate) u32);
+/// The descriptor's file format. Its bytes frame a body: the magic
+/// number, the body's CRC32, the body. A save writes them to
+/// `DESC.tmp`, syncs it, renames it over `DESC` and syncs the directory,
+/// so a crash leaves the old file or the new one, and at worst a stale
+/// temporary.
+struct DescFile;
 
-impl DurableFile {
+impl DescFile {
     /// `body`, framed.
-    pub(crate) fn frame(&self, body: &[u8]) -> Vec<u8> {
-        [&self.1.to_le_bytes()[..], &crc32(body).to_le_bytes(), body].concat()
+    fn frame(&self, body: &[u8]) -> Vec<u8> {
+        [&MAGIC.to_le_bytes()[..], &crc32(body).to_le_bytes(), body].concat()
     }
 
     /// The body `data` frames, checked against the magic number and CRC.
-    pub(crate) fn unframe<'a>(&self, data: &'a [u8]) -> Result<&'a [u8]> {
+    fn unframe<'a>(&self, data: &'a [u8]) -> Result<&'a [u8]> {
         let mut r = Reader::new(data);
         let (magic, crc) = (r.u32()?, r.u32()?);
         let body = &data[8..];
-        if magic != self.1 || crc != crc32(body) {
-            return Err(Error::corrupt(format!("{}: bad magic or checksum", self.0)));
+        if magic != MAGIC || crc != crc32(body) {
+            return Err(Error::corrupt("DESC: bad magic or checksum"));
         }
         Ok(body)
     }
 
-    /// Durably replaces the file in `dir` with `data`.
-    pub(crate) fn save(&self, vfs: &dyn Vfs, dir: &str, data: &[u8]) -> Result<()> {
-        let tmp = join(dir, &format!("{}.tmp", self.0));
+    /// Durably replaces the descriptor in `dir` with `data`.
+    fn save(&self, vfs: &dyn Vfs, dir: &str, data: &[u8]) -> Result<()> {
+        let tmp = join(dir, DESC_TMP);
         let mut f = vfs.create(&tmp, data.len() as u64)?;
         f.append(data)?;
         f.sync()?;
         drop(f);
-        vfs.rename(&tmp, &join(dir, self.0))?;
+        vfs.rename(&tmp, &join(dir, DESC_FILE))?;
         Ok(vfs.sync_dir(dir)?)
-    }
-
-    /// The file's bytes in `dir`. With `retire`, a stale temporary a
-    /// crash left is removed first; without, nothing is written.
-    pub(crate) fn read(&self, vfs: &dyn Vfs, dir: &str, retire: bool) -> Result<Vec<u8>> {
-        let tmp = join(dir, &format!("{}.tmp", self.0));
-        if retire && vfs.exists(&tmp) && vfs.remove(&tmp).is_ok() {
-            // Make the cleanup itself durable: without this, a second
-            // crash can resurrect the stale tmp file and every reopen
-            // repeats the removal without ever retiring it.
-            let _ = vfs.sync_dir(dir);
-        }
-        let f = vfs.open(&join(dir, self.0))?;
-        let mut data = vec![0u8; f.len()? as usize];
-        f.read_exact_at(0, &mut data)?;
-        Ok(data)
     }
 }
 
@@ -129,6 +117,12 @@ pub struct TableDescriptor {
     pub next_tablet_id: u64,
     /// On-disk tablets, ordered by ascending `min_ts` (ties by id).
     pub tablets: Vec<TabletMeta>,
+    /// A rollup table's definition; `None` for any other table. Its
+    /// `name` is not saved: a table's directory is named after it.
+    pub rollup: Option<Arc<RollupSpec>>,
+    /// Whether the rollup's `CREATE ROLLUP` finished, which its last save
+    /// records: `Db::open` removes a rollup without it.
+    pub attached: bool,
 }
 
 impl TableDescriptor {
@@ -139,6 +133,8 @@ impl TableDescriptor {
             ttl,
             next_tablet_id: 1,
             tablets: Vec::new(),
+            rollup: None,
+            attached: false,
         }
     }
 
@@ -154,6 +150,20 @@ impl TableDescriptor {
             None => body.push(0),
         }
         put_varint(&mut body, self.next_tablet_id);
+        // The rollup section: 0 for a base table, else 1 + the attached
+        // mark, then the spec but its name.
+        match &self.rollup {
+            None => body.push(0),
+            Some(spec) => {
+                body.push(1 + self.attached as u8);
+                put_string(&mut body, &spec.base);
+                put_varint(&mut body, spec.period as u64);
+                for cols in [&spec.value_cols, &spec.distinct_cols] {
+                    put_varint(&mut body, cols.len() as u64);
+                    cols.iter().for_each(|c| put_string(&mut body, c));
+                }
+            }
+        }
         put_varint(&mut body, self.tablets.len() as u64);
         for t in &self.tablets {
             put_varint(&mut body, t.id);
@@ -183,6 +193,13 @@ impl TableDescriptor {
             t => return Err(Error::corrupt(format!("bad ttl tag {t}"))),
         };
         let next_tablet_id = r.varint()?;
+        // v2 and older descriptors predate the rollup section: a rollup
+        // table of theirs also has a `ROLLUP` file, which `Db::open` refuses.
+        let (rollup, attached) = match if ver >= 3 { r.u8()? } else { 0 } {
+            0 => (None, false),
+            tag @ (1 | 2) => (Some(Arc::new(decode_rollup(&mut r)?)), tag == 2),
+            t => return Err(Error::corrupt(format!("bad rollup tag {t}"))),
+        };
         let n = r.varint()? as usize;
         let mut tablets = Vec::with_capacity(n.min(r.remaining()).min(1 << 20));
         for _ in 0..n {
@@ -218,6 +235,8 @@ impl TableDescriptor {
             ttl,
             next_tablet_id,
             tablets,
+            rollup,
+            attached,
         })
     }
 
@@ -229,7 +248,7 @@ impl TableDescriptor {
 
     /// Loads the descriptor from `dir`, cleaning up a stale `DESC.tmp`.
     pub fn load(vfs: &dyn Vfs, dir: &str) -> Result<TableDescriptor> {
-        Self::decode(&DESC.read(vfs, dir, true)?)
+        Self::read(vfs, dir, true)
     }
 
     /// Reads and decodes the descriptor in `dir` without side effects:
@@ -238,7 +257,28 @@ impl TableDescriptor {
     /// (the archiver inspects the primary's descriptor while the primary
     /// may be mid-`save`).
     pub fn peek(vfs: &dyn Vfs, dir: &str) -> Result<TableDescriptor> {
-        Self::decode(&DESC.read(vfs, dir, false)?)
+        Self::read(vfs, dir, false)
+    }
+
+    /// The descriptor in `dir`, its rollup spec named after the table's
+    /// directory. With `retire`, a stale temporary a crash left is
+    /// removed first; without, nothing is written.
+    fn read(vfs: &dyn Vfs, dir: &str, retire: bool) -> Result<TableDescriptor> {
+        let tmp = join(dir, DESC_TMP);
+        if retire && vfs.exists(&tmp) && vfs.remove(&tmp).is_ok() {
+            // Make the cleanup itself durable: without this, a second
+            // crash can resurrect the stale tmp file and every reopen
+            // repeats the removal without ever retiring it.
+            let _ = vfs.sync_dir(dir);
+        }
+        let f = vfs.open(&join(dir, DESC_FILE))?;
+        let mut data = vec![0u8; f.len()? as usize];
+        f.read_exact_at(0, &mut data)?;
+        let mut desc = Self::decode(&data)?;
+        if let Some(spec) = &mut desc.rollup {
+            Arc::make_mut(spec).name = dir.to_string();
+        }
+        Ok(desc)
     }
 
     /// The largest row timestamp recorded across all tablets, if any.
@@ -251,6 +291,31 @@ impl TableDescriptor {
     pub fn sort_tablets(&mut self) {
         self.tablets.sort_by_key(|t| (t.min_ts, t.id));
     }
+}
+
+/// A rollup section's spec, its name left for [`TableDescriptor::read`].
+fn decode_rollup(r: &mut Reader) -> Result<RollupSpec> {
+    let base = r.string()?;
+    let period = Micros::try_from(r.varint()?).ok().filter(|&p| p > 0);
+    let period = period.ok_or_else(|| Error::corrupt("rollup period out of range"))?;
+    // A column name takes at least its length byte, so a count cannot
+    // outrun the bytes left.
+    let mut names = || -> Result<Vec<String>> {
+        let n = r.varint()? as usize;
+        let mut out = Vec::with_capacity(n.min(r.remaining()).min(1 << 10));
+        for _ in 0..n {
+            out.push(r.string()?);
+        }
+        Ok(out)
+    };
+    let (value_cols, distinct_cols) = (names()?, names()?);
+    Ok(RollupSpec {
+        name: String::new(),
+        base,
+        period,
+        value_cols,
+        distinct_cols,
+    })
 }
 
 #[cfg(test)]
@@ -473,6 +538,185 @@ mod tests {
         let named = format!("tablet {} ", tablet.id);
         assert!(err.to_string().contains(&named), "{err}");
         assert_eq!(listing(), before);
+    }
+
+    /// A directory that still holds the `ROLLUP` spec file an older engine
+    /// kept beside a rollup's descriptor fails `Db::open`, naming the
+    /// file, before the table's open could sweep it (or the orphan tablet
+    /// beside it) away.
+    #[test]
+    fn a_rollup_spec_file_fails_the_open_and_touches_no_file() {
+        use crate::db::Db;
+        use crate::options::Options;
+        use crate::value::Value;
+        use littletable_vfs::SimClock;
+        let vfs = SimVfs::instant();
+        let open = || {
+            let clock = Arc::new(SimClock::new(1_000));
+            Db::open(Arc::new(vfs.clone()), clock, Options::small_for_tests())
+        };
+        let t = open().unwrap().create_table("t", schema(), None).unwrap();
+        t.insert(vec![vec![Value::I64(1), Value::Timestamp(100)]])
+            .unwrap();
+        t.flush_all().unwrap();
+        drop(t);
+        for file in ["t/ROLLUP", &format!("t/{}", tablet_file_name(99))] {
+            vfs.create(file, 0).unwrap().append(b"v2").unwrap();
+        }
+        vfs.sync_dir("t").unwrap();
+        let listing = || {
+            let mut names = vfs.list_dir("t").unwrap();
+            names.sort();
+            names
+        };
+        let before = listing();
+        let err = open().err().expect("a ROLLUP file must fail the open");
+        assert!(matches!(err, Error::Corrupt(_)), "{err:?}");
+        assert!(err.to_string().contains("t/ROLLUP"), "{err}");
+        assert_eq!(listing(), before);
+    }
+
+    fn rollup_spec() -> RollupSpec {
+        RollupSpec {
+            name: "usage_1h".into(),
+            base: "usage".into(),
+            period: 3_600_000_000,
+            value_cols: vec!["bytes".into(), "load".into()],
+            distinct_cols: vec!["user".into()],
+        }
+    }
+
+    /// `sample()`'s descriptor as a rollup table's, attached or not.
+    fn rollup_sample(spec: RollupSpec, attached: bool) -> TableDescriptor {
+        TableDescriptor {
+            rollup: Some(Arc::new(spec)),
+            attached,
+            ..sample()
+        }
+    }
+
+    /// A rollup's descriptor saves its spec and attached mark, and loads
+    /// them with the spec named after the table's directory.
+    #[test]
+    fn a_rollup_section_round_trips() {
+        let vfs = SimVfs::instant();
+        vfs.mkdir_all("usage_1h").unwrap();
+        for attached in [false, true] {
+            let d = rollup_sample(rollup_spec(), attached);
+            d.save(&vfs, "usage_1h").unwrap();
+            assert_eq!(TableDescriptor::load(&vfs, "usage_1h").unwrap(), d);
+            assert_eq!(TableDescriptor::peek(&vfs, "usage_1h").unwrap(), d);
+            let unnamed = TableDescriptor::decode(&d.encode()).unwrap();
+            assert_eq!(unnamed.rollup.unwrap().name, "");
+        }
+    }
+
+    /// v2 bodies, which have no rollup section, decode as base tables.
+    #[test]
+    fn v2_descriptors_still_decode() {
+        let d = sample();
+        let mut body = DESC.unframe(&d.encode()).unwrap().to_vec();
+        let untabled = TableDescriptor {
+            tablets: Vec::new(),
+            ..d.clone()
+        };
+        let at = DESC.unframe(&untabled.encode()).unwrap().len() - 2;
+        assert_eq!(body[0], 3, "the version");
+        assert_eq!(body[at], 0, "a base table's rollup section");
+        body.remove(at);
+        body[0] = 2;
+        assert_eq!(TableDescriptor::decode(&DESC.frame(&body)).unwrap(), d);
+    }
+
+    /// A name count past the bytes left is corruption, and reserves for
+    /// no more names than those bytes could hold.
+    #[test]
+    fn a_huge_rollup_name_count_over_a_few_bytes_is_corrupt() {
+        let d = TableDescriptor {
+            tablets: Vec::new(),
+            ..rollup_sample(rollup_spec(), true)
+        };
+        let mut body = DESC.unframe(&d.encode()).unwrap().to_vec();
+        assert_eq!(body.pop(), Some(0), "the tablet count");
+        assert_eq!(body.pop(), Some(b'r'), "the last distinct column, \"user\"");
+        body.truncate(body.len() - 4);
+        assert_eq!(body.pop(), Some(1), "the distinct column count");
+        put_varint(&mut body, u64::MAX >> 1);
+        body.extend_from_slice(&[1, b'a']);
+        let err = TableDescriptor::decode(&DESC.frame(&body)).unwrap_err();
+        assert!(matches!(err, Error::Corrupt(_)), "{err:?}");
+    }
+
+    /// A period of 0 is saved as 0 and a negative one as a varint of
+    /// 2^63 or more: neither is a bucket width.
+    #[test]
+    fn a_rollup_period_out_of_range_is_refused_on_load() {
+        let vfs = SimVfs::instant();
+        vfs.mkdir_all("r").unwrap();
+        for period in [0, -5, Micros::MIN] {
+            let spec = RollupSpec {
+                period,
+                ..rollup_spec()
+            };
+            rollup_sample(spec, true).save(&vfs, "r").unwrap();
+            let err = TableDescriptor::load(&vfs, "r").unwrap_err();
+            assert!(matches!(err, Error::Corrupt(_)), "{period}: {err:?}");
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(32))]
+
+        /// Every truncation and every bit flip of a rollup's descriptor is
+        /// an error (the frame's checksum refuses them), never a panic.
+        /// With the frame rebuilt around a damaged body, so that the parser
+        /// itself reads the damage, every truncation is still an error,
+        /// and a flip decodes to a descriptor that round-trips or fails.
+        fn prop_hostile_rollup_descriptor_bytes_are_errors(
+            names in proptest::collection::vec(
+                proptest::collection::vec(proptest::prelude::any::<u8>(), 0..6),
+                1..7,
+            ),
+            split in 0usize..7,
+            period in 1i64..i64::MAX,
+            attached in proptest::prelude::any::<bool>(),
+        ) {
+            // The spec's name is the directory's, not saved.
+            let name = |b: &Vec<u8>| b.iter().map(|&c| (b'a' + c % 26) as char).collect();
+            let cols: Vec<String> = names[1..].iter().map(name).collect();
+            let split = split.min(cols.len());
+            let spec = RollupSpec {
+                name: String::new(),
+                base: name(&names[0]),
+                period,
+                value_cols: cols[..split].to_vec(),
+                distinct_cols: cols[split..].to_vec(),
+            };
+            let d = rollup_sample(spec, attached);
+            let framed = d.encode();
+            assert_eq!(TableDescriptor::decode(&framed).unwrap(), d);
+            let body = DESC.unframe(&framed).unwrap().to_vec();
+            for cut in 0..framed.len() {
+                assert!(TableDescriptor::decode(&framed[..cut]).is_err(), "cut at {cut}");
+            }
+            for cut in 0..body.len() {
+                let cut_body = DESC.frame(&body[..cut]);
+                assert!(TableDescriptor::decode(&cut_body).is_err(), "body cut at {cut}");
+            }
+            let (mut framed, mut body) = (framed, body);
+            for bit in 0..framed.len() * 8 {
+                framed[bit / 8] ^= 1 << (bit % 8);
+                assert!(TableDescriptor::decode(&framed).is_err(), "bit {bit} flipped");
+                framed[bit / 8] ^= 1 << (bit % 8);
+            }
+            for bit in 0..body.len() * 8 {
+                body[bit / 8] ^= 1 << (bit % 8);
+                if let Ok(back) = TableDescriptor::decode(&DESC.frame(&body)) {
+                    assert_eq!(TableDescriptor::decode(&back.encode()).unwrap(), back);
+                }
+                body[bit / 8] ^= 1 << (bit % 8);
+            }
+        }
     }
 
     #[test]

@@ -35,11 +35,17 @@
 //! merges tablets that are already rolled up
 //! (see `Table::rollup_source`) — merging first would re-chunk rows and
 //! double-count them on the refold. The database's catalog publish, its
-//! one writer, sets it from the rollup specs the catalog's entries hold.
+//! one writer, sets it from the rollup specs the catalog's tables hold.
 //!
-//! `Db::create_rollup` holds the writer lock and the base's slot until it
-//! publishes: it folds the marked tablets into the new rollup alone, then
-//! the rest into all. A maintenance pass reads the rollups under the slot.
+//! # Creating and dropping
+//!
+//! A rollup's spec lives in its table's descriptor. `Db::create_rollup`,
+//! under the writer lock and the base's slot, creates the table (spec
+//! saved, not attached), flushes the base, folds the marked tablets into
+//! the new rollup alone and the rest into all, saves it attached, and
+//! publishes it. A drop removes the named table's descriptor before its
+//! rollups'. `Db::open` removes a rollup that is not attached, or whose
+//! base is not a table. A maintenance pass reads rollups under the slot.
 //!
 //! # Serving
 //!
@@ -60,29 +66,19 @@ use crate::agg::{fold_block, scan_groups, AggFunc, AggSpec, GroupSpec, Groups, I
 use crate::block::ColumnSlice;
 use crate::cursor::{RunCursor, Source, READ_RUN_BYTES};
 use crate::db::Db;
-use crate::descriptor::DurableFile;
 use crate::error::{Error, Result};
 use crate::keyenc::KeyRange;
 use crate::query::Query;
 use crate::schema::{ColumnDef, Schema};
 use crate::stats::TableStats;
 use crate::table::{ttl_horizon, ColumnPredicate, MergeSlot, Selection, Table};
-use crate::util::{put_string, put_varint, Reader};
 use crate::value::{ColumnType, Value};
-use littletable_vfs::{Micros, Vfs};
+use littletable_vfs::Micros;
 use std::sync::Arc;
 
-/// File name of the rollup spec within a rollup table's directory. Its
-/// presence is what distinguishes a rollup table from a base table at
-/// `Db::open`.
-pub const SPEC_FILE: &str = "ROLLUP";
-const SPEC_VERSION: u8 = 1;
-
-/// The spec file: its name and magic number ("LTRL").
-const SPEC: DurableFile = DurableFile(SPEC_FILE, 0x4C54_524C);
-
-/// The durable definition of one rollup: which base table it folds,
-/// at what period, and which columns get sums/extrema and HLL sketches.
+/// The definition of one rollup: which base table it folds, at what
+/// period, and which columns get sums/extrema and HLL sketches. The
+/// rollup table's descriptor holds it ([`crate::descriptor`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RollupSpec {
     /// Name of the rollup table itself.
@@ -97,81 +93,6 @@ pub struct RollupSpec {
     /// Base columns given a `_hll` HyperLogLog sketch column for
     /// `COUNT(DISTINCT …)`.
     pub distinct_cols: Vec<String>,
-}
-
-impl RollupSpec {
-    fn encode(&self) -> Vec<u8> {
-        let mut body = Vec::new();
-        body.push(SPEC_VERSION);
-        put_string(&mut body, &self.name);
-        put_string(&mut body, &self.base);
-        put_varint(&mut body, self.period as u64);
-        put_varint(&mut body, self.value_cols.len() as u64);
-        for c in &self.value_cols {
-            put_string(&mut body, c);
-        }
-        put_varint(&mut body, self.distinct_cols.len() as u64);
-        for c in &self.distinct_cols {
-            put_string(&mut body, c);
-        }
-        SPEC.frame(&body)
-    }
-
-    fn decode(data: &[u8]) -> Result<RollupSpec> {
-        let mut r = Reader::new(SPEC.unframe(data)?);
-        let ver = r.u8()?;
-        if ver != SPEC_VERSION {
-            return Err(Error::corrupt(format!("unknown rollup spec version {ver}")));
-        }
-        let name = r.string()?;
-        let base = r.string()?;
-        let period = Micros::try_from(r.varint()?)
-            .ok()
-            .filter(|&p| p > 0)
-            .ok_or_else(|| Error::corrupt("rollup spec period out of range"))?;
-        // A column name takes at least its length byte, so a count cannot
-        // outrun the bytes left.
-        let names = |r: &mut Reader| -> Result<Vec<String>> {
-            let n = r.varint()? as usize;
-            let mut out = Vec::with_capacity(n.min(r.remaining()).min(1 << 10));
-            for _ in 0..n {
-                out.push(r.string()?);
-            }
-            Ok(out)
-        };
-        let value_cols = names(&mut r)?;
-        let distinct_cols = names(&mut r)?;
-        if !r.is_empty() {
-            return Err(Error::corrupt("trailing bytes after rollup spec"));
-        }
-        Ok(RollupSpec {
-            name,
-            base,
-            period,
-            value_cols,
-            distinct_cols,
-        })
-    }
-
-    /// Durably writes the spec into the rollup table's directory.
-    pub(crate) fn save(&self, vfs: &dyn Vfs, dir: &str) -> Result<()> {
-        SPEC.save(vfs, dir, &self.encode())
-    }
-
-    /// Durably removes the spec file, if any, leaving a plain table.
-    pub(crate) fn remove(vfs: &dyn Vfs, dir: &str) -> Result<()> {
-        let path = littletable_vfs::join(dir, SPEC_FILE);
-        if vfs.exists(&path) {
-            vfs.remove(&path)?;
-            vfs.sync_dir(dir)?;
-        }
-        Ok(())
-    }
-
-    /// Loads a spec from a rollup table's directory.
-    pub(crate) fn load(vfs: &dyn Vfs, dir: &str) -> Result<RollupSpec> {
-        Self::decode(&SPEC.read(vfs, dir, true)?)
-    }
 }
 
 /// The rollup column type that holds sums/extrema of a base value
@@ -561,99 +482,6 @@ mod tests {
     }
 
     #[test]
-    fn spec_round_trips() {
-        let s = spec();
-        let back = RollupSpec::decode(&s.encode()).unwrap();
-        assert_eq!(s, back);
-    }
-
-    #[test]
-    fn spec_detects_corruption() {
-        let mut data = spec().encode();
-        data[9] ^= 0x10;
-        assert!(RollupSpec::decode(&data).is_err());
-        assert!(RollupSpec::decode(&data[..6]).is_err());
-    }
-
-    /// A column count past the bytes left is corruption, and reserves
-    /// for no more names than those bytes could hold.
-    #[test]
-    fn a_huge_column_count_over_a_few_bytes_is_corrupt() {
-        let mut body = SPEC.unframe(&spec().encode()).unwrap().to_vec();
-        assert_eq!(body.pop(), Some(b'r'), "the last distinct column, \"user\"");
-        body.truncate(body.len() - 4);
-        assert_eq!(body.pop(), Some(1), "the distinct column count");
-        put_varint(&mut body, u64::MAX >> 1);
-        body.extend_from_slice(&[1, b'a']);
-        let err = RollupSpec::decode(&SPEC.frame(&body)).unwrap_err();
-        assert!(matches!(err, Error::Corrupt(_)), "{err:?}");
-    }
-
-    proptest::proptest! {
-        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(32))]
-
-        /// Every truncation and every bit flip of an encoded spec is an
-        /// error (the frame's checksum refuses them), never a panic. With
-        /// the frame rebuilt around a damaged body, so that the parser
-        /// itself reads the damage, every truncation is still an error,
-        /// and a flip decodes to a spec that round-trips or fails.
-        fn prop_hostile_spec_bytes_are_errors(
-            names in proptest::collection::vec(
-                proptest::collection::vec(proptest::prelude::any::<u8>(), 0..6),
-                2..8,
-            ),
-            split in 0usize..7,
-            period in 1i64..i64::MAX,
-        ) {
-            let name = |b: &Vec<u8>| b.iter().map(|&c| (b'a' + c % 26) as char).collect();
-            let cols: Vec<String> = names[2..].iter().map(name).collect();
-            let split = split.min(cols.len());
-            let s = RollupSpec {
-                name: name(&names[0]),
-                base: name(&names[1]),
-                period,
-                value_cols: cols[..split].to_vec(),
-                distinct_cols: cols[split..].to_vec(),
-            };
-            let framed = s.encode();
-            assert_eq!(RollupSpec::decode(&framed).unwrap(), s);
-            let body = SPEC.unframe(&framed).unwrap().to_vec();
-            for cut in 0..framed.len() {
-                assert!(RollupSpec::decode(&framed[..cut]).is_err(), "cut at {cut}");
-            }
-            for cut in 0..body.len() {
-                assert!(RollupSpec::decode(&SPEC.frame(&body[..cut])).is_err(), "body cut at {cut}");
-            }
-            let (mut framed, mut body) = (framed, body);
-            for bit in 0..framed.len() * 8 {
-                framed[bit / 8] ^= 1 << (bit % 8);
-                assert!(RollupSpec::decode(&framed).is_err(), "bit {bit} flipped");
-                framed[bit / 8] ^= 1 << (bit % 8);
-            }
-            for bit in 0..body.len() * 8 {
-                body[bit / 8] ^= 1 << (bit % 8);
-                if let Ok(back) = RollupSpec::decode(&SPEC.frame(&body)) {
-                    assert_eq!(RollupSpec::decode(&back.encode()).unwrap(), back);
-                }
-                body[bit / 8] ^= 1 << (bit % 8);
-            }
-        }
-    }
-
-    /// A period of 0 is saved as 0 and a negative one as a varint of
-    /// 2^63 or more: neither is a bucket width.
-    #[test]
-    fn spec_with_a_period_out_of_range_is_refused_on_load() {
-        let vfs = SimVfs::instant();
-        vfs.mkdir_all("r").unwrap();
-        for period in [0, -5, Micros::MIN] {
-            RollupSpec { period, ..spec() }.save(&vfs, "r").unwrap();
-            let err = RollupSpec::load(&vfs, "r").unwrap_err();
-            assert!(matches!(err, Error::Corrupt(_)), "{period}: {err:?}");
-        }
-    }
-
-    #[test]
     fn schema_derivation_layout() {
         let s = rollup_schema(&base_schema(), &spec()).unwrap();
         let names: Vec<&str> = s.columns().iter().map(|c| c.name.as_str()).collect();
@@ -740,7 +568,7 @@ mod tests {
     use crate::options::Options;
     use crate::query::Query;
     use littletable_hll::HyperLogLog;
-    use littletable_vfs::{join, SimClock, SimVfs};
+    use littletable_vfs::{join, SimClock, SimVfs, Vfs};
 
     const START: Micros = 1_700_000_000_000_000;
     const HOUR: Micros = 3_600_000_000;

@@ -217,9 +217,13 @@ impl Table {
         if st.dropped || !st.desc_dirty {
             return Ok(());
         }
-        let mut desc = TableDescriptor::new((*st.schema).clone(), st.ttl);
-        desc.next_tablet_id = st.next_tablet_id;
-        desc.tablets = st.metas();
+        let desc = TableDescriptor {
+            next_tablet_id: st.next_tablet_id,
+            tablets: st.metas(),
+            rollup: self.rollup.clone(),
+            attached: self.attached.load(Ordering::Relaxed),
+            ..TableDescriptor::new((*st.schema).clone(), st.ttl)
+        };
         desc.save(self.vfs.as_ref(), &self.name)?;
         st.desc_dirty = false;
         TableStats::add(&self.stats.descriptor_saves, 1);

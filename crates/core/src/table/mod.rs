@@ -39,8 +39,10 @@ use crate::cache::BlockCache;
 use crate::descriptor::{parse_tablet_file_name, TableDescriptor, DESC_FILE, DESC_TMP};
 use crate::error::{Error, Result};
 use crate::options::Options;
-use crate::rollup::SPEC_FILE;
-use crate::schema::{Schema, SchemaRef};
+use crate::rollup::RollupSpec;
+#[cfg(test)]
+use crate::schema::Schema;
+use crate::schema::SchemaRef;
 use crate::stats::TableStats;
 use crate::tablet::TabletReader;
 use littletable_vfs::{join, Clock, Micros, Vfs};
@@ -144,6 +146,11 @@ pub struct Table {
     /// True when a rollup names this table as its base, which restricts
     /// merging to rolled-up tablets; written by the catalog's publish.
     pub(crate) rollup_source: AtomicBool,
+    /// This table's definition when it is a rollup table, and its
+    /// attached mark (see [`Table::attach`]); every descriptor save
+    /// writes both.
+    rollup: Option<Arc<RollupSpec>>,
+    pub(crate) attached: AtomicBool,
 }
 
 /// The table's one maintenance slot, held. While it lives no merge, bulk
@@ -160,18 +167,17 @@ impl Drop for MergeSlot<'_> {
 }
 
 impl Table {
-    /// Creates table `name` in the directory of that name.
+    /// Creates table `name`, as `desc` describes it, in the directory of
+    /// that name. A rollup table is not attached yet (see [`Table::attach`]).
     pub(crate) fn create(
         vfs: Arc<dyn Vfs>,
         clock: Arc<dyn Clock>,
         opts: Arc<Options>,
         cache: Arc<BlockCache>,
         name: String,
-        schema: Schema,
-        ttl: Option<Micros>,
+        desc: TableDescriptor,
     ) -> Result<Arc<Table>> {
         vfs.mkdir_all(&name)?;
-        let desc = TableDescriptor::new(schema, ttl);
         desc.save(vfs.as_ref(), &name)?;
         vfs.sync_dir(littletable_vfs::parent(&name))?;
         let (stats, disk) = (Arc::default(), Vec::new());
@@ -193,13 +199,12 @@ impl Table {
         // Delete the orphan tablet files a crash mid-flush or mid-merge
         // left: those the descriptor does not list, never committed or
         // committed away. Quarantined files are evidence, not orphans; the
-        // descriptor and the rollup spec that marks this table as derived
-        // are not tablets.
+        // descriptor is not a tablet.
         for entry in vfs.list_dir(&name)? {
             let kept = match parse_tablet_file_name(&entry) {
                 Some(id) => desc.tablets.iter().any(|t| t.id == id),
                 None => {
-                    [DESC_FILE, DESC_TMP, SPEC_FILE].contains(&entry.as_str())
+                    [DESC_FILE, DESC_TMP].contains(&entry.as_str())
                         || entry.ends_with(QUARANTINE_SUFFIX)
                 }
             };
@@ -295,6 +300,8 @@ impl Table {
             flush_lock: Mutex::new(()),
             generation: NEXT_GENERATION.fetch_add(1, Ordering::Relaxed),
             rollup_source: AtomicBool::new(false),
+            attached: AtomicBool::new(desc.attached),
+            rollup: desc.rollup,
         })
     }
 
@@ -390,6 +397,20 @@ impl Table {
         let mem = st.mem_tablets().filter_map(|t| t.read().min_ts());
         let lows = unfolded.map(|h| h.meta.min_ts).chain(mem);
         lows.min().unwrap_or(Micros::MAX)
+    }
+
+    /// This table's definition when it is a rollup table.
+    pub fn rollup(&self) -> Option<&Arc<RollupSpec>> {
+        self.rollup.as_ref()
+    }
+
+    /// Saves this rollup table's descriptor with the attached mark: the
+    /// one save that commits its `CREATE ROLLUP`.
+    pub(crate) fn attach(&self) -> Result<()> {
+        self.attached.store(true, Ordering::Relaxed);
+        let mut st = self.state.lock();
+        st.desc_dirty = true;
+        self.save_locked(&mut st)
     }
 
     /// True when some rollup in the database's catalog names this table

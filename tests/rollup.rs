@@ -16,7 +16,9 @@
 //! keep the catalog as a model says. And `CREATE ROLLUP` as one
 //! transaction: each base tablet reaches each rollup once, whether older
 //! rollups folded it before a merge, a maintenance pass runs during the
-//! attach, or the create is killed at any op.
+//! attach, or the create is killed at any op; no reader sees the rollup
+//! before it is done; and killed at any op, the create and a drop
+//! cascade each leave the catalog as it was before or after.
 
 use littletable::core::rollup::RollupSpec;
 use littletable::proto::{Request, Response};
@@ -695,14 +697,15 @@ impl Vfs for HookVfs {
 }
 
 /// Rows of sensor 2 inserted, flushed and maintained while `CREATE ROLLUP
-/// m_1d` writes its spec file: the fold that maintenance pass would make
-/// waits for the attach, so the new tablet reaches `m_1d` as well as
-/// `m_1h`, and the daily sum reads all 120 rows rather than 60.
+/// m_1d` writes its first tablet, after folding `m_1h`'s tablets into it
+/// and before folding the rest into both: the fold that maintenance pass
+/// would make waits for the attach, so the new tablet reaches `m_1d` as
+/// well as `m_1h`, and the daily sum reads all 120 rows rather than 60.
 #[test]
 fn a_fold_during_the_attach_reaches_the_new_rollup() {
     let vfs = HookVfs {
         inner: SimVfs::instant(),
-        path: "m_1d/ROLLUP.tmp",
+        path: "m_1d/tab-0000000000000001.lt",
         hook: Arc::default(),
     };
     let clock = Arc::new(SimClock::new(START));
@@ -730,6 +733,33 @@ fn a_fold_during_the_attach_reaches_the_new_rollup() {
     assert_eq!(m.query_all(&Query::all()).unwrap().len(), 120);
     assert_rollups_fold_m(&s, "1d", DAY, "m_1d");
     assert_rollups_fold_m(&s, "1h", HOUR, "m_1h");
+}
+
+/// No reader sees a rollup before its `CREATE ROLLUP` is done: asked from
+/// inside the create's fold, as it writes the new rollup's first tablet,
+/// the catalog neither lists nor finds `m_2h`.
+#[test]
+fn no_reader_sees_a_half_built_rollup() {
+    let vfs = HookVfs {
+        inner: SimVfs::instant(),
+        path: "m_2h/tab-0000000000000001.lt",
+        hook: Arc::default(),
+    };
+    let clock = Arc::new(SimClock::new(START));
+    let db = Db::open(Arc::new(vfs.clone()), clock, Options::small_for_tests()).unwrap();
+    let s = Session::new(db.clone());
+    load_m(&s, 1);
+    let seen = Arc::new(Mutex::new(None));
+    let (during, seen_during) = (db.clone(), seen.clone());
+    *vfs.hook.lock().unwrap() = Some(Box::new(move || {
+        let found = during.table("m_2h").is_ok();
+        *seen_during.lock().unwrap() = Some((during.list_tables(), found));
+    }));
+    s.execute("CREATE ROLLUP m_2h ON m PERIOD '2h' AGGREGATE (v)")
+        .unwrap();
+    let seen = seen.lock().unwrap().take().expect("the hook never ran");
+    assert_eq!(seen, (vec!["m".to_string()], false));
+    assert_eq!(db.list_tables(), ["m", "m_2h"]);
 }
 
 /// A bulk delete would rewrite tablets that keep their `rolled_up` mark
@@ -840,6 +870,89 @@ fn a_create_rollup_killed_at_every_op_recovers() {
         assert_eq!(listed(s.db()), ["m_1h", "m_2h"], "{ctx}");
         assert_rollups_fold_m(&s, "1h", HOUR, &ctx);
         assert_rollups_fold_m(&s, "2h", 2 * HOUR, &ctx);
+    }
+    std::fs::remove_dir_all(&root).unwrap();
+}
+
+/// The catalog as readers see it: per table, in name order, its name,
+/// the base it rolls up if it is a rollup, and whether a rollup folds it.
+fn catalog(db: &Db) -> Vec<(String, Option<String>, bool)> {
+    let rollups = db.list_rollups();
+    let entry = |name: String| {
+        let spec = rollups.iter().find(|s| s.name == name);
+        let source = db.table(&name).unwrap().is_rollup_source();
+        (name, spec.map(|s| s.base.clone()), source)
+    };
+    db.list_tables().into_iter().map(entry).collect()
+}
+
+/// `CREATE ROLLUP m_2h` and `drop_table("m")`, which takes `m_1h` with
+/// it, each over `merged_bed`, killed at each of its I/O operations in
+/// turn on a real file system, then restarted and maintained. The
+/// catalog is exactly what it was before the statement or what it is
+/// after it: tables, rollups and merge flags. Every sum over a surviving
+/// `m` is a fold of its rows, and a statement found undone, run again
+/// as it was, succeeds.
+#[test]
+fn a_rollup_ddl_statement_killed_at_every_op_is_done_or_not() {
+    type Statement = fn(&Db) -> Result<(), Error>;
+    let create: Statement = |db| {
+        let sql = "CREATE ROLLUP m_2h ON m PERIOD '2h' AGGREGATE (v)";
+        Session::new(db.clone()).execute(sql).map(drop)
+    };
+    let drop_m: Statement = |db| db.drop_table("m");
+    let root = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("lt-rollup-ddl-kill");
+    let _ = std::fs::remove_dir_all(&root);
+    let clock = SimClock::new(START);
+    let open_on = |vfs: &FaultVfs<StdVfs>| {
+        let opts = Options::small_for_tests();
+        Db::open(Arc::new(vfs.clone()), Arc::new(clock.clone()), opts).unwrap()
+    };
+    // `m`'s sums, each served from a rollup, when `m` is a table.
+    let assert_sums = |db: &Db, ctx: &str| {
+        if db.table("m").is_ok() {
+            let s = Session::new(db.clone());
+            assert_rollups_fold_m(&s, "1h", HOUR, ctx);
+            assert_rollups_fold_m(&s, "2h", 2 * HOUR, ctx);
+        }
+    };
+    for (what, run) in [("create", create), ("drop", drop_m)] {
+        let bed = |dir: &str| {
+            let vfs = FaultVfs::new(StdVfs::new(root.join(what).join(dir)).unwrap());
+            let db = open_on(&vfs);
+            merged_bed(&db);
+            (vfs, db)
+        };
+        let (vfs, db) = bed("count");
+        let before = catalog(&db);
+        let start = vfs.op_count();
+        run(&db).unwrap();
+        let ops = vfs.op_count() - start;
+        let after = catalog(&db);
+        assert_ne!(before, after, "{what}");
+        assert!(ops >= 4, "the {what} took only {ops} ops");
+        for k in 0..ops {
+            let ctx = format!("{what} killed at op {k}");
+            let (vfs, db) = bed(&format!("kill-{k}"));
+            vfs.set_fault_plan(FaultPlan::crash_at(vfs.op_count() + k));
+            let _ = run(&db);
+            assert_eq!(vfs.faults_injected(), 1, "{ctx} never fired");
+            drop(db);
+            vfs.clear_fault_plan();
+            vfs.reboot();
+            let db = open_on(&vfs);
+            db.maintain().unwrap();
+            let now = catalog(&db);
+            assert!(now == before || now == after, "{ctx}: {now:?}");
+            assert_sums(&db, &ctx);
+            if now == before {
+                run(&db).unwrap_or_else(|e| panic!("{ctx}, retried: {e}"));
+                drop(db);
+                let db = open_on(&vfs);
+                assert_eq!(catalog(&db), after, "{ctx}, retried");
+                assert_sums(&db, &format!("{ctx}, retried"));
+            }
+        }
     }
     std::fs::remove_dir_all(&root).unwrap();
 }
