@@ -274,7 +274,9 @@ impl<'a> BitReader<'a> {
 
 // ---------------------------------------------------------------- varints
 
-fn put_varint(out: &mut Vec<u8>, mut v: u64) {
+/// Appends `v` as a LEB128 varint.
+#[inline]
+pub fn put_varint(out: &mut Vec<u8>, mut v: u64) {
     while v >= 0x80 {
         out.push((v as u8) | 0x80);
         v >>= 7;
@@ -313,11 +315,15 @@ fn read_varint(data: &[u8], pos: &mut usize) -> Result<u64> {
     }
 }
 
-fn zigzag(v: i64) -> u64 {
+/// Zigzag-encodes a signed integer so small magnitudes stay short.
+#[inline]
+pub fn zigzag(v: i64) -> u64 {
     ((v << 1) ^ (v >> 63)) as u64
 }
 
-fn unzigzag(v: u64) -> i64 {
+/// Inverse of [`zigzag`].
+#[inline]
+pub fn unzigzag(v: u64) -> i64 {
     ((v >> 1) as i64) ^ -((v & 1) as i64)
 }
 

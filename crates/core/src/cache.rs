@@ -49,8 +49,8 @@
 //!   the query-result cache's answers (`resultcache`) are one.
 //! * **Scan-resistant admission.** Only the block read path
 //!   ([`crate::tablet::TabletReader::read_block`]) admits, promotes or
-//!   marks blocks. The ~1 MB buffered run reads that merges, bulk
-//!   rewrites and rollup folds use (§3.4.1,
+//!   marks blocks. The ~1 MB buffered run reads that merges and rollup
+//!   folds use (§3.4.1,
 //!   [`crate::tablet::TabletReader::read_block_run`]) only observe it:
 //!   before a run goes to disk, a block resident in either tier is taken
 //!   from there (`BlockCache::peek_block`: no reference bit set, nothing
@@ -58,23 +58,23 @@
 //!   from disk are admitted nowhere. So a full-table merge pass cannot
 //!   wipe out the hot set the way it would with admit-everything caching,
 //!   nor reorder its eviction, yet reads none of it from disk. Every tablet
-//!   written (flush, merge, bulk-delete rewrite) enters its footer as it
-//!   is finished, the one a first query would otherwise load from disk.
-//! * **Rewrites inherit residency.** Before a merge or a bulk delete
-//!   writes anything, it asks whether any block of the tablets it
-//!   replaces is resident in either tier (`BlockCache::peek_footer` and
+//!   written (flush, merge) enters its footer as it is finished, the one
+//!   a first query would otherwise load from disk.
+//! * **Rewrites inherit residency.** Before a merge writes anything, it
+//!   asks whether any block of the tablets it replaces is resident in
+//!   either tier (`BlockCache::peek_footer` and
 //!   `BlockCache::peek_block`, which observe only: no reference bit
 //!   set, nothing read from disk). If one is, each block it writes is
 //!   offered to the lower tier under the new tablet's id as it is
-//!   appended. A flush inherits nothing, nor does a rewrite of tablets
+//!   appended. A flush inherits nothing, nor does a merge of tablets
 //!   nobody read, so cold merges admit no block.
 //! * **Four ways in, two of them into free space only.** A block enters
 //!   on a miss, on a demotion from the upper tier, by readahead and by a
-//!   rewrite. A block miss reads the blocks after the missed one in the
+//!   merge. A block miss reads the blocks after the missed one in the
 //!   same disk access — while the cache has room for the whole read, and
 //!   each of them is resident already or fits in free space in its
 //!   lower-tier shard (`BlockCache::may_read_ahead`). Those blocks, and
-//!   those a rewrite inherits, go through
+//!   those a merge inherits, go through
 //!   `BlockCache::admit_into_free_space`: it takes free space in the
 //!   block's lower-tier shard and nothing else — it never evicts, and
 //!   skips a block resident in either tier — so a full cache of hot
@@ -85,7 +85,7 @@
 //! * **Write-once keys.** Tablet ids are allocated once per
 //!   [`crate::tablet::TabletReader`] and never reused, so an entry can
 //!   never alias a different tablet's data. When a reader is dropped
-//!   (merge, TTL expiry, bulk delete, table drop), its entries — both
+//!   (merge, TTL expiry, table drop), its entries — both
 //!   tiers and the footer — are invalidated. A writer admits its footer,
 //!   and the blocks it inherits, under the id of the reader its tablet
 //!   will be served through, built before the first byte is written, so

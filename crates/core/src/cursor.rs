@@ -26,7 +26,7 @@
 //!
 //! The cursor has three consumers. A query cuts the runs at its time
 //! bounds and limits ([`crate::table::QueryCursor`]); the rollup fold
-//! aggregates them; a merge or a bulk delete hands them to
+//! aggregates them; a merge hands them to
 //! [`crate::tablet::TabletWriter::add_run`]. The last two read whole
 //! tablets once, so their sources read `READ_RUN_BYTES` at a time
 //! (`Source::with_read_run`): a block the block cache holds is taken from
@@ -44,9 +44,9 @@ use std::collections::VecDeque;
 use std::ops::Range;
 use std::sync::Arc;
 
-/// Compressed bytes a whole-tablet scan (a merge, a bulk delete, a rollup
-/// fold) fetches per disk access. §3.4.1: to spend at most half its time
-/// seeking between input tablets, a merge must read about 1 MB at a time.
+/// Compressed bytes a whole-tablet scan (a merge, a rollup fold) fetches
+/// per disk access. §3.4.1: to spend at most half its time seeking
+/// between input tablets, a merge must read about 1 MB at a time.
 pub(crate) const READ_RUN_BYTES: usize = 1 << 20;
 
 /// Compressed bytes a block miss reads at most, the missed block and the

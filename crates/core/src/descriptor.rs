@@ -23,44 +23,38 @@ pub const DESC_TMP: &str = "DESC.tmp";
 /// v3 adds the rollup section; v2 the `rolled_up` mark of each tablet.
 const DESC_VERSION: u8 = 3;
 
-/// The descriptor file, and its magic number ("LTDE").
-const DESC: DescFile = DescFile;
+/// The descriptor's magic number ("LTDE").
 const MAGIC: u32 = 0x4C54_4445;
 
-/// The descriptor's file format. Its bytes frame a body: the magic
-/// number, the body's CRC32, the body. A save writes them to
+/// `body`, framed as the descriptor file holds it: the magic number, the
+/// body's CRC32, the body.
+fn frame(body: &[u8]) -> Vec<u8> {
+    [&MAGIC.to_le_bytes()[..], &crc32(body).to_le_bytes(), body].concat()
+}
+
+/// The body `data` frames, checked against the magic number and CRC.
+fn unframe(data: &[u8]) -> Result<&[u8]> {
+    let mut r = Reader::new(data);
+    let (magic, crc) = (r.u32()?, r.u32()?);
+    let body = &data[8..];
+    if magic != MAGIC || crc != crc32(body) {
+        return Err(Error::corrupt("DESC: bad magic or checksum"));
+    }
+    Ok(body)
+}
+
+/// Durably replaces the descriptor in `dir` with `data`: writes it to
 /// `DESC.tmp`, syncs it, renames it over `DESC` and syncs the directory,
 /// so a crash leaves the old file or the new one, and at worst a stale
 /// temporary.
-struct DescFile;
-
-impl DescFile {
-    /// `body`, framed.
-    fn frame(&self, body: &[u8]) -> Vec<u8> {
-        [&MAGIC.to_le_bytes()[..], &crc32(body).to_le_bytes(), body].concat()
-    }
-
-    /// The body `data` frames, checked against the magic number and CRC.
-    fn unframe<'a>(&self, data: &'a [u8]) -> Result<&'a [u8]> {
-        let mut r = Reader::new(data);
-        let (magic, crc) = (r.u32()?, r.u32()?);
-        let body = &data[8..];
-        if magic != MAGIC || crc != crc32(body) {
-            return Err(Error::corrupt("DESC: bad magic or checksum"));
-        }
-        Ok(body)
-    }
-
-    /// Durably replaces the descriptor in `dir` with `data`.
-    fn save(&self, vfs: &dyn Vfs, dir: &str, data: &[u8]) -> Result<()> {
-        let tmp = join(dir, DESC_TMP);
-        let mut f = vfs.create(&tmp, data.len() as u64)?;
-        f.append(data)?;
-        f.sync()?;
-        drop(f);
-        vfs.rename(&tmp, &join(dir, DESC_FILE))?;
-        Ok(vfs.sync_dir(dir)?)
-    }
+fn save(vfs: &dyn Vfs, dir: &str, data: &[u8]) -> Result<()> {
+    let tmp = join(dir, DESC_TMP);
+    let mut f = vfs.create(&tmp, data.len() as u64)?;
+    f.append(data)?;
+    f.sync()?;
+    drop(f);
+    vfs.rename(&tmp, &join(dir, DESC_FILE))?;
+    Ok(vfs.sync_dir(dir)?)
 }
 
 /// Descriptor-level metadata for one on-disk tablet.
@@ -177,11 +171,11 @@ impl TableDescriptor {
             put_varint(&mut body, 0);
             put_varint(&mut body, t.rolled_up as u64);
         }
-        DESC.frame(&body)
+        frame(&body)
     }
 
     fn decode(data: &[u8]) -> Result<TableDescriptor> {
-        let mut r = Reader::new(DESC.unframe(data)?);
+        let mut r = Reader::new(unframe(data)?);
         let ver = r.u8()?;
         if ver == 0 || ver > DESC_VERSION {
             return Err(Error::corrupt(format!("unknown descriptor version {ver}")));
@@ -243,7 +237,7 @@ impl TableDescriptor {
     /// Durably replaces the descriptor in `dir`: write `DESC.tmp`, sync,
     /// rename over `DESC`, sync the directory.
     pub fn save(&self, vfs: &dyn Vfs, dir: &str) -> Result<()> {
-        DESC.save(vfs, dir, &self.encode())
+        save(vfs, dir, &self.encode())
     }
 
     /// Loads the descriptor from `dir`, cleaning up a stale `DESC.tmp`.
@@ -438,7 +432,7 @@ mod tests {
             put_varint(&mut body, t.schema_version as u64);
             put_varint(&mut body, 0);
         }
-        let back = TableDescriptor::decode(&DESC.frame(&body)).unwrap();
+        let back = TableDescriptor::decode(&frame(&body)).unwrap();
         assert!(back.tablets.iter().all(|t| !t.rolled_up));
         assert_eq!(back.next_tablet_id, d.next_tablet_id);
         assert_eq!(back.tablets.len(), d.tablets.len());
@@ -446,15 +440,14 @@ mod tests {
 
     #[test]
     fn a_huge_tablet_count_over_a_few_bytes_is_corrupt() {
-        let mut body = DESC
-            .unframe(&TableDescriptor::new(schema(), None).encode())
+        let mut body = unframe(&TableDescriptor::new(schema(), None).encode())
             .unwrap()
             .to_vec();
         assert_eq!(body.pop(), Some(0), "the tablet count ends the body");
         put_varint(&mut body, u64::MAX >> 1);
         body.extend_from_slice(&[1, 2, 3]);
         assert!(matches!(
-            TableDescriptor::decode(&DESC.frame(&body)),
+            TableDescriptor::decode(&frame(&body)),
             Err(Error::Corrupt(_))
         ));
     }
@@ -464,35 +457,35 @@ mod tests {
     /// the checksum.
     #[test]
     fn truncated_or_flipped_bodies_decode_or_fail_without_panicking() {
-        let body = DESC.unframe(&sample().encode()).unwrap().to_vec();
+        let body = unframe(&sample().encode()).unwrap().to_vec();
         for cut in 0..body.len() {
             assert!(
-                TableDescriptor::decode(&DESC.frame(&body[..cut])).is_err(),
+                TableDescriptor::decode(&frame(&body[..cut])).is_err(),
                 "cut at {cut}"
             );
         }
         let mut flipped = body.clone();
         for bit in 0..body.len() * 8 {
             flipped[bit / 8] ^= 1 << (bit % 8);
-            let _ = TableDescriptor::decode(&DESC.frame(&flipped));
+            let _ = TableDescriptor::decode(&frame(&flipped));
             flipped[bit / 8] ^= 1 << (bit % 8);
         }
         // A schema version past u32 is corruption, not a truncation.
         let mut d = sample();
         d.tablets.truncate(1);
-        let mut body = DESC.unframe(&d.encode()).unwrap().to_vec();
+        let mut body = unframe(&d.encode()).unwrap().to_vec();
         let at = body.len() - 3;
         assert_eq!(body[at..], [1, 0, 0], "schema version, cold, rolled up");
         // A set cold flag is refused, naming the tablet.
         let mut cold = body.clone();
         cold[at + 1] = 1;
         assert!(matches!(
-            TableDescriptor::decode(&DESC.frame(&cold)),
+            TableDescriptor::decode(&frame(&cold)),
             Err(Error::Corrupt(msg)) if msg.contains("tablet 1 ")
         ));
         body.splice(at..at + 1, [0x80, 0x80, 0x80, 0x80, 0x10]);
         assert!(matches!(
-            TableDescriptor::decode(&DESC.frame(&body)),
+            TableDescriptor::decode(&frame(&body)),
             Err(Error::Corrupt(msg)) if msg.contains("schema version")
         ));
     }
@@ -522,11 +515,11 @@ mod tests {
         let [tablet] = &desc.tablets[..] else {
             panic!("{desc:?}")
         };
-        let mut body = DESC.unframe(&desc.encode()).unwrap().to_vec();
+        let mut body = unframe(&desc.encode()).unwrap().to_vec();
         let at = body.len() - 2;
         assert_eq!(body[at..], [0, 0], "cold, rolled up");
         body[at] = 1;
-        DESC.save(&vfs, "t", &DESC.frame(&body)).unwrap();
+        save(&vfs, "t", &frame(&body)).unwrap();
         let listing = || {
             let mut names = vfs.list_dir("t").unwrap();
             names.sort();
@@ -615,17 +608,17 @@ mod tests {
     #[test]
     fn v2_descriptors_still_decode() {
         let d = sample();
-        let mut body = DESC.unframe(&d.encode()).unwrap().to_vec();
+        let mut body = unframe(&d.encode()).unwrap().to_vec();
         let untabled = TableDescriptor {
             tablets: Vec::new(),
             ..d.clone()
         };
-        let at = DESC.unframe(&untabled.encode()).unwrap().len() - 2;
+        let at = unframe(&untabled.encode()).unwrap().len() - 2;
         assert_eq!(body[0], 3, "the version");
         assert_eq!(body[at], 0, "a base table's rollup section");
         body.remove(at);
         body[0] = 2;
-        assert_eq!(TableDescriptor::decode(&DESC.frame(&body)).unwrap(), d);
+        assert_eq!(TableDescriptor::decode(&frame(&body)).unwrap(), d);
     }
 
     /// A name count past the bytes left is corruption, and reserves for
@@ -636,14 +629,14 @@ mod tests {
             tablets: Vec::new(),
             ..rollup_sample(rollup_spec(), true)
         };
-        let mut body = DESC.unframe(&d.encode()).unwrap().to_vec();
+        let mut body = unframe(&d.encode()).unwrap().to_vec();
         assert_eq!(body.pop(), Some(0), "the tablet count");
         assert_eq!(body.pop(), Some(b'r'), "the last distinct column, \"user\"");
         body.truncate(body.len() - 4);
         assert_eq!(body.pop(), Some(1), "the distinct column count");
         put_varint(&mut body, u64::MAX >> 1);
         body.extend_from_slice(&[1, b'a']);
-        let err = TableDescriptor::decode(&DESC.frame(&body)).unwrap_err();
+        let err = TableDescriptor::decode(&frame(&body)).unwrap_err();
         assert!(matches!(err, Error::Corrupt(_)), "{err:?}");
     }
 
@@ -695,12 +688,12 @@ mod tests {
             let d = rollup_sample(spec, attached);
             let framed = d.encode();
             assert_eq!(TableDescriptor::decode(&framed).unwrap(), d);
-            let body = DESC.unframe(&framed).unwrap().to_vec();
+            let body = unframe(&framed).unwrap().to_vec();
             for cut in 0..framed.len() {
                 assert!(TableDescriptor::decode(&framed[..cut]).is_err(), "cut at {cut}");
             }
             for cut in 0..body.len() {
-                let cut_body = DESC.frame(&body[..cut]);
+                let cut_body = frame(&body[..cut]);
                 assert!(TableDescriptor::decode(&cut_body).is_err(), "body cut at {cut}");
             }
             let (mut framed, mut body) = (framed, body);
@@ -711,7 +704,7 @@ mod tests {
             }
             for bit in 0..body.len() * 8 {
                 body[bit / 8] ^= 1 << (bit % 8);
-                if let Ok(back) = TableDescriptor::decode(&DESC.frame(&body)) {
+                if let Ok(back) = TableDescriptor::decode(&frame(&body)) {
                     assert_eq!(TableDescriptor::decode(&back.encode()).unwrap(), back);
                 }
                 body[bit / 8] ^= 1 << (bit % 8);

@@ -10,8 +10,11 @@
 //!   a drop/recreate cycle can never serve rows computed against the
 //!   previous incarnation;
 //! * the table's **insert sequence** at the time the answer was
-//!   computed — any insert (or bulk delete) bumps it, so a cached entry
-//!   is self-invalidating the moment the table's contents change;
+//!   computed — any insert bumps it, and nothing else changes what the
+//!   table answers: flush, merge, TTL reap and rollup fold move rows
+//!   between tablets, and the TTL horizon is in the question below. So a
+//!   cached entry is self-invalidating the moment the table's contents
+//!   change;
 //! * the **question** as the scan reads it: schema version, key range,
 //!   the timestamp window raised to the TTL horizon, predicates,
 //!   grouping, aggregates and limit.
@@ -147,13 +150,18 @@ impl ResultCache {
         if charge > self.budget {
             return;
         }
+        // The answers evicted are freed after the lock, which every `get`
+        // takes, as the block cache settles its victims.
+        let mut evicted = Vec::new();
         let mut inner = self.inner.lock();
         if inner.touch(&key).is_none() {
             // Cannot fail: `charge <= budget`, and an emptied slab holds
             // nothing.
-            inner.evict_until_fits(charge, self.budget, &mut Vec::new());
+            inner.evict_until_fits(charge, self.budget, &mut evicted);
             inner.insert(Arc::new(key), rows, charge);
         }
+        drop(inner);
+        drop(evicted);
     }
 
     /// Drops every entry computed against the given table generation,
@@ -168,9 +176,10 @@ impl ResultCache {
             .filter(|k| k.generation == generation)
             .cloned()
             .collect();
-        for key in doomed {
-            inner.remove_key(&key);
-        }
+        let removed: Vec<_> = doomed.into_iter().map(|k| inner.remove_key(&k)).collect();
+        // Freed after the lock, like a put's evictions.
+        drop(inner);
+        drop(removed);
     }
 
     /// Entries currently resident.

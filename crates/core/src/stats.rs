@@ -101,11 +101,10 @@ table_counters! {
     /// Block reads that missed both cache tiers and hit disk: every
     /// single-block read when the cache's budget is 0.
     cache_misses,
-    /// Blocks a merge or bulk-delete rewrite admitted to the compressed
-    /// tier as it wrote them, because a tablet it rewrote had a block
-    /// cached.
+    /// Blocks a merge admitted to the compressed tier as it wrote them,
+    /// because a tablet it rewrote had a block cached.
     cache_rewrite_admits,
-    /// Blocks a run read (a merge, a bulk delete, a rollup fold) took
+    /// Blocks a run read (a merge, a rollup fold) took
     /// from the cache instead of the disk. Not a query hit: the cache is
     /// only observed, and `cache_hits` does not move.
     cache_run_hits,

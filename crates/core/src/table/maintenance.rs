@@ -1,14 +1,14 @@
 //! The maintenance paths: flushing sealed groups, merging, TTL reaping,
-//! bulk delete, rollup marks, and schema evolution.
+//! rollup marks, and schema evolution.
 //!
 //! Each is the same pipeline with parts left out. Whatever writes tablets
 //! does so outside the state mutex, through [`Table::write_tablet`] and
 //! `TabletWriter::add_run`: a flush feeds it a memtablet gathered into one
-//! block in key order, a merge or a bulk delete the column runs a
-//! [`RunCursor`] yields over the tablets being rewritten: each block the
-//! block cache holds is taken from it, observed only, and the rest are
-//! read from disk 1 MB at a time. Whatever must not overlap a merge holds
-//! the table's [`super::MergeSlot`]. And every transition ends in
+//! block in key order, a merge — the one rewrite of tablets already on
+//! disk — the column runs a [`RunCursor`] yields over its sources: each
+//! block the block cache holds is taken from it, observed only, and the
+//! rest are read from disk 1 MB at a time. Whatever must not overlap a
+//! merge holds the table's [`super::MergeSlot`]. And every transition ends in
 //! [`Table::commit`], the one place the tablet set, the schema or the TTL
 //! changes: under the state mutex it refuses a dropped table, swaps
 //! tablets out and in and republishes the read snapshot; each public call
@@ -21,16 +21,13 @@ use super::{check_ttl, ttl_horizon, MaintenanceReport, Table};
 use crate::cursor::{RunCursor, Source, READ_RUN_BYTES};
 use crate::descriptor::{tablet_file_name, TableDescriptor, TabletMeta};
 use crate::error::{Error, Result};
-use crate::keyenc::{encode_prefix, KeyRange};
+use crate::keyenc::KeyRange;
 use crate::memtable::{MemTablet, MemTabletId};
 use crate::mergepolicy::find_merge;
 use crate::schema::{ColumnDef, Schema, SchemaRef};
 use crate::stats::TableStats;
 use crate::tablet::TabletWriter;
-use crate::util::hash_bytes;
-use crate::value::Value;
 use littletable_vfs::{join, Micros};
-use std::ops::Bound;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
@@ -41,32 +38,6 @@ pub(super) fn or_if_dropped<T>(result: Result<T>, nothing: T) -> Result<T> {
         Err(Error::NoSuchTable(_)) => Ok(nothing),
         result => result,
     }
-}
-
-/// Merge-sorts the rows of `sources` inside `range`, as `schema` shows
-/// them, into `w`, dropping those older than `min_ts`. A block the block
-/// cache holds is taken from it without a reference bit set or a count
-/// moved; a block it lacks starts a disk read of a run of blocks, about
-/// 1 MB (§3.4.1), that admits none of them.
-fn merge_into(
-    w: &mut TabletWriter,
-    sources: &[DiskHandle],
-    schema: &SchemaRef,
-    range: &KeyRange,
-    min_ts: Micros,
-) -> Result<()> {
-    let sources = sources
-        .iter()
-        .map(|h| {
-            Source::tablet(h.reader.clone(), schema.clone(), range.clone())
-                .with_read_run(READ_RUN_BYTES)
-        })
-        .collect();
-    let mut runs = RunCursor::new(sources, false);
-    while let Some(run) = runs.next_run()? {
-        w.add_run(&run.block, run.rows, min_ts)?;
-    }
-    Ok(())
 }
 
 /// The tablet files a transition has written and not committed. Dropped
@@ -94,19 +65,20 @@ impl Table {
     /// The tablet's footer enters the block cache as it is written, under
     /// the id of the reader built for it first (see [`crate::cache`]), and
     /// so does each block it writes when a tablet it rewrites, one of
-    /// `inputs` (none for a flush), had a block cached, as far as the
-    /// cache has free room. A failed write drops that reader, which
-    /// invalidates what it admitted.
+    /// `inputs` (a merge's sources, none for a flush), had a block cached,
+    /// as far as the cache has free room. A failed write drops that
+    /// reader, which invalidates what it admitted. The tablet is rolled up
+    /// when it has inputs and every one of them is.
     fn write_tablet(
         &self,
         schema: &SchemaRef,
         size_hint: u64,
-        rolled_up: bool,
         now: Micros,
         inputs: &[DiskHandle],
         fill: impl FnOnce(&mut TabletWriter) -> Result<()>,
     ) -> Result<Option<DiskHandle>> {
         let inherit = inputs.iter().any(|h| h.reader.has_resident_block());
+        let rolled_up = !inputs.is_empty() && inputs.iter().all(|h| h.meta.rolled_up);
         let id = {
             let mut st = self.state.lock();
             st.next_tablet_id += 1;
@@ -271,7 +243,7 @@ impl Table {
                 let mem = tablet.read();
                 (mem.schema().clone(), mem.bytes() as u64)
             };
-            let flushed = self.write_tablet(&schema, bytes, false, now, &[], |w| {
+            let flushed = self.write_tablet(&schema, bytes, now, &[], |w| {
                 // The whole tablet, gathered in key order into one block,
                 // goes in through the path merges take.
                 let block = tablet.read().snapshot_block(&KeyRange::all(), u64::MAX)?;
@@ -333,95 +305,6 @@ impl Table {
     /// before the call is durable.
     pub fn flush_before(&self, ts: Micros) -> Result<()> {
         self.flush_where(|mem| mem.min_ts().is_some_and(|lo| lo <= ts))
-    }
-
-    // ----------------------------------------------------------- bulk delete
-
-    /// Deletes every row whose primary key starts with `prefix` — the
-    /// bulk-delete feature §7 of the paper describes investigating for
-    /// compliance with regional privacy laws. In-memory data is flushed
-    /// first; each affected on-disk tablet is rewritten without the
-    /// matching rows (or dropped outright when nothing else remains), and
-    /// the descriptor is replaced once. Returns the number of rows
-    /// deleted. Refused on a table that rollups fold: drop them first.
-    pub fn bulk_delete(&self, prefix: &[Value]) -> Result<u64> {
-        let schema = self.schema();
-        if prefix.is_empty() || prefix.len() >= schema.key_len() {
-            return Err(Error::invalid(
-                "bulk_delete takes a non-empty strict prefix of the key columns",
-            ));
-        }
-        let encoded = encode_prefix(prefix, &schema.key_types())?;
-        self.persisting(|replaced| {
-            self.seal_where(&mut self.state.lock(), |_| true);
-            while self.flush_group()? {}
-            // Take the merger's slot so no merge runs while we rewrite.
-            let (_slot, (sources, schema)) = self
-                .merge_slot(|st| Some((st.disk.clone(), st.schema.clone())))?
-                .ok_or_else(|| {
-                    Error::invalid("bulk_delete cannot run while a merge is in progress")
-                })?;
-            // A rewrite would keep its `rolled_up` marks over deleted partials.
-            if self.is_rollup_source() {
-                return Err(Error::invalid("rollups fold this table; drop them first"));
-            }
-            let prefix_hash = hash_bytes(&encoded);
-            let range = KeyRange::for_prefix(encoded.clone());
-            // What a rewrite keeps: the rows that sort before the prefix, then
-            // those after it. A block wholly under the prefix is in neither
-            // range, and is stepped over from the index, unread.
-            let mut kept = vec![KeyRange {
-                start: Bound::Unbounded,
-                end: Bound::Excluded(encoded),
-            }];
-            if let Bound::Excluded(next) = &range.end {
-                kept.push(KeyRange {
-                    start: Bound::Included(next.clone()),
-                    end: Bound::Unbounded,
-                });
-            }
-            let now = self.clock.now_micros();
-            let mut deleted = 0u64;
-            let mut rewritten_ids: Vec<u64> = Vec::new();
-            let mut written = self.written(None);
-            for h in &sources {
-                let footer = h.reader.footer()?;
-                if !footer.may_hold(prefix_hash) {
-                    continue;
-                }
-                // Does this tablet hold any matching row at all? Asked one
-                // block per read, as the rewrite reads: a resident block is
-                // taken from the cache, observed only, and one read from disk is
-                // not admitted, so a tablet about to be replaced admits nothing,
-                // its neighbours included.
-                let probe = Source::tablet(h.reader.clone(), schema.clone(), range.clone())
-                    .with_read_run(1);
-                if RunCursor::new(vec![probe], false).next_run()?.is_none() {
-                    continue;
-                }
-                let one = std::slice::from_ref(h);
-                let fill = |w: &mut TabletWriter| {
-                    let keep = |range| merge_into(w, one, &schema, range, Micros::MIN);
-                    kept.iter().try_for_each(keep)
-                };
-                let (bytes, rolled_up) = (h.meta.bytes, h.meta.rolled_up);
-                let rest = self.write_tablet(&schema, bytes, rolled_up, now, one, fill)?;
-                deleted += footer.row_count - rest.as_ref().map_or(0, |h| h.meta.rows);
-                rewritten_ids.push(h.meta.id);
-                written.files.extend(rest);
-            }
-            if rewritten_ids.is_empty() {
-                return Ok(0);
-            }
-            replaced.extend(self.commit(written, |st| {
-                Ok(Some(st.take_disk(|m| rewritten_ids.contains(&m.id))))
-            })?);
-            // A bulk delete mutates data without going through `insert`, so the
-            // query-result cache's insert_seq key would otherwise keep serving
-            // pre-delete results.
-            self.insert_seq.fetch_add(1, Ordering::SeqCst);
-            Ok(deleted)
-        })
     }
 
     // ----------------------------------------------------------- maintenance
@@ -488,7 +371,10 @@ impl Table {
     }
 
     /// Merge-sorts `sources` into one new tablet (§3.4.1) under `schema`,
-    /// dropping rows that have already expired. Returns `None` when every
+    /// dropping rows that have already expired. A block the block cache
+    /// holds is taken from it without a reference bit set or a count
+    /// moved; a block it lacks starts a disk read of a run of blocks, about
+    /// 1 MB (§3.4.1), that admits none of them. Returns `None` when every
     /// row had expired.
     pub(super) fn execute_merge(
         &self,
@@ -499,9 +385,16 @@ impl Table {
     ) -> Result<Option<DiskHandle>> {
         let cutoff = ttl_horizon(ttl, now);
         let size_hint: u64 = sources.iter().map(|h| h.meta.bytes).sum();
-        let rolled_up = sources.iter().all(|h| h.meta.rolled_up);
-        let merged = self.write_tablet(schema, size_hint, rolled_up, now, sources, |w| {
-            merge_into(w, sources, schema, &KeyRange::all(), cutoff)
+        let merged = self.write_tablet(schema, size_hint, now, sources, |w| {
+            let runs = sources.iter().map(|h| {
+                Source::tablet(h.reader.clone(), schema.clone(), KeyRange::all())
+                    .with_read_run(READ_RUN_BYTES)
+            });
+            let mut runs = RunCursor::new(runs.collect(), false);
+            while let Some(run) = runs.next_run()? {
+                w.add_run(&run.block, run.rows, cutoff)?;
+            }
+            Ok(())
         })?;
         if let Some(h) = &merged {
             TableStats::add(&self.stats.bytes_merge_written, h.meta.bytes);

@@ -11,10 +11,10 @@
 //!   and `pushdown_scan` start from, `query`/`latest` and the streaming
 //!   `QueryCursor` over [`crate::cursor`]'s merge of block runs;
 //! * `colscan` — the aggregate pushdown scan;
-//! * `maintenance` — flush, merge, TTL reaping, bulk delete, rollup
-//!   marks and schema evolution: tablets rewritten through the query's
-//!   merge cursor, every transition through one commit that republishes
-//!   the snapshot, every public call through one descriptor save.
+//! * `maintenance` — flush, merge, TTL reaping, rollup marks and schema
+//!   evolution: tablets merged through the query's merge cursor, every
+//!   transition through one commit that republishes the snapshot, every
+//!   public call through one descriptor save.
 
 mod colscan;
 mod maintenance;
@@ -153,10 +153,9 @@ pub struct Table {
     pub(crate) attached: AtomicBool,
 }
 
-/// The table's one maintenance slot, held. While it lives no merge, bulk
-/// delete or rollup fold starts and the TTL reaper leaves the tablet set
-/// alone, so the tablets its holder reads stay in the
-/// table. Released on drop.
+/// The table's one maintenance slot, held. While it lives no merge or
+/// rollup fold starts and the TTL reaper leaves the tablet set alone, so
+/// the tablets its holder reads stay in the table. Released on drop.
 pub(crate) struct MergeSlot<'a>(&'a Table);
 
 impl Drop for MergeSlot<'_> {
@@ -381,7 +380,7 @@ impl Table {
     }
 
     /// Current value of the table-wide insert sequence. Monotone: it
-    /// advances on every insert (and on bulk deletes), so two equal reads
+    /// advances on every insert, and only there, so two equal reads
     /// bracketing a computation prove no write landed in between.
     pub fn insert_seq(&self) -> u64 {
         self.insert_seq.load(Ordering::SeqCst)

@@ -1,6 +1,5 @@
 //! Tests for the paper's proposed extensions implemented here:
-//! `flush_before` (§4.1.2), `bulk_delete` (§7), and schema evolution
-//! interacting with merges.
+//! `flush_before` (§4.1.2), and schema evolution interacting with merges.
 
 mod extension_tests {
     use crate::db::Db;
@@ -9,7 +8,7 @@ mod extension_tests {
     use crate::schema::{ColumnDef, Schema};
     use crate::table::Table;
     use crate::value::{ColumnType, Value};
-    use littletable_vfs::{Clock, Micros, SimClock, SimVfs, Vfs, MICROS_PER_SEC};
+    use littletable_vfs::{Micros, SimClock, SimVfs, MICROS_PER_SEC};
     use std::sync::Arc;
 
     const START: Micros = 1_700_000_000_000_000;
@@ -89,88 +88,11 @@ mod extension_tests {
         let rows = db2.table("u").unwrap().query_all(&Query::all()).unwrap();
         assert_eq!(rows.len(), 10);
     }
-
-    #[test]
-    fn bulk_delete_removes_exactly_the_prefix() {
-        let (_db, _vfs, clock, t) = setup();
-        for c in 1..=3i64 {
-            for d in 1..=4i64 {
-                for k in 0..50 {
-                    t.insert(vec![row(c, d, START + k)]).unwrap();
-                }
-            }
-        }
-        t.flush_all().unwrap();
-        while t.run_merge_once(clock.now_micros()).unwrap() {}
-        // Customer 2 exercises its right to be forgotten.
-        let deleted = t.bulk_delete(&[Value::I64(2)]).unwrap();
-        assert_eq!(deleted, 200);
-        let rows = t.query_all(&Query::all()).unwrap();
-        assert_eq!(rows.len(), 400);
-        assert!(rows.iter().all(|r| r.values[0] != Value::I64(2)));
-        // Narrower prefix: one device of customer 1.
-        let deleted = t.bulk_delete(&[Value::I64(1), Value::I64(3)]).unwrap();
-        assert_eq!(deleted, 50);
-        assert_eq!(t.query_all(&Query::all()).unwrap().len(), 350);
-        // Deleting again is a no-op.
-        assert_eq!(t.bulk_delete(&[Value::I64(2)]).unwrap(), 0);
-    }
-
-    #[test]
-    fn bulk_delete_covers_unflushed_rows_and_survives_restart() {
-        let (_db, vfs, clock, t) = setup();
-        for k in 0..20 {
-            t.insert(vec![row(7, 1, START + k)]).unwrap();
-            t.insert(vec![row(8, 1, START + k)]).unwrap();
-        }
-        // No flush yet: bulk_delete must flush and still remove them.
-        let deleted = t.bulk_delete(&[Value::I64(7)]).unwrap();
-        assert_eq!(deleted, 20);
-        vfs.crash();
-        let db2 = Db::open(
-            Arc::new(vfs.clone()),
-            Arc::new(clock.clone()),
-            Options::small_for_tests(),
-        )
-        .unwrap();
-        let rows = db2.table("u").unwrap().query_all(&Query::all()).unwrap();
-        assert_eq!(rows.len(), 20);
-        assert!(rows.iter().all(|r| r.values[0] == Value::I64(8)));
-    }
-
-    #[test]
-    fn bulk_delete_drops_empty_tablets_and_reclaims_files() {
-        let (_db, vfs, _clock, t) = setup();
-        // One tablet holding only customer 9.
-        for k in 0..100 {
-            t.insert(vec![row(9, 1, START + k)]).unwrap();
-        }
-        t.flush_all().unwrap();
-        let files_before = vfs.list_dir("u").unwrap().len();
-        let deleted = t.bulk_delete(&[Value::I64(9)]).unwrap();
-        assert_eq!(deleted, 100);
-        assert_eq!(t.num_disk_tablets(), 0);
-        assert!(vfs.list_dir("u").unwrap().len() < files_before);
-        assert_eq!(t.query_all(&Query::all()).unwrap().len(), 0);
-        // New inserts for the deleted customer work fine.
-        t.insert(vec![row(9, 1, START + 1000)]).unwrap();
-        assert_eq!(t.query_all(&Query::all()).unwrap().len(), 1);
-    }
-
-    #[test]
-    fn bulk_delete_validates_prefix() {
-        let (_db, _vfs, _clock, t) = setup();
-        assert!(t.bulk_delete(&[]).is_err());
-        assert!(t
-            .bulk_delete(&[Value::I64(1), Value::I64(1), Value::Timestamp(0)])
-            .is_err());
-        assert!(t.bulk_delete(&[Value::Str("wrong type".into())]).is_err());
-    }
 }
 
 mod evolution_merge_tests {
-    //! Schema evolution interacting with merges and bulk deletes: merged
-    //! output is written under the newest schema, translating old rows.
+    //! Schema evolution interacting with merges: merged output is written
+    //! under the newest schema, translating old rows.
 
     use crate::db::Db;
     use crate::options::Options;
@@ -244,45 +166,5 @@ mod evolution_merge_tests {
         assert_eq!(rows[200].values[3], Value::Str("new".into()));
         let snap = t.snapshot.read().clone();
         assert!(snap.disk.iter().any(|h| h.meta.schema_version == 3));
-    }
-
-    #[test]
-    fn bulk_delete_after_evolution_rewrites_under_newest_schema() {
-        let clock = SimClock::new(START);
-        let db = Db::open(
-            Arc::new(SimVfs::instant()),
-            Arc::new(clock.clone()),
-            Options::small_for_tests(),
-        )
-        .unwrap();
-        let schema = Schema::new(
-            vec![
-                ColumnDef::new("cust", ColumnType::I64),
-                ColumnDef::new("ts", ColumnType::Timestamp),
-            ],
-            &["cust", "ts"],
-        )
-        .unwrap();
-        let t = db.create_table("t", schema, None).unwrap();
-        for c in 1..=2i64 {
-            for i in 0..50 {
-                t.insert(vec![vec![
-                    Value::I64(c),
-                    Value::Timestamp(START + c * 1000 + i),
-                ]])
-                .unwrap();
-            }
-        }
-        t.flush_all().unwrap();
-        t.add_column(ColumnDef::new("extra", ColumnType::I64))
-            .unwrap();
-        let deleted = t.bulk_delete(&[Value::I64(1)]).unwrap();
-        assert_eq!(deleted, 50);
-        let rows = t.query_all(&Query::all()).unwrap();
-        assert_eq!(rows.len(), 50);
-        // Survivors were rewritten with the new column's default.
-        assert!(rows.iter().all(|r| r.values.len() == 3
-            && r.values[0] == Value::I64(2)
-            && r.values[2] == Value::I64(0)));
     }
 }

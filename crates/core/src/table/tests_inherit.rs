@@ -1,8 +1,8 @@
-//! A rewrite and the block cache: it takes each block of its inputs the
+//! A merge and the block cache: it takes each block of its inputs the
 //! cache holds from there, observed only, and reads the rest from disk;
 //! and it hands its inputs' cache residency to its output: when a tablet
-//! a merge or a bulk delete replaces had a block cached, each block the
-//! rewrite writes enters the lower tier, into free space only.
+//! it replaces had a block cached, each block it writes enters the lower
+//! tier, into free space only.
 
 use super::state::DiskHandle;
 use super::tests_merge::file_bytes;
@@ -143,8 +143,6 @@ fn rewrites_of_tablets_nobody_read_admit_no_block() {
     assert_eq!(held(&t), (4, 0, 0));
     merge(&t);
     assert_eq!(held(&t), (1, 0, 0));
-    assert_eq!(t.bulk_delete(&[Value::I64(7)]).unwrap(), 1);
-    assert_eq!(held(&t), (1, 0, 0));
 }
 
 #[test]
@@ -253,7 +251,6 @@ fn a_rewrite_in_a_cache_of_no_bytes_admits_nothing() {
     assert!(t.stats.snapshot().cache_misses > 0);
     merge(&t);
     query_keys(&t, 0..1600);
-    assert_eq!(t.bulk_delete(&[Value::I64(7)]).unwrap(), 1);
     // The footer, pinned; nothing else.
     assert_eq!(held(&t), (1, 0, 0));
 }
@@ -357,13 +354,6 @@ fn rewrites_alike(lag: bool, rewrite: impl Fn(&Table)) {
 #[test]
 fn a_merge_that_takes_resident_blocks_writes_what_a_cold_one_writes() {
     rewrites_alike(false, merge);
-}
-
-#[test]
-fn a_bulk_delete_that_takes_resident_blocks_writes_what_a_cold_one_writes() {
-    rewrites_alike(false, |t| {
-        assert_eq!(t.bulk_delete(&[Value::I64(8)]).unwrap(), 1);
-    });
 }
 
 #[test]

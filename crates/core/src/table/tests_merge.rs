@@ -6,8 +6,8 @@
 use super::state::DiskHandle;
 use super::*;
 use crate::db::Db;
-use crate::descriptor::{parse_tablet_file_name, tablet_file_name};
-use crate::keyenc::{encode_prefix, KeyRange};
+use crate::descriptor::tablet_file_name;
+use crate::keyenc::encode_prefix;
 use crate::query::Query;
 use crate::row::Row;
 use crate::schema::ColumnDef;
@@ -25,17 +25,14 @@ const OUT_ID: u64 = 900_001;
 
 /// The reference merge: every source read whole, each row materialized,
 /// translated to `schema` and keyed; all of them sorted and written to
-/// `path` one `add_row` at a time. `drop` leaves out the rows inside a
-/// key range, which makes a single-source call the rewrite a bulk delete
-/// performs. Returns `(rows written, rows dropped by the range)`.
+/// `path` one `add_row` at a time. Returns the rows written.
 fn write_by_rows(
     t: &Table,
     sources: &[DiskHandle],
     schema: &SchemaRef,
     cutoff: Micros,
-    drop: Option<&KeyRange>,
     path: &str,
-) -> Result<(u64, u64)> {
+) -> Result<u64> {
     let mut rows = Vec::new();
     for h in sources {
         let footer = h.reader.footer()?;
@@ -56,11 +53,8 @@ fn write_by_rows(
         t.opts.block_size,
         t.opts.bloom_filters,
     );
-    let mut dropped = 0;
     for (key, row) in &rows {
-        if drop.is_some_and(|r| r.contains(key)) {
-            dropped += 1;
-        } else if row.ts(schema)? >= cutoff {
+        if row.ts(schema)? >= cutoff {
             w.add_row(key, row)?;
         }
     }
@@ -68,7 +62,7 @@ fn write_by_rows(
     if rows > 0 {
         w.finish()?;
     }
-    Ok((rows, dropped))
+    Ok(rows)
 }
 
 pub(super) fn file_bytes(vfs: &SimVfs, path: &str) -> Vec<u8> {
@@ -204,7 +198,7 @@ fn merges_agree(b: &Bed, ttl: Option<Micros>, now: Micros) -> Option<Vec<u8>> {
     let _ = b.vfs.remove(&ref_path);
     let merged = merge_to_out(b, &sources, &schema, ttl, now).unwrap();
     let cutoff = ttl.map(|t| now - t).unwrap_or(Micros::MIN);
-    let (ref_rows, _) = write_by_rows(&b.t, &sources, &schema, cutoff, None, &ref_path).unwrap();
+    let ref_rows = write_by_rows(&b.t, &sources, &schema, cutoff, &ref_path).unwrap();
     let Some(merged) = merged else {
         assert_eq!(ref_rows, 0, "the run merge dropped rows the row merge kept");
         return None;
@@ -390,7 +384,7 @@ fn merge_reads_in_runs(pad_words: usize, hosts: i64) {
     assert_eq!(cached(), cached_before, "a merge's reads went by the cache");
     let out_path = join(b.t.dir(), &tablet_file_name(OUT_ID));
     let ref_path = join(b.t.dir(), "by-rows");
-    write_by_rows(&b.t, &sources, &schema, Micros::MIN, None, &ref_path).unwrap();
+    write_by_rows(&b.t, &sources, &schema, Micros::MIN, &ref_path).unwrap();
     assert!(file_bytes(&b.vfs, &out_path) == file_bytes(&b.vfs, &ref_path));
 }
 
@@ -515,157 +509,4 @@ fn ttl_cutoff_inside_a_block_and_past_every_row() {
     // Nothing does.
     assert!(merges_agree(&b, Some(80 * SEC), now).is_none());
     assert!(merges_agree(&b, Some(SEC), now).is_none());
-}
-
-#[test]
-fn bulk_delete_of_a_middle_prefix() {
-    let b = bed(wide_schema());
-    load(&b, 0..12, 0..50);
-    load(&b, 4..7, 50..100); // holds nothing but the prefix and neighbours
-    load(&b, 5..6, 100..150); // holds nothing but the prefix: dropped whole
-    load(&b, 8..12, 100..150); // does not hold the prefix: left alone
-    let (sources, schema) = {
-        let st = b.t.state.lock();
-        (st.disk.clone(), st.schema.clone())
-    };
-    let prefix = [Value::I64(5)];
-    let range = KeyRange::for_prefix(encode_prefix(&prefix, &schema.key_types()).unwrap());
-    let mut want = Vec::new();
-    let mut want_deleted = 0;
-    for (i, h) in sources.iter().enumerate() {
-        let path = join(b.t.dir(), &format!("by-rows-{i}"));
-        let one = std::slice::from_ref(h);
-        let (rows, dropped) =
-            write_by_rows(&b.t, one, &schema, Micros::MIN, Some(&range), &path).unwrap();
-        want_deleted += dropped;
-        if dropped == 0 {
-            want.push(file_bytes(&b.vfs, &join(b.t.dir(), &h.meta.file_name())));
-        } else if rows > 0 {
-            want.push(file_bytes(&b.vfs, &path));
-        }
-        b.vfs.remove(&path).unwrap();
-    }
-    assert_eq!(want.len(), 3);
-    assert_eq!(b.t.bulk_delete(&prefix).unwrap(), want_deleted);
-    let mut got: Vec<Vec<u8>> = b
-        .vfs
-        .list_dir(b.t.dir())
-        .unwrap()
-        .iter()
-        .filter(|name| parse_tablet_file_name(name).is_some())
-        .map(|name| file_bytes(&b.vfs, &join(b.t.dir(), name)))
-        .collect();
-    got.sort();
-    want.sort();
-    assert!(got == want, "rewritten tablets differ from the row rewrite");
-}
-
-fn tablet_listing(b: &Bed) -> Vec<String> {
-    let mut names = b.vfs.list_dir(b.t.dir()).unwrap();
-    names.sort();
-    names
-}
-
-#[test]
-fn a_bulk_delete_that_fails_part_way_leaves_nothing_behind() {
-    let b = bed(wide_schema());
-    load(&b, 0..12, 0..50);
-    load(&b, 4..7, 50..100);
-    load(&b, 5..6, 100..150); // dropped whole: nothing is written for it
-    load(&b, 3..9, 150..200);
-    let prefix = [Value::I64(5)];
-    // Rows as text: a NaN equals itself there.
-    let rows = || format!("{:?}", b.t.query_all(&Query::all()).unwrap());
-    let rows_before = b.t.query_all(&Query::all()).unwrap();
-    let shown_before = rows();
-    let under_prefix = |r: &&Row| r.values[0] == prefix[0];
-    let want_deleted = rows_before.iter().filter(under_prefix).count() as u64;
-    let listing_before = tablet_listing(&b);
-    // Fail each write to a replacement tablet in turn — its creation, every
-    // append, its sync — until a call gets through with none failed.
-    let mut failed = 0;
-    let deleted = loop {
-        let nth = FaultRule::new(FaultKind::Eio)
-            .on_path(".lt")
-            .on_ops(&[OpKind::Create, OpKind::Append, OpKind::Sync])
-            .nth_match(failed + 1);
-        b.vfs.set_fault_plan(FaultPlan::new().rule(nth));
-        let injected = b.vfs.faults_injected();
-        let result = b.t.bulk_delete(&prefix);
-        b.vfs.clear_fault_plan();
-        if b.vfs.faults_injected() == injected {
-            break result.unwrap();
-        }
-        failed += 1;
-        assert!(result.is_err(), "write {failed} failed and went unreported");
-        assert_eq!(tablet_listing(&b), listing_before, "write {failed}");
-        assert!(
-            rows() == shown_before,
-            "write {failed}: the table's rows moved"
-        );
-    };
-    // Three tablets rewritten, each a creation, appends and a sync.
-    assert!(failed >= 9, "{failed} writes failed");
-    assert_eq!(deleted, want_deleted);
-    let rows_after = b.t.query_all(&Query::all()).unwrap();
-    assert_eq!(rows_after.len() as u64, rows_before.len() as u64 - deleted);
-    assert!(!rows_after.iter().any(|r| under_prefix(&r)));
-    assert_eq!(tablet_listing(&b).len(), listing_before.len() - 1);
-}
-
-#[test]
-fn a_bulk_delete_steps_over_the_blocks_under_the_prefix_unread() {
-    let b = bed(wide_schema());
-    load(&b, 0..6, 0..400);
-    let source = b.t.state.lock().disk[0].clone();
-    let footer = source.reader.footer().unwrap(); // in memory from here on
-    let schema = b.t.schema();
-    let prefix = [Value::I64(3)];
-    let range = KeyRange::for_prefix(encode_prefix(&prefix, &schema.key_types()).unwrap());
-    let (std::ops::Bound::Included(first), std::ops::Bound::Excluded(past)) =
-        (&range.start, &range.end)
-    else {
-        panic!("{range:?}");
-    };
-    // The index places the prefix's first row in block `lo` and the first
-    // row past the prefix in block `hi`; the blocks between hold nothing
-    // else.
-    let lo = footer.blocks.partition_point(|e| e.last_key < *first);
-    let hi = footer.blocks.partition_point(|e| e.last_key < *past);
-    assert!(
-        lo > 0 && hi < footer.blocks.len() - 1 && hi - lo > 3,
-        "{lo} {hi}"
-    );
-    let bytes = |blocks: &[crate::tablet::BlockIndexEntry]| -> u64 {
-        blocks.iter().map(|e| e.compressed_len as u64).sum()
-    };
-    // One block read to see that the tablet holds the prefix at all, then
-    // the two stretches that stay.
-    let want =
-        bytes(&footer.blocks[lo..=lo]) + bytes(&footer.blocks[..=lo]) + bytes(&footer.blocks[hi..]);
-    b.vfs.clear_caches();
-    let read_before = b.vfs.model().stats().bytes_read;
-    assert_eq!(b.t.bulk_delete(&prefix).unwrap(), 400);
-    assert_eq!(b.vfs.model().stats().bytes_read - read_before, want);
-    assert!(want < bytes(&footer.blocks) - bytes(&footer.blocks[lo + 1..hi]) / 2);
-    assert_eq!(b.t.query_all(&Query::all()).unwrap().len(), 5 * 400);
-}
-
-#[test]
-fn a_bulk_delete_probes_its_tablets_past_the_block_cache() {
-    let b = bed(wide_schema());
-    load(&b, 0..6, 0..400);
-    load(&b, 2..5, 400..600);
-    assert_eq!(b.t.num_disk_tablets(), 2);
-    let before = b.t.stats().snapshot();
-    let cache = &b.t.cache;
-    let entries = (cache.entry_count(), cache.compressed_entry_count());
-    assert_eq!(b.t.bulk_delete(&[Value::I64(3)]).unwrap(), 600);
-    let after = b.t.stats().snapshot();
-    assert_eq!(after.cache_misses, before.cache_misses);
-    assert_eq!(after.cache_compressed_hits, before.cache_compressed_hits);
-    // The replacements' footers, admitted as they were written, and no
-    // block of the tablets replaced.
-    assert_eq!(cache.entry_count(), entries.0);
-    assert_eq!(cache.compressed_entry_count(), entries.1);
 }

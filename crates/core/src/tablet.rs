@@ -16,7 +16,7 @@
 //!
 //! A [`TabletWriter`] takes rows by [`TabletWriter::add_run`]: a row range
 //! of a decoded block under its schema — a flushed memtablet gathered in
-//! key order, a merge's or a bulk delete's runs — whose typed column
+//! key order, a merge's runs — whose typed column
 //! sub-slices it copies without building a row. However the same rows are
 //! cut into runs, and row by row (`add_row`, the tests' reference), they
 //! yield the same file: blocks are cut after the row that brings the size
@@ -1015,8 +1015,7 @@ impl TabletReader {
 impl Drop for TabletReader {
     /// Invalidation point for the block cache: a reader is dropped
     /// exactly when its tablet leaves service (merged away, TTL-expired,
-    /// bulk-deleted, or the table is dropped) and no cursor still holds
-    /// it.
+    /// or the table is dropped) and no cursor still holds it.
     fn drop(&mut self) {
         self.cache.invalidate_tablet(self.tablet_id);
     }

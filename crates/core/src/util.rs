@@ -1,25 +1,7 @@
 //! Small encoding helpers shared by the tablet, descriptor, and row codecs.
 
 use crate::error::{Error, Result};
-
-/// Appends a LEB128 varint.
-pub fn put_varint(out: &mut Vec<u8>, mut v: u64) {
-    while v >= 0x80 {
-        out.push((v as u8) | 0x80);
-        v >>= 7;
-    }
-    out.push(v as u8);
-}
-
-/// Zigzag-encodes a signed integer so small magnitudes stay short.
-pub fn zigzag(v: i64) -> u64 {
-    ((v << 1) ^ (v >> 63)) as u64
-}
-
-/// Inverse of [`zigzag`].
-pub fn unzigzag(v: u64) -> i64 {
-    ((v >> 1) as i64) ^ -((v & 1) as i64)
-}
+pub use littletable_codec::{put_varint, unzigzag, zigzag};
 
 /// A bounds-checked forward reader over a byte slice. All decode paths in
 /// the engine go through this so corrupt input surfaces as [`Error::Corrupt`]
@@ -259,16 +241,6 @@ mod tests {
             assert_eq!(r.varint().unwrap(), v);
             assert!(r.is_empty());
         }
-    }
-
-    #[test]
-    fn zigzag_round_trips() {
-        for v in [0i64, 1, -1, 63, -64, i64::MAX, i64::MIN] {
-            assert_eq!(unzigzag(zigzag(v)), v);
-        }
-        // Small magnitudes encode small.
-        assert!(zigzag(-1) < 256);
-        assert!(zigzag(100) < 256);
     }
 
     #[test]

@@ -13,11 +13,10 @@
 //! with `scanned()`, `returned()` and `more_available()` what the
 //! reference counts for that page; the pages together are the reference's
 //! whole answer; `latest()` is the reference's newest row. One test fails
-//! every disk read of a query in turn. The last is the ascending leg no
+//! every disk read of a query in turn. Another takes the ascending leg no
 //! query takes: tablet sources that read a run of blocks at a time, with
-//! no cache to take a block from, which is how maintenance drives the same
-//! cursor — reached here through a bulk delete, with every one of its
-//! reads failed in turn.
+//! no cache to take a block from, which is how a merge drives the same
+//! cursor, with every one of the merge's reads failed in turn.
 //! Another leg opens the same layouts twice, with a roomy block cache
 //! (where a miss reads the blocks after it too) and with none, and holds
 //! every query, `latest()` and pushdown scan to the same answer; a third
@@ -641,16 +640,15 @@ fn a_failed_read_is_an_error_never_a_short_result() {
     }
 }
 
-/// The cursor as maintenance drives it: ascending, every tablet source
-/// reading a run of blocks at a time (`Source::with_read_run`, which no
-/// query sets and which is private to the crate), over the two key ranges
-/// a bulk delete keeps — everything before a prefix, everything after it.
-/// What the rewritten tablets then answer is held to the reference with
-/// the prefix's rows filtered out, by the whole differential; before
-/// that, every read of the bulk delete is failed in turn, and each failure
-/// must be an error that leaves the table's files and answers alone.
+/// The cursor as a merge drives it: ascending, every tablet source
+/// reading a run of blocks at a time, with no block cache. Every read of
+/// one merge is failed in turn, and each failure must be an error that
+/// leaves the table's files and answers alone. Which tablets then merged
+/// is the policy's choice, so what the merged table answers is held to
+/// the reference by queries without time bounds, whose rows and scan
+/// counts do not depend on how the rows are split among tablets.
 #[test]
-fn a_bulk_delete_keeps_what_the_reference_keeps_with_every_read_failed_in_turn() {
+fn a_merge_keeps_what_the_reference_keeps_with_every_read_failed_in_turn() {
     type Layout = fn(&mut Rng) -> Bed;
     let beds: [(u64, Layout); 4] = [
         (3, |rng| generated(rng, 0)),
@@ -658,31 +656,19 @@ fn a_bulk_delete_keeps_what_the_reference_keeps_with_every_read_failed_in_turn()
         (40, |rng| generated(rng, 0)),
         (5, |rng| frozen(rng, 0)),
     ];
+    let later = NOW + Options::default().merge_delay;
     for (seed, layout) in beds {
         let mut rng = Rng(seed);
         let mut bed = layout(&mut rng);
-        let mut prefix = key_bound(&mut rng, &bed.t);
-        prefix.truncate(1 + rng.below(2) as usize);
-        // Inside the data, whatever `key_bound` drew.
-        for component in &mut prefix {
-            let k = rng.below(3) as i64;
-            *component = match component {
-                Value::I32(_) => Value::I32(k as i32),
-                _ => Value::I64(k),
-            };
-        }
-        let under = |row: &Row| key_of(row)[..prefix.len()] == ints(&prefix)[..];
-        let doomed = bed.groups.iter().flat_map(|g| &g.rows).filter(|r| under(r));
-        let doomed = doomed.count() as u64;
-        // A bulk delete flushes first; done here, the files it starts
-        // from are the ones a failed attempt must leave.
-        bed.t.flush_all().unwrap();
+        // A merge at `later` drops rows the reference, read at NOW, keeps.
+        bed.t.set_ttl(None).unwrap();
+        bed.ttl = None;
         let listing = || {
             let mut names = bed.vfs.list_dir(bed.t.name()).unwrap();
             names.sort();
             names
         };
-        let before = listing();
+        let (before, tablets) = (listing(), bed.t.num_disk_tablets());
         let mut failures = 0;
         for nth in 1.. {
             let rule = FaultRule::new(FaultKind::Eio)
@@ -690,10 +676,10 @@ fn a_bulk_delete_keeps_what_the_reference_keeps_with_every_read_failed_in_turn()
                 .nth_match(nth);
             bed.vfs.set_fault_plan(FaultPlan::new().rule(rule));
             let injected = bed.vfs.faults_injected();
-            let result = bed.t.bulk_delete(&prefix);
+            let result = bed.t.run_merge_once(later);
             bed.vfs.clear_fault_plan();
             if bed.vfs.faults_injected() == injected {
-                assert_eq!(result.unwrap(), doomed, "seed {seed}, {prefix:?}");
+                assert!(result.unwrap(), "seed {seed}: nothing merged");
                 break;
             }
             failures += 1;
@@ -701,20 +687,18 @@ fn a_bulk_delete_keeps_what_the_reference_keeps_with_every_read_failed_in_turn()
             assert_eq!(listing(), before, "seed {seed}, read {nth}");
             check_query(&bed, &Query::all(), Drain::Runs);
         }
-        assert!(
-            doomed > 0 && failures >= 2,
-            "seed {seed}: {failures} reads failed"
-        );
-        // Tablets are rewritten one for one, so the reference's tablets
-        // are its old ones less the prefix.
-        for g in &mut bed.groups {
-            g.rows.retain(|r| !under(r));
-            let ts = g.rows.iter().map(|r| key_of(r)[2]);
-            g.min_ts = ts.clone().min().unwrap_or(0);
-            g.max_ts = ts.max().unwrap_or(0);
+        assert!(failures >= 2, "seed {seed}: {failures} reads failed");
+        assert!(bed.t.num_disk_tablets() < tablets, "seed {seed}");
+        let rows: Vec<Row> = bed.groups.drain(..).flat_map(|g| g.rows).collect();
+        push_groups(&mut bed.groups, &rows);
+        for _ in 0..12 {
+            let mut q = random_query(&mut rng, &bed.t);
+            (q.ts_min, q.ts_max) = (None, None);
+            for how in [Drain::Runs, Drain::Rows, Drain::Mixed] {
+                check_query(&bed, &q, how);
+            }
         }
-        bed.groups.retain(|g| !g.rows.is_empty());
-        check_bed(&bed, &mut rng, 6);
+        check_latest(&bed, &mut rng);
     }
 }
 

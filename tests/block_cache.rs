@@ -6,7 +6,7 @@
 //! tablets without flushing the hot set, and a zero budget reads from
 //! disk exactly as a cold cache does. A tablet's footer enters the cache
 //! as the tablet is written; its blocks enter as they are read, or as a
-//! merge or bulk delete writes them when its inputs had a block cached.
+//! merge writes them when its inputs had a block cached.
 
 use littletable::core::block::{Block, BlockEncoder};
 use littletable::core::cache::CompressedBlock;
@@ -577,14 +577,6 @@ fn merged_and_rewritten_tablets_are_first_read_without_a_footer_load() {
             )
         };
         assert_eq!(entries(), held(), "budget {budget}");
-        reads_one_block(&vfs, || query_keys(&table, 1, 1));
-        // A bulk delete's rewrite admits its footer, and inherits, the
-        // same way.
-        let merged = inherited();
-        assert_eq!(table.bulk_delete(&[Value::I64(800)]).unwrap(), 1);
-        assert_eq!(table.num_disk_tablets(), 1);
-        assert_eq!(entries(), held(), "budget {budget}");
-        assert_eq!(inherited() > merged, budget > 0, "budget {budget}");
         reads_one_block(&vfs, || query_keys(&table, 1, 1));
         if budget == 0 {
             let snap = table.stats().snapshot();

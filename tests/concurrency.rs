@@ -677,7 +677,7 @@ fn held_table_handle_outlives_a_thousand_drop_create_cycles() {
 /// And what a held handle can no longer do: commit. After `drop_table` and
 /// a `create_table` of the same name, the directory and its descriptor
 /// are the new table's; every call on the stale handle that would publish
-/// a transition — a TTL, a schema version, rewritten tablets — is refused
+/// a transition — a TTL, a schema version — is refused
 /// before it writes, and the new table is found untouched by a reopen.
 #[test]
 fn a_stale_handle_commits_nothing_over_a_recreated_table() {
@@ -696,7 +696,6 @@ fn a_stale_handle_commits_nothing_over_a_recreated_table() {
     let stale = db.create_table("t", schema(), None).unwrap();
     stale.insert(vec![marker_row(7, 0)]).unwrap();
     stale.flush_all().unwrap();
-    // One row stays in memory: a bulk delete flushes first.
     stale.insert(vec![marker_row(7, 1)]).unwrap();
     db.drop_table("t").unwrap();
 
@@ -726,7 +725,6 @@ fn a_stale_handle_commits_nothing_over_a_recreated_table() {
         stale.set_ttl(Some(1)),
         stale.add_column(extra),
         stale.widen_column("v"),
-        stale.bulk_delete(&[Value::I64(7)]).map(drop),
     ];
     for (call, result) in refused.iter().enumerate() {
         assert!(

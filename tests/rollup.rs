@@ -8,7 +8,9 @@
 //!    rollup buckets reads **zero** base-table data (`pushdown_scans`
 //!    and `rows_materialized` stay flat while `rollup_hits` advances);
 //! 2. a cached result is never served after an insert that overlaps its
-//!    bounding box — the cache key pins the table's `insert_seq`.
+//!    bounding box — the cache key pins the table's `insert_seq`, which
+//!    only an insert moves, so a cached result outlives a flush, a
+//!    merge, a TTL reap and a fold.
 //!
 //! Beside them, the catalog's rollup bookkeeping: a drop cut short, on
 //! the simulated disk and killed at every op on a real one, leaves no
@@ -146,6 +148,74 @@ fn stale_cache_is_never_served_after_overlapping_insert() {
     assert_eq!(after[2][1], Value::I64(102466), "stale cached sum served");
     let recomputed = s.db().table("m").unwrap().stats().snapshot();
     assert_eq!(recomputed.result_cache_hits, hit.result_cache_hits);
+}
+
+/// Only an insert moves the key's insert sequence, so a cached answer
+/// outlives every maintenance step: a flush, a merge, a TTL reap and a
+/// rollup fold move rows between tablets and change no answer above
+/// the horizon.
+#[test]
+fn a_cached_answer_survives_maintenance() {
+    let (s, _, clock) = open();
+    s.execute("CREATE TABLE m (n INT64, ts TIMESTAMP, v INT64, PRIMARY KEY (n, ts)) TTL '4h'")
+        .unwrap();
+    // Three devices, five minutes of samples from `at`.
+    let load = |at: i64| {
+        for n in 1..=3 {
+            for i in 0..5 {
+                let (ts, v) = (at + i * MINUTE, n * 100 + i);
+                s.execute(&format!("INSERT INTO m VALUES ({n}, {ts}, {v})"))
+                    .unwrap();
+            }
+        }
+    };
+    // X, in the 4-hour period before START's, which the horizon will
+    // pass; then T1 and T2, two tablets of START's period.
+    let period = START - START.rem_euclid(240 * MINUTE);
+    for at in [
+        period - 30 * MINUTE,
+        START - 15 * MINUTE,
+        START - 10 * MINUTE,
+    ] {
+        load(at);
+        s.db().flush_all().unwrap();
+    }
+    s.execute("CREATE ROLLUP m_1h ON m PERIOD '1h' AGGREGATE (v)")
+        .unwrap();
+    // Rows still in memory when the answer is cached.
+    load(START - 5 * MINUTE);
+    let t = s.db().table("m").unwrap();
+    let counts = || {
+        let snap = t.stats().snapshot();
+        (snap.result_cache_hits, snap.result_cache_misses)
+    };
+    let window = format!("FROM m WHERE ts >= {}", START - 20 * MINUTE);
+    let q = format!("SELECT n, SUM(v), COUNT(*) {window} GROUP BY n");
+    let first = rows(s.execute(&q).unwrap());
+    // Device 1's rows of T1, T2 and memory.
+    assert_eq!(first.len(), 3);
+    assert_eq!(first[0], [1, 3 * 510, 15].map(Value::I64));
+    let (hits, misses) = counts();
+    let seq = t.insert_seq();
+    // Flush; 90 minutes on, past the merge delay and still in START's
+    // day (whose periods keep X apart from T1), the horizon has passed
+    // X and not the window: one pass merges T1 and T2, reaps X and
+    // folds the flushed tablet.
+    s.db().flush_all().unwrap();
+    clock.advance(90 * MINUTE);
+    let report = s.db().maintain_table("m").unwrap();
+    assert_eq!(
+        (report.merges, report.tablets_expired, report.tablets_folded),
+        (1, 1, 1)
+    );
+    assert_eq!(t.insert_seq(), seq);
+    assert_eq!(rows(s.execute(&q).unwrap()), first);
+    assert_eq!(counts(), (hits + 1, misses));
+    // A residual predicate every row meets asks another question, so
+    // it is computed afresh, over the tablets maintenance left.
+    let fresh = format!("SELECT n, SUM(v), COUNT(*) {window} AND v >= 0 GROUP BY n");
+    assert_eq!(rows(s.execute(&fresh).unwrap()), first);
+    assert_eq!(counts(), (hits + 1, misses + 1));
 }
 
 #[test]
@@ -760,30 +830,6 @@ fn no_reader_sees_a_half_built_rollup() {
     let seen = seen.lock().unwrap().take().expect("the hook never ran");
     assert_eq!(seen, (vec!["m".to_string()], false));
     assert_eq!(db.list_tables(), ["m", "m_2h"]);
-}
-
-/// A bulk delete would rewrite tablets that keep their `rolled_up` mark
-/// while the rollups keep the deleted rows' partials, so it is refused
-/// while `m_1h` folds `m`, leaving the data as it was, and runs once
-/// `m_1h` is dropped.
-#[test]
-fn a_bulk_delete_is_refused_while_rollups_fold_the_table() {
-    let (s, _, _) = open();
-    s.execute("CREATE TABLE m (sensor INT64, ts TIMESTAMP, v INT64, PRIMARY KEY (sensor, ts))")
-        .unwrap();
-    let m = s.db().table("m").unwrap();
-    m.insert([minutes(1, 0..60), minutes(2, 0..60)].concat())
-        .unwrap();
-    m.flush_all().unwrap();
-    s.execute("CREATE ROLLUP m_1h ON m PERIOD '1h' AGGREGATE (v)")
-        .unwrap();
-    let err = m.bulk_delete(&[Value::I64(2)]).unwrap_err();
-    assert!(matches!(err, Error::Invalid(_)), "{err:?}");
-    assert_eq!(m.query_all(&Query::all()).unwrap().len(), 120);
-    assert_rollups_fold_m(&s, "1h", HOUR, "refused");
-    s.execute("DROP ROLLUP m_1h").unwrap();
-    assert_eq!(m.bulk_delete(&[Value::I64(2)]).unwrap(), 60);
-    assert_eq!(m.query_all(&Query::all()).unwrap().len(), 60);
 }
 
 /// A table directory whose descriptor is gone holds no table — a drop cut
